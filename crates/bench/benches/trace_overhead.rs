@@ -20,9 +20,7 @@
 use cloudbench::scale::scale_spec;
 use cloudbench_bench::metrics::GATE_SCALE_CLIENTS;
 use cloudbench_bench::REPRO_SEED;
-use cloudsim_services::scale::{
-    run_scale_concurrent, run_scale_traced, run_scale_traced_concurrent,
-};
+use cloudsim_services::scale::{run_scale, run_scale_traced};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::{Duration, Instant};
@@ -41,17 +39,19 @@ fn best_of<F: FnMut()>(n: usize, mut f: F) -> Duration {
 
 fn overhead(c: &mut Criterion) {
     let spec = scale_spec(GATE_SCALE_CLIENTS, REPRO_SEED);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let fresh = || ObjectStore::with_policy(GcPolicy::MarkSweep);
 
     // --- Invariant 1: capture is a pure observer. ---
-    let baseline = run_scale_concurrent(&spec);
-    let (traced, capture) = run_scale_traced_concurrent(&spec);
+    let baseline = run_scale(&spec, fresh(), workers);
+    let (traced, capture) = run_scale_traced(&spec, fresh(), workers);
     assert_eq!(traced.commits, baseline.commits, "tracing changed the commit count");
     assert_eq!(traced.logical_bytes, baseline.logical_bytes, "tracing changed the volume");
     assert_eq!(traced.intervals, baseline.intervals, "tracing changed the timeline");
     assert_eq!(traced.aggregate(), baseline.aggregate(), "tracing changed the store state");
     // The merged capture is worker-count independent: one worker and one
     // shard reproduce it bit for bit.
-    let (_, single) = run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+    let (_, single) = run_scale_traced(&spec, fresh(), 1);
     assert_eq!(
         capture.view().packets(),
         single.view().packets(),
@@ -61,10 +61,10 @@ fn overhead(c: &mut Criterion) {
 
     // --- Invariant 2: tracing costs at most 1.5x wall time. ---
     let traceless_t = best_of(3, || {
-        run_scale_concurrent(&spec);
+        run_scale(&spec, fresh(), workers);
     });
     let traced_t = best_of(3, || {
-        run_scale_traced_concurrent(&spec);
+        run_scale_traced(&spec, fresh(), workers);
     });
     let ratio = traced_t.as_secs_f64() / traceless_t.as_secs_f64().max(1e-9);
     println!(
@@ -87,10 +87,10 @@ fn overhead(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     group.throughput(Throughput::Elements(baseline.commits));
     group.bench_with_input(BenchmarkId::new("fleet_scale", "traceless"), &spec, |b, spec| {
-        b.iter(|| run_scale_concurrent(spec))
+        b.iter(|| run_scale(spec, fresh(), workers))
     });
     group.bench_with_input(BenchmarkId::new("fleet_scale", "traced"), &spec, |b, spec| {
-        b.iter(|| run_scale_traced_concurrent(spec))
+        b.iter(|| run_scale_traced(spec, fresh(), workers))
     });
     group.finish();
 }

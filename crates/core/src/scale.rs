@@ -21,8 +21,9 @@
 //! gated as `fleetscale.*` metrics and the CI fleet-scale determinism leg
 //! `cmp`s two fresh JSON dumps byte for byte.
 
-use cloudsim_services::capture::{replay_concurrent, FleetCapture, ReplayMix};
-use cloudsim_services::scale::{run_scale_concurrent, ScaleRun, ScaleSpec};
+use cloudsim_services::capture::{replay, FleetCapture, ReplayMix};
+use cloudsim_services::scale::{run_scale, ScaleRun, ScaleSpec};
+use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{HistogramSummary, SimDuration};
 use serde::Serialize;
 
@@ -112,7 +113,8 @@ pub(crate) fn assemble_suite(
 /// and assembles the suite.
 pub fn run_fleet_scale(clients: usize, seed: u64) -> FleetScaleSuite {
     let spec = scale_spec(clients, seed);
-    let run = run_scale_concurrent(&spec);
+    let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
+    let run = run_scale(&spec, store, cloudsim_parallel::available_workers());
     assemble_suite(
         spec.commits_per_client,
         spec.files_per_commit,
@@ -131,7 +133,7 @@ pub fn replay_fleet_scale(
     capture: &FleetCapture,
     mix: &ReplayMix,
 ) -> Result<FleetScaleSuite, String> {
-    let run = replay_concurrent(capture, mix)?;
+    let run = replay(capture, mix, cloudsim_parallel::available_workers())?;
     Ok(assemble_suite(
         capture.commits_per_client,
         capture.files_per_commit,

@@ -19,7 +19,8 @@
 //! bench rather than by a gate metric.
 
 use crate::scale::scale_spec;
-use cloudsim_services::scale::{run_scale_concurrent, run_scale_traced_concurrent};
+use cloudsim_services::scale::{run_scale, run_scale_traced};
+use cloudsim_storage::{GcPolicy, ObjectStore};
 use serde::Serialize;
 
 /// The trace-overhead suite's results.
@@ -63,8 +64,10 @@ pub struct TraceOverheadSuite {
 /// merged capture.
 pub fn run_trace_overhead(clients: usize, seed: u64) -> TraceOverheadSuite {
     let spec = scale_spec(clients, seed);
-    let baseline = run_scale_concurrent(&spec);
-    let (run, trace) = run_scale_traced_concurrent(&spec);
+    let workers = cloudsim_parallel::available_workers();
+    let fresh = || ObjectStore::with_policy(GcPolicy::MarkSweep);
+    let baseline = run_scale(&spec, fresh(), workers);
+    let (run, trace) = run_scale_traced(&spec, fresh(), workers);
 
     // Capture must be a pure observer: the traced run's simulation data is
     // the traceless run's, bit for bit.

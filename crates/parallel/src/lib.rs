@@ -7,10 +7,15 @@
 //! atomic counter and tag every result with its index; the tags are used to
 //! reassemble deterministic output. No locks, no unsafe, no pool — workers
 //! are `std::thread::scope` threads that live for one call.
+//!
+//! [`run_indexed`] and [`run_with_contexts`] differ only in who owns the
+//! per-worker contexts (built per call, or lent by the caller and kept
+//! across calls), so both are two-line adapters over one private body.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::BorrowMut;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -43,44 +48,7 @@ where
     I: Fn() -> C + Sync,
     F: Fn(&mut C, usize) -> T + Sync,
 {
-    if count == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, count);
-    if workers == 1 {
-        let mut ctx = init();
-        return (0..count).map(|i| work(&mut ctx, i)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut shards: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut ctx = init();
-                let mut shard = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    shard.push((i, work(&mut ctx, i)));
-                }
-                shard
-            }));
-        }
-        for handle in handles {
-            shards.push(handle.join().expect("worker thread panicked"));
-        }
-    });
-
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    for (i, value) in shards.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "duplicate work item {i}");
-        slots[i] = Some(value);
-    }
-    slots.into_iter().map(|slot| slot.expect("work item lost")).collect()
+    fan_out((0..workers.max(1)).map(|_| ()), count, |()| init(), work)
 }
 
 /// Like [`run_indexed`], but over caller-owned worker contexts that persist
@@ -88,7 +56,7 @@ where
 /// scoped thread per entry of `contexts` (capped at one per item), returning
 /// results in index order. The fleet harness uses this to hand each round
 /// worker a long-lived trace shard that keeps accumulating packets wave after
-/// wave. With a single context the whole map runs inline on the calling
+/// wave. With a single worker the whole map runs inline on the calling
 /// thread. Panics in `work` propagate; panics if `contexts` is empty.
 pub fn run_with_contexts<C, T, F>(contexts: &mut [C], count: usize, work: F) -> Vec<T>
 where
@@ -97,37 +65,48 @@ where
     F: Fn(&mut C, usize) -> T + Sync,
 {
     assert!(!contexts.is_empty(), "at least one worker context is required");
-    if count == 0 {
-        return Vec::new();
-    }
-    if contexts.len() == 1 {
-        let ctx = &mut contexts[0];
-        return (0..count).map(|i| work(ctx, i)).collect();
+    fan_out(contexts.iter_mut(), count, |ctx| ctx, work)
+}
+
+/// The one fan-out body behind both entry points. Each of the first `count`
+/// `seeds` becomes one worker: `open` turns the seed into the worker's
+/// context on the worker's own thread — built there by [`run_indexed`]'s
+/// `init` (so a context need not be `Send`), or simply the caller's
+/// `&mut C` for [`run_with_contexts`] — and the worker claims indices off a
+/// shared counter until none are left.
+fn fan_out<S, G, C, T>(
+    seeds: impl ExactSizeIterator<Item = S>,
+    count: usize,
+    open: impl Fn(S) -> G + Sync,
+    work: impl Fn(&mut C, usize) -> T + Sync,
+) -> Vec<T>
+where
+    S: Send,
+    G: BorrowMut<C>,
+    T: Send,
+{
+    let mut seeds = seeds.take(count);
+    if seeds.len() <= 1 {
+        let Some(seed) = seeds.next() else { return Vec::new() };
+        let mut ctx = open(seed);
+        return (0..count).map(|i| work(ctx.borrow_mut(), i)).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let spawn = contexts.len().min(count);
-    let work = &work;
-    let next = &next;
-    let mut shards: Vec<Vec<(usize, T)>> = Vec::with_capacity(spawn);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(spawn);
-        for ctx in contexts.iter_mut().take(spawn) {
-            handles.push(scope.spawn(move || {
-                let mut shard = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    shard.push((i, work(ctx, i)));
-                }
-                shard
-            }));
+    let claim = |seed: S| {
+        let mut ctx = open(seed);
+        let mut shard = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break shard;
+            }
+            shard.push((i, work(ctx.borrow_mut(), i)));
         }
-        for handle in handles {
-            shards.push(handle.join().expect("worker thread panicked"));
-        }
+    };
+    let shards: Vec<Vec<(usize, T)>> = thread::scope(|scope| {
+        let handles: Vec<_> = seeds.map(|seed| scope.spawn(|| claim(seed))).collect();
+        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
     });
 
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();

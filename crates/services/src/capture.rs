@@ -6,9 +6,9 @@
 //! same property. [`render_capture`] lowers a [`ScaleSpec`] into a compact,
 //! versioned JSONL recording — one header line describing the population,
 //! then one line per commit event `(timestamp, client, op, bytes, content
-//! seeds)` in event-heap order. [`replay`] re-drives a parsed capture
-//! through the same event heap and the same commit executor
-//! ([`crate::scale`]), so:
+//! seeds)` in event-heap order. [`replay`] hands a capture to the same
+//! commit runner as the live run ([`crate::scale`]) — only the source the
+//! runner resolves its events, seeds and links from differs — so:
 //!
 //! * **same-mix replay is bit-identical**: the capture stores exact
 //!   microsecond instants and the exact content seeds, the replay rebuilds
@@ -24,11 +24,14 @@
 //! Everything is plain text with integer-only fields, so captures diff
 //! cleanly and survive version control. The parser is hand-rolled over the
 //! line grammar (the vendored `serde_json` is a serialiser only) and
-//! rejects unknown format names and versions up front.
+//! rejects unknown format names and versions up front; the header/event
+//! consistency checks live in [`FleetCapture::validate`], which the parser
+//! and the commit runner both call.
 
-use crate::engine::{EventHeap, FleetEvent, Phase};
+use crate::engine::{FleetEvent, Phase};
+use crate::partition::ClientSet;
 use crate::profile::ServiceProfile;
-use crate::scale::{assemble_run, drive_waves, execute_transfer, scale_user, ScaleRun, ScaleSpec};
+use crate::scale::{drive_plain, Commits, ScaleRun, ScaleSpec, Source};
 use cloudsim_net::AccessLink;
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{SimDuration, SimTime};
@@ -98,6 +101,130 @@ pub enum ReplayMix {
     /// behaviour: a non-bundling service opens a connection per file, so a
     /// commit pays `files_per_commit` access round trips instead of one.
     Profile(ServiceProfile),
+}
+
+impl FleetCapture {
+    /// Checks every event against the header, so a truncated, hand-edited
+    /// or hand-built capture fails loudly instead of replaying garbage (or
+    /// indexing out of bounds inside a worker thread). The one copy of the
+    /// checks: [`parse_capture`] runs it on what it read, and the commit
+    /// runner runs it on whatever it is handed — all fields are `pub`, so
+    /// a capture need not have come through the parser.
+    pub fn validate(&self) -> Result<(), String> {
+        let (clients, base, commits_per_client) =
+            (self.clients, self.client_base, self.commits_per_client);
+        let sizes = (
+            (self.files_per_commit as u64).checked_mul(self.file_size),
+            clients.checked_mul(commits_per_client),
+            base.checked_add(clients),
+        );
+        let (Some(expected_bytes), Some(expected_events), Some(end)) = sizes else {
+            return Err("capture header describes a population too large to index".into());
+        };
+        if expected_bytes == 0 || expected_events == 0 {
+            return Err("capture header describes an empty population".into());
+        }
+        if self.link_names.is_empty() {
+            return Err("capture header lists no access links".into());
+        }
+        for event in &self.events {
+            if !(base..end).contains(&event.client) {
+                return Err(format!(
+                    "event client {} outside the header's [{base}, {end}) range",
+                    event.client
+                ));
+            }
+            if event.round >= commits_per_client {
+                return Err(format!(
+                    "event round {} outside the {commits_per_client}-commit header",
+                    event.round
+                ));
+            }
+            if event.bytes != expected_bytes {
+                return Err(format!(
+                    "event carries {} bytes but the header's commit is {expected_bytes} bytes",
+                    event.bytes
+                ));
+            }
+            if event.content_seeds.len() != self.files_per_commit {
+                return Err(format!(
+                    "event carries {} content seeds for a {}-file commit",
+                    event.content_seeds.len(),
+                    self.files_per_commit
+                ));
+            }
+        }
+        if self.events.len() != expected_events {
+            return Err(format!(
+                "capture holds {} events but the header promises {expected_events}",
+                self.events.len()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Resolves the capture's commits for the driver under `mix`, with
+    /// their events (global client ids, recorded order): the recorded
+    /// seeds and shape, the mix's links and round trips. Events keep their
+    /// global client ids, so a slice commits into the same store keyspace
+    /// and through the same round-robin link assignment as its clients'
+    /// share of the unsliced run.
+    pub(crate) fn commits(
+        &self,
+        mix: &ReplayMix,
+    ) -> Result<(Commits<'_>, Vec<FleetEvent>), String> {
+        self.validate()?;
+        let links: Vec<AccessLink> = match mix {
+            ReplayMix::Link(link) => vec![*link],
+            ReplayMix::Original | ReplayMix::Profile(_) => self
+                .link_names
+                .iter()
+                .map(|name| {
+                    AccessLink::by_name(name)
+                        .ok_or_else(|| format!("capture references unknown link preset \"{name}\""))
+                })
+                .collect::<Result<_, _>>()?,
+        };
+        let rtts_per_commit = match mix {
+            ReplayMix::Profile(profile) if !profile.bundles() => self.files_per_commit as u64,
+            _ => 1,
+        };
+
+        // Seeds keyed by (client, round), so an event finds its commit's
+        // seeds whatever order the capture lists its events in.
+        let (base, commits_per_client) = (self.client_base, self.commits_per_client);
+        let slot_of = move |client, round| (client - base) * commits_per_client + round;
+        let mut table: Vec<&[u64]> = vec![&[]; self.events.len()];
+        let mut events = Vec::with_capacity(self.events.len());
+        for ev in &self.events {
+            // A validated capture fills every slot exactly once unless
+            // some commit was recorded twice.
+            let slot = &mut table[slot_of(ev.client, ev.round)];
+            if !slot.is_empty() {
+                return Err(format!(
+                    "capture records client {}'s commit {} more than once",
+                    ev.client, ev.round
+                ));
+            }
+            *slot = &ev.content_seeds;
+            events.push(FleetEvent {
+                at: ev.at,
+                phase: Phase::Sync,
+                client: ev.client,
+                round: ev.round,
+            });
+        }
+        let commits = Commits {
+            owned: ClientSet::Range { start: base, end: base + self.clients },
+            files_per_commit: self.files_per_commit,
+            file_size: self.file_size,
+            shared_files: self.shared_files_per_commit,
+            rtts_per_commit,
+            links,
+            seeds: Box::new(move |ev, f| table[slot_of(ev.client, ev.round)][f]),
+        };
+        Ok((commits, events))
+    }
 }
 
 /// Lowers a [`ScaleSpec`] into its in-memory capture: the header fields
@@ -192,6 +319,7 @@ pub fn slice_capture(
     capture: &FleetCapture,
     ranges: &[(usize, usize)],
 ) -> Result<Vec<FleetCapture>, String> {
+    capture.validate()?;
     if ranges.is_empty() {
         return Err("slice_capture needs at least one range".into());
     }
@@ -275,29 +403,11 @@ pub fn merge_slices(slices: &[FleetCapture]) -> Result<FleetCapture, String> {
         next_base += slice.clients;
     }
 
-    let total: usize = order.iter().map(|s| s.events.len()).sum();
-    let mut cursors = vec![0usize; order.len()];
-    let mut events = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, slice) in order.iter().enumerate() {
-            let Some(candidate) = slice.events.get(cursors[i]) else { continue };
-            let beats = match best {
-                None => true,
-                Some(b) => {
-                    let incumbent = &order[b].events[cursors[b]];
-                    (candidate.at, candidate.client, candidate.round)
-                        < (incumbent.at, incumbent.client, incumbent.round)
-                }
-            };
-            if beats {
-                best = Some(i);
-            }
-        }
-        let Some(b) = best else { break };
-        events.push(order[b].events[cursors[b]].clone());
-        cursors[b] += 1;
-    }
+    // Every slice's stream is already in that order, so the stable sort
+    // sees one sorted run per slice and merges them.
+    let mut events: Vec<CaptureEvent> =
+        order.iter().flat_map(|slice| slice.events.iter().cloned()).collect();
+    events.sort_by_key(|ev| (ev.at, ev.client, ev.round));
 
     Ok(FleetCapture {
         clients: next_base - first.client_base,
@@ -412,12 +522,6 @@ pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
     // captures omit it, so a missing field means base zero.
     let client_base =
         if header.contains("\"client_base\":") { usize_field(header, "client_base")? } else { 0 };
-    if clients == 0 || commits_per_client == 0 || files_per_commit == 0 || file_size == 0 {
-        return Err("capture header describes an empty population".into());
-    }
-    if links.is_empty() {
-        return Err("capture header lists no access links".into());
-    }
     let link_names: Result<Vec<String>, String> = links
         .into_iter()
         .map(|quoted| {
@@ -430,7 +534,6 @@ pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
         .collect();
     let link_names = link_names?;
 
-    let expected_bytes = files_per_commit as u64 * file_size;
     let mut events = Vec::new();
     for line in lines {
         let op = str_field(line, "op")?;
@@ -439,49 +542,16 @@ pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
                 "capture version {CAPTURE_VERSION} only records \"sync\" events, got \"{op}\""
             ));
         }
-        let event = CaptureEvent {
+        events.push(CaptureEvent {
             at: SimTime::from_micros(u64_field(line, "t_us")?),
             client: usize_field(line, "client")?,
             round: usize_field(line, "round")?,
             bytes: u64_field(line, "bytes")?,
             content_seeds: u64_array_field(line, "content")?,
-        };
-        if event.client < client_base || event.client - client_base >= clients {
-            return Err(format!(
-                "event client {} outside the header's [{client_base}, {}) range",
-                event.client,
-                client_base + clients
-            ));
-        }
-        if event.round >= commits_per_client {
-            return Err(format!(
-                "event round {} outside the {commits_per_client}-commit header",
-                event.round
-            ));
-        }
-        if event.bytes != expected_bytes {
-            return Err(format!(
-                "event carries {} bytes but the header's commit is {expected_bytes} bytes",
-                event.bytes
-            ));
-        }
-        if event.content_seeds.len() != files_per_commit {
-            return Err(format!(
-                "event carries {} content seeds for a {files_per_commit}-file commit",
-                event.content_seeds.len()
-            ));
-        }
-        events.push(event);
-    }
-    if events.len() != clients * commits_per_client {
-        return Err(format!(
-            "capture holds {} events but the header promises {}",
-            events.len(),
-            clients * commits_per_client
-        ));
+        });
     }
 
-    Ok(FleetCapture {
+    let capture = FleetCapture {
         clients,
         client_base,
         commits_per_client,
@@ -492,87 +562,34 @@ pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
         link_names,
         seed,
         events,
-    })
+    };
+    capture.validate()?;
+    Ok(capture)
 }
 
-/// Re-drives a parsed capture through the event heap on up to `workers`
-/// threads. [`ReplayMix::Original`] reproduces the recorded run bit for
-/// bit; the other mixes substitute one factor and hold the workload fixed.
+/// Re-drives a capture through the commit runner ([`crate::scale`]) on up
+/// to `workers` threads against a fresh mark-sweep store.
+/// [`ReplayMix::Original`] reproduces the recorded run bit for bit; the
+/// other mixes substitute one factor and hold the workload fixed. A capture
+/// that fails [`FleetCapture::validate`] is an `Err`, parsed or hand-built.
 pub fn replay(capture: &FleetCapture, mix: &ReplayMix, workers: usize) -> Result<ScaleRun, String> {
-    let links: Vec<AccessLink> = match mix {
-        ReplayMix::Link(link) => vec![*link],
-        ReplayMix::Original | ReplayMix::Profile(_) => capture
-            .link_names
-            .iter()
-            .map(|name| {
-                AccessLink::by_name(name)
-                    .ok_or_else(|| format!("capture references unknown link preset \"{name}\""))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let rtts_per_commit = match mix {
-        ReplayMix::Profile(profile) if !profile.bundles() => capture.files_per_commit as u64,
-        _ => 1,
-    };
-
-    // Content seeds keyed by capture-local (client, round) so the executor
-    // can look an event's commit up without threading the capture through
-    // the heap. Heap events are capture-local too (state records are a
-    // dense per-slice array); the executor maps back to the global index
-    // for the store keyspace and the round-robin link assignment, so a
-    // slice replays exactly the clients' share of the unsliced run.
-    let base = capture.client_base;
-    let mut seeds: Vec<&[u64]> = vec![&[]; capture.clients * capture.commits_per_client];
-    let mut heap_events = Vec::with_capacity(capture.events.len());
-    for ev in &capture.events {
-        let local = ev.client - base;
-        seeds[local * capture.commits_per_client + ev.round] = &ev.content_seeds;
-        heap_events.push(FleetEvent {
-            at: ev.at,
-            phase: Phase::Sync,
-            client: local,
-            round: ev.round,
-        });
-    }
-    let heap = EventHeap::from_events(heap_events);
-
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-    let started = std::time::Instant::now();
-    let (states, intervals) = drive_waves(heap, capture.clients, workers, |ev, state| {
-        let global = ev.client + base;
-        execute_transfer(
-            &store,
-            &scale_user(global),
-            &links[global % links.len()],
-            ev.round,
-            capture.files_per_commit,
-            capture.file_size,
-            capture.shared_files_per_commit,
-            rtts_per_commit,
-            ev.at,
-            |f| seeds[ev.client * capture.commits_per_client + ev.round][f],
-            state,
-        )
-    });
-    let files = capture.clients as u64
-        * capture.commits_per_client as u64
-        * capture.files_per_commit as u64;
-    Ok(assemble_run(capture.clients, files, &states, intervals, store, started))
-}
-
-/// [`replay`] with one worker per host core — the replay twin of
-/// [`crate::scale::run_scale_concurrent`].
-pub fn replay_concurrent(capture: &FleetCapture, mix: &ReplayMix) -> Result<ScaleRun, String> {
-    replay(capture, mix, cloudsim_parallel::available_workers())
+    let driven = drive_plain(Source::Capture(capture, mix), &store, workers)?;
+    Ok(driven.into_run(store))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::run_scale_concurrent;
+    use crate::scale::{run_wide, scale_user};
 
     fn small_spec() -> ScaleSpec {
         ScaleSpec::new(48).with_seed(0xCAB)
+    }
+
+    /// [`replay`] with one worker per host core, like [`run_wide`].
+    fn replay_wide(capture: &FleetCapture, mix: &ReplayMix) -> Result<ScaleRun, String> {
+        replay(capture, mix, cloudsim_parallel::available_workers())
     }
 
     #[test]
@@ -597,9 +614,9 @@ mod tests {
     #[test]
     fn same_mix_replay_is_bit_identical_to_the_original_run() {
         let spec = small_spec();
-        let original = run_scale_concurrent(&spec);
+        let original = run_wide(&spec);
         let capture = parse_capture(&render_capture(&spec)).unwrap();
-        let replayed = replay_concurrent(&capture, &ReplayMix::Original).unwrap();
+        let replayed = replay_wide(&capture, &ReplayMix::Original).unwrap();
 
         assert_eq!(replayed.clients, original.clients);
         assert_eq!(replayed.commits, original.commits);
@@ -620,9 +637,9 @@ mod tests {
     #[test]
     fn link_remap_shifts_timing_but_preserves_the_workload() {
         let spec = small_spec();
-        let original = run_scale_concurrent(&spec);
+        let original = run_wide(&spec);
         let capture = parse_capture(&render_capture(&spec)).unwrap();
-        let remapped = replay_concurrent(&capture, &ReplayMix::Link(AccessLink::adsl())).unwrap();
+        let remapped = replay_wide(&capture, &ReplayMix::Link(AccessLink::adsl())).unwrap();
 
         // The workload is identical...
         assert_eq!(remapped.commits, original.commits);
@@ -632,7 +649,7 @@ mod tests {
         // ...but every client now uploads through ADSL, so the mixed-link
         // timeline is gone.
         assert_ne!(remapped.intervals, original.intervals);
-        let all_adsl = replay_concurrent(&capture, &ReplayMix::Link(AccessLink::adsl())).unwrap();
+        let all_adsl = replay_wide(&capture, &ReplayMix::Link(AccessLink::adsl())).unwrap();
         assert_eq!(all_adsl.intervals, remapped.intervals, "replay must be deterministic");
     }
 
@@ -640,12 +657,12 @@ mod tests {
     fn profile_remap_charges_per_file_round_trips() {
         let spec = small_spec();
         let capture = parse_capture(&render_capture(&spec)).unwrap();
-        let bundled = replay_concurrent(&capture, &ReplayMix::Original).unwrap();
+        let bundled = replay_wide(&capture, &ReplayMix::Original).unwrap();
         let per_file = ServiceProfile::all()
             .into_iter()
             .find(|p| !p.bundles())
             .expect("some profile must not bundle");
-        let unbundled = replay_concurrent(&capture, &ReplayMix::Profile(per_file)).unwrap();
+        let unbundled = replay_wide(&capture, &ReplayMix::Profile(per_file)).unwrap();
 
         assert_eq!(unbundled.aggregate(), bundled.aggregate());
         // Every commit pays files_per_commit RTTs instead of one, so no
@@ -659,7 +676,7 @@ mod tests {
         assert!(longer > 0, "per-file round trips must slow some transfers");
         // A bundling profile replays exactly like the original mix.
         let still_bundled = ServiceProfile::all().into_iter().find(|p| p.bundles()).unwrap();
-        let same = replay_concurrent(&capture, &ReplayMix::Profile(still_bundled)).unwrap();
+        let same = replay_wide(&capture, &ReplayMix::Profile(still_bundled)).unwrap();
         assert_eq!(same.intervals, bundled.intervals);
     }
 
@@ -677,6 +694,56 @@ mod tests {
         assert!(parse_capture(&truncated).unwrap_err().contains("events"));
         let bad_bytes = good.replacen("\"bytes\":262144", "\"bytes\":1", 1);
         assert!(parse_capture(&bad_bytes).unwrap_err().contains("bytes"));
+    }
+
+    #[test]
+    fn hostile_hand_built_captures_are_errors_on_every_path() {
+        use crate::partition::{run_partition, PartitionSpec, PartitionWorkload};
+
+        // All fields are `pub`, so a capture need not have come through the
+        // parser. One hostile capture per check; before `validate` each of
+        // the first four panicked inside a scoped worker thread.
+        let good = capture_of_spec(&ScaleSpec::new(3).with_seed(9));
+        type Tamper = fn(&mut FleetCapture);
+        let hostile: [(&str, Tamper); 9] = [
+            ("no access links", |c| c.link_names.clear()),
+            ("outside the header's [2, 5) range", |c| c.client_base = 2),
+            ("outside the header's [0, 3) range", |c| c.events[1].client = 3),
+            ("round 2 outside the 2-commit header", |c| c.events[0].round = 2),
+            ("content seeds for a 4-file commit", |c| c.events[2].content_seeds.truncate(1)),
+            ("bytes but the header's commit is", |c| c.events[0].bytes += 1),
+            ("events but the header promises 6", |c| c.events.truncate(5)),
+            ("empty population", |c| c.files_per_commit = 0),
+            ("too large to index", |c| c.client_base = usize::MAX),
+        ];
+        for (expected, tamper) in hostile {
+            let mut capture = good.clone();
+            tamper(&mut capture);
+            let err = capture.validate().expect_err(expected);
+            assert!(err.contains(expected), "expected \"{expected}\", got: {err}");
+            // The API paths return the very error the file path does.
+            assert_eq!(parse_capture(&render_fleet_capture(&capture)).unwrap_err(), err);
+            assert_eq!(replay(&capture, &ReplayMix::Original, 2).unwrap_err(), err);
+            assert_eq!(slice_capture(&capture, &[(0, 3)]).unwrap_err(), err);
+            let part = PartitionSpec {
+                index: 0,
+                clients: ClientSet::Range {
+                    start: capture.client_base,
+                    end: capture.client_base.saturating_add(capture.clients),
+                },
+                workload: PartitionWorkload::Slice(capture),
+            };
+            let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
+            assert_eq!(run_partition(&part, &store, 2).unwrap_err(), format!("partition 0: {err}"));
+        }
+
+        // A commit recorded twice keeps every per-event check happy (the
+        // count is intact) but would leave another commit without seeds.
+        let mut twice = good.clone();
+        twice.events[1] = twice.events[0].clone();
+        assert!(twice.validate().is_ok());
+        let err = replay(&twice, &ReplayMix::Original, 2).unwrap_err();
+        assert!(err.contains("more than once"), "got: {err}");
     }
 
     #[test]
@@ -719,9 +786,9 @@ mod tests {
     fn slice_replay_matches_the_clients_share_of_the_unsliced_run() {
         let spec = small_spec();
         let capture = capture_of_spec(&spec);
-        let whole = replay_concurrent(&capture, &ReplayMix::Original).unwrap();
+        let whole = replay_wide(&capture, &ReplayMix::Original).unwrap();
         let slices = slice_capture(&capture, &[(0, 20), (20, 48)]).unwrap();
-        let tail = replay_concurrent(&slices[1], &ReplayMix::Original).unwrap();
+        let tail = replay_wide(&slices[1], &ReplayMix::Original).unwrap();
         assert_eq!(tail.clients, 28);
         // The slice commits under the same global user names, so its store
         // contents are exactly those clients' share of the whole run.
@@ -759,7 +826,7 @@ mod tests {
         let spec = ScaleSpec::new(2).with_seed(1);
         let text = render_capture(&spec).replacen("\"campus\"", "\"dialup\"", 1);
         let capture = parse_capture(&text).unwrap();
-        let err = replay_concurrent(&capture, &ReplayMix::Original).unwrap_err();
+        let err = replay_wide(&capture, &ReplayMix::Original).unwrap_err();
         assert!(err.contains("dialup"));
     }
 }

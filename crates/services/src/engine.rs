@@ -1,4 +1,4 @@
-//! The discrete-event fleet engine: a time-ordered event heap replacing
+//! The discrete-event fleet engine: a time-ordered event queue replacing
 //! round barriers.
 //!
 //! The round-major fleet loop materialised the whole population every round
@@ -8,18 +8,30 @@
 //! precomputed [`FleetSchedule`] (pure data since PR 5) is lowered into a
 //! flat list of [`FleetEvent`]s — activations, keep-alive epochs,
 //! restore-fan pulls, departures, GC sweeps — ordered by
-//! `(timestamp, phase, client id)` on a binary heap, and the driver pops
-//! them one at a time, touching only the event's client.
+//! `(timestamp, phase, client id)`, and the driver pops them in that order,
+//! touching only each event's client.
+//!
+//! ## Sort once, never push
+//!
+//! [`EventHeap`] keeps its historical name but is not a binary heap: it is
+//! the event list sorted once plus a cursor. Every driver — the full fleet,
+//! the scale runner, capture replay, a partition — derives *all* of its
+//! events from pure data (a schedule, a spec, a capture) before the first
+//! one fires, and no event handler ever schedules another, so nothing is
+//! pushed after construction and a heap's per-pop sift buys nothing. A wave
+//! is then just a sub-slice of the sorted array, lent without copying. If
+//! a driver ever needs to schedule events dynamically, that is the day a
+//! `push` (and a real heap) earns its place again.
 //!
 //! ## Determinism
 //!
-//! The heap order is a *total* order: ties at equal timestamps resolve by
+//! The queue order is a *total* order: ties at equal timestamps resolve by
 //! phase first (syncs before idles before restores before leaves before GC,
 //! mirroring the old intra-round phase separation) and then by client id,
 //! so two derivations of the same schedule replay the same event sequence
 //! whatever the insertion order was. The legacy lock-step configuration
 //! degenerates to exactly the old round-major timeline: every round's
-//! events share one epoch timestamp, so the heap emits the old sync → idle
+//! events share one epoch timestamp, so the queue emits the old sync → idle
 //! → restore → leave → GC phases in the old client order, and the committed
 //! `fig6.*`/`fleet8.*`/`hetero.*`/`schedule.*`/`restore.*`/`faults.*`
 //! baselines replay byte-identically (`to_bits()` equality, asserted in the
@@ -57,8 +69,7 @@
 use crate::fleet::{FleetSpec, ROUND_EPOCH_SECS};
 use crate::schedule::{FleetSchedule, RoundEvent};
 use cloudsim_trace::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::HashSet;
 
 /// What kind of work a [`FleetEvent`] performs when it fires.
 ///
@@ -92,7 +103,7 @@ pub enum Phase {
 /// phase slot.
 pub const NO_CLIENT: usize = usize::MAX;
 
-/// One entry of the event heap: fire `phase` for `client` at virtual time
+/// One entry of the event queue: fire `phase` for `client` at virtual time
 /// `at`. `round` carries the schedule round the event was derived from, so
 /// the driver can look up the activation (and spawn a client at the right
 /// login epoch) without a reverse search.
@@ -132,17 +143,18 @@ impl PartialOrd for FleetEvent {
 }
 
 /// A maximal run of consecutive same-phase events with pairwise-distinct
-/// clients, popped off the heap as one unit. See the module docs for why a
-/// wave may execute in parallel without breaking bit-identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventWave {
+/// clients, lent out of the queue as one unit. See the module docs for why
+/// a wave may execute in parallel without breaking bit-identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventWave<'a> {
     /// The phase every event of the wave shares.
     pub phase: Phase,
-    /// The wave's events, in heap (= key) order.
-    pub events: Vec<FleetEvent>,
+    /// The wave's events, in key order — a slice of the queue's own sorted
+    /// array, so popping a wave allocates nothing.
+    pub events: &'a [FleetEvent],
 }
 
-impl EventWave {
+impl EventWave<'_> {
     /// The client ids of the wave, in event order (pairwise distinct by
     /// construction).
     pub fn clients(&self) -> Vec<usize> {
@@ -150,27 +162,30 @@ impl EventWave {
     }
 }
 
-/// The time-ordered event heap the fleet driver pops.
+/// The time-ordered event queue the fleet drivers pop.
 ///
-/// A thin wrapper over a min-[`BinaryHeap`] keyed by [`FleetEvent::key`].
-/// Derive one from a spec and its schedule with [`EventHeap::derive`], or
-/// build one from an explicit event list with [`EventHeap::from_events`]
-/// (the fleet-scale runner does the latter with analytically drawn
-/// activation instants).
-#[derive(Debug, Default)]
+/// Every caller knows its whole event list before the first event fires
+/// (see the module docs), so the queue is that list sorted once by
+/// [`FleetEvent::key`] plus a cursor. Derive one from a spec and its
+/// schedule with [`EventHeap::derive`], or build one from an explicit event
+/// list with [`EventHeap::from_events`] (the fleet-scale runner does the
+/// latter with analytically drawn activation instants).
+#[derive(Debug)]
 pub struct EventHeap {
-    heap: BinaryHeap<Reverse<FleetEvent>>,
+    /// Every event, in key order.
+    events: Vec<FleetEvent>,
+    /// Index of the next event to pop; everything before it has fired.
+    next: usize,
+    /// Scratch for the wave segmentation, kept across waves so popping one
+    /// does not allocate.
+    seen: HashSet<usize>,
 }
 
 impl EventHeap {
-    /// An empty heap.
-    pub fn new() -> EventHeap {
-        EventHeap::default()
-    }
-
-    /// A heap preloaded with `events` (any order; the heap sorts).
-    pub fn from_events(events: Vec<FleetEvent>) -> EventHeap {
-        EventHeap { heap: events.into_iter().map(Reverse).collect() }
+    /// A queue over `events` (any order; sorted here, once).
+    pub fn from_events(mut events: Vec<FleetEvent>) -> EventHeap {
+        events.sort_unstable();
+        EventHeap { events, next: 0, seen: HashSet::new() }
     }
 
     /// Lowers a spec's precomputed schedule into the full event list:
@@ -240,74 +255,60 @@ impl EventHeap {
         EventHeap::from_events(events)
     }
 
-    /// Queued events.
+    /// Events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len() - self.next
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Pushes one event.
-    pub fn push(&mut self, event: FleetEvent) {
-        self.heap.push(Reverse(event));
+        self.len() == 0
     }
 
     /// Pops the single next event in `(timestamp, phase, client)` order.
     pub fn pop(&mut self) -> Option<FleetEvent> {
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    /// The next event without popping it.
-    pub fn peek(&self) -> Option<&FleetEvent> {
-        self.heap.peek().map(|Reverse(e)| e)
+        let event = *self.events.get(self.next)?;
+        self.next += 1;
+        Some(event)
     }
 
     /// Pops the next wave: the maximal run of consecutive same-phase events
     /// in which every client appears at most once. A repeated client ends
     /// the wave (its later event depends on its earlier one), as does a
     /// phase change (cross-phase order is the determinism contract).
-    pub fn next_wave(&mut self) -> Option<EventWave> {
-        let first = self.pop()?;
-        let phase = first.phase;
-        let mut seen: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        seen.insert(first.client);
-        let mut events = vec![first];
-        while let Some(next) = self.peek() {
-            if next.phase != phase || seen.contains(&next.client) {
-                break;
-            }
-            let next = self.pop().expect("peeked event is still queued");
-            seen.insert(next.client);
-            events.push(next);
-        }
-        Some(EventWave { phase, events })
+    pub fn next_wave(&mut self) -> Option<EventWave<'_>> {
+        let rest = &self.events[self.next..];
+        let wave = &rest[..leading_wave(rest, &mut self.seen)];
+        self.next += wave.len();
+        Some(EventWave { phase: wave.first()?.phase, events: wave })
+    }
+
+    /// Every event the queue was built over, fired or not, in key order.
+    pub(crate) fn into_events(self) -> Vec<FleetEvent> {
+        self.events
     }
 }
 
+/// The length of the wave at the head of `events` (given in key order): it
+/// runs until the phase changes or a client repeats. The one segmentation
+/// rule, shared by [`EventHeap::next_wave`] and [`wave_count`]; `seen` is
+/// caller-owned scratch.
+fn leading_wave(events: &[FleetEvent], seen: &mut HashSet<usize>) -> usize {
+    seen.clear();
+    let Some(first) = events.first() else { return 0 };
+    events.iter().take_while(|ev| ev.phase == first.phase && seen.insert(ev.client)).count()
+}
+
 /// The number of waves [`EventHeap::next_wave`] would pop for `events`
-/// given in heap (= key) order: a new wave starts on every phase change
-/// and whenever a client repeats within the current wave. The partition
-/// runner uses this to price wave fragmentation — how many more waves a
-/// merged event stream splits into than the sum of its partitions' streams
-/// — without re-driving a heap.
-pub fn wave_count(events: &[FleetEvent]) -> usize {
+/// given in key order. The partition runner uses this to price wave
+/// fragmentation — how many more waves a merged event stream splits into
+/// than the sum of its partitions' streams — without re-driving a queue.
+pub fn wave_count(mut events: &[FleetEvent]) -> usize {
+    let mut seen = HashSet::new();
     let mut waves = 0usize;
-    let mut seen: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    let mut phase: Option<Phase> = None;
-    for ev in events {
-        let breaks = match phase {
-            None => true,
-            Some(p) => p != ev.phase || seen.contains(&ev.client),
-        };
-        if breaks {
-            waves += 1;
-            seen.clear();
-            phase = Some(ev.phase);
-        }
-        seen.insert(ev.client);
+    while !events.is_empty() {
+        events = &events[leading_wave(events, &mut seen)..];
+        waves += 1;
     }
     waves
 }
@@ -319,6 +320,16 @@ mod tests {
 
     fn event(at_secs: u64, phase: Phase, client: usize) -> FleetEvent {
         FleetEvent { at: SimTime::from_secs(at_secs), phase, client, round: 0 }
+    }
+
+    /// Drains `heap` wave by wave (a wave borrows the queue, so the waves
+    /// cannot be collected through an iterator adaptor).
+    fn drain_waves(mut heap: EventHeap) -> Vec<(Phase, Vec<usize>)> {
+        let mut waves = Vec::new();
+        while let Some(wave) = heap.next_wave() {
+            waves.push((wave.phase, wave.clients()));
+        }
+        waves
     }
 
     #[test]
@@ -366,17 +377,15 @@ mod tests {
 
     #[test]
     fn waves_batch_distinct_clients_and_break_on_repeats_and_phase_changes() {
-        let mut heap = EventHeap::from_events(vec![
+        let heap = EventHeap::from_events(vec![
             event(0, Phase::Sync, 0),
             event(0, Phase::Sync, 1),
             event(10, Phase::Sync, 2),
             event(20, Phase::Sync, 0), // repeat of client 0: new wave
             event(20, Phase::Idle, 3), // phase change: new wave
         ]);
-        let waves: Vec<(Phase, Vec<usize>)> =
-            std::iter::from_fn(|| heap.next_wave()).map(|w| (w.phase, w.clients())).collect();
         assert_eq!(
-            waves,
+            drain_waves(heap),
             vec![(Phase::Sync, vec![0, 1, 2]), (Phase::Sync, vec![0]), (Phase::Idle, vec![3]),]
         );
     }
@@ -390,12 +399,57 @@ mod tests {
             event(20, Phase::Sync, 0),
             event(20, Phase::Idle, 3),
         ];
-        let mut heap = EventHeap::from_events(events.clone());
-        let popped = std::iter::from_fn(|| heap.next_wave()).count();
+        let popped = drain_waves(EventHeap::from_events(events.clone())).len();
         let mut sorted = events;
         sorted.sort();
         assert_eq!(wave_count(&sorted), popped);
         assert_eq!(wave_count(&[]), 0);
+    }
+
+    #[test]
+    fn an_empty_queue_lends_no_wave() {
+        let mut heap = EventHeap::from_events(Vec::new());
+        assert_eq!(heap.len(), 0);
+        assert!(heap.is_empty());
+        assert!(heap.next_wave().is_none());
+        assert!(heap.pop().is_none());
+    }
+
+    #[test]
+    fn len_counts_the_events_still_queued() {
+        let mut heap = EventHeap::from_events(vec![
+            event(0, Phase::Sync, 0),
+            event(0, Phase::Sync, 1),
+            event(5, Phase::Sync, 0),
+            event(5, Phase::Idle, 1),
+        ]);
+        let mut remaining = vec![heap.len()];
+        while let Some(wave) = heap.next_wave() {
+            let lent = wave.events.len();
+            remaining.push(heap.len());
+            assert_eq!(remaining[remaining.len() - 2] - heap.len(), lent);
+        }
+        assert_eq!(remaining, vec![4, 2, 1, 0]);
+    }
+
+    #[test]
+    fn pop_and_next_wave_share_one_cursor() {
+        let mut heap = EventHeap::from_events(vec![
+            event(0, Phase::Sync, 2),
+            event(0, Phase::Sync, 0),
+            event(0, Phase::Sync, 1),
+            event(9, Phase::Sync, 1),
+            event(9, Phase::Sync, 3),
+        ]);
+        // A popped event is gone from the wave that would have held it...
+        assert_eq!(heap.pop().map(|e| e.client), Some(0));
+        assert_eq!(heap.next_wave().expect("two events at t=0").clients(), vec![1, 2]);
+        // ...and a wave starts at whatever the cursor points to, so client
+        // 1's second event now opens a wave instead of ending one.
+        assert_eq!(heap.pop().map(|e| e.client), Some(1));
+        assert_eq!(heap.next_wave().expect("one event left").clients(), vec![3]);
+        assert_eq!(heap.len(), 0);
+        assert!(heap.pop().is_none() && heap.next_wave().is_none());
     }
 
     #[test]

@@ -1275,7 +1275,7 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
             // scheduled virtual offset, in parallel. The store only sees
             // commits here, which commute. A client whose first event this
             // is spawns (and logs in) at its round's epoch.
-            Phase::Sync => run_wave(&mut states, &wave.events, workers, |lc, ev| {
+            Phase::Sync => run_wave(&mut states, wave.events, workers, |lc, ev| {
                 let mut lc = lc.unwrap_or_else(|| spawn_client(spec, &store, ev.client, ev.round));
                 let activation = *schedule.clients[ev.client]
                     .activation_in(ev.round)
@@ -1289,7 +1289,7 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
             // client polls only its own simulated universe — no store
             // access — so the wave commutes trivially. A client whose
             // *first* connected round is idle still spawns here.
-            Phase::Idle => run_wave(&mut states, &wave.events, workers, |lc, ev| {
+            Phase::Idle => run_wave(&mut states, wave.events, workers, |lc, ev| {
                 let mut lc = lc.unwrap_or_else(|| spawn_client(spec, &store, ev.client, ev.round));
                 idle_round(&mut lc);
                 lc
@@ -1302,7 +1302,7 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
             // complete commits — reads commute, so concurrency stays
             // bit-exact. Sources that departed at an earlier instant fail
             // cleanly and are counted in the puller's summary.
-            Phase::Restore => run_wave(&mut states, &wave.events, workers, |lc, ev| {
+            Phase::Restore => run_wave(&mut states, wave.events, workers, |lc, ev| {
                 let mut lc = lc.expect("puller synced this round");
                 restore_round(spec, &mut lc, ev.client, ev.round);
                 lc
@@ -1314,7 +1314,7 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
             // here, executed sequentially in client order — they never
             // race the instant's commits.
             Phase::Leave => {
-                for ev in &wave.events {
+                for ev in wave.events {
                     let mut lc = states[ev.client].take().expect("leaving client is live");
                     let at = lc.next_modification;
                     let (_, deleted) = lc.client.leave_service(&mut lc.sim, at);

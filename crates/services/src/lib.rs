@@ -51,8 +51,7 @@ pub mod session;
 
 pub use capture::{
     capture_of_spec, merge_slices, parse_capture, render_capture, render_fleet_capture, replay,
-    replay_concurrent, slice_capture, CaptureEvent, FleetCapture, ReplayMix, CAPTURE_FORMAT,
-    CAPTURE_VERSION,
+    slice_capture, CaptureEvent, FleetCapture, ReplayMix, CAPTURE_FORMAT, CAPTURE_VERSION,
 };
 pub use client::{
     FaultedRestoreOutcome, FaultedSyncOutcome, RestoreOutcome, SyncClient, SyncOutcome,
@@ -68,7 +67,7 @@ pub use partition::{
     spec_partitions, ClientSet, PartitionRun, PartitionSpec, PartitionWorkload, PartitionedRun,
 };
 pub use retry::{ExponentialBackoff, NoRetry, RetryConfig, RetryPolicy};
-pub use scale::{run_scale, run_scale_concurrent, run_scale_sequential, ScaleRun, ScaleSpec};
+pub use scale::{run_scale, ScaleRun, ScaleSpec};
 pub use schedule::{ClientSchedule, FleetSchedule, RoundEvent, SyncActivation, ThinkTime};
 pub use session::{FaultStats, RangedRestore, UploadSession};
 

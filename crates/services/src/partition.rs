@@ -7,9 +7,10 @@
 //! [`ClientSet`]s — contiguous ranges over a capture (the slice doubles as
 //! the work-distribution unit, see [`slice_capture`]), round-robin stripes
 //! over a live spec — and hands each partition a self-contained
-//! [`PartitionSpec`]. A worker drives its partition's sub-heap through the
-//! exact same executor as the unsliced run ([`crate::scale`]) and returns a
-//! [`PartitionRun`]; the controller then merges the per-partition state:
+//! [`PartitionSpec`]. A worker drives its partition through the one commit
+//! runner ([`crate::scale`]) — the unsliced run is that same runner handed
+//! the partition that owns everyone — and returns a [`PartitionRun`]; the
+//! controller then merges the per-partition results:
 //!
 //! * **busy-chaining is per-client**: a client's commits serialise on its
 //!   own link and never touch another client's state, so driving a client's
@@ -20,7 +21,7 @@
 //!   property that already makes waves parallelisable;
 //! * **interval and histogram merges are order-independent**: per-partition
 //!   event streams are subsequences of the globally key-ordered stream, so
-//!   a k-way merge by [`FleetEvent::key`] reconstructs the global heap pop
+//!   merging them by [`FleetEvent::key`] reconstructs the global firing
 //!   order exactly, and histogram merge is elementwise bucket addition.
 //!
 //! Together these make a partitioned run **bit-identical** to the unsliced
@@ -31,16 +32,13 @@
 //! The worker-facing API is deliberately free of shared-memory assumptions
 //! beyond the store handle: a [`PartitionSpec`] is pure data (a capture
 //! slice serialises to the versioned JSONL format), and a [`PartitionRun`]
-//! is plain state records, events and intervals — the seam for a future
+//! is plain totals, events and intervals — the seam for a future
 //! multi-process mode where workers live in separate processes and ship
 //! their runs back over a pipe.
 
-use crate::capture::{slice_capture, FleetCapture};
-use crate::engine::{wave_count, EventHeap, FleetEvent, Phase};
-use crate::scale::{
-    assemble_run, drive_waves, execute_transfer, scale_user, ScaleClientState, ScaleRun, ScaleSpec,
-};
-use cloudsim_net::AccessLink;
+use crate::capture::{slice_capture, FleetCapture, ReplayMix};
+use crate::engine::{wave_count, FleetEvent};
+use crate::scale::{drive_plain, ScaleRun, ScaleSpec, Source};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{LatencyHistogram, SimTime};
 
@@ -176,8 +174,6 @@ pub struct PartitionRun {
     pub commits: u64,
     /// Plaintext bytes the partition committed.
     pub logical_bytes: u64,
-    /// Per-client state records in set-local order.
-    pub(crate) states: Vec<ScaleClientState>,
 }
 
 impl PartitionRun {
@@ -263,155 +259,52 @@ pub fn capture_partitions(
 }
 
 /// Drives one partition on up to `workers` threads against the shared
-/// store. The partition's events run through the same wave machinery and
-/// the same commit executor as the unsliced run; only the state array is
-/// set-local. Returns the partition's events (global indices, heap order)
-/// alongside the driven state.
+/// store, through the same commit runner as the unsliced run
+/// ([`crate::scale`]) — which is simply the partition that owns everyone.
+/// Returns the partition's events (global indices, firing order) alongside
+/// their intervals and the partition's totals.
 pub fn run_partition(
     part: &PartitionSpec,
     store: &ObjectStore,
     workers: usize,
 ) -> Result<PartitionRun, String> {
-    // The partition's events, in global heap order with global client ids.
-    let mut events: Vec<FleetEvent> = match &part.workload {
-        PartitionWorkload::Spec(spec) => {
-            spec.validate();
-            let mut events = Vec::with_capacity(part.clients.len() * spec.commits_per_client);
-            for i in part.clients.iter() {
-                if i >= spec.clients {
-                    return Err(format!(
-                        "partition {} owns client {i} outside the {}-client spec",
-                        part.index, spec.clients
-                    ));
-                }
-                for k in 0..spec.commits_per_client {
-                    events.push(FleetEvent {
-                        at: spec.commit_at(i, k),
-                        phase: Phase::Sync,
-                        client: i,
-                        round: k,
-                    });
-                }
-            }
-            events
-        }
+    let source = match &part.workload {
+        PartitionWorkload::Spec(spec) => Source::Spec(spec, &part.clients),
         PartitionWorkload::Slice(capture) => {
-            let expected = ClientSet::Range {
+            let covered = ClientSet::Range {
                 start: capture.client_base,
-                end: capture.client_base + capture.clients,
+                end: capture.client_base.saturating_add(capture.clients),
             };
-            if part.clients != expected {
+            if part.clients != covered {
                 return Err(format!(
-                    "partition {} owns {:?} but its slice covers {:?}",
-                    part.index, part.clients, expected
+                    "partition {} owns {:?} but its slice covers {covered:?}",
+                    part.index, part.clients
                 ));
             }
-            capture
-                .events
-                .iter()
-                .map(|ev| FleetEvent {
-                    at: ev.at,
-                    phase: Phase::Sync,
-                    client: ev.client,
-                    round: ev.round,
-                })
-                .collect()
+            Source::Capture(capture, &ReplayMix::Original)
         }
     };
-    events.sort();
-
-    // Seed lookup for the slice path, keyed by set-local (client, round).
-    let seeds: Vec<&[u64]> = match &part.workload {
-        PartitionWorkload::Spec(_) => Vec::new(),
-        PartitionWorkload::Slice(capture) => {
-            let mut seeds: Vec<&[u64]> = vec![&[]; capture.clients * capture.commits_per_client];
-            for ev in &capture.events {
-                let local = ev.client - capture.client_base;
-                seeds[local * capture.commits_per_client + ev.round] = &ev.content_seeds;
-            }
-            seeds
-        }
-    };
-    let slice_links: Vec<AccessLink> = match &part.workload {
-        PartitionWorkload::Spec(_) => Vec::new(),
-        PartitionWorkload::Slice(capture) => capture
-            .link_names
-            .iter()
-            .map(|name| {
-                AccessLink::by_name(name)
-                    .ok_or_else(|| format!("capture references unknown link preset \"{name}\""))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-
-    // The sub-heap indexes states by set-local client; the executor maps
-    // back to the global index for the store keyspace and link assignment,
-    // so the partition commits exactly its clients' share of the unsliced
-    // run.
-    let local_events: Vec<FleetEvent> = events
-        .iter()
-        .map(|ev| {
-            let local = part.clients.local_index(ev.client).ok_or_else(|| {
-                format!("partition {} event touches unowned client {}", part.index, ev.client)
-            })?;
-            Ok(FleetEvent { at: ev.at, phase: ev.phase, client: local, round: ev.round })
-        })
-        .collect::<Result<_, String>>()?;
-    let heap = EventHeap::from_events(local_events);
-
-    let (states, intervals) = drive_waves(heap, part.clients.len(), workers, |ev, state| {
-        let global = part.clients.global_id(ev.client);
-        match &part.workload {
-            PartitionWorkload::Spec(spec) => execute_transfer(
-                store,
-                &scale_user(global),
-                spec.link(global),
-                ev.round,
-                spec.files_per_commit,
-                spec.file_size,
-                spec.shared_files_per_commit(),
-                1,
-                ev.at,
-                |f| spec.content_seed(global, ev.round, f),
-                state,
-            ),
-            PartitionWorkload::Slice(capture) => execute_transfer(
-                store,
-                &scale_user(global),
-                &slice_links[global % slice_links.len()],
-                ev.round,
-                capture.files_per_commit,
-                capture.file_size,
-                capture.shared_files_per_commit,
-                1,
-                ev.at,
-                |f| seeds[ev.client * capture.commits_per_client + ev.round][f],
-                state,
-            ),
-        }
-    });
-
-    let waves = wave_count(&events);
+    let driven = drive_plain(source, store, workers)
+        .map_err(|err| format!("partition {}: {err}", part.index))?;
     Ok(PartitionRun {
         index: part.index,
         clients: part.clients.clone(),
-        commits: states.iter().map(|s| s.commits as u64).sum(),
-        logical_bytes: states.iter().map(|s| s.logical_bytes).sum(),
-        events,
-        intervals,
-        waves,
-        states,
+        commits: driven.commits,
+        logical_bytes: driven.logical_bytes,
+        events: driven.events,
+        intervals: driven.intervals,
+        waves: driven.waves,
     })
 }
 
 /// Merges finished partitions back into one [`ScaleRun`], in any partition
 /// order. Validates that the partitions exactly tile the global client
-/// range `[client_base, client_base + clients)`, scatters the state
-/// records by global id, and k-way merges the per-partition
-/// (event, interval) streams by [`FleetEvent::key`] — each stream is a
-/// subsequence of the globally ordered stream, so the merge reconstructs
-/// the unsliced heap pop order exactly. Returns the merged run plus the
-/// wave count of the merged event stream.
+/// range `[client_base, client_base + clients)`, sums the partitions'
+/// totals, and merges the per-partition (event, interval) streams by
+/// [`FleetEvent::key`] — each stream is a subsequence of the globally
+/// ordered stream, so the merge reconstructs the unsliced firing order
+/// exactly. Returns the merged run plus the wave count of the merged event
+/// stream.
 pub fn merge_partitions(
     client_base: usize,
     clients: usize,
@@ -440,37 +333,25 @@ pub fn merge_partitions(
         return Err(format!("no partition owns client {}", client_base + orphan));
     }
 
-    let mut states = vec![ScaleClientState::default(); clients];
-    for part in parts {
-        for (local, id) in part.clients.iter().enumerate() {
-            states[id - client_base] = part.states[local];
-        }
-    }
+    // Every partition's stream is already key-ordered, so the stable sort
+    // sees one sorted run per partition and merges them.
+    let mut merged: Vec<(FleetEvent, (SimTime, SimTime))> = parts
+        .iter()
+        .flat_map(|p| p.events.iter().copied().zip(p.intervals.iter().copied()))
+        .collect();
+    merged.sort_by_key(|(ev, _)| ev.key());
+    let (merged_events, intervals): (Vec<_>, Vec<_>) = merged.into_iter().unzip();
 
-    let total: usize = parts.iter().map(|p| p.events.len()).sum();
-    let mut cursors = vec![0usize; parts.len()];
-    let mut merged_events = Vec::with_capacity(total);
-    let mut intervals = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, part) in parts.iter().enumerate() {
-            let Some(candidate) = part.events.get(cursors[i]) else { continue };
-            let beats = match best {
-                None => true,
-                Some(b) => candidate.key() < parts[b].events[cursors[b]].key(),
-            };
-            if beats {
-                best = Some(i);
-            }
-        }
-        let Some(b) = best else { break };
-        merged_events.push(parts[b].events[cursors[b]]);
-        intervals.push(parts[b].intervals[cursors[b]]);
-        cursors[b] += 1;
-    }
-
-    let waves = wave_count(&merged_events);
-    Ok((assemble_run(clients, files, &states, intervals, store, started), waves))
+    let run = ScaleRun {
+        clients,
+        commits: parts.iter().map(|p| p.commits).sum(),
+        files,
+        logical_bytes: parts.iter().map(|p| p.logical_bytes).sum(),
+        intervals,
+        store,
+        elapsed: started.elapsed(),
+    };
+    Ok((run, wave_count(&merged_events)))
 }
 
 /// A merged partitioned run: the recombined [`ScaleRun`] (bit-identical to
@@ -517,8 +398,8 @@ fn run_controller(
 }
 
 /// Runs a live spec split into `partitions` round-robin stripes. The
-/// merged run is bit-identical to [`crate::scale::run_scale_concurrent`]
-/// on the same spec, whatever the partition count.
+/// merged run is bit-identical to [`crate::scale::run_scale`] on the same
+/// spec, whatever the partition count.
 pub fn run_partitioned(spec: &ScaleSpec, partitions: usize) -> PartitionedRun {
     spec.validate();
     assert!(
@@ -549,8 +430,8 @@ pub fn replay_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{capture_of_spec, replay_concurrent, ReplayMix};
-    use crate::scale::run_scale_concurrent;
+    use crate::capture::{capture_of_spec, replay};
+    use crate::scale::run_wide;
 
     fn small_spec() -> ScaleSpec {
         ScaleSpec::new(60).with_seed(0xFACE)
@@ -585,7 +466,7 @@ mod tests {
     #[test]
     fn striped_partitions_recombine_bit_identically_to_the_unsliced_run() {
         let spec = small_spec();
-        let whole = run_scale_concurrent(&spec);
+        let whole = run_wide(&spec);
         for partitions in [1usize, 2, 7] {
             let split = run_partitioned(&spec, partitions);
             assert_eq!(split.run.commits, whole.commits);
@@ -608,7 +489,8 @@ mod tests {
     fn sliced_capture_replays_recombine_bit_identically() {
         let spec = small_spec();
         let capture = capture_of_spec(&spec);
-        let whole = replay_concurrent(&capture, &ReplayMix::Original).unwrap();
+        let whole =
+            replay(&capture, &ReplayMix::Original, cloudsim_parallel::available_workers()).unwrap();
         let split = replay_partitioned(&capture, 4).unwrap();
         assert_eq!(split.run.intervals, whole.intervals);
         assert_eq!(split.run.aggregate(), whole.aggregate());
@@ -621,7 +503,7 @@ mod tests {
         let whole_hist = whole.transfer_histogram();
         assert_eq!(merged_parts.summary(), whole_hist.summary());
         // And the live run matches too (capture replay is bit-faithful).
-        let live = run_scale_concurrent(&spec);
+        let live = run_wide(&spec);
         assert_eq!(split.run.intervals, live.intervals);
     }
 

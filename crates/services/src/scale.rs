@@ -15,12 +15,27 @@
 //!
 //! Execution rides the same [`EventHeap`] as the full fleet: one
 //! [`Phase::Sync`] event per `(client, commit)` pair, ordered by
-//! `(timestamp, client id)`, popped in waves of pairwise-distinct clients
+//! `(timestamp, client id)`, lent out in waves of pairwise-distinct clients
 //! and fanned out over worker threads. Each event touches only its client's
 //! state record plus the shared store, whose aggregate accounting is
 //! order-independent — so a parallel run and the sequential replay are
 //! bit-identical, and two runs of the same spec dump identical JSON (the CI
 //! fleet-scale determinism leg `cmp`s exactly that).
+//!
+//! ## One commit runner
+//!
+//! Every scale-path surface — [`run_scale`], [`run_scale_traced`],
+//! [`crate::capture::replay`], [`crate::partition::run_partition`] — is a
+//! thin adapter over the private `drive`: the adapter names a `Source` (a
+//! spec plus the [`ClientSet`] it drives, or a capture under a replay mix)
+//! and post-processes the result; `drive` starts the wall clock, resolves
+//! the source *once* into its events and per-commit shape (`Commits`),
+//! sorts the events, and walks the waves through the one commit executor.
+//! Per-worker contexts arrive as a `&mut [C]` and an observe hook sees
+//! every executed commit: packet capture is the traceless run with trace
+//! shards as the contexts and the packet recorder as the hook. The
+//! unsliced run is simply the partition that owns every client, so there
+//! is no second loop for the bit-identity tests to keep in step.
 //!
 //! Memory discipline is the point: the per-client budget is the state
 //! record plus the client's share of the event list and the interval log —
@@ -28,11 +43,11 @@
 //! against the many kilobytes a `SyncClient` costs. 100k clients fit in a
 //! few tens of megabytes before store contents.
 
+use crate::capture::{FleetCapture, ReplayMix};
 use crate::engine::{EventHeap, FleetEvent, Phase};
+use crate::partition::ClientSet;
 use cloudsim_net::AccessLink;
-use cloudsim_storage::{
-    AggregateStats, ContentHash, FileManifest, GcPolicy, ObjectStore, StoredChunk,
-};
+use cloudsim_storage::{AggregateStats, ContentHash, FileManifest, ObjectStore, StoredChunk};
 use cloudsim_trace::packet::{
     Direction, Endpoint, PacketRecord, TcpFlags, TransportProtocol, TCP_HEADER_BYTES,
 };
@@ -169,12 +184,17 @@ impl ScaleSpec {
         FlowId((i * self.commits_per_client + k) as u64)
     }
 
-    /// Lowers the spec into its event heap: one [`Phase::Sync`] event per
+    /// Lowers the spec into its event queue: one [`Phase::Sync`] event per
     /// `(client, commit)` pair at its seeded instant. Deriving twice yields
-    /// identical heaps.
+    /// identical queues.
     pub fn events(&self) -> EventHeap {
-        let mut events = Vec::with_capacity(self.clients * self.commits_per_client);
-        for i in 0..self.clients {
+        EventHeap::from_events(self.events_of(&ClientSet::Range { start: 0, end: self.clients }))
+    }
+
+    /// The commit events of the clients `owned` holds, in set order.
+    fn events_of(&self, owned: &ClientSet) -> Vec<FleetEvent> {
+        let mut events = Vec::with_capacity(owned.len() * self.commits_per_client);
+        for i in owned.iter() {
             for k in 0..self.commits_per_client {
                 events.push(FleetEvent {
                     at: self.commit_at(i, k),
@@ -184,7 +204,31 @@ impl ScaleSpec {
                 });
             }
         }
-        EventHeap::from_events(events)
+        events
+    }
+
+    /// Resolves the commits of the clients `owned` holds for the driver,
+    /// with their events (global client ids, set order): one bundled round
+    /// trip per commit over the spec's own links, content seeds derived on
+    /// demand.
+    fn commits(&self, owned: &ClientSet) -> Result<(Commits<'_>, Vec<FleetEvent>), String> {
+        self.validate();
+        if let Some(stray) = owned.iter().find(|&i| i >= self.clients) {
+            return Err(format!(
+                "the client set owns client {stray} outside the {}-client spec",
+                self.clients
+            ));
+        }
+        let commits = Commits {
+            owned: owned.clone(),
+            files_per_commit: self.files_per_commit,
+            file_size: self.file_size,
+            shared_files: self.shared_files_per_commit(),
+            rtts_per_commit: 1,
+            links: self.links.clone(),
+            seeds: Box::new(|ev, f| self.content_seed(ev.client, ev.round, f)),
+        };
+        Ok((commits, self.events_of(owned)))
     }
 
     pub(crate) fn validate(&self) {
@@ -205,10 +249,6 @@ impl ScaleSpec {
 pub(crate) struct ScaleClientState {
     /// When the client's link is free again (commits on one link serialise).
     pub(crate) busy_until: SimTime,
-    /// Start of the client's first transfer (valid once `commits > 0`).
-    pub(crate) first_start: SimTime,
-    /// End of the client's last transfer.
-    pub(crate) last_end: SimTime,
     /// Plaintext bytes committed so far.
     pub(crate) logical_bytes: u64,
     /// Commits performed so far.
@@ -228,84 +268,184 @@ fn synth_hash(content_seed: u64) -> ContentHash {
     ContentHash(bytes)
 }
 
-/// Executes one commit transfer: commits the chunk hashes yielded by
-/// `content_seed` (metadata-only) plus one manifest per file into the
-/// shared store, and advances the client's analytic timeline — the
-/// transfer starts when both the event instant and the client's link are
-/// ready, and lasts `rtts_per_commit` access round trips plus the
-/// serialised transmission time of the commit's bytes.
-///
-/// This is the common executor behind both the spec-derived runner
-/// ([`run_scale`], one bundled round trip per commit) and the
-/// capture/replay path ([`crate::capture`]), where the seeds come from a
-/// capture file and a non-bundling service remap pays one round trip per
-/// file.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_transfer(
-    store: &ObjectStore,
-    user: &str,
-    link: &AccessLink,
-    round: usize,
-    files_per_commit: usize,
-    file_size: u64,
-    shared_files: usize,
-    rtts_per_commit: u64,
-    at: SimTime,
-    content_seed: impl Fn(usize) -> u64,
-    mut state: ScaleClientState,
-) -> (ScaleClientState, (SimTime, SimTime)) {
-    let batch_bytes = files_per_commit as u64 * file_size;
-
-    for f in 0..files_per_commit {
-        let hash = synth_hash(content_seed(f));
-        store.put_chunk(user, StoredChunk { hash, stored_len: file_size, plain_len: file_size });
-        let label = if f < shared_files { "shared" } else { "private" };
-        store.commit_manifest(
-            user,
-            FileManifest {
-                path: format!("{label}/c{round:03}_f{f:03}"),
-                size: file_size,
-                chunks: vec![hash],
-                version: 0,
-            },
-        );
-    }
-
-    let start = at.max(state.busy_until);
-    let end = start
-        + link.access_rtt * rtts_per_commit
-        + SimDuration::for_transmission(batch_bytes, link.up_bandwidth);
-    if state.commits == 0 {
-        state.first_start = start;
-    }
-    state.busy_until = end;
-    state.last_end = end;
-    state.logical_bytes += batch_bytes;
-    state.commits += 1;
-    (state, (start, end))
+/// Where a run's commits come from — the one thing the adapters
+/// ([`run_scale`], [`run_scale_traced`], [`crate::capture::replay`],
+/// [`crate::partition::run_partition`]) tell the driver.
+pub(crate) enum Source<'a> {
+    /// The commits of the clients in the set, derived live from the spec.
+    Spec(&'a ScaleSpec, &'a ClientSet),
+    /// Every commit a capture (whole-run or slice) recorded, re-driven
+    /// under a mix.
+    Capture(&'a FleetCapture, &'a ReplayMix),
 }
 
-/// Executes one spec-derived commit event through [`execute_transfer`].
-fn execute_commit(
-    spec: &ScaleSpec,
+/// Yields the content seed of file `f` of an event's commit: derived on
+/// demand from a spec's master seed, or looked up in a capture.
+type ContentSeeds<'a> = Box<dyn Fn(&FleetEvent, usize) -> u64 + Sync + 'a>;
+
+/// One run's commits, resolved once from its [`Source`] before the first
+/// event fires: who owns them and the per-commit shape.
+pub(crate) struct Commits<'a> {
+    /// The global clients the run drives; state records are set-local.
+    pub(crate) owned: ClientSet,
+    pub(crate) files_per_commit: usize,
+    pub(crate) file_size: u64,
+    /// Leading files of each commit drawn from the shared pool.
+    pub(crate) shared_files: usize,
+    /// Access round trips a commit pays: one when the service bundles, one
+    /// per file when a replay remaps onto a service that does not.
+    pub(crate) rtts_per_commit: u64,
+    /// Access links, round-robin over global client ids.
+    pub(crate) links: Vec<AccessLink>,
+    pub(crate) seeds: ContentSeeds<'a>,
+}
+
+impl Commits<'_> {
+    /// Executes one commit transfer: commits the event's chunk hashes
+    /// (metadata-only) plus one manifest per file into the shared store,
+    /// and advances the client's analytic timeline — the transfer starts
+    /// when both the event instant and the client's link are ready, and
+    /// lasts `rtts_per_commit` access round trips plus the serialised
+    /// transmission time of the commit's bytes.
+    fn execute(
+        &self,
+        store: &ObjectStore,
+        ev: &FleetEvent,
+        mut state: ScaleClientState,
+    ) -> (ScaleClientState, (SimTime, SimTime)) {
+        let user = scale_user(ev.client);
+        let link = &self.links[ev.client % self.links.len()];
+        let (file_size, round) = (self.file_size, ev.round);
+        let batch_bytes = self.files_per_commit as u64 * file_size;
+
+        for f in 0..self.files_per_commit {
+            let hash = synth_hash((self.seeds)(ev, f));
+            store.put_chunk(
+                &user,
+                StoredChunk { hash, stored_len: file_size, plain_len: file_size },
+            );
+            let label = if f < self.shared_files { "shared" } else { "private" };
+            store.commit_manifest(
+                &user,
+                FileManifest {
+                    path: format!("{label}/c{round:03}_f{f:03}"),
+                    size: file_size,
+                    chunks: vec![hash],
+                    version: 0,
+                },
+            );
+        }
+
+        let start = ev.at.max(state.busy_until);
+        let end = start
+            + link.access_rtt * self.rtts_per_commit
+            + SimDuration::for_transmission(batch_bytes, link.up_bandwidth);
+        state.busy_until = end;
+        state.logical_bytes += batch_bytes;
+        state.commits += 1;
+        (state, (start, end))
+    }
+}
+
+/// What the driver hands back: plain totals, events and intervals.
+pub(crate) struct Driven {
+    /// When the driver was entered — before the events were derived, so
+    /// [`ScaleRun::elapsed`] covers the same work on every surface.
+    started: std::time::Instant,
+    /// Clients the run owned.
+    clients: usize,
+    files_per_commit: usize,
+    /// Commits performed, summed over the per-client state records.
+    pub(crate) commits: u64,
+    /// Plaintext bytes committed, summed likewise.
+    pub(crate) logical_bytes: u64,
+    /// The run's events in firing (= key) order, global client ids.
+    pub(crate) events: Vec<FleetEvent>,
+    /// Transfer intervals, parallel to `events`.
+    pub(crate) intervals: Vec<(SimTime, SimTime)>,
+    /// Waves the events split into.
+    pub(crate) waves: usize,
+}
+
+impl Driven {
+    /// Closes an unsliced run over the store it committed into.
+    pub(crate) fn into_run(self, store: ObjectStore) -> ScaleRun {
+        ScaleRun {
+            clients: self.clients,
+            commits: self.commits,
+            files: self.commits * self.files_per_commit as u64,
+            logical_bytes: self.logical_bytes,
+            intervals: self.intervals,
+            store,
+            elapsed: self.started.elapsed(),
+        }
+    }
+}
+
+/// The one commit runner. Resolves `source` into its [`Commits`], sorts
+/// the events once, then pops waves and fans each out over one thread per
+/// entry of `contexts`, threading per-client state records through
+/// [`Commits::execute`]. Every wave holds pairwise-distinct clients whose
+/// store commits commute, so any worker count produces bit-identical
+/// states and intervals. After a commit executes, `observe` sees the
+/// worker's context, the event and its transfer interval — the packet
+/// capture plugs its per-worker trace shards in here; see [`drive_plain`]
+/// for the no-op default.
+///
+/// An unsliced run is the one-partition run: its [`ClientSet`] is the
+/// whole range, and nothing below distinguishes it from a slice.
+pub(crate) fn drive<C: Send>(
+    source: Source<'_>,
     store: &ObjectStore,
-    ev: &FleetEvent,
-    state: ScaleClientState,
-) -> (ScaleClientState, (SimTime, SimTime)) {
-    let (i, k) = (ev.client, ev.round);
-    execute_transfer(
-        store,
-        &spec.user(i),
-        spec.link(i),
-        k,
-        spec.files_per_commit,
-        spec.file_size,
-        spec.shared_files_per_commit(),
-        1,
-        ev.at,
-        |f| spec.content_seed(i, k, f),
-        state,
-    )
+    contexts: &mut [C],
+    observe: impl Fn(&mut C, &FleetEvent, (SimTime, SimTime)) + Sync,
+) -> Result<Driven, String> {
+    let started = std::time::Instant::now();
+    let (commits, events) = match source {
+        Source::Spec(spec, owned) => spec.commits(owned)?,
+        Source::Capture(capture, mix) => capture.commits(mix)?,
+    };
+    let mut queue = EventHeap::from_events(events);
+    let local = |ev: &FleetEvent| {
+        commits.owned.local_index(ev.client).expect("a resolved event's client is owned")
+    };
+    let mut states = vec![ScaleClientState::default(); commits.owned.len()];
+    let mut intervals = Vec::with_capacity(queue.len());
+    let mut waves = 0usize;
+
+    while let Some(wave) = queue.next_wave() {
+        waves += 1;
+        let results =
+            cloudsim_parallel::run_with_contexts(contexts, wave.events.len(), |ctx, k| {
+                let ev = &wave.events[k];
+                let (state, interval) = commits.execute(store, ev, states[local(ev)]);
+                observe(ctx, ev, interval);
+                (state, interval)
+            });
+        for (ev, (state, interval)) in wave.events.iter().zip(results) {
+            states[local(ev)] = state;
+            intervals.push(interval);
+        }
+    }
+    Ok(Driven {
+        started,
+        clients: states.len(),
+        files_per_commit: commits.files_per_commit,
+        commits: states.iter().map(|s| s.commits as u64).sum(),
+        logical_bytes: states.iter().map(|s| s.logical_bytes).sum(),
+        events: queue.into_events(),
+        intervals,
+        waves,
+    })
+}
+
+/// [`drive`] on up to `workers` threads with nothing observing.
+pub(crate) fn drive_plain(
+    source: Source<'_>,
+    store: &ObjectStore,
+    workers: usize,
+) -> Result<Driven, String> {
+    drive(source, store, &mut vec![(); workers.max(1)], |(), _, _| {})
 }
 
 /// Records the packet skeleton of one commit into a worker's trace shard:
@@ -350,62 +490,6 @@ fn record_commit_packets(
             + link.access_rtt
             + SimDuration::for_transmission((f as u64 + 1) * spec.file_size, link.up_bandwidth);
         shard.record(packet(sent, TcpFlags::ACK, spec.file_size as u32));
-    }
-}
-
-/// Pops waves off `heap` and fans each out over up to `workers` threads,
-/// threading per-client state records through `exec`. Every wave holds
-/// pairwise-distinct clients whose store commits commute, so any worker
-/// count produces bit-identical states and intervals. Shared by the
-/// spec-derived runner and the capture/replay path.
-pub(crate) fn drive_waves<F>(
-    mut heap: EventHeap,
-    clients: usize,
-    workers: usize,
-    exec: F,
-) -> (Vec<ScaleClientState>, Vec<(SimTime, SimTime)>)
-where
-    F: Fn(&FleetEvent, ScaleClientState) -> (ScaleClientState, (SimTime, SimTime)) + Sync,
-{
-    let mut states: Vec<ScaleClientState> = vec![ScaleClientState::default(); clients];
-    let mut intervals: Vec<(SimTime, SimTime)> = Vec::with_capacity(heap.len());
-
-    while let Some(wave) = heap.next_wave() {
-        let results: Vec<(ScaleClientState, (SimTime, SimTime))> = cloudsim_parallel::run_indexed(
-            workers.clamp(1, wave.events.len()),
-            wave.events.len(),
-            || (),
-            |(), k| {
-                let ev = &wave.events[k];
-                exec(ev, states[ev.client])
-            },
-        );
-        for (k, (state, interval)) in results.into_iter().enumerate() {
-            states[wave.events[k].client] = state;
-            intervals.push(interval);
-        }
-    }
-    (states, intervals)
-}
-
-/// Assembles a [`ScaleRun`] from driven state records; `files` comes from
-/// the caller because only it knows the per-commit file count.
-pub(crate) fn assemble_run(
-    clients: usize,
-    files: u64,
-    states: &[ScaleClientState],
-    intervals: Vec<(SimTime, SimTime)>,
-    store: ObjectStore,
-    started: std::time::Instant,
-) -> ScaleRun {
-    ScaleRun {
-        clients,
-        commits: states.iter().map(|s| s.commits as u64).sum(),
-        files,
-        logical_bytes: states.iter().map(|s| s.logical_bytes).sum(),
-        intervals,
-        store,
-        elapsed: started.elapsed(),
     }
 }
 
@@ -503,89 +587,59 @@ impl ScaleRun {
 }
 
 /// Runs the population on up to `workers` OS threads, committing into
-/// `store`. The event heap is derived up front; each wave holds
+/// `store` — the one-partition case of the commit runner. Each wave holds
 /// pairwise-distinct clients whose store commits commute, so any worker
 /// count produces bit-identical [`ScaleRun`] data (wall-clock `elapsed`
-/// aside).
+/// aside); `workers = 1` is the sequential replay parallel runs are
+/// compared to.
 pub fn run_scale(spec: &ScaleSpec, store: ObjectStore, workers: usize) -> ScaleRun {
-    spec.validate();
-    let heap = spec.events();
-    let started = std::time::Instant::now();
-    let (states, intervals) = drive_waves(heap, spec.clients, workers, |ev, state| {
-        execute_commit(spec, &store, ev, state)
-    });
-    let files = spec.clients as u64 * spec.commits_per_client as u64 * spec.files_per_commit as u64;
-    assemble_run(spec.clients, files, &states, intervals, store, started)
+    let everyone = ClientSet::Range { start: 0, end: spec.clients };
+    drive_plain(Source::Spec(spec, &everyone), &store, workers)
+        .expect("the whole population owns only its own clients")
+        .into_run(store)
 }
 
-/// Runs the population with full packet capture: each of the `workers`
-/// round workers records commits into its own long-lived [`TraceShard`]
-/// (handed out once and reused wave after wave via
-/// [`cloudsim_parallel::run_with_contexts`]), and the shards are k-way
-/// merged into one frozen [`Trace`] at the end. The [`ScaleRun`] is
-/// bit-identical to the traceless [`run_scale`] of the same spec, and the
-/// merged trace is bit-identical for any worker count — flow ids are pure
-/// functions of `(client, commit)`, not shard allocations.
+/// Runs the population with full packet capture: the same commit runner
+/// as [`run_scale`], with one long-lived [`TraceShard`] per worker as the
+/// worker contexts and `record_commit_packets` observing every commit;
+/// the shards are k-way merged into one frozen [`Trace`] at the end. The
+/// [`ScaleRun`] is bit-identical to the traceless [`run_scale`] of the
+/// same spec, and the merged trace is bit-identical for any worker count —
+/// flow ids are pure functions of `(client, commit)`, not shard
+/// allocations.
 pub fn run_scale_traced(spec: &ScaleSpec, store: ObjectStore, workers: usize) -> (ScaleRun, Trace) {
-    spec.validate();
-    let mut heap = spec.events();
-    let started = std::time::Instant::now();
     let workers = workers.max(1);
     let mut shards = TraceRecorder::with_shards(workers).into_shards();
     // Steady-state recording should never reallocate: the packet count per
     // commit is known up front, so carve the capacity across the shards.
     let packets_per_commit = 1 + spec.files_per_commit;
-    let total_packets = heap.len() * packets_per_commit;
+    let total_packets = spec.clients * spec.commits_per_client * packets_per_commit;
     for shard in &mut shards {
         shard.reserve(total_packets / workers + packets_per_commit);
     }
 
-    let mut states: Vec<ScaleClientState> = vec![ScaleClientState::default(); spec.clients];
-    let mut intervals: Vec<(SimTime, SimTime)> = Vec::with_capacity(heap.len());
-    while let Some(wave) = heap.next_wave() {
-        let results: Vec<(ScaleClientState, (SimTime, SimTime))> =
-            cloudsim_parallel::run_with_contexts(&mut shards, wave.events.len(), |shard, k| {
-                let ev = &wave.events[k];
-                let (state, interval) = execute_commit(spec, &store, ev, states[ev.client]);
-                record_commit_packets(shard, spec, ev.client, ev.round, interval.0);
-                (state, interval)
-            });
-        for (k, (state, interval)) in results.into_iter().enumerate() {
-            states[wave.events[k].client] = state;
-            intervals.push(interval);
-        }
-    }
-
+    let everyone = ClientSet::Range { start: 0, end: spec.clients };
+    let source = Source::Spec(spec, &everyone);
+    let driven = drive(source, &store, &mut shards, |shard, ev, (start, _)| {
+        record_commit_packets(shard, spec, ev.client, ev.round, start);
+    })
+    .expect("the whole population owns only its own clients");
     let trace = TraceRecorder::from_shards(shards).finish();
-    let files = spec.clients as u64 * spec.commits_per_client as u64 * spec.files_per_commit as u64;
-    (assemble_run(spec.clients, files, &states, intervals, store, started), trace)
+    (driven.into_run(store), trace)
 }
 
-/// Runs the population with one worker per host core against a fresh
-/// sharded store (mark-sweep retention, like a provider that never eagerly
-/// frees).
-pub fn run_scale_concurrent(spec: &ScaleSpec) -> ScaleRun {
-    let workers = cloudsim_parallel::available_workers();
-    run_scale(spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers)
-}
-
-/// Like [`run_scale_concurrent`], but with full packet capture: one worker
-/// (and one trace shard) per host core, merged into a frozen [`Trace`].
-/// The capture is bit-identical whatever the core count.
-pub fn run_scale_traced_concurrent(spec: &ScaleSpec) -> (ScaleRun, Trace) {
-    let workers = cloudsim_parallel::available_workers();
-    run_scale_traced(spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers)
-}
-
-/// Replays the same population sequentially on the calling thread — the
-/// determinism baseline parallel runs are compared to.
-pub fn run_scale_sequential(spec: &ScaleSpec) -> ScaleRun {
-    run_scale(spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1)
+/// The unsliced live run the scale-path tests compare against: one worker
+/// per host core, a fresh mark-sweep store.
+#[cfg(test)]
+pub(crate) fn run_wide(spec: &ScaleSpec) -> ScaleRun {
+    let store = ObjectStore::with_policy(cloudsim_storage::GcPolicy::MarkSweep);
+    run_scale(spec, store, cloudsim_parallel::available_workers())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudsim_storage::GcPolicy;
 
     fn small_spec() -> ScaleSpec {
         ScaleSpec::new(64).with_seed(0xAB)
@@ -619,7 +673,7 @@ mod tests {
     fn parallel_run_matches_sequential_replay_bit_for_bit() {
         let spec = small_spec();
         let parallel = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 8);
-        let sequential = run_scale_sequential(&spec);
+        let sequential = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
         assert_eq!(parallel.commits, sequential.commits);
         assert_eq!(parallel.logical_bytes, sequential.logical_bytes);
         assert_eq!(parallel.intervals, sequential.intervals);
@@ -634,19 +688,19 @@ mod tests {
     #[test]
     fn repeated_runs_are_deterministic() {
         let spec = small_spec();
-        let a = run_scale_concurrent(&spec);
-        let b = run_scale_concurrent(&spec);
+        let a = run_wide(&spec);
+        let b = run_wide(&spec);
         assert_eq!(a.intervals, b.intervals);
         assert_eq!(a.aggregate(), b.aggregate());
         assert_eq!(a.load_curve(16), b.load_curve(16));
         // A different seed reshuffles the instants.
-        let c = run_scale_concurrent(&spec.clone().with_seed(0xCD));
+        let c = run_wide(&spec.clone().with_seed(0xCD));
         assert_ne!(a.intervals, c.intervals);
     }
 
     #[test]
     fn shared_pool_dedups_across_the_population() {
-        let run = run_scale_concurrent(&small_spec());
+        let run = run_wide(&small_spec());
         let agg = run.aggregate();
         assert_eq!(agg.users, 64);
         assert_eq!(run.commits, 128);
@@ -669,7 +723,7 @@ mod tests {
 
     #[test]
     fn load_metrics_are_positive_and_consistent() {
-        let run = run_scale_concurrent(&small_spec());
+        let run = run_wide(&small_spec());
         assert!(run.virtual_span_secs() > 0.0);
         assert!(run.commits_per_vsec() > 0.0);
         assert!(run.concurrency_peak() >= 1);
@@ -687,7 +741,7 @@ mod tests {
                 assert!(at <= SimTime::ZERO + spec.horizon);
             }
         }
-        let run = run_scale_sequential(&spec);
+        let run = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
         // A client's transfers never overlap: its link serialises them.
         let per_client: Vec<Vec<(SimTime, SimTime)>> = (0..spec.clients)
             .map(|i| {
@@ -695,7 +749,7 @@ mod tests {
                 let mut mine = Vec::new();
                 let mut idx = 0usize;
                 while let Some(wave) = heap.next_wave() {
-                    for ev in &wave.events {
+                    for ev in wave.events {
                         if ev.client == i {
                             mine.push(run.intervals[idx]);
                         }
@@ -715,7 +769,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one client")]
     fn zero_clients_panic() {
-        run_scale_sequential(&ScaleSpec::new(0));
+        run_wide(&ScaleSpec::new(0));
     }
 
     #[test]

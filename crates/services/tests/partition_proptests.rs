@@ -9,12 +9,13 @@
 //! whole suite dumps byte for byte across worker counts.
 
 use cloudsim_services::capture::{
-    capture_of_spec, merge_slices, parse_capture, render_fleet_capture, slice_capture,
+    capture_of_spec, merge_slices, parse_capture, render_fleet_capture, replay, slice_capture,
+    ReplayMix,
 };
 use cloudsim_services::partition::{
     merge_partitions, partition_ranges, run_partition, spec_partitions, PartitionRun,
 };
-use cloudsim_services::scale::{run_scale, ScaleSpec};
+use cloudsim_services::scale::{run_scale, run_scale_traced, ScaleSpec};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use proptest::prelude::*;
 
@@ -71,7 +72,9 @@ proptest! {
 
     /// Partition merges are order-independent: any permutation of the
     /// finished partitions merges to the identical run, and that run
-    /// matches the unsliced one bit for bit.
+    /// matches the unsliced one bit for bit — as do the other unsliced
+    /// surfaces (same-mix replay, the traced run), which are one-partition
+    /// runs of the same commit runner.
     #[test]
     fn partition_merge_is_order_independent(
         seed in 0u64..1_000_000,
@@ -79,6 +82,7 @@ proptest! {
         partitions in 1usize..6,
         rotate in 0usize..8,
         flip in 0u8..2,
+        workers in 1usize..6,
     ) {
         let partitions = partitions.min(clients);
         let spec = ScaleSpec::new(clients).with_seed(seed);
@@ -103,6 +107,19 @@ proptest! {
         prop_assert_eq!(merged.logical_bytes, whole.logical_bytes);
         prop_assert_eq!(merged.aggregate(), whole.aggregate());
         prop_assert_eq!(merged.load_curve(12), whole.load_curve(12));
+
+        let replayed = replay(&capture_of_spec(&spec), &ReplayMix::Original, workers)
+            .expect("a spec-derived capture replays");
+        let (traced, _trace) =
+            run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers);
+        for run in [&replayed, &traced] {
+            prop_assert_eq!(&run.intervals, &whole.intervals);
+            prop_assert_eq!(run.aggregate(), whole.aggregate());
+            for i in 0..clients {
+                let user = spec.user(i);
+                prop_assert_eq!(run.store.stats(&user), whole.store.stats(&user));
+            }
+        }
     }
 
     /// The near-equal range splitter always tiles the population with
