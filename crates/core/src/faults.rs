@@ -27,7 +27,8 @@
 
 use cloudsim_net::Simulator;
 use cloudsim_services::{
-    AccessLink, FaultSchedule, FaultSpec, FaultStats, RetryConfig, ServiceProfile, SyncClient,
+    AccessLink, FaultSchedule, FaultSpec, FaultStats, Recovery, RetryConfig, ServiceProfile,
+    SyncClient,
 };
 use cloudsim_storage::{ObjectStore, UploadPipeline};
 use cloudsim_trace::{HistogramSummary, LatencyHistogram, SimDuration, SimTime};
@@ -213,9 +214,7 @@ fn run_restore_pull(
         &mut sim,
         "owner",
         login + SimDuration::from_secs(1),
-        faults,
-        retry.policy().as_ref(),
-        seed,
+        &Recovery { faults, policy: retry.policy().as_ref(), seed },
     )
 }
 

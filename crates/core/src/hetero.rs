@@ -13,8 +13,10 @@
 //! Everything is a pure function of the seed, so the whole suite is part of
 //! the CI bench-regression gate (`hetero.*` and `gc.*` metrics).
 
-use cloudsim_services::fleet::{run_fleet_concurrent, FleetRun, FleetSpec};
+use cloudsim_parallel::available_workers;
+use cloudsim_services::fleet::{run_fleet, FleetRun, FleetSpec};
 use cloudsim_services::{AccessLink, GcPolicy, ServiceProfile};
+use cloudsim_storage::ObjectStore;
 use cloudsim_trace::series::SampleStats;
 use serde::Serialize;
 
@@ -122,9 +124,8 @@ pub fn run_hetero(clients: usize, seed: u64) -> HeteroSuite {
     let mut gc_rows = Vec::new();
     let mut breakdown: Option<FleetRun> = None;
     for policy in [GcPolicy::Eager, GcPolicy::MarkSweep] {
-        // The spec carries the policy, so run_fleet_concurrent builds the
-        // matching store and sizes the worker pool.
-        let run = run_fleet_concurrent(&hetero_spec(clients, seed, policy));
+        let spec = hetero_spec(clients, seed, policy);
+        let run = run_fleet(&spec, ObjectStore::with_policy(spec.gc), available_workers());
         gc_rows.push(gc_row(&run, policy));
         if breakdown.is_none() {
             breakdown = Some(run);

@@ -21,8 +21,10 @@
 //! Everything is a pure function of the seed, so the suite is part of the
 //! CI bench-regression gate (`restore.*` metrics).
 
-use cloudsim_services::fleet::{run_fleet_concurrent, FleetSpec};
+use cloudsim_parallel::available_workers;
+use cloudsim_services::fleet::{run_fleet, FleetSpec};
 use cloudsim_services::{AccessLink, GcPolicy, ServiceProfile};
+use cloudsim_storage::ObjectStore;
 use cloudsim_trace::HistogramSummary;
 use serde::Serialize;
 
@@ -109,7 +111,7 @@ pub fn restore_spec(clients: usize, seed: u64) -> FleetSpec {
 /// assembles the suite.
 pub fn run_restore(clients: usize, seed: u64) -> RestoreSuite {
     let spec = restore_spec(clients, seed);
-    let run = run_fleet_concurrent(&spec);
+    let run = run_fleet(&spec, ObjectStore::with_policy(spec.gc), available_workers());
 
     let restore_goodput = run.per_link_restore_goodput_bps();
     let upload_goodput = run.per_link_goodput_bps();

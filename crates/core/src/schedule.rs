@@ -26,9 +26,11 @@
 //! gate (`schedule.*` metrics) and the `schedule-determinism` CI leg can
 //! `cmp` two fresh `repro schedule` dumps byte for byte.
 
-use cloudsim_services::fleet::{run_fleet_concurrent, FleetSpec};
+use cloudsim_parallel::available_workers;
+use cloudsim_services::fleet::{run_fleet, FleetSpec};
 use cloudsim_services::schedule::ThinkTime;
 use cloudsim_services::{AccessLink, GcPolicy, ServiceProfile};
+use cloudsim_storage::ObjectStore;
 use cloudsim_trace::series::SampleStats;
 use cloudsim_trace::{HistogramSummary, SimDuration};
 use serde::Serialize;
@@ -137,8 +139,9 @@ impl ScheduleSuite {
 /// one OS thread per client and assembles the suite.
 pub fn run_schedule(clients: usize, seed: u64) -> ScheduleSuite {
     let spec = schedule_spec(clients, seed);
-    let run = run_fleet_concurrent(&spec);
-    let lockstep = run_fleet_concurrent(&lockstep_spec(clients, seed));
+    let run = run_fleet(&spec, ObjectStore::with_policy(spec.gc), available_workers());
+    let control = lockstep_spec(clients, seed);
+    let lockstep = run_fleet(&control, ObjectStore::with_policy(control.gc), available_workers());
 
     ScheduleSuite {
         clients,

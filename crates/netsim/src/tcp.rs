@@ -50,6 +50,18 @@ pub struct DownloadOutcome {
     pub completed_at: SimTime,
 }
 
+/// The shape of one ranged GET driven by [`TcpConnection::fetch_faulted`]:
+/// the arguments [`TcpConnection::fetch`] takes one by one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fetch {
+    /// Request payload uploaded before the server answers.
+    pub request_bytes: u64,
+    /// Response payload downloaded.
+    pub download_bytes: u64,
+    /// Server processing time between the two.
+    pub server_think: SimDuration,
+}
+
 /// A transfer cut mid-flight by a link outage. The connection is dead after
 /// this: the socket closed without a FIN exchange, so a session layer must
 /// reopen (and pay the handshake again) before resuming from
@@ -85,6 +97,26 @@ struct RunOutcome {
     /// True when the cutoff suppressed at least one segment of the run.
     truncated: bool,
 }
+
+/// What stays fixed across the data legs of one operation: the path, the
+/// RTT sampled for it, its effective start and the first instant an outage
+/// can cut it (`None`: nothing can).
+struct Op {
+    path: PathSpec,
+    start: SimTime,
+    rtt: SimDuration,
+    cut: Option<SimTime>,
+}
+
+impl Op {
+    /// True when `t` lies beyond the operation's cut.
+    fn cuts(&self, t: SimTime) -> bool {
+        self.cut.is_some_and(|c| t > c)
+    }
+}
+
+/// Why the fault-free operations may unwrap the faulted bodies they run.
+const NEVER_CUT: &str = "an empty outage schedule never cuts a transfer";
 
 /// Options for opening a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,34 +293,14 @@ impl TcpConnection {
         server_think: SimDuration,
     ) -> SimTime {
         assert!(!self.closed, "request on a closed connection");
-        let path = net.path(self.host);
-        let start = start.max(self.free_at);
-        let rtt = path.sample_rtt(sim.rng());
-
-        // Upload phase: last byte arrives at the server one-way after the last
-        // segment leaves the client.
-        let upload_done_at_server = if upload_bytes > 0 {
-            let last_sent = self.transfer(sim, &path, start, upload_bytes, Direction::Upload, rtt);
-            last_sent + rtt / 2
-        } else {
-            start + rtt / 2
-        };
-
-        let response_start = upload_done_at_server + server_think;
-
-        // Download phase: timestamps are recorded at the client, so the first
-        // response byte shows up one-way after the server starts sending.
-        let completed = if download_bytes > 0 {
-            let last_sent =
-                self.transfer(sim, &path, response_start, download_bytes, Direction::Download, rtt);
-            last_sent + rtt / 2
-        } else {
-            response_start + rtt / 2
-        };
-
-        self.free_at = completed;
-        sim.advance_to(completed);
-        completed
+        // Historical behaviour of `request`: the in-flight bound of the
+        // response is the *upload*-direction BDP (a conservative
+        // receive-window assumption); `fetch` windows it against the
+        // download direction instead.
+        let get = Fetch { request_bytes: upload_bytes, download_bytes, server_think };
+        self.exchange(sim, net, start, get, PathSpec::bdp_bytes_up, &FaultSchedule::NONE)
+            .expect(NEVER_CUT)
+            .completed_at
     }
 
     /// Performs a downstream-heavy exchange — the storage GET of the restore
@@ -308,46 +320,8 @@ impl TcpConnection {
         download_bytes: u64,
         server_think: SimDuration,
     ) -> DownloadOutcome {
-        assert!(!self.closed, "fetch on a closed connection");
-        let path = net.path(self.host);
-        let start = start.max(self.free_at);
-        let rtt = path.sample_rtt(sim.rng());
-
-        let request_done_at_server = if request_bytes > 0 {
-            let last_sent = self.transfer_with_bdp(
-                sim,
-                &path,
-                start,
-                request_bytes,
-                Direction::Upload,
-                rtt,
-                path.bdp_bytes_up(),
-            );
-            last_sent + rtt / 2
-        } else {
-            start + rtt / 2
-        };
-
-        let response_start = request_done_at_server + server_think;
-        let first_byte_at = response_start + rtt / 2;
-        let completed_at = if download_bytes > 0 {
-            let last_sent = self.transfer_with_bdp(
-                sim,
-                &path,
-                response_start,
-                download_bytes,
-                Direction::Download,
-                rtt,
-                path.bdp_bytes_down(),
-            );
-            last_sent + rtt / 2
-        } else {
-            first_byte_at
-        };
-
-        self.free_at = completed_at;
-        sim.advance_to(completed_at);
-        DownloadOutcome { requested_at: start, first_byte_at, completed_at }
+        let get = Fetch { request_bytes, download_bytes, server_think };
+        self.fetch_faulted(sim, net, start, get, &FaultSchedule::NONE).expect(NEVER_CUT)
     }
 
     /// Uploads `bytes` of payload and waits for the final acknowledgement.
@@ -360,27 +334,15 @@ impl TcpConnection {
         start: SimTime,
         bytes: u64,
     ) -> SimTime {
-        assert!(!self.closed, "send on a closed connection");
-        let path = net.path(self.host);
-        let start = start.max(self.free_at);
-        let rtt = path.sample_rtt(sim.rng());
-        let last_sent = if bytes > 0 {
-            self.transfer(sim, &path, start, bytes, Direction::Upload, rtt)
-        } else {
-            start
-        };
-        let acked = last_sent + rtt;
-        self.free_at = acked;
-        sim.advance_to(acked);
-        acked
+        self.send_faulted(sim, net, start, bytes, &FaultSchedule::NONE).expect(NEVER_CUT)
     }
 
-    /// [`TcpConnection::send`] under a link-outage schedule. When an outage
-    /// window cuts the link mid-upload, the transfer stops at the cut, the
-    /// connection dies (no FIN — the socket just goes dark) and a typed
-    /// [`TransferInterrupted`] reports how many bytes the server had
-    /// acknowledged. With no outage intersecting the operation this
-    /// delegates to the plain path and is bit-identical to it.
+    /// The upload-and-ack timeline behind [`TcpConnection::send`], under a
+    /// link-outage schedule. When an outage window cuts the link
+    /// mid-upload, the transfer stops at the cut, the connection dies (no
+    /// FIN — the socket just goes dark) and a typed [`TransferInterrupted`]
+    /// reports how many bytes the server had acknowledged. `send` is this
+    /// with [`FaultSchedule::NONE`].
     pub fn send_faulted(
         &mut self,
         sim: &mut Simulator,
@@ -390,141 +352,118 @@ impl TcpConnection {
         faults: &FaultSchedule,
     ) -> Result<SimTime, TransferInterrupted> {
         assert!(!self.closed, "send on a closed connection");
-        let start = start.max(self.free_at);
-        let Some(cut) = faults.first_cut_at_or_after(start) else {
-            return Ok(self.send(sim, net, start, bytes));
-        };
-        if cut <= start {
-            // The link is already down: the attempt fails on the spot at
-            // zero wire cost (it still costs the retry budget upstream).
-            return Err(self.interrupt(sim, start, start, 0, 0));
+        let op = self.begin(sim, net, start, faults)?;
+        let bdp = op.path.bdp_bytes_up();
+        let up = self.transfer(sim, &op, op.start, bytes, Direction::Upload, bdp);
+        let acked_at = up.last + op.rtt;
+        // Acked payload already implies its acks beat the cut; only a bare
+        // zero-byte probe has to check its one round trip.
+        if up.acked_bytes < bytes || (bytes == 0 && op.cuts(acked_at)) {
+            return Err(self.interrupt(sim, op.start, op.cut, up.acked_bytes, up.sent_bytes));
         }
-        let path = net.path(self.host);
-        let rtt = path.sample_rtt(sim.rng());
-        if bytes == 0 {
-            let acked = start + rtt;
-            if acked > cut {
-                return Err(self.interrupt(sim, start, cut, 0, 0));
-            }
-            self.free_at = acked;
-            sim.advance_to(acked);
-            return Ok(acked);
-        }
-        let out = self.transfer_bounded(
-            sim,
-            &path,
-            start,
-            bytes,
-            Direction::Upload,
-            rtt,
-            path.bdp_bytes_up(),
-            Some(cut),
-        );
-        if out.acked_bytes >= bytes {
-            let acked = out.last + rtt;
-            self.free_at = acked;
-            sim.advance_to(acked);
-            Ok(acked)
-        } else {
-            Err(self.interrupt(sim, start, cut, out.acked_bytes, out.sent_bytes))
-        }
+        self.free_at = acked_at;
+        sim.advance_to(acked_at);
+        Ok(acked_at)
     }
 
     /// [`TcpConnection::fetch`] under a link-outage schedule. A cut during
     /// the request phase interrupts with zero bytes; a cut during the
     /// response phase interrupts with the response bytes received so far —
-    /// the offset a ranged re-fetch resumes from. With no outage
-    /// intersecting the operation this delegates to the plain path and is
-    /// bit-identical to it.
-    #[allow(clippy::too_many_arguments)]
+    /// the offset a ranged re-fetch resumes from. `fetch` is this with
+    /// [`FaultSchedule::NONE`].
     pub fn fetch_faulted(
         &mut self,
         sim: &mut Simulator,
         net: &Network,
         start: SimTime,
-        request_bytes: u64,
-        download_bytes: u64,
-        server_think: SimDuration,
+        get: Fetch,
         faults: &FaultSchedule,
     ) -> Result<DownloadOutcome, TransferInterrupted> {
         assert!(!self.closed, "fetch on a closed connection");
-        let start = start.max(self.free_at);
-        let Some(cut) = faults.first_cut_at_or_after(start) else {
-            return Ok(self.fetch(sim, net, start, request_bytes, download_bytes, server_think));
-        };
-        if cut <= start {
-            return Err(self.interrupt(sim, start, start, 0, 0));
+        self.exchange(sim, net, start, get, PathSpec::bdp_bytes_down, faults)
+    }
+
+    /// The request/response timeline behind `request`, `fetch` and
+    /// `fetch_faulted`: upload leg, server think, download leg windowed
+    /// against `down_bdp` of the path.
+    fn exchange(
+        &mut self,
+        sim: &mut Simulator,
+        net: &Network,
+        start: SimTime,
+        get: Fetch,
+        down_bdp: fn(&PathSpec) -> u64,
+        faults: &FaultSchedule,
+    ) -> Result<DownloadOutcome, TransferInterrupted> {
+        let op = self.begin(sim, net, start, faults)?;
+        let one_way = op.rtt / 2;
+
+        // Upload leg: the last byte arrives at the server one-way after the
+        // last segment leaves the client, and a request must fully reach
+        // the server before the cut for the response to ever start. (A
+        // zero-byte request has nothing to lose; its cut shows below.)
+        let bdp = op.path.bdp_bytes_up();
+        let up = self.transfer(sim, &op, op.start, get.request_bytes, Direction::Upload, bdp);
+        let at_server = up.last + one_way;
+        if get.request_bytes > 0 && (up.truncated || op.cuts(at_server)) {
+            return Err(self.interrupt(sim, op.start, op.cut, 0, up.sent_bytes));
         }
-        let path = net.path(self.host);
-        let rtt = path.sample_rtt(sim.rng());
 
-        let request_done_at_server = if request_bytes > 0 {
-            let out = self.transfer_bounded(
-                sim,
-                &path,
-                start,
-                request_bytes,
-                Direction::Upload,
-                rtt,
-                path.bdp_bytes_up(),
-                Some(cut),
-            );
-            // The request must fully reach the server before the cut for
-            // the response to ever start.
-            if out.truncated || out.last + rtt / 2 > cut {
-                return Err(self.interrupt(sim, start, cut, 0, out.sent_bytes));
-            }
-            out.last + rtt / 2
-        } else {
-            start + rtt / 2
-        };
-
-        let response_start = request_done_at_server + server_think;
-        let first_byte_at = response_start + rtt / 2;
-        let completed_at = if download_bytes > 0 {
-            let out = self.transfer_bounded(
-                sim,
-                &path,
-                response_start,
-                download_bytes,
-                Direction::Download,
-                rtt,
-                path.bdp_bytes_down(),
-                Some(cut),
-            );
-            if out.acked_bytes < download_bytes {
-                return Err(self.interrupt(
-                    sim,
-                    start,
-                    cut,
-                    out.acked_bytes,
-                    request_bytes + out.sent_bytes,
-                ));
-            }
-            out.last + rtt / 2
-        } else {
-            if first_byte_at > cut {
-                return Err(self.interrupt(sim, start, cut, 0, request_bytes));
-            }
-            first_byte_at
-        };
+        // Download leg: timestamps are recorded at the client, so the first
+        // response byte shows up one-way after the server starts sending.
+        let response_start = at_server + get.server_think;
+        let first_byte_at = response_start + one_way;
+        let bdp = down_bdp(&op.path);
+        let down =
+            self.transfer(sim, &op, response_start, get.download_bytes, Direction::Download, bdp);
+        let completed_at = down.last + one_way;
+        if down.acked_bytes < get.download_bytes
+            || (get.download_bytes == 0 && op.cuts(first_byte_at))
+        {
+            let sent = get.request_bytes + down.sent_bytes;
+            return Err(self.interrupt(sim, op.start, op.cut, down.acked_bytes, sent));
+        }
 
         self.free_at = completed_at;
         sim.advance_to(completed_at);
-        Ok(DownloadOutcome { requested_at: start, first_byte_at, completed_at })
+        Ok(DownloadOutcome { requested_at: op.start, first_byte_at, completed_at })
     }
 
-    /// Kills the connection at the instant the link went down: no FIN
-    /// exchange travels (nothing can), the socket is simply dead and any
-    /// later operation must open a fresh connection.
+    /// The prelude every operation shares: queue behind the connection's
+    /// previous operation, find the outage that can cut this one — failing
+    /// on the spot, at zero wire cost, when the link is already down (the
+    /// attempt still costs the retry budget upstream) — and only then
+    /// sample the operation's RTT, the draw order the baselines pin.
+    fn begin(
+        &mut self,
+        sim: &mut Simulator,
+        net: &Network,
+        start: SimTime,
+        faults: &FaultSchedule,
+    ) -> Result<Op, TransferInterrupted> {
+        let start = start.max(self.free_at);
+        let cut = faults.first_cut_at_or_after(start);
+        if cut.is_some_and(|c| c <= start) {
+            return Err(self.interrupt(sim, start, cut, 0, 0));
+        }
+        let path = net.path(self.host);
+        let rtt = path.sample_rtt(sim.rng());
+        Ok(Op { path, start, rtt, cut })
+    }
+
+    /// Kills the connection at the instant the link went down under an
+    /// operation that `started` earlier (or, for a link already down, at
+    /// `started` itself): no FIN exchange travels (nothing can), the socket
+    /// is simply dead and any later operation must open a fresh connection.
     fn interrupt(
         &mut self,
         sim: &mut Simulator,
         started: SimTime,
-        at: SimTime,
+        cut: Option<SimTime>,
         bytes_acked: u64,
         bytes_sent: u64,
     ) -> TransferInterrupted {
+        let at = cut.map_or(started, |c| c.max(started));
         self.closed = true;
         self.free_at = at;
         sim.advance_to(at);
@@ -554,61 +493,27 @@ impl TcpConnection {
         self.free_at
     }
 
-    /// Transfers `bytes` of payload in one direction starting at `start`,
-    /// recording every data segment and one acknowledgement per two segments.
-    /// Returns the time the last data segment is *sent* by the transmitting
-    /// side (client time base: upload segments are stamped when sent, download
-    /// segments when received).
+    /// The transfer engine behind every data leg: sends `bytes` of payload
+    /// in one direction starting at `start`, recording the congestion-
+    /// window-shaped segment schedule and one acknowledgement per two
+    /// segments, with at most `bdp_bytes` in flight, and stopping at the
+    /// operation's cut (a link outage) if it has one. `last` of the outcome
+    /// is the time the last data segment is *sent* by the transmitting side
+    /// (client time base: upload segments are stamped when sent, download
+    /// segments when received); zero bytes send nothing and leave it at
+    /// `start`. Without a cut the emitted packets and returned times are
+    /// the historical unbounded transfer's — the bit-identity contract the
+    /// committed baselines rely on.
     fn transfer(
         &mut self,
         sim: &mut Simulator,
-        path: &PathSpec,
+        op: &Op,
         start: SimTime,
         bytes: u64,
         direction: Direction,
-        rtt: SimDuration,
-    ) -> SimTime {
-        // Historical behaviour of `request`/`send`: the in-flight bound is
-        // the upload-direction BDP regardless of transfer direction (a
-        // conservative receive-window assumption). `fetch` passes the
-        // download-direction BDP explicitly to serve downstream transfers.
-        self.transfer_with_bdp(sim, path, start, bytes, direction, rtt, path.bdp_bytes_up())
-    }
-
-    /// [`TcpConnection::transfer`] with an explicit bandwidth-delay product
-    /// bound (in bytes) for the congestion-window growth.
-    #[allow(clippy::too_many_arguments)]
-    fn transfer_with_bdp(
-        &mut self,
-        sim: &mut Simulator,
-        path: &PathSpec,
-        start: SimTime,
-        bytes: u64,
-        direction: Direction,
-        rtt: SimDuration,
         bdp_bytes: u64,
-    ) -> SimTime {
-        self.transfer_bounded(sim, path, start, bytes, direction, rtt, bdp_bytes, None).last
-    }
-
-    /// The transfer engine behind every data phase: emits the congestion-
-    /// window-shaped segment schedule, optionally stopping at `cutoff` (a
-    /// link outage). With `cutoff == None` the emitted packets and returned
-    /// times are identical to the historical unbounded transfer — the
-    /// bit-identity contract the committed baselines rely on.
-    #[allow(clippy::too_many_arguments)]
-    fn transfer_bounded(
-        &mut self,
-        sim: &mut Simulator,
-        path: &PathSpec,
-        start: SimTime,
-        bytes: u64,
-        direction: Direction,
-        rtt: SimDuration,
-        bdp_bytes: u64,
-        cutoff: Option<SimTime>,
     ) -> RunOutcome {
-        debug_assert!(bytes > 0);
+        let (path, rtt) = (&op.path, op.rtt);
         let bandwidth = match direction {
             Direction::Upload => path.effective_up_bandwidth(),
             Direction::Download => path.effective_down_bandwidth(),
@@ -633,17 +538,7 @@ impl TcpConnection {
             let run = if window_tx >= rtt || cwnd >= bdp_segments.min(MAX_CWND_SEGMENTS) {
                 // The pipe is full: the rest of the transfer streams at line
                 // rate, ack-clocked, with no idle gaps.
-                let run = self.emit_data_run(
-                    sim,
-                    t,
-                    direction,
-                    remaining,
-                    bytes - sent_bytes,
-                    seg_tx,
-                    rtt,
-                    cutoff,
-                );
-                remaining -= run.segments.min(remaining);
+                let run = self.emit_data_run(sim, op, t, direction, bytes - sent_bytes, seg_tx);
                 cwnd = cwnd.max(bdp_segments).min(MAX_CWND_SEGMENTS);
                 run
             } else {
@@ -654,13 +549,12 @@ impl TcpConnection {
                 // the throughput analyzer.
                 let run_bytes = (window * seg_payload).min(bytes - sent_bytes);
                 let spacing = seg_tx.max(rtt / (window + 1));
-                let run =
-                    self.emit_data_run(sim, t, direction, window, run_bytes, spacing, rtt, cutoff);
-                remaining -= run.segments.min(remaining);
+                let run = self.emit_data_run(sim, op, t, direction, run_bytes, spacing);
                 cwnd = (cwnd * 2).min(MAX_CWND_SEGMENTS);
                 t = t + rtt.max(spacing.saturating_mul(window)) + seg_tx;
                 run
             };
+            remaining -= run.segments.min(remaining);
             if run.segments > 0 {
                 last_sent = run.last;
             }
@@ -681,15 +575,14 @@ impl TcpConnection {
                     }
                 }
                 if drops > 0 {
+                    let retrans_bytes = (drops * seg_payload).min(run.sent_bytes.max(1));
                     let retrans = self.emit_data_run(
                         sim,
+                        op,
                         run.last + rtt,
                         direction,
-                        drops,
-                        (drops * seg_payload).min(run.sent_bytes.max(1)),
+                        retrans_bytes,
                         seg_tx,
-                        rtt,
-                        cutoff,
                     );
                     // Retransmitted bytes are pure wire overhead: they do
                     // not advance sent/acked payload accounting, only time.
@@ -717,22 +610,20 @@ impl TcpConnection {
         }
     }
 
-    /// Emits up to `segments` data segments carrying `run_bytes` of payload
-    /// starting at `start`, spaced `spacing` apart, plus one ACK per two
-    /// segments in the opposite direction. Segments (and reverse ACKs) that
-    /// would land after `cutoff` are suppressed: the link is down.
-    #[allow(clippy::too_many_arguments)]
+    /// Emits `run_bytes` of payload as MSS-sized data segments starting at
+    /// `start`, spaced `spacing` apart, plus one ACK per two segments in the
+    /// opposite direction. Segments (and reverse ACKs) that would land
+    /// after the operation's cut are suppressed: the link is down.
     fn emit_data_run(
         &mut self,
         sim: &mut Simulator,
+        op: &Op,
         start: SimTime,
         direction: Direction,
-        segments: u64,
         run_bytes: u64,
         spacing: SimDuration,
-        rtt: SimDuration,
-        cutoff: Option<SimTime>,
     ) -> RunOutcome {
+        let (rtt, cutoff) = (op.rtt, op.cut);
         let seg_payload = MSS as u64;
         // Acked-byte accounting: an uploaded segment is safe once its ack
         // returned (one RTT after the send); a downloaded segment is safe
@@ -747,17 +638,12 @@ impl TcpConnection {
         let mut sent = 0u64;
         let mut acked = 0u64;
         let mut truncated = false;
-        for i in 0..segments {
+        for i in 0..run_bytes.div_ceil(seg_payload) {
             let payload = remaining.min(seg_payload) as u32;
-            if payload == 0 {
-                break;
-            }
             let ts = start + spacing.saturating_mul(i);
-            if let Some(c) = cutoff {
-                if ts > c {
-                    truncated = true;
-                    break;
-                }
+            if cutoff.is_some_and(|c| ts > c) {
+                truncated = true;
+                break;
             }
             remaining -= payload as u64;
             self.emit(sim, ts, direction, TcpFlags::ACK, payload, self.data_overhead());
@@ -1200,46 +1086,64 @@ mod tests {
         assert!(t2 > t1);
     }
 
+    /// One operation on a fresh connection over a jittered, lossy,
+    /// segment-dropping path (so RTT and drop draws both hit the RNG):
+    /// packet count, wire bytes, last timestamp in µs, final congestion
+    /// window, completion in µs.
+    fn fingerprint(
+        path: PathSpec,
+        op: impl Fn(&mut TcpConnection, &mut Simulator, &Network, SimTime) -> SimTime,
+    ) -> (usize, u64, u64, u32, u64) {
+        let mut net = Network::new();
+        let host = net.add_server("server.example", [10, 0, 0, 1], 443);
+        net.set_path(host, path.with_loss(0.0005).with_segment_drops(true));
+        let mut sim = Simulator::new(0x601D);
+        let mut conn = TcpConnection::open(
+            &mut sim,
+            &net,
+            host,
+            ConnectionOptions::https(FlowKind::Storage),
+            SimTime::ZERO,
+        );
+        let start = conn.established_at();
+        let done = op(&mut conn, &mut sim, &net, start);
+        let packets = sim.packets();
+        (
+            packets.len(),
+            packets.iter().map(|p| p.wire_len()).sum(),
+            packets.iter().map(|p| p.timestamp).max().unwrap().as_micros(),
+            conn.congestion_window(),
+            done.as_micros(),
+        )
+    }
+
     #[test]
-    fn faulted_ops_with_an_empty_schedule_are_bit_identical_to_plain_ones() {
-        let run = |faulted: bool| -> (SimTime, SimTime, Vec<cloudsim_trace::PacketRecord>) {
-            let (net, host) = test_net(80, 20_000_000);
-            let mut sim = Simulator::new(11);
-            let mut conn = TcpConnection::open(
-                &mut sim,
-                &net,
-                host,
-                ConnectionOptions::https(FlowKind::Storage),
-                SimTime::ZERO,
-            );
-            let start = conn.established_at();
-            let think = SimDuration::from_millis(5);
-            let (sent, fetched) = if faulted {
-                let s = conn
-                    .send_faulted(&mut sim, &net, start, 700_000, &FaultSchedule::NONE)
-                    .expect("no faults scheduled");
-                let f = conn
-                    .fetch_faulted(&mut sim, &net, s, 400, 900_000, think, &FaultSchedule::NONE)
-                    .expect("no faults scheduled");
-                (s, f.completed_at)
-            } else {
-                let s = conn.send(&mut sim, &net, start, 700_000);
-                let f = conn.fetch(&mut sim, &net, s, 400, 900_000, think);
-                (s, f.completed_at)
-            };
-            (sent, fetched, sim.packets())
-        };
-        let plain = run(false);
-        let faulted = run(true);
-        assert_eq!(plain.0, faulted.0);
-        assert_eq!(plain.1, faulted.1);
-        assert_eq!(plain.2, faulted.2);
+    fn plain_ops_replay_the_timelines_recorded_before_they_shared_the_faulted_bodies() {
+        // Recorded at the last commit where `request`, `fetch` and `send`
+        // had bodies of their own. They now run the faulted bodies with an
+        // empty schedule, so comparing the two would compare a function
+        // with itself; these numbers are what "bit-identical" rests on.
+        let think = SimDuration::from_millis(5);
+        let symmetric = || PathSpec::symmetric(SimDuration::from_millis(80), 20_000_000);
+        let adsl = PathSpec::asymmetric(SimDuration::from_millis(130), 1_000_000, 8_000_000);
+        assert_eq!(
+            fingerprint(symmetric(), |c, s, n, t| c.request(s, n, t, 700_000, 900_000, think)),
+            (1654, 1_747_366, 2_085_441, 80, 2_124_313)
+        );
+        assert_eq!(
+            fingerprint(adsl, |c, s, n, t| c.fetch(s, n, t, 400, 900_000, think).completed_at),
+            (934, 984_866, 2_017_142, 80, 2_080_310)
+        );
+        assert_eq!(
+            fingerprint(symmetric(), |c, s, n, t| c.send(s, n, t, 700_000)),
+            (728, 766_868, 1_141_593, 80, 1_141_593)
+        );
     }
 
     #[test]
     fn schedules_entirely_before_the_op_also_delegate_to_the_plain_path() {
         // An outage that ended before the transfer starts must not perturb
-        // anything: first_cut_at_or_after returns None and the plain path runs.
+        // anything: first_cut_at_or_after returns None and nothing can cut.
         let (net, host) = test_net(80, 20_000_000);
         let early = FaultSchedule {
             windows: vec![OutageWindow {
@@ -1342,8 +1246,13 @@ mod tests {
                 up_at: start + SimDuration::from_secs(20),
             }],
         };
+        let get = Fetch {
+            request_bytes: 300,
+            download_bytes: 4_000_000,
+            server_think: SimDuration::ZERO,
+        };
         let err = conn
-            .fetch_faulted(&mut sim, &net, start, 300, 4_000_000, SimDuration::ZERO, &cut)
+            .fetch_faulted(&mut sim, &net, start, get, &cut)
             .expect_err("the outage must cut the download");
         assert!(err.bytes_acked > 0, "some response bytes arrived before the cut");
         assert!(err.bytes_acked < 4_000_000);

@@ -9,13 +9,12 @@
 use crate::deployment::Deployment;
 use crate::planner::{FilePlan, UploadPlanner};
 use crate::profile::{ServiceProfile, TransferMode};
-use crate::retry::RetryPolicy;
-use crate::session::{FaultStats, RangedRestore, UploadSession};
+use crate::retry::{Recovery, RetryPolicy};
+use crate::session::{FaultStats, RangedTransfer, UploadSession};
 use cloudsim_net::http::{HttpExchange, HttpOverhead};
-use cloudsim_net::tcp::{ConnectionOptions, TcpConnection};
+use cloudsim_net::tcp::{ConnectionOptions, Fetch, TcpConnection};
 use cloudsim_net::{AccessLink, FaultSchedule, Simulator, TransferInterrupted};
-use cloudsim_trace::{FlowKind, LatencyHistogram, SimDuration, SimTime};
-use cloudsim_workload::seed::derive_seed;
+use cloudsim_trace::{Direction, FlowKind, LatencyHistogram, SimDuration, SimTime};
 use cloudsim_workload::GeneratedFile;
 
 /// Seed salt for upload-retry jitter draws (per chunk, per attempt).
@@ -328,11 +327,58 @@ impl SyncClient {
         files: &[GeneratedFile],
         modification_time: SimTime,
     ) -> SyncOutcome {
+        self.sync(sim, files, modification_time, None).outcome
+    }
+
+    /// Synchronises a batch under a seeded outage schedule with a resumable
+    /// upload session: every chunk is driven through
+    /// [`TcpConnection::send_faulted`], and when a cut kills the transfer the
+    /// session persists the last committed offset so the retry — granted by
+    /// `policy`, after a backoff that spends *virtual-clock* time — re-drives
+    /// only the uncommitted tail over a freshly dialled connection. When the
+    /// budget runs out the chunk is abandoned and the batch moves on.
+    /// `seed` feeds the per-(chunk, attempt) jitter draws; same seed, same
+    /// schedule, same virtual timeline.
+    ///
+    /// This is [`SyncClient::sync_batch`] in every step but one. Login,
+    /// change detection, planning, the announcing and the final control
+    /// exchange are the same code (the control plane stays fault-free:
+    /// metadata exchanges are tiny and real clients retry them invisibly —
+    /// only storage transfers feel the outages). The single fork is the
+    /// storage-transfer step: `sync_batch` moves the planned chunks the way
+    /// the profile's [`TransferMode`] prescribes (bundles, per-chunk
+    /// requests, a connection per file), while a session resumes at chunk
+    /// granularity and so drives bare chunks one at a time whatever the
+    /// mode. Teaching the session the transfer modes would move every
+    /// `faults.*` value, so until that lands the fault-free control for
+    /// inflation comparisons is this method with [`FaultSchedule::NONE`] —
+    /// it differs from `sync_batch` in the storage-transfer window only.
+    pub fn sync_batch_faulted(
+        &mut self,
+        sim: &mut Simulator,
+        files: &[GeneratedFile],
+        modification_time: SimTime,
+        faults: &FaultSchedule,
+        policy: &dyn RetryPolicy,
+        seed: u64,
+    ) -> FaultedSyncOutcome {
+        self.sync(sim, files, modification_time, Some(&Recovery { faults, policy, seed }))
+    }
+
+    /// The one sync skeleton: login, change detection, planning, the
+    /// announcing control exchange, the storage transfer, the final commit.
+    /// Without a `recovery` context the transfer step is the profile's
+    /// transfer mode and everything planned is durable; with one it is the
+    /// resumable session (see [`SyncClient::sync_batch_faulted`]).
+    pub(crate) fn sync(
+        &mut self,
+        sim: &mut Simulator,
+        files: &[GeneratedFile],
+        modification_time: SimTime,
+        recovery: Option<&Recovery>,
+    ) -> FaultedSyncOutcome {
         assert!(!files.is_empty(), "sync_batch needs at least one file");
-        if !self.logged_in {
-            let done = self.login(sim, modification_time - SimDuration::from_secs(60));
-            debug_assert!(done <= modification_time || self.logged_in);
-        }
+        self.ensure_login(sim, modification_time);
 
         // Change detection / batching delay (§5.1).
         let detection = self.profile.startup_delay
@@ -358,14 +404,32 @@ impl SyncClient {
                 .execute(conn, sim, &network, sync_start)
         };
 
-        // Storage transfer according to the service's transfer mode.
+        // Storage transfer, the one step the two entry points fork on: the
+        // resumable session under a recovery context, the service's
+        // transfer mode without one (then everything planned is durable).
         let transfer_start = control_done.max(sync_start);
-        let completed = match self.profile.transfer_mode {
-            TransferMode::Bundled => self.transfer_bundled(sim, &plans, transfer_start),
-            TransferMode::SequentialWithAcks => {
+        let mut out = FaultedSyncOutcome {
+            outcome: SyncOutcome {
+                modification_time,
+                sync_started_at: sync_start,
+                completed_at: transfer_start,
+                files: files.len(),
+                logical_bytes,
+                uploaded_payload,
+            },
+            committed_payload: uploaded_payload,
+            abandoned_chunks: 0,
+            completed: true,
+            stats: FaultStats::default(),
+            backoff_waits: LatencyHistogram::new(),
+        };
+        out.outcome.completed_at = match (recovery, self.profile.transfer_mode) {
+            (Some(rec), _) => self.transfer_resumable(sim, &plans, transfer_start, rec, &mut out),
+            (None, TransferMode::Bundled) => self.transfer_bundled(sim, &plans, transfer_start),
+            (None, TransferMode::SequentialWithAcks) => {
                 self.transfer_sequential(sim, &plans, transfer_start)
             }
-            TransferMode::ConnectionPerFile { control_connections_per_file } => self
+            (None, TransferMode::ConnectionPerFile { control_connections_per_file }) => self
                 .transfer_connection_per_file(
                     sim,
                     &plans,
@@ -375,6 +439,7 @@ impl SyncClient {
         };
 
         // Final commit on the control channel.
+        let completed = out.outcome.completed_at;
         let final_commit = {
             let network = self.deployment.network.clone();
             let conn = self.ensure_control(sim, completed);
@@ -382,15 +447,35 @@ impl SyncClient {
                 .execute(conn, sim, &network, completed)
         };
         self.last_activity = final_commit;
+        out
+    }
 
-        SyncOutcome {
-            modification_time,
-            sync_started_at: sync_start,
-            completed_at: completed,
-            files: files.len(),
-            logical_bytes,
-            uploaded_payload,
+    /// The transfer step under outages: a resumable session drives the
+    /// planned chunks one at a time, each until it commits or its retry
+    /// budget runs out (then it is abandoned and the batch moves on), and
+    /// records in `out` what became durable and what recovery cost.
+    fn transfer_resumable(
+        &mut self,
+        sim: &mut Simulator,
+        plans: &[FilePlan],
+        start: SimTime,
+        rec: &Recovery,
+        out: &mut FaultedSyncOutcome,
+    ) -> SimTime {
+        let mut session = UploadSession::new(
+            plans.iter().flat_map(|p| p.chunks.iter().map(|c| c.upload_bytes)).collect(),
+        );
+        let mut t = start;
+        while let Some((idx, _)) = session.remaining() {
+            let chunk = (Direction::Upload, idx as u64);
+            t = self.drive(sim, rec, &mut out.backoff_waits, session.stream_mut(), chunk, t).0;
+            session.advance();
         }
+        out.committed_payload = session.committed_payload();
+        out.abandoned_chunks = session.abandoned_chunks();
+        out.completed = session.is_complete();
+        out.stats = session.stats();
+        t
     }
 
     /// Dropbox-style bundling: one reused storage connection, small files
@@ -564,8 +649,7 @@ impl SyncClient {
         owner: &str,
         at: SimTime,
     ) -> RestoreOutcome {
-        let paths = self.planner.store().list_files(owner);
-        self.restore_batch(sim, owner, &paths, at)
+        self.restore_user_faulted(sim, owner, at, &Recovery::NONE).outcome
     }
 
     /// Restores `owner`'s files at the given paths, driving the manifest
@@ -576,7 +660,8 @@ impl SyncClient {
     /// delta downloads apply against locally held bases — the planner's
     /// [`UploadPlanner::plan_restore_paths`] decides, this method only moves
     /// the bytes. Failed files (typed restore errors) cost a control
-    /// round-trip but no storage traffic.
+    /// round-trip but no storage traffic. This is
+    /// [`SyncClient::restore_batch_faulted`] with no outage to recover from.
     pub fn restore_batch(
         &mut self,
         sim: &mut Simulator,
@@ -584,31 +669,51 @@ impl SyncClient {
         paths: &[String],
         at: SimTime,
     ) -> RestoreOutcome {
-        if !self.logged_in {
-            let done = self.login(sim, at - SimDuration::from_secs(60));
-            debug_assert!(done <= at || self.logged_in);
-        }
+        self.restore_batch_faulted(sim, owner, paths, at, &Recovery::NONE).outcome
+    }
+
+    /// [`SyncClient::restore_user`] under a seeded outage schedule — lists
+    /// the owner's live files and drives a fault-injected, resumable restore.
+    pub fn restore_user_faulted(
+        &mut self,
+        sim: &mut Simulator,
+        owner: &str,
+        at: SimTime,
+        rec: &Recovery,
+    ) -> FaultedRestoreOutcome {
+        let paths = self.planner.store().list_files(owner);
+        self.restore_batch_faulted(sim, owner, &paths, at, rec)
+    }
+
+    /// The one restore body: restores `owner`'s files under `rec`'s outage
+    /// schedule with ranged, resumable downloads. One GET per file that
+    /// has bytes to move goes through [`TcpConnection::fetch_faulted`] on
+    /// the reused storage connection, filling the downstream pipe; a cut
+    /// leaves the received prefix verified, and the retry issues a fresh
+    /// range request for only the remaining bytes. On completion the
+    /// reassembled content is validated end to end with SHA-256 along the
+    /// recorded resume boundaries. The control plane stays fault-free (see
+    /// [`SyncClient::sync_batch_faulted`]); `first_byte_at` is recorded from
+    /// completed ranges only.
+    pub fn restore_batch_faulted(
+        &mut self,
+        sim: &mut Simulator,
+        owner: &str,
+        paths: &[String],
+        at: SimTime,
+        rec: &Recovery,
+    ) -> FaultedRestoreOutcome {
+        self.ensure_login(sim, at);
         let plans = self.planner.plan_restore_paths(owner, paths);
 
-        let mut files_restored = 0usize;
         let mut files_failed = 0usize;
-        let mut logical_bytes = 0u64;
-        let mut downloaded_payload = 0u64;
-        let mut dedup_skipped_bytes = 0u64;
         let mut metadata_down = 0u64;
-        let mut downloads: Vec<u64> = Vec::new();
+        let mut work: Vec<&cloudsim_storage::RestoredFile> = Vec::new();
         for plan in &plans {
             match plan {
                 Ok(file) => {
-                    files_restored += 1;
-                    logical_bytes += file.logical_bytes();
-                    dedup_skipped_bytes += file.dedup_skipped_bytes();
                     metadata_down += file.metadata_bytes;
-                    let bytes = file.download_bytes();
-                    downloaded_payload += bytes;
-                    if bytes > 0 {
-                        downloads.push(bytes);
-                    }
+                    work.push(file);
                 }
                 Err(_) => {
                     files_failed += 1;
@@ -631,252 +736,6 @@ impl SyncClient {
                 .execute(conn, sim, &network, at)
         };
 
-        // Storage plane: one GET per file that has bytes to move, on the
-        // reused storage connection, filling the downstream pipe.
-        let network = self.deployment.network.clone();
-        let think = self.profile.server_think;
-        let mut first_byte_at: Option<SimTime> = None;
-        let mut t = control_done;
-        if !downloads.is_empty() {
-            let conn = self.ensure_storage(sim, control_done);
-            for bytes in downloads {
-                let outcome = conn.fetch(sim, &network, t, 250, bytes, think);
-                if first_byte_at.is_none() {
-                    first_byte_at = Some(outcome.first_byte_at);
-                }
-                t = outcome.completed_at;
-            }
-        }
-        self.last_activity = t;
-
-        RestoreOutcome {
-            requested_at: at,
-            first_byte_at,
-            completed_at: t,
-            files_restored,
-            files_failed,
-            logical_bytes,
-            downloaded_payload,
-            dedup_skipped_bytes,
-        }
-    }
-
-    /// Synchronises a batch under a seeded outage schedule with a resumable
-    /// upload session: every chunk is driven through
-    /// [`TcpConnection::send_faulted`], and when a cut kills the transfer the
-    /// session persists the last committed offset so the retry — granted by
-    /// `policy`, after a backoff that spends *virtual-clock* time — re-drives
-    /// only the uncommitted tail over a freshly dialled connection. When the
-    /// budget runs out the chunk is abandoned and the batch moves on.
-    ///
-    /// Two deliberate simplifications: the control plane stays fault-free
-    /// (metadata exchanges are tiny and real clients retry them invisibly —
-    /// only storage transfers feel the outages), and the session drives
-    /// chunks one at a time regardless of the profile's transfer mode, so
-    /// the fault-free control for inflation comparisons is this same method
-    /// with [`FaultSchedule::NONE`], not [`SyncClient::sync_batch`].
-    ///
-    /// `seed` feeds the per-(chunk, attempt) jitter draws; same seed, same
-    /// schedule, same virtual timeline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sync_batch_faulted(
-        &mut self,
-        sim: &mut Simulator,
-        files: &[GeneratedFile],
-        modification_time: SimTime,
-        faults: &FaultSchedule,
-        policy: &dyn RetryPolicy,
-        seed: u64,
-    ) -> FaultedSyncOutcome {
-        assert!(!files.is_empty(), "sync_batch_faulted needs at least one file");
-        if !self.logged_in {
-            let done = self.login(sim, modification_time - SimDuration::from_secs(60));
-            debug_assert!(done <= modification_time || self.logged_in);
-        }
-        let detection = self.profile.startup_delay
-            + self.profile.startup_delay_per_file.saturating_mul(files.len() as u64);
-        let sync_start = modification_time + detection;
-
-        let batch: Vec<(&str, &[u8])> =
-            files.iter().map(|f| (f.path.as_str(), f.content.as_slice())).collect();
-        let plans: Vec<FilePlan> = self.planner.plan_batch(&batch);
-        let uploaded_payload: u64 = plans.iter().map(|p| p.upload_bytes()).sum();
-        let logical_bytes: u64 = plans.iter().map(|p| p.logical_bytes).sum();
-        let metadata_total: u64 = plans.iter().map(|p| p.metadata_bytes).sum();
-
-        let control_done = {
-            let network = self.deployment.network.clone();
-            let conn = self.ensure_control(sim, sync_start);
-            HttpExchange::new(metadata_total.clamp(600, 64_000), 800, SimDuration::from_millis(30))
-                .execute(conn, sim, &network, sync_start)
-        };
-
-        let transfer_start = control_done.max(sync_start);
-        let mut session = UploadSession::new(
-            plans.iter().flat_map(|p| p.chunks.iter().map(|c| c.upload_bytes)).collect(),
-        );
-        let network = self.deployment.network.clone();
-        let mut t = transfer_start;
-        let mut current = usize::MAX;
-        let mut attempt = 0u32;
-        let mut backoff_waits = LatencyHistogram::new();
-        while let Some((idx, tail)) = session.remaining() {
-            if idx != current {
-                current = idx;
-                attempt = 0;
-            }
-            let interrupted = self.drive_upload(sim, &network, t, tail, faults);
-            match interrupted {
-                Ok(done) => {
-                    t = done;
-                    session.commit();
-                }
-                Err(int) => {
-                    session.interrupted(&int);
-                    attempt += 1;
-                    let draw = derive_seed(seed, UPLOAD_RETRY_SALT, idx as u64, attempt as u64);
-                    match policy.backoff(attempt, draw) {
-                        Some(wait) => {
-                            session.retried(wait);
-                            backoff_waits.record(wait);
-                            // Backoff burns virtual-clock time like think
-                            // time does, so retries interleave with the
-                            // fleet's temporal schedule.
-                            t = int.interrupted_at + wait;
-                        }
-                        None => {
-                            session.abandon();
-                            t = int.interrupted_at;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Final commit on the (fault-free) control channel.
-        let final_commit = {
-            let network = self.deployment.network.clone();
-            let conn = self.ensure_control(sim, t);
-            HttpExchange::new(900, 500, SimDuration::from_millis(30))
-                .execute(conn, sim, &network, t)
-        };
-        self.last_activity = final_commit;
-
-        FaultedSyncOutcome {
-            outcome: SyncOutcome {
-                modification_time,
-                sync_started_at: sync_start,
-                completed_at: t,
-                files: files.len(),
-                logical_bytes,
-                uploaded_payload,
-            },
-            committed_payload: session.committed_payload(),
-            abandoned_chunks: session.abandoned_chunks(),
-            completed: session.is_complete(),
-            stats: session.stats(),
-            backoff_waits,
-        }
-    }
-
-    /// One upload attempt under faults: fails at zero wire cost when the
-    /// link is already down at `t` (the client never reaches the handshake),
-    /// otherwise dials a fresh storage connection if an earlier cut killed
-    /// the socket and drives `tail` bytes through the faulted send.
-    fn drive_upload(
-        &mut self,
-        sim: &mut Simulator,
-        network: &cloudsim_net::Network,
-        t: SimTime,
-        tail: u64,
-        faults: &FaultSchedule,
-    ) -> Result<SimTime, TransferInterrupted> {
-        if faults.is_down(t) {
-            return Err(TransferInterrupted {
-                bytes_acked: 0,
-                bytes_sent: 0,
-                elapsed: SimDuration::ZERO,
-                interrupted_at: t,
-            });
-        }
-        if self.storage_conn.as_ref().is_some_and(|c| c.is_closed()) {
-            self.storage_conn = None;
-        }
-        let conn = self.ensure_storage(sim, t);
-        conn.send_faulted(sim, network, t, tail, faults)
-    }
-
-    /// [`SyncClient::restore_user`] under a seeded outage schedule — lists
-    /// the owner's live files and drives a fault-injected, resumable restore.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore_user_faulted(
-        &mut self,
-        sim: &mut Simulator,
-        owner: &str,
-        at: SimTime,
-        faults: &FaultSchedule,
-        policy: &dyn RetryPolicy,
-        seed: u64,
-    ) -> FaultedRestoreOutcome {
-        let paths = self.planner.store().list_files(owner);
-        self.restore_batch_faulted(sim, owner, &paths, at, faults, policy, seed)
-    }
-
-    /// Restores `owner`'s files under a seeded outage schedule with ranged,
-    /// resumable downloads: each file is fetched through
-    /// [`TcpConnection::fetch_faulted`]; a cut leaves the received prefix
-    /// verified, and the retry issues a fresh range request for only the
-    /// remaining bytes. On completion the reassembled content is validated
-    /// end to end with SHA-256 along the recorded resume boundaries. The
-    /// control plane stays fault-free (see
-    /// [`SyncClient::sync_batch_faulted`]); `first_byte_at` is recorded from
-    /// completed ranges only.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore_batch_faulted(
-        &mut self,
-        sim: &mut Simulator,
-        owner: &str,
-        paths: &[String],
-        at: SimTime,
-        faults: &FaultSchedule,
-        policy: &dyn RetryPolicy,
-        seed: u64,
-    ) -> FaultedRestoreOutcome {
-        if !self.logged_in {
-            let done = self.login(sim, at - SimDuration::from_secs(60));
-            debug_assert!(done <= at || self.logged_in);
-        }
-        let plans = self.planner.plan_restore_paths(owner, paths);
-
-        let mut files_failed = 0usize;
-        let mut metadata_down = 0u64;
-        let mut work: Vec<&cloudsim_storage::RestoredFile> = Vec::new();
-        for plan in &plans {
-            match plan {
-                Ok(file) => {
-                    metadata_down += file.metadata_bytes;
-                    work.push(file);
-                }
-                Err(_) => {
-                    files_failed += 1;
-                    metadata_down += 200;
-                }
-            }
-        }
-        if plans.is_empty() {
-            files_failed = 1;
-            metadata_down = 200;
-        }
-
-        let control_done = {
-            let network = self.deployment.network.clone();
-            let conn = self.ensure_control(sim, at);
-            HttpExchange::new(600, metadata_down.clamp(300, 64_000), SimDuration::from_millis(30))
-                .execute(conn, sim, &network, at)
-        };
-
-        let network = self.deployment.network.clone();
-        let think = self.profile.server_think;
         let mut first_byte_at: Option<SimTime> = None;
         let mut t = control_done;
         let mut files_restored = 0usize;
@@ -888,45 +747,12 @@ impl SyncClient {
         let mut backoff_waits = LatencyHistogram::new();
         for (fi, file) in work.iter().enumerate() {
             let bytes = file.download_bytes();
-            let mut ranged = RangedRestore::new(bytes);
-            let mut attempt = 0u32;
-            let mut abandoned = false;
-            while !ranged.is_complete() {
-                let outcome =
-                    self.drive_download(sim, &network, t, ranged.remaining(), think, faults);
-                match outcome {
-                    Ok(out) => {
-                        if first_byte_at.is_none() {
-                            first_byte_at = Some(out.first_byte_at);
-                        }
-                        t = out.completed_at;
-                        ranged.complete();
-                    }
-                    Err(int) => {
-                        ranged.interrupted(&int);
-                        attempt += 1;
-                        let draw = derive_seed(seed, RESTORE_RETRY_SALT, fi as u64, attempt as u64);
-                        match policy.backoff(attempt, draw) {
-                            Some(wait) => {
-                                ranged.retried(wait);
-                                backoff_waits.record(wait);
-                                t = int.interrupted_at + wait;
-                            }
-                            None => {
-                                ranged.abandon();
-                                t = int.interrupted_at;
-                                abandoned = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            if abandoned {
-                files_abandoned += 1;
-                files_failed += 1;
-                downloaded_payload += ranged.verified();
-            } else {
+            let mut ranged = RangedTransfer::new(bytes);
+            let get = (Direction::Download, fi as u64);
+            let (done, first_byte) = self.drive(sim, rec, &mut backoff_waits, &mut ranged, get, t);
+            t = done;
+            first_byte_at = first_byte_at.or(first_byte);
+            if ranged.is_complete() {
                 // End-to-end validation of the reassembled content.
                 if ranged.verify(&file.content) {
                     files_restored += 1;
@@ -936,6 +762,10 @@ impl SyncClient {
                 logical_bytes += file.logical_bytes();
                 dedup_skipped_bytes += file.dedup_skipped_bytes();
                 downloaded_payload += bytes;
+            } else {
+                files_abandoned += 1;
+                files_failed += 1;
+                downloaded_payload += ranged.verified();
             }
             stats.merge(&ranged.stats());
         }
@@ -960,17 +790,80 @@ impl SyncClient {
         }
     }
 
-    /// One ranged download attempt under faults — the download mirror of
-    /// [`SyncClient::drive_upload`].
-    fn drive_download(
+    /// The one retry loop: drives `stream`'s uncommitted tail over the
+    /// storage connection — the upload of chunk `unit`, or a ranged GET of
+    /// file `unit` — until it completes or `rec`'s policy gives up, and
+    /// finishes the stream accordingly. Every cut persists the durable
+    /// offset, so a granted retry re-drives only the tail, after a backoff
+    /// that burns virtual-clock time like think time does (retries
+    /// interleave with the fleet's temporal schedule). Returns the clock
+    /// afterwards and, for a GET that completed, when the first byte of its
+    /// final range arrived.
+    fn drive(
         &mut self,
         sim: &mut Simulator,
-        network: &cloudsim_net::Network,
+        rec: &Recovery,
+        waits: &mut LatencyHistogram,
+        stream: &mut RangedTransfer,
+        (direction, unit): (Direction, u64),
+        mut t: SimTime,
+    ) -> (SimTime, Option<SimTime>) {
+        let server_think = self.profile.server_think;
+        let mut attempt = 0u32;
+        while !stream.is_complete() {
+            let tail = stream.remaining();
+            let attempted = self.storage_under(sim, t, rec.faults).and_then(|mut conn| {
+                let network = &self.deployment.network;
+                let result = match direction {
+                    Direction::Upload => conn
+                        .send_faulted(sim, network, t, tail, rec.faults)
+                        .map(|done| (done, None)),
+                    Direction::Download => {
+                        let get = Fetch { request_bytes: 250, download_bytes: tail, server_think };
+                        conn.fetch_faulted(sim, network, t, get, rec.faults)
+                            .map(|got| (got.completed_at, Some(got.first_byte_at)))
+                    }
+                };
+                self.storage_conn = Some(conn);
+                result
+            });
+            match attempted {
+                Ok((done, first_byte)) => {
+                    stream.complete();
+                    return (done, first_byte);
+                }
+                Err(int) => {
+                    stream.interrupted(&int);
+                    attempt += 1;
+                    t = int.interrupted_at;
+                    let salt = match direction {
+                        Direction::Upload => UPLOAD_RETRY_SALT,
+                        Direction::Download => RESTORE_RETRY_SALT,
+                    };
+                    let Some(wait) = rec.backoff(salt, unit, attempt) else {
+                        stream.abandon();
+                        break;
+                    };
+                    stream.retried(wait);
+                    waits.record(wait);
+                    t += wait;
+                }
+            }
+        }
+        (t, None)
+    }
+
+    /// The storage-connection prelude of every attempt under outages: with
+    /// the link down at `t` the attempt fails on the spot at zero wire cost
+    /// (the client never reaches the handshake); otherwise the storage
+    /// connection is handed out for the attempt — a fresh one if none is
+    /// open or an earlier cut killed the socket.
+    fn storage_under(
+        &mut self,
+        sim: &mut Simulator,
         t: SimTime,
-        remaining: u64,
-        think: SimDuration,
         faults: &FaultSchedule,
-    ) -> Result<cloudsim_net::tcp::DownloadOutcome, TransferInterrupted> {
+    ) -> Result<TcpConnection, TransferInterrupted> {
         if faults.is_down(t) {
             return Err(TransferInterrupted {
                 bytes_acked: 0,
@@ -982,8 +875,8 @@ impl SyncClient {
         if self.storage_conn.as_ref().is_some_and(|c| c.is_closed()) {
             self.storage_conn = None;
         }
-        let conn = self.ensure_storage(sim, t);
-        conn.fetch_faulted(sim, network, t, 250, remaining, think, faults)
+        self.ensure_storage(sim, t);
+        Ok(self.storage_conn.take().expect("ensure_storage leaves a connection"))
     }
 
     /// Deletes a file from the synced folder and propagates the deletion as a
@@ -1025,6 +918,15 @@ impl SyncClient {
         self.logged_in = false;
         self.last_activity = closed;
         (closed, deleted)
+    }
+
+    /// Logs in a minute ahead of an operation at `at` if the client never
+    /// did: the implicit login has finished by the time the operation starts.
+    fn ensure_login(&mut self, sim: &mut Simulator, at: SimTime) {
+        if !self.logged_in {
+            let done = self.login(sim, at - SimDuration::from_secs(60));
+            debug_assert!(done <= at, "the implicit login must finish before the operation");
+        }
     }
 
     fn ensure_control(&mut self, sim: &mut Simulator, at: SimTime) -> &mut TcpConnection {
@@ -1341,6 +1243,73 @@ mod tests {
         assert_eq!(out, run(), "the faulted path must be deterministic");
     }
 
+    #[test]
+    fn plain_and_fault_free_faulted_syncs_differ_in_the_storage_transfer_step_only() {
+        use crate::retry::NoRetry;
+        let files = batch(6, 150_000);
+        let control_plane = |sim: &Simulator| -> u64 {
+            let trace = sim.trace();
+            FlowKind::ALL
+                .iter()
+                .filter(|k| k.is_control_plane())
+                .map(|k| trace.wire_bytes(*k))
+                .sum()
+        };
+        for profile in ServiceProfile::all() {
+            let name = profile.name();
+            let run = |faulted: bool| {
+                let mut sim = Simulator::new(42);
+                let mut client = SyncClient::new(profile.clone());
+                let at = client.login(&mut sim, SimTime::ZERO) + SimDuration::from_secs(5);
+                let out = if faulted {
+                    client.sync_batch_faulted(
+                        &mut sim,
+                        &files,
+                        at,
+                        &FaultSchedule::NONE,
+                        &NoRetry,
+                        7,
+                    )
+                } else {
+                    client.sync(&mut sim, &files, at, None)
+                };
+                (out, control_plane(&sim))
+            };
+            let (plain, plain_control) = run(false);
+            let (faulted, faulted_control) = run(true);
+
+            // Everything outside the transfer step is the same code.
+            assert_eq!(plain.outcome.modification_time, faulted.outcome.modification_time);
+            assert_eq!(plain.outcome.sync_started_at, faulted.outcome.sync_started_at, "{name}");
+            assert_eq!(plain.outcome.files, faulted.outcome.files);
+            assert_eq!(plain.outcome.logical_bytes, faulted.outcome.logical_bytes, "{name}");
+            assert_eq!(plain.outcome.uploaded_payload, faulted.outcome.uploaded_payload, "{name}");
+            for out in [&plain, &faulted] {
+                assert!(out.completed, "{name}");
+                assert_eq!(out.committed_payload, out.outcome.uploaded_payload, "{name}");
+                assert_eq!(out.abandoned_chunks, 0);
+                assert_eq!(out.stats, FaultStats::default(), "{name}");
+                assert_eq!(out.backoff_waits.count(), 0);
+            }
+
+            // The transfer step is the fork: the profile's mode against bare
+            // chunks one at a time. A mode that opens control connections
+            // per file (Cloud Drive) pays them in the plain step only.
+            let per_file_control = match profile.transfer_mode {
+                TransferMode::ConnectionPerFile { control_connections_per_file } => {
+                    control_connections_per_file
+                }
+                _ => 0,
+            };
+            if per_file_control == 0 {
+                assert_eq!(plain_control, faulted_control, "{name}");
+            } else {
+                assert!(plain_control > faulted_control, "{name}");
+            }
+            assert_ne!(plain.outcome.completed_at, faulted.outcome.completed_at, "{name}");
+        }
+    }
+
     /// The upload fault-recovery harness: learns the fault-free transfer
     /// window, then cuts the link inside it.
     fn faulted_sync_with(
@@ -1430,13 +1399,20 @@ mod tests {
         use cloudsim_storage::{ObjectStore, UploadPipeline};
         let store = ObjectStore::new();
         let pipeline = UploadPipeline::sequential();
-        let files = batch(4, 200_000);
+        let files = batch(5, 200_000);
         let mut sim = Simulator::new(31);
         let mut owner =
             SyncClient::for_user(ServiceProfile::dropbox(), pipeline, store.clone(), "owner");
         let t0 = owner.login(&mut sim, SimTime::ZERO);
         owner.sync_batch(&mut sim, &files, t0 + SimDuration::from_secs(2));
 
+        // The puller already holds the content of the owner's last file (it
+        // synced a copy of its own), so that file restores fully
+        // deduplicated: a zero-byte stream that never touches the wire.
+        let held = vec![GeneratedFile {
+            path: "mine/copy.bin".to_string(),
+            content: files[4].content.clone(),
+        }];
         let pull = |faults: &FaultSchedule, policy: &dyn crate::retry::RetryPolicy| {
             let mut psim = Simulator::new(32);
             let mut puller = SyncClient::for_user_on_link(
@@ -1447,35 +1423,38 @@ mod tests {
                 &AccessLink::adsl(),
             );
             let login = puller.login(&mut psim, SimTime::ZERO);
+            let synced = puller.sync_batch(&mut psim, &held, login + SimDuration::from_secs(1));
             puller.restore_user_faulted(
                 &mut psim,
                 "owner",
-                login + SimDuration::from_secs(1),
-                faults,
-                policy,
-                0xD0_5E,
+                synced.completed_at + SimDuration::from_secs(1),
+                &Recovery { faults, policy, seed: 0xD0_5E },
             )
         };
 
         let control = pull(&FaultSchedule::NONE, &NoRetry);
         assert!(control.completed);
-        assert_eq!(control.outcome.files_restored, 4);
-        assert_eq!(control.stats.checksums_verified, 4, "every reassembly is validated");
+        assert_eq!(control.outcome.files_restored, 5);
+        assert_eq!(control.stats.checksums_verified, 5, "every reassembly is validated");
         assert_eq!(control.stats.checksum_failures, 0);
         assert!(control.stats.is_clean());
+        assert_eq!(control.outcome.dedup_skipped_bytes, 200_000, "the held file stays local");
+        assert!(control.outcome.downloaded_payload >= 4 * 200_000);
+        assert!(control.outcome.downloaded_payload < 5 * 200_000, "four files travel, not five");
 
-        // Cut the link mid-download.
-        let start = control.outcome.requested_at;
-        let span = control.outcome.completed_at.saturating_since(start);
-        let mid = start + SimDuration::from_secs_f64(span.as_secs_f64() * 0.6);
+        // Cut the link mid-download: shortly after the first payload byte
+        // arrived, with most of the 8 Mb/s downstream's work still ahead.
+        let first_byte = control.outcome.first_byte_at.expect("payload travelled");
+        let mid = first_byte + SimDuration::from_millis(100);
         let faults = FaultSchedule {
             windows: vec![OutageWindow { down_at: mid, up_at: mid + SimDuration::from_secs(2) }],
         };
 
         let recovered = pull(&faults, &ExponentialBackoff::standard());
         assert!(recovered.completed, "backoff must recover the restore: {:?}", recovered.stats);
-        assert_eq!(recovered.outcome.files_restored, 4);
-        assert_eq!(recovered.stats.checksums_verified, 4);
+        assert_eq!(recovered.outcome.files_restored, 5);
+        assert_eq!(recovered.stats.checksums_verified, 5);
+        assert_eq!(recovered.outcome.downloaded_payload, control.outcome.downloaded_payload);
         assert_eq!(recovered.stats.checksum_failures, 0);
         assert!(recovered.stats.interruptions >= 1);
         assert!(recovered.stats.salvaged_bytes > 0, "the verified prefix resumes, not restarts");

@@ -56,7 +56,7 @@
 use crate::client::{RestoreOutcome, SyncClient, SyncOutcome};
 use crate::engine::{EventHeap, FleetEvent, Phase};
 use crate::profile::ServiceProfile;
-use crate::retry::RetryConfig;
+use crate::retry::{Recovery, RetryConfig};
 use crate::schedule::{FleetSchedule, SyncActivation, ThinkTime};
 use crate::session::FaultStats;
 use cloudsim_net::{AccessLink, FaultSchedule, FaultSpec, Simulator};
@@ -73,15 +73,13 @@ use std::sync::Mutex;
 /// epoch of keep-alive polling.
 pub const ROUND_EPOCH_SECS: u64 = 60;
 
-/// Seed salt for per-(client, round) upload outage schedules.
+/// Seed salt for per-(client, round) upload outage schedules; the salt
+/// after it (`0xFA018`) seeds the window's retry jitter.
 const SYNC_FAULT_SALT: u64 = 0xFA017;
-/// Seed salt for per-(client, round) upload retry jitter.
-const SYNC_RETRY_SALT: u64 = 0xFA018;
-/// Seed salt base for per-(client, pull, round) restore outage schedules
-/// (even offsets; odd offsets are the retry-jitter salts).
+/// Seed salt base for per-(client, pull, round) restore outage schedules:
+/// pull `k` draws its schedule from salt `base + 2k` and its retry jitter
+/// from the odd salt after it.
 const RESTORE_FAULT_SALT: u64 = 0xFA020;
-/// Seed salt base for per-(client, pull, round) restore retry jitter.
-const RESTORE_RETRY_SALT: u64 = 0xFA021;
 
 /// Fault injection for a fleet run: the outage-schedule shape every faulted
 /// transfer window draws from, and the retry policy every client wraps its
@@ -232,12 +230,12 @@ pub struct FleetSpec {
     /// paying only background signalling. 1.0 (the default) is the legacy
     /// every-round-syncs behaviour.
     pub activation: f64,
-    /// Fault injection: `None` (the default) runs the exact fault-free code
-    /// path — byte-identical to fleets that predate the failure model.
-    /// `Some` derives a seeded outage schedule per activation (and per
-    /// restore pull) and drives every storage transfer through the
-    /// resumable session layer under the configured retry policy. Control
-    /// traffic stays fault-free. Schedules derive from the master seed at
+    /// Fault injection: `None` (the default) runs every transfer with no
+    /// outage to recover from — byte-identical to fleets that predate the
+    /// failure model. `Some` derives a seeded outage schedule per
+    /// activation (and per restore pull) and drives every storage transfer
+    /// through the resumable session layer under the configured retry
+    /// policy. Control traffic stays fault-free. Schedules derive from the master seed at
     /// run time, so a later [`FleetSpec::with_seed`] needs no re-derivation.
     pub faults: Option<FleetFaults>,
 }
@@ -1086,42 +1084,47 @@ fn spawn_client(spec: &FleetSpec, store: &ObjectStore, i: usize, round: usize) -
     }
 }
 
+/// Runs one storage operation of client `i` under the recovery context of
+/// its transfer window: none on a fault-free fleet; otherwise an outage
+/// schedule anchored at `at` — so every window of the run gets its own
+/// seeded failures — the fleet's retry policy and a jitter seed, the last
+/// drawn from the salt after the schedule's.
+fn with_recovery<T>(
+    spec: &FleetSpec,
+    i: usize,
+    salt: u64,
+    round: usize,
+    at: SimTime,
+    run: impl FnOnce(Option<&Recovery>) -> T,
+) -> T {
+    let Some(faults) = &spec.faults else { return run(None) };
+    let schedule =
+        FaultSchedule::generate(&faults.spec, spec.derived_seed(i as u64, salt, round as u64))
+            .shifted(at.saturating_since(SimTime::ZERO));
+    let policy = faults.retry.policy();
+    let seed = spec.derived_seed(i as u64, salt + 1, round as u64);
+    run(Some(&Recovery { faults: &schedule, policy: policy.as_ref(), seed }))
+}
+
 /// One client's restore fan for one round: pull every source user's full
 /// namespace. Store reads only — the round's sync barrier already happened,
 /// so every puller sees the same server state regardless of thread order.
 /// With fault injection, each pull runs under its own seeded outage
-/// schedule (anchored at the pull's start) through the ranged resumable
-/// download path.
+/// schedule through the ranged resumable download path.
 fn restore_round(spec: &FleetSpec, lc: &mut LiveClient, i: usize, round: usize) {
     for (k, &src) in spec.slots[i].pull_from.iter().enumerate() {
         let owner = spec.user(src);
         let at = lc.next_modification;
-        let outcome = match &spec.faults {
-            None => lc.client.restore_user(&mut lc.sim, &owner, at),
-            Some(faults) => {
-                let schedule_seed =
-                    spec.derived_seed(i as u64, RESTORE_FAULT_SALT + 2 * k as u64, round as u64);
-                let schedule = FaultSchedule::generate(&faults.spec, schedule_seed)
-                    .shifted(at.saturating_since(SimTime::ZERO));
-                let retry_seed =
-                    spec.derived_seed(i as u64, RESTORE_RETRY_SALT + 2 * k as u64, round as u64);
-                let policy = faults.retry.policy();
-                let faulted = lc.client.restore_user_faulted(
-                    &mut lc.sim,
-                    &owner,
-                    at,
-                    &schedule,
-                    policy.as_ref(),
-                    retry_seed,
-                );
-                lc.abandoned_restores += faulted.files_abandoned;
-                lc.fault_stats.merge(&faulted.stats);
-                lc.backoff_waits.merge(&faulted.backoff_waits);
-                faulted.outcome
-            }
-        };
-        lc.next_modification = outcome.completed_at + SimDuration::from_secs(2);
-        lc.restores.push(outcome);
+        let salt = RESTORE_FAULT_SALT + 2 * k as u64;
+        let pulled = with_recovery(spec, i, salt, round, at, |rec| {
+            let rec = rec.unwrap_or(&Recovery::NONE);
+            lc.client.restore_user_faulted(&mut lc.sim, &owner, at, rec)
+        });
+        lc.abandoned_restores += pulled.files_abandoned;
+        lc.fault_stats.merge(&pulled.stats);
+        lc.backoff_waits.merge(&pulled.backoff_waits);
+        lc.next_modification = pulled.outcome.completed_at + SimDuration::from_secs(2);
+        lc.restores.push(pulled.outcome);
     }
 }
 
@@ -1133,37 +1136,15 @@ fn restore_round(spec: &FleetSpec, lc: &mut LiveClient, i: usize, round: usize) 
 fn sync_round(spec: &FleetSpec, lc: &mut LiveClient, i: usize, activation: &SyncActivation) {
     let files = spec.workload_for(i, activation);
     let at = lc.next_modification + activation.think + activation.arrival_jitter;
-    let outcome = match &spec.faults {
-        None => {
-            let outcome = lc.client.sync_batch(&mut lc.sim, &files, at);
-            // Fault-free, everything planned is durable.
-            lc.committed_payload += outcome.uploaded_payload;
-            outcome
-        }
-        Some(faults) => {
-            // The outage schedule is anchored at this activation's start, so
-            // every transfer window of the run gets its own seeded failures.
-            let schedule_seed =
-                spec.derived_seed(i as u64, SYNC_FAULT_SALT, activation.round as u64);
-            let schedule = FaultSchedule::generate(&faults.spec, schedule_seed)
-                .shifted(at.saturating_since(SimTime::ZERO));
-            let retry_seed = spec.derived_seed(i as u64, SYNC_RETRY_SALT, activation.round as u64);
-            let policy = faults.retry.policy();
-            let faulted = lc.client.sync_batch_faulted(
-                &mut lc.sim,
-                &files,
-                at,
-                &schedule,
-                policy.as_ref(),
-                retry_seed,
-            );
-            lc.committed_payload += faulted.committed_payload;
-            lc.abandoned_chunks += faulted.abandoned_chunks;
-            lc.fault_stats.merge(&faulted.stats);
-            lc.backoff_waits.merge(&faulted.backoff_waits);
-            faulted.outcome
-        }
-    };
+    let synced = with_recovery(spec, i, SYNC_FAULT_SALT, activation.round, at, |rec| {
+        lc.client.sync(&mut lc.sim, &files, at, rec)
+    });
+    // Fault-free, everything planned is durable and nothing below moves.
+    lc.committed_payload += synced.committed_payload;
+    lc.abandoned_chunks += synced.abandoned_chunks;
+    lc.fault_stats.merge(&synced.stats);
+    lc.backoff_waits.merge(&synced.backoff_waits);
+    let outcome = synced.outcome;
     lc.next_modification = outcome.completed_at + SimDuration::from_secs(2);
     if lc.first_modification.is_none() {
         lc.first_modification = Some(outcome.modification_time);
@@ -1348,23 +1329,15 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
     FleetRun { clients, store, elapsed: started.elapsed() }
 }
 
-/// Runs the fleet with one OS thread per client (capped at the host's
-/// available parallelism) against a fresh sharded store using the spec's GC
-/// policy.
-pub fn run_fleet_concurrent(spec: &FleetSpec) -> FleetRun {
-    let workers = cloudsim_parallel::available_workers().clamp(1, spec.clients().max(1));
-    run_fleet(spec, ObjectStore::with_policy(spec.gc), workers)
-}
-
-/// Replays the same fleet sequentially on the calling thread against a fresh
-/// sharded store — the determinism baseline concurrent runs are compared to.
-pub fn run_fleet_sequential(spec: &FleetSpec) -> FleetRun {
-    run_fleet(spec, ObjectStore::with_policy(spec.gc), 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `spec` against a fresh store of its own GC policy: one worker is
+    /// the sequential replay concurrent runs are compared to.
+    fn fleet(spec: &FleetSpec, workers: usize) -> FleetRun {
+        run_fleet(spec, ObjectStore::with_policy(spec.gc), workers)
+    }
 
     fn small_spec(clients: usize) -> FleetSpec {
         FleetSpec::new(ServiceProfile::dropbox(), clients)
@@ -1409,7 +1382,7 @@ mod tests {
     fn concurrent_fleet_matches_sequential_replay_bit_for_bit() {
         let spec = small_spec(6);
         let concurrent = run_fleet(&spec, ObjectStore::new(), 6);
-        let sequential = run_fleet_sequential(&spec);
+        let sequential = fleet(&spec, 1);
         assert_eq!(concurrent.clients, sequential.clients);
         assert_eq!(concurrent.aggregate(), sequential.aggregate());
         for summary in &concurrent.clients {
@@ -1433,8 +1406,8 @@ mod tests {
         // under both GC policies.
         for gc in [GcPolicy::Eager, GcPolicy::MarkSweep] {
             let spec = hetero_spec(7).with_gc(gc);
-            let concurrent = run_fleet_concurrent(&spec);
-            let sequential = run_fleet_sequential(&spec);
+            let concurrent = fleet(&spec, 4);
+            let sequential = fleet(&spec, 1);
             assert_eq!(concurrent.clients, sequential.clients, "{gc:?}");
             assert_eq!(concurrent.aggregate(), sequential.aggregate(), "{gc:?}");
             assert!(concurrent.reclaimed_bytes() > 0, "{gc:?}: leavers must free bytes");
@@ -1485,7 +1458,7 @@ mod tests {
     #[test]
     fn leavers_release_their_bytes_and_joiners_appear_late() {
         let spec = hetero_spec(7).with_gc(GcPolicy::Eager);
-        let run = run_fleet_concurrent(&spec);
+        let run = fleet(&spec, 4);
         assert_eq!(run.clients.len(), 7);
 
         let leaver = &run.clients[0];
@@ -1521,7 +1494,7 @@ mod tests {
             .with_files(4, 256 * 1024)
             .with_seed(9)
             .with_links(&[AccessLink::fiber(), AccessLink::adsl()]);
-        let run = run_fleet_concurrent(&spec);
+        let run = fleet(&spec, 4);
         let fiber = &run.clients[0];
         let adsl = &run.clients[1];
         assert!(
@@ -1540,7 +1513,7 @@ mod tests {
     fn per_service_breakdown_groups_mixed_fleets() {
         let spec =
             small_spec(6).with_profiles(&[ServiceProfile::dropbox(), ServiceProfile::skydrive()]);
-        let run = run_fleet_concurrent(&spec);
+        let run = fleet(&spec, 4);
         let per_service = run.per_service_completion();
         assert_eq!(per_service.len(), 2);
         assert_eq!(per_service[0].0, "Dropbox");
@@ -1555,7 +1528,7 @@ mod tests {
         // Dropbox dedups client-side per user, but only the *server* can
         // collapse identical chunks across users.
         let spec = small_spec(8);
-        let run = run_fleet_concurrent(&spec);
+        let run = fleet(&spec, 4);
         let agg = run.aggregate();
         assert_eq!(agg.users, 8);
         assert!(agg.server_dedup_hits > 0, "shared files must produce inter-user dedup hits");
@@ -1577,8 +1550,8 @@ mod tests {
     fn dedup_ratio_grows_with_fleet_size() {
         // The multi-tenant observation the single-computer testbed cannot
         // make: the bigger the fleet, the more the shared pool collapses.
-        let small = run_fleet_concurrent(&small_spec(2));
-        let large = run_fleet_concurrent(&small_spec(12));
+        let small = fleet(&small_spec(2), 4);
+        let large = fleet(&small_spec(12), 4);
         assert!(
             large.dedup_ratio() > small.dedup_ratio(),
             "12-client ratio {} must exceed 2-client ratio {}",
@@ -1652,8 +1625,8 @@ mod tests {
             "a different seed reshuffles the fan"
         );
 
-        let concurrent = run_fleet_concurrent(&spec);
-        let sequential = run_fleet_sequential(&spec);
+        let concurrent = fleet(&spec, 4);
+        let sequential = fleet(&spec, 1);
         assert_eq!(concurrent.clients, sequential.clients);
         assert_eq!(concurrent.aggregate(), sequential.aggregate());
 
@@ -1689,8 +1662,8 @@ mod tests {
             let mut spec = small_spec(4).with_batches(3).with_gc(gc);
             spec.slots[0].leave_after = Some(0);
             spec.slots[3].pull_from = vec![0];
-            let concurrent = run_fleet_concurrent(&spec);
-            let sequential = run_fleet_sequential(&spec);
+            let concurrent = fleet(&spec, 4);
+            let sequential = fleet(&spec, 1);
             assert_eq!(concurrent.clients, sequential.clients, "{gc:?}");
             assert_eq!(concurrent.aggregate(), sequential.aggregate(), "{gc:?}");
 
@@ -1729,7 +1702,7 @@ mod tests {
         // every chunk pulled in round 0 stays local.
         let mut spec = small_spec(2).with_batches(2);
         spec.slots[1].pull_from = vec![0];
-        let run = run_fleet_sequential(&spec);
+        let run = fleet(&spec, 1);
         let puller = &run.clients[1];
         assert_eq!(puller.restores.len(), 2);
         let first = &puller.restores[0];
@@ -1752,8 +1725,8 @@ mod tests {
             assert_eq!(spec.sync_rounds_of(i), 0);
             assert_eq!(spec.slots[i].active_rounds(spec.rounds), 2, "still connected");
         }
-        let concurrent = run_fleet_concurrent(&spec);
-        let sequential = run_fleet_sequential(&spec);
+        let concurrent = fleet(&spec, 4);
+        let sequential = fleet(&spec, 1);
         assert_eq!(concurrent.clients, sequential.clients);
         for client in &concurrent.clients {
             assert!(client.outcomes.is_empty());
@@ -1796,7 +1769,7 @@ mod tests {
         assert_eq!(schedule.total_sync_rounds() as u64, expected);
         let per_batch = spec.files_per_batch as u64 * spec.file_size as u64;
         assert_eq!(spec.total_logical_bytes(), expected * per_batch);
-        let run = run_fleet_sequential(&spec);
+        let run = fleet(&spec, 1);
         assert_eq!(run.total_logical_bytes(), spec.total_logical_bytes());
         assert_eq!(
             run.completion_stats().count,
@@ -1815,7 +1788,7 @@ mod tests {
             .with_arrival_jitter(SimDuration::from_secs(25))
             .with_activation(0.75);
         let concurrent = run_fleet(&spec, ObjectStore::new(), 6);
-        let sequential = run_fleet_sequential(&spec);
+        let sequential = fleet(&spec, 1);
         assert_eq!(concurrent.clients, sequential.clients);
         assert_eq!(concurrent.aggregate(), sequential.aggregate());
         assert_eq!(concurrent.sync_concurrency_peak(), sequential.sync_concurrency_peak());
@@ -1828,8 +1801,8 @@ mod tests {
         let slow = small_spec(2)
             .with_think_time(ThinkTime::Fixed(SimDuration::from_secs(30)))
             .with_arrival_jitter(SimDuration::from_secs(10));
-        let fast = run_fleet_sequential(&base);
-        let delayed = run_fleet_sequential(&slow);
+        let fast = fleet(&base, 1);
+        let delayed = fleet(&slow, 1);
         // Same content, same services: the pauses push sync starts out.
         for (f, d) in fast.clients.iter().zip(&delayed.clients) {
             assert_eq!(f.logical_bytes, d.logical_bytes);
@@ -1841,9 +1814,8 @@ mod tests {
         // And the spread helper sees jitter pull first syncs apart: the
         // lock-step spread (sub-second seeded network noise only) is dwarfed
         // by a 40-second jitter bound.
-        let jittered =
-            run_fleet_sequential(&small_spec(4).with_arrival_jitter(SimDuration::from_secs(40)));
-        let lockstep = run_fleet_sequential(&small_spec(4));
+        let jittered = fleet(&small_spec(4).with_arrival_jitter(SimDuration::from_secs(40)), 1);
+        let lockstep = fleet(&small_spec(4), 1);
         assert!(lockstep.first_sync_spread_secs() < 1.0);
         assert!(
             jittered.first_sync_spread_secs() > lockstep.first_sync_spread_secs() + 1.0,
@@ -1859,8 +1831,8 @@ mod tests {
         // everything stays deterministic under churn + idling.
         let mut spec = small_spec(4).with_batches(3).with_activation(0.6).with_seed(0xBEEF);
         spec.slots[3].pull_from = vec![0];
-        let concurrent = run_fleet_concurrent(&spec);
-        let sequential = run_fleet_sequential(&spec);
+        let concurrent = fleet(&spec, 4);
+        let sequential = fleet(&spec, 1);
         assert_eq!(concurrent.clients, sequential.clients);
         assert_eq!(concurrent.aggregate(), sequential.aggregate());
         let puller = &concurrent.clients[3];
@@ -1895,7 +1867,7 @@ mod tests {
         // so a concurrent faulted run replays the sequential one exactly.
         let spec = faulted_spec(RetryConfig::standard_exponential());
         let concurrent = run_fleet(&spec, ObjectStore::new(), 3);
-        let sequential = run_fleet_sequential(&spec);
+        let sequential = fleet(&spec, 1);
         assert_eq!(concurrent.clients, sequential.clients);
         assert_eq!(concurrent.aggregate(), sequential.aggregate());
         assert_eq!(concurrent.fault_stats(), sequential.fault_stats());
@@ -1910,8 +1882,8 @@ mod tests {
         // The acceptance pin: same seed, same outage schedules — a retry
         // budget of zero must report strictly lower committed payload and
         // nonzero wasted bytes versus exponential backoff.
-        let zero = run_fleet_sequential(&faulted_spec(RetryConfig::with_budget(0)));
-        let backoff = run_fleet_sequential(&faulted_spec(RetryConfig::standard_exponential()));
+        let zero = fleet(&faulted_spec(RetryConfig::with_budget(0)), 1);
+        let backoff = fleet(&faulted_spec(RetryConfig::standard_exponential()), 1);
 
         assert!(zero.fault_stats().interruptions > 0);
         assert!(backoff.fault_stats().interruptions > 0);
@@ -1941,7 +1913,7 @@ mod tests {
         let mut spec = faulted_spec(RetryConfig::standard_exponential());
         spec.slots[2].pull_from = vec![0];
         let concurrent = run_fleet(&spec, ObjectStore::new(), 3);
-        let sequential = run_fleet_sequential(&spec);
+        let sequential = fleet(&spec, 1);
         assert_eq!(concurrent.clients, sequential.clients);
         assert_eq!(concurrent.aggregate(), sequential.aggregate());
         let stats = concurrent.fault_stats();
@@ -1952,7 +1924,7 @@ mod tests {
 
     #[test]
     fn fault_free_fleets_report_committed_equals_uploaded_and_clean_stats() {
-        let run = run_fleet_sequential(&small_spec(3));
+        let run = fleet(&small_spec(3), 1);
         assert_eq!(run.total_committed_payload(), run.total_uploaded_payload());
         assert_eq!(run.committed_fraction(), 1.0);
         assert_eq!(run.wasted_bytes_ratio(), 0.0);

@@ -58,18 +58,15 @@ pub use client::{
 };
 pub use deployment::Deployment;
 pub use engine::{EventHeap, EventWave, FleetEvent, Phase};
-pub use fleet::{
-    run_fleet, run_fleet_concurrent, run_fleet_sequential, ClientSlot, ClientSummary, FleetFaults,
-    FleetRun, FleetSpec,
-};
+pub use fleet::{run_fleet, ClientSlot, ClientSummary, FleetFaults, FleetRun, FleetSpec};
 pub use partition::{
     capture_partitions, partition_ranges, replay_partitioned, run_partition, run_partitioned,
     spec_partitions, ClientSet, PartitionRun, PartitionSpec, PartitionWorkload, PartitionedRun,
 };
-pub use retry::{ExponentialBackoff, NoRetry, RetryConfig, RetryPolicy};
+pub use retry::{ExponentialBackoff, NoRetry, Recovery, RetryConfig, RetryPolicy};
 pub use scale::{run_scale, ScaleRun, ScaleSpec};
 pub use schedule::{ClientSchedule, FleetSchedule, RoundEvent, SyncActivation, ThinkTime};
-pub use session::{FaultStats, RangedRestore, UploadSession};
+pub use session::{FaultStats, RangedTransfer, UploadSession};
 
 // Re-export the fault-injection vocabulary so harnesses can describe outage
 // schedules without depending on cloudsim-net directly.

@@ -13,8 +13,9 @@
 //! chunk, per attempt), never from shared RNG state — two runs with the
 //! same seeds back off for identical virtual durations.
 
+use cloudsim_net::FaultSchedule;
 use cloudsim_trace::SimDuration;
-use cloudsim_workload::seed::unit_f64;
+use cloudsim_workload::seed::{derive_seed, unit_f64};
 use serde::{Deserialize, Serialize};
 
 /// Decides whether an interrupted transfer is retried and how long the
@@ -29,6 +30,35 @@ pub trait RetryPolicy {
 
     /// Stable policy name, used in reports and metric keys.
     fn name(&self) -> &'static str;
+}
+
+/// Everything a storage transfer needs to survive outages, carried as one
+/// value: the outage schedule it runs under, the policy that grants its
+/// retries, and the seed of the per-(unit, attempt) jitter draws — same
+/// seed, same schedule, same virtual timeline.
+pub struct Recovery<'a> {
+    /// The link outages the transfer runs under.
+    pub faults: &'a FaultSchedule,
+    /// Decides whether, and after how long, an interrupted unit is retried.
+    pub policy: &'a dyn RetryPolicy,
+    /// Seed of the backoff jitter draws.
+    pub seed: u64,
+}
+
+impl Recovery<'static> {
+    /// No outages, hence nothing to recover from: what a fault-free
+    /// transfer runs under. The policy and seed are never consulted.
+    pub const NONE: Recovery<'static> =
+        Recovery { faults: &FaultSchedule::NONE, policy: &NoRetry, seed: 0 };
+}
+
+impl Recovery<'_> {
+    /// The policy's verdict on retry number `attempt` of transfer unit
+    /// `unit` in the `salt` stream of draws: the backoff to sleep, or
+    /// `None` to abandon.
+    pub fn backoff(&self, salt: u64, unit: u64, attempt: u32) -> Option<SimDuration> {
+        self.policy.backoff(attempt, derive_seed(self.seed, salt, unit, attempt as u64))
+    }
 }
 
 /// The control policy: never retry. An interrupted transfer is abandoned on

@@ -5,16 +5,15 @@
 //! persist how far the transfer *durably* got, so the next attempt
 //! re-drives only the uncommitted tail:
 //!
-//! * [`UploadSession`] tracks a planned batch of chunks and the last
-//!   committed chunk offset — bytes the server acknowledged before a cut
-//!   are never uploaded again;
-//! * [`RangedRestore`] tracks one download's last verified byte and the
-//!   resume boundaries, and validates the reassembled content end to end
-//!   with SHA-256 once the last range lands.
-//!
-//! Both accumulate the same [`FaultStats`] — retries, wasted wire bytes,
-//! salvaged bytes, virtual backoff time — which the fleet aggregates into
-//! the `faults.*` gate metrics.
+//! * [`RangedTransfer`] tracks one byte stream — a file's ranged download
+//!   or one chunk's upload: the last durable byte, the resume boundaries,
+//!   and what recovery cost ([`FaultStats`] — retries, wasted wire bytes,
+//!   salvaged bytes, virtual backoff time, which the fleet aggregates into
+//!   the `faults.*` gate metrics). A download is validated end to end with
+//!   SHA-256 once its last range lands;
+//! * [`UploadSession`] walks a planned batch of chunks over one such stream
+//!   at a time — bytes the server acknowledged before a cut are never
+//!   uploaded again — and counts what committed and what was abandoned.
 
 use cloudsim_net::TransferInterrupted;
 use cloudsim_storage::hash::{sha256, Sha256};
@@ -78,80 +77,63 @@ impl FaultStats {
 }
 
 /// Resumable upload state for one planned batch: which chunks are durably
-/// committed, how far into the current chunk the server acknowledged, and
-/// what recovery cost so far. The driving loop (the sync client) owns the
-/// connection; this object owns the offsets.
+/// committed, which were abandoned, and the stream of the chunk in flight
+/// (how far into it the server acknowledged, what recovery cost so far). The
+/// driving loop (the sync client) owns the connection; this object owns the
+/// offsets.
 #[derive(Debug, Clone)]
 pub struct UploadSession {
     chunks: Vec<u64>,
     next: usize,
-    committed_offset: u64,
-    pending_salvage: u64,
+    /// The current chunk's stream; its stats run on across chunks.
+    stream: RangedTransfer,
     committed_payload: u64,
     abandoned_chunks: usize,
     abandoned_payload: u64,
-    stats: FaultStats,
 }
 
 impl UploadSession {
     /// A session over the planned chunk upload sizes (zero-byte chunks —
     /// deduplicated ones — are skipped up front: nothing to transfer).
     pub fn new(chunks: Vec<u64>) -> UploadSession {
+        let chunks: Vec<u64> = chunks.into_iter().filter(|b| *b > 0).collect();
         UploadSession {
-            chunks: chunks.into_iter().filter(|b| *b > 0).collect(),
+            stream: RangedTransfer::new(chunks.first().copied().unwrap_or(0)),
+            chunks,
             next: 0,
-            committed_offset: 0,
-            pending_salvage: 0,
             committed_payload: 0,
             abandoned_chunks: 0,
             abandoned_payload: 0,
-            stats: FaultStats::default(),
         }
     }
 
     /// The next transfer to drive: `(chunk index, uncommitted tail bytes)`,
     /// or `None` when every chunk is committed or abandoned.
     pub fn remaining(&self) -> Option<(usize, u64)> {
-        self.chunks.get(self.next).map(|&size| (self.next, size - self.committed_offset))
+        self.chunks.get(self.next).map(|_| (self.next, self.stream.remaining()))
     }
 
-    /// Records a cut mid-chunk: bytes the server acknowledged advance the
-    /// committed offset (the resume point); bytes in flight are wasted.
-    pub fn interrupted(&mut self, int: &TransferInterrupted) {
-        self.stats.interruptions += 1;
-        self.stats.wasted_bytes += int.bytes_sent.saturating_sub(int.bytes_acked);
-        self.committed_offset += int.bytes_acked;
-        self.pending_salvage += int.bytes_acked;
+    /// The current chunk's stream, for the driving loop to record
+    /// interruptions and retries on and to finish one way or the other.
+    pub fn stream_mut(&mut self) -> &mut RangedTransfer {
+        &mut self.stream
     }
 
-    /// Records a granted retry and its virtual backoff.
-    pub fn retried(&mut self, wait: SimDuration) {
-        self.stats.retries += 1;
-        self.stats.backoff_wait += wait;
-    }
-
-    /// The current chunk's tail finished: the whole chunk is durable, and
-    /// whatever earlier interruptions had acked counts as salvaged.
-    pub fn commit(&mut self) {
+    /// Settles the current chunk and moves to the next: a chunk whose
+    /// stream completed is durable as a whole, one whose stream was
+    /// abandoned is lost as a whole.
+    pub fn advance(&mut self) {
         let size = self.chunks[self.next];
-        self.committed_payload += size;
-        self.stats.salvaged_bytes += self.pending_salvage;
-        self.pending_salvage = 0;
-        self.committed_offset = 0;
+        if self.stream.is_complete() {
+            self.committed_payload += size;
+        } else {
+            self.abandoned_chunks += 1;
+            self.abandoned_payload += size;
+        }
         self.next += 1;
-    }
-
-    /// The retry budget ran out: the current chunk is abandoned, and its
-    /// partial progress — acked or not — is wasted wire.
-    pub fn abandon(&mut self) {
-        let size = self.chunks[self.next];
-        self.stats.abandoned += 1;
-        self.stats.wasted_bytes += self.committed_offset;
-        self.abandoned_chunks += 1;
-        self.abandoned_payload += size;
-        self.pending_salvage = 0;
-        self.committed_offset = 0;
-        self.next += 1;
+        self.stream.total = self.chunks.get(self.next).copied().unwrap_or(0);
+        self.stream.verified = 0;
+        self.stream.segments.clear();
     }
 
     /// Payload bytes durably committed so far (whole chunks only).
@@ -162,7 +144,7 @@ impl UploadSession {
     /// Bytes of the current chunk the server has acknowledged — the offset
     /// the next attempt resumes from.
     pub fn committed_offset(&self) -> u64 {
-        self.committed_offset
+        self.stream.verified()
     }
 
     /// Chunks given up on after the retry budget ran out.
@@ -182,15 +164,17 @@ impl UploadSession {
 
     /// The session's recovery accounting.
     pub fn stats(&self) -> FaultStats {
-        self.stats
+        self.stream.stats()
     }
 }
 
-/// Resumable download state for one file: the last verified byte of the
-/// encoded stream, the resume boundaries, and SHA-256 validation of the
-/// reassembled content once the stream completes.
+/// Resumable state of one byte stream — a file's ranged download or one
+/// chunk's upload: the last durable byte (verified on the way down,
+/// acknowledged on the way up), the resume boundaries, what recovery cost,
+/// and SHA-256 validation of a download's reassembled content once the
+/// stream completes.
 #[derive(Debug, Clone)]
-pub struct RangedRestore {
+pub struct RangedTransfer {
     total: u64,
     verified: u64,
     pending_salvage: u64,
@@ -198,10 +182,10 @@ pub struct RangedRestore {
     stats: FaultStats,
 }
 
-impl RangedRestore {
-    /// A ranged download of `total` encoded-stream bytes.
-    pub fn new(total: u64) -> RangedRestore {
-        RangedRestore {
+impl RangedTransfer {
+    /// A ranged transfer of `total` encoded-stream bytes.
+    pub fn new(total: u64) -> RangedTransfer {
+        RangedTransfer {
             total,
             verified: 0,
             pending_salvage: 0,
@@ -210,18 +194,19 @@ impl RangedRestore {
         }
     }
 
-    /// Bytes still to fetch — the range the next attempt requests.
+    /// Bytes still to move — the range the next attempt requests.
     pub fn remaining(&self) -> u64 {
         self.total - self.verified
     }
 
-    /// The last verified byte offset (the next range request's start).
+    /// The last durable byte offset (the next range request's start).
     pub fn verified(&self) -> u64 {
         self.verified
     }
 
-    /// Records a cut mid-download: received bytes advance the verified
-    /// offset, in-flight bytes (and the re-sent range request) are wasted.
+    /// Records a cut mid-stream: bytes the peer acknowledged (or the client
+    /// received) advance the durable offset — the resume point; bytes in
+    /// flight (and the re-sent range request) are wasted.
     pub fn interrupted(&mut self, int: &TransferInterrupted) {
         self.stats.interruptions += 1;
         self.stats.wasted_bytes += int.bytes_sent.saturating_sub(int.bytes_acked);
@@ -250,15 +235,15 @@ impl RangedRestore {
         self.pending_salvage = 0;
     }
 
-    /// The retry budget ran out: everything downloaded so far is wasted —
-    /// the file cannot be reassembled.
+    /// The retry budget ran out: everything moved so far — durable or not —
+    /// is wasted wire; the stream cannot be reassembled.
     pub fn abandon(&mut self) {
         self.stats.abandoned += 1;
         self.stats.wasted_bytes += self.verified;
         self.pending_salvage = 0;
     }
 
-    /// True once the whole stream was received.
+    /// True once the whole stream moved.
     pub fn is_complete(&self) -> bool {
         self.verified >= self.total
     }
@@ -300,7 +285,7 @@ impl RangedRestore {
         ok
     }
 
-    /// The restore's recovery accounting.
+    /// The stream's recovery accounting.
     pub fn stats(&self) -> FaultStats {
         self.stats
     }
@@ -324,13 +309,15 @@ mod tests {
     fn upload_session_resumes_from_the_committed_offset() {
         let mut s = UploadSession::new(vec![1000, 0, 2000]);
         assert_eq!(s.remaining(), Some((0, 1000)), "zero-byte chunks are skipped");
-        s.interrupted(&cut(300, 450));
+        s.stream_mut().interrupted(&cut(300, 450));
         assert_eq!(s.remaining(), Some((0, 700)), "only the unacked tail is re-driven");
         assert_eq!(s.committed_offset(), 300);
-        s.retried(SimDuration::from_secs(2));
-        s.commit();
+        s.stream_mut().retried(SimDuration::from_secs(2));
+        s.stream_mut().complete();
+        s.advance();
         assert_eq!(s.remaining(), Some((1, 2000)));
-        s.commit();
+        s.stream_mut().complete();
+        s.advance();
         assert!(s.is_complete());
         assert_eq!(s.committed_payload(), 3000);
         let stats = s.stats();
@@ -345,13 +332,16 @@ mod tests {
     #[test]
     fn abandoning_a_chunk_wastes_its_partial_progress() {
         let mut s = UploadSession::new(vec![1000, 500]);
-        s.interrupted(&cut(400, 600));
-        s.abandon();
+        s.stream_mut().interrupted(&cut(400, 600));
+        s.stream_mut().abandon();
+        s.advance();
         assert!(!s.is_complete());
         assert_eq!(s.abandoned_chunks(), 1);
         assert_eq!(s.abandoned_payload(), 1000);
         assert_eq!(s.remaining(), Some((1, 500)));
-        s.commit();
+        assert_eq!(s.committed_offset(), 0, "the next chunk starts from its first byte");
+        s.stream_mut().complete();
+        s.advance();
         assert_eq!(s.remaining(), None);
         assert!(!s.is_complete(), "an abandoned chunk means the batch never completed");
         let stats = s.stats();
@@ -364,7 +354,7 @@ mod tests {
     #[test]
     fn ranged_restore_tracks_verified_bytes_and_validates_reassembly() {
         let content: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-        let mut r = RangedRestore::new(content.len() as u64);
+        let mut r = RangedTransfer::new(content.len() as u64);
         r.interrupted(&cut(4_000, 5_500));
         assert_eq!(r.verified(), 4_000);
         assert_eq!(r.remaining(), 6_000);
@@ -381,7 +371,7 @@ mod tests {
 
     #[test]
     fn an_abandoned_restore_wastes_everything_it_downloaded() {
-        let mut r = RangedRestore::new(8_000);
+        let mut r = RangedTransfer::new(8_000);
         r.interrupted(&cut(3_000, 3_500));
         r.abandon();
         assert!(!r.is_complete());
@@ -418,12 +408,12 @@ mod tests {
     #[test]
     fn verification_runs_on_single_shot_and_empty_streams_too() {
         let content = b"personal cloud storage".to_vec();
-        let mut whole = RangedRestore::new(content.len() as u64);
+        let mut whole = RangedTransfer::new(content.len() as u64);
         whole.complete();
         assert!(whole.verify(&content));
         // A fully deduplicated file moves zero stream bytes; its content
         // still validates.
-        let mut empty = RangedRestore::new(0);
+        let mut empty = RangedTransfer::new(0);
         assert!(empty.is_complete());
         empty.complete();
         assert!(empty.verify(&content));

@@ -12,7 +12,7 @@
 use cloudsim_net::{FaultSchedule, OutageWindow};
 use cloudsim_services::client::{FaultedRestoreOutcome, FaultedSyncOutcome};
 use cloudsim_services::retry::{ExponentialBackoff, NoRetry};
-use cloudsim_services::{AccessLink, ServiceProfile, SyncClient};
+use cloudsim_services::{AccessLink, Recovery, ServiceProfile, SyncClient};
 use cloudsim_storage::{ObjectStore, UploadPipeline};
 use cloudsim_trace::{SimDuration, SimTime};
 use cloudsim_workload::{BatchSpec, FileKind};
@@ -61,14 +61,9 @@ fn round_trip(
         &AccessLink::adsl(),
     );
     let login = puller.login(&mut psim, SimTime::ZERO);
-    let down = puller.restore_user_faulted(
-        &mut psim,
-        "owner",
-        login + SimDuration::from_secs(1),
-        down_faults,
-        &policy,
-        retry_seed ^ 0xD0_5E,
-    );
+    let rec = Recovery { faults: down_faults, policy: &policy, seed: retry_seed ^ 0xD0_5E };
+    let down =
+        puller.restore_user_faulted(&mut psim, "owner", login + SimDuration::from_secs(1), &rec);
     (up, down)
 }
 
