@@ -3,28 +3,23 @@
 //! Usage:
 //!
 //! ```text
-//! bench_gate <baseline.json> <current.json> [--tolerance 0.15] [--strict] [--subset] [--markdown PATH]
+//! bench_gate <baseline.json> <current.json> [--subset] [--markdown PATH]
 //! ```
 //!
 //! Both files are flat `{"metric": number, …}` objects as produced by
-//! `repro bench-json`. Every baseline metric must be present in the current
-//! run and within the relative tolerance; new metrics in the current run are
-//! reported but do not fail the gate (they become binding once the baseline
-//! is refreshed). Exits 0 on pass, 1 on regression, 2 on usage errors.
-//!
-//! `--strict` additionally enforces baseline *hygiene*: a metric present in
-//! the current run with no baseline entry fails the gate instead of being
-//! reported informationally. Without this, an unregistered metric passes
-//! the ±tolerance comparison forever by never being compared — CI runs the
-//! gate strict so every new metric lands together with its baseline entry.
+//! `repro bench-json`. Every gate metric is deterministic, so the gate
+//! compares exactly: each baseline metric must be present in the current
+//! run with a bit-identical value, and a current metric with no baseline
+//! entry fails too (it would otherwise pass forever by never being
+//! compared — every new metric lands together with its baseline entry).
+//! Exits 0 on pass, 1 on any difference, 2 on usage errors.
 //!
 //! `--subset` scopes the comparison to the baseline keys the current file
 //! actually contains, instead of failing the absent ones as MISSING. This
 //! is the mode for partial dumps: the CI replay-gate leg compares `repro
 //! replay --metrics` (fleet-scale keys only) against the full committed
-//! baseline at `--tolerance 0`, proving the replayed capture reproduces
-//! the gated values exactly. `--strict` still rejects current keys with no
-//! baseline entry.
+//! baseline, proving the replayed capture reproduces the gated values
+//! exactly.
 //!
 //! `--markdown PATH` additionally *appends* the comparison as a markdown
 //! table to PATH — pass `$GITHUB_STEP_SUMMARY` in CI so regressions are
@@ -38,70 +33,30 @@
 //! cargo run --release -p cloudbench-bench --bin repro -- bench-json bench_baseline.json
 //! ```
 
+use cloudbench_bench::cli::{bad_input, die_usage, has_flag, load_input, parse_path};
 use cloudbench_bench::gate::{compare, compare_subset, parse_flat};
 
-fn load(path: &str) -> Vec<(String, f64)> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    parse_flat(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(2);
-    })
-}
+const USAGE: &str = "usage: bench_gate <baseline.json> <current.json> [--subset] [--markdown PATH]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tolerance = 0.15f64;
-    let mut strict = false;
-    let mut subset = false;
-    let mut markdown_path: Option<String> = None;
-    let mut files: Vec<String> = Vec::new();
-    let mut i = 0usize;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--strict" => {
-                strict = true;
-                i += 1;
-            }
-            "--subset" => {
-                subset = true;
-                i += 1;
-            }
-            "--tolerance" => {
-                tolerance = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--tolerance needs a numeric argument");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--markdown" => {
-                markdown_path = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--markdown needs a file path");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            _ => {
-                files.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
+    let subset = has_flag(&args, "--subset");
+    let markdown_path = parse_path(&args, "--markdown", USAGE);
+    // What is neither a flag nor the markdown path is a metric file; any
+    // other flag leaves the wrong number of them.
+    let files: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "--subset" && *a != "--markdown" && Some(*a) != markdown_path)
+        .collect();
     let [baseline_path, current_path] = files.as_slice() else {
-        eprintln!(
-            "usage: bench_gate <baseline.json> <current.json> [--tolerance 0.15] [--strict] [--subset] [--markdown PATH]"
-        );
-        std::process::exit(2);
+        die_usage("bench_gate compares exactly two metric files", USAGE);
     };
 
-    let baseline = load(baseline_path);
-    let current = load(current_path);
-    // Strictness is applied before any render, so the step summary of a
-    // failing strict run says FAIL and flags the unregistered metrics.
+    let baseline = load_input(baseline_path, parse_flat);
+    let current = load_input(current_path, parse_flat);
     let comparison = if subset { compare_subset } else { compare };
-    let report = comparison(&baseline, &current, tolerance).with_strict(strict);
+    let report = comparison(&baseline, &current);
     print!("{}", report.render());
     if let Some(path) = markdown_path {
         // Append (the CI step summary may already hold earlier sections);
@@ -110,35 +65,28 @@ fn main() {
         let result = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&path)
+            .open(path)
             .and_then(|mut f| f.write_all(report.render_markdown().as_bytes()));
         if let Err(e) = result {
-            eprintln!("cannot append markdown summary to {path}: {e}");
-            std::process::exit(2);
+            bad_input(&format!("cannot append markdown summary to {path}: {e}"));
         }
     }
     if !report.passed() {
         println!("bench gate: FAIL — refresh bench_baseline.json only for intentional changes");
-        std::process::exit(1);
-    }
-    if strict {
         let unregistered = report.unregistered();
         if !unregistered.is_empty() {
             println!(
-                "bench gate: FAIL (strict) — {} metric(s) have no baseline entry and would \
-                 never be compared: {}",
+                "{} metric(s) have no baseline entry and would never be compared: {}",
                 unregistered.len(),
                 unregistered.join(", ")
             );
             println!("register them by refreshing bench_baseline.json in the same change");
-            std::process::exit(1);
         }
+        std::process::exit(1);
     }
     println!(
-        "bench gate: PASS ({} metrics within ±{:.0}%{}{})",
+        "bench gate: PASS ({} metrics identical to the baseline{})",
         report.rows.len(),
-        tolerance * 100.0,
-        if subset { ", subset of the baseline" } else { "" },
-        if strict { ", baseline hygienic" } else { "" }
+        if subset { ", subset of the baseline" } else { "" }
     );
 }

@@ -12,9 +12,13 @@
 //! inherits the same conventions.
 
 use cloudbench::report::Report;
+use cloudsim_services::capture::{parse_capture, FleetCapture};
 
-/// The exit code for a CLI-surface error (unknown target, bad flag value),
-/// as distinct from an experiment failure (exit 1).
+use crate::suites::Output;
+
+/// The exit code for a CLI-surface error (unknown target, bad flag value,
+/// unreadable or unusable input file), as distinct from a failure to write
+/// an output (exit 1).
 pub const USAGE_EXIT: i32 = 2;
 
 /// The value following `--flag`, if present.
@@ -34,6 +38,28 @@ pub fn die_usage(message: &str, usage: &str) -> ! {
     eprintln!("{message}");
     eprintln!("{usage}");
     std::process::exit(USAGE_EXIT);
+}
+
+/// Prints `message` to stderr and exits with [`USAGE_EXIT`]: the input file
+/// named on the command line cannot be used. No usage text — the invocation
+/// was well-formed, the file was not.
+pub fn bad_input(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(USAGE_EXIT);
+}
+
+/// Reads the input file at `path` and parses it, or dies through
+/// [`bad_input`] naming the file and the reason.
+pub fn load_input<T>(path: &str, parse: impl Fn(&str) -> Result<T, String>) -> T {
+    std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| parse(&text).map_err(|e| format!("cannot parse {path}: {e}")))
+        .unwrap_or_else(|e| bad_input(&e))
+}
+
+/// Reads and parses the capture at `path` (see [`load_input`]).
+pub fn load_capture(path: &str) -> FleetCapture {
+    load_input(path, parse_capture)
 }
 
 /// Resolves a counted flag (`--clients N`, `--partitions K`, `--reps N`):
@@ -90,16 +116,22 @@ pub fn write_payload(path: &str, payload: &str, what: &str) {
     }
 }
 
-/// Prints a suite's text report and/or its JSON dump: `--json -` replaces
-/// the report with the JSON stream (the report of some suites carries
-/// wall-clock time, the JSON never does — CI `cmp`s the stream), any other
-/// path gets the JSON alongside the report.
-pub fn emit(report: &Report, json: Option<&str>, payload: &str, what: &str) {
-    if json != Some("-") {
-        print_report(report);
+/// Prints what a target produced: its report sections, then every payload
+/// whose flag is on the command line. `--json -` replaces the text with the
+/// JSON stream (the report of some suites carries wall-clock time, the JSON
+/// never does — CI `cmp`s the stream); any other path gets the payload
+/// alongside the text.
+pub fn emit(output: &Output, args: &[String], usage: &str) {
+    let selected: Vec<_> = output
+        .dumps
+        .iter()
+        .filter_map(|dump| parse_path(args, dump.flag, usage).map(|path| (path, dump)))
+        .collect();
+    if !selected.iter().any(|(path, dump)| dump.flag == "--json" && *path == "-") {
+        output.reports.iter().for_each(print_report);
     }
-    if let Some(path) = json {
-        write_payload(path, payload, what);
+    for (path, dump) in selected {
+        write_payload(path, &dump.payload, dump.what);
     }
 }
 

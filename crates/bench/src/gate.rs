@@ -1,11 +1,13 @@
-//! The bench-regression gate: flat metric files and tolerance comparison.
+//! The bench-regression gate: flat metric files and their exact comparison.
 //!
 //! The CI perf gate runs `repro bench-json` to produce a flat
 //! `{"metric": number, …}` JSON file of deterministic simulation metrics and
-//! compares it against the committed `bench_baseline.json` with a relative
-//! tolerance. The vendored `serde_json` stub only serialises, so this module
-//! carries the tiny parser the gate binary needs (flat string→number
-//! objects only — exactly the shape `repro bench-json` emits).
+//! compares it against the committed `bench_baseline.json`. The gate has one
+//! mode, and it is strict: every value must match its baseline entry bit for
+//! bit, and a key on either side with no partner on the other fails. The
+//! vendored `serde_json` stub only serialises, so this module carries the
+//! tiny parser the gate binary needs (flat string→number objects only —
+//! exactly the shape `repro bench-json` emits).
 
 use std::fmt::Write as _;
 
@@ -111,13 +113,14 @@ pub fn render_flat(entries: &[(String, f64)]) -> String {
 /// One metric's verdict in a gate comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
-    /// Within tolerance of the baseline.
+    /// Bit-identical to the baseline.
     Ok,
-    /// Outside tolerance; carries the relative deviation.
+    /// Differs from the baseline; carries the relative deviation.
     Regressed(f64),
     /// Present in the baseline but absent from the current run.
     Missing,
-    /// Present in the current run but not in the baseline (informational).
+    /// Present in the current run but not in the baseline: an unregistered
+    /// metric would otherwise pass forever by never being compared.
     New,
 }
 
@@ -127,64 +130,22 @@ pub struct GateReport {
     /// (metric, baseline, current, verdict) rows in baseline order, then new
     /// metrics.
     pub rows: Vec<(String, Option<f64>, Option<f64>, Verdict)>,
-    /// The tolerance the comparison used.
-    pub tolerance: f64,
-    /// Whether baseline hygiene is enforced: when true, the renders and the
-    /// effective verdict treat unregistered (`New`) metrics as failures, so
-    /// the step summary a failing strict run writes never reads PASS.
-    pub strict: bool,
 }
 
 impl GateReport {
-    /// Returns the report with strict baseline hygiene enabled: `New`
-    /// verdicts count as failures in [`GateReport::effective_pass`] and are
-    /// flagged by the renders.
-    pub fn with_strict(mut self, strict: bool) -> GateReport {
-        self.strict = strict;
-        self
-    }
-
-    /// True when no metric regressed or went missing.
+    /// True when every metric is bit-identical to its baseline entry and
+    /// neither side has a key the other lacks.
     pub fn passed(&self) -> bool {
-        !self.rows.iter().any(|(_, _, _, v)| matches!(v, Verdict::Regressed(_) | Verdict::Missing))
+        self.rows.iter().all(|(_, _, _, v)| *v == Verdict::Ok)
     }
 
-    /// The verdict the renders report: [`GateReport::passed_strict`] when
-    /// hygiene is enforced, [`GateReport::passed`] otherwise.
-    pub fn effective_pass(&self) -> bool {
-        if self.strict {
-            self.passed_strict()
-        } else {
-            self.passed()
-        }
-    }
-
-    /// True when the given verdict fails this report (strictness applied).
-    fn fails(&self, verdict: &Verdict) -> bool {
-        match verdict {
-            Verdict::Regressed(_) | Verdict::Missing => true,
-            Verdict::New => self.strict,
-            Verdict::Ok => false,
-        }
-    }
-
-    /// Metrics present in the current run but absent from the baseline —
-    /// the baseline-hygiene violations strict mode turns into failures: an
-    /// unregistered metric would otherwise pass the tolerance gate forever
-    /// by never being compared.
+    /// Metrics present in the current run but absent from the baseline.
     pub fn unregistered(&self) -> Vec<&str> {
         self.rows
             .iter()
             .filter(|(_, _, _, v)| matches!(v, Verdict::New))
             .map(|(k, _, _, _)| k.as_str())
             .collect()
-    }
-
-    /// True when the comparison passes *and* the baseline is hygienic: every
-    /// current metric has a baseline entry and vice versa (`Missing` already
-    /// fails [`GateReport::passed`]; this additionally rejects `New`).
-    pub fn passed_strict(&self) -> bool {
-        self.passed() && self.unregistered().is_empty()
     }
 
     /// The suite prefix a metric belongs to (text before the first `.`), or
@@ -197,40 +158,34 @@ impl GateReport {
         }
     }
 
+    /// The baseline, current and delta cells of one row, with `dash` for an
+    /// absent value.
+    fn cells(baseline: Option<f64>, current: Option<f64>, dash: &str) -> [String; 3] {
+        let value = |v: Option<f64>| v.map_or(dash.to_string(), |v| format!("{v:.4}"));
+        let delta = match (baseline, current) {
+            (Some(b), Some(c)) if b != 0.0 => format!("{:+.1}%", (c - b) / b * 100.0),
+            _ => dash.to_string(),
+        };
+        [value(baseline), value(current), delta]
+    }
+
     /// Renders the comparison as a fixed-width table.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<44} {:>14} {:>14} {:>9}  verdict (tolerance ±{:.0}%)",
-            "metric",
-            "baseline",
-            "current",
-            "delta",
-            self.tolerance * 100.0
+            "{:<44} {:>14} {:>14} {:>9}  verdict (exact)",
+            "metric", "baseline", "current", "delta"
         );
         for (key, baseline, current, verdict) in &self.rows {
-            let fmt =
-                |v: &Option<f64>| v.map(|v| format!("{v:.4}")).unwrap_or_else(|| "-".to_string());
-            let delta = match (baseline, current) {
-                (Some(b), Some(c)) if *b != 0.0 => format!("{:+.1}%", (c - b) / b * 100.0),
-                _ => "-".to_string(),
-            };
+            let [baseline, current, delta] = GateReport::cells(*baseline, *current, "-");
             let verdict = match verdict {
                 Verdict::Ok => "ok".to_string(),
                 Verdict::Regressed(d) => format!("REGRESSED ({:+.1}%)", d * 100.0),
                 Verdict::Missing => "MISSING".to_string(),
-                Verdict::New => "new".to_string(),
+                Verdict::New => "UNREGISTERED".to_string(),
             };
-            let _ = writeln!(
-                out,
-                "{:<44} {:>14} {:>14} {:>9}  {}",
-                key,
-                fmt(baseline),
-                fmt(current),
-                delta,
-                verdict
-            );
+            let _ = writeln!(out, "{key:<44} {baseline:>14} {current:>14} {delta:>9}  {verdict}");
         }
         out
     }
@@ -250,17 +205,12 @@ impl GateReport {
             Verdict::Ok => "ok".to_string(),
             Verdict::Regressed(d) => format!("**REGRESSED** ({:+.1}%)", d * 100.0),
             Verdict::Missing => "**MISSING**".to_string(),
-            // Under strict hygiene an unregistered metric is a failure and
-            // must read like one on the run page.
-            Verdict::New if self.strict => "**UNREGISTERED** (no baseline entry)".to_string(),
-            Verdict::New => "new".to_string(),
+            Verdict::New => "**UNREGISTERED** (no baseline entry)".to_string(),
         };
         let _ = writeln!(
             out,
-            "### Bench regression gate ({}, tolerance ±{:.0}%{})\n",
-            if self.effective_pass() { "PASS" } else { "FAIL" },
-            self.tolerance * 100.0,
-            if self.strict { ", strict baseline hygiene" } else { "" }
+            "### Bench regression gate ({}, exact match)\n",
+            if self.passed() { "PASS" } else { "FAIL" }
         );
         // Suites in first-appearance order.
         let mut suites: Vec<&str> = Vec::new();
@@ -277,27 +227,16 @@ impl GateReport {
                 .filter(|(key, _, _, _)| GateReport::suite_of(key) == suite)
                 .collect();
             members.sort_by(|a, b| a.0.cmp(&b.0));
-            let flagged = members.iter().filter(|(_, _, _, v)| self.fails(v)).count();
+            let flagged = members.iter().filter(|(_, _, _, v)| *v != Verdict::Ok).count();
             let status =
                 if flagged > 0 { format!(" — {flagged} flagged") } else { String::new() };
             let _ = writeln!(out, "#### `{suite}` ({} metrics{status})\n", members.len());
             let _ = writeln!(out, "| metric | baseline | observed | delta | verdict |");
             let _ = writeln!(out, "|:---|---:|---:|---:|:---|");
             for (key, baseline, current, verdict) in members {
-                let fmt = |v: &Option<f64>| {
-                    v.map(|v| format!("{v:.4}")).unwrap_or_else(|| "—".to_string())
-                };
-                let delta = match (baseline, current) {
-                    (Some(b), Some(c)) if *b != 0.0 => format!("{:+.1}%", (c - b) / b * 100.0),
-                    _ => "—".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "| `{key}` | {} | {} | {delta} | {} |",
-                    fmt(baseline),
-                    fmt(current),
-                    verdict_cell(verdict)
-                );
+                let [baseline, current, delta] = GateReport::cells(*baseline, *current, "—");
+                let verdict = verdict_cell(verdict);
+                let _ = writeln!(out, "| `{key}` | {baseline} | {current} | {delta} | {verdict} |");
             }
             let _ = writeln!(out);
         }
@@ -305,25 +244,19 @@ impl GateReport {
     }
 }
 
-/// Compares `current` against `baseline` with a relative tolerance: a metric
-/// fails when `|current - baseline| > tolerance * max(|baseline|, ε)`.
-/// Metrics missing from `current` fail; metrics new in `current` pass (they
-/// become binding once the baseline is refreshed).
-pub fn compare(
-    baseline: &[(String, f64)],
-    current: &[(String, f64)],
-    tolerance: f64,
-) -> GateReport {
+/// Compares `current` against `baseline` exactly: a metric passes only when
+/// its value is bit-identical (`to_bits`) to the baseline's. Metrics missing
+/// from `current` fail as [`Verdict::Missing`], metrics the baseline does not
+/// register as [`Verdict::New`].
+pub fn compare(baseline: &[(String, f64)], current: &[(String, f64)]) -> GateReport {
     let mut rows = Vec::new();
     for (key, base) in baseline {
         match current.iter().find(|(k, _)| k == key) {
             Some((_, cur)) => {
-                let scale = base.abs().max(1e-12);
-                let deviation = (cur - base) / scale;
-                let verdict = if deviation.abs() <= tolerance {
+                let verdict = if cur.to_bits() == base.to_bits() {
                     Verdict::Ok
                 } else {
-                    Verdict::Regressed(deviation)
+                    Verdict::Regressed((cur - base) / base.abs().max(1e-12))
                 };
                 rows.push((key.clone(), Some(*base), Some(*cur), verdict));
             }
@@ -335,25 +268,19 @@ pub fn compare(
             rows.push((key.clone(), None, Some(*cur), Verdict::New));
         }
     }
-    GateReport { rows, tolerance, strict: false }
+    GateReport { rows }
 }
 
 /// Like [`compare`], but scoped to the metrics the current run actually
 /// emits: baseline keys with no current entry are skipped instead of
 /// verdicted [`Verdict::Missing`]. This is the mode for partial dumps —
 /// `repro replay --metrics` re-derives only the fleet-scale suite, yet the
-/// values it does emit must still match the committed baseline (the CI
-/// replay-gate leg runs it at zero tolerance). Current metrics with no
-/// baseline entry still surface as [`Verdict::New`], so `--strict` hygiene
-/// keeps rejecting unregistered names.
-pub fn compare_subset(
-    baseline: &[(String, f64)],
-    current: &[(String, f64)],
-    tolerance: f64,
-) -> GateReport {
+/// values it does emit must still match the committed baseline. Current
+/// metrics with no baseline entry still fail as [`Verdict::New`].
+pub fn compare_subset(baseline: &[(String, f64)], current: &[(String, f64)]) -> GateReport {
     let scoped: Vec<(String, f64)> =
         baseline.iter().filter(|(key, _)| current.iter().any(|(k, _)| k == key)).cloned().collect();
-    compare(&scoped, current, tolerance)
+    compare(&scoped, current)
 }
 
 #[cfg(test)]
@@ -412,26 +339,31 @@ mod tests {
 
     #[test]
     fn compare_flags_regressions_beyond_tolerance() {
+        // The tolerance is zero: the last bit counts.
         let baseline = vec![
             ("stable".to_string(), 10.0),
+            ("nudged".to_string(), 10.0),
             ("drifted".to_string(), 10.0),
             ("gone".to_string(), 5.0),
         ];
         let current = vec![
-            ("stable".to_string(), 10.9),
+            ("stable".to_string(), 10.0),
+            ("nudged".to_string(), f64::from_bits(10.0f64.to_bits() + 1)),
             ("drifted".to_string(), 12.0),
             ("fresh".to_string(), 1.0),
         ];
-        let report = compare(&baseline, &current, 0.15);
+        let report = compare(&baseline, &current);
         assert!(!report.passed());
         let verdicts: Vec<&Verdict> = report.rows.iter().map(|(_, _, _, v)| v).collect();
         assert_eq!(verdicts[0], &Verdict::Ok);
-        assert!(matches!(verdicts[1], Verdict::Regressed(d) if (*d - 0.2).abs() < 1e-9));
-        assert_eq!(verdicts[2], &Verdict::Missing);
-        assert_eq!(verdicts[3], &Verdict::New);
+        assert!(matches!(verdicts[1], Verdict::Regressed(d) if *d > 0.0 && *d < 1e-15));
+        assert!(matches!(verdicts[2], Verdict::Regressed(d) if (*d - 0.2).abs() < 1e-9));
+        assert_eq!(verdicts[3], &Verdict::Missing);
+        assert_eq!(verdicts[4], &Verdict::New);
         let rendered = report.render();
         assert!(rendered.contains("REGRESSED"));
         assert!(rendered.contains("MISSING"));
+        assert!(rendered.contains("UNREGISTERED"));
 
         // The markdown summary carries the same verdicts as table rows.
         let markdown = report.render_markdown();
@@ -440,11 +372,12 @@ mod tests {
         assert!(markdown
             .contains("| `drifted` | 10.0000 | 12.0000 | +20.0% | **REGRESSED** (+20.0%) |"));
         assert!(markdown.contains("| `gone` | 5.0000 | — | — | **MISSING** |"));
-        assert!(markdown.contains("| `fresh` | — | 1.0000 | — | new |"));
+        assert!(markdown
+            .contains("| `fresh` | — | 1.0000 | — | **UNREGISTERED** (no baseline entry) |"));
         // Unprefixed metrics fall into one "other" group, with the flagged
         // count in the header.
-        assert!(markdown.contains("#### `other` (4 metrics — 2 flagged)"));
-        let passing = compare(&baseline[..1], &current[..1], 0.15).render_markdown();
+        assert!(markdown.contains("#### `other` (5 metrics — 4 flagged)"));
+        let passing = compare(&baseline[..1], &current[..1]).render_markdown();
         assert!(passing.starts_with("### Bench regression gate (PASS"));
         assert!(passing.contains("#### `other` (1 metrics)"));
     }
@@ -457,7 +390,7 @@ mod tests {
             ("fleet8.goodput_mbps".to_string(), 3.0),
             ("schedule.idle_rounds".to_string(), 4.0),
         ];
-        let markdown = compare(&baseline, &baseline.clone(), 0.15).render_markdown();
+        let markdown = compare(&baseline, &baseline.clone()).render_markdown();
         assert!(markdown.contains("#### `fig6` (2 metrics)"));
         assert!(markdown.contains("#### `fleet8` (1 metrics)"));
         assert!(markdown.contains("#### `schedule` (1 metrics)"));
@@ -479,7 +412,7 @@ mod tests {
             ("restore.ttfb_s.adsl".to_string(), 4.0),
             ("fleet8.goodput_mbps".to_string(), 5.0),
         ];
-        let markdown = compare(&baseline, &baseline.clone(), 0.15).render_markdown();
+        let markdown = compare(&baseline, &baseline.clone()).render_markdown();
         let keys: Vec<&str> =
             markdown.lines().filter_map(|l| l.strip_prefix("| `")?.split('`').next()).collect();
         assert_eq!(
@@ -495,7 +428,7 @@ mod tests {
         );
         // The fixed-width render keeps raw baseline order (it mirrors the
         // metric files byte for byte).
-        let plain = compare(&baseline, &baseline.clone(), 0.15).render();
+        let plain = compare(&baseline, &baseline.clone()).render();
         let fiber = plain.find("restore.goodput_mbps.fiber").unwrap();
         let adsl = plain.find("restore.goodput_mbps.adsl").unwrap();
         assert!(fiber < adsl);
@@ -505,47 +438,36 @@ mod tests {
     fn strict_mode_rejects_unregistered_metrics() {
         let baseline = vec![("a.x".to_string(), 1.0)];
         let current = vec![("a.x".to_string(), 1.0), ("a.y".to_string(), 2.0)];
-        let report = compare(&baseline, &current, 0.15);
-        // The lenient verdict tolerates the new metric; strict hygiene
-        // does not — an unregistered metric would never be compared.
-        assert!(report.passed());
-        assert!(!report.passed_strict());
+        // An unregistered metric would never be compared, so it fails.
+        let report = compare(&baseline, &current);
+        assert!(!report.passed());
         assert_eq!(report.unregistered(), vec!["a.y"]);
         // The reverse direction (baseline entry with no current metric)
-        // already fails the lenient gate as MISSING.
-        let report = compare(&current, &baseline, 0.15);
+        // fails as MISSING.
+        let report = compare(&current, &baseline);
         assert!(!report.passed());
-        assert!(!report.passed_strict());
         assert!(report.unregistered().is_empty());
         // Identical sets are hygienic.
-        let report = compare(&baseline, &baseline.clone(), 0.15);
-        assert!(report.passed_strict());
+        assert!(compare(&baseline, &baseline.clone()).passed());
     }
 
     #[test]
     fn strict_renders_report_the_failure_they_exit_with() {
-        // The step summary of a failing strict run must not read PASS: the
-        // banner follows the effective (strict) verdict and the
-        // unregistered metric is flagged in its suite header and cell.
+        // The step summary of a run that fails on an unregistered metric
+        // must not read PASS: the banner says FAIL and the metric is
+        // flagged in its suite header and cell.
         let baseline = vec![("a.x".to_string(), 1.0)];
         let current = vec![("a.x".to_string(), 1.0), ("a.y".to_string(), 2.0)];
-        let lenient = compare(&baseline, &current, 0.15);
-        assert!(lenient.effective_pass());
-        assert!(lenient.render_markdown().starts_with("### Bench regression gate (PASS"));
-
-        let strict = compare(&baseline, &current, 0.15).with_strict(true);
-        assert!(!strict.effective_pass());
-        let markdown = strict.render_markdown();
+        let markdown = compare(&baseline, &current).render_markdown();
         assert!(
             markdown.starts_with("### Bench regression gate (FAIL"),
-            "strict failure must render FAIL, got: {}",
+            "an unregistered metric must render FAIL, got: {}",
             markdown.lines().next().unwrap_or_default()
         );
-        assert!(markdown.contains("strict baseline hygiene"));
         assert!(markdown.contains("#### `a` (2 metrics — 1 flagged)"));
         assert!(markdown.contains("**UNREGISTERED** (no baseline entry)"));
-        // A hygienic strict run still renders PASS.
-        let clean = compare(&baseline, &baseline.clone(), 0.15).with_strict(true);
+        // A hygienic run renders PASS.
+        let clean = compare(&baseline, &baseline.clone());
         assert!(clean.render_markdown().starts_with("### Bench regression gate (PASS"));
     }
 
@@ -557,37 +479,39 @@ mod tests {
             ("fig6.completion_s.dropbox".to_string(), 12.0),
         ];
         // A partial dump covering only the fleet-scale keys: the fig6 key
-        // is skipped, not MISSING, and strict hygiene holds.
+        // is skipped, not MISSING.
         let partial = vec![
             ("fleetscale.commits".to_string(), 100.0),
             ("hist.scale_transfer.p50_s".to_string(), 2.5),
         ];
-        let report = compare_subset(&baseline, &partial, 0.0).with_strict(true);
+        let report = compare_subset(&baseline, &partial);
         assert_eq!(report.rows.len(), 2);
-        assert!(report.effective_pass());
+        assert!(report.passed());
         // The full comparison over the same dump fails as MISSING.
-        assert!(!compare(&baseline, &partial, 0.0).passed());
-        // A drifted present key still fails at zero tolerance.
+        assert!(!compare(&baseline, &partial).passed());
+        // A drifted present key still fails.
         let drifted = vec![("fleetscale.commits".to_string(), 101.0)];
-        assert!(!compare_subset(&baseline, &drifted, 0.0).passed());
-        // An unregistered key still fails strict hygiene.
+        assert!(!compare_subset(&baseline, &drifted).passed());
+        // An unregistered key still fails.
         let unregistered = vec![
             ("fleetscale.commits".to_string(), 100.0),
             ("fleetscale.invented".to_string(), 1.0),
         ];
-        let report = compare_subset(&baseline, &unregistered, 0.0).with_strict(true);
-        assert!(report.passed());
-        assert!(!report.effective_pass());
+        let report = compare_subset(&baseline, &unregistered);
+        assert!(!report.passed());
         assert_eq!(report.unregistered(), vec!["fleetscale.invented"]);
     }
 
     #[test]
     fn compare_passes_identical_runs_and_handles_zero_baselines() {
         let baseline = vec![("a".to_string(), 0.0), ("b".to_string(), 123.456)];
-        let report = compare(&baseline, &baseline.clone(), 0.15);
+        let report = compare(&baseline, &baseline.clone());
         assert!(report.passed());
-        // A zero baseline tolerates only ~zero currents.
+        // A zero baseline accepts only a zero current, and the deviation
+        // it reports stays finite.
         let drifted = vec![("a".to_string(), 0.5), ("b".to_string(), 123.456)];
-        assert!(!compare(&baseline, &drifted, 0.15).passed());
+        let report = compare(&baseline, &drifted);
+        assert!(!report.passed());
+        assert!(matches!(report.rows[0].3, Verdict::Regressed(d) if d.is_finite()));
     }
 }

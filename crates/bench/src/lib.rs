@@ -2,23 +2,27 @@
 //!
 //! Benchmark harness for the IMC'13 reproduction.
 //!
-//! * The `repro` binary regenerates every table and figure of the paper from
-//!   freshly simulated measurements (`cargo run -p cloudbench-bench --bin
-//!   repro -- all`).
-//! * The Criterion benches under `benches/` measure how long each experiment
-//!   takes to simulate and double as regression guards for the harness itself;
-//!   one bench target exists per table/figure plus ablation, substrate and
-//!   fleet-scaling micro-benchmarks.
-//! * [`metrics`] defines the deterministic metric set of the CI
-//!   bench-regression gate (`repro bench-json` dumps it, the `bench_gate`
-//!   binary compares it against the committed `bench_baseline.json` with a
-//!   relative tolerance implemented in [`gate`]).
-//! * [`suites`] is the single source of truth for the gated suite list —
-//!   `repro suites` prints it and the CI determinism/coverage scripts
-//!   iterate over that output instead of hardcoding suite names.
-//! * [`cli`] is the shared argument-parsing surface every `repro`
-//!   subcommand goes through: one `--json [PATH|-]` convention, strict
-//!   counted flags, usage-on-error with exit 2.
+//! * [`suites`] is the suite table: one row per `repro` target, carrying
+//!   its name, flags, gate-key prefixes, `all` membership, CI determinism
+//!   target and the two function pointers that run it (command-line size →
+//!   text and JSON; gate size → gate metrics). Adding a suite is its module
+//!   in `crates/core/src`, its `pub mod` line and one row here.
+//! * The `repro` binary dispatches over that table: it regenerates every
+//!   table and figure of the paper from freshly simulated measurements
+//!   (`cargo run -p cloudbench-bench --bin repro -- all`), runs the
+//!   beyond-paper suites, and prints the table for CI (`repro suites`).
+//! * [`metrics`] holds the gate-point sizes and `collect`, the loop over
+//!   the table behind `repro bench-json`; the `bench_gate` binary compares
+//!   that dump against the committed `bench_baseline.json` exactly, with
+//!   the comparison implemented in [`gate`].
+//! * [`cli`] is the shared argument-parsing surface every `repro` target
+//!   goes through: one `--json [PATH|-]` convention, strict counted flags,
+//!   usage-on-error with exit 2.
+//! * Three Criterion targets under `benches/` remain because they assert
+//!   something (`fleet_scaling`: sharded ≥ single-lock and concurrent ≡
+//!   sequential store state; `pipeline_throughput`: seq ≡ par artifacts;
+//!   `trace_overhead`: the capture is a pure observer within a 1.5× wall
+//!   budget). Host-time measurement itself lives in the `perf/` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,10 +33,10 @@ pub mod metrics;
 pub mod suites;
 
 /// Shared helper: the default testbed seed used by the harness, so the repro
-/// binary and the benches measure the same simulated universe.
+/// binary, the gate and the benches measure the same simulated universe.
 pub const REPRO_SEED: u64 = 0x2013_1023;
 
-/// Reduced repetition count used by benches (the paper uses 24 per
+/// Reduced repetition count of `repro fig6*` (the paper uses 24 per
 /// experiment; the simulation is deterministic enough that 3 repetitions give
 /// stable means for the tables while keeping bench time short).
 pub const BENCH_REPETITIONS: usize = 3;

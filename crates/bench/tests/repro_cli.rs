@@ -33,14 +33,22 @@ fn suites_prints_the_shared_table() {
     // tab-separated line per gated suite.
     let listing = stdout(&out);
     let lines: Vec<&str> = listing.lines().collect();
-    assert_eq!(lines.len(), cloudbench_bench::suites::SUITES.len());
-    for suite in cloudbench_bench::suites::SUITES {
+    assert_eq!(lines.len(), cloudbench_bench::suites::listing().len());
+    for (prefix, _) in cloudbench_bench::suites::listing() {
         assert!(
-            lines.iter().any(|l| l.starts_with(&format!("{}\t", suite.prefix))),
-            "{} missing from the listing",
-            suite.prefix
+            lines.iter().any(|l| l.starts_with(&format!("{prefix}\t"))),
+            "{prefix} missing from the listing"
         );
     }
+    // The listing is a contract with the workflow scripts: its bytes are
+    // pinned, so a table edit that reorders or renames a line shows here.
+    assert_eq!(
+        listing,
+        "fig6\t-\nfleet8\t-\nhetero\t-\ngc\t-\nrestore\trestore\nschedule\tschedule\n\
+         faults\tfaults\nfleetscale\tfleet-scale --clients 10000 --json -\n\
+         partition\tpartition --clients 10000 --partitions 8 --json -\n\
+         trace\ttrace --clients 10000 --json -\nhist\t-\n"
+    );
 }
 
 #[test]
@@ -54,8 +62,12 @@ fn unknown_subcommand_exits_nonzero_and_lists_the_valid_targets() {
     for needle in ["usage: repro", "fleet-scale", "replay", "suites", "bench-json"] {
         assert!(err.contains(needle), "{needle} missing from: {err}");
     }
-    for suite in cloudbench_bench::suites::SUITES {
-        assert!(err.contains(suite.prefix), "{} missing from: {err}", suite.prefix);
+    for (prefix, _) in cloudbench_bench::suites::listing() {
+        assert!(err.contains(prefix), "{prefix} missing from: {err}");
+    }
+    // Every table row is a target the error names.
+    for suite in cloudbench_bench::suites::TABLE {
+        assert!(err.contains(suite.name), "{} missing from: {err}", suite.name);
     }
 }
 
@@ -145,6 +157,33 @@ fn replay_rejects_unknown_remap_names() {
     // The rejection teaches the valid surface, matching the
     // unknown-subcommand behaviour.
     assert!(err.contains("usage: repro"), "usage text missing from: {err}");
+}
+
+/// A capture that parses but cannot be replayed is a bad input file like
+/// one that does not parse: `replay` and `partition --capture` both name
+/// the reason and exit 2.
+#[test]
+fn unreplayable_captures_exit_2_on_both_subcommands() {
+    let dir = scratch("boguslink");
+    let capture = dir.join("cap.jsonl");
+    let cap = capture.to_str().expect("utf8");
+    let out = repro(&["fleet-scale", "--clients", "40", "--capture", cap]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = std::fs::read_to_string(&capture).expect("capture written");
+    assert!(text.contains("\"adsl\""), "the capture names its links: {text}");
+    std::fs::write(&capture, text.replace("\"adsl\"", "\"carrier-pigeon\"")).expect("rewrite");
+
+    for args in [
+        ["replay", "--capture", cap].as_slice(),
+        ["partition", "--capture", cap, "--partitions", "2"].as_slice(),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("replay failed"), "{args:?}: got: {err}");
+        assert!(err.contains("carrier-pigeon"), "{args:?}: got: {err}");
+        assert!(stdout(&out).is_empty(), "{args:?} printed a report: {}", stdout(&out));
+    }
 }
 
 /// The CI partition-determinism leg, end to end: the merged JSON dump is

@@ -25,6 +25,7 @@
 //! bench-regression gate (`faults.*` metrics) and the `fault-determinism`
 //! CI leg can `cmp` two fresh `repro faults` dumps byte for byte.
 
+use crate::report::{gate_keys, hist_line, hist_metrics, Report};
 use cloudsim_net::Simulator;
 use cloudsim_services::{
     AccessLink, FaultSchedule, FaultSpec, FaultStats, Recovery, RetryConfig, ServiceProfile,
@@ -35,6 +36,7 @@ use cloudsim_trace::{HistogramSummary, LatencyHistogram, SimDuration, SimTime};
 use cloudsim_workload::seed::derive_seed;
 use cloudsim_workload::{BatchSpec, FileKind, GeneratedFile};
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// Salt for the per-link outage-schedule draws.
 const FAULT_SALT: u64 = 0x00FA_7A17;
@@ -164,6 +166,106 @@ impl FaultsSuite {
         } else {
             0.0
         }
+    }
+
+    /// Renders the fault-injection suite: per `link x policy` cell the
+    /// retry spend, the wasted/salvaged byte split, the completion-time
+    /// inflation against the fault-free control, and the SHA-256 verdicts
+    /// of the resumed restores.
+    pub fn report(&self) -> Report {
+        let mut body = String::new();
+        let _ = writeln!(
+            body,
+            "{} per client, identical seeded outage schedules per link, policies: {}",
+            self.workload,
+            self.policies.join(", "),
+        );
+        let _ = writeln!(
+            body,
+            "\n{:<10} {:<12} {:>5} {:>7} {:>9} {:>11} {:>11} {:>9} {:>9} {:>8}",
+            "link",
+            "policy",
+            "cuts",
+            "retries",
+            "abandons",
+            "wasted kB",
+            "salvage kB",
+            "sync x",
+            "restore x",
+            "sha256"
+        );
+        for row in &self.per_link {
+            for cell in &row.cells {
+                let _ = writeln!(
+                    body,
+                    "{:<10} {:<12} {:>5} {:>7} {:>9} {:>11.1} {:>11.1} {:>9.2} {:>9.2} {:>5}/{}",
+                    row.link,
+                    cell.policy,
+                    cell.stats.interruptions,
+                    cell.stats.retries,
+                    cell.abandoned_chunks + cell.files_abandoned,
+                    cell.stats.wasted_bytes as f64 / 1e3,
+                    cell.stats.salvaged_bytes as f64 / 1e3,
+                    cell.sync_inflation,
+                    cell.restore_inflation,
+                    cell.stats.checksums_verified,
+                    cell.stats.checksum_failures,
+                );
+            }
+        }
+        let _ = writeln!(body, "\nper-policy totals:");
+        for policy in &self.policies {
+            let stats = self.stats_for(policy);
+            let _ = writeln!(
+                body,
+                "  {:<12} completed {:>4.0}%, wasted ratio {:.3}, resume efficiency {:.3}, backoff {:.1}s",
+                policy,
+                self.completed_fraction(policy) * 100.0,
+                self.wasted_ratio(policy),
+                stats.resume_efficiency(),
+                stats.backoff_wait.as_secs_f64(),
+            );
+        }
+        body.push('\n');
+        hist_line(&mut body, "backoff wait", &self.backoff_hist);
+        Report {
+            title: "Faults: seeded outages, resumable sessions and retry policies".to_string(),
+            body,
+        }
+    }
+
+    /// The suite's gate metrics: per link preset the retry spend and the
+    /// completion-time inflation of the exponential policy against the
+    /// fault-free control (both directions), then the aggregate recovery
+    /// accounting — resume efficiency, the no-retry policy's wasted-bytes
+    /// ratio, backoff time and the SHA-256 verdicts of the resumed
+    /// restores — and the `hist.backoff.*` wait quadruple.
+    pub fn gate_metrics(&self) -> Vec<(String, f64)> {
+        let mut metrics = Vec::new();
+        for row in &self.per_link {
+            let exp = row.cell("exponential").expect("exponential cell");
+            for (name, value) in [
+                ("interruptions", exp.stats.interruptions as f64),
+                ("retries", exp.stats.retries as f64),
+                ("sync_inflation", exp.sync_inflation),
+                ("restore_inflation", exp.restore_inflation),
+            ] {
+                metrics.push((format!("faults.{name}.{}", row.link), value));
+            }
+        }
+        let exp = self.stats_for("exponential");
+        metrics.extend(gate_keys(
+            "faults",
+            &[
+                ("completed_fraction", self.completed_fraction("exponential")),
+                ("resume_efficiency", exp.resume_efficiency()),
+                ("backoff_wait_s", exp.backoff_wait.as_secs_f64()),
+                ("checksums_verified", exp.checksums_verified as f64),
+                ("wasted_ratio_none", self.wasted_ratio("none")),
+            ],
+        ));
+        metrics.extend(hist_metrics("hist.backoff", &self.backoff_hist));
+        metrics
     }
 }
 

@@ -7,11 +7,13 @@
 //! aggregate goodput, the per-client completion-time distribution, and the
 //! server-side inter-user deduplication ratio as a function of fleet size.
 
+use crate::report::{gate_keys, hist_metrics, Report};
 use cloudsim_services::fleet::{run_fleet, FleetRun, FleetSpec};
 use cloudsim_services::ServiceProfile;
 use cloudsim_storage::ObjectStore;
 use cloudsim_trace::series::SampleStats;
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// One fleet size of the scaling suite.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -70,6 +72,48 @@ impl FleetScalingSuite {
     pub fn row(&self, clients: usize) -> Option<&FleetScalingRow> {
         self.rows.iter().find(|r| r.clients == clients)
     }
+
+    /// Renders the fleet scaling suite: the multi-tenant metrics a
+    /// single-computer testbed cannot observe, as a function of fleet size.
+    pub fn report(&self) -> Report {
+        let mut body = String::new();
+        let _ = writeln!(
+            body,
+            "{} fleet, {} per client, shared pool {:.0}%",
+            self.service,
+            self.workload,
+            self.shared_fraction * 100.0
+        );
+        let _ = writeln!(
+            body,
+            "{:>8} {:>14} {:>14} {:>12} {:>12} {:>12} {:>10}",
+            "clients",
+            "goodput Mb/s",
+            "completion s",
+            "p-bytes MB",
+            "r-bytes MB",
+            "dedup x",
+            "wall s"
+        );
+        for row in &self.rows {
+            let _ = writeln!(
+                body,
+                "{:>8} {:>14.2} {:>9.1}±{:<4.1} {:>12.2} {:>12.2} {:>12.2} {:>10.2}",
+                row.clients,
+                row.aggregate_goodput_bps / 1e6,
+                row.completion_secs.mean,
+                row.completion_secs.std_dev,
+                row.physical_bytes as f64 / 1e6,
+                row.referenced_bytes as f64 / 1e6,
+                row.dedup_ratio,
+                row.wall_secs,
+            );
+        }
+        Report {
+            title: "Fleet scaling: concurrent multi-client sync into one sharded store".to_string(),
+            body,
+        }
+    }
 }
 
 /// The default fleet sizes of the scaling suite.
@@ -112,6 +156,30 @@ pub fn run_fleet_scaling(
         shared_fraction: spec.shared_fraction,
         rows,
     }
+}
+
+/// The gate point of the fleet suite: one fleet of `clients` (one worker
+/// each) against a fresh store, named `fleet<clients>.*` plus the run's
+/// `hist.sync.*` commit-latency quadruple.
+pub fn fleet_gate_metrics(
+    profile: &ServiceProfile,
+    clients: usize,
+    seed: u64,
+) -> Vec<(String, f64)> {
+    let run = run_fleet(&fleet_spec(profile, clients, seed), ObjectStore::new(), clients);
+    let row = FleetScalingRow::from_run(&run);
+    let mut metrics = gate_keys(
+        &format!("fleet{clients}"),
+        &[
+            ("goodput_mbps", row.aggregate_goodput_bps / 1e6),
+            ("completion_mean_s", row.completion_secs.mean),
+            ("dedup_ratio", row.dedup_ratio),
+            ("physical_mb", row.physical_bytes as f64 / 1e6),
+            ("uploaded_mb", row.uploaded_payload as f64 / 1e6),
+        ],
+    );
+    metrics.extend(hist_metrics("hist.sync", &run.sync_duration_histogram().summary()));
+    metrics
 }
 
 #[cfg(test)]

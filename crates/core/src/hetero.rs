@@ -13,12 +13,14 @@
 //! Everything is a pure function of the seed, so the whole suite is part of
 //! the CI bench-regression gate (`hetero.*` and `gc.*` metrics).
 
+use crate::report::Report;
 use cloudsim_parallel::available_workers;
 use cloudsim_services::fleet::{run_fleet, FleetRun, FleetSpec};
 use cloudsim_services::{AccessLink, GcPolicy, ServiceProfile};
 use cloudsim_storage::ObjectStore;
 use cloudsim_trace::series::SampleStats;
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// The service mix of the canonical heterogeneous scenario, in slot order.
 pub fn hetero_profiles() -> Vec<ServiceProfile> {
@@ -101,6 +103,84 @@ impl HeteroSuite {
     /// The goodput of one link, by preset name.
     pub fn link(&self, name: &str) -> Option<f64> {
         self.goodput_by_link.iter().find(|(n, _)| n == name).map(|(_, bps)| *bps)
+    }
+
+    /// Renders the heterogeneous scenario suite: per-profile completion
+    /// distributions, per-link goodput, and the GC policy comparison of the
+    /// churning fleet.
+    pub fn report(&self) -> Report {
+        let mut body = String::new();
+        let _ = writeln!(
+            body,
+            "{} clients, {} rounds of {}, churn: {} leavers / {} joiners",
+            self.clients, self.rounds, self.workload, self.leavers, self.joiners
+        );
+        let _ = writeln!(body, "\ncompletion time by service profile (simulated seconds):");
+        let _ = writeln!(
+            body,
+            "{:<16} {:>7} {:>10} {:>10} {:>10} {:>10}",
+            "service", "clients", "mean", "min", "max", "stddev"
+        );
+        for (service, stats) in &self.completion_by_service {
+            let _ = writeln!(
+                body,
+                "{:<16} {:>7} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
+                service, stats.count, stats.mean, stats.min, stats.max, stats.std_dev
+            );
+        }
+        let _ = writeln!(body, "\ngoodput by access link (Mb/s, simulated):");
+        let _ = writeln!(body, "{:<16} {:>12}", "link", "goodput Mb/s");
+        for (link, bps) in &self.goodput_by_link {
+            let _ = writeln!(body, "{:<16} {:>12.3}", link, bps / 1e6);
+        }
+        let _ = writeln!(body, "\ngarbage collection over churn (identical schedule per policy):");
+        let _ = writeln!(
+            body,
+            "{:<12} {:>12} {:>12} {:>8} {:>10} {:>9}",
+            "policy", "physical MB", "reclaimed MB", "freed", "manifests", "dedup x"
+        );
+        for row in &self.gc_rows {
+            let _ = writeln!(
+                body,
+                "{:<12} {:>12.2} {:>12.2} {:>8} {:>10} {:>9.2}",
+                row.policy,
+                row.physical_bytes as f64 / 1e6,
+                row.reclaimed_bytes as f64 / 1e6,
+                row.freed_chunks,
+                row.manifest_deletes,
+                row.dedup_ratio,
+            );
+        }
+        Report {
+            title: "Heterogeneous fleet: profiles x links x churn with a GC'd store".to_string(),
+            body,
+        }
+    }
+
+    /// The suite's gate metrics: `hetero.*` per-profile completions and
+    /// per-link goodputs, `gc.*` reclamation under both policies, and the
+    /// dedup ratio over churn of the eagerly collected store.
+    pub fn gate_metrics(&self) -> Vec<(String, f64)> {
+        let mut metrics = Vec::new();
+        for (service, stats) in &self.completion_by_service {
+            let key = service.to_lowercase().replace(' ', "_");
+            metrics.push((format!("hetero.completion_mean_s.{key}"), stats.mean));
+        }
+        for (link, bps) in &self.goodput_by_link {
+            metrics.push((format!("hetero.goodput_mbps.{link}"), bps / 1e6));
+        }
+        for row in &self.gc_rows {
+            metrics.push((
+                format!("gc.reclaimed_mb.{}", row.policy),
+                row.reclaimed_bytes as f64 / 1e6,
+            ));
+            metrics
+                .push((format!("gc.physical_mb.{}", row.policy), row.physical_bytes as f64 / 1e6));
+            metrics.push((format!("gc.freed_chunks.{}", row.policy), row.freed_chunks as f64));
+        }
+        let eager = self.gc_row(GcPolicy::Eager).expect("eager row");
+        metrics.push(("hetero.dedup_ratio".to_string(), eager.dedup_ratio));
+        metrics
     }
 }
 

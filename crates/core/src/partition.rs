@@ -21,11 +21,13 @@
 //!   p99 of the elementwise-merged histograms and the load-curve overlap,
 //!   all of which the merge invariants pin to exactly 1.0.
 
+use crate::report::{gate_keys, Report};
 use crate::scale::{assemble_suite, scale_spec, FleetScaleSuite, LOAD_CURVE_BUCKETS};
 use cloudsim_services::capture::FleetCapture;
 use cloudsim_services::partition::{replay_partitioned, run_partitioned, PartitionedRun};
 use cloudsim_trace::{LatencyHistogram, SimTime};
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// One partition's share of the run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -74,6 +76,69 @@ pub struct PartitionSuite {
     /// Load-curve overlap between the summed per-partition curves and the
     /// merged curve (Σ min / Σ max over buckets) — exactly 1.0.
     pub curve_overlap: f64,
+}
+
+impl PartitionSuite {
+    /// Renders the partitioned run's split accounting: one row per
+    /// partition plus the skew/overhead figures. The merged population
+    /// itself renders through [`FleetScaleSuite::report`] — bit-identical to
+    /// the unsliced run, which is the whole point.
+    pub fn report(&self) -> Report {
+        let mut body = String::new();
+        let _ = writeln!(
+            body,
+            "{} clients across {} partitions (shared store, per-partition sub-heaps)",
+            self.merged.clients, self.partitions,
+        );
+        let _ = writeln!(
+            body,
+            "\n{:>4} {:>9} {:>9} {:>7} {:>13} {:>13}",
+            "part", "clients", "commits", "waves", "first start s", "last end s"
+        );
+        for row in &self.rows {
+            let _ = writeln!(
+                body,
+                "{:>4} {:>9} {:>9} {:>7} {:>13.2} {:>13.2}",
+                row.index, row.clients, row.commits, row.waves, row.first_start_s, row.last_end_s,
+            );
+        }
+        let _ = writeln!(
+            body,
+            "\ncommit skew {:.4} (max/mean), finish skew {:.2}s, merge overhead {:.4} (part waves / merged waves)",
+            self.commit_skew, self.finish_skew_s, self.merge_overhead,
+        );
+        let _ = writeln!(
+            body,
+            "sum-of-parts checks: commits {:.1}, bytes {:.1}, hist p99 {:.1}, load-curve overlap {:.1} (all exactly 1 by the merge invariants)",
+            self.commits_sum_ratio, self.bytes_sum_ratio, self.hist_p99_ratio, self.curve_overlap,
+        );
+        Report {
+            title: "Partitioned fleet: worker-sharded clients merged bit-identically".to_string(),
+            body,
+        }
+    }
+
+    /// The suite's gate metrics. The merged run reproduces the
+    /// `fleetscale.*` values bit for bit, so the gate pins the split's own
+    /// accounting. The sum-of-parts ratios are exactly 1.0 by the merge
+    /// invariants — gating them means any future merge bug trips the gate
+    /// immediately.
+    pub fn gate_metrics(&self) -> Vec<(String, f64)> {
+        gate_keys(
+            "partition",
+            &[
+                ("partitions", self.partitions as f64),
+                ("commits", self.merged.commits as f64),
+                ("commit_skew", self.commit_skew),
+                ("finish_skew_s", self.finish_skew_s),
+                ("merge_overhead", self.merge_overhead),
+                ("commits_sum_ratio", self.commits_sum_ratio),
+                ("bytes_sum_ratio", self.bytes_sum_ratio),
+                ("hist_p99_ratio", self.hist_p99_ratio),
+                ("curve_overlap", self.curve_overlap),
+            ],
+        )
+    }
 }
 
 /// Buckets `intervals` by start instant over the merged run's active span

@@ -21,12 +21,14 @@
 //! Everything is a pure function of the seed, so the suite is part of the
 //! CI bench-regression gate (`restore.*` metrics).
 
+use crate::report::{gate_keys, hist_line, hist_metrics, Report};
 use cloudsim_parallel::available_workers;
 use cloudsim_services::fleet::{run_fleet, FleetSpec};
 use cloudsim_services::{AccessLink, GcPolicy, ServiceProfile};
 use cloudsim_storage::ObjectStore;
 use cloudsim_trace::HistogramSummary;
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// Per-access-link row of the restore suite.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -83,6 +85,73 @@ impl RestoreSuite {
         } else {
             self.dedup_saved_bytes as f64 / self.restored_logical_bytes as f64
         }
+    }
+
+    /// Renders the restore suite: per-link download goodput against the
+    /// same link's upload goodput (the asymmetry table), time-to-first-byte,
+    /// and the cross-user dedup savings of the down path.
+    pub fn report(&self) -> Report {
+        let mut body = String::new();
+        let _ = writeln!(
+            body,
+            "{} clients ({} pullers), {} rounds of {}, one source departs after round 0",
+            self.clients, self.pullers, self.rounds, self.workload
+        );
+        let _ = writeln!(body, "\nrestore vs upload goodput by access link (Mb/s, simulated):");
+        let _ = writeln!(
+            body,
+            "{:<10} {:>8} {:>14} {:>14} {:>10}",
+            "link", "pullers", "restore Mb/s", "upload Mb/s", "ttfb s"
+        );
+        for row in &self.per_link {
+            let _ = writeln!(
+                body,
+                "{:<10} {:>8} {:>14.3} {:>14.3} {:>10.3}",
+                row.link,
+                row.pullers,
+                row.restore_goodput_bps / 1e6,
+                row.upload_goodput_bps / 1e6,
+                row.ttfb_secs,
+            );
+        }
+        let _ = writeln!(body, "\ndown-path volume:");
+        let _ = writeln!(
+            body,
+            "  restored {:.2} MB, downloaded {:.2} MB, dedup saved {:.2} MB ({:.0}%), {} clean failures",
+            self.restored_logical_bytes as f64 / 1e6,
+            self.downloaded_payload as f64 / 1e6,
+            self.dedup_saved_bytes as f64 / 1e6,
+            self.dedup_saved_fraction() * 100.0,
+            self.failures,
+        );
+        body.push('\n');
+        hist_line(&mut body, "restore", &self.restore_hist);
+        Report { title: "Restore: fleets pulling other users' content back down".to_string(), body }
+    }
+
+    /// The suite's gate metrics: down-path goodput and time-to-first-byte
+    /// per link class, the cross-user dedup savings of the pull direction,
+    /// the clean failures of the restore-after-departure path, and the
+    /// `hist.restore.*` pull-latency quadruple.
+    pub fn gate_metrics(&self) -> Vec<(String, f64)> {
+        let mut metrics = Vec::new();
+        for row in &self.per_link {
+            metrics.push((
+                format!("restore.goodput_mbps.{}", row.link),
+                row.restore_goodput_bps / 1e6,
+            ));
+            metrics.push((format!("restore.ttfb_s.{}", row.link), row.ttfb_secs));
+        }
+        metrics.extend(gate_keys(
+            "restore",
+            &[
+                ("downloaded_mb", self.downloaded_payload as f64 / 1e6),
+                ("dedup_saved_mb", self.dedup_saved_bytes as f64 / 1e6),
+                ("failures", self.failures as f64),
+            ],
+        ));
+        metrics.extend(hist_metrics("hist.restore", &self.restore_hist));
+        metrics
     }
 }
 

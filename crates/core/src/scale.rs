@@ -21,11 +21,13 @@
 //! gated as `fleetscale.*` metrics and the CI fleet-scale determinism leg
 //! `cmp`s two fresh JSON dumps byte for byte.
 
+use crate::report::{gate_keys, hist_line, hist_metrics, Report};
 use cloudsim_services::capture::{replay, FleetCapture, ReplayMix};
 use cloudsim_services::scale::{run_scale, ScaleRun, ScaleSpec};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{HistogramSummary, SimDuration};
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// Buckets of the reported server load curve.
 pub const LOAD_CURVE_BUCKETS: usize = 12;
@@ -76,6 +78,83 @@ pub struct FleetScaleSuite {
     /// text table for the "100k clients in minutes" claim.
     #[serde(skip)]
     pub wall_secs: f64,
+}
+
+impl FleetScaleSuite {
+    /// Renders the fleet-scale suite: the provider's view of a 100k+ client
+    /// population on the event heap — commits per virtual second, the
+    /// concurrency peak, population-scale dedup and the server load curve.
+    pub fn report(&self) -> Report {
+        let mut body = String::new();
+        let _ = writeln!(
+            body,
+            "{} lightweight clients, {} commits each of {}, over {:.0}s of virtual time",
+            self.clients, self.commits_per_client, self.workload, self.horizon_s,
+        );
+        let _ = writeln!(
+            body,
+            "\n{:>12} {:>10} {:>12} {:>12} {:>9} {:>14} {:>12} {:>9}",
+            "commits",
+            "files",
+            "logical MB",
+            "physical MB",
+            "dedup x",
+            "commits/vsec",
+            "conc peak",
+            "wall s"
+        );
+        let _ = writeln!(
+            body,
+            "{:>12} {:>10} {:>12.2} {:>12.2} {:>9.2} {:>14.2} {:>12} {:>9.2}",
+            self.commits,
+            self.files,
+            self.logical_mb,
+            self.physical_mb,
+            self.dedup_ratio,
+            self.commits_per_vsec,
+            self.concurrency_peak,
+            self.wall_secs,
+        );
+        body.push('\n');
+        hist_line(&mut body, "transfer", &self.transfer_hist);
+        let _ = writeln!(
+            body,
+            "\nserver load curve over the {:.0}s active span ({} buckets, commits per bucket):",
+            self.virtual_span_s,
+            self.load_curve.len(),
+        );
+        let top = self.load_curve.iter().copied().max().unwrap_or(0).max(1);
+        for (i, &count) in self.load_curve.iter().enumerate() {
+            let bar = "#".repeat((count * 40).div_ceil(top) as usize);
+            let _ = writeln!(body, "  [{i:>2}] {count:>8} {bar}");
+        }
+        Report {
+            title: "Fleet scale: 100k+ event-driven clients against the sharded store".to_string(),
+            body,
+        }
+    }
+
+    /// The suite's gate metrics, as a pure function of an assembled suite:
+    /// the live run and a replayed capture (`repro replay --metrics`) name
+    /// the very same `fleetscale.*` and `hist.scale_transfer.*` entries.
+    /// Wall-clock time is deliberately absent — it is the one
+    /// non-deterministic field.
+    pub fn gate_metrics(&self) -> Vec<(String, f64)> {
+        let mut metrics = gate_keys(
+            "fleetscale",
+            &[
+                ("commits", self.commits as f64),
+                ("commits_per_vsec", self.commits_per_vsec),
+                ("concurrency_peak", self.concurrency_peak as f64),
+                ("dedup_ratio", self.dedup_ratio),
+                ("logical_mb", self.logical_mb),
+                ("physical_mb", self.physical_mb),
+                ("virtual_span_s", self.virtual_span_s),
+            ],
+        );
+        metrics.extend(hist_metrics("hist.scale_transfer", &self.transfer_hist));
+        metrics
+    }
 }
 
 /// Assembles the suite from a finished run and its workload description —

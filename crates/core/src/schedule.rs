@@ -26,6 +26,7 @@
 //! gate (`schedule.*` metrics) and the `schedule-determinism` CI leg can
 //! `cmp` two fresh `repro schedule` dumps byte for byte.
 
+use crate::report::{gate_keys, hist_line, Report};
 use cloudsim_parallel::available_workers;
 use cloudsim_services::fleet::{run_fleet, FleetSpec};
 use cloudsim_services::schedule::ThinkTime;
@@ -34,6 +35,7 @@ use cloudsim_storage::ObjectStore;
 use cloudsim_trace::series::SampleStats;
 use cloudsim_trace::{HistogramSummary, SimDuration};
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// The service mix of the canonical temporal scenario, in slot order.
 pub fn schedule_profiles() -> Vec<ServiceProfile> {
@@ -132,6 +134,89 @@ impl ScheduleSuite {
         } else {
             0.0
         }
+    }
+
+    /// Renders the temporal schedule suite: sync/idle round accounting, the
+    /// start-up delay and completion distributions, the concurrency
+    /// high-water mark against its lock-step control, and the
+    /// background-vs-payload byte split.
+    pub fn report(&self) -> Report {
+        let mut body = String::new();
+        let _ = writeln!(
+            body,
+            "{} clients, {} rounds of {}, think {}, jitter <= {:.0}s, activation {:.2}",
+            self.clients,
+            self.rounds,
+            self.workload,
+            self.think,
+            self.arrival_jitter_s,
+            self.activation,
+        );
+        let _ = writeln!(
+            body,
+            "\nrounds: {} synced, {} idle ({:.0}% idle, keep-alive signalling only)",
+            self.sync_rounds,
+            self.idle_rounds,
+            self.idle_fraction() * 100.0
+        );
+        let _ = writeln!(body, "\ntemporal distributions (simulated seconds):");
+        let _ = writeln!(
+            body,
+            "{:<22} {:>7} {:>10} {:>10} {:>10} {:>10}",
+            "quantity", "samples", "mean", "min", "max", "stddev"
+        );
+        for (name, stats) in
+            [("startup delay", &self.startup_delay), ("completion", &self.completion)]
+        {
+            let _ = writeln!(
+                body,
+                "{:<22} {:>7} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
+                name, stats.count, stats.mean, stats.min, stats.max, stats.std_dev
+            );
+        }
+        hist_line(&mut body, "sync commit", &self.sync_hist);
+        let _ = writeln!(
+            body,
+            "\narrival spread {:.2}s; concurrency peak {} (lock-step control: {})",
+            self.first_sync_spread_s, self.concurrency_peak, self.lockstep_concurrency_peak,
+        );
+        let _ = writeln!(
+            body,
+            "background vs payload: {:.1} kB signalling vs {:.2} MB storage ({:.1}% background)",
+            self.background_wire_bytes as f64 / 1e3,
+            self.payload_wire_bytes as f64 / 1e6,
+            self.background_fraction() * 100.0,
+        );
+        let _ = writeln!(body, "\nper-client rounds (synced/idle):");
+        let _ = writeln!(body, "{:<12} {:>7} {:>6}", "user", "synced", "idle");
+        for (user, synced, idle) in &self.per_client_rounds {
+            let _ = writeln!(body, "{:<12} {:>7} {:>6}", user, synced, idle);
+        }
+        Report {
+            title: "Schedule: think times, idle rounds and arrival jitter on a virtual clock"
+                .to_string(),
+            body,
+        }
+    }
+
+    /// The suite's gate metrics: start-up delays, idle-round accounting,
+    /// the arrival spread, concurrency peaks (jittered vs lock-step) and
+    /// the §3.1-style background-vs-payload byte split.
+    pub fn gate_metrics(&self) -> Vec<(String, f64)> {
+        gate_keys(
+            "schedule",
+            &[
+                ("sync_rounds", self.sync_rounds as f64),
+                ("idle_rounds", self.idle_rounds as f64),
+                ("startup_delay_mean_s", self.startup_delay.mean),
+                ("completion_mean_s", self.completion.mean),
+                ("first_sync_spread_s", self.first_sync_spread_s),
+                ("concurrency_peak", self.concurrency_peak as f64),
+                ("lockstep_concurrency_peak", self.lockstep_concurrency_peak as f64),
+                ("background_kb", self.background_wire_bytes as f64 / 1e3),
+                ("payload_mb", self.payload_wire_bytes as f64 / 1e6),
+            ],
+        )
     }
 }
 

@@ -18,10 +18,12 @@
 //! and bounded (traced ≤ 1.5× traceless) by the `trace_overhead` Criterion
 //! bench rather than by a gate metric.
 
+use crate::report::{gate_keys, Report};
 use crate::scale::scale_spec;
 use cloudsim_services::scale::{run_scale, run_scale_traced};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// The trace-overhead suite's results.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -56,6 +58,72 @@ pub struct TraceOverheadSuite {
     /// like [`TraceOverheadSuite::traced_wall_secs`]).
     #[serde(skip)]
     pub baseline_wall_secs: f64,
+}
+
+impl TraceOverheadSuite {
+    /// Renders the trace-overhead suite: what the sharded packet capture of
+    /// a fleet-scale run contains, and what it cost in host time next to
+    /// the traceless baseline (the wall figures are text-only; the bound
+    /// itself is asserted by the `trace_overhead` Criterion bench).
+    pub fn report(&self) -> Report {
+        let mut body = String::new();
+        let _ = writeln!(
+            body,
+            "{} clients, {} commits, captured on one trace shard per worker",
+            self.clients, self.commits,
+        );
+        let _ = writeln!(
+            body,
+            "\n{:>10} {:>8} {:>8} {:>10} {:>12} {:>10} {:>13} {:>11}",
+            "packets",
+            "flows",
+            "syns",
+            "wire MB",
+            "logical MB",
+            "overhead",
+            "packets/vsec",
+            "pkts/commit"
+        );
+        let _ = writeln!(
+            body,
+            "{:>10} {:>8} {:>8} {:>10.2} {:>12.2} {:>10.4} {:>13.2} {:>11.1}",
+            self.packets,
+            self.flows,
+            self.syns,
+            self.wire_mb,
+            self.logical_mb,
+            self.overhead_ratio,
+            self.packets_per_vsec,
+            self.packets_per_commit,
+        );
+        let _ = writeln!(
+            body,
+            "\nwall time: traced {:.2}s vs traceless {:.2}s ({:.2}x)",
+            self.traced_wall_secs,
+            self.baseline_wall_secs,
+            self.traced_wall_secs / self.baseline_wall_secs.max(f64::MIN_POSITIVE),
+        );
+        Report { title: "Trace overhead: sharded packet capture at fleet scale".to_string(), body }
+    }
+
+    /// The suite's gate metrics. Every value is derived from the merged
+    /// capture (a pure function of the spec — the merge order is
+    /// worker-count independent); the wall-clock overhead bound lives in
+    /// the `trace_overhead` Criterion bench, which is where
+    /// non-deterministic numbers belong.
+    pub fn gate_metrics(&self) -> Vec<(String, f64)> {
+        gate_keys(
+            "trace",
+            &[
+                ("packets", self.packets as f64),
+                ("flows", self.flows as f64),
+                ("syns", self.syns as f64),
+                ("wire_mb", self.wire_mb),
+                ("overhead_ratio", self.overhead_ratio),
+                ("packets_per_vsec", self.packets_per_vsec),
+            ],
+        )
+    }
 }
 
 /// Runs the canonical fleet-scale population twice — tracing off, then

@@ -438,7 +438,11 @@ fn raw_field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
         match c {
             '"' => in_string = !in_string,
             '[' if !in_string => depth += 1,
-            ']' if !in_string => depth -= 1,
+            ']' if !in_string => {
+                depth = depth
+                    .checked_sub(1)
+                    .ok_or_else(|| format!("stray ']' in field \"{key}\": {line}"))?;
+            }
             ',' | '}' if !in_string && depth == 0 => return Ok(rest[..i].trim()),
             _ => {}
         }
@@ -694,6 +698,19 @@ mod tests {
         assert!(parse_capture(&truncated).unwrap_err().contains("events"));
         let bad_bytes = good.replacen("\"bytes\":262144", "\"bytes\":1", 1);
         assert!(parse_capture(&bad_bytes).unwrap_err().contains("bytes"));
+
+        // Broken bracket, quote and brace structure on an event line is an
+        // error naming the line — never a panic, never a wrapped depth.
+        let event = good.lines().nth(1).expect("an event line");
+        let broken = |line: String| parse_capture(&good.replacen(event, &line, 1)).unwrap_err();
+        let stray = event.replacen("\"t_us\":", "\"t_us\":]", 1);
+        let err = broken(stray.clone());
+        assert!(err.contains("stray ']'") && err.contains(&stray), "got: {err}");
+        let unbalanced = event.replacen("\"sync\"", "\"sync", 1);
+        assert!(broken(unbalanced.clone()).contains(&unbalanced));
+        let unclosed = event.trim_end_matches('}').to_string();
+        let err = broken(unclosed.clone());
+        assert!(err.contains("unterminated field") && err.contains(&unclosed), "got: {err}");
     }
 
     #[test]
