@@ -13,6 +13,7 @@
 
 use cloudbench::report::Report;
 use cloudsim_services::capture::{parse_capture, FleetCapture};
+use cloudsim_services::scale::ScaleSpec;
 
 use crate::suites::Output;
 
@@ -79,9 +80,17 @@ pub fn parse_count(args: &[String], flag: &str, default: usize, usage: &str) -> 
 }
 
 /// The shared `--clients` flag: every population-scale subcommand defaults
-/// to the paper-scale 100 000 clients.
+/// to the paper-scale 100 000 clients. A population past
+/// [`ScaleSpec::MAX_CLIENTS`] cannot be indexed by the store's `u32` user
+/// ids; it dies with usage here rather than panicking (or exhausting
+/// memory) inside the run.
 pub fn parse_clients(args: &[String], usage: &str) -> usize {
-    parse_count(args, "--clients", 100_000, usage)
+    let clients = parse_count(args, "--clients", 100_000, usage);
+    if clients > ScaleSpec::MAX_CLIENTS {
+        let most = ScaleSpec::MAX_CLIENTS;
+        die_usage(&format!("--clients must be at most {most}, got {clients}"), usage);
+    }
+    clients
 }
 
 /// Resolves a string-valued flag (`--json`, `--capture`, `--metrics`,

@@ -83,6 +83,11 @@ fn malformed_counted_flags_die_with_usage_everywhere() {
         ["fleet-scale", "--clients"].as_slice(),
         ["partition", "--clients", "abc"].as_slice(),
         ["trace", "--clients", "-5"].as_slice(),
+        // More clients than the store's u32 user ids can index: an error
+        // naming the flag, not a wrapped id, a panic or an abort.
+        ["fleet-scale", "--clients", "4294967296"].as_slice(),
+        ["partition", "--clients", "268435456"].as_slice(),
+        ["trace", "--clients", "18446744073709551615"].as_slice(),
         ["fig6", "--reps", "zero"].as_slice(),
     ] {
         let out = repro(args);

@@ -2,9 +2,9 @@
 //!
 //! The sharded trace recorder promises that switching capture on does not
 //! perturb the simulation (the traced run's data is bit-identical to the
-//! traceless run) and does not meaningfully slow it down (each worker
-//! records into its own preallocated [`cloudsim_trace::TraceShard`]; the
-//! only added work is appends plus one k-way merge at the end). This suite
+//! traceless run) and does not meaningfully slow it down (the fleet-scale
+//! runner records into one preallocated [`cloudsim_trace::TraceShard`]; the
+//! only added work is appends plus one sort at the end). This suite
 //! runs the canonical fleet-scale population twice — tracing off, tracing
 //! on — asserts the bit-identity, and reports what the capture contains:
 //! packets, flows, connection opens, wire volume, and the wire/logical
@@ -69,7 +69,7 @@ impl TraceOverheadSuite {
         let mut body = String::new();
         let _ = writeln!(
             body,
-            "{} clients, {} commits, captured on one trace shard per worker",
+            "{} clients, {} commits, captured on one trace shard",
             self.clients, self.commits,
         );
         let _ = writeln!(
@@ -127,7 +127,7 @@ impl TraceOverheadSuite {
 }
 
 /// Runs the canonical fleet-scale population twice — tracing off, then
-/// tracing on with one shard per host core — asserts the traced run's data
+/// tracing on — asserts the traced run's data
 /// is bit-identical to the baseline, and assembles the suite from the
 /// merged capture.
 pub fn run_trace_overhead(clients: usize, seed: u64) -> TraceOverheadSuite {

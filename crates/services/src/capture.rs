@@ -31,7 +31,7 @@
 use crate::engine::{FleetEvent, Phase};
 use crate::partition::ClientSet;
 use crate::profile::ServiceProfile;
-use crate::scale::{drive_plain, Commits, ScaleRun, ScaleSpec, Source};
+use crate::scale::{drive_plain, intern_paths, Commits, ScaleRun, ScaleSpec, Source};
 use cloudsim_net::AccessLink;
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{SimDuration, SimTime};
@@ -165,13 +165,15 @@ impl FleetCapture {
 
     /// Resolves the capture's commits for the driver under `mix`, with
     /// their events (global client ids, recorded order): the recorded
-    /// seeds and shape, the mix's links and round trips. Events keep their
-    /// global client ids, so a slice commits into the same store keyspace
-    /// and through the same round-robin link assignment as its clients'
-    /// share of the unsliced run.
+    /// seeds and shape, the mix's links and round trips, paths interned
+    /// into `store`. Events keep their global client ids, so a slice
+    /// commits into the same store keyspace and through the same
+    /// round-robin link assignment as its clients' share of the unsliced
+    /// run.
     pub(crate) fn commits(
         &self,
         mix: &ReplayMix,
+        store: &ObjectStore,
     ) -> Result<(Commits<'_>, Vec<FleetEvent>), String> {
         self.validate()?;
         let links: Vec<AccessLink> = match mix {
@@ -218,9 +220,14 @@ impl FleetCapture {
             owned: ClientSet::Range { start: base, end: base + self.clients },
             files_per_commit: self.files_per_commit,
             file_size: self.file_size,
-            shared_files: self.shared_files_per_commit,
             rtts_per_commit,
             links,
+            paths: intern_paths(
+                store,
+                commits_per_client,
+                self.files_per_commit,
+                self.shared_files_per_commit,
+            )?,
             seeds: Box::new(move |ev, f| table[slot_of(ev.client, ev.round)][f]),
         };
         Ok((commits, events))
@@ -232,6 +239,7 @@ impl FleetCapture {
 /// of the spec — the recording *is* the run's input, bit for bit.
 pub fn capture_of_spec(spec: &ScaleSpec) -> FleetCapture {
     let batch_bytes = spec.files_per_commit as u64 * spec.file_size;
+    let shared_files = spec.shared_files_per_commit();
     let mut events = Vec::with_capacity(spec.clients * spec.commits_per_client);
     let mut heap = spec.events();
     while let Some(ev) = heap.pop() {
@@ -241,7 +249,7 @@ pub fn capture_of_spec(spec: &ScaleSpec) -> FleetCapture {
             round: ev.round,
             bytes: batch_bytes,
             content_seeds: (0..spec.files_per_commit)
-                .map(|f| spec.content_seed(ev.client, ev.round, f))
+                .map(|f| spec.content_seed(shared_files, ev.client, ev.round, f))
                 .collect(),
         });
     }
@@ -251,7 +259,7 @@ pub fn capture_of_spec(spec: &ScaleSpec) -> FleetCapture {
         commits_per_client: spec.commits_per_client,
         files_per_commit: spec.files_per_commit,
         file_size: spec.file_size,
-        shared_files_per_commit: spec.shared_files_per_commit(),
+        shared_files_per_commit: shared_files,
         horizon: spec.horizon,
         link_names: spec.links.iter().map(|l| l.name.to_owned()).collect(),
         seed: spec.seed,
@@ -571,14 +579,19 @@ pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
     Ok(capture)
 }
 
-/// Re-drives a capture through the commit runner ([`crate::scale`]) on up
-/// to `workers` threads against a fresh mark-sweep store.
-/// [`ReplayMix::Original`] reproduces the recorded run bit for bit; the
-/// other mixes substitute one factor and hold the workload fixed. A capture
-/// that fails [`FleetCapture::validate`] is an `Err`, parsed or hand-built.
-pub fn replay(capture: &FleetCapture, mix: &ReplayMix, workers: usize) -> Result<ScaleRun, String> {
+/// Re-drives a capture through the commit runner ([`crate::scale`])
+/// against a fresh mark-sweep store. [`ReplayMix::Original`] reproduces the
+/// recorded run bit for bit; the other mixes substitute one factor and hold
+/// the workload fixed. A capture that fails [`FleetCapture::validate`] is
+/// an `Err`, parsed or hand-built. `_workers` is ignored, as in
+/// [`crate::scale::run_scale`].
+pub fn replay(
+    capture: &FleetCapture,
+    mix: &ReplayMix,
+    _workers: usize,
+) -> Result<ScaleRun, String> {
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-    let driven = drive_plain(Source::Capture(capture, mix), &store, workers)?;
+    let driven = drive_plain(Source::Capture(capture, mix), &store)?;
     Ok(driven.into_run(store))
 }
 
@@ -591,9 +604,9 @@ mod tests {
         ScaleSpec::new(48).with_seed(0xCAB)
     }
 
-    /// [`replay`] with one worker per host core, like [`run_wide`].
+    /// [`replay`] the way [`run_wide`] runs a spec.
     fn replay_wide(capture: &FleetCapture, mix: &ReplayMix) -> Result<ScaleRun, String> {
-        replay(capture, mix, cloudsim_parallel::available_workers())
+        replay(capture, mix, 1)
     }
 
     #[test]

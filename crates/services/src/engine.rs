@@ -14,11 +14,10 @@
 //! ## Sort once, never push
 //!
 //! [`EventHeap`] keeps its historical name but is not a binary heap: it is
-//! the event list sorted once plus a cursor. Every driver — the full fleet,
-//! the scale runner, capture replay, a partition — derives *all* of its
-//! events from pure data (a schedule, a spec, a capture) before the first
-//! one fires, and no event handler ever schedules another, so nothing is
-//! pushed after construction and a heap's per-pop sift buys nothing. A wave
+//! the event list sorted once plus a cursor. Every driver derives *all* of
+//! its events from pure data (a schedule, a spec, a capture) before the
+//! first one fires, and no event handler ever schedules another, so nothing
+//! is pushed after construction and a heap's per-pop sift buys nothing. A wave
 //! is then just a sub-slice of the sorted array, lent without copying. If
 //! a driver ever needs to schedule events dynamically, that is the day a
 //! `push` (and a real heap) earns its place again.
@@ -47,7 +46,12 @@
 //! order-independent (commits and reads commute), so a wave may execute on
 //! any number of worker threads and still produce bit-identical results —
 //! the engine-level analogue of the old phase barrier, without the
-//! per-round materialisation.
+//! per-round materialisation. Only the full-fidelity fleet
+//! ([`crate::fleet`]) executes waves: its clients restore from, leave and
+//! garbage-collect a store other clients are writing, so phases must not
+//! overlap. The fleet-scale path ([`crate::scale`]) only ever commits —
+//! updates that commute — so it walks its sorted events straight through
+//! and keeps waves as a reported count ([`wave_count`]).
 //!
 //! ```
 //! use cloudsim_services::engine::{EventHeap, FleetEvent, Phase};
@@ -281,11 +285,6 @@ impl EventHeap {
         let wave = &rest[..leading_wave(rest, &mut self.seen)];
         self.next += wave.len();
         Some(EventWave { phase: wave.first()?.phase, events: wave })
-    }
-
-    /// Every event the queue was built over, fired or not, in key order.
-    pub(crate) fn into_events(self) -> Vec<FleetEvent> {
-        self.events
     }
 }
 

@@ -9,16 +9,19 @@
 //! over a live spec — and hands each partition a self-contained
 //! [`PartitionSpec`]. A worker drives its partition through the one commit
 //! runner ([`crate::scale`]) — the unsliced run is that same runner handed
-//! the partition that owns everyone — and returns a [`PartitionRun`]; the
-//! controller then merges the per-partition results:
+//! the partition that owns everyone; the runner walks whatever set it is
+//! handed on one thread, so partitions are the scale path's one unit of
+//! parallelism — and returns a [`PartitionRun`]; the controller then merges
+//! the per-partition results:
 //!
 //! * **busy-chaining is per-client**: a client's commits serialise on its
 //!   own link and never touch another client's state, so driving a client's
 //!   events inside any partition produces the same intervals as the
 //!   unsliced heap;
 //! * **store aggregates are commutative**: all partitions commit into the
-//!   one shared store, whose accounting is order-independent — the same
-//!   property that already makes waves parallelisable;
+//!   one shared store, whose accounting is order-independent, and scale
+//!   clients interact through nothing else — so partitions run with no
+//!   barrier between them;
 //! * **interval and histogram merges are order-independent**: per-partition
 //!   event streams are subsequences of the globally key-ordered stream, so
 //!   merging them by [`FleetEvent::key`] reconstructs the global firing
@@ -168,7 +171,8 @@ pub struct PartitionRun {
     pub events: Vec<FleetEvent>,
     /// Transfer intervals, parallel to `events`.
     pub intervals: Vec<(SimTime, SimTime)>,
-    /// Waves the partition's own sub-heap split into.
+    /// Waves the partition's own event stream splits into
+    /// ([`wave_count`]; the scale path counts waves, it does not run them).
     pub waves: usize,
     /// Commits the partition performed.
     pub commits: u64,
@@ -258,15 +262,16 @@ pub fn capture_partitions(
         .collect())
 }
 
-/// Drives one partition on up to `workers` threads against the shared
-/// store, through the same commit runner as the unsliced run
-/// ([`crate::scale`]) — which is simply the partition that owns everyone.
-/// Returns the partition's events (global indices, firing order) alongside
-/// their intervals and the partition's totals.
+/// Drives one partition on the calling thread against the shared store,
+/// through the same commit runner as the unsliced run ([`crate::scale`]) —
+/// which is simply the partition that owns everyone. Returns the
+/// partition's events (global indices, firing order) alongside their
+/// intervals and the partition's totals. `_workers` is ignored, as in
+/// [`crate::scale::run_scale`]: to use more threads, cut more partitions.
 pub fn run_partition(
     part: &PartitionSpec,
     store: &ObjectStore,
-    workers: usize,
+    _workers: usize,
 ) -> Result<PartitionRun, String> {
     let source = match &part.workload {
         PartitionWorkload::Spec(spec) => Source::Spec(spec, &part.clients),
@@ -284,16 +289,16 @@ pub fn run_partition(
             Source::Capture(capture, &ReplayMix::Original)
         }
     };
-    let driven = drive_plain(source, store, workers)
-        .map_err(|err| format!("partition {}: {err}", part.index))?;
+    let driven =
+        drive_plain(source, store).map_err(|err| format!("partition {}: {err}", part.index))?;
     Ok(PartitionRun {
         index: part.index,
         clients: part.clients.clone(),
         commits: driven.commits,
         logical_bytes: driven.logical_bytes,
+        waves: wave_count(&driven.events),
         events: driven.events,
         intervals: driven.intervals,
-        waves: driven.waves,
     })
 }
 
@@ -368,9 +373,9 @@ pub struct PartitionedRun {
     pub merged_waves: usize,
 }
 
-/// The controller: runs the prepared partitions concurrently against one
-/// shared store and merges the results. Worker threads are divided evenly
-/// across partitions.
+/// The controller: runs the prepared partitions concurrently — one thread
+/// each, up to the host's parallelism — against one shared store and
+/// merges the results.
 fn run_controller(
     parts: &[PartitionSpec],
     client_base: usize,
@@ -379,14 +384,11 @@ fn run_controller(
 ) -> Result<PartitionedRun, String> {
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
     let started = std::time::Instant::now();
-    let k = parts.len().max(1);
-    let available = cloudsim_parallel::available_workers();
-    let per_partition = (available / k).max(1);
     let results: Vec<Result<PartitionRun, String>> = cloudsim_parallel::run_indexed(
-        available.min(k),
+        cloudsim_parallel::available_workers(),
         parts.len(),
         || (),
-        |(), i| run_partition(&parts[i], &store, per_partition),
+        |(), i| run_partition(&parts[i], &store, 1),
     );
     let mut finished = Vec::with_capacity(parts.len());
     for result in results {
@@ -467,7 +469,9 @@ mod tests {
     fn striped_partitions_recombine_bit_identically_to_the_unsliced_run() {
         let spec = small_spec();
         let whole = run_wide(&spec);
-        for partitions in [1usize, 2, 7] {
+        // Counts that do and do not divide the population or the store's
+        // 16 shards, up to one partition per client.
+        for partitions in [1usize, 2, 3, 7, 8, 60] {
             let split = run_partitioned(&spec, partitions);
             assert_eq!(split.run.commits, whole.commits);
             assert_eq!(split.run.files, whole.files);
@@ -489,8 +493,7 @@ mod tests {
     fn sliced_capture_replays_recombine_bit_identically() {
         let spec = small_spec();
         let capture = capture_of_spec(&spec);
-        let whole =
-            replay(&capture, &ReplayMix::Original, cloudsim_parallel::available_workers()).unwrap();
+        let whole = replay(&capture, &ReplayMix::Original, 1).unwrap();
         let split = replay_partitioned(&capture, 4).unwrap();
         assert_eq!(split.run.intervals, whole.intervals);
         assert_eq!(split.run.aggregate(), whole.aggregate());

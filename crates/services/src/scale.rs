@@ -13,14 +13,23 @@
 //! content seeds — no file bytes are ever generated or retained, because
 //! at 100k clients the plaintext would dominate the host's memory).
 //!
-//! Execution rides the same [`EventHeap`] as the full fleet: one
-//! [`Phase::Sync`] event per `(client, commit)` pair, ordered by
-//! `(timestamp, client id)`, lent out in waves of pairwise-distinct clients
-//! and fanned out over worker threads. Each event touches only its client's
-//! state record plus the shared store, whose aggregate accounting is
-//! order-independent — so a parallel run and the sequential replay are
-//! bit-identical, and two runs of the same spec dump identical JSON (the CI
-//! fleet-scale determinism leg `cmp`s exactly that).
+//! Execution is one sequential walk: one [`Phase::Sync`] event per
+//! `(client, commit)` pair, sorted once by `(timestamp, client id)` and
+//! executed first to last on the calling thread. An event touches only its
+//! client's state record plus the shared store, and scale clients never
+//! interact except through the store's commutative updates, so nothing
+//! here needs the wave-by-wave lock step the full-fidelity fleet
+//! ([`crate::fleet`]) executes — waves survive on this path only as a
+//! *count* ([`crate::engine::wave_count`]) the partition suite reports.
+//! Parallelism is the partition runner's business ([`crate::partition`]:
+//! disjoint client sets, one thread each, merged by event key into exactly
+//! this walk's order), which is what makes a partitioned run bit-identical
+//! to this one, and two runs of the same spec dump identical JSON (the CI
+//! fleet-scale determinism leg `cmp`s exactly that). Splitting the walk
+//! itself across threads was measured and deleted: with every thread
+//! writing every store shard, two client stripes ran at 0.78× one thread
+//! on the perf instrument's 10k-client row (`services.scale_nw_speedup`),
+//! so `workers` arguments on this path are accepted and ignored.
 //!
 //! ## One commit runner
 //!
@@ -29,25 +38,33 @@
 //! thin adapter over the private `drive`: the adapter names a `Source` (a
 //! spec plus the [`ClientSet`] it drives, or a capture under a replay mix)
 //! and post-processes the result; `drive` starts the wall clock, resolves
-//! the source *once* into its events and per-commit shape (`Commits`),
-//! sorts the events, and walks the waves through the one commit executor.
-//! Per-worker contexts arrive as a `&mut [C]` and an observe hook sees
-//! every executed commit: packet capture is the traceless run with trace
-//! shards as the contexts and the packet recorder as the hook. The
-//! unsliced run is simply the partition that owns every client, so there
-//! is no second loop for the bit-identity tests to keep in step.
+//! the source *once* into its events, per-commit shape and interned paths
+//! (`Commits`), interns the owned clients, sorts the events, and walks
+//! them through the one commit executor. An observe hook sees every
+//! executed commit: packet capture is the traceless run with the packet
+//! recorder as the hook. The unsliced run is simply the partition that
+//! owns every client, so there is no second loop for the bit-identity
+//! tests to keep in step.
 //!
-//! Memory discipline is the point: the per-client budget is the state
-//! record plus the client's share of the event list and the interval log —
-//! a few hundred bytes per client, asserted by a `size_of` test below —
-//! against the many kilobytes a `SyncClient` costs. 100k clients fit in a
-//! few tens of megabytes before store contents.
+//! ## Memory discipline
+//!
+//! The runner's own per-client budget is the state record, the client's
+//! interned store id and its share of the event list and the interval log
+//! — under 256 bytes per client, asserted by a `size_of` test below —
+//! against the many kilobytes a `SyncClient` costs. The store is the
+//! larger share: a client's eight files cost it eight entries in each of
+//! the store's two per-user tables plus its private chunks' physical
+//! entries (see the store's module docs; about 2.4 kB per client all-in at
+//! 100k clients, measured). The commit loop itself allocates nothing:
+//! users and paths are interned when the run is resolved and every store
+//! call takes ids and a stack `[hash]` — an integration test with a
+//! counting allocator holds a whole run to eight allocations per commit.
 
 use crate::capture::{FleetCapture, ReplayMix};
 use crate::engine::{EventHeap, FleetEvent, Phase};
 use crate::partition::ClientSet;
 use cloudsim_net::AccessLink;
-use cloudsim_storage::{AggregateStats, ContentHash, FileManifest, ObjectStore, StoredChunk};
+use cloudsim_storage::{AggregateStats, ContentHash, ObjectStore, PathId, StoredChunk, UserId};
 use cloudsim_trace::packet::{
     Direction, Endpoint, PacketRecord, TcpFlags, TransportProtocol, TCP_HEADER_BYTES,
 };
@@ -62,6 +79,26 @@ use serde::Serialize;
 /// store keyspace from client indices alone.
 pub(crate) fn scale_user(i: usize) -> String {
     format!("scale-{i:06}")
+}
+
+/// Interns the store paths of one client's files, indexed
+/// `round * files_per_commit + file`. Every client commits the same
+/// paths, so a run interns `commits × files` of them, once.
+pub(crate) fn intern_paths(
+    store: &ObjectStore,
+    commits_per_client: usize,
+    files_per_commit: usize,
+    shared_files: usize,
+) -> Result<Vec<PathId>, String> {
+    let mut paths = Vec::with_capacity(commits_per_client * files_per_commit);
+    for round in 0..commits_per_client {
+        for f in 0..files_per_commit {
+            let label = if f < shared_files { "shared" } else { "private" };
+            let path = format!("{label}/c{round:03}_f{f:03}");
+            paths.push(store.intern_path(&path).map_err(|e| e.to_string())?);
+        }
+    }
+    Ok(paths)
 }
 
 /// Salt distinguishing commit-instant draws from every other seeded stream.
@@ -95,6 +132,13 @@ pub struct ScaleSpec {
 }
 
 impl ScaleSpec {
+    /// The largest population a run accepts: every client is one interned
+    /// `u32` user id in the store, and this many fit whatever shards the
+    /// names hash to in a default-sharded store. [`run_scale`] and its
+    /// siblings panic on a larger spec instead of wrapping an id; `repro`
+    /// rejects a larger `--clients` up front.
+    pub const MAX_CLIENTS: usize = u32::MAX as usize / cloudsim_storage::DEFAULT_SHARDS;
+
     /// A population of `clients` uploaders: two commits each of four 64 kB
     /// files (half from the shared pool) spread over one virtual hour,
     /// across all four link presets.
@@ -165,16 +209,15 @@ impl ScaleSpec {
         SimTime::ZERO + self.horizon * unit_f64(draw)
     }
 
-    /// The content seed of file `f` of client `i`'s commit `k`. Shared-pool
-    /// files exclude the client index, so the same hash lands from every
-    /// client and the server dedups it to one physical entry. Captures
-    /// record these seeds verbatim so a replay commits identical hashes.
-    pub(crate) fn content_seed(&self, i: usize, k: usize, f: usize) -> u64 {
-        if f < self.shared_files_per_commit() {
-            derive_seed(self.seed, u64::MAX, k as u64, SALT_SCALE_CONTENT + f as u64)
-        } else {
-            derive_seed(self.seed, i as u64, k as u64, SALT_SCALE_CONTENT + f as u64)
-        }
+    /// The content seed of file `f` of client `i`'s commit `k`, the first
+    /// `shared_files` ([`ScaleSpec::shared_files_per_commit`], which the
+    /// caller computes once) of a commit being shared-pool files: those
+    /// exclude the client index, so the same hash lands from every client
+    /// and the server dedups it to one physical entry. Captures record
+    /// these seeds verbatim so a replay commits identical hashes.
+    pub(crate) fn content_seed(&self, shared_files: usize, i: usize, k: usize, f: usize) -> u64 {
+        let owner = if f < shared_files { u64::MAX } else { i as u64 };
+        derive_seed(self.seed, owner, k as u64, SALT_SCALE_CONTENT + f as u64)
     }
 
     /// The trace flow id of client `i`'s commit `k` — a pure function of
@@ -210,8 +253,12 @@ impl ScaleSpec {
     /// Resolves the commits of the clients `owned` holds for the driver,
     /// with their events (global client ids, set order): one bundled round
     /// trip per commit over the spec's own links, content seeds derived on
-    /// demand.
-    fn commits(&self, owned: &ClientSet) -> Result<(Commits<'_>, Vec<FleetEvent>), String> {
+    /// demand, paths interned into `store`.
+    fn commits(
+        &self,
+        owned: &ClientSet,
+        store: &ObjectStore,
+    ) -> Result<(Commits<'_>, Vec<FleetEvent>), String> {
         self.validate();
         if let Some(stray) = owned.iter().find(|&i| i >= self.clients) {
             return Err(format!(
@@ -219,20 +266,32 @@ impl ScaleSpec {
                 self.clients
             ));
         }
+        let shared_files = self.shared_files_per_commit();
         let commits = Commits {
             owned: owned.clone(),
             files_per_commit: self.files_per_commit,
             file_size: self.file_size,
-            shared_files: self.shared_files_per_commit(),
             rtts_per_commit: 1,
             links: self.links.clone(),
-            seeds: Box::new(|ev, f| self.content_seed(ev.client, ev.round, f)),
+            paths: intern_paths(
+                store,
+                self.commits_per_client,
+                self.files_per_commit,
+                shared_files,
+            )?,
+            seeds: Box::new(move |ev, f| self.content_seed(shared_files, ev.client, ev.round, f)),
         };
         Ok((commits, self.events_of(owned)))
     }
 
     pub(crate) fn validate(&self) {
         assert!(self.clients > 0, "a scale run needs at least one client");
+        assert!(
+            self.clients <= ScaleSpec::MAX_CLIENTS,
+            "a scale run indexes at most {} clients, got {}",
+            ScaleSpec::MAX_CLIENTS,
+            self.clients
+        );
         assert!(self.commits_per_client > 0, "a scale run needs at least one commit per client");
         assert!(self.files_per_commit > 0, "a commit needs at least one file");
         assert!(self.file_size > 0, "files must have at least one byte");
@@ -290,50 +349,43 @@ pub(crate) struct Commits<'a> {
     pub(crate) owned: ClientSet,
     pub(crate) files_per_commit: usize,
     pub(crate) file_size: u64,
-    /// Leading files of each commit drawn from the shared pool.
-    pub(crate) shared_files: usize,
     /// Access round trips a commit pays: one when the service bundles, one
     /// per file when a replay remaps onto a service that does not.
     pub(crate) rtts_per_commit: u64,
     /// Access links, round-robin over global client ids.
     pub(crate) links: Vec<AccessLink>,
+    /// The interned store paths of a client's files (see [`intern_paths`]).
+    pub(crate) paths: Vec<PathId>,
     pub(crate) seeds: ContentSeeds<'a>,
 }
 
 impl Commits<'_> {
     /// Executes one commit transfer: commits the event's chunk hashes
-    /// (metadata-only) plus one manifest per file into the shared store,
-    /// and advances the client's analytic timeline — the transfer starts
-    /// when both the event instant and the client's link are ready, and
-    /// lasts `rtts_per_commit` access round trips plus the serialised
-    /// transmission time of the commit's bytes.
+    /// (metadata-only) plus one manifest per file into the shared store as
+    /// `user`, and advances the client's analytic timeline — the transfer
+    /// starts when both the event instant and the client's link are ready,
+    /// and lasts `rtts_per_commit` access round trips plus the serialised
+    /// transmission time of the commit's bytes. Ids in, a stack `[hash]`
+    /// per file: nothing here allocates.
     fn execute(
         &self,
         store: &ObjectStore,
         ev: &FleetEvent,
-        mut state: ScaleClientState,
-    ) -> (ScaleClientState, (SimTime, SimTime)) {
-        let user = scale_user(ev.client);
+        user: UserId,
+        state: &mut ScaleClientState,
+    ) -> (SimTime, SimTime) {
         let link = &self.links[ev.client % self.links.len()];
-        let (file_size, round) = (self.file_size, ev.round);
+        let file_size = self.file_size;
         let batch_bytes = self.files_per_commit as u64 * file_size;
+        let paths = &self.paths[ev.round * self.files_per_commit..][..self.files_per_commit];
 
-        for f in 0..self.files_per_commit {
+        for (f, &path) in paths.iter().enumerate() {
             let hash = synth_hash((self.seeds)(ev, f));
-            store.put_chunk(
-                &user,
+            store.put_chunk_by_id(
+                user,
                 StoredChunk { hash, stored_len: file_size, plain_len: file_size },
             );
-            let label = if f < self.shared_files { "shared" } else { "private" };
-            store.commit_manifest(
-                &user,
-                FileManifest {
-                    path: format!("{label}/c{round:03}_f{f:03}"),
-                    size: file_size,
-                    chunks: vec![hash],
-                    version: 0,
-                },
-            );
+            store.commit_manifest_by_id(user, path, file_size, &[hash]);
         }
 
         let start = ev.at.max(state.busy_until);
@@ -343,7 +395,7 @@ impl Commits<'_> {
         state.busy_until = end;
         state.logical_bytes += batch_bytes;
         state.commits += 1;
-        (state, (start, end))
+        (start, end)
     }
 }
 
@@ -363,8 +415,6 @@ pub(crate) struct Driven {
     pub(crate) events: Vec<FleetEvent>,
     /// Transfer intervals, parallel to `events`.
     pub(crate) intervals: Vec<(SimTime, SimTime)>,
-    /// Waves the events split into.
-    pub(crate) waves: usize,
 }
 
 impl Driven {
@@ -382,50 +432,40 @@ impl Driven {
     }
 }
 
-/// The one commit runner. Resolves `source` into its [`Commits`], sorts
-/// the events once, then pops waves and fans each out over one thread per
-/// entry of `contexts`, threading per-client state records through
-/// [`Commits::execute`]. Every wave holds pairwise-distinct clients whose
-/// store commits commute, so any worker count produces bit-identical
-/// states and intervals. After a commit executes, `observe` sees the
-/// worker's context, the event and its transfer interval — the packet
-/// capture plugs its per-worker trace shards in here; see [`drive_plain`]
-/// for the no-op default.
+/// The one commit runner. Resolves `source` into its [`Commits`], interns
+/// the owned clients (in client order), sorts the events once and executes
+/// them first to last on the calling thread, threading per-client state
+/// records through [`Commits::execute`]. After a commit executes, `observe`
+/// sees the event and its transfer interval — the packet capture plugs its
+/// recorder in here; see [`drive_plain`] for the no-op default.
 ///
 /// An unsliced run is the one-partition run: its [`ClientSet`] is the
 /// whole range, and nothing below distinguishes it from a slice.
-pub(crate) fn drive<C: Send>(
+pub(crate) fn drive(
     source: Source<'_>,
     store: &ObjectStore,
-    contexts: &mut [C],
-    observe: impl Fn(&mut C, &FleetEvent, (SimTime, SimTime)) + Sync,
+    mut observe: impl FnMut(&FleetEvent, (SimTime, SimTime)),
 ) -> Result<Driven, String> {
     let started = std::time::Instant::now();
-    let (commits, events) = match source {
-        Source::Spec(spec, owned) => spec.commits(owned)?,
-        Source::Capture(capture, mix) => capture.commits(mix)?,
+    let (commits, mut events) = match source {
+        Source::Spec(spec, owned) => spec.commits(owned, store)?,
+        Source::Capture(capture, mix) => capture.commits(mix, store)?,
     };
-    let mut queue = EventHeap::from_events(events);
-    let local = |ev: &FleetEvent| {
-        commits.owned.local_index(ev.client).expect("a resolved event's client is owned")
-    };
-    let mut states = vec![ScaleClientState::default(); commits.owned.len()];
-    let mut intervals = Vec::with_capacity(queue.len());
-    let mut waves = 0usize;
-
-    while let Some(wave) = queue.next_wave() {
-        waves += 1;
-        let results =
-            cloudsim_parallel::run_with_contexts(contexts, wave.events.len(), |ctx, k| {
-                let ev = &wave.events[k];
-                let (state, interval) = commits.execute(store, ev, states[local(ev)]);
-                observe(ctx, ev, interval);
-                (state, interval)
-            });
-        for (ev, (state, interval)) in wave.events.iter().zip(results) {
-            states[local(ev)] = state;
-            intervals.push(interval);
-        }
+    let users = commits
+        .owned
+        .iter()
+        .map(|i| store.intern_user(&scale_user(i)))
+        .collect::<Result<Vec<UserId>, _>>()
+        .map_err(|e| e.to_string())?;
+    events.sort_unstable();
+    let mut states = vec![ScaleClientState::default(); users.len()];
+    let mut intervals = Vec::with_capacity(events.len());
+    for ev in &events {
+        let local =
+            commits.owned.local_index(ev.client).expect("a resolved event's client is owned");
+        let interval = commits.execute(store, ev, users[local], &mut states[local]);
+        observe(ev, interval);
+        intervals.push(interval);
     }
     Ok(Driven {
         started,
@@ -433,28 +473,23 @@ pub(crate) fn drive<C: Send>(
         files_per_commit: commits.files_per_commit,
         commits: states.iter().map(|s| s.commits as u64).sum(),
         logical_bytes: states.iter().map(|s| s.logical_bytes).sum(),
-        events: queue.into_events(),
+        events,
         intervals,
-        waves,
     })
 }
 
-/// [`drive`] on up to `workers` threads with nothing observing.
-pub(crate) fn drive_plain(
-    source: Source<'_>,
-    store: &ObjectStore,
-    workers: usize,
-) -> Result<Driven, String> {
-    drive(source, store, &mut vec![(); workers.max(1)], |(), _, _| {})
+/// [`drive`] with nothing observing.
+pub(crate) fn drive_plain(source: Source<'_>, store: &ObjectStore) -> Result<Driven, String> {
+    drive(source, store, |_, _| {})
 }
 
-/// Records the packet skeleton of one commit into a worker's trace shard:
-/// the connection SYN at the transfer start, then one storage payload
-/// packet per file at its analytic completion instant. Timestamps, sizes
-/// and the flow id ([`ScaleSpec::commit_flow`]) are pure functions of the
-/// spec, and a commit's packets land contiguously in exactly one shard, so
-/// the `(timestamp, flow, seq)` merge reproduces one canonical trace for
-/// any worker count.
+/// Records the packet skeleton of one commit into a trace shard: the
+/// connection SYN at the transfer start, then one storage payload packet
+/// per file at its analytic completion instant. Timestamps, sizes and the
+/// flow id ([`ScaleSpec::commit_flow`]) are pure functions of the spec, and
+/// a commit's packets land contiguously in exactly one shard, so the
+/// `(timestamp, flow, seq)` merge reproduces one canonical trace however
+/// commits are spread over shards.
 fn record_commit_packets(
     shard: &mut TraceShard,
     spec: &ScaleSpec,
@@ -586,54 +621,55 @@ impl ScaleRun {
     }
 }
 
-/// Runs the population on up to `workers` OS threads, committing into
-/// `store` — the one-partition case of the commit runner. Each wave holds
-/// pairwise-distinct clients whose store commits commute, so any worker
-/// count produces bit-identical [`ScaleRun`] data (wall-clock `elapsed`
-/// aside); `workers = 1` is the sequential replay parallel runs are
-/// compared to.
-pub fn run_scale(spec: &ScaleSpec, store: ObjectStore, workers: usize) -> ScaleRun {
+/// Runs the population, committing into `store` — the one-partition case
+/// of the commit runner, on the calling thread. `_workers` is ignored (it
+/// predates the measurement that retired the runner's own threading, see
+/// the module docs, and callers outside this workspace still pass it):
+/// every worker count is the sequential replay. To spread a population
+/// over threads, partition it ([`crate::partition::run_partitioned`]) —
+/// the merged run is bit-identical to this one.
+///
+/// Panics on a spec [`ScaleSpec`]'s own checks reject — among them more
+/// than [`ScaleSpec::MAX_CLIENTS`] clients — and when `store` cannot index
+/// the population (it already holds close to `u32::MAX` users).
+pub fn run_scale(spec: &ScaleSpec, store: ObjectStore, _workers: usize) -> ScaleRun {
     let everyone = ClientSet::Range { start: 0, end: spec.clients };
-    drive_plain(Source::Spec(spec, &everyone), &store, workers)
-        .expect("the whole population owns only its own clients")
+    drive_plain(Source::Spec(spec, &everyone), &store)
+        .unwrap_or_else(|err| panic!("cannot run the population: {err}"))
         .into_run(store)
 }
 
 /// Runs the population with full packet capture: the same commit runner
-/// as [`run_scale`], with one long-lived [`TraceShard`] per worker as the
-/// worker contexts and `record_commit_packets` observing every commit;
-/// the shards are k-way merged into one frozen [`Trace`] at the end. The
-/// [`ScaleRun`] is bit-identical to the traceless [`run_scale`] of the
-/// same spec, and the merged trace is bit-identical for any worker count —
-/// flow ids are pure functions of `(client, commit)`, not shard
-/// allocations.
-pub fn run_scale_traced(spec: &ScaleSpec, store: ObjectStore, workers: usize) -> (ScaleRun, Trace) {
-    let workers = workers.max(1);
-    let mut shards = TraceRecorder::with_shards(workers).into_shards();
+/// as [`run_scale`] with `record_commit_packets` observing every commit
+/// into a [`TraceShard`] that is frozen into one [`Trace`] at the end.
+/// The [`ScaleRun`] is bit-identical to the traceless [`run_scale`] of the
+/// same spec. `_workers` is ignored, as in [`run_scale`], which it panics
+/// like.
+pub fn run_scale_traced(
+    spec: &ScaleSpec,
+    store: ObjectStore,
+    _workers: usize,
+) -> (ScaleRun, Trace) {
+    let mut recorder = TraceRecorder::new();
+    let shard = &mut recorder.shards_mut()[0];
     // Steady-state recording should never reallocate: the packet count per
-    // commit is known up front, so carve the capacity across the shards.
-    let packets_per_commit = 1 + spec.files_per_commit;
-    let total_packets = spec.clients * spec.commits_per_client * packets_per_commit;
-    for shard in &mut shards {
-        shard.reserve(total_packets / workers + packets_per_commit);
-    }
+    // commit is known up front.
+    shard.reserve(spec.clients * spec.commits_per_client * (1 + spec.files_per_commit));
 
     let everyone = ClientSet::Range { start: 0, end: spec.clients };
-    let source = Source::Spec(spec, &everyone);
-    let driven = drive(source, &store, &mut shards, |shard, ev, (start, _)| {
+    let driven = drive(Source::Spec(spec, &everyone), &store, |ev, (start, _)| {
         record_commit_packets(shard, spec, ev.client, ev.round, start);
     })
-    .expect("the whole population owns only its own clients");
-    let trace = TraceRecorder::from_shards(shards).finish();
-    (driven.into_run(store), trace)
+    .unwrap_or_else(|err| panic!("cannot run the population: {err}"));
+    (driven.into_run(store), recorder.finish())
 }
 
-/// The unsliced live run the scale-path tests compare against: one worker
-/// per host core, a fresh mark-sweep store.
+/// The unsliced live run the scale-path tests compare against, on a
+/// fresh mark-sweep store.
 #[cfg(test)]
 pub(crate) fn run_wide(spec: &ScaleSpec) -> ScaleRun {
     let store = ObjectStore::with_policy(cloudsim_storage::GcPolicy::MarkSweep);
-    run_scale(spec, store, cloudsim_parallel::available_workers())
+    run_scale(spec, store, 1)
 }
 
 #[cfg(test)]
@@ -661,9 +697,12 @@ mod tests {
             "FleetEvent grew past the 40-byte budget: {} bytes",
             std::mem::size_of::<FleetEvent>()
         );
-        // Per-client budget at the default two commits per client: state +
-        // 2 events + 2 intervals stays under a quarter kilobyte.
+        // The runner's own per-client budget at the default two commits
+        // per client: state + store id + 2 events + 2 intervals stays under
+        // a quarter kilobyte. (What the *store* keeps per client is pinned
+        // by its own entry-size test.)
         let per_client = std::mem::size_of::<ScaleClientState>()
+            + std::mem::size_of::<UserId>()
             + 2 * std::mem::size_of::<FleetEvent>()
             + 2 * std::mem::size_of::<(SimTime, SimTime)>();
         assert!(per_client <= 256, "per-client footprint {per_client} B exceeds 256 B");
@@ -671,17 +710,22 @@ mod tests {
 
     #[test]
     fn parallel_run_matches_sequential_replay_bit_for_bit() {
+        // The runner is single-threaded, so this now pins that a `workers`
+        // argument — including one larger than the population — changes
+        // nothing a caller can read.
         let spec = small_spec();
-        let parallel = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 8);
         let sequential = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
-        assert_eq!(parallel.commits, sequential.commits);
-        assert_eq!(parallel.logical_bytes, sequential.logical_bytes);
-        assert_eq!(parallel.intervals, sequential.intervals);
-        assert_eq!(parallel.aggregate(), sequential.aggregate());
-        for i in [0, 17, 63] {
-            let user = spec.user(i);
-            assert_eq!(parallel.store.stats(&user), sequential.store.stats(&user));
-            assert_eq!(parallel.store.list_files(&user), sequential.store.list_files(&user));
+        for workers in [2, 3, 8, 200] {
+            let parallel = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers);
+            assert_eq!(parallel.commits, sequential.commits);
+            assert_eq!(parallel.logical_bytes, sequential.logical_bytes);
+            assert_eq!(parallel.intervals, sequential.intervals);
+            assert_eq!(parallel.aggregate(), sequential.aggregate());
+            for i in [0, 17, 63] {
+                let user = spec.user(i);
+                assert_eq!(parallel.store.stats(&user), sequential.store.stats(&user));
+                assert_eq!(parallel.store.list_files(&user), sequential.store.list_files(&user));
+            }
         }
     }
 

@@ -63,6 +63,6 @@ pub use restore::{
     RestoreError, RestorePipeline, RestoreRequest, RestoreSource, RestoredChunk, RestoredFile,
 };
 pub use store::{
-    AggregateStats, FileManifest, GcPolicy, GcStats, ObjectStore, StoreStats, StoredChunk,
-    DEFAULT_SHARDS,
+    AggregateStats, FileManifest, GcPolicy, GcStats, IdSpaceExhausted, ObjectStore, PathId,
+    StoreStats, StoredChunk, UserId, DEFAULT_SHARDS,
 };

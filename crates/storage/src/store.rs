@@ -9,35 +9,53 @@
 //!
 //! # Sharding
 //!
-//! A fleet of concurrent sync clients (one OS thread per simulated user)
-//! commits into one shared store, so the original single
-//! `RwLock<HashMap<user, Namespace>>` would serialize every upload. The
-//! store is therefore split into two independent shard arrays:
+//! The store serves two very different callers: a handful of full-fidelity
+//! sync clients (one OS thread per simulated user) and the fleet-scale
+//! runner's 10⁵–10⁶ lightweight clients. Both commit into one shared store
+//! split into two independent arrays of lock shards:
 //!
-//! * **user shards** — per-user state (file manifests, the user's logical
-//!   view of their chunks, version counters), sharded by a hash of the user
-//!   name. Two clients syncing as different users touch different locks.
+//! * **user shards** — everything one user owns, sharded by an FNV hash of
+//!   the user *name*. A shard is flat: a dense `Vec` of per-user records
+//!   (version counter, logical bytes, the lists of held hashes and live
+//!   paths) plus **one** table keyed `(user, content hash)` with the user's
+//!   view of each chunk and its live-manifest reference count, and **one**
+//!   keyed `(user, path)` with the live manifests, a single-chunk manifest
+//!   held inline. There is no map per user, so a population of users costs
+//!   table entries, not tables.
 //! * **chunk shards** — the physical content-addressed chunk table shared by
-//!   *all* users, sharded by the first byte of the chunk hash. This is where
-//!   server-side inter-user deduplication (§4.3) happens: the second user to
-//!   upload a chunk adds a reference instead of new bytes.
+//!   *all* users, sharded by the leading bytes of the chunk hash. This is
+//!   where server-side inter-user deduplication (§4.3) happens: the second
+//!   user to upload a chunk adds a reference instead of new bytes.
 //!
-//! Aggregate accounting (unique chunks, physical bytes, per-user referenced
-//! bytes, server-side dedup hits) lives in atomic counters updated with
-//! order-independent operations only (count of distinct keys, sums of
-//! per-user values, a commutative `min` for the canonical stored size), so a
-//! concurrent fleet run ends with **bit-identical** [`AggregateStats`] to a
-//! sequential replay of the same per-user operations — the property the
-//! `fleet_scaling` bench and the storage property tests assert.
+//! Names are interned once: [`ObjectStore::intern_user`] and
+//! [`ObjectStore::intern_path`] hand out [`UserId`]s and [`PathId`]s, and
+//! [`ObjectStore::put_chunk_by_id`] / [`ObjectStore::commit_manifest_by_id`]
+//! are the write path — no string is hashed, cloned or allocated per call.
+//! The `&str` methods are thin adapters that intern (writes) or look up
+//! (reads) and then run the same code. An id encodes its shard, and a
+//! name's shard is a pure function of the name, so nothing observable
+//! depends on the order names were first seen in. The tables hash their
+//! keys with a pass-through hasher over eight bytes of the (uniform)
+//! content hash mixed with the user slot; the name index keeps std's keyed
+//! hasher, because names come from outside the program.
+//!
+//! Aggregate accounting (physical bytes, per-user referenced bytes,
+//! server-side dedup hits, …) is plain per-shard counters updated under the
+//! shard's lock and summed by [`ObjectStore::aggregate`]. Every update is
+//! order-independent (counts of distinct keys, sums of per-user values, a
+//! commutative `min` for the canonical stored size), so a concurrent run
+//! ends with **bit-identical** [`AggregateStats`] to a sequential replay of
+//! the same per-user operations — the property the `fleet_scaling` bench and
+//! the storage property tests assert.
 //!
 //! # Garbage collection
 //!
 //! Originally the store never freed a byte — matching the delete/restore
 //! observation of §4.3, where providers retain chunks so a restored file
 //! needs no re-upload. Long-lived churning fleets (clients leaving and
-//! hard-deleting their accounts) need reclamation, so each user namespace
-//! now keeps a per-chunk count of live-manifest references and the store
-//! supports two hard-delete entry points:
+//! hard-deleting their accounts) need reclamation, so each user's chunk
+//! keeps a count of live-manifest references and the store supports two
+//! hard-delete entry points:
 //!
 //! * [`ObjectStore::delete_manifest`] removes one manifest and releases the
 //!   user's chunks that no remaining live manifest references;
@@ -56,10 +74,11 @@
 
 use crate::chunker::Chunk;
 use crate::hash::ContentHash;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// A chunk as stored on the server.
@@ -202,28 +221,239 @@ pub struct GcStats {
     pub freed_bytes: u64,
 }
 
-/// A per-user namespace: manifests and the user's logical view of chunks.
+/// An interned user name, handed out by [`ObjectStore::intern_user`]. Valid
+/// only for the store (and its clones) that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct UserId(u32);
+
+/// An interned file path, handed out by [`ObjectStore::intern_path`]. Paths
+/// are shared across users — a population committing the same eight paths
+/// interns eight. Valid only for the store (and its clones) that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PathId(u32);
+
+/// Interning would need an id past `u32::MAX`: the store cannot index
+/// another user or path. An error, never a wrapped id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdSpaceExhausted {
+    what: &'static str,
+}
+
+impl std::fmt::Display for IdSpaceExhausted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "the store cannot index another {}: its u32 id space is exhausted", self.what)
+    }
+}
+
+impl std::error::Error for IdSpaceExhausted {}
+
+/// Packs a shard-local slot and its shard into one id (`slot * shards +
+/// shard`), so an id names its shard without a lookup. `None` past
+/// `u32::MAX`.
+fn pack_id(slot: usize, shard: usize, shards: usize) -> Option<u32> {
+    slot.checked_mul(shards)?.checked_add(shard).and_then(|id| u32::try_from(id).ok())
+}
+
+/// The inverse of [`pack_id`]: `(shard, slot)`.
+fn unpack_id(id: u32, shards: usize) -> (usize, usize) {
+    (id as usize % shards, id as usize / shards)
+}
+
+/// One shard of a name interner: names in first-seen order, and their
+/// index. The `Arc` is shared between the two, so a name is stored once.
 #[derive(Debug, Default)]
-struct UserSpace {
-    files: HashMap<String, FileManifest>,
-    chunks: HashMap<ContentHash, StoredChunk>,
-    /// Occurrences of each chunk across the user's *live* manifests. Chunks
-    /// at zero references stay in `chunks` (retention for §4.3 restores and
-    /// client-side dedup consistency) until a hard delete releases them.
-    chunk_refs: HashMap<ContentHash, u64>,
-    /// Chunks whose reference count ever dropped to zero through a
-    /// *supersede* (a manifest replacing the same path). The retention
-    /// promise of [`ObjectStore::commit_manifest`] covers them even if a
-    /// later manifest re-references them and is then hard-deleted — only
-    /// [`ObjectStore::purge_user`] releases retained chunks.
-    retained: std::collections::HashSet<ContentHash>,
+struct Names {
+    slots: HashMap<Arc<str>, u32>,
+    names: Vec<Arc<str>>,
+}
+
+impl Names {
+    /// The slot of `name`, interning it when new. `shard` of `shards` is
+    /// where this interner sits, so a slot whose id would not fit is
+    /// refused before anything is inserted.
+    fn intern(&mut self, name: &str, shard: usize, shards: usize) -> Option<u32> {
+        if let Some(&slot) = self.slots.get(name) {
+            return Some(slot);
+        }
+        pack_id(self.names.len(), shard, shards)?;
+        let slot = self.names.len() as u32;
+        let name: Arc<str> = Arc::from(name);
+        self.slots.insert(name.clone(), slot);
+        self.names.push(name);
+        Some(slot)
+    }
+}
+
+/// A hasher for keys that hash themselves: the key writes one already
+/// mixed `u64` and the table uses it as is.
+#[derive(Debug, Default, Clone, Copy)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("store table keys hash themselves through write_u64");
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Table<K, V> = HashMap<K, V, BuildHasherDefault<PreHashed>>;
+
+/// Eight bytes of a content hash as the in-table hash word. Not the
+/// leading bytes: those pick the chunk shard, so inside one shard some of
+/// their bits are constant.
+fn hash_word(hash: &ContentHash) -> u64 {
+    u64::from_le_bytes(hash.0[8..16].try_into().expect("eight bytes"))
+}
+
+/// Mixes a key word with a user slot. Both may be small integers (path
+/// ids, sequential slots), so each is spread by its own odd multiplier and
+/// the high half is folded down to where the table takes its bucket from.
+fn mix(word: u64, slot: u32) -> u64 {
+    let x = word.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ u64::from(slot).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    x ^ (x >> 32)
+}
+
+/// Key of the per-user chunk table: a user slot of this shard and a hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct UserChunkKey {
+    user: u32,
+    hash: ContentHash,
+}
+
+impl Hash for UserChunkKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(mix(hash_word(&self.hash), self.user));
+    }
+}
+
+/// One chunk as one user holds it.
+#[derive(Debug)]
+struct UserChunk {
+    /// The user's own uploaded representation, not the canonical one.
+    stored_len: u64,
+    plain_len: u64,
+    /// Occurrences across the user's *live* manifests. A chunk at zero
+    /// stays held (retention for §4.3 restores and client-side dedup
+    /// consistency) until a hard delete releases it.
+    refs: u32,
+    /// The count once dropped to zero through a *supersede* (a manifest
+    /// replacing the same path). The retention promise of
+    /// [`ObjectStore::commit_manifest`] then covers the chunk even if a
+    /// later manifest re-references it and is hard-deleted — only
+    /// [`ObjectStore::purge_user`] releases it.
+    retained: bool,
+}
+
+/// Key of the manifest table: a user slot of this shard and a path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileKey {
+    user: u32,
+    path: PathId,
+}
+
+impl Hash for FileKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(mix(u64::from(self.path.0), self.user));
+    }
+}
+
+/// A manifest's chunk list; the one-chunk case (every fleet-scale file)
+/// needs no allocation.
+#[derive(Debug)]
+enum ChunkList {
+    One(ContentHash),
+    Many(Box<[ContentHash]>),
+}
+
+impl ChunkList {
+    fn as_slice(&self) -> &[ContentHash] {
+        match self {
+            ChunkList::One(hash) => std::slice::from_ref(hash),
+            ChunkList::Many(hashes) => hashes,
+        }
+    }
+}
+
+impl From<&[ContentHash]> for ChunkList {
+    fn from(hashes: &[ContentHash]) -> ChunkList {
+        match hashes {
+            [hash] => ChunkList::One(*hash),
+            _ => ChunkList::Many(hashes.into()),
+        }
+    }
+}
+
+/// One live manifest.
+#[derive(Debug)]
+struct FileEntry {
+    size: u64,
+    version: u64,
+    chunks: ChunkList,
+}
+
+/// What the store keeps per user besides the table entries.
+#[derive(Debug, Default)]
+struct UserRecord {
     next_version: u64,
+    /// Plaintext bytes of the live manifests.
+    logical_bytes: u64,
+    /// The hashes the user holds — what `stats` and `purge_user` enumerate.
+    held: Vec<ContentHash>,
+    /// The paths with a live manifest.
+    files: Vec<PathId>,
+}
+
+impl UserRecord {
+    fn is_empty(&self) -> bool {
+        self.held.is_empty() && self.files.is_empty()
+    }
+}
+
+/// Removes the first `item` from an unordered list.
+fn unlist<T: PartialEq>(list: &mut Vec<T>, item: &T) {
+    if let Some(at) = list.iter().position(|x| x == item) {
+        list.swap_remove(at);
+    }
+}
+
+/// One user shard: the users whose name hashes here, flat.
+#[derive(Debug, Default)]
+struct UserShard {
+    names: Names,
+    /// Parallel to `names.names`.
+    records: Vec<UserRecord>,
+    chunks: Table<UserChunkKey, UserChunk>,
+    files: Table<FileKey, FileEntry>,
+    chunk_puts: u64,
+    referenced_bytes: u64,
+    manifest_deletes: u64,
+}
+
+/// Key of the physical table. The chunk shard already consumed the hash's
+/// leading bytes, so the table hashes another word of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PhysicalKey(ContentHash);
+
+impl Hash for PhysicalKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(hash_word(&self.0));
+    }
 }
 
 /// One entry of the physical content-addressed chunk table.
 #[derive(Debug)]
 struct ChunkEntry {
-    record: StoredChunk,
+    /// The most compact representation any committer reported.
+    stored_len: u64,
+    plain_len: u64,
     /// Number of distinct users referencing the chunk.
     owners: u64,
     /// The plaintext chunk payload, when the committer provided it (see
@@ -234,19 +464,40 @@ struct ChunkEntry {
     payload: Option<Arc<[u8]>>,
 }
 
+/// One chunk shard: its slice of the physical table and of the counters.
+#[derive(Debug, Default)]
+struct ChunkShard {
+    table: Table<PhysicalKey, ChunkEntry>,
+    physical_bytes: u64,
+    server_dedup_hits: u64,
+    reclaimed_bytes: u64,
+    freed_chunks: u64,
+}
+
+impl ChunkShard {
+    /// Frees an owner-less entry's bytes in the counters (the caller
+    /// removes the entry itself).
+    fn account_freed(&mut self, chunks: u64, bytes: u64) {
+        self.physical_bytes -= bytes;
+        self.reclaimed_bytes += bytes;
+        self.freed_chunks += chunks;
+    }
+}
+
+/// How a write names its user: by interned id, or by a name the write
+/// interns on the way in.
+#[derive(Debug, Clone, Copy)]
+enum Who<'a> {
+    Id(UserId),
+    Name(&'a str),
+}
+
 #[derive(Debug)]
 struct StoreInner {
-    user_shards: Box<[RwLock<HashMap<String, UserSpace>>]>,
-    chunk_shards: Box<[RwLock<HashMap<ContentHash, ChunkEntry>>]>,
+    user_shards: Box<[RwLock<UserShard>]>,
+    chunk_shards: Box<[RwLock<ChunkShard>]>,
+    path_shards: Box<[RwLock<Names>]>,
     policy: GcPolicy,
-    unique_chunks: AtomicU64,
-    physical_bytes: AtomicU64,
-    referenced_bytes: AtomicU64,
-    server_dedup_hits: AtomicU64,
-    chunk_puts: AtomicU64,
-    manifest_deletes: AtomicU64,
-    reclaimed_bytes: AtomicU64,
-    freed_chunks: AtomicU64,
 }
 
 /// The server-side object store, shared by control and storage servers of a
@@ -263,15 +514,15 @@ impl Default for ObjectStore {
     }
 }
 
-/// Default shard count for both shard arrays. Enough to keep a 32-client
+/// Default shard count for every shard array. Enough to keep a 32-client
 /// fleet's writers on distinct locks with high probability while staying
 /// cheap to iterate for aggregate reads.
 pub const DEFAULT_SHARDS: usize = 16;
 
-fn shard_for_user(user: &str, shards: usize) -> usize {
-    // FNV-1a over the user name; stable across runs (no RandomState).
+fn shard_for_name(name: &str, shards: usize) -> usize {
+    // FNV-1a over the name; stable across runs (no RandomState).
     let mut h = 0xcbf29ce484222325u64;
-    for b in user.bytes() {
+    for b in name.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
@@ -281,6 +532,10 @@ fn shard_for_user(user: &str, shards: usize) -> usize {
 fn shard_for_chunk(hash: &ContentHash, shards: usize) -> usize {
     // SHA-256 output is uniform: the first bytes are an ideal shard key.
     (u16::from_be_bytes([hash.0[0], hash.0[1]]) as usize) % shards
+}
+
+fn shards_of<T: Default>(shards: usize) -> Box<[RwLock<T>]> {
+    (0..shards).map(|_| RwLock::new(T::default())).collect()
 }
 
 impl ObjectStore {
@@ -304,21 +559,12 @@ impl ObjectStore {
     /// Creates an empty store with explicit shard count and GC policy.
     pub fn with_shards_and_policy(shards: usize, policy: GcPolicy) -> Self {
         let shards = shards.max(1);
-        let user_shards = (0..shards).map(|_| RwLock::new(HashMap::new())).collect();
-        let chunk_shards = (0..shards).map(|_| RwLock::new(HashMap::new())).collect();
         ObjectStore {
             inner: Arc::new(StoreInner {
-                user_shards,
-                chunk_shards,
+                user_shards: shards_of(shards),
+                chunk_shards: shards_of(shards),
+                path_shards: shards_of(shards),
                 policy,
-                unique_chunks: AtomicU64::new(0),
-                physical_bytes: AtomicU64::new(0),
-                referenced_bytes: AtomicU64::new(0),
-                server_dedup_hits: AtomicU64::new(0),
-                chunk_puts: AtomicU64::new(0),
-                manifest_deletes: AtomicU64::new(0),
-                reclaimed_bytes: AtomicU64::new(0),
-                freed_chunks: AtomicU64::new(0),
             }),
         }
     }
@@ -333,28 +579,95 @@ impl ObjectStore {
         self.inner.policy
     }
 
-    fn user_shard(&self, user: &str) -> &RwLock<HashMap<String, UserSpace>> {
-        &self.inner.user_shards[shard_for_user(user, self.inner.user_shards.len())]
+    /// Interns a user name. The same name always yields the same id; a new
+    /// name creates an (empty) record in the shard its name hashes to.
+    /// Fails instead of wrapping once that shard's ids pass `u32::MAX` — a
+    /// default-sharded store indexes at least `u32::MAX / DEFAULT_SHARDS`
+    /// users.
+    pub fn intern_user(&self, name: &str) -> Result<UserId, IdSpaceExhausted> {
+        let shards = self.shard_count();
+        let shard = shard_for_name(name, shards);
+        let slot = self.inner.user_shards[shard].write().intern(name, shard, shards)?;
+        Ok(UserId(pack_id(slot as usize, shard, shards).expect("interned slots fit")))
     }
 
-    fn chunk_shard(&self, hash: &ContentHash) -> &RwLock<HashMap<ContentHash, ChunkEntry>> {
+    /// Interns a file path; see [`ObjectStore::intern_user`] for the
+    /// contract. Paths are interned store-wide, not per user.
+    pub fn intern_path(&self, path: &str) -> Result<PathId, IdSpaceExhausted> {
+        // Steady state is a hit: look under the read lock first.
+        if let Some(known) = self.known_path(path) {
+            return Ok(known);
+        }
+        let shards = self.shard_count();
+        let shard = shard_for_name(path, shards);
+        let slot = self.inner.path_shards[shard]
+            .write()
+            .intern(path, shard, shards)
+            .ok_or(IdSpaceExhausted { what: "path" })?;
+        Ok(PathId(pack_id(slot as usize, shard, shards).expect("interned slots fit")))
+    }
+
+    /// The id of a path some commit already interned.
+    fn known_path(&self, path: &str) -> Option<PathId> {
+        let shards = self.shard_count();
+        let shard = shard_for_name(path, shards);
+        let slot = self.inner.path_shards[shard].read().slots.get(path).copied()?;
+        pack_id(slot as usize, shard, shards).map(PathId)
+    }
+
+    fn path_name(&self, path: PathId) -> String {
+        let (shard, slot) = unpack_id(path.0, self.shard_count());
+        self.inner.path_shards[shard].read().names[slot].to_string()
+    }
+
+    /// Write-locks the shard of the user a write names and resolves the
+    /// user's slot in it — a name is interned under that same lock. The
+    /// `&str` write methods predate ids and cannot report exhaustion, so
+    /// there it panics.
+    fn write_user(&self, who: Who<'_>) -> (RwLockWriteGuard<'_, UserShard>, u32) {
+        let shards = self.shard_count();
+        match who {
+            Who::Id(UserId(id)) => {
+                let (shard, slot) = unpack_id(id, shards);
+                (self.inner.user_shards[shard].write(), slot as u32)
+            }
+            Who::Name(name) => {
+                let shard = shard_for_name(name, shards);
+                let mut guard = self.inner.user_shards[shard].write();
+                let slot = guard.intern(name, shard, shards).unwrap_or_else(|e| panic!("{e}"));
+                (guard, slot)
+            }
+        }
+    }
+
+    /// Write-locks the shard of a user some write already interned.
+    fn write_known(&self, user: &str) -> Option<(RwLockWriteGuard<'_, UserShard>, u32)> {
+        let guard = self.inner.user_shards[shard_for_name(user, self.shard_count())].write();
+        let slot = *guard.names.slots.get(user)?;
+        Some((guard, slot))
+    }
+
+    /// Read-locks the shard of a user some write already interned.
+    fn read_known(&self, user: &str) -> Option<(RwLockReadGuard<'_, UserShard>, u32)> {
+        let guard = self.inner.user_shards[shard_for_name(user, self.shard_count())].read();
+        let slot = *guard.names.slots.get(user)?;
+        Some((guard, slot))
+    }
+
+    fn chunk_shard(&self, hash: &ContentHash) -> &RwLock<ChunkShard> {
         &self.inner.chunk_shards[shard_for_chunk(hash, self.inner.chunk_shards.len())]
     }
 
     /// True when the user's namespace already holds a chunk with this hash
     /// (server-side deduplication check).
     pub fn has_chunk(&self, user: &str, hash: &ContentHash) -> bool {
-        self.user_shard(user)
-            .read()
-            .get(user)
-            .map(|ns| ns.chunks.contains_key(hash))
-            .unwrap_or(false)
+        self.chunk(user, hash).is_some()
     }
 
     /// True when *any* user has stored this chunk — the inter-user question a
     /// dedup-capable server answers before accepting an upload.
     pub fn has_chunk_globally(&self, hash: &ContentHash) -> bool {
-        self.chunk_shard(hash).read().contains_key(hash)
+        self.chunk_shard(hash).read().table.contains_key(&PhysicalKey(*hash))
     }
 
     /// Stores a chunk payload for a user. Returns `true` when the chunk was
@@ -367,7 +680,13 @@ impl ObjectStore {
     /// server keeps the most compact representation it has seen — `min` is
     /// commutative, which keeps aggregate stats independent of commit order).
     pub fn put_chunk(&self, user: &str, chunk: StoredChunk) -> bool {
-        self.put_chunk_inner(user, chunk, None)
+        self.put(Who::Name(user), chunk, None)
+    }
+
+    /// [`ObjectStore::put_chunk`] for an interned user: the fleet-scale
+    /// write path, which allocates nothing per call.
+    pub fn put_chunk_by_id(&self, user: UserId, chunk: StoredChunk) -> bool {
+        self.put(Who::Id(user), chunk, None)
     }
 
     /// [`ObjectStore::put_chunk`] carrying the plaintext chunk payload, so
@@ -375,7 +694,9 @@ impl ObjectStore {
     /// kept at most once per physical entry regardless of how many users
     /// commit it (hash-equal plaintexts are identical bytes, so which
     /// committer's copy survives is unobservable), and it is freed together
-    /// with the entry when garbage collection reclaims it.
+    /// with the entry when garbage collection reclaims it. A user who
+    /// already holds the chunk metadata-only still contributes the payload
+    /// (the put returns `false` and no counter moves).
     pub fn put_chunk_with_payload(&self, user: &str, chunk: StoredChunk, payload: &[u8]) -> bool {
         debug_assert_eq!(
             crate::hash::sha256(payload),
@@ -383,55 +704,67 @@ impl ObjectStore {
             "payload does not match the chunk hash"
         );
         debug_assert_eq!(payload.len() as u64, chunk.plain_len);
-        self.put_chunk_inner(user, chunk, Some(payload))
+        self.put(Who::Name(user), chunk, Some(payload))
     }
 
-    fn put_chunk_inner(&self, user: &str, chunk: StoredChunk, payload: Option<&[u8]>) -> bool {
+    fn put(&self, who: Who<'_>, chunk: StoredChunk, payload: Option<&[u8]>) -> bool {
         // Lock discipline: user shard first, released before the chunk shard
         // is taken — the two arrays are never held simultaneously.
-        {
-            let mut guard = self.user_shard(user).write();
-            let ns = guard.entry(user.to_string()).or_default();
-            match ns.chunks.entry(chunk.hash) {
-                std::collections::hash_map::Entry::Occupied(_) => return false,
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(chunk.clone());
+        let new_to_user = {
+            let (mut guard, slot) = self.write_user(who);
+            let us = &mut *guard;
+            match us.chunks.entry(UserChunkKey { user: slot, hash: chunk.hash }) {
+                Entry::Occupied(_) => false,
+                Entry::Vacant(vacant) => {
+                    vacant.insert(UserChunk {
+                        stored_len: chunk.stored_len,
+                        plain_len: chunk.plain_len,
+                        refs: 0,
+                        retained: false,
+                    });
+                    us.records[slot as usize].held.push(chunk.hash);
+                    us.chunk_puts += 1;
+                    us.referenced_bytes += chunk.stored_len;
+                    true
                 }
             }
+        };
+        if !new_to_user && payload.is_none() {
+            return false;
         }
 
-        let stats = &*self.inner;
-        stats.chunk_puts.fetch_add(1, Ordering::Relaxed);
-        stats.referenced_bytes.fetch_add(chunk.stored_len, Ordering::Relaxed);
-
-        let mut shard = self.chunk_shard(&chunk.hash).write();
-        match shard.entry(chunk.hash) {
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                let entry = slot.get_mut();
-                entry.owners += 1;
-                if chunk.stored_len < entry.record.stored_len {
-                    let saved = entry.record.stored_len - chunk.stored_len;
-                    entry.record = chunk;
-                    stats.physical_bytes.fetch_sub(saved, Ordering::Relaxed);
+        let mut guard = self.chunk_shard(&chunk.hash).write();
+        let cs = &mut *guard;
+        match cs.table.entry(PhysicalKey(chunk.hash)) {
+            Entry::Occupied(mut occupied) => {
+                let entry = occupied.get_mut();
+                if new_to_user {
+                    entry.owners += 1;
+                    if chunk.stored_len < entry.stored_len {
+                        cs.physical_bytes -= entry.stored_len - chunk.stored_len;
+                        entry.stored_len = chunk.stored_len;
+                        entry.plain_len = chunk.plain_len;
+                    }
+                    cs.server_dedup_hits += 1;
                 }
                 if entry.payload.is_none() {
-                    if let Some(payload) = payload {
-                        entry.payload = Some(Arc::from(payload));
-                    }
+                    entry.payload = payload.map(Arc::from);
                 }
-                stats.server_dedup_hits.fetch_add(1, Ordering::Relaxed);
             }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                stats.unique_chunks.fetch_add(1, Ordering::Relaxed);
-                stats.physical_bytes.fetch_add(chunk.stored_len, Ordering::Relaxed);
-                slot.insert(ChunkEntry {
-                    record: chunk,
+            // A user holding a chunk implies its physical entry, so only a
+            // chunk new to the user creates one.
+            Entry::Vacant(vacant) if new_to_user => {
+                cs.physical_bytes += chunk.stored_len;
+                vacant.insert(ChunkEntry {
+                    stored_len: chunk.stored_len,
+                    plain_len: chunk.plain_len,
                     owners: 1,
                     payload: payload.map(Arc::from),
                 });
             }
+            Entry::Vacant(_) => {}
         }
-        true
+        new_to_user
     }
 
     /// Commits a file manifest (creating or replacing the path). Returns the
@@ -443,27 +776,50 @@ impl ObjectStore {
     /// counted; a replaced revision's occurrences are released *logically*
     /// (the counts drop) but its chunks stay retained in the namespace, so
     /// client-side dedup state never dangles and §4.3 restores stay free.
-    pub fn commit_manifest(&self, user: &str, mut manifest: FileManifest) -> u64 {
-        let mut guard = self.user_shard(user).write();
-        let ns = guard.entry(user.to_string()).or_default();
-        for hash in &manifest.chunks {
-            assert!(ns.chunks.contains_key(hash), "manifest references unknown chunk {hash}");
+    pub fn commit_manifest(&self, user: &str, manifest: FileManifest) -> u64 {
+        let path = self.intern_path(&manifest.path).unwrap_or_else(|e| panic!("{e}"));
+        self.commit(Who::Name(user), path, manifest.size, &manifest.chunks)
+    }
+
+    /// [`ObjectStore::commit_manifest`] for an interned user and path: the
+    /// fleet-scale write path. A one-chunk manifest allocates nothing.
+    pub fn commit_manifest_by_id(
+        &self,
+        user: UserId,
+        path: PathId,
+        size: u64,
+        chunks: &[ContentHash],
+    ) -> u64 {
+        self.commit(Who::Id(user), path, size, chunks)
+    }
+
+    fn commit(&self, who: Who<'_>, path: PathId, size: u64, chunks: &[ContentHash]) -> u64 {
+        let (mut guard, slot) = self.write_user(who);
+        let us = &mut *guard;
+        let key = |hash: &ContentHash| UserChunkKey { user: slot, hash: *hash };
+        for hash in chunks {
+            assert!(us.chunks.contains_key(&key(hash)), "manifest references unknown chunk {hash}");
         }
-        for hash in &manifest.chunks {
-            *ns.chunk_refs.entry(*hash).or_insert(0) += 1;
+        for hash in chunks {
+            let held = us.chunks.get_mut(&key(hash)).expect("checked above");
+            held.refs = held.refs.checked_add(1).expect("fewer than u32::MAX live references");
         }
-        ns.next_version += 1;
-        manifest.version = ns.next_version;
-        let version = manifest.version;
-        if let Some(replaced) = ns.files.insert(manifest.path.clone(), manifest) {
-            for hash in &replaced.chunks {
-                if let Some(refs) = ns.chunk_refs.get_mut(hash) {
-                    *refs = refs.saturating_sub(1);
-                    if *refs == 0 {
+        let record = &mut us.records[slot as usize];
+        record.next_version += 1;
+        let version = record.next_version;
+        record.logical_bytes += size;
+        let entry = FileEntry { size, version, chunks: chunks.into() };
+        match us.files.insert(FileKey { user: slot, path }, entry) {
+            None => record.files.push(path),
+            Some(replaced) => {
+                record.logical_bytes -= replaced.size;
+                for hash in replaced.chunks.as_slice() {
+                    if let Some(held) = us.chunks.get_mut(&key(hash)) {
+                        held.refs = held.refs.saturating_sub(1);
                         // The supersede retention promise above outlives any
                         // later re-reference: mark the chunk so a subsequent
                         // delete_manifest keeps it.
-                        ns.retained.insert(*hash);
+                        held.retained |= held.refs == 0;
                     }
                 }
             }
@@ -486,32 +842,34 @@ impl ObjectStore {
     /// — otherwise its next dedup-skipped upload commits a manifest whose
     /// chunks the store no longer holds, which is rejected.
     pub fn delete_manifest(&self, user: &str, path: &str) -> Option<u64> {
-        let released: Vec<StoredChunk> = {
-            let mut guard = self.user_shard(user).write();
-            let ns = guard.get_mut(user)?;
-            let manifest = ns.files.remove(path)?;
+        let path = self.known_path(path)?;
+        let (released, released_bytes) = {
+            let (mut guard, slot) = self.write_known(user)?;
+            let us = &mut *guard;
+            let manifest = us.remove_file(slot, path)?;
             let mut released = Vec::new();
-            for hash in &manifest.chunks {
-                // A manifest may reference a hash several times; entries can
-                // reach zero (and be released) on an earlier occurrence.
-                let Some(refs) = ns.chunk_refs.get_mut(hash) else { continue };
-                *refs = refs.saturating_sub(1);
-                if *refs == 0 {
-                    ns.chunk_refs.remove(hash);
-                    if ns.retained.contains(hash) {
-                        // An earlier supersede promised to keep this chunk
-                        // (restores and client-side dedup may rely on it).
-                        continue;
-                    }
-                    if let Some(stored) = ns.chunks.remove(hash) {
-                        released.push(stored);
-                    }
+            let mut released_bytes = 0u64;
+            for hash in manifest.chunks.as_slice() {
+                let key = UserChunkKey { user: slot, hash: *hash };
+                // A manifest may reference a hash several times; the chunk
+                // can be released on an earlier occurrence.
+                let Some(held) = us.chunks.get_mut(&key) else { continue };
+                held.refs = held.refs.saturating_sub(1);
+                // An earlier supersede may have promised to keep the chunk
+                // (restores and client-side dedup may rely on it).
+                if held.refs == 0 && !held.retained {
+                    released_bytes += held.stored_len;
+                    us.chunks.remove(&key);
+                    unlist(&mut us.records[slot as usize].held, hash);
+                    released.push(*hash);
                 }
             }
-            released
+            us.referenced_bytes -= released_bytes;
+            us.manifest_deletes += 1;
+            (released, released_bytes)
         };
-        self.inner.manifest_deletes.fetch_add(1, Ordering::Relaxed);
-        Some(self.release_chunks(&released))
+        self.release_chunks(&released);
+        Some(released_bytes)
     }
 
     /// Hard-deletes a whole user namespace: every live manifest plus every
@@ -519,94 +877,103 @@ impl ObjectStore {
     /// is what a fleet client leaving the service calls. Returns the released
     /// stored bytes.
     pub fn purge_user(&self, user: &str) -> u64 {
-        let (released, deleted_files) = {
-            let mut guard = self.user_shard(user).write();
-            let Some(ns) = guard.remove(user) else {
+        let (released, released_bytes) = {
+            let Some((mut guard, slot)) = self.write_known(user) else {
                 return 0;
             };
-            (ns.chunks.into_values().collect::<Vec<_>>(), ns.files.len() as u64)
+            let us = &mut *guard;
+            // The record (and the user's id) stays; its contents go.
+            let record = std::mem::take(&mut us.records[slot as usize]);
+            for &path in &record.files {
+                us.files.remove(&FileKey { user: slot, path });
+            }
+            let released_bytes: u64 = record
+                .held
+                .iter()
+                .filter_map(|&hash| us.chunks.remove(&UserChunkKey { user: slot, hash }))
+                .map(|held| held.stored_len)
+                .sum();
+            us.referenced_bytes -= released_bytes;
+            us.manifest_deletes += record.files.len() as u64;
+            (record.held, released_bytes)
         };
-        self.inner.manifest_deletes.fetch_add(deleted_files, Ordering::Relaxed);
-        self.release_chunks(&released)
+        self.release_chunks(&released);
+        released_bytes
     }
 
-    /// Releases a batch of chunks a user no longer holds: per-user referenced
-    /// bytes drop, and each physical entry loses one owner. Owner-less
-    /// entries are freed immediately under [`GcPolicy::Eager`] and left for
-    /// [`ObjectStore::collect_garbage`] under [`GcPolicy::MarkSweep`].
-    /// Releases only decrement, so concurrent releases commute.
-    fn release_chunks(&self, released: &[StoredChunk]) -> u64 {
-        let stats = &*self.inner;
-        let mut released_bytes = 0u64;
-        for stored in released {
-            released_bytes += stored.stored_len;
-            stats.referenced_bytes.fetch_sub(stored.stored_len, Ordering::Relaxed);
-            let mut shard = self.chunk_shard(&stored.hash).write();
-            if let Some(entry) = shard.get_mut(&stored.hash) {
-                entry.owners = entry.owners.saturating_sub(1);
-                if entry.owners == 0 && stats.policy == GcPolicy::Eager {
-                    let freed = entry.record.stored_len;
-                    shard.remove(&stored.hash);
-                    stats.unique_chunks.fetch_sub(1, Ordering::Relaxed);
-                    stats.physical_bytes.fetch_sub(freed, Ordering::Relaxed);
-                    stats.reclaimed_bytes.fetch_add(freed, Ordering::Relaxed);
-                    stats.freed_chunks.fetch_add(1, Ordering::Relaxed);
-                }
+    /// Releases chunks a user no longer holds: each physical entry loses
+    /// one owner. Owner-less entries are freed immediately under
+    /// [`GcPolicy::Eager`] and left for [`ObjectStore::collect_garbage`]
+    /// under [`GcPolicy::MarkSweep`]. Releases only decrement, so
+    /// concurrent releases commute.
+    fn release_chunks(&self, released: &[ContentHash]) {
+        for hash in released {
+            let mut guard = self.chunk_shard(hash).write();
+            let Some(entry) = guard.table.get_mut(&PhysicalKey(*hash)) else { continue };
+            entry.owners = entry.owners.saturating_sub(1);
+            if entry.owners == 0 && self.inner.policy == GcPolicy::Eager {
+                let freed = entry.stored_len;
+                guard.table.remove(&PhysicalKey(*hash));
+                guard.account_freed(1, freed);
             }
         }
-        released_bytes
     }
 
     /// Sweeps every chunk shard, freeing entries no user owns any more. The
     /// periodic companion of [`GcPolicy::MarkSweep`]; a no-op (zero stats)
     /// under [`GcPolicy::Eager`], where releases already freed everything.
     pub fn collect_garbage(&self) -> GcStats {
-        let stats = &*self.inner;
         let mut pass = GcStats::default();
         for shard in self.inner.chunk_shards.iter() {
             let mut guard = shard.write();
-            guard.retain(|_, entry| {
+            let mut swept = GcStats::default();
+            guard.table.retain(|_, entry| {
                 if entry.owners > 0 {
                     return true;
                 }
-                pass.freed_chunks += 1;
-                pass.freed_bytes += entry.record.stored_len;
+                swept.freed_chunks += 1;
+                swept.freed_bytes += entry.stored_len;
                 false
             });
-        }
-        if pass.freed_chunks > 0 {
-            stats.unique_chunks.fetch_sub(pass.freed_chunks, Ordering::Relaxed);
-            stats.physical_bytes.fetch_sub(pass.freed_bytes, Ordering::Relaxed);
-            stats.reclaimed_bytes.fetch_add(pass.freed_bytes, Ordering::Relaxed);
-            stats.freed_chunks.fetch_add(pass.freed_chunks, Ordering::Relaxed);
+            guard.account_freed(swept.freed_chunks, swept.freed_bytes);
+            pass.freed_chunks += swept.freed_chunks;
+            pass.freed_bytes += swept.freed_bytes;
         }
         pass
     }
 
     /// Fetches the current manifest of a path.
     pub fn manifest(&self, user: &str, path: &str) -> Option<FileManifest> {
-        self.user_shard(user).read().get(user).and_then(|ns| ns.files.get(path).cloned())
+        let key_path = self.known_path(path)?;
+        let (guard, slot) = self.read_known(user)?;
+        let entry = guard.files.get(&FileKey { user: slot, path: key_path })?;
+        Some(FileManifest {
+            path: path.to_string(),
+            size: entry.size,
+            chunks: entry.chunks.as_slice().to_vec(),
+            version: entry.version,
+        })
     }
 
-    /// Deletes a file. The chunks it referenced are *not* garbage-collected,
-    /// matching the delete/restore observation of §4.3. Returns `true` when a
-    /// file was removed.
+    /// Deletes a file. The chunks it referenced are *not* garbage-collected
+    /// (their reference counts are left alone, so no later hard delete of
+    /// another path releases them either), matching the delete/restore
+    /// observation of §4.3. Returns `true` when a file was removed.
     pub fn delete_file(&self, user: &str, path: &str) -> bool {
-        self.user_shard(user)
-            .write()
-            .get_mut(user)
-            .map(|ns| ns.files.remove(path).is_some())
-            .unwrap_or(false)
+        let Some(path) = self.known_path(path) else {
+            return false;
+        };
+        self.write_known(user)
+            .is_some_and(|(mut guard, slot)| guard.remove_file(slot, path).is_some())
     }
 
     /// Lists the live file paths of a user, sorted.
     pub fn list_files(&self, user: &str) -> Vec<String> {
-        let mut paths: Vec<String> = self
-            .user_shard(user)
-            .read()
-            .get(user)
-            .map(|ns| ns.files.keys().cloned().collect())
-            .unwrap_or_default();
+        let ids = match self.read_known(user) {
+            Some((guard, slot)) => guard.records[slot as usize].files.clone(),
+            None => return Vec::new(),
+        };
+        let mut paths: Vec<String> = ids.iter().map(|&id| self.path_name(id)).collect();
         paths.sort();
         paths
     }
@@ -614,12 +981,14 @@ impl ObjectStore {
     /// Returns a stored chunk record as the user sees it (their own uploaded
     /// representation, not the canonical physical one).
     pub fn chunk(&self, user: &str, hash: &ContentHash) -> Option<StoredChunk> {
-        self.user_shard(user).read().get(user).and_then(|ns| ns.chunks.get(hash).cloned())
+        let (guard, slot) = self.read_known(user)?;
+        let held = guard.chunks.get(&UserChunkKey { user: slot, hash: *hash })?;
+        Some(StoredChunk { hash: *hash, stored_len: held.stored_len, plain_len: held.plain_len })
     }
 
     /// Number of distinct users that committed a given chunk.
     pub fn chunk_owners(&self, hash: &ContentHash) -> u64 {
-        self.chunk_shard(hash).read().get(hash).map(|e| e.owners).unwrap_or(0)
+        self.chunk_shard(hash).read().table.get(&PhysicalKey(*hash)).map_or(0, |e| e.owners)
     }
 
     /// The plaintext payload of a physical chunk, when a committer provided
@@ -627,20 +996,25 @@ impl ObjectStore {
     /// (or garbage-collected) hashes and for metadata-only commits. The
     /// restore pipeline serves file reconstructions from here.
     pub fn chunk_payload(&self, hash: &ContentHash) -> Option<Arc<[u8]>> {
-        self.chunk_shard(hash).read().get(hash).and_then(|e| e.payload.clone())
+        self.chunk_shard(hash).read().table.get(&PhysicalKey(*hash)).and_then(|e| e.payload.clone())
     }
 
     /// Aggregate statistics of a user's namespace.
     pub fn stats(&self, user: &str) -> StoreStats {
-        let guard = self.user_shard(user).read();
-        let Some(ns) = guard.get(user) else {
+        let Some((guard, slot)) = self.read_known(user) else {
             return StoreStats::default();
         };
+        let record = &guard.records[slot as usize];
         StoreStats {
-            files: ns.files.len(),
-            chunks: ns.chunks.len(),
-            stored_bytes: ns.chunks.values().map(|c| c.stored_len).sum(),
-            logical_bytes: ns.files.values().map(|f| f.size).sum(),
+            files: record.files.len(),
+            chunks: record.held.len(),
+            stored_bytes: record
+                .held
+                .iter()
+                .filter_map(|&hash| guard.chunks.get(&UserChunkKey { user: slot, hash }))
+                .map(|held| held.stored_len)
+                .sum(),
+            logical_bytes: record.logical_bytes,
         }
     }
 
@@ -651,47 +1025,65 @@ impl ObjectStore {
             let guard = shard.read();
             users.extend(
                 guard
+                    .records
                     .iter()
-                    .filter(|(_, ns)| !ns.files.is_empty() || !ns.chunks.is_empty())
-                    .map(|(name, _)| name.clone()),
+                    .zip(&guard.names.names)
+                    .filter(|(record, _)| !record.is_empty())
+                    .map(|(_, name)| name.to_string()),
             );
         }
         users.sort();
         users
     }
 
-    /// Aggregate statistics across every user namespace. Chunk-level fields
-    /// come from the atomic counters; file-level fields are summed over the
-    /// user shards under their read locks.
+    /// Aggregate statistics across every user namespace: the per-shard
+    /// counters summed, and the per-user records summed under the user
+    /// shards' read locks.
     pub fn aggregate(&self) -> AggregateStats {
-        let mut users = 0usize;
-        let mut files = 0usize;
-        let mut logical_bytes = 0u64;
+        let mut agg = AggregateStats::default();
         for shard in self.inner.user_shards.iter() {
             let guard = shard.read();
-            for ns in guard.values() {
-                if ns.files.is_empty() && ns.chunks.is_empty() {
-                    continue;
-                }
-                users += 1;
-                files += ns.files.len();
-                logical_bytes += ns.files.values().map(|f| f.size).sum::<u64>();
+            for record in guard.records.iter().filter(|record| !record.is_empty()) {
+                agg.users += 1;
+                agg.files += record.files.len();
+                agg.logical_bytes += record.logical_bytes;
             }
+            agg.referenced_bytes += guard.referenced_bytes;
+            agg.chunk_puts += guard.chunk_puts;
+            agg.manifest_deletes += guard.manifest_deletes;
         }
-        let stats = &*self.inner;
-        AggregateStats {
-            users,
-            files,
-            logical_bytes,
-            unique_chunks: stats.unique_chunks.load(Ordering::Relaxed),
-            physical_bytes: stats.physical_bytes.load(Ordering::Relaxed),
-            referenced_bytes: stats.referenced_bytes.load(Ordering::Relaxed),
-            server_dedup_hits: stats.server_dedup_hits.load(Ordering::Relaxed),
-            chunk_puts: stats.chunk_puts.load(Ordering::Relaxed),
-            manifest_deletes: stats.manifest_deletes.load(Ordering::Relaxed),
-            reclaimed_bytes: stats.reclaimed_bytes.load(Ordering::Relaxed),
-            freed_chunks: stats.freed_chunks.load(Ordering::Relaxed),
+        for shard in self.inner.chunk_shards.iter() {
+            let guard = shard.read();
+            agg.unique_chunks += guard.table.len() as u64;
+            agg.physical_bytes += guard.physical_bytes;
+            agg.server_dedup_hits += guard.server_dedup_hits;
+            agg.reclaimed_bytes += guard.reclaimed_bytes;
+            agg.freed_chunks += guard.freed_chunks;
         }
+        agg
+    }
+}
+
+impl UserShard {
+    /// The slot of `name` in this shard (`shard` of `shards`), interning it
+    /// with an empty record when new.
+    fn intern(&mut self, name: &str, shard: usize, shards: usize) -> Result<u32, IdSpaceExhausted> {
+        let slot =
+            self.names.intern(name, shard, shards).ok_or(IdSpaceExhausted { what: "user" })?;
+        if self.records.len() < self.names.names.len() {
+            self.records.push(UserRecord::default());
+        }
+        Ok(slot)
+    }
+
+    /// Removes a live manifest from the table, the user's path list and the
+    /// user's logical bytes. Chunk references are the caller's business.
+    fn remove_file(&mut self, slot: u32, path: PathId) -> Option<FileEntry> {
+        let entry = self.files.remove(&FileKey { user: slot, path })?;
+        let record = &mut self.records[slot as usize];
+        unlist(&mut record.files, &path);
+        record.logical_bytes -= entry.size;
+        Some(entry)
     }
 }
 
@@ -1211,5 +1603,460 @@ mod tests {
         // 20 distinct payloads, referenced by all 8 users.
         assert_eq!(concurrent.aggregate().unique_chunks, 20);
         assert_eq!(concurrent.aggregate().server_dedup_hits, 7 * 20);
+    }
+
+    #[test]
+    fn a_payload_reaches_a_chunk_its_user_already_holds_metadata_only() {
+        let store = ObjectStore::new();
+        let data = b"uploaded twice by one user".to_vec();
+        let c = stored(&data);
+        assert!(store.put_chunk("alice", c.clone()));
+        assert_eq!(store.chunk_payload(&c.hash), None);
+        let before = store.aggregate();
+        // Same user, same chunk, now with its bytes: not new to the user, so
+        // no counter moves — but the payload must not be dropped, or a later
+        // restore reports PayloadUnavailable for a chunk that was uploaded.
+        assert!(!store.put_chunk_with_payload("alice", c.clone(), &data));
+        assert_eq!(store.chunk_payload(&c.hash).as_deref(), Some(&data[..]));
+        assert_eq!(store.aggregate(), before);
+        assert_eq!(store.chunk_owners(&c.hash), 1);
+    }
+
+    #[test]
+    fn table_entries_respect_their_size_budgets() {
+        // A user of the fleet-scale run costs eight entries in each of the
+        // two per-user tables plus its private chunks' physical entries; a
+        // field added to one of them is paid a million times over.
+        use std::mem::size_of;
+        assert!(size_of::<(UserChunkKey, UserChunk)>() <= 64);
+        assert!(size_of::<(FileKey, FileEntry)>() <= 80);
+        assert!(size_of::<(PhysicalKey, ChunkEntry)>() <= 88);
+    }
+
+    #[test]
+    fn ids_past_u32_are_refused_not_wrapped() {
+        // slot * shards + shard must fit a u32.
+        assert_eq!(pack_id(0, 3, 16), Some(3));
+        assert_eq!(unpack_id(16 * 7 + 3, 16), (3, 7));
+        let last = u32::MAX as usize / 16;
+        assert_eq!(pack_id(last, 15, 16), Some(u32::MAX));
+        assert_eq!(pack_id(last + 1, 0, 16), None);
+        assert_eq!(pack_id(usize::MAX, 1, 16), None);
+        assert_eq!(pack_id(u32::MAX as usize, 0, 1), Some(u32::MAX));
+        assert_eq!(pack_id(u32::MAX as usize + 1, 0, 1), None);
+        // Interning refuses the first name whose id would not fit — here
+        // the second slot of the last of very many shards — and reports it
+        // as an error naming what ran out.
+        let (shard, shards) = (u32::MAX as usize - 1, u32::MAX as usize);
+        let mut names = Names::default();
+        assert_eq!(names.intern("fits", shard, shards), Some(0));
+        assert_eq!(names.intern("one too many", shard, shards), None);
+        assert_eq!(names.intern("fits", shard, shards), Some(0), "a known name needs no new id");
+        assert!(!names.slots.contains_key("one too many"), "a refused name is not half-interned");
+        assert_eq!(names.names.len(), 1);
+        let err = IdSpaceExhausted { what: "user" }.to_string();
+        assert!(err.contains("user") && err.contains("u32"), "got: {err}");
+    }
+
+    #[test]
+    fn id_keyed_writes_are_the_str_writes() {
+        let by_name = ObjectStore::new();
+        let by_id = ObjectStore::new();
+        let (a, b) = (stored(b"first chunk"), stored(b"second chunk"));
+        let alice = by_id.intern_user("alice").unwrap();
+        assert_eq!(by_id.intern_user("alice").unwrap(), alice);
+        let doc = by_id.intern_path("doc.bin").unwrap();
+        assert_eq!(by_id.intern_path("doc.bin").unwrap(), doc);
+        // Interning alone creates nothing observable.
+        assert_eq!(by_id.users(), Vec::<String>::new());
+        assert_eq!(by_id.aggregate(), AggregateStats::default());
+
+        for chunk in [&a, &b] {
+            assert!(by_name.put_chunk("alice", chunk.clone()));
+            assert!(by_id.put_chunk_by_id(alice, chunk.clone()));
+        }
+        let v = by_name.commit_manifest("alice", manifest_for("doc.bin", &[&a, &b]));
+        assert_eq!(
+            by_id.commit_manifest_by_id(alice, doc, a.plain_len + b.plain_len, &[a.hash, b.hash]),
+            v
+        );
+        let v = by_name.commit_manifest("alice", manifest_for("doc.bin", &[&b]));
+        assert_eq!(by_id.commit_manifest_by_id(alice, doc, b.plain_len, &[b.hash]), v);
+
+        assert_eq!(by_id.aggregate(), by_name.aggregate());
+        assert_eq!(by_id.stats("alice"), by_name.stats("alice"));
+        assert_eq!(by_id.manifest("alice", "doc.bin"), by_name.manifest("alice", "doc.bin"));
+        assert_eq!(by_id.list_files("alice"), vec!["doc.bin".to_string()]);
+    }
+
+    // ---- model-based property tests -------------------------------------
+
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The naive reference the flat store is checked against: a map of
+    /// per-user maps, the store's documented semantics spelled out with no
+    /// regard for speed.
+    #[derive(Default)]
+    struct ModelUser {
+        files: BTreeMap<String, FileManifest>,
+        chunks: BTreeMap<ContentHash, StoredChunk>,
+        refs: BTreeMap<ContentHash, u64>,
+        retained: BTreeSet<ContentHash>,
+        next_version: u64,
+    }
+
+    #[derive(Default)]
+    struct Model {
+        eager: bool,
+        users: BTreeMap<String, ModelUser>,
+        /// hash → (canonical record, owners, payload)
+        physical: BTreeMap<ContentHash, (StoredChunk, u64, Option<Vec<u8>>)>,
+        counters: AggregateStats,
+    }
+
+    impl Model {
+        fn put(&mut self, user: &str, chunk: StoredChunk, payload: Option<&[u8]>) -> bool {
+            let ns = self.users.entry(user.into()).or_default();
+            if ns.chunks.contains_key(&chunk.hash) {
+                if let Some((_, _, held)) = self.physical.get_mut(&chunk.hash) {
+                    *held = held.take().or(payload.map(<[u8]>::to_vec));
+                }
+                return false;
+            }
+            ns.chunks.insert(chunk.hash, chunk.clone());
+            self.counters.chunk_puts += 1;
+            match self.physical.get_mut(&chunk.hash) {
+                Some((record, owners, held)) => {
+                    *owners += 1;
+                    if chunk.stored_len < record.stored_len {
+                        *record = chunk;
+                    }
+                    *held = held.take().or(payload.map(<[u8]>::to_vec));
+                    self.counters.server_dedup_hits += 1;
+                }
+                None => {
+                    self.physical.insert(chunk.hash, (chunk, 1, payload.map(<[u8]>::to_vec)));
+                }
+            }
+            true
+        }
+
+        /// `None` (and no change) when the user lacks one of the chunks —
+        /// where the store panics.
+        fn commit(&mut self, user: &str, mut manifest: FileManifest) -> Option<u64> {
+            let ns = self.users.entry(user.into()).or_default();
+            if !manifest.chunks.iter().all(|h| ns.chunks.contains_key(h)) {
+                return None;
+            }
+            for hash in &manifest.chunks {
+                *ns.refs.entry(*hash).or_insert(0) += 1;
+            }
+            ns.next_version += 1;
+            manifest.version = ns.next_version;
+            if let Some(replaced) = ns.files.insert(manifest.path.clone(), manifest) {
+                for hash in &replaced.chunks {
+                    let refs = ns.refs.get_mut(hash).expect("a live manifest's chunks are counted");
+                    *refs -= 1;
+                    if *refs == 0 {
+                        ns.retained.insert(*hash);
+                    }
+                }
+            }
+            Some(ns.next_version)
+        }
+
+        fn delete_file(&mut self, user: &str, path: &str) -> bool {
+            self.users.get_mut(user).is_some_and(|ns| ns.files.remove(path).is_some())
+        }
+
+        fn delete_manifest(&mut self, user: &str, path: &str) -> Option<u64> {
+            let ns = self.users.get_mut(user)?;
+            let manifest = ns.files.remove(path)?;
+            let mut released = Vec::new();
+            for hash in &manifest.chunks {
+                let Some(refs) = ns.refs.get_mut(hash) else { continue };
+                *refs -= 1;
+                if *refs == 0 {
+                    ns.refs.remove(hash);
+                    if !ns.retained.contains(hash) {
+                        released.extend(ns.chunks.remove(hash));
+                    }
+                }
+            }
+            self.counters.manifest_deletes += 1;
+            Some(self.release(released))
+        }
+
+        fn purge(&mut self, user: &str) -> u64 {
+            let Some(ns) = self.users.remove(user) else { return 0 };
+            self.counters.manifest_deletes += ns.files.len() as u64;
+            self.release(ns.chunks.into_values().collect())
+        }
+
+        fn release(&mut self, released: Vec<StoredChunk>) -> u64 {
+            for chunk in &released {
+                let entry =
+                    self.physical.get_mut(&chunk.hash).expect("held chunks exist physically");
+                entry.1 -= 1;
+            }
+            if self.eager {
+                self.collect_garbage();
+            }
+            released.iter().map(|c| c.stored_len).sum()
+        }
+
+        fn collect_garbage(&mut self) -> GcStats {
+            let mut pass = GcStats::default();
+            self.physical.retain(|_, (record, owners, _)| {
+                if *owners == 0 {
+                    pass.freed_chunks += 1;
+                    pass.freed_bytes += record.stored_len;
+                }
+                *owners > 0
+            });
+            self.counters.freed_chunks += pass.freed_chunks;
+            self.counters.reclaimed_bytes += pass.freed_bytes;
+            pass
+        }
+
+        fn aggregate(&self) -> AggregateStats {
+            let live =
+                || self.users.values().filter(|ns| !ns.files.is_empty() || !ns.chunks.is_empty());
+            AggregateStats {
+                users: live().count(),
+                files: live().map(|ns| ns.files.len()).sum(),
+                logical_bytes: live().flat_map(|ns| ns.files.values()).map(|f| f.size).sum(),
+                unique_chunks: self.physical.len() as u64,
+                physical_bytes: self
+                    .physical
+                    .values()
+                    .map(|(record, _, _)| record.stored_len)
+                    .sum(),
+                referenced_bytes: live()
+                    .flat_map(|ns| ns.chunks.values())
+                    .map(|c| c.stored_len)
+                    .sum(),
+                ..self.counters
+            }
+        }
+    }
+
+    /// One user's namespace as a caller reads it back.
+    #[derive(Debug, PartialEq)]
+    struct Namespace {
+        stats: StoreStats,
+        paths: Vec<String>,
+        /// Per path of the universe.
+        manifests: Vec<Option<FileManifest>>,
+        /// Per hash of the universe, as the user sees it.
+        chunks: Vec<Option<StoredChunk>>,
+    }
+
+    /// Everything a caller can read back, over a fixed universe of names.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        aggregate: AggregateStats,
+        users: Vec<String>,
+        /// Per user of the universe.
+        namespaces: Vec<Namespace>,
+        /// Per hash: owners and payload.
+        physical: Vec<(u64, Option<Vec<u8>>)>,
+    }
+
+    const USERS: [&str; 3] = ["ann", "bob", "cy"];
+    const PATHS: [&str; 3] = ["a.bin", "docs/b.bin", "c"];
+
+    /// Four payloads; `variant` picks how well the committer compressed
+    /// one. A small universe on purpose: the interesting sequences
+    /// (supersede, re-reference, hard delete of the same chunk) need the
+    /// same few names to meet often.
+    fn universe() -> Vec<Vec<u8>> {
+        (0..4u8).map(|j| vec![j; 12 + j as usize]).collect()
+    }
+
+    fn variant_of(data: &[u8], variant: u64) -> StoredChunk {
+        StoredChunk { stored_len: data.len() as u64 - variant, ..stored(data) }
+    }
+
+    fn observe_store(store: &ObjectStore) -> Observed {
+        let hashes: Vec<ContentHash> = universe().iter().map(|d| sha256(d)).collect();
+        Observed {
+            aggregate: store.aggregate(),
+            users: store.users(),
+            namespaces: USERS
+                .iter()
+                .map(|user| Namespace {
+                    stats: store.stats(user),
+                    paths: store.list_files(user),
+                    manifests: PATHS.iter().map(|path| store.manifest(user, path)).collect(),
+                    chunks: hashes.iter().map(|hash| store.chunk(user, hash)).collect(),
+                })
+                .collect(),
+            physical: hashes
+                .iter()
+                .map(|h| (store.chunk_owners(h), store.chunk_payload(h).map(|p| p.to_vec())))
+                .collect(),
+        }
+    }
+
+    fn observe_model(model: &Model) -> Observed {
+        let hashes: Vec<ContentHash> = universe().iter().map(|d| sha256(d)).collect();
+        let empty = ModelUser::default();
+        Observed {
+            aggregate: model.aggregate(),
+            users: model
+                .users
+                .iter()
+                .filter(|(_, ns)| !ns.files.is_empty() || !ns.chunks.is_empty())
+                .map(|(name, _)| name.clone())
+                .collect(),
+            namespaces: USERS
+                .iter()
+                .map(|user| {
+                    let ns = model.users.get(*user).unwrap_or(&empty);
+                    let stats = StoreStats {
+                        files: ns.files.len(),
+                        chunks: ns.chunks.len(),
+                        stored_bytes: ns.chunks.values().map(|c| c.stored_len).sum(),
+                        logical_bytes: ns.files.values().map(|f| f.size).sum(),
+                    };
+                    Namespace {
+                        stats,
+                        paths: ns.files.keys().cloned().collect(),
+                        manifests: PATHS.iter().map(|path| ns.files.get(*path).cloned()).collect(),
+                        chunks: hashes.iter().map(|hash| ns.chunks.get(hash).cloned()).collect(),
+                    }
+                })
+                .collect(),
+            physical: hashes
+                .iter()
+                .map(|h| {
+                    model.physical.get(h).map_or((0, None), |(_, owners, p)| (*owners, p.clone()))
+                })
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random sequences of every write the store has, against the naive
+        /// model, comparing everything readable after every step — under
+        /// both GC policies.
+        #[test]
+        fn the_flat_store_agrees_with_the_naive_model(
+            eager in any::<bool>(),
+            ops in proptest::collection::vec(any::<u64>(), 1..120),
+        ) {
+            let policy = if eager { GcPolicy::Eager } else { GcPolicy::MarkSweep };
+            let store = ObjectStore::with_policy(policy);
+            let mut model = Model { eager, ..Model::default() };
+            let data = universe();
+            for (step, word) in ops.iter().enumerate() {
+                let field = |shift: u32, modulo: u64| ((word >> shift) % modulo) as usize;
+                // Skewed, so that one namespace sees long histories: half
+                // the operations are ann's, half of them on the first path.
+                const SKEW: [usize; 6] = [0, 0, 0, 1, 1, 2];
+                let (user, path) = (USERS[SKEW[field(8, 6)]], PATHS[SKEW[field(16, 6)]]);
+                let (a, b) = (&data[field(24, 4)], &data[field(32, 4)]);
+                let chunk = variant_of(a, (word >> 40) % 3);
+                match word % 10 {
+                    0 | 1 => prop_assert_eq!(
+                        store.put_chunk(user, chunk.clone()),
+                        model.put(user, chunk, None)
+                    ),
+                    2 => {
+                        let full = StoredChunk { plain_len: a.len() as u64, ..chunk };
+                        prop_assert_eq!(
+                            store.put_chunk_with_payload(user, full.clone(), a),
+                            model.put(user, full, Some(a))
+                        );
+                    }
+                    3..=5 => {
+                        // One chunk, two, one repeated, or none at all.
+                        let chunks: Vec<&Vec<u8>> = match (word >> 48) % 4 {
+                            0 => vec![a],
+                            1 => vec![a, b],
+                            2 => vec![a, a],
+                            _ => vec![],
+                        };
+                        let manifest = FileManifest {
+                            path: path.into(),
+                            size: chunks.iter().map(|d| d.len() as u64).sum(),
+                            chunks: chunks.iter().map(|d| sha256(d)).collect(),
+                            version: 0,
+                        };
+                        // The store panics on a manifest over chunks the
+                        // user lacks; the model says which those are.
+                        if let Some(version) = model.commit(user, manifest.clone()) {
+                            prop_assert_eq!(store.commit_manifest(user, manifest), version);
+                        }
+                    }
+                    6 => prop_assert_eq!(store.delete_file(user, path), model.delete_file(user, path)),
+                    7 => prop_assert_eq!(
+                        store.delete_manifest(user, path),
+                        model.delete_manifest(user, path)
+                    ),
+                    8 => prop_assert_eq!(store.purge_user(user), model.purge(user)),
+                    _ => prop_assert_eq!(store.collect_garbage(), model.collect_garbage()),
+                }
+                prop_assert_eq!((step, observe_store(&store)), (step, observe_model(&model)));
+            }
+        }
+
+        /// Ids depend on the order names are first seen in; nothing a
+        /// caller can read does. The same per-user scripts run with the
+        /// users interned in opposite orders, from one thread and from
+        /// four (commits, then releases — the phases the fleet separates).
+        #[test]
+        fn observables_do_not_depend_on_interning_order_or_threads(
+            eager in any::<bool>(),
+            scripts in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..24), 3..4),
+            leavers in 0usize..8,
+        ) {
+            let policy = if eager { GcPolicy::Eager } else { GcPolicy::MarkSweep };
+            let data = universe();
+            let commit_phase = |store: &ObjectStore, u: usize| {
+                for word in &scripts[u] {
+                    let field = |shift: u32, modulo: u64| ((word >> shift) % modulo) as usize;
+                    let a = &data[field(24, 4)];
+                    let chunk = variant_of(a, (word >> 40) % 3);
+                    store.put_chunk(USERS[u], chunk.clone());
+                    let manifest =
+                        FileManifest { path: PATHS[field(16, 3)].into(), size: chunk.plain_len, chunks: vec![chunk.hash], version: 0 };
+                    store.commit_manifest(USERS[u], manifest);
+                }
+            };
+            let release_phase = |store: &ObjectStore, u: usize| {
+                if leavers >> u & 1 == 1 {
+                    store.purge_user(USERS[u]);
+                } else {
+                    store.delete_manifest(USERS[u], PATHS[u]);
+                }
+            };
+
+            let sequential = ObjectStore::with_policy(policy);
+            for user in USERS {
+                sequential.intern_user(user).unwrap();
+            }
+            (0..3).for_each(|u| commit_phase(&sequential, u));
+            (0..3).for_each(|u| release_phase(&sequential, u));
+            sequential.collect_garbage();
+
+            let threaded = ObjectStore::with_policy(policy);
+            for user in USERS.iter().rev() {
+                threaded.intern_user(user).unwrap();
+            }
+            for path in PATHS.iter().rev() {
+                threaded.intern_path(path).unwrap();
+            }
+            for phase in [&commit_phase as &(dyn Fn(&ObjectStore, usize) + Sync), &release_phase] {
+                cloudsim_parallel::run_indexed(4, 3, || (), |(), u| phase(&threaded, u));
+            }
+            threaded.collect_garbage();
+
+            prop_assert_eq!(observe_store(&threaded), observe_store(&sequential));
+        }
     }
 }
