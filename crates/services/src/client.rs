@@ -691,8 +691,9 @@ impl SyncClient {
     /// the reused storage connection, filling the downstream pipe; a cut
     /// leaves the received prefix verified, and the retry issues a fresh
     /// range request for only the remaining bytes. On completion the
-    /// reassembled content is validated end to end with SHA-256 along the
-    /// recorded resume boundaries. The control plane stays fault-free (see
+    /// reassembled content is verified against the manifest's chunk hashes
+    /// in one SHA-256 pass along the recorded resume boundaries
+    /// ([`RangedTransfer::verify`]). The control plane stays fault-free (see
     /// [`SyncClient::sync_batch_faulted`]); `first_byte_at` is recorded from
     /// completed ranges only.
     pub fn restore_batch_faulted(
@@ -753,8 +754,9 @@ impl SyncClient {
             t = done;
             first_byte_at = first_byte_at.or(first_byte);
             if ranged.is_complete() {
-                // End-to-end validation of the reassembled content.
-                if ranged.verify(&file.content) {
+                // End-to-end check of the reassembled content against
+                // the manifest's chunk hashes.
+                if ranged.verify(&file.content, &file.chunks) {
                     files_restored += 1;
                 } else {
                     files_failed += 1;

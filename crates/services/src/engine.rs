@@ -73,7 +73,6 @@
 use crate::fleet::{FleetSpec, ROUND_EPOCH_SECS};
 use crate::schedule::{FleetSchedule, RoundEvent};
 use cloudsim_trace::SimTime;
-use std::collections::HashSet;
 
 /// What kind of work a [`FleetEvent`] performs when it fires.
 ///
@@ -182,14 +181,14 @@ pub struct EventHeap {
     next: usize,
     /// Scratch for the wave segmentation, kept across waves so popping one
     /// does not allocate.
-    seen: HashSet<usize>,
+    seen: SeenClients,
 }
 
 impl EventHeap {
     /// A queue over `events` (any order; sorted here, once).
     pub fn from_events(mut events: Vec<FleetEvent>) -> EventHeap {
         events.sort_unstable();
-        EventHeap { events, next: 0, seen: HashSet::new() }
+        EventHeap { events, next: 0, seen: SeenClients::default() }
     }
 
     /// Lowers a spec's precomputed schedule into the full event list:
@@ -288,11 +287,50 @@ impl EventHeap {
     }
 }
 
+/// Which clients the wave being segmented already holds: `stamp[client]`
+/// equals the current generation exactly when the client is in it, so
+/// starting a wave is one increment rather than a table clear, and
+/// membership is an index rather than a hash. The table grows to the
+/// largest client id it is asked about; [`NO_CLIENT`] (far beyond any
+/// table) has a flag of its own.
+#[derive(Debug, Default)]
+struct SeenClients {
+    stamp: Vec<u32>,
+    generation: u32,
+    no_client: bool,
+}
+
+impl SeenClients {
+    /// Forgets every client (a new wave starts).
+    fn clear(&mut self) {
+        self.no_client = false;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // The counter wrapped: stamps from 2^32 waves ago would read as
+            // current, so wipe them once.
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Adds `client`; false when the wave already held it.
+    fn insert(&mut self, client: usize) -> bool {
+        if client == NO_CLIENT {
+            return !std::mem::replace(&mut self.no_client, true);
+        }
+        if client >= self.stamp.len() {
+            self.stamp.resize(client + 1, 0);
+        }
+        let stamp = std::mem::replace(&mut self.stamp[client], self.generation);
+        stamp != self.generation
+    }
+}
+
 /// The length of the wave at the head of `events` (given in key order): it
 /// runs until the phase changes or a client repeats. The one segmentation
 /// rule, shared by [`EventHeap::next_wave`] and [`wave_count`]; `seen` is
 /// caller-owned scratch.
-fn leading_wave(events: &[FleetEvent], seen: &mut HashSet<usize>) -> usize {
+fn leading_wave(events: &[FleetEvent], seen: &mut SeenClients) -> usize {
     seen.clear();
     let Some(first) = events.first() else { return 0 };
     events.iter().take_while(|ev| ev.phase == first.phase && seen.insert(ev.client)).count()
@@ -303,7 +341,7 @@ fn leading_wave(events: &[FleetEvent], seen: &mut HashSet<usize>) -> usize {
 /// fragmentation — how many more waves a merged event stream splits into
 /// than the sum of its partitions' streams — without re-driving a queue.
 pub fn wave_count(mut events: &[FleetEvent]) -> usize {
-    let mut seen = HashSet::new();
+    let mut seen = SeenClients::default();
     let mut waves = 0usize;
     while !events.is_empty() {
         events = &events[leading_wave(events, &mut seen)..];
@@ -403,6 +441,33 @@ mod tests {
         sorted.sort();
         assert_eq!(wave_count(&sorted), popped);
         assert_eq!(wave_count(&[]), 0);
+    }
+
+    #[test]
+    fn client_ids_far_above_the_event_count_grow_the_stamp_table() {
+        // Three events, ids up to a million: the table is sized by the
+        // largest id seen, not by the number of events, and the GC
+        // sentinel (`usize::MAX`) never touches it.
+        let far = 1_000_000;
+        let events = vec![
+            event(0, Phase::Sync, far),
+            event(0, Phase::Sync, 2),
+            event(5, Phase::Sync, far),
+            event(5, Phase::Gc, NO_CLIENT),
+            event(9, Phase::Gc, NO_CLIENT),
+        ];
+        let mut sorted = events.clone();
+        sorted.sort();
+        assert_eq!(wave_count(&sorted), 4);
+        assert_eq!(
+            drain_waves(EventHeap::from_events(events)),
+            vec![
+                (Phase::Sync, vec![2, far]),
+                (Phase::Sync, vec![far]),
+                (Phase::Gc, vec![NO_CLIENT]),
+                (Phase::Gc, vec![NO_CLIENT]),
+            ]
+        );
     }
 
     #[test]

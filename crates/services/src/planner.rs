@@ -70,7 +70,8 @@ pub struct UploadPlanner {
     /// Content pulled down by restores, keyed `owner/path`. Feeds the local
     /// chunk view (pulled chunks are never re-downloaded) and serves as the
     /// delta base when a path is pulled again after the owner modified it.
-    restored: HashMap<String, Vec<u8>>,
+    /// Shared with the [`RestoredFile`] the pull returned, not copied.
+    restored: HashMap<String, Arc<Vec<u8>>>,
     /// The client's local chunk view: every chunk of every file it
     /// currently holds (own uploads + pulled content), with a count of the
     /// holding files. Maintained incrementally as files are committed,
@@ -392,7 +393,7 @@ impl UploadPlanner {
                 base: if own {
                     self.previous.get(path).map(Vec::as_slice)
                 } else {
-                    self.restored.get(&format!("{owner}/{path}")).map(Vec::as_slice)
+                    self.restored.get(&format!("{owner}/{path}")).map(|c| c.as_slice())
                 },
             })
             .collect();
@@ -709,10 +710,10 @@ mod tests {
             results.iter().flatten().find(|r| r.path == p).unwrap_or_else(|| panic!("{p} restored"))
         };
         let pulled_private = by_path("own/private.bin");
-        assert_eq!(pulled_private.content, private);
+        assert_eq!(*pulled_private.content, private);
         assert!(pulled_private.download_bytes() >= 300_000, "random data travels in full");
         let pulled_shared = by_path("pool/shared.bin");
-        assert_eq!(pulled_shared.content, shared);
+        assert_eq!(*pulled_shared.content, shared);
         assert_eq!(pulled_shared.download_bytes(), 0, "alice already holds these chunks");
         assert_eq!(pulled_shared.dedup_skipped_bytes(), 400_000);
 
@@ -727,7 +728,7 @@ mod tests {
         bob.plan_file("own/private.bin", &appended);
         let repull = alice.plan_restore_paths("bob", &["own/private.bin".to_string()]);
         let repull = repull[0].as_ref().unwrap();
-        assert_eq!(repull.content, appended);
+        assert_eq!(*repull.content, appended);
         let down = repull.download_bytes();
         assert!((1..200_000).contains(&down), "delta re-pull should be small, got {down}");
     }
@@ -770,7 +771,7 @@ mod tests {
         planner.plan_file("docs/keep.bin", &content);
         let restored = planner.plan_restore_paths("benchmark-user", &["docs/keep.bin".into()]);
         let restored = restored[0].as_ref().unwrap();
-        assert_eq!(restored.content, content);
+        assert_eq!(*restored.content, content);
         assert_eq!(restored.download_bytes(), 0);
     }
 

@@ -9,14 +9,16 @@
 //!   or one chunk's upload: the last durable byte, the resume boundaries,
 //!   and what recovery cost ([`FaultStats`] — retries, wasted wire bytes,
 //!   salvaged bytes, virtual backoff time, which the fleet aggregates into
-//!   the `faults.*` gate metrics). A download is validated end to end with
-//!   SHA-256 once its last range lands;
+//!   the `faults.*` gate metrics). Once a download's last range lands, its
+//!   reassembled content is verified against the manifest's chunk hashes in
+//!   one SHA-256 pass ([`RangedTransfer::verify`]);
 //! * [`UploadSession`] walks a planned batch of chunks over one such stream
 //!   at a time — bytes the server acknowledged before a cut are never
 //!   uploaded again — and counts what committed and what was abandoned.
 
 use cloudsim_net::TransferInterrupted;
-use cloudsim_storage::hash::{sha256, Sha256};
+use cloudsim_storage::hash::Sha256;
+use cloudsim_storage::RestoredChunk;
 use cloudsim_trace::SimDuration;
 use serde::Serialize;
 
@@ -39,9 +41,10 @@ pub struct FaultStats {
     pub salvaged_bytes: u64,
     /// Virtual-clock time spent waiting in retry backoffs.
     pub backoff_wait: SimDuration,
-    /// Restored files whose reassembled content passed SHA-256 validation.
+    /// Restored files whose reassembled content matched the manifest's
+    /// chunk hashes.
     pub checksums_verified: u64,
-    /// Restored files whose reassembled content failed validation.
+    /// Restored files whose reassembled content did not.
     pub checksum_failures: u64,
 }
 
@@ -171,8 +174,8 @@ impl UploadSession {
 /// Resumable state of one byte stream — a file's ranged download or one
 /// chunk's upload: the last durable byte (verified on the way down,
 /// acknowledged on the way up), the resume boundaries, what recovery cost,
-/// and SHA-256 validation of a download's reassembled content once the
-/// stream completes.
+/// and the check of a completed download's reassembled content against the
+/// manifest's chunk hashes.
 #[derive(Debug, Clone)]
 pub struct RangedTransfer {
     total: u64,
@@ -248,41 +251,65 @@ impl RangedTransfer {
         self.verified >= self.total
     }
 
-    /// End-to-end validation: reassembles `content` along the recorded
-    /// resume boundaries (each stream range maps onto its span of the
-    /// plaintext) through an incremental SHA-256 and compares against the
-    /// digest of the intact content. Records the verdict in the stats and
-    /// returns it. Must only be called on a complete stream.
-    pub fn verify(&mut self, content: &[u8]) -> bool {
+    /// End-to-end validation of a download, in one SHA-256 pass: `content`
+    /// is fed to the hasher piece by piece along the recorded resume
+    /// boundaries (each stream range maps onto its span of the plaintext),
+    /// and at every chunk boundary the running digest is finalised and
+    /// compared with that chunk's hash from the manifest (`chunks`, in file
+    /// order). Content that differs from what the owner committed in any
+    /// byte, chunk hashes out of order, or chunk lengths that do not add up
+    /// to `content.len()` all fail. Records the one verdict per file in the
+    /// stats and returns it. Must only be called on a complete stream.
+    pub fn verify(&mut self, content: &[u8], chunks: &[RestoredChunk]) -> bool {
         assert!(self.is_complete(), "verify requires a complete stream");
-        let expected = sha256(content);
-        let mut hasher = Sha256::new();
-        let mut covered = 0u64;
-        let mut offset = 0usize;
-        for seg in &self.segments {
-            covered += seg;
-            // Map the stream boundary onto the plaintext proportionally
-            // (the encoded stream may be smaller than the plaintext when
-            // chunks deduplicated or delta-encoded away).
-            let end = if covered >= self.total {
-                content.len()
-            } else {
-                ((covered as u128 * content.len() as u128) / self.total.max(1) as u128) as usize
-            };
-            hasher.update(&content[offset..end]);
-            offset = end;
-        }
-        if offset < content.len() {
-            // Zero-byte streams (fully deduplicated files) hash in one piece.
-            hasher.update(&content[offset..]);
-        }
-        let ok = hasher.finalize() == expected;
+        let ok = self.matches_manifest(content, chunks);
         if ok {
             self.stats.checksums_verified += 1;
         } else {
             self.stats.checksum_failures += 1;
         }
         ok
+    }
+
+    /// The pass behind [`RangedTransfer::verify`].
+    fn matches_manifest(&self, content: &[u8], chunks: &[RestoredChunk]) -> bool {
+        let plain = chunks.iter().try_fold(0u64, |sum, c| sum.checked_add(c.plain_len));
+        if plain != Some(content.len() as u64) {
+            return false;
+        }
+        // Map the stream's resume boundaries onto the plaintext
+        // proportionally (the encoded stream may be smaller than the
+        // plaintext when chunks deduplicated or delta-encoded away; a
+        // zero-byte stream has no boundary at all).
+        let mut cuts = self
+            .segments
+            .iter()
+            .scan(0u64, |covered, seg| {
+                *covered += seg;
+                Some(if *covered >= self.total {
+                    content.len()
+                } else {
+                    (*covered as u128 * content.len() as u128 / self.total as u128) as usize
+                })
+            })
+            .peekable();
+        let mut offset = 0usize;
+        for chunk in chunks {
+            let end = offset + chunk.plain_len as usize;
+            let mut hasher = Sha256::new();
+            while let Some(cut) = cuts.next_if(|cut| *cut < end) {
+                if cut > offset {
+                    hasher.update(&content[offset..cut]);
+                    offset = cut;
+                }
+            }
+            hasher.update(&content[offset..end]);
+            offset = end;
+            if hasher.finalize() != chunk.hash {
+                return false;
+            }
+        }
+        true
     }
 
     /// The stream's recovery accounting.
@@ -294,7 +321,37 @@ impl RangedTransfer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudsim_storage::hash::sha256;
+    use cloudsim_storage::RestoreSource;
     use cloudsim_trace::SimTime;
+
+    /// The manifest's view of `content` cut into chunks of `lens` bytes.
+    fn manifest(content: &[u8], lens: &[usize]) -> Vec<RestoredChunk> {
+        let mut offset = 0;
+        lens.iter()
+            .map(|&len| {
+                let bytes = &content[offset..offset + len];
+                offset += len;
+                RestoredChunk {
+                    hash: sha256(bytes),
+                    plain_len: len as u64,
+                    download_bytes: len as u64,
+                    source: RestoreSource::Download,
+                }
+            })
+            .collect()
+    }
+
+    /// A completed stream of `total` bytes that was cut after each of
+    /// `acked` (byte counts per interrupted attempt).
+    fn completed(total: u64, acked: &[u64]) -> RangedTransfer {
+        let mut r = RangedTransfer::new(total);
+        for &bytes in acked {
+            r.interrupted(&cut(bytes, bytes));
+        }
+        r.complete();
+        r
+    }
 
     fn cut(acked: u64, sent: u64) -> TransferInterrupted {
         TransferInterrupted {
@@ -361,7 +418,10 @@ mod tests {
         r.retried(SimDuration::from_secs(1));
         r.complete();
         assert!(r.is_complete());
-        assert!(r.verify(&content), "reassembled content must hash identically");
+        assert!(
+            r.verify(&content, &manifest(&content, &[2_500, 7_500])),
+            "reassembled content must match the manifest"
+        );
         let stats = r.stats();
         assert_eq!(stats.checksums_verified, 1);
         assert_eq!(stats.checksum_failures, 0);
@@ -408,14 +468,83 @@ mod tests {
     #[test]
     fn verification_runs_on_single_shot_and_empty_streams_too() {
         let content = b"personal cloud storage".to_vec();
+        let chunks = manifest(&content, &[content.len()]);
         let mut whole = RangedTransfer::new(content.len() as u64);
         whole.complete();
-        assert!(whole.verify(&content));
+        assert!(whole.verify(&content, &chunks));
         // A fully deduplicated file moves zero stream bytes; its content
         // still validates.
         let mut empty = RangedTransfer::new(0);
         assert!(empty.is_complete());
         empty.complete();
-        assert!(empty.verify(&content));
+        assert!(empty.verify(&content, &chunks));
+        // An empty file has nothing to hash and nothing to get wrong.
+        assert!(empty.verify(&[], &[]));
+        assert_eq!(empty.stats().checksums_verified, 2);
+    }
+
+    #[test]
+    fn the_verdict_does_not_depend_on_where_the_cuts_fell() {
+        let content: Vec<u8> = (0..3_000u32).map(|i| (i * 7 % 253) as u8).collect();
+        let chunks = manifest(&content, &[1_000, 0, 1_500, 500]);
+        let mut corrupted = content.clone();
+        corrupted[1_200] ^= 1;
+        for acked in [
+            &[][..],             // never interrupted
+            &[400],              // inside the first chunk
+            &[1_000],            // exactly on a chunk boundary
+            &[1_000, 1_500],     // on two boundaries
+            &[1_100, 200, 300],  // several inside one chunk
+            &[1, 998, 1, 1_999], // hugging both sides of a boundary
+        ] {
+            assert!(completed(3_000, acked).verify(&content, &chunks), "{acked:?}");
+            assert!(!completed(3_000, acked).verify(&corrupted, &chunks), "{acked:?}");
+        }
+        // A stream shorter than the plaintext (chunks deduplicated away)
+        // maps its boundaries proportionally.
+        assert!(completed(700, &[100, 333]).verify(&content, &chunks));
+        assert!(!completed(700, &[100, 333]).verify(&corrupted, &chunks));
+    }
+
+    #[test]
+    fn any_flipped_byte_or_swapped_hash_fails_exactly_once() {
+        let content: Vec<u8> = (0..600u32).map(|i| (i % 251) as u8).collect();
+        let chunks = manifest(&content, &[250, 100, 250]);
+        for i in 0..content.len() {
+            let mut flipped = content.clone();
+            flipped[i] ^= 0x20;
+            let mut r = completed(600, &[180, 170]);
+            assert!(!r.verify(&flipped, &chunks), "byte {i}");
+            let stats = r.stats();
+            assert_eq!((stats.checksum_failures, stats.checksums_verified), (1, 0), "byte {i}");
+            assert!(!stats.is_clean());
+        }
+        // The same bytes under a manifest whose hashes are out of order.
+        let mut swapped = chunks.clone();
+        let (first, last) = (swapped[0].hash, swapped[2].hash);
+        swapped[0].hash = last;
+        swapped[2].hash = first;
+        let mut r = completed(600, &[180, 170]);
+        assert!(!r.verify(&content, &swapped));
+        assert_eq!(r.stats().checksum_failures, 1);
+        // And the intact pair still passes, once.
+        assert!(r.verify(&content, &chunks));
+        assert_eq!((r.stats().checksum_failures, r.stats().checksums_verified), (1, 1));
+    }
+
+    #[test]
+    fn chunk_lengths_that_do_not_add_up_are_a_failed_checksum() {
+        let bytes = vec![7u8; 501];
+        let content = &bytes[..500];
+        let mut r = completed(500, &[]);
+        // Too short, one byte too long, no chunks at all.
+        for lens in [&[200, 200][..], &[500, 1], &[]] {
+            assert!(!r.verify(content, &manifest(&bytes, lens)), "{lens:?}");
+        }
+        // Lengths whose sum would overflow are no different: no panic.
+        let mut huge = manifest(&bytes, &[250, 250]);
+        huge[1].plain_len = u64::MAX;
+        assert!(!r.verify(content, &huge));
+        assert_eq!((r.stats().checksum_failures, r.stats().checksums_verified), (4, 0));
     }
 }

@@ -7,51 +7,21 @@
 //! test holds a whole run to a per-commit count with a counting allocator;
 //! before the store was flattened the same run made 31.56 allocations per
 //! commit. It is the only test in this binary, so nothing else allocates
-//! while it counts.
+//! while it counts (`counting/mod.rs` is the allocator, shared with
+//! `restore_alloc_budget.rs`).
+
+mod counting;
 
 use cloudsim_services::scale::{run_scale, ScaleSpec};
 use cloudsim_storage::{GcPolicy, ObjectStore};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting every allocation and reallocation.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic
-// that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout`, as the caller
-        // guarantees to us.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn a_scale_run_stays_within_eight_allocations_per_commit() {
     let spec = ScaleSpec::new(2_000).with_seed(0xA110C);
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (before, _) = counting::snapshot();
     let run = run_scale(&spec, store, 1);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = counting::snapshot().0 - before;
     assert_eq!(run.commits, 4_000);
     let per_commit = allocations as f64 / run.commits as f64;
     assert!(

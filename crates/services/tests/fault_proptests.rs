@@ -9,11 +9,12 @@
 //! pure function of its seeds: replaying it yields identical outcomes,
 //! identical fault statistics, identical virtual timestamps.
 
-use cloudsim_net::{FaultSchedule, OutageWindow};
+use cloudsim_net::{FaultSchedule, OutageWindow, TransferInterrupted};
 use cloudsim_services::client::{FaultedRestoreOutcome, FaultedSyncOutcome};
 use cloudsim_services::retry::{ExponentialBackoff, NoRetry};
-use cloudsim_services::{AccessLink, Recovery, ServiceProfile, SyncClient};
-use cloudsim_storage::{ObjectStore, UploadPipeline};
+use cloudsim_services::{AccessLink, RangedTransfer, Recovery, ServiceProfile, SyncClient};
+use cloudsim_storage::hash::sha256;
+use cloudsim_storage::{ObjectStore, RestoreSource, RestoredChunk, UploadPipeline};
 use cloudsim_trace::{SimDuration, SimTime};
 use cloudsim_workload::{BatchSpec, FileKind};
 use proptest::prelude::*;
@@ -210,6 +211,92 @@ proptest! {
             // zero here; the abandoned tail is the guaranteed loss.
         } else {
             prop_assert_eq!(abandoned.committed_payload, recovered.committed_payload);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `RangedTransfer::verify` over random chunk lengths × random
+    /// interruption points: intact content is accepted and a flipped byte
+    /// rejected under every segmentation — cuts inside a chunk, exactly on
+    /// a chunk boundary (`snap`), several in one chunk, a stream shorter
+    /// than the plaintext down to zero bytes (fully deduplicated), zero-
+    /// length chunks, an empty file. The verdict never depends on where
+    /// the cuts fell.
+    #[test]
+    fn verify_accepts_intact_content_under_every_segmentation(
+        content_seed in any::<u64>(),
+        lens in collection::vec(0usize..3_000, 0..6),
+        stream_pct in 0u64..=100,
+        cuts in collection::vec(any::<u32>(), 0..8),
+        snap in any::<bool>(),
+        flip in any::<usize>(),
+    ) {
+        let plain: usize = lens.iter().sum();
+        let mut rng = TestRng::deterministic("verify-content", content_seed);
+        let content: Vec<u8> = (0..plain).map(|_| rng.next_u64() as u8).collect();
+        let mut boundaries = vec![0usize];
+        let chunks: Vec<RestoredChunk> = lens
+            .iter()
+            .map(|&len| {
+                let start = *boundaries.last().expect("starts at 0");
+                boundaries.push(start + len);
+                RestoredChunk {
+                    hash: sha256(&content[start..start + len]),
+                    plain_len: len as u64,
+                    download_bytes: len as u64,
+                    source: RestoreSource::Download,
+                }
+            })
+            .collect();
+
+        // Resume points in stream bytes: random, or (snapped) the stream
+        // offsets of chunk boundaries.
+        let total = plain as u64 * stream_pct / 100;
+        let mut resume_at: Vec<u64> = cuts
+            .iter()
+            .map(|&c| {
+                if snap {
+                    boundaries[c as usize % boundaries.len()] as u64 * stream_pct / 100
+                } else {
+                    c as u64 % (total + 1)
+                }
+            })
+            .filter(|&at| at > 0 && at < total)
+            .collect();
+        resume_at.sort_unstable();
+        resume_at.dedup();
+        let segmented = || {
+            let mut r = RangedTransfer::new(total);
+            let mut at = 0;
+            for &next in &resume_at {
+                r.interrupted(&TransferInterrupted {
+                    bytes_acked: next - at,
+                    bytes_sent: next - at,
+                    elapsed: SimDuration::from_secs(1),
+                    interrupted_at: SimTime::from_secs(1),
+                });
+                at = next;
+            }
+            r.complete();
+            r
+        };
+
+        let mut r = segmented();
+        prop_assert!(r.verify(&content, &chunks), "cuts {:?} of {}", resume_at, total);
+        prop_assert_eq!(r.stats().checksums_verified, 1);
+        prop_assert_eq!(r.stats().checksum_failures, 0);
+        prop_assert_eq!(r.stats().interruptions, resume_at.len() as u64);
+
+        if plain > 0 {
+            let mut corrupted = content.clone();
+            corrupted[flip % plain] ^= 0x80;
+            let mut r = segmented();
+            prop_assert!(!r.verify(&corrupted, &chunks), "cuts {:?} of {}", resume_at, total);
+            prop_assert_eq!(r.stats().checksum_failures, 1);
+            prop_assert_eq!(r.stats().checksums_verified, 0);
         }
     }
 }

@@ -47,35 +47,33 @@ impl CompressionPolicy {
         with_thread_scratch(|scratch| self.upload_size_with(scratch, data))
     }
 
+    /// Whether `data` goes through the coder under this policy (it may still
+    /// come out in stored mode when coding does not help).
+    pub(crate) fn compresses(&self, data: &[u8]) -> bool {
+        match self {
+            CompressionPolicy::Never => false,
+            CompressionPolicy::Always => true,
+            CompressionPolicy::Smart => !looks_compressed(data),
+        }
+    }
+
     /// [`CompressionPolicy::upload_size`] against an explicit, caller-owned
     /// scratch state — the form the upload pipeline's worker threads use so
     /// the coder tables are reused across chunks without any locking.
     pub fn upload_size_with(&self, scratch: &mut LzssScratch, data: &[u8]) -> u64 {
-        match self {
-            CompressionPolicy::Never => data.len() as u64,
-            CompressionPolicy::Always => scratch.upload_size(data),
-            CompressionPolicy::Smart => {
-                if looks_compressed(data) {
-                    data.len() as u64
-                } else {
-                    scratch.upload_size(data)
-                }
-            }
+        if self.compresses(data) {
+            scratch.upload_size(data)
+        } else {
+            data.len() as u64
         }
     }
 
     /// Transforms `data` into the byte stream that goes on the wire.
     pub fn encode(&self, data: &[u8]) -> Vec<u8> {
-        match self {
-            CompressionPolicy::Never => stored(data),
-            CompressionPolicy::Always => compress(data),
-            CompressionPolicy::Smart => {
-                if looks_compressed(data) {
-                    stored(data)
-                } else {
-                    compress(data)
-                }
-            }
+        if self.compresses(data) {
+            compress(data)
+        } else {
+            stored(data)
         }
     }
 }

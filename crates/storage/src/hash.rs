@@ -82,7 +82,8 @@ impl Sha256 {
         Sha256 { state: H0, buffer: [0u8; 64], buffer_len: 0, total_len: 0 }
     }
 
-    /// Feeds data into the hasher.
+    /// Feeds data into the hasher. Whole 64-byte blocks are compressed
+    /// straight from `data`; only a trailing partial block is buffered.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len += data.len() as u64;
         if self.buffer_len > 0 {
@@ -96,30 +97,28 @@ impl Sha256 {
                 self.buffer_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress_block(&block);
-            data = &data[64..];
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            self.compress_block(block.try_into().expect("chunks_exact yields 64-byte blocks"));
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffer_len = rest.len();
         }
     }
 
     /// Finishes the hash and returns the digest.
     pub fn finalize(mut self) -> ContentHash {
         let bit_len = self.total_len * 8;
-        // Padding: 0x80, zeros, then the 64-bit big-endian length.
-        let mut pad = [0u8; 128];
-        pad[0] = 0x80;
+        // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian
+        // length — at most 72 bytes, built on the stack.
         let pad_len =
             if self.buffer_len < 56 { 56 - self.buffer_len } else { 120 - self.buffer_len };
-        let mut tail = Vec::with_capacity(pad_len + 8);
-        tail.extend_from_slice(&pad[..pad_len]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
-        self.update(&tail);
+        let mut tail = [0u8; 72];
+        tail[0] = 0x80;
+        tail[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&tail[..pad_len + 8]);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {

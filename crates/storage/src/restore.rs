@@ -17,14 +17,28 @@
 //!   the service delta-encodes, the server sends an rsync-style script
 //!   against the same-index base chunk instead of the full chunk, whenever
 //!   that is smaller.
-//! * **Compressed on the wire**: full chunk downloads travel in the
-//!   service's compression encoding; each worker decodes them with its own
-//!   reusable [`LzssScratch`], so restores perform no per-chunk table
-//!   allocation.
+//! * **Compressed on the wire, one encode per chunk**: a full chunk download
+//!   travels in the service's compression encoding. The worker runs the LZSS
+//!   coder once over the stored payload with its own reusable
+//!   [`LzssScratch`]; the wire buffer that comes out prices the download
+//!   (`download_bytes`, by the rule of
+//!   [`crate::compress::CompressionPolicy::upload_size`]),
+//!   is what the delta script has to beat, and is the buffer that gets
+//!   decoded and SHA-256-checked against the manifest's hash if the full
+//!   download wins. Nothing is encoded only to be measured.
+//! * **One copy per byte**: a chunk the client already holds is appended to
+//!   the file straight from its shared handle, a one-chunk file *is* its
+//!   decoded chunk's buffer, and [`RestoredFile::content`] sits behind an
+//!   [`Arc`] so the client can keep it as the next delta base without
+//!   cloning it.
 //! * **Deterministic**: per-chunk work is pure and merged in file/chunk
 //!   order, so [`RestorePipeline::sequential`] and
 //!   [`RestorePipeline::parallel`] produce bit-identical content *and* byte
 //!   counts. Property tests assert upload→restore round-trips exactly.
+//!
+//! Every [`RestoredChunk`] carries its manifest hash and plaintext length;
+//! the services layer's ranged download verifies the reassembled file
+//! against exactly those, chunk by chunk, in a single further pass.
 //!
 //! Failure is a value, not a panic: restoring a manifest that a churning
 //! fleet hard-deleted (or whose chunks GC reclaimed) returns a typed
@@ -32,7 +46,7 @@
 //! restores are pure reads.
 
 use crate::chunker::ChunkSpan;
-use crate::compress::{CompressionPolicy, LzssScratch};
+use crate::compress::LzssScratch;
 use crate::delta::{DeltaScript, Signature};
 use crate::hash::ContentHash;
 use crate::pipeline::{PipelineMode, PipelineSpec};
@@ -147,7 +161,9 @@ pub struct RestoredFile {
     /// Manifest version that was restored.
     pub version: u64,
     /// The reconstructed content — byte-identical to what was uploaded.
-    pub content: Vec<u8>,
+    /// Behind an [`Arc`] so a client can keep it as the base revision of a
+    /// later delta download without copying it.
+    pub content: Arc<Vec<u8>>,
     /// Per-chunk reconstruction records, in file order.
     pub chunks: Vec<RestoredChunk>,
     /// Control-plane bytes the restore cost (manifest fetch, chunk list).
@@ -313,7 +329,8 @@ impl RestorePipeline {
 
         // Stage 1 — flatten to (file, chunk) units and fan out the per-chunk
         // reconstruction: local-copy check, delta against the base chunk,
-        // or full download (encode + decode under the compression policy).
+        // or full download (one encode, one decode under the compression
+        // policy).
         let units: Vec<(usize, usize)> = fetched
             .iter()
             .enumerate()
@@ -325,7 +342,7 @@ impl RestorePipeline {
         let total_bytes: u64 =
             fetched.iter().filter_map(|f| f.as_ref().ok()).map(|f| f.manifest.size).sum();
 
-        type ChunkOutcome = Result<(Vec<u8>, RestoredChunk), RestoreError>;
+        type ChunkOutcome = Result<(ChunkBytes, RestoredChunk), RestoreError>;
         let outcomes: Vec<ChunkOutcome> = run_indexed(
             self.worker_count(units.len(), total_bytes),
             units.len(),
@@ -340,7 +357,9 @@ impl RestorePipeline {
         );
 
         // Merge — reassemble per file in deterministic chunk order; the
-        // first failing chunk (in file order) decides a file's error.
+        // first failing chunk (in file order) decides a file's error. A
+        // one-chunk file adopts its decoded buffer; every other byte is
+        // appended once, straight from where it lies.
         let mut results: Vec<Result<RestoredFile, RestoreError>> = fetched
             .iter()
             .zip(requests)
@@ -350,7 +369,10 @@ impl RestorePipeline {
                     owner: req.owner.to_string(),
                     path: req.path.to_string(),
                     version: f.manifest.version,
-                    content: Vec::with_capacity(f.manifest.size as usize),
+                    content: Arc::new(match f.manifest.chunks.len() {
+                        0 | 1 => Vec::new(),
+                        _ => Vec::with_capacity(f.manifest.size as usize),
+                    }),
                     chunks: Vec::with_capacity(f.manifest.chunks.len()),
                     // Manifest envelope plus one hash record per chunk,
                     // mirroring the upload planner's accounting.
@@ -363,7 +385,13 @@ impl RestorePipeline {
             let Ok(file) = slot else { continue };
             match outcome {
                 Ok((bytes, chunk)) => {
-                    file.content.extend_from_slice(&bytes);
+                    let content =
+                        Arc::get_mut(&mut file.content).expect("unshared until it is returned");
+                    match bytes {
+                        ChunkBytes::Decoded(bytes) if content.capacity() == 0 => *content = bytes,
+                        ChunkBytes::Decoded(bytes) => content.extend_from_slice(&bytes),
+                        ChunkBytes::Local(bytes) => content.extend_from_slice(&bytes),
+                    }
                     file.chunks.push(chunk);
                 }
                 Err(e) => *slot = Err(e),
@@ -373,8 +401,20 @@ impl RestorePipeline {
     }
 }
 
+/// A reconstructed chunk's plaintext on its way into the file: a handle on
+/// the copy the client already holds, or the buffer a download decoded into.
+enum ChunkBytes {
+    /// Shared with the client's local chunk view — appended, never cloned.
+    Local(Arc<[u8]>),
+    /// Freshly decoded (or delta-applied); a one-chunk file takes it whole.
+    Decoded(Vec<u8>),
+}
+
 /// Reconstructs one chunk. Pure: depends only on the fetched state, the
 /// request and the spec, so the fan-out order cannot leak into the result.
+/// The LZSS coder runs at most once: the wire form it produces prices the
+/// full download, and is the very buffer that gets decoded if the full
+/// download wins.
 fn restore_chunk(
     spec: &PipelineSpec,
     req: &RestoreRequest<'_>,
@@ -383,7 +423,7 @@ fn restore_chunk(
     hash: ContentHash,
     local: LocalChunks<'_>,
     scratch: &mut LzssScratch,
-) -> Result<(Vec<u8>, RestoredChunk), RestoreError> {
+) -> Result<(ChunkBytes, RestoredChunk), RestoreError> {
     // Dedup on the down path: a chunk the client already holds (its own
     // uploads or an earlier restore) costs nothing on the wire.
     if let Some(bytes) = local(&hash) {
@@ -393,12 +433,12 @@ fn restore_chunk(
             download_bytes: 0,
             source: RestoreSource::LocalCopy,
         };
-        return Ok((bytes.to_vec(), chunk));
+        return Ok((ChunkBytes::Local(bytes), chunk));
     }
 
     let corrupt =
         || RestoreError::Corrupt { user: req.owner.to_string(), path: req.path.to_string(), hash };
-    let Some(payload) = file.payloads[chunk_idx].as_ref() else {
+    let Some(payload) = file.payloads[chunk_idx].as_deref() else {
         let err = if file.present[chunk_idx] {
             RestoreError::PayloadUnavailable {
                 user: req.owner.to_string(),
@@ -419,13 +459,23 @@ fn restore_chunk(
     // corrupt stored payload too — hashing it twice would only slow the
     // hot per-chunk path down.
 
+    // The full download's wire form, encoded once with the worker's
+    // reusable scratch (`None`: the policy sends the payload as stored). It
+    // stays borrowed across the delta decision below.
+    let wire = spec.compression.compresses(payload).then(|| scratch.compress_into(payload));
+    // Priced like `CompressionPolicy::upload_size`: an encoding that does
+    // not help costs the stored form plus its one-byte marker.
+    let full_wire = match wire {
+        Some(wire) => (wire.len() as u64).min(payload.len() as u64 + 1),
+        None => payload.len() as u64,
+    };
+
     // Delta download: the server diffs the target chunk against the
     // same-index chunk of the base revision the client still holds, and
     // sends the script when it beats the full (compressed) transfer.
-    let full_wire = spec.compression.upload_size_with(scratch, payload);
     if let (Some(base), Some(span)) = (req.base, file.base_spans.get(chunk_idx)) {
         let base_chunk = &base[span.range()];
-        if base_chunk != &payload[..] {
+        if base_chunk != payload {
             let signature = Signature::new(base_chunk);
             let script = DeltaScript::compute(&signature, payload);
             if script.wire_size() < full_wire {
@@ -439,27 +489,16 @@ fn restore_chunk(
                     download_bytes: script.wire_size(),
                     source: RestoreSource::Delta,
                 };
-                return Ok((content, chunk));
+                return Ok((ChunkBytes::Decoded(content), chunk));
             }
         }
     }
 
-    // Full download in the service's wire encoding; decode with the
-    // worker's reusable scratch and verify before accepting.
-    let content = match spec.compression {
-        CompressionPolicy::Never => payload.to_vec(),
-        CompressionPolicy::Always => {
-            let wire = scratch.compress_into(payload);
-            crate::compress::decompress(wire).map_err(|_| corrupt())?
-        }
-        CompressionPolicy::Smart => {
-            if crate::compress::looks_compressed(payload) {
-                payload.to_vec()
-            } else {
-                let wire = scratch.compress_into(payload);
-                crate::compress::decompress(wire).map_err(|_| corrupt())?
-            }
-        }
+    // Full download: decode what was priced above and verify before
+    // accepting.
+    let content = match wire {
+        Some(wire) => crate::compress::decompress(wire).map_err(|_| corrupt())?,
+        None => payload.to_vec(),
     };
     if crate::hash::sha256(&content) != hash {
         return Err(corrupt());
@@ -470,13 +509,14 @@ fn restore_chunk(
         download_bytes: full_wire,
         source: RestoreSource::Download,
     };
-    Ok((content, chunk))
+    Ok((ChunkBytes::Decoded(content), chunk))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chunker::ChunkingStrategy;
+    use crate::compress::CompressionPolicy;
     use crate::hash::sha256;
     use crate::pipeline::{FileJob, UploadPipeline};
     use crate::store::{GcPolicy, StoredChunk};
@@ -549,7 +589,7 @@ mod tests {
                 &no_local,
             )
             .unwrap();
-        assert_eq!(restored.content, content);
+        assert_eq!(*restored.content, content);
         assert_eq!(restored.owner, "alice");
         assert_eq!(restored.version, 1);
         assert_eq!(restored.chunks.len(), 4);
@@ -581,8 +621,8 @@ mod tests {
                 .restore_batch(&store, &spec, &requests, &no_local);
             assert_eq!(sequential, parallel, "threads={threads}");
         }
-        assert_eq!(sequential[0].as_ref().unwrap().content, a);
-        assert_eq!(sequential[1].as_ref().unwrap().content, b);
+        assert_eq!(*sequential[0].as_ref().unwrap().content, a);
+        assert_eq!(*sequential[1].as_ref().unwrap().content, b);
         assert!(matches!(sequential[2], Err(RestoreError::ManifestMissing { .. })));
     }
 
@@ -608,7 +648,7 @@ mod tests {
                 &|h| local.get(h).cloned(),
             )
             .unwrap();
-        assert_eq!(restored.content, content);
+        assert_eq!(*restored.content, content);
         assert_eq!(restored.download_bytes(), 0);
         assert_eq!(restored.dedup_skipped_bytes(), content.len() as u64);
         assert!(restored.chunks.iter().all(|c| c.source == RestoreSource::LocalCopy));
@@ -632,7 +672,7 @@ mod tests {
                 &no_local,
             )
             .unwrap();
-        assert_eq!(restored.content, new);
+        assert_eq!(*restored.content, new);
         // Only the first 64 kB chunk differs; it travels as a delta far
         // smaller than the chunk, the rest as identical-chunk deltas or
         // plain downloads of identical content… identical same-index chunks
@@ -728,7 +768,7 @@ mod tests {
                 &|h| (*h == hash).then(|| bytes.clone()),
             )
             .unwrap();
-        assert_eq!(restored.content, data);
+        assert_eq!(*restored.content, data);
     }
 
     #[test]
@@ -746,7 +786,7 @@ mod tests {
                 &no_local,
             )
             .unwrap();
-        assert_eq!(restored.content, content);
+        assert_eq!(*restored.content, content);
         assert_eq!(restored.owner, "bob");
         assert_eq!(store.stats("alice").chunks, 0);
         // The wrong owner gets a typed miss, not Bob's bytes.
@@ -777,7 +817,7 @@ mod tests {
                     &no_local,
                 )
                 .unwrap();
-            assert_eq!(restored.content, fake_jpeg, "{compression:?}");
+            assert_eq!(*restored.content, fake_jpeg, "{compression:?}");
             // Neither policy compresses a (fake) JPEG: full size travels.
             assert!(
                 restored.download_bytes() >= fake_jpeg.len() as u64,
@@ -785,6 +825,69 @@ mod tests {
                 restored.download_bytes()
             );
         }
+    }
+
+    #[test]
+    fn one_encode_prices_and_serves_the_full_download() {
+        // Every policy × every payload kind of Fig. 5, one chunk per file:
+        // the wire size comes from the buffer that gets decoded, and must
+        // equal what the upload side's `upload_size` says; the delta
+        // decision is taken against that same figure, so the single encode
+        // cannot change which branch wins.
+        let mut fake_jpeg = b"\xFF\xD8\xFF\xE0".to_vec();
+        fake_jpeg.extend_from_slice(&text(40_000));
+        let payloads =
+            [("text", text(40_000)), ("random", pseudo_random(40_000, 21)), ("jpeg", fake_jpeg)];
+        let (mut delta_won, mut delta_lost) = (0, 0);
+        for compression in
+            [CompressionPolicy::Never, CompressionPolicy::Always, CompressionPolicy::Smart]
+        {
+            let spec = PipelineSpec { compression, ..spec() };
+            for (kind, payload) in &payloads {
+                let store = ObjectStore::new();
+                upload(&store, &spec, "alice", "f", payload);
+                let full = compression.upload_size(payload);
+                // A base differing in a few bytes (delta wins), an
+                // unrelated one (its script carries the whole chunk as
+                // literals), and none.
+                let mut near = payload.clone();
+                near[20_000] ^= 0xFF;
+                let far = pseudo_random(40_000, 99);
+                for base in [None, Some(&near), Some(&far)] {
+                    let restored = RestorePipeline::sequential()
+                        .restore_file(
+                            &store,
+                            &spec,
+                            RestoreRequest {
+                                owner: "alice",
+                                path: "f",
+                                base: base.map(|b| &b[..]),
+                            },
+                            &no_local,
+                        )
+                        .unwrap();
+                    let label = format!("{compression:?}/{kind}/base={}", base.is_some());
+                    assert_eq!(*restored.content, *payload, "{label}");
+                    let delta = base.map(|b| DeltaScript::compute(&Signature::new(b), payload));
+                    let expected = match delta {
+                        Some(script) if script.wire_size() < full => {
+                            (RestoreSource::Delta, script.wire_size())
+                        }
+                        _ => (RestoreSource::Download, full),
+                    };
+                    let chunk = restored.chunks[0];
+                    assert_eq!((chunk.source, chunk.download_bytes), expected, "{label}");
+                    match (base, chunk.source) {
+                        (Some(_), RestoreSource::Delta) => delta_won += 1,
+                        (Some(_), _) => delta_lost += 1,
+                        (None, _) => {}
+                    }
+                }
+            }
+        }
+        // Both branches ran with a base on offer — including the cell where
+        // a near-identical base still loses to the compressed download.
+        assert!(delta_won > 0 && delta_lost > 0, "{delta_won} won, {delta_lost} lost");
     }
 
     #[test]
@@ -824,7 +927,7 @@ mod tests {
                     &no_local,
                 )
                 .unwrap();
-            assert_eq!(&restored.content, content, "{path}");
+            assert_eq!(&*restored.content, content, "{path}");
         }
     }
 }

@@ -294,7 +294,7 @@ proptest! {
         prop_assert_eq!(&sequential, &parallel);
         for (content, restored) in files.iter().zip(&sequential) {
             let restored = restored.as_ref().expect("every uploaded file restores");
-            prop_assert_eq!(&restored.content, content);
+            prop_assert_eq!(&*restored.content, content);
         }
     }
 
