@@ -65,7 +65,8 @@ pub struct UploadPlanner {
     store: ObjectStore,
     dedup: DedupIndex,
     cipher: ConvergentCipher,
-    /// Last revision of each path as the server knows it (basis for delta).
+    /// Last revision of each path as the server knows it: the basis for
+    /// delta, so only kept when the service delta-encodes.
     previous: HashMap<String, Vec<u8>>,
     /// Content pulled down by restores, keyed `owner/path`. Feeds the local
     /// chunk view (pulled chunks are never re-downloaded) and serves as the
@@ -77,7 +78,8 @@ pub struct UploadPlanner {
     /// holding files. Maintained incrementally as files are committed,
     /// deleted, pulled and re-pulled — the restore pipeline's dedup check
     /// reads it directly instead of re-chunking the whole local state on
-    /// every pull.
+    /// every pull. The bytes are the store's own payload allocation where
+    /// it has one.
     local_chunks: HashMap<ContentHash, (Arc<[u8]>, usize)>,
     /// Chunk hashes per locally held file (`own:` / `pull:` key prefixes),
     /// so superseding or deleting a file releases exactly its references.
@@ -325,7 +327,9 @@ impl UploadPlanner {
             .map(|a| (a.chunk.hash, a.chunk.offset as usize..a.chunk.end() as usize))
             .collect();
         self.index_local_file(format!("own:{path}"), &spans, content);
-        self.previous.insert(path.to_string(), content.to_vec());
+        if self.profile.delta_encoding {
+            self.previous.insert(path.to_string(), content.to_vec());
+        }
 
         FilePlan {
             path: path.to_string(),
@@ -339,12 +343,14 @@ impl UploadPlanner {
     /// references, but — like Dropbox and Wuala — keeps the chunk index so a
     /// later restore deduplicates (§4.3).
     pub fn plan_delete(&mut self, path: &str) {
-        if let Some(old) = self.previous.remove(path) {
-            for chunk in self.profile.chunking.chunk(&old) {
-                self.dedup.remove_reference(&chunk.hash);
-            }
-            self.unindex_local_file(&format!("own:{path}"));
+        self.previous.remove(path);
+        // The local view lists the live revision's chunk hashes in file
+        // order — what re-chunking and re-hashing its bytes would give.
+        let key = format!("own:{path}");
+        for hash in self.local_files.get(&key).into_iter().flatten() {
+            self.dedup.remove_reference(hash);
         }
+        self.unindex_local_file(&key);
         self.store.delete_file(&self.user, path);
     }
 
@@ -441,6 +447,10 @@ impl UploadPlanner {
 
     /// Registers (or replaces) one locally held file in the chunk view:
     /// `spans` are its chunk hashes with their byte ranges in `content`.
+    /// A chunk new to the view shares the store's payload (hash-equal, so
+    /// the same bytes) instead of copying them out of `content`; the copy
+    /// is for a chunk the store no longer serves, e.g. one a departing
+    /// owner's purge reclaimed between the pull and this call.
     fn index_local_file(
         &mut self,
         key: String,
@@ -448,13 +458,14 @@ impl UploadPlanner {
         content: &[u8],
     ) {
         self.unindex_local_file(&key);
+        let store = &self.store;
         let mut hashes = Vec::with_capacity(spans.len());
         for (hash, range) in spans {
             hashes.push(*hash);
-            let entry = self
-                .local_chunks
-                .entry(*hash)
-                .or_insert_with(|| (Arc::from(&content[range.clone()]), 0));
+            let entry = self.local_chunks.entry(*hash).or_insert_with(|| {
+                let bytes = store.chunk_payload(hash);
+                (bytes.unwrap_or_else(|| Arc::from(&content[range.clone()])), 0)
+            });
             entry.1 += 1;
         }
         self.local_files.insert(key, hashes);
@@ -552,6 +563,78 @@ mod tests {
         let (hits, misses) = planner.dedup_stats();
         assert!(hits >= 3);
         assert_eq!(misses, 1);
+    }
+
+    /// `plan_delete` releases the live revision's references from the
+    /// local view's hash list; the oracle re-chunks the bytes, as the
+    /// planner itself used to. §4.3 for all five profiles: the delete moves
+    /// no dedup counter, and the restore is free exactly where the service
+    /// deduplicates.
+    #[test]
+    fn delete_releases_the_live_revisions_references_for_every_profile() {
+        let a = generate(FileKind::RandomBinary, 300_000, 5);
+        let b1 = generate(FileKind::Text, 120_000, 6);
+        let b2 = Mutation::Append { len: 40_000 }.apply(&b1, 7);
+        for profile in ServiceProfile::all() {
+            let name = profile.name();
+            let hashes = |content: &[u8]| -> Vec<ContentHash> {
+                profile.chunking.chunk(content).iter().map(|c| c.hash).collect()
+            };
+            let mut planner = UploadPlanner::new(profile.clone());
+            let mut expected: HashMap<ContentHash, u64> = HashMap::new();
+            let uploads: [(&str, &[u8]); 4] =
+                [("f/a.bin", &a), ("g/copy.bin", &a), ("f/b.txt", &b1), ("f/b.txt", &b2)];
+            for (path, content) in uploads {
+                planner.plan_file(path, content);
+                for hash in hashes(content) {
+                    *expected.entry(hash).or_default() += 1;
+                }
+            }
+            let stats = planner.dedup_stats();
+
+            // Deleting twice, or a path never uploaded, releases nothing more.
+            for path in ["f/a.bin", "f/b.txt", "f/a.bin", "f/never.bin"] {
+                planner.plan_delete(path);
+            }
+            for hash in hashes(&a).into_iter().chain(hashes(&b2)) {
+                *expected.get_mut(&hash).unwrap() -= 1;
+            }
+            for (hash, refs) in &expected {
+                assert_eq!(planner.dedup.references(hash), *refs, "{name}");
+            }
+            assert_eq!(planner.dedup_stats(), stats, "{name}: a delete asks the index nothing");
+            assert!(!planner.local_files.contains_key("own:f/a.bin"), "{name}");
+            assert!(planner.local_files.contains_key("own:g/copy.bin"), "{name}");
+
+            let restored = planner.plan_file("f/a.bin", &a);
+            assert_eq!(restored.fully_deduplicated(), profile.dedup, "{name}");
+            let (hits, misses) = planner.dedup_stats();
+            if profile.dedup {
+                assert_eq!(restored.upload_bytes(), 0, "{name}");
+                assert_eq!((hits, misses), (stats.0 + hashes(&a).len() as u64, stats.1), "{name}");
+            } else {
+                assert!(restored.upload_bytes() >= 300_000, "{name}");
+                assert_eq!((hits, misses), (0, 0), "{name}");
+            }
+        }
+    }
+
+    /// One copy per uploaded byte: the local view holds the store's own
+    /// payload allocation, and only a delta-encoding service keeps the
+    /// revision's bytes as the next delta's base.
+    #[test]
+    fn committed_chunks_share_the_stores_payload() {
+        let content = generate(FileKind::RandomBinary, 200_000, 15);
+        for profile in ServiceProfile::all() {
+            let mut planner = UploadPlanner::new(profile.clone());
+            planner.plan_file("a.bin", &content);
+            assert_eq!(planner.previous.contains_key("a.bin"), profile.delta_encoding);
+            assert!(!planner.local_chunks.is_empty());
+            for (hash, (bytes, _)) in &planner.local_chunks {
+                let stored = planner.store.chunk_payload(hash).expect("committed with payload");
+                assert!(Arc::ptr_eq(bytes, &stored), "{}", profile.name());
+            }
+        }
     }
 
     #[test]

@@ -97,35 +97,84 @@ fn stored(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Sentinel for "no chain entry" in the match-finder tables.
-const NO_POS: u32 = u32::MAX;
-
 /// Number of hash-chain candidates examined per position.
 const MAX_TRIES: u32 = 32;
 
+/// Entries of the `head` table.
+const HEAD_SIZE: usize = 1 << 16;
+
+/// Where a fresh (or refilled) scratch starts its position offset: far
+/// enough above the zeroed `head` that a zero entry is out of window.
+const BASE_START: u32 = WINDOW as u32 + 1;
+
+/// Largest input one call accepts: `base + len + WINDOW + 1` must fit a
+/// `u32` even straight after a refill.
+const MAX_INPUT: usize = (u32::MAX - 2 * BASE_START) as usize;
+
+/// "No earlier position in reach" in the `chain` ring: any step this long
+/// leaves the window.
+const FAR: u16 = u16::MAX;
+
 /// Reusable match-finder state of the LZSS coder.
 ///
-/// The original coder allocated a fresh 64 k-entry `head` table plus an
-/// O(input) `prev` chain vector *per call*, which made the allocator the
-/// bottleneck of the upload pipeline. The scratch replaces `prev` with a
-/// ring buffer of `WINDOW` entries indexed by `position & (WINDOW - 1)` —
-/// valid because candidates further than `WINDOW` back are never followed —
-/// and uses `u32` indices throughout, shrinking the working set 4× and
-/// reducing the per-call cost to one `memset` of the `head` table. The
-/// output buffer is reused as well, so a warmed-up scratch performs **zero
-/// heap allocation per call**.
+/// `head` maps the hash of a 4-byte prefix to the most recent position with
+/// that hash; `chain` is a ring of `WINDOW` entries, `chain[pos & (WINDOW -
+/// 1)]` holding how far back the previous position with `pos`'s hash lies —
+/// a ring is enough, because candidates further than `WINDOW` back are
+/// never followed. Both tables and the output buffer are reused, so a
+/// warmed-up scratch performs **zero heap allocation per call**.
+///
+/// # Why the tokens are exactly the plain hash-chain coder's
+///
+/// The coder this one replaced (kept under `#[cfg(test)]` as the reference
+/// of the differential tests) wiped `head` before every call, kept absolute
+/// positions in both tables, walked up to `MAX_TRIES` candidates per
+/// position comparing byte by byte, and took a candidate when its match
+/// length `l` satisfied `l > best_len`. Two shortcuts here skip work
+/// without changing which `(dist, len)` wins:
+///
+/// * **The `best_len` pre-check.** A candidate whose byte at index
+///   `best_len` differs from the current position's has a common prefix of
+///   at most `best_len` bytes, so it can never satisfy `l > best_len`; it
+///   is skipped without being measured (it still uses up one of the tries,
+///   as before). Candidates that pass are measured in full, eight bytes per
+///   step, and update `best` under the same strict test in the same chain
+///   order. Once `best_len` is the longest match this position allows, no
+///   candidate can beat it and the walk stops, as it did at `MAX_MATCH`.
+/// * **Offset-encoded tables.** `head` holds `base + position`, and each
+///   call advances `base` by `len + WINDOW + 1`. For the position `cur =
+///   base + i`, an entry written in this call sits exactly the match
+///   distance below `cur`; an entry left by an earlier call sits at least
+///   `WINDOW + 2` below every `cur` of this call; a never-written entry is
+///   0 and `base >= WINDOW + 1`. `chain` holds the step from a position to
+///   its predecessor, `cur - head[h]` at the time it was inserted
+///   (saturated to 16 bits, which is already out of window), so a stale or
+///   empty predecessor is a step of more than `WINDOW` as well, and a ring
+///   slot is only ever read for a candidate of this call that is still in
+///   window, i.e. one written in this call and not yet overwritten. The
+///   single test `dist > WINDOW` therefore ends the walk exactly where the
+///   reference ended it with "slot empty" or "further than `WINDOW` back",
+///   and nothing an earlier input left behind is ever followed — without
+///   wiping 256 kB per call, and with a chain of half the size.
+///
+/// **Wrap rule:** a call whose `base + len + WINDOW + 1` would pass
+/// `u32::MAX` first zeroes `head` and restarts `base` at `WINDOW + 1`, the
+/// state of a fresh scratch (once per ~4 GB of input). `chain` needs no
+/// refill: its slots are only read behind a `head` entry of this call.
 ///
 /// One scratch per worker thread: exclusivity comes from the `&mut self`
 /// receivers (the type itself auto-derives `Send`/`Sync` like any plain
-/// `Vec` holder — there is no internal locking to share it through). The
-/// emitted byte stream is identical to the original coder's.
+/// `Vec` holder — there is no internal locking to share it through).
 #[derive(Debug, Clone)]
 pub struct LzssScratch {
-    /// Hash → most recent position with that 4-byte-prefix hash.
-    head: Vec<u32>,
-    /// Ring buffer: `chain[pos & (WINDOW-1)]` = previous position with the
-    /// same prefix hash as `pos` (only meaningful within the window).
-    chain: Vec<u32>,
+    /// Hash → `base` + most recent position with that 4-byte-prefix hash.
+    /// (Fixed-size arrays: the masked indices need no bounds check.)
+    head: Box<[u32; HEAD_SIZE]>,
+    /// Ring buffer: `chain[pos & (WINDOW-1)]` = distance from `pos` back to
+    /// the previous position with the same prefix hash, or [`FAR`].
+    chain: Box<[u16; WINDOW]>,
+    /// Offset the next call adds to its positions.
+    base: u32,
     /// Reused output buffer.
     buf: Vec<u8>,
 }
@@ -136,129 +185,246 @@ impl Default for LzssScratch {
     }
 }
 
+/// Receives the token sequence the match finder chooses.
+trait TokenSink {
+    /// A run of literal tokens, one per byte.
+    fn literals(&mut self, run: &[u8]);
+    /// A match token.
+    fn matched(&mut self, dist: usize, len: usize);
+}
+
+/// Materialises the wire stream: a flag byte per eight tokens (bit set =
+/// match), literals as one byte, matches as 2-byte distance + 1-byte
+/// `len - MIN_MATCH`.
+struct StreamSink<'a> {
+    out: &'a mut Vec<u8>,
+    /// Index of the open flag byte and how many of its bits are used; a
+    /// full one is replaced when the next token arrives.
+    flags_pos: usize,
+    flag_bit: u8,
+}
+
+impl<'a> StreamSink<'a> {
+    fn new(out: &'a mut Vec<u8>, plain_len: usize) -> Self {
+        out.clear();
+        out.push(TAG_LZSS);
+        out.extend_from_slice(&(plain_len as u32).to_le_bytes());
+        let flags_pos = out.len();
+        out.push(0);
+        StreamSink { out, flags_pos, flag_bit: 0 }
+    }
+
+    fn open_flag_byte(&mut self) {
+        self.flags_pos = self.out.len();
+        self.out.push(0);
+        self.flag_bit = 0;
+    }
+}
+
+impl TokenSink for StreamSink<'_> {
+    fn literals(&mut self, run: &[u8]) {
+        // Literal flags are zero bits: fill the open flag byte, then whole
+        // groups of eight under a zero flag byte each, then open one for
+        // the rest.
+        let (fill, run) = run.split_at(run.len().min(8 - self.flag_bit as usize));
+        self.out.extend_from_slice(fill);
+        self.flag_bit += fill.len() as u8;
+        let mut groups = run.chunks_exact(8);
+        for group in &mut groups {
+            self.out.push(0);
+            self.out.extend_from_slice(group);
+        }
+        let rest = groups.remainder();
+        if !rest.is_empty() {
+            self.open_flag_byte();
+            self.out.extend_from_slice(rest);
+            self.flag_bit = rest.len() as u8;
+        }
+    }
+
+    fn matched(&mut self, dist: usize, len: usize) {
+        if self.flag_bit == 8 {
+            self.open_flag_byte();
+        }
+        self.out[self.flags_pos] |= 1 << self.flag_bit;
+        self.flag_bit += 1;
+        self.out.extend_from_slice(&[
+            (dist & 0xFF) as u8,
+            (dist >> 8) as u8,
+            (len - MIN_MATCH) as u8,
+        ]);
+    }
+}
+
+/// Counts what [`StreamSink`] would have written.
+#[derive(Default)]
+struct CountingSink {
+    tokens: u64,
+    token_bytes: u64,
+}
+
+impl CountingSink {
+    /// Length of the LZSS stream: tag, 4-byte length, the flag bytes (the
+    /// first is written before any token) and the token bytes.
+    fn stream_len(&self) -> u64 {
+        5 + self.tokens.div_ceil(8).max(1) + self.token_bytes
+    }
+}
+
+impl TokenSink for CountingSink {
+    fn literals(&mut self, run: &[u8]) {
+        self.tokens += run.len() as u64;
+        self.token_bytes += run.len() as u64;
+    }
+
+    fn matched(&mut self, _dist: usize, _len: usize) {
+        self.tokens += 1;
+        self.token_bytes += 3;
+    }
+}
+
+/// Length of the common prefix of two equally long slices, eight bytes per
+/// step.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
+    let mut a_words = a.chunks_exact(8);
+    let mut b_words = b.chunks_exact(8);
+    let mut n = 0usize;
+    for (x, y) in (&mut a_words).zip(&mut b_words) {
+        let x = u64::from_le_bytes(x.try_into().expect("chunks_exact yields 8-byte words"));
+        let y = u64::from_le_bytes(y.try_into().expect("chunks_exact yields 8-byte words"));
+        if x != y {
+            return n + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + a_words.remainder().iter().zip(b_words.remainder()).take_while(|(x, y)| x == y).count()
+}
+
+/// A zeroed table on the heap (never built on the stack first).
+fn zeroed_table<T: Clone + Default, const N: usize>() -> Box<[T; N]> {
+    let table = vec![T::default(); N].into_boxed_slice();
+    table.try_into().unwrap_or_else(|_| unreachable!("the slice was built with N entries"))
+}
+
 impl LzssScratch {
     /// Allocates the scratch tables (the only allocations the coder makes).
+    /// Zeroed tables hold no reachable entry, so nothing is filled.
     pub fn new() -> LzssScratch {
-        LzssScratch { head: vec![NO_POS; 1 << 16], chain: vec![NO_POS; WINDOW], buf: Vec::new() }
+        LzssScratch::with_base(BASE_START)
+    }
+
+    /// A scratch whose next call starts at position offset `base` — how the
+    /// tests reach the wrap rule without 4 GB of input.
+    fn with_base(base: u32) -> LzssScratch {
+        assert!(base >= BASE_START);
+        LzssScratch { head: zeroed_table(), chain: zeroed_table(), base, buf: Vec::new() }
     }
 
     /// Bytes of heap the scratch currently owns — test hook for the
     /// zero-per-call-growth guarantee.
     pub fn heap_bytes(&self) -> usize {
-        self.head.capacity() * 4 + self.chain.capacity() * 4 + self.buf.capacity()
+        std::mem::size_of_val(&*self.head)
+            + std::mem::size_of_val(&*self.chain)
+            + self.buf.capacity()
     }
 
     /// Compresses `data`, returning the wire bytes as a slice into the
     /// reused internal buffer (valid until the next call). Falls back to
     /// stored mode when compression would expand the input.
     pub fn compress_into(&mut self, data: &[u8]) -> &[u8] {
-        assert!((data.len() as u64) < NO_POS as u64, "input too large for the LZSS coder");
-        self.head.fill(NO_POS);
-        let head = &mut self.head;
-        let chain = &mut self.chain;
-        let out = &mut self.buf;
-        out.clear();
-        out.push(TAG_LZSS);
-        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-
-        let hash = |window: &[u8]| -> usize {
-            let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
-            ((v.wrapping_mul(2654435761)) >> 16) as usize
-        };
-        let insert = |head: &mut [u32], chain: &mut [u32], h: usize, pos: usize| {
-            chain[pos & (WINDOW - 1)] = head[h];
-            head[h] = pos as u32;
-        };
-
-        let mut flags_pos = out.len();
-        out.push(0);
-        let mut flag_bit = 0u8;
-        let mut i = 0usize;
-
-        let push_token = |out: &mut Vec<u8>,
-                          flags_pos: &mut usize,
-                          flag_bit: &mut u8,
-                          is_match: bool,
-                          bytes: &[u8]| {
-            if *flag_bit == 8 {
-                *flags_pos = out.len();
-                out.push(0);
-                *flag_bit = 0;
-            }
-            if is_match {
-                out[*flags_pos] |= 1 << *flag_bit;
-            }
-            *flag_bit += 1;
-            out.extend_from_slice(bytes);
-        };
-
-        while i < data.len() {
-            let mut best_len = 0usize;
-            let mut best_dist = 0usize;
-            if i + MIN_MATCH <= data.len() {
-                let h = hash(&data[i..i + 4]);
-                let mut candidate = head[h];
-                let mut tries = MAX_TRIES;
-                while candidate != NO_POS && tries > 0 {
-                    let c = candidate as usize;
-                    if i - c > WINDOW {
-                        break;
-                    }
-                    let limit = (data.len() - i).min(MAX_MATCH);
-                    let mut l = 0usize;
-                    while l < limit && data[c + l] == data[i + l] {
-                        l += 1;
-                    }
-                    if l > best_len {
-                        best_len = l;
-                        best_dist = i - c;
-                        if l >= MAX_MATCH {
-                            break;
-                        }
-                    }
-                    candidate = chain[c & (WINDOW - 1)];
-                    tries -= 1;
-                }
-            }
-
-            if best_len >= MIN_MATCH {
-                // Match token: 2-byte distance, 1-byte length (len - MIN_MATCH).
-                let token = [
-                    (best_dist & 0xFF) as u8,
-                    (best_dist >> 8) as u8,
-                    (best_len - MIN_MATCH) as u8,
-                ];
-                push_token(out, &mut flags_pos, &mut flag_bit, true, &token);
-                // Insert the skipped positions into the hash chains.
-                let end = i + best_len;
-                while i < end && i + 4 <= data.len() {
-                    let h = hash(&data[i..i + 4]);
-                    insert(head, chain, h, i);
-                    i += 1;
-                }
-                i = end.max(i);
-            } else {
-                push_token(out, &mut flags_pos, &mut flag_bit, false, &data[i..i + 1]);
-                if i + 4 <= data.len() {
-                    let h = hash(&data[i..i + 4]);
-                    insert(head, chain, h, i);
-                }
-                i += 1;
-            }
-        }
-
+        let mut out = std::mem::take(&mut self.buf);
+        self.tokenize(data, &mut StreamSink::new(&mut out, data.len()));
         if out.len() > data.len() {
             out.clear();
             out.push(TAG_STORED);
             out.extend_from_slice(data);
         }
-        out
+        self.buf = out;
+        &self.buf
     }
 
     /// Bytes that travel on the wire for `data` (compressed or stored-mode
-    /// fallback), without materialising an owned output.
+    /// fallback): the token sequence of [`LzssScratch::compress_into`],
+    /// counted instead of written.
     pub fn upload_size(&mut self, data: &[u8]) -> u64 {
-        (self.compress_into(data).len() as u64).min(data.len() as u64 + 1)
+        let mut sink = CountingSink::default();
+        self.tokenize(data, &mut sink);
+        sink.stream_len().min(data.len() as u64 + 1)
+    }
+
+    /// The match finder: feeds `sink` the literal/match tokens of `data`.
+    fn tokenize(&mut self, data: &[u8], sink: &mut impl TokenSink) {
+        let len = data.len();
+        assert!(len <= MAX_INPUT, "input too large for the LZSS coder");
+        let span = len as u32 + BASE_START;
+        if u32::MAX - self.base < span {
+            self.head.fill(0);
+            self.base = BASE_START;
+        }
+        let base = self.base;
+        self.base += span;
+        let head = &mut *self.head;
+        let chain = &mut *self.chain;
+
+        let hash = |pos: usize| -> usize {
+            let prefix = data[pos..pos + 4].try_into().expect("a 4-byte slice");
+            (u32::from_le_bytes(prefix).wrapping_mul(2654435761) >> 16) as usize
+        };
+
+        let mut i = 0usize;
+        let mut literals_from = 0usize;
+        while i + MIN_MATCH <= len {
+            let limit = (len - i).min(MAX_MATCH);
+            let here = &data[i..i + limit];
+            let cur = base + i as u32;
+            let h = hash(i);
+
+            // Every `head` entry is below `cur`; see the type's docs for
+            // why `dist > WINDOW` covers "empty", "stale" and "too far".
+            let newest = cur - head[h];
+            let mut dist = newest as usize;
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            for _ in 0..MAX_TRIES {
+                if dist > WINDOW {
+                    break;
+                }
+                let c = i - dist;
+                if data[c + best_len] == here[best_len] {
+                    let l = common_prefix(&data[c..c + limit], here);
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = dist;
+                        if l == limit {
+                            break;
+                        }
+                    }
+                }
+                dist += chain[c & (WINDOW - 1)] as usize;
+            }
+
+            chain[i & (WINDOW - 1)] = newest.min(FAR as u32) as u16;
+            head[h] = cur;
+            if best_len >= MIN_MATCH {
+                sink.literals(&data[literals_from..i]);
+                sink.matched(best_dist, best_len);
+                // Insert the skipped positions into the hash chains.
+                let end = i + best_len;
+                for pos in i + 1..end.min(len - 3) {
+                    let h = hash(pos);
+                    let at = base + pos as u32;
+                    chain[pos & (WINDOW - 1)] = (at - head[h]).min(FAR as u32) as u16;
+                    head[h] = at;
+                }
+                i = end;
+                literals_from = end;
+            } else {
+                i += 1;
+            }
+        }
+        // Fewer than MIN_MATCH bytes left: literals only.
+        sink.literals(&data[literals_from..]);
     }
 }
 
@@ -301,6 +467,8 @@ pub enum DecompressError {
     BadTag(u8),
     /// A match token referenced data before the start of the output.
     BadDistance,
+    /// A match token ran past the length the stream's header declared.
+    Overrun,
 }
 
 impl std::fmt::Display for DecompressError {
@@ -309,18 +477,26 @@ impl std::fmt::Display for DecompressError {
             DecompressError::Truncated => write!(f, "compressed stream is truncated"),
             DecompressError::BadTag(t) => write!(f, "unknown compression tag {t}"),
             DecompressError::BadDistance => write!(f, "match distance out of range"),
+            DecompressError::Overrun => write!(f, "match runs past the declared length"),
         }
     }
 }
 
 impl std::error::Error for DecompressError {}
 
+/// Upper bound on what `token_bytes` of flag and token bytes can decode to.
+fn max_decoded_len(token_bytes: usize) -> usize {
+    token_bytes.div_ceil(3).saturating_mul(MAX_MATCH)
+}
+
 fn decompress_lzss(stream: &[u8]) -> Result<Vec<u8>, DecompressError> {
     if stream.len() < 4 {
         return Err(DecompressError::Truncated);
     }
     let expected = u32::from_le_bytes([stream[0], stream[1], stream[2], stream[3]]) as usize;
-    let mut out = Vec::with_capacity(expected);
+    // The declared length is input: reserve no more than the tokens that
+    // follow could expand to (at best `MAX_MATCH` bytes per 3-byte match).
+    let mut out = Vec::with_capacity(expected.min(max_decoded_len(stream.len() - 4)));
     let mut i = 4usize;
     while out.len() < expected {
         if i >= stream.len() {
@@ -342,6 +518,9 @@ fn decompress_lzss(stream: &[u8]) -> Result<Vec<u8>, DecompressError> {
                 i += 3;
                 if dist == 0 || dist > out.len() {
                     return Err(DecompressError::BadDistance);
+                }
+                if len > expected - out.len() {
+                    return Err(DecompressError::Overrun);
                 }
                 let start = out.len() - dist;
                 for k in 0..len {
@@ -388,6 +567,7 @@ pub fn looks_compressed(data: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dictionary_text(len: usize) -> Vec<u8> {
         #[rustfmt::skip]
@@ -620,5 +800,267 @@ mod tests {
         assert!(!DecompressError::Truncated.to_string().is_empty());
         assert!(!DecompressError::BadTag(3).to_string().is_empty());
         assert!(!DecompressError::BadDistance.to_string().is_empty());
+    }
+
+    #[test]
+    fn decompress_bounds_its_reservation_by_the_stream() {
+        // Nine bytes declaring 4 GB: truncated, and found so without
+        // reserving what the header claims.
+        let hostile = [TAG_LZSS, 0xFF, 0xFF, 0xFF, 0xFF, 0, b'a', b'b', b'c'];
+        assert_eq!(decompress(&hostile), Err(DecompressError::Truncated));
+        assert!(max_decoded_len(hostile.len() - 5) <= 2 * MAX_MATCH);
+        // The bound is an upper bound: the densest stream there is (match
+        // tokens of MAX_MATCH bytes each) stays below it.
+        let run = vec![7u8; 100_000];
+        let packed = compress(&run);
+        assert!(max_decoded_len(packed.len() - 5) >= run.len());
+        assert_eq!(decompress(&packed).unwrap(), run);
+    }
+
+    #[test]
+    fn decompress_rejects_a_match_that_overruns_the_declared_length() {
+        // Declared length 6: one literal, then a match of 4 + 2 = 6 bytes.
+        let overrun = [TAG_LZSS, 6, 0, 0, 0, 0b0000_0010, b'x', 1, 0, 2];
+        assert_eq!(decompress(&overrun), Err(DecompressError::Overrun));
+        assert!(!DecompressError::Overrun.to_string().is_empty());
+        // The same token with the length it really produces decodes.
+        let exact = [TAG_LZSS, 7, 0, 0, 0, 0b0000_0010, b'x', 1, 0, 2];
+        assert_eq!(decompress(&exact).unwrap(), vec![b'x'; 7]);
+    }
+
+    /// The match finder as it stood before the pre-check, the word-wise
+    /// compare, the offset-encoded tables and the token sinks: absolute
+    /// positions, tables wiped per call, byte-by-byte compare. Frozen here
+    /// as the reference the differential tests hold the coder to. Returns
+    /// the LZSS stream itself, before the stored-mode decision, so that the
+    /// token choices stay visible on inputs that do not compress.
+    fn reference_stream(data: &[u8]) -> Vec<u8> {
+        const NO_POS: u32 = u32::MAX;
+        let mut head = vec![NO_POS; 1 << 16];
+        let mut chain = vec![NO_POS; WINDOW];
+        let mut out = vec![TAG_LZSS];
+        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        let hash = |window: &[u8]| -> usize {
+            let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
+            ((v.wrapping_mul(2654435761)) >> 16) as usize
+        };
+        let mut flags_pos = out.len();
+        out.push(0);
+        let mut flag_bit = 0u8;
+        let mut push_token = |out: &mut Vec<u8>, is_match: bool, bytes: &[u8]| {
+            if flag_bit == 8 {
+                flags_pos = out.len();
+                out.push(0);
+                flag_bit = 0;
+            }
+            if is_match {
+                out[flags_pos] |= 1 << flag_bit;
+            }
+            flag_bit += 1;
+            out.extend_from_slice(bytes);
+        };
+        let mut i = 0usize;
+        while i < data.len() {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if i + MIN_MATCH <= data.len() {
+                let mut candidate = head[hash(&data[i..i + 4])];
+                let mut tries = MAX_TRIES;
+                while candidate != NO_POS && tries > 0 {
+                    let c = candidate as usize;
+                    if i - c > WINDOW {
+                        break;
+                    }
+                    let limit = (data.len() - i).min(MAX_MATCH);
+                    let mut l = 0usize;
+                    while l < limit && data[c + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - c;
+                        if l >= MAX_MATCH {
+                            break;
+                        }
+                    }
+                    candidate = chain[c & (WINDOW - 1)];
+                    tries -= 1;
+                }
+            }
+            let end = if best_len >= MIN_MATCH {
+                let token = [
+                    (best_dist & 0xFF) as u8,
+                    (best_dist >> 8) as u8,
+                    (best_len - MIN_MATCH) as u8,
+                ];
+                push_token(&mut out, true, &token);
+                i + best_len
+            } else {
+                push_token(&mut out, false, &data[i..i + 1]);
+                i + 1
+            };
+            while i < end {
+                if i + 4 <= data.len() {
+                    let h = hash(&data[i..i + 4]);
+                    chain[i & (WINDOW - 1)] = head[h];
+                    head[h] = i as u32;
+                }
+                i += 1;
+            }
+        }
+        out
+    }
+
+    /// One input of the differential tests, drawn from `seed`: random,
+    /// dictionary text (periodic), one long run, a short self-overlapping
+    /// period, an echo of the input's start at a distance around `WINDOW`,
+    /// words in random order and bytes of a tiny alphabet (both full of
+    /// partial matches of every length, which is what the `best_len` logic
+    /// has to rank), or a mix; lengths from 0 (and the under-`MIN_MATCH`
+    /// tail) through the window boundary up to 300 k.
+    fn differential_input(seed: u64) -> Vec<u8> {
+        let pick = |salt: u64, bound: usize| -> usize {
+            let mut rng = TestRng::deterministic("differential_input", seed ^ (salt << 56));
+            rng.below(bound as u64) as usize
+        };
+        let len = match pick(1, 16) {
+            0..=5 => pick(2, 24),
+            6..=10 => pick(2, 5_000),
+            11 => WINDOW - 1,
+            12 => WINDOW,
+            13 => WINDOW + 1,
+            14 => 2 * WINDOW + pick(2, 5_000),
+            _ => pick(2, 300_001),
+        };
+        let mut data = match pick(3, 8) {
+            0 => random_bytes(len, seed),
+            1 => dictionary_text(len),
+            2 => vec![seed as u8; len],
+            3 => {
+                let period = random_bytes(1 + pick(4, 9), seed);
+                period.iter().copied().cycle().take(len).collect()
+            }
+            4 => {
+                // The first 600 bytes again at distance WINDOW - 2 ..= WINDOW + 2.
+                let mut data = random_bytes(WINDOW - 2 + pick(4, 5), seed);
+                data.extend_from_within(..600);
+                data.extend_from_slice(&random_bytes(pick(5, 40), seed + 1));
+                data
+            }
+            5 => {
+                let words = dictionary_text(400);
+                let words: Vec<&[u8]> = words.split_inclusive(|&b| b == b' ').collect();
+                let order = random_bytes(len / 4 + 1, seed);
+                let mut data: Vec<u8> =
+                    order.iter().flat_map(|&r| words[r as usize % words.len()]).copied().collect();
+                data.truncate(len);
+                data
+            }
+            6 => {
+                let symbols = 2 + pick(4, 3) as u8;
+                random_bytes(len, seed).into_iter().map(|b| b'a' + b % symbols).collect()
+            }
+            _ => {
+                let mut data = random_bytes(len / 3, seed);
+                data.extend_from_slice(&dictionary_text(len / 3));
+                data.extend_from_within(..len / 4);
+                data
+            }
+        };
+        // Sometimes end on a few bytes the tail rule has to emit as literals.
+        data.extend_from_slice(&random_bytes(pick(6, 4), seed + 2));
+        data
+    }
+
+    /// The token stream and both entry points against the reference, on
+    /// one scratch (four coder calls).
+    fn assert_matches_reference(
+        scratch: &mut LzssScratch,
+        data: &[u8],
+    ) -> Result<(), TestCaseError> {
+        let reference = reference_stream(data);
+        let mut stream = Vec::new();
+        scratch.tokenize(data, &mut StreamSink::new(&mut stream, data.len()));
+        prop_assert!(stream == reference, "stream differs, len {}", data.len());
+        let mut counted = CountingSink::default();
+        scratch.tokenize(data, &mut counted);
+        prop_assert_eq!(counted.stream_len(), reference.len() as u64);
+
+        let wire = if reference.len() > data.len() { stored(data) } else { reference };
+        prop_assert!(scratch.compress_into(data) == wire, "wire differs, len {}", data.len());
+        prop_assert_eq!(scratch.upload_size(data), (wire.len() as u64).min(data.len() as u64 + 1));
+        Ok(())
+    }
+
+    #[test]
+    fn edge_lengths_match_the_reference() {
+        let mut scratch = LzssScratch::new();
+        let lengths = (0..=12).chain([WINDOW - 1, WINDOW, WINDOW + 1, WINDOW + MAX_MATCH + 3]);
+        for len in lengths {
+            for data in [random_bytes(len, 9), dictionary_text(len), vec![b'z'; len]] {
+                assert_matches_reference(&mut scratch, &data).unwrap_or_else(|e| panic!("{e}"));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// "Byte-identical" as a checked property: the emitted stream and
+        /// the counted size against the frozen reference coder.
+        #[test]
+        fn coder_matches_the_reference_stream(seed in any::<u64>()) {
+            let data = differential_input(seed);
+            assert_matches_reference(&mut LzssScratch::new(), &data)?;
+            prop_assert_eq!(decompress(&compress(&data)).unwrap(), data);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whatever earlier inputs left in the tables is never followed.
+        #[test]
+        fn reused_scratch_matches_the_reference(seeds in collection::vec(any::<u64>(), 2..7)) {
+            let mut scratch = LzssScratch::new();
+            for seed in seeds {
+                assert_matches_reference(&mut scratch, &differential_input(seed))?;
+            }
+        }
+
+        /// The wrap rule: `base` starts so close to `u32::MAX` that the
+        /// second or third input cannot be offset any more and the refill
+        /// path runs, with the earlier inputs' entries in the tables.
+        #[test]
+        fn wrapping_base_refills_and_matches_the_reference(
+            seeds in collection::vec(any::<u64>(), 3..5),
+            slack in 0u32..4,
+        ) {
+            let inputs: Vec<Vec<u8>> = seeds.into_iter().map(differential_input).collect();
+            let first_span = inputs[0].len() as u32 + BASE_START;
+            let mut scratch = LzssScratch::with_base(u32::MAX - first_span - slack);
+            for data in &inputs {
+                // Four calls per input: only the very first fits under the
+                // wrap, the second has already refilled.
+                assert_matches_reference(&mut scratch, data)?;
+                prop_assert!(scratch.base >= BASE_START && scratch.base < u32::MAX / 2);
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_footprint_stays_flat_across_calls() {
+        let mut scratch = LzssScratch::new();
+        let inputs: Vec<Vec<u8>> = (0..12).map(differential_input).collect();
+        for data in &inputs {
+            let _ = scratch.compress_into(data);
+        }
+        let footprint = scratch.heap_bytes();
+        assert!(footprint >= 4 * HEAD_SIZE + 2 * WINDOW);
+        for data in &inputs {
+            let _ = scratch.upload_size(data);
+            let _ = scratch.compress_into(data);
+            assert_eq!(scratch.heap_bytes(), footprint);
+        }
     }
 }

@@ -127,7 +127,97 @@ impl Sha256 {
         ContentHash(out)
     }
 
+    /// One FIPS 180-4 block. The 64 rounds are written out so that the
+    /// eight working variables are renamed from round to round instead of
+    /// shuffled through each other, every schedule index is a constant, and
+    /// the message schedule is a 16-word ring instead of `w[64]`. `ch` and
+    /// `maj` use the three-operation forms `g ^ (e & (f ^ g))` and
+    /// `(a & b) | (c & (a | b))`, equal bit for bit to the standard's.
     fn compress_block(&mut self, block: &[u8; 64]) {
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("chunks_exact yields 4-byte words"));
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+
+        // The message word of round `$i`: loaded for the first sixteen,
+        // then computed in place in the ring.
+        macro_rules! loaded {
+            ($i:expr) => {
+                w[$i]
+            };
+        }
+        macro_rules! scheduled {
+            ($i:expr) => {{
+                let w15 = w[($i + 1) & 15];
+                let w2 = w[($i + 14) & 15];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[$i & 15] =
+                    w[$i & 15].wrapping_add(s0).wrapping_add(w[($i + 9) & 15]).wrapping_add(s1);
+                w[$i & 15]
+            }};
+        }
+        // Round `$i` with the variables in the roles (a..h) given; it
+        // writes the new `e` into `$d` and the new `a` into `$h`, so the
+        // next round takes the same names rotated by one.
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+             $i:expr, $word:ident) => {{
+                let wi = $word!($i);
+                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+                let ch = $g ^ ($e & ($f ^ $g));
+                let temp1 =
+                    $h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[$i]).wrapping_add(wi);
+                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+                let maj = ($a & $b) | ($c & ($a | $b));
+                $d = $d.wrapping_add(temp1);
+                $h = temp1.wrapping_add(s0.wrapping_add(maj));
+            }};
+        }
+        macro_rules! eight_rounds {
+            ($i:expr, $word:ident) => {
+                round!(a, b, c, d, e, f, g, h, $i, $word);
+                round!(h, a, b, c, d, e, f, g, $i + 1, $word);
+                round!(g, h, a, b, c, d, e, f, $i + 2, $word);
+                round!(f, g, h, a, b, c, d, e, $i + 3, $word);
+                round!(e, f, g, h, a, b, c, d, $i + 4, $word);
+                round!(d, e, f, g, h, a, b, c, $i + 5, $word);
+                round!(c, d, e, f, g, h, a, b, $i + 6, $word);
+                round!(b, c, d, e, f, g, h, a, $i + 7, $word);
+            };
+        }
+        eight_rounds!(0, loaded);
+        eight_rounds!(8, loaded);
+        eight_rounds!(16, scheduled);
+        eight_rounds!(24, scheduled);
+        eight_rounds!(32, scheduled);
+        eight_rounds!(40, scheduled);
+        eight_rounds!(48, scheduled);
+        eight_rounds!(56, scheduled);
+
+        for (state, var) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *state = state.wrapping_add(var);
+        }
+    }
+}
+
+/// Hashes a byte slice in one call.
+pub fn sha256(data: &[u8]) -> ContentHash {
+    let mut hasher = Sha256::new();
+    hasher.update(data);
+    hasher.finalize()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The round function as it stood before the rounds were unrolled:
+    /// `w[64]`, the working variables shuffled each round, the standard's
+    /// `ch` and `maj`. Frozen as the reference of the differential test.
+    fn reference_compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -137,7 +227,7 @@ impl Sha256 {
             let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
             w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -154,27 +244,59 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (state, var) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *state = state.wrapping_add(var);
+        }
     }
-}
 
-/// Hashes a byte slice in one call.
-pub fn sha256(data: &[u8]) -> ContentHash {
-    let mut hasher = Sha256::new();
-    hasher.update(data);
-    hasher.finalize()
-}
+    /// One-shot SHA-256 over [`reference_compress_block`].
+    fn reference_sha256(data: &[u8]) -> ContentHash {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            reference_compress_block(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        ContentHash(out)
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The unrolled rounds against the frozen round function, fed in
+        /// two pieces at every split point.
+        #[test]
+        fn unrolled_rounds_match_the_reference(data in collection::vec(any::<u8>(), 0..301)) {
+            let expected = reference_sha256(&data);
+            for split in 0..=data.len() {
+                let mut hasher = Sha256::new();
+                hasher.update(&data[..split]);
+                hasher.update(&data[split..]);
+                prop_assert_eq!(hasher.finalize(), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn fips_two_block_vector() {
+        // FIPS 180-4 / NIST example: the 896-bit message, two blocks.
+        let message = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                        hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
+        assert_eq!(message.len() * 8, 896);
+        assert_eq!(
+            sha256(message).to_hex(),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        );
+        assert_eq!(reference_sha256(message), sha256(message));
+    }
 
     #[test]
     fn fips_test_vectors() {
