@@ -12,8 +12,9 @@
 use std::fmt::Write as _;
 
 /// Parses a flat JSON object of string keys and finite numbers, preserving
-/// key order. Rejects nesting, arrays and non-numeric values: baseline files
-/// are machine-written, so anything else is a corrupted file.
+/// key order. Rejects nesting, arrays, non-numeric values, a repeated key and
+/// anything after the closing brace: baseline files are machine-written, so
+/// anything else is a corrupted (concatenated, half-rewritten) file.
 pub fn parse_flat(json: &str) -> Result<Vec<(String, f64)>, String> {
     let mut chars = json.char_indices().peekable();
     let mut entries = Vec::new();
@@ -33,11 +34,12 @@ pub fn parse_flat(json: &str) -> Result<Vec<(String, f64)>, String> {
         None => return Err("empty input".to_string()),
     }
     skip_ws(&mut chars);
-    if matches!(chars.peek(), Some((_, '}'))) {
-        return Ok(entries);
+    let mut open = !matches!(chars.peek(), Some((_, '}')));
+    if !open {
+        chars.next();
     }
 
-    loop {
+    while open {
         skip_ws(&mut chars);
         // Key.
         match chars.next() {
@@ -89,11 +91,20 @@ pub fn parse_flat(json: &str) -> Result<Vec<(String, f64)>, String> {
         entries.push((key, value));
         skip_ws(&mut chars);
         match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
+            Some((_, ',')) => {}
+            Some((_, '}')) => open = false,
             Some((i, _)) => return err(i, "expected ',' or '}'"),
             None => return Err("unterminated object".to_string()),
         }
+    }
+    skip_ws(&mut chars);
+    if let Some((i, _)) = chars.next() {
+        return err(i, "unexpected content after the closing '}'");
+    }
+    let mut keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+    keys.sort_unstable();
+    if let Some(pair) = keys.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(format!("key {:?} appears more than once", pair[0]));
     }
     Ok(entries)
 }
@@ -312,6 +323,11 @@ mod tests {
         assert!(parse_flat("{\"a\": {\"nested\": 1}}").is_err());
         assert!(parse_flat("{\"a\": 1.0,").is_err());
         assert!(parse_flat("{\"a\" 1.0}").is_err());
+        // A concatenated or half-rewritten file: bytes after the closing
+        // brace (also after an empty object), or a key written twice.
+        assert!(parse_flat("{\"a\":1} junk").unwrap_err().contains("at byte 8"));
+        assert!(parse_flat("{} {}").unwrap_err().contains("at byte 3"));
+        assert!(parse_flat("{\"a\": 1, \"b\": 2, \"a\": 3}").unwrap_err().contains("key \"a\""));
         assert_eq!(parse_flat("{}").unwrap(), vec![]);
         assert_eq!(parse_flat("  {  }  ").unwrap(), vec![]);
     }

@@ -24,12 +24,6 @@ impl AuthoritativeDns {
         AuthoritativeDns { topology: ProviderTopology::ground_truth(provider) }
     }
 
-    /// Wraps an existing topology (useful for ablations with modified
-    /// deployments).
-    pub fn with_topology(topology: ProviderTopology) -> AuthoritativeDns {
-        AuthoritativeDns { topology }
-    }
-
     /// The provider this authority answers for.
     pub fn provider(&self) -> Provider {
         self.topology.provider

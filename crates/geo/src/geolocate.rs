@@ -46,12 +46,6 @@ impl HybridGeolocator {
         HybridGeolocator { landmarks: LandmarkSet::planetlab_like(), rtt_seed }
     }
 
-    /// Creates a geolocator with an explicit landmark set (for ablations on
-    /// landmark density).
-    pub fn with_landmarks(landmarks: LandmarkSet, rtt_seed: u64) -> Self {
-        HybridGeolocator { landmarks, rtt_seed }
-    }
-
     /// The landmark set in use.
     pub fn landmarks(&self) -> &LandmarkSet {
         &self.landmarks

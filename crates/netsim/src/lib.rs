@@ -15,7 +15,6 @@
 //! * TLS handshake cost (extra round trips plus certificate bytes) and record
 //!   overhead ([`tls`]),
 //! * HTTP message framing overhead ([`http`]),
-//! * UDP datagram exchanges for the DNS substrate ([`udp`]),
 //! * per-packet trace emission into a [`cloudsim_trace::TraceShard`], so the
 //!   same analyzers the paper applies to pcap files run on simulated traffic.
 //!
@@ -59,7 +58,6 @@ pub mod rng;
 pub mod sim;
 pub mod tcp;
 pub mod tls;
-pub mod udp;
 
 pub use fault::{FaultSchedule, FaultSpec, OutageWindow};
 pub use host::{HostId, HostInfo, HostRole};

@@ -33,14 +33,6 @@ pub struct PathSpec {
     /// deterministically as a Mathis-formula throughput ceiling rather than
     /// random drops, keeping every simulation bit-reproducible.
     pub loss: f64,
-    /// Bufferbloat knob: how strongly loss inflates the base RTT (standing
-    /// queues build where loss recovery keeps refilling the bottleneck
-    /// buffer). `0.0` disables the inflation entirely; the effective RTT is
-    /// `rtt * (1 + bufferbloat * sqrt(loss))`, so the knob and the Mathis
-    /// ceiling are co-tuned through the same inflated RTT — lossier paths
-    /// get both a lower throughput ceiling *and* longer round trips.
-    #[serde(default)]
-    pub bufferbloat: f64,
     /// When true, the TCP model additionally draws seeded per-segment drops
     /// at the configured loss rate and pays a retransmission tail for each
     /// drop, instead of modelling loss purely as the analytic ceiling.
@@ -60,7 +52,6 @@ impl PathSpec {
             down_bandwidth: bandwidth,
             rtt_jitter: 0.05,
             loss: 0.0,
-            bufferbloat: 0.0,
             segment_drops: false,
         }
     }
@@ -74,7 +65,6 @@ impl PathSpec {
             down_bandwidth: down,
             rtt_jitter: 0.05,
             loss: 0.0,
-            bufferbloat: 0.0,
             segment_drops: false,
         }
     }
@@ -93,14 +83,6 @@ impl PathSpec {
         self
     }
 
-    /// Returns a copy with a bufferbloat inflation knob (see
-    /// [`PathSpec::bufferbloat`]). Zero disables the inflation.
-    pub fn with_bufferbloat(mut self, bufferbloat: f64) -> Self {
-        assert!(bufferbloat >= 0.0, "bufferbloat must be non-negative");
-        self.bufferbloat = bufferbloat;
-        self
-    }
-
     /// Returns a copy with the seeded per-segment drop mode toggled (see
     /// [`PathSpec::segment_drops`]).
     pub fn with_segment_drops(mut self, on: bool) -> Self {
@@ -108,37 +90,14 @@ impl PathSpec {
         self
     }
 
-    /// The bufferbloat RTT-inflation factor: exactly `1.0` whenever the
-    /// path is lossless or the knob is zero, so those paths provably take
-    /// the identical arithmetic path as before the knob existed.
-    pub fn rtt_inflation(&self) -> f64 {
-        if self.loss <= 0.0 || self.bufferbloat <= 0.0 {
-            return 1.0;
-        }
-        1.0 + self.bufferbloat * self.loss.sqrt()
-    }
-
-    /// The loss-inflated round-trip time every transfer and ceiling
-    /// computation works against. Returns the base RTT *unchanged* (no
-    /// float round trip) when the inflation factor is exactly 1.0.
-    pub fn effective_rtt(&self) -> SimDuration {
-        let inflation = self.rtt_inflation();
-        if inflation == 1.0 {
-            return self.rtt;
-        }
-        SimDuration::from_secs_f64(self.rtt.as_secs_f64() * inflation)
-    }
-
     /// The Mathis-formula throughput ceiling a long-lived TCP flow sustains
     /// at this path's RTT and loss rate: `MSS/RTT * C/sqrt(loss)` bits per
-    /// second. Uses the bufferbloat-inflated RTT, so the ceiling and the
-    /// RTT inflation stay co-tuned. `u64::MAX` when the path is lossless or
-    /// latency-free.
+    /// second. `u64::MAX` when the path is lossless or latency-free.
     fn mathis_ceiling_bps(&self) -> u64 {
         if self.loss <= 0.0 || self.rtt.is_zero() {
             return u64::MAX;
         }
-        let rtt_secs = self.effective_rtt().as_secs_f64();
+        let rtt_secs = self.rtt.as_secs_f64();
         let bps = LOSS_MODEL_MSS_BITS * MATHIS_C / (rtt_secs * self.loss.sqrt());
         (bps.max(1.0)).min(u64::MAX as f64) as u64
     }
@@ -153,14 +112,12 @@ impl PathSpec {
         self.down_bandwidth.min(self.mathis_ceiling_bps())
     }
 
-    /// Samples the RTT for one exchange, applying jitter around the
-    /// bufferbloat-inflated base.
+    /// Samples the RTT for one exchange, applying jitter around the base.
     pub fn sample_rtt(&self, rng: &mut SimRng) -> SimDuration {
-        let base = self.effective_rtt();
-        if self.rtt_jitter == 0.0 || base.is_zero() {
-            return base;
+        if self.rtt_jitter == 0.0 || self.rtt.is_zero() {
+            return self.rtt;
         }
-        let jittered = rng.jitter(base.as_secs_f64(), self.rtt_jitter);
+        let jittered = rng.jitter(self.rtt.as_secs_f64(), self.rtt_jitter);
         SimDuration::from_secs_f64(jittered)
     }
 
@@ -174,8 +131,7 @@ impl PathSpec {
     /// this point. Uses the loss-capped effective bandwidth so lossy links
     /// also bound the congestion window.
     pub fn bdp_bytes_up(&self) -> u64 {
-        (self.effective_up_bandwidth() as f64 / 8.0 * self.effective_rtt().as_secs_f64()).ceil()
-            as u64
+        (self.effective_up_bandwidth() as f64 / 8.0 * self.rtt.as_secs_f64()).ceil() as u64
     }
 
     /// The bandwidth-delay product in bytes for the download direction — the
@@ -184,8 +140,7 @@ impl PathSpec {
     /// several times [`PathSpec::bdp_bytes_up`], which is what lets restores
     /// run far faster than uploads on the same link.
     pub fn bdp_bytes_down(&self) -> u64 {
-        (self.effective_down_bandwidth() as f64 / 8.0 * self.effective_rtt().as_secs_f64()).ceil()
-            as u64
+        (self.effective_down_bandwidth() as f64 / 8.0 * self.rtt.as_secs_f64()).ceil() as u64
     }
 }
 
@@ -287,53 +242,13 @@ mod tests {
     }
 
     #[test]
-    fn bufferbloat_inflates_rtt_only_when_loss_and_knob_are_both_set() {
-        let base = PathSpec::symmetric(SimDuration::from_millis(100), 100_000_000);
-        // Knob without loss, loss without knob: exactly the base RTT — not
-        // merely close, the identical value, so lossless paths replay
-        // bit-identically through the new arithmetic.
-        assert_eq!(base.with_bufferbloat(2.0).effective_rtt(), base.rtt);
-        assert_eq!(base.with_loss(0.01).effective_rtt(), base.rtt);
-        assert_eq!(base.with_bufferbloat(2.0).rtt_inflation(), 1.0);
-
-        // Both set: RTT inflates by 1 + knob * sqrt(loss).
-        let bloated = base.with_loss(0.01).with_bufferbloat(2.0);
-        assert_eq!(bloated.rtt_inflation(), 1.0 + 2.0 * 0.1);
-        assert_eq!(bloated.effective_rtt(), SimDuration::from_millis(120));
-    }
-
-    #[test]
-    fn bufferbloat_co_tunes_the_mathis_ceiling_and_the_bdp() {
-        let lossy = PathSpec::symmetric(SimDuration::from_millis(100), 100_000_000).with_loss(0.01);
-        let bloated = lossy.with_bufferbloat(2.0);
-        // The longer effective RTT lowers the throughput ceiling…
-        assert!(bloated.effective_up_bandwidth() < lossy.effective_up_bandwidth());
-        // …while the in-flight window reflects both the lower ceiling and
-        // the longer RTT (here the 1/RTT ceiling and the *RTT window cancel).
-        assert!(bloated.bdp_bytes_up() <= lossy.bdp_bytes_up() * 12 / 10 + 1);
-        // Sampled RTTs jitter around the inflated base.
-        let mut rng = SimRng::new(11);
-        let p = bloated.with_jitter(0.05);
-        for _ in 0..200 {
-            let rtt = p.sample_rtt(&mut rng);
-            assert!(rtt >= SimDuration::from_millis(114) && rtt <= SimDuration::from_millis(126));
-        }
-    }
-
-    #[test]
     fn lossless_paths_sample_identical_rtts_regardless_of_the_knob() {
         let plain = PathSpec::symmetric(SimDuration::from_millis(80), 10_000_000).with_jitter(0.1);
-        let knobbed = plain.with_bufferbloat(3.0).with_segment_drops(true);
+        let knobbed = plain.with_segment_drops(true);
         let mut a = SimRng::new(5);
         let mut b = SimRng::new(5);
         for _ in 0..500 {
             assert_eq!(plain.sample_rtt(&mut a), knobbed.sample_rtt(&mut b));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "bufferbloat must be non-negative")]
-    fn negative_bufferbloat_rejected() {
-        let _ = PathSpec::default().with_bufferbloat(-0.1);
     }
 }

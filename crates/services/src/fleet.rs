@@ -155,13 +155,6 @@ impl ClientSlot {
         self
     }
 
-    /// Returns a copy that pulls the given slots' content after every sync
-    /// round.
-    pub fn pulling_from(mut self, sources: Vec<usize>) -> ClientSlot {
-        self.pull_from = sources;
-        self
-    }
-
     /// True when the slot is *connected* in round `round` (its membership
     /// window covers the round). Whether it actually syncs that round is
     /// the schedule's call: an activation draw below the fleet's activation
@@ -294,13 +287,6 @@ impl FleetSpec {
     pub fn with_files(mut self, files_per_batch: usize, file_size: usize) -> FleetSpec {
         self.files_per_batch = files_per_batch;
         self.file_size = file_size;
-        self
-    }
-
-    /// Sets the shared-pool fraction.
-    pub fn with_shared_fraction(mut self, fraction: f64) -> FleetSpec {
-        assert!((0.0..=1.0).contains(&fraction), "shared fraction must be within [0, 1]");
-        self.shared_fraction = fraction;
         self
     }
 
@@ -547,16 +533,6 @@ impl FleetSpec {
     /// replays the old content byte-identically).
     pub fn workload_for(&self, client: usize, activation: &SyncActivation) -> Vec<GeneratedFile> {
         self.workload(client, activation.round)
-    }
-
-    /// The lazy counterpart of [`FleetSpec::workload_for`]: the activation's
-    /// batch as a per-file stream (see [`FleetSpec::workload_stream`]).
-    pub fn workload_stream_for(
-        &self,
-        client: usize,
-        activation: &SyncActivation,
-    ) -> impl Iterator<Item = GeneratedFile> + '_ {
-        self.workload_stream(client, activation.round)
     }
 
     fn validate(&self) {
@@ -955,18 +931,6 @@ impl FleetRun {
             .flat_map(|c| c.restores.iter())
             .map(|r| r.completed_at - r.requested_at)
             .collect()
-    }
-
-    /// Distribution of every backoff wait the fleet's faulted transfers
-    /// slept. Merging per-client histograms is order-independent, so the
-    /// result is bit-identical however the fleet was parallelised. Empty
-    /// for a fault-free run.
-    pub fn backoff_histogram(&self) -> LatencyHistogram {
-        let mut merged = LatencyHistogram::new();
-        for client in &self.clients {
-            merged.merge(&client.backoff_waits);
-        }
-        merged
     }
 
     /// Merged fault-recovery accounting over every client. All-zero for a

@@ -71,12 +71,13 @@ pub enum ClientSet {
 }
 
 impl ClientSet {
-    /// Clients in the set.
+    /// Clients in the set. A stripe with a zero `step` (the fields are
+    /// `pub`, so a hand-built set can say it) holds none.
     pub fn len(&self) -> usize {
         match *self {
             ClientSet::Range { start, end } => end.saturating_sub(start),
             ClientSet::Stripe { offset, step, total } => {
-                if offset >= total {
+                if offset >= total || step == 0 {
                     0
                 } else {
                     (total - offset - 1) / step + 1
@@ -95,7 +96,7 @@ impl ClientSet {
         match *self {
             ClientSet::Range { start, end } => (start..end).contains(&id),
             ClientSet::Stripe { offset, step, total } => {
-                id < total && id >= offset && (id - offset).is_multiple_of(step)
+                step > 0 && id < total && id >= offset && (id - offset).is_multiple_of(step)
             }
         }
     }
@@ -128,6 +129,16 @@ impl ClientSet {
     /// The set's global client indices in local order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).map(|local| self.global_id(local))
+    }
+
+    /// Fails for a stripe that cannot advance, naming the partition.
+    fn check_step(&self, partition: usize) -> Result<(), String> {
+        match self {
+            ClientSet::Stripe { step: 0, .. } => {
+                Err(format!("partition {partition}: a stripe's step must be at least 1"))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -273,6 +284,7 @@ pub fn run_partition(
     store: &ObjectStore,
     _workers: usize,
 ) -> Result<PartitionRun, String> {
+    part.clients.check_step(part.index)?;
     let source = match &part.workload {
         PartitionWorkload::Spec(spec) => Source::Spec(spec, &part.clients),
         PartitionWorkload::Slice(capture) => {
@@ -320,6 +332,7 @@ pub fn merge_partitions(
 ) -> Result<(ScaleRun, usize), String> {
     let mut owned = vec![false; clients];
     for part in parts {
+        part.clients.check_step(part.index)?;
         for id in part.clients.iter() {
             if id < client_base || id - client_base >= clients {
                 return Err(format!(
@@ -569,6 +582,24 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("no partition owns"), "got: {err}");
+        // A hand-built stripe with a zero step is an error on both paths,
+        // and an empty set rather than a division by zero.
+        let stuck = ClientSet::Stripe { offset: 0, step: 0, total: spec.clients };
+        assert_eq!((stuck.len(), stuck.contains(0), stuck.iter().count()), (0, false, 0));
+        let part = PartitionSpec { clients: stuck.clone(), ..parts[0].clone() };
+        let err = run_partition(&part, &store, 1).unwrap_err();
+        assert!(err.contains("partition 0") && err.contains("step"), "got: {err}");
+        let run = PartitionRun { clients: stuck, ..finished[0].clone() };
+        let err = merge_partitions(
+            0,
+            spec.clients,
+            files,
+            &[run, finished[1].clone()],
+            ObjectStore::with_policy(GcPolicy::MarkSweep),
+            started,
+        )
+        .unwrap_err();
+        assert!(err.contains("partition 0") && err.contains("step"), "got: {err}");
     }
 
     #[test]

@@ -58,6 +58,18 @@ impl FilePlan {
     }
 }
 
+/// One file the client holds locally: an own upload or pulled content.
+#[derive(Debug)]
+struct Held {
+    /// Its chunk hashes in file order, so superseding or deleting the file
+    /// releases exactly its references.
+    hashes: Vec<ContentHash>,
+    /// Its bytes, the base of the path's next delta — kept only when the
+    /// service delta-encodes. A pulled file shares the allocation of the
+    /// [`RestoredFile`] the pull returned.
+    base: Option<Arc<Vec<u8>>>,
+}
+
 /// The stateful planner: one per (service, user account) pair.
 #[derive(Debug)]
 pub struct UploadPlanner {
@@ -65,14 +77,11 @@ pub struct UploadPlanner {
     store: ObjectStore,
     dedup: DedupIndex,
     cipher: ConvergentCipher,
-    /// Last revision of each path as the server knows it: the basis for
-    /// delta, so only kept when the service delta-encodes.
-    previous: HashMap<String, Vec<u8>>,
-    /// Content pulled down by restores, keyed `owner/path`. Feeds the local
-    /// chunk view (pulled chunks are never re-downloaded) and serves as the
-    /// delta base when a path is pulled again after the owner modified it.
-    /// Shared with the [`RestoredFile`] the pull returned, not copied.
-    restored: HashMap<String, Arc<Vec<u8>>>,
+    /// The live revision of each own path, as the server knows it.
+    own: HashMap<String, Held>,
+    /// Content pulled down by restores, keyed `owner/path` (the planner's
+    /// own namespace included when it restores itself).
+    pulled: HashMap<String, Held>,
     /// The client's local chunk view: every chunk of every file it
     /// currently holds (own uploads + pulled content), with a count of the
     /// holding files. Maintained incrementally as files are committed,
@@ -81,9 +90,6 @@ pub struct UploadPlanner {
     /// every pull. The bytes are the store's own payload allocation where
     /// it has one.
     local_chunks: HashMap<ContentHash, (Arc<[u8]>, usize)>,
-    /// Chunk hashes per locally held file (`own:` / `pull:` key prefixes),
-    /// so superseding or deleting a file releases exactly its references.
-    local_files: HashMap<String, Vec<ContentHash>>,
     user: String,
     /// Executes the pure per-chunk work (hash, compress, delta estimate).
     pipeline: UploadPipeline,
@@ -121,10 +127,9 @@ impl UploadPlanner {
             store,
             dedup: DedupIndex::new(),
             cipher: ConvergentCipher::new(),
-            previous: HashMap::new(),
-            restored: HashMap::new(),
+            own: HashMap::new(),
+            pulled: HashMap::new(),
             local_chunks: HashMap::new(),
-            local_files: HashMap::new(),
             user: user.to_string(),
             pipeline,
             batches_planned: 0,
@@ -181,11 +186,7 @@ impl UploadPlanner {
     /// [`UploadPlanner::plan_file`] once per file.
     pub fn plan_batch(&mut self, files: &[(&str, &[u8])]) -> Vec<FilePlan> {
         self.batches_planned += 1;
-        let spec = PipelineSpec {
-            chunking: self.profile.chunking,
-            compression: self.profile.compression,
-            delta_encoding: self.profile.delta_encoding,
-        };
+        let spec = self.pipeline_spec();
 
         // The delta basis of each file: the server's previous revision of
         // its path — or, when the same path appears twice in one batch, the
@@ -198,7 +199,7 @@ impl UploadPlanner {
             .map(|(i, (path, content))| {
                 let previous = match latest_in_batch.get(path) {
                     Some(&j) => Some(files[j].1),
-                    None => self.previous.get(*path).map(Vec::as_slice),
+                    None => Self::base_of(self.own.get(*path)),
                 };
                 latest_in_batch.insert(path, i);
                 FileJob { content, previous }
@@ -321,15 +322,8 @@ impl UploadPlanner {
         // The committed revision enters the local chunk view (hashes come
         // from the pipeline artifacts — nothing is re-hashed here); the
         // superseded revision's chunks leave it.
-        let spans: Vec<(ContentHash, std::ops::Range<usize>)> = artifacts
-            .chunks
-            .iter()
-            .map(|a| (a.chunk.hash, a.chunk.offset as usize..a.chunk.end() as usize))
-            .collect();
-        self.index_local_file(format!("own:{path}"), &spans, content);
-        if self.profile.delta_encoding {
-            self.previous.insert(path.to_string(), content.to_vec());
-        }
+        let chunks = artifacts.chunks.iter().map(|a| (a.chunk.hash, a.chunk.len));
+        self.hold(true, path.to_string(), chunks, content, || Arc::new(content.to_vec()));
 
         FilePlan {
             path: path.to_string(),
@@ -343,14 +337,14 @@ impl UploadPlanner {
     /// references, but — like Dropbox and Wuala — keeps the chunk index so a
     /// later restore deduplicates (§4.3).
     pub fn plan_delete(&mut self, path: &str) {
-        self.previous.remove(path);
-        // The local view lists the live revision's chunk hashes in file
+        // The held record lists the live revision's chunk hashes in file
         // order — what re-chunking and re-hashing its bytes would give.
-        let key = format!("own:{path}");
-        for hash in self.local_files.get(&key).into_iter().flatten() {
-            self.dedup.remove_reference(hash);
+        if let Some(held) = self.own.remove(path) {
+            for hash in &held.hashes {
+                self.dedup.remove_reference(hash);
+            }
+            Self::release(&mut self.local_chunks, &held.hashes);
         }
-        self.unindex_local_file(&key);
         self.store.delete_file(&self.user, path);
     }
 
@@ -384,11 +378,7 @@ impl UploadPlanner {
         owner: &str,
         paths: &[String],
     ) -> Vec<Result<RestoredFile, RestoreError>> {
-        let spec = PipelineSpec {
-            chunking: self.profile.chunking,
-            compression: self.profile.compression,
-            delta_encoding: self.profile.delta_encoding,
-        };
+        let spec = self.pipeline_spec();
         let local = &self.local_chunks;
         let own = owner == self.user;
         let requests: Vec<RestoreRequest<'_>> = paths
@@ -396,11 +386,11 @@ impl UploadPlanner {
             .map(|path| RestoreRequest {
                 owner,
                 path,
-                base: if own {
-                    self.previous.get(path).map(Vec::as_slice)
+                base: Self::base_of(if own {
+                    self.own.get(path)
                 } else {
-                    self.restored.get(&format!("{owner}/{path}")).map(|c| c.as_slice())
-                },
+                    self.pulled.get(&format!("{owner}/{path}"))
+                }),
             })
             .collect();
         let store = self.store.clone();
@@ -411,64 +401,80 @@ impl UploadPlanner {
             &|hash| local.get(hash).map(|(bytes, _)| bytes.clone()),
         );
         for restored in results.iter().flatten() {
-            let mut offset = 0usize;
-            let spans: Vec<(ContentHash, std::ops::Range<usize>)> = restored
-                .chunks
-                .iter()
-                .map(|c| {
-                    let range = offset..offset + c.plain_len as usize;
-                    offset = range.end;
-                    (c.hash, range)
-                })
-                .collect();
-            self.index_local_file(
-                format!("pull:{owner}/{}", restored.path),
-                &spans,
-                &restored.content,
-            );
-            self.restored.insert(format!("{owner}/{}", restored.path), restored.content.clone());
+            let chunks = restored.chunks.iter().map(|c| (c.hash, c.plain_len));
+            let content = &restored.content;
+            self.hold(false, format!("{owner}/{}", restored.path), chunks, content, || {
+                content.clone()
+            });
         }
         results
     }
 
-    /// Releases one locally held file's chunk references; chunks no other
-    /// held file shares leave the local view.
-    fn unindex_local_file(&mut self, key: &str) {
-        let Some(hashes) = self.local_files.remove(key) else { return };
+    /// The profile's capabilities as both byte pipelines read them.
+    fn pipeline_spec(&self) -> PipelineSpec {
+        PipelineSpec {
+            chunking: self.profile.chunking,
+            compression: self.profile.compression,
+            delta_encoding: self.profile.delta_encoding,
+        }
+    }
+
+    /// The delta base a held file offers, if it kept one.
+    fn base_of(held: Option<&Held>) -> Option<&[u8]> {
+        Some(held?.base.as_ref()?.as_slice())
+    }
+
+    /// Releases one held file's chunk references; chunks no other held file
+    /// shares leave the local view.
+    fn release(
+        local_chunks: &mut HashMap<ContentHash, (Arc<[u8]>, usize)>,
+        hashes: &[ContentHash],
+    ) {
         for hash in hashes {
-            if let Some((_, refs)) = self.local_chunks.get_mut(&hash) {
+            if let Some((_, refs)) = local_chunks.get_mut(hash) {
                 *refs -= 1;
                 if *refs == 0 {
-                    self.local_chunks.remove(&hash);
+                    local_chunks.remove(hash);
                 }
             }
         }
     }
 
-    /// Registers (or replaces) one locally held file in the chunk view:
-    /// `spans` are its chunk hashes with their byte ranges in `content`.
-    /// A chunk new to the view shares the store's payload (hash-equal, so
-    /// the same bytes) instead of copying them out of `content`; the copy
-    /// is for a chunk the store no longer serves, e.g. one a departing
-    /// owner's purge reclaimed between the pull and this call.
-    fn index_local_file(
+    /// Records (or replaces) one locally held file — `own` says in which
+    /// table — and enters it in the chunk view: `chunks` are its chunk
+    /// hashes and plaintext lengths, tiling `content` in file order. A chunk
+    /// new to the view shares the store's payload (hash-equal, so the same
+    /// bytes) instead of copying them out of `content`; the copy is for a
+    /// chunk the store no longer serves, e.g. one a departing owner's purge
+    /// reclaimed between the pull and this call. `base` is asked for the
+    /// bytes only when the service delta-encodes (the restore pipeline
+    /// ignores a base otherwise).
+    fn hold(
         &mut self,
+        own: bool,
         key: String,
-        spans: &[(ContentHash, std::ops::Range<usize>)],
+        chunks: impl Iterator<Item = (ContentHash, u64)>,
         content: &[u8],
+        base: impl FnOnce() -> Arc<Vec<u8>>,
     ) {
-        self.unindex_local_file(&key);
+        let files = if own { &mut self.own } else { &mut self.pulled };
+        if let Some(old) = files.remove(&key) {
+            Self::release(&mut self.local_chunks, &old.hashes);
+        }
         let store = &self.store;
-        let mut hashes = Vec::with_capacity(spans.len());
-        for (hash, range) in spans {
-            hashes.push(*hash);
-            let entry = self.local_chunks.entry(*hash).or_insert_with(|| {
-                let bytes = store.chunk_payload(hash);
-                (bytes.unwrap_or_else(|| Arc::from(&content[range.clone()])), 0)
+        let mut hashes = Vec::with_capacity(chunks.size_hint().0);
+        let mut offset = 0usize;
+        for (hash, len) in chunks {
+            let range = offset..offset + len as usize;
+            offset = range.end;
+            hashes.push(hash);
+            let entry = self.local_chunks.entry(hash).or_insert_with(|| {
+                let bytes = store.chunk_payload(&hash);
+                (bytes.unwrap_or_else(|| Arc::from(&content[range])), 0)
             });
             entry.1 += 1;
         }
-        self.local_files.insert(key, hashes);
+        files.insert(key, Held { hashes, base: self.profile.delta_encoding.then(base) });
     }
 
     /// Hard-deletes the whole account server-side: every live manifest is
@@ -484,10 +490,9 @@ impl UploadPlanner {
         // accounting to deleting the manifests one by one, without taking
         // the shard locks once per file.
         self.store.purge_user(&self.user);
-        self.previous.clear();
-        self.restored.clear();
+        self.own.clear();
+        self.pulled.clear();
         self.local_chunks.clear();
-        self.local_files.clear();
         self.dedup = DedupIndex::new();
         deleted
     }
@@ -603,8 +608,8 @@ mod tests {
                 assert_eq!(planner.dedup.references(hash), *refs, "{name}");
             }
             assert_eq!(planner.dedup_stats(), stats, "{name}: a delete asks the index nothing");
-            assert!(!planner.local_files.contains_key("own:f/a.bin"), "{name}");
-            assert!(planner.local_files.contains_key("own:g/copy.bin"), "{name}");
+            assert!(!planner.own.contains_key("f/a.bin"), "{name}");
+            assert!(planner.own.contains_key("g/copy.bin"), "{name}");
 
             let restored = planner.plan_file("f/a.bin", &a);
             assert_eq!(restored.fully_deduplicated(), profile.dedup, "{name}");
@@ -628,11 +633,72 @@ mod tests {
         for profile in ServiceProfile::all() {
             let mut planner = UploadPlanner::new(profile.clone());
             planner.plan_file("a.bin", &content);
-            assert_eq!(planner.previous.contains_key("a.bin"), profile.delta_encoding);
+            assert_eq!(planner.own["a.bin"].base.is_some(), profile.delta_encoding);
             assert!(!planner.local_chunks.is_empty());
             for (hash, (bytes, _)) in &planner.local_chunks {
                 let stored = planner.store.chunk_payload(hash).expect("committed with payload");
                 assert!(Arc::ptr_eq(bytes, &stored), "{}", profile.name());
+            }
+        }
+    }
+
+    /// A delete forgets the path's delta base and its chunk references in
+    /// one step: the re-upload of a near-identical revision travels in full
+    /// (or as dedup hits) for every profile, never as a delta against the
+    /// deleted bytes.
+    #[test]
+    fn delete_forgets_the_delta_base_and_the_references_together() {
+        let original = generate(FileKind::RandomBinary, 300_000, 16);
+        let appended = Mutation::Append { len: 20_000 }.apply(&original, 17);
+        for profile in ServiceProfile::all() {
+            let name = profile.name();
+            let mut planner = UploadPlanner::new(profile.clone());
+            let first = planner.plan_file("doc.bin", &original);
+            assert_eq!(planner.own["doc.bin"].hashes.len(), first.chunks.len(), "{name}");
+            assert_eq!(planner.own["doc.bin"].base.is_some(), profile.delta_encoding, "{name}");
+
+            planner.plan_delete("doc.bin");
+            assert!(planner.own.is_empty() && planner.local_chunks.is_empty(), "{name}");
+            for chunk in profile.chunking.chunk(&original) {
+                assert_eq!(planner.dedup.references(&chunk.hash), 0, "{name}");
+            }
+
+            let again = planner.plan_file("doc.bin", &appended);
+            assert!(again.chunks.iter().all(|c| !c.delta_encoded), "{name}: delta after a delete");
+            if !profile.dedup {
+                assert!(again.upload_bytes() >= 300_000, "{name}");
+            }
+        }
+    }
+
+    /// A pull keeps the pulled bytes only as a delta base: a service that
+    /// does not delta-encode holds no second reference to them, and Dropbox
+    /// still re-pulls a modified file as a delta against the one it kept.
+    #[test]
+    fn pulled_content_is_kept_only_as_a_delta_base() {
+        let content = generate(FileKind::RandomBinary, 300_000, 18);
+        let appended = Mutation::Append { len: 30_000 }.apply(&content, 19);
+        let paths = ["f.bin".to_string()];
+        for profile in ServiceProfile::all() {
+            let name = profile.name();
+            let store = ObjectStore::new();
+            let pipeline = UploadPipeline::sequential();
+            let mut owner = UploadPlanner::for_user(profile.clone(), pipeline, store.clone(), "o");
+            let mut puller = UploadPlanner::for_user(profile.clone(), pipeline, store, "p");
+            owner.plan_file("f.bin", &content);
+
+            let pulled = puller.plan_restore_paths("o", &paths).pop().unwrap().unwrap();
+            assert_eq!(*pulled.content, content, "{name}");
+            let holders = if profile.delta_encoding { 2 } else { 1 };
+            assert_eq!(Arc::strong_count(&pulled.content), holders, "{name}");
+            assert_eq!(puller.pulled["o/f.bin"].hashes.len(), pulled.chunks.len(), "{name}");
+
+            owner.plan_file("f.bin", &appended);
+            let repull = puller.plan_restore_paths("o", &paths).pop().unwrap().unwrap();
+            assert_eq!(*repull.content, appended, "{name}");
+            if profile.delta_encoding {
+                let down = repull.download_bytes();
+                assert!((1..100_000).contains(&down), "{name}: delta re-pull, got {down}");
             }
         }
     }

@@ -168,19 +168,6 @@ impl ScaleSpec {
         self
     }
 
-    /// Sets the shared-pool fraction.
-    pub fn with_shared_fraction(mut self, fraction: f64) -> ScaleSpec {
-        assert!((0.0..=1.0).contains(&fraction), "shared fraction must be within [0, 1]");
-        self.shared_fraction = fraction;
-        self
-    }
-
-    /// Sets the virtual horizon.
-    pub fn with_horizon(mut self, horizon: SimDuration) -> ScaleSpec {
-        self.horizon = horizon;
-        self
-    }
-
     /// Sets the master seed.
     pub fn with_seed(mut self, seed: u64) -> ScaleSpec {
         self.seed = seed;

@@ -35,12 +35,12 @@ use crate::delta::{DeltaScript, Signature};
 use crate::hash::ContentHash;
 use cloudsim_parallel::{auto_workers, run_indexed};
 
-/// Batches smaller than this (total content bytes) run single-threaded in
-/// auto-parallel mode: the scoped-thread fan-out costs more than the work,
-/// and harnesses that are already parallel at a higher level (one thread per
-/// benchmark cell) would otherwise oversubscribe the host with nested
-/// spawns. An explicit nonzero [`UploadPipeline::with_threads`] count is
-/// honoured regardless.
+/// Batches smaller than this (total content bytes; uploads and restores
+/// alike) run single-threaded in auto-parallel mode: the scoped-thread
+/// fan-out costs more than the work, and harnesses that are already parallel
+/// at a higher level (one thread per benchmark cell) would otherwise
+/// oversubscribe the host with nested spawns. An explicit nonzero
+/// [`UploadPipeline::with_threads`] count is honoured regardless.
 const PARALLEL_THRESHOLD_BYTES: u64 = 4 * 1024 * 1024;
 
 /// How the pipeline schedules its work.
@@ -55,6 +55,25 @@ pub enum PipelineMode {
         /// Worker thread count; `0` auto-detects.
         threads: usize,
     },
+}
+
+impl PipelineMode {
+    /// Worker threads a fan-out over `work_items` units totalling
+    /// `total_bytes` runs on — the one sizing policy of the upload and the
+    /// restore pipeline. Auto mode (`threads == 0`) applies the shared
+    /// small-batch threshold; an explicit thread count is honoured
+    /// unconditionally (tests pin it to exercise the concurrent path on
+    /// arbitrarily small inputs). Always within `1..=max(work_items, 1)`.
+    pub fn workers(self, work_items: usize, total_bytes: u64) -> usize {
+        let configured = match self {
+            PipelineMode::Sequential => 1,
+            PipelineMode::Parallel { threads: 0 } => {
+                auto_workers(work_items, total_bytes, PARALLEL_THRESHOLD_BYTES)
+            }
+            PipelineMode::Parallel { threads } => threads,
+        };
+        configured.clamp(1, work_items.max(1))
+    }
 }
 
 /// What the pipeline computes per chunk (see [`ChunkArtifacts`]).
@@ -161,20 +180,6 @@ impl UploadPipeline {
         self.mode
     }
 
-    fn worker_count(&self, work_items: usize, total_bytes: u64) -> usize {
-        let configured = match self.mode {
-            PipelineMode::Sequential => 1,
-            // Auto mode applies the shared sizing policy; an explicit thread
-            // count is honoured unconditionally (tests pin it to exercise
-            // the concurrent path on arbitrarily small inputs).
-            PipelineMode::Parallel { threads: 0 } => {
-                auto_workers(work_items, total_bytes, PARALLEL_THRESHOLD_BYTES)
-            }
-            PipelineMode::Parallel { threads } => threads,
-        };
-        configured.clamp(1, work_items.max(1))
-    }
-
     /// Runs the full chain over a batch of files, returning artifacts in
     /// file order. All byte counts are independent of the execution mode.
     pub fn process(&self, spec: &PipelineSpec, jobs: &[FileJob<'_>]) -> Vec<FileArtifacts> {
@@ -201,7 +206,7 @@ impl UploadPipeline {
         // revision, plus spans of the previous revision when delta encoding
         // will want same-index chunk pairs.
         let boundaries: Vec<(Vec<ChunkSpan>, Vec<ChunkSpan>)> = run_indexed(
-            self.worker_count(jobs.len(), total_bytes),
+            self.mode.workers(jobs.len(), total_bytes),
             jobs.len(),
             || (),
             |(), file_idx| {
@@ -227,7 +232,7 @@ impl UploadPipeline {
             .collect();
 
         let chunk_artifacts: Vec<ChunkArtifacts> = run_indexed(
-            self.worker_count(units.len(), total_bytes),
+            self.mode.workers(units.len(), total_bytes),
             units.len(),
             LzssScratch::new,
             |scratch, unit_idx| {
@@ -304,6 +309,47 @@ mod tests {
         }
         out.truncate(len);
         out
+    }
+
+    /// One sizing policy: in every mode the upload and the restore pipeline
+    /// fan an `(items, bytes)` batch out over the same number of workers —
+    /// the one the table says.
+    #[test]
+    fn both_pipelines_resolve_the_same_worker_count() {
+        use crate::restore::RestorePipeline;
+        const MB4: u64 = 4 * 1024 * 1024;
+        let host = cloudsim_parallel::available_workers();
+        let auto = move |items: usize, bytes: u64| {
+            if items < 2 || bytes < MB4 {
+                1
+            } else {
+                host.min(items)
+            }
+        };
+        type Expected<'a> = &'a dyn Fn(usize, u64) -> usize;
+        let modes: [(UploadPipeline, RestorePipeline, Expected<'_>); 5] = [
+            (UploadPipeline::sequential(), RestorePipeline::sequential(), &|_, _| 1),
+            (UploadPipeline::parallel(), RestorePipeline::parallel(), &auto),
+            (UploadPipeline::with_threads(0), RestorePipeline::with_threads(0), &auto),
+            (UploadPipeline::with_threads(1), RestorePipeline::with_threads(1), &|_, _| 1),
+            (UploadPipeline::with_threads(3), RestorePipeline::with_threads(3), &|items, _| {
+                items.clamp(1, 3)
+            }),
+        ];
+        for (up, down, expected) in modes {
+            assert_eq!(RestorePipeline::with_mode(up.mode()), down);
+            for items in [0, 1, 2, 3, 64] {
+                for bytes in [0, 1, MB4 - 1, MB4, MB4 + 1, 1 << 30] {
+                    let label = format!("{:?} items={items} bytes={bytes}", up.mode());
+                    assert_eq!(up.mode().workers(items, bytes), expected(items, bytes), "{label}");
+                    assert_eq!(
+                        down.mode().workers(items, bytes),
+                        expected(items, bytes),
+                        "{label}"
+                    );
+                }
+            }
+        }
     }
 
     fn spec() -> PipelineSpec {

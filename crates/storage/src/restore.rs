@@ -51,12 +51,8 @@ use crate::delta::{DeltaScript, Signature};
 use crate::hash::ContentHash;
 use crate::pipeline::{PipelineMode, PipelineSpec};
 use crate::store::{FileManifest, ObjectStore};
-use cloudsim_parallel::{auto_workers, run_indexed};
+use cloudsim_parallel::run_indexed;
 use std::sync::Arc;
-
-/// Restores below this total size run single-threaded in auto-parallel mode
-/// (same rationale and value as the upload pipeline's threshold).
-const PARALLEL_THRESHOLD_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Why a restore could not reconstruct a file. Every variant names the
 /// owner/path (and chunk where applicable) so a fleet harness can log the
@@ -265,17 +261,6 @@ impl RestorePipeline {
         self.mode
     }
 
-    fn worker_count(&self, work_items: usize, total_bytes: u64) -> usize {
-        let configured = match self.mode {
-            PipelineMode::Sequential => 1,
-            PipelineMode::Parallel { threads: 0 } => {
-                auto_workers(work_items, total_bytes, PARALLEL_THRESHOLD_BYTES)
-            }
-            PipelineMode::Parallel { threads } => threads,
-        };
-        configured.clamp(1, work_items.max(1))
-    }
-
     /// Restores one file. Convenience wrapper over
     /// [`RestorePipeline::restore_batch`].
     pub fn restore_file(
@@ -344,7 +329,7 @@ impl RestorePipeline {
 
         type ChunkOutcome = Result<(ChunkBytes, RestoredChunk), RestoreError>;
         let outcomes: Vec<ChunkOutcome> = run_indexed(
-            self.worker_count(units.len(), total_bytes),
+            self.mode.workers(units.len(), total_bytes),
             units.len(),
             LzssScratch::new,
             |scratch, unit_idx| {

@@ -177,9 +177,6 @@ impl PacketRecord {
 /// with options). TLS record framing is added separately by the TLS model.
 pub const TCP_HEADER_BYTES: u32 = 66;
 
-/// Typical header overhead for a UDP datagram: Ethernet (14) + IP (20) + UDP (8).
-pub const UDP_HEADER_BYTES: u32 = 42;
-
 /// Maximum TCP segment payload used by the simulator (standard Ethernet MSS).
 pub const MSS: u32 = 1460;
 

@@ -17,8 +17,6 @@
 //! * [`batch`] — batch specifications, including the paper's standard
 //!   workloads,
 //! * [`mutate`] — file mutation operators used by the delta-encoding test,
-//! * [`folder`] — the simulated synced folder (files plus a change journal)
-//!   the sync clients of `cloudsim-services` watch,
 //! * [`seed`] — the deterministic seed-derivation family every
 //!   workload-shaped draw (batch content, churn, restore fans, temporal
 //!   schedules) shares.
@@ -28,13 +26,11 @@
 
 pub mod batch;
 pub mod dictionary;
-pub mod folder;
 pub mod generator;
 pub mod mutate;
 pub mod seed;
 
 pub use batch::{BatchSpec, BatchStream, GeneratedFile};
-pub use folder::{ChangeEvent, LocalFolder};
 pub use generator::{generate, FileKind};
 pub use mutate::Mutation;
 pub use seed::{derive_seed, unit_f64};
