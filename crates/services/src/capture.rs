@@ -22,8 +22,9 @@
 //!   the remapped factor while holding the workload fixed.
 //!
 //! Everything is plain text with integer-only fields, so captures diff
-//! cleanly and survive version control. The parser is hand-rolled over the
-//! line grammar (the vendored `serde_json` is a serialiser only) and
+//! cleanly and survive version control. The parser is hand-rolled (the
+//! vendored `serde_json` is a serialiser only): one borrowed cursor reads
+//! a line — header or event — as a flat JSON object in one pass, and
 //! rejects unknown format names and versions up front; the header/event
 //! consistency checks live in [`FleetCapture::validate`], which the parser
 //! and the commit runner both call.
@@ -219,6 +220,7 @@ impl FleetCapture {
         let commits = Commits {
             owned: ClientSet::Range { start: base, end: base + self.clients },
             files_per_commit: self.files_per_commit,
+            shared_files: self.shared_files_per_commit,
             file_size: self.file_size,
             rtts_per_commit,
             links,
@@ -431,150 +433,360 @@ pub fn merge_slices(slices: &[FleetCapture]) -> Result<FleetCapture, String> {
     })
 }
 
-/// Extracts the raw text of `"key":` in `line`, up to the next top-level
-/// `,` or `}`.
-fn raw_field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let marker = format!("\"{key}\":");
-    let start = line
-        .find(&marker)
-        .ok_or_else(|| format!("capture line is missing field \"{key}\": {line}"))?
-        + marker.len();
-    let rest = &line[start..];
-    let mut depth = 0usize;
-    let mut in_string = false;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '[' if !in_string => depth += 1,
-            ']' if !in_string => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or_else(|| format!("stray ']' in field \"{key}\": {line}"))?;
+/// One borrowed cursor over one line of a capture: a flat JSON object
+/// whose values are unsigned integers, strings and flat arrays of either.
+/// Header and event lines go through the same code, in one pass, and
+/// nothing is copied out of the line but what the caller keeps. Every
+/// error ends in the line it is about.
+///
+/// The tokens are `{`, `}`, `[`, `]`, `,`, a key **with its colon**
+/// (`"name":` — no whitespace inside), an integer (decimal digits only),
+/// a string (`"`, then everything up to the next `"`: the format has no
+/// escapes) and, in values this build does not read, a bare word. ASCII
+/// whitespace may separate any two tokens.
+struct Cursor<'a> {
+    line: &'a str,
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Walks the members of the object `line` holds, handing `member` the
+    /// cursor at each value with the value's key; `member` must consume
+    /// exactly the value ([`Cursor::skip_value`] for a key it does not
+    /// know). Nothing but whitespace may surround the object.
+    fn members(
+        line: &'a str,
+        mut member: impl FnMut(&mut Cursor<'a>, &'a str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut cursor = Cursor { line, at: 0 };
+        if !cursor.eat(b'{') {
+            return Err(cursor.fail(format_args!("capture line is not a '{{…}}' object")));
+        }
+        if !cursor.eat(b'}') {
+            loop {
+                let key = cursor.key()?;
+                cursor.skip_ws();
+                member(&mut cursor, key)?;
+                if cursor.eat(b',') {
+                    continue;
+                }
+                if cursor.eat(b'}') {
+                    break;
+                }
+                return Err(cursor.unexpected(key, "is not followed by ',' or '}'"));
             }
-            ',' | '}' if !in_string && depth == 0 => return Ok(rest[..i].trim()),
-            _ => {}
+        }
+        cursor.skip_ws();
+        if cursor.at < line.len() {
+            return Err(cursor.fail(format_args!("capture line continues after its closing '}}'")));
+        }
+        Ok(())
+    }
+
+    fn fail(&self, what: std::fmt::Arguments<'_>) -> String {
+        format!("{what}: {}", self.line)
+    }
+
+    /// The error for a value of `key` that cannot start or go on here:
+    /// the line ended, a bracket closed that never opened, or `complaint`.
+    fn unexpected(&self, key: &str, complaint: &str) -> String {
+        match self.peek() {
+            None => self.fail(format_args!("unterminated field \"{key}\"")),
+            Some(b']') => self.fail(format_args!("stray ']' in field \"{key}\"")),
+            Some(_) => self.fail(format_args!("field \"{key}\" {complaint}")),
         }
     }
-    Err(format!("unterminated field \"{key}\": {line}"))
-}
 
-fn u64_field(line: &str, key: &str) -> Result<u64, String> {
-    raw_field(line, key)?
-        .parse::<u64>()
-        .map_err(|e| format!("field \"{key}\" is not an integer ({e}): {line}"))
-}
-
-fn usize_field(line: &str, key: &str) -> Result<usize, String> {
-    Ok(u64_field(line, key)? as usize)
-}
-
-fn str_field(line: &str, key: &str) -> Result<String, String> {
-    let raw = raw_field(line, key)?;
-    raw.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .map(str::to_owned)
-        .ok_or_else(|| format!("field \"{key}\" is not a string: {line}"))
-}
-
-fn array_field(line: &str, key: &str) -> Result<Vec<String>, String> {
-    let raw = raw_field(line, key)?;
-    let inner = raw
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| format!("field \"{key}\" is not an array: {line}"))?
-        .trim();
-    if inner.is_empty() {
-        return Ok(Vec::new());
+    fn peek(&self) -> Option<u8> {
+        self.line.as_bytes().get(self.at).copied()
     }
-    Ok(inner.split(',').map(|s| s.trim().to_owned()).collect())
+
+    fn skip_ws(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+            self.at += 1;
+        }
+    }
+
+    /// Consumes `byte` when it is the next token.
+    fn eat(&mut self, byte: u8) -> bool {
+        self.skip_ws();
+        let found = self.peek() == Some(byte);
+        self.at += usize::from(found);
+        found
+    }
+
+    /// The text between the `"` under the cursor and the next one, or
+    /// `None` (cursor unmoved) when either is missing.
+    fn quoted(&mut self) -> Option<&'a str> {
+        if self.peek() != Some(b'"') {
+            return None;
+        }
+        let rest = &self.line[self.at + 1..];
+        let len = rest.bytes().position(|b| b == b'"')?;
+        self.at += len + 2;
+        Some(&rest[..len])
+    }
+
+    /// A key token, `"name":`.
+    fn key(&mut self) -> Result<&'a str, String> {
+        self.skip_ws();
+        let key = self
+            .quoted()
+            .ok_or_else(|| self.fail(format_args!("capture line lacks a key where one is due")))?;
+        if self.peek() != Some(b':') {
+            return Err(self.fail(format_args!("key \"{key}\" is not directly followed by ':'")));
+        }
+        self.at += 1;
+        Ok(key)
+    }
+
+    fn string(&mut self, key: &str) -> Result<&'a str, String> {
+        match self.quoted() {
+            Some(text) => Ok(text),
+            None if self.peek() == Some(b'"') => {
+                Err(self.fail(format_args!("unterminated field \"{key}\"")))
+            }
+            None => Err(self.unexpected(key, "is not a string")),
+        }
+    }
+
+    /// Decimal digits, accumulated one by one with overflow checked.
+    fn integer(&mut self, key: &str) -> Result<u64, String> {
+        let start = self.at;
+        let mut value = 0u64;
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            value = value
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(digit - b'0')))
+                .ok_or_else(|| {
+                    self.fail(format_args!("field \"{key}\" is not an integer (too large)"))
+                })?;
+            self.at += 1;
+        }
+        if self.at == start {
+            return Err(self.unexpected(key, "is not an integer"));
+        }
+        Ok(value)
+    }
+
+    /// An integer into a slot that must still be empty.
+    fn integer_into(&mut self, slot: &mut Option<u64>, key: &str) -> Result<(), String> {
+        let value = self.integer(key)?;
+        self.set(slot, value, key)
+    }
+
+    /// Fills `slot`; a key the line gives twice is an error, not a choice.
+    fn set<T>(&self, slot: &mut Option<T>, value: T, key: &str) -> Result<(), String> {
+        match slot.replace(value) {
+            None => Ok(()),
+            Some(_) => Err(self.fail(format_args!("field \"{key}\" appears twice"))),
+        }
+    }
+
+    /// A flat array, `element` consuming each element.
+    fn array(
+        &mut self,
+        key: &str,
+        mut element: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if !self.eat(b'[') {
+            return Err(self.unexpected(key, "is not an array"));
+        }
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            element(self)?;
+            if self.eat(b',') {
+                continue;
+            }
+            if self.eat(b']') {
+                return Ok(());
+            }
+            return Err(self.unexpected(key, "holds an element not followed by ',' or ']'"));
+        }
+    }
+
+    /// Skips the value of a key this build does not read: a string, a bare
+    /// word (a number of any kind, `true`, `null`, …) or a flat array of
+    /// those. Nested objects and arrays are not part of the format.
+    fn skip_value(&mut self, key: &str) -> Result<(), String> {
+        if self.peek() == Some(b'[') {
+            self.array(key, |cursor| cursor.skip_scalar(key))
+        } else {
+            self.skip_scalar(key)
+        }
+    }
+
+    fn skip_scalar(&mut self, key: &str) -> Result<(), String> {
+        if self.peek() == Some(b'"') {
+            return self.string(key).map(drop);
+        }
+        let start = self.at;
+        while self.peek().is_some_and(|b| b.is_ascii_alphanumeric() || b"+-._".contains(&b)) {
+            self.at += 1;
+        }
+        if self.at == start {
+            return Err(self.unexpected(key, "is neither a scalar nor a flat array of scalars"));
+        }
+        Ok(())
+    }
 }
 
-fn u64_array_field(line: &str, key: &str) -> Result<Vec<u64>, String> {
-    array_field(line, key)?
-        .into_iter()
-        .map(|s| {
-            s.parse::<u64>()
-                .map_err(|e| format!("field \"{key}\" holds a non-integer element ({e})"))
-        })
-        .collect()
+fn missing_field(key: &str, line: &str) -> String {
+    format!("capture line is missing field \"{key}\": {line}")
 }
 
-/// Parses a capture rendered by [`render_capture`] (or by a newer build
-/// writing the same version). Rejects unknown formats and versions, and
-/// validates every event against the header so a truncated or hand-edited
-/// capture fails loudly instead of replaying garbage.
-pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = lines.next().ok_or("capture is empty")?;
+/// A required integer field as an index.
+fn index_field(slot: Option<u64>, key: &str, line: &str) -> Result<usize, String> {
+    let value = slot.ok_or_else(|| missing_field(key, line))?;
+    usize::try_from(value).map_err(|_| format!("field \"{key}\" does not fit an index: {line}"))
+}
 
-    let format = str_field(header, "format")?;
+/// The shortest event line there is: every key, one-digit values, no seeds.
+const MIN_EVENT_LINE: usize =
+    r#"{"t_us":0,"client":0,"op":"sync","round":0,"bytes":0,"content":[]}"#.len();
+
+/// Parses the header line into a capture with no events yet.
+fn parse_header(line: &str) -> Result<FleetCapture, String> {
+    let (mut format, mut version, mut links) = (None, None, None);
+    let (mut clients, mut client_base, mut commits, mut files) = (None, None, None, None);
+    let (mut file_size, mut shared, mut horizon_us, mut seed) = (None, None, None, None);
+    Cursor::members(line, |cursor, key| match key {
+        "format" => {
+            let name = cursor.string(key)?;
+            cursor.set(&mut format, name, key)
+        }
+        "version" => cursor.integer_into(&mut version, key),
+        "clients" => cursor.integer_into(&mut clients, key),
+        "client_base" => cursor.integer_into(&mut client_base, key),
+        "commits_per_client" => cursor.integer_into(&mut commits, key),
+        "files_per_commit" => cursor.integer_into(&mut files, key),
+        "file_size" => cursor.integer_into(&mut file_size, key),
+        "shared_files_per_commit" => cursor.integer_into(&mut shared, key),
+        "horizon_us" => cursor.integer_into(&mut horizon_us, key),
+        "seed" => cursor.integer_into(&mut seed, key),
+        "links" => {
+            let mut names = Vec::new();
+            cursor.array(key, |cursor| {
+                let name = cursor.string(key)?;
+                // Version 1 readers have always cut this array at every
+                // comma, so no capture they accept names a link with one.
+                if name.contains(',') {
+                    return Err(cursor.fail(format_args!("link entry \"{name}\" holds a ','")));
+                }
+                names.push(name.to_owned());
+                Ok(())
+            })?;
+            cursor.set(&mut links, names, key)
+        }
+        _ => cursor.skip_value(key),
+    })?;
+
+    let format = format.ok_or_else(|| missing_field("format", line))?;
     if format != CAPTURE_FORMAT {
         return Err(format!("unknown capture format \"{format}\" (expected \"{CAPTURE_FORMAT}\")"));
     }
-    let version = u64_field(header, "version")?;
+    let version = version.ok_or_else(|| missing_field("version", line))?;
     if version != CAPTURE_VERSION {
         return Err(format!(
             "unsupported capture version {version} (this build reads version {CAPTURE_VERSION})"
         ));
     }
+    Ok(FleetCapture {
+        clients: index_field(clients, "clients", line)?,
+        commits_per_client: index_field(commits, "commits_per_client", line)?,
+        files_per_commit: index_field(files, "files_per_commit", line)?,
+        file_size: file_size.ok_or_else(|| missing_field("file_size", line))?,
+        shared_files_per_commit: index_field(shared, "shared_files_per_commit", line)?,
+        horizon: SimDuration::from_micros(
+            horizon_us.ok_or_else(|| missing_field("horizon_us", line))?,
+        ),
+        seed: seed.ok_or_else(|| missing_field("seed", line))?,
+        link_names: links.ok_or_else(|| missing_field("links", line))?,
+        // `client_base` was introduced alongside capture slicing; whole-run
+        // captures omit it, so a missing field means base zero.
+        client_base: index_field(client_base.or(Some(0)), "client_base", line)?,
+        events: Vec::new(),
+    })
+}
 
-    let capture_header = (
-        usize_field(header, "clients")?,
-        usize_field(header, "commits_per_client")?,
-        usize_field(header, "files_per_commit")?,
-        u64_field(header, "file_size")?,
-        usize_field(header, "shared_files_per_commit")?,
-        u64_field(header, "horizon_us")?,
-        u64_field(header, "seed")?,
-        array_field(header, "links")?,
-    );
-    let (clients, commits_per_client, files_per_commit, file_size, shared, horizon_us, seed, links) =
-        capture_header;
-    // `client_base` was introduced alongside capture slicing; whole-run
-    // captures omit it, so a missing field means base zero.
-    let client_base =
-        if header.contains("\"client_base\":") { usize_field(header, "client_base")? } else { 0 };
-    let link_names: Result<Vec<String>, String> = links
-        .into_iter()
-        .map(|quoted| {
-            quoted
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .map(str::to_owned)
-                .ok_or_else(|| format!("link entry {quoted} is not a string"))
-        })
-        .collect();
-    let link_names = link_names?;
-
-    let mut events = Vec::new();
-    for line in lines {
-        let op = str_field(line, "op")?;
-        if op != "sync" {
-            return Err(format!(
-                "capture version {CAPTURE_VERSION} only records \"sync\" events, got \"{op}\""
-            ));
+/// Parses one event line of a capture whose header promises
+/// `files_per_commit` content seeds per event.
+fn parse_event(line: &str, files_per_commit: usize) -> Result<CaptureEvent, String> {
+    let (mut at, mut client, mut round, mut bytes) = (None, None, None, None);
+    let (mut op, mut content_seeds) = (None, None);
+    Cursor::members(line, |cursor, key| match key {
+        "t_us" => cursor.integer_into(&mut at, key),
+        "client" => cursor.integer_into(&mut client, key),
+        "round" => cursor.integer_into(&mut round, key),
+        "bytes" => cursor.integer_into(&mut bytes, key),
+        "op" => {
+            let name = cursor.string(key)?;
+            cursor.set(&mut op, name, key)
         }
-        events.push(CaptureEvent {
-            at: SimTime::from_micros(u64_field(line, "t_us")?),
-            client: usize_field(line, "client")?,
-            round: usize_field(line, "round")?,
-            bytes: u64_field(line, "bytes")?,
-            content_seeds: u64_array_field(line, "content")?,
-        });
-    }
+        "content" => {
+            // Sized from the header — but a seed and its comma are two
+            // bytes of the line, which bounds what a header can ask for.
+            let mut seeds = Vec::with_capacity(files_per_commit.min(line.len() / 2));
+            cursor.array(key, |cursor| {
+                seeds.push(cursor.integer(key)?);
+                Ok(())
+            })?;
+            cursor.set(&mut content_seeds, seeds, key)
+        }
+        _ => cursor.skip_value(key),
+    })?;
 
-    let capture = FleetCapture {
-        clients,
-        client_base,
-        commits_per_client,
-        files_per_commit,
-        file_size,
-        shared_files_per_commit: shared,
-        horizon: SimDuration::from_micros(horizon_us),
-        link_names,
-        seed,
-        events,
-    };
+    let op = op.ok_or_else(|| missing_field("op", line))?;
+    if op != "sync" {
+        return Err(format!(
+            "capture version {CAPTURE_VERSION} only records \"sync\" events, got \"{op}\""
+        ));
+    }
+    Ok(CaptureEvent {
+        at: SimTime::from_micros(at.ok_or_else(|| missing_field("t_us", line))?),
+        client: index_field(client, "client", line)?,
+        round: index_field(round, "round", line)?,
+        bytes: bytes.ok_or_else(|| missing_field("bytes", line))?,
+        content_seeds: content_seeds.ok_or_else(|| missing_field("content", line))?,
+    })
+}
+
+/// Parses a capture rendered by [`render_capture`] (or by a newer build
+/// writing the same version). Rejects unknown formats and versions, and
+/// validates every event against the header so a truncated or hand-edited
+/// capture fails loudly instead of replaying garbage. Blank lines are
+/// skipped; every other line is one flat JSON object, read in one pass by
+/// one cursor (keys in any order, ASCII whitespace between tokens, keys
+/// this build does not know skipped), and an error about a line ends in
+/// that line.
+///
+/// The readers this replaces searched each line for `"key":` once per
+/// field and took whatever followed. Every capture this parser accepts
+/// they accepted too, and read the same; it is **stricter** in that it
+/// rejects
+///
+/// * a line that is not exactly one flat object: text before the `{` or
+///   after the closing `}` (or no closing `}` at all behind a key nobody
+///   reads), a missing, doubled or trailing comma, and — even under a key
+///   this build skips — a nested object or array or no value at all;
+/// * a field it reads given twice (the first used to win);
+/// * an integer written with a sign (`+5` used to parse);
+/// * whitespace that is not ASCII between tokens.
+pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
+    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+    let mut capture = parse_header(lines.next().ok_or("capture is empty")?)?;
+
+    // Reserved from the header, bounded by the text: no event line is
+    // shorter than `MIN_EVENT_LINE`, so a hostile header cannot demand
+    // memory the file does not back.
+    let promised = capture.clients.saturating_mul(capture.commits_per_client);
+    capture.events.reserve(promised.min(text.len() / MIN_EVENT_LINE));
+    for line in lines {
+        capture.events.push(parse_event(line, capture.files_per_commit)?);
+    }
     capture.validate()?;
     Ok(capture)
 }
@@ -858,5 +1070,500 @@ mod tests {
         let capture = parse_capture(&text).unwrap();
         let err = replay_wide(&capture, &ReplayMix::Original).unwrap_err();
         assert!(err.contains("dialup"));
+    }
+
+    /// The readers `Cursor` replaced, kept word for word as the reference
+    /// the differential tests below hold it against: six scrapers that
+    /// search a line for `"key":` once per field.
+    mod v1 {
+        use super::super::*;
+
+        /// Extracts the raw text of `"key":` in `line`, up to the next top-level
+        /// `,` or `}`.
+        fn raw_field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
+            let marker = format!("\"{key}\":");
+            let start = line
+                .find(&marker)
+                .ok_or_else(|| format!("capture line is missing field \"{key}\": {line}"))?
+                + marker.len();
+            let rest = &line[start..];
+            let mut depth = 0usize;
+            let mut in_string = false;
+            for (i, c) in rest.char_indices() {
+                match c {
+                    '"' => in_string = !in_string,
+                    '[' if !in_string => depth += 1,
+                    ']' if !in_string => {
+                        depth = depth
+                            .checked_sub(1)
+                            .ok_or_else(|| format!("stray ']' in field \"{key}\": {line}"))?;
+                    }
+                    ',' | '}' if !in_string && depth == 0 => return Ok(rest[..i].trim()),
+                    _ => {}
+                }
+            }
+            Err(format!("unterminated field \"{key}\": {line}"))
+        }
+
+        fn u64_field(line: &str, key: &str) -> Result<u64, String> {
+            raw_field(line, key)?
+                .parse::<u64>()
+                .map_err(|e| format!("field \"{key}\" is not an integer ({e}): {line}"))
+        }
+
+        fn usize_field(line: &str, key: &str) -> Result<usize, String> {
+            Ok(u64_field(line, key)? as usize)
+        }
+
+        fn str_field(line: &str, key: &str) -> Result<String, String> {
+            let raw = raw_field(line, key)?;
+            raw.strip_prefix('"')
+                .and_then(|s| s.strip_suffix('"'))
+                .map(str::to_owned)
+                .ok_or_else(|| format!("field \"{key}\" is not a string: {line}"))
+        }
+
+        fn array_field(line: &str, key: &str) -> Result<Vec<String>, String> {
+            let raw = raw_field(line, key)?;
+            let inner = raw
+                .strip_prefix('[')
+                .and_then(|s| s.strip_suffix(']'))
+                .ok_or_else(|| format!("field \"{key}\" is not an array: {line}"))?
+                .trim();
+            if inner.is_empty() {
+                return Ok(Vec::new());
+            }
+            Ok(inner.split(',').map(|s| s.trim().to_owned()).collect())
+        }
+
+        fn u64_array_field(line: &str, key: &str) -> Result<Vec<u64>, String> {
+            array_field(line, key)?
+                .into_iter()
+                .map(|s| {
+                    s.parse::<u64>()
+                        .map_err(|e| format!("field \"{key}\" holds a non-integer element ({e})"))
+                })
+                .collect()
+        }
+
+        pub(super) fn parse_capture(text: &str) -> Result<FleetCapture, String> {
+            let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+            let header = lines.next().ok_or("capture is empty")?;
+
+            let format = str_field(header, "format")?;
+            if format != CAPTURE_FORMAT {
+                return Err(format!(
+                    "unknown capture format \"{format}\" (expected \"{CAPTURE_FORMAT}\")"
+                ));
+            }
+            let version = u64_field(header, "version")?;
+            if version != CAPTURE_VERSION {
+                return Err(format!(
+                    "unsupported capture version {version} (this build reads version {CAPTURE_VERSION})"
+                ));
+            }
+
+            let capture_header = (
+                usize_field(header, "clients")?,
+                usize_field(header, "commits_per_client")?,
+                usize_field(header, "files_per_commit")?,
+                u64_field(header, "file_size")?,
+                usize_field(header, "shared_files_per_commit")?,
+                u64_field(header, "horizon_us")?,
+                u64_field(header, "seed")?,
+                array_field(header, "links")?,
+            );
+            let (
+                clients,
+                commits_per_client,
+                files_per_commit,
+                file_size,
+                shared,
+                horizon_us,
+                seed,
+                links,
+            ) = capture_header;
+            // `client_base` was introduced alongside capture slicing; whole-run
+            // captures omit it, so a missing field means base zero.
+            let client_base = if header.contains("\"client_base\":") {
+                usize_field(header, "client_base")?
+            } else {
+                0
+            };
+            let link_names: Result<Vec<String>, String> = links
+                .into_iter()
+                .map(|quoted| {
+                    quoted
+                        .strip_prefix('"')
+                        .and_then(|s| s.strip_suffix('"'))
+                        .map(str::to_owned)
+                        .ok_or_else(|| format!("link entry {quoted} is not a string"))
+                })
+                .collect();
+            let link_names = link_names?;
+
+            let mut events = Vec::new();
+            for line in lines {
+                let op = str_field(line, "op")?;
+                if op != "sync" {
+                    return Err(format!(
+                        "capture version {CAPTURE_VERSION} only records \"sync\" events, got \"{op}\""
+                    ));
+                }
+                events.push(CaptureEvent {
+                    at: SimTime::from_micros(u64_field(line, "t_us")?),
+                    client: usize_field(line, "client")?,
+                    round: usize_field(line, "round")?,
+                    bytes: u64_field(line, "bytes")?,
+                    content_seeds: u64_array_field(line, "content")?,
+                });
+            }
+
+            let capture = FleetCapture {
+                clients,
+                client_base,
+                commits_per_client,
+                files_per_commit,
+                file_size,
+                shared_files_per_commit: shared,
+                horizon: SimDuration::from_micros(horizon_us),
+                link_names,
+                seed,
+                events,
+            };
+            capture.validate()?;
+            Ok(capture)
+        }
+    }
+
+    /// What a differential check may find besides full agreement.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Expect {
+        /// Both read it, and read the same; or both refuse it.
+        Same,
+        /// As `Same`, or — a documented difference of [`parse_capture`] —
+        /// the reference reads what the parser refuses.
+        SameOrStricter,
+    }
+
+    /// Holds the parser against the reference on `text`, whose line
+    /// `mutated` was tampered with. Never the other way round: what the
+    /// parser reads, the reference reads the same. And an error names the
+    /// line, unless it is one the reference words identically (a check
+    /// above the lines: format, version, op, `validate`).
+    fn check_against_v1(text: &str, mutated: &str, expect: Expect) -> Result<FleetCapture, String> {
+        let (new, old) = (parse_capture(text), v1::parse_capture(text));
+        match (&new, &old) {
+            (Ok(new), Ok(old)) => assert_eq!(new, old, "read differently: {mutated}"),
+            (Ok(_), Err(err)) => panic!("laxer than the reference ({err}): {mutated}"),
+            (Err(err), Ok(_)) => {
+                assert_eq!(expect, Expect::SameOrStricter, "refused ({err}): {mutated}");
+                assert!(err.contains(mutated), "no line in: {err}");
+            }
+            (Err(err), Err(old_err)) => assert!(
+                err.contains(mutated) || err == old_err,
+                "no line in \"{err}\" (reference: \"{old_err}\")"
+            ),
+        }
+        new
+    }
+
+    /// `text` with its line `index` replaced.
+    fn with_line(text: &str, index: usize, line: &str) -> String {
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[index] = line;
+        lines.join("\n")
+    }
+
+    /// The `"key":value` members of a rendered line.
+    fn members_of(line: &str) -> Vec<&str> {
+        let inner = line.strip_prefix('{').and_then(|l| l.strip_suffix('}')).expect("an object");
+        let (mut members, mut depth, mut start) = (Vec::new(), 0, 0);
+        for (at, byte) in inner.bytes().enumerate() {
+            match byte {
+                b'[' => depth += 1,
+                b']' => depth -= 1,
+                b',' if depth == 0 => {
+                    members.push(&inner[start..at]);
+                    start = at + 1;
+                }
+                _ => {}
+            }
+        }
+        members.push(&inner[start..]);
+        members
+    }
+
+    /// A whole-run capture and a slice of it (which has `client_base`),
+    /// each with the lines the mutations work on: the header and an event.
+    fn differential_bases() -> Vec<(String, [usize; 2])> {
+        let capture = capture_of_spec(&ScaleSpec::new(5).with_seed(0xD1FF));
+        let slices = slice_capture(&capture, &[(0, 2), (2, 5)]).unwrap();
+        vec![(render_fleet_capture(&capture), [0, 3]), (render_fleet_capture(&slices[1]), [0, 1])]
+    }
+
+    #[test]
+    fn the_cursor_reads_rendered_captures_like_the_v1_scrapers() {
+        for (text, _) in differential_bases() {
+            check_against_v1(&text, "", Expect::Same).expect("a rendered capture parses");
+            // CRLF line ends and blank lines are not the parser's business.
+            let spaced = text.replace('\n', "\r\n\r\n");
+            assert_eq!(check_against_v1(&spaced, "", Expect::Same), parse_capture(&text));
+        }
+    }
+
+    #[test]
+    fn reordered_and_spaced_lines_read_the_same() {
+        for (text, lines) in differential_bases() {
+            let parsed = parse_capture(&text).unwrap();
+            for index in lines {
+                let line = text.lines().nth(index).unwrap();
+                let members = members_of(line);
+                // Every rotation of the members, and their reversal.
+                let mut orders: Vec<Vec<&str>> = (0..members.len())
+                    .map(|by| {
+                        let mut rotated = members.clone();
+                        rotated.rotate_left(by);
+                        rotated
+                    })
+                    .collect();
+                orders.push(members.iter().rev().copied().collect());
+                for order in orders {
+                    let reordered = format!("{{{}}}", order.join(","));
+                    let read = check_against_v1(
+                        &with_line(&text, index, &reordered),
+                        &reordered,
+                        Expect::Same,
+                    );
+                    assert_eq!(read.as_ref(), Ok(&parsed), "{reordered}");
+                }
+                // Whitespace between any two tokens: around every brace,
+                // bracket and comma and after every key's colon.
+                for gap in [" ", "\t", " \t  "] {
+                    let mut spaced = String::new();
+                    let mut in_string = false;
+                    for c in line.chars() {
+                        in_string ^= c == '"';
+                        let structural = !in_string && "{}[],".contains(c);
+                        if structural {
+                            spaced.push_str(gap);
+                        }
+                        spaced.push(c);
+                        if structural || (!in_string && c == ':') {
+                            spaced.push_str(gap);
+                        }
+                    }
+                    let read =
+                        check_against_v1(&with_line(&text, index, &spaced), &spaced, Expect::Same);
+                    assert_eq!(read.as_ref(), Ok(&parsed), "{spaced}");
+                }
+                // Inside a key token there is none, then as now.
+                let split_key = line.replacen("\":", "\" :", 1);
+                let err = check_against_v1(
+                    &with_line(&text, index, &split_key),
+                    &split_key,
+                    Expect::Same,
+                )
+                .unwrap_err();
+                assert!(err.contains("not directly followed by ':'"), "got: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn dropped_repeated_and_unknown_keys() {
+        for (text, lines) in differential_bases() {
+            let parsed = parse_capture(&text).unwrap();
+            for index in lines {
+                let line = text.lines().nth(index).unwrap();
+                let members = members_of(line);
+                for (at, member) in members.iter().enumerate() {
+                    let key = member.split(':').next().unwrap().trim_matches('"');
+                    // Dropped: an error naming the key — but for the one
+                    // optional key, whose absence means zero.
+                    let mut without = members.clone();
+                    without.remove(at);
+                    let dropped = format!("{{{}}}", without.join(","));
+                    let err = check_against_v1(
+                        &with_line(&text, index, &dropped),
+                        &dropped,
+                        Expect::Same,
+                    )
+                    .unwrap_err();
+                    if key == "client_base" {
+                        assert!(err.contains("outside the header's [0, 3) range"), "got: {err}");
+                    } else {
+                        assert!(err.contains(&format!("missing field \"{key}\"")), "got: {err}");
+                    }
+                    // Repeated: the reference takes the first, the parser
+                    // takes neither — whether the two agree or not.
+                    let other = match member.as_bytes()[key.len() + 3] {
+                        b'"' => "\"other\"",
+                        b'[' => "[]",
+                        _ => "7",
+                    };
+                    for again in [member.to_string(), format!("\"{key}\":{other}")] {
+                        let mut twice = members.clone();
+                        twice.push(&again);
+                        let repeated = format!("{{{}}}", twice.join(","));
+                        let err = check_against_v1(
+                            &with_line(&text, index, &repeated),
+                            &repeated,
+                            Expect::SameOrStricter,
+                        )
+                        .unwrap_err();
+                        assert!(err.contains(&format!("\"{key}\" appears twice")), "got: {err}");
+                    }
+                }
+                // Keys of a later build, with every kind of flat value,
+                // are skipped wherever they sit.
+                for unknown in [
+                    "\"note\":\"t_us\"",
+                    "\"ratio\":-1.5e3",
+                    "\"flag\":true",
+                    "\"tags\":[\"a\",\"client\", 7 ,null]",
+                    "\"none\":[]",
+                ] {
+                    for at in [0, members.len() / 2, members.len()] {
+                        let mut with = members.clone();
+                        with.insert(at, unknown);
+                        let extended = format!("{{{}}}", with.join(","));
+                        let read = check_against_v1(
+                            &with_line(&text, index, &extended),
+                            &extended,
+                            Expect::Same,
+                        );
+                        assert_eq!(read.as_ref(), Ok(&parsed), "{extended}");
+                    }
+                }
+                // What is not a flat value is refused even under a key
+                // nobody reads; the reference never looked.
+                for nested in ["\"deep\":{\"a\":1}", "\"deep\":[[1]]", "\"deep\":", "\"deep\":1 2"]
+                {
+                    let extended = format!("{{{},{nested}}}", members.join(","));
+                    check_against_v1(
+                        &with_line(&text, index, &extended),
+                        &extended,
+                        Expect::SameOrStricter,
+                    )
+                    .unwrap_err();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_lines_are_errors_naming_the_line() {
+        for (text, lines) in differential_bases() {
+            for index in lines {
+                let line = text.lines().nth(index).unwrap();
+                for cut in 0..line.len() {
+                    let truncated = &line[..cut];
+                    // A line cut to nothing is a blank line: skipped, and
+                    // missed by `validate` (or, the header gone, the first
+                    // event line is no header).
+                    check_against_v1(&with_line(&text, index, truncated), truncated, Expect::Same)
+                        .unwrap_err();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replaced_digits_and_stray_structure() {
+        for (text, lines) in differential_bases() {
+            for index in lines {
+                let line = text.lines().nth(index).unwrap();
+                for (at, byte) in line.bytes().enumerate() {
+                    let splice = |with: &str, replace: bool| {
+                        format!("{}{with}{}", &line[..at], &line[at + usize::from(replace)..])
+                    };
+                    if byte.is_ascii_digit() {
+                        // Another digit moves a value (and `validate` may
+                        // mind); a letter, a sign or a gap ends the number.
+                        for with in ["0", "9", "x", "-", " ", ""] {
+                            let replaced = splice(with, true);
+                            let _ = check_against_v1(
+                                &with_line(&text, index, &replaced),
+                                &replaced,
+                                Expect::Same,
+                            );
+                        }
+                        // `+5` was `str::parse`'s idea of an integer.
+                        let signed = splice("+", false);
+                        let _ = check_against_v1(
+                            &with_line(&text, index, &signed),
+                            &signed,
+                            Expect::SameOrStricter,
+                        );
+                    }
+                    // A stray bracket, quote, brace, comma or colon before
+                    // every byte: the reference shrugs some off (a `}` or
+                    // `,` that ends a value early and leaves text behind).
+                    for stray in ["]", "[", "\"", "}", "{", ",", ":"] {
+                        let broken = splice(stray, false);
+                        let _ = check_against_v1(
+                            &with_line(&text, index, &broken),
+                            &broken,
+                            Expect::SameOrStricter,
+                        );
+                    }
+                }
+                // A value past u64 is an error, not a wrap.
+                for key in ["\"seed\":", "\"t_us\":"] {
+                    if line.contains(key) {
+                        let huge = line.replacen(key, &format!("{key}18446744073709551616"), 1);
+                        let err =
+                            check_against_v1(&with_line(&text, index, &huge), &huge, Expect::Same)
+                                .unwrap_err();
+                        assert!(err.contains("is not an integer (too large)"), "got: {err}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hostile_header_cannot_demand_memory() {
+        // Ten bytes of header fields that promise 2^60 events of 2^60
+        // seeds each: both reservations are bounded by the text.
+        let text = render_capture(&ScaleSpec::new(2).with_seed(1))
+            .replacen("\"clients\":2", "\"clients\":1152921504606846976", 1)
+            .replacen("\"files_per_commit\":4", "\"files_per_commit\":1152921504606846976", 1);
+        let err = check_against_v1(&text, "", Expect::Same).unwrap_err();
+        assert!(err.contains("too large to index"), "got: {err}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random byte edits from the grammar's own alphabet, several per
+        /// line: never a panic, never laxer than the reference, and an
+        /// error that names the line.
+        #[test]
+        fn random_edits_never_make_the_cursor_laxer(
+            sliced in proptest::prelude::any::<bool>(),
+            event in proptest::prelude::any::<bool>(),
+            edits in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..4),
+        ) {
+            const ALPHABET: &[u8] = b"{}[]\",: \t0123456789+-xsync";
+            let (text, lines) = differential_bases().swap_remove(usize::from(sliced));
+            let index = lines[usize::from(event)];
+            let mut line = text.lines().nth(index).unwrap().as_bytes().to_vec();
+            for edit in edits {
+                let at = (edit >> 8) as usize % line.len();
+                let with = ALPHABET[(edit >> 40) as usize % ALPHABET.len()];
+                match edit % 3 {
+                    0 => line[at] = with,
+                    1 => line.insert(at, with),
+                    _ => drop(line.remove(at)),
+                }
+                if line.is_empty() {
+                    break;
+                }
+            }
+            let line = String::from_utf8(line).expect("ASCII in, ASCII out");
+            let _ = check_against_v1(&with_line(&text, index, &line), &line, Expect::SameOrStricter);
+        }
     }
 }

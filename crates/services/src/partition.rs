@@ -41,7 +41,7 @@
 
 use crate::capture::{slice_capture, FleetCapture, ReplayMix};
 use crate::engine::{wave_count, FleetEvent};
-use crate::scale::{drive_plain, ScaleRun, ScaleSpec, Source};
+use crate::scale::{drive_plain, reserve_population, ScaleRun, ScaleSpec, Source};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{LatencyHistogram, SimTime};
 
@@ -388,15 +388,20 @@ pub struct PartitionedRun {
 
 /// The controller: runs the prepared partitions concurrently — one thread
 /// each, up to the host's parallelism — against one shared store and
-/// merges the results.
+/// merges the results. Every client commits `files_per_client` files, the
+/// first `shared_per_client` of them from the shared pool; the store is
+/// sized for the whole population here, once, so a partition's own
+/// reservation finds the room already there.
 fn run_controller(
     parts: &[PartitionSpec],
     client_base: usize,
     clients: usize,
-    files: u64,
+    files_per_client: usize,
+    shared_per_client: usize,
 ) -> Result<PartitionedRun, String> {
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
     let started = std::time::Instant::now();
+    reserve_population(&store, clients, files_per_client, shared_per_client);
     let results: Vec<Result<PartitionRun, String>> = cloudsim_parallel::run_indexed(
         cloudsim_parallel::available_workers(),
         parts.len(),
@@ -407,6 +412,7 @@ fn run_controller(
     for result in results {
         finished.push(result?);
     }
+    let files = clients as u64 * files_per_client as u64;
     let (run, merged_waves) =
         merge_partitions(client_base, clients, files, &finished, store, started)?;
     Ok(PartitionedRun { run, parts: finished, merged_waves })
@@ -423,9 +429,14 @@ pub fn run_partitioned(spec: &ScaleSpec, partitions: usize) -> PartitionedRun {
         spec.clients
     );
     let parts = spec_partitions(spec, partitions);
-    let files = spec.clients as u64 * spec.commits_per_client as u64 * spec.files_per_commit as u64;
-    run_controller(&parts, 0, spec.clients, files)
-        .expect("spec-derived partitions tile the population by construction")
+    run_controller(
+        &parts,
+        0,
+        spec.clients,
+        spec.commits_per_client * spec.files_per_commit,
+        spec.commits_per_client * spec.shared_files_per_commit(),
+    )
+    .expect("spec-derived partitions tile the population by construction")
 }
 
 /// Replays a capture split into `partitions` contiguous slices. The merged
@@ -435,11 +446,15 @@ pub fn replay_partitioned(
     capture: &FleetCapture,
     partitions: usize,
 ) -> Result<PartitionedRun, String> {
+    // Validates the capture: the products below index what it holds.
     let parts = capture_partitions(capture, partitions)?;
-    let files = capture.clients as u64
-        * capture.commits_per_client as u64
-        * capture.files_per_commit as u64;
-    run_controller(&parts, capture.client_base, capture.clients, files)
+    run_controller(
+        &parts,
+        capture.client_base,
+        capture.clients,
+        capture.commits_per_client * capture.files_per_commit,
+        capture.commits_per_client.saturating_mul(capture.shared_files_per_commit),
+    )
 }
 
 #[cfg(test)]

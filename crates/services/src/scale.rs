@@ -54,11 +54,24 @@
 //! against the many kilobytes a `SyncClient` costs. The store is the
 //! larger share: a client's eight files cost it eight entries in each of
 //! the store's two per-user tables plus its private chunks' physical
-//! entries (see the store's module docs; about 2.4 kB per client all-in at
-//! 100k clients, measured). The commit loop itself allocates nothing:
-//! users and paths are interned when the run is resolved and every store
-//! call takes ids and a stack `[hash]` — an integration test with a
-//! counting allocator holds a whole run to eight allocations per commit.
+//! entries (see the store's module docs). Those tables are sized **once**:
+//! a resolved run knows its clients, commits, files and shared-pool share
+//! before the first event fires, so the driver hands the store the totals
+//! (`reserve_population`; the partition controller does it once for all
+//! partitions, whose own calls then find the room already there) and no
+//! table doubles on the way up — a doubling rehashes every entry and
+//! holds the old and the new table at once. The event list, the interval
+//! log and the summary vectors are not sized this way yet.
+//!
+//! The commit loop itself allocates nothing, and is a *bundling* client of
+//! its own store: users and paths are interned when the run is resolved,
+//! and a commit of `n` files refills the driver's one batch buffer and
+//! makes **one** store call ([`ObjectStore::commit_files_by_id`]: one user
+//! shard lock, one table probe per file), where it used to make `2n`. What
+//! a run allocates is what is set up per client — a name, a record, its
+//! two growing lists — and the reserved tables: an integration test with a
+//! counting allocator pins a whole run's allocations and allocated bytes
+//! per commit to what this path measures, plus five per cent.
 
 use crate::capture::{FleetCapture, ReplayMix};
 use crate::engine::{EventHeap, FleetEvent, Phase};
@@ -99,6 +112,22 @@ pub(crate) fn intern_paths(
         }
     }
     Ok(paths)
+}
+
+/// Sizes `store` once for `clients` clients that each commit
+/// `files_per_client` one-chunk files to as many paths, the first
+/// `shared_per_client` of them from the population-wide pool: every other
+/// chunk is private to its client, a pool chunk is stored once. What the
+/// tables then never do is double (see [`ObjectStore::reserve`]).
+pub(crate) fn reserve_population(
+    store: &ObjectStore,
+    clients: usize,
+    files_per_client: usize,
+    shared_per_client: usize,
+) {
+    let private = files_per_client.saturating_sub(shared_per_client);
+    let unique = clients.saturating_mul(private).saturating_add(shared_per_client);
+    store.reserve(clients, files_per_client, files_per_client, unique);
 }
 
 /// Salt distinguishing commit-instant draws from every other seeded stream.
@@ -257,6 +286,7 @@ impl ScaleSpec {
         let commits = Commits {
             owned: owned.clone(),
             files_per_commit: self.files_per_commit,
+            shared_files,
             file_size: self.file_size,
             rtts_per_commit: 1,
             links: self.links.clone(),
@@ -335,6 +365,8 @@ pub(crate) struct Commits<'a> {
     /// The global clients the run drives; state records are set-local.
     pub(crate) owned: ClientSet,
     pub(crate) files_per_commit: usize,
+    /// Leading files of each commit drawn from the shared pool.
+    pub(crate) shared_files: usize,
     pub(crate) file_size: u64,
     /// Access round trips a commit pays: one when the service bundles, one
     /// per file when a replay remaps onto a service that does not.
@@ -347,33 +379,33 @@ pub(crate) struct Commits<'a> {
 }
 
 impl Commits<'_> {
-    /// Executes one commit transfer: commits the event's chunk hashes
-    /// (metadata-only) plus one manifest per file into the shared store as
-    /// `user`, and advances the client's analytic timeline — the transfer
-    /// starts when both the event instant and the client's link are ready,
-    /// and lasts `rtts_per_commit` access round trips plus the serialised
-    /// transmission time of the commit's bytes. Ids in, a stack `[hash]`
-    /// per file: nothing here allocates.
+    /// Executes one commit transfer: commits the event's files — one
+    /// metadata-only chunk and its manifest each — into the shared store as
+    /// `user`, bundled into **one** store call, and advances the client's
+    /// analytic timeline — the transfer starts when both the event instant
+    /// and the client's link are ready, and lasts `rtts_per_commit` access
+    /// round trips plus the serialised transmission time of the commit's
+    /// bytes. Ids in, and `batch` is the driver's one buffer, refilled per
+    /// commit: nothing here allocates.
     fn execute(
         &self,
         store: &ObjectStore,
         ev: &FleetEvent,
         user: UserId,
         state: &mut ScaleClientState,
+        batch: &mut Vec<(PathId, StoredChunk)>,
     ) -> (SimTime, SimTime) {
         let link = &self.links[ev.client % self.links.len()];
         let file_size = self.file_size;
         let batch_bytes = self.files_per_commit as u64 * file_size;
         let paths = &self.paths[ev.round * self.files_per_commit..][..self.files_per_commit];
 
-        for (f, &path) in paths.iter().enumerate() {
+        batch.clear();
+        batch.extend(paths.iter().enumerate().map(|(f, &path)| {
             let hash = synth_hash((self.seeds)(ev, f));
-            store.put_chunk_by_id(
-                user,
-                StoredChunk { hash, stored_len: file_size, plain_len: file_size },
-            );
-            store.commit_manifest_by_id(user, path, file_size, &[hash]);
-        }
+            (path, StoredChunk { hash, stored_len: file_size, plain_len: file_size })
+        }));
+        store.commit_files_by_id(user, batch);
 
         let start = ev.at.max(state.busy_until);
         let end = start
@@ -438,6 +470,14 @@ pub(crate) fn drive(
         Source::Spec(spec, owned) => spec.commits(owned, store)?,
         Source::Capture(capture, mix) => capture.commits(mix, store)?,
     };
+    // Before the first name is interned: the name index is sized too.
+    let rounds = commits.paths.len() / commits.files_per_commit;
+    reserve_population(
+        store,
+        commits.owned.len(),
+        commits.paths.len(),
+        rounds.saturating_mul(commits.shared_files),
+    );
     let users = commits
         .owned
         .iter()
@@ -447,10 +487,11 @@ pub(crate) fn drive(
     events.sort_unstable();
     let mut states = vec![ScaleClientState::default(); users.len()];
     let mut intervals = Vec::with_capacity(events.len());
+    let mut batch = Vec::with_capacity(commits.files_per_commit);
     for ev in &events {
         let local =
             commits.owned.local_index(ev.client).expect("a resolved event's client is owned");
-        let interval = commits.execute(store, ev, users[local], &mut states[local]);
+        let interval = commits.execute(store, ev, users[local], &mut states[local], &mut batch);
         observe(ev, interval);
         intervals.push(interval);
     }
@@ -480,6 +521,7 @@ pub(crate) fn drive_plain(source: Source<'_>, store: &ObjectStore) -> Result<Dri
 fn record_commit_packets(
     shard: &mut TraceShard,
     spec: &ScaleSpec,
+    payload_len: u32,
     i: usize,
     k: usize,
     start: SimTime,
@@ -511,7 +553,7 @@ fn record_commit_packets(
         let sent = start
             + link.access_rtt
             + SimDuration::for_transmission((f as u64 + 1) * spec.file_size, link.up_bandwidth);
-        shard.record(packet(sent, TcpFlags::ACK, spec.file_size as u32));
+        shard.record(packet(sent, TcpFlags::ACK, payload_len));
     }
 }
 
@@ -631,12 +673,22 @@ pub fn run_scale(spec: &ScaleSpec, store: ObjectStore, _workers: usize) -> Scale
 /// into a [`TraceShard`] that is frozen into one [`Trace`] at the end.
 /// The [`ScaleRun`] is bit-identical to the traceless [`run_scale`] of the
 /// same spec. `_workers` is ignored, as in [`run_scale`], which it panics
-/// like.
+/// like — and on one check of its own: a file is recorded as one packet,
+/// whose payload length is a `u32`, so a `file_size` past `u32::MAX` is
+/// refused rather than recorded wrapped.
 pub fn run_scale_traced(
     spec: &ScaleSpec,
     store: ObjectStore,
     _workers: usize,
 ) -> (ScaleRun, Trace) {
+    spec.validate();
+    let payload_len = u32::try_from(spec.file_size).unwrap_or_else(|_| {
+        panic!(
+            "a traced run records each file as one packet of at most {} bytes: file_size is {}",
+            u32::MAX,
+            spec.file_size
+        )
+    });
     let mut recorder = TraceRecorder::new();
     let shard = &mut recorder.shards_mut()[0];
     // Steady-state recording should never reallocate: the packet count per
@@ -645,7 +697,7 @@ pub fn run_scale_traced(
 
     let everyone = ClientSet::Range { start: 0, end: spec.clients };
     let driven = drive(Source::Spec(spec, &everyone), &store, |ev, (start, _)| {
-        record_commit_packets(shard, spec, ev.client, ev.round, start);
+        record_commit_packets(shard, spec, payload_len, ev.client, ev.round, start);
     })
     .unwrap_or_else(|err| panic!("cannot run the population: {err}"));
     (driven.into_run(store), recorder.finish())
@@ -801,6 +853,16 @@ mod tests {
     #[should_panic(expected = "at least one client")]
     fn zero_clients_panic() {
         run_wide(&ScaleSpec::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "file_size is 4294967296")]
+    fn a_traced_run_refuses_a_file_size_its_packets_would_wrap() {
+        // 4 GiB files: `file_size as u32` recorded empty payload packets.
+        // The traceless run has no packets and takes the same spec.
+        let spec = ScaleSpec::new(1).with_files(1, 1 << 32);
+        assert_eq!(run_wide(&spec).logical_bytes, 2 << 32);
+        run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
     }
 
     #[test]

@@ -29,15 +29,37 @@
 //!
 //! Names are interned once: [`ObjectStore::intern_user`] and
 //! [`ObjectStore::intern_path`] hand out [`UserId`]s and [`PathId`]s, and
-//! [`ObjectStore::put_chunk_by_id`] / [`ObjectStore::commit_manifest_by_id`]
-//! are the write path — no string is hashed, cloned or allocated per call.
-//! The `&str` methods are thin adapters that intern (writes) or look up
-//! (reads) and then run the same code. An id encodes its shard, and a
-//! name's shard is a pure function of the name, so nothing observable
-//! depends on the order names were first seen in. The tables hash their
-//! keys with a pass-through hasher over eight bytes of the (uniform)
-//! content hash mixed with the user slot; the name index keeps std's keyed
-//! hasher, because names come from outside the program.
+//! [`ObjectStore::commit_files_by_id`] is the fleet-scale write path — no
+//! string is hashed, cloned or allocated per call. The `&str` methods
+//! intern (writes) or look up (reads) under the same single lock
+//! acquisition. An id encodes its shard, and a name's shard is a pure
+//! function of the name, so nothing observable depends on the order names
+//! were first seen in. The tables hash their keys with a pass-through
+//! hasher over eight bytes of the (uniform) content hash mixed with the
+//! user slot; the name index keeps std's keyed hasher, because names come
+//! from outside the program.
+//!
+//! The three writes — [`ObjectStore::put_chunk`],
+//! [`ObjectStore::commit_manifest`] and the batch — only scope locks; what
+//! a write *does* is written once, as methods of the shard a lock guards:
+//! `UserShard::hold` (the user holds a chunk), `UserShard::reference` and
+//! `UserShard::publish` (a manifest's chunks are counted; it becomes the
+//! path's live revision) and `ChunkShard::admit` (the physical entry gains
+//! an owner). A put is hold, then admit; a commit is reference + publish;
+//! the batch is hold + publish per file under **one** user-shard lock,
+//! then one admit per chunk that was new to the user. The two shard arrays
+//! are never locked at once: the user shard is released before the first
+//! chunk shard is taken.
+//!
+//! That is the bundling of the paper's §5 applied to the store's own
+//! client: a four-file commit written as four puts and four commits takes
+//! **twelve** locks (user + chunk shard per put, user shard per commit) and
+//! probes the `(user, hash)` table three times per file; as one batch it
+//! takes **five** — one user shard plus one per chunk new to the user,
+//! fewer when the user already holds some — and probes once per file. A
+//! unit test counts them. [`ObjectStore::reserve`] is the other half: a
+//! caller that knows its population sizes every table once, up front,
+//! instead of letting each double its way up.
 //!
 //! Aggregate accounting (physical bytes, per-user referenced bytes,
 //! server-side dedup hits, …) is plain per-shard counters updated under the
@@ -475,6 +497,42 @@ struct ChunkShard {
 }
 
 impl ChunkShard {
+    /// The physical half of a put: one more owner for the chunk when it is
+    /// `new_to_user` (its first owner creates the entry; a later one is a
+    /// server-side dedup hit and may bring a more compact representation),
+    /// and the payload for an entry that has none.
+    fn admit(&mut self, chunk: &StoredChunk, new_to_user: bool, payload: Option<&[u8]>) {
+        match self.table.entry(PhysicalKey(chunk.hash)) {
+            Entry::Occupied(mut occupied) => {
+                let entry = occupied.get_mut();
+                if new_to_user {
+                    entry.owners += 1;
+                    if chunk.stored_len < entry.stored_len {
+                        self.physical_bytes -= entry.stored_len - chunk.stored_len;
+                        entry.stored_len = chunk.stored_len;
+                        entry.plain_len = chunk.plain_len;
+                    }
+                    self.server_dedup_hits += 1;
+                }
+                if entry.payload.is_none() {
+                    entry.payload = payload.map(Arc::from);
+                }
+            }
+            // A user holding a chunk implies its physical entry, so only a
+            // chunk new to the user creates one.
+            Entry::Vacant(vacant) if new_to_user => {
+                self.physical_bytes += chunk.stored_len;
+                vacant.insert(ChunkEntry {
+                    stored_len: chunk.stored_len,
+                    plain_len: chunk.plain_len,
+                    owners: 1,
+                    payload: payload.map(Arc::from),
+                });
+            }
+            Entry::Vacant(_) => {}
+        }
+    }
+
     /// Frees an owner-less entry's bytes in the counters (the caller
     /// removes the entry itself).
     fn account_freed(&mut self, chunks: u64, bytes: u64) {
@@ -484,12 +542,17 @@ impl ChunkShard {
     }
 }
 
-/// How a write names its user: by interned id, or by a name the write
-/// interns on the way in.
-#[derive(Debug, Clone, Copy)]
-enum Who<'a> {
-    Id(UserId),
-    Name(&'a str),
+#[cfg(test)]
+thread_local! {
+    /// Shard write locks a write path took on this thread.
+    static WRITE_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one shard write lock taken by a write path, for the test that
+/// pins the locks a commit costs; compiled out of everything else.
+fn count_write_lock() {
+    #[cfg(test)]
+    WRITE_LOCKS.with(|locks| locks.set(locks.get() + 1));
 }
 
 #[derive(Debug)]
@@ -620,24 +683,24 @@ impl ObjectStore {
         self.inner.path_shards[shard].read().names[slot].to_string()
     }
 
-    /// Write-locks the shard of the user a write names and resolves the
-    /// user's slot in it — a name is interned under that same lock. The
+    /// Write-locks the shard of the user a `&str` write names and resolves
+    /// the user's slot in it, interning the name under that same lock. The
     /// `&str` write methods predate ids and cannot report exhaustion, so
     /// there it panics.
-    fn write_user(&self, who: Who<'_>) -> (RwLockWriteGuard<'_, UserShard>, u32) {
+    fn write_named(&self, user: &str) -> (RwLockWriteGuard<'_, UserShard>, u32) {
         let shards = self.shard_count();
-        match who {
-            Who::Id(UserId(id)) => {
-                let (shard, slot) = unpack_id(id, shards);
-                (self.inner.user_shards[shard].write(), slot as u32)
-            }
-            Who::Name(name) => {
-                let shard = shard_for_name(name, shards);
-                let mut guard = self.inner.user_shards[shard].write();
-                let slot = guard.intern(name, shard, shards).unwrap_or_else(|e| panic!("{e}"));
-                (guard, slot)
-            }
-        }
+        let shard = shard_for_name(user, shards);
+        count_write_lock();
+        let mut guard = self.inner.user_shards[shard].write();
+        let slot = guard.intern(user, shard, shards).unwrap_or_else(|e| panic!("{e}"));
+        (guard, slot)
+    }
+
+    /// Write-locks the shard an interned user's id names.
+    fn write_id(&self, user: UserId) -> (RwLockWriteGuard<'_, UserShard>, u32) {
+        let (shard, slot) = unpack_id(user.0, self.shard_count());
+        count_write_lock();
+        (self.inner.user_shards[shard].write(), slot as u32)
     }
 
     /// Write-locks the shard of a user some write already interned.
@@ -656,6 +719,12 @@ impl ObjectStore {
 
     fn chunk_shard(&self, hash: &ContentHash) -> &RwLock<ChunkShard> {
         &self.inner.chunk_shards[shard_for_chunk(hash, self.inner.chunk_shards.len())]
+    }
+
+    /// Write-locks the chunk shard of a hash a put admits.
+    fn write_chunks(&self, hash: &ContentHash) -> RwLockWriteGuard<'_, ChunkShard> {
+        count_write_lock();
+        self.chunk_shard(hash).write()
     }
 
     /// True when the user's namespace already holds a chunk with this hash
@@ -680,13 +749,7 @@ impl ObjectStore {
     /// server keeps the most compact representation it has seen — `min` is
     /// commutative, which keeps aggregate stats independent of commit order).
     pub fn put_chunk(&self, user: &str, chunk: StoredChunk) -> bool {
-        self.put(Who::Name(user), chunk, None)
-    }
-
-    /// [`ObjectStore::put_chunk`] for an interned user: the fleet-scale
-    /// write path, which allocates nothing per call.
-    pub fn put_chunk_by_id(&self, user: UserId, chunk: StoredChunk) -> bool {
-        self.put(Who::Id(user), chunk, None)
+        self.put(user, chunk, None)
     }
 
     /// [`ObjectStore::put_chunk`] carrying the plaintext chunk payload, so
@@ -704,65 +767,18 @@ impl ObjectStore {
             "payload does not match the chunk hash"
         );
         debug_assert_eq!(payload.len() as u64, chunk.plain_len);
-        self.put(Who::Name(user), chunk, Some(payload))
+        self.put(user, chunk, Some(payload))
     }
 
-    fn put(&self, who: Who<'_>, chunk: StoredChunk, payload: Option<&[u8]>) -> bool {
+    fn put(&self, user: &str, chunk: StoredChunk, payload: Option<&[u8]>) -> bool {
         // Lock discipline: user shard first, released before the chunk shard
         // is taken — the two arrays are never held simultaneously.
         let new_to_user = {
-            let (mut guard, slot) = self.write_user(who);
-            let us = &mut *guard;
-            match us.chunks.entry(UserChunkKey { user: slot, hash: chunk.hash }) {
-                Entry::Occupied(_) => false,
-                Entry::Vacant(vacant) => {
-                    vacant.insert(UserChunk {
-                        stored_len: chunk.stored_len,
-                        plain_len: chunk.plain_len,
-                        refs: 0,
-                        retained: false,
-                    });
-                    us.records[slot as usize].held.push(chunk.hash);
-                    us.chunk_puts += 1;
-                    us.referenced_bytes += chunk.stored_len;
-                    true
-                }
-            }
+            let (mut guard, slot) = self.write_named(user);
+            guard.hold(slot, &chunk, 0)
         };
-        if !new_to_user && payload.is_none() {
-            return false;
-        }
-
-        let mut guard = self.chunk_shard(&chunk.hash).write();
-        let cs = &mut *guard;
-        match cs.table.entry(PhysicalKey(chunk.hash)) {
-            Entry::Occupied(mut occupied) => {
-                let entry = occupied.get_mut();
-                if new_to_user {
-                    entry.owners += 1;
-                    if chunk.stored_len < entry.stored_len {
-                        cs.physical_bytes -= entry.stored_len - chunk.stored_len;
-                        entry.stored_len = chunk.stored_len;
-                        entry.plain_len = chunk.plain_len;
-                    }
-                    cs.server_dedup_hits += 1;
-                }
-                if entry.payload.is_none() {
-                    entry.payload = payload.map(Arc::from);
-                }
-            }
-            // A user holding a chunk implies its physical entry, so only a
-            // chunk new to the user creates one.
-            Entry::Vacant(vacant) if new_to_user => {
-                cs.physical_bytes += chunk.stored_len;
-                vacant.insert(ChunkEntry {
-                    stored_len: chunk.stored_len,
-                    plain_len: chunk.plain_len,
-                    owners: 1,
-                    payload: payload.map(Arc::from),
-                });
-            }
-            Entry::Vacant(_) => {}
+        if new_to_user || payload.is_some() {
+            self.write_chunks(&chunk.hash).admit(&chunk, new_to_user, payload);
         }
         new_to_user
     }
@@ -778,53 +794,89 @@ impl ObjectStore {
     /// client-side dedup state never dangles and §4.3 restores stay free.
     pub fn commit_manifest(&self, user: &str, manifest: FileManifest) -> u64 {
         let path = self.intern_path(&manifest.path).unwrap_or_else(|e| panic!("{e}"));
-        self.commit(Who::Name(user), path, manifest.size, &manifest.chunks)
+        let (mut guard, slot) = self.write_named(user);
+        guard.reference(slot, &manifest.chunks);
+        guard.publish(slot, path, manifest.size, manifest.chunks.as_slice().into())
     }
 
-    /// [`ObjectStore::commit_manifest`] for an interned user and path: the
-    /// fleet-scale write path. A one-chunk manifest allocates nothing.
-    pub fn commit_manifest_by_id(
-        &self,
-        user: UserId,
-        path: PathId,
-        size: u64,
-        chunks: &[ContentHash],
-    ) -> u64 {
-        self.commit(Who::Id(user), path, size, chunks)
-    }
-
-    fn commit(&self, who: Who<'_>, path: PathId, size: u64, chunks: &[ContentHash]) -> u64 {
-        let (mut guard, slot) = self.write_user(who);
-        let us = &mut *guard;
-        let key = |hash: &ContentHash| UserChunkKey { user: slot, hash: *hash };
-        for hash in chunks {
-            assert!(us.chunks.contains_key(&key(hash)), "manifest references unknown chunk {hash}");
-        }
-        for hash in chunks {
-            let held = us.chunks.get_mut(&key(hash)).expect("checked above");
-            held.refs = held.refs.checked_add(1).expect("fewer than u32::MAX live references");
-        }
-        let record = &mut us.records[slot as usize];
-        record.next_version += 1;
-        let version = record.next_version;
-        record.logical_bytes += size;
-        let entry = FileEntry { size, version, chunks: chunks.into() };
-        match us.files.insert(FileKey { user: slot, path }, entry) {
-            None => record.files.push(path),
-            Some(replaced) => {
-                record.logical_bytes -= replaced.size;
-                for hash in replaced.chunks.as_slice() {
-                    if let Some(held) = us.chunks.get_mut(&key(hash)) {
-                        held.refs = held.refs.saturating_sub(1);
-                        // The supersede retention promise above outlives any
-                        // later re-reference: mark the chunk so a subsequent
-                        // delete_manifest keeps it.
-                        held.retained |= held.refs == 0;
-                    }
-                }
+    /// Commits a batch of one-chunk files for an interned user: for each
+    /// file, in order, exactly [`ObjectStore::put_chunk`] followed by
+    /// [`ObjectStore::commit_manifest`] of a manifest holding that one
+    /// chunk (its size the chunk's `plain_len`) — the fleet-scale write
+    /// path, one call per commit whatever its file count. Returns the
+    /// user's version counter after the batch: the version of the last
+    /// file, the files before it holding the versions counting down from
+    /// there.
+    ///
+    /// The batch is the bundling client of §5: the user shard is
+    /// write-locked **once**, each file costs one probe of the `(user,
+    /// hash)` table (a chunk new to the user enters it already referenced,
+    /// a held one gains a reference) and one insert into the manifest
+    /// table, and only after that lock is released does each chunk that was
+    /// new to the user take its chunk shard's lock. Nothing is allocated
+    /// for batches of up to 256 files.
+    pub fn commit_files_by_id(&self, user: UserId, files: &[(PathId, StoredChunk)]) -> u64 {
+        // One bit per file: was its chunk new to the user?
+        let mut inline = [0u64; 4];
+        let mut spilled;
+        let new_to_user = if files.len() <= 64 * inline.len() {
+            &mut inline[..]
+        } else {
+            spilled = vec![0u64; files.len().div_ceil(64)];
+            &mut spilled[..]
+        };
+        let version = {
+            let (mut guard, slot) = self.write_id(user);
+            let us = &mut *guard;
+            for (i, (path, chunk)) in files.iter().enumerate() {
+                new_to_user[i / 64] |= u64::from(us.hold(slot, chunk, 1)) << (i % 64);
+                us.publish(slot, *path, chunk.plain_len, ChunkList::One(chunk.hash));
+            }
+            us.records[slot as usize].next_version
+        };
+        for (i, (_, chunk)) in files.iter().enumerate() {
+            if new_to_user[i / 64] >> (i % 64) & 1 == 1 {
+                self.write_chunks(&chunk.hash).admit(chunk, true, None);
             }
         }
         version
+    }
+
+    /// Tells the store what is about to be written — `users` more users,
+    /// each holding `chunks_per_user` chunks in `files_per_user` files, and
+    /// `unique_chunks` more physical chunks — so the user records, the name
+    /// index and the three tables can grow to their final size once instead
+    /// of doubling their way there (a doubling holds the old and the new
+    /// table at once). Purely a capacity hint: nothing a caller can read
+    /// changes, a request the allocator refuses is ignored, and a store
+    /// that already has the room does nothing.
+    pub fn reserve(
+        &self,
+        users: usize,
+        chunks_per_user: usize,
+        files_per_user: usize,
+        unique_chunks: usize,
+    ) {
+        // An even share per shard plus a sixteenth for the shards the names
+        // favour. No more: a table is sized to a power of two, and a wider
+        // margin would land it one above where doubling would have ended.
+        let shards = self.shard_count();
+        let share = |total: usize| {
+            let even = total.div_ceil(shards);
+            even.saturating_add(even / 16)
+        };
+        for shard in self.inner.user_shards.iter() {
+            let mut guard = shard.write();
+            let us = &mut *guard;
+            let _ = us.names.slots.try_reserve(share(users));
+            let _ = us.names.names.try_reserve(share(users));
+            let _ = us.records.try_reserve(share(users));
+            let _ = us.chunks.try_reserve(share(users.saturating_mul(chunks_per_user)));
+            let _ = us.files.try_reserve(share(users.saturating_mul(files_per_user)));
+        }
+        for shard in self.inner.chunk_shards.iter() {
+            let _ = shard.write().table.try_reserve(share(unique_chunks));
+        }
     }
 
     /// Hard-deletes a file manifest and releases the chunks no remaining
@@ -1065,6 +1117,78 @@ impl ObjectStore {
 }
 
 impl UserShard {
+    /// The user half of a put: user `slot` holds `chunk` from now on, with
+    /// `refs` more live-manifest references to it (none for a bare put, one
+    /// when the manifest is published under the same lock). Returns `true`
+    /// when the chunk was new to the user — the caller then owes the chunk
+    /// shard an [`ChunkShard::admit`]. One probe of the table either way.
+    fn hold(&mut self, slot: u32, chunk: &StoredChunk, refs: u32) -> bool {
+        match self.chunks.entry(UserChunkKey { user: slot, hash: chunk.hash }) {
+            Entry::Occupied(mut occupied) => {
+                let held = occupied.get_mut();
+                held.refs =
+                    held.refs.checked_add(refs).expect("fewer than u32::MAX live references");
+                false
+            }
+            Entry::Vacant(vacant) => {
+                vacant.insert(UserChunk {
+                    stored_len: chunk.stored_len,
+                    plain_len: chunk.plain_len,
+                    refs,
+                    retained: false,
+                });
+                self.records[slot as usize].held.push(chunk.hash);
+                self.chunk_puts += 1;
+                self.referenced_bytes += chunk.stored_len;
+                true
+            }
+        }
+    }
+
+    /// Counts one live-manifest reference per occurrence in `chunks`, all
+    /// of which user `slot` must hold.
+    fn reference(&mut self, slot: u32, chunks: &[ContentHash]) {
+        let key = |hash: &ContentHash| UserChunkKey { user: slot, hash: *hash };
+        for hash in chunks {
+            assert!(
+                self.chunks.contains_key(&key(hash)),
+                "manifest references unknown chunk {hash}"
+            );
+        }
+        for hash in chunks {
+            let held = self.chunks.get_mut(&key(hash)).expect("checked above");
+            held.refs = held.refs.checked_add(1).expect("fewer than u32::MAX live references");
+        }
+    }
+
+    /// Publishes a manifest whose chunk references are already counted
+    /// ([`UserShard::hold`] or [`UserShard::reference`]): assigns the next
+    /// version and creates or replaces the path, releasing a replaced
+    /// revision's references logically. Returns the version.
+    fn publish(&mut self, slot: u32, path: PathId, size: u64, chunks: ChunkList) -> u64 {
+        let record = &mut self.records[slot as usize];
+        record.next_version += 1;
+        let version = record.next_version;
+        record.logical_bytes += size;
+        match self.files.insert(FileKey { user: slot, path }, FileEntry { size, version, chunks }) {
+            None => record.files.push(path),
+            Some(replaced) => {
+                record.logical_bytes -= replaced.size;
+                for hash in replaced.chunks.as_slice() {
+                    let key = UserChunkKey { user: slot, hash: *hash };
+                    if let Some(held) = self.chunks.get_mut(&key) {
+                        held.refs = held.refs.saturating_sub(1);
+                        // The supersede retention promise of `commit_manifest`
+                        // outlives any later re-reference: mark the chunk so a
+                        // subsequent delete_manifest keeps it.
+                        held.retained |= held.refs == 0;
+                    }
+                }
+            }
+        }
+        version
+    }
+
     /// The slot of `name` in this shard (`shard` of `shards`), interning it
     /// with an empty record when new.
     fn intern(&mut self, name: &str, shard: usize, shards: usize) -> Result<u32, IdSpaceExhausted> {
@@ -1671,22 +1795,58 @@ mod tests {
         assert_eq!(by_id.users(), Vec::<String>::new());
         assert_eq!(by_id.aggregate(), AggregateStats::default());
 
-        for chunk in [&a, &b] {
-            assert!(by_name.put_chunk("alice", chunk.clone()));
-            assert!(by_id.put_chunk_by_id(alice, chunk.clone()));
+        // A batch is put-then-commit per file, in order: a fresh path, the
+        // same path superseded, a hash the batch already brought.
+        let other = by_id.intern_path("other.bin").unwrap();
+        let batch = [(doc, a.clone()), (doc, b.clone()), (other, a.clone())];
+        let mut version = 0;
+        for (path, chunk) in [("doc.bin", &a), ("doc.bin", &b), ("other.bin", &a)] {
+            by_name.put_chunk("alice", chunk.clone());
+            version = by_name.commit_manifest("alice", manifest_for(path, &[chunk]));
         }
-        let v = by_name.commit_manifest("alice", manifest_for("doc.bin", &[&a, &b]));
-        assert_eq!(
-            by_id.commit_manifest_by_id(alice, doc, a.plain_len + b.plain_len, &[a.hash, b.hash]),
-            v
-        );
-        let v = by_name.commit_manifest("alice", manifest_for("doc.bin", &[&b]));
-        assert_eq!(by_id.commit_manifest_by_id(alice, doc, b.plain_len, &[b.hash]), v);
+        assert_eq!(by_id.commit_files_by_id(alice, &batch), version);
+        assert_eq!(version, 3);
+        // The empty batch writes nothing and reports where the counter is.
+        assert_eq!(by_id.commit_files_by_id(alice, &[]), version);
 
         assert_eq!(by_id.aggregate(), by_name.aggregate());
         assert_eq!(by_id.stats("alice"), by_name.stats("alice"));
-        assert_eq!(by_id.manifest("alice", "doc.bin"), by_name.manifest("alice", "doc.bin"));
-        assert_eq!(by_id.list_files("alice"), vec!["doc.bin".to_string()]);
+        for path in ["doc.bin", "other.bin"] {
+            assert_eq!(by_id.manifest("alice", path), by_name.manifest("alice", path));
+        }
+        assert_eq!(by_id.list_files("alice"), by_name.list_files("alice"));
+        for chunk in [&a, &b] {
+            assert_eq!(by_id.chunk_owners(&chunk.hash), by_name.chunk_owners(&chunk.hash));
+        }
+    }
+
+    #[test]
+    fn a_batch_takes_one_user_lock_and_one_lock_per_new_chunk() {
+        let locks_of = |write: &dyn Fn()| {
+            let before = WRITE_LOCKS.with(std::cell::Cell::get);
+            write();
+            WRITE_LOCKS.with(std::cell::Cell::get) - before
+        };
+        let store = ObjectStore::new();
+        let user = store.intern_user("alice").unwrap();
+        let files: Vec<(PathId, StoredChunk)> = (0..4u8)
+            .map(|f| (store.intern_path(&format!("f{f}")).unwrap(), stored(&[f; 9])))
+            .collect();
+        let batch = || {
+            store.commit_files_by_id(user, &files);
+        };
+        // Four files, four chunks new to the user: 1 + 4.
+        assert_eq!(locks_of(&batch), 5);
+        // Committed again the user holds them all: the user shard alone.
+        assert_eq!(locks_of(&batch), 1);
+        // The same four files as puts and commits: (2 + 1) × 4.
+        let separately = || {
+            for (f, (_, chunk)) in files.iter().enumerate() {
+                store.put_chunk("bob", chunk.clone());
+                store.commit_manifest("bob", manifest_for(&format!("f{f}"), &[chunk]));
+            }
+        };
+        assert_eq!(locks_of(&separately), 12);
     }
 
     // ---- model-based property tests -------------------------------------
@@ -1961,7 +2121,7 @@ mod tests {
                 let (user, path) = (USERS[SKEW[field(8, 6)]], PATHS[SKEW[field(16, 6)]]);
                 let (a, b) = (&data[field(24, 4)], &data[field(32, 4)]);
                 let chunk = variant_of(a, (word >> 40) % 3);
-                match word % 10 {
+                match word % 11 {
                     0 | 1 => prop_assert_eq!(
                         store.put_chunk(user, chunk.clone()),
                         model.put(user, chunk, None)
@@ -1999,10 +2159,78 @@ mod tests {
                         model.delete_manifest(user, path)
                     ),
                     8 => prop_assert_eq!(store.purge_user(user), model.purge(user)),
-                    _ => prop_assert_eq!(store.collect_garbage(), model.collect_garbage()),
+                    9 => prop_assert_eq!(store.collect_garbage(), model.collect_garbage()),
+                    _ => {
+                        // A batch of one-chunk files: empty, short, longer
+                        // than the three paths and four payloads (so paths
+                        // are superseded and hashes repeat inside it) and
+                        // past the 256 files its stack bitmap covers. The
+                        // model runs put-then-commit per file.
+                        let len = [0, 1, 2, 5, 9, 300][field(48, 6)];
+                        let mut draw = *word;
+                        let mut files = Vec::with_capacity(len);
+                        for _ in 0..len {
+                            draw = draw.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                            let pick = |shift: u32, modulo: u64| ((draw >> shift) % modulo) as usize;
+                            let path = PATHS[pick(40, 3)];
+                            let chunk = variant_of(&data[pick(48, 4)], (draw >> 56) % 3);
+                            model.put(user, chunk.clone(), None);
+                            let one = FileManifest { path: path.into(), size: chunk.plain_len, chunks: vec![chunk.hash], version: 0 };
+                            prop_assert!(model.commit(user, one).is_some());
+                            files.push((store.intern_path(path).unwrap(), chunk));
+                        }
+                        let id = store.intern_user(user).unwrap();
+                        prop_assert_eq!(
+                            store.commit_files_by_id(id, &files),
+                            model.users.get(user).map_or(0, |ns| ns.next_version)
+                        );
+                    }
                 }
                 prop_assert_eq!((step, observe_store(&store)), (step, observe_model(&model)));
             }
+        }
+
+        /// `reserve` is a hint: whatever it is asked for — nothing, a
+        /// little, more than any allocator grants — on an empty store or
+        /// one that holds data, nothing readable moves, then or later.
+        #[test]
+        fn reserve_changes_nothing_a_caller_can_read(
+            eager in any::<bool>(),
+            script in proptest::collection::vec(any::<u64>(), 0..24),
+            asks in proptest::collection::vec(any::<u64>(), 4..5),
+            reserve_at in 0usize..24,
+        ) {
+            let policy = if eager { GcPolicy::Eager } else { GcPolicy::MarkSweep };
+            let data = universe();
+            // Zero, small, or far past what can be allocated; never the
+            // gigabytes in between that a host might really hand out.
+            let ask = |word: u64| match word % 4 {
+                0 => 0,
+                1 => (word >> 8) as usize % 5_000,
+                2 => usize::MAX >> ((word >> 8) % 12),
+                _ => usize::MAX,
+            };
+            let run = |reserving: bool| {
+                let store = ObjectStore::with_policy(policy);
+                for (step, word) in script.iter().enumerate() {
+                    if reserving && step == reserve_at {
+                        store.reserve(ask(asks[0]), ask(asks[1]), ask(asks[2]), ask(asks[3]));
+                    }
+                    let field = |shift: u32, modulo: u64| ((word >> shift) % modulo) as usize;
+                    let user = store.intern_user(USERS[field(8, 3)]).unwrap();
+                    let path = store.intern_path(PATHS[field(16, 3)]).unwrap();
+                    let chunk = variant_of(&data[field(24, 4)], (word >> 40) % 3);
+                    store.commit_files_by_id(user, &[(path, chunk)]);
+                    if word % 5 == 0 {
+                        store.delete_manifest(USERS[field(8, 3)], PATHS[field(32, 3)]);
+                    }
+                }
+                if reserving && reserve_at >= script.len() {
+                    store.reserve(ask(asks[0]), ask(asks[1]), ask(asks[2]), ask(asks[3]));
+                }
+                observe_store(&store)
+            };
+            prop_assert_eq!(run(true), run(false));
         }
 
         /// Ids depend on the order names are first seen in; nothing a
