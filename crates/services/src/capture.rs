@@ -230,7 +230,7 @@ impl FleetCapture {
                 self.files_per_commit,
                 self.shared_files_per_commit,
             )?,
-            seeds: Box::new(move |ev, f| table[slot_of(ev.client, ev.round)][f]),
+            seeds: Box::new(move |client, round, f| table[slot_of(client, round)][f]),
         };
         Ok((commits, events))
     }

@@ -13,23 +13,38 @@
 //! content seeds — no file bytes are ever generated or retained, because
 //! at 100k clients the plaintext would dominate the host's memory).
 //!
-//! Execution is one sequential walk: one [`Phase::Sync`] event per
-//! `(client, commit)` pair, sorted once by `(timestamp, client id)` and
-//! executed first to last on the calling thread. An event touches only its
-//! client's state record plus the shared store, and scale clients never
-//! interact except through the store's commutative updates, so nothing
-//! here needs the wave-by-wave lock step the full-fidelity fleet
+//! Execution is two sequential walks on the calling thread over one
+//! [`Phase::Sync`] event per `(client, commit)` pair, sorted once by
+//! `(timestamp, client id)`. The **timeline** walk goes first to last in
+//! that order and touches only the event's client's state record: the
+//! transfer interval from the event instant, the client's `busy_until` and
+//! its link, the observe hook, the interval log — no store access. The
+//! **store** walk goes client by client, each client's commits in the order
+//! the timeline walk met them in, one store write per commit. The two
+//! orders leave the same store because scale clients never interact except
+//! through the store's commutative updates: different users' writes commute
+//! (counts of distinct keys, sums, a `min`), and a user's own writes keep
+//! their event-key order, so every version number, manifest and counter is
+//! the one the event order would have produced — a test replays both a spec
+//! and a remapped capture in plain event order through the store's public
+//! API and compares every user's namespace. What the client-major order
+//! buys is locality: a user's rows live in the user's record (see the
+//! store's module docs), so both of a client's commits write one record
+//! while it is hot, and the heap fills in client order.
+//!
+//! Nothing here needs the wave-by-wave lock step the full-fidelity fleet
 //! ([`crate::fleet`]) executes — waves survive on this path only as a
 //! *count* ([`crate::engine::wave_count`]) the partition suite reports.
 //! Parallelism is the partition runner's business ([`crate::partition`]:
 //! disjoint client sets, one thread each, merged by event key into exactly
-//! this walk's order), which is what makes a partitioned run bit-identical
-//! to this one, and two runs of the same spec dump identical JSON (the CI
-//! fleet-scale determinism leg `cmp`s exactly that). Splitting the walk
-//! itself across threads was measured and deleted: with every thread
-//! writing every store shard, two client stripes ran at 0.78× one thread
-//! on the perf instrument's 10k-client row (`services.scale_nw_speedup`),
-//! so `workers` arguments on this path are accepted and ignored.
+//! the timeline walk's order), which is what makes a partitioned run
+//! bit-identical to this one, and two runs of the same spec dump identical
+//! JSON (the CI fleet-scale determinism leg `cmp`s exactly that). Splitting
+//! the walk itself across threads was measured and deleted: with every
+//! thread writing every store shard, two client stripes ran at 0.78× one
+//! thread on the perf instrument's 10k-client row
+//! (`services.scale_nw_speedup`), so `workers` arguments on this path are
+//! accepted and ignored.
 //!
 //! ## One commit runner
 //!
@@ -39,39 +54,44 @@
 //! spec plus the [`ClientSet`] it drives, or a capture under a replay mix)
 //! and post-processes the result; `drive` starts the wall clock, resolves
 //! the source *once* into its events, per-commit shape and interned paths
-//! (`Commits`), interns the owned clients, sorts the events, and walks
-//! them through the one commit executor. An observe hook sees every
-//! executed commit: packet capture is the traceless run with the packet
-//! recorder as the hook. The unsliced run is simply the partition that
-//! owns every client, so there is no second loop for the bit-identity
+//! (`Commits`), interns the owned clients, sorts the events, and walks them
+//! through the one timeline and the one store writer. An observe hook sees
+//! every commit's interval: packet capture is the traceless run with the
+//! packet recorder as the hook. The unsliced run is simply the partition
+//! that owns every client, so there is no second loop for the bit-identity
 //! tests to keep in step.
 //!
 //! ## Memory discipline
 //!
 //! The runner's own per-client budget is the state record, the client's
-//! interned store id and its share of the event list and the interval log
-//! — under 256 bytes per client, asserted by a `size_of` test below —
-//! against the many kilobytes a `SyncClient` costs. The store is the
-//! larger share: a client's eight files cost it eight entries in each of
-//! the store's two per-user tables plus its private chunks' physical
-//! entries (see the store's module docs). Those tables are sized **once**:
-//! a resolved run knows its clients, commits, files and shared-pool share
-//! before the first event fires, so the driver hands the store the totals
-//! (`reserve_population`; the partition controller does it once for all
-//! partitions, whose own calls then find the room already there) and no
-//! table doubles on the way up — a doubling rehashes every entry and
-//! holds the old and the new table at once. The event list, the interval
-//! log and the summary vectors are not sized this way yet.
+//! interned store id and its share of the event list, the interval log
+//! and the store walk's index (one `u32` round per commit) — under 256
+//! bytes per client, asserted by a `size_of` test below — against the many
+//! kilobytes a `SyncClient` costs. The store is the larger share: a
+//! client's eight files cost it eight rows in each of its record's two
+//! lists plus its private chunks' physical entries (see the store's module
+//! docs). All of it is sized **once**: a resolved run knows its clients,
+//! commits, files and shared-pool share before the first event fires, so
+//! the driver hands the store the totals (`reserve_population`; the
+//! partition controller does it once for all partitions, whose own calls
+//! then find the room already there). The records, the name index and the
+//! physical table never double on the way up — a doubling rehashes every
+//! entry and holds the old and the new table at once — and a scale client
+//! costs the store **two exact allocations**, its record's two lists at
+//! their final eight rows, made by the client's first commit and never
+//! grown. The event list, the interval log and the summary vectors are not
+//! streamed yet.
 //!
 //! The commit loop itself allocates nothing, and is a *bundling* client of
 //! its own store: users and paths are interned when the run is resolved,
 //! and a commit of `n` files refills the driver's one batch buffer and
 //! makes **one** store call ([`ObjectStore::commit_files_by_id`]: one user
-//! shard lock, one table probe per file), where it used to make `2n`. What
-//! a run allocates is what is set up per client — a name, a record, its
-//! two growing lists — and the reserved tables: an integration test with a
-//! counting allocator pins a whole run's allocations and allocated bytes
-//! per commit to what this path measures, plus five per cent.
+//! shard lock, one search of the user's rows per file), where it used to
+//! make `2n`. What a run allocates is what is set up per client — a name
+//! and its record's two lists — and what is reserved per run: an
+//! integration test with a counting allocator pins a whole run's
+//! allocations and allocated bytes per commit to what this path measures,
+//! plus five per cent.
 
 use crate::capture::{FleetCapture, ReplayMix};
 use crate::engine::{EventHeap, FleetEvent, Phase};
@@ -296,7 +316,7 @@ impl ScaleSpec {
                 self.files_per_commit,
                 shared_files,
             )?,
-            seeds: Box::new(move |ev, f| self.content_seed(shared_files, ev.client, ev.round, f)),
+            seeds: Box::new(move |i, k, f| self.content_seed(shared_files, i, k, f)),
         };
         Ok((commits, self.events_of(owned)))
     }
@@ -314,6 +334,24 @@ impl ScaleSpec {
         assert!(self.file_size > 0, "files must have at least one byte");
         assert!(!self.links.is_empty(), "a scale run needs at least one link");
         assert!(!self.horizon.is_zero(), "the horizon must be positive");
+        // The products the run computes — a commit's bytes, the event
+        // count, the packets and paths of a run, its logical bytes — are
+        // checked here once, so none of them can wrap later.
+        let (clients, commits, files) =
+            (self.clients, self.commits_per_client, self.files_per_commit);
+        let commit_bytes = (files as u64).checked_mul(self.file_size).unwrap_or_else(|| {
+            panic!("files_per_commit × file_size ({files} × {}) overflows u64", self.file_size)
+        });
+        let events = clients.checked_mul(commits).unwrap_or_else(|| {
+            panic!("clients × commits_per_client ({clients} × {commits}) overflows usize")
+        });
+        let packets = events.checked_mul(files.saturating_add(1));
+        let bytes = (events as u64).checked_mul(commit_bytes);
+        assert!(
+            packets.is_some() && bytes.is_some(),
+            "the run total of {events} commits (clients × commits_per_client) of {files} files \
+             and {commit_bytes} bytes (files_per_commit × file_size) overflows u64 or usize"
+        );
     }
 }
 
@@ -355,9 +393,10 @@ pub(crate) enum Source<'a> {
     Capture(&'a FleetCapture, &'a ReplayMix),
 }
 
-/// Yields the content seed of file `f` of an event's commit: derived on
-/// demand from a spec's master seed, or looked up in a capture.
-type ContentSeeds<'a> = Box<dyn Fn(&FleetEvent, usize) -> u64 + Sync + 'a>;
+/// Yields the content seed of file `f` of (global) client `i`'s commit
+/// `k`: derived on demand from a spec's master seed, or looked up in a
+/// capture.
+type ContentSeeds<'a> = Box<dyn Fn(usize, usize, usize) -> u64 + Sync + 'a>;
 
 /// One run's commits, resolved once from its [`Source`] before the first
 /// event fires: who owns them and the per-commit shape.
@@ -379,34 +418,14 @@ pub(crate) struct Commits<'a> {
 }
 
 impl Commits<'_> {
-    /// Executes one commit transfer: commits the event's files — one
-    /// metadata-only chunk and its manifest each — into the shared store as
-    /// `user`, bundled into **one** store call, and advances the client's
-    /// analytic timeline — the transfer starts when both the event instant
-    /// and the client's link are ready, and lasts `rtts_per_commit` access
-    /// round trips plus the serialised transmission time of the commit's
-    /// bytes. Ids in, and `batch` is the driver's one buffer, refilled per
-    /// commit: nothing here allocates.
-    fn execute(
-        &self,
-        store: &ObjectStore,
-        ev: &FleetEvent,
-        user: UserId,
-        state: &mut ScaleClientState,
-        batch: &mut Vec<(PathId, StoredChunk)>,
-    ) -> (SimTime, SimTime) {
+    /// The timeline half of a commit: advances the client's analytic
+    /// timeline — the transfer starts when both the event instant and the
+    /// client's link are ready, and lasts `rtts_per_commit` access round
+    /// trips plus the serialised transmission time of the commit's bytes.
+    /// No store access.
+    fn transfer(&self, ev: &FleetEvent, state: &mut ScaleClientState) -> (SimTime, SimTime) {
         let link = &self.links[ev.client % self.links.len()];
-        let file_size = self.file_size;
-        let batch_bytes = self.files_per_commit as u64 * file_size;
-        let paths = &self.paths[ev.round * self.files_per_commit..][..self.files_per_commit];
-
-        batch.clear();
-        batch.extend(paths.iter().enumerate().map(|(f, &path)| {
-            let hash = synth_hash((self.seeds)(ev, f));
-            (path, StoredChunk { hash, stored_len: file_size, plain_len: file_size })
-        }));
-        store.commit_files_by_id(user, batch);
-
+        let batch_bytes = self.files_per_commit as u64 * self.file_size;
         let start = ev.at.max(state.busy_until);
         let end = start
             + link.access_rtt * self.rtts_per_commit
@@ -415,6 +434,20 @@ impl Commits<'_> {
         state.logical_bytes += batch_bytes;
         state.commits += 1;
         (start, end)
+    }
+
+    /// The store half of a commit: refills `batch` — the driver's one
+    /// buffer, so nothing here allocates — with (global) client `i`'s commit
+    /// `k`, one metadata-only chunk per file under its interned path, for
+    /// the driver to write in **one** store call.
+    fn fill(&self, i: usize, k: usize, batch: &mut Vec<(PathId, StoredChunk)>) {
+        let file_size = self.file_size;
+        let paths = &self.paths[k * self.files_per_commit..][..self.files_per_commit];
+        batch.clear();
+        batch.extend(paths.iter().enumerate().map(|(f, &path)| {
+            let hash = synth_hash((self.seeds)(i, k, f));
+            (path, StoredChunk { hash, stored_len: file_size, plain_len: file_size })
+        }));
     }
 }
 
@@ -452,11 +485,16 @@ impl Driven {
 }
 
 /// The one commit runner. Resolves `source` into its [`Commits`], interns
-/// the owned clients (in client order), sorts the events once and executes
-/// them first to last on the calling thread, threading per-client state
-/// records through [`Commits::execute`]. After a commit executes, `observe`
-/// sees the event and its transfer interval — the packet capture plugs its
-/// recorder in here; see [`drive_plain`] for the no-op default.
+/// the owned clients (in client order), sorts the events once and walks
+/// them twice on the calling thread. The **timeline** walk goes first to
+/// last in event-key order, threading per-client state records through
+/// [`Commits::transfer`]; after each commit `observe` sees the event and
+/// its transfer interval — the packet capture plugs its recorder in here;
+/// see [`drive_plain`] for the no-op default. The **store** walk goes
+/// client by client, each client's commits in the event-key order the
+/// timeline walk met them in, one [`Commits::fill`] and one store call per
+/// commit (see the module docs for why the two orders leave the same
+/// store).
 ///
 /// An unsliced run is the one-partition run: its [`ClientSet`] is the
 /// whole range, and nothing below distinguishes it from a slice.
@@ -485,15 +523,32 @@ pub(crate) fn drive(
         .collect::<Result<Vec<UserId>, _>>()
         .map_err(|e| e.to_string())?;
     events.sort_unstable();
+    assert_eq!(events.len(), users.len() * rounds, "every owned client commits every round");
+
     let mut states = vec![ScaleClientState::default(); users.len()];
     let mut intervals = Vec::with_capacity(events.len());
-    let mut batch = Vec::with_capacity(commits.files_per_commit);
+    // The store walk's index: per client, its rounds in event-key order
+    // (a run's paths are interned per round under `u32` ids, so one fits).
+    let mut order = vec![0u32; events.len()];
     for ev in &events {
         let local =
             commits.owned.local_index(ev.client).expect("a resolved event's client is owned");
-        let interval = commits.execute(store, ev, users[local], &mut states[local], &mut batch);
+        let state = &mut states[local];
+        let nth = state.commits as usize;
+        assert!(nth < rounds, "client {} commits more than {rounds} times", ev.client);
+        order[local * rounds + nth] = u32::try_from(ev.round).expect("a round has u32 path ids");
+        let interval = commits.transfer(ev, state);
         observe(ev, interval);
         intervals.push(interval);
+    }
+
+    let mut batch = Vec::with_capacity(commits.files_per_commit);
+    for (local, &user) in users.iter().enumerate() {
+        let client = commits.owned.global_id(local);
+        for &round in &order[local * rounds..][..rounds] {
+            commits.fill(client, round as usize, &mut batch);
+            store.commit_files_by_id(user, &batch);
+        }
     }
     Ok(Driven {
         started,
@@ -737,13 +792,14 @@ mod tests {
             std::mem::size_of::<FleetEvent>()
         );
         // The runner's own per-client budget at the default two commits
-        // per client: state + store id + 2 events + 2 intervals stays under
-        // a quarter kilobyte. (What the *store* keeps per client is pinned
-        // by its own entry-size test.)
+        // per client: state + store id + 2 events + 2 intervals + 2 entries
+        // of the store walk's index stays under a quarter kilobyte. (What
+        // the *store* keeps per client is pinned by its own row-size test.)
         let per_client = std::mem::size_of::<ScaleClientState>()
             + std::mem::size_of::<UserId>()
             + 2 * std::mem::size_of::<FleetEvent>()
-            + 2 * std::mem::size_of::<(SimTime, SimTime)>();
+            + 2 * std::mem::size_of::<(SimTime, SimTime)>()
+            + 2 * std::mem::size_of::<u32>();
         assert!(per_client <= 256, "per-client footprint {per_client} B exceeds 256 B");
     }
 
@@ -766,6 +822,93 @@ mod tests {
                 assert_eq!(parallel.store.list_files(&user), sequential.store.list_files(&user));
             }
         }
+    }
+
+    /// What the two walks must leave behind: the same commits written the
+    /// plain way — one `commit_files_by_id` per event, in event-key order —
+    /// through the store's public API alone.
+    fn written_in_event_order(
+        mut commits: Vec<(FleetEvent, Vec<u64>)>,
+        rounds: usize,
+        shared_files: usize,
+        file_size: u64,
+    ) -> ObjectStore {
+        commits.sort_by_key(|(ev, _)| *ev);
+        let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
+        let files = commits[0].1.len();
+        let paths = intern_paths(&store, rounds, files, shared_files).unwrap();
+        for (ev, seeds) in &commits {
+            let user = store.intern_user(&scale_user(ev.client)).unwrap();
+            let batch: Vec<(PathId, StoredChunk)> = (seeds.iter().zip(&paths[ev.round * files..]))
+                .map(|(&seed, &path)| {
+                    let hash = synth_hash(seed);
+                    (path, StoredChunk { hash, stored_len: file_size, plain_len: file_size })
+                })
+                .collect();
+            store.commit_files_by_id(user, &batch);
+        }
+        store
+    }
+
+    /// Everything a caller can read of `clients` scale users, store against
+    /// store: the aggregate, and per user the stats, the paths and every
+    /// manifest with its version and chunks.
+    fn assert_same_namespaces(run: &ObjectStore, plain: &ObjectStore, clients: usize) {
+        assert_eq!(run.aggregate(), plain.aggregate());
+        assert_eq!(run.users(), plain.users());
+        for user in (0..clients).map(scale_user) {
+            assert_eq!(run.stats(&user), plain.stats(&user), "{user}");
+            let paths = plain.list_files(&user);
+            assert_eq!(run.list_files(&user), paths, "{user}");
+            for path in &paths {
+                assert_eq!(run.manifest(&user, path), plain.manifest(&user, path), "{user} {path}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_two_walks_leave_the_store_the_event_order_leaves() {
+        // A client's rounds fire in seeded order, so its manifests' version
+        // numbers say in which order the store saw its commits.
+        let spec = small_spec().with_commits(4);
+        let shared_files = spec.shared_files_per_commit();
+        let seeds_of = |i, k| {
+            (0..spec.files_per_commit).map(|f| spec.content_seed(shared_files, i, k, f)).collect()
+        };
+        let everyone = ClientSet::Range { start: 0, end: spec.clients };
+        let live = (spec.events_of(&everyone).into_iter())
+            .map(|ev| (ev, seeds_of(ev.client, ev.round)))
+            .collect();
+        let plain = written_in_event_order(live, 4, shared_files, spec.file_size);
+        let run = run_wide(&spec);
+        assert_same_namespaces(&run.store, &plain, spec.clients);
+        let versions: Vec<u64> = (plain.list_files(&scale_user(0)).iter())
+            .map(|path| plain.manifest(&scale_user(0), path).unwrap().version)
+            .collect();
+        assert_eq!(versions.len(), 16);
+        assert!(versions.windows(2).any(|pair| pair[0] > pair[1]), "rounds fire out of order");
+
+        // A capture remapped onto a service that does not bundle, its
+        // events listed last to first: the same store again.
+        let mut capture = crate::capture::capture_of_spec(&spec);
+        capture.events.reverse();
+        let recorded = (capture.events.iter())
+            .map(|ev| {
+                let at = FleetEvent {
+                    at: ev.at,
+                    phase: Phase::Sync,
+                    client: ev.client,
+                    round: ev.round,
+                };
+                (at, ev.content_seeds.clone())
+            })
+            .collect();
+        let plain = written_in_event_order(recorded, 4, shared_files, spec.file_size);
+        let mix = ReplayMix::Profile(crate::profile::ServiceProfile::skydrive());
+        let replayed = crate::capture::replay(&capture, &mix, 1).unwrap();
+        assert_ne!(replayed.intervals, run.intervals, "the remap moves the timeline");
+        assert_same_namespaces(&replayed.store, &plain, spec.clients);
+        assert_same_namespaces(&replayed.store, &run.store, spec.clients);
     }
 
     #[test]
@@ -853,6 +996,27 @@ mod tests {
     #[should_panic(expected = "at least one client")]
     fn zero_clients_panic() {
         run_wide(&ScaleSpec::new(0));
+    }
+
+    // The three products a run computes, each refused by name where it
+    // would wrap: a two-file commit of 2^63-byte files used to report zero
+    // logical bytes in release builds.
+    #[test]
+    #[should_panic(expected = "files_per_commit × file_size (2 × 9223372036854775808) overflows")]
+    fn commit_bytes_past_u64_are_refused() {
+        run_wide(&ScaleSpec::new(1).with_files(2, 1 << 63));
+    }
+
+    #[test]
+    #[should_panic(expected = "clients × commits_per_client (2 × ")]
+    fn an_event_count_past_usize_is_refused() {
+        run_wide(&ScaleSpec::new(2).with_commits(usize::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "the run total of 1099511627776 commits")]
+    fn a_run_total_past_u64_is_refused() {
+        run_wide(&ScaleSpec::new(1 << 20).with_commits(1 << 20).with_files(1 << 20, 1 << 20));
     }
 
     #[test]
