@@ -172,20 +172,36 @@ fn content_defined_spans(data: &[u8], min: usize, avg: usize, max: usize) -> Vec
     let bits = avg.trailing_zeros();
     let mask: u64 = ((1u64 << bits) - 1) << 16;
 
+    // `hash << 1` forgets a byte after 64 steps, and no boundary is declared
+    // before `min` bytes: rolling over the 64 bytes (fewer when `min` is
+    // smaller) that end at a chunk's first candidate position gives the hash
+    // rolling from the chunk's start would.
+    let warm_up = min.min(64);
+
     let mut spans = Vec::new();
     let mut start = 0usize;
-    let mut hash: u64 = 0;
-    let mut i = 0usize;
-    while i < data.len() {
-        hash = (hash << 1).wrapping_add(GEAR_TABLE[data[i] as usize]);
-        let length = i - start + 1;
-        let at_boundary = length >= min && (hash & mask) == 0;
-        if at_boundary || length >= max || i == data.len() - 1 {
-            spans.push(ChunkSpan { offset: start as u64, len: length as u64 });
-            start = i + 1;
-            hash = 0;
+    while start < data.len() {
+        let rest = &data[start..];
+        // The chunk ends at `max`, at the end of the data, or at the first
+        // boundary in between; with `min` bytes or fewer there is no in
+        // between, and nothing to scan.
+        let limit = rest.len().min(max);
+        let mut len = limit;
+        if limit > min {
+            let mut hash: u64 = 0;
+            for &byte in &rest[min - warm_up..min - 1] {
+                hash = (hash << 1).wrapping_add(GEAR_TABLE[byte as usize]);
+            }
+            for (extra, &byte) in rest[min - 1..limit].iter().enumerate() {
+                hash = (hash << 1).wrapping_add(GEAR_TABLE[byte as usize]);
+                if hash & mask == 0 {
+                    len = min + extra;
+                    break;
+                }
+            }
         }
-        i += 1;
+        spans.push(ChunkSpan { offset: start as u64, len: len as u64 });
+        start += len;
     }
     spans
 }
@@ -193,6 +209,67 @@ fn content_defined_spans(data: &[u8], min: usize, avg: usize, max: usize) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The splitter as it stood before the min-skip: the hash rolled over
+    /// every byte of every chunk. Frozen as the reference of the
+    /// differential test.
+    fn reference_spans(data: &[u8], min: usize, avg: usize, max: usize) -> Vec<ChunkSpan> {
+        let mask: u64 = ((1u64 << avg.trailing_zeros()) - 1) << 16;
+        let mut spans = Vec::new();
+        let mut start = 0usize;
+        let mut hash: u64 = 0;
+        let mut i = 0usize;
+        while i < data.len() {
+            hash = (hash << 1).wrapping_add(GEAR_TABLE[data[i] as usize]);
+            let length = i - start + 1;
+            let at_boundary = length >= min && (hash & mask) == 0;
+            if at_boundary || length >= max || i == data.len() - 1 {
+                spans.push(ChunkSpan { offset: start as u64, len: length as u64 });
+                start = i + 1;
+                hash = 0;
+            }
+            i += 1;
+        }
+        spans
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random and three-symbol content, `min` below, at and above the 64
+        /// bytes the hash remembers, `min == avg == max`, and every length
+        /// around `min` and `max`.
+        #[test]
+        fn min_skip_gives_the_spans_of_the_full_scan(
+            random in collection::vec(any::<u8>(), 0..6000),
+            three_symbols in any::<bool>(),
+        ) {
+            let data: Vec<u8> =
+                if three_symbols { random.iter().map(|byte| byte % 3).collect() } else { random };
+            for (min, avg, max) in [
+                (1, 16, 64),
+                (16, 16, 16),
+                (10, 64, 300),
+                (63, 64, 256),
+                (64, 64, 64),
+                (64, 128, 1000),
+                (65, 128, 129),
+                (100, 256, 4000),
+                (200, 256, 256),
+                (1000, 1024, 5000),
+            ] {
+                let around = [min - 1, min, min + 1, max - 1, max, max + 1, min + max];
+                for len in around.into_iter().chain([data.len()]).filter(|&len| len <= data.len()) {
+                    prop_assert!(
+                        content_defined_spans(&data[..len], min, avg, max)
+                            == reference_spans(&data[..len], min, avg, max),
+                        "min {min} avg {avg} max {max} len {len}"
+                    );
+                }
+            }
+        }
+    }
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);

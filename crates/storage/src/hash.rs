@@ -5,6 +5,12 @@
 //! block checksums of the delta encoder (§4.4). The implementation follows
 //! FIPS 180-4 and is validated against the standard test vectors; no external
 //! crypto crate is required.
+//!
+//! There are two compression kernels and one place that chooses between
+//! them, `compress_blocks`: the x86-64 SHA extensions where the host has
+//! them, the portable unrolled rounds everywhere else. The choice is made
+//! from what the CPU reports, never from a flag or a build setting, and the
+//! digest is the same either way; [`kernel`] names the path taken.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -14,24 +20,28 @@ use std::fmt;
 pub struct ContentHash(pub [u8; 32]);
 
 impl ContentHash {
-    /// Hexadecimal rendering of the hash. Uses a nibble lookup table instead
-    /// of a per-byte `format!` — this sits under every manifest and report
-    /// render, where the formatting machinery dominated the cost.
+    /// Hexadecimal rendering of the hash.
     pub fn to_hex(&self) -> String {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        let mut out = Vec::with_capacity(64);
-        for &byte in &self.0 {
-            out.push(HEX[(byte >> 4) as usize]);
-            out.push(HEX[(byte & 0x0F) as usize]);
-        }
-        // Safety of from_utf8: every pushed byte is an ASCII hex digit.
-        String::from_utf8(out).expect("hex digits are valid UTF-8")
+        hex(&self.0)
     }
 
-    /// A short prefix, handy for logs and debug output.
+    /// A short prefix (the first six bytes), handy for logs and debug output.
     pub fn short(&self) -> String {
-        self.to_hex()[..12].to_string()
+        hex(&self.0[..6])
     }
+}
+
+/// Lower-case hexadecimal through a nibble lookup table instead of a
+/// per-byte `format!` — this sits under every manifest and report render,
+/// where the formatting machinery dominated the cost.
+fn hex(bytes: &[u8]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut out = Vec::with_capacity(bytes.len() * 2);
+    for &byte in bytes {
+        out.push(HEX[(byte >> 4) as usize]);
+        out.push(HEX[(byte & 0x0F) as usize]);
+    }
+    String::from_utf8(out).expect("hex digits are valid UTF-8")
 }
 
 impl fmt::Debug for ContentHash {
@@ -82,9 +92,21 @@ impl Sha256 {
         Sha256 { state: H0, buffer: [0u8; 64], buffer_len: 0, total_len: 0 }
     }
 
-    /// Feeds data into the hasher. Whole 64-byte blocks are compressed
-    /// straight from `data`; only a trailing partial block is buffered.
-    pub fn update(&mut self, mut data: &[u8]) {
+    /// Feeds data into the hasher.
+    pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress_blocks);
+    }
+
+    /// Finishes the hash and returns the digest.
+    pub fn finalize(self) -> ContentHash {
+        self.finish(compress_blocks)
+    }
+
+    /// [`Sha256::update`] over the kernel given, which lets the tests drive
+    /// the portable one on a host that dispatches to hardware. Every run of
+    /// whole 64-byte blocks goes to the kernel in one call, straight from
+    /// `data`; only a trailing partial block is buffered.
+    fn absorb(&mut self, mut data: &[u8], compress: impl Fn(&mut [u32; 8], &[[u8; 64]])) {
         self.total_len += data.len() as u64;
         if self.buffer_len > 0 {
             let take = (64 - self.buffer_len).min(data.len());
@@ -92,24 +114,22 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress_block(&block);
+                compress(&mut self.state, std::slice::from_ref(&self.buffer));
                 self.buffer_len = 0;
             }
         }
-        let mut blocks = data.chunks_exact(64);
-        for block in &mut blocks {
-            self.compress_block(block.try_into().expect("chunks_exact yields 64-byte blocks"));
+        let (blocks, rest) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        let rest = blocks.remainder();
         if !rest.is_empty() {
             self.buffer[..rest.len()].copy_from_slice(rest);
             self.buffer_len = rest.len();
         }
     }
 
-    /// Finishes the hash and returns the digest.
-    pub fn finalize(mut self) -> ContentHash {
+    /// [`Sha256::finalize`] over the kernel given.
+    fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[[u8; 64]])) -> ContentHash {
         let bit_len = self.total_len * 8;
         // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian
         // length — at most 72 bytes, built on the stack.
@@ -118,7 +138,7 @@ impl Sha256 {
         let mut tail = [0u8; 72];
         tail[0] = 0x80;
         tail[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&tail[..pad_len + 8]);
+        self.absorb(&tail[..pad_len + 8], compress);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -133,12 +153,12 @@ impl Sha256 {
     /// the message schedule is a 16-word ring instead of `w[64]`. `ch` and
     /// `maj` use the three-operation forms `g ^ (e & (f ^ g))` and
     /// `(a & b) | (c & (a | b))`, equal bit for bit to the standard's.
-    fn compress_block(&mut self, block: &[u8; 64]) {
+    fn portable_compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 16];
         for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
             *word = u32::from_be_bytes(bytes.try_into().expect("chunks_exact yields 4-byte words"));
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         // The message word of round `$i`: loaded for the first sixteen,
         // then computed in place in the ring.
@@ -196,9 +216,149 @@ impl Sha256 {
         eight_rounds!(48, scheduled);
         eight_rounds!(56, scheduled);
 
-        for (state, var) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (state, var) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *state = state.wrapping_add(var);
         }
+    }
+}
+
+/// The compression kernel this host runs: `"sha-ni"` (the x86-64 SHA
+/// extensions) or `"portable"`. It qualifies wall times, which compare
+/// across hosts only kernel for kernel; digests do not depend on it, and it
+/// belongs in no report or JSON dump.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni_detected() {
+        return "sha-ni";
+    }
+    "portable"
+}
+
+/// Whether the CPU reports every feature [`sha_ni_compress_blocks`] enables.
+/// The answer is cached by the standard library after the first call.
+#[cfg(target_arch = "x86_64")]
+fn sha_ni_detected() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
+/// Compresses a run of whole blocks into `state` — the one place a kernel
+/// is chosen, by what the host is.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni_detected() {
+        // SAFETY: `sha_ni_detected()` on the line above found `sha`, `ssse3`
+        // and `sse4.1`, the features `sha_ni_compress_blocks` is compiled for
+        // beyond the x86-64 baseline; it has no other precondition.
+        #[allow(unsafe_code)]
+        unsafe {
+            sha_ni_compress_blocks(state, blocks)
+        };
+        return;
+    }
+    portable_compress_blocks(state, blocks);
+}
+
+/// FIPS 180-4 on the x86-64 SHA extensions. `sha256rnds2` does two rounds
+/// on the state held as the register pair (A,B,E,F) / (C,D,G,H), and
+/// `sha256msg1` / `sha256msg2` compute four schedule words at a time; the
+/// pair stays in registers across all blocks of the call. Only intrinsics
+/// that take and return values are used (lanes are built from
+/// `u32::from_be_bytes` and read back with `_mm_extract_epi32`), and those
+/// are safe to call here because the function enables their features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+fn sha_ni_compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    use std::arch::x86_64::{
+        _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_sha256msg1_epu32,
+        _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    let [a, b, c, d, e, f, g, h] = state.map(u32::cast_signed);
+    let mut abef = _mm_set_epi32(a, b, e, f);
+    let mut cdgh = _mm_set_epi32(c, d, g, h);
+
+    // Four consecutive words of `$words`, converted by `$lane`, the first in
+    // lane 0.
+    macro_rules! four_lanes {
+        ($words:expr, $i:expr, $lane:expr) => {
+            _mm_set_epi32(
+                $lane($words[4 * $i + 3]),
+                $lane($words[4 * $i + 2]),
+                $lane($words[4 * $i + 1]),
+                $lane($words[4 * $i]),
+            )
+        };
+    }
+    // Rounds `4 * $i .. 4 * $i + 4` on the schedule words in `$w`. Two
+    // rounds turn (A,B,E,F) into the next (C,D,G,H), so the two registers
+    // trade roles and are back in place after four.
+    macro_rules! four_rounds {
+        ($i:expr, $w:ident) => {{
+            let wk = _mm_add_epi32($w, four_lanes!(K, $i, u32::cast_signed));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+        }};
+    }
+    // The next four schedule words, written over the oldest four of the
+    // sixteen before them (`$w0` oldest).
+    macro_rules! schedule {
+        ($w0:ident, $w1:ident, $w2:ident, $w3:ident) => {
+            $w0 = _mm_sha256msg2_epu32(
+                _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8::<4>($w3, $w2)),
+                $w3,
+            )
+        };
+    }
+    macro_rules! sixteen_scheduled_rounds {
+        ($i:expr, $w0:ident, $w1:ident, $w2:ident, $w3:ident) => {
+            schedule!($w0, $w1, $w2, $w3);
+            four_rounds!($i, $w0);
+            schedule!($w1, $w2, $w3, $w0);
+            four_rounds!($i + 1, $w1);
+            schedule!($w2, $w3, $w0, $w1);
+            four_rounds!($i + 2, $w2);
+            schedule!($w3, $w0, $w1, $w2);
+            four_rounds!($i + 3, $w3);
+        };
+    }
+
+    for block in blocks {
+        let (words, _) = block.as_chunks::<4>();
+        let mut w0 = four_lanes!(words, 0, i32::from_be_bytes);
+        let mut w1 = four_lanes!(words, 1, i32::from_be_bytes);
+        let mut w2 = four_lanes!(words, 2, i32::from_be_bytes);
+        let mut w3 = four_lanes!(words, 3, i32::from_be_bytes);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        four_rounds!(0, w0);
+        four_rounds!(1, w1);
+        four_rounds!(2, w2);
+        four_rounds!(3, w3);
+        sixteen_scheduled_rounds!(4, w0, w1, w2, w3);
+        sixteen_scheduled_rounds!(8, w0, w1, w2, w3);
+        sixteen_scheduled_rounds!(12, w0, w1, w2, w3);
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+    *state = [
+        _mm_extract_epi32::<3>(abef),
+        _mm_extract_epi32::<2>(abef),
+        _mm_extract_epi32::<3>(cdgh),
+        _mm_extract_epi32::<2>(cdgh),
+        _mm_extract_epi32::<1>(abef),
+        _mm_extract_epi32::<0>(abef),
+        _mm_extract_epi32::<1>(cdgh),
+        _mm_extract_epi32::<0>(cdgh),
+    ]
+    .map(i32::cast_unsigned);
+}
+
+/// The kernel of every host without the extensions: the unrolled scalar
+/// rounds, block by block.
+fn portable_compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
+        Sha256::portable_compress_block(state, block);
     }
 }
 
@@ -268,19 +428,90 @@ mod tests {
         ContentHash(out)
     }
 
+    type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
+
+    /// The dispatcher, where it runs the hardware kernel. Elsewhere `None`,
+    /// and the test output says (once) that the hardware cases did not run.
+    fn hardware_kernel() -> Option<Kernel> {
+        static SAID: std::sync::Once = std::sync::Once::new();
+        if kernel() == "sha-ni" {
+            return Some(compress_blocks);
+        }
+        SAID.call_once(|| println!("skipped: no sha extension"));
+        None
+    }
+
+    /// Both kernels, called directly: the portable one stays under test on
+    /// a host that never dispatches to it.
+    fn kernels() -> impl Iterator<Item = Kernel> {
+        [Some(portable_compress_blocks as Kernel), hardware_kernel()].into_iter().flatten()
+    }
+
+    /// The digest of `pieces`, fed one at a time through `kernel`.
+    fn digest_with(kernel: Kernel, pieces: &[&[u8]]) -> ContentHash {
+        let mut hasher = Sha256::new();
+        for piece in pieces {
+            hasher.absorb(piece, kernel);
+        }
+        hasher.finish(kernel)
+    }
+
+    /// A published vector: the dispatched hash and each kernel on its own.
+    fn assert_vector(message: &[u8], hex: &str) {
+        assert_eq!(sha256(message).to_hex(), hex);
+        for kernel in kernels() {
+            assert_eq!(digest_with(kernel, &[message]).to_hex(), hex);
+        }
+    }
+
+    #[test]
+    fn kernel_names_the_path_the_dispatcher_takes() {
+        #[cfg(target_arch = "x86_64")]
+        let hardware = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware = false;
+        assert_eq!(kernel(), if hardware { "sha-ni" } else { "portable" });
+        assert_eq!(hardware_kernel().is_some(), hardware);
+        println!("sha256 kernel: {}", kernel());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The unrolled rounds against the frozen round function, fed in
-        /// two pieces at every split point.
+        /// The unrolled rounds and the hardware rounds against the frozen
+        /// round function, fed in two pieces at every split point.
         #[test]
         fn unrolled_rounds_match_the_reference(data in collection::vec(any::<u8>(), 0..301)) {
             let expected = reference_sha256(&data);
-            for split in 0..=data.len() {
-                let mut hasher = Sha256::new();
-                hasher.update(&data[..split]);
-                hasher.update(&data[split..]);
-                prop_assert_eq!(hasher.finalize(), expected);
+            for kernel in kernels() {
+                for split in 0..=data.len() {
+                    let (head, tail) = data.split_at(split);
+                    prop_assert_eq!(digest_with(kernel, &[head, tail]), expected);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_block_runs_from_misaligned_slices_and_a_half_filled_buffer() {
+        let data: Vec<u8> =
+            (0..5_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        for kernel in kernels() {
+            // Seventy-odd blocks in one kernel call, from every alignment
+            // of the slice's start within a 16-byte lane.
+            for skip in 0..16 {
+                let slice = &data[skip..];
+                assert_eq!(digest_with(kernel, &[slice]), reference_sha256(slice), "skip {skip}");
+            }
+            // A buffer left half full, topped up, then a run of whole
+            // blocks from the middle of the same slice.
+            for first in [1, 32, 37, 63] {
+                let (head, tail) = data.split_at(first);
+                assert_eq!(digest_with(kernel, &[head, tail]), reference_sha256(&data));
+                let (middle, end) = tail.split_at(4_000);
+                assert_eq!(digest_with(kernel, &[head, middle, end]), reference_sha256(&data));
             }
         }
     }
@@ -291,35 +522,25 @@ mod tests {
         let message = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
                         hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
         assert_eq!(message.len() * 8, 896);
-        assert_eq!(
-            sha256(message).to_hex(),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
+        assert_vector(message, "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
         assert_eq!(reference_sha256(message), sha256(message));
     }
 
     #[test]
     fn fips_test_vectors() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+        assert_vector(b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+        assert_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a_vector() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
