@@ -18,11 +18,11 @@
 //! * [`cli`] is the shared argument-parsing surface every `repro` target
 //!   goes through: one `--json [PATH|-]` convention, strict counted flags,
 //!   usage-on-error with exit 2.
-//! * Three Criterion targets under `benches/` remain because they assert
+//! * Two Criterion targets under `benches/` remain because they assert
 //!   something (`fleet_scaling`: sharded ≥ single-lock and concurrent ≡
-//!   sequential store state; `pipeline_throughput`: seq ≡ par artifacts;
-//!   `trace_overhead`: the capture is a pure observer within a 1.5× wall
-//!   budget). Host-time measurement itself lives in the `perf/` crate.
+//!   sequential store state; `trace_overhead`: the capture is a pure
+//!   observer within a 1.5× wall budget). Host-time measurement itself
+//!   lives in the `perf/` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

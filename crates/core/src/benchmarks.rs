@@ -126,28 +126,16 @@ pub fn run_full_suite(testbed: &Testbed, repetitions: usize) -> PerformanceSuite
     run_suite_with_workloads(testbed, &BatchSpec::paper_experiments(), repetitions)
 }
 
-/// Runs a custom set of workloads for every service. Repetitions of different
-/// services run on independent OS threads (the simulator itself is
-/// single-threaded and deterministic).
+/// Runs a custom set of workloads for every service. The (service, workload)
+/// cells run on independent OS threads (the simulator itself is
+/// single-threaded and deterministic); a cell is a fan-out worker, so the
+/// byte pipelines and the batch generator it calls run inline on its thread.
 pub fn run_suite_with_workloads(
     testbed: &Testbed,
     workloads: &[BatchSpec],
     repetitions: usize,
 ) -> PerformanceSuite {
     let profiles = ServiceProfile::all();
-    // Cells already occupy one OS thread each, so by default their sync
-    // clients run the upload pipeline sequentially — nesting per-chunk
-    // fan-outs inside the per-cell fan-out would oversubscribe the host
-    // (plans are byte-identical either way). A Testbed::with_pipeline
-    // choice other than auto-parallel is respected; an explicit
-    // auto-parallel request is indistinguishable from the default and is
-    // likewise downgraded here (pin an explicit thread count to force
-    // nested fan-out).
-    let testbed = &if testbed.pipeline() == cloudsim_storage::UploadPipeline::parallel() {
-        testbed.with_pipeline(cloudsim_storage::UploadPipeline::sequential())
-    } else {
-        *testbed
-    };
     // One cell per (service, workload), fanned out with the shared
     // order-preserving helper — the result comes back in stable
     // (service-major, workload-minor) order for reporting.

@@ -31,7 +31,7 @@ use cloudsim_services::{
     AccessLink, FaultSchedule, FaultSpec, FaultStats, Recovery, RetryConfig, ServiceProfile,
     SyncClient,
 };
-use cloudsim_storage::{ObjectStore, UploadPipeline};
+use cloudsim_storage::ObjectStore;
 use cloudsim_trace::{HistogramSummary, LatencyHistogram, SimDuration, SimTime};
 use cloudsim_workload::seed::derive_seed;
 use cloudsim_workload::{BatchSpec, FileKind, GeneratedFile};
@@ -271,13 +271,7 @@ impl FaultsSuite {
 
 /// A fresh single-user client of the canonical profile behind `link`.
 fn client_on(link: &AccessLink, store: ObjectStore, user: &str) -> SyncClient {
-    SyncClient::for_user_on_link(
-        ServiceProfile::dropbox(),
-        UploadPipeline::sequential(),
-        store,
-        user,
-        link,
-    )
+    SyncClient::for_user_on_link(ServiceProfile::dropbox(), store, user, link)
 }
 
 /// Drives one faulted upload of `batch` behind `link` on a fresh store.

@@ -25,7 +25,7 @@ use crate::report::{gate_keys, Report};
 use crate::scale::{assemble_suite, scale_spec, FleetScaleSuite, LOAD_CURVE_BUCKETS};
 use cloudsim_services::capture::FleetCapture;
 use cloudsim_services::partition::{replay_partitioned, run_partitioned, PartitionedRun};
-use cloudsim_trace::{LatencyHistogram, SimTime};
+use cloudsim_trace::{series, LatencyHistogram, SimTime};
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -141,28 +141,6 @@ impl PartitionSuite {
     }
 }
 
-/// Buckets `intervals` by start instant over the merged run's active span
-/// — the same arithmetic as `ScaleRun::load_curve`, so summing the
-/// partitions' curves elementwise reproduces the merged curve exactly.
-fn curve_over(
-    intervals: &[(SimTime, SimTime)],
-    first: SimTime,
-    span_s: f64,
-    buckets: usize,
-) -> Vec<u64> {
-    let mut curve = vec![0u64; buckets];
-    if span_s <= 0.0 {
-        curve[0] = intervals.len() as u64;
-        return curve;
-    }
-    for &(start, _) in intervals {
-        let frac = (start - first).as_secs_f64() / span_s;
-        let b = ((frac * buckets as f64) as usize).min(buckets - 1);
-        curve[b] += 1;
-    }
-    curve
-}
-
 /// Assembles the suite from a finished partitioned run — the same
 /// [`assemble_suite`] path as the unsliced suite for the merged half, so
 /// every derived field reproduces bit for bit.
@@ -232,9 +210,10 @@ fn assemble_partition_suite(
     let span_s = outcome.run.virtual_span_secs();
     let mut summed = [0u64; LOAD_CURVE_BUCKETS];
     for part in parts {
-        for (b, count) in
-            curve_over(&part.intervals, first, span_s, LOAD_CURVE_BUCKETS).into_iter().enumerate()
-        {
+        // The merged run's own `(first, span_s)`, so the parts' curves sum
+        // elementwise to `ScaleRun::load_curve`'s.
+        let curve = series::start_curve(&part.intervals, first, span_s, LOAD_CURVE_BUCKETS);
+        for (b, count) in curve.into_iter().enumerate() {
             summed[b] += count;
         }
     }

@@ -178,7 +178,7 @@ pub(crate) fn assemble_suite(
         files: run.files,
         logical_mb: run.logical_bytes as f64 / 1e6,
         physical_mb: aggregate.physical_bytes as f64 / 1e6,
-        dedup_ratio: run.dedup_ratio(),
+        dedup_ratio: aggregate.dedup_ratio(),
         virtual_span_s: run.virtual_span_secs(),
         commits_per_vsec: run.commits_per_vsec(),
         concurrency_peak: run.concurrency_peak(),

@@ -52,29 +52,14 @@ impl ExperimentRun {
 #[derive(Debug, Clone, Copy)]
 pub struct Testbed {
     seed: u64,
-    pipeline: cloudsim_storage::UploadPipeline,
 }
 
 impl Testbed {
     /// Creates a testbed with a master seed. Repetition `i` of any experiment
     /// derives an independent seed, so the 24 repetitions of §2.3 see
-    /// different RTT jitter and workload content. Sync clients use the
-    /// auto-parallel upload pipeline; see [`Testbed::with_pipeline`].
+    /// different RTT jitter and workload content.
     pub fn new(seed: u64) -> Testbed {
-        Testbed { seed, pipeline: cloudsim_storage::UploadPipeline::parallel() }
-    }
-
-    /// The upload pipeline this testbed's sync clients use.
-    pub fn pipeline(&self) -> cloudsim_storage::UploadPipeline {
-        self.pipeline
-    }
-
-    /// Returns a copy whose sync clients use the given upload pipeline.
-    /// Harnesses that already fan out one OS thread per experiment cell pin
-    /// this to sequential so cells do not nest thread spawns (results are
-    /// byte-identical either way).
-    pub fn with_pipeline(&self, pipeline: cloudsim_storage::UploadPipeline) -> Testbed {
-        Testbed { pipeline, ..*self }
+        Testbed { seed }
     }
 
     /// The master seed.
@@ -110,7 +95,7 @@ impl Testbed {
     ) -> ExperimentRun {
         let seed = self.derived_seed(0xF11E5, rep);
         let mut sim = Simulator::new(seed);
-        let mut client = SyncClient::with_pipeline(profile.clone(), self.pipeline);
+        let mut client = SyncClient::new(profile.clone());
         let login_done = client.login(&mut sim, SimTime::ZERO);
         // Files are "modified" a few seconds after the application is up,
         // exactly like the testing application would do over FTP.
@@ -139,7 +124,7 @@ impl Testbed {
     ) -> (R, Vec<PacketRecord>) {
         let seed = self.derived_seed(0x5C417, rep);
         let mut sim = Simulator::new(seed);
-        let mut client = SyncClient::with_pipeline(profile.clone(), self.pipeline);
+        let mut client = SyncClient::new(profile.clone());
         let login_done = client.login(&mut sim, SimTime::ZERO);
         let result = script(&mut sim, &mut client, login_done);
         (result, sim.into_packets())

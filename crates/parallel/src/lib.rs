@@ -1,12 +1,23 @@
 //! Order-preserving parallel map over scoped threads.
 //!
 //! The one threading primitive the workspace needs, shared by the storage
-//! upload pipeline and the workload generator: run `work(ctx, i)` for
-//! `i in 0..count` across worker threads and return results indexed by `i`,
-//! bit-identically to a sequential loop. Workers pull indices from a shared
-//! atomic counter and tag every result with its index; the tags are used to
-//! reassemble deterministic output. No locks, no unsafe, no pool — workers
-//! are `std::thread::scope` threads that live for one call.
+//! byte pipelines, the workload generator, the fleet and the suites: run
+//! `work(ctx, i)` for `i in 0..count` across worker threads and return
+//! results indexed by `i`, bit-identically to a sequential loop. Workers
+//! pull indices from a shared atomic counter and tag every result with its
+//! index; the tags are used to reassemble deterministic output. No locks, no
+//! unsafe, no pool — workers are `std::thread::scope` threads that live for
+//! one call.
+//!
+//! **Nesting is detected, not configured.** Every worker thread a fan-out
+//! spawns is marked for its lifetime, and a fan-out entered from a marked
+//! thread runs all of its items inline on that thread with one context. So a
+//! harness that is parallel at one level (a fleet wave, a benchmark cell, a
+//! partition) can call code that would fan out on its own (the byte
+//! pipelines, the batch generator) and the host still runs one level of
+//! threads. A one-worker fan-out spawns nothing and marks nothing: beneath
+//! it the calling thread is still the only one, so a nested fan-out may use
+//! the host.
 //!
 //! [`run_indexed`] and [`run_with_contexts`] differ only in who owns the
 //! per-worker contexts (built per call, or lent by the caller and kept
@@ -16,8 +27,15 @@
 #![warn(missing_docs)]
 
 use std::borrow::BorrowMut;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
+
+thread_local! {
+    /// True on a thread spawned by [`fan_out`], from its first instruction to
+    /// its exit; never set on any other thread, so there is nothing to reset.
+    static IS_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// The host's available parallelism (1 when it cannot be determined).
 pub fn available_workers() -> usize {
@@ -26,10 +44,9 @@ pub fn available_workers() -> usize {
 
 /// The shared auto-sizing policy for [`run_indexed`] callers: stay
 /// single-threaded when the batch is trivial (`work_items < 2`) or too small
-/// to amortise the scoped-thread fan-out (`total_bytes < threshold_bytes` —
-/// this also keeps already-parallel harnesses from oversubscribing the host
-/// with nested spawns); otherwise use the host's available parallelism,
-/// capped at one worker per item.
+/// to amortise the scoped-thread fan-out (`total_bytes < threshold_bytes`);
+/// otherwise use the host's available parallelism, capped at one worker per
+/// item.
 pub fn auto_workers(work_items: usize, total_bytes: u64, threshold_bytes: u64) -> usize {
     if work_items < 2 || total_bytes < threshold_bytes {
         1
@@ -40,8 +57,9 @@ pub fn auto_workers(work_items: usize, total_bytes: u64, threshold_bytes: u64) -
 
 /// Runs `work(ctx, i)` for `i in 0..count` on up to `workers` threads and
 /// returns the results in index order. `init` builds one context per worker
-/// (e.g. a reusable scratch buffer); with `workers <= 1` the whole map runs
-/// on the calling thread with a single context. Panics in `work` propagate.
+/// (e.g. a reusable scratch buffer); with `workers <= 1`, or when the caller
+/// is itself a fan-out worker, the whole map runs on the calling thread with
+/// a single context. Panics in `work` propagate.
 pub fn run_indexed<C, T, I, F>(workers: usize, count: usize, init: I, work: F) -> Vec<T>
 where
     T: Send,
@@ -56,8 +74,9 @@ where
 /// scoped thread per entry of `contexts` (capped at one per item), returning
 /// results in index order. The fleet harness uses this to hand each round
 /// worker a long-lived trace shard that keeps accumulating packets wave after
-/// wave. With a single worker the whole map runs inline on the calling
-/// thread. Panics in `work` propagate; panics if `contexts` is empty.
+/// wave. With a single worker, or when the caller is itself a fan-out
+/// worker, the whole map runs inline on the calling thread with the first
+/// context. Panics in `work` propagate; panics if `contexts` is empty.
 pub fn run_with_contexts<C, T, F>(contexts: &mut [C], count: usize, work: F) -> Vec<T>
 where
     C: Send,
@@ -73,7 +92,8 @@ where
 /// context on the worker's own thread — built there by [`run_indexed`]'s
 /// `init` (so a context need not be `Send`), or simply the caller's
 /// `&mut C` for [`run_with_contexts`] — and the worker claims indices off a
-/// shared counter until none are left.
+/// shared counter until none are left. Called from a worker of an enclosing
+/// fan-out, it uses one seed and spawns nothing.
 fn fan_out<S, G, C, T>(
     seeds: impl ExactSizeIterator<Item = S>,
     count: usize,
@@ -85,7 +105,8 @@ where
     G: BorrowMut<C>,
     T: Send,
 {
-    let mut seeds = seeds.take(count);
+    let nested = IS_WORKER.with(Cell::get);
+    let mut seeds = seeds.take(if nested { count.min(1) } else { count });
     if seeds.len() <= 1 {
         let Some(seed) = seeds.next() else { return Vec::new() };
         let mut ctx = open(seed);
@@ -94,6 +115,7 @@ where
 
     let next = AtomicUsize::new(0);
     let claim = |seed: S| {
+        IS_WORKER.with(|is_worker| is_worker.set(true));
         let mut ctx = open(seed);
         let mut shard = Vec::new();
         loop {
@@ -197,6 +219,48 @@ mod tests {
     fn empty_contexts_panic() {
         let mut ctxs: Vec<()> = Vec::new();
         let _ = run_with_contexts(&mut ctxs, 3, |(), i| i);
+    }
+
+    /// Where each of `count` items of a two-worker fan-out ran.
+    fn item_threads(count: usize) -> Vec<thread::ThreadId> {
+        run_indexed(2, count, || (), |(), _| thread::current().id())
+    }
+
+    #[test]
+    fn a_fan_out_started_inside_a_worker_runs_on_that_worker() {
+        let caller = thread::current().id();
+        let outer = run_indexed(
+            2,
+            4,
+            || (),
+            |(), _| {
+                let worker = thread::current().id();
+                let mut contexts = [0usize; 2];
+                let lent = run_with_contexts(&mut contexts, 8, |seen, _| {
+                    *seen += 1;
+                    thread::current().id()
+                });
+                assert_eq!(contexts, [8, 0], "the first context takes every item");
+                (worker, item_threads(8), lent)
+            },
+        );
+        for (worker, built, lent) in outer {
+            assert_ne!(worker, caller);
+            assert!(built.iter().chain(&lent).all(|id| *id == worker));
+        }
+        // The mark lives and dies with the worker threads: back on the
+        // caller, every item runs on a spawned thread again.
+        assert!(item_threads(8).iter().all(|id| *id != caller));
+    }
+
+    #[test]
+    fn a_panicking_worker_leaves_no_mark_on_the_caller() {
+        let caller = thread::current().id();
+        let panicked = std::panic::catch_unwind(|| {
+            run_indexed(2, 4, || (), |(), i| assert_ne!(i, 2, "item 2 fails"))
+        });
+        assert!(panicked.is_err());
+        assert!(item_threads(8).iter().all(|id| *id != caller));
     }
 
     #[test]

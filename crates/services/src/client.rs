@@ -129,32 +129,33 @@ pub struct SyncClient {
 }
 
 impl SyncClient {
-    /// Creates a client for a profile, building its deployment. The upload
-    /// pipeline runs in parallel; see [`SyncClient::with_pipeline`] to pin a
-    /// mode (plans are byte-identical either way).
+    /// Creates a client for a profile, building its deployment.
     pub fn new(profile: ServiceProfile) -> SyncClient {
-        SyncClient::with_pipeline(profile, cloudsim_storage::UploadPipeline::parallel())
+        let deployment = Deployment::new(&profile);
+        SyncClient::with_deployment(UploadPlanner::new(profile.clone()), deployment, profile)
     }
 
-    /// Creates a client whose planner uses the given pipeline.
+    /// [`SyncClient::new`]. `_pipeline` is ignored: there is one
+    /// [`cloudsim_storage::UploadPipeline`] and nothing to choose about it.
     pub fn with_pipeline(
         profile: ServiceProfile,
-        pipeline: cloudsim_storage::UploadPipeline,
+        _pipeline: cloudsim_storage::UploadPipeline,
     ) -> SyncClient {
-        SyncClient::from_planner(UploadPlanner::with_pipeline(profile.clone(), pipeline), profile)
+        SyncClient::new(profile)
     }
 
     /// Creates a client for a named user account committing into a shared
     /// object store — the fleet constructor. Each client still owns its
     /// deployment, connections and client-side dedup/delta state; only the
-    /// server-side store is shared.
+    /// server-side store is shared. `_pipeline` is ignored, as in
+    /// [`SyncClient::with_pipeline`].
     pub fn for_user(
         profile: ServiceProfile,
-        pipeline: cloudsim_storage::UploadPipeline,
+        _pipeline: cloudsim_storage::UploadPipeline,
         store: cloudsim_storage::ObjectStore,
         user: &str,
     ) -> SyncClient {
-        SyncClient::for_user_on_link(profile, pipeline, store, user, &AccessLink::campus())
+        SyncClient::for_user_on_link(profile, store, user, &AccessLink::campus())
     }
 
     /// The fleet constructor for a client behind a specific access link: the
@@ -162,21 +163,15 @@ impl SyncClient {
     /// fibre user of the same service live in different network worlds.
     pub fn for_user_on_link(
         profile: ServiceProfile,
-        pipeline: cloudsim_storage::UploadPipeline,
         store: cloudsim_storage::ObjectStore,
         user: &str,
         link: &AccessLink,
     ) -> SyncClient {
         SyncClient::with_deployment(
-            UploadPlanner::for_user(profile.clone(), pipeline, store, user),
+            UploadPlanner::for_user(profile.clone(), cloudsim_storage::UploadPipeline, store, user),
             Deployment::with_link(&profile, link),
             profile,
         )
-    }
-
-    fn from_planner(planner: UploadPlanner, profile: ServiceProfile) -> SyncClient {
-        let deployment = Deployment::new(&profile);
-        SyncClient::with_deployment(planner, deployment, profile)
     }
 
     fn with_deployment(
@@ -1130,7 +1125,6 @@ mod tests {
         // A second client behind ADSL pulls the owner's namespace down.
         let mut puller = SyncClient::for_user_on_link(
             ServiceProfile::dropbox(),
-            pipeline,
             store.clone(),
             "puller",
             &AccessLink::adsl(),
@@ -1319,11 +1313,10 @@ mod tests {
         faults: &FaultSchedule,
         files: &[GeneratedFile],
     ) -> FaultedSyncOutcome {
-        use cloudsim_storage::{ObjectStore, UploadPipeline};
+        use cloudsim_storage::ObjectStore;
         let mut sim = Simulator::new(21);
         let mut client = SyncClient::for_user_on_link(
             ServiceProfile::dropbox(),
-            UploadPipeline::sequential(),
             ObjectStore::new(),
             "victim",
             &AccessLink::adsl(),
@@ -1419,7 +1412,6 @@ mod tests {
             let mut psim = Simulator::new(32);
             let mut puller = SyncClient::for_user_on_link(
                 ServiceProfile::dropbox(),
-                pipeline,
                 store.clone(),
                 "puller",
                 &AccessLink::adsl(),

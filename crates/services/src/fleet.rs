@@ -60,7 +60,7 @@ use crate::retry::{Recovery, RetryConfig};
 use crate::schedule::{FleetSchedule, SyncActivation, ThinkTime};
 use crate::session::FaultStats;
 use cloudsim_net::{AccessLink, FaultSchedule, FaultSpec, Simulator};
-use cloudsim_storage::{AggregateStats, GcPolicy, ObjectStore, UploadPipeline};
+use cloudsim_storage::{AggregateStats, GcPolicy, ObjectStore};
 use cloudsim_trace::series::SampleStats;
 use cloudsim_trace::{FlowKind, LatencyHistogram, SimDuration, SimTime};
 use cloudsim_workload::{generate, FileKind, GeneratedFile};
@@ -741,19 +741,6 @@ impl FleetRun {
         self.aggregate().reclaimed_bytes
     }
 
-    /// Host-side throughput of the harness itself: plaintext bytes committed
-    /// per wall-clock second. This is the number the sharded store improves.
-    /// 0.0 for empty or unmeasurably fast runs — never NaN or infinite.
-    pub fn wall_throughput_bps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        let bytes = self.total_logical_bytes();
-        if secs > 0.0 && bytes > 0 {
-            bytes as f64 * 8.0 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Completion-time distribution per service, in first-appearance order —
     /// the per-profile breakdown of the heterogeneous suite. Clients the
     /// schedule never activated are excluded from their group's samples
@@ -943,45 +930,6 @@ impl FleetRun {
         total
     }
 
-    /// Payload bytes the fleet durably committed. Equals
-    /// [`FleetRun::total_uploaded_payload`] when nothing was abandoned.
-    pub fn total_committed_payload(&self) -> u64 {
-        self.clients.iter().map(|c| c.committed_payload).sum()
-    }
-
-    /// Chunks abandoned fleet-wide after retry budgets ran out.
-    pub fn total_abandoned_chunks(&self) -> usize {
-        self.clients.iter().map(|c| c.abandoned_chunks).sum()
-    }
-
-    /// Files abandoned mid-restore fleet-wide.
-    pub fn total_abandoned_restores(&self) -> usize {
-        self.clients.iter().map(|c| c.abandoned_restores).sum()
-    }
-
-    /// Fraction of planned upload payload that became durable, in `[0, 1]`.
-    /// 1.0 for a fault-free (or fully recovered) run with payload; 0.0 for
-    /// a run that planned nothing — never NaN.
-    pub fn committed_fraction(&self) -> f64 {
-        let planned = self.total_uploaded_payload();
-        if planned > 0 {
-            self.total_committed_payload() as f64 / planned as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of all wire bytes that bought no durable progress, in
-    /// `[0, 1]`. 0.0 for a fault-free run — never NaN.
-    pub fn wasted_bytes_ratio(&self) -> f64 {
-        let wire = (self.total_payload_wire_bytes() + self.total_background_wire_bytes()) as f64;
-        if wire > 0.0 {
-            self.fault_stats().wasted_bytes as f64 / wire
-        } else {
-            0.0
-        }
-    }
-
     fn grouped<K: Fn(&ClientSummary) -> String>(
         &self,
         key: K,
@@ -1018,16 +966,8 @@ struct LiveClient {
 fn spawn_client(spec: &FleetSpec, store: &ObjectStore, i: usize, round: usize) -> LiveClient {
     let slot = &spec.slots[i];
     let user = spec.user(i);
-    // Each fleet client occupies one OS thread, so its upload pipeline runs
-    // sequentially — nesting per-chunk fan-outs inside the per-client fan-out
-    // would oversubscribe the host (plans are byte-identical either way).
-    let mut client = SyncClient::for_user_on_link(
-        slot.profile.clone(),
-        UploadPipeline::sequential(),
-        store.clone(),
-        &user,
-        &slot.link,
-    );
+    let mut client =
+        SyncClient::for_user_on_link(slot.profile.clone(), store.clone(), &user, &slot.link);
     let mut sim = Simulator::new(spec.derived_seed(i as u64, u64::MAX, 0));
     let epoch = SimTime::from_secs(round as u64 * ROUND_EPOCH_SECS);
     let login_done = client.login(&mut sim, epoch);
@@ -1554,13 +1494,11 @@ mod tests {
         };
         assert_eq!(run.aggregate_goodput_bps(), 0.0);
         assert_eq!(run.dedup_ratio(), 0.0);
-        assert_eq!(run.wall_throughput_bps(), 0.0);
         assert_eq!(run.completion_stats().count, 0);
         assert!(run.per_service_completion().is_empty());
         assert!(run.per_link_goodput_bps().is_empty());
         assert!(run.aggregate_goodput_bps().is_finite());
         assert!(run.dedup_ratio().is_finite());
-        assert!(run.wall_throughput_bps().is_finite());
     }
 
     fn pulling_spec(clients: usize) -> FleetSpec {
@@ -1852,21 +1790,21 @@ mod tests {
         assert!(zero.fault_stats().interruptions > 0);
         assert!(backoff.fault_stats().interruptions > 0);
         assert!(zero.fault_stats().wasted_bytes > 0, "abandoned progress is wasted wire");
-        assert!(zero.total_abandoned_chunks() > 0);
+        assert!(zero.clients.iter().any(|c| c.abandoned_chunks > 0));
+        let committed =
+            |run: &FleetRun| run.clients.iter().map(|c| c.committed_payload).sum::<u64>();
         assert!(
-            zero.total_committed_payload() < backoff.total_committed_payload(),
+            committed(&zero) < committed(&backoff),
             "budget 0 committed {} vs exponential {}",
-            zero.total_committed_payload(),
-            backoff.total_committed_payload()
+            committed(&zero),
+            committed(&backoff)
         );
-        assert!(zero.committed_fraction() < 1.0);
-        assert!(zero.wasted_bytes_ratio() > 0.0);
+        assert!(committed(&zero) < zero.total_uploaded_payload());
 
         // The backoff policy pays time instead of payload: everything
         // planned lands, at the price of retries and virtual backoff waits.
-        assert_eq!(backoff.total_committed_payload(), backoff.total_uploaded_payload());
-        assert_eq!(backoff.committed_fraction(), 1.0);
-        assert_eq!(backoff.total_abandoned_chunks(), 0);
+        assert_eq!(committed(&backoff), backoff.total_uploaded_payload());
+        assert!(backoff.clients.iter().all(|c| c.abandoned_chunks == 0));
         assert!(backoff.fault_stats().retries > 0);
         assert!(backoff.fault_stats().salvaged_bytes > 0);
         assert!(backoff.fault_stats().backoff_wait > SimDuration::ZERO);
@@ -1883,19 +1821,20 @@ mod tests {
         let stats = concurrent.fault_stats();
         assert!(stats.checksums_verified > 0, "completed restores must be validated");
         assert_eq!(stats.checksum_failures, 0, "reassembly must be byte-exact");
-        assert_eq!(concurrent.total_abandoned_restores(), 0, "backoff recovers the pulls");
+        assert!(
+            concurrent.clients.iter().all(|c| c.abandoned_restores == 0),
+            "backoff recovers the pulls"
+        );
     }
 
     #[test]
     fn fault_free_fleets_report_committed_equals_uploaded_and_clean_stats() {
         let run = fleet(&small_spec(3), 1);
-        assert_eq!(run.total_committed_payload(), run.total_uploaded_payload());
-        assert_eq!(run.committed_fraction(), 1.0);
-        assert_eq!(run.wasted_bytes_ratio(), 0.0);
         assert!(run.fault_stats().is_clean());
-        assert_eq!(run.total_abandoned_chunks(), 0);
+        assert_eq!(run.fault_stats().wasted_bytes, 0);
         for client in &run.clients {
             assert_eq!(client.committed_payload, client.uploaded_payload);
+            assert_eq!(client.abandoned_chunks, 0);
             assert_eq!(client.fault_stats, FaultStats::default());
         }
     }

@@ -82,6 +82,6 @@ pub use profile::ServiceProfile;
 // Re-export the provider enum: it identifies services across the workspace.
 pub use cloudsim_geo::Provider;
 
-// Re-export the pipeline handle so harnesses can pin an execution mode
-// without depending on cloudsim-storage directly.
-pub use cloudsim_storage::{PipelineMode, UploadPipeline};
+// Re-export the pipeline value the `with_pipeline` / `for_user` constructors
+// take, so their callers need not depend on cloudsim-storage directly.
+pub use cloudsim_storage::UploadPipeline;

@@ -43,7 +43,7 @@ use crate::capture::{slice_capture, FleetCapture, ReplayMix};
 use crate::engine::{wave_count, FleetEvent};
 use crate::scale::{drive_plain, reserve_population, ScaleRun, ScaleSpec, Source};
 use cloudsim_storage::{GcPolicy, ObjectStore};
-use cloudsim_trace::{LatencyHistogram, SimTime};
+use cloudsim_trace::{series, LatencyHistogram, SimTime};
 
 /// The disjoint set of global client indices one partition owns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,19 +194,19 @@ pub struct PartitionRun {
 impl PartitionRun {
     /// Start of the partition's earliest transfer.
     pub fn first_start(&self) -> SimTime {
-        self.intervals.iter().map(|&(s, _)| s).min().unwrap_or(SimTime::ZERO)
+        series::interval_span(&self.intervals).0
     }
 
     /// End of the partition's latest transfer.
     pub fn last_end(&self) -> SimTime {
-        self.intervals.iter().map(|&(_, e)| e).max().unwrap_or(SimTime::ZERO)
+        series::interval_span(&self.intervals).1
     }
 
     /// Distribution of the partition's per-commit transfer durations.
     /// Merging the partitions' histograms elementwise reproduces the
     /// unsliced run's histogram exactly.
     pub fn transfer_histogram(&self) -> LatencyHistogram {
-        self.intervals.iter().map(|&(s, e)| e - s).collect()
+        series::duration_histogram(&self.intervals)
     }
 }
 

@@ -91,34 +91,32 @@ pub struct UploadPlanner {
     /// it has one.
     local_chunks: HashMap<ContentHash, (Arc<[u8]>, usize)>,
     user: String,
-    /// Executes the pure per-chunk work (hash, compress, delta estimate).
-    pipeline: UploadPipeline,
     /// Batches planned so far. The temporal fleet scheduler's invariant —
     /// idle rounds never touch the planner — is checked against this.
     batches_planned: usize,
 }
 
 impl UploadPlanner {
-    /// Creates a planner for a fresh user account of the given service,
-    /// running the upload pipeline in parallel (byte counts are identical to
-    /// sequential execution; see [`UploadPlanner::with_pipeline`]).
+    /// Creates a planner for a fresh user account of the given service.
     pub fn new(profile: ServiceProfile) -> UploadPlanner {
-        UploadPlanner::with_pipeline(profile, UploadPipeline::parallel())
+        UploadPlanner::for_user(profile, UploadPipeline, ObjectStore::new(), "benchmark-user")
     }
 
-    /// Creates a planner with an explicit pipeline execution mode.
-    pub fn with_pipeline(profile: ServiceProfile, pipeline: UploadPipeline) -> UploadPlanner {
-        UploadPlanner::for_user(profile, pipeline, ObjectStore::new(), "benchmark-user")
+    /// [`UploadPlanner::new`]. `_pipeline` is ignored: there is one
+    /// [`UploadPipeline`] and nothing to choose about it.
+    pub fn with_pipeline(profile: ServiceProfile, _pipeline: UploadPipeline) -> UploadPlanner {
+        UploadPlanner::new(profile)
     }
 
     /// Creates a planner for a named user account committing into a shared
     /// (sharded) object store. This is the constructor the fleet harness
     /// uses: every client keeps its own client-side dedup index and delta
     /// state, while the server-side store is shared across the whole fleet
-    /// so inter-user deduplication is exercised.
+    /// so inter-user deduplication is exercised. `_pipeline` is ignored, as
+    /// in [`UploadPlanner::with_pipeline`].
     pub fn for_user(
         profile: ServiceProfile,
-        pipeline: UploadPipeline,
+        _pipeline: UploadPipeline,
         store: ObjectStore,
         user: &str,
     ) -> UploadPlanner {
@@ -131,7 +129,6 @@ impl UploadPlanner {
             pulled: HashMap::new(),
             local_chunks: HashMap::new(),
             user: user.to_string(),
-            pipeline,
             batches_planned: 0,
         }
     }
@@ -144,11 +141,6 @@ impl UploadPlanner {
     /// The profile this planner applies.
     pub fn profile(&self) -> &ServiceProfile {
         &self.profile
-    }
-
-    /// The pipeline executing this planner's per-chunk work.
-    pub fn pipeline(&self) -> &UploadPipeline {
-        &self.pipeline
     }
 
     /// The server-side object store backing the account.
@@ -177,13 +169,13 @@ impl UploadPlanner {
     /// Plans (and commits) a batch of file revisions.
     ///
     /// The pure per-chunk work — chunking, SHA-256, candidate delta scripts,
-    /// LZSS coding — runs through the planner's [`UploadPipeline`] (fanned
-    /// out across chunks and files when the pipeline is parallel). The
-    /// stateful decisions — dedup index queries, server-side commits — are
-    /// then applied sequentially in file order, so the resulting
-    /// [`FilePlan`]s are bit-identical regardless of the pipeline's
-    /// execution mode, and identical to calling
-    /// [`UploadPlanner::plan_file`] once per file.
+    /// LZSS coding — runs through the [`UploadPipeline`] (fanned out across
+    /// chunks and files when the batch is large and the caller is not
+    /// already a fan-out worker). The stateful decisions — dedup index
+    /// queries, server-side commits — are then applied sequentially in file
+    /// order, so the resulting [`FilePlan`]s do not depend on the thread
+    /// count, and are identical to calling [`UploadPlanner::plan_file`]
+    /// once per file.
     pub fn plan_batch(&mut self, files: &[(&str, &[u8])]) -> Vec<FilePlan> {
         self.batches_planned += 1;
         let spec = self.pipeline_spec();
@@ -211,13 +203,12 @@ impl UploadPlanner {
         // hits (entries are never removed, §4.3), so the pipeline skips
         // their upload estimates. The merge step below re-checks against the
         // live index as state evolves within the batch.
-        let pipeline = self.pipeline;
         let artifacts = {
             let dedup = &self.dedup;
             if self.profile.dedup {
-                pipeline.process_filtered(&spec, &jobs, &|hash| dedup.contains(hash))
+                UploadPipeline.process_filtered(&spec, &jobs, &|hash| dedup.contains(hash))
             } else {
-                pipeline.process(&spec, &jobs)
+                UploadPipeline.process(&spec, &jobs)
             }
         };
 
@@ -394,12 +385,9 @@ impl UploadPlanner {
             })
             .collect();
         let store = self.store.clone();
-        let results = RestorePipeline::with_mode(self.pipeline.mode()).restore_batch(
-            &store,
-            &spec,
-            &requests,
-            &|hash| local.get(hash).map(|(bytes, _)| bytes.clone()),
-        );
+        let results = RestorePipeline.restore_batch(&store, &spec, &requests, &|hash| {
+            local.get(hash).map(|(bytes, _)| bytes.clone())
+        });
         for restored in results.iter().flatten() {
             let chunks = restored.chunks.iter().map(|c| (c.hash, c.plain_len));
             let content = &restored.content;
@@ -682,7 +670,7 @@ mod tests {
         for profile in ServiceProfile::all() {
             let name = profile.name();
             let store = ObjectStore::new();
-            let pipeline = UploadPipeline::sequential();
+            let pipeline = UploadPipeline;
             let mut owner = UploadPlanner::for_user(profile.clone(), pipeline, store.clone(), "o");
             let mut puller = UploadPlanner::for_user(profile.clone(), pipeline, store, "p");
             owner.plan_file("f.bin", &content);
@@ -764,48 +752,40 @@ mod tests {
         assert_eq!(clouddrive.plan_file("x.bin", &content).chunks.len(), 1); // single object
     }
 
-    /// The acceptance property of the parallel pipeline: for any profile and
-    /// batch, the parallel planner's plans are byte-identical to the
-    /// sequential planner's, including stateful dedup/delta interactions.
+    /// Plans do not depend on the pipeline's thread count: for any profile,
+    /// a planner called at top level (its 9 MB batches fan out on a
+    /// multi-core host) and one called from a fan-out worker (where
+    /// `cloudsim_parallel` runs the pipeline inline) produce identical plans,
+    /// including stateful dedup/delta interactions.
     #[test]
     fn parallel_and_sequential_planners_produce_identical_plans() {
-        use cloudsim_storage::UploadPipeline;
+        // A batch exercising dedup (duplicate content), delta (same path
+        // re-uploaded within one batch), compression (text) and chunking
+        // (a multi-chunk file).
+        let text = generate(FileKind::Text, 400_000, 1);
+        let big = generate(FileKind::RandomBinary, 9_000_000, 2);
+        let copy = text.clone();
+        let appended = Mutation::Append { len: 60_000 }.apply(&text, 3);
+        let batch: Vec<(&str, &[u8])> = vec![
+            ("a/notes.txt", &text),
+            ("b/big.bin", &big),
+            ("c/copy.txt", &copy),
+            ("a/notes.txt", &appended),
+        ];
+        // A second batch re-uploading modified content must still agree
+        // (delta now runs against planner state from the first batch).
+        let mutated = Mutation::InsertRandom { len: 30_000 }.apply(&big, 4);
+        let batch2: Vec<(&str, &[u8])> = vec![("b/big.bin", &mutated)];
 
         for profile in ServiceProfile::all() {
-            let mut sequential =
-                UploadPlanner::with_pipeline(profile.clone(), UploadPipeline::sequential());
-            let mut parallel =
-                UploadPlanner::with_pipeline(profile.clone(), UploadPipeline::with_threads(4));
-
-            // A batch exercising dedup (duplicate content), delta (same path
-            // re-uploaded within one batch), compression (text) and chunking
-            // (a multi-chunk file).
-            let text = generate(FileKind::Text, 400_000, 1);
-            let big = generate(FileKind::RandomBinary, 9_000_000, 2);
-            let copy = text.clone();
-            let appended = Mutation::Append { len: 60_000 }.apply(&text, 3);
-            let batch: Vec<(&str, &[u8])> = vec![
-                ("a/notes.txt", &text),
-                ("b/big.bin", &big),
-                ("c/copy.txt", &copy),
-                ("a/notes.txt", &appended),
-            ];
-
-            let seq_plans = sequential.plan_batch(&batch);
-            let par_plans = parallel.plan_batch(&batch);
-            assert_eq!(seq_plans, par_plans, "{}", profile.name());
-            assert_eq!(sequential.dedup_stats(), parallel.dedup_stats(), "{}", profile.name());
-
-            // A second batch re-uploading modified content must still agree
-            // (delta now runs against planner state from the first batch).
-            let mutated = Mutation::InsertRandom { len: 30_000 }.apply(&big, 4);
-            let batch2: Vec<(&str, &[u8])> = vec![("b/big.bin", &mutated)];
-            assert_eq!(
-                sequential.plan_batch(&batch2),
-                parallel.plan_batch(&batch2),
-                "{} second batch",
-                profile.name()
-            );
+            let plan_both = || {
+                let mut planner = UploadPlanner::new(profile.clone());
+                (planner.plan_batch(&batch), planner.plan_batch(&batch2), planner.dedup_stats())
+            };
+            let top_level = plan_both();
+            let nested =
+                cloudsim_parallel::run_indexed(2, 2, || (), |(), i| (i == 0).then(plan_both));
+            assert_eq!(nested[0].as_ref(), Some(&top_level), "{}", profile.name());
         }
     }
 
@@ -841,7 +821,7 @@ mod tests {
         // namespace: the shared file costs nothing on the wire, the private
         // one downloads, and both come back byte-identical.
         let store = ObjectStore::new();
-        let pipeline = UploadPipeline::sequential();
+        let pipeline = UploadPipeline;
         let mut alice =
             UploadPlanner::for_user(ServiceProfile::dropbox(), pipeline, store.clone(), "alice");
         let mut bob =
@@ -885,7 +865,7 @@ mod tests {
     #[test]
     fn restore_of_a_purged_account_fails_cleanly() {
         let store = ObjectStore::new();
-        let pipeline = UploadPipeline::sequential();
+        let pipeline = UploadPipeline;
         let mut owner =
             UploadPlanner::for_user(ServiceProfile::wuala(), pipeline, store.clone(), "owner");
         let mut puller =

@@ -102,7 +102,8 @@ use cloudsim_trace::packet::{
     Direction, Endpoint, PacketRecord, TcpFlags, TransportProtocol, TCP_HEADER_BYTES,
 };
 use cloudsim_trace::{
-    FlowId, FlowKind, LatencyHistogram, SimDuration, SimTime, Trace, TraceRecorder, TraceShard,
+    series, FlowId, FlowKind, LatencyHistogram, SimDuration, SimTime, Trace, TraceRecorder,
+    TraceShard,
 };
 use cloudsim_workload::seed::{derive_seed, unit_f64};
 use serde::Serialize;
@@ -648,17 +649,18 @@ impl ScaleRun {
 
     /// Start of the earliest transfer.
     pub fn first_start(&self) -> SimTime {
-        self.intervals.iter().map(|&(s, _)| s).min().unwrap_or(SimTime::ZERO)
+        series::interval_span(&self.intervals).0
     }
 
     /// End of the latest transfer.
     pub fn last_end(&self) -> SimTime {
-        self.intervals.iter().map(|&(_, e)| e).max().unwrap_or(SimTime::ZERO)
+        series::interval_span(&self.intervals).1
     }
 
     /// The virtual span the population was active over, in seconds.
     pub fn virtual_span_secs(&self) -> f64 {
-        (self.last_end() - self.first_start()).as_secs_f64()
+        let (first, last) = series::interval_span(&self.intervals);
+        (last - first).as_secs_f64()
     }
 
     /// Commits per virtual second over the active span — the server-side
@@ -674,34 +676,22 @@ impl ScaleRun {
 
     /// The most transfers in flight at any virtual instant.
     pub fn concurrency_peak(&self) -> usize {
-        cloudsim_trace::series::concurrency_peak(&self.intervals)
+        series::concurrency_peak(&self.intervals)
     }
 
     /// Distribution of per-commit transfer durations. Intervals are logged
     /// in event order and the histogram's buckets are fixed, so the result
     /// is bit-identical across worker counts and reruns.
     pub fn transfer_histogram(&self) -> LatencyHistogram {
-        self.intervals.iter().map(|&(s, e)| e - s).collect()
+        series::duration_histogram(&self.intervals)
     }
 
     /// The server-side load curve: commits bucketed by start instant into
     /// `buckets` equal slices of the active span. The sum of the buckets is
     /// the commit total; an empty run yields all-zero buckets.
     pub fn load_curve(&self, buckets: usize) -> Vec<u64> {
-        assert!(buckets > 0, "need at least one bucket");
-        let mut curve = vec![0u64; buckets];
-        let first = self.first_start();
-        let span = (self.last_end() - first).as_secs_f64();
-        if span <= 0.0 {
-            curve[0] = self.commits;
-            return curve;
-        }
-        for &(start, _) in &self.intervals {
-            let frac = (start - first).as_secs_f64() / span;
-            let b = ((frac * buckets as f64) as usize).min(buckets - 1);
-            curve[b] += 1;
-        }
-        curve
+        let (first, last) = series::interval_span(&self.intervals);
+        series::start_curve(&self.intervals, first, (last - first).as_secs_f64(), buckets)
     }
 }
 

@@ -14,7 +14,7 @@ use cloudsim_services::client::{FaultedRestoreOutcome, FaultedSyncOutcome};
 use cloudsim_services::retry::{ExponentialBackoff, NoRetry};
 use cloudsim_services::{AccessLink, RangedTransfer, Recovery, ServiceProfile, SyncClient};
 use cloudsim_storage::hash::sha256;
-use cloudsim_storage::{ObjectStore, RestoreSource, RestoredChunk, UploadPipeline};
+use cloudsim_storage::{ObjectStore, RestoreSource, RestoredChunk};
 use cloudsim_trace::{SimDuration, SimTime};
 use cloudsim_workload::{BatchSpec, FileKind};
 use proptest::prelude::*;
@@ -38,7 +38,6 @@ fn round_trip(
     let mut sim = cloudsim_net::Simulator::new(7);
     let mut owner = SyncClient::for_user_on_link(
         ServiceProfile::dropbox(),
-        UploadPipeline::sequential(),
         store.clone(),
         "owner",
         &AccessLink::adsl(),
@@ -56,7 +55,6 @@ fn round_trip(
     let mut psim = cloudsim_net::Simulator::new(8);
     let mut puller = SyncClient::for_user_on_link(
         ServiceProfile::dropbox(),
-        UploadPipeline::sequential(),
         store.clone(),
         "puller",
         &AccessLink::adsl(),
@@ -185,7 +183,6 @@ proptest! {
         let mut sim = cloudsim_net::Simulator::new(7);
         let mut owner = SyncClient::for_user_on_link(
             ServiceProfile::dropbox(),
-            UploadPipeline::sequential(),
             store.clone(),
             "owner",
             &AccessLink::adsl(),

@@ -26,15 +26,17 @@
 //!   the simulated services commit uploads to; lock shards keyed by
 //!   chunk-hash prefix and user name let a concurrent client fleet commit
 //!   without serializing on one lock,
-//! * [`pipeline`] — the parallel, zero-copy upload pipeline that runs
-//!   chunking, hashing, delta estimation and compression over borrowed
-//!   slices with preallocated per-worker scratch, fanned out across chunks
-//!   and files with `std::thread::scope`,
-//! * [`restore`] — the download direction: a parallel restore pipeline that
-//!   reads manifests back out of the store, skips chunks the client already
-//!   holds, downloads deltas against locally held bases, decodes the wire
-//!   encoding with reusable scratch and reassembles byte-identical content
-//!   (failing with typed errors, not panics, on hard-deleted manifests).
+//! * [`pipeline`] — the zero-copy upload pipeline that runs chunking,
+//!   hashing, delta estimation and compression over borrowed slices with
+//!   preallocated per-worker scratch, fanned out across chunks and files
+//!   when the batch is large enough and the caller is not already a fan-out
+//!   worker,
+//! * [`restore`] — the download direction: a restore pipeline, fanned out by
+//!   the same rule, that reads manifests back out of the store, skips chunks
+//!   the client already holds, downloads deltas against locally held bases,
+//!   decodes the wire encoding with reusable scratch and reassembles
+//!   byte-identical content (failing with typed errors, not panics, on
+//!   hard-deleted manifests).
 
 // Denied, not forbidden: `hash.rs` allows it for one statement, the call into
 // the SHA-extension kernel behind the CPU feature test (CI counts the allows).
@@ -58,8 +60,7 @@ pub use delta::{DeltaScript, Signature};
 pub use encrypt::ConvergentCipher;
 pub use hash::{sha256, ContentHash};
 pub use pipeline::{
-    ChunkArtifacts, DeltaEstimate, FileArtifacts, FileJob, PipelineMode, PipelineSpec,
-    UploadPipeline,
+    ChunkArtifacts, DeltaEstimate, FileArtifacts, FileJob, PipelineSpec, UploadPipeline,
 };
 pub use restore::{
     RestoreError, RestorePipeline, RestoreRequest, RestoreSource, RestoredChunk, RestoredFile,

@@ -1,4 +1,4 @@
-//! The parallel, zero-copy upload pipeline.
+//! The zero-copy upload pipeline.
 //!
 //! The paper's capability experiments (§4, Figs. 4–6) all flow through the
 //! client-side processing chain — chunk → hash → dedup probe → delta →
@@ -13,15 +13,19 @@
 //!   [`crate::compress::LzssScratch`], so the LZSS coder
 //!   performs no per-chunk heap allocation, and the content-defined chunker
 //!   reads a `static` gear table.
-//! * **Parallel**: work is fanned out across *chunks and files* with
-//!   `std::thread::scope` — first the per-file boundary scans, then the
-//!   flattened `(file, chunk)` hash/delta/compress units, so one huge file
-//!   parallelises as well as many small ones.
+//! * **Fanned out where it pays**: work is spread across *chunks and files*
+//!   by [`cloudsim_parallel::run_indexed`] — first the per-file boundary
+//!   scans, then the flattened `(file, chunk)` hash/delta/compress units, so
+//!   one huge file parallelises as well as many small ones. How many threads
+//!   a batch gets is worked out, never chosen: one below
+//!   `PARALLEL_THRESHOLD_BYTES` of content, one when the caller is already a
+//!   fan-out worker (a fleet wave, a benchmark cell), the host's cores
+//!   otherwise.
 //! * **Deterministic**: workers tag every result with its work-item index
 //!   and the merge step reassembles them in file/chunk order, so the
-//!   produced artifacts — and therefore every downstream byte count — are
-//!   bit-identical between [`UploadPipeline::sequential`] and
-//!   [`UploadPipeline::parallel`]. Property tests assert this.
+//!   produced artifacts — and therefore every downstream byte count — do not
+//!   depend on the thread count. A test compares a top-level call with the
+//!   same call nested in a worker.
 //!
 //! The pipeline computes the *pure* per-chunk quantities (hash, compressed
 //! upload size, candidate delta estimate). The stateful decisions — dedup
@@ -36,45 +40,9 @@ use crate::hash::ContentHash;
 use cloudsim_parallel::{auto_workers, run_indexed};
 
 /// Batches smaller than this (total content bytes; uploads and restores
-/// alike) run single-threaded in auto-parallel mode: the scoped-thread
-/// fan-out costs more than the work, and harnesses that are already parallel
-/// at a higher level (one thread per benchmark cell) would otherwise
-/// oversubscribe the host with nested spawns. An explicit nonzero
-/// [`UploadPipeline::with_threads`] count is honoured regardless.
-const PARALLEL_THRESHOLD_BYTES: u64 = 4 * 1024 * 1024;
-
-/// How the pipeline schedules its work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineMode {
-    /// Single-threaded reference execution (also the fallback on one-core
-    /// hosts). Produces bit-identical artifacts to `Parallel`.
-    Sequential,
-    /// Fan out across worker threads. `threads == 0` means "use the host's
-    /// available parallelism".
-    Parallel {
-        /// Worker thread count; `0` auto-detects.
-        threads: usize,
-    },
-}
-
-impl PipelineMode {
-    /// Worker threads a fan-out over `work_items` units totalling
-    /// `total_bytes` runs on — the one sizing policy of the upload and the
-    /// restore pipeline. Auto mode (`threads == 0`) applies the shared
-    /// small-batch threshold; an explicit thread count is honoured
-    /// unconditionally (tests pin it to exercise the concurrent path on
-    /// arbitrarily small inputs). Always within `1..=max(work_items, 1)`.
-    pub fn workers(self, work_items: usize, total_bytes: u64) -> usize {
-        let configured = match self {
-            PipelineMode::Sequential => 1,
-            PipelineMode::Parallel { threads: 0 } => {
-                auto_workers(work_items, total_bytes, PARALLEL_THRESHOLD_BYTES)
-            }
-            PipelineMode::Parallel { threads } => threads,
-        };
-        configured.clamp(1, work_items.max(1))
-    }
-}
+/// alike) run on the calling thread: the scoped-thread fan-out costs more
+/// than the work.
+pub(crate) const PARALLEL_THRESHOLD_BYTES: u64 = 4 * 1024 * 1024;
 
 /// What the pipeline computes per chunk (see [`ChunkArtifacts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,45 +111,25 @@ pub struct PipelineSpec {
     pub delta_encoding: bool,
 }
 
-/// The reusable upload pipeline. Cheap to clone (configuration only); worker
-/// scratch state lives on the worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UploadPipeline {
-    mode: PipelineMode,
-}
-
-impl Default for UploadPipeline {
-    fn default() -> Self {
-        UploadPipeline::parallel()
-    }
-}
+/// The upload pipeline: a value without state (worker scratch lives on the
+/// worker threads). `sequential()`, `parallel()` and `default()` are names
+/// for it that `perf/` imports; none of them chooses anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct UploadPipeline;
 
 impl UploadPipeline {
-    /// Single-threaded reference pipeline.
+    /// The pipeline; the same value as [`UploadPipeline::parallel`].
     pub fn sequential() -> UploadPipeline {
-        UploadPipeline { mode: PipelineMode::Sequential }
+        UploadPipeline
     }
 
-    /// Parallel pipeline using the host's available parallelism.
+    /// The pipeline; the same value as [`UploadPipeline::default`].
     pub fn parallel() -> UploadPipeline {
-        UploadPipeline { mode: PipelineMode::Parallel { threads: 0 } }
-    }
-
-    /// Parallel pipeline with an explicit worker count. `1` behaves like
-    /// [`UploadPipeline::sequential`]; a count of `0` is identical to
-    /// [`UploadPipeline::parallel`] (auto-detect, subject to the small-batch
-    /// threshold); any other count is honoured unconditionally.
-    pub fn with_threads(threads: usize) -> UploadPipeline {
-        UploadPipeline { mode: PipelineMode::Parallel { threads } }
-    }
-
-    /// The configured mode.
-    pub fn mode(&self) -> PipelineMode {
-        self.mode
+        UploadPipeline
     }
 
     /// Runs the full chain over a batch of files, returning artifacts in
-    /// file order. All byte counts are independent of the execution mode.
+    /// file order.
     pub fn process(&self, spec: &PipelineSpec, jobs: &[FileJob<'_>]) -> Vec<FileArtifacts> {
         self.process_filtered(spec, jobs, &|_| false)
     }
@@ -192,8 +140,7 @@ impl UploadPipeline {
     /// neither the compressed size nor a delta script would ever be read.
     /// The filter sees the batch's *initial* state only (it must be pure);
     /// chunks that become duplicates within the batch still carry estimates,
-    /// which the merge step simply ignores. Artifacts remain bit-identical
-    /// across execution modes for any given filter.
+    /// which the merge step simply ignores.
     pub fn process_filtered(
         &self,
         spec: &PipelineSpec,
@@ -202,11 +149,11 @@ impl UploadPipeline {
     ) -> Vec<FileArtifacts> {
         let total_bytes: u64 = jobs.iter().map(|j| j.content.len() as u64).sum();
 
-        // Stage 1 — boundary scans, parallel over files: spans of the new
+        // Stage 1 — boundary scans, fanned out over files: spans of the new
         // revision, plus spans of the previous revision when delta encoding
         // will want same-index chunk pairs.
         let boundaries: Vec<(Vec<ChunkSpan>, Vec<ChunkSpan>)> = run_indexed(
-            self.mode.workers(jobs.len(), total_bytes),
+            auto_workers(jobs.len(), total_bytes, PARALLEL_THRESHOLD_BYTES),
             jobs.len(),
             || (),
             |(), file_idx| {
@@ -232,7 +179,7 @@ impl UploadPipeline {
             .collect();
 
         let chunk_artifacts: Vec<ChunkArtifacts> = run_indexed(
-            self.mode.workers(units.len(), total_bytes),
+            auto_workers(units.len(), total_bytes, PARALLEL_THRESHOLD_BYTES),
             units.len(),
             LzssScratch::new,
             |scratch, unit_idx| {
@@ -286,8 +233,11 @@ impl UploadPipeline {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread;
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
@@ -311,47 +261,6 @@ mod tests {
         out
     }
 
-    /// One sizing policy: in every mode the upload and the restore pipeline
-    /// fan an `(items, bytes)` batch out over the same number of workers —
-    /// the one the table says.
-    #[test]
-    fn both_pipelines_resolve_the_same_worker_count() {
-        use crate::restore::RestorePipeline;
-        const MB4: u64 = 4 * 1024 * 1024;
-        let host = cloudsim_parallel::available_workers();
-        let auto = move |items: usize, bytes: u64| {
-            if items < 2 || bytes < MB4 {
-                1
-            } else {
-                host.min(items)
-            }
-        };
-        type Expected<'a> = &'a dyn Fn(usize, u64) -> usize;
-        let modes: [(UploadPipeline, RestorePipeline, Expected<'_>); 5] = [
-            (UploadPipeline::sequential(), RestorePipeline::sequential(), &|_, _| 1),
-            (UploadPipeline::parallel(), RestorePipeline::parallel(), &auto),
-            (UploadPipeline::with_threads(0), RestorePipeline::with_threads(0), &auto),
-            (UploadPipeline::with_threads(1), RestorePipeline::with_threads(1), &|_, _| 1),
-            (UploadPipeline::with_threads(3), RestorePipeline::with_threads(3), &|items, _| {
-                items.clamp(1, 3)
-            }),
-        ];
-        for (up, down, expected) in modes {
-            assert_eq!(RestorePipeline::with_mode(up.mode()), down);
-            for items in [0, 1, 2, 3, 64] {
-                for bytes in [0, 1, MB4 - 1, MB4, MB4 + 1, 1 << 30] {
-                    let label = format!("{:?} items={items} bytes={bytes}", up.mode());
-                    assert_eq!(up.mode().workers(items, bytes), expected(items, bytes), "{label}");
-                    assert_eq!(
-                        down.mode().workers(items, bytes),
-                        expected(items, bytes),
-                        "{label}"
-                    );
-                }
-            }
-        }
-    }
-
     fn spec() -> PipelineSpec {
         PipelineSpec {
             chunking: ChunkingStrategy::Fixed { size: 256 * 1024 },
@@ -360,23 +269,75 @@ mod tests {
         }
     }
 
+    /// The harness of both pipelines' thread-count tests: runs `batch` at
+    /// top level and again nested in a fan-out worker, checks the two
+    /// results equal and returns one. `batch` calls the `note` it is handed
+    /// from every unit of work, on the thread doing it: at top level none of
+    /// those may be the caller's (the batch fanned out), nested all of them
+    /// must be the worker's (`cloudsim_parallel` ran it inline). `None` on a
+    /// one-core host, where there is no fan-out to compare.
+    pub(crate) fn top_level_equals_nested<T: PartialEq + std::fmt::Debug + Send>(
+        batch: impl Fn(&(dyn Fn() + Sync)) -> T + Sync,
+    ) -> Option<T> {
+        if cloudsim_parallel::available_workers() < 2 {
+            println!("skipped: one core");
+            return None;
+        }
+        let run = || {
+            let threads = Mutex::new(HashSet::new());
+            let out = batch(&|| {
+                threads.lock().unwrap().insert(thread::current().id());
+            });
+            (out, threads.into_inner().unwrap())
+        };
+        let (top_level, threads) = run();
+        assert!(!threads.contains(&thread::current().id()), "over the threshold: fanned out");
+        let nested = run_indexed(
+            2,
+            2,
+            || (),
+            |(), i| {
+                (i == 0).then(|| {
+                    let (out, threads) = run();
+                    assert_eq!(threads, HashSet::from([thread::current().id()]), "inline");
+                    out
+                })
+            },
+        );
+        assert_eq!(nested[0].as_ref(), Some(&top_level));
+        Some(top_level)
+    }
+
+    /// Artifacts do not depend on the thread count: one batch just over the
+    /// threshold, a delta job and a known-chunk filter included. The filter
+    /// runs once per chunk on the thread that hashes it.
     #[test]
     fn parallel_and_sequential_artifacts_are_identical() {
-        let file_a = text(700_000);
-        let file_b = pseudo_random(1_200_000, 3);
+        let file_a = pseudo_random(3_000_000, 2);
+        let file_b = pseudo_random(1_000_000, 3);
         let mut file_b_v2 = file_b.clone();
         file_b_v2.extend_from_slice(&pseudo_random(50_000, 4));
-        let jobs = vec![
+        let file_c = text(300_000);
+        let jobs = [
             FileJob { content: &file_a, previous: None },
             FileJob { content: &file_b_v2, previous: Some(&file_b) },
+            FileJob { content: &file_c, previous: None },
             FileJob { content: &[], previous: None },
         ];
+        let total: u64 = jobs.iter().map(|j| j.content.len() as u64).sum();
+        assert!((PARALLEL_THRESHOLD_BYTES..PARALLEL_THRESHOLD_BYTES * 2).contains(&total));
         let spec = spec();
-        let sequential = UploadPipeline::sequential().process(&spec, &jobs);
-        for threads in [0usize, 2, 3, 7] {
-            let parallel = UploadPipeline::with_threads(threads).process(&spec, &jobs);
-            assert_eq!(sequential, parallel, "threads={threads}");
-        }
+        let known_hash = crate::hash::sha256(&file_a[..256 * 1024]);
+        let Some(artifacts) = top_level_equals_nested(|note| {
+            UploadPipeline.process_filtered(&spec, &jobs, &|hash| {
+                note();
+                *hash == known_hash
+            })
+        }) else {
+            return;
+        };
+        assert_eq!(artifacts[0].chunks[0].full_upload_bytes, 0, "the filter's hit");
+        assert!(artifacts[1].chunks.iter().any(|c| c.delta.is_some()), "the delta job");
     }
 
     #[test]
@@ -384,7 +345,7 @@ mod tests {
         let content = pseudo_random(900_000, 9);
         let jobs = vec![FileJob { content: &content, previous: None }];
         let spec = spec();
-        let arts = UploadPipeline::parallel().process(&spec, &jobs);
+        let arts = UploadPipeline.process(&spec, &jobs);
         assert_eq!(arts.len(), 1);
         assert_eq!(arts[0].chunk_list(), spec.chunking.chunk(&content));
         for art in &arts[0].chunks {
@@ -404,7 +365,7 @@ mod tests {
             *b ^= 0xFF;
         }
         let jobs = vec![FileJob { content: &new, previous: Some(&old) }];
-        let arts = UploadPipeline::sequential().process(&spec(), &jobs);
+        let arts = UploadPipeline.process(&spec(), &jobs);
         let chunks = &arts[0].chunks;
         assert_eq!(chunks.len(), 3);
         assert!(chunks[0].delta.is_none(), "identical chunk needs no delta");
@@ -420,7 +381,7 @@ mod tests {
         let jobs = vec![FileJob { content: &new, previous: Some(&old) }];
         let mut spec = spec();
         spec.delta_encoding = false;
-        let arts = UploadPipeline::parallel().process(&spec, &jobs);
+        let arts = UploadPipeline.process(&spec, &jobs);
         assert!(arts[0].chunks.iter().all(|c| c.delta.is_none()));
     }
 
@@ -429,16 +390,14 @@ mod tests {
         let content = pseudo_random(600_000, 11);
         let jobs = vec![FileJob { content: &content, previous: None }];
         let spec = spec();
-        let unfiltered = UploadPipeline::sequential().process(&spec, &jobs);
+        let unfiltered = UploadPipeline.process(&spec, &jobs);
         // Mark the middle chunk as already known to the server.
         let known_hash = unfiltered[0].chunks[1].chunk.hash;
-        for pipeline in [UploadPipeline::sequential(), UploadPipeline::with_threads(3)] {
-            let filtered = pipeline.process_filtered(&spec, &jobs, &|h| *h == known_hash);
-            assert_eq!(filtered[0].chunk_list(), unfiltered[0].chunk_list());
-            assert_eq!(filtered[0].chunks[1].full_upload_bytes, 0, "skipped estimate");
-            assert!(filtered[0].chunks[1].delta.is_none());
-            assert_eq!(filtered[0].chunks[0], unfiltered[0].chunks[0]);
-            assert_eq!(filtered[0].chunks[2], unfiltered[0].chunks[2]);
-        }
+        let filtered = UploadPipeline.process_filtered(&spec, &jobs, &|h| *h == known_hash);
+        assert_eq!(filtered[0].chunk_list(), unfiltered[0].chunk_list());
+        assert_eq!(filtered[0].chunks[1].full_upload_bytes, 0, "skipped estimate");
+        assert!(filtered[0].chunks[1].delta.is_none());
+        assert_eq!(filtered[0].chunks[0], unfiltered[0].chunks[0]);
+        assert_eq!(filtered[0].chunks[2], unfiltered[0].chunks[2]);
     }
 }

@@ -1,4 +1,4 @@
-//! The parallel download/restore pipeline.
+//! The download/restore pipeline.
 //!
 //! The upload pipeline covers one direction of the sync protocol; the
 //! paper's capability and performance analysis (§4, §6) covers both. This
@@ -32,9 +32,10 @@
 //!   [`Arc`] so the client can keep it as the next delta base without
 //!   cloning it.
 //! * **Deterministic**: per-chunk work is pure and merged in file/chunk
-//!   order, so [`RestorePipeline::sequential`] and
-//!   [`RestorePipeline::parallel`] produce bit-identical content *and* byte
-//!   counts. Property tests assert upload→restore round-trips exactly.
+//!   order, so content *and* byte counts do not depend on how many threads
+//!   the fan-out got (the upload pipeline's rule: one below the shared
+//!   threshold or inside another fan-out's worker, the host's cores
+//!   otherwise). Property tests assert upload→restore round-trips exactly.
 //!
 //! Every [`RestoredChunk`] carries its manifest hash and plaintext length;
 //! the services layer's ranged download verifies the reassembled file
@@ -49,9 +50,9 @@ use crate::chunker::ChunkSpan;
 use crate::compress::LzssScratch;
 use crate::delta::{DeltaScript, Signature};
 use crate::hash::ContentHash;
-use crate::pipeline::{PipelineMode, PipelineSpec};
+use crate::pipeline::{PipelineSpec, PARALLEL_THRESHOLD_BYTES};
 use crate::store::{FileManifest, ObjectStore};
-use cloudsim_parallel::run_indexed;
+use cloudsim_parallel::{auto_workers, run_indexed};
 use std::sync::Arc;
 
 /// Why a restore could not reconstruct a file. Every variant names the
@@ -207,18 +208,10 @@ pub struct RestoreRequest<'a> {
 /// [`RestorePipeline::restore_batch`] call.
 pub type LocalChunks<'a> = &'a (dyn Fn(&ContentHash) -> Option<Arc<[u8]>> + Sync);
 
-/// The reusable restore pipeline. Configuration-only (cheap to copy); worker
-/// scratch state lives on the worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestorePipeline {
-    mode: PipelineMode,
-}
-
-impl Default for RestorePipeline {
-    fn default() -> Self {
-        RestorePipeline::parallel()
-    }
-}
+/// The restore pipeline: a value without state (worker scratch lives on the
+/// worker threads).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RestorePipeline;
 
 /// Everything stage 1 needs about one file, fetched under the store locks.
 struct FetchedFile {
@@ -234,31 +227,9 @@ struct FetchedFile {
 }
 
 impl RestorePipeline {
-    /// Single-threaded reference pipeline.
-    pub fn sequential() -> RestorePipeline {
-        RestorePipeline { mode: PipelineMode::Sequential }
-    }
-
-    /// Parallel pipeline using the host's available parallelism.
+    /// The pipeline; the same value as [`RestorePipeline::default`].
     pub fn parallel() -> RestorePipeline {
-        RestorePipeline { mode: PipelineMode::Parallel { threads: 0 } }
-    }
-
-    /// Parallel pipeline with an explicit worker count (same semantics as
-    /// [`crate::pipeline::UploadPipeline::with_threads`]).
-    pub fn with_threads(threads: usize) -> RestorePipeline {
-        RestorePipeline { mode: PipelineMode::Parallel { threads } }
-    }
-
-    /// A pipeline running in the given mode — the way a harness mirrors its
-    /// upload pipeline's execution mode onto the restore path.
-    pub fn with_mode(mode: PipelineMode) -> RestorePipeline {
-        RestorePipeline { mode }
-    }
-
-    /// The configured mode.
-    pub fn mode(&self) -> PipelineMode {
-        self.mode
+        RestorePipeline
     }
 
     /// Restores one file. Convenience wrapper over
@@ -276,8 +247,7 @@ impl RestorePipeline {
     }
 
     /// Restores a batch of files, returning one result per request in
-    /// request order. Content and byte counts are independent of the
-    /// execution mode; the store is only read, never written.
+    /// request order. The store is only read, never written.
     pub fn restore_batch(
         &self,
         store: &ObjectStore,
@@ -329,7 +299,7 @@ impl RestorePipeline {
 
         type ChunkOutcome = Result<(ChunkBytes, RestoredChunk), RestoreError>;
         let outcomes: Vec<ChunkOutcome> = run_indexed(
-            self.mode.workers(units.len(), total_bytes),
+            auto_workers(units.len(), total_bytes, PARALLEL_THRESHOLD_BYTES),
             units.len(),
             LzssScratch::new,
             |scratch, unit_idx| {
@@ -566,7 +536,7 @@ mod tests {
         let spec = spec();
         let content = text(200_000);
         upload(&store, &spec, "alice", "docs/a.txt", &content);
-        let restored = RestorePipeline::sequential()
+        let restored = RestorePipeline
             .restore_file(
                 &store,
                 &spec,
@@ -585,30 +555,46 @@ mod tests {
         assert!(restored.metadata_bytes >= 300);
     }
 
+    /// Restored files do not depend on the thread count: one batch just over
+    /// the threshold, a local copy, a delta base and a missing manifest
+    /// included. The local-chunk lookup runs once per chunk on the thread
+    /// that rebuilds it.
     #[test]
     fn parallel_and_sequential_restores_are_bit_identical() {
+        use crate::pipeline::{tests::top_level_equals_nested, PARALLEL_THRESHOLD_BYTES};
+
         let store = ObjectStore::new();
         let spec = spec();
         let a = text(300_000);
-        let b = pseudo_random(500_000, 3);
+        let b = pseudo_random(4_000_000, 3);
         upload(&store, &spec, "alice", "a.txt", &a);
         upload(&store, &spec, "alice", "b.bin", &b);
-        let base = pseudo_random(500_000, 4);
+        assert!((a.len() + b.len()) as u64 >= PARALLEL_THRESHOLD_BYTES);
+        let mut base = b.clone();
+        for byte in &mut base[100_000..100_500] {
+            *byte ^= 0xFF;
+        }
+        let held = sha256(&a[..64 * 1024]);
+        let held_bytes: Arc<[u8]> = Arc::from(&a[..64 * 1024]);
         let requests = [
             RestoreRequest { owner: "alice", path: "a.txt", base: None },
             RestoreRequest { owner: "alice", path: "b.bin", base: Some(&base) },
             RestoreRequest { owner: "alice", path: "missing.bin", base: None },
         ];
-        let sequential =
-            RestorePipeline::sequential().restore_batch(&store, &spec, &requests, &no_local);
-        for threads in [0usize, 2, 3, 7] {
-            let parallel = RestorePipeline::with_threads(threads)
-                .restore_batch(&store, &spec, &requests, &no_local);
-            assert_eq!(sequential, parallel, "threads={threads}");
-        }
-        assert_eq!(*sequential[0].as_ref().unwrap().content, a);
-        assert_eq!(*sequential[1].as_ref().unwrap().content, b);
-        assert!(matches!(sequential[2], Err(RestoreError::ManifestMissing { .. })));
+        let Some(restored) = top_level_equals_nested(|note| {
+            RestorePipeline.restore_batch(&store, &spec, &requests, &|hash| {
+                note();
+                (*hash == held).then(|| held_bytes.clone())
+            })
+        }) else {
+            return;
+        };
+        let file_a = restored[0].as_ref().unwrap();
+        let file_b = restored[1].as_ref().unwrap();
+        assert_eq!((&*file_a.content, &*file_b.content), (&a, &b));
+        assert_eq!(file_a.chunks[0].source, RestoreSource::LocalCopy);
+        assert_eq!(file_b.chunks[1].source, RestoreSource::Delta);
+        assert!(matches!(restored[2], Err(RestoreError::ManifestMissing { .. })));
     }
 
     #[test]
@@ -625,7 +611,7 @@ mod tests {
             .iter()
             .map(|c| (c.hash, Arc::from(&content[c.offset as usize..c.end() as usize])))
             .collect();
-        let restored = RestorePipeline::parallel()
+        let restored = RestorePipeline
             .restore_file(
                 &store,
                 &spec,
@@ -649,7 +635,7 @@ mod tests {
             *b ^= 0xFF;
         }
         upload(&store, &spec, "alice", "doc.bin", &new);
-        let restored = RestorePipeline::sequential()
+        let restored = RestorePipeline
             .restore_file(
                 &store,
                 &spec,
@@ -680,7 +666,7 @@ mod tests {
         let before = store.aggregate();
         store.delete_manifest("alice", "gone.bin").unwrap();
 
-        let err = RestorePipeline::sequential()
+        let err = RestorePipeline
             .restore_file(
                 &store,
                 &spec,
@@ -696,7 +682,7 @@ mod tests {
 
         // Purging the whole namespace behaves the same.
         store.purge_user("alice");
-        let err = RestorePipeline::sequential()
+        let err = RestorePipeline
             .restore_file(
                 &store,
                 &spec,
@@ -734,7 +720,7 @@ mod tests {
                 version: 0,
             },
         );
-        let err = RestorePipeline::sequential()
+        let err = RestorePipeline
             .restore_file(
                 &store,
                 &spec,
@@ -745,7 +731,7 @@ mod tests {
         assert!(matches!(err, RestoreError::PayloadUnavailable { .. }), "{err}");
         // A local copy still reconstructs a payload-less chunk.
         let bytes: Arc<[u8]> = Arc::from(&data[..]);
-        let restored = RestorePipeline::sequential()
+        let restored = RestorePipeline
             .restore_file(
                 &store,
                 &spec,
@@ -763,7 +749,7 @@ mod tests {
         let content = text(120_000);
         upload(&store, &spec, "bob", "folder/report.txt", &content);
         // Alice pulls Bob's file; her own namespace stays empty.
-        let restored = RestorePipeline::parallel()
+        let restored = RestorePipeline
             .restore_file(
                 &store,
                 &spec,
@@ -775,7 +761,7 @@ mod tests {
         assert_eq!(restored.owner, "bob");
         assert_eq!(store.stats("alice").chunks, 0);
         // The wrong owner gets a typed miss, not Bob's bytes.
-        let err = RestorePipeline::parallel()
+        let err = RestorePipeline
             .restore_file(
                 &store,
                 &spec,
@@ -794,7 +780,7 @@ mod tests {
             let mut fake_jpeg = b"\xFF\xD8\xFF\xE0".to_vec();
             fake_jpeg.extend_from_slice(&text(50_000));
             upload(&store, &spec, "alice", "photo.jpg", &fake_jpeg);
-            let restored = RestorePipeline::sequential()
+            let restored = RestorePipeline
                 .restore_file(
                     &store,
                     &spec,
@@ -839,7 +825,7 @@ mod tests {
                 near[20_000] ^= 0xFF;
                 let far = pseudo_random(40_000, 99);
                 for base in [None, Some(&near), Some(&far)] {
-                    let restored = RestorePipeline::sequential()
+                    let restored = RestorePipeline
                         .restore_file(
                             &store,
                             &spec,
@@ -885,7 +871,7 @@ mod tests {
             (0..4).map(|i| pseudo_random(80_000 + i * 30_000, 40 + i as u64)).collect();
         let jobs: Vec<FileJob<'_>> =
             contents.iter().map(|c| FileJob { content: c, previous: None }).collect();
-        let artifacts = UploadPipeline::parallel().process(&spec, &jobs);
+        let artifacts = UploadPipeline.process(&spec, &jobs);
         for (i, (content, file)) in contents.iter().zip(&artifacts).enumerate() {
             let path = format!("f{i}.bin");
             for art in &file.chunks {
@@ -904,7 +890,7 @@ mod tests {
         }
         for (i, content) in contents.iter().enumerate() {
             let path = format!("f{i}.bin");
-            let restored = RestorePipeline::parallel()
+            let restored = RestorePipeline
                 .restore_file(
                     &store,
                     &spec,

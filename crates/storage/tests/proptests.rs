@@ -117,10 +117,10 @@ proptest! {
         file_a in proptest::collection::vec(any::<u8>(), 0..60_000),
         file_b in proptest::collection::vec(any::<u8>(), 0..60_000),
         prefix in proptest::collection::vec(any::<u8>(), 0..2_000),
-        threads in 2usize..6,
     ) {
-        // The acceptance property of the parallel pipeline: chunks, hashes
-        // and upload byte counts identical to the sequential path, for any
+        // The acceptance property of the pipeline: chunks, hashes, upload
+        // byte counts and delta estimates identical to what the standalone
+        // chunker, `sha256`, `upload_size` and delta encoder say, for any
         // content, including a delta job against a mutated previous
         // revision.
         let mut file_b_v2 = prefix;
@@ -134,11 +134,29 @@ proptest! {
             compression: CompressionPolicy::Always,
             delta_encoding: true,
         };
-        let sequential = UploadPipeline::sequential().process(&spec, &jobs);
-        let parallel = UploadPipeline::with_threads(threads).process(&spec, &jobs);
-        prop_assert_eq!(&sequential, &parallel);
-        // And the chunk identities agree with the standalone chunker.
-        prop_assert_eq!(sequential[0].chunk_list(), spec.chunking.chunk(&file_a));
+        let artifacts = UploadPipeline.process(&spec, &jobs);
+        prop_assert_eq!(artifacts.len(), jobs.len());
+        for (job, file) in jobs.iter().zip(&artifacts) {
+            prop_assert_eq!(file.chunk_list(), spec.chunking.chunk(job.content));
+            let old_chunks = job.previous.map(|old| spec.chunking.chunk(old)).unwrap_or_default();
+            for (i, art) in file.chunks.iter().enumerate() {
+                let data = &job.content[art.chunk.offset as usize..art.chunk.end() as usize];
+                prop_assert_eq!(art.chunk.hash, sha256(data));
+                let old_data = old_chunks.get(i).map(|c| {
+                    &job.previous.expect("chunked above")[c.offset as usize..c.end() as usize]
+                });
+                let delta = old_data.filter(|old| *old != data).map(|old| {
+                    DeltaScript::compute(&Signature::new(old), data).wire_size()
+                });
+                prop_assert_eq!(art.delta.map(|est| est.wire_bytes), delta);
+                // A winning delta means the full upload size is never read.
+                let full = match delta {
+                    Some(wire) if wire < art.chunk.len => 0,
+                    _ => spec.compression.upload_size(data),
+                };
+                prop_assert_eq!(art.full_upload_bytes, full);
+            }
+        }
     }
 
     #[test]
@@ -235,13 +253,11 @@ proptest! {
     fn upload_restore_round_trips_byte_identically(
         files in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40_000), 1..4),
         base in proptest::collection::vec(any::<u8>(), 0..40_000),
-        threads in 2usize..6,
         policy_idx in 0usize..3,
     ) {
         // The acceptance property of the restore pipeline: whatever was
         // uploaded (any content, any compression policy, with or without a
-        // delta base held locally) comes back byte-identical, and the
-        // parallel restore is bit-identical to the sequential one.
+        // delta base held locally) comes back byte-identical.
         let compression = match policy_idx {
             0 => CompressionPolicy::Never,
             1 => CompressionPolicy::Always,
@@ -287,12 +303,9 @@ proptest! {
             .collect();
         let no_local =
             |_: &cloudsim_storage::ContentHash| -> Option<std::sync::Arc<[u8]>> { None };
-        let sequential =
-            RestorePipeline::sequential().restore_batch(&store, &spec, &requests, &no_local);
-        let parallel = RestorePipeline::with_threads(threads)
-            .restore_batch(&store, &spec, &requests, &no_local);
-        prop_assert_eq!(&sequential, &parallel);
-        for (content, restored) in files.iter().zip(&sequential) {
+        let restored = RestorePipeline.restore_batch(&store, &spec, &requests, &no_local);
+        prop_assert_eq!(restored.len(), files.len());
+        for (content, restored) in files.iter().zip(&restored) {
             let restored = restored.as_ref().expect("every uploaded file restores");
             prop_assert_eq!(&*restored.content, content);
         }

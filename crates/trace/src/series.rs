@@ -5,6 +5,7 @@
 //! events and can resample them on a fixed grid so different services can be
 //! plotted against a common x-axis.
 
+use crate::hist::LatencyHistogram;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize, Value};
 
@@ -163,6 +164,46 @@ pub fn concurrency_peak(intervals: &[(SimTime, SimTime)]) -> usize {
         peak = peak.max(earlier + 1 - retired);
     }
     peak
+}
+
+/// The span an interval log covers: its earliest start and its latest end
+/// (both [`SimTime::ZERO`] for an empty log).
+pub fn interval_span(intervals: &[(SimTime, SimTime)]) -> (SimTime, SimTime) {
+    let first = intervals.iter().map(|&(start, _)| start).min().unwrap_or(SimTime::ZERO);
+    let last = intervals.iter().map(|&(_, end)| end).max().unwrap_or(SimTime::ZERO);
+    (first, last)
+}
+
+/// Distribution of the intervals' durations. The histogram's buckets are
+/// fixed, so the logs of a split population merge elementwise into the
+/// histogram of the whole.
+pub fn duration_histogram(intervals: &[(SimTime, SimTime)]) -> LatencyHistogram {
+    intervals.iter().map(|&(start, end)| end - start).collect()
+}
+
+/// Intervals counted by start instant into `buckets` equal slices of the
+/// `span_s` seconds that begin at `first`; with no span to slice, all of
+/// them land in the first bucket. The buckets sum to `intervals.len()`, and
+/// the curves of a split population over one `(first, span_s)` sum
+/// elementwise to the curve of the whole.
+pub fn start_curve(
+    intervals: &[(SimTime, SimTime)],
+    first: SimTime,
+    span_s: f64,
+    buckets: usize,
+) -> Vec<u64> {
+    assert!(buckets > 0, "need at least one bucket");
+    let mut curve = vec![0u64; buckets];
+    if span_s <= 0.0 {
+        curve[0] = intervals.len() as u64;
+        return curve;
+    }
+    for &(start, _) in intervals {
+        let frac = (start - first).as_secs_f64() / span_s;
+        let b = ((frac * buckets as f64) as usize).min(buckets - 1);
+        curve[b] += 1;
+    }
+    curve
 }
 
 /// Simple descriptive statistics over repeated measurements (the paper repeats
@@ -327,6 +368,25 @@ mod tests {
             concurrency_peak(&[(s(0), s(100)), (s(10), s(20)), (s(12), s(18)), (s(50), s(60))]),
             3
         );
+    }
+
+    #[test]
+    fn interval_log_summaries_handle_the_edges() {
+        let s = SimTime::from_secs;
+        let log = [(s(4), s(6)), (s(2), s(3)), (s(12), s(12))];
+        assert_eq!(interval_span(&log), (s(2), s(12)));
+        assert_eq!(interval_span(&[]), (SimTime::ZERO, SimTime::ZERO));
+        assert_eq!(duration_histogram(&log).count(), 3);
+        // Ten seconds from t = 2 in five slices; the start at the span's
+        // last instant lands in the last bucket, not past it.
+        assert_eq!(start_curve(&log, s(2), 10.0, 5), vec![1, 1, 0, 0, 1]);
+        // Two parts over the whole's span sum to the whole's curve.
+        let (a, b) = log.split_at(1);
+        assert_eq!(start_curve(a, s(2), 10.0, 5), vec![0, 1, 0, 0, 0]);
+        assert_eq!(start_curve(b, s(2), 10.0, 5), vec![1, 0, 0, 0, 1]);
+        // No span to slice: everything starts in the first bucket.
+        assert_eq!(start_curve(&log, s(2), 0.0, 3), vec![3, 0, 0]);
+        assert_eq!(start_curve(&[], SimTime::ZERO, 0.0, 3), vec![0, 0, 0]);
     }
 
     /// The definition [`concurrency_peak`] is checked against: one stable
