@@ -15,13 +15,17 @@
 //! harness that is parallel at one level (a fleet wave, a benchmark cell, a
 //! partition) can call code that would fan out on its own (the byte
 //! pipelines, the batch generator) and the host still runs one level of
-//! threads. A one-worker fan-out spawns nothing and marks nothing: beneath
-//! it the calling thread is still the only one, so a nested fan-out may use
-//! the host.
+//! threads. [`auto_workers`] answers 1 on a marked thread, so such code does
+//! not even prepare a fan-out there (split an input, lend scratch tables).
+//! A one-worker fan-out spawns nothing and marks nothing: beneath it the
+//! calling thread is still the only one, so a nested fan-out may use the
+//! host.
 //!
 //! [`run_indexed`] and [`run_with_contexts`] differ only in who owns the
-//! per-worker contexts (built per call, or lent by the caller and kept
-//! across calls), so both are two-line adapters over one private body.
+//! per-worker contexts (built per call on the worker, or lent by the caller
+//! and kept across calls — how the LZSS size count keeps its 320 kB tables
+//! off the spawned threads), so both are two-line adapters over one private
+//! body.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,13 +46,16 @@ pub fn available_workers() -> usize {
     thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// The shared auto-sizing policy for [`run_indexed`] callers: stay
-/// single-threaded when the batch is trivial (`work_items < 2`) or too small
-/// to amortise the scoped-thread fan-out (`total_bytes < threshold_bytes`);
-/// otherwise use the host's available parallelism, capped at one worker per
-/// item.
+/// The shared auto-sizing policy for fan-out callers: one worker when the
+/// batch is trivial (`work_items < 2`), too small to amortise the
+/// scoped-thread fan-out (`total_bytes < threshold_bytes`), or the caller is
+/// itself a fan-out worker (whose fan-outs run inline anyway, so the answer
+/// says what will happen); otherwise the host's available parallelism,
+/// capped at one worker per item. A caller that has to prepare per-worker
+/// state — split an input, lend scratch tables — asks this first and does
+/// none of it when the answer is 1.
 pub fn auto_workers(work_items: usize, total_bytes: u64, threshold_bytes: u64) -> usize {
-    if work_items < 2 || total_bytes < threshold_bytes {
+    if work_items < 2 || total_bytes < threshold_bytes || IS_WORKER.with(Cell::get) {
         1
     } else {
         available_workers().clamp(1, work_items)
@@ -251,6 +258,21 @@ mod tests {
         // The mark lives and dies with the worker threads: back on the
         // caller, every item runs on a spawned thread again.
         assert!(item_threads(8).iter().all(|id| *id != caller));
+    }
+
+    #[test]
+    fn auto_workers_answers_one_inside_a_worker() {
+        let top_level = auto_workers(64, 1 << 30, 0);
+        assert_eq!(top_level, available_workers().min(64));
+        let nested = run_indexed(2, 4, || (), |(), _| auto_workers(64, 1 << 30, 0));
+        assert_eq!(nested, vec![1; 4]);
+        // A one-worker fan-out marks nothing, and neither does a finished one.
+        let inline = run_indexed(1, 2, || (), |(), _| auto_workers(64, 1 << 30, 0));
+        assert_eq!(inline, vec![top_level; 2]);
+        assert_eq!(auto_workers(64, 1 << 30, 0), top_level);
+        // The size rules still apply at top level.
+        assert_eq!(auto_workers(1, 1 << 30, 0), 1);
+        assert_eq!(auto_workers(64, 99, 100), 1);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! bytes expand by the flag overhead (~1/8), which is exactly the behaviour
 //! Fig. 5 shows for Dropbox.
 
+use cloudsim_parallel::{auto_workers, run_with_contexts};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
@@ -115,6 +116,16 @@ const MAX_INPUT: usize = (u32::MAX - 2 * BASE_START) as usize;
 /// leaves the window.
 const FAR: u16 = u16::MAX;
 
+/// Smallest part of one input the size count gives a core of its own: a
+/// segment re-inserts up to `WINDOW` bytes before its start and parses
+/// `SEAM_OVERLAP` bytes past its end, which a smaller part would not repay.
+const MIN_PART: usize = WINDOW;
+
+/// How far past its end a segment keeps parsing to meet the next one (on
+/// the paper's corpora they meet 0–38 bytes past the seam; the test
+/// `seams_meet_on_the_paper_corpora` prints it).
+const SEAM_OVERLAP: usize = 2 * 1024;
+
 /// Reusable match-finder state of the LZSS coder.
 ///
 /// `head` maps the hash of a 4-byte prefix to the most recent position with
@@ -165,6 +176,22 @@ const FAR: u16 = u16::MAX;
 /// One scratch per worker thread: exclusivity comes from the `&mut self`
 /// receivers (the type itself auto-derives `Send`/`Sync` like any plain
 /// `Vec` holder — there is no internal locking to share it through).
+///
+/// # Why the size count may split its input
+///
+/// [`LzssScratch::upload_size`] spreads one input over the host's cores
+/// (see there), and the count comes out the sequential coder's exactly.
+/// What a search at position `i` finds depends only on the chains, and the
+/// chains at `i` hold every position `≤ len − 4` below `i`, inserted in
+/// order, whatever the parse did: a searched position enters after its
+/// search, the positions a match skips right after the match. The walk
+/// never follows a candidate more than `WINDOW` back, and a predecessor
+/// that was never inserted reads as a step out of window, just like one
+/// that is too far. So a segment that first only *inserts* the `WINDOW`
+/// bytes before its start (`tokenize_range`'s warm-up) finds the
+/// sequential `(dist, len)` at every position it searches, and from any
+/// position the sequential parse also visits, its greedy parse *is* the
+/// sequential one.
 #[derive(Debug, Clone)]
 pub struct LzssScratch {
     /// Hash → `base` + most recent position with that 4-byte-prefix hash.
@@ -257,7 +284,7 @@ impl TokenSink for StreamSink<'_> {
 }
 
 /// Counts what [`StreamSink`] would have written.
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct CountingSink {
     tokens: u64,
     token_bytes: u64,
@@ -281,6 +308,183 @@ impl TokenSink for CountingSink {
         self.tokens += 1;
         self.token_bytes += 3;
     }
+}
+
+/// A segment's `(tokens, token_bytes)` before some position.
+type Counts = (u64, u64);
+
+/// `len` consecutive positions from `pos` at which a segment's parse starts
+/// a token (a run of literals, or one match with `len == 1`), and the
+/// segment's counts before `pos`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    pos: usize,
+    len: usize,
+    tokens: u64,
+    token_bytes: u64,
+}
+
+impl Run {
+    /// The segment's `(tokens, token_bytes)` before `at`, one of the run's
+    /// positions: every position before it in the run is a one-byte literal.
+    fn before(&self, at: usize) -> Counts {
+        let literals = (at - self.pos) as u64;
+        (self.tokens + literals, self.token_bytes + literals)
+    }
+}
+
+/// A [`CountingSink`] for one segment of a split count, which also records
+/// where the parse stood near the segment's seams: at positions below
+/// `lead_end` (its start seam) and from `trail_from` on (past its end seam).
+struct SeamSink {
+    count: CountingSink,
+    /// The position the next token starts at.
+    pos: usize,
+    lead_end: usize,
+    trail_from: usize,
+    lead: Vec<Run>,
+    trail: Vec<Run>,
+}
+
+impl SeamSink {
+    /// Records that tokens start at the `n` positions from `self.pos`.
+    fn visit(&mut self, n: usize) {
+        let (from, to) = (self.pos, self.pos + n);
+        let (tokens, token_bytes) = (self.count.tokens, self.count.token_bytes);
+        let run = |lo: usize, hi: usize| {
+            let skipped = (lo - from) as u64;
+            Run {
+                pos: lo,
+                len: hi - lo,
+                tokens: tokens + skipped,
+                token_bytes: token_bytes + skipped,
+            }
+        };
+        if from < self.lead_end {
+            self.lead.push(run(from, to.min(self.lead_end)));
+        }
+        if to > self.trail_from {
+            self.trail.push(run(from.max(self.trail_from), to));
+        }
+    }
+}
+
+impl TokenSink for SeamSink {
+    fn literals(&mut self, run: &[u8]) {
+        if !run.is_empty() {
+            self.visit(run.len());
+        }
+        self.count.literals(run);
+        self.pos += run.len();
+    }
+
+    fn matched(&mut self, dist: usize, len: usize) {
+        self.visit(1);
+        self.count.matched(dist, len);
+        self.pos += len;
+    }
+}
+
+/// The first position two segments' parses both visit — the earlier one's
+/// `trail` against the later one's `lead` — with each segment's counts
+/// before it; `None` if they do not meet in the overlap.
+fn meet(trail: &[Run], lead: &[Run]) -> Option<(usize, Counts, Counts)> {
+    let (mut a, mut b) = (trail.iter().peekable(), lead.iter().peekable());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        let at = x.pos.max(y.pos);
+        if at < x.pos + x.len && at < y.pos + y.len {
+            return Some((at, x.before(at), y.before(at)));
+        }
+        if x.pos + x.len <= y.pos + y.len {
+            a.next();
+        } else {
+            b.next();
+        }
+    }
+    None
+}
+
+/// A size count done in segments: per seam in order, how far past it the
+/// two parses met, up to the first seam where they did not (`None`); and
+/// the counts spliced up to there.
+#[derive(Debug)]
+struct Split {
+    count: CountingSink,
+    meets: Vec<Option<usize>>,
+}
+
+impl Split {
+    /// The spliced count, if the parses met at every seam.
+    fn exact(self) -> Option<CountingSink> {
+        self.meets.iter().all(Option::is_some).then_some(self.count)
+    }
+}
+
+/// Counts the tokens of `data` in `parts` segments, one per scratch of
+/// `scratches` at a time, in parallel. Segment `k` covers the `k`-th of
+/// `parts` equal slices of `data`; it warms its chains up over the
+/// `WINDOW` bytes before its start, parses greedily from there to
+/// `SEAM_OVERLAP` bytes past its end, and records its parse positions near
+/// both seams. At each seam the counts are spliced at the first position
+/// both neighbours' parses visit: from there on the two parses are one (see
+/// [`LzssScratch`]), so the total is each segment's counts between the
+/// meeting points on either side of it.
+fn split_count(scratches: &mut [&mut LzssScratch], data: &[u8], parts: usize) -> Split {
+    let len = data.len();
+    let seam = |k: usize| (len as u64 * k as u64 / parts as u64) as usize;
+    let segments: Vec<SeamSink> = run_with_contexts(scratches, parts, |scratch, k| {
+        let (start, end) = (seam(k), seam(k + 1));
+        let last = k + 1 == parts;
+        let mut sink = SeamSink {
+            count: CountingSink::default(),
+            pos: start,
+            // Ends at `end`, so a meeting point never passes the next one.
+            lead_end: if k == 0 { start } else { (start + SEAM_OVERLAP).min(end) },
+            trail_from: if last { usize::MAX } else { end },
+            lead: Vec::new(),
+            trail: Vec::new(),
+        };
+        let stop_at = if last { len } else { (end + SEAM_OVERLAP).min(len) };
+        scratch.tokenize_range(data, start.saturating_sub(WINDOW), start, stop_at, &mut sink);
+        sink
+    });
+
+    let mut count = CountingSink::default();
+    let mut meets = Vec::with_capacity(parts - 1);
+    // Each segment contributes its counts from where it takes over from
+    // the one before (`entered`) to where the next one takes over (`left`).
+    let mut entered: Counts = (0, 0);
+    for (k, segment) in segments.iter().enumerate() {
+        let (left, next_entered) = match segments.get(k + 1) {
+            None => ((segment.count.tokens, segment.count.token_bytes), (0, 0)),
+            Some(next) => {
+                let Some((at, here, there)) = meet(&segment.trail, &next.lead) else {
+                    meets.push(None);
+                    break;
+                };
+                meets.push(Some(at - seam(k + 1)));
+                (here, there)
+            }
+        };
+        count.tokens += left.0 - entered.0;
+        count.token_bytes += left.1 - entered.1;
+        entered = next_entered;
+    }
+    Split { count, meets }
+}
+
+/// The token count of `data` in `parts` segments over `scratches`, or —
+/// with one part, or where a seam's parses do not meet — sequentially on
+/// the first scratch.
+fn count_in_parts(scratches: &mut [&mut LzssScratch], data: &[u8], parts: usize) -> CountingSink {
+    if parts > 1 {
+        if let Some(count) = split_count(scratches, data, parts).exact() {
+            return count;
+        }
+    }
+    let mut sink = CountingSink::default();
+    scratches[0].tokenize(data, &mut sink);
+    sink
 }
 
 /// Length of the common prefix of two equally long slices, eight bytes per
@@ -347,16 +551,42 @@ impl LzssScratch {
     /// Bytes that travel on the wire for `data` (compressed or stored-mode
     /// fallback): the token sequence of [`LzssScratch::compress_into`],
     /// counted instead of written.
+    ///
+    /// An input of at least two `MIN_PART`s, counted at top level (not on
+    /// a fan-out worker), is split into one segment per core, each parsed
+    /// on its own thread with this scratch or one lent by the calling
+    /// thread (see [`LzssScratch`] for why that is exact, `split_count` for
+    /// the splice). Where two neighbouring parses do not meet within
+    /// `SEAM_OVERLAP` bytes of their seam, the input is counted again
+    /// sequentially; the answer is the same either way.
     pub fn upload_size(&mut self, data: &[u8]) -> u64 {
-        let mut sink = CountingSink::default();
-        self.tokenize(data, &mut sink);
-        sink.stream_len().min(data.len() as u64 + 1)
+        let parts = auto_workers(data.len() / MIN_PART, data.len() as u64, 0);
+        let count = with_lent(self, parts - 1, |scratches| count_in_parts(scratches, data, parts));
+        count.stream_len().min(data.len() as u64 + 1)
     }
 
     /// The match finder: feeds `sink` the literal/match tokens of `data`.
     fn tokenize(&mut self, data: &[u8], sink: &mut impl TokenSink) {
+        self.tokenize_range(data, 0, 0, data.len(), sink);
+    }
+
+    /// The match finder over part of `data`: enters the positions
+    /// `warm_from..start` into the hash chains without searching them, then
+    /// feeds `sink` the tokens of the greedy parse from `start` until it
+    /// reaches `stop_at` — or the last `MIN_MATCH - 1` bytes of `data`,
+    /// which follow as literals. Matches may reach past `stop_at`, up to the
+    /// end of `data`. [`LzssScratch::tokenize`] is the whole-input case.
+    fn tokenize_range(
+        &mut self,
+        data: &[u8],
+        warm_from: usize,
+        start: usize,
+        stop_at: usize,
+        sink: &mut impl TokenSink,
+    ) {
         let len = data.len();
         assert!(len <= MAX_INPUT, "input too large for the LZSS coder");
+        debug_assert!(warm_from <= start && start <= stop_at && stop_at <= len);
         let span = len as u32 + BASE_START;
         if u32::MAX - self.base < span {
             self.head.fill(0);
@@ -371,10 +601,16 @@ impl LzssScratch {
             let prefix = data[pos..pos + 4].try_into().expect("a 4-byte slice");
             (u32::from_le_bytes(prefix).wrapping_mul(2654435761) >> 16) as usize
         };
+        // Positions with `MIN_MATCH` bytes ahead: the ones that are hashed.
+        let searchable = (len + 1).saturating_sub(MIN_MATCH);
 
-        let mut i = 0usize;
-        let mut literals_from = 0usize;
-        while i + MIN_MATCH <= len {
+        for pos in warm_from..start.min(searchable) {
+            insert(head, chain, hash(pos), pos, base + pos as u32);
+        }
+        let parse_end = stop_at.min(searchable);
+        let mut i = start;
+        let mut literals_from = start;
+        while i < parse_end {
             let limit = (len - i).min(MAX_MATCH);
             let here = &data[i..i + limit];
             let cur = base + i as u32;
@@ -411,11 +647,8 @@ impl LzssScratch {
                 sink.matched(best_dist, best_len);
                 // Insert the skipped positions into the hash chains.
                 let end = i + best_len;
-                for pos in i + 1..end.min(len - 3) {
-                    let h = hash(pos);
-                    let at = base + pos as u32;
-                    chain[pos & (WINDOW - 1)] = (at - head[h]).min(FAR as u32) as u16;
-                    head[h] = at;
+                for pos in i + 1..end.min(searchable) {
+                    insert(head, chain, hash(pos), pos, base + pos as u32);
                 }
                 i = end;
                 literals_from = end;
@@ -423,18 +656,55 @@ impl LzssScratch {
                 i += 1;
             }
         }
-        // Fewer than MIN_MATCH bytes left: literals only.
-        sink.literals(&data[literals_from..]);
+        // Stopped short of the tail: the pending literals. Fewer than
+        // MIN_MATCH bytes left: literals only, to the end.
+        sink.literals(&data[literals_from..if i < searchable { i } else { len }]);
     }
 }
 
+/// Makes `pos`, stored as `at = base + pos`, the newest position with hash
+/// `h`, chained to the one before it.
+#[inline(always)]
+fn insert(head: &mut [u32; HEAD_SIZE], chain: &mut [u16; WINDOW], h: usize, pos: usize, at: u32) {
+    chain[pos & (WINDOW - 1)] = (at - head[h]).min(FAR as u32) as u16;
+    head[h] = at;
+}
+
 thread_local! {
-    /// Shared scratch for the allocation-free [`compress`] entry point.
+    /// The calling thread's own scratch, for [`compress`] and
+    /// [`CompressionPolicy::upload_size`].
     static THREAD_SCRATCH: RefCell<LzssScratch> = RefCell::new(LzssScratch::new());
+    /// The scratches this thread lends to the workers of its fan-outs, one
+    /// per extra core, allocated here when first needed: no coder table is
+    /// ever allocated on a spawned thread (where glibc would keep it in a
+    /// per-thread arena).
+    static LENT: RefCell<Vec<LzssScratch>> = const { RefCell::new(Vec::new()) };
 }
 
 fn with_thread_scratch<T>(f: impl FnOnce(&mut LzssScratch) -> T) -> T {
     THREAD_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+}
+
+/// Runs `f` over `own` and `extra` more scratches lent by the calling
+/// thread: the contexts of a fan-out over `extra + 1` workers. With
+/// `extra == 0` nothing is borrowed, so the one worker may lend in turn.
+pub(crate) fn with_lent<T>(
+    own: &mut LzssScratch,
+    extra: usize,
+    f: impl FnOnce(&mut [&mut LzssScratch]) -> T,
+) -> T {
+    if extra == 0 {
+        return f(&mut [own]);
+    }
+    LENT.with(|lent| {
+        let mut lent = lent.borrow_mut();
+        if lent.len() < extra {
+            lent.resize_with(extra, LzssScratch::new);
+        }
+        let mut scratches: Vec<&mut LzssScratch> =
+            std::iter::once(own).chain(&mut lent[..extra]).collect();
+        f(&mut scratches)
+    })
 }
 
 /// Compresses `data` with LZSS. Falls back to stored mode when compression
@@ -567,6 +837,7 @@ pub fn looks_compressed(data: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudsim_workload::{generate, FileKind, Mutation};
     use proptest::prelude::*;
 
     fn dictionary_text(len: usize) -> Vec<u8> {
@@ -1062,5 +1333,169 @@ mod tests {
             let _ = scratch.compress_into(data);
             assert_eq!(scratch.heap_bytes(), footprint);
         }
+    }
+
+    /// The sequential count of `data`.
+    fn sequential_count(data: &[u8]) -> CountingSink {
+        let mut sink = CountingSink::default();
+        LzssScratch::new().tokenize(data, &mut sink);
+        sink
+    }
+
+    /// `data` split in `parts` on as many fresh scratches — an explicit
+    /// part count, so the split runs on a one-core host too.
+    fn split_in_parts(data: &[u8], parts: usize) -> Split {
+        let mut owned: Vec<LzssScratch> = (0..parts).map(|_| LzssScratch::new()).collect();
+        let mut scratches: Vec<&mut LzssScratch> = owned.iter_mut().collect();
+        split_count(&mut scratches, data, parts)
+    }
+
+    /// Where the matches of `data`'s sequential parse end.
+    #[derive(Default)]
+    struct MatchEnds {
+        pos: usize,
+        ends: Vec<usize>,
+    }
+
+    impl TokenSink for MatchEnds {
+        fn literals(&mut self, run: &[u8]) {
+            self.pos += run.len();
+        }
+
+        fn matched(&mut self, _dist: usize, len: usize) {
+            self.pos += len;
+            self.ends.push(self.pos);
+        }
+    }
+
+    /// One input of the split tests, drawn from `seed`: the paper's text,
+    /// random bytes or fake JPEG, or a mix of the three with an echo of its
+    /// start; cut so that the first seam of a `parts`-way split lands
+    /// `nudge - 3` bytes from where a match of the sequential parse ends
+    /// (random bytes have none and are cut anywhere).
+    fn seam_input(seed: u64, parts: usize, nudge: usize) -> Vec<u8> {
+        let mut rng = TestRng::deterministic("seam_input", seed);
+        let len = 40_000 + rng.below(110_000) as usize;
+        let mut data = match rng.below(4) {
+            0 => generate(FileKind::Text, len, seed),
+            1 => generate(FileKind::RandomBinary, len, seed),
+            2 => generate(FileKind::FakeJpeg, len, seed),
+            _ => {
+                let mut data = generate(FileKind::RandomBinary, len / 4, seed);
+                data.extend_from_slice(&generate(FileKind::Text, len / 4, seed));
+                data.extend_from_slice(&generate(FileKind::FakeJpeg, len / 4, seed));
+                data.extend_from_within(..len / 4);
+                data
+            }
+        };
+        let mut sink = MatchEnds::default();
+        LzssScratch::new().tokenize(&data, &mut sink);
+        // Seams past 1 000 bytes, and a cut that leaves the parse up to the
+        // first seam as it was (its matches look at most MAX_MATCH ahead).
+        let room = data.len() / parts - 3;
+        let ends: Vec<usize> =
+            sink.ends.into_iter().filter(|e| (1_000..room).contains(e)).collect();
+        let seam = if ends.is_empty() {
+            1_000 + rng.below((room - 1_000) as u64) as usize
+        } else {
+            ends[rng.below(ends.len() as u64) as usize]
+        };
+        data.truncate(parts * (seam + nudge - 3));
+        data
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The split count is the sequential count: where every seam's
+        /// parses met, the spliced tokens and token bytes; whatever
+        /// happened, what `upload_size` answers (which splits by itself
+        /// on a host with several cores).
+        #[test]
+        fn split_count_equals_the_sequential_count(
+            seed in any::<u64>(),
+            parts in 2usize..=8,
+            nudge in 0usize..7,
+        ) {
+            let data = seam_input(seed, parts, nudge);
+            let sequential = sequential_count(&data);
+            let split = split_in_parts(&data, parts);
+            // Every seam met, or the first one that did not ended the splice.
+            prop_assert!(split.meets.len() == parts - 1 || split.meets.last() == Some(&None));
+            if let Some(count) = split.exact() {
+                prop_assert_eq!(count, sequential);
+            }
+            let size = sequential.stream_len().min(data.len() as u64 + 1);
+            prop_assert_eq!(LzssScratch::new().upload_size(&data), size);
+            prop_assert_eq!(CompressionPolicy::Always.upload_size(&data), size);
+        }
+    }
+
+    /// A run of one byte value across a seam: both greedy parses step
+    /// through it by `MAX_MATCH`, so they meet only when the seam sits a
+    /// multiple of `MAX_MATCH` past the run's first match; otherwise not
+    /// within `SEAM_OVERLAP`, and the count falls back — still exact.
+    #[test]
+    fn a_seam_inside_a_constant_run_falls_back_unless_aligned() {
+        let seam = 20_000;
+        for (offset, aligned) in [(38 * MAX_MATCH, true), (38 * MAX_MATCH + 100, false)] {
+            // The run's first byte is a literal; its matches start one later.
+            let run_start = seam - offset - 1;
+            let mut data = random_bytes(run_start, 1);
+            data.resize(30_000, 7);
+            data.extend_from_slice(&random_bytes(2 * seam - data.len(), 2));
+            let split = split_in_parts(&data, 2);
+            assert_eq!(split.meets, vec![aligned.then_some(0)], "offset {offset}");
+            let mut owned = [LzssScratch::new(), LzssScratch::new()];
+            let [a, b] = &mut owned;
+            let count = count_in_parts(&mut [a, b], &data, 2);
+            assert_eq!(count, sequential_count(&data), "offset {offset}");
+        }
+    }
+
+    /// The paper's corpora (Fig. 5's three kinds at its sizes, the suite's
+    /// text and binary files, Fig. 4's modified revisions) split 2–8 ways:
+    /// every count exact, every seam met. Prints how far past the seam the
+    /// parses met and how many seams fell back, so a tokenizer change that
+    /// breaks the meeting shows in CI's log as fallbacks first.
+    #[test]
+    fn seams_meet_on_the_paper_corpora() {
+        let sizes: &[usize] =
+            if cfg!(debug_assertions) { &[100_000] } else { &[100_000, 500_000, 1_000_000] };
+        let mut corpora = Vec::new();
+        for &size in sizes {
+            for kind in [FileKind::Text, FileKind::RandomBinary, FileKind::FakeJpeg] {
+                corpora.push(generate(kind, size, size as u64));
+            }
+        }
+        let base = generate(FileKind::RandomBinary, 200_000, 4);
+        for mutation in [Mutation::Append { len: 100_000 }, Mutation::InsertRandom { len: 100_000 }]
+        {
+            corpora.push(mutation.apply(&base, 5));
+        }
+        let (mut meets, mut fallbacks) = (Vec::<usize>::new(), 0);
+        for data in &corpora {
+            let sequential = sequential_count(data);
+            for parts in 2..=8 {
+                let split = split_in_parts(data, parts);
+                fallbacks += split.meets.iter().filter(|m| m.is_none()).count();
+                meets.extend(split.meets.iter().flatten());
+                if let Some(count) = split.exact() {
+                    assert_eq!(count, sequential, "{} bytes in {parts}", data.len());
+                }
+            }
+        }
+        meets.sort_unstable();
+        let quantile = |q: usize| meets[(meets.len() - 1) * q / 100];
+        println!(
+            "seams met: {} (distance past the seam min {} / median {} / p90 {} / max {} bytes); \
+             fallbacks: {fallbacks}",
+            meets.len(),
+            quantile(0),
+            quantile(50),
+            quantile(90),
+            quantile(100),
+        );
+        assert_eq!(fallbacks, 0);
     }
 }

@@ -9,18 +9,23 @@
 //! * **Zero-copy**: every stage works on borrowed slices of the original
 //!   file content ([`FileJob`] holds `&[u8]`); nothing is copied until a
 //!   result must be owned.
-//! * **Preallocated scratch**: each worker owns one
-//!   [`crate::compress::LzssScratch`], so the LZSS coder
-//!   performs no per-chunk heap allocation, and the content-defined chunker
-//!   reads a `static` gear table.
+//! * **Preallocated scratch**: each worker codes with a
+//!   [`crate::compress::LzssScratch`] the calling thread owns and lends it,
+//!   so the LZSS coder performs no per-chunk heap allocation and no table is
+//!   allocated on a spawned thread; the content-defined chunker reads a
+//!   `static` gear table.
 //! * **Fanned out where it pays**: work is spread across *chunks and files*
-//!   by [`cloudsim_parallel::run_indexed`] — first the per-file boundary
-//!   scans, then the flattened `(file, chunk)` hash/delta/compress units, so
-//!   one huge file parallelises as well as many small ones. How many threads
-//!   a batch gets is worked out, never chosen: one below
-//!   `PARALLEL_THRESHOLD_BYTES` of content, one when the caller is already a
-//!   fan-out worker (a fleet wave, a benchmark cell), the host's cores
-//!   otherwise.
+//!   by `cloudsim_parallel` — first the per-file boundary scans, then the
+//!   flattened `(file, chunk)` hash/delta/compress units, so one huge file
+//!   parallelises as well as many small ones — and a chunk coded on the
+//!   calling thread splits its LZSS size count across the cores in turn
+//!   ([`crate::compress::LzssScratch::upload_size`]). How many threads a
+//!   stage gets is worked out, never chosen, by
+//!   [`cloudsim_parallel::auto_workers`]: one when its work is under
+//!   `PARALLEL_THRESHOLD_BYTES` — content bytes for the scans, and for the
+//!   chunk units content bytes plus `LZSS_BYTE_COST` per byte the policy
+//!   codes — one when the caller is already a fan-out worker (a fleet wave,
+//!   a benchmark cell), the host's cores otherwise.
 //! * **Deterministic**: workers tag every result with its work-item index
 //!   and the merge step reassembles them in file/chunk order, so the
 //!   produced artifacts — and therefore every downstream byte count — do not
@@ -34,15 +39,21 @@
 //! deterministic file order.
 
 use crate::chunker::{Chunk, ChunkSpan, ChunkingStrategy};
-use crate::compress::{CompressionPolicy, LzssScratch};
+use crate::compress::{with_lent, CompressionPolicy, LzssScratch};
 use crate::delta::{DeltaScript, Signature};
 use crate::hash::ContentHash;
-use cloudsim_parallel::{auto_workers, run_indexed};
+use cloudsim_parallel::{auto_workers, run_indexed, run_with_contexts};
 
-/// Batches smaller than this (total content bytes; uploads and restores
-/// alike) run on the calling thread: the scoped-thread fan-out costs more
-/// than the work.
+/// Batches with less work than this run on the calling thread: the
+/// scoped-thread fan-out costs more than the work. Counted in hashed bytes
+/// — a batch's content bytes for the boundary scans and for restores, plus
+/// `LZSS_BYTE_COST` per coded byte for the upload estimates.
 pub(crate) const PARALLEL_THRESHOLD_BYTES: u64 = 4 * 1024 * 1024;
+
+/// What counting one byte through the LZSS coder costs, in hashed bytes:
+/// about 25 ns against 1 ns (SHA-256 on the CPU's extensions) on the
+/// benchmark host. A batch that codes more than ~160 kB fans out.
+const LZSS_BYTE_COST: u64 = 25;
 
 /// What the pipeline computes per chunk (see [`ChunkArtifacts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,9 +122,10 @@ pub struct PipelineSpec {
     pub delta_encoding: bool,
 }
 
-/// The upload pipeline: a value without state (worker scratch lives on the
-/// worker threads). `sequential()`, `parallel()` and `default()` are names
-/// for it that `perf/` imports; none of them chooses anything.
+/// The upload pipeline: a value without state (the coder scratch is the
+/// calling thread's, lent to the workers). `sequential()`, `parallel()` and
+/// `default()` are names for it that `perf/` imports; none of them chooses
+/// anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UploadPipeline;
 
@@ -178,11 +190,23 @@ impl UploadPipeline {
             })
             .collect();
 
-        let chunk_artifacts: Vec<ChunkArtifacts> = run_indexed(
-            auto_workers(units.len(), total_bytes, PARALLEL_THRESHOLD_BYTES),
-            units.len(),
-            LzssScratch::new,
-            |scratch, unit_idx| {
+        // Stage 2's work in hashed bytes: every chunk is hashed, and a chunk
+        // the policy codes costs `LZSS_BYTE_COST` more per byte.
+        let work: u64 = units
+            .iter()
+            .map(|&(file_idx, chunk_idx)| {
+                let span = boundaries[file_idx].0[chunk_idx];
+                let coded = spec.compression.compresses(&jobs[file_idx].content[span.range()]);
+                span.len * (1 + LZSS_BYTE_COST * u64::from(coded))
+            })
+            .sum();
+        let workers = auto_workers(units.len(), work, PARALLEL_THRESHOLD_BYTES);
+        // A scratch for this call, as before, and the calling thread's lent
+        // ones for the other workers. One worker runs inline, where a large
+        // chunk's size count splits in turn.
+        let mut own = LzssScratch::new();
+        let chunk_artifacts: Vec<ChunkArtifacts> = with_lent(&mut own, workers - 1, |scratches| {
+            run_with_contexts(scratches, units.len(), |scratch, unit_idx| {
                 let (file_idx, chunk_idx) = units[unit_idx];
                 let job = &jobs[file_idx];
                 let (new_spans, old_spans) = &boundaries[file_idx];
@@ -217,8 +241,8 @@ impl UploadPipeline {
                     _ => spec.compression.upload_size_with(scratch, data),
                 };
                 ChunkArtifacts { chunk, full_upload_bytes, delta }
-            },
-        );
+            })
+        });
 
         // Merge — reassemble per-file in deterministic order.
         let mut out: Vec<FileArtifacts> = boundaries
@@ -338,6 +362,30 @@ pub(crate) mod tests {
         };
         assert_eq!(artifacts[0].chunks[0].full_upload_bytes, 0, "the filter's hit");
         assert!(artifacts[1].chunks.iter().any(|c| c.delta.is_some()), "the delta job");
+    }
+
+    /// The chunk fan-out counts work, not bytes: 400 kB the policy codes is
+    /// over the threshold (a coded byte costs `LZSS_BYTE_COST` hashed ones),
+    /// the same bytes under `Never` are not.
+    #[test]
+    fn coded_batches_fan_out_far_below_the_byte_threshold() {
+        let files: Vec<Vec<u8>> = (0..8).map(|i| text(50_000 + i)).collect();
+        let jobs: Vec<FileJob<'_>> =
+            files.iter().map(|content| FileJob { content, previous: None }).collect();
+        let coded = spec();
+        top_level_equals_nested(|note| {
+            UploadPipeline.process_filtered(&coded, &jobs, &|_| {
+                note();
+                false
+            })
+        });
+        let plain = PipelineSpec { compression: CompressionPolicy::Never, ..coded };
+        let threads = Mutex::new(HashSet::new());
+        UploadPipeline.process_filtered(&plain, &jobs, &|_| {
+            threads.lock().unwrap().insert(thread::current().id());
+            false
+        });
+        assert_eq!(threads.into_inner().unwrap(), HashSet::from([thread::current().id()]));
     }
 
     #[test]
