@@ -10,10 +10,9 @@
 //!    sharded store is at least as fast (wall-clock, 15% grace for
 //!    scheduler noise) as the sequential replay, and a raw multi-threaded
 //!    commit storm against the sharded store is at least as fast as against
-//!    the single-lock (1-shard) layout. With `FLEET_BENCH_STRICT=1` (quiet
-//!    4+ core hardware) the fleet must additionally show a real >=1.2x
-//!    speedup over the replay; on shared CI runners or single-core hosts
-//!    parity is the honest bound, so the strict check is opt-in.
+//!    the single-lock (1-shard) layout. On shared CI runners or single-core
+//!    hosts parity is the honest bound; the fleet's real speedup is
+//!    `perf/`'s `services.fleet_nw_speedup` row.
 //!
 //! Run with: `cargo bench -p cloudbench-bench --bench fleet_scaling`
 
@@ -115,23 +114,6 @@ fn acceptance(c: &mut Criterion) {
         concurrent_t.as_secs_f64() <= sequential_t.as_secs_f64() * 1.15,
         "concurrent fleet ({concurrent_t:?}) slower than sequential replay ({sequential_t:?})"
     );
-    // Demanding a real speedup is only meaningful with idle cores to run on;
-    // shared CI runners can't promise that, so the strict bound is opt-in
-    // (set FLEET_BENCH_STRICT=1 on dedicated hardware).
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let speedup = sequential_t.as_secs_f64() / concurrent_t.as_secs_f64().max(1e-9);
-    if std::env::var_os("FLEET_BENCH_STRICT").is_some() {
-        assert!(
-            cores >= 4 && speedup >= 1.2,
-            "FLEET_BENCH_STRICT: the 8-client fleet must beat the sequential replay by \
-             >=1.2x on a 4+ core host, got {speedup:.2}x on {cores} cores"
-        );
-    } else if cores >= 4 && speedup < 1.2 {
-        println!(
-            "warning: only {speedup:.2}x fleet speedup on {cores} cores \
-             (noisy host? rerun with FLEET_BENCH_STRICT=1 on quiet hardware)"
-        );
-    }
 
     // --- Invariant 2b: sharded store >= single-lock store under a storm. ---
     let threads = 8;

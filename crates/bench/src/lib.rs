@@ -21,8 +21,8 @@
 //! * Two Criterion targets under `benches/` remain because they assert
 //!   something (`fleet_scaling`: sharded ≥ single-lock and concurrent ≡
 //!   sequential store state; `trace_overhead`: the capture is a pure
-//!   observer within a 1.5× wall budget). Host-time measurement itself
-//!   lives in the `perf/` crate.
+//!   observer, and the traced/traceless wall ratio is printed). Host-time
+//!   measurement itself lives in the `perf/` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

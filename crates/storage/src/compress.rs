@@ -68,15 +68,6 @@ impl CompressionPolicy {
             data.len() as u64
         }
     }
-
-    /// Transforms `data` into the byte stream that goes on the wire.
-    pub fn encode(&self, data: &[u8]) -> Vec<u8> {
-        if self.compresses(data) {
-            compress(data)
-        } else {
-            stored(data)
-        }
-    }
 }
 
 /// Dropbox in the paper compresses with zlib; the LZSS implemented here is
@@ -90,13 +81,6 @@ const TAG_LZSS: u8 = 1;
 const WINDOW: usize = 32 * 1024;
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 259;
-
-fn stored(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() + 1);
-    out.push(TAG_STORED);
-    out.extend_from_slice(data);
-    out
-}
 
 /// Number of hash-chain candidates examined per position.
 const MAX_TRIES: u32 = 32;
@@ -132,8 +116,8 @@ const SEAM_OVERLAP: usize = 2 * 1024;
 /// that hash; `chain` is a ring of `WINDOW` entries, `chain[pos & (WINDOW -
 /// 1)]` holding how far back the previous position with `pos`'s hash lies —
 /// a ring is enough, because candidates further than `WINDOW` back are
-/// never followed. Both tables and the output buffer are reused, so a
-/// warmed-up scratch performs **zero heap allocation per call**.
+/// never followed. Both tables are reused, so a sequential size count
+/// performs **zero heap allocation**.
 ///
 /// # Why the tokens are exactly the plain hash-chain coder's
 ///
@@ -202,8 +186,6 @@ pub struct LzssScratch {
     chain: Box<[u16; WINDOW]>,
     /// Offset the next call adds to its positions.
     base: u32,
-    /// Reused output buffer.
-    buf: Vec<u8>,
 }
 
 impl Default for LzssScratch {
@@ -233,7 +215,6 @@ struct StreamSink<'a> {
 
 impl<'a> StreamSink<'a> {
     fn new(out: &'a mut Vec<u8>, plain_len: usize) -> Self {
-        out.clear();
         out.push(TAG_LZSS);
         out.extend_from_slice(&(plain_len as u32).to_le_bytes());
         let flags_pos = out.len();
@@ -522,35 +503,11 @@ impl LzssScratch {
     /// tests reach the wrap rule without 4 GB of input.
     fn with_base(base: u32) -> LzssScratch {
         assert!(base >= BASE_START);
-        LzssScratch { head: zeroed_table(), chain: zeroed_table(), base, buf: Vec::new() }
-    }
-
-    /// Bytes of heap the scratch currently owns — test hook for the
-    /// zero-per-call-growth guarantee.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.head)
-            + std::mem::size_of_val(&*self.chain)
-            + self.buf.capacity()
-    }
-
-    /// Compresses `data`, returning the wire bytes as a slice into the
-    /// reused internal buffer (valid until the next call). Falls back to
-    /// stored mode when compression would expand the input.
-    pub fn compress_into(&mut self, data: &[u8]) -> &[u8] {
-        let mut out = std::mem::take(&mut self.buf);
-        self.tokenize(data, &mut StreamSink::new(&mut out, data.len()));
-        if out.len() > data.len() {
-            out.clear();
-            out.push(TAG_STORED);
-            out.extend_from_slice(data);
-        }
-        self.buf = out;
-        &self.buf
+        LzssScratch { head: zeroed_table(), chain: zeroed_table(), base }
     }
 
     /// Bytes that travel on the wire for `data` (compressed or stored-mode
-    /// fallback): the token sequence of [`LzssScratch::compress_into`],
-    /// counted instead of written.
+    /// fallback): the token sequence [`compress`] writes, counted instead.
     ///
     /// An input of at least two `MIN_PART`s, counted at top level (not on
     /// a fan-out worker), is split into one segment per core, each parsed
@@ -709,14 +666,23 @@ pub(crate) fn with_lent<T>(
 
 /// Compresses `data` with LZSS. Falls back to stored mode when compression
 /// would expand the input. Uses a per-thread [`LzssScratch`], so repeated
-/// calls do not re-allocate the match-finder tables; pipeline workers that
-/// own a scratch should call [`LzssScratch::compress_into`] directly.
+/// calls do not re-allocate the match-finder tables. The library itself
+/// never writes a stream: both byte pipelines only count one
+/// ([`CompressionPolicy::upload_size_with`]).
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    with_thread_scratch(|scratch| scratch.compress_into(data).to_vec())
+    let mut out = Vec::new();
+    with_thread_scratch(|scratch| {
+        scratch.tokenize(data, &mut StreamSink::new(&mut out, data.len()));
+    });
+    if out.len() > data.len() {
+        out.clear();
+        out.push(TAG_STORED);
+        out.extend_from_slice(data);
+    }
+    out
 }
 
-/// Decompresses a stream produced by [`compress`] or
-/// [`CompressionPolicy::encode`].
+/// Decompresses a stream produced by [`compress`].
 pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, DecompressError> {
     let Some((&tag, rest)) = stream.split_first() else {
         return Err(DecompressError::Truncated);
@@ -871,6 +837,13 @@ mod tests {
         out
     }
 
+    /// The stored-mode wire form of `data`: its tag, then the bytes.
+    fn stored(data: &[u8]) -> Vec<u8> {
+        let mut out = vec![TAG_STORED];
+        out.extend_from_slice(data);
+        out
+    }
+
     #[test]
     fn text_compresses_well_and_roundtrips() {
         let text = dictionary_text(200_000);
@@ -942,17 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_roundtrips_under_every_policy() {
-        let text = dictionary_text(50_000);
-        for policy in
-            [CompressionPolicy::Never, CompressionPolicy::Always, CompressionPolicy::Smart]
-        {
-            let encoded = policy.encode(&text);
-            assert_eq!(decompress(&encoded).unwrap(), text, "{policy:?}");
-        }
-    }
-
-    #[test]
     fn magic_number_detection() {
         assert!(looks_compressed(b"\xFF\xD8\xFF\xE0 rest of jpeg"));
         assert!(looks_compressed(b"\x89PNG\r\n\x1a\n...."));
@@ -980,21 +942,16 @@ mod tests {
             Vec::new(),
             dictionary_text(300_000),
         ];
-        // Warm up with every input so the output buffer reaches its
-        // high-water mark, then assert the heap footprint never grows again.
-        for data in &inputs {
-            let _ = scratch.compress_into(data);
-        }
-        let footprint = scratch.heap_bytes();
-        for (i, data) in inputs.iter().enumerate() {
-            let wire = scratch.compress_into(data).to_vec();
-            assert_eq!(decompress(&wire).unwrap(), *data, "case {i}");
-            assert_eq!(wire, compress(data), "scratch and one-shot paths must agree, case {i}");
-            assert_eq!(
-                scratch.heap_bytes(),
-                footprint,
-                "per-call heap growth detected on case {i}"
-            );
+        // The tables are the scratch's only heap, allocated once: every
+        // count reuses them, and each one prices what `compress` writes.
+        let tables = (scratch.head.as_ptr(), scratch.chain.as_ptr());
+        for _ in 0..2 {
+            for (i, data) in inputs.iter().enumerate() {
+                let wire = compress(data);
+                assert_eq!(decompress(&wire).unwrap(), *data, "case {i}");
+                assert_eq!(scratch.upload_size(data), wire.len() as u64, "case {i}");
+                assert_eq!((scratch.head.as_ptr(), scratch.chain.as_ptr()), tables, "case {i}");
+            }
         }
     }
 
@@ -1243,8 +1200,8 @@ mod tests {
         data
     }
 
-    /// The token stream and both entry points against the reference, on
-    /// one scratch (four coder calls).
+    /// The token stream and both entry points against the reference: three
+    /// coder calls on `scratch`, and [`compress`] on the thread's own.
     fn assert_matches_reference(
         scratch: &mut LzssScratch,
         data: &[u8],
@@ -1258,7 +1215,7 @@ mod tests {
         prop_assert_eq!(counted.stream_len(), reference.len() as u64);
 
         let wire = if reference.len() > data.len() { stored(data) } else { reference };
-        prop_assert!(scratch.compress_into(data) == wire, "wire differs, len {}", data.len());
+        prop_assert!(compress(data) == wire, "wire differs, len {}", data.len());
         prop_assert_eq!(scratch.upload_size(data), (wire.len() as u64).min(data.len() as u64 + 1));
         Ok(())
     }
@@ -1311,27 +1268,11 @@ mod tests {
             let first_span = inputs[0].len() as u32 + BASE_START;
             let mut scratch = LzssScratch::with_base(u32::MAX - first_span - slack);
             for data in &inputs {
-                // Four calls per input: only the very first fits under the
+                // Three calls per input: only the very first fits under the
                 // wrap, the second has already refilled.
                 assert_matches_reference(&mut scratch, data)?;
                 prop_assert!(scratch.base >= BASE_START && scratch.base < u32::MAX / 2);
             }
-        }
-    }
-
-    #[test]
-    fn scratch_footprint_stays_flat_across_calls() {
-        let mut scratch = LzssScratch::new();
-        let inputs: Vec<Vec<u8>> = (0..12).map(differential_input).collect();
-        for data in &inputs {
-            let _ = scratch.compress_into(data);
-        }
-        let footprint = scratch.heap_bytes();
-        assert!(footprint >= 4 * HEAD_SIZE + 2 * WINDOW);
-        for data in &inputs {
-            let _ = scratch.upload_size(data);
-            let _ = scratch.compress_into(data);
-            assert_eq!(scratch.heap_bytes(), footprint);
         }
     }
 

@@ -31,12 +31,13 @@
 //!   preallocated per-worker scratch, fanned out across chunks and files
 //!   when the batch is large enough and the caller is not already a fan-out
 //!   worker,
-//! * [`restore`] — the download direction: a restore pipeline, fanned out by
-//!   the same rule, that reads manifests back out of the store, skips chunks
-//!   the client already holds, downloads deltas against locally held bases,
-//!   decodes the wire encoding with reusable scratch and reassembles
-//!   byte-identical content (failing with typed errors, not panics, on
-//!   hard-deleted manifests).
+//! * [`restore`] — the download direction: a restore pipeline, run through
+//!   the upload pipeline's per-chunk stage, that reads manifests back out of
+//!   the store, skips chunks the client already holds, downloads deltas
+//!   against locally held bases, prices full downloads with the upload
+//!   side's size count and reassembles byte-identical, SHA-256-checked
+//!   content (failing with typed errors, not panics, on hard-deleted
+//!   manifests).
 
 // Denied, not forbidden: `hash.rs` allows it for one statement, the call into
 // the SHA-extension kernel behind the CPU feature test (CI counts the allows).

@@ -16,7 +16,7 @@
 //!   `static` gear table.
 //! * **Fanned out where it pays**: work is spread across *chunks and files*
 //!   by `cloudsim_parallel` — first the per-file boundary scans, then the
-//!   flattened `(file, chunk)` hash/delta/compress units, so one huge file
+//!   flattened `(file, chunk)` hash/delta/size-count units, so one huge file
 //!   parallelises as well as many small ones — and a chunk coded on the
 //!   calling thread splits its LZSS size count across the cores in turn
 //!   ([`crate::compress::LzssScratch::upload_size`]). How many threads a
@@ -26,6 +26,11 @@
 //!   chunk units content bytes plus `LZSS_BYTE_COST` per byte the policy
 //!   codes — one when the caller is already a fan-out worker (a fleet wave,
 //!   a benchmark cell), the host's cores otherwise.
+//! * **One per-chunk stage for both directions**: the chunk units are
+//!   flattened, weighed, fanned out and regrouped per file by one helper,
+//!   `per_chunk`, which the restore pipeline ([`crate::restore`]) calls
+//!   too. A full download is priced by the same size count as a full
+//!   upload, so the two directions differ only in what they do per chunk.
 //! * **Deterministic**: workers tag every result with its work-item index
 //!   and the merge step reassembles them in file/chunk order, so the
 //!   produced artifacts — and therefore every downstream byte count — do not
@@ -46,8 +51,8 @@ use cloudsim_parallel::{auto_workers, run_indexed, run_with_contexts};
 
 /// Batches with less work than this run on the calling thread: the
 /// scoped-thread fan-out costs more than the work. Counted in hashed bytes
-/// — a batch's content bytes for the boundary scans and for restores, plus
-/// `LZSS_BYTE_COST` per coded byte for the upload estimates.
+/// — a batch's content bytes for the boundary scans, plus `LZSS_BYTE_COST`
+/// per coded byte for the per-chunk stage of either direction.
 pub(crate) const PARALLEL_THRESHOLD_BYTES: u64 = 4 * 1024 * 1024;
 
 /// What counting one byte through the LZSS coder costs, in hashed bytes:
@@ -179,81 +184,86 @@ impl UploadPipeline {
             },
         );
 
-        // Stage 2 — flatten to (file, chunk) work units and fan out the
-        // expensive per-chunk work: SHA-256, then (unless the chunk is
-        // already known to the server) LZSS coding and delta estimation.
-        let units: Vec<(usize, usize)> = boundaries
-            .iter()
-            .enumerate()
-            .flat_map(|(file_idx, (new_spans, _))| {
-                (0..new_spans.len()).map(move |chunk_idx| (file_idx, chunk_idx))
-            })
-            .collect();
-
-        // Stage 2's work in hashed bytes: every chunk is hashed, and a chunk
-        // the policy codes costs `LZSS_BYTE_COST` more per byte.
-        let work: u64 = units
-            .iter()
-            .map(|&(file_idx, chunk_idx)| {
-                let span = boundaries[file_idx].0[chunk_idx];
-                let coded = spec.compression.compresses(&jobs[file_idx].content[span.range()]);
-                span.len * (1 + LZSS_BYTE_COST * u64::from(coded))
-            })
-            .sum();
-        let workers = auto_workers(units.len(), work, PARALLEL_THRESHOLD_BYTES);
-        // A scratch for this call, as before, and the calling thread's lent
-        // ones for the other workers. One worker runs inline, where a large
-        // chunk's size count splits in turn.
-        let mut own = LzssScratch::new();
-        let chunk_artifacts: Vec<ChunkArtifacts> = with_lent(&mut own, workers - 1, |scratches| {
-            run_with_contexts(scratches, units.len(), |scratch, unit_idx| {
-                let (file_idx, chunk_idx) = units[unit_idx];
-                let job = &jobs[file_idx];
-                let (new_spans, old_spans) = &boundaries[file_idx];
-                let span = new_spans[chunk_idx];
-                let data = &job.content[span.range()];
-
-                let chunk = Chunk::from_slice(span.offset, data);
-                if known(&chunk.hash) {
-                    return ChunkArtifacts { chunk, full_upload_bytes: 0, delta: None };
-                }
-                let delta = match (job.previous, old_spans.get(chunk_idx)) {
-                    (Some(old), Some(old_span)) => {
-                        let old_data = &old[old_span.range()];
-                        if old_data != data {
-                            let signature = Signature::new(old_data);
-                            let script = DeltaScript::compute(&signature, data);
-                            Some(DeltaEstimate {
-                                wire_bytes: script.wire_size(),
-                                signature_bytes: signature.wire_size(),
-                            })
-                        } else {
-                            None
-                        }
+        // Stage 2 — the per-chunk stage: SHA-256, then (unless the chunk is
+        // already known to the server) LZSS size count and delta estimate.
+        let counts: Vec<usize> = boundaries.iter().map(|(new_spans, _)| new_spans.len()).collect();
+        let data = |file_idx: usize, chunk_idx: usize| {
+            &jobs[file_idx].content[boundaries[file_idx].0[chunk_idx].range()]
+        };
+        let chunks = per_chunk(spec.compression, &counts, data, |scratch, file_idx, chunk_idx| {
+            let (new_spans, old_spans) = &boundaries[file_idx];
+            let span = new_spans[chunk_idx];
+            let data = data(file_idx, chunk_idx);
+            let chunk = Chunk::from_slice(span.offset, data);
+            if known(&chunk.hash) {
+                return ChunkArtifacts { chunk, full_upload_bytes: 0, delta: None };
+            }
+            let delta = match (jobs[file_idx].previous, old_spans.get(chunk_idx)) {
+                (Some(old), Some(old_span)) => {
+                    let old_data = &old[old_span.range()];
+                    if old_data != data {
+                        let signature = Signature::new(old_data);
+                        let script = DeltaScript::compute(&signature, data);
+                        Some(DeltaEstimate {
+                            wire_bytes: script.wire_size(),
+                            signature_bytes: signature.wire_size(),
+                        })
+                    } else {
+                        None
                     }
-                    _ => None,
-                };
-                // A winning delta (the merge step's condition) means the full
-                // upload size is never read — skip the LZSS pass entirely,
-                // matching the old sequential planner's early return.
-                let full_upload_bytes = match delta {
-                    Some(est) if est.wire_bytes < span.len => 0,
-                    _ => spec.compression.upload_size_with(scratch, data),
-                };
-                ChunkArtifacts { chunk, full_upload_bytes, delta }
-            })
+                }
+                _ => None,
+            };
+            // A winning delta (the merge step's condition) means the full
+            // upload size is never read — skip the LZSS pass entirely,
+            // matching the old sequential planner's early return.
+            let full_upload_bytes = match delta {
+                Some(est) if est.wire_bytes < span.len => 0,
+                _ => spec.compression.upload_size_with(scratch, data),
+            };
+            ChunkArtifacts { chunk, full_upload_bytes, delta }
         });
-
-        // Merge — reassemble per-file in deterministic order.
-        let mut out: Vec<FileArtifacts> = boundaries
-            .iter()
-            .map(|(new_spans, _)| FileArtifacts { chunks: Vec::with_capacity(new_spans.len()) })
-            .collect();
-        for ((file_idx, _), artifact) in units.into_iter().zip(chunk_artifacts) {
-            out[file_idx].chunks.push(artifact);
-        }
-        out
+        chunks.into_iter().map(|chunks| FileArtifacts { chunks }).collect()
     }
+}
+
+/// The per-chunk stage of both byte pipelines: runs `chunk(scratch, file,
+/// index)` for every chunk of a batch of files (`counts[file]` chunks
+/// each) and returns the results per file, in chunk order.
+///
+/// The fan-out weighs each chunk in hashed bytes: the `bytes(file, index)`
+/// it hashes, plus `LZSS_BYTE_COST` per byte if the policy codes them.
+/// One worker runs on the calling thread, where a large chunk's size count
+/// splits in turn; more borrow the calling thread's lent scratches, so no
+/// coder table is allocated on a spawned thread.
+pub(crate) fn per_chunk<'a, T: Send>(
+    compression: CompressionPolicy,
+    counts: &[usize],
+    bytes: impl Fn(usize, usize) -> &'a [u8],
+    chunk: impl Fn(&mut LzssScratch, usize, usize) -> T + Sync,
+) -> Vec<Vec<T>> {
+    let units: Vec<(usize, usize)> = counts
+        .iter()
+        .enumerate()
+        .flat_map(|(file, &n)| (0..n).map(move |index| (file, index)))
+        .collect();
+    let work: u64 = units
+        .iter()
+        .map(|&(file, index)| {
+            let data = bytes(file, index);
+            data.len() as u64 * (1 + LZSS_BYTE_COST * u64::from(compression.compresses(data)))
+        })
+        .sum();
+    let workers = auto_workers(units.len(), work, PARALLEL_THRESHOLD_BYTES);
+    let mut own = LzssScratch::new();
+    let results = with_lent(&mut own, workers - 1, |scratches| {
+        run_with_contexts(scratches, units.len(), |scratch, unit| {
+            let (file, index) = units[unit];
+            chunk(scratch, file, index)
+        })
+    });
+    let mut results = results.into_iter();
+    counts.iter().map(|&n| results.by_ref().take(n).collect()).collect()
 }
 
 #[cfg(test)]

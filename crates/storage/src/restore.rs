@@ -17,25 +17,25 @@
 //!   the service delta-encodes, the server sends an rsync-style script
 //!   against the same-index base chunk instead of the full chunk, whenever
 //!   that is smaller.
-//! * **Compressed on the wire, one encode per chunk**: a full chunk download
-//!   travels in the service's compression encoding. The worker runs the LZSS
-//!   coder once over the stored payload with its own reusable
-//!   [`LzssScratch`]; the wire buffer that comes out prices the download
-//!   (`download_bytes`, by the rule of
-//!   [`crate::compress::CompressionPolicy::upload_size`]),
-//!   is what the delta script has to beat, and is the buffer that gets
-//!   decoded and SHA-256-checked against the manifest's hash if the full
-//!   download wins. Nothing is encoded only to be measured.
-//! * **One copy per byte**: a chunk the client already holds is appended to
-//!   the file straight from its shared handle, a one-chunk file *is* its
-//!   decoded chunk's buffer, and [`RestoredFile::content`] sits behind an
-//!   [`Arc`] so the client can keep it as the next delta base without
-//!   cloning it.
-//! * **Deterministic**: per-chunk work is pure and merged in file/chunk
-//!   order, so content *and* byte counts do not depend on how many threads
-//!   the fan-out got (the upload pipeline's rule: one below the shared
-//!   threshold or inside another fan-out's worker, the host's cores
-//!   otherwise). Property tests assert upload→restore round-trips exactly.
+//! * **Priced, not produced, on the wire**: a full chunk download travels
+//!   in the service's compression encoding, and what it costs
+//!   (`download_bytes`) is the upload side's count for the same bytes,
+//!   [`crate::compress::CompressionPolicy::upload_size_with`] on a scratch
+//!   the calling thread lends. That price is what the delta script has to
+//!   beat. The plaintext a client would decode is the stored payload
+//!   itself, so once it is SHA-256-checked against the manifest's hash the
+//!   stored handle is served: nothing is encoded or decoded.
+//! * **One copy per byte**: a chunk the client already holds and a
+//!   downloaded chunk are both appended to the file straight from their
+//!   shared handles, a one-chunk delta download *is* its applied buffer,
+//!   and [`RestoredFile::content`] sits behind an [`Arc`] so the client can
+//!   keep it as the next delta base without cloning it.
+//! * **Deterministic**: per-chunk work is pure and runs in the upload
+//!   pipeline's per-chunk stage, which regroups it in file/chunk order, so
+//!   content *and* byte counts do not depend on how many threads the
+//!   fan-out got (one below the shared threshold or inside another
+//!   fan-out's worker, the host's cores otherwise). Property tests assert
+//!   upload→restore round-trips exactly.
 //!
 //! Every [`RestoredChunk`] carries its manifest hash and plaintext length;
 //! the services layer's ranged download verifies the reassembled file
@@ -50,9 +50,8 @@ use crate::chunker::ChunkSpan;
 use crate::compress::LzssScratch;
 use crate::delta::{DeltaScript, Signature};
 use crate::hash::ContentHash;
-use crate::pipeline::{PipelineSpec, PARALLEL_THRESHOLD_BYTES};
+use crate::pipeline::{per_chunk, PipelineSpec};
 use crate::store::{FileManifest, ObjectStore};
-use cloudsim_parallel::{auto_workers, run_indexed};
 use std::sync::Arc;
 
 /// Why a restore could not reconstruct a file. Every variant names the
@@ -90,7 +89,7 @@ pub enum RestoreError {
         /// The payload-less chunk.
         hash: ContentHash,
     },
-    /// The served bytes failed verification (decode error or hash mismatch).
+    /// The served bytes do not hash to the manifest's hash for the chunk.
     Corrupt {
         /// User whose file was being restored.
         user: String,
@@ -208,8 +207,8 @@ pub struct RestoreRequest<'a> {
 /// [`RestorePipeline::restore_batch`] call.
 pub type LocalChunks<'a> = &'a (dyn Fn(&ContentHash) -> Option<Arc<[u8]>> + Sync);
 
-/// The restore pipeline: a value without state (worker scratch lives on the
-/// worker threads).
+/// The restore pipeline: a value without state (the coder scratch is the
+/// calling thread's, lent to the workers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RestorePipeline;
 
@@ -282,103 +281,83 @@ impl RestorePipeline {
             })
             .collect();
 
-        // Stage 1 — flatten to (file, chunk) units and fan out the per-chunk
-        // reconstruction: local-copy check, delta against the base chunk,
-        // or full download (one encode, one decode under the compression
-        // policy).
-        let units: Vec<(usize, usize)> = fetched
-            .iter()
-            .enumerate()
-            .flat_map(|(file_idx, f)| {
-                let chunks = f.as_ref().map(|f| f.manifest.chunks.len()).unwrap_or(0);
-                (0..chunks).map(move |chunk_idx| (file_idx, chunk_idx))
-            })
-            .collect();
-        let total_bytes: u64 =
-            fetched.iter().filter_map(|f| f.as_ref().ok()).map(|f| f.manifest.size).sum();
+        // Stage 1 — the per-chunk stage the upload pipeline runs too:
+        // local-copy check, delta against the base chunk, or full download
+        // (priced by the compression policy's size count).
+        let counts: Vec<usize> =
+            fetched.iter().map(|f| f.as_ref().map_or(0, |f| f.manifest.chunks.len())).collect();
+        let file =
+            |file_idx: usize| fetched[file_idx].as_ref().expect("only fetched files have chunks");
+        let payload = |file_idx: usize, chunk_idx: usize| {
+            file(file_idx).payloads[chunk_idx].as_deref().unwrap_or_default()
+        };
+        let outcomes =
+            per_chunk(spec.compression, &counts, payload, |scratch, file_idx, chunk_idx| {
+                restore_chunk(spec, &requests[file_idx], file(file_idx), chunk_idx, local, scratch)
+            });
 
-        type ChunkOutcome = Result<(ChunkBytes, RestoredChunk), RestoreError>;
-        let outcomes: Vec<ChunkOutcome> = run_indexed(
-            auto_workers(units.len(), total_bytes, PARALLEL_THRESHOLD_BYTES),
-            units.len(),
-            LzssScratch::new,
-            |scratch, unit_idx| {
-                let (file_idx, chunk_idx) = units[unit_idx];
-                let req = &requests[file_idx];
-                let file = fetched[file_idx].as_ref().expect("units only cover fetched files");
-                let hash = file.manifest.chunks[chunk_idx];
-                restore_chunk(spec, req, file, chunk_idx, hash, local, scratch)
-            },
-        );
-
-        // Merge — reassemble per file in deterministic chunk order; the
-        // first failing chunk (in file order) decides a file's error. A
-        // one-chunk file adopts its decoded buffer; every other byte is
-        // appended once, straight from where it lies.
-        let mut results: Vec<Result<RestoredFile, RestoreError>> = fetched
-            .iter()
+        // Merge — reassemble each file in chunk order; its first failing
+        // chunk decides its error. A one-chunk delta download adopts its
+        // applied buffer; every other byte is appended once, straight from
+        // the handle it lies behind.
+        fetched
+            .into_iter()
             .zip(requests)
-            .map(|(f, req)| match f {
-                Err(e) => Err(e.clone()),
-                Ok(f) => Ok(RestoredFile {
+            .zip(outcomes)
+            .map(|((file, req), outcomes)| {
+                let manifest = file?.manifest;
+                let mut content = match manifest.chunks.len() {
+                    0 | 1 => Vec::new(),
+                    _ => Vec::with_capacity(manifest.size as usize),
+                };
+                let mut chunks = Vec::with_capacity(outcomes.len());
+                for outcome in outcomes {
+                    let (bytes, chunk) = outcome?;
+                    match bytes {
+                        ChunkBytes::Owned(bytes) if content.capacity() == 0 => content = bytes,
+                        ChunkBytes::Owned(bytes) => content.extend_from_slice(&bytes),
+                        ChunkBytes::Shared(bytes) => content.extend_from_slice(&bytes),
+                    }
+                    chunks.push(chunk);
+                }
+                Ok(RestoredFile {
                     owner: req.owner.to_string(),
                     path: req.path.to_string(),
-                    version: f.manifest.version,
-                    content: Arc::new(match f.manifest.chunks.len() {
-                        0 | 1 => Vec::new(),
-                        _ => Vec::with_capacity(f.manifest.size as usize),
-                    }),
-                    chunks: Vec::with_capacity(f.manifest.chunks.len()),
+                    version: manifest.version,
+                    content: Arc::new(content),
+                    chunks,
                     // Manifest envelope plus one hash record per chunk,
                     // mirroring the upload planner's accounting.
-                    metadata_bytes: 300 + 40 * f.manifest.chunks.len() as u64,
-                }),
+                    metadata_bytes: 300 + 40 * manifest.chunks.len() as u64,
+                })
             })
-            .collect();
-        for ((file_idx, _), outcome) in units.into_iter().zip(outcomes) {
-            let slot = &mut results[file_idx];
-            let Ok(file) = slot else { continue };
-            match outcome {
-                Ok((bytes, chunk)) => {
-                    let content =
-                        Arc::get_mut(&mut file.content).expect("unshared until it is returned");
-                    match bytes {
-                        ChunkBytes::Decoded(bytes) if content.capacity() == 0 => *content = bytes,
-                        ChunkBytes::Decoded(bytes) => content.extend_from_slice(&bytes),
-                        ChunkBytes::Local(bytes) => content.extend_from_slice(&bytes),
-                    }
-                    file.chunks.push(chunk);
-                }
-                Err(e) => *slot = Err(e),
-            }
-        }
-        results
+            .collect()
     }
 }
 
-/// A reconstructed chunk's plaintext on its way into the file: a handle on
-/// the copy the client already holds, or the buffer a download decoded into.
+/// A reconstructed chunk's plaintext on its way into the file.
 enum ChunkBytes {
-    /// Shared with the client's local chunk view — appended, never cloned.
-    Local(Arc<[u8]>),
-    /// Freshly decoded (or delta-applied); a one-chunk file takes it whole.
-    Decoded(Vec<u8>),
+    /// A handle on bytes that already exist — the client's local copy or
+    /// the store's payload: appended, never cloned.
+    Shared(Arc<[u8]>),
+    /// A delta script applied to the base chunk; a one-chunk file takes it
+    /// whole.
+    Owned(Vec<u8>),
 }
 
 /// Reconstructs one chunk. Pure: depends only on the fetched state, the
 /// request and the spec, so the fan-out order cannot leak into the result.
-/// The LZSS coder runs at most once: the wire form it produces prices the
-/// full download, and is the very buffer that gets decoded if the full
-/// download wins.
+/// A full download is priced with the upload side's size count and served
+/// from the stored payload, so nothing is encoded or decoded.
 fn restore_chunk(
     spec: &PipelineSpec,
     req: &RestoreRequest<'_>,
     file: &FetchedFile,
     chunk_idx: usize,
-    hash: ContentHash,
     local: LocalChunks<'_>,
     scratch: &mut LzssScratch,
 ) -> Result<(ChunkBytes, RestoredChunk), RestoreError> {
+    let hash = file.manifest.chunks[chunk_idx];
     // Dedup on the down path: a chunk the client already holds (its own
     // uploads or an earlier restore) costs nothing on the wire.
     if let Some(bytes) = local(&hash) {
@@ -388,12 +367,12 @@ fn restore_chunk(
             download_bytes: 0,
             source: RestoreSource::LocalCopy,
         };
-        return Ok((ChunkBytes::Local(bytes), chunk));
+        return Ok((ChunkBytes::Shared(bytes), chunk));
     }
 
     let corrupt =
         || RestoreError::Corrupt { user: req.owner.to_string(), path: req.path.to_string(), hash };
-    let Some(payload) = file.payloads[chunk_idx].as_deref() else {
+    let Some(stored) = &file.payloads[chunk_idx] else {
         let err = if file.present[chunk_idx] {
             RestoreError::PayloadUnavailable {
                 user: req.owner.to_string(),
@@ -409,21 +388,15 @@ fn restore_chunk(
         };
         return Err(err);
     };
-    // No payload pre-verification here: every successful reconstruction
-    // path below hashes the final content against `hash`, which covers a
-    // corrupt stored payload too — hashing it twice would only slow the
-    // hot per-chunk path down.
+    let payload: &[u8] = stored;
+    // No payload pre-verification here: whichever branch wins below hashes
+    // the content it serves against `hash`, which covers a corrupt stored
+    // payload too — hashing it twice would only slow the hot per-chunk
+    // path down.
 
-    // The full download's wire form, encoded once with the worker's
-    // reusable scratch (`None`: the policy sends the payload as stored). It
-    // stays borrowed across the delta decision below.
-    let wire = spec.compression.compresses(payload).then(|| scratch.compress_into(payload));
-    // Priced like `CompressionPolicy::upload_size`: an encoding that does
-    // not help costs the stored form plus its one-byte marker.
-    let full_wire = match wire {
-        Some(wire) => (wire.len() as u64).min(payload.len() as u64 + 1),
-        None => payload.len() as u64,
-    };
+    // What the full download costs on the wire: the upload side's count of
+    // the same bytes under the same policy.
+    let full_wire = spec.compression.upload_size_with(scratch, payload);
 
     // Delta download: the server diffs the target chunk against the
     // same-index chunk of the base revision the client still holds, and
@@ -444,27 +417,23 @@ fn restore_chunk(
                     download_bytes: script.wire_size(),
                     source: RestoreSource::Delta,
                 };
-                return Ok((ChunkBytes::Decoded(content), chunk));
+                return Ok((ChunkBytes::Owned(content), chunk));
             }
         }
     }
 
-    // Full download: decode what was priced above and verify before
-    // accepting.
-    let content = match wire {
-        Some(wire) => crate::compress::decompress(wire).map_err(|_| corrupt())?,
-        None => payload.to_vec(),
-    };
-    if crate::hash::sha256(&content) != hash {
+    // Full download: the stored payload is the plaintext it decodes to;
+    // verify it before serving its handle.
+    if crate::hash::sha256(payload) != hash {
         return Err(corrupt());
     }
     let chunk = RestoredChunk {
         hash,
-        plain_len: content.len() as u64,
+        plain_len: payload.len() as u64,
         download_bytes: full_wire,
         source: RestoreSource::Download,
     };
-    Ok((ChunkBytes::Decoded(content), chunk))
+    Ok((ChunkBytes::Shared(stored.clone()), chunk))
 }
 
 #[cfg(test)]
@@ -742,6 +711,49 @@ mod tests {
         assert_eq!(*restored.content, data);
     }
 
+    /// The store does not verify what it is handed, so a payload that does
+    /// not hash to its manifest hash can be committed. The restore's
+    /// SHA-256 check is what keeps it from being served, whether it would
+    /// travel whole or as a delta against a base.
+    #[test]
+    fn a_payload_that_fails_its_hash_is_corrupt() {
+        let store = ObjectStore::new();
+        let spec = spec();
+        let good = pseudo_random(40_000, 13);
+        let hash = sha256(&good);
+        let mut bad = good;
+        bad[20_000] ^= 0xFF;
+        store.put_chunk_with_payload(
+            "alice",
+            StoredChunk { hash, stored_len: 40_000, plain_len: 40_000 },
+            &bad,
+        );
+        store.commit_manifest(
+            "alice",
+            FileManifest { path: "c.bin".into(), size: 40_000, chunks: vec![hash], version: 0 },
+        );
+        // A base one byte away from the stored payload: its delta script
+        // beats the full download.
+        let mut near = bad.clone();
+        near[100] ^= 0xFF;
+        let script = DeltaScript::compute(&Signature::new(&near), &bad);
+        assert!(script.wire_size() < spec.compression.upload_size(&bad));
+        for base in [None, Some(&near[..])] {
+            let err = RestorePipeline
+                .restore_file(
+                    &store,
+                    &spec,
+                    RestoreRequest { owner: "alice", path: "c.bin", base },
+                    &no_local,
+                )
+                .unwrap_err();
+            let corrupt =
+                RestoreError::Corrupt { user: "alice".into(), path: "c.bin".into(), hash };
+            assert_eq!(err, corrupt, "base: {}", base.is_some());
+            assert!(err.to_string().ends_with("failed verification"), "{err}");
+        }
+    }
+
     #[test]
     fn cross_user_restores_read_the_owners_namespace() {
         let store = ObjectStore::new();
@@ -801,10 +813,10 @@ mod tests {
     #[test]
     fn one_encode_prices_and_serves_the_full_download() {
         // Every policy × every payload kind of Fig. 5, one chunk per file:
-        // the wire size comes from the buffer that gets decoded, and must
-        // equal what the upload side's `upload_size` says; the delta
-        // decision is taken against that same figure, so the single encode
-        // cannot change which branch wins.
+        // a full download costs exactly what the upload side's
+        // `upload_size` says for the same bytes, the delta decision is
+        // taken against that same figure, and either way the served
+        // content is the payload.
         let mut fake_jpeg = b"\xFF\xD8\xFF\xE0".to_vec();
         fake_jpeg.extend_from_slice(&text(40_000));
         let payloads =

@@ -762,13 +762,11 @@ impl ObjectStore {
     /// committer's copy survives is unobservable), and it is freed together
     /// with the entry when garbage collection reclaims it. A user who
     /// already holds the chunk metadata-only still contributes the payload
-    /// (the put returns `false` and no counter moves).
+    /// (the put returns `false` and no counter moves). Like a server, the
+    /// store does not hash what it is handed: a restore checks every chunk
+    /// it serves against the manifest's hash instead
+    /// ([`crate::restore::RestoreError::Corrupt`]).
     pub fn put_chunk_with_payload(&self, user: &str, chunk: StoredChunk, payload: &[u8]) -> bool {
-        debug_assert_eq!(
-            crate::hash::sha256(payload),
-            chunk.hash,
-            "payload does not match the chunk hash"
-        );
         debug_assert_eq!(payload.len() as u64, chunk.plain_len);
         self.put(user, chunk, Some(payload))
     }
