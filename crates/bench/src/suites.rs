@@ -314,6 +314,8 @@ pub fn usage() -> String {
     )
 }
 
+/// The testbed of one target call: a target builds it once, so its series
+/// share one size memo (Google Drive's Fig. 5 counts are Dropbox's).
 fn testbed() -> Testbed {
     Testbed::new(REPRO_SEED)
 }
@@ -334,15 +336,17 @@ fn per_service<T>(
 }
 
 fn fig3(_: &[String]) -> Output {
+    let testbed = testbed();
     let profiles = [ServiceProfile::google_drive(), ServiceProfile::cloud_drive()];
-    let series = per_service(&profiles, |p| syn_series(&testbed(), p));
+    let series = per_service(&profiles, |p| syn_series(&testbed, p));
     Output::text(vec![Report::figure3(&series)])
 }
 
 fn fig4(_: &[String]) -> Output {
+    let testbed = testbed();
     let panel = |case: &str, sizes: &[u64], random_offset: bool| {
         let series = per_service(&ServiceProfile::all(), |p| {
-            delta_encoding_series(&testbed(), p, sizes, random_offset)
+            delta_encoding_series(&testbed, p, sizes, random_offset)
         });
         Report::figure4(&series, case)
     };
@@ -357,11 +361,11 @@ fn fig4(_: &[String]) -> Output {
 }
 
 fn fig5(_: &[String]) -> Output {
+    let testbed = testbed();
     let sizes = [100_000, 500_000, 1_000_000, 1_500_000, 2_000_000];
     let panel = |kind: FileKind, label: &str| {
-        let series = per_service(&ServiceProfile::all(), |p| {
-            compression_series(&testbed(), p, kind, &sizes)
-        });
+        let series =
+            per_service(&ServiceProfile::all(), |p| compression_series(&testbed, p, kind, &sizes));
         Report::figure5(&series, label)
     };
     Output::text(vec![
@@ -389,9 +393,10 @@ fn fig6_gate() -> Vec<(String, f64)> {
         ("dropbox", ServiceProfile::dropbox(), &one_megabyte),
         ("skydrive", ServiceProfile::skydrive(), &one_megabyte),
     ];
+    let testbed = testbed();
     let mut metrics = Vec::new();
     for (name, profile, spec) in &cells {
-        let row = run_performance_cell(&testbed(), profile, spec, GATE_REPETITIONS);
+        let row = run_performance_cell(&testbed, profile, spec, GATE_REPETITIONS);
         let label = spec.label();
         metrics.push((format!("fig6.completion_s.{name}.{label}"), row.completion_secs.mean));
         metrics.push((format!("fig6.overhead.{name}.{label}"), row.overhead.mean));

@@ -6,12 +6,19 @@
 //! simulator: it creates a fresh [`SyncClient`] for the requested service,
 //! drives the workload, and hands back an [`ExperimentRun`] bundling the
 //! outcome with the captured packet trace.
+//!
+//! The testbed also owns the run's [`SizeMemo`]: every client it builds
+//! prices its LZSS-coded uploads and downloads through it, so content that
+//! several services sync, or that one service syncs twice, is counted once
+//! per testbed. A fresh testbed starts with an empty memo, and no memo
+//! outlives the testbed that holds it.
 
 use cloudsim_net::Simulator;
-use cloudsim_services::{ServiceProfile, SyncClient, SyncOutcome};
+use cloudsim_services::{ServiceProfile, SizeMemo, SyncClient, SyncOutcome};
 use cloudsim_trace::analysis;
 use cloudsim_trace::{PacketRecord, SimDuration, SimTime};
 use cloudsim_workload::{BatchSpec, GeneratedFile};
+use std::sync::Arc;
 
 /// One executed experiment: outcome plus the packet capture.
 #[derive(Debug, Clone)]
@@ -48,10 +55,15 @@ impl ExperimentRun {
     }
 }
 
-/// The experiment orchestrator.
-#[derive(Debug, Clone, Copy)]
+/// The experiment orchestrator: a master seed and the run's size memo.
+///
+/// Not `Copy`: the memo is the run's state. A clone shares it, so the
+/// clients of every clone pool their counts; [`Testbed::new`] starts an
+/// empty one.
+#[derive(Debug, Clone)]
 pub struct Testbed {
     seed: u64,
+    sizes: Arc<SizeMemo>,
 }
 
 impl Testbed {
@@ -59,12 +71,23 @@ impl Testbed {
     /// derives an independent seed, so the 24 repetitions of §2.3 see
     /// different RTT jitter and workload content.
     pub fn new(seed: u64) -> Testbed {
-        Testbed { seed }
+        Testbed { seed, sizes: Arc::new(SizeMemo::new()) }
     }
 
     /// The master seed.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// The run's size memo: what the testbed's clients offered to it and
+    /// counted so far.
+    pub fn size_memo(&self) -> &SizeMemo {
+        &self.sizes
+    }
+
+    /// A fresh client for `profile`, pricing through the run's memo.
+    fn client(&self, profile: &ServiceProfile) -> SyncClient {
+        SyncClient::new(profile.clone()).with_size_memo(self.sizes.clone())
     }
 
     /// Derives the seed for repetition `rep` of an experiment labelled `label`.
@@ -95,7 +118,7 @@ impl Testbed {
     ) -> ExperimentRun {
         let seed = self.derived_seed(0xF11E5, rep);
         let mut sim = Simulator::new(seed);
-        let mut client = SyncClient::new(profile.clone());
+        let mut client = self.client(profile);
         let login_done = client.login(&mut sim, SimTime::ZERO);
         // Files are "modified" a few seconds after the application is up,
         // exactly like the testing application would do over FTP.
@@ -124,7 +147,7 @@ impl Testbed {
     ) -> (R, Vec<PacketRecord>) {
         let seed = self.derived_seed(0x5C417, rep);
         let mut sim = Simulator::new(seed);
-        let mut client = SyncClient::new(profile.clone());
+        let mut client = self.client(profile);
         let login_done = client.login(&mut sim, SimTime::ZERO);
         let result = script(&mut sim, &mut client, login_done);
         (result, sim.into_packets())
@@ -170,6 +193,34 @@ mod tests {
         );
         assert_ne!(testbed.derived_seed(1, 0), testbed.derived_seed(1, 1));
         assert_ne!(testbed.derived_seed(1, 0), testbed.derived_seed(2, 0));
+    }
+
+    /// The size memo changes no simulated value: two services synced on
+    /// one testbed (Google Drive's counts are Dropbox's hits) give what two
+    /// fresh testbeds give, and a clone shares the memo.
+    #[test]
+    fn a_shared_size_memo_changes_no_experiment_run() {
+        let spec = BatchSpec::new(3, 60_000, FileKind::Text);
+        let profiles = [ServiceProfile::dropbox(), ServiceProfile::google_drive()];
+        let fields = |run: ExperimentRun| (run.outcome, run.packets, run.benchmark_bytes);
+        let shared = Testbed::new(4);
+        for profile in &profiles {
+            let fresh = Testbed::new(4).run_sync(profile, &spec, 0);
+            assert_eq!(
+                fields(shared.run_sync(profile, &spec, 0)),
+                fields(fresh),
+                "{}",
+                profile.name()
+            );
+        }
+        let bytes = spec.total_bytes();
+        let reading = |testbed: &Testbed| {
+            (testbed.size_memo().offered_bytes(), testbed.size_memo().distinct_bytes())
+        };
+        assert_eq!(reading(&shared), (2 * bytes, bytes));
+        let clone = shared.clone();
+        clone.run_sync(&profiles[0], &spec, 0);
+        assert_eq!(reading(&shared), (3 * bytes, bytes));
     }
 
     #[test]

@@ -14,8 +14,10 @@ use crate::session::{FaultStats, RangedTransfer, UploadSession};
 use cloudsim_net::http::{HttpExchange, HttpOverhead};
 use cloudsim_net::tcp::{ConnectionOptions, Fetch, TcpConnection};
 use cloudsim_net::{AccessLink, FaultSchedule, Simulator, TransferInterrupted};
+use cloudsim_storage::SizeMemo;
 use cloudsim_trace::{Direction, FlowKind, LatencyHistogram, SimDuration, SimTime};
 use cloudsim_workload::GeneratedFile;
+use std::sync::Arc;
 
 /// Seed salt for upload-retry jitter draws (per chunk, per attempt).
 const UPLOAD_RETRY_SALT: u64 = 0xB0FF_0001;
@@ -172,6 +174,13 @@ impl SyncClient {
             Deployment::with_link(&profile, link),
             profile,
         )
+    }
+
+    /// This client, pricing its LZSS size counts through `sizes`, the memo
+    /// of the run it belongs to (see [`UploadPlanner::with_size_memo`]).
+    pub fn with_size_memo(mut self, sizes: Arc<SizeMemo>) -> SyncClient {
+        self.planner = self.planner.with_size_memo(sizes);
+        self
     }
 
     fn with_deployment(

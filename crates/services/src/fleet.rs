@@ -60,12 +60,12 @@ use crate::retry::{Recovery, RetryConfig};
 use crate::schedule::{FleetSchedule, SyncActivation, ThinkTime};
 use crate::session::FaultStats;
 use cloudsim_net::{AccessLink, FaultSchedule, FaultSpec, Simulator};
-use cloudsim_storage::{AggregateStats, GcPolicy, ObjectStore};
+use cloudsim_storage::{AggregateStats, GcPolicy, ObjectStore, SizeMemo};
 use cloudsim_trace::series::SampleStats;
 use cloudsim_trace::{FlowKind, LatencyHistogram, SimDuration, SimTime};
 use cloudsim_workload::{generate, FileKind, GeneratedFile};
 use serde::Serialize;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Simulated seconds between round epochs: a client joining in round `r`
 /// starts its login at `r * ROUND_EPOCH_SECS` in its own timeline, and an
@@ -963,11 +963,18 @@ struct LiveClient {
     backoff_waits: LatencyHistogram,
 }
 
-fn spawn_client(spec: &FleetSpec, store: &ObjectStore, i: usize, round: usize) -> LiveClient {
+fn spawn_client(
+    spec: &FleetSpec,
+    store: &ObjectStore,
+    sizes: &Arc<SizeMemo>,
+    i: usize,
+    round: usize,
+) -> LiveClient {
     let slot = &spec.slots[i];
     let user = spec.user(i);
     let mut client =
-        SyncClient::for_user_on_link(slot.profile.clone(), store.clone(), &user, &slot.link);
+        SyncClient::for_user_on_link(slot.profile.clone(), store.clone(), &user, &slot.link)
+            .with_size_memo(sizes.clone());
     let mut sim = Simulator::new(spec.derived_seed(i as u64, u64::MAX, 0));
     let epoch = SimTime::from_secs(round as u64 * ROUND_EPOCH_SECS);
     let login_done = client.login(&mut sim, epoch);
@@ -1146,10 +1153,16 @@ where
 /// complete before idle clients poll their own universes, before any
 /// restore fan reads, before any leaving client releases references, and
 /// mark-sweep GC sweeps on one thread.
+///
+/// The run owns one size memo, shared by every client it spawns: a content
+/// any client LZSS-counted — a shared-pool file, a chunk a puller restores
+/// — is not counted again within the run. The counts are pure functions of
+/// the bytes, so which worker counts first changes nothing.
 pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetRun {
     spec.validate();
     let schedule = spec.schedule();
     let mut heap = EventHeap::derive(spec, &schedule);
+    let sizes = Arc::new(SizeMemo::new());
     let started = std::time::Instant::now();
     let mut states: Vec<Option<LiveClient>> = spec.slots.iter().map(|_| None).collect();
     let mut summaries: Vec<Option<ClientSummary>> = spec.slots.iter().map(|_| None).collect();
@@ -1161,7 +1174,8 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
             // commits here, which commute. A client whose first event this
             // is spawns (and logs in) at its round's epoch.
             Phase::Sync => run_wave(&mut states, wave.events, workers, |lc, ev| {
-                let mut lc = lc.unwrap_or_else(|| spawn_client(spec, &store, ev.client, ev.round));
+                let mut lc =
+                    lc.unwrap_or_else(|| spawn_client(spec, &store, &sizes, ev.client, ev.round));
                 let activation = *schedule.clients[ev.client]
                     .activation_in(ev.round)
                     .expect("sync event derived from an activation");
@@ -1175,7 +1189,8 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
             // access — so the wave commutes trivially. A client whose
             // *first* connected round is idle still spawns here.
             Phase::Idle => run_wave(&mut states, wave.events, workers, |lc, ev| {
-                let mut lc = lc.unwrap_or_else(|| spawn_client(spec, &store, ev.client, ev.round));
+                let mut lc =
+                    lc.unwrap_or_else(|| spawn_client(spec, &store, &sizes, ev.client, ev.round));
                 idle_round(&mut lc);
                 lc
             }),

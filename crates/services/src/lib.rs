@@ -75,7 +75,7 @@ pub use cloudsim_net::{FaultSchedule, FaultSpec, OutageWindow, TransferInterrupt
 // Re-export the per-client network, GC and restore vocabulary the fleet
 // speaks.
 pub use cloudsim_net::AccessLink;
-pub use cloudsim_storage::{GcPolicy, GcStats, RestoreError, RestoredFile};
+pub use cloudsim_storage::{GcPolicy, GcStats, RestoreError, RestoredFile, SizeMemo};
 pub use planner::{FilePlan, UploadPlanner};
 pub use profile::ServiceProfile;
 

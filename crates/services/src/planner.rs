@@ -11,8 +11,8 @@
 use crate::profile::ServiceProfile;
 use cloudsim_storage::{
     ContentHash, ConvergentCipher, DedupIndex, FileArtifacts, FileJob, FileManifest, ObjectStore,
-    PipelineSpec, RestoreError, RestorePipeline, RestoreRequest, RestoredFile, StoredChunk,
-    UploadPipeline,
+    PipelineSpec, RestoreError, RestorePipeline, RestoreRequest, RestoredFile, SizeMemo,
+    StoredChunk, UploadPipeline,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -90,6 +90,9 @@ pub struct UploadPlanner {
     /// every pull. The bytes are the store's own payload allocation where
     /// it has one.
     local_chunks: HashMap<ContentHash, (Arc<[u8]>, usize)>,
+    /// The LZSS size counts of the run the planner belongs to, shared with
+    /// the run's other clients (its own when it was built alone).
+    sizes: Arc<SizeMemo>,
     user: String,
     /// Batches planned so far. The temporal fleet scheduler's invariant —
     /// idle rounds never touch the planner — is checked against this.
@@ -128,9 +131,18 @@ impl UploadPlanner {
             own: HashMap::new(),
             pulled: HashMap::new(),
             local_chunks: HashMap::new(),
+            sizes: Arc::new(SizeMemo::new()),
             user: user.to_string(),
             batches_planned: 0,
         }
+    }
+
+    /// This planner, pricing its uploads and downloads through `sizes` —
+    /// the size memo of the run it belongs to — instead of a memo of its
+    /// own.
+    pub fn with_size_memo(mut self, sizes: Arc<SizeMemo>) -> UploadPlanner {
+        self.sizes = sizes;
+        self
     }
 
     /// The user account this planner commits as.
@@ -169,7 +181,8 @@ impl UploadPlanner {
     /// Plans (and commits) a batch of file revisions.
     ///
     /// The pure per-chunk work — chunking, SHA-256, candidate delta scripts,
-    /// LZSS coding — runs through the [`UploadPipeline`] (fanned out across
+    /// LZSS size counts (through the run's size memo) — runs through the
+    /// [`UploadPipeline`] (fanned out across
     /// chunks and files when the batch is large and the caller is not
     /// already a fan-out worker). The stateful decisions — dedup index
     /// queries, server-side commits — are then applied sequentially in file
@@ -203,14 +216,9 @@ impl UploadPlanner {
         // hits (entries are never removed, §4.3), so the pipeline skips
         // their upload estimates. The merge step below re-checks against the
         // live index as state evolves within the batch.
-        let artifacts = {
-            let dedup = &self.dedup;
-            if self.profile.dedup {
-                UploadPipeline.process_filtered(&spec, &jobs, &|hash| dedup.contains(hash))
-            } else {
-                UploadPipeline.process(&spec, &jobs)
-            }
-        };
+        let (dedup, deduplicates) = (&self.dedup, self.profile.dedup);
+        let known = |hash: &ContentHash| deduplicates && dedup.contains(hash);
+        let artifacts = UploadPipeline.process_filtered(&spec, &jobs, &known, &self.sizes);
 
         files
             .iter()
@@ -385,9 +393,9 @@ impl UploadPlanner {
             })
             .collect();
         let store = self.store.clone();
-        let results = RestorePipeline.restore_batch(&store, &spec, &requests, &|hash| {
-            local.get(hash).map(|(bytes, _)| bytes.clone())
-        });
+        let held = |hash: &ContentHash| local.get(hash).map(|(bytes, _)| bytes.clone());
+        let results =
+            RestorePipeline.restore_batch_with(&store, &spec, &requests, &held, &self.sizes);
         for restored in results.iter().flatten() {
             let chunks = restored.chunks.iter().map(|c| (c.hash, c.plain_len));
             let content = &restored.content;

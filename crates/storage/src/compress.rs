@@ -14,9 +14,14 @@
 //! bytes expand by the flag overhead (~1/8), which is exactly the behaviour
 //! Fig. 5 shows for Dropbox.
 
+use crate::hash::ContentHash;
 use cloudsim_parallel::{auto_workers, run_with_contexts};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// When a service compresses data before upload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,6 +72,125 @@ impl CompressionPolicy {
         } else {
             data.len() as u64
         }
+    }
+}
+
+/// One run's LZSS size counts, keyed by the counted content's SHA-256.
+///
+/// The count ([`LzssScratch::upload_size`]) is a pure function of the
+/// bytes, so a run that meets the same content twice — Google Drive's
+/// chunk of a file Dropbox already synced, a Fig. 4 base synced again, a
+/// restore of a chunk an upload priced — needs it once. Both byte
+/// pipelines price through the memo they are handed: a hit returns the
+/// recorded count, a miss counts and records. A policy that does not code
+/// the bytes ([`CompressionPolicy::Never`], a JPEG under `Smart`) never
+/// asks.
+///
+/// Whoever owns a run owns its memo — a testbed, a fleet run, a planner
+/// built on its own — so no count outlives its run. The lock is held for
+/// one lookup or one insert, never while counting: two workers that miss
+/// the same content at once both count it, and the second insert finds the
+/// slot taken. The counts are equal.
+///
+/// Two readings repeat exactly, whatever the thread count:
+/// [`SizeMemo::offered_bytes`] and [`SizeMemo::distinct_bytes`]. Which
+/// lookups hit does not, so it is not reported.
+pub struct SizeMemo {
+    counts: Mutex<HashMap<ContentHash, u64>>,
+    offered: AtomicU64,
+    distinct: AtomicU64,
+}
+
+impl SizeMemo {
+    /// An empty memo.
+    pub fn new() -> SizeMemo {
+        SizeMemo {
+            counts: Mutex::new(HashMap::new()),
+            offered: AtomicU64::new(0),
+            distinct: AtomicU64::new(0),
+        }
+    }
+
+    /// Bytes whose count was asked for: every coded chunk priced through
+    /// this memo, once per time it was priced.
+    pub fn offered_bytes(&self) -> u64 {
+        self.offered.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of the distinct contents recorded: each once, added only by
+    /// the insert that found its slot vacant.
+    pub fn distinct_bytes(&self) -> u64 {
+        self.distinct.load(Ordering::Relaxed)
+    }
+
+    /// What `policy.upload_size_with(scratch, data)` returns, for `data`
+    /// hashing to `hash`; a count made here is recorded.
+    pub(crate) fn upload_size(
+        &self,
+        policy: CompressionPolicy,
+        scratch: &mut LzssScratch,
+        hash: &ContentHash,
+        data: &[u8],
+    ) -> u64 {
+        let (size, counted) = self.price(policy, scratch, hash, data);
+        if let Some(count) = counted {
+            self.record(*hash, data.len(), count);
+        }
+        size
+    }
+
+    /// [`SizeMemo::upload_size`] without recording: the size, plus the
+    /// count when it was made here, for the caller to
+    /// [`record`](SizeMemo::record) once it knows `data` hashes to `hash`.
+    pub(crate) fn price(
+        &self,
+        policy: CompressionPolicy,
+        scratch: &mut LzssScratch,
+        hash: &ContentHash,
+        data: &[u8],
+    ) -> (u64, Option<u64>) {
+        if !policy.compresses(data) {
+            return (data.len() as u64, None);
+        }
+        self.offered.fetch_add(data.len() as u64, Ordering::Relaxed);
+        let recorded = self.counts.lock().get(hash).copied();
+        match recorded {
+            Some(count) => (count, None),
+            None => {
+                let count = scratch.upload_size(data);
+                (count, Some(count))
+            }
+        }
+    }
+
+    /// Records `count` for the `len` bytes hashing to `hash`, unless a
+    /// count is recorded for them already.
+    pub(crate) fn record(&self, hash: ContentHash, len: usize, count: u64) {
+        if let Entry::Vacant(slot) = self.counts.lock().entry(hash) {
+            slot.insert(count);
+            self.distinct.fetch_add(len as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether a count is recorded for `hash`.
+    #[cfg(test)]
+    pub(crate) fn holds(&self, hash: &ContentHash) -> bool {
+        self.counts.lock().contains_key(hash)
+    }
+}
+
+impl Default for SizeMemo {
+    fn default() -> Self {
+        SizeMemo::new()
+    }
+}
+
+impl std::fmt::Debug for SizeMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SizeMemo")
+            .field("offered_bytes", &self.offered_bytes())
+            .field("distinct_bytes", &self.distinct_bytes())
+            .finish_non_exhaustive()
     }
 }
 
@@ -1014,6 +1138,36 @@ mod tests {
                     "{policy:?}"
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A memo's price, cold (counted, then recorded) and warm (read
+        /// back), is `upload_size_with`'s, for each content kind under each
+        /// policy; only coded bytes reach the memo.
+        #[test]
+        fn memo_prices_equal_the_size_count(
+            kind in 0usize..3,
+            policy in 0usize..3,
+            len in 0usize..40_000,
+            seed in any::<u64>(),
+        ) {
+            let kind = [FileKind::Text, FileKind::RandomBinary, FileKind::FakeJpeg][kind];
+            let policy =
+                [CompressionPolicy::Never, CompressionPolicy::Always, CompressionPolicy::Smart][policy];
+            let data = generate(kind, len, seed);
+            let hash = crate::hash::sha256(&data);
+            let expected = policy.upload_size_with(&mut LzssScratch::new(), &data);
+            let (memo, mut scratch) = (SizeMemo::new(), LzssScratch::new());
+            let cold = memo.upload_size(policy, &mut scratch, &hash, &data);
+            let warm = memo.upload_size(policy, &mut scratch, &hash, &data);
+            prop_assert_eq!((cold, warm), (expected, expected));
+            let coded = policy.compresses(&data);
+            prop_assert_eq!(memo.holds(&hash), coded);
+            let len = if coded { data.len() as u64 } else { 0 };
+            prop_assert_eq!((memo.offered_bytes(), memo.distinct_bytes()), (2 * len, len));
         }
     }
 

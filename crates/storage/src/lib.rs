@@ -13,7 +13,8 @@
 //! * [`chunker`] — fixed-size and content-defined chunking,
 //! * [`mod@compress`] — an LZSS compressor with *always* / *smart* (magic-number
 //!   aware) / *never* policies, mirroring Dropbox vs. Google Drive vs. the
-//!   rest (§4.5),
+//!   rest (§4.5), and the [`SizeMemo`] through which a run LZSS-counts each
+//!   distinct content once,
 //! * [`delta`] — an rsync-style rolling-hash delta encoder (Dropbox is the
 //!   only service that implements it, §4.4),
 //! * [`dedup`] — a content-addressed deduplication index (Dropbox and Wuala,
@@ -34,8 +35,9 @@
 //! * [`restore`] — the download direction: a restore pipeline, run through
 //!   the upload pipeline's per-chunk stage, that reads manifests back out of
 //!   the store, skips chunks the client already holds, downloads deltas
-//!   against locally held bases, prices full downloads with the upload
-//!   side's size count and reassembles byte-identical, SHA-256-checked
+//!   against locally held bases, prices full downloads with the LZSS size
+//!   count through the run's size memo and reassembles byte-identical,
+//!   SHA-256-checked
 //!   content (failing with typed errors, not panics, on hard-deleted
 //!   manifests).
 
@@ -55,7 +57,7 @@ pub mod restore;
 pub mod store;
 
 pub use chunker::{Chunk, ChunkSpan, ChunkingStrategy};
-pub use compress::{compress, decompress, CompressionPolicy, LzssScratch};
+pub use compress::{compress, decompress, CompressionPolicy, LzssScratch, SizeMemo};
 pub use dedup::DedupIndex;
 pub use delta::{DeltaScript, Signature};
 pub use encrypt::ConvergentCipher;

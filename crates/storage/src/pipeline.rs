@@ -31,6 +31,12 @@
 //!   `per_chunk`, which the restore pipeline ([`crate::restore`]) calls
 //!   too. A full download is priced by the same size count as a full
 //!   upload, so the two directions differ only in what they do per chunk.
+//! * **Each content counted once per run**: both directions price a chunk
+//!   the policy codes through the run's [`SizeMemo`], keyed by its
+//!   SHA-256, so content the run already counted — Google Drive's copy of
+//!   a file Dropbox synced, a base synced again, a restore of an uploaded
+//!   chunk — is looked up, not counted. [`UploadPipeline::process`] counts
+//!   on a fresh memo.
 //! * **Deterministic**: workers tag every result with its work-item index
 //!   and the merge step reassembles them in file/chunk order, so the
 //!   produced artifacts — and therefore every downstream byte count — do not
@@ -44,7 +50,7 @@
 //! deterministic file order.
 
 use crate::chunker::{Chunk, ChunkSpan, ChunkingStrategy};
-use crate::compress::{with_lent, CompressionPolicy, LzssScratch};
+use crate::compress::{with_lent, CompressionPolicy, LzssScratch, SizeMemo};
 use crate::delta::{DeltaScript, Signature};
 use crate::hash::ContentHash;
 use cloudsim_parallel::{auto_workers, run_indexed, run_with_contexts};
@@ -146,9 +152,10 @@ impl UploadPipeline {
     }
 
     /// Runs the full chain over a batch of files, returning artifacts in
-    /// file order.
+    /// file order. It prices through a fresh [`SizeMemo`], so every coded
+    /// content of the batch is counted.
     pub fn process(&self, spec: &PipelineSpec, jobs: &[FileJob<'_>]) -> Vec<FileArtifacts> {
-        self.process_filtered(spec, jobs, &|_| false)
+        self.process_filtered(spec, jobs, &|_| false, &SizeMemo::new())
     }
 
     /// [`UploadPipeline::process`] with a *known-chunk filter*: chunks whose
@@ -157,12 +164,15 @@ impl UploadPipeline {
     /// neither the compressed size nor a delta script would ever be read.
     /// The filter sees the batch's *initial* state only (it must be pure);
     /// chunks that become duplicates within the batch still carry estimates,
-    /// which the merge step simply ignores.
+    /// which the merge step simply ignores. A chunk the policy codes is
+    /// priced through `sizes`, the run's size memo: a content the run
+    /// counted before is not counted again.
     pub fn process_filtered(
         &self,
         spec: &PipelineSpec,
         jobs: &[FileJob<'_>],
         known: &(dyn Fn(&ContentHash) -> bool + Sync),
+        sizes: &SizeMemo,
     ) -> Vec<FileArtifacts> {
         let total_bytes: u64 = jobs.iter().map(|j| j.content.len() as u64).sum();
 
@@ -219,7 +229,7 @@ impl UploadPipeline {
             // matching the old sequential planner's early return.
             let full_upload_bytes = match delta {
                 Some(est) if est.wire_bytes < span.len => 0,
-                _ => spec.compression.upload_size_with(scratch, data),
+                _ => sizes.upload_size(spec.compression, scratch, &chunk.hash, data),
             };
             ChunkArtifacts { chunk, full_upload_bytes, delta }
         });
@@ -363,10 +373,11 @@ pub(crate) mod tests {
         let spec = spec();
         let known_hash = crate::hash::sha256(&file_a[..256 * 1024]);
         let Some(artifacts) = top_level_equals_nested(|note| {
-            UploadPipeline.process_filtered(&spec, &jobs, &|hash| {
+            let known = |hash: &ContentHash| {
                 note();
                 *hash == known_hash
-            })
+            };
+            UploadPipeline.process_filtered(&spec, &jobs, &known, &SizeMemo::new())
         }) else {
             return;
         };
@@ -384,17 +395,19 @@ pub(crate) mod tests {
             files.iter().map(|content| FileJob { content, previous: None }).collect();
         let coded = spec();
         top_level_equals_nested(|note| {
-            UploadPipeline.process_filtered(&coded, &jobs, &|_| {
+            let known = |_: &ContentHash| {
                 note();
                 false
-            })
+            };
+            UploadPipeline.process_filtered(&coded, &jobs, &known, &SizeMemo::new())
         });
         let plain = PipelineSpec { compression: CompressionPolicy::Never, ..coded };
         let threads = Mutex::new(HashSet::new());
-        UploadPipeline.process_filtered(&plain, &jobs, &|_| {
+        let known = |_: &ContentHash| {
             threads.lock().unwrap().insert(thread::current().id());
             false
-        });
+        };
+        UploadPipeline.process_filtered(&plain, &jobs, &known, &SizeMemo::new());
         assert_eq!(threads.into_inner().unwrap(), HashSet::from([thread::current().id()]));
     }
 
@@ -412,6 +425,37 @@ pub(crate) mod tests {
             assert_eq!(art.full_upload_bytes, spec.compression.upload_size(data));
             assert!(art.delta.is_none());
         }
+    }
+
+    /// The size memo changes no artifact: Dropbox's spec, then Google
+    /// Drive's, over the same files on one memo (the second call reads the
+    /// first's counts) equal the same calls on fresh memos.
+    #[test]
+    fn a_shared_size_memo_changes_no_artifact() {
+        let mut fake_jpeg = b"\xFF\xD8\xFF\xE0".to_vec();
+        fake_jpeg.extend_from_slice(&text(90_000));
+        let files = [text(300_000), pseudo_random(200_000, 12), fake_jpeg];
+        let jobs: Vec<FileJob<'_>> =
+            files.iter().map(|content| FileJob { content, previous: None }).collect();
+        let dropbox = PipelineSpec {
+            chunking: ChunkingStrategy::DROPBOX,
+            compression: CompressionPolicy::Always,
+            delta_encoding: true,
+        };
+        let google_drive = PipelineSpec {
+            chunking: ChunkingStrategy::GOOGLE_DRIVE,
+            compression: CompressionPolicy::Smart,
+            delta_encoding: false,
+        };
+        let shared = SizeMemo::new();
+        for spec in [dropbox, google_drive] {
+            let fresh = UploadPipeline.process_filtered(&spec, &jobs, &|_| false, &SizeMemo::new());
+            assert_eq!(UploadPipeline.process_filtered(&spec, &jobs, &|_| false, &shared), fresh);
+        }
+        // Google Drive skipped the JPEG and counted nothing new.
+        let total: u64 = files.iter().map(|f| f.len() as u64).sum();
+        assert_eq!(shared.offered_bytes(), 2 * total - files[2].len() as u64);
+        assert_eq!(shared.distinct_bytes(), total);
     }
 
     #[test]
@@ -451,7 +495,8 @@ pub(crate) mod tests {
         let unfiltered = UploadPipeline.process(&spec, &jobs);
         // Mark the middle chunk as already known to the server.
         let known_hash = unfiltered[0].chunks[1].chunk.hash;
-        let filtered = UploadPipeline.process_filtered(&spec, &jobs, &|h| *h == known_hash);
+        let filtered =
+            UploadPipeline.process_filtered(&spec, &jobs, &|h| *h == known_hash, &SizeMemo::new());
         assert_eq!(filtered[0].chunk_list(), unfiltered[0].chunk_list());
         assert_eq!(filtered[0].chunks[1].full_upload_bytes, 0, "skipped estimate");
         assert!(filtered[0].chunks[1].delta.is_none());

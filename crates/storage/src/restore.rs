@@ -19,10 +19,13 @@
 //!   that is smaller.
 //! * **Priced, not produced, on the wire**: a full chunk download travels
 //!   in the service's compression encoding, and what it costs
-//!   (`download_bytes`) is the upload side's count for the same bytes,
-//!   [`crate::compress::CompressionPolicy::upload_size_with`] on a scratch
-//!   the calling thread lends. That price is what the delta script has to
-//!   beat. The plaintext a client would decode is the stored payload
+//!   (`download_bytes`) is what
+//!   [`crate::compress::CompressionPolicy::upload_size_with`] says for the
+//!   bytes. The run's [`SizeMemo`] answers when the run counted them before
+//!   (an upload of the same content, typically); otherwise they are counted
+//!   on a scratch the calling thread lends, and the count enters the memo
+//!   only once the served bytes hashed to the manifest hash. That price is
+//!   what the delta script has to beat. The plaintext a client would decode is the stored payload
 //!   itself, so once it is SHA-256-checked against the manifest's hash the
 //!   stored handle is served: nothing is encoded or decoded.
 //! * **One copy per byte**: a chunk the client already holds and a
@@ -47,7 +50,7 @@
 //! restores are pure reads.
 
 use crate::chunker::ChunkSpan;
-use crate::compress::LzssScratch;
+use crate::compress::{LzssScratch, SizeMemo};
 use crate::delta::{DeltaScript, Signature};
 use crate::hash::ContentHash;
 use crate::pipeline::{per_chunk, PipelineSpec};
@@ -246,13 +249,29 @@ impl RestorePipeline {
     }
 
     /// Restores a batch of files, returning one result per request in
-    /// request order. The store is only read, never written.
+    /// request order. The store is only read, never written. It prices
+    /// through a fresh [`SizeMemo`], so every coded download is counted.
     pub fn restore_batch(
         &self,
         store: &ObjectStore,
         spec: &PipelineSpec,
         requests: &[RestoreRequest<'_>],
         local: LocalChunks<'_>,
+    ) -> Vec<Result<RestoredFile, RestoreError>> {
+        self.restore_batch_with(store, spec, requests, local, &SizeMemo::new())
+    }
+
+    /// [`RestorePipeline::restore_batch`] pricing full downloads through
+    /// `sizes`, the run's size memo: a content the run counted before is
+    /// not counted again, and a count made here is recorded once the
+    /// served bytes passed their SHA-256 check.
+    pub fn restore_batch_with(
+        &self,
+        store: &ObjectStore,
+        spec: &PipelineSpec,
+        requests: &[RestoreRequest<'_>],
+        local: LocalChunks<'_>,
+        sizes: &SizeMemo,
     ) -> Vec<Result<RestoredFile, RestoreError>> {
         // Stage 0 — fetch manifests and payload handles under the store
         // locks, sequentially (lock acquisition stays out of the fan-out).
@@ -283,7 +302,7 @@ impl RestorePipeline {
 
         // Stage 1 — the per-chunk stage the upload pipeline runs too:
         // local-copy check, delta against the base chunk, or full download
-        // (priced by the compression policy's size count).
+        // (priced by the compression policy's size count, through the memo).
         let counts: Vec<usize> =
             fetched.iter().map(|f| f.as_ref().map_or(0, |f| f.manifest.chunks.len())).collect();
         let file =
@@ -293,7 +312,8 @@ impl RestorePipeline {
         };
         let outcomes =
             per_chunk(spec.compression, &counts, payload, |scratch, file_idx, chunk_idx| {
-                restore_chunk(spec, &requests[file_idx], file(file_idx), chunk_idx, local, scratch)
+                let (req, file) = (&requests[file_idx], file(file_idx));
+                restore_chunk(spec, req, file, chunk_idx, local, scratch, sizes)
             });
 
         // Merge — reassemble each file in chunk order; its first failing
@@ -347,8 +367,8 @@ enum ChunkBytes {
 
 /// Reconstructs one chunk. Pure: depends only on the fetched state, the
 /// request and the spec, so the fan-out order cannot leak into the result.
-/// A full download is priced with the upload side's size count and served
-/// from the stored payload, so nothing is encoded or decoded.
+/// A full download is priced through the run's size memo and served from
+/// the stored payload, so nothing is encoded or decoded.
 fn restore_chunk(
     spec: &PipelineSpec,
     req: &RestoreRequest<'_>,
@@ -356,6 +376,7 @@ fn restore_chunk(
     chunk_idx: usize,
     local: LocalChunks<'_>,
     scratch: &mut LzssScratch,
+    sizes: &SizeMemo,
 ) -> Result<(ChunkBytes, RestoredChunk), RestoreError> {
     let hash = file.manifest.chunks[chunk_idx];
     // Dedup on the down path: a chunk the client already holds (its own
@@ -394,9 +415,17 @@ fn restore_chunk(
     // payload too — hashing it twice would only slow the hot per-chunk
     // path down.
 
-    // What the full download costs on the wire: the upload side's count of
-    // the same bytes under the same policy.
-    let full_wire = spec.compression.upload_size_with(scratch, payload);
+    // What the full download costs on the wire: the size count of the
+    // payload under the policy, from the memo when the run counted the
+    // content before. A count made here is recorded only once the served
+    // bytes hashed to `hash`; a corrupt payload priced from the true
+    // content's count still ends in `Corrupt` on either branch.
+    let (full_wire, counted) = sizes.price(spec.compression, scratch, &hash, payload);
+    let record = || {
+        if let Some(count) = counted {
+            sizes.record(hash, payload.len(), count);
+        }
+    };
 
     // Delta download: the server diffs the target chunk against the
     // same-index chunk of the base revision the client still holds, and
@@ -411,6 +440,8 @@ fn restore_chunk(
                 if crate::hash::sha256(&content) != hash {
                     return Err(corrupt());
                 }
+                // The script rebuilt the payload, and it verified.
+                record();
                 let chunk = RestoredChunk {
                     hash,
                     plain_len: content.len() as u64,
@@ -427,6 +458,7 @@ fn restore_chunk(
     if crate::hash::sha256(payload) != hash {
         return Err(corrupt());
     }
+    record();
     let chunk = RestoredChunk {
         hash,
         plain_len: payload.len() as u64,
@@ -714,14 +746,16 @@ mod tests {
     /// The store does not verify what it is handed, so a payload that does
     /// not hash to its manifest hash can be committed. The restore's
     /// SHA-256 check is what keeps it from being served, whether it would
-    /// travel whole or as a delta against a base.
+    /// travel whole or as a delta against a base. It also keeps the corrupt
+    /// payload's count out of the run's size memo, and a memo that already
+    /// holds the true content's count changes no verdict.
     #[test]
     fn a_payload_that_fails_its_hash_is_corrupt() {
         let store = ObjectStore::new();
         let spec = spec();
         let good = pseudo_random(40_000, 13);
         let hash = sha256(&good);
-        let mut bad = good;
+        let mut bad = good.clone();
         bad[20_000] ^= 0xFF;
         store.put_chunk_with_payload(
             "alice",
@@ -738,19 +772,24 @@ mod tests {
         near[100] ^= 0xFF;
         let script = DeltaScript::compute(&Signature::new(&near), &bad);
         assert!(script.wire_size() < spec.compression.upload_size(&bad));
+        let knows_the_truth = SizeMemo::new();
+        knows_the_truth.record(hash, good.len(), spec.compression.upload_size(&good));
+        let corrupt = RestoreError::Corrupt { user: "alice".into(), path: "c.bin".into(), hash };
         for base in [None, Some(&near[..])] {
-            let err = RestorePipeline
-                .restore_file(
-                    &store,
-                    &spec,
-                    RestoreRequest { owner: "alice", path: "c.bin", base },
-                    &no_local,
-                )
-                .unwrap_err();
-            let corrupt =
-                RestoreError::Corrupt { user: "alice".into(), path: "c.bin".into(), hash };
-            assert_eq!(err, corrupt, "base: {}", base.is_some());
-            assert!(err.to_string().ends_with("failed verification"), "{err}");
+            let fresh = SizeMemo::new();
+            for sizes in [&fresh, &knows_the_truth] {
+                let request = RestoreRequest { owner: "alice", path: "c.bin", base };
+                let err = RestorePipeline
+                    .restore_batch_with(&store, &spec, &[request], &no_local, sizes)
+                    .pop()
+                    .expect("one result per request")
+                    .unwrap_err();
+                assert_eq!(err, corrupt, "base: {}", base.is_some());
+                assert!(err.to_string().ends_with("failed verification"), "{err}");
+            }
+            // The payload was counted, but its count never entered the memo.
+            assert_eq!(fresh.offered_bytes(), bad.len() as u64);
+            assert!(!fresh.holds(&hash) && fresh.distinct_bytes() == 0, "base: {}", base.is_some());
         }
     }
 
