@@ -12,34 +12,42 @@
 //! * `repro suites` prints the gated prefixes and their determinism
 //!   targets, one tab-separated line each, for CI scripts to iterate over.
 //! * `repro bench-json [PATH]` dumps every row's gate metrics as flat JSON
-//!   (to PATH, default stdout) for `bench_gate`.
+//!   (to PATH, default stdout): what `bench_baseline.json` holds, byte for
+//!   byte.
 //!
 //! Every flag goes through the shared [`cloudbench_bench::cli`] surface:
-//! a path-valued flag (`--json`, `--capture`, `--metrics`) takes `-` for
-//! stdout, and `--json -` streams the JSON *instead of* the text report
-//! (what the CI determinism legs `cmp`); counted flags reject
+//! a target accepts only the flags its row declares, each with a value
+//! that is not itself a flag; a path-valued flag (`--json`, `--capture`)
+//! takes `-` for stdout, and `--json -` streams the JSON *instead of* the
+//! text report (what the CI determinism legs `cmp`); counted flags reject
 //! missing/malformed/zero values with the usage text and exit code 2.
 //! Absolute values differ from the 2013 testbed; EXPERIMENTS.md records the
 //! paper-vs-measured comparison for every target.
 
 use cloudbench_bench::cli::{
-    die_usage, emit, parse_count, parse_path, print_report, write_payload,
+    check_flags, die_usage, emit, parse_count, print_report, write_payload,
 };
 use cloudbench_bench::gate::render_flat;
 use cloudbench_bench::metrics::collect;
-use cloudbench_bench::suites::{by_name, render_table, usage, TABLE};
+use cloudbench_bench::suites::{by_name, render_table, usage, REPS, TABLE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let target = args.first().map(|s| s.as_str()).unwrap_or("all");
     let usage = usage();
-    // Checked for every target, whether or not it reads them: a typo in a
-    // shared flag never silently falls back.
-    parse_count(&args, "--reps", 1, &usage);
-    parse_path(&args, "--json", &usage);
+    let row = by_name(target);
+    let flags = match target {
+        "all" => REPS,
+        "suites" | "bench-json" => "",
+        name => {
+            row.map_or_else(|| die_usage(&format!("unknown target '{name}'"), &usage), |s| s.flags)
+        }
+    };
+    check_flags(&args, flags, &usage);
 
     match target {
         "all" => {
+            parse_count(&args, "--reps", 1, &usage);
             for suite in TABLE.iter().filter(|s| s.in_all) {
                 (suite.run)(&args).reports.iter().for_each(print_report);
             }
@@ -50,9 +58,9 @@ fn main() {
             let what = format!("{} metrics", metrics.len());
             write_payload(args.get(1).map_or("-", String::as_str), &render_flat(&metrics), &what);
         }
-        name => match by_name(name) {
-            Some(suite) => emit(&(suite.run)(&args), &args, &usage),
-            None => die_usage(&format!("unknown target '{name}'"), &usage),
-        },
+        _ => {
+            let suite = row.expect("an unknown target died above");
+            emit(&(suite.run)(&args), &args, &usage);
+        }
     }
 }

@@ -6,10 +6,11 @@
 //! surface all subcommands go through — `--json [PATH|-]` resolves the same
 //! way everywhere, counted flags (`--clients N`, `--partitions K`,
 //! `--reps N`) reject missing/malformed/zero values with the usage text on
-//! stderr and exit code [`USAGE_EXIT`], and path-valued flags reject a
-//! dangling flag the same way. It lives in the library crate (rather than
-//! in `repro.rs`) so the contract is unit-testable and any future binary
-//! inherits the same conventions.
+//! stderr and exit code [`USAGE_EXIT`], path-valued flags reject a
+//! dangling flag the same way, and [`check_flags`] rejects a flag the
+//! target does not declare or whose value is another flag. It lives in the
+//! library crate (rather than in `repro.rs`) so the contract is
+//! unit-testable and any future binary inherits the same conventions.
 
 use cloudbench::report::Report;
 use cloudsim_services::capture::{parse_capture, FleetCapture};
@@ -22,9 +23,10 @@ use crate::suites::Output;
 /// an output (exit 1).
 pub const USAGE_EXIT: i32 = 2;
 
-/// The value following `--flag`, if present.
+/// The value following `--flag`, if present and not itself a `--flag`.
 pub fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+    let value = args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
+    value.map(String::as_str).filter(|v| !v.starts_with("--"))
 }
 
 /// True when `--flag` itself appears, whether or not a value follows.
@@ -49,18 +51,31 @@ pub fn bad_input(message: &str) -> ! {
     std::process::exit(USAGE_EXIT);
 }
 
-/// Reads the input file at `path` and parses it, or dies through
-/// [`bad_input`] naming the file and the reason.
-pub fn load_input<T>(path: &str, parse: impl Fn(&str) -> Result<T, String>) -> T {
+/// Reads and parses the capture at `path`, or dies through [`bad_input`]
+/// naming the file and the reason.
+pub fn load_capture(path: &str) -> FleetCapture {
     std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {path}: {e}"))
-        .and_then(|text| parse(&text).map_err(|e| format!("cannot parse {path}: {e}")))
+        .and_then(|text| parse_capture(&text).map_err(|e| format!("cannot parse {path}: {e}")))
         .unwrap_or_else(|e| bad_input(&e))
 }
 
-/// Reads and parses the capture at `path` (see [`load_input`]).
-pub fn load_capture(path: &str) -> FleetCapture {
-    load_input(path, parse_capture)
+/// Checks a command line against the flags its target declares (`flags`,
+/// as the usage text shows them): every `--word` must be one of them, with
+/// a value that is not itself a flag. Dies with usage otherwise, before
+/// anything runs, so a misspelt flag never runs the defaults and a flag
+/// never becomes a file name.
+pub fn check_flags(args: &[String], flags: &str, usage: &str) {
+    let declared: Vec<&str> = flags
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    for flag in args.iter().filter(|a| a.starts_with("--")) {
+        if !declared.contains(&flag.as_str()) {
+            die_usage(&format!("unknown flag '{flag}'"), usage);
+        }
+        parse_path(args, flag, usage);
+    }
 }
 
 /// Resolves a counted flag (`--clients N`, `--partitions K`, `--reps N`):
@@ -93,9 +108,9 @@ pub fn parse_clients(args: &[String], usage: &str) -> usize {
     clients
 }
 
-/// Resolves a string-valued flag (`--json`, `--capture`, `--metrics`,
-/// `--link`, `--profile`): absent is `None`; present without a value dies
-/// with usage instead of being silently ignored.
+/// Resolves a string-valued flag (`--json`, `--capture`, `--link`,
+/// `--profile`): absent is `None`; present without a value dies with usage
+/// instead of being silently ignored.
 pub fn parse_path<'a>(args: &'a [String], flag: &str, usage: &str) -> Option<&'a str> {
     if !has_flag(args, flag) {
         return None;
@@ -163,6 +178,10 @@ mod tests {
         assert_eq!(arg_value(&dangling, "--json"), None);
         assert!(has_flag(&dangling, "--json"));
         assert!(!has_flag(&dangling, "--clients"));
+        // Nor has a flag followed by another flag.
+        let swallowing = args(&["fleet-scale", "--json", "--capture", "x.jsonl"]);
+        assert_eq!(arg_value(&swallowing, "--json"), None);
+        assert_eq!(arg_value(&swallowing, "--capture"), Some("x.jsonl"));
     }
 
     #[test]
@@ -181,6 +200,6 @@ mod tests {
     fn path_flags_resolve_like_value_flags() {
         let a = args(&["replay", "--capture", "cap.jsonl"]);
         assert_eq!(parse_path(&a, "--capture", "usage"), Some("cap.jsonl"));
-        assert_eq!(parse_path(&a, "--metrics", "usage"), None);
+        assert_eq!(parse_path(&a, "--json", "usage"), None);
     }
 }

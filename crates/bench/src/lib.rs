@@ -12,9 +12,9 @@
 //!   (`cargo run -p cloudbench-bench --bin repro -- all`), runs the
 //!   beyond-paper suites, and prints the table for CI (`repro suites`).
 //! * [`metrics`] holds the gate-point sizes and `collect`, the loop over
-//!   the table behind `repro bench-json`; the `bench_gate` binary compares
-//!   that dump against the committed `bench_baseline.json` exactly, with
-//!   the comparison implemented in [`gate`].
+//!   the table behind `repro bench-json`, and the gate: a test that
+//!   compares the rendered metrics with the committed `bench_baseline.json`
+//!   byte for byte. [`gate`] renders and parses that flat file.
 //! * [`cli`] is the shared argument-parsing surface every `repro` target
 //!   goes through: one `--json [PATH|-]` convention, strict counted flags,
 //!   usage-on-error with exit 2.

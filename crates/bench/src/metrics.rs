@@ -6,9 +6,10 @@
 //! table's business ([`crate::suites::TABLE`]); how each suite names its
 //! values is that suite's (`gate_metrics()` next to its result struct in
 //! `crates/core/src`). This module holds the sizes of the gate points and
-//! the loop that runs them. `repro bench-json` dumps the result; the
-//! `bench_gate` binary compares a fresh dump against the committed
-//! `bench_baseline.json`.
+//! the loop that runs them, and the gate itself: a test that renders what
+//! [`collect`] returns and compares it with the committed
+//! `bench_baseline.json` byte for byte. `repro bench-json` writes the same
+//! render, which is how the baseline is refreshed and what CI `diff`s.
 
 use crate::suites::TABLE;
 
@@ -84,9 +85,23 @@ mod tests {
         collected().iter().find(|(k, _)| k == key).unwrap_or_else(|| panic!("{key} missing")).1
     }
 
-    fn baseline() -> Vec<(String, f64)> {
-        crate::gate::parse_flat(include_str!("../../../bench_baseline.json"))
-            .expect("committed baseline parses")
+    const BASELINE: &str = include_str!("../../../bench_baseline.json");
+
+    /// Where two renders part: from the first line that differs, the next
+    /// few lines of each side (key and value), or `None` for equal bytes.
+    fn first_difference(baseline: &str, current: &str) -> Option<String> {
+        if baseline == current {
+            return None;
+        }
+        let (base, cur): (Vec<&str>, Vec<&str>) =
+            (baseline.lines().collect(), current.lines().collect());
+        let at =
+            base.iter().zip(&cur).position(|(b, c)| b != c).unwrap_or(base.len().min(cur.len()));
+        let from = |side: &[&str]| match side.get(at..at + 3).unwrap_or(&side[at..]) {
+            [] => "(end of file)".to_string(),
+            lines => lines.iter().map(|l| l.trim()).collect::<Vec<_>>().join("  "),
+        };
+        Some(format!("line {}\n  baseline: {}\n  current:  {}", at + 1, from(&base), from(&cur)))
     }
 
     #[test]
@@ -103,10 +118,10 @@ mod tests {
         }
     }
 
-    /// The single-sourcing contract between the table, the collector and
-    /// the committed baseline: a row emits keys under its own prefixes and
-    /// nobody else's, uses every prefix it declares, and the collected key
-    /// list is the baseline's, in order.
+    /// The single-sourcing contract between the table and the collector: a
+    /// row emits keys under its own prefixes and nobody else's and uses
+    /// every prefix it declares. The byte comparison below pins the
+    /// collected keys to the baseline's, in order.
     #[test]
     fn every_key_belongs_to_one_row_in_baseline_order() {
         let owns = |suite: &Suite, key: &str| {
@@ -127,10 +142,6 @@ mod tests {
                 );
             }
         }
-        let keys = |metrics: &[(String, f64)]| -> Vec<String> {
-            metrics.iter().map(|(key, _)| key.clone()).collect()
-        };
-        assert_eq!(keys(&collected()), keys(&baseline()), "collected keys != baseline keys");
     }
 
     #[test]
@@ -167,33 +178,45 @@ mod tests {
         }
     }
 
-    /// The acceptance proof of the scheduler refactor: a legacy-configured
-    /// fleet (zero think time, zero jitter, activation 1.0 — what every
-    /// pre-existing suite runs) must reproduce the *committed* baseline
-    /// values byte-identically. The baseline file is the one the CI gate
-    /// compares against, so any timeline drift fails here first.
+    /// The gate: the collected metrics, rendered as `repro bench-json`
+    /// renders them, are the committed baseline byte for byte — every value
+    /// bit for bit, the key set and the key order.
     #[test]
-    fn legacy_config_reproduces_the_committed_baseline_byte_identically() {
-        let baseline = baseline();
-        let current = collected();
-        let legacy_prefixes = ["fig6.", "fleet8.", "hetero.", "gc.", "restore.", "schedule."];
-        let mut compared = 0usize;
-        for (key, base) in &baseline {
-            if !legacy_prefixes.iter().any(|p| key.starts_with(p)) {
-                continue;
-            }
-            let (_, cur) = current
-                .iter()
-                .find(|(k, _)| k == key)
-                .unwrap_or_else(|| panic!("{key} dropped from the collector"));
-            assert_eq!(
-                cur.to_bits(),
-                base.to_bits(),
-                "{key}: collected {cur} != committed baseline {base} — the legacy \
-                 (lock-step) timeline drifted"
+    fn gate_metrics_render_the_committed_baseline_byte_for_byte() {
+        let current = crate::gate::render_flat(&collected());
+        if let Some(difference) = first_difference(BASELINE, &current) {
+            panic!(
+                "the gate metrics differ from bench_baseline.json at {difference}\n\
+                 refresh it with `repro bench-json bench_baseline.json` only for an \
+                 intentional change"
             );
-            compared += 1;
         }
-        assert!(compared >= 49, "only {compared} legacy metrics compared — baseline truncated?");
+    }
+
+    /// What a failure of the gate prints for the three ways a render can
+    /// drift: a value off by one ULP, two keys swapped, a key gone.
+    #[test]
+    fn a_baseline_difference_names_the_first_differing_keys_with_both_values() {
+        let lines: Vec<&str> = BASELINE.lines().collect();
+        let edited = |edit: &dyn Fn(&mut Vec<String>)| {
+            let mut copy: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            edit(&mut copy);
+            first_difference(BASELINE, &(copy.join("\n") + "\n")).expect("the edit shows")
+        };
+        let (first, second) = (lines[1].trim(), lines[2].trim());
+        let (key, value) = first.trim_end_matches(',').split_once(": ").expect("a metric line");
+        let value: f64 = value.parse().expect("a number");
+        let nudged = f64::from_bits(value.to_bits() + 1);
+
+        let report = edited(&|l| l[1] = format!("  {key}: {nudged},"));
+        assert!(report.contains(&format!("baseline: {first}")), "{report}");
+        assert!(report.contains(&format!("current:  {key}: {nudged},")), "{report}");
+        let report = edited(&|l| l.swap(1, 2));
+        assert!(report.contains(&format!("baseline: {first}  {second}")), "{report}");
+        assert!(report.contains(&format!("current:  {second}  {first}")), "{report}");
+        let report = edited(&|l| drop(l.remove(1)));
+        assert!(report.starts_with("line 2\n"), "{report}");
+        assert!(report.contains(&format!("current:  {second}")), "{report}");
+        assert_eq!(first_difference(BASELINE, BASELINE), None);
     }
 }

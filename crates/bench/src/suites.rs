@@ -8,10 +8,10 @@
 //! [`crate::metrics::collect`] concatenates their gate metrics, and
 //! `repro suites` prints [`render_table`], which CI's per-suite determinism
 //! legs and the `refresh-baseline` coverage check shell over. A new row is
-//! picked up by all of them with no further edit, and the
-//! `every_key_belongs_to_one_row_in_baseline_order` test in
-//! [`crate::metrics`] fails any drift between the rows' declared prefixes,
-//! the keys they emit and the committed baseline.
+//! picked up by all of them with no further edit. The tests in
+//! [`crate::metrics`] fail any drift between the rows' declared prefixes
+//! and the keys they emit, and between the rendered keys and values and
+//! the committed baseline.
 
 use cloudbench::architecture::discover_architecture;
 use cloudbench::benchmarks::{run_performance_cell, run_performance_suite};
@@ -36,7 +36,6 @@ use cloudsim_services::AccessLink;
 use cloudsim_workload::BatchSpec;
 
 use crate::cli::{bad_input, die_usage, load_capture, parse_clients, parse_count, parse_path};
-use crate::gate::render_flat;
 use crate::metrics::{
     GATE_FLEET_CLIENTS, GATE_PARTITIONS, GATE_REPETITIONS, GATE_SCALE_CLIENTS, HETERO_CLIENTS,
     RESTORE_CLIENTS, SCHEDULE_CLIENTS,
@@ -92,7 +91,8 @@ pub type Gate = fn() -> Vec<(String, f64)>;
 pub struct Suite {
     /// The `repro` target name.
     pub name: &'static str,
-    /// The flags the target reads, as the usage text shows them.
+    /// The flags the target reads, as the usage text shows them: the one
+    /// declaration `repro` checks a command line against.
     pub flags: &'static str,
     /// The gate-key prefixes the row owns: every key its `gate` emits
     /// starts with `<prefix>.` for exactly one of them. A dotted prefix
@@ -127,7 +127,8 @@ impl Suite {
     }
 }
 
-const REPS: &str = "[--reps N]";
+/// The one flag `repro all` declares; `fig6` and its panels read it too.
+pub const REPS: &str = "[--reps N]";
 const JSON: &str = "[--json PATH]";
 
 /// Every `repro` target, in `all` / gate-collection order.
@@ -230,7 +231,7 @@ pub static TABLE: &[Suite] = &[
     },
     Suite {
         name: "replay",
-        flags: "--capture PATH [--link PRESET | --profile SERVICE] [--json PATH] [--metrics PATH]",
+        flags: "--capture PATH [--link PRESET | --profile SERVICE] [--json PATH]",
         prefixes: &[],
         in_all: false,
         determinism_target: None,
@@ -307,7 +308,7 @@ pub fn usage() -> String {
         .map(|s| format!("repro {} {}", s.name, s.flags).trim_end().to_string())
         .collect();
     format!(
-        "usage: repro [all] [--reps N]\n       {}\n       repro suites\n       repro bench-json [PATH]\n\
+        "usage: repro [all] {REPS}\n       {}\n       repro suites\n       repro bench-json [PATH]\n\
          gated suites (see `repro suites`): {}",
         targets.join("\n       "),
         prefix_list()
@@ -420,8 +421,7 @@ fn fleet_scale(args: &[String]) -> Output {
 
 /// Re-drives a capture through the event heap. Same mix by default
 /// (bit-identical metrics); `--link` / `--profile` remap every client for
-/// the paper-style A/B comparison, and `--metrics PATH` dumps the replayed
-/// gate metrics for `bench_gate --subset`.
+/// the paper-style A/B comparison.
 fn replay(args: &[String]) -> Output {
     let usage = usage();
     let Some(path) = parse_path(args, "--capture", &usage) else {
@@ -459,11 +459,7 @@ fn replay(args: &[String]) -> Output {
     };
     let suite = replay_fleet_scale(&capture, &mix)
         .unwrap_or_else(|e| bad_input(&format!("replay failed: {e}")));
-    Output::json(suite.report(), Report::to_json(&suite), "the replayed fleet-scale suite").dump(
-        "--metrics",
-        render_flat(&suite.gate_metrics()),
-        "the replayed gate metrics",
-    )
+    Output::json(suite.report(), Report::to_json(&suite), "the replayed fleet-scale suite")
 }
 
 /// `--partitions K` disjoint client sets (round-robin stripes over a live

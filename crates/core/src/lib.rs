@@ -45,8 +45,9 @@
 //! over one shared store and merges the results back bit-identically —
 //! the in-process seam for a distributed agent/controller mode.
 //! [`trace_overhead`] closes the observability loop: the same population
-//! run with capture off and on, proving the sharded trace recorder is a
-//! pure observer and reporting the capture's packet/flow/overhead figures.
+//! run with capture off and on, proving the trace recorder (one shard for
+//! the whole run) is a pure observer and reporting the capture's
+//! packet/flow/overhead figures.
 //!
 //! Each of these is one module holding the suite's result struct, its
 //! runner, its text `report()` and its `gate_metrics()`; a suite is

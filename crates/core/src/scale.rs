@@ -135,8 +135,8 @@ impl FleetScaleSuite {
     }
 
     /// The suite's gate metrics, as a pure function of an assembled suite:
-    /// the live run and a replayed capture (`repro replay --metrics`) name
-    /// the very same `fleetscale.*` and `hist.scale_transfer.*` entries.
+    /// a live run and its same-mix replay name the very same
+    /// `fleetscale.*` and `hist.scale_transfer.*` entries.
     /// Wall-clock time is deliberately absent — it is the one
     /// non-deterministic field.
     pub fn gate_metrics(&self) -> Vec<(String, f64)> {

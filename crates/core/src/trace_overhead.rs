@@ -1,6 +1,6 @@
 //! Trace-overhead suite: what full packet capture costs at fleet scale.
 //!
-//! The sharded trace recorder promises that switching capture on does not
+//! The trace recorder promises that switching capture on does not
 //! perturb the simulation (the traced run's data is bit-identical to the
 //! traceless run) and does not meaningfully slow it down (the fleet-scale
 //! runner records into one preallocated [`cloudsim_trace::TraceShard`]; the

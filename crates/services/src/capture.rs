@@ -128,6 +128,12 @@ impl FleetCapture {
         if self.link_names.is_empty() {
             return Err("capture header lists no access links".into());
         }
+        if self.shared_files_per_commit > self.files_per_commit {
+            return Err(format!(
+                "capture header draws {} shared files per commit from a {}-file commit",
+                self.shared_files_per_commit, self.files_per_commit
+            ));
+        }
         for event in &self.events {
             if !(base..end).contains(&event.client) {
                 return Err(format!(
@@ -240,6 +246,7 @@ impl FleetCapture {
 /// plus one [`CaptureEvent`] per commit in event-heap order. Pure function
 /// of the spec — the recording *is* the run's input, bit for bit.
 pub fn capture_of_spec(spec: &ScaleSpec) -> FleetCapture {
+    spec.validate();
     let batch_bytes = spec.files_per_commit as u64 * spec.file_size;
     let shared_files = spec.shared_files_per_commit();
     let mut events = Vec::with_capacity(spec.clients * spec.commits_per_client);
@@ -947,7 +954,7 @@ mod tests {
         // the first four panicked inside a scoped worker thread.
         let good = capture_of_spec(&ScaleSpec::new(3).with_seed(9));
         type Tamper = fn(&mut FleetCapture);
-        let hostile: [(&str, Tamper); 9] = [
+        let hostile: [(&str, Tamper); 10] = [
             ("no access links", |c| c.link_names.clear()),
             ("outside the header's [2, 5) range", |c| c.client_base = 2),
             ("outside the header's [0, 3) range", |c| c.events[1].client = 3),
@@ -957,6 +964,9 @@ mod tests {
             ("events but the header promises 6", |c| c.events.truncate(5)),
             ("empty population", |c| c.files_per_commit = 0),
             ("too large to index", |c| c.client_base = usize::MAX),
+            ("draws 9 shared files per commit from a 4-file commit", |c| {
+                c.shared_files_per_commit = 9
+            }),
         ];
         for (expected, tamper) in hostile {
             let mut capture = good.clone();

@@ -335,6 +335,11 @@ impl ScaleSpec {
         assert!(self.file_size > 0, "files must have at least one byte");
         assert!(!self.links.is_empty(), "a scale run needs at least one link");
         assert!(!self.horizon.is_zero(), "the horizon must be positive");
+        assert!(
+            (0.0..=1.0).contains(&self.shared_fraction),
+            "shared_fraction must be in [0, 1], got {}",
+            self.shared_fraction
+        );
         // The products the run computes — a commit's bytes, the event
         // count, the packets and paths of a run, its logical bytes — are
         // checked here once, so none of them can wrap later.
@@ -995,6 +1000,22 @@ mod tests {
     #[should_panic(expected = "files_per_commit × file_size (2 × 9223372036854775808) overflows")]
     fn commit_bytes_past_u64_are_refused() {
         run_wide(&ScaleSpec::new(1).with_files(2, 1 << 63));
+    }
+
+    #[test]
+    #[should_panic(expected = "shared_fraction must be in [0, 1], got NaN")]
+    fn a_nan_shared_fraction_is_refused() {
+        for fraction in [0.0, 1.0] {
+            run_wide(&ScaleSpec { shared_fraction: fraction, ..ScaleSpec::new(2) });
+        }
+        run_wide(&ScaleSpec { shared_fraction: f64::NAN, ..ScaleSpec::new(2) });
+    }
+
+    #[test]
+    #[should_panic(expected = "shared_fraction must be in [0, 1], got 2.25")]
+    fn a_spec_drawing_more_shared_files_than_a_commit_holds_renders_no_capture() {
+        // 2.25 × 4 files would be a header of 9 shared files per 4-file commit.
+        crate::capture::render_capture(&ScaleSpec { shared_fraction: 2.25, ..ScaleSpec::new(2) });
     }
 
     #[test]
