@@ -78,13 +78,7 @@ pub fn run_performance_cell(
         }
         overhead.push(run.overhead());
     }
-    let completion_stats = SampleStats::from_samples(&completion).unwrap_or(SampleStats {
-        count: 0,
-        mean: 0.0,
-        min: 0.0,
-        max: 0.0,
-        std_dev: 0.0,
-    });
+    let completion_stats = SampleStats::from_samples(&completion).unwrap_or(SampleStats::zero());
     let goodput = if completion_stats.mean > 0.0 {
         spec.total_bytes() as f64 * 8.0 / completion_stats.mean
     } else {
@@ -95,21 +89,9 @@ pub fn run_performance_cell(
         workload: spec.label(),
         file_kind: spec.kind.label().to_string(),
         repetitions,
-        startup_secs: SampleStats::from_samples(&startup).unwrap_or(SampleStats {
-            count: 0,
-            mean: 0.0,
-            min: 0.0,
-            max: 0.0,
-            std_dev: 0.0,
-        }),
+        startup_secs: SampleStats::from_samples(&startup).unwrap_or(SampleStats::zero()),
         completion_secs: completion_stats,
-        overhead: SampleStats::from_samples(&overhead).unwrap_or(SampleStats {
-            count: 0,
-            mean: 0.0,
-            min: 0.0,
-            max: 0.0,
-            std_dev: 0.0,
-        }),
+        overhead: SampleStats::from_samples(&overhead).unwrap_or(SampleStats::zero()),
         goodput_bps: goodput,
     }
 }

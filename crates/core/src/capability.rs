@@ -101,10 +101,7 @@ pub fn detect_chunking(testbed: &Testbed, profile: &ServiceProfile) -> ChunkingV
     // same capture must not be mistaken for chunk boundaries.
     let storage_packets: Vec<_> =
         run.packets.iter().filter(|p| p.kind == FlowKind::Storage).cloned().collect();
-    let cfg = ThroughputConfig {
-        bin: SimDuration::from_millis(100),
-        min_pause: SimDuration::from_millis(40),
-    };
+    let cfg = ThroughputConfig { min_pause: SimDuration::from_millis(40) };
     let pauses = analysis::detect_pauses(&storage_packets, cfg);
     let mut chunk_sizes: Vec<u64> =
         pauses.iter().map(|p| p.bytes_before).filter(|b| *b >= 1024 * 1024).collect();

@@ -153,7 +153,7 @@ pub fn run_fleet_scaling(
             spec.file_size / 1024,
             spec.rounds
         ),
-        shared_fraction: spec.shared_fraction,
+        shared_fraction: FleetSpec::SHARED_FRACTION,
         rows,
     }
 }

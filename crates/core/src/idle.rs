@@ -117,6 +117,19 @@ mod tests {
         assert!(wuala.steady_rate_bps < dropbox.steady_rate_bps);
         assert!(wuala.steady_rate_bps < 1_000.0);
 
+        // §3.1's signalling rates: Cloud Drive above 4 kb/s and an order of
+        // magnitude above Dropbox, the other four in the tens of b/s. (The
+        // paper's Dropbox > Wuala > Google Drive > SkyDrive ranking does not
+        // hold here: Wuala and Google Drive measure within 1 b/s of each
+        // other, in the reverse order.)
+        let rate = clouddrive.steady_rate_bps;
+        assert!(rate > 4_000.0, "cloud drive {rate} b/s");
+        assert!(rate > 10.0 * dropbox.steady_rate_bps);
+        for name in ["Dropbox", "SkyDrive", "Wuala", "Google Drive"] {
+            let rate = get(name).steady_rate_bps;
+            assert!((20.0..200.0).contains(&rate), "{name} idle rate {rate} b/s");
+        }
+
         // Series are monotone non-decreasing and span 16 minutes.
         for s in &series {
             assert!(s.points.windows(2).all(|w| w[1].1 >= w[0].1), "{} not monotone", s.service);

@@ -25,6 +25,7 @@ use crate::report::{gate_keys, Report};
 use crate::scale::{assemble_suite, scale_spec, FleetScaleSuite, LOAD_CURVE_BUCKETS};
 use cloudsim_services::capture::FleetCapture;
 use cloudsim_services::partition::{replay_partitioned, run_partitioned, PartitionedRun};
+use cloudsim_services::scale::ScaleSpec;
 use cloudsim_trace::{series, LatencyHistogram, SimTime};
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -249,7 +250,7 @@ pub fn run_partition_suite(clients: usize, partitions: usize, seed: u64) -> Part
         spec.commits_per_client,
         spec.files_per_commit,
         spec.file_size,
-        spec.horizon,
+        ScaleSpec::HORIZON,
         &outcome,
     )
 }

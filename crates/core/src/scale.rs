@@ -198,7 +198,7 @@ pub fn run_fleet_scale(clients: usize, seed: u64) -> FleetScaleSuite {
         spec.commits_per_client,
         spec.files_per_commit,
         spec.file_size,
-        spec.horizon,
+        ScaleSpec::HORIZON,
         &run,
     )
 }

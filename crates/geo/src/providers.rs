@@ -313,11 +313,6 @@ impl ProviderTopology {
         Provider::ALL.iter().map(|p| ProviderTopology::ground_truth(*p)).collect()
     }
 
-    /// Nodes playing a given role.
-    pub fn nodes_with_role(&self, role: ServerRole) -> Vec<&ServerNode> {
-        self.nodes.iter().filter(|n| n.role == role).collect()
-    }
-
     /// The distinct owners of the provider's address space (whois view).
     pub fn owners(&self) -> Vec<String> {
         let mut owners: Vec<String> = self.nodes.iter().map(|n| n.owner.clone()).collect();
@@ -366,10 +361,15 @@ mod tests {
     use super::*;
     use crate::registry::addr;
 
+    /// Nodes playing a given role.
+    fn nodes_with_role(topo: &ProviderTopology, role: ServerRole) -> Vec<&ServerNode> {
+        topo.nodes.iter().filter(|n| n.role == role).collect()
+    }
+
     #[test]
     fn google_drive_has_more_than_100_edge_nodes() {
         let topo = ProviderTopology::ground_truth(Provider::GoogleDrive);
-        let edges = topo.nodes_with_role(ServerRole::Edge);
+        let edges = nodes_with_role(&topo, ServerRole::Edge);
         assert!(edges.len() > 100, "only {} edge nodes", edges.len());
         // Spread across many countries, like Fig. 2.
         assert!(topo.countries().len() > 30);
@@ -382,9 +382,9 @@ mod tests {
         assert!(owners.contains(&"Dropbox, Inc.".to_string()));
         assert!(owners.contains(&"Amazon.com, Inc.".to_string()));
         // Control in San Jose, storage in Northern Virginia.
-        let control = topo.nodes_with_role(ServerRole::Control);
+        let control = nodes_with_role(&topo, ServerRole::Control);
         assert!(control.iter().all(|n| n.city == "San Jose"));
-        let storage = topo.nodes_with_role(ServerRole::Storage);
+        let storage = nodes_with_role(&topo, ServerRole::Storage);
         assert!(storage.iter().all(|n| n.city == "Ashburn"));
     }
 
@@ -411,7 +411,7 @@ mod tests {
         assert!(cities.contains("Ashburn"));
         assert!(topo.owners() == vec!["Amazon.com, Inc.".to_string()]);
         // Oregon is storage-only.
-        let storage_only = topo.nodes_with_role(ServerRole::Storage);
+        let storage_only = nodes_with_role(&topo, ServerRole::Storage);
         assert_eq!(storage_only.len(), 1);
         assert_eq!(storage_only[0].city, "The Dalles");
     }
@@ -419,7 +419,7 @@ mod tests {
     #[test]
     fn skydrive_has_a_singapore_control_destination() {
         let topo = ProviderTopology::ground_truth(Provider::SkyDrive);
-        let control = topo.nodes_with_role(ServerRole::Control);
+        let control = nodes_with_role(&topo, ServerRole::Control);
         assert!(control.iter().any(|n| n.city == "Singapore"));
         assert!(topo.nodes.iter().any(|n| n.city == "Seattle" && n.role == ServerRole::Storage));
         assert_eq!(topo.owners(), vec!["Microsoft Corporation".to_string()]);

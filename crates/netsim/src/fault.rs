@@ -133,12 +133,6 @@ impl FaultSchedule {
         self.windows.iter().find(|w| w.up_at > t).map(|w| w.down_at.max(t))
     }
 
-    /// The first instant at or after `t` at which the link is up: `t`
-    /// itself outside any outage, otherwise the end of the covering window.
-    pub fn up_at_or_after(&self, t: SimTime) -> SimTime {
-        self.windows.iter().find(|w| w.contains(t)).map_or(t, |w| w.up_at)
-    }
-
     /// The schedule shifted `by` later in virtual time — how a relative
     /// schedule (windows drawn from an anchor of zero) is pinned onto an
     /// absolute transfer-window start.
@@ -207,8 +201,6 @@ mod tests {
         assert_eq!(s.first_cut_at_or_after(w.down_at), Some(w.down_at));
         let last = *s.windows.last().unwrap();
         assert_eq!(s.first_cut_at_or_after(last.up_at + SimDuration::from_secs(1)), None);
-        assert_eq!(s.up_at_or_after(w.down_at), w.up_at);
-        assert_eq!(s.up_at_or_after(w.up_at), w.up_at);
     }
 
     #[test]
@@ -230,7 +222,6 @@ mod tests {
         assert!(s.is_empty());
         assert!(!s.is_down(SimTime::from_secs(5)));
         assert_eq!(s.first_cut_at_or_after(SimTime::ZERO), None);
-        assert_eq!(s.up_at_or_after(SimTime::from_secs(5)), SimTime::from_secs(5));
         assert_eq!(s.total_downtime(), SimDuration::ZERO);
     }
 

@@ -45,14 +45,6 @@ pub struct HostInfo {
     pub role: HostRole,
 }
 
-impl HostInfo {
-    /// True when this host is one of the cloud-side servers (not the client,
-    /// not a resolver).
-    pub fn is_service_host(&self) -> bool {
-        matches!(self.role, HostRole::Control | HostRole::Storage | HostRole::Notification)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,20 +52,5 @@ mod tests {
     #[test]
     fn host_id_display() {
         assert_eq!(format!("{}", HostId(4)), "host#4");
-    }
-
-    #[test]
-    fn service_host_classification() {
-        let mk = |role| HostInfo {
-            id: HostId(0),
-            dns_name: "x.example".into(),
-            endpoint: Endpoint::from_octets(10, 0, 0, 1, 443),
-            role,
-        };
-        assert!(mk(HostRole::Control).is_service_host());
-        assert!(mk(HostRole::Storage).is_service_host());
-        assert!(mk(HostRole::Notification).is_service_host());
-        assert!(!mk(HostRole::Client).is_service_host());
-        assert!(!mk(HostRole::Dns).is_service_host());
     }
 }

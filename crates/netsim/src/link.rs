@@ -83,7 +83,7 @@ impl AccessLink {
     }
 
     /// Every preset, in a stable order.
-    pub fn all() -> [AccessLink; 4] {
+    pub const fn all() -> [AccessLink; 4] {
         [AccessLink::campus(), AccessLink::fiber(), AccessLink::adsl(), AccessLink::mobile3g()]
     }
 

@@ -12,12 +12,11 @@ pub struct Network {
     client: HostInfo,
     hosts: Vec<HostInfo>,
     paths: HashMap<HostId, PathSpec>,
-    default_path: PathSpec,
-    next_client_port: u16,
-    ports_allocated: u64,
 }
 
-/// First port of the IANA ephemeral range client connections draw from.
+/// First port of the IANA ephemeral range. A connection's client port is
+/// not allocated here: [`crate::tcp::TcpConnection::open`] derives it from
+/// the flow id, cycling through 49152..=65535.
 pub const EPHEMERAL_PORT_MIN: u16 = 49152;
 
 impl Network {
@@ -32,9 +31,6 @@ impl Network {
             },
             hosts: Vec::new(),
             paths: HashMap::new(),
-            default_path: PathSpec::default(),
-            next_client_port: EPHEMERAL_PORT_MIN,
-            ports_allocated: 0,
         }
     }
 
@@ -71,14 +67,9 @@ impl Network {
         self.paths.insert(host, path);
     }
 
-    /// Sets the path used for servers without an explicit path.
-    pub fn set_default_path(&mut self, path: PathSpec) {
-        self.default_path = path;
-    }
-
-    /// Looks up the path to a server (falling back to the default path).
+    /// Looks up the path to a server (falling back to [`PathSpec::default`]).
     pub fn path(&self, host: HostId) -> PathSpec {
-        self.paths.get(&host).copied().unwrap_or(self.default_path)
+        self.paths.get(&host).copied().unwrap_or_default()
     }
 
     /// Looks up a registered host.
@@ -92,37 +83,6 @@ impl Network {
     /// Iterates over all registered servers.
     pub fn hosts(&self) -> impl Iterator<Item = &HostInfo> {
         self.hosts.iter()
-    }
-
-    /// Number of registered servers (excluding the client).
-    pub fn server_count(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Allocates an ephemeral client port for a new connection. The counter
-    /// wraps back to [`EPHEMERAL_PORT_MIN`] past 65535 via `checked_add`
-    /// (never a `u16` overflow), so a fleet client that opens thousands of
-    /// connections — e.g. Cloud Drive's four connections per file across
-    /// many batches — cycles through the ephemeral range like a real TCP
-    /// stack instead of panicking in debug builds.
-    pub fn allocate_client_port(&mut self) -> u16 {
-        let port = self.next_client_port;
-        self.next_client_port = self.next_client_port.checked_add(1).unwrap_or(EPHEMERAL_PORT_MIN);
-        self.ports_allocated += 1;
-        port
-    }
-
-    /// Total ports handed out over the network's lifetime (diagnostic: a
-    /// value beyond the 16384-port ephemeral range means port reuse, which
-    /// is fine for the simulator's flow accounting — packets are attributed
-    /// to connections, not reverse-mapped from port numbers).
-    pub fn ports_allocated(&self) -> u64 {
-        self.ports_allocated
-    }
-
-    /// Finds the servers with a given role.
-    pub fn hosts_with_role(&self, role: HostRole) -> Vec<&HostInfo> {
-        self.hosts.iter().filter(|h| h.role == role).collect()
     }
 }
 
@@ -143,12 +103,10 @@ mod tests {
         let a = net.add_host("control.example", [10, 0, 0, 1], 443, HostRole::Control);
         let b = net.add_server("storage.example", [10, 0, 0, 2], 443);
         assert_ne!(a, b);
-        assert_eq!(net.server_count(), 2);
         assert_eq!(net.host(a).unwrap().dns_name, "control.example");
         assert_eq!(net.host(b).unwrap().role, HostRole::Storage);
         assert_eq!(net.host(HostId(0)).unwrap().role, HostRole::Client);
         assert!(net.host(HostId(99)).is_none());
-        assert_eq!(net.hosts_with_role(HostRole::Control).len(), 1);
         assert_eq!(net.hosts().count(), 2);
     }
 
@@ -161,37 +119,55 @@ mod tests {
         net.set_path(a, fast);
         assert_eq!(net.path(a).rtt, SimDuration::from_millis(5));
         assert_eq!(net.path(b).rtt, PathSpec::default().rtt);
-        let slow = PathSpec::symmetric(SimDuration::from_millis(200), 10_000_000);
-        net.set_default_path(slow);
-        assert_eq!(net.path(b).rtt, SimDuration::from_millis(200));
     }
+
+    /// The client ports of `opens` connections opened after `skipped` flow
+    /// ids were handed out, read off their SYNs. A connection's client port
+    /// is `EPHEMERAL_PORT_MIN + flow % span` (tcp.rs); no packet of any of
+    /// them may carry a client port outside 49152..=65535.
+    fn syn_ports(skipped: u64, opens: u64) -> Vec<u16> {
+        use crate::tcp::{ConnectionOptions, TcpConnection};
+        use crate::Simulator;
+        use cloudsim_trace::{FlowKind, SimTime};
+
+        let mut net = Network::new();
+        let server = net.add_server("server.example", [10, 0, 0, 1], 443);
+        let mut sim = Simulator::new(1);
+        for _ in 0..skipped {
+            sim.trace_mut().allocate_flow();
+        }
+        let opts = ConnectionOptions { tls: false, kind: FlowKind::Control };
+        for flow in skipped..skipped + opens {
+            let conn = TcpConnection::open(&mut sim, &net, server, opts, SimTime::ZERO);
+            assert_eq!(conn.flow().0, flow);
+        }
+        let client = net.client().endpoint.addr;
+        for packet in sim.packets() {
+            let port = if packet.src.addr == client { packet.src.port } else { packet.dst.port };
+            assert!(port >= EPHEMERAL_PORT_MIN, "client port {port} left 49152..=65535");
+        }
+        sim.packets().iter().filter(|p| p.is_syn()).map(|p| p.src.port).collect()
+    }
+
+    const SPAN: u64 = (u16::MAX - EPHEMERAL_PORT_MIN) as u64 + 1;
 
     #[test]
     fn client_ports_are_unique_and_wrap() {
-        let mut net = Network::new();
-        let p1 = net.allocate_client_port();
-        let p2 = net.allocate_client_port();
-        assert_ne!(p1, p2);
-        assert!(p1 >= EPHEMERAL_PORT_MIN);
-        net.next_client_port = u16::MAX;
-        assert_eq!(net.allocate_client_port(), u16::MAX);
-        assert_eq!(net.allocate_client_port(), EPHEMERAL_PORT_MIN);
+        // Flows span-1, span and span+1: the last port, then the wrap.
+        assert_eq!(syn_ports(SPAN - 1, 3), [u16::MAX, EPHEMERAL_PORT_MIN, EPHEMERAL_PORT_MIN + 1]);
     }
 
     #[test]
     fn fleet_scale_port_allocation_cycles_the_ephemeral_range() {
         // A fleet client can open thousands of connections (Cloud Drive opens
-        // four per file); exhaust the 16384-port ephemeral range six times
-        // over and check the allocator never overflows or leaves the range.
-        let mut net = Network::new();
-        let span = (u16::MAX - EPHEMERAL_PORT_MIN) as u64 + 1;
-        for i in 0..(6 * span) {
-            let port = net.allocate_client_port();
-            assert!(port >= EPHEMERAL_PORT_MIN, "allocation {i} left the range: {port}");
-        }
-        assert_eq!(net.ports_allocated(), 6 * span);
-        // After exactly one full cycle the allocator is back at the start.
-        assert_eq!(net.allocate_client_port(), EPHEMERAL_PORT_MIN);
+        // four per file): one full cycle uses every ephemeral port once, and
+        // the next connection starts the range over.
+        let ports = syn_ports(0, SPAN + 1);
+        let distinct: std::collections::BTreeSet<u16> =
+            ports[..SPAN as usize].iter().copied().collect();
+        assert_eq!(distinct.len() as u64, SPAN);
+        assert_eq!(ports[0], EPHEMERAL_PORT_MIN);
+        assert_eq!(ports[SPAN as usize], EPHEMERAL_PORT_MIN);
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl SimRng {
         self.inner.gen_range(low..high)
     }
 
-    /// Uniform integer in `[low, high)`.
-    pub fn uniform_u64(&mut self, low: u64, high: u64) -> u64 {
-        assert!(high > low, "invalid uniform range");
-        self.inner.gen_range(low..high)
-    }
-
     /// Multiplicative jitter: returns `value * f` with `f` uniform in
     /// `[1 - spread, 1 + spread]`. Used for RTT and think-time variation.
     pub fn jitter(&mut self, value: f64, spread: f64) -> f64 {
@@ -117,8 +111,6 @@ mod tests {
         for _ in 0..1000 {
             let v = rng.uniform(2.0, 5.0);
             assert!((2.0..5.0).contains(&v));
-            let n = rng.uniform_u64(10, 20);
-            assert!((10..20).contains(&n));
         }
         assert_eq!(rng.uniform(4.0, 4.0), 4.0);
     }

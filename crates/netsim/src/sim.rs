@@ -26,12 +26,6 @@ impl Simulator {
         Simulator { now: SimTime::ZERO, rng: SimRng::new(seed), shard: TraceShard::new() }
     }
 
-    /// Creates a simulator reusing an existing RNG (e.g. a derived stream for
-    /// repetition *i* of a benchmark).
-    pub fn with_rng(rng: SimRng) -> Self {
-        Simulator { now: SimTime::ZERO, rng, shard: TraceShard::new() }
-    }
-
     /// The furthest point in virtual time reached so far.
     pub fn now(&self) -> SimTime {
         self.now
@@ -94,14 +88,6 @@ mod tests {
     fn simulators_with_same_seed_share_random_stream() {
         let mut a = Simulator::new(77);
         let mut b = Simulator::new(77);
-        assert_eq!(a.rng().next_u64(), b.rng().next_u64());
-    }
-
-    #[test]
-    fn with_rng_uses_the_provided_stream() {
-        let root = SimRng::new(5);
-        let mut a = Simulator::with_rng(root.derive(1));
-        let mut b = Simulator::with_rng(root.derive(1));
         assert_eq!(a.rng().next_u64(), b.rng().next_u64());
     }
 

@@ -268,11 +268,6 @@ impl TcpConnection {
         self.free_at
     }
 
-    /// Current congestion window in segments.
-    pub fn congestion_window(&self) -> u32 {
-        self.cwnd
-    }
-
     /// Whether the connection has been closed.
     pub fn is_closed(&self) -> bool {
         self.closed
@@ -864,10 +859,10 @@ mod tests {
             ConnectionOptions::https(FlowKind::Storage),
             SimTime::ZERO,
         );
-        let w0 = conn.congestion_window();
+        let w0 = conn.cwnd;
         let t1 =
             conn.request(&mut sim, &net, conn.established_at(), 500_000, 100, SimDuration::ZERO);
-        let w1 = conn.congestion_window();
+        let w1 = conn.cwnd;
         assert!(w1 > w0, "window should have grown: {w0} -> {w1}");
 
         // The second transfer of the same size finishes faster thanks to the
@@ -926,8 +921,7 @@ mod tests {
         );
         conn.request(&mut sim, &net, conn.established_at(), 2_000_000, 100, SimDuration::ZERO);
         let packets = sim.packets();
-        let cfg =
-            ThroughputConfig { min_pause: SimDuration::from_millis(40), ..Default::default() };
+        let cfg = ThroughputConfig { min_pause: SimDuration::from_millis(40) };
         let pauses = analysis::detect_pauses(&packets, cfg);
         // The only admissible gap is the one between the TLS handshake flights
         // and the first data round; no pause may be preceded by a significant
@@ -1112,7 +1106,7 @@ mod tests {
             packets.len(),
             packets.iter().map(|p| p.wire_len()).sum(),
             packets.iter().map(|p| p.timestamp).max().unwrap().as_micros(),
-            conn.congestion_window(),
+            conn.cwnd,
             done.as_micros(),
         )
     }

@@ -35,21 +35,6 @@ impl TlsProfile {
         server_handshake_bytes: 4200,
         per_segment_overhead: 29,
     };
-
-    /// An abbreviated-handshake profile (session resumption): one round trip
-    /// and no certificate chain. Some clients in the study resume sessions on
-    /// reconnect; exposed for ablation benchmarks.
-    pub const RESUMED: TlsProfile = TlsProfile {
-        handshake_rtts: 1,
-        client_handshake_bytes: 250,
-        server_handshake_bytes: 250,
-        per_segment_overhead: 29,
-    };
-
-    /// Total handshake bytes exchanged in both directions.
-    pub fn handshake_bytes(&self) -> u32 {
-        self.client_handshake_bytes + self.server_handshake_bytes
-    }
 }
 
 impl Default for TlsProfile {
@@ -67,15 +52,6 @@ mod tests {
         let p = TlsProfile::default();
         assert_eq!(p.handshake_rtts, 2);
         assert!(p.server_handshake_bytes > p.client_handshake_bytes);
-        assert_eq!(p.handshake_bytes(), 4900);
-    }
-
-    #[test]
-    fn resumed_profile_is_cheaper_in_every_dimension() {
-        let full = TlsProfile::DEFAULT;
-        let resumed = TlsProfile::RESUMED;
-        assert!(resumed.handshake_rtts < full.handshake_rtts);
-        assert!(resumed.handshake_bytes() < full.handshake_bytes());
-        assert_eq!(resumed.per_segment_overhead, full.per_segment_overhead);
+        assert_eq!(p.client_handshake_bytes + p.server_handshake_bytes, 4900);
     }
 }

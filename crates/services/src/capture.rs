@@ -269,8 +269,8 @@ pub fn capture_of_spec(spec: &ScaleSpec) -> FleetCapture {
         files_per_commit: spec.files_per_commit,
         file_size: spec.file_size,
         shared_files_per_commit: shared_files,
-        horizon: spec.horizon,
-        link_names: spec.links.iter().map(|l| l.name.to_owned()).collect(),
+        horizon: ScaleSpec::HORIZON,
+        link_names: ScaleSpec::LINKS.iter().map(|l| l.name.to_owned()).collect(),
         seed: spec.seed,
         events,
     }
@@ -837,7 +837,7 @@ mod tests {
         assert_eq!(capture.commits_per_client, spec.commits_per_client);
         assert_eq!(capture.file_size, spec.file_size);
         assert_eq!(capture.shared_files_per_commit, spec.shared_files_per_commit());
-        assert_eq!(capture.horizon, spec.horizon);
+        assert_eq!(capture.horizon, ScaleSpec::HORIZON);
         assert_eq!(capture.seed, spec.seed);
         assert_eq!(capture.link_names, vec!["campus", "fiber", "adsl", "3g"]);
         assert_eq!(capture.events.len(), spec.clients * spec.commits_per_client);

@@ -534,7 +534,7 @@ mod tests {
         let syncs = ea.iter().filter(|e| e.phase == Phase::Sync).count();
         let idles = ea.iter().filter(|e| e.phase == Phase::Idle).count();
         let gcs = ea.iter().filter(|e| e.phase == Phase::Gc).count();
-        assert_eq!(syncs, schedule.total_sync_rounds());
+        assert_eq!(syncs, schedule.clients.iter().map(|c| c.sync_rounds()).sum::<usize>());
         assert_eq!(idles, schedule.total_idle_rounds());
         assert_eq!(gcs, spec.rounds);
     }

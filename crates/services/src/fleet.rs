@@ -190,12 +190,6 @@ pub struct FleetSpec {
     pub files_per_batch: usize,
     /// Size of each file in bytes.
     pub file_size: usize,
-    /// Content type of the generated files.
-    pub kind: FileKind,
-    /// Fraction of each batch (0.0–1.0) drawn from a fleet-wide shared pool:
-    /// identical bytes across users, modelling popular content. This is what
-    /// inter-user dedup (§4.3) acts on.
-    pub shared_fraction: f64,
     /// Master seed; every (client, round, file) derives an independent seed,
     /// and the churn schedule derives from it too.
     pub seed: u64,
@@ -234,6 +228,14 @@ pub struct FleetSpec {
 }
 
 impl FleetSpec {
+    /// Content type of the generated files.
+    pub const KIND: FileKind = FileKind::RandomBinary;
+
+    /// Fraction of each batch drawn from a fleet-wide shared pool: identical
+    /// bytes across users, modelling popular content. This is what
+    /// inter-user dedup (§4.3) acts on.
+    pub const SHARED_FRACTION: f64 = 0.5;
+
     /// A homogeneous fleet of `clients` users of one service on the campus
     /// link, each syncing one round of ten 64 kB files, half of them from
     /// the shared pool — the PR 2 scaling-suite workload.
@@ -244,8 +246,6 @@ impl FleetSpec {
             rounds: 1,
             files_per_batch: 10,
             file_size: 64 * 1024,
-            kind: FileKind::RandomBinary,
-            shared_fraction: 0.5,
             seed: 0xF1EE7,
             gc: GcPolicy::default(),
             churn: None,
@@ -488,7 +488,7 @@ impl FleetSpec {
     /// Number of files of each batch that come from the fleet-wide shared
     /// pool (identical bytes for every client).
     pub fn shared_files_per_batch(&self) -> usize {
-        ((self.files_per_batch as f64) * self.shared_fraction).round() as usize
+        ((self.files_per_batch as f64) * FleetSpec::SHARED_FRACTION).round() as usize
     }
 
     /// Lazily generates the batch client `client` syncs in round `round`,
@@ -513,8 +513,8 @@ impl FleetSpec {
                 ("private", self.derived_seed(client as u64, round as u64, f as u64))
             };
             GeneratedFile {
-                path: format!("{label}/b{round:03}_f{f:04}.{}", self.kind.extension()),
-                content: generate(self.kind, self.file_size, seed),
+                path: format!("{label}/b{round:03}_f{f:04}.{}", FleetSpec::KIND.extension()),
+                content: generate(FleetSpec::KIND, self.file_size, seed),
             }
         })
     }
@@ -1683,7 +1683,10 @@ mod tests {
         let expected: u64 = (0..4).map(|i| spec.sync_rounds_of(i) as u64).sum();
         assert!(expected > 0, "p=0.5 over 16 draws should activate somewhere");
         assert!(expected < 16, "p=0.5 over 16 draws should idle somewhere (got {expected} syncs)");
-        assert_eq!(schedule.total_sync_rounds() as u64, expected);
+        assert_eq!(
+            schedule.clients.iter().map(|c| c.sync_rounds()).sum::<usize>() as u64,
+            expected
+        );
         let per_batch = spec.files_per_batch as u64 * spec.file_size as u64;
         assert_eq!(spec.total_logical_bytes(), expected * per_batch);
         let run = fleet(&spec, 1);

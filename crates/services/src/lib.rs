@@ -28,10 +28,11 @@
 //! repository root walks through the whole lifecycle.
 //!
 //! The crate deliberately separates *what a service does* (the profile) from
-//! *how the sync engine executes it* (the client), so the ablation benchmarks
-//! can flip individual capabilities — bundling on/off, compression policies,
-//! connection reuse — and measure their isolated effect, which is exactly the
-//! kind of guidance the paper's conclusions call for.
+//! *how the sync engine executes it* (the client): a profile's fields —
+//! bundling, compression policy, connection reuse — are plain data, so a
+//! profile that differs from a paper one in a single capability isolates
+//! that capability's effect, which is exactly the kind of guidance the
+//! paper's conclusions call for.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

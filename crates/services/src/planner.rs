@@ -3,16 +3,17 @@
 //! Given a file's new content and the client's knowledge of the server state,
 //! the planner applies the service's capabilities in the order a real client
 //! does — chunking, client-side deduplication, delta encoding against the
-//! previous revision, compression, convergent encryption — and returns the
-//! per-chunk byte counts that must travel. The §4 capability tests and the
+//! previous revision, compression (convergent encryption preserves sizes, so
+//! it adds nothing to the count) — and returns the per-chunk byte counts
+//! that must travel. The §4 capability tests and the
 //! Fig. 4 / Fig. 5 byte-volume plots are direct observations of this logic
 //! through the network trace.
 
 use crate::profile::ServiceProfile;
 use cloudsim_storage::{
-    ContentHash, ConvergentCipher, DedupIndex, FileArtifacts, FileJob, FileManifest, ObjectStore,
-    PipelineSpec, RestoreError, RestorePipeline, RestoreRequest, RestoredFile, SizeMemo,
-    StoredChunk, UploadPipeline,
+    ContentHash, DedupIndex, FileArtifacts, FileJob, FileManifest, ObjectStore, PipelineSpec,
+    RestoreError, RestorePipeline, RestoreRequest, RestoredFile, SizeMemo, StoredChunk,
+    UploadPipeline,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,11 +52,6 @@ impl FilePlan {
     pub fn upload_bytes(&self) -> u64 {
         self.chunks.iter().map(|c| c.upload_bytes).sum()
     }
-
-    /// True when every chunk was deduplicated (nothing travels to storage).
-    pub fn fully_deduplicated(&self) -> bool {
-        !self.chunks.is_empty() && self.chunks.iter().all(|c| c.deduplicated)
-    }
 }
 
 /// One file the client holds locally: an own upload or pulled content.
@@ -76,7 +72,6 @@ pub struct UploadPlanner {
     profile: ServiceProfile,
     store: ObjectStore,
     dedup: DedupIndex,
-    cipher: ConvergentCipher,
     /// The live revision of each own path, as the server knows it.
     own: HashMap<String, Held>,
     /// Content pulled down by restores, keyed `owner/path` (the planner's
@@ -127,7 +122,6 @@ impl UploadPlanner {
             profile,
             store,
             dedup: DedupIndex::new(),
-            cipher: ConvergentCipher::new(),
             own: HashMap::new(),
             pulled: HashMap::new(),
             local_chunks: HashMap::new(),
@@ -160,22 +154,11 @@ impl UploadPlanner {
         &self.store
     }
 
-    /// Dedup statistics (queries answered from the index vs. uploads).
-    pub fn dedup_stats(&self) -> (u64, u64) {
-        (self.dedup.hits(), self.dedup.misses())
-    }
-
     /// Number of batches planned since the account was created. One sync
     /// activation plans exactly one batch; idle rounds plan none — the
     /// fleet's schedule accounting cross-checks against this counter.
     pub fn batches_planned(&self) -> usize {
         self.batches_planned
-    }
-
-    /// Plans (and commits) the upload of one file revision. Equivalent to a
-    /// one-file [`UploadPlanner::plan_batch`].
-    pub fn plan_file(&mut self, path: &str, content: &[u8]) -> FilePlan {
-        self.plan_batch(&[(path, content)]).pop().expect("plan_batch returns one plan per file")
     }
 
     /// Plans (and commits) a batch of file revisions.
@@ -187,8 +170,7 @@ impl UploadPlanner {
     /// already a fan-out worker). The stateful decisions — dedup index
     /// queries, server-side commits — are then applied sequentially in file
     /// order, so the resulting [`FilePlan`]s do not depend on the thread
-    /// count, and are identical to calling [`UploadPlanner::plan_file`]
-    /// once per file.
+    /// count, and are identical to planning the files one batch each.
     pub fn plan_batch(&mut self, files: &[(&str, &[u8])]) -> Vec<FilePlan> {
         self.batches_planned += 1;
         let spec = self.pipeline_spec();
@@ -276,21 +258,12 @@ impl UploadPlanner {
                             delta_encoded: true,
                         }
                     }
-                    _ => {
-                        if self.profile.client_side_encryption {
-                            // Convergent encryption is size-preserving;
-                            // exercise the cipher so the cost is real, then
-                            // keep the compressed length.
-                            let data = &content[chunk.offset as usize..chunk.end() as usize];
-                            let _ct = self.cipher.encrypt(&data[..data.len().min(4096)]);
-                        }
-                        ChunkPlan {
-                            upload_bytes: art.full_upload_bytes,
-                            plain_bytes: chunk.len,
-                            deduplicated: false,
-                            delta_encoded: false,
-                        }
-                    }
+                    _ => ChunkPlan {
+                        upload_bytes: art.full_upload_bytes,
+                        plain_bytes: chunk.len,
+                        deduplicated: false,
+                        delta_encoded: false,
+                    },
                 }
             };
 
@@ -500,16 +473,31 @@ mod tests {
     use crate::profile::ServiceProfile;
     use cloudsim_workload::{generate, FileKind, Mutation};
 
+    /// One file revision through [`UploadPlanner::plan_batch`].
+    fn plan_file(planner: &mut UploadPlanner, path: &str, content: &[u8]) -> FilePlan {
+        planner.plan_batch(&[(path, content)]).pop().unwrap()
+    }
+
+    /// True when every chunk was deduplicated (nothing travels to storage).
+    fn fully_deduplicated(plan: &FilePlan) -> bool {
+        !plan.chunks.is_empty() && plan.chunks.iter().all(|c| c.deduplicated)
+    }
+
+    /// Dedup queries answered from the index vs. uploads.
+    fn dedup_stats(planner: &UploadPlanner) -> (u64, u64) {
+        (planner.dedup.hits(), planner.dedup.misses())
+    }
+
     #[test]
     fn plain_upload_moves_roughly_the_file_size() {
         for profile in [ServiceProfile::skydrive(), ServiceProfile::cloud_drive()] {
             let mut planner = UploadPlanner::new(profile.clone());
             let content = generate(FileKind::RandomBinary, 500_000, 1);
-            let plan = planner.plan_file("a.bin", &content);
+            let plan = plan_file(&mut planner, "a.bin", &content);
             assert_eq!(plan.logical_bytes, 500_000);
             let up = plan.upload_bytes();
             assert!((500_000..=502_000).contains(&up), "{}: uploaded {up}", profile.name());
-            assert!(!plan.fully_deduplicated());
+            assert!(!fully_deduplicated(&plan));
         }
     }
 
@@ -517,11 +505,11 @@ mod tests {
     fn dropbox_compresses_text_but_not_random_data() {
         let mut planner = UploadPlanner::new(ServiceProfile::dropbox());
         let text = generate(FileKind::Text, 1_000_000, 2);
-        let plan = planner.plan_file("notes.txt", &text);
+        let plan = plan_file(&mut planner, "notes.txt", &text);
         assert!(plan.upload_bytes() < 550_000, "text should compress: {}", plan.upload_bytes());
 
         let random = generate(FileKind::RandomBinary, 1_000_000, 3);
-        let plan = planner.plan_file("noise.bin", &random);
+        let plan = plan_file(&mut planner, "noise.bin", &random);
         assert!(plan.upload_bytes() >= 1_000_000);
     }
 
@@ -529,11 +517,11 @@ mod tests {
     fn google_drive_skips_fake_jpegs_dropbox_does_not() {
         let fake = generate(FileKind::FakeJpeg, 800_000, 4);
         let mut gdrive = UploadPlanner::new(ServiceProfile::google_drive());
-        let gplan = gdrive.plan_file("photo.jpg", &fake);
+        let gplan = plan_file(&mut gdrive, "photo.jpg", &fake);
         assert_eq!(gplan.upload_bytes(), 800_000, "smart policy must skip JPEG headers");
 
         let mut dropbox = UploadPlanner::new(ServiceProfile::dropbox());
-        let dplan = dropbox.plan_file("photo.jpg", &fake);
+        let dplan = plan_file(&mut dropbox, "photo.jpg", &fake);
         assert!(dplan.upload_bytes() < 500_000, "Dropbox compresses even fake JPEGs");
     }
 
@@ -541,27 +529,27 @@ mod tests {
     fn dedup_detects_copies_and_survives_delete_restore() {
         let mut planner = UploadPlanner::new(ServiceProfile::wuala());
         let content = generate(FileKind::RandomBinary, 300_000, 5);
-        let first = planner.plan_file("folder1/original.bin", &content);
-        assert!(!first.fully_deduplicated());
+        let first = plan_file(&mut planner, "folder1/original.bin", &content);
+        assert!(!fully_deduplicated(&first));
         assert!(first.upload_bytes() >= 300_000);
 
         // Same payload, different name, second folder.
-        let copy = planner.plan_file("folder2/replica.bin", &content);
-        assert!(copy.fully_deduplicated());
+        let copy = plan_file(&mut planner, "folder2/replica.bin", &content);
+        assert!(fully_deduplicated(&copy));
         assert_eq!(copy.upload_bytes(), 0);
 
         // Copy to a third folder.
-        let copy2 = planner.plan_file("folder3/copy.bin", &content);
+        let copy2 = plan_file(&mut planner, "folder3/copy.bin", &content);
         assert_eq!(copy2.upload_bytes(), 0);
 
         // Delete everything, then restore the original: still deduplicated.
         planner.plan_delete("folder1/original.bin");
         planner.plan_delete("folder2/replica.bin");
         planner.plan_delete("folder3/copy.bin");
-        let restored = planner.plan_file("folder1/original.bin", &content);
-        assert!(restored.fully_deduplicated(), "dedup must survive delete/restore");
+        let restored = plan_file(&mut planner, "folder1/original.bin", &content);
+        assert!(fully_deduplicated(&restored), "dedup must survive delete/restore");
 
-        let (hits, misses) = planner.dedup_stats();
+        let (hits, misses) = dedup_stats(&planner);
         assert!(hits >= 3);
         assert_eq!(misses, 1);
     }
@@ -586,12 +574,12 @@ mod tests {
             let uploads: [(&str, &[u8]); 4] =
                 [("f/a.bin", &a), ("g/copy.bin", &a), ("f/b.txt", &b1), ("f/b.txt", &b2)];
             for (path, content) in uploads {
-                planner.plan_file(path, content);
+                plan_file(&mut planner, path, content);
                 for hash in hashes(content) {
                     *expected.entry(hash).or_default() += 1;
                 }
             }
-            let stats = planner.dedup_stats();
+            let stats = dedup_stats(&planner);
 
             // Deleting twice, or a path never uploaded, releases nothing more.
             for path in ["f/a.bin", "f/b.txt", "f/a.bin", "f/never.bin"] {
@@ -603,13 +591,13 @@ mod tests {
             for (hash, refs) in &expected {
                 assert_eq!(planner.dedup.references(hash), *refs, "{name}");
             }
-            assert_eq!(planner.dedup_stats(), stats, "{name}: a delete asks the index nothing");
+            assert_eq!(dedup_stats(&planner), stats, "{name}: a delete asks the index nothing");
             assert!(!planner.own.contains_key("f/a.bin"), "{name}");
             assert!(planner.own.contains_key("g/copy.bin"), "{name}");
 
-            let restored = planner.plan_file("f/a.bin", &a);
-            assert_eq!(restored.fully_deduplicated(), profile.dedup, "{name}");
-            let (hits, misses) = planner.dedup_stats();
+            let restored = plan_file(&mut planner, "f/a.bin", &a);
+            assert_eq!(fully_deduplicated(&restored), profile.dedup, "{name}");
+            let (hits, misses) = dedup_stats(&planner);
             if profile.dedup {
                 assert_eq!(restored.upload_bytes(), 0, "{name}");
                 assert_eq!((hits, misses), (stats.0 + hashes(&a).len() as u64, stats.1), "{name}");
@@ -628,7 +616,7 @@ mod tests {
         let content = generate(FileKind::RandomBinary, 200_000, 15);
         for profile in ServiceProfile::all() {
             let mut planner = UploadPlanner::new(profile.clone());
-            planner.plan_file("a.bin", &content);
+            plan_file(&mut planner, "a.bin", &content);
             assert_eq!(planner.own["a.bin"].base.is_some(), profile.delta_encoding);
             assert!(!planner.local_chunks.is_empty());
             for (hash, (bytes, _)) in &planner.local_chunks {
@@ -649,7 +637,7 @@ mod tests {
         for profile in ServiceProfile::all() {
             let name = profile.name();
             let mut planner = UploadPlanner::new(profile.clone());
-            let first = planner.plan_file("doc.bin", &original);
+            let first = plan_file(&mut planner, "doc.bin", &original);
             assert_eq!(planner.own["doc.bin"].hashes.len(), first.chunks.len(), "{name}");
             assert_eq!(planner.own["doc.bin"].base.is_some(), profile.delta_encoding, "{name}");
 
@@ -659,7 +647,7 @@ mod tests {
                 assert_eq!(planner.dedup.references(&chunk.hash), 0, "{name}");
             }
 
-            let again = planner.plan_file("doc.bin", &appended);
+            let again = plan_file(&mut planner, "doc.bin", &appended);
             assert!(again.chunks.iter().all(|c| !c.delta_encoded), "{name}: delta after a delete");
             if !profile.dedup {
                 assert!(again.upload_bytes() >= 300_000, "{name}");
@@ -681,7 +669,7 @@ mod tests {
             let pipeline = UploadPipeline;
             let mut owner = UploadPlanner::for_user(profile.clone(), pipeline, store.clone(), "o");
             let mut puller = UploadPlanner::for_user(profile.clone(), pipeline, store, "p");
-            owner.plan_file("f.bin", &content);
+            plan_file(&mut owner, "f.bin", &content);
 
             let pulled = puller.plan_restore_paths("o", &paths).pop().unwrap().unwrap();
             assert_eq!(*pulled.content, content, "{name}");
@@ -689,7 +677,7 @@ mod tests {
             assert_eq!(Arc::strong_count(&pulled.content), holders, "{name}");
             assert_eq!(puller.pulled["o/f.bin"].hashes.len(), pulled.chunks.len(), "{name}");
 
-            owner.plan_file("f.bin", &appended);
+            plan_file(&mut owner, "f.bin", &appended);
             let repull = puller.plan_restore_paths("o", &paths).pop().unwrap().unwrap();
             assert_eq!(*repull.content, appended, "{name}");
             if profile.delta_encoding {
@@ -703,19 +691,19 @@ mod tests {
     fn services_without_dedup_reupload_copies() {
         let mut planner = UploadPlanner::new(ServiceProfile::google_drive());
         let content = generate(FileKind::RandomBinary, 200_000, 6);
-        planner.plan_file("a.bin", &content);
-        let copy = planner.plan_file("b.bin", &content);
+        plan_file(&mut planner, "a.bin", &content);
+        let copy = plan_file(&mut planner, "b.bin", &content);
         assert!(copy.upload_bytes() >= 200_000, "no dedup: full re-upload expected");
-        assert!(!copy.fully_deduplicated());
+        assert!(!fully_deduplicated(&copy));
     }
 
     #[test]
     fn delta_encoding_tracks_appended_bytes_for_dropbox() {
         let mut planner = UploadPlanner::new(ServiceProfile::dropbox());
         let original = generate(FileKind::RandomBinary, 1_000_000, 7);
-        planner.plan_file("doc.bin", &original);
+        plan_file(&mut planner, "doc.bin", &original);
         let appended = Mutation::Append { len: 100_000 }.apply(&original, 8);
-        let plan = planner.plan_file("doc.bin", &appended);
+        let plan = plan_file(&mut planner, "doc.bin", &appended);
         let up = plan.upload_bytes();
         assert!(
             (90_000..200_000).contains(&up),
@@ -728,9 +716,9 @@ mod tests {
     fn services_without_delta_reupload_modified_files() {
         let mut planner = UploadPlanner::new(ServiceProfile::skydrive());
         let original = generate(FileKind::RandomBinary, 1_000_000, 9);
-        planner.plan_file("doc.bin", &original);
+        plan_file(&mut planner, "doc.bin", &original);
         let appended = Mutation::Append { len: 100_000 }.apply(&original, 10);
-        let plan = planner.plan_file("doc.bin", &appended);
+        let plan = plan_file(&mut planner, "doc.bin", &appended);
         assert!(plan.upload_bytes() >= 1_000_000, "no delta: full re-upload expected");
     }
 
@@ -740,9 +728,9 @@ mod tests {
         // the chunks the insertion touched.
         let mut planner = UploadPlanner::new(ServiceProfile::wuala());
         let original = generate(FileKind::RandomBinary, 10_000_000, 11);
-        planner.plan_file("big.bin", &original);
+        plan_file(&mut planner, "big.bin", &original);
         let modified = Mutation::InsertRandom { len: 100_000 }.apply(&original, 12);
-        let plan = planner.plan_file("big.bin", &modified);
+        let plan = plan_file(&mut planner, "big.bin", &modified);
         let up = plan.upload_bytes();
         assert!(up < 8_000_000, "variable chunking + dedup should spare most chunks, got {up}");
         assert!(up >= 100_000);
@@ -753,11 +741,12 @@ mod tests {
     fn chunk_counts_follow_the_chunking_strategy() {
         let content = generate(FileKind::RandomBinary, 9_000_000, 13);
         let mut dropbox = UploadPlanner::new(ServiceProfile::dropbox());
-        assert_eq!(dropbox.plan_file("x.bin", &content).chunks.len(), 3); // 4+4+1 MB
+        assert_eq!(plan_file(&mut dropbox, "x.bin", &content).chunks.len(), 3); // 4+4+1 MB
         let mut gdrive = UploadPlanner::new(ServiceProfile::google_drive());
-        assert_eq!(gdrive.plan_file("x.bin", &content).chunks.len(), 2); // 8+1 MB
+        assert_eq!(plan_file(&mut gdrive, "x.bin", &content).chunks.len(), 2); // 8+1 MB
         let mut clouddrive = UploadPlanner::new(ServiceProfile::cloud_drive());
-        assert_eq!(clouddrive.plan_file("x.bin", &content).chunks.len(), 1); // single object
+        assert_eq!(plan_file(&mut clouddrive, "x.bin", &content).chunks.len(), 1);
+        // single object
     }
 
     /// Plans do not depend on the pipeline's thread count: for any profile,
@@ -788,7 +777,7 @@ mod tests {
         for profile in ServiceProfile::all() {
             let plan_both = || {
                 let mut planner = UploadPlanner::new(profile.clone());
-                (planner.plan_batch(&batch), planner.plan_batch(&batch2), planner.dedup_stats())
+                (planner.plan_batch(&batch), planner.plan_batch(&batch2), dedup_stats(&planner))
             };
             let top_level = plan_both();
             let nested =
@@ -817,7 +806,7 @@ mod tests {
 
             let batch_plans = batched.plan_batch(&batch);
             let file_plans: Vec<FilePlan> =
-                batch.iter().map(|(p, c)| one_by_one.plan_file(p, c)).collect();
+                batch.iter().map(|(p, c)| plan_file(&mut one_by_one, p, c)).collect();
             assert_eq!(batch_plans, file_plans, "{}", profile.name());
         }
     }
@@ -837,9 +826,9 @@ mod tests {
 
         let shared = generate(FileKind::RandomBinary, 400_000, 21);
         let private = generate(FileKind::RandomBinary, 300_000, 22);
-        alice.plan_file("pool/shared.bin", &shared);
-        bob.plan_file("pool/shared.bin", &shared);
-        bob.plan_file("own/private.bin", &private);
+        plan_file(&mut alice, "pool/shared.bin", &shared);
+        plan_file(&mut bob, "pool/shared.bin", &shared);
+        plan_file(&mut bob, "own/private.bin", &private);
 
         let results = alice.plan_restore_user("bob");
         assert_eq!(results.len(), 2);
@@ -862,7 +851,7 @@ mod tests {
         // Bob appends; the re-pull travels roughly the appended bytes as a
         // delta against the previously pulled revision.
         let appended = Mutation::Append { len: 50_000 }.apply(&private, 23);
-        bob.plan_file("own/private.bin", &appended);
+        plan_file(&mut bob, "own/private.bin", &appended);
         let repull = alice.plan_restore_paths("bob", &["own/private.bin".to_string()]);
         let repull = repull[0].as_ref().unwrap();
         assert_eq!(*repull.content, appended);
@@ -878,7 +867,7 @@ mod tests {
             UploadPlanner::for_user(ServiceProfile::wuala(), pipeline, store.clone(), "owner");
         let mut puller =
             UploadPlanner::for_user(ServiceProfile::wuala(), pipeline, store.clone(), "puller");
-        owner.plan_file("f.bin", &generate(FileKind::RandomBinary, 100_000, 31));
+        plan_file(&mut owner, "f.bin", &generate(FileKind::RandomBinary, 100_000, 31));
         let paths = store.list_files("owner");
         owner.purge_account();
 
@@ -905,7 +894,7 @@ mod tests {
         // the restore pipeline's download step is skipped entirely.
         let mut planner = UploadPlanner::new(ServiceProfile::dropbox());
         let content = generate(FileKind::RandomBinary, 200_000, 41);
-        planner.plan_file("docs/keep.bin", &content);
+        plan_file(&mut planner, "docs/keep.bin", &content);
         let restored = planner.plan_restore_paths("benchmark-user", &["docs/keep.bin".into()]);
         let restored = restored[0].as_ref().unwrap();
         assert_eq!(*restored.content, content);
@@ -915,7 +904,7 @@ mod tests {
     #[test]
     fn metadata_bytes_are_accounted() {
         let mut planner = UploadPlanner::new(ServiceProfile::dropbox());
-        let plan = planner.plan_file("a.bin", &generate(FileKind::RandomBinary, 50_000, 14));
+        let plan = plan_file(&mut planner, "a.bin", &generate(FileKind::RandomBinary, 50_000, 14));
         assert!(plan.metadata_bytes >= 300);
         assert!(planner.store().stats("benchmark-user").files == 1);
         assert_eq!(planner.profile().provider, cloudsim_geo::Provider::Dropbox);

@@ -277,39 +277,6 @@ impl ServiceProfile {
     pub fn bundles(&self) -> bool {
         matches!(self.transfer_mode, TransferMode::Bundled)
     }
-
-    /// Estimated idle signalling rate in bits per second (the §3.1 numbers:
-    /// Wuala ≈ 60 b/s, Google Drive ≈ 42 b/s, Dropbox ≈ 82 b/s, SkyDrive ≈
-    /// 32 b/s, Cloud Drive ≈ 6 kb/s). For services that reopen a connection on
-    /// every poll the TLS handshake dominates the figure.
-    pub fn idle_rate_bps(&self) -> f64 {
-        let per_poll_wire = if self.polling_new_connection {
-            // TCP+TLS handshake (~5.5 kB) + HTTP exchange + teardown.
-            self.polling_bytes as f64 + 9_000.0
-        } else {
-            self.polling_bytes as f64 + 100.0 // TCP/TLS framing of a small exchange
-        };
-        per_poll_wire * 8.0 / self.polling_interval.as_secs_f64()
-    }
-
-    /// Returns a copy with a different transfer mode (used by the ablation
-    /// benchmarks, e.g. "Dropbox without bundling").
-    pub fn with_transfer_mode(mut self, mode: TransferMode) -> ServiceProfile {
-        self.transfer_mode = mode;
-        self
-    }
-
-    /// Returns a copy with a different compression policy.
-    pub fn with_compression(mut self, policy: CompressionPolicy) -> ServiceProfile {
-        self.compression = policy;
-        self
-    }
-
-    /// Returns a copy with client-side encryption toggled.
-    pub fn with_encryption(mut self, enabled: bool) -> ServiceProfile {
-        self.client_side_encryption = enabled;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -364,7 +331,16 @@ mod tests {
 
     #[test]
     fn idle_rates_reproduce_the_section_3_ranking() {
-        let rate = |p: ServiceProfile| p.idle_rate_bps();
+        // Idle signalling rate in b/s implied by the polling parameters (the
+        // §3.1 numbers: Wuala ≈ 60 b/s, Google Drive ≈ 42 b/s, Dropbox ≈ 82
+        // b/s, SkyDrive ≈ 32 b/s, Cloud Drive ≈ 6 kb/s). A service that
+        // reopens a connection on every poll pays a TCP+TLS handshake, an
+        // HTTP exchange and a teardown (~9 kB); one that keeps it open pays
+        // only the framing of a small exchange.
+        let rate = |p: ServiceProfile| {
+            let overhead = if p.polling_new_connection { 9_000.0 } else { 100.0 };
+            (p.polling_bytes as f64 + overhead) * 8.0 / p.polling_interval.as_secs_f64()
+        };
         let dropbox = rate(ServiceProfile::dropbox());
         let skydrive = rate(ServiceProfile::skydrive());
         let wuala = rate(ServiceProfile::wuala());
@@ -409,18 +385,5 @@ mod tests {
             );
         }
         assert!(skydrive.login_servers >= 13);
-    }
-
-    #[test]
-    fn ablation_helpers_modify_only_the_targeted_field() {
-        let base = ServiceProfile::dropbox();
-        let unbundled = base.clone().with_transfer_mode(TransferMode::SequentialWithAcks);
-        assert!(!unbundled.bundles());
-        assert_eq!(unbundled.compression, base.compression);
-        let uncompressed = base.clone().with_compression(CompressionPolicy::Never);
-        assert_eq!(uncompressed.compression, CompressionPolicy::Never);
-        assert!(uncompressed.bundles());
-        let encrypted = base.clone().with_encryption(true);
-        assert!(encrypted.client_side_encryption);
     }
 }

@@ -168,15 +168,6 @@ pub struct ScaleSpec {
     pub files_per_commit: usize,
     /// Plaintext size of each file in bytes.
     pub file_size: u64,
-    /// Fraction of each commit drawn from a population-wide shared pool
-    /// (identical content seeds across clients — what inter-user dedup
-    /// acts on at scale).
-    pub shared_fraction: f64,
-    /// The virtual horizon commit instants are drawn uniformly over.
-    pub horizon: SimDuration,
-    /// Access links distributed round-robin across the clients (client `i`
-    /// uploads through `links[i % len]`).
-    pub links: Vec<AccessLink>,
     /// Master seed; every draw derives from it.
     pub seed: u64,
 }
@@ -189,6 +180,18 @@ impl ScaleSpec {
     /// rejects a larger `--clients` up front.
     pub const MAX_CLIENTS: usize = u32::MAX as usize / cloudsim_storage::DEFAULT_SHARDS;
 
+    /// Fraction of each commit drawn from a population-wide shared pool
+    /// (identical content seeds across clients — what inter-user dedup
+    /// acts on at scale).
+    pub const SHARED_FRACTION: f64 = 0.5;
+
+    /// The virtual horizon commit instants are drawn uniformly over.
+    pub const HORIZON: SimDuration = SimDuration::from_secs(3600);
+
+    /// Access links distributed round-robin across the clients (client `i`
+    /// uploads through `LINKS[i % len]`): all four presets.
+    pub const LINKS: [AccessLink; 4] = AccessLink::all();
+
     /// A population of `clients` uploaders: two commits each of four 64 kB
     /// files (half from the shared pool) spread over one virtual hour,
     /// across all four link presets.
@@ -198,9 +201,6 @@ impl ScaleSpec {
             commits_per_client: 2,
             files_per_commit: 4,
             file_size: 64 * 1024,
-            shared_fraction: 0.5,
-            horizon: SimDuration::from_secs(3600),
-            links: AccessLink::all().to_vec(),
             seed: 0x5CA1E,
         }
     }
@@ -231,19 +231,19 @@ impl ScaleSpec {
 
     /// The link client `i` uploads through.
     pub fn link(&self, i: usize) -> &AccessLink {
-        &self.links[i % self.links.len()]
+        &ScaleSpec::LINKS[i % ScaleSpec::LINKS.len()]
     }
 
     /// Files per commit that come from the population-wide shared pool.
     pub fn shared_files_per_commit(&self) -> usize {
-        ((self.files_per_commit as f64) * self.shared_fraction).round() as usize
+        ((self.files_per_commit as f64) * ScaleSpec::SHARED_FRACTION).round() as usize
     }
 
     /// The seeded virtual instant of client `i`'s commit `k`: a uniform
     /// draw over the horizon. Pure data — no wall clock, no shared RNG.
     pub fn commit_at(&self, i: usize, k: usize) -> SimTime {
         let draw = derive_seed(self.seed, i as u64, k as u64, SALT_SCALE_AT);
-        SimTime::ZERO + self.horizon * unit_f64(draw)
+        SimTime::ZERO + ScaleSpec::HORIZON * unit_f64(draw)
     }
 
     /// The content seed of file `f` of client `i`'s commit `k`, the first
@@ -310,7 +310,7 @@ impl ScaleSpec {
             shared_files,
             file_size: self.file_size,
             rtts_per_commit: 1,
-            links: self.links.clone(),
+            links: ScaleSpec::LINKS.to_vec(),
             paths: intern_paths(
                 store,
                 self.commits_per_client,
@@ -333,13 +333,6 @@ impl ScaleSpec {
         assert!(self.commits_per_client > 0, "a scale run needs at least one commit per client");
         assert!(self.files_per_commit > 0, "a commit needs at least one file");
         assert!(self.file_size > 0, "files must have at least one byte");
-        assert!(!self.links.is_empty(), "a scale run needs at least one link");
-        assert!(!self.horizon.is_zero(), "the horizon must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.shared_fraction),
-            "shared_fraction must be in [0, 1], got {}",
-            self.shared_fraction
-        );
         // The products the run computes — a commit's bytes, the event
         // count, the packets and paths of a run, its logical bytes — are
         // checked here once, so none of them can wrap later.
@@ -959,7 +952,7 @@ mod tests {
         for i in [0usize, 9, 63] {
             for k in 0..4 {
                 let at = spec.commit_at(i, k);
-                assert!(at <= SimTime::ZERO + spec.horizon);
+                assert!(at <= SimTime::ZERO + ScaleSpec::HORIZON);
             }
         }
         let run = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
@@ -1000,22 +993,6 @@ mod tests {
     #[should_panic(expected = "files_per_commit × file_size (2 × 9223372036854775808) overflows")]
     fn commit_bytes_past_u64_are_refused() {
         run_wide(&ScaleSpec::new(1).with_files(2, 1 << 63));
-    }
-
-    #[test]
-    #[should_panic(expected = "shared_fraction must be in [0, 1], got NaN")]
-    fn a_nan_shared_fraction_is_refused() {
-        for fraction in [0.0, 1.0] {
-            run_wide(&ScaleSpec { shared_fraction: fraction, ..ScaleSpec::new(2) });
-        }
-        run_wide(&ScaleSpec { shared_fraction: f64::NAN, ..ScaleSpec::new(2) });
-    }
-
-    #[test]
-    #[should_panic(expected = "shared_fraction must be in [0, 1], got 2.25")]
-    fn a_spec_drawing_more_shared_files_than_a_commit_holds_renders_no_capture() {
-        // 2.25 × 4 files would be a header of 9 shared files per 4-file commit.
-        crate::capture::render_capture(&ScaleSpec { shared_fraction: 2.25, ..ScaleSpec::new(2) });
     }
 
     #[test]
@@ -1085,6 +1062,7 @@ mod tests {
         assert!(wire > run.logical_bytes);
         assert!((wire as f64) < run.logical_bytes as f64 * 1.1);
         // The capture is timestamp-faithful: packets stay inside the span.
-        assert!(view.last_timestamp().expect("packets") <= run.last_end());
+        let last = view.packets().iter().map(|p| p.timestamp).max().expect("packets");
+        assert!(last <= run.last_end());
     }
 }

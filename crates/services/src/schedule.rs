@@ -277,11 +277,6 @@ impl FleetSchedule {
         FleetSchedule { clients }
     }
 
-    /// Total activated syncs across the fleet.
-    pub fn total_sync_rounds(&self) -> usize {
-        self.clients.iter().map(ClientSchedule::sync_rounds).sum()
-    }
-
     /// Total connected-but-idle rounds across the fleet.
     pub fn total_idle_rounds(&self) -> usize {
         self.clients.iter().map(ClientSchedule::idle_rounds).sum()
@@ -317,7 +312,7 @@ mod tests {
         let schedule = spec(3).schedule();
         assert!(schedule.is_lockstep());
         assert_eq!(schedule.total_idle_rounds(), 0);
-        assert_eq!(schedule.total_sync_rounds(), 12);
+        assert_eq!(schedule.clients.iter().map(|c| c.sync_rounds()).sum::<usize>(), 12);
         for client in &schedule.clients {
             for (k, event) in client.events.iter().enumerate() {
                 let act = event.activation().expect("legacy rounds all sync");
@@ -346,8 +341,12 @@ mod tests {
         let temporal = spec(8).with_activation(0.5);
         let schedule = temporal.schedule();
         assert!(schedule.total_idle_rounds() > 0, "p=0.5 over 32 draws must idle somewhere");
-        assert!(schedule.total_sync_rounds() > 0);
-        assert_eq!(schedule.total_sync_rounds() + schedule.total_idle_rounds(), 32);
+        assert!(schedule.clients.iter().map(|c| c.sync_rounds()).sum::<usize>() > 0);
+        assert_eq!(
+            schedule.clients.iter().map(|c| c.sync_rounds()).sum::<usize>()
+                + schedule.total_idle_rounds(),
+            32
+        );
         // Ordinals count activations, not rounds: they stay dense per client.
         for client in &schedule.clients {
             let ordinals: Vec<usize> =
@@ -355,7 +354,16 @@ mod tests {
             assert_eq!(ordinals, (0..ordinals.len()).collect::<Vec<_>>());
         }
         // The extremes: activation 0 never syncs, activation 1 never idles.
-        assert_eq!(spec(8).with_activation(0.0).schedule().total_sync_rounds(), 0);
+        assert_eq!(
+            spec(8)
+                .with_activation(0.0)
+                .schedule()
+                .clients
+                .iter()
+                .map(|c| c.sync_rounds())
+                .sum::<usize>(),
+            0
+        );
         assert_eq!(spec(8).with_activation(1.0).schedule().total_idle_rounds(), 0);
     }
 

@@ -144,12 +144,6 @@ impl UploadSession {
         self.committed_payload
     }
 
-    /// Bytes of the current chunk the server has acknowledged — the offset
-    /// the next attempt resumes from.
-    pub fn committed_offset(&self) -> u64 {
-        self.stream.verified()
-    }
-
     /// Chunks given up on after the retry budget ran out.
     pub fn abandoned_chunks(&self) -> usize {
         self.abandoned_chunks
@@ -368,7 +362,7 @@ mod tests {
         assert_eq!(s.remaining(), Some((0, 1000)), "zero-byte chunks are skipped");
         s.stream_mut().interrupted(&cut(300, 450));
         assert_eq!(s.remaining(), Some((0, 700)), "only the unacked tail is re-driven");
-        assert_eq!(s.committed_offset(), 300);
+        assert_eq!(s.stream.verified(), 300);
         s.stream_mut().retried(SimDuration::from_secs(2));
         s.stream_mut().complete();
         s.advance();
@@ -396,7 +390,7 @@ mod tests {
         assert_eq!(s.abandoned_chunks(), 1);
         assert_eq!(s.abandoned_payload(), 1000);
         assert_eq!(s.remaining(), Some((1, 500)));
-        assert_eq!(s.committed_offset(), 0, "the next chunk starts from its first byte");
+        assert_eq!(s.stream.verified(), 0, "the next chunk starts from its first byte");
         s.stream_mut().complete();
         s.advance();
         assert_eq!(s.remaining(), None);

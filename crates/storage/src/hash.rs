@@ -10,7 +10,7 @@
 //! them, `compress_blocks`: the x86-64 SHA extensions where the host has
 //! them, the portable unrolled rounds everywhere else. The choice is made
 //! from what the CPU reports, never from a flag or a build setting, and the
-//! digest is the same either way; [`kernel`] names the path taken.
+//! digest is the same either way (the hash tests print which one ran).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -222,18 +222,6 @@ impl Sha256 {
     }
 }
 
-/// The compression kernel this host runs: `"sha-ni"` (the x86-64 SHA
-/// extensions) or `"portable"`. It qualifies wall times, which compare
-/// across hosts only kernel for kernel; digests do not depend on it, and it
-/// belongs in no report or JSON dump.
-pub fn kernel() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if sha_ni_detected() {
-        return "sha-ni";
-    }
-    "portable"
-}
-
 /// Whether the CPU reports every feature [`sha_ni_compress_blocks`] enables.
 /// The answer is cached by the standard library after the first call.
 #[cfg(target_arch = "x86_64")]
@@ -429,6 +417,17 @@ mod tests {
     }
 
     type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
+
+    /// The compression kernel this host runs: `"sha-ni"` (the x86-64 SHA
+    /// extensions) or `"portable"`. Wall times compare across hosts only
+    /// kernel for kernel; digests do not depend on it.
+    fn kernel() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni_detected() {
+            return "sha-ni";
+        }
+        "portable"
+    }
 
     /// The dispatcher, where it runs the hardware kernel. Elsewhere `None`,
     /// and the test output says (once) that the hardware cases did not run.

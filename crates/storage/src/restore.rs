@@ -234,20 +234,6 @@ impl RestorePipeline {
         RestorePipeline
     }
 
-    /// Restores one file. Convenience wrapper over
-    /// [`RestorePipeline::restore_batch`].
-    pub fn restore_file(
-        &self,
-        store: &ObjectStore,
-        spec: &PipelineSpec,
-        request: RestoreRequest<'_>,
-        local: LocalChunks<'_>,
-    ) -> Result<RestoredFile, RestoreError> {
-        self.restore_batch(store, spec, &[request], local)
-            .pop()
-            .expect("restore_batch returns one result per request")
-    }
-
     /// Restores a batch of files, returning one result per request in
     /// request order. The store is only read, never written. It prices
     /// through a fresh [`SizeMemo`], so every coded download is counted.
@@ -477,6 +463,16 @@ mod tests {
     use crate::pipeline::{FileJob, UploadPipeline};
     use crate::store::{GcPolicy, StoredChunk};
 
+    /// One request through [`RestorePipeline::restore_batch`].
+    fn restore_file(
+        store: &ObjectStore,
+        spec: &PipelineSpec,
+        request: RestoreRequest<'_>,
+        local: LocalChunks<'_>,
+    ) -> Result<RestoredFile, RestoreError> {
+        RestorePipeline.restore_batch(store, spec, &[request], local).pop().unwrap()
+    }
+
     fn spec() -> PipelineSpec {
         PipelineSpec {
             chunking: ChunkingStrategy::Fixed { size: 64 * 1024 },
@@ -537,14 +533,13 @@ mod tests {
         let spec = spec();
         let content = text(200_000);
         upload(&store, &spec, "alice", "docs/a.txt", &content);
-        let restored = RestorePipeline
-            .restore_file(
-                &store,
-                &spec,
-                RestoreRequest { owner: "alice", path: "docs/a.txt", base: None },
-                &no_local,
-            )
-            .unwrap();
+        let restored = restore_file(
+            &store,
+            &spec,
+            RestoreRequest { owner: "alice", path: "docs/a.txt", base: None },
+            &no_local,
+        )
+        .unwrap();
         assert_eq!(*restored.content, content);
         assert_eq!(restored.owner, "alice");
         assert_eq!(restored.version, 1);
@@ -612,14 +607,13 @@ mod tests {
             .iter()
             .map(|c| (c.hash, Arc::from(&content[c.offset as usize..c.end() as usize])))
             .collect();
-        let restored = RestorePipeline
-            .restore_file(
-                &store,
-                &spec,
-                RestoreRequest { owner: "alice", path: "shared.bin", base: None },
-                &|h| local.get(h).cloned(),
-            )
-            .unwrap();
+        let restored = restore_file(
+            &store,
+            &spec,
+            RestoreRequest { owner: "alice", path: "shared.bin", base: None },
+            &|h| local.get(h).cloned(),
+        )
+        .unwrap();
         assert_eq!(*restored.content, content);
         assert_eq!(restored.download_bytes(), 0);
         assert_eq!(restored.dedup_skipped_bytes(), content.len() as u64);
@@ -636,14 +630,13 @@ mod tests {
             *b ^= 0xFF;
         }
         upload(&store, &spec, "alice", "doc.bin", &new);
-        let restored = RestorePipeline
-            .restore_file(
-                &store,
-                &spec,
-                RestoreRequest { owner: "alice", path: "doc.bin", base: Some(&base) },
-                &no_local,
-            )
-            .unwrap();
+        let restored = restore_file(
+            &store,
+            &spec,
+            RestoreRequest { owner: "alice", path: "doc.bin", base: Some(&base) },
+            &no_local,
+        )
+        .unwrap();
         assert_eq!(*restored.content, new);
         // Only the first 64 kB chunk differs; it travels as a delta far
         // smaller than the chunk, the rest as identical-chunk deltas or
@@ -667,14 +660,13 @@ mod tests {
         let before = store.aggregate();
         store.delete_manifest("alice", "gone.bin").unwrap();
 
-        let err = RestorePipeline
-            .restore_file(
-                &store,
-                &spec,
-                RestoreRequest { owner: "alice", path: "gone.bin", base: None },
-                &no_local,
-            )
-            .unwrap_err();
+        let err = restore_file(
+            &store,
+            &spec,
+            RestoreRequest { owner: "alice", path: "gone.bin", base: None },
+            &no_local,
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             RestoreError::ManifestMissing { user: "alice".into(), path: "gone.bin".into() }
@@ -683,14 +675,13 @@ mod tests {
 
         // Purging the whole namespace behaves the same.
         store.purge_user("alice");
-        let err = RestorePipeline
-            .restore_file(
-                &store,
-                &spec,
-                RestoreRequest { owner: "alice", path: "gone.bin", base: None },
-                &no_local,
-            )
-            .unwrap_err();
+        let err = restore_file(
+            &store,
+            &spec,
+            RestoreRequest { owner: "alice", path: "gone.bin", base: None },
+            &no_local,
+        )
+        .unwrap_err();
         assert!(matches!(err, RestoreError::ManifestMissing { .. }));
 
         // Restores are pure reads: counters moved only by the deletes, and
@@ -721,25 +712,23 @@ mod tests {
                 version: 0,
             },
         );
-        let err = RestorePipeline
-            .restore_file(
-                &store,
-                &spec,
-                RestoreRequest { owner: "alice", path: "m.bin", base: None },
-                &no_local,
-            )
-            .unwrap_err();
+        let err = restore_file(
+            &store,
+            &spec,
+            RestoreRequest { owner: "alice", path: "m.bin", base: None },
+            &no_local,
+        )
+        .unwrap_err();
         assert!(matches!(err, RestoreError::PayloadUnavailable { .. }), "{err}");
         // A local copy still reconstructs a payload-less chunk.
         let bytes: Arc<[u8]> = Arc::from(&data[..]);
-        let restored = RestorePipeline
-            .restore_file(
-                &store,
-                &spec,
-                RestoreRequest { owner: "alice", path: "m.bin", base: None },
-                &|h| (*h == hash).then(|| bytes.clone()),
-            )
-            .unwrap();
+        let restored = restore_file(
+            &store,
+            &spec,
+            RestoreRequest { owner: "alice", path: "m.bin", base: None },
+            &|h| (*h == hash).then(|| bytes.clone()),
+        )
+        .unwrap();
         assert_eq!(*restored.content, data);
     }
 
@@ -800,26 +789,24 @@ mod tests {
         let content = text(120_000);
         upload(&store, &spec, "bob", "folder/report.txt", &content);
         // Alice pulls Bob's file; her own namespace stays empty.
-        let restored = RestorePipeline
-            .restore_file(
-                &store,
-                &spec,
-                RestoreRequest { owner: "bob", path: "folder/report.txt", base: None },
-                &no_local,
-            )
-            .unwrap();
+        let restored = restore_file(
+            &store,
+            &spec,
+            RestoreRequest { owner: "bob", path: "folder/report.txt", base: None },
+            &no_local,
+        )
+        .unwrap();
         assert_eq!(*restored.content, content);
         assert_eq!(restored.owner, "bob");
         assert_eq!(store.stats("alice").chunks, 0);
         // The wrong owner gets a typed miss, not Bob's bytes.
-        let err = RestorePipeline
-            .restore_file(
-                &store,
-                &spec,
-                RestoreRequest { owner: "alice", path: "folder/report.txt", base: None },
-                &no_local,
-            )
-            .unwrap_err();
+        let err = restore_file(
+            &store,
+            &spec,
+            RestoreRequest { owner: "alice", path: "folder/report.txt", base: None },
+            &no_local,
+        )
+        .unwrap_err();
         assert!(matches!(err, RestoreError::ManifestMissing { .. }));
     }
 
@@ -831,14 +818,13 @@ mod tests {
             let mut fake_jpeg = b"\xFF\xD8\xFF\xE0".to_vec();
             fake_jpeg.extend_from_slice(&text(50_000));
             upload(&store, &spec, "alice", "photo.jpg", &fake_jpeg);
-            let restored = RestorePipeline
-                .restore_file(
-                    &store,
-                    &spec,
-                    RestoreRequest { owner: "alice", path: "photo.jpg", base: None },
-                    &no_local,
-                )
-                .unwrap();
+            let restored = restore_file(
+                &store,
+                &spec,
+                RestoreRequest { owner: "alice", path: "photo.jpg", base: None },
+                &no_local,
+            )
+            .unwrap();
             assert_eq!(*restored.content, fake_jpeg, "{compression:?}");
             // Neither policy compresses a (fake) JPEG: full size travels.
             assert!(
@@ -876,18 +862,13 @@ mod tests {
                 near[20_000] ^= 0xFF;
                 let far = pseudo_random(40_000, 99);
                 for base in [None, Some(&near), Some(&far)] {
-                    let restored = RestorePipeline
-                        .restore_file(
-                            &store,
-                            &spec,
-                            RestoreRequest {
-                                owner: "alice",
-                                path: "f",
-                                base: base.map(|b| &b[..]),
-                            },
-                            &no_local,
-                        )
-                        .unwrap();
+                    let restored = restore_file(
+                        &store,
+                        &spec,
+                        RestoreRequest { owner: "alice", path: "f", base: base.map(|b| &b[..]) },
+                        &no_local,
+                    )
+                    .unwrap();
                     let label = format!("{compression:?}/{kind}/base={}", base.is_some());
                     assert_eq!(*restored.content, *payload, "{label}");
                     let delta = base.map(|b| DeltaScript::compute(&Signature::new(b), payload));
@@ -941,14 +922,13 @@ mod tests {
         }
         for (i, content) in contents.iter().enumerate() {
             let path = format!("f{i}.bin");
-            let restored = RestorePipeline
-                .restore_file(
-                    &store,
-                    &spec,
-                    RestoreRequest { owner: "alice", path: &path, base: None },
-                    &no_local,
-                )
-                .unwrap();
+            let restored = restore_file(
+                &store,
+                &spec,
+                RestoreRequest { owner: "alice", path: &path, base: None },
+                &no_local,
+            )
+            .unwrap();
             assert_eq!(&*restored.content, content, "{path}");
         }
     }

@@ -221,12 +221,6 @@ impl AggregateStats {
             self.referenced_bytes as f64 / self.physical_bytes as f64
         }
     }
-
-    /// Bytes inter-user deduplication saved compared to storing every user's
-    /// chunks verbatim.
-    pub fn saved_bytes(&self) -> u64 {
-        self.referenced_bytes.saturating_sub(self.physical_bytes)
-    }
 }
 
 /// When (if ever) the store frees chunk entries whose owner count reaches
@@ -730,12 +724,6 @@ impl ObjectStore {
         self.chunk_shard(hash).write()
     }
 
-    /// True when the user's namespace already holds a chunk with this hash
-    /// (server-side deduplication check).
-    pub fn has_chunk(&self, user: &str, hash: &ContentHash) -> bool {
-        self.chunk(user, hash).is_some()
-    }
-
     /// True when *any* user has stored this chunk — the inter-user question a
     /// dedup-capable server answers before accepting an upload.
     pub fn has_chunk_globally(&self, hash: &ContentHash) -> bool {
@@ -1036,11 +1024,6 @@ impl ObjectStore {
         Some(StoredChunk { hash: *hash, stored_len: held.stored_len, plain_len: held.plain_len })
     }
 
-    /// Number of distinct users that committed a given chunk.
-    pub fn chunk_owners(&self, hash: &ContentHash) -> u64 {
-        self.chunk_shard(hash).read().table.get(&PhysicalKey(*hash)).map_or(0, |e| e.owners)
-    }
-
     /// The plaintext payload of a physical chunk, when a committer provided
     /// one via [`ObjectStore::put_chunk_with_payload`]. `None` for unknown
     /// (or garbage-collected) hashes and for metadata-only commits. The
@@ -1209,6 +1192,11 @@ mod tests {
     use crate::chunker::ChunkingStrategy;
     use crate::hash::sha256;
 
+    /// Number of distinct users that committed a given chunk.
+    fn owners(store: &ObjectStore, hash: &ContentHash) -> u64 {
+        store.chunk_shard(hash).read().table.get(&PhysicalKey(*hash)).map_or(0, |e| e.owners)
+    }
+
     fn stored(data: &[u8]) -> StoredChunk {
         StoredChunk {
             hash: sha256(data),
@@ -1221,18 +1209,18 @@ mod tests {
     fn put_get_and_dedup_of_chunks() {
         let store = ObjectStore::new();
         let c = stored(b"hello chunk");
-        assert!(!store.has_chunk("alice", &c.hash));
+        assert!(store.chunk("alice", &c.hash).is_none());
         assert!(store.put_chunk("alice", c.clone()));
-        assert!(store.has_chunk("alice", &c.hash));
+        assert!(store.chunk("alice", &c.hash).is_some());
         // Second put of the same content is a no-op.
         assert!(!store.put_chunk("alice", c.clone()));
         assert_eq!(store.chunk("alice", &c.hash), Some(c.clone()));
         // Namespaces are isolated per user (logical view)…
-        assert!(!store.has_chunk("bob", &c.hash));
+        assert!(store.chunk("bob", &c.hash).is_none());
         assert_eq!(store.chunk("bob", &c.hash), None);
         // …but the physical store knows the chunk globally.
         assert!(store.has_chunk_globally(&c.hash));
-        assert_eq!(store.chunk_owners(&c.hash), 1);
+        assert_eq!(owners(&store, &c.hash), 1);
     }
 
     #[test]
@@ -1298,7 +1286,7 @@ mod tests {
         assert!(!store.delete_file("alice", "a.bin"));
         assert!(store.manifest("alice", "a.bin").is_none());
         // The chunk survives deletion, so a restore needs no re-upload.
-        assert!(store.has_chunk("alice", &c.hash));
+        assert!(store.chunk("alice", &c.hash).is_some());
         let stats = store.stats("alice");
         assert_eq!(stats.files, 0);
         assert_eq!(stats.chunks, 1);
@@ -1332,7 +1320,7 @@ mod tests {
         let store = ObjectStore::new();
         let clone = store.clone();
         clone.put_chunk("alice", stored(b"via clone"));
-        assert!(store.has_chunk("alice", &sha256(b"via clone")));
+        assert!(store.chunk("alice", &sha256(b"via clone")).is_some());
     }
 
     #[test]
@@ -1351,9 +1339,8 @@ mod tests {
         assert_eq!(agg.referenced_bytes, 2 * 5000 + private.stored_len);
         assert_eq!(agg.server_dedup_hits, 1);
         assert_eq!(agg.chunk_puts, 3);
-        assert_eq!(agg.saved_bytes(), 5000);
         assert!(agg.dedup_ratio() > 1.0);
-        assert_eq!(store.chunk_owners(&shared.hash), 2);
+        assert_eq!(owners(&store, &shared.hash), 2);
         // Per-user views are unaffected.
         assert_eq!(store.stats("alice").chunks, 2);
         assert_eq!(store.stats("bob").chunks, 1);
@@ -1524,7 +1511,7 @@ mod tests {
             store.collect_garbage();
             assert!(store.has_chunk_globally(&shared.hash), "{policy:?}");
             assert_eq!(store.aggregate().physical_bytes, shared.stored_len, "{policy:?}");
-            assert_eq!(store.chunk_owners(&shared.hash), 1, "{policy:?}");
+            assert_eq!(owners(&store, &shared.hash), 1, "{policy:?}");
             // Bob's view is untouched.
             assert_eq!(store.stats("bob").chunks, 1, "{policy:?}");
         }
@@ -1541,7 +1528,7 @@ mod tests {
         // dedup hit must not dangle).
         store.put_chunk("alice", v2.clone());
         store.commit_manifest("alice", manifest_for("doc.bin", &[&v2]));
-        assert!(store.has_chunk("alice", &v1.hash));
+        assert!(store.chunk("alice", &v1.hash).is_some());
 
         // Soft delete (§4.3) frees nothing either.
         assert!(store.delete_file("alice", "doc.bin"));
@@ -1577,7 +1564,7 @@ mod tests {
         store.delete_manifest("alice", "other.bin").unwrap();
 
         // A is still in the namespace and physically present…
-        assert!(store.has_chunk("alice", &a.hash));
+        assert!(store.chunk("alice", &a.hash).is_some());
         assert!(store.has_chunk_globally(&a.hash));
         // …so a dedup-skipping manifest referencing it commits fine.
         store.commit_manifest("alice", manifest_for("restored.bin", &[&a]));
@@ -1735,7 +1722,7 @@ mod tests {
         assert!(!store.put_chunk_with_payload("alice", c.clone(), &data));
         assert_eq!(store.chunk_payload(&c.hash).as_deref(), Some(&data[..]));
         assert_eq!(store.aggregate(), before);
-        assert_eq!(store.chunk_owners(&c.hash), 1);
+        assert_eq!(owners(&store, &c.hash), 1);
     }
 
     #[test]
@@ -1809,7 +1796,7 @@ mod tests {
         }
         assert_eq!(by_id.list_files("alice"), by_name.list_files("alice"));
         for chunk in [&a, &b] {
-            assert_eq!(by_id.chunk_owners(&chunk.hash), by_name.chunk_owners(&chunk.hash));
+            assert_eq!(owners(&by_id, &chunk.hash), owners(&by_name, &chunk.hash));
         }
     }
 
@@ -2048,7 +2035,7 @@ mod tests {
                 .collect(),
             physical: hashes
                 .iter()
-                .map(|h| (store.chunk_owners(h), store.chunk_payload(h).map(|p| p.to_vec())))
+                .map(|h| (owners(store, h), store.chunk_payload(h).map(|p| p.to_vec())))
                 .collect(),
         }
     }

@@ -6,8 +6,8 @@
 //! * [`syn`] — cumulative TCP SYN counting over time (Fig. 3, §4.2),
 //! * [`bursts`] — packet-burst detection used to reveal sequential per-file
 //!   submission with application-layer acknowledgements (§4.2),
-//! * [`throughput`] — upload throughput over time and pause detection, used to
-//!   reveal chunk boundaries (§4.1),
+//! * [`throughput`] — pause detection in the upload stream, used to reveal
+//!   chunk boundaries (§4.1),
 //! * [`volume`] — byte accounting: uploaded payload, total traffic, protocol
 //!   overhead (Fig. 5, Fig. 6c, §5.3),
 //! * [`timeline`] — synchronization start-up and completion time extraction
@@ -21,6 +21,6 @@ pub mod volume;
 
 pub use bursts::{detect_bursts, Burst, BurstConfig};
 pub use syn::{cumulative_syns, syn_count, syn_count_by_kind};
-pub use throughput::{detect_pauses, throughput_series, Pause, ThroughputConfig};
+pub use throughput::{detect_pauses, Pause, ThroughputConfig};
 pub use timeline::{completion_time, startup_delay, SyncTimeline};
 pub use volume::{overhead_ratio, uploaded_payload, TrafficVolume};

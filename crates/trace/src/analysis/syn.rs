@@ -76,9 +76,9 @@ mod tests {
         let packets: Vec<_> = (0..4).map(|i| syn_packet(i, i * 1000, FlowKind::Storage)).collect();
         let series = cumulative_syns(&packets);
         assert_eq!(series.total(), 4.0);
-        assert_eq!(series.value_at(SimTime::from_millis(500)), 1.0);
-        assert_eq!(series.value_at(SimTime::from_millis(2500)), 3.0);
-        assert_eq!(series.time_to_reach(4.0), Some(SimTime::from_secs(3)));
+        let secs = |s: u64| SimTime::from_secs(s);
+        assert_eq!(series.times(), [secs(0), secs(1), secs(2), secs(3)]);
+        assert_eq!(series.totals(), [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! Upload throughput over time and pause detection.
+//! Pause detection in the upload stream.
 //!
 //! §4.1: "By monitoring throughput during the upload of files differing in
 //! size, we determine whether files are exchanged as single objects (no pause
 //! during the upload), or split into chunks, each delimited by a pause."
 //!
-//! [`throughput_series`] bins upload payload into fixed intervals;
 //! [`detect_pauses`] finds the silent gaps between payload packets that
-//! delimit chunk submissions.
+//! delimit chunk submissions; Table 1's chunking detector
+//! (`cloudbench::capability`) reads a chunk size off them.
 
 use crate::packet::{Direction, PacketRecord};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Configuration for throughput binning and pause detection.
+/// Configuration for pause detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ThroughputConfig {
-    /// Width of a throughput bin.
-    pub bin: SimDuration,
     /// Minimum silence between upload payload packets to call it a pause.
     pub min_pause: SimDuration,
 }
@@ -24,7 +22,6 @@ pub struct ThroughputConfig {
 impl Default for ThroughputConfig {
     fn default() -> Self {
         ThroughputConfig {
-            bin: SimDuration::from_millis(100),
             // A chunk boundary involves at least a request/response exchange
             // with the control plane (~1 RTT + server think time); 150 ms
             // separates that from in-chunk congestion-control pacing.
@@ -52,32 +49,6 @@ impl Pause {
     }
 }
 
-/// Bins upload payload bytes into fixed intervals and returns
-/// `(bin start time, bytes per second within the bin)` samples.
-pub fn throughput_series(
-    packets: &[PacketRecord],
-    config: ThroughputConfig,
-) -> Vec<(SimTime, f64)> {
-    assert!(!config.bin.is_zero(), "throughput bin must be positive");
-    let uploads: Vec<&PacketRecord> =
-        packets.iter().filter(|p| p.direction == Direction::Upload && p.has_payload()).collect();
-    let Some(last) = uploads.iter().map(|p| p.timestamp).max() else {
-        return Vec::new();
-    };
-    let bin_us = config.bin.as_micros();
-    let nbins = (last.as_micros() / bin_us + 1) as usize;
-    let mut bins = vec![0u64; nbins];
-    for p in &uploads {
-        let idx = (p.timestamp.as_micros() / bin_us) as usize;
-        bins[idx] += p.payload_len as u64;
-    }
-    let bin_secs = config.bin.as_secs_f64();
-    bins.iter()
-        .enumerate()
-        .map(|(i, bytes)| (SimTime::from_micros(i as u64 * bin_us), *bytes as f64 / bin_secs))
-        .collect()
-}
-
 /// Detects pauses (silent gaps longer than `config.min_pause`) between upload
 /// payload packets. The trace must be sorted by timestamp.
 pub fn detect_pauses(packets: &[PacketRecord], config: ThroughputConfig) -> Vec<Pause> {
@@ -100,21 +71,6 @@ pub fn detect_pauses(packets: &[PacketRecord], config: ThroughputConfig) -> Vec<
         prev = Some(p.timestamp);
     }
     pauses
-}
-
-/// Infers a chunk size from detected pauses: the median of the byte counts
-/// observed between consecutive pauses, or `None` when fewer than `min_pauses`
-/// pauses were seen (the transfer was a single object).
-pub fn infer_chunk_size(pauses: &[Pause], min_pauses: usize) -> Option<u64> {
-    if pauses.len() < min_pauses {
-        return None;
-    }
-    let mut sizes: Vec<u64> = pauses.iter().map(|p| p.bytes_before).filter(|b| *b > 0).collect();
-    if sizes.is_empty() {
-        return None;
-    }
-    sizes.sort_unstable();
-    Some(sizes[sizes.len() / 2])
 }
 
 #[cfg(test)]
@@ -169,47 +125,10 @@ mod tests {
         let trace = chunked_trace(1, 200, 0);
         let pauses = detect_pauses(&trace, ThroughputConfig::default());
         assert!(pauses.is_empty());
-        assert_eq!(infer_chunk_size(&pauses, 1), None);
-    }
-
-    #[test]
-    fn chunk_size_inference_returns_the_median_chunk() {
-        let trace = chunked_trace(5, 40, 400);
-        let pauses = detect_pauses(&trace, ThroughputConfig::default());
-        let size = infer_chunk_size(&pauses, 1).unwrap();
-        assert_eq!(size, 40 * MSS as u64);
-    }
-
-    #[test]
-    fn throughput_series_reflects_transfer_rate() {
-        // 100 segments of MSS bytes sent 1 ms apart => ~1.46 MB/s for 100 ms.
-        let trace: Vec<_> = (0..100).map(|i| upload(i * 1000, MSS)).collect();
-        let series = throughput_series(&trace, ThroughputConfig::default());
-        assert_eq!(series.len(), 1);
-        let (_, rate) = series[0];
-        assert!((rate - 100.0 * MSS as f64 / 0.1).abs() < 1.0);
-    }
-
-    #[test]
-    fn throughput_series_has_idle_bins_during_pauses() {
-        let trace = chunked_trace(2, 10, 500);
-        let series = throughput_series(&trace, ThroughputConfig::default());
-        // With a 500 ms pause there must be at least 4 empty 100 ms bins.
-        let empty = series.iter().filter(|(_, r)| *r == 0.0).count();
-        assert!(empty >= 4, "expected idle bins, got {empty}");
     }
 
     #[test]
     fn empty_trace_edge_cases() {
-        assert!(throughput_series(&[], ThroughputConfig::default()).is_empty());
         assert!(detect_pauses(&[], ThroughputConfig::default()).is_empty());
-        assert_eq!(infer_chunk_size(&[], 0), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "throughput bin must be positive")]
-    fn zero_bin_rejected() {
-        let cfg = ThroughputConfig { bin: SimDuration::ZERO, ..Default::default() };
-        let _ = throughput_series(&[upload(0, 10)], cfg);
     }
 }

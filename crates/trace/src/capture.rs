@@ -278,11 +278,6 @@ impl<'a> TraceView<'a> {
         self.packets.iter().filter(|p| p.kind == kind).map(|p| p.wire_len()).sum()
     }
 
-    /// Timestamp of the last captured packet, if any.
-    pub fn last_timestamp(self) -> Option<SimTime> {
-        self.packets.iter().map(|p| p.timestamp).max()
-    }
-
     /// Clones the packets into a canonically ordered snapshot.
     pub fn sorted(self) -> Vec<PacketRecord> {
         let mut packets = self.packets.to_vec();
@@ -425,7 +420,6 @@ mod tests {
         let view = shard.view();
         assert!(view.is_empty());
         assert_eq!(view.wire_bytes_total(), 0);
-        assert!(view.last_timestamp().is_none());
         assert!(view.sorted().is_empty());
         let trace = TraceRecorder::with_shards(4).finish();
         assert!(trace.view().is_empty());
@@ -440,7 +434,7 @@ mod tests {
         shard.record(packet(f, 5, 7));
         let view = shard.view();
         assert_eq!(view.len(), 2);
-        assert_eq!(view.last_timestamp(), Some(SimTime::from_micros(10)));
+        assert_eq!(view.packets()[0].timestamp, SimTime::from_micros(10));
         // Insertion order through the view; canonical order via `sorted`.
         assert_eq!(view.packets()[0].payload_len, 42);
         assert_eq!(view.sorted()[0].payload_len, 7);

@@ -8,8 +8,7 @@
 //! services except Wuala use dedicated servers for control and storage, so
 //! flows can be classified simply by their destination; for Wuala the paper
 //! falls back to flow sizes and connection sequences — the simulator tags
-//! flows at creation time, and a heuristic classifier is provided for the
-//! Wuala-style analysis.
+//! flows at creation time instead.
 
 use crate::packet::{Direction, Endpoint, PacketRecord};
 use crate::time::SimTime;
@@ -166,11 +165,6 @@ impl FlowStats {
         self.wire_up + self.wire_down
     }
 
-    /// Total payload bytes in both directions.
-    pub fn payload_total(&self) -> u64 {
-        self.payload_up + self.payload_down
-    }
-
     /// Duration between the first and the last packet of the flow.
     pub fn duration(&self) -> crate::time::SimDuration {
         self.last_packet - self.first_packet
@@ -248,28 +242,6 @@ impl FlowTable {
     /// Number of TCP connections opened (client SYNs) for a traffic class.
     pub fn connections(&self, kind: FlowKind) -> u64 {
         self.of_kind(kind).map(|f| f.syn_count).sum()
-    }
-
-    /// Classifies flows the way the paper does for Wuala (§3.1), where control
-    /// and storage share servers: a flow is labelled storage when it carries at
-    /// least `storage_threshold` payload bytes, control otherwise. Returns the
-    /// flow ids that would be re-labelled storage by the heuristic.
-    pub fn classify_by_size(&self, storage_threshold: u64) -> Vec<FlowId> {
-        self.flows
-            .values()
-            .filter(|f| f.payload_total() >= storage_threshold)
-            .map(|f| f.id)
-            .collect()
-    }
-
-    /// Timestamp of the first payload packet over flows of a class, if any.
-    pub fn first_payload(&self, kind: FlowKind) -> Option<SimTime> {
-        self.of_kind(kind).filter_map(|f| f.first_payload).min()
-    }
-
-    /// Timestamp of the last payload packet over flows of a class, if any.
-    pub fn last_payload(&self, kind: FlowKind) -> Option<SimTime> {
-        self.of_kind(kind).filter_map(|f| f.last_payload).max()
     }
 }
 
@@ -359,9 +331,8 @@ mod tests {
         assert_eq!(table.of_kind(FlowKind::Control).count(), 1);
         assert_eq!(table.connections(FlowKind::Storage), 2);
         assert_eq!(table.connections(FlowKind::Control), 1);
-        assert_eq!(table.first_payload(FlowKind::Storage), Some(SimTime::from_millis(610)));
-        assert_eq!(table.last_payload(FlowKind::Storage), Some(SimTime::from_millis(1014)));
-        assert!(table.first_payload(FlowKind::Dns).is_none());
+        assert_eq!(table.get(FlowId(2)).unwrap().first_payload, Some(SimTime::from_millis(610)));
+        assert_eq!(table.get(FlowId(3)).unwrap().last_payload, Some(SimTime::from_millis(1014)));
     }
 
     #[test]
@@ -378,22 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn size_based_classification_flags_large_flows() {
-        let mut packets = handshake_and_data(1, 0, FlowKind::Control, 1); // ~1.4 kB
-        packets.extend(handshake_and_data(2, 100, FlowKind::Control, 100)); // ~146 kB
-        let table = FlowTable::from_packets(&packets);
-        let storage_like = table.classify_by_size(50_000);
-        assert_eq!(storage_like, vec![FlowId(2)]);
-    }
-
-    #[test]
     fn empty_table_behaves() {
         let table = FlowTable::new();
         assert!(table.is_empty());
         assert_eq!(table.len(), 0);
         assert_eq!(table.wire_bytes_total(), 0);
         assert_eq!(table.connections(FlowKind::Storage), 0);
-        assert!(table.first_payload(FlowKind::Storage).is_none());
         assert!(table.get(FlowId(1)).is_none());
     }
 

@@ -118,11 +118,6 @@ impl LatencyHistogram {
         self.count == 0
     }
 
-    /// Samples that saturated into the top bucket (values ≥ 2^42 µs).
-    pub fn saturated(&self) -> u64 {
-        self.counts[BUCKET_COUNT - 1]
-    }
-
     /// Adds every count of `other` into `self`. Element-wise `u64`
     /// addition: commutative and associative, so any merge order over a set
     /// of histograms produces bit-identical state.
@@ -233,7 +228,7 @@ mod tests {
         let mut hist = LatencyHistogram::new();
         hist.record_micros(SATURATION_MICROS);
         hist.record_micros(u64::MAX);
-        assert_eq!(hist.saturated(), 2);
+        assert_eq!(hist.counts[BUCKET_COUNT - 1], 2);
         let top = bucket_lower_bound(BUCKET_COUNT - 1);
         assert_eq!(hist.percentile(0.5).as_micros(), top);
         assert!(top < SATURATION_MICROS);

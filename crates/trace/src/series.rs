@@ -2,19 +2,17 @@
 //!
 //! Figures 1 and 3 plot *cumulative* quantities (bytes, TCP SYNs) against
 //! time. [`CumulativeSeries`] builds such step series from `(time, value)`
-//! events and can resample them on a fixed grid so different services can be
-//! plotted against a common x-axis.
+//! events.
 
 use crate::hist::LatencyHistogram;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize, Value};
 
 /// A cumulative step series: at each event time the running total increases.
 ///
 /// Stored as columnar struct-of-arrays buffers (a time column and a
 /// running-total column) rather than a `Vec<(SimTime, f64)>` of tuples, so
-/// figure rendering walks two dense, cache-friendly columns and resampling
-/// binary-searches the bare time column without striding over totals.
+/// figure rendering walks two dense, cache-friendly columns.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CumulativeSeries {
     /// Event times, sorted ascending (duplicates allowed).
@@ -94,44 +92,6 @@ impl CumulativeSeries {
     /// Final running total (0 for an empty series).
     pub fn total(&self) -> f64 {
         self.totals.last().copied().unwrap_or(0.0)
-    }
-
-    /// Value of the step function at time `t` (the running total of the last
-    /// event at or before `t`; 0 before the first event).
-    pub fn value_at(&self, t: SimTime) -> f64 {
-        match self.times.binary_search(&t) {
-            Ok(mut idx) => {
-                // Several events can share a timestamp; take the last one.
-                while idx + 1 < self.times.len() && self.times[idx + 1] == t {
-                    idx += 1;
-                }
-                self.totals[idx]
-            }
-            Err(0) => 0.0,
-            Err(idx) => self.totals[idx - 1],
-        }
-    }
-
-    /// Resamples the step function on a fixed grid `[0, horizon]` with the
-    /// given step, producing `(time, value)` pairs suitable for plotting.
-    pub fn resample(&self, horizon: SimDuration, step: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(!step.is_zero(), "resampling step must be positive");
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO;
-        let end = SimTime::ZERO + horizon;
-        loop {
-            out.push((t, self.value_at(t)));
-            if t >= end {
-                break;
-            }
-            t += step;
-        }
-        out
-    }
-
-    /// Time at which the running total first reaches `target`, if ever.
-    pub fn time_to_reach(&self, target: f64) -> Option<SimTime> {
-        self.totals.iter().position(|v| *v >= target).map(|idx| self.times[idx])
     }
 }
 
@@ -288,66 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn value_at_is_a_right_continuous_step_function() {
-        let s = CumulativeSeries::from_events(vec![
-            (SimTime::from_secs(1), 10.0),
-            (SimTime::from_secs(3), 5.0),
-        ]);
-        assert_eq!(s.value_at(SimTime::ZERO), 0.0);
-        assert_eq!(s.value_at(SimTime::from_millis(999)), 0.0);
-        assert_eq!(s.value_at(SimTime::from_secs(1)), 10.0);
-        assert_eq!(s.value_at(SimTime::from_secs(2)), 10.0);
-        assert_eq!(s.value_at(SimTime::from_secs(3)), 15.0);
-        assert_eq!(s.value_at(SimTime::from_secs(100)), 15.0);
-    }
-
-    #[test]
-    fn value_at_with_duplicate_timestamps_takes_the_last() {
-        let s = CumulativeSeries::from_events(vec![
-            (SimTime::from_secs(1), 1.0),
-            (SimTime::from_secs(1), 2.0),
-            (SimTime::from_secs(1), 3.0),
-        ]);
-        assert_eq!(s.value_at(SimTime::from_secs(1)), 6.0);
-    }
-
-    #[test]
-    fn resample_produces_a_fixed_grid_including_both_ends() {
-        let s = CumulativeSeries::from_events(vec![(SimTime::from_secs(5), 100.0)]);
-        let grid = s.resample(SimDuration::from_secs(10), SimDuration::from_secs(5));
-        assert_eq!(grid.len(), 3);
-        assert_eq!(grid[0], (SimTime::ZERO, 0.0));
-        assert_eq!(grid[1], (SimTime::from_secs(5), 100.0));
-        assert_eq!(grid[2], (SimTime::from_secs(10), 100.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "resampling step must be positive")]
-    fn resample_rejects_zero_step() {
-        let s = CumulativeSeries::new();
-        let _ = s.resample(SimDuration::from_secs(1), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn time_to_reach_finds_the_first_crossing() {
-        let s = CumulativeSeries::from_events(vec![
-            (SimTime::from_secs(1), 10.0),
-            (SimTime::from_secs(2), 10.0),
-            (SimTime::from_secs(3), 10.0),
-        ]);
-        assert_eq!(s.time_to_reach(5.0), Some(SimTime::from_secs(1)));
-        assert_eq!(s.time_to_reach(15.0), Some(SimTime::from_secs(2)));
-        assert_eq!(s.time_to_reach(30.0), Some(SimTime::from_secs(3)));
-        assert_eq!(s.time_to_reach(31.0), None);
-    }
-
-    #[test]
     fn empty_series_edge_cases() {
         let s = CumulativeSeries::new();
         assert!(s.is_empty());
         assert_eq!(s.total(), 0.0);
-        assert_eq!(s.value_at(SimTime::from_secs(10)), 0.0);
-        assert_eq!(s.time_to_reach(1.0), None);
     }
 
     #[test]

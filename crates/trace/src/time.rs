@@ -105,12 +105,6 @@ impl SimDuration {
         SimDuration((s * 1e6).round() as u64)
     }
 
-    /// Creates a duration from fractional milliseconds.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        assert!(ms >= 0.0, "SimDuration cannot be negative");
-        SimDuration((ms * 1e3).round() as u64)
-    }
-
     /// Raw microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -268,7 +262,6 @@ mod tests {
     fn duration_construction() {
         assert_eq!(SimDuration::from_secs(1).as_micros(), 1_000_000);
         assert_eq!(SimDuration::from_millis(10).as_micros(), 10_000);
-        assert_eq!(SimDuration::from_millis_f64(0.5).as_micros(), 500);
         assert_eq!(SimDuration::from_secs_f64(0.000001).as_micros(), 1);
         assert!(SimDuration::ZERO.is_zero());
         assert!(!SimDuration::from_micros(1).is_zero());

@@ -62,15 +62,6 @@ impl BatchSpec {
         specs
     }
 
-    /// The §4.2 bundling test: the same total volume split into 1, 10, 100 and
-    /// 1000 files.
-    pub fn bundling_series(total_bytes: usize) -> Vec<BatchSpec> {
-        [1usize, 10, 100, 1000]
-            .into_iter()
-            .map(|count| BatchSpec::new(count, total_bytes / count, FileKind::RandomBinary))
-            .collect()
-    }
-
     /// Total payload bytes of the batch.
     pub fn total_bytes(&self) -> u64 {
         self.file_count as u64 * self.file_size as u64
@@ -187,18 +178,6 @@ mod tests {
         assert_eq!(specs.len(), 8);
         assert_eq!(specs.iter().filter(|s| s.kind == FileKind::Text).count(), 4);
         assert_eq!(specs.iter().filter(|s| s.kind == FileKind::RandomBinary).count(), 4);
-    }
-
-    #[test]
-    fn bundling_series_preserves_total_volume() {
-        let series = BatchSpec::bundling_series(1_000_000);
-        assert_eq!(series.len(), 4);
-        for spec in &series {
-            assert_eq!(spec.total_bytes(), 1_000_000);
-        }
-        assert_eq!(series[0].file_count, 1);
-        assert_eq!(series[3].file_count, 1000);
-        assert_eq!(series[3].file_size, 1000);
     }
 
     #[test]

@@ -71,22 +71,6 @@ impl Mutation {
             }
         }
     }
-
-    /// The number of *new* bytes the mutation introduces (the quantity the
-    /// delta encoder should ideally transmit).
-    pub fn new_bytes(&self) -> usize {
-        match *self {
-            Mutation::Append { len }
-            | Mutation::Prepend { len }
-            | Mutation::InsertRandom { len }
-            | Mutation::OverwriteRandom { len } => len,
-        }
-    }
-
-    /// Whether the mutation changes the total file length.
-    pub fn grows_file(&self) -> bool {
-        !matches!(self, Mutation::OverwriteRandom { .. })
-    }
 }
 
 fn fresh_bytes(len: usize, rng: &mut StdRng) -> Vec<u8> {
@@ -153,15 +137,5 @@ mod tests {
         assert_eq!(Mutation::OverwriteRandom { len: 10 }.apply(&[], 1).len(), 0);
         assert_eq!(Mutation::Append { len: 0 }.apply(&base(), 1), base());
         assert_eq!(Mutation::OverwriteRandom { len: 0 }.apply(&base(), 1), base());
-    }
-
-    #[test]
-    fn new_bytes_and_growth_metadata() {
-        assert_eq!(Mutation::Append { len: 7 }.new_bytes(), 7);
-        assert_eq!(Mutation::InsertRandom { len: 9 }.new_bytes(), 9);
-        assert!(Mutation::Append { len: 7 }.grows_file());
-        assert!(Mutation::Prepend { len: 7 }.grows_file());
-        assert!(Mutation::InsertRandom { len: 7 }.grows_file());
-        assert!(!Mutation::OverwriteRandom { len: 7 }.grows_file());
     }
 }
