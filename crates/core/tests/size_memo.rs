@@ -6,9 +6,11 @@
 //! three content kinds, Fig. 4's bases with their appended and inserted
 //! revisions — through all five profiles, the way that workload does, and
 //! prints the bytes offered to the testbed's size memo against the distinct
-//! bytes it counted. Both readings repeat exactly, also when the testbed's
-//! clients run on several threads, and a second identical pass adds no
-//! distinct byte. The release build reads the full sizes:
+//! bytes it counted, and how many of those the LZSS repeat pass settled
+//! without a parse (the random bytes). All three readings repeat exactly,
+//! also when the testbed's clients run on several threads, and a second
+//! identical pass adds no distinct byte. The release build reads the full
+//! sizes:
 //!
 //! ```text
 //! cargo test --release -p cloudbench --test size_memo -- --nocapture
@@ -91,10 +93,10 @@ fn sync_all(testbed: &Testbed, corpora: &Corpora) {
     }
 }
 
-/// `(offered, distinct)` bytes of `testbed`'s size memo.
-fn reading(testbed: &Testbed) -> (u64, u64) {
+/// `(offered, distinct, certified)` bytes of `testbed`'s size memo.
+fn reading(testbed: &Testbed) -> (u64, u64, u64) {
     let sizes = testbed.size_memo();
-    (sizes.offered_bytes(), sizes.distinct_bytes())
+    (sizes.offered_bytes(), sizes.distinct_bytes(), sizes.certified_bytes())
 }
 
 #[test]
@@ -111,22 +113,24 @@ fn each_content_is_counted_once_per_run() {
     let testbed = Testbed::new(SEED);
     let corpora = corpora(&testbed, &suite, &fig5, &fig4);
     sync_all(&testbed, &corpora);
-    let (offered, distinct) = reading(&testbed);
+    let (offered, distinct, certified) = reading(&testbed);
     println!(
-        "one pass: {offered} bytes offered to the size memo, {distinct} distinct; \
-         {:.1} % of the offered bytes repeat a count the run already made",
+        "one pass: {offered} bytes offered to the size memo, {distinct} distinct, \
+         {certified} of them settled without a parse; {:.1} % of the offered bytes \
+         repeat a count the run already made",
         100.0 * (offered - distinct) as f64 / offered as f64
     );
     assert!(0 < distinct && distinct < offered, "{distinct} of {offered}");
+    assert!(0 < certified && certified < distinct, "{certified} of {distinct}");
 
-    // Both readings repeat on a fresh testbed.
+    // All three readings repeat on a fresh testbed.
     let fresh = Testbed::new(SEED);
     sync_all(&fresh, &corpora);
-    assert_eq!(reading(&fresh), (offered, distinct));
+    assert_eq!(reading(&fresh), (offered, distinct, certified));
 
     // A second identical pass asks for every count again and makes none.
     sync_all(&testbed, &corpora);
-    assert_eq!(reading(&testbed), (2 * offered, distinct));
+    assert_eq!(reading(&testbed), (2 * offered, distinct, certified));
 
     // So do the Fig. 6 suite's cells, which share one testbed across the
     // host's cores: which worker counts a content first does not show.
@@ -136,5 +140,5 @@ fn each_content_is_counted_once_per_run() {
     };
     let first = parallel(Testbed::new(SEED));
     assert_eq!(parallel(Testbed::new(SEED)), first);
-    assert!(first.1 < first.0, "{first:?}");
+    assert!(first.2 < first.1 && first.1 < first.0, "{first:?}");
 }

@@ -13,6 +13,18 @@
 //! bitmap): dictionary text compresses to a fraction of its size, random
 //! bytes expand by the flag overhead (~1/8), which is exactly the behaviour
 //! Fig. 5 shows for Dropbox.
+//!
+//! # Why a settled count is exact
+//!
+//! The paper's Dropbox wastes CPU compressing what cannot shrink, and
+//! counting it through the coder would waste the simulator's too: a parse
+//! of random bytes only ever answers the stored size. So before any parse,
+//! the size count ([`LzssScratch::upload_size`]) makes one cheap pass that
+//! counts the positions whose 4 bytes may repeat within the window. Where
+//! at most about one in eleven can (`11·|R′| ≤ len + 32`), no parse could beat
+//! stored mode, and the count is `len + 1` without one; otherwise the coder
+//! runs as before. [`LzssScratch`]'s docs derive the bound, and the tests
+//! `certificate_*` hold every settled input to the coder's own answer.
 
 use crate::hash::ContentHash;
 use cloudsim_parallel::{auto_workers, run_with_contexts};
@@ -92,13 +104,15 @@ impl CompressionPolicy {
 /// the same content at once both count it, and the second insert finds the
 /// slot taken. The counts are equal.
 ///
-/// Two readings repeat exactly, whatever the thread count:
-/// [`SizeMemo::offered_bytes`] and [`SizeMemo::distinct_bytes`]. Which
-/// lookups hit does not, so it is not reported.
+/// Three readings repeat exactly, whatever the thread count:
+/// [`SizeMemo::offered_bytes`], [`SizeMemo::distinct_bytes`] and
+/// [`SizeMemo::certified_bytes`]. Which lookups hit does not, so it is not
+/// reported.
 pub struct SizeMemo {
     counts: Mutex<HashMap<ContentHash, u64>>,
     offered: AtomicU64,
     distinct: AtomicU64,
+    certified: AtomicU64,
 }
 
 impl SizeMemo {
@@ -108,6 +122,7 @@ impl SizeMemo {
             counts: Mutex::new(HashMap::new()),
             offered: AtomicU64::new(0),
             distinct: AtomicU64::new(0),
+            certified: AtomicU64::new(0),
         }
     }
 
@@ -121,6 +136,13 @@ impl SizeMemo {
     /// the insert that found its slot vacant.
     pub fn distinct_bytes(&self) -> u64 {
         self.distinct.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of the distinct contents whose count the repeat pass settled
+    /// without a parse (see [`LzssScratch`]): a part of
+    /// [`SizeMemo::distinct_bytes`], recorded the same way.
+    pub fn certified_bytes(&self) -> u64 {
+        self.certified.load(Ordering::Relaxed)
     }
 
     /// What `policy.upload_size_with(scratch, data)` returns, for `data`
@@ -148,27 +170,30 @@ impl SizeMemo {
         scratch: &mut LzssScratch,
         hash: &ContentHash,
         data: &[u8],
-    ) -> (u64, Option<u64>) {
+    ) -> (u64, Option<Count>) {
         if !policy.compresses(data) {
             return (data.len() as u64, None);
         }
         self.offered.fetch_add(data.len() as u64, Ordering::Relaxed);
         let recorded = self.counts.lock().get(hash).copied();
         match recorded {
-            Some(count) => (count, None),
+            Some(size) => (size, None),
             None => {
-                let count = scratch.upload_size(data);
-                (count, Some(count))
+                let count = scratch.count(data);
+                (count.size, Some(count))
             }
         }
     }
 
     /// Records `count` for the `len` bytes hashing to `hash`, unless a
     /// count is recorded for them already.
-    pub(crate) fn record(&self, hash: ContentHash, len: usize, count: u64) {
+    pub(crate) fn record(&self, hash: ContentHash, len: usize, count: Count) {
         if let Entry::Vacant(slot) = self.counts.lock().entry(hash) {
-            slot.insert(count);
+            slot.insert(count.size);
             self.distinct.fetch_add(len as u64, Ordering::Relaxed);
+            if count.settled {
+                self.certified.fetch_add(len as u64, Ordering::Relaxed);
+            }
         }
     }
 
@@ -190,6 +215,7 @@ impl std::fmt::Debug for SizeMemo {
         f.debug_struct("SizeMemo")
             .field("offered_bytes", &self.offered_bytes())
             .field("distinct_bytes", &self.distinct_bytes())
+            .field("certified_bytes", &self.certified_bytes())
             .finish_non_exhaustive()
     }
 }
@@ -211,6 +237,13 @@ const MAX_TRIES: u32 = 32;
 
 /// Entries of the `head` table.
 const HEAD_SIZE: usize = 1 << 16;
+
+/// Bits of the repeat pass's bitset for one `WINDOW`-long block of
+/// positions: 16 per position, so on random bytes a bit is set by chance
+/// for at most ~9 % of the positions the pass checks against the last two
+/// blocks (`R′` below) — under the certificate's budget of 1/11. Two such
+/// bitsets fill half of `head`.
+const REPEAT_BITS: usize = 16 * WINDOW;
 
 /// Where a fresh (or refilled) scratch starts its position offset: far
 /// enough above the zeroed `head` that a zero entry is out of window.
@@ -300,6 +333,42 @@ const SEAM_OVERLAP: usize = 2 * 1024;
 /// sequential `(dist, len)` at every position it searches, and from any
 /// position the sequential parse also visits, its greedy parse *is* the
 /// sequential one.
+///
+/// # Why a settled count is exact
+///
+/// Before any parse or split, [`LzssScratch::upload_size`] makes one
+/// branch-free pass over the input. Let `R` be the positions `j ≤ len − 4`
+/// whose 4 bytes also occur 1..=`WINDOW` bytes earlier. The pass counts a
+/// superset `R′ ⊇ R` and stops as soon as `11·|R′| > len + 32`; then the
+/// coder runs as it always did. If the pass gets to the end, the count is
+/// `len + 1`, the stored-mode fallback, without a parse, because that is
+/// what the coder would have answered:
+///
+/// * a match `(L, d)` at `i` puts the positions `i..=i+L−4` into `R`, and
+///   matches are disjoint, so `Σ(L−3) ≤ |R|`, and the number of matches
+///   `M` is at most `|R|`;
+/// * so the token bytes are `B = len − Σ(L−3) ≥ len − |R|`, and the token
+///   count is `T = len − Σ(L−3) − 2M ≥ len − 3|R|`;
+/// * so `stream_len = 5 + max(1, ⌈T/8⌉) + B ≥ len + 5 + (len − 11|R|)/8`,
+///   which is at least `len + 1` whenever `11|R| ≤ len + 32`.
+///
+/// `R′` comes from two hashed bitsets of 64 kB each: one for the positions
+/// of the current `WINDOW`-aligned block, one for the block before. A
+/// position is counted when its hash's bit is set in either, then sets it
+/// in the current one. Every position within `WINDOW` before `j` lies in
+/// one of the two blocks and hashes its bytes as `j` would, so every member
+/// of `R` is counted; a hash collision only adds to `R′`, which can make
+/// the pass give up, never settle wrongly. An input shorter than a block
+/// hashes into a share of the bitsets in proportion. On random bytes `|R′|`
+/// stays under the budget; on the paper's text, where most positions
+/// repeat, the pass gives up after about a tenth of a large input (a small
+/// one repeats less early on, so more of it).
+///
+/// The bitsets are not a table of their own: the pass borrows the first
+/// half of `head`, interleaved word by word, since it never runs while the
+/// match finder does. It zeroes its share before it starts and leaves it
+/// `dirty`; the match finder zeroes the dirty words before it reads `head`
+/// again. A zero entry is one never written, so that changes no token.
 #[derive(Debug, Clone)]
 pub struct LzssScratch {
     /// Hash → `base` + most recent position with that 4-byte-prefix hash.
@@ -308,6 +377,9 @@ pub struct LzssScratch {
     /// Ring buffer: `chain[pos & (WINDOW-1)]` = distance from `pos` back to
     /// the previous position with the same prefix hash, or [`FAR`].
     chain: Box<[u16; WINDOW]>,
+    /// How many words at the start of `head` hold the repeat pass's bits
+    /// instead of positions (see "Why a settled count is exact").
+    dirty: usize,
     /// Offset the next call adds to its positions.
     base: u32,
 }
@@ -413,6 +485,15 @@ impl TokenSink for CountingSink {
         self.tokens += 1;
         self.token_bytes += 3;
     }
+}
+
+/// A size count ([`LzssScratch::upload_size`]) and how it was made.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Count {
+    /// Bytes on the wire.
+    pub(crate) size: u64,
+    /// Whether the repeat pass settled it without a parse.
+    pub(crate) settled: bool,
 }
 
 /// A segment's `(tokens, token_bytes)` before some position.
@@ -627,7 +708,7 @@ impl LzssScratch {
     /// tests reach the wrap rule without 4 GB of input.
     fn with_base(base: u32) -> LzssScratch {
         assert!(base >= BASE_START);
-        LzssScratch { head: zeroed_table(), chain: zeroed_table(), base }
+        LzssScratch { head: zeroed_table(), chain: zeroed_table(), dirty: 0, base }
     }
 
     /// Bytes that travel on the wire for `data` (compressed or stored-mode
@@ -640,10 +721,79 @@ impl LzssScratch {
     /// the splice). Where two neighbouring parses do not meet within
     /// `SEAM_OVERLAP` bytes of their seam, the input is counted again
     /// sequentially; the answer is the same either way.
+    ///
+    /// Neither happens to an input the repeat pass settles first (see
+    /// [`LzssScratch`]): random bytes are counted as stored without a
+    /// parse.
     pub fn upload_size(&mut self, data: &[u8]) -> u64 {
+        self.count(data).size
+    }
+
+    /// [`LzssScratch::upload_size`], and whether the repeat pass settled it.
+    pub(crate) fn count(&mut self, data: &[u8]) -> Count {
+        assert!(data.len() <= MAX_INPUT, "input too large for the LZSS coder");
+        let stored = data.len() as u64 + 1;
+        if self.settles(data) {
+            return Count { size: stored, settled: true };
+        }
         let parts = auto_workers(data.len() / MIN_PART, data.len() as u64, 0);
         let count = with_lent(self, parts - 1, |scratches| count_in_parts(scratches, data, parts));
-        count.stream_len().min(data.len() as u64 + 1)
+        Count { size: count.stream_len().min(stored), settled: false }
+    }
+
+    /// The repeat pass: whether `11·|R′| ≤ len + 32` for `data`, which
+    /// makes its count `len + 1` (see "Why a settled count is exact").
+    /// Gives up at the first position that takes `|R′|` over that budget.
+    fn settles(&mut self, data: &[u8]) -> bool {
+        let len = data.len();
+        let budget = (len + 32) / 11;
+        let searchable = (len + 1).saturating_sub(MIN_MATCH);
+        // This input's share of each bitset: 16 bits per position of its
+        // first block, rounded up to a power of two; `table[w][b & 1]` is
+        // word `w` of block `b`'s bitset.
+        let bits = (16 * searchable.min(WINDOW)).next_power_of_two().clamp(32, REPEAT_BITS);
+        let (words, shift) = (bits / 32, 32 - bits.trailing_zeros());
+        self.dirty = self.dirty.max(2 * words);
+        let table = &mut self.head.as_chunks_mut::<2>().0[..words];
+        table.fill([0, 0]);
+        let mut repeats = 0usize;
+        for (block, start) in (0..searchable).step_by(WINDOW).enumerate() {
+            let current = block & 1;
+            if block > 1 {
+                // Block `block − 2`'s bits give way to this block's.
+                table.iter_mut().for_each(|pair| pair[current] = 0);
+            }
+            // Counts the position whose 4 bytes are `prefix` if they were
+            // seen, marks them seen, and says whether that broke the budget.
+            let mut check = |prefix: u32| {
+                let h = (prefix.wrapping_mul(2654435761) >> shift) as usize;
+                let pair = &mut table[h / 32];
+                let bit = 1u32 << (h % 32);
+                repeats += usize::from((pair[0] | pair[1]) & bit != 0);
+                pair[current] |= bit;
+                repeats > budget
+            };
+            let end = (start + WINDOW).min(searchable);
+            let mut j = start;
+            // Four positions per 8-byte load while one fits, then one each.
+            while j + 4 <= end && j + 8 <= len {
+                let word = u64::from_le_bytes(data[j..j + 8].try_into().expect("8 bytes"));
+                let over = check(word as u32)
+                    | check((word >> 8) as u32)
+                    | check((word >> 16) as u32)
+                    | check((word >> 24) as u32);
+                if over {
+                    return false;
+                }
+                j += 4;
+            }
+            for j in j..end {
+                if check(u32::from_le_bytes(data[j..j + 4].try_into().expect("4 bytes"))) {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// The match finder: feeds `sink` the literal/match tokens of `data`.
@@ -668,6 +818,10 @@ impl LzssScratch {
         let len = data.len();
         assert!(len <= MAX_INPUT, "input too large for the LZSS coder");
         debug_assert!(warm_from <= start && start <= stop_at && stop_at <= len);
+        // Zero is "never written": what the repeat pass left reads as out
+        // of window, like any entry of an earlier call.
+        self.head[..self.dirty].fill(0);
+        self.dirty = 0;
         let span = len as u32 + BASE_START;
         if u32::MAX - self.base < span {
             self.head.fill(0);
@@ -1168,6 +1322,8 @@ mod tests {
             prop_assert_eq!(memo.holds(&hash), coded);
             let len = if coded { data.len() as u64 } else { 0 };
             prop_assert_eq!((memo.offered_bytes(), memo.distinct_bytes()), (2 * len, len));
+            let settled = LzssScratch::new().count(&data).settled;
+            prop_assert_eq!(memo.certified_bytes(), if settled { len } else { 0 });
         }
     }
 
@@ -1592,5 +1748,195 @@ mod tests {
             quantile(100),
         );
         assert_eq!(fallbacks, 0);
+    }
+
+    /// `|R|` of `data` (see "Why a settled count is exact"), counted
+    /// exactly: the positions whose 4 bytes' closest earlier occurrence is
+    /// at most `WINDOW` back.
+    fn exact_repeats(data: &[u8]) -> usize {
+        let mut last = HashMap::new();
+        let mut repeats = 0;
+        for (j, prefix) in data.windows(MIN_MATCH).enumerate() {
+            repeats += usize::from(last.insert(prefix, j).is_some_and(|p| j - p <= WINDOW));
+        }
+        repeats
+    }
+
+    /// The repeat pass's budget for `len` bytes: the most `|R′|` it settles.
+    fn budget(len: usize) -> usize {
+        (len + 32) / 11
+    }
+
+    /// Random bytes with 4–6-byte repeats planted at distances
+    /// 1..=`WINDOW` (copied forward, so a short distance repeats itself)
+    /// until `|R|` reaches `budget − 1`, `budget` or `budget + 1`, as
+    /// `offset` is 0, 1 or 2, where the input has room. Most inputs are
+    /// short enough that the pass's hash collisions may leave `R′ = R`, so
+    /// the budget's edge is tried.
+    fn planted_input(seed: u64, offset: usize) -> Vec<u8> {
+        let mut rng = TestRng::deterministic("planted_input", seed);
+        let len = match rng.below(8) {
+            0..=6 => 16 + rng.below(120) as usize,
+            _ => 16 + rng.below(3 * WINDOW as u64) as usize,
+        };
+        let mut data = random_bytes(len, seed);
+        // A plant of `n` bytes adds `n − 3` positions to `R`. The plants
+        // go left to right: each reads only bytes before it and writes
+        // past every earlier one, so none undoes another.
+        let mut missing = (budget(len) + offset - 1).saturating_sub(exact_repeats(&data));
+        // Up to 4, 5 or 6 bytes each: 4-byte repeats pack `R` the densest.
+        let longest = rng.below(3);
+        let mut plants = Vec::new();
+        while missing > 0 {
+            let n = 4 + rng.below(longest + 1).min(missing as u64 - 1) as usize;
+            plants.push(n);
+            missing -= n - 3;
+        }
+        let spare = (len - 1).saturating_sub(plants.iter().sum());
+        let mut gaps: Vec<usize> =
+            plants.iter().map(|_| rng.below(spare as u64 + 1) as usize).collect();
+        gaps.sort_unstable();
+        let (mut at, mut skipped) = (1, 0);
+        for (n, gap) in plants.into_iter().zip(gaps) {
+            at += gap - skipped;
+            skipped = gap;
+            if at + n > len {
+                break;
+            }
+            // Neither neighbouring byte extends the repeat: the one before
+            // differs from its source's where a few draws find a distance
+            // for that, the one after is changed if it does not.
+            let draw = |rng: &mut TestRng| 1 + rng.below(at.min(WINDOW) as u64) as usize;
+            let dist = (0..8)
+                .map(|_| draw(&mut rng))
+                .find(|&d| d == at || data[at - 1] != data[at - 1 - d])
+                .unwrap_or_else(|| draw(&mut rng));
+            for k in at..at + n {
+                data[k] = data[k - dist];
+            }
+            at += n;
+            if at < len && data[at] == data[at - dist] {
+                data[at] ^= 1;
+            }
+        }
+        data
+    }
+
+    /// One input of the certificate's tests, drawn from `seed`: random
+    /// bytes, paper text, a fake JPEG, an echo mix, 0–3 bytes, or planted
+    /// repeats at the budget's edge.
+    fn certificate_input(seed: u64) -> Vec<u8> {
+        let mut rng = TestRng::deterministic("certificate_input", seed);
+        let len = match rng.below(3) {
+            0 => rng.below(300) as usize,
+            1 => rng.below(5_000) as usize,
+            _ => rng.below(100_000) as usize,
+        };
+        match rng.below(7) {
+            0 => generate(FileKind::RandomBinary, len, seed),
+            1 => generate(FileKind::Text, len, seed),
+            2 => generate(FileKind::FakeJpeg, len, seed),
+            3 => {
+                // Random bytes, some text, then an echo of what lies up to
+                // `WINDOW` back.
+                let mut data = generate(FileKind::RandomBinary, len, seed);
+                data.extend_from_slice(&generate(FileKind::Text, rng.below(2_000) as usize, seed));
+                let dist = 1 + rng.below(data.len().clamp(1, WINDOW) as u64) as usize;
+                for _ in 0..rng.below(len as u64 / 2 + 1) {
+                    data.push(data[data.len() - dist]);
+                }
+                data
+            }
+            4 => random_bytes(rng.below(4) as usize, seed),
+            _ => planted_input(seed, rng.below(3) as usize),
+        }
+    }
+
+    /// Holds the pass to its proof on `data`: a settled input is one the
+    /// coder stores (`len + 1`), and an input with `|R|` over the budget is
+    /// never settled (the pass's `R′` includes `R`). Returns whether it
+    /// settled.
+    fn check_certificate(data: &[u8]) -> Result<bool, TestCaseError> {
+        if !LzssScratch::new().count(data).settled {
+            return Ok(false);
+        }
+        let wire = compress(data).len();
+        prop_assert!(
+            wire == data.len() + 1,
+            "settled, but coded to {wire} of {} bytes",
+            data.len()
+        );
+        prop_assert!(exact_repeats(data) <= budget(data.len()), "settled over the budget");
+        Ok(true)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whenever the repeat pass settles an input, the coder would have
+        /// stored it: the settled count is the parsed one.
+        #[test]
+        fn certificate_never_settles_a_shrinkable_input(seed in any::<u64>()) {
+            check_certificate(&certificate_input(seed))?;
+        }
+    }
+
+    /// Planted repeats at `|R|` = budget − 1, budget and budget + 1: every
+    /// settled input is exact, none over the budget settles, and some
+    /// settle at all, so the edge is really tried. Prints how many.
+    #[test]
+    fn certificate_is_exact_at_its_budget() {
+        let cases = if cfg!(debug_assertions) { 300 } else { 2_000 };
+        let (mut settled, mut at_budget) = (0, 0);
+        for seed in 0..cases {
+            let data = planted_input(seed, seed as usize % 3);
+            at_budget += usize::from(exact_repeats(&data) == budget(data.len()));
+            settled += usize::from(check_certificate(&data).unwrap_or_else(|e| panic!("{e}")));
+        }
+        println!(
+            "planted repeats: {settled} of {cases} inputs settled, all exact; \
+             {at_budget} had |R| exactly at the budget"
+        );
+        assert!(settled > 0 && at_budget > 0, "{settled} settled, {at_budget} at the budget");
+    }
+
+    /// The pass settles random bytes — 24 KiB, inside one block, and 1 MB
+    /// across 30 block changes — and gives up on repeats from the block
+    /// before, paper text and fake JPEGs, so a change that turns the
+    /// shortcut off, or loses a block's bits too early, fails here. Over the
+    /// paper's corpora (Fig. 5's three kinds at its sizes, Fig. 4's
+    /// modified revisions) prints the bytes settled and parsed.
+    #[test]
+    fn certificate_settles_exactly_the_random_corpora() {
+        let mut scratch = LzssScratch::new();
+        for len in [24 * 1024, 1_000_000] {
+            assert!(scratch.count(&random_bytes(len, 11)).settled, "{len} random bytes");
+        }
+        // Repeats exactly `WINDOW` back, each from the block before its
+        // own: seen, so parsed.
+        let mut echoed = random_bytes(2 * WINDOW, 12);
+        echoed.extend_from_within(WINDOW..);
+        assert!(!scratch.count(&echoed).settled);
+        let sizes: &[usize] =
+            if cfg!(debug_assertions) { &[100_000] } else { &[100_000, 500_000, 1_000_000] };
+        let mut corpora = Vec::new();
+        for &size in sizes {
+            for kind in [FileKind::Text, FileKind::RandomBinary, FileKind::FakeJpeg] {
+                corpora.push((kind == FileKind::RandomBinary, generate(kind, size, size as u64)));
+            }
+        }
+        let base = generate(FileKind::RandomBinary, 200_000, 4);
+        for mutation in [Mutation::Append { len: 100_000 }, Mutation::InsertRandom { len: 100_000 }]
+        {
+            corpora.push((true, mutation.apply(&base, 5)));
+        }
+        let (mut settled, mut parsed) = (0, 0);
+        for (random, data) in &corpora {
+            let count = scratch.count(data);
+            assert_eq!(count.settled, *random, "{} bytes", data.len());
+            assert_eq!(count.size, sequential_count(data).stream_len().min(data.len() as u64 + 1));
+            *if count.settled { &mut settled } else { &mut parsed } += data.len();
+        }
+        println!("paper corpora: {settled} bytes settled without a parse, {parsed} parsed");
     }
 }

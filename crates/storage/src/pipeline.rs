@@ -64,6 +64,12 @@ pub(crate) const PARALLEL_THRESHOLD_BYTES: u64 = 4 * 1024 * 1024;
 /// What counting one byte through the LZSS coder costs, in hashed bytes:
 /// about 25 ns against 1 ns (SHA-256 on the CPU's extensions) on the
 /// benchmark host. A batch that codes more than ~160 kB fans out.
+///
+/// That holds for content that can shrink. Random bytes are settled by the
+/// coder's repeat pass without a parse (see
+/// [`crate::compress::LzssScratch`]), at about 3 ns per byte, so a batch
+/// of them fans out sooner than its work alone would call for. The weight
+/// does not look at the content and stays one figure.
 const LZSS_BYTE_COST: u64 = 25;
 
 /// What the pipeline computes per chunk (see [`ChunkArtifacts`]).

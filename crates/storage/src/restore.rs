@@ -762,7 +762,7 @@ mod tests {
         let script = DeltaScript::compute(&Signature::new(&near), &bad);
         assert!(script.wire_size() < spec.compression.upload_size(&bad));
         let knows_the_truth = SizeMemo::new();
-        knows_the_truth.record(hash, good.len(), spec.compression.upload_size(&good));
+        knows_the_truth.record(hash, good.len(), LzssScratch::new().count(&good));
         let corrupt = RestoreError::Corrupt { user: "alice".into(), path: "c.bin".into(), hash };
         for base in [None, Some(&near[..])] {
             let fresh = SizeMemo::new();
