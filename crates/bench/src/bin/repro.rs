@@ -21,8 +21,8 @@
 //! takes `-` for stdout, and `--json -` streams the JSON *instead of* the
 //! text report (what the CI determinism legs `cmp`); counted flags reject
 //! missing/malformed/zero values with the usage text and exit code 2.
-//! Absolute values differ from the 2013 testbed; EXPERIMENTS.md records the
-//! paper-vs-measured comparison for every target.
+//! Absolute values differ from the 2013 testbed; a ledger of the
+//! paper-vs-measured comparison for every target is ROADMAP item 8.
 
 use cloudbench_bench::cli::{
     check_flags, die_usage, emit, parse_count, print_report, write_payload,

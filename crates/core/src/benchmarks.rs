@@ -18,10 +18,6 @@ pub struct PerformanceRow {
     pub service: String,
     /// Workload label ("100x10kB", …).
     pub workload: String,
-    /// File-type label of the workload.
-    pub file_kind: String,
-    /// Number of repetitions aggregated.
-    pub repetitions: usize,
     /// Synchronisation start-up delay in seconds (Fig. 6a).
     pub startup_secs: SampleStats,
     /// Upload completion time in seconds (Fig. 6b).
@@ -87,8 +83,6 @@ pub fn run_performance_cell(
     PerformanceRow {
         service: profile.name().to_string(),
         workload: spec.label(),
-        file_kind: spec.kind.label().to_string(),
-        repetitions,
         startup_secs: SampleStats::from_samples(&startup).unwrap_or(SampleStats::zero()),
         completion_secs: completion_stats,
         overhead: SampleStats::from_samples(&overhead).unwrap_or(SampleStats::zero()),
@@ -145,7 +139,6 @@ mod tests {
         let testbed = Testbed::new(11);
         let spec = BatchSpec::new(10, 10_000, FileKind::RandomBinary);
         let row = run_performance_cell(&testbed, &ServiceProfile::wuala(), &spec, 3);
-        assert_eq!(row.repetitions, 3);
         assert_eq!(row.startup_secs.count, 3);
         assert_eq!(row.completion_secs.count, 3);
         assert!(row.startup_secs.mean > 0.0);

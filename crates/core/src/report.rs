@@ -4,7 +4,7 @@
 //! Table 1, Fig. 1–6 and the §3 architecture summary from freshly measured
 //! data, printing the same rows/series the paper reports (absolute numbers
 //! differ — the substrate is a simulator — but the shapes and rankings are
-//! expected to hold; EXPERIMENTS.md records the comparison).
+//! expected to hold; a ledger of that comparison is ROADMAP item 8).
 //!
 //! The beyond-paper suites render themselves: each result struct in
 //! `fleet`, `hetero`, `restore`, `schedule`, `faults`, `scale`, `partition`

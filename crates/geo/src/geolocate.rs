@@ -46,11 +46,6 @@ impl HybridGeolocator {
         HybridGeolocator { landmarks: LandmarkSet::planetlab_like(), rtt_seed }
     }
 
-    /// The landmark set in use.
-    pub fn landmarks(&self) -> &LandmarkSet {
-        &self.landmarks
-    }
-
     /// Geolocates a front end. `reverse_dns` is the PTR record (if any) and
     /// `true_location` is the ground truth used both to synthesise the RTT
     /// measurements and to score the estimate.

@@ -61,11 +61,6 @@ impl LandmarkSet {
         LandmarkSet { landmarks }
     }
 
-    /// The landmarks.
-    pub fn landmarks(&self) -> &[Landmark] {
-        &self.landmarks
-    }
-
     /// Number of landmarks.
     pub fn len(&self) -> usize {
         self.landmarks.len()
@@ -138,7 +133,7 @@ mod tests {
         let set = LandmarkSet::planetlab_like();
         assert_eq!(set.len(), WORLD_CITIES.len());
         assert!(!set.is_empty());
-        assert!(set.landmarks()[0].name.contains("planetlab"));
+        assert!(set.landmarks[0].name.contains("planetlab"));
     }
 
     #[test]

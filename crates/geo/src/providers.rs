@@ -313,18 +313,41 @@ impl ProviderTopology {
         Provider::ALL.iter().map(|p| ProviderTopology::ground_truth(*p)).collect()
     }
 
+    /// Registers every owner's address blocks in an [`IpRegistry`], so whois
+    /// lookups over discovered addresses resolve to the right organisations.
+    pub fn register_whois(registry: &mut IpRegistry) {
+        registry.register(IpBlock::cidr([108, 160, 160, 0], 20, "Dropbox, Inc."));
+        registry.register(IpBlock::cidr([54, 224, 0, 0], 11, "Amazon.com, Inc."));
+        registry.register(IpBlock::cidr([176, 32, 96, 0], 19, "Amazon.com, Inc."));
+        registry.register(IpBlock::cidr([134, 170, 0, 0], 16, "Microsoft Corporation"));
+        registry.register(IpBlock::cidr([88, 198, 0, 0], 16, "Hetzner Online AG"));
+        registry.register(IpBlock::cidr([92, 42, 48, 0], 21, "Nine Internet Solutions AG"));
+        registry.register(IpBlock::cidr([94, 23, 0, 0], 16, "OVH SAS"));
+        registry.register(IpBlock::cidr([173, 194, 0, 0], 16, "Google LLC"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::addr;
+
+    /// Nodes playing a given role.
+    fn nodes_with_role(topo: &ProviderTopology, role: ServerRole) -> Vec<&ServerNode> {
+        topo.nodes.iter().filter(|n| n.role == role).collect()
+    }
+
     /// The distinct owners of the provider's address space (whois view).
-    pub fn owners(&self) -> Vec<String> {
-        let mut owners: Vec<String> = self.nodes.iter().map(|n| n.owner.clone()).collect();
+    fn owners(topo: &ProviderTopology) -> Vec<String> {
+        let mut owners: Vec<String> = topo.nodes.iter().map(|n| n.owner.clone()).collect();
         owners.sort();
         owners.dedup();
         owners
     }
 
-    /// The distinct ISO country codes the provider has presence in, judged by
-    /// ground-truth node locations (used to summarise Fig. 2).
-    pub fn countries(&self) -> Vec<&'static str> {
-        let mut countries: Vec<&'static str> = self
+    /// The distinct ISO country codes of the ground-truth node locations.
+    fn countries(topo: &ProviderTopology) -> Vec<&'static str> {
+        let mut countries: Vec<&'static str> = topo
             .nodes
             .iter()
             .filter_map(|n| {
@@ -342,43 +365,19 @@ impl ProviderTopology {
         countries
     }
 
-    /// Registers every owner's address blocks in an [`IpRegistry`], so whois
-    /// lookups over discovered addresses resolve to the right organisations.
-    pub fn register_whois(registry: &mut IpRegistry) {
-        registry.register(IpBlock::cidr([108, 160, 160, 0], 20, "Dropbox, Inc.", 19679));
-        registry.register(IpBlock::cidr([54, 224, 0, 0], 11, "Amazon.com, Inc.", 16509));
-        registry.register(IpBlock::cidr([176, 32, 96, 0], 19, "Amazon.com, Inc.", 16509));
-        registry.register(IpBlock::cidr([134, 170, 0, 0], 16, "Microsoft Corporation", 8075));
-        registry.register(IpBlock::cidr([88, 198, 0, 0], 16, "Hetzner Online AG", 24940));
-        registry.register(IpBlock::cidr([92, 42, 48, 0], 21, "Nine Internet Solutions AG", 1836));
-        registry.register(IpBlock::cidr([94, 23, 0, 0], 16, "OVH SAS", 16276));
-        registry.register(IpBlock::cidr([173, 194, 0, 0], 16, "Google LLC", 15169));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::registry::addr;
-
-    /// Nodes playing a given role.
-    fn nodes_with_role(topo: &ProviderTopology, role: ServerRole) -> Vec<&ServerNode> {
-        topo.nodes.iter().filter(|n| n.role == role).collect()
-    }
-
     #[test]
     fn google_drive_has_more_than_100_edge_nodes() {
         let topo = ProviderTopology::ground_truth(Provider::GoogleDrive);
         let edges = nodes_with_role(&topo, ServerRole::Edge);
         assert!(edges.len() > 100, "only {} edge nodes", edges.len());
         // Spread across many countries, like Fig. 2.
-        assert!(topo.countries().len() > 30);
+        assert!(countries(&topo).len() > 30);
     }
 
     #[test]
     fn dropbox_splits_control_and_storage_ownership() {
         let topo = ProviderTopology::ground_truth(Provider::Dropbox);
-        let owners = topo.owners();
+        let owners = owners(&topo);
         assert!(owners.contains(&"Dropbox, Inc.".to_string()));
         assert!(owners.contains(&"Amazon.com, Inc.".to_string()));
         // Control in San Jose, storage in Northern Virginia.
@@ -392,8 +391,8 @@ mod tests {
     fn wuala_is_european_and_not_self_hosted() {
         let topo = ProviderTopology::ground_truth(Provider::Wuala);
         assert_eq!(topo.nodes.len(), 4);
-        assert!(topo.owners().iter().all(|o| !o.contains("Wuala")));
-        let countries = topo.countries();
+        assert!(owners(&topo).iter().all(|o| !o.contains("Wuala")));
+        let countries = countries(&topo);
         for c in &countries {
             assert!(["DE", "CH", "FR"].contains(c), "unexpected country {c}");
         }
@@ -409,7 +408,7 @@ mod tests {
         assert_eq!(cities.len(), 3);
         assert!(cities.contains("Dublin"));
         assert!(cities.contains("Ashburn"));
-        assert!(topo.owners() == vec!["Amazon.com, Inc.".to_string()]);
+        assert!(owners(&topo) == vec!["Amazon.com, Inc.".to_string()]);
         // Oregon is storage-only.
         let storage_only = nodes_with_role(&topo, ServerRole::Storage);
         assert_eq!(storage_only.len(), 1);
@@ -422,7 +421,7 @@ mod tests {
         let control = nodes_with_role(&topo, ServerRole::Control);
         assert!(control.iter().any(|n| n.city == "Singapore"));
         assert!(topo.nodes.iter().any(|n| n.city == "Seattle" && n.role == ServerRole::Storage));
-        assert_eq!(topo.owners(), vec!["Microsoft Corporation".to_string()]);
+        assert_eq!(owners(&topo), vec!["Microsoft Corporation".to_string()]);
     }
 
     #[test]

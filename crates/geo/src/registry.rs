@@ -17,27 +17,25 @@ pub struct IpBlock {
     pub end: u32,
     /// Owning organisation as whois would report it.
     pub owner: String,
-    /// Autonomous system number announcing the block.
-    pub asn: u32,
 }
 
 impl IpBlock {
     /// Creates a block from dotted-quad bounds.
-    pub fn new(start: [u8; 4], end: [u8; 4], owner: &str, asn: u32) -> Self {
+    pub fn new(start: [u8; 4], end: [u8; 4], owner: &str) -> Self {
         let s = u32::from_be_bytes(start);
         let e = u32::from_be_bytes(end);
         assert!(s <= e, "block start must not exceed end");
-        IpBlock { start: s, end: e, owner: owner.to_string(), asn }
+        IpBlock { start: s, end: e, owner: owner.to_string() }
     }
 
     /// Creates a CIDR-style block `base/prefix`.
-    pub fn cidr(base: [u8; 4], prefix: u8, owner: &str, asn: u32) -> Self {
+    pub fn cidr(base: [u8; 4], prefix: u8, owner: &str) -> Self {
         assert!(prefix <= 32, "invalid prefix length");
         let base = u32::from_be_bytes(base);
         let mask = if prefix == 0 { 0 } else { u32::MAX << (32 - prefix) };
         let start = base & mask;
         let end = start | !mask;
-        IpBlock { start, end, owner: owner.to_string(), asn }
+        IpBlock { start, end, owner: owner.to_string() }
     }
 
     /// True when the block contains the address.
@@ -102,20 +100,20 @@ mod tests {
 
     #[test]
     fn cidr_blocks_cover_the_expected_range() {
-        let b = IpBlock::cidr([10, 1, 0, 0], 16, "ExampleCo", 64500);
+        let b = IpBlock::cidr([10, 1, 0, 0], 16, "ExampleCo");
         assert!(b.contains(addr([10, 1, 0, 0])));
         assert!(b.contains(addr([10, 1, 255, 255])));
         assert!(!b.contains(addr([10, 2, 0, 0])));
         assert_eq!(b.size(), 65536);
-        let whole = IpBlock::cidr([0, 0, 0, 0], 0, "IANA", 0);
+        let whole = IpBlock::cidr([0, 0, 0, 0], 0, "IANA");
         assert_eq!(whole.size(), 1u64 << 32);
     }
 
     #[test]
     fn lookup_prefers_the_most_specific_block() {
         let mut reg = IpRegistry::new();
-        reg.register(IpBlock::cidr([54, 0, 0, 0], 8, "Amazon.com, Inc.", 16509));
-        reg.register(IpBlock::cidr([54, 231, 0, 0], 16, "Amazon S3 (US-East)", 16509));
+        reg.register(IpBlock::cidr([54, 0, 0, 0], 8, "Amazon.com, Inc."));
+        reg.register(IpBlock::cidr([54, 231, 0, 0], 16, "Amazon S3 (US-East)"));
         assert_eq!(reg.owner(addr([54, 231, 1, 1])), "Amazon S3 (US-East)");
         assert_eq!(reg.owner(addr([54, 10, 0, 1])), "Amazon.com, Inc.");
         assert_eq!(reg.owner(addr([8, 8, 8, 8])), "unknown");
@@ -126,22 +124,22 @@ mod tests {
     #[test]
     fn lookup_returns_block_details() {
         let mut reg = IpRegistry::new();
-        reg.register(IpBlock::new([192, 0, 2, 0], [192, 0, 2, 255], "TestNet", 64501));
+        reg.register(IpBlock::new([192, 0, 2, 0], [192, 0, 2, 255], "TestNet"));
         let found = reg.lookup(addr([192, 0, 2, 42])).unwrap();
         assert_eq!(found.owner, "TestNet");
-        assert_eq!(found.asn, 64501);
+        assert_eq!((found.start, found.end), (addr([192, 0, 2, 0]), addr([192, 0, 2, 255])));
         assert!(reg.lookup(addr([192, 0, 3, 1])).is_none());
     }
 
     #[test]
     #[should_panic(expected = "block start must not exceed end")]
     fn inverted_block_bounds_panic() {
-        let _ = IpBlock::new([10, 0, 0, 2], [10, 0, 0, 1], "x", 1);
+        let _ = IpBlock::new([10, 0, 0, 2], [10, 0, 0, 1], "x");
     }
 
     #[test]
     #[should_panic(expected = "invalid prefix length")]
     fn bad_prefix_panics() {
-        let _ = IpBlock::cidr([10, 0, 0, 0], 33, "x", 1);
+        let _ = IpBlock::cidr([10, 0, 0, 0], 33, "x");
     }
 }

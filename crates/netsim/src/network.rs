@@ -79,11 +79,6 @@ impl Network {
         }
         self.hosts.get(id.0 as usize - 1)
     }
-
-    /// Iterates over all registered servers.
-    pub fn hosts(&self) -> impl Iterator<Item = &HostInfo> {
-        self.hosts.iter()
-    }
 }
 
 impl Default for Network {
@@ -107,7 +102,7 @@ mod tests {
         assert_eq!(net.host(b).unwrap().role, HostRole::Storage);
         assert_eq!(net.host(HostId(0)).unwrap().role, HostRole::Client);
         assert!(net.host(HostId(99)).is_none());
-        assert_eq!(net.hosts().count(), 2);
+        assert_eq!(net.hosts.len(), 2);
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl PathSpec {
         SimDuration::from_secs_f64(jittered)
     }
 
-    /// One-way latency (half the base RTT).
-    pub fn one_way(&self) -> SimDuration {
-        self.rtt / 2
-    }
-
     /// The bandwidth-delay product in bytes for the upload direction: how much
     /// data fits "in flight"; the TCP model stops growing its window beyond
     /// this point. Uses the loss-capped effective bandwidth so lossy links
@@ -163,7 +158,6 @@ mod tests {
         let a = PathSpec::asymmetric(SimDuration::from_millis(10), 1_000_000, 8_000_000);
         assert_eq!(a.up_bandwidth, 1_000_000);
         assert_eq!(a.down_bandwidth, 8_000_000);
-        assert_eq!(a.one_way(), SimDuration::from_millis(5));
     }
 
     #[test]

@@ -150,7 +150,6 @@ pub struct TcpConnection {
     client: Endpoint,
     server: Endpoint,
     host: HostId,
-    opened_at: SimTime,
     established_at: SimTime,
     /// Congestion window (in segments) carried over between requests.
     cwnd: u32,
@@ -190,7 +189,6 @@ impl TcpConnection {
             client,
             server,
             host,
-            opened_at: start,
             established_at: start,
             cwnd: INITIAL_CWND_SEGMENTS,
             free_at: start,
@@ -253,19 +251,9 @@ impl TcpConnection {
         self.host
     }
 
-    /// Time at which the client sent the initial SYN.
-    pub fn opened_at(&self) -> SimTime {
-        self.opened_at
-    }
-
     /// Time at which the transport (and TLS) handshake completed.
     pub fn established_at(&self) -> SimTime {
         self.established_at
-    }
-
-    /// The earliest time the connection is idle and can start a new operation.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
     }
 
     /// Whether the connection has been closed.
@@ -765,7 +753,7 @@ mod tests {
         );
         assert_eq!(conn.established_at(), SimTime::from_millis(100));
         let packets = sim.packets();
-        assert_eq!(analysis::syn_count(&packets), 1);
+        assert_eq!(packets.iter().filter(|p| p.is_syn()).count(), 1);
         assert_eq!(packets.len(), 3); // SYN, SYN-ACK, ACK
     }
 
@@ -901,7 +889,7 @@ mod tests {
             conn.close(&mut sim, &net, t);
         }
         let packets = sim.packets();
-        assert_eq!(analysis::syn_count(&packets), 10);
+        assert_eq!(packets.iter().filter(|p| p.is_syn()).count(), 10);
         let table = FlowTable::from_packets(&packets);
         assert_eq!(table.len(), 10);
     }
@@ -1058,7 +1046,7 @@ mod tests {
             SimTime::ZERO,
         );
         conn.close(&mut sim, &net, conn.established_at());
-        conn.request(&mut sim, &net, conn.free_at(), 10, 10, SimDuration::ZERO);
+        conn.request(&mut sim, &net, conn.free_at, 10, 10, SimDuration::ZERO);
     }
 
     #[test]

@@ -210,19 +210,6 @@ impl SyncClient {
         &self.deployment
     }
 
-    /// The upload planner (exposes server-side state and dedup statistics).
-    pub fn planner(&self) -> &UploadPlanner {
-        &self.planner
-    }
-
-    /// The virtual instant of the client's most recent protocol activity
-    /// (login, poll, sync, restore or departure) — the point an idle window
-    /// resumes polling from. The fleet scheduler reads this to stitch
-    /// activated and idle rounds onto one continuous per-client timeline.
-    pub fn last_activity(&self) -> SimTime {
-        self.last_activity
-    }
-
     /// Performs the application start-up: authenticates against every control
     /// server and checks whether any content needs updating (§3.1, Fig. 1).
     /// Returns the time login completed.
@@ -1065,7 +1052,7 @@ mod tests {
         // opens one per file, Cloud Drive opens four per file.
         let d_syn = analysis::syn_count_by_kind(&dropbox_trace, FlowKind::Storage);
         let g_syn = analysis::syn_count_by_kind(&gdrive_trace, FlowKind::Storage);
-        let c_syn_total = analysis::syn_count(&clouddrive_trace);
+        let c_syn_total = clouddrive_trace.iter().filter(|p| p.is_syn()).count();
         assert!(d_syn <= 2, "Dropbox opened {d_syn} storage connections");
         assert_eq!(g_syn, 50);
         assert!(c_syn_total >= 200, "Cloud Drive opened only {c_syn_total} connections");
@@ -1199,26 +1186,27 @@ mod tests {
     #[test]
     fn idling_touches_the_clock_but_never_the_planner() {
         // The temporal scheduler's invariant: idle rounds pay signalling
-        // only. Batches planned advance exactly with syncs, and
-        // last_activity tracks every protocol step.
+        // only. The files the planner committed advance exactly with syncs,
+        // and last_activity tracks every protocol step.
         let mut sim = Simulator::new(5);
         let mut client = SyncClient::new(ServiceProfile::dropbox());
+        let committed = |c: &SyncClient| c.planner.store().list_files(c.planner.user()).len();
         let t0 = client.login(&mut sim, SimTime::ZERO);
-        assert_eq!(client.last_activity(), t0);
-        assert_eq!(client.planner().batches_planned(), 0);
+        assert_eq!(client.last_activity, t0);
+        assert_eq!(committed(&client), 0);
 
         let out = client.sync_batch(&mut sim, &batch(2, 10_000), t0 + SimDuration::from_secs(5));
-        assert_eq!(client.planner().batches_planned(), 1);
-        assert_eq!(client.last_activity(), out.completed_at.max(client.last_activity()));
+        assert_eq!(committed(&client), 2);
+        assert_eq!(client.last_activity, out.completed_at.max(client.last_activity));
 
-        let before = client.last_activity();
+        let before = client.last_activity;
         let last_poll = client.idle_until(&mut sim, before + SimDuration::from_secs(300));
-        assert_eq!(client.planner().batches_planned(), 1, "idling must not plan batches");
+        assert_eq!(committed(&client), 2, "idling must not plan batches");
         assert!(last_poll > before, "five minutes of idling must poll at least once");
-        assert_eq!(client.last_activity(), last_poll);
+        assert_eq!(client.last_activity, last_poll);
 
         client.sync_batch(&mut sim, &batch(1, 5_000), last_poll + SimDuration::from_secs(5));
-        assert_eq!(client.planner().batches_planned(), 2);
+        assert_eq!(committed(&client), 3);
     }
 
     #[test]

@@ -576,8 +576,6 @@ pub struct ClientSummary {
     pub link: String,
     /// Round the client joined in.
     pub join_round: usize,
-    /// Round after which the client left, `None` when it stayed.
-    pub left_after: Option<usize>,
     /// Manifests the client hard-deleted on departure.
     pub deleted_manifests: usize,
     /// Connected rounds the client spent idle: no sync, keep-alive
@@ -733,12 +731,6 @@ impl FleetRun {
     /// [`AggregateStats::dedup_ratio`].
     pub fn dedup_ratio(&self) -> f64 {
         self.aggregate().dedup_ratio()
-    }
-
-    /// Bytes garbage collection reclaimed during the run (eager frees and
-    /// mark-sweep passes combined).
-    pub fn reclaimed_bytes(&self) -> u64 {
-        self.aggregate().reclaimed_bytes
     }
 
     /// Completion-time distribution per service, in first-appearance order —
@@ -920,16 +912,6 @@ impl FleetRun {
             .collect()
     }
 
-    /// Merged fault-recovery accounting over every client. All-zero for a
-    /// fault-free run.
-    pub fn fault_stats(&self) -> FaultStats {
-        let mut total = FaultStats::default();
-        for client in &self.clients {
-            total.merge(&client.fault_stats);
-        }
-        total
-    }
-
     fn grouped<K: Fn(&ClientSummary) -> String>(
         &self,
         key: K,
@@ -1073,12 +1055,7 @@ fn idle_round(lc: &mut LiveClient) {
     lc.idle_rounds += 1;
 }
 
-fn summarize(
-    spec: &FleetSpec,
-    i: usize,
-    lc: LiveClient,
-    left_after: Option<usize>,
-) -> ClientSummary {
+fn summarize(spec: &FleetSpec, i: usize, lc: LiveClient) -> ClientSummary {
     let slot = &spec.slots[i];
     // A client the schedule never activated (always idle) has no syncs: it
     // reports a zero completion span, not a panic — the distributions
@@ -1095,7 +1072,6 @@ fn summarize(
         service: slot.profile.name().to_string(),
         link: slot.link.name.to_string(),
         join_round: slot.join_round,
-        left_after,
         deleted_manifests: lc.deleted_manifests,
         idle_rounds: lc.idle_rounds,
         completion_secs,
@@ -1219,7 +1195,7 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
                     let at = lc.next_modification;
                     let (_, deleted) = lc.client.leave_service(&mut lc.sim, at);
                     lc.deleted_manifests = deleted;
-                    summaries[ev.client] = Some(summarize(spec, ev.client, lc, Some(ev.round)));
+                    summaries[ev.client] = Some(summarize(spec, ev.client, lc));
                 }
             }
 
@@ -1238,7 +1214,7 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
 
     for (i, state) in states.into_iter().enumerate() {
         if let Some(lc) = state {
-            summaries[i] = Some(summarize(spec, i, lc, None));
+            summaries[i] = Some(summarize(spec, i, lc));
         }
     }
     let clients = summaries
@@ -1256,6 +1232,15 @@ mod tests {
     /// the sequential replay concurrent runs are compared to.
     fn fleet(spec: &FleetSpec, workers: usize) -> FleetRun {
         run_fleet(spec, ObjectStore::with_policy(spec.gc), workers)
+    }
+
+    /// Fault-recovery accounting merged over every client of a run.
+    fn fault_stats(run: &FleetRun) -> FaultStats {
+        let mut total = FaultStats::default();
+        for client in &run.clients {
+            total.merge(&client.fault_stats);
+        }
+        total
     }
 
     fn small_spec(clients: usize) -> FleetSpec {
@@ -1329,7 +1314,7 @@ mod tests {
             let sequential = fleet(&spec, 1);
             assert_eq!(concurrent.clients, sequential.clients, "{gc:?}");
             assert_eq!(concurrent.aggregate(), sequential.aggregate(), "{gc:?}");
-            assert!(concurrent.reclaimed_bytes() > 0, "{gc:?}: leavers must free bytes");
+            assert!(concurrent.aggregate().reclaimed_bytes > 0, "{gc:?}: leavers must free bytes");
         }
     }
 
@@ -1381,7 +1366,7 @@ mod tests {
         assert_eq!(run.clients.len(), 7);
 
         let leaver = &run.clients[0];
-        assert!(leaver.left_after.is_some());
+        assert!(spec.slots[0].leave_after.is_some());
         assert!(leaver.deleted_manifests > 0);
         // The departed user's namespace is gone from the store.
         assert!(run.store.list_files(&leaver.user).is_empty());
@@ -1790,9 +1775,9 @@ mod tests {
         let sequential = fleet(&spec, 1);
         assert_eq!(concurrent.clients, sequential.clients);
         assert_eq!(concurrent.aggregate(), sequential.aggregate());
-        assert_eq!(concurrent.fault_stats(), sequential.fault_stats());
+        assert_eq!(fault_stats(&concurrent), fault_stats(&sequential));
         assert!(
-            concurrent.fault_stats().interruptions > 0,
+            fault_stats(&concurrent).interruptions > 0,
             "the outage windows must actually cut transfers"
         );
     }
@@ -1805,9 +1790,9 @@ mod tests {
         let zero = fleet(&faulted_spec(RetryConfig::with_budget(0)), 1);
         let backoff = fleet(&faulted_spec(RetryConfig::standard_exponential()), 1);
 
-        assert!(zero.fault_stats().interruptions > 0);
-        assert!(backoff.fault_stats().interruptions > 0);
-        assert!(zero.fault_stats().wasted_bytes > 0, "abandoned progress is wasted wire");
+        assert!(fault_stats(&zero).interruptions > 0);
+        assert!(fault_stats(&backoff).interruptions > 0);
+        assert!(fault_stats(&zero).wasted_bytes > 0, "abandoned progress is wasted wire");
         assert!(zero.clients.iter().any(|c| c.abandoned_chunks > 0));
         let committed =
             |run: &FleetRun| run.clients.iter().map(|c| c.committed_payload).sum::<u64>();
@@ -1823,9 +1808,9 @@ mod tests {
         // planned lands, at the price of retries and virtual backoff waits.
         assert_eq!(committed(&backoff), backoff.total_uploaded_payload());
         assert!(backoff.clients.iter().all(|c| c.abandoned_chunks == 0));
-        assert!(backoff.fault_stats().retries > 0);
-        assert!(backoff.fault_stats().salvaged_bytes > 0);
-        assert!(backoff.fault_stats().backoff_wait > SimDuration::ZERO);
+        assert!(fault_stats(&backoff).retries > 0);
+        assert!(fault_stats(&backoff).salvaged_bytes > 0);
+        assert!(fault_stats(&backoff).backoff_wait > SimDuration::ZERO);
     }
 
     #[test]
@@ -1836,7 +1821,7 @@ mod tests {
         let sequential = fleet(&spec, 1);
         assert_eq!(concurrent.clients, sequential.clients);
         assert_eq!(concurrent.aggregate(), sequential.aggregate());
-        let stats = concurrent.fault_stats();
+        let stats = fault_stats(&concurrent);
         assert!(stats.checksums_verified > 0, "completed restores must be validated");
         assert_eq!(stats.checksum_failures, 0, "reassembly must be byte-exact");
         assert!(
@@ -1848,8 +1833,8 @@ mod tests {
     #[test]
     fn fault_free_fleets_report_committed_equals_uploaded_and_clean_stats() {
         let run = fleet(&small_spec(3), 1);
-        assert!(run.fault_stats().is_clean());
-        assert_eq!(run.fault_stats().wasted_bytes, 0);
+        assert!(fault_stats(&run).is_clean());
+        assert_eq!(fault_stats(&run).wasted_bytes, 0);
         for client in &run.clients {
             assert_eq!(client.committed_payload, client.uploaded_payload);
             assert_eq!(client.abandoned_chunks, 0);

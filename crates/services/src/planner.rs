@@ -24,8 +24,6 @@ pub struct ChunkPlan {
     /// Payload bytes that must be uploaded for this chunk (0 when the chunk is
     /// already on the server).
     pub upload_bytes: u64,
-    /// Plaintext length of the chunk.
-    pub plain_bytes: u64,
     /// True when client-side dedup avoided the upload entirely.
     pub deduplicated: bool,
     /// True when the chunk is transmitted as a delta against its previous
@@ -89,9 +87,6 @@ pub struct UploadPlanner {
     /// the run's other clients (its own when it was built alone).
     sizes: Arc<SizeMemo>,
     user: String,
-    /// Batches planned so far. The temporal fleet scheduler's invariant —
-    /// idle rounds never touch the planner — is checked against this.
-    batches_planned: usize,
 }
 
 impl UploadPlanner {
@@ -127,7 +122,6 @@ impl UploadPlanner {
             local_chunks: HashMap::new(),
             sizes: Arc::new(SizeMemo::new()),
             user: user.to_string(),
-            batches_planned: 0,
         }
     }
 
@@ -154,13 +148,6 @@ impl UploadPlanner {
         &self.store
     }
 
-    /// Number of batches planned since the account was created. One sync
-    /// activation plans exactly one batch; idle rounds plan none — the
-    /// fleet's schedule accounting cross-checks against this counter.
-    pub fn batches_planned(&self) -> usize {
-        self.batches_planned
-    }
-
     /// Plans (and commits) a batch of file revisions.
     ///
     /// The pure per-chunk work — chunking, SHA-256, candidate delta scripts,
@@ -172,7 +159,6 @@ impl UploadPlanner {
     /// order, so the resulting [`FilePlan`]s do not depend on the thread
     /// count, and are identical to planning the files one batch each.
     pub fn plan_batch(&mut self, files: &[(&str, &[u8])]) -> Vec<FilePlan> {
-        self.batches_planned += 1;
         let spec = self.pipeline_spec();
 
         // The delta basis of each file: the server's previous revision of
@@ -223,7 +209,7 @@ impl UploadPlanner {
             // identical plaintexts identical on the wire (§4.3, Wuala).
             let already_stored = if self.profile.dedup {
                 metadata_bytes += 40; // hash query per chunk
-                self.dedup.check_and_record(&chunk.hash)
+                self.dedup.contains(&chunk.hash)
             } else {
                 // Services without client-side dedup upload unconditionally,
                 // even when the server already holds identical content.
@@ -231,12 +217,7 @@ impl UploadPlanner {
             };
 
             let plan = if already_stored {
-                ChunkPlan {
-                    upload_bytes: 0,
-                    plain_bytes: chunk.len,
-                    deduplicated: true,
-                    delta_encoded: false,
-                }
+                ChunkPlan { upload_bytes: 0, deduplicated: true, delta_encoded: false }
             } else {
                 // Delta encoding: the pipeline estimated the script against
                 // the same-index chunk of the previous revision of the *same
@@ -253,14 +234,12 @@ impl UploadPlanner {
                         metadata_bytes += est.signature_bytes.min(4096);
                         ChunkPlan {
                             upload_bytes: est.wire_bytes,
-                            plain_bytes: chunk.len,
                             deduplicated: false,
                             delta_encoded: true,
                         }
                     }
                     _ => ChunkPlan {
                         upload_bytes: art.full_upload_bytes,
-                        plain_bytes: chunk.len,
                         deduplicated: false,
                         delta_encoded: false,
                     },
@@ -281,9 +260,9 @@ impl UploadPlanner {
                     &content[chunk.offset as usize..chunk.end() as usize],
                 );
             }
-            // Reference tracking happens for every service; the difference is
-            // only whether the client *queries* the index before uploading.
-            self.dedup.add_reference(chunk.hash);
+            // Every service records the chunk in the index; the difference is
+            // only whether the client *queries* it before uploading.
+            self.dedup.insert(chunk.hash);
             plans.push(plan);
         }
 
@@ -312,9 +291,6 @@ impl UploadPlanner {
         // The held record lists the live revision's chunk hashes in file
         // order — what re-chunking and re-hashing its bytes would give.
         if let Some(held) = self.own.remove(path) {
-            for hash in &held.hashes {
-                self.dedup.remove_reference(hash);
-            }
             Self::release(&mut self.local_chunks, &held.hashes);
         }
         self.store.delete_file(&self.user, path);
@@ -483,11 +459,6 @@ mod tests {
         !plan.chunks.is_empty() && plan.chunks.iter().all(|c| c.deduplicated)
     }
 
-    /// Dedup queries answered from the index vs. uploads.
-    fn dedup_stats(planner: &UploadPlanner) -> (u64, u64) {
-        (planner.dedup.hits(), planner.dedup.misses())
-    }
-
     #[test]
     fn plain_upload_moves_roughly_the_file_size() {
         for profile in [ServiceProfile::skydrive(), ServiceProfile::cloud_drive()] {
@@ -548,16 +519,13 @@ mod tests {
         planner.plan_delete("folder3/copy.bin");
         let restored = plan_file(&mut planner, "folder1/original.bin", &content);
         assert!(fully_deduplicated(&restored), "dedup must survive delete/restore");
-
-        let (hits, misses) = dedup_stats(&planner);
-        assert!(hits >= 3);
-        assert_eq!(misses, 1);
+        assert_eq!(restored.upload_bytes(), 0);
     }
 
     /// `plan_delete` releases the live revision's references from the
     /// local view's hash list; the oracle re-chunks the bytes, as the
-    /// planner itself used to. §4.3 for all five profiles: the delete moves
-    /// no dedup counter, and the restore is free exactly where the service
+    /// planner itself used to. §4.3 for all five profiles: the delete keeps
+    /// the dedup index, and the restore is free exactly where the service
     /// deduplicates.
     #[test]
     fn delete_releases_the_live_revisions_references_for_every_profile() {
@@ -570,40 +538,35 @@ mod tests {
                 profile.chunking.chunk(content).iter().map(|c| c.hash).collect()
             };
             let mut planner = UploadPlanner::new(profile.clone());
-            let mut expected: HashMap<ContentHash, u64> = HashMap::new();
             let uploads: [(&str, &[u8]); 4] =
                 [("f/a.bin", &a), ("g/copy.bin", &a), ("f/b.txt", &b1), ("f/b.txt", &b2)];
             for (path, content) in uploads {
                 plan_file(&mut planner, path, content);
-                for hash in hashes(content) {
-                    *expected.entry(hash).or_default() += 1;
-                }
             }
-            let stats = dedup_stats(&planner);
+            let known = planner.dedup.len();
 
             // Deleting twice, or a path never uploaded, releases nothing more.
             for path in ["f/a.bin", "f/b.txt", "f/a.bin", "f/never.bin"] {
                 planner.plan_delete(path);
             }
-            for hash in hashes(&a).into_iter().chain(hashes(&b2)) {
-                *expected.get_mut(&hash).unwrap() -= 1;
+            // What stays referenced is the one live file, g/copy.bin.
+            let mut expected: HashMap<ContentHash, usize> = HashMap::new();
+            for hash in hashes(&a) {
+                *expected.entry(hash).or_default() += 1;
             }
-            for (hash, refs) in &expected {
-                assert_eq!(planner.dedup.references(hash), *refs, "{name}");
-            }
-            assert_eq!(dedup_stats(&planner), stats, "{name}: a delete asks the index nothing");
+            let held: HashMap<ContentHash, usize> =
+                planner.local_chunks.iter().map(|(hash, (_, refs))| (*hash, *refs)).collect();
+            assert_eq!(held, expected, "{name}");
+            assert_eq!(planner.dedup.len(), known, "{name}: a delete keeps the index");
             assert!(!planner.own.contains_key("f/a.bin"), "{name}");
             assert!(planner.own.contains_key("g/copy.bin"), "{name}");
 
             let restored = plan_file(&mut planner, "f/a.bin", &a);
             assert_eq!(fully_deduplicated(&restored), profile.dedup, "{name}");
-            let (hits, misses) = dedup_stats(&planner);
             if profile.dedup {
                 assert_eq!(restored.upload_bytes(), 0, "{name}");
-                assert_eq!((hits, misses), (stats.0 + hashes(&a).len() as u64, stats.1), "{name}");
             } else {
                 assert!(restored.upload_bytes() >= 300_000, "{name}");
-                assert_eq!((hits, misses), (0, 0), "{name}");
             }
         }
     }
@@ -643,9 +606,6 @@ mod tests {
 
             planner.plan_delete("doc.bin");
             assert!(planner.own.is_empty() && planner.local_chunks.is_empty(), "{name}");
-            for chunk in profile.chunking.chunk(&original) {
-                assert_eq!(planner.dedup.references(&chunk.hash), 0, "{name}");
-            }
 
             let again = plan_file(&mut planner, "doc.bin", &appended);
             assert!(again.chunks.iter().all(|c| !c.delta_encoded), "{name}: delta after a delete");
@@ -777,7 +737,7 @@ mod tests {
         for profile in ServiceProfile::all() {
             let plan_both = || {
                 let mut planner = UploadPlanner::new(profile.clone());
-                (planner.plan_batch(&batch), planner.plan_batch(&batch2), dedup_stats(&planner))
+                (planner.plan_batch(&batch), planner.plan_batch(&batch2), planner.dedup.len())
             };
             let top_level = plan_both();
             let nested =

@@ -2,7 +2,7 @@
 //!
 //! Every constant in the five constructors below is taken from (or calibrated
 //! against) a statement in the paper; the relevant section is cited next to
-//! each field group. DESIGN.md §5 lists the full calibration table.
+//! each field group.
 
 use cloudsim_geo::Provider;
 use cloudsim_net::http::HttpOverhead;
@@ -46,8 +46,6 @@ pub struct ServiceProfile {
     pub dedup: bool,
     /// Delta encoding of modified files (§4.4).
     pub delta_encoding: bool,
-    /// Client-side (convergent) encryption before upload (Wuala).
-    pub client_side_encryption: bool,
 
     // --- Network placement (§3.2, §5.2) -----------------------------------
     /// RTT from the (European) testbed to the control servers.
@@ -102,7 +100,6 @@ impl ServiceProfile {
             compression: CompressionPolicy::Always,
             dedup: true,
             delta_encoding: true,
-            client_side_encryption: false,
             control_rtt: SimDuration::from_millis(150),
             storage_rtt: SimDuration::from_millis(95),
             storage_bandwidth: 45_000_000,
@@ -133,7 +130,6 @@ impl ServiceProfile {
             compression: CompressionPolicy::Never,
             dedup: false,
             delta_encoding: false,
-            client_side_encryption: false,
             control_rtt: SimDuration::from_millis(160),
             storage_rtt: SimDuration::from_millis(160),
             // A single 2013-era TCP connection across the Atlantic rarely
@@ -166,7 +162,6 @@ impl ServiceProfile {
             compression: CompressionPolicy::Never,
             dedup: true,
             delta_encoding: false,
-            client_side_encryption: true,
             control_rtt: SimDuration::from_millis(25),
             storage_rtt: SimDuration::from_millis(25),
             storage_bandwidth: 60_000_000,
@@ -196,7 +191,6 @@ impl ServiceProfile {
             compression: CompressionPolicy::Smart,
             dedup: false,
             delta_encoding: false,
-            client_side_encryption: false,
             control_rtt: SimDuration::from_millis(15),
             storage_rtt: SimDuration::from_millis(15),
             storage_bandwidth: 65_000_000,
@@ -227,7 +221,6 @@ impl ServiceProfile {
             compression: CompressionPolicy::Never,
             dedup: false,
             delta_encoding: false,
-            client_side_encryption: false,
             control_rtt: SimDuration::from_millis(30),
             storage_rtt: SimDuration::from_millis(95),
             storage_bandwidth: 40_000_000,
@@ -314,7 +307,6 @@ mod tests {
         assert_eq!(wuala.chunking.describe(), "var.");
         assert!(!wuala.bundles());
         assert!(wuala.dedup);
-        assert!(wuala.client_side_encryption);
 
         let gdrive = ServiceProfile::google_drive();
         assert_eq!(gdrive.chunking.describe(), "8 MB");

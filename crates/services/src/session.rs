@@ -92,7 +92,6 @@ pub struct UploadSession {
     stream: RangedTransfer,
     committed_payload: u64,
     abandoned_chunks: usize,
-    abandoned_payload: u64,
 }
 
 impl UploadSession {
@@ -106,7 +105,6 @@ impl UploadSession {
             next: 0,
             committed_payload: 0,
             abandoned_chunks: 0,
-            abandoned_payload: 0,
         }
     }
 
@@ -131,7 +129,6 @@ impl UploadSession {
             self.committed_payload += size;
         } else {
             self.abandoned_chunks += 1;
-            self.abandoned_payload += size;
         }
         self.next += 1;
         self.stream.total = self.chunks.get(self.next).copied().unwrap_or(0);
@@ -147,11 +144,6 @@ impl UploadSession {
     /// Chunks given up on after the retry budget ran out.
     pub fn abandoned_chunks(&self) -> usize {
         self.abandoned_chunks
-    }
-
-    /// Payload bytes of the abandoned chunks.
-    pub fn abandoned_payload(&self) -> u64 {
-        self.abandoned_payload
     }
 
     /// True when every chunk committed (nothing abandoned, nothing left).
@@ -388,7 +380,7 @@ mod tests {
         s.advance();
         assert!(!s.is_complete());
         assert_eq!(s.abandoned_chunks(), 1);
-        assert_eq!(s.abandoned_payload(), 1000);
+        assert_eq!(s.committed_payload(), 0, "the abandoned chunk commits nothing");
         assert_eq!(s.remaining(), Some((1, 500)));
         assert_eq!(s.stream.verified(), 0, "the next chunk starts from its first byte");
         s.stream_mut().complete();

@@ -12,20 +12,15 @@
 //! deciding whether a chunk needs to be uploaded at all.
 
 use crate::hash::ContentHash;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Deduplication index: which chunk hashes the server already knows for a
 /// given user account.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DedupIndex {
-    /// Hash → reference count of *live* files. Entries whose count drops to
-    /// zero are kept (with count 0), matching the delete-and-restore finding.
-    entries: HashMap<ContentHash, u64>,
-    /// Number of uploads avoided thanks to the index (for reporting).
-    hits: u64,
-    /// Number of chunk uploads that actually had to happen.
-    misses: u64,
+    /// Every hash ever stored for the account. Deleting the files that use
+    /// a chunk keeps its entry, matching the delete-and-restore finding.
+    entries: HashSet<ContentHash>,
 }
 
 impl DedupIndex {
@@ -34,36 +29,16 @@ impl DedupIndex {
         DedupIndex::default()
     }
 
-    /// Returns `true` when the chunk is already known to the server (upload
-    /// can be skipped) and records the query outcome in the hit/miss counters.
-    pub fn check_and_record(&mut self, hash: &ContentHash) -> bool {
-        if self.entries.contains_key(hash) {
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
-        }
-    }
-
-    /// Returns `true` when the chunk is known, without touching the counters.
+    /// Returns `true` when the chunk is already known to the server (the
+    /// upload can be skipped).
     pub fn contains(&self, hash: &ContentHash) -> bool {
-        self.entries.contains_key(hash)
+        self.entries.contains(hash)
     }
 
-    /// Registers a chunk as stored (after an upload) or referenced by one more
-    /// file (after a dedup hit).
-    pub fn add_reference(&mut self, hash: ContentHash) {
-        *self.entries.entry(hash).or_insert(0) += 1;
-    }
-
-    /// Drops one reference (a file using the chunk was deleted). The entry is
-    /// retained even at zero references so that restoring the file later still
-    /// deduplicates — the behaviour observed for Dropbox and Wuala.
-    pub fn remove_reference(&mut self, hash: &ContentHash) {
-        if let Some(count) = self.entries.get_mut(hash) {
-            *count = count.saturating_sub(1);
-        }
+    /// Records that the server holds the chunk (after an upload or a dedup
+    /// hit).
+    pub fn insert(&mut self, hash: ContentHash) {
+        self.entries.insert(hash);
     }
 
     /// Number of distinct chunk hashes the index knows about.
@@ -74,21 +49,6 @@ impl DedupIndex {
     /// True when the index knows no chunks.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Number of dedup queries that found the chunk already stored.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of dedup queries that required an upload.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Live reference count for a chunk (0 when unknown or unreferenced).
-    pub fn references(&self, hash: &ContentHash) -> u64 {
-        self.entries.get(hash).copied().unwrap_or(0)
     }
 }
 
@@ -101,11 +61,9 @@ mod tests {
     fn unknown_chunks_miss_then_hit_after_upload() {
         let mut index = DedupIndex::new();
         let h = sha256(b"chunk one");
-        assert!(!index.check_and_record(&h));
-        index.add_reference(h);
-        assert!(index.check_and_record(&h));
-        assert_eq!(index.hits(), 1);
-        assert_eq!(index.misses(), 1);
+        assert!(!index.contains(&h));
+        index.insert(h);
+        assert!(index.contains(&h));
         assert_eq!(index.len(), 1);
         assert!(!index.is_empty());
     }
@@ -116,50 +74,13 @@ mod tests {
         // folder, then a copy in a third folder — only the first upload counts.
         let mut index = DedupIndex::new();
         let payload = sha256(b"random payload");
-        assert!(!index.check_and_record(&payload));
-        index.add_reference(payload);
+        assert!(!index.contains(&payload));
+        index.insert(payload);
         for _ in 0..2 {
-            assert!(index.check_and_record(&payload));
-            index.add_reference(payload);
+            assert!(index.contains(&payload));
+            index.insert(payload);
         }
-        assert_eq!(index.references(&payload), 3);
-        assert_eq!(index.misses(), 1);
-        assert_eq!(index.hits(), 2);
-    }
-
-    #[test]
-    fn dedup_survives_delete_and_restore() {
-        let mut index = DedupIndex::new();
-        let h = sha256(b"file to be deleted");
-        index.add_reference(h);
-        index.add_reference(h);
-        index.add_reference(h);
-        // Delete all copies.
-        index.remove_reference(&h);
-        index.remove_reference(&h);
-        index.remove_reference(&h);
-        assert_eq!(index.references(&h), 0);
-        // Restoring the original file must still hit the index.
-        assert!(index.check_and_record(&h), "dedup must survive delete/restore");
-    }
-
-    #[test]
-    fn removing_an_unknown_reference_is_a_no_op() {
-        let mut index = DedupIndex::new();
-        let h = sha256(b"never stored");
-        index.remove_reference(&h);
-        assert_eq!(index.references(&h), 0);
-        assert!(index.is_empty());
-    }
-
-    #[test]
-    fn contains_does_not_change_counters() {
-        let mut index = DedupIndex::new();
-        let h = sha256(b"x");
-        index.add_reference(h);
-        assert!(index.contains(&h));
+        assert_eq!(index.len(), 1);
         assert!(!index.contains(&sha256(b"y")));
-        assert_eq!(index.hits(), 0);
-        assert_eq!(index.misses(), 0);
     }
 }

@@ -20,7 +20,7 @@ pub mod timeline;
 pub mod volume;
 
 pub use bursts::{detect_bursts, Burst, BurstConfig};
-pub use syn::{cumulative_syns, syn_count, syn_count_by_kind};
+pub use syn::{cumulative_syns, syn_count_by_kind};
 pub use throughput::{detect_pauses, Pause, ThroughputConfig};
 pub use timeline::{completion_time, startup_delay, SyncTimeline};
 pub use volume::{overhead_ratio, uploaded_payload, TrafficVolume};

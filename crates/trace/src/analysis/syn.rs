@@ -10,11 +10,6 @@ use crate::flow::FlowKind;
 use crate::packet::PacketRecord;
 use crate::series::CumulativeSeries;
 
-/// Counts the client-initiated TCP SYN packets in a trace.
-pub fn syn_count(packets: &[PacketRecord]) -> u64 {
-    packets.iter().filter(|p| p.is_syn()).count() as u64
-}
-
 /// Counts client-initiated TCP SYN packets per traffic class.
 pub fn syn_count_by_kind(packets: &[PacketRecord], kind: FlowKind) -> u64 {
     packets.iter().filter(|p| p.is_syn() && p.kind == kind).count() as u64
@@ -64,7 +59,7 @@ mod tests {
             syn_packet(2, 30, FlowKind::Storage),
             data_packet(2, 40),
         ];
-        assert_eq!(syn_count(&packets), 3);
+        assert_eq!(cumulative_syns(&packets).total(), 3.0);
         assert_eq!(syn_count_by_kind(&packets, FlowKind::Storage), 2);
         assert_eq!(syn_count_by_kind(&packets, FlowKind::Control), 1);
         assert_eq!(syn_count_by_kind(&packets, FlowKind::Dns), 0);
@@ -77,13 +72,12 @@ mod tests {
         let series = cumulative_syns(&packets);
         assert_eq!(series.total(), 4.0);
         let secs = |s: u64| SimTime::from_secs(s);
-        assert_eq!(series.times(), [secs(0), secs(1), secs(2), secs(3)]);
-        assert_eq!(series.totals(), [1.0, 2.0, 3.0, 4.0]);
+        let points: Vec<(SimTime, f64)> = series.points().collect();
+        assert_eq!(points, [(secs(0), 1.0), (secs(1), 2.0), (secs(2), 3.0), (secs(3), 4.0)]);
     }
 
     #[test]
     fn empty_trace_has_no_syns() {
-        assert_eq!(syn_count(&[]), 0);
         assert!(cumulative_syns(&[]).is_empty());
     }
 }

@@ -42,13 +42,6 @@ pub struct Pause {
     pub bytes_before: u64,
 }
 
-impl Pause {
-    /// Length of the silent gap.
-    pub fn gap(&self) -> SimDuration {
-        self.end - self.start
-    }
-}
-
 /// Detects pauses (silent gaps longer than `config.min_pause`) between upload
 /// payload packets. The trace must be sorted by timestamp.
 pub fn detect_pauses(packets: &[PacketRecord], config: ThroughputConfig) -> Vec<Pause> {
@@ -116,7 +109,7 @@ mod tests {
         assert_eq!(pauses.len(), 3, "N chunks produce N-1 pauses");
         for p in &pauses {
             assert_eq!(p.bytes_before, 50 * MSS as u64);
-            assert!(p.gap() >= SimDuration::from_millis(300));
+            assert!(p.end - p.start >= SimDuration::from_millis(300));
         }
     }
 

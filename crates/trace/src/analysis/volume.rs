@@ -12,11 +12,6 @@ use serde::{Deserialize, Serialize};
 /// Traffic volume broken down the way the paper reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TrafficVolume {
-    /// Application payload uploaded over storage flows (the quantity plotted in
-    /// Fig. 4 and Fig. 5).
-    pub storage_payload_up: u64,
-    /// Application payload downloaded over storage flows.
-    pub storage_payload_down: u64,
     /// Total wire bytes (headers included) over storage flows, both directions.
     pub storage_wire: u64,
     /// Total wire bytes over control flows, both directions.
@@ -33,13 +28,7 @@ impl TrafficVolume {
         let mut v = TrafficVolume::default();
         for p in packets {
             match p.kind {
-                FlowKind::Storage => {
-                    v.storage_wire += p.wire_len();
-                    match p.direction {
-                        Direction::Upload => v.storage_payload_up += p.payload_len as u64,
-                        Direction::Download => v.storage_payload_down += p.payload_len as u64,
-                    }
-                }
+                FlowKind::Storage => v.storage_wire += p.wire_len(),
                 FlowKind::Control => v.control_wire += p.wire_len(),
                 FlowKind::Notification => v.notification_wire += p.wire_len(),
                 FlowKind::Dns => v.dns_wire += p.wire_len(),
@@ -110,8 +99,7 @@ mod tests {
             packet(FlowKind::Dns, Direction::Upload, 60),
         ];
         let v = TrafficVolume::from_packets(&packets);
-        assert_eq!(v.storage_payload_up, 1000);
-        assert_eq!(v.storage_payload_down, 200);
+        assert_eq!(uploaded_payload(&packets), 1000);
         assert_eq!(v.storage_wire, 1200 + 2 * TCP_HEADER_BYTES as u64);
         assert_eq!(v.control_wire, 300 + TCP_HEADER_BYTES as u64);
         assert_eq!(v.notification_wire, 50 + TCP_HEADER_BYTES as u64);

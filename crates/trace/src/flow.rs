@@ -86,10 +86,6 @@ pub struct FlowStats {
     pub first_payload: Option<SimTime>,
     /// Timestamp of the last packet carrying payload, if any.
     pub last_payload: Option<SimTime>,
-    /// Number of packets observed in the upload direction.
-    pub packets_up: u64,
-    /// Number of packets observed in the download direction.
-    pub packets_down: u64,
     /// Application payload bytes uploaded.
     pub payload_up: u64,
     /// Application payload bytes downloaded.
@@ -98,8 +94,6 @@ pub struct FlowStats {
     pub wire_up: u64,
     /// Total wire bytes downloaded (headers + payload).
     pub wire_down: u64,
-    /// Number of connection-opening SYN packets seen (0 for UDP flows, 1 for TCP).
-    pub syn_count: u64,
 }
 
 impl FlowStats {
@@ -117,13 +111,10 @@ impl FlowStats {
             last_packet: p.timestamp,
             first_payload: None,
             last_payload: None,
-            packets_up: 0,
-            packets_down: 0,
             payload_up: 0,
             payload_down: 0,
             wire_up: 0,
             wire_down: 0,
-            syn_count: 0,
         };
         stats.absorb(p);
         stats
@@ -145,18 +136,13 @@ impl FlowStats {
         }
         match p.direction {
             Direction::Upload => {
-                self.packets_up += 1;
                 self.payload_up += p.payload_len as u64;
                 self.wire_up += p.wire_len();
             }
             Direction::Download => {
-                self.packets_down += 1;
                 self.payload_down += p.payload_len as u64;
                 self.wire_down += p.wire_len();
             }
-        }
-        if p.is_syn() {
-            self.syn_count += 1;
         }
     }
 
@@ -238,11 +224,6 @@ impl FlowTable {
     pub fn wire_bytes_total(&self) -> u64 {
         self.flows.values().map(|f| f.wire_total()).sum()
     }
-
-    /// Number of TCP connections opened (client SYNs) for a traffic class.
-    pub fn connections(&self, kind: FlowKind) -> u64 {
-        self.of_kind(kind).map(|f| f.syn_count).sum()
-    }
 }
 
 #[cfg(test)]
@@ -308,15 +289,13 @@ mod tests {
         let table = FlowTable::from_packets(&packets);
         assert_eq!(table.len(), 1);
         let f = table.get(FlowId(1)).unwrap();
-        assert_eq!(f.syn_count, 1);
-        assert_eq!(f.packets_up, 5); // SYN + ACK + 3 data
-        assert_eq!(f.packets_down, 1); // SYN-ACK
         assert_eq!(f.payload_up, 3 * MSS as u64);
         assert_eq!(f.payload_down, 0);
         assert_eq!(f.first_packet, SimTime::ZERO);
         assert_eq!(f.first_payload, Some(SimTime::from_millis(110)));
         assert_eq!(f.last_payload, Some(SimTime::from_millis(112)));
-        assert_eq!(f.wire_up, 5 * TCP_HEADER_BYTES as u64 + 3 * MSS as u64);
+        assert_eq!(f.wire_up, 5 * TCP_HEADER_BYTES as u64 + 3 * MSS as u64); // SYN + ACK + 3 data
+        assert_eq!(f.wire_down, TCP_HEADER_BYTES as u64); // SYN-ACK
         assert!(f.duration().as_micros() > 0);
     }
 
@@ -329,8 +308,6 @@ mod tests {
         assert_eq!(table.len(), 3);
         assert_eq!(table.of_kind(FlowKind::Storage).count(), 2);
         assert_eq!(table.of_kind(FlowKind::Control).count(), 1);
-        assert_eq!(table.connections(FlowKind::Storage), 2);
-        assert_eq!(table.connections(FlowKind::Control), 1);
         assert_eq!(table.get(FlowId(2)).unwrap().first_payload, Some(SimTime::from_millis(610)));
         assert_eq!(table.get(FlowId(3)).unwrap().last_payload, Some(SimTime::from_millis(1014)));
     }
@@ -354,7 +331,7 @@ mod tests {
         assert!(table.is_empty());
         assert_eq!(table.len(), 0);
         assert_eq!(table.wire_bytes_total(), 0);
-        assert_eq!(table.connections(FlowKind::Storage), 0);
+        assert_eq!(table.of_kind(FlowKind::Storage).count(), 0);
         assert!(table.get(FlowId(1)).is_none());
     }
 

@@ -186,13 +186,6 @@ pub struct HistogramSummary {
     pub p999_s: f64,
 }
 
-impl HistogramSummary {
-    /// A summary with no samples: all quantiles zero, never `NaN`.
-    pub fn empty() -> Self {
-        LatencyHistogram::new().summary()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

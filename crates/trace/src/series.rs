@@ -74,16 +74,6 @@ impl CumulativeSeries {
         self.times.is_empty()
     }
 
-    /// The event-time column, sorted ascending.
-    pub fn times(&self) -> &[SimTime] {
-        &self.times
-    }
-
-    /// The running-total column, aligned with [`CumulativeSeries::times`].
-    pub fn totals(&self) -> &[f64] {
-        &self.totals
-    }
-
     /// Iterates the `(time, running total)` points in time order.
     pub fn points(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         self.times.iter().copied().zip(self.totals.iter().copied())
@@ -222,8 +212,8 @@ mod tests {
         assert_eq!(points[0], (SimTime::from_secs(1), 10.0));
         assert_eq!(points[2], (SimTime::from_secs(3), 17.0));
         // The columns stay aligned and the time column is sorted.
-        assert_eq!(s.times().len(), s.totals().len());
-        assert!(s.times().is_sorted());
+        assert_eq!(s.times.len(), s.totals.len());
+        assert!(s.times.is_sorted());
     }
 
     #[test]
@@ -240,8 +230,6 @@ mod tests {
         let slow = CumulativeSeries::from_events(unsorted);
         assert_eq!(fast, slow, "sorted fast path must build the identical series");
         assert_eq!(fast.total(), 21.0);
-        assert_eq!(fast.times(), slow.times());
-        assert_eq!(fast.totals(), slow.totals());
         // A single-event and an empty input are trivially sorted.
         assert_eq!(CumulativeSeries::from_events(vec![(SimTime::from_secs(1), 1.0)]).total(), 1.0);
         assert!(CumulativeSeries::from_events(Vec::new()).is_empty());

@@ -100,62 +100,7 @@ impl BatchSpec {
         );
         cloudsim_parallel::run_indexed(workers, self.file_count, || (), |(), i| one(i))
     }
-
-    /// A lazy, single-file-at-a-time view of the same batch: each
-    /// [`GeneratedFile`] is produced on demand when the iterator is
-    /// advanced, so a driver keyed to activation events (the fleet engine)
-    /// can stream a batch through a client without ever materialising the
-    /// whole batch — only one file's content is alive at a time. Collecting
-    /// the stream yields exactly [`BatchSpec::generate`]'s output: same
-    /// paths, same seed derivation, same bytes.
-    pub fn stream(&self, seed: u64) -> BatchStream {
-        BatchStream { spec: *self, seed, next: 0 }
-    }
 }
-
-/// The lazy per-file iterator over one batch (see [`BatchSpec::stream`]).
-///
-/// ```
-/// use cloudsim_workload::{BatchSpec, FileKind};
-///
-/// let spec = BatchSpec::new(3, 4096, FileKind::RandomBinary);
-/// let eager = spec.generate(7);
-/// let lazy: Vec<_> = spec.stream(7).collect();
-/// assert_eq!(lazy, eager);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchStream {
-    spec: BatchSpec,
-    seed: u64,
-    next: usize,
-}
-
-impl Iterator for BatchStream {
-    type Item = GeneratedFile;
-
-    fn next(&mut self) -> Option<GeneratedFile> {
-        if self.next >= self.spec.file_count {
-            return None;
-        }
-        let i = self.next;
-        self.next += 1;
-        Some(GeneratedFile {
-            path: format!("batch/{}_{i:04}.{}", self.spec.label(), self.spec.kind.extension()),
-            content: generate(
-                self.spec.kind,
-                self.spec.file_size,
-                self.seed.wrapping_add(i as u64 * 7919 + 1),
-            ),
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.spec.file_count - self.next;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for BatchStream {}
 
 #[cfg(test)]
 mod tests {
@@ -215,21 +160,6 @@ mod tests {
             })
             .collect();
         assert_eq!(files, expected);
-    }
-
-    #[test]
-    fn lazy_stream_matches_eager_generation_byte_for_byte() {
-        let spec = BatchSpec::new(6, 20_000, FileKind::Text);
-        let eager = spec.generate(0xFEED);
-        let lazy: Vec<GeneratedFile> = spec.stream(0xFEED).collect();
-        assert_eq!(lazy, eager);
-        // The stream is resumable and exact-sized.
-        let mut stream = spec.stream(0xFEED);
-        assert_eq!(stream.len(), 6);
-        let first = stream.next().expect("six files queued");
-        assert_eq!(first, eager[0]);
-        assert_eq!(stream.len(), 5);
-        assert_eq!(stream.collect::<Vec<_>>(), eager[1..]);
     }
 
     #[test]

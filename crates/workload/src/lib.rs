@@ -30,7 +30,7 @@ pub mod generator;
 pub mod mutate;
 pub mod seed;
 
-pub use batch::{BatchSpec, BatchStream, GeneratedFile};
+pub use batch::{BatchSpec, GeneratedFile};
 pub use generator::{generate, FileKind};
 pub use mutate::Mutation;
 pub use seed::{derive_seed, unit_f64};
