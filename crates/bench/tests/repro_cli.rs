@@ -228,6 +228,46 @@ fn unreplayable_captures_exit_2_on_both_subcommands() {
     }
 }
 
+/// Two captures whose numbers parse but whose run would wrap: an event
+/// instant at the end of the virtual clock, and 2^60-byte files whose
+/// events carry the matching bytes. Both exit 2 from `replay` and
+/// `partition --capture`, name the offending field and write nothing.
+#[test]
+fn captures_that_would_wrap_exit_2_and_write_nothing() {
+    let dir = scratch("wrap");
+    let capture = dir.join("cap.jsonl");
+    let cap = capture.to_str().expect("utf8");
+    let out = repro(&["fleet-scale", "--clients", "40", "--capture", cap]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = std::fs::read_to_string(&capture).expect("capture written");
+    assert!(text.contains("\"file_size\":65536") && text.contains("\"bytes\":262144"), "{text}");
+
+    let (body, last) = text.trim_end().rsplit_once('\n').expect("header and events");
+    let rest = last.split_once(',').expect("an event line").1;
+    let late = format!("{body}\n{{\"t_us\":18446744073709551000,{rest}\n");
+    let huge = text
+        .replace("\"file_size\":65536", "\"file_size\":1152921504606846976")
+        .replace("\"bytes\":262144", "\"bytes\":4611686018427387904");
+    let json = dir.join("out.json");
+    let json_path = json.to_str().expect("utf8");
+    for (name, content, field) in [("late", late, "t_us"), ("huge", huge, "file_size")] {
+        let path = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&path, content).expect("write capture");
+        let path = path.to_str().expect("utf8");
+        for args in [
+            ["replay", "--capture", path, "--json", json_path].as_slice(),
+            ["partition", "--capture", path, "--partitions", "2", "--json", json_path].as_slice(),
+        ] {
+            let out = repro(args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {}", stderr(&out));
+            let err = stderr(&out);
+            assert!(err.contains(field), "{args:?}: the error names no {field}: {err}");
+            assert!(stdout(&out).is_empty(), "{args:?} printed a report: {}", stdout(&out));
+            assert!(!json.exists(), "{args:?} wrote {json_path}");
+        }
+    }
+}
+
 /// The CI partition-determinism leg, end to end: the merged JSON dump is
 /// byte-identical across partition counts, across capture-sliced vs. live
 /// runs, and against the unsliced `fleet-scale` dump.

@@ -11,11 +11,11 @@ use cloudsim_geo::{
     AuthoritativeDns, GeolocationEstimate, HybridGeolocator, IpRegistry, Provider,
     ProviderTopology, ResolverFleet,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One discovered front-end address.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DiscoveredNode {
     /// The address, dotted-quad rendering.
     pub addr: String,
@@ -28,7 +28,7 @@ pub struct DiscoveredNode {
 }
 
 /// The discovery report for one provider.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ArchitectureReport {
     /// Which provider was surveyed.
     pub provider: String,

@@ -9,10 +9,10 @@ use crate::testbed::Testbed;
 use cloudsim_services::ServiceProfile;
 use cloudsim_trace::series::SampleStats;
 use cloudsim_workload::BatchSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Aggregated results of one (service, workload) cell of Fig. 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PerformanceRow {
     /// Service name.
     pub service: String,
@@ -29,7 +29,7 @@ pub struct PerformanceRow {
 }
 
 /// The full performance suite: every service × every workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PerformanceSuite {
     /// One row per (service, workload) pair.
     pub rows: Vec<PerformanceRow>,

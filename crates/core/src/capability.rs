@@ -11,10 +11,10 @@ use cloudsim_services::ServiceProfile;
 use cloudsim_trace::analysis::{self, BurstConfig, ThroughputConfig};
 use cloudsim_trace::{FlowKind, SimDuration, SimTime};
 use cloudsim_workload::{generate, FileKind, GeneratedFile, Mutation};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The chunking verdict of §4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ChunkingVerdict {
     /// No pauses during a large upload: single-object transfers.
     None,
@@ -41,7 +41,7 @@ impl ChunkingVerdict {
 }
 
 /// Detected capabilities of one service (the rows of Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceCapabilities {
     /// Service name.
     pub service: String,
@@ -58,7 +58,7 @@ pub struct ServiceCapabilities {
 }
 
 /// Table 1: one row per service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CapabilityMatrix {
     /// Rows in the paper's service order.
     pub rows: Vec<ServiceCapabilities>,
@@ -241,7 +241,7 @@ pub fn detect_delta_encoding(testbed: &Testbed, profile: &ServiceProfile) -> boo
 
 /// One point of the Fig. 4 series: file size vs. bytes uploaded after a
 /// modification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DeltaPoint {
     /// Original file size in bytes.
     pub file_size: u64,
@@ -288,7 +288,7 @@ pub fn delta_encoding_series(
 
 /// One point of the Fig. 5 series: file size vs. bytes uploaded for a content
 /// type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CompressionPoint {
     /// File size in bytes.
     pub file_size: u64,

@@ -9,10 +9,10 @@
 use crate::testbed::Testbed;
 use cloudsim_services::ServiceProfile;
 use cloudsim_trace::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The Fig. 1 series for one service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IdleSeries {
     /// Service name.
     pub service: String,

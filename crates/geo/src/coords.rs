@@ -1,9 +1,9 @@
 //! Geographic coordinates and the world-city catalogue.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A point on the Earth's surface.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GeoPoint {
     /// Latitude in degrees (positive north).
     pub lat: f64,
@@ -35,7 +35,7 @@ pub fn haversine_km(a: GeoPoint, b: GeoPoint) -> f64 {
 }
 
 /// One catalogue city: name, ISO country code, IATA airport code, coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct City {
     /// City name.
     pub name: &'static str,

@@ -11,10 +11,10 @@
 
 use crate::coords::{city_by_airport, GeoPoint};
 use crate::landmarks::LandmarkSet;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How an estimate was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum GeolocationMethod {
     /// An airport code embedded in the reverse-DNS name matched the catalogue.
     AirportCode,
@@ -23,7 +23,7 @@ pub enum GeolocationMethod {
 }
 
 /// The result of geolocating one address.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GeolocationEstimate {
     /// Estimated location.
     pub location: GeoPoint,

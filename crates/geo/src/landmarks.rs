@@ -11,10 +11,10 @@
 use crate::coords::{GeoPoint, WORLD_CITIES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One landmark probe host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Landmark {
     /// Host name of the probe.
     pub name: String,
@@ -39,7 +39,7 @@ pub fn rtt_between(a: GeoPoint, b: GeoPoint, seed: u64) -> f64 {
 }
 
 /// The full landmark set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LandmarkSet {
     landmarks: Vec<Landmark>,
 }

@@ -6,10 +6,10 @@
 //! addresses belong to Amazon while its control addresses belong to Dropbox
 //! itself, or that none of Wuala's data centres are owned by Wuala (§3.2).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One allocated address block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct IpBlock {
     /// First address of the block (inclusive), host byte order.
     pub start: u32,
@@ -50,7 +50,7 @@ impl IpBlock {
 }
 
 /// The registry of all allocated blocks.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct IpRegistry {
     blocks: Vec<IpBlock>,
 }

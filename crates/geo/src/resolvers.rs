@@ -8,10 +8,10 @@
 //! ISP label so the coverage statistics the paper quotes can be reproduced.
 
 use crate::coords::{GeoPoint, WORLD_CITIES};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One open resolver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OpenResolver {
     /// Stable identifier within the fleet.
     pub id: u32,
@@ -29,7 +29,7 @@ pub struct OpenResolver {
 }
 
 /// The generated resolver fleet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ResolverFleet {
     resolvers: Vec<OpenResolver>,
 }

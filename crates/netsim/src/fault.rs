@@ -12,7 +12,7 @@
 //! thread timing.
 
 use cloudsim_trace::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Mixes a master seed and a coordinate pair into an independent 64-bit
 /// draw — the same splitmix64 finalizer family as [`crate::rng::SimRng::derive`],
@@ -27,7 +27,7 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
 }
 
 /// How outages are drawn over one window of virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultSpec {
     /// The window of virtual time the outages are drawn in, measured from
     /// the schedule's anchor (a transfer window, a sync round, …).
@@ -52,7 +52,7 @@ impl FaultSpec {
 
 /// One contiguous interval during which the link is down. Packets cannot be
 /// sent or received inside `[down_at, up_at)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct OutageWindow {
     /// The instant the link goes down.
     pub down_at: SimTime,
@@ -76,7 +76,7 @@ impl OutageWindow {
 /// virtual time. Generated once up front (pure data) and replayed by the
 /// TCP layer; an empty schedule leaves every transfer bit-identical to the
 /// fault-free simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct FaultSchedule {
     /// Outage windows sorted by [`OutageWindow::down_at`], non-overlapping.
     pub windows: Vec<OutageWindow>,

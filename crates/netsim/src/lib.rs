@@ -10,10 +10,9 @@
 //!
 //! * per-path round-trip time and bottleneck bandwidth ([`path`], [`network`]),
 //! * TCP connection establishment, slow start and congestion avoidance,
-//!   application-layer request/response exchanges and connection reuse
-//!   ([`tcp`]),
-//! * TLS handshake cost (extra round trips plus certificate bytes) and record
-//!   overhead ([`tls`]),
+//!   application-layer request/response exchanges, connection reuse, and
+//!   the TLS handshake cost (extra round trips plus certificate bytes) and
+//!   record overhead ([`tcp`]),
 //! * HTTP message framing overhead ([`http`]),
 //! * per-packet trace emission into a [`cloudsim_trace::TraceShard`], so the
 //!   same analyzers the paper applies to pcap files run on simulated traffic.
@@ -57,10 +56,9 @@ pub mod path;
 pub mod rng;
 pub mod sim;
 pub mod tcp;
-pub mod tls;
 
 pub use fault::{FaultSchedule, FaultSpec, OutageWindow};
-pub use host::{HostId, HostInfo, HostRole};
+pub use host::{HostId, HostInfo};
 pub use link::AccessLink;
 pub use network::{Network, EPHEMERAL_PORT_MIN};
 pub use path::PathSpec;

@@ -1,6 +1,6 @@
 //! Network topology: the test computer plus every server a service contacts.
 
-use crate::host::{HostId, HostInfo, HostRole};
+use crate::host::{HostId, HostInfo};
 use crate::path::PathSpec;
 use cloudsim_trace::Endpoint;
 use std::collections::HashMap;
@@ -27,7 +27,6 @@ impl Network {
                 id: HostId(0),
                 dns_name: "test-computer.lan".to_string(),
                 endpoint: Endpoint::from_octets(192, 168, 1, 10, 0),
-                role: HostRole::Client,
             },
             hosts: Vec::new(),
             paths: HashMap::new(),
@@ -39,27 +38,16 @@ impl Network {
         &self.client
     }
 
-    /// Registers a server with a given role.
-    pub fn add_host(
-        &mut self,
-        dns_name: &str,
-        octets: [u8; 4],
-        port: u16,
-        role: HostRole,
-    ) -> HostId {
+    /// Registers a server (control, storage or notification: the model
+    /// treats them alike).
+    pub fn add_server(&mut self, dns_name: &str, octets: [u8; 4], port: u16) -> HostId {
         let id = HostId(self.hosts.len() as u32 + 1);
         self.hosts.push(HostInfo {
             id,
             dns_name: dns_name.to_string(),
             endpoint: Endpoint::from_octets(octets[0], octets[1], octets[2], octets[3], port),
-            role,
         });
         id
-    }
-
-    /// Registers a storage/control server (most common case in tests).
-    pub fn add_server(&mut self, dns_name: &str, octets: [u8; 4], port: u16) -> HostId {
-        self.add_host(dns_name, octets, port, HostRole::Storage)
     }
 
     /// Sets the path characteristics between the client and a server.
@@ -95,12 +83,12 @@ mod tests {
     #[test]
     fn hosts_are_registered_and_looked_up() {
         let mut net = Network::new();
-        let a = net.add_host("control.example", [10, 0, 0, 1], 443, HostRole::Control);
+        let a = net.add_server("control.example", [10, 0, 0, 1], 443);
         let b = net.add_server("storage.example", [10, 0, 0, 2], 443);
         assert_ne!(a, b);
         assert_eq!(net.host(a).unwrap().dns_name, "control.example");
-        assert_eq!(net.host(b).unwrap().role, HostRole::Storage);
-        assert_eq!(net.host(HostId(0)).unwrap().role, HostRole::Client);
+        assert_eq!(net.host(b).unwrap().endpoint.octets(), [10, 0, 0, 2]);
+        assert_eq!(net.host(HostId(0)).unwrap().dns_name, "test-computer.lan");
         assert!(net.host(HostId(99)).is_none());
         assert_eq!(net.hosts.len(), 2);
     }
@@ -169,6 +157,6 @@ mod tests {
     fn client_endpoint_is_private_address() {
         let net = Network::new();
         assert_eq!(net.client().endpoint.octets(), [192, 168, 1, 10]);
-        assert_eq!(net.client().role, HostRole::Client);
+        assert_eq!(net.client().id, HostId(0));
     }
 }

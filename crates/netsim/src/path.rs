@@ -9,7 +9,7 @@
 
 use crate::rng::SimRng;
 use cloudsim_trace::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Maximum segment payload assumed by the loss model, matching the
 /// simulator's Ethernet MSS (`cloudsim_trace::packet::MSS`).
@@ -19,7 +19,7 @@ const LOSS_MODEL_MSS_BITS: f64 = 1460.0 * 8.0;
 const MATHIS_C: f64 = 1.224744871391589;
 
 /// Path characteristics between the client and one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PathSpec {
     /// Base round-trip time.
     pub rtt: SimDuration,

@@ -22,7 +22,6 @@ use crate::host::HostId;
 use crate::network::Network;
 use crate::path::PathSpec;
 use crate::sim::Simulator;
-use crate::tls::TlsProfile;
 use cloudsim_trace::packet::{MSS, TCP_HEADER_BYTES};
 use cloudsim_trace::{
     Direction, Endpoint, FlowId, FlowKind, PacketRecord, SimDuration, SimTime, TcpFlags,
@@ -35,6 +34,24 @@ pub const INITIAL_CWND_SEGMENTS: u32 = 10;
 /// Upper bound on the congestion window in segments (corresponds to the
 /// default 4 MB maximum socket buffers of the era).
 pub const MAX_CWND_SEGMENTS: u32 = 2800;
+
+// The TLS layer as deployed in 2013 (TLS 1.0–1.2, RSA certificates, ~3–4 kB
+// certificate chains). All five services carry storage and control traffic
+// over HTTPS (§3.1), so a client that opens one connection per file pays a
+// full handshake per file: "such design strongly limits the system
+// performance due to TCP and SSL negotiations" (§4.2).
+
+/// Extra round trips of a full TLS handshake.
+const TLS_HANDSHAKE_RTTS: u64 = 2;
+/// Bytes the client sends during the handshake (ClientHello, key exchange,
+/// Finished).
+const TLS_CLIENT_HANDSHAKE_BYTES: u64 = 700;
+/// Bytes the server sends during the handshake (ServerHello, certificate
+/// chain, Finished).
+const TLS_SERVER_HANDSHAKE_BYTES: u64 = 4200;
+/// Framing bytes charged to every TLS data segment (record header, MAC and
+/// padding amortised per MSS-sized record).
+const TLS_SEGMENT_OVERHEAD: u32 = 29;
 
 /// Timing of one downstream-heavy exchange performed by
 /// [`TcpConnection::fetch`]: when the request went out, when the first
@@ -146,7 +163,6 @@ pub struct TcpConnection {
     flow: FlowId,
     kind: FlowKind,
     tls: bool,
-    tls_profile: TlsProfile,
     client: Endpoint,
     server: Endpoint,
     host: HostId,
@@ -185,7 +201,6 @@ impl TcpConnection {
             flow,
             kind: opts.kind,
             tls: opts.tls,
-            tls_profile: TlsProfile::default(),
             client,
             server,
             host,
@@ -207,12 +222,11 @@ impl TcpConnection {
         if opts.tls {
             // Full TLS handshake: client flight, server flight (certificates),
             // client Finished — two extra round trips.
-            let tls = conn.tls_profile;
             conn.emit_stream(
                 sim,
                 established,
                 Direction::Upload,
-                tls.client_handshake_bytes as u64 / 2,
+                TLS_CLIENT_HANDSHAKE_BYTES / 2,
                 path.effective_up_bandwidth(),
                 0,
             );
@@ -220,7 +234,7 @@ impl TcpConnection {
                 sim,
                 established + rtt,
                 Direction::Download,
-                tls.server_handshake_bytes as u64,
+                TLS_SERVER_HANDSHAKE_BYTES,
                 path.effective_down_bandwidth(),
                 0,
             );
@@ -228,11 +242,11 @@ impl TcpConnection {
                 sim,
                 established + rtt,
                 Direction::Upload,
-                tls.client_handshake_bytes as u64 / 2,
+                TLS_CLIENT_HANDSHAKE_BYTES / 2,
                 path.effective_up_bandwidth(),
                 0,
             );
-            established += rtt.saturating_mul(tls.handshake_rtts as u64);
+            established += rtt.saturating_mul(TLS_HANDSHAKE_RTTS);
         }
 
         conn.established_at = established;
@@ -688,7 +702,7 @@ impl TcpConnection {
     /// Extra per-segment overhead charged on data segments (TLS records).
     fn data_overhead(&self) -> u32 {
         if self.tls {
-            self.tls_profile.per_segment_overhead
+            TLS_SEGMENT_OVERHEAD
         } else {
             0
         }
@@ -771,9 +785,9 @@ mod tests {
         assert_eq!(conn.established_at(), SimTime::from_millis(300));
         let table = sim.trace().flow_table();
         let stats = table.get(conn.flow()).unwrap();
-        // Certificate chain flows downstream during the handshake.
-        assert!(stats.payload_down >= 4000, "got {}", stats.payload_down);
-        assert!(stats.payload_up >= 600);
+        // The certificate chain flows downstream during the handshake: the
+        // server sends 4200 bytes, the client 700 in two flights.
+        assert_eq!((stats.payload_down, stats.payload_up), (4200, 700));
     }
 
     #[test]

@@ -32,7 +32,9 @@
 use crate::engine::{FleetEvent, Phase};
 use crate::partition::ClientSet;
 use crate::profile::ServiceProfile;
-use crate::scale::{drive_plain, intern_paths, Commits, ScaleRun, ScaleSpec, Source};
+use crate::scale::{
+    check_run_totals, drive_plain, intern_paths, Commits, ScaleRun, ScaleSpec, Source,
+};
 use cloudsim_net::AccessLink;
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{SimDuration, SimTime};
@@ -112,16 +114,16 @@ impl FleetCapture {
     /// runner runs it on whatever it is handed — all fields are `pub`, so
     /// a capture need not have come through the parser.
     pub fn validate(&self) -> Result<(), String> {
-        let (clients, base, commits_per_client) =
-            (self.clients, self.client_base, self.commits_per_client);
-        let sizes = (
-            (self.files_per_commit as u64).checked_mul(self.file_size),
-            clients.checked_mul(commits_per_client),
-            base.checked_add(clients),
-        );
-        let (Some(expected_bytes), Some(expected_events), Some(end)) = sizes else {
+        let (clients, base, commits_per_client, files) =
+            (self.clients, self.client_base, self.commits_per_client, self.files_per_commit);
+        check_run_totals(clients, commits_per_client, files, self.file_size).map_err(|e| {
+            format!("capture header describes a population too large to index: {e}")
+        })?;
+        let Some(end) = base.checked_add(clients) else {
             return Err("capture header describes a population too large to index".into());
         };
+        let (expected_bytes, expected_events) =
+            (files as u64 * self.file_size, clients * commits_per_client);
         if expected_bytes == 0 || expected_events == 0 {
             return Err("capture header describes an empty population".into());
         }
@@ -954,7 +956,7 @@ mod tests {
         // the first four panicked inside a scoped worker thread.
         let good = capture_of_spec(&ScaleSpec::new(3).with_seed(9));
         type Tamper = fn(&mut FleetCapture);
-        let hostile: [(&str, Tamper); 10] = [
+        let hostile: [(&str, Tamper); 11] = [
             ("no access links", |c| c.link_names.clear()),
             ("outside the header's [2, 5) range", |c| c.client_base = 2),
             ("outside the header's [0, 3) range", |c| c.events[1].client = 3),
@@ -966,6 +968,12 @@ mod tests {
             ("too large to index", |c| c.client_base = usize::MAX),
             ("draws 9 shared files per commit from a 4-file commit", |c| {
                 c.shared_files_per_commit = 9
+            }),
+            // 2^60-byte files whose events carry the matching 2^62 bytes:
+            // the run's logical bytes used to wrap to 0 in release builds.
+            ("the run total of 6 commits", |c| {
+                c.file_size = 1 << 60;
+                c.events.iter_mut().for_each(|e| e.bytes = 4 << 60);
             }),
         ];
         for (expected, tamper) in hostile {
@@ -988,6 +996,24 @@ mod tests {
             let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
             assert_eq!(run_partition(&part, &store, 2).unwrap_err(), format!("partition 0: {err}"));
         }
+
+        // An instant near the end of the clock is a valid header and valid
+        // events, but its transfers would end past u64::MAX µs: a release
+        // build used to wrap the run's span to 2513.5 s. The replay refuses
+        // it once the mix has fixed the links and round trips.
+        let mut late = good.clone();
+        late.events[5].at = SimTime::from_micros(18_446_744_073_709_551_000);
+        assert!(late.validate().is_ok());
+        assert_eq!(parse_capture(&render_fleet_capture(&late)).as_ref(), Ok(&late));
+        let err = replay(&late, &ReplayMix::Original, 2).unwrap_err();
+        assert!(err.contains("t_us 18446744073709551000") && err.contains("u64 µs"), "{err}");
+        let part = PartitionSpec {
+            index: 0,
+            clients: ClientSet::Range { start: 0, end: 3 },
+            workload: PartitionWorkload::Slice(late),
+        };
+        let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
+        assert_eq!(run_partition(&part, &store, 2).unwrap_err(), format!("partition 0: {err}"));
 
         // A commit recorded twice keeps every per-event check happy (the
         // count is intact) but would leave another commit without seeds.

@@ -148,8 +148,8 @@ impl SyncClient {
 
     /// Creates a client for a named user account committing into a shared
     /// object store — the fleet constructor. Each client still owns its
-    /// deployment, connections and client-side dedup/delta state; only the
-    /// server-side store is shared. `_pipeline` is ignored, as in
+    /// deployment, connections and delta state, and asks the shared store
+    /// which chunks its own account holds. `_pipeline` is ignored, as in
     /// [`SyncClient::with_pipeline`].
     pub fn for_user(
         profile: ServiceProfile,
@@ -1401,16 +1401,18 @@ mod tests {
         // The puller already holds the content of the owner's last file (it
         // synced a copy of its own), so that file restores fully
         // deduplicated: a zero-byte stream that never touches the wire.
+        // Each pull is a fresh account: a second client of the same account
+        // would find its first copy held by the store and skip the upload.
         let held = vec![GeneratedFile {
             path: "mine/copy.bin".to_string(),
             content: files[4].content.clone(),
         }];
-        let pull = |faults: &FaultSchedule, policy: &dyn crate::retry::RetryPolicy| {
+        let pull = |user: &str, faults: &FaultSchedule, policy: &dyn crate::retry::RetryPolicy| {
             let mut psim = Simulator::new(32);
             let mut puller = SyncClient::for_user_on_link(
                 ServiceProfile::dropbox(),
                 store.clone(),
-                "puller",
+                user,
                 &AccessLink::adsl(),
             );
             let login = puller.login(&mut psim, SimTime::ZERO);
@@ -1423,7 +1425,7 @@ mod tests {
             )
         };
 
-        let control = pull(&FaultSchedule::NONE, &NoRetry);
+        let control = pull("control", &FaultSchedule::NONE, &NoRetry);
         assert!(control.completed);
         assert_eq!(control.outcome.files_restored, 5);
         assert_eq!(control.stats.checksums_verified, 5, "every reassembly is validated");
@@ -1441,7 +1443,7 @@ mod tests {
             windows: vec![OutageWindow { down_at: mid, up_at: mid + SimDuration::from_secs(2) }],
         };
 
-        let recovered = pull(&faults, &ExponentialBackoff::standard());
+        let recovered = pull("recovered", &faults, &ExponentialBackoff::standard());
         assert!(recovered.completed, "backoff must recover the restore: {:?}", recovered.stats);
         assert_eq!(recovered.outcome.files_restored, 5);
         assert_eq!(recovered.stats.checksums_verified, 5);
@@ -1451,7 +1453,7 @@ mod tests {
         assert!(recovered.stats.salvaged_bytes > 0, "the verified prefix resumes, not restarts");
         assert!(recovered.outcome.completed_at > control.outcome.completed_at);
 
-        let abandoned = pull(&faults, &NoRetry);
+        let abandoned = pull("abandoned", &faults, &NoRetry);
         assert!(!abandoned.completed);
         assert!(abandoned.files_abandoned >= 1);
         assert!(abandoned.outcome.files_failed >= 1);

@@ -9,7 +9,7 @@
 
 use crate::profile::ServiceProfile;
 use cloudsim_geo::{Provider, ProviderTopology, ServerRole};
-use cloudsim_net::{AccessLink, HostId, HostRole, Network, PathSpec};
+use cloudsim_net::{AccessLink, HostId, Network, PathSpec};
 
 /// The instantiated servers of one service.
 #[derive(Debug, Clone)]
@@ -39,10 +39,8 @@ impl Deployment {
         let mut network = Network::new();
         let truth = ProviderTopology::ground_truth(profile.provider);
 
-        let control_path =
-            link.apply(PathSpec::symmetric(profile.control_rtt, profile.control_bandwidth));
-        let storage_path =
-            link.apply(PathSpec::symmetric(profile.storage_rtt, profile.storage_bandwidth));
+        let control_path = link.apply(PathSpec::symmetric(profile.control_rtt, profile.bandwidth));
+        let storage_path = link.apply(PathSpec::symmetric(profile.storage_rtt, profile.bandwidth));
 
         // Control servers: reuse ground-truth control/both nodes, padding with
         // synthetic siblings when the profile contacts more servers than the
@@ -71,7 +69,7 @@ impl Deployment {
                     addr.to_be_bytes(),
                 )
             };
-            let host = network.add_host(&name, octets, 443, HostRole::Control);
+            let host = network.add_server(&name, octets, 443);
             network.set_path(host, control_path);
             control_hosts.push(host);
         }
@@ -94,15 +92,14 @@ impl Deployment {
         let (storage_name, storage_octets) = storage_node
             .map(|n| (n.dns_name.clone(), n.addr.to_be_bytes()))
             .unwrap_or(("storage.example".to_string(), [203, 0, 113, 10]));
-        let storage_host = network.add_host(&storage_name, storage_octets, 443, HostRole::Storage);
+        let storage_host = network.add_server(&storage_name, storage_octets, 443);
         network.set_path(storage_host, storage_path);
 
         // Notification endpoint: shares the control placement.
-        let notification_host = network.add_host(
+        let notification_host = network.add_server(
             &format!("notify.{}.example", profile.name().to_lowercase().replace(' ', "")),
             [198, 51, 100, 53],
             if profile.notification_plain_http { 80 } else { 443 },
-            HostRole::Notification,
         );
         network.set_path(notification_host, control_path);
 

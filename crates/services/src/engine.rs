@@ -5,7 +5,7 @@
 //! — partition the clients, fan out a sync phase, a barrier, an idle phase,
 //! a barrier, … — which caps fleets at the size the per-round bookkeeping
 //! can afford. This module turns the same computation inside out: the
-//! precomputed [`FleetSchedule`] (pure data since PR 5) is lowered into a
+//! precomputed [`FleetSchedule`] (pure data) is lowered into a
 //! flat list of [`FleetEvent`]s — activations, keep-alive epochs,
 //! restore-fan pulls, departures, GC sweeps — ordered by
 //! `(timestamp, phase, client id)`, and the driver pops them in that order,

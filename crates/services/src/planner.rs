@@ -11,9 +11,8 @@
 
 use crate::profile::ServiceProfile;
 use cloudsim_storage::{
-    ContentHash, DedupIndex, FileArtifacts, FileJob, FileManifest, ObjectStore, PipelineSpec,
-    RestoreError, RestorePipeline, RestoreRequest, RestoredFile, SizeMemo, StoredChunk,
-    UploadPipeline,
+    ContentHash, FileArtifacts, FileJob, FileManifest, ObjectStore, PipelineSpec, RestoreError,
+    RestorePipeline, RestoreRequest, RestoredFile, SizeMemo, StoredChunk, UploadPipeline,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -69,7 +68,6 @@ struct Held {
 pub struct UploadPlanner {
     profile: ServiceProfile,
     store: ObjectStore,
-    dedup: DedupIndex,
     /// The live revision of each own path, as the server knows it.
     own: HashMap<String, Held>,
     /// Content pulled down by restores, keyed `owner/path` (the planner's
@@ -103,8 +101,8 @@ impl UploadPlanner {
 
     /// Creates a planner for a named user account committing into a shared
     /// (sharded) object store. This is the constructor the fleet harness
-    /// uses: every client keeps its own client-side dedup index and delta
-    /// state, while the server-side store is shared across the whole fleet
+    /// uses: every client keeps its own delta state and asks the store which
+    /// chunks its account holds, while the server-side store is shared across the whole fleet
     /// so inter-user deduplication is exercised. `_pipeline` is ignored, as
     /// in [`UploadPlanner::with_pipeline`].
     pub fn for_user(
@@ -116,7 +114,6 @@ impl UploadPlanner {
         UploadPlanner {
             profile,
             store,
-            dedup: DedupIndex::new(),
             own: HashMap::new(),
             pulled: HashMap::new(),
             local_chunks: HashMap::new(),
@@ -154,8 +151,8 @@ impl UploadPlanner {
     /// LZSS size counts (through the run's size memo) — runs through the
     /// [`UploadPipeline`] (fanned out across
     /// chunks and files when the batch is large and the caller is not
-    /// already a fan-out worker). The stateful decisions — dedup index
-    /// queries, server-side commits — are then applied sequentially in file
+    /// already a fan-out worker). The stateful decisions — dedup queries
+    /// against the account's held chunks, server-side commits — are then applied sequentially in file
     /// order, so the resulting [`FilePlan`]s do not depend on the thread
     /// count, and are identical to planning the files one batch each.
     pub fn plan_batch(&mut self, files: &[(&str, &[u8])]) -> Vec<FilePlan> {
@@ -180,12 +177,12 @@ impl UploadPlanner {
             .collect();
 
         // Known-chunk prefilter: when the service deduplicates client-side,
-        // chunks already in the index at batch start are guaranteed dedup
-        // hits (entries are never removed, §4.3), so the pipeline skips
-        // their upload estimates. The merge step below re-checks against the
-        // live index as state evolves within the batch.
-        let (dedup, deduplicates) = (&self.dedup, self.profile.dedup);
-        let known = |hash: &ContentHash| deduplicates && dedup.contains(hash);
+        // chunks the account already holds at batch start are guaranteed
+        // dedup hits (held chunks survive deletes and supersedes, §4.3), so
+        // the pipeline skips their upload estimates. The merge step below
+        // re-checks against the store as state evolves within the batch.
+        let (store, user, deduplicates) = (&self.store, &self.user, self.profile.dedup);
+        let known = |hash: &ContentHash| deduplicates && store.chunk(user, hash).is_some();
         let artifacts = UploadPipeline.process_filtered(&spec, &jobs, &known, &self.sizes);
 
         files
@@ -209,7 +206,7 @@ impl UploadPlanner {
             // identical plaintexts identical on the wire (§4.3, Wuala).
             let already_stored = if self.profile.dedup {
                 metadata_bytes += 40; // hash query per chunk
-                self.dedup.contains(&chunk.hash)
+                self.store.chunk(&self.user, &chunk.hash).is_some()
             } else {
                 // Services without client-side dedup upload unconditionally,
                 // even when the server already holds identical content.
@@ -260,9 +257,8 @@ impl UploadPlanner {
                     &content[chunk.offset as usize..chunk.end() as usize],
                 );
             }
-            // Every service records the chunk in the index; the difference is
+            // Every service's account now holds the chunk; the difference is
             // only whether the client *queries* it before uploading.
-            self.dedup.insert(chunk.hash);
             plans.push(plan);
         }
 
@@ -424,7 +420,8 @@ impl UploadPlanner {
 
     /// Hard-deletes the whole account server-side: every live manifest is
     /// deleted (releasing its chunk references for the store's GC), retained
-    /// revisions are purged, and the client-side dedup/delta state is reset.
+    /// revisions are purged (so dedup finds nothing held any more), and the
+    /// client-side delta state is reset.
     /// Returns the number of live manifests deleted. This is the departure
     /// path of a churning fleet client — the opposite of the §4.3
     /// retention-friendly [`UploadPlanner::plan_delete`].
@@ -438,7 +435,6 @@ impl UploadPlanner {
         self.own.clear();
         self.pulled.clear();
         self.local_chunks.clear();
-        self.dedup = DedupIndex::new();
         deleted
     }
 }
@@ -525,7 +521,7 @@ mod tests {
     /// `plan_delete` releases the live revision's references from the
     /// local view's hash list; the oracle re-chunks the bytes, as the
     /// planner itself used to. §4.3 for all five profiles: the delete keeps
-    /// the dedup index, and the restore is free exactly where the service
+    /// the account's held chunks, and the restore is free exactly where the service
     /// deduplicates.
     #[test]
     fn delete_releases_the_live_revisions_references_for_every_profile() {
@@ -543,7 +539,7 @@ mod tests {
             for (path, content) in uploads {
                 plan_file(&mut planner, path, content);
             }
-            let known = planner.dedup.len();
+            let known = planner.store.stats(&planner.user).chunks;
 
             // Deleting twice, or a path never uploaded, releases nothing more.
             for path in ["f/a.bin", "f/b.txt", "f/a.bin", "f/never.bin"] {
@@ -557,7 +553,8 @@ mod tests {
             let held: HashMap<ContentHash, usize> =
                 planner.local_chunks.iter().map(|(hash, (_, refs))| (*hash, *refs)).collect();
             assert_eq!(held, expected, "{name}");
-            assert_eq!(planner.dedup.len(), known, "{name}: a delete keeps the index");
+            let held_chunks = planner.store.stats(&planner.user).chunks;
+            assert_eq!(held_chunks, known, "{name}: a delete keeps the held chunks");
             assert!(!planner.own.contains_key("f/a.bin"), "{name}");
             assert!(planner.own.contains_key("g/copy.bin"), "{name}");
 
@@ -737,7 +734,8 @@ mod tests {
         for profile in ServiceProfile::all() {
             let plan_both = || {
                 let mut planner = UploadPlanner::new(profile.clone());
-                (planner.plan_batch(&batch), planner.plan_batch(&batch2), planner.dedup.len())
+                let plans = (planner.plan_batch(&batch), planner.plan_batch(&batch2));
+                (plans, planner.store.stats(&planner.user).chunks)
             };
             let top_level = plan_both();
             let nested =

@@ -8,10 +8,10 @@ use cloudsim_geo::Provider;
 use cloudsim_net::http::HttpOverhead;
 use cloudsim_net::SimDuration;
 use cloudsim_storage::{ChunkingStrategy, CompressionPolicy};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a client maps files onto transport connections during an upload batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TransferMode {
     /// Files are bundled and pipelined over one reused storage connection
     /// (Dropbox, §4.2: "only Dropbox implements a file-bundling strategy").
@@ -30,7 +30,7 @@ pub enum TransferMode {
 }
 
 /// The full behavioural profile of one service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceProfile {
     /// Which provider this profile models.
     pub provider: Provider,
@@ -52,10 +52,9 @@ pub struct ServiceProfile {
     pub control_rtt: SimDuration,
     /// RTT from the testbed to the storage front end.
     pub storage_rtt: SimDuration,
-    /// Bottleneck bandwidth towards storage, bits per second.
-    pub storage_bandwidth: u64,
-    /// Bottleneck bandwidth towards control servers, bits per second.
-    pub control_bandwidth: u64,
+    /// Bottleneck bandwidth towards the control and storage servers alike,
+    /// bits per second.
+    pub bandwidth: u64,
 
     // --- Login and idle behaviour (§3.1, Fig. 1) ---------------------------
     /// Number of distinct control servers contacted during login (SkyDrive
@@ -102,8 +101,7 @@ impl ServiceProfile {
             delta_encoding: true,
             control_rtt: SimDuration::from_millis(150),
             storage_rtt: SimDuration::from_millis(95),
-            storage_bandwidth: 45_000_000,
-            control_bandwidth: 45_000_000,
+            bandwidth: 45_000_000,
             login_servers: 3,
             login_bytes: 40_000,
             polling_interval: SimDuration::from_secs(60),
@@ -135,8 +133,7 @@ impl ServiceProfile {
             // A single 2013-era TCP connection across the Atlantic rarely
             // sustained more than ~10-15 Mb/s; the paper measures ~4 s for a
             // 1 MB upload to SkyDrive.
-            storage_bandwidth: 12_000_000,
-            control_bandwidth: 12_000_000,
+            bandwidth: 12_000_000,
             login_servers: 13,
             login_bytes: 150_000,
             polling_interval: SimDuration::from_secs(60),
@@ -164,8 +161,7 @@ impl ServiceProfile {
             delta_encoding: false,
             control_rtt: SimDuration::from_millis(25),
             storage_rtt: SimDuration::from_millis(25),
-            storage_bandwidth: 60_000_000,
-            control_bandwidth: 60_000_000,
+            bandwidth: 60_000_000,
             login_servers: 2,
             login_bytes: 35_000,
             polling_interval: SimDuration::from_secs(300),
@@ -193,8 +189,7 @@ impl ServiceProfile {
             delta_encoding: false,
             control_rtt: SimDuration::from_millis(15),
             storage_rtt: SimDuration::from_millis(15),
-            storage_bandwidth: 65_000_000,
-            control_bandwidth: 65_000_000,
+            bandwidth: 65_000_000,
             login_servers: 4,
             login_bytes: 38_000,
             polling_interval: SimDuration::from_secs(40),
@@ -223,8 +218,7 @@ impl ServiceProfile {
             delta_encoding: false,
             control_rtt: SimDuration::from_millis(30),
             storage_rtt: SimDuration::from_millis(95),
-            storage_bandwidth: 40_000_000,
-            control_bandwidth: 40_000_000,
+            bandwidth: 40_000_000,
             login_servers: 3,
             login_bytes: 36_000,
             polling_interval: SimDuration::from_secs(15),

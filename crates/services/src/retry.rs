@@ -16,7 +16,7 @@
 use cloudsim_net::FaultSchedule;
 use cloudsim_trace::SimDuration;
 use cloudsim_workload::seed::{derive_seed, unit_f64};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Decides whether an interrupted transfer is retried and how long the
 /// client waits first. Implementations must be pure functions of
@@ -77,31 +77,27 @@ impl RetryPolicy for NoRetry {
     }
 }
 
+/// Backoff before the first retry.
+const BACKOFF_BASE: SimDuration = SimDuration::from_secs(2);
+/// Upper bound any single backoff is clamped to.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(60);
+/// Jitter half-width: each wait is scaled by a seeded factor in
+/// `[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]`.
+const BACKOFF_JITTER: f64 = 0.3;
+
 /// Exponential backoff with seeded jitter and a bounded retry budget:
-/// retry `n` waits `base * 2^(n-1)` capped at `cap`, stretched by a
-/// multiplicative jitter factor drawn from `[1 - jitter, 1 + jitter]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// retry `n` waits `2 s * 2^(n-1)` capped at 60 s, stretched by a
+/// multiplicative jitter factor drawn from `[0.7, 1.3]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExponentialBackoff {
-    /// Backoff before the first retry.
-    pub base: SimDuration,
-    /// Upper bound any single backoff is clamped to.
-    pub cap: SimDuration,
     /// Maximum number of retries per operation (0 degenerates to no-retry).
     pub budget: u32,
-    /// Jitter half-width in `[0, 1]`: each wait is scaled by a seeded
-    /// factor in `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
 }
 
 impl ExponentialBackoff {
-    /// The fleet default: 2 s base, 60 s cap, 8 retries, 30% jitter.
+    /// The fleet default: 8 retries.
     pub fn standard() -> ExponentialBackoff {
-        ExponentialBackoff {
-            base: SimDuration::from_secs(2),
-            cap: SimDuration::from_secs(60),
-            budget: 8,
-            jitter: 0.3,
-        }
+        ExponentialBackoff { budget: 8 }
     }
 }
 
@@ -112,8 +108,8 @@ impl RetryPolicy for ExponentialBackoff {
             return None;
         }
         let doublings = (attempt - 1).min(32);
-        let wait = self.base.saturating_mul(1u64 << doublings).min(self.cap);
-        let factor = 1.0 + self.jitter * (2.0 * unit_f64(draw) - 1.0);
+        let wait = BACKOFF_BASE.saturating_mul(1u64 << doublings).min(BACKOFF_CAP);
+        let factor = 1.0 + BACKOFF_JITTER * (2.0 * unit_f64(draw) - 1.0);
         Some(SimDuration::from_secs_f64(wait.as_secs_f64() * factor.max(0.0)))
     }
 
@@ -138,50 +134,35 @@ impl RetryPolicy for ExponentialBackoff {
 /// assert_eq!(RetryConfig::None.policy().backoff(1, 42), None);
 /// assert_eq!(RetryConfig::with_budget(0).policy().backoff(1, 42), None);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RetryConfig {
     /// Abandon on first interruption (the no-recovery control).
     None,
     /// Exponential backoff with seeded jitter and a bounded budget.
     Exponential {
-        /// Backoff before the first retry.
-        base: SimDuration,
-        /// Upper bound any single backoff is clamped to.
-        cap: SimDuration,
         /// Maximum retries per operation.
         budget: u32,
-        /// Jitter half-width in `[0, 1]`.
-        jitter: f64,
     },
 }
 
 impl RetryConfig {
     /// The standard exponential configuration ([`ExponentialBackoff::standard`]).
     pub fn standard_exponential() -> RetryConfig {
-        let e = ExponentialBackoff::standard();
-        RetryConfig::Exponential { base: e.base, cap: e.cap, budget: e.budget, jitter: e.jitter }
+        RetryConfig::with_budget(ExponentialBackoff::standard().budget)
     }
 
-    /// An exponential configuration with the given retry budget and the
-    /// standard base/cap/jitter — `budget(0)` is the "retries exhausted
-    /// immediately" arm of the faults suite.
+    /// An exponential configuration with the given retry budget —
+    /// `with_budget(0)` is the "retries exhausted immediately" arm of the
+    /// faults suite.
     pub fn with_budget(budget: u32) -> RetryConfig {
-        match RetryConfig::standard_exponential() {
-            RetryConfig::Exponential { base, cap, jitter, .. } => {
-                RetryConfig::Exponential { base, cap, budget, jitter }
-            }
-            other => other,
-        }
+        RetryConfig::Exponential { budget }
     }
 
     /// Materialises the policy this configuration describes.
     pub fn policy(&self) -> Box<dyn RetryPolicy + Send + Sync> {
         match *self {
             RetryConfig::None => Box::new(NoRetry),
-            RetryConfig::Exponential { base, cap, budget, jitter } => {
-                assert!((0.0..=1.0).contains(&jitter), "jitter must be within [0, 1]");
-                Box::new(ExponentialBackoff { base, cap, budget, jitter })
-            }
+            RetryConfig::Exponential { budget } => Box::new(ExponentialBackoff { budget }),
         }
     }
 
@@ -207,19 +188,19 @@ mod tests {
 
     #[test]
     fn exponential_backoff_doubles_caps_and_respects_the_budget() {
-        let p = ExponentialBackoff {
-            base: SimDuration::from_secs(1),
-            cap: SimDuration::from_secs(10),
-            budget: 5,
-            jitter: 0.0,
-        };
-        assert_eq!(p.backoff(1, 0), Some(SimDuration::from_secs(1)));
-        assert_eq!(p.backoff(2, 0), Some(SimDuration::from_secs(2)));
-        assert_eq!(p.backoff(3, 0), Some(SimDuration::from_secs(4)));
-        assert_eq!(p.backoff(4, 0), Some(SimDuration::from_secs(8)));
+        // The draw 2^63 is the middle of the unit interval: a jitter factor
+        // of exactly 1.
+        let (p, mid) = (ExponentialBackoff { budget: 7 }, 1u64 << 63);
+        assert_eq!(unit_f64(mid), 0.5);
+        assert_eq!(p.backoff(1, mid), Some(SimDuration::from_secs(2)));
+        assert_eq!(p.backoff(2, mid), Some(SimDuration::from_secs(4)));
+        assert_eq!(p.backoff(3, mid), Some(SimDuration::from_secs(8)));
+        assert_eq!(p.backoff(4, mid), Some(SimDuration::from_secs(16)));
+        assert_eq!(p.backoff(5, mid), Some(SimDuration::from_secs(32)));
         // Clamped to the cap, then the budget runs out.
-        assert_eq!(p.backoff(5, 0), Some(SimDuration::from_secs(10)));
-        assert_eq!(p.backoff(6, 0), None);
+        assert_eq!(p.backoff(6, mid), Some(SimDuration::from_secs(60)));
+        assert_eq!(p.backoff(7, mid), Some(SimDuration::from_secs(60)));
+        assert_eq!(p.backoff(8, mid), None);
     }
 
     #[test]
@@ -234,11 +215,12 @@ mod tests {
         assert_eq!(a, p.backoff(1, x).unwrap(), "same draw, same wait");
         let b = p.backoff(1, y).unwrap();
         assert_ne!(a, b, "different draws should jitter differently");
-        // Jitter stays within the configured half-width.
-        let base = p.base.as_secs_f64();
+        // Jitter stays within the half-width.
+        let base = BACKOFF_BASE.as_secs_f64();
         for draw in 0..100u64 {
             let w = p.backoff(1, draw.wrapping_mul(0x9E3779B97F4A7C15)).unwrap().as_secs_f64();
-            assert!(w >= base * (1.0 - p.jitter) - 1e-6 && w <= base * (1.0 + p.jitter) + 1e-6);
+            let (low, high) = (1.0 - BACKOFF_JITTER, 1.0 + BACKOFF_JITTER);
+            assert!(w >= base * low - 1e-6 && w <= base * high + 1e-6);
         }
     }
 

@@ -333,25 +333,39 @@ impl ScaleSpec {
         assert!(self.commits_per_client > 0, "a scale run needs at least one commit per client");
         assert!(self.files_per_commit > 0, "a commit needs at least one file");
         assert!(self.file_size > 0, "files must have at least one byte");
-        // The products the run computes — a commit's bytes, the event
-        // count, the packets and paths of a run, its logical bytes — are
-        // checked here once, so none of them can wrap later.
-        let (clients, commits, files) =
-            (self.clients, self.commits_per_client, self.files_per_commit);
-        let commit_bytes = (files as u64).checked_mul(self.file_size).unwrap_or_else(|| {
-            panic!("files_per_commit × file_size ({files} × {}) overflows u64", self.file_size)
-        });
-        let events = clients.checked_mul(commits).unwrap_or_else(|| {
-            panic!("clients × commits_per_client ({clients} × {commits}) overflows usize")
-        });
-        let packets = events.checked_mul(files.saturating_add(1));
-        let bytes = (events as u64).checked_mul(commit_bytes);
-        assert!(
-            packets.is_some() && bytes.is_some(),
+        let (files, size) = (self.files_per_commit, self.file_size);
+        if let Err(e) = check_run_totals(self.clients, self.commits_per_client, files, size) {
+            panic!("{e}");
+        }
+    }
+}
+
+/// The products a run of `clients × commits` commits of `files` files of
+/// `file_size` bytes computes — a commit's bytes, the event count, the
+/// packets and paths of a run, its logical bytes — checked once, so none of
+/// them can wrap later. [`ScaleSpec`] and [`crate::capture::FleetCapture`]
+/// both validate through it.
+pub(crate) fn check_run_totals(
+    clients: usize,
+    commits: usize,
+    files: usize,
+    file_size: u64,
+) -> Result<(), String> {
+    let commit_bytes = (files as u64).checked_mul(file_size).ok_or_else(|| {
+        format!("files_per_commit × file_size ({files} × {file_size}) overflows u64")
+    })?;
+    let events = clients.checked_mul(commits).ok_or_else(|| {
+        format!("clients × commits_per_client ({clients} × {commits}) overflows usize")
+    })?;
+    let packets = events.checked_mul(files.saturating_add(1));
+    let bytes = (events as u64).checked_mul(commit_bytes);
+    if packets.is_none() || bytes.is_none() {
+        return Err(format!(
             "the run total of {events} commits (clients × commits_per_client) of {files} files \
              and {commit_bytes} bytes (files_per_commit × file_size) overflows u64 or usize"
-        );
+        ));
     }
+    Ok(())
 }
 
 /// One lightweight client's compact state: everything the runner keeps per
@@ -435,6 +449,37 @@ impl Commits<'_> {
         (start, end)
     }
 
+    /// Refuses a run whose virtual clock would pass `u64::MAX` µs. A
+    /// client's transfers serialise on its link, so its last one ends no
+    /// later than the latest event instant plus one longest transfer per
+    /// commit it performs: the commit's round trips plus its bytes over the
+    /// slowest of the links.
+    fn check_clock(&self, events: &[FleetEvent]) -> Result<(), String> {
+        let latest = events.iter().map(|ev| ev.at).max().unwrap_or(SimTime::ZERO);
+        let rounds = (self.paths.len() / self.files_per_commit) as u64;
+        let batch_bytes = self.files_per_commit as u64 * self.file_size;
+        let longest = self
+            .links
+            .iter()
+            .map(|link| {
+                let tx = SimDuration::checked_for_transmission(batch_bytes, link.up_bandwidth)?;
+                link.access_rtt
+                    .as_micros()
+                    .checked_mul(self.rtts_per_commit)?
+                    .checked_add(tx.as_micros())
+            })
+            .try_fold(0u64, |longest, us| us.map(|us| longest.max(us)));
+        match longest.and_then(|us| us.checked_mul(rounds)?.checked_add(latest.as_micros())) {
+            Some(_) => Ok(()),
+            None => Err(format!(
+                "the latest event (t_us {}) plus {rounds} commits (commits_per_client) of \
+                 {batch_bytes} bytes (files_per_commit × file_size) each passes the virtual \
+                 clock's u64 µs",
+                latest.as_micros()
+            )),
+        }
+    }
+
     /// The store half of a commit: refills `batch` — the driver's one
     /// buffer, so nothing here allocates — with (global) client `i`'s commit
     /// `k`, one metadata-only chunk per file under its interned path, for
@@ -507,6 +552,7 @@ pub(crate) fn drive(
         Source::Spec(spec, owned) => spec.commits(owned, store)?,
         Source::Capture(capture, mix) => capture.commits(mix, store)?,
     };
+    commits.check_clock(&events)?;
     // Before the first name is interned: the name index is sized too.
     let rounds = commits.paths.len() / commits.files_per_commit;
     reserve_population(

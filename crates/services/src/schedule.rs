@@ -9,8 +9,8 @@
 //! notion of elapsed time between or within rounds; this module replaces
 //! that implicit lock-step with a seeded virtual-clock schedule:
 //!
-//! * a [`ThinkTime`] distribution (fixed / uniform / exponential) samples
-//!   the pause a user "thinks" between activity bursts,
+//! * a [`ThinkTime`] distribution (fixed or exponential) samples the pause
+//!   a user "thinks" between activity bursts,
 //! * a per-round **activation probability** yields idle rounds in which a
 //!   client stays connected and pays §3.1-style keep-alive signalling but
 //!   syncs nothing,
@@ -49,13 +49,6 @@ const SALT_THINK: u64 = 0x5EED_7183;
 pub enum ThinkTime {
     /// Every pause lasts exactly this long (zero = the legacy lock-step).
     Fixed(SimDuration),
-    /// Pauses drawn uniformly from `[min, max]`.
-    Uniform {
-        /// Shortest possible pause.
-        min: SimDuration,
-        /// Longest possible pause.
-        max: SimDuration,
-    },
     /// Memoryless pauses with the given mean — the classic think-time model
     /// for user sessions.
     Exponential {
@@ -75,12 +68,8 @@ impl ThinkTime {
     /// use cloudsim_services::schedule::ThinkTime;
     /// use cloudsim_trace::SimDuration;
     ///
-    /// let think = ThinkTime::Uniform {
-    ///     min: SimDuration::from_secs(1),
-    ///     max: SimDuration::from_secs(9),
-    /// };
+    /// let think = ThinkTime::Exponential { mean: SimDuration::from_secs(5) };
     /// let pause = think.sample(0xA11CE);
-    /// assert!(pause >= SimDuration::from_secs(1) && pause <= SimDuration::from_secs(9));
     /// // Pure: the same draw always yields the same pause.
     /// assert_eq!(pause, think.sample(0xA11CE));
     /// assert!(ThinkTime::NONE.sample(7).is_zero());
@@ -88,12 +77,6 @@ impl ThinkTime {
     pub fn sample(&self, draw: u64) -> SimDuration {
         match *self {
             ThinkTime::Fixed(d) => d,
-            ThinkTime::Uniform { min, max } => {
-                assert!(max >= min, "uniform think time needs min <= max");
-                let span = max.as_micros() - min.as_micros();
-                let offset = (span as f64 * unit_f64(draw)).floor() as u64;
-                SimDuration::from_micros(min.as_micros() + offset.min(span))
-            }
             ThinkTime::Exponential { mean } => {
                 // Inverse-CDF sampling; u < 1 keeps ln finite and the
                 // result non-negative.
@@ -107,7 +90,6 @@ impl ThinkTime {
     pub fn is_zero(&self) -> bool {
         match *self {
             ThinkTime::Fixed(d) => d.is_zero(),
-            ThinkTime::Uniform { min, max } => min.is_zero() && max.is_zero(),
             ThinkTime::Exponential { mean } => mean.is_zero(),
         }
     }
@@ -117,9 +99,6 @@ impl fmt::Display for ThinkTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             ThinkTime::Fixed(d) => write!(f, "fixed {}s", d.as_secs_f64()),
-            ThinkTime::Uniform { min, max } => {
-                write!(f, "uniform [{}s, {}s]", min.as_secs_f64(), max.as_secs_f64())
-            }
             ThinkTime::Exponential { mean } => write!(f, "exp(mean {}s)", mean.as_secs_f64()),
         }
     }
@@ -390,14 +369,6 @@ mod tests {
         assert_eq!(fixed.sample(1), SimDuration::from_secs(3));
         assert_eq!(fixed.sample(2), SimDuration::from_secs(3));
 
-        let uniform =
-            ThinkTime::Uniform { min: SimDuration::from_secs(2), max: SimDuration::from_secs(6) };
-        for draw in 0..500u64 {
-            let s = uniform.sample(derive_seed(1, draw, 0, 0));
-            assert!(s >= SimDuration::from_secs(2) && s <= SimDuration::from_secs(6));
-        }
-        assert_eq!(uniform.sample(77), uniform.sample(77));
-
         let exp = ThinkTime::Exponential { mean: SimDuration::from_secs(5) };
         let mut sum = 0.0;
         for draw in 0..2_000u64 {
@@ -412,7 +383,6 @@ mod tests {
         assert!(!exp.is_zero());
         assert_eq!(format!("{exp}"), "exp(mean 5s)");
         assert_eq!(format!("{}", ThinkTime::NONE), "fixed 0s");
-        assert_eq!(format!("{uniform}"), "uniform [2s, 6s]");
     }
 
     #[test]

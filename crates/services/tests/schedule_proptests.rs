@@ -15,23 +15,20 @@ use cloudsim_storage::ObjectStore;
 use cloudsim_trace::SimDuration;
 use proptest::prelude::*;
 
-/// A temporal spec drawn from integer raw material: `think_kind` selects the
-/// distribution family, `activation_pct` the idle probability.
+/// A temporal spec drawn from integer raw material: `exponential` selects
+/// exponential think times over none, `activation_pct` the idle probability.
 fn temporal_spec(
     seed: u64,
     clients: usize,
     rounds: usize,
-    think_kind: u8,
+    exponential: bool,
     jitter_secs: u64,
     activation_pct: u8,
 ) -> FleetSpec {
-    let think = match think_kind % 3 {
-        0 => ThinkTime::NONE,
-        1 => ThinkTime::Uniform {
-            min: SimDuration::from_secs(1),
-            max: SimDuration::from_secs(1 + jitter_secs),
-        },
-        _ => ThinkTime::Exponential { mean: SimDuration::from_secs(5) },
+    let think = if exponential {
+        ThinkTime::Exponential { mean: SimDuration::from_secs(5) }
+    } else {
+        ThinkTime::NONE
     };
     FleetSpec::new(ServiceProfile::dropbox(), clients)
         .with_files(2, 8 * 1024)
@@ -53,11 +50,11 @@ proptest! {
         seed in 0u64..1_000_000,
         clients in 1usize..8,
         rounds in 1usize..6,
-        think_kind in 0u8..3,
+        exponential in any::<bool>(),
         jitter_secs in 0u64..60,
         activation_pct in 0u8..=100,
     ) {
-        let spec = temporal_spec(seed, clients, rounds, think_kind, jitter_secs, activation_pct);
+        let spec = temporal_spec(seed, clients, rounds, exponential, jitter_secs, activation_pct);
         let reference = spec.schedule();
         prop_assert_eq!(&reference, &spec.schedule());
         prop_assert_eq!(&reference, &FleetSchedule::generate(&spec));
@@ -81,7 +78,7 @@ proptest! {
     /// The legacy configuration (zero think time, zero jitter, full
     /// activation) schedules pure lock-step: every connected round syncs,
     /// ordinals equal round offsets, and the per-slot sync count equals the
-    /// membership window — what PR 4's fleets implicitly did, which is why
+    /// membership window — what the round-major fleets implicitly did, which is why
     /// the committed `fleet.*`/`hetero.*`/`restore.*` baselines replay
     /// byte-identically through the new scheduler (the bench crate asserts
     /// that equality against the committed file).
@@ -124,10 +121,9 @@ proptest! {
     #[test]
     fn temporal_fleets_replay_bit_identically_across_thread_counts(
         seed in 0u64..100_000,
-        think_kind in 1u8..3,
         activation_pct in 40u8..=100,
     ) {
-        let spec = temporal_spec(seed, 4, 3, think_kind, 15, activation_pct);
+        let spec = temporal_spec(seed, 4, 3, true, 15, activation_pct);
         let sequential = run_fleet(&spec, ObjectStore::new(), 1);
         let concurrent = run_fleet(&spec, ObjectStore::new(), 4);
         prop_assert_eq!(&sequential.clients, &concurrent.clients);
@@ -146,11 +142,11 @@ proptest! {
     #[test]
     fn heap_driven_replay_is_bit_identical_across_runs_and_workers(
         seed in 0u64..100_000,
-        think_kind in 0u8..3,
+        exponential in any::<bool>(),
         jitter_secs in 0u64..30,
         activation_pct in 40u8..=100,
     ) {
-        let spec = temporal_spec(seed, 4, 3, think_kind, jitter_secs, activation_pct);
+        let spec = temporal_spec(seed, 4, 3, exponential, jitter_secs, activation_pct);
         let schedule = spec.schedule();
         let drain = |mut heap: EventHeap| {
             let mut events = Vec::new();

@@ -13,10 +13,10 @@
 //! SkyDrive and Wuala).
 
 use crate::hash::{sha256, ContentHash};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a service splits file content before upload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ChunkingStrategy {
     /// Files are uploaded as single objects (Cloud Drive).
     None,
@@ -99,7 +99,7 @@ impl ChunkingStrategy {
 }
 
 /// A chunk boundary: offset and length, before the content is hashed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ChunkSpan {
     /// Byte offset of the chunk within the file.
     pub offset: u64,
@@ -115,7 +115,7 @@ impl ChunkSpan {
 }
 
 /// One chunk of a file: its position, length and content hash.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Chunk {
     /// Byte offset of the chunk within the file.
     pub offset: u64,

@@ -29,14 +29,14 @@
 use crate::hash::ContentHash;
 use cloudsim_parallel::{auto_workers, run_with_contexts};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// When a service compresses data before upload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CompressionPolicy {
     /// Never compress (SkyDrive, Wuala, Cloud Drive).
     Never,

@@ -15,7 +15,7 @@
 //! new data.
 
 use crate::hash::{sha256, ContentHash};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Default delta block size (rsync uses ~700–16 kB; Dropbox-scale clients use
@@ -54,7 +54,7 @@ pub fn roll(sum: WeakSum, out_byte: u8, in_byte: u8, block_len: usize) -> WeakSu
 }
 
 /// Signature of the server-side (old) revision of a file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Signature {
     /// Block size the signature was computed with.
     pub block_size: usize,
@@ -94,7 +94,7 @@ impl Signature {
 }
 
 /// One instruction of a delta script.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum DeltaOp {
     /// Copy block `index` of the old revision.
     Copy {
@@ -109,7 +109,7 @@ pub enum DeltaOp {
 }
 
 /// A delta script transforming the old revision into the new one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DeltaScript {
     /// Block size of the signature this script refers to.
     pub block_size: usize,

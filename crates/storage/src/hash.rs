@@ -12,11 +12,11 @@
 //! from what the CPU reports, never from a flag or a build setting, and the
 //! digest is the same either way (the hash tests print which one ran).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A 256-bit content hash.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ContentHash(pub [u8; 32]);
 
 impl ContentHash {

@@ -17,13 +17,13 @@
 //!   distinct content once,
 //! * [`delta`] — an rsync-style rolling-hash delta encoder (Dropbox is the
 //!   only service that implements it, §4.4),
-//! * [`dedup`] — a content-addressed deduplication index (Dropbox and Wuala,
-//!   §4.3),
 //! * [`encrypt`] — convergent client-side encryption (Wuala's privacy layer,
 //!   which keeps dedup possible because identical plaintexts yield identical
 //!   ciphertexts, §4.3),
 //! * [`store`] — the sharded server-side object store (a content-addressed
-//!   chunk table with inter-user deduplication plus per-user file manifests)
+//!   chunk table with inter-user deduplication plus per-user file manifests
+//!   and held chunks; a client that deduplicates, as Dropbox and Wuala do,
+//!   §4.3, asks it which chunks its account holds)
 //!   the simulated services commit uploads to; lock shards keyed by
 //!   chunk-hash prefix and user name let a concurrent client fleet commit
 //!   without serializing on one lock,
@@ -48,7 +48,6 @@
 
 pub mod chunker;
 pub mod compress;
-pub mod dedup;
 pub mod delta;
 pub mod encrypt;
 pub mod hash;
@@ -58,7 +57,6 @@ pub mod store;
 
 pub use chunker::{Chunk, ChunkSpan, ChunkingStrategy};
 pub use compress::{compress, decompress, CompressionPolicy, LzssScratch, SizeMemo};
-pub use dedup::DedupIndex;
 pub use delta::{DeltaScript, Signature};
 pub use encrypt::ConvergentCipher;
 pub use hash::{sha256, ContentHash};

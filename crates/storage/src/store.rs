@@ -3,9 +3,8 @@
 //! The storage back-end the simulated services commit uploads to: a
 //! content-addressed chunk store plus per-user file manifests. It backs the
 //! capability experiments end-to-end — e.g. the deduplication test of §4.3
-//! uploads, copies, deletes and restores files and the store (together with
-//! [`crate::dedup::DedupIndex`]) determines how many bytes actually had to
-//! travel.
+//! uploads, copies, deletes and restores files, and the chunks the store
+//! holds for the user determine how many bytes actually had to travel.
 //!
 //! # Sharding
 //!
@@ -115,14 +114,14 @@
 use crate::chunker::Chunk;
 use crate::hash::ContentHash;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// A chunk as stored on the server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StoredChunk {
     /// Content hash of the (possibly transformed) chunk payload.
     pub hash: ContentHash,
@@ -135,7 +134,7 @@ pub struct StoredChunk {
 
 /// The manifest of one file version: the ordered list of chunk hashes plus
 /// bookkeeping metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FileManifest {
     /// Path of the file inside the synced folder.
     pub path: String,
@@ -161,7 +160,7 @@ impl FileManifest {
 }
 
 /// Statistics about the state of one user's namespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct StoreStats {
     /// Number of live file manifests.
     pub files: usize,
@@ -178,7 +177,7 @@ pub struct StoreStats {
 /// All fields are order-independent functions of the set of per-user
 /// operations performed, so a concurrent fleet and a sequential replay of
 /// the same per-user commits produce bit-identical values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct AggregateStats {
     /// Number of user namespaces that hold at least one chunk or file.
     pub users: usize,
@@ -225,7 +224,7 @@ impl AggregateStats {
 
 /// When (if ever) the store frees chunk entries whose owner count reaches
 /// zero after manifest hard-deletes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum GcPolicy {
     /// Free the physical entry the moment its last owner releases it.
     Eager,
@@ -247,7 +246,7 @@ impl GcPolicy {
 }
 
 /// What one garbage-collection pass (or eager release) freed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct GcStats {
     /// Physical chunk entries removed.
     pub freed_chunks: u64,
@@ -780,7 +779,7 @@ impl ObjectStore {
     /// Reference accounting: the new manifest's chunk occurrences are
     /// counted; a replaced revision's occurrences are released *logically*
     /// (the counts drop) but its chunks stay retained in the namespace, so
-    /// client-side dedup state never dangles and §4.3 restores stay free.
+    /// a client's dedup query still finds them and §4.3 restores stay free.
     pub fn commit_manifest(&self, user: &str, manifest: FileManifest) -> u64 {
         let path = self.intern_path(&manifest.path).unwrap_or_else(|e| panic!("{e}"));
         let (mut guard, slot) = self.write_named(user);
@@ -878,11 +877,10 @@ impl ObjectStore {
     /// released stored bytes (the user's own representation), or `None` when
     /// the path had no live manifest.
     ///
-    /// Caller contract: a hard delete means the data is *gone* server-side.
-    /// A client that keeps a dedup index for this user must drop the deleted
-    /// chunks from it (or reset it, as `UploadPlanner::purge_account` does)
-    /// — otherwise its next dedup-skipped upload commits a manifest whose
-    /// chunks the store no longer holds, which is rejected.
+    /// A hard delete means the data is *gone* server-side: the released
+    /// chunks leave the user's held chunks, so a client that asks
+    /// [`ObjectStore::chunk`] before uploading (the planner's dedup query)
+    /// uploads them again.
     pub fn delete_manifest(&self, user: &str, path: &str) -> Option<u64> {
         let path = self.known_path(path)?;
         let (released, released_bytes) = {

@@ -12,10 +12,10 @@
 
 use crate::packet::{Direction, PacketRecord};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration for burst detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BurstConfig {
     /// Maximum silence between consecutive upload payload packets for them to
     /// belong to the same burst.
@@ -35,7 +35,7 @@ impl Default for BurstConfig {
 }
 
 /// One detected burst of upload traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Burst {
     /// Timestamp of the first payload packet of the burst.
     pub start: SimTime,

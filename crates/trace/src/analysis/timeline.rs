@@ -9,10 +9,10 @@
 use crate::flow::FlowKind;
 use crate::packet::PacketRecord;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The synchronization timeline extracted from one experiment trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SyncTimeline {
     /// The moment the testing application started modifying files.
     pub modification_start: SimTime,

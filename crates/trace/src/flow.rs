@@ -12,12 +12,12 @@
 
 use crate::packet::{Direction, Endpoint, PacketRecord};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Unique identifier of a flow (a five-tuple instance) within one trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct FlowId(pub u64);
 
 impl fmt::Display for FlowId {
@@ -27,7 +27,7 @@ impl fmt::Display for FlowId {
 }
 
 /// Traffic class of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum FlowKind {
     /// Login / metadata / commit traffic towards control servers.
     Control,
@@ -68,7 +68,7 @@ impl fmt::Display for FlowKind {
 }
 
 /// Aggregate statistics for a single flow, built from its packets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FlowStats {
     /// The flow identifier.
     pub id: FlowId,

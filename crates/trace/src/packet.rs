@@ -8,11 +8,11 @@
 
 use crate::flow::{FlowId, FlowKind};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
-/// A network endpoint: an IPv4-style address plus a TCP/UDP port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// A network endpoint: an IPv4-style address plus a TCP port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Endpoint {
     /// IPv4 address encoded as a host-order `u32` (e.g. `0xC0A80001` = 192.168.0.1).
     pub addr: u32,
@@ -48,18 +48,16 @@ impl fmt::Display for Endpoint {
 }
 
 /// Transport protocol of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TransportProtocol {
-    /// Transmission Control Protocol.
+    /// Transmission Control Protocol: every simulated packet is TCP.
     Tcp,
-    /// User Datagram Protocol (used by the simulated DNS substrate).
-    Udp,
 }
 
 /// TCP control flags carried by a packet.
 ///
 /// Only the flags the analyses care about are modelled; `PSH`/`URG` are not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct TcpFlags {
     /// Synchronize sequence numbers (connection open).
     pub syn: bool,
@@ -80,8 +78,6 @@ impl TcpFlags {
     pub const ACK: TcpFlags = TcpFlags { syn: false, ack: true, fin: false, rst: false };
     /// A FIN-ACK (teardown).
     pub const FIN_ACK: TcpFlags = TcpFlags { syn: false, ack: true, fin: true, rst: false };
-    /// No flags set (used for UDP records).
-    pub const NONE: TcpFlags = TcpFlags { syn: false, ack: false, fin: false, rst: false };
 
     /// True for the client-initiated SYN that opens a connection (SYN without ACK).
     pub fn is_connection_open(&self) -> bool {
@@ -113,7 +109,7 @@ impl fmt::Display for TcpFlags {
 }
 
 /// Direction of a packet relative to the test computer (the sync client host).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Direction {
     /// From the test computer towards the cloud (uploads, requests).
     Upload,
@@ -132,7 +128,7 @@ impl Direction {
 }
 
 /// One synthetic captured packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PacketRecord {
     /// Capture timestamp.
     pub timestamp: SimTime,
@@ -142,11 +138,11 @@ pub struct PacketRecord {
     pub dst: Endpoint,
     /// Transport protocol.
     pub protocol: TransportProtocol,
-    /// TCP flags ([`TcpFlags::NONE`] for UDP).
+    /// TCP flags.
     pub flags: TcpFlags,
     /// Application payload bytes carried by this packet (excluding headers).
     pub payload_len: u32,
-    /// Total header bytes (Ethernet + IP + TCP/UDP + TLS record framing).
+    /// Total header bytes (Ethernet + IP + TCP + TLS record framing).
     pub header_len: u32,
     /// Direction relative to the test computer.
     pub direction: Direction,
@@ -169,7 +165,7 @@ impl PacketRecord {
 
     /// True for the client SYN that opens a TCP connection.
     pub fn is_syn(&self) -> bool {
-        self.protocol == TransportProtocol::Tcp && self.flags.is_connection_open()
+        self.flags.is_connection_open()
     }
 }
 
@@ -215,7 +211,7 @@ mod tests {
         assert!(!TcpFlags::ACK.is_connection_open());
         assert!(!TcpFlags::FIN_ACK.is_connection_open());
         assert_eq!(format!("{}", TcpFlags::SYN_ACK), "SYN|ACK");
-        assert_eq!(format!("{}", TcpFlags::NONE), "-");
+        assert_eq!(format!("{}", TcpFlags::default()), "-");
         assert_eq!(format!("{}", TcpFlags::FIN_ACK), "ACK|FIN");
     }
 
@@ -240,9 +236,6 @@ mod tests {
         assert!(syn.is_syn());
         let synack = sample_packet(TcpFlags::SYN_ACK, 0);
         assert!(!synack.is_syn());
-        let mut udp = sample_packet(TcpFlags::SYN, 0);
-        udp.protocol = TransportProtocol::Udp;
-        assert!(!udp.is_syn());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::hist::LatencyHistogram;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// A cumulative step series: at each event time the running total increases.
 ///
@@ -34,8 +34,6 @@ impl Serialize for CumulativeSeries {
         Value::Object(vec![(String::from("points"), Value::Array(points))])
     }
 }
-
-impl Deserialize for CumulativeSeries {}
 
 impl CumulativeSeries {
     /// Creates an empty series.
@@ -158,7 +156,7 @@ pub fn start_curve(
 
 /// Simple descriptive statistics over repeated measurements (the paper repeats
 /// each experiment 24 times and reports averages).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SampleStats {
     /// Number of samples.
     pub count: usize,

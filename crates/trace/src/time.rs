@@ -8,20 +8,16 @@
 //! reproduced paper are packet inter-arrival times on a 1 Gb/s link
 //! (a 1500-byte frame lasts 12 µs).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A point in virtual time, measured in microseconds since experiment start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, measured in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -128,12 +124,21 @@ impl SimDuration {
     /// Duration it takes to move `bytes` bytes over a link of `bits_per_sec`.
     ///
     /// Used pervasively by the flow-level TCP model; bandwidth of zero is a
-    /// programming error and panics.
+    /// programming error and panics, and so is a duration past `u64::MAX`
+    /// µs (see [`SimDuration::checked_for_transmission`]).
     pub fn for_transmission(bytes: u64, bits_per_sec: u64) -> SimDuration {
+        SimDuration::checked_for_transmission(bytes, bits_per_sec).unwrap_or_else(|| {
+            panic!("{bytes} bytes at {bits_per_sec} b/s take more than u64::MAX µs")
+        })
+    }
+
+    /// [`SimDuration::for_transmission`], or `None` when the duration does
+    /// not fit in `u64` µs.
+    pub fn checked_for_transmission(bytes: u64, bits_per_sec: u64) -> Option<SimDuration> {
         assert!(bits_per_sec > 0, "bandwidth must be positive");
         let bits = bytes as u128 * 8;
         let us = (bits * 1_000_000).div_ceil(bits_per_sec as u128);
-        SimDuration(us as u64)
+        u64::try_from(us).ok().map(SimDuration)
     }
 
     /// Multiplies the duration by an integer factor, saturating on overflow.
@@ -248,6 +253,16 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transmission_times_past_u64_micros_are_refused() {
+        // 2^62 bytes at 1 Mb/s: 3.7e19 µs, which `as u64` used to truncate.
+        assert_eq!(SimDuration::checked_for_transmission(1 << 62, 1_000_000), None);
+        let fits = SimDuration::checked_for_transmission(1 << 40, 1_000_000);
+        assert_eq!(fits, Some(SimDuration::for_transmission(1 << 40, 1_000_000)));
+        let refused = std::panic::catch_unwind(|| SimDuration::for_transmission(1 << 62, 1));
+        assert!(refused.is_err());
+    }
 
     #[test]
     fn construction_and_conversion_roundtrip() {

@@ -8,10 +8,10 @@
 //! upload batches carry less than 1 MB".
 
 use crate::generator::{generate, FileKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A batch of files to be synchronised in one experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct BatchSpec {
     /// Number of files in the batch.
     pub file_count: usize,

@@ -10,10 +10,10 @@
 use crate::dictionary;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The content types exercised by the benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FileKind {
     /// Highly compressible text made of dictionary words (§4.5, Fig. 5a).
     Text,

@@ -8,9 +8,8 @@
 //! *fake JPEGs* (JPEG header, text body) used to probe smart compression
 //! (§4.5). The performance benchmarks of §5 then vary the number of files,
 //! file sizes and file types (1×100 kB, 1×1 MB, 10×100 kB, 100×10 kB), and
-//! the capability tests of §4 additionally mutate files (append, prepend,
-//! insert at a random offset), copy them between folders, delete and restore
-//! them.
+//! the capability tests of §4 additionally mutate files (append, or insert
+//! at a random offset), copy them between folders, delete and restore them.
 //!
 //! * [`dictionary`] — the embedded word list and text synthesis,
 //! * [`generator`] — content generators for each [`FileKind`],

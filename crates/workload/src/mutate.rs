@@ -1,35 +1,27 @@
 //! File mutation operators.
 //!
 //! The delta-encoding test of §4.4 generates "a sequence of changes ... on a
-//! file so that a portion of content is added/changed at each iteration.
-//! Three cases are considered: new data added/changed at the end, at the
-//! beginning, or at a random position within the file."
+//! file so that a portion of content is added/changed at each iteration".
+//! The paper considers three cases: new data at the end, at the beginning,
+//! or at a random position within the file. Fig. 4 plots the first and the
+//! last, and those are the two mutations here: [`Mutation::Append`] and
+//! [`Mutation::InsertRandom`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A mutation applied to an existing file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Mutation {
     /// Append `len` new bytes at the end.
     Append {
         /// Number of bytes to add.
         len: usize,
     },
-    /// Insert `len` new bytes at the beginning.
-    Prepend {
-        /// Number of bytes to add.
-        len: usize,
-    },
     /// Insert `len` new bytes at a pseudo-random offset.
     InsertRandom {
         /// Number of bytes to add.
-        len: usize,
-    },
-    /// Overwrite `len` bytes in place at a pseudo-random offset (no growth).
-    OverwriteRandom {
-        /// Number of bytes to overwrite.
         len: usize,
     },
 }
@@ -45,28 +37,12 @@ impl Mutation {
                 out.extend_from_slice(&fresh_bytes(len, &mut rng));
                 out
             }
-            Mutation::Prepend { len } => {
-                let mut out = fresh_bytes(len, &mut rng);
-                out.extend_from_slice(content);
-                out
-            }
             Mutation::InsertRandom { len } => {
                 let at = if content.is_empty() { 0 } else { rng.gen_range(0..=content.len()) };
                 let mut out = Vec::with_capacity(content.len() + len);
                 out.extend_from_slice(&content[..at]);
                 out.extend_from_slice(&fresh_bytes(len, &mut rng));
                 out.extend_from_slice(&content[at..]);
-                out
-            }
-            Mutation::OverwriteRandom { len } => {
-                let mut out = content.to_vec();
-                if out.is_empty() || len == 0 {
-                    return out;
-                }
-                let len = len.min(out.len());
-                let at = rng.gen_range(0..=out.len() - len);
-                let patch = fresh_bytes(len, &mut rng);
-                out[at..at + len].copy_from_slice(&patch);
                 out
             }
         }
@@ -96,14 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn prepend_adds_at_the_beginning() {
-        let content = base();
-        let out = Mutation::Prepend { len: 500 }.apply(&content, 2);
-        assert_eq!(out.len(), content.len() + 500);
-        assert_eq!(&out[500..], &content[..]);
-    }
-
-    #[test]
     fn insert_random_keeps_both_sides() {
         let content = base();
         let mutation = Mutation::InsertRandom { len: 777 };
@@ -120,22 +88,10 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_keeps_length() {
-        let content = base();
-        let out = Mutation::OverwriteRandom { len: 1234 }.apply(&content, 5);
-        assert_eq!(out.len(), content.len());
-        assert_ne!(out, content);
-        let differing = out.iter().zip(content.iter()).filter(|(a, b)| a != b).count();
-        assert!(differing <= 1234);
-    }
-
-    #[test]
     fn edge_cases_empty_content_and_zero_lengths() {
         assert_eq!(Mutation::Append { len: 10 }.apply(&[], 1).len(), 10);
-        assert_eq!(Mutation::Prepend { len: 10 }.apply(&[], 1).len(), 10);
         assert_eq!(Mutation::InsertRandom { len: 10 }.apply(&[], 1).len(), 10);
-        assert_eq!(Mutation::OverwriteRandom { len: 10 }.apply(&[], 1).len(), 0);
         assert_eq!(Mutation::Append { len: 0 }.apply(&base(), 1), base());
-        assert_eq!(Mutation::OverwriteRandom { len: 0 }.apply(&base(), 1), base());
+        assert_eq!(Mutation::InsertRandom { len: 0 }.apply(&base(), 1), base());
     }
 }

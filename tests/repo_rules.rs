@@ -724,18 +724,20 @@ fn is_use(toks: &[Tok], k: usize, inside: &str) -> bool {
     value && matches!(next, ")" | "," | ";" | "]" | "}")
 }
 
-/// The innermost open bracket at each token (`""` at the top level).
-fn enclosing<'a>(toks: &[Tok<'a>]) -> Vec<&'a str> {
+/// The innermost open bracket around each token, by index; a closer maps
+/// to the bracket it closes.
+fn parents(toks: &[Tok]) -> Vec<Option<usize>> {
     let mut stack = Vec::new();
     toks.iter()
-        .map(|t| {
-            let inside = stack.last().copied().unwrap_or("");
-            match t.text {
-                "(" | "[" | "{" => stack.push(t.text),
-                ")" | "]" | "}" => drop(stack.pop()),
-                _ => {}
+        .enumerate()
+        .map(|(i, t)| match t.text {
+            "(" | "[" | "{" => {
+                let parent = stack.last().copied();
+                stack.push(i);
+                parent
             }
-            inside
+            ")" | "]" | "}" => stack.pop(),
+            _ => stack.last().copied(),
         })
         .collect()
 }
@@ -757,9 +759,10 @@ fn uses<'a>(libs: &[Lexed<'a>], users: &[Lexed<'a>]) -> BTreeSet<&'a str> {
     let mut used = BTreeSet::new();
     for lexed in libs.iter().chain(users) {
         let toks = without_imports(&lexed.toks);
-        let inside = enclosing(&toks);
+        let parent = parents(&toks);
         for (k, t) in toks.iter().enumerate() {
-            if t.kind == Kind::Ident && is_use(&toks, k, inside[k]) {
+            let inside = parent[k].map_or("", |o| toks[o].text);
+            if t.kind == Kind::Ident && is_use(&toks, k, inside) {
                 used.insert(t.text);
             }
         }
@@ -795,11 +798,12 @@ fn every_public_fn_has_a_caller() {
 }
 
 /// Allowed without a reader, each with its reason.
-const FIELD_ALLOWLIST: [(&str, &str); 5] = [
+const FIELD_ALLOWLIST: [(&str, &str); 6] = [
     ("ChunkPlan::deduplicated", "the planner tests' only view of which path a chunk took; upload_bytes alone does not tell a dedup hit from a tiny upload"),
     ("ChunkPlan::delta_encoded", "the planner tests' only view of which path a chunk took; upload_bytes alone does not tell a delta from a compressed upload"),
     ("FlowStats::payload_up", "the netsim TCP and HTTP tests check the model's payload per direction against the captured flow"),
     ("FlowStats::payload_down", "the netsim TCP and HTTP tests check the model's payload per direction against the captured flow"),
+    ("PacketRecord::protocol", "perf/ builds packets with it; TransportProtocol has one variant, so nothing needs to read which"),
     ("StoreStats::stored_bytes", "the per-user side of the store's accounting identity: the fleet tests check that the users' stored bytes sum to AggregateStats::referenced_bytes"),
 ];
 
@@ -1026,6 +1030,134 @@ fn every_public_field_has_a_reader() {
     assert_none(
         "public fields that nothing reads and no --json dump writes",
         unread_fields(lexed_libs(), lexed_users()),
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Every public enum variant is built
+// ---------------------------------------------------------------------------
+
+/// Allowed unbuilt, each with its reason.
+const VARIANT_ALLOWLIST: [(&str, &str); 0] = [];
+
+/// `(Enum, Variant, line)` for every variant of every `pub enum` in `toks`.
+fn public_variants<'a>(toks: &[Tok<'a>]) -> Vec<(&'a str, &'a str, usize)> {
+    let mut out = Vec::new();
+    for i in 1..toks.len().saturating_sub(1) {
+        if !(toks[i].is("enum") && toks[i - 1].is("pub")) {
+            continue;
+        }
+        let Some(open) = (i..toks.len()).find(|&j| toks[j].is("{")) else { continue };
+        let end = close(toks, open);
+        let mut j = open + 1;
+        while j < end {
+            let variant_end = item_end(toks, j).min(end);
+            let mut k = j;
+            while seq(toks, k, &["#", "["]) {
+                k = close(toks, k + 1) + 1;
+            }
+            if k < variant_end && toks[k].kind == Kind::Ident {
+                out.push((toks[i + 1].text, toks[k].text, toks[k].line));
+            }
+            j = variant_end.max(j + 1);
+        }
+    }
+    out
+}
+
+/// The start of the path `a::b::c` that ends at `end`.
+fn path_start(toks: &[Tok], mut end: usize) -> usize {
+    while end >= 2 && toks[end - 1].is("::") && toks[end - 2].kind == Kind::Ident {
+        end -= 2;
+    }
+    end
+}
+
+/// Whether the path `toks[from..=last]` stands in a pattern: before a match
+/// arm's `=>`, in an or-pattern, after `let` (`if let`, `while let`,
+/// `let … else`), or as the pattern of `matches!` — directly or nested in a
+/// tuple, tuple-struct or struct pattern. A construction is anything else.
+fn in_pattern(toks: &[Tok], parent: &[Option<usize>], mut from: usize, last: usize) -> bool {
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text);
+    let mut next = last + 1;
+    if matches!(text(next), "(" | "{") {
+        next = close(toks, next) + 1;
+    }
+    loop {
+        match text(next) {
+            "=>" | "|" => return true,
+            "=" => return from > 0 && matches!(text(from - 1), "let" | "|"),
+            "," | ")" | "]" | "}" => {
+                let Some(open) = parent.get(next).copied().flatten() else { return false };
+                if text(open) == "(" && open >= 2 && seq(toks, open - 2, &["matches", "!"]) {
+                    let mut depth = 0usize;
+                    let comma = (open + 1..toks.len()).find(|&c| {
+                        match text(c) {
+                            "(" | "[" | "{" => depth += 1,
+                            ")" | "]" | "}" => depth = depth.saturating_sub(1),
+                            _ => {}
+                        }
+                        depth == 0 && text(c) == ","
+                    });
+                    return comma.is_some_and(|c| c < from);
+                }
+                // Step out: the enclosing group, with the path it follows.
+                let named = open > 0 && text(open) != "[" && toks[open - 1].kind == Kind::Ident;
+                from = if named { path_start(toks, open - 1) } else { open };
+                next = close(toks, open) + 1;
+            }
+            _ => return false,
+        }
+    }
+}
+
+/// `path:line: Enum::Variant` for every variant of a `pub enum` in library
+/// code that neither library code nor `runners` constructs. `Enum::Variant`
+/// counts wherever the enum's name is the path's last segment but one, and
+/// `Self::Variant` for every enum with a variant of that name.
+fn unbuilt_variants(libs: &[Lexed], runners: &[Lexed]) -> Vec<String> {
+    let variants: Vec<(&Source, (&str, &str, usize))> = libs
+        .iter()
+        .flat_map(|Lexed { src, toks }| public_variants(toks).into_iter().map(move |v| (*src, v)))
+        .collect();
+    let enums: BTreeSet<&str> = variants.iter().map(|(_, (e, _, _))| *e).collect();
+    let mut built = BTreeSet::new();
+    for Lexed { toks, .. } in libs.iter().chain(runners) {
+        let parent = parents(toks);
+        for k in 2..toks.len() {
+            let owner = toks[k - 2].text;
+            if toks[k - 1].is("::")
+                && toks[k].kind == Kind::Ident
+                && (owner == "Self" || enums.contains(owner))
+                && !in_pattern(toks, &parent, path_start(toks, k), k)
+            {
+                built.insert((owner, toks[k].text));
+            }
+        }
+    }
+    variants
+        .iter()
+        .filter(|(_, (e, v, _))| !built.contains(&(*e, *v)) && !built.contains(&("Self", *v)))
+        .map(|(s, (e, v, line))| (s.at(*line), format!("{e}::{v}")))
+        .filter(|(_, name)| !VARIANT_ALLOWLIST.iter().any(|(n, _)| n == name))
+        .map(|(at, name)| format!("{at}: {name}"))
+        .collect()
+}
+
+/// `perf/src` and the examples, as library code: what runs, not what tests.
+fn lexed_runners() -> Vec<Lexed<'static>> {
+    users()
+        .iter()
+        .filter(|s| s.path.starts_with("perf/src/") || s.path.starts_with("examples/"))
+        .map(lexed_lib)
+        .collect()
+}
+
+#[test]
+fn every_public_enum_variant_is_built() {
+    assert_none(
+        "pub enum variants that library code, perf/src and the examples only match, never build",
+        unbuilt_variants(lexed_libs(), &lexed_runners()),
     );
 }
 
@@ -1286,6 +1418,42 @@ fn f(p: &mut Plain) -> u64 {
             "crates/core/src/s.rs:2: pub field Dumped::wall",
             "crates/core/src/s.rs:6: pub field NeverDumped::derived_only",
             "crates/core/src/s.rs:7: pub field Plain::written",
+        ]
+    );
+}
+
+#[test]
+fn the_variant_rule_counts_constructions_not_patterns() {
+    let lib = one(
+        "crates/workload/src/m.rs",
+        "pub enum Mode { Built, Matched(u8), InLet { x: u8 }, Nested, ByPerf, BySelf, Compared }
+enum Private { Never }
+impl Mode {
+    pub fn new() -> Self { Self::BySelf }
+}
+fn f(m: Mode, o: Option<Mode>) -> u8 {
+    let _ = Mode::Built;
+    if o == Some(Mode::Compared) { return 2; }
+    if let Mode::InLet { x } = m { return x; }
+    if matches!(o, Some(Mode::Nested) | None) { return 1; }
+    let Some(Mode::Matched(_)) = o else { return 0 };
+    match m {
+        Mode::Matched(x) => x,
+        Mode::Built | Mode::Nested => 0,
+        _ => 1,
+    }
+}
+#[cfg(test)]
+mod tests { fn t() -> super::Mode { super::Mode::Matched(1) } }
+",
+    );
+    let perf = one("perf/src/w.rs", "fn w() -> Vec<Mode> { vec![Mode::ByPerf] }");
+    assert_eq!(
+        unbuilt_variants(&[lexed_lib(&lib)], &[lexed_lib(&perf)]),
+        [
+            "crates/workload/src/m.rs:1: Mode::Matched",
+            "crates/workload/src/m.rs:1: Mode::InLet",
+            "crates/workload/src/m.rs:1: Mode::Nested",
         ]
     );
 }
