@@ -256,7 +256,11 @@ pub static TABLE: &[Suite] = &[
         in_all: false,
         determinism_target: Some("trace --clients 10000 --json -"),
         run: |args| {
-            let suite = run_trace_overhead(parse_clients(args, &usage()), REPRO_SEED);
+            let clients = parse_clients(args, &usage());
+            if let Err(err) = scale_spec(clients, REPRO_SEED).check_traceable() {
+                die_usage(&err, &usage());
+            }
+            let suite = run_trace_overhead(clients, REPRO_SEED);
             Output::json(suite.report(), Report::to_json(&suite), "the trace-overhead suite")
         },
         gate: Some(|| run_trace_overhead(GATE_SCALE_CLIENTS, REPRO_SEED).gate_metrics()),

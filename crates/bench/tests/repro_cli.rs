@@ -158,6 +158,20 @@ fn trace_dumps_deterministic_json_and_reports_wall_time_in_text_only() {
     assert!(text.contains("wall time"), "got: {text}");
 }
 
+/// A traced population records client `i` from `10.(i>>16).(i>>8).i`, so
+/// past 2^24 clients two clients would share an address: `repro trace`
+/// exits 2 naming the limit, before anything runs, where the run used to
+/// alias them without a word.
+#[test]
+fn trace_refuses_a_population_its_addresses_would_alias() {
+    let out = repro(&["trace", "--clients", "16777217", "--json", "-"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("at most 16777216 clients: clients is 16777217"), "got: {err}");
+    assert!(err.contains("usage: repro"), "usage missing from {err}");
+    assert!(stdout(&out).is_empty(), "printed: {}", stdout(&out));
+}
+
 #[test]
 fn replay_without_a_capture_fails_with_guidance() {
     let out = repro(&["replay"]);

@@ -2,9 +2,11 @@
 //!
 //! The trace recorder promises that switching capture on does not
 //! perturb the simulation (the traced run's data is bit-identical to the
-//! traceless run) and does not meaningfully slow it down (the fleet-scale
-//! runner records into one preallocated [`cloudsim_trace::TraceShard`]; the
-//! only added work is appends plus one sort at the end). This suite
+//! traceless run) and does not meaningfully slow it down (after the run,
+//! the fleet-scale runner emits every commit's packets from its events and
+//! intervals, already in canonical order, into one preallocated
+//! [`cloudsim_trace::TraceShard`], so freezing the trace only scans a
+//! sorted run). This suite
 //! runs the canonical fleet-scale population twice — tracing off, tracing
 //! on — asserts the bit-identity, and reports what the capture contains:
 //! packets, flows, connection opens, wire volume, and the wire/logical

@@ -32,9 +32,7 @@
 use crate::engine::{FleetEvent, Phase};
 use crate::partition::ClientSet;
 use crate::profile::ServiceProfile;
-use crate::scale::{
-    check_run_totals, drive_plain, intern_paths, Commits, ScaleRun, ScaleSpec, Source,
-};
+use crate::scale::{check_run_totals, drive, intern_paths, Commits, ScaleRun, ScaleSpec, Source};
 use cloudsim_net::AccessLink;
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{SimDuration, SimTime};
@@ -812,7 +810,7 @@ pub fn replay(
     _workers: usize,
 ) -> Result<ScaleRun, String> {
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-    let driven = drive_plain(Source::Capture(capture, mix), &store)?;
+    let driven = drive(Source::Capture(capture, mix), &store)?;
     Ok(driven.into_run(store))
 }
 

@@ -41,7 +41,7 @@
 
 use crate::capture::{slice_capture, FleetCapture, ReplayMix};
 use crate::engine::{wave_count, FleetEvent};
-use crate::scale::{drive_plain, reserve_population, ScaleRun, ScaleSpec, Source};
+use crate::scale::{drive, reserve_population, ScaleRun, ScaleSpec, Source};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{series, LatencyHistogram, SimTime};
 
@@ -301,8 +301,7 @@ pub fn run_partition(
             Source::Capture(capture, &ReplayMix::Original)
         }
     };
-    let driven =
-        drive_plain(source, store).map_err(|err| format!("partition {}: {err}", part.index))?;
+    let driven = drive(source, store).map_err(|err| format!("partition {}: {err}", part.index))?;
     Ok(PartitionRun {
         index: part.index,
         clients: part.clients.clone(),

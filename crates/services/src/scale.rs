@@ -18,7 +18,7 @@
 //! `(timestamp, client id)`. The **timeline** walk goes first to last in
 //! that order and touches only the event's client's state record: the
 //! transfer interval from the event instant, the client's `busy_until` and
-//! its link, the observe hook, the interval log — no store access. The
+//! its link, the interval log — no store access. The
 //! **store** walk goes client by client, each client's commits in the order
 //! the timeline walk met them in, one store write per commit. The two
 //! orders leave the same store because scale clients never interact except
@@ -55,9 +55,10 @@
 //! and post-processes the result; `drive` starts the wall clock, resolves
 //! the source *once* into its events, per-commit shape and interned paths
 //! (`Commits`), interns the owned clients, sorts the events, and walks them
-//! through the one timeline and the one store writer. An observe hook sees
-//! every commit's interval: packet capture is the traceless run with the
-//! packet recorder as the hook. The unsliced run is simply the partition
+//! through the one timeline and the one store writer. Packet capture is the
+//! traceless run plus one pass after it: [`run_scale_traced`] emits every
+//! commit's packets from the run's events and interval log, already in the
+//! capture's canonical order. The unsliced run is simply the partition
 //! that owns every client, so there is no second loop for the bit-identity
 //! tests to keep in step.
 //!
@@ -107,6 +108,8 @@ use cloudsim_trace::{
 };
 use cloudsim_workload::seed::{derive_seed, unit_f64};
 use serde::Serialize;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// The user name of scale client `i` in the shared store — shared with the
 /// capture/replay path ([`crate::capture`]), which reconstructs the same
@@ -322,6 +325,38 @@ impl ScaleSpec {
         Ok((commits, self.events_of(owned)))
     }
 
+    /// Refuses a spec whose packet capture would wrap a field: client `i`
+    /// records from address `10.(i >> 16).(i >> 8).i`, its commit `k` from
+    /// port `40 000 + k`, and each file as one packet whose payload length
+    /// is a `u32`. [`run_scale_traced`] panics with the message; `repro
+    /// trace` exits with it.
+    pub fn check_traceable(&self) -> Result<(), String> {
+        let most_clients = 1usize << 24;
+        let most_commits = usize::from(u16::MAX - TRACED_BASE_PORT) + 1;
+        if self.clients > most_clients {
+            return Err(format!(
+                "a traced run records client i from address 10.(i>>16).(i>>8).i, so it takes at \
+                 most {most_clients} clients: clients is {}",
+                self.clients
+            ));
+        }
+        if self.commits_per_client > most_commits {
+            return Err(format!(
+                "a traced run opens commit k from port {TRACED_BASE_PORT} + k, so it takes at \
+                 most {most_commits} commits per client: commits_per_client is {}",
+                self.commits_per_client
+            ));
+        }
+        if u32::try_from(self.file_size).is_err() {
+            return Err(format!(
+                "a traced run records each file as one packet of at most {} bytes: file_size is {}",
+                u32::MAX,
+                self.file_size
+            ));
+        }
+        Ok(())
+    }
+
     pub(crate) fn validate(&self) {
         assert!(self.clients > 0, "a scale run needs at least one client");
         assert!(
@@ -532,9 +567,9 @@ impl Driven {
 /// the owned clients (in client order), sorts the events once and walks
 /// them twice on the calling thread. The **timeline** walk goes first to
 /// last in event-key order, threading per-client state records through
-/// [`Commits::transfer`]; after each commit `observe` sees the event and
-/// its transfer interval — the packet capture plugs its recorder in here;
-/// see [`drive_plain`] for the no-op default. The **store** walk goes
+/// [`Commits::transfer`] and logging each commit's transfer interval beside
+/// its event, which is all the packet capture reads afterwards. The
+/// **store** walk goes
 /// client by client, each client's commits in the event-key order the
 /// timeline walk met them in, one [`Commits::fill`] and one store call per
 /// commit (see the module docs for why the two orders leave the same
@@ -542,11 +577,7 @@ impl Driven {
 ///
 /// An unsliced run is the one-partition run: its [`ClientSet`] is the
 /// whole range, and nothing below distinguishes it from a slice.
-pub(crate) fn drive(
-    source: Source<'_>,
-    store: &ObjectStore,
-    mut observe: impl FnMut(&FleetEvent, (SimTime, SimTime)),
-) -> Result<Driven, String> {
+pub(crate) fn drive(source: Source<'_>, store: &ObjectStore) -> Result<Driven, String> {
     let started = std::time::Instant::now();
     let (commits, mut events) = match source {
         Source::Spec(spec, owned) => spec.commits(owned, store)?,
@@ -582,9 +613,7 @@ pub(crate) fn drive(
         let nth = state.commits as usize;
         assert!(nth < rounds, "client {} commits more than {rounds} times", ev.client);
         order[local * rounds + nth] = u32::try_from(ev.round).expect("a round has u32 path ids");
-        let interval = commits.transfer(ev, state);
-        observe(ev, interval);
-        intervals.push(interval);
+        intervals.push(commits.transfer(ev, state));
     }
 
     let mut batch = Vec::with_capacity(commits.files_per_commit);
@@ -606,54 +635,95 @@ pub(crate) fn drive(
     })
 }
 
-/// [`drive`] with nothing observing.
-pub(crate) fn drive_plain(source: Source<'_>, store: &ObjectStore) -> Result<Driven, String> {
-    drive(source, store, |_, _| {})
+/// Commit `k` of a traced run opens its connection from port
+/// `TRACED_BASE_PORT + k`.
+const TRACED_BASE_PORT: u16 = 40_000;
+
+/// When packet `r` of a traced commit on `link` is sent, after the
+/// commit's transfer start: the SYN (`r = 0`) at the start, the payload
+/// packet of file `r - 1` one access round trip plus the transmission of
+/// `r` files of `file_size` bytes later.
+fn packet_offset(link: &AccessLink, file_size: u64, r: usize) -> SimDuration {
+    match r {
+        0 => SimDuration::ZERO,
+        _ => {
+            link.access_rtt + SimDuration::for_transmission(r as u64 * file_size, link.up_bandwidth)
+        }
+    }
 }
 
-/// Records the packet skeleton of one commit into a trace shard: the
-/// connection SYN at the transfer start, then one storage payload packet
-/// per file at its analytic completion instant. Timestamps, sizes and the
-/// flow id ([`ScaleSpec::commit_flow`]) are pure functions of the spec, and
-/// a commit's packets land contiguously in exactly one shard, so the
-/// `(timestamp, flow, seq)` merge reproduces one canonical trace however
-/// commits are spread over shards.
-fn record_commit_packets(
-    shard: &mut TraceShard,
-    spec: &ScaleSpec,
-    payload_len: u32,
-    i: usize,
-    k: usize,
-    start: SimTime,
-) {
-    let flow = spec.commit_flow(i, k);
-    let link = spec.link(i);
-    let src = Endpoint::from_octets(
-        10,
-        (i >> 16) as u8,
-        (i >> 8) as u8,
-        i as u8,
-        40_000u16.wrapping_add(k as u16),
-    );
+/// Emits the packet skeleton of every commit `driven` performed into
+/// `shard`, already in the canonical `(timestamp, flow, seq)` order, so the
+/// shard's sort in [`TraceRecorder::finish`] meets a sorted run. A commit
+/// of client `i` opens its connection (flow [`ScaleSpec::commit_flow`])
+/// with a SYN at its transfer start and sends one storage payload packet
+/// per file at that file's analytic completion instant; `seq` is the
+/// packet's place in its commit, SYN first.
+///
+/// Packet `r` of a commit on link `l` sits at `start + offset(l, r)`, so
+/// once each link's commits are sorted by `(start, flow)`, every
+/// `(l, r)` stream is sorted by `(timestamp, flow)`, and a k-way merge of
+/// the streams keyed `(timestamp, flow, r)` gives the canonical order: `r`
+/// orders a flow's packets that share a timestamp (one-byte files give a
+/// commit's payload packets equal instants), and no key repeats because a
+/// flow is one commit. `spec` has passed [`ScaleSpec::check_traceable`].
+fn emit_commit_packets(shard: &mut TraceShard, spec: &ScaleSpec, driven: &Driven) {
+    let payload_len = spec.file_size as u32;
+    let links = &ScaleSpec::LINKS;
     let dst = Endpoint::from_octets(198, 18, 0, 1, 443);
-    let packet = |timestamp, flags, payload_len| PacketRecord {
-        timestamp,
-        src,
-        dst,
-        protocol: TransportProtocol::Tcp,
-        flags,
-        payload_len,
-        header_len: TCP_HEADER_BYTES,
-        direction: Direction::Upload,
-        flow,
-        kind: FlowKind::Storage,
-    };
-    shard.record(packet(start, TcpFlags::SYN, 0));
-    for f in 0..spec.files_per_commit {
-        let sent = start
-            + link.access_rtt
-            + SimDuration::for_transmission((f as u64 + 1) * spec.file_size, link.up_bandwidth);
-        shard.record(packet(sent, TcpFlags::ACK, payload_len));
+    // Every commit as (link, start, flow, source endpoint), sorted once:
+    // each link's commits form one run in (start, flow) order.
+    type Commit = (usize, SimTime, FlowId, Endpoint);
+    let mut commits: Vec<Commit> = (driven.events.iter().zip(&driven.intervals))
+        .map(|(ev, &(start, _))| {
+            let (i, k) = (ev.client, ev.round);
+            let port = TRACED_BASE_PORT + k as u16;
+            let src = Endpoint::from_octets(10, (i >> 16) as u8, (i >> 8) as u8, i as u8, port);
+            (i % links.len(), start, spec.commit_flow(i, k), src)
+        })
+        .collect();
+    commits.sort_unstable();
+    // One stream per (link, r): the link's run, each commit shifted by the
+    // offset of its packet r.
+    let streams: Vec<(&[Commit], SimDuration, usize)> = commits
+        .chunk_by(|a, b| a.0 == b.0)
+        .flat_map(|run| {
+            let link = &links[run[0].0];
+            (0..=spec.files_per_commit)
+                .map(move |r| (run, packet_offset(link, spec.file_size, r), r))
+        })
+        .collect();
+
+    // One heap entry per stream, keyed by its front packet; `next[s]` is
+    // the index of stream `s`'s front commit in its run.
+    let mut next = vec![0usize; streams.len()];
+    let mut heap: BinaryHeap<_> = (streams.iter().enumerate())
+        .map(|(s, &(run, offset, r))| Reverse((run[0].1 + offset, run[0].2, r, s)))
+        .collect();
+    while let Some(mut front) = heap.peek_mut() {
+        let Reverse((timestamp, flow, r, s)) = *front;
+        let (run, offset, _) = streams[s];
+        let (flags, payload_len) =
+            if r == 0 { (TcpFlags::SYN, 0) } else { (TcpFlags::ACK, payload_len) };
+        shard.record(PacketRecord {
+            timestamp,
+            src: run[next[s]].3,
+            dst,
+            protocol: TransportProtocol::Tcp,
+            flags,
+            payload_len,
+            header_len: TCP_HEADER_BYTES,
+            direction: Direction::Upload,
+            flow,
+            kind: FlowKind::Storage,
+        });
+        next[s] += 1;
+        match run.get(next[s]) {
+            Some(&(_, start, flow, _)) => *front = Reverse((start + offset, flow, r, s)),
+            None => {
+                PeekMut::pop(front);
+            }
+        }
     }
 }
 
@@ -752,43 +822,38 @@ impl ScaleRun {
 /// the population (it already holds close to `u32::MAX` users).
 pub fn run_scale(spec: &ScaleSpec, store: ObjectStore, _workers: usize) -> ScaleRun {
     let everyone = ClientSet::Range { start: 0, end: spec.clients };
-    drive_plain(Source::Spec(spec, &everyone), &store)
+    drive(Source::Spec(spec, &everyone), &store)
         .unwrap_or_else(|err| panic!("cannot run the population: {err}"))
         .into_run(store)
 }
 
-/// Runs the population with full packet capture: the same commit runner
-/// as [`run_scale`] with `record_commit_packets` observing every commit
-/// into a [`TraceShard`] that is frozen into one [`Trace`] at the end.
-/// The [`ScaleRun`] is bit-identical to the traceless [`run_scale`] of the
-/// same spec. `_workers` is ignored, as in [`run_scale`], which it panics
-/// like — and on one check of its own: a file is recorded as one packet,
-/// whose payload length is a `u32`, so a `file_size` past `u32::MAX` is
-/// refused rather than recorded wrapped.
+/// Runs the population with full packet capture: the traceless
+/// [`run_scale`], after which every commit's packets are emitted from the
+/// run's events and interval log, in canonical order, into one
+/// [`TraceShard`] that is frozen into one [`Trace`] (see
+/// `emit_commit_packets`). The [`ScaleRun`] is bit-identical to the
+/// traceless [`run_scale`] of the same spec. `_workers` is ignored, as in
+/// [`run_scale`], which it panics like — and on the checks of
+/// [`ScaleSpec::check_traceable`]: a spec whose packets would wrap a
+/// payload length, a source address or a source port is refused rather
+/// than recorded wrapped.
 pub fn run_scale_traced(
     spec: &ScaleSpec,
     store: ObjectStore,
     _workers: usize,
 ) -> (ScaleRun, Trace) {
     spec.validate();
-    let payload_len = u32::try_from(spec.file_size).unwrap_or_else(|_| {
-        panic!(
-            "a traced run records each file as one packet of at most {} bytes: file_size is {}",
-            u32::MAX,
-            spec.file_size
-        )
-    });
+    if let Err(err) = spec.check_traceable() {
+        panic!("{err}");
+    }
+    let everyone = ClientSet::Range { start: 0, end: spec.clients };
+    let driven = drive(Source::Spec(spec, &everyone), &store)
+        .unwrap_or_else(|err| panic!("cannot run the population: {err}"));
     let mut recorder = TraceRecorder::new();
     let shard = &mut recorder.shards_mut()[0];
-    // Steady-state recording should never reallocate: the packet count per
-    // commit is known up front.
-    shard.reserve(spec.clients * spec.commits_per_client * (1 + spec.files_per_commit));
-
-    let everyone = ClientSet::Range { start: 0, end: spec.clients };
-    let driven = drive(Source::Spec(spec, &everyone), &store, |ev, (start, _)| {
-        record_commit_packets(shard, spec, payload_len, ev.client, ev.round, start);
-    })
-    .unwrap_or_else(|err| panic!("cannot run the population: {err}"));
+    // The packet count per commit is known up front: one allocation.
+    shard.reserve(driven.events.len() * (1 + spec.files_per_commit));
+    emit_commit_packets(shard, spec, &driven);
     (driven.into_run(store), recorder.finish())
 }
 
@@ -1064,6 +1129,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 16777216 clients: clients is 16777217")]
+    fn a_traced_run_refuses_clients_its_source_addresses_would_alias() {
+        // Client 2^24 would record from 10.0.0.0, client 0's address.
+        let spec = ScaleSpec::new((1 << 24) + 1);
+        run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 25536 commits per client: commits_per_client is 25537")]
+    fn a_traced_run_refuses_commits_its_source_ports_would_wrap() {
+        // Commit 25 536 would open from port 40 000 + 25 536, which wraps
+        // to 0. The traceless run takes the same spec.
+        let spec = ScaleSpec::new(1).with_commits(25_537).with_files(1, 1);
+        assert_eq!(run_wide(&spec).commits, 25_537);
+        run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+    }
+
+    #[test]
     fn traced_run_matches_the_traceless_run_bit_for_bit() {
         let spec = small_spec();
         let plain = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 4);
@@ -1088,6 +1171,53 @@ mod tests {
                 "{workers}-shard merge must equal the single-shard capture"
             );
         }
+    }
+
+    /// The packets `emit_commit_packets` writes for `commits`, each a
+    /// `(client, round, start)`.
+    fn emitted(spec: &ScaleSpec, commits: &[(usize, usize, SimTime)]) -> Vec<PacketRecord> {
+        let driven = Driven {
+            started: std::time::Instant::now(),
+            clients: spec.clients,
+            files_per_commit: spec.files_per_commit,
+            commits: commits.len() as u64,
+            logical_bytes: 0,
+            events: (commits.iter())
+                .map(|&(client, round, at)| FleetEvent { at, phase: Phase::Sync, client, round })
+                .collect(),
+            intervals: commits.iter().map(|&(_, _, start)| (start, start)).collect(),
+        };
+        let mut shard = TraceShard::new();
+        emit_commit_packets(&mut shard, spec, &driven);
+        shard.view().packets().to_vec()
+    }
+
+    #[test]
+    fn emission_breaks_cross_flow_timestamp_ties_by_flow() {
+        // Every start is t0 plus one of its link's packet offsets, so the
+        // SYN of one commit lands on the microsecond of another commit's
+        // payload packet `r`: ties between flows at different places in
+        // their commits, which a merge keyed by `r` before `flow` would
+        // order wrongly.
+        let spec = ScaleSpec::new(32).with_commits(2).with_files(3, 64 * 1024);
+        let t0 = SimTime::ZERO + ScaleSpec::HORIZON;
+        let commits: Vec<(usize, usize, SimTime)> = (0..spec.clients)
+            .flat_map(|i| (0..2).map(move |k| (i, k)))
+            .map(|(i, k)| {
+                let r = (i / 4 + k) % (1 + spec.files_per_commit);
+                (i, k, t0 + packet_offset(spec.link(i), spec.file_size, r))
+            })
+            .collect();
+        // The reference: each commit emitted alone (its packets in `seq`
+        // order), concatenated, then stably sorted by (timestamp, flow).
+        let mut reference: Vec<PacketRecord> =
+            commits.iter().flat_map(|&commit| emitted(&spec, &[commit])).collect();
+        reference.sort_by_key(|p| (p.timestamp, p.flow));
+        let mixed_ties = (reference.windows(2))
+            .filter(|w| w[0].timestamp == w[1].timestamp && w[0].flags != w[1].flags)
+            .count();
+        assert!(mixed_ties >= 16, "only {mixed_ties} SYN/payload ties across flows");
+        assert_eq!(emitted(&spec, &commits), reference);
     }
 
     #[test]
