@@ -83,16 +83,16 @@
 //! grown. The event list, the interval log and the summary vectors are not
 //! streamed yet.
 //!
-//! The commit loop itself allocates nothing, and is a *bundling* client of
-//! its own store: users and paths are interned when the run is resolved,
-//! and a commit of `n` files refills the driver's one batch buffer and
-//! makes **one** store call ([`ObjectStore::commit_files_by_id`]: one user
-//! shard lock, one search of the user's rows per file), where it used to
-//! make `2n`. What a run allocates is what is set up per client — a name
-//! and its record's two lists — and what is reserved per run: an
-//! integration test with a counting allocator pins a whole run's
-//! allocations and allocated bytes per commit to what this path measures,
-//! plus five per cent.
+//! The commit loop allocates nothing, and is a *bundling* client of its
+//! own store: users and paths are interned when the run is resolved, and
+//! a commit of `n` files refills the driver's one batch buffer and makes
+//! **one** call to the walk's [`cloudsim_storage::StoreWriter`] (one user
+//! shard lock, one search of the user's rows per file; new chunks queue
+//! and are admitted shard by shard, one lock per shard per flush). A run
+//! allocates what is set up per client — a name and its record's two
+//! lists — and what is reserved per run: an integration test with a
+//! counting allocator pins a whole run's allocations and allocated bytes
+//! per commit to what this path measures, plus five per cent.
 
 use crate::capture::{FleetCapture, ReplayMix};
 use crate::engine::{EventHeap, FleetEvent, Phase};
@@ -571,9 +571,9 @@ impl Driven {
 /// its event, which is all the packet capture reads afterwards. The
 /// **store** walk goes
 /// client by client, each client's commits in the event-key order the
-/// timeline walk met them in, one [`Commits::fill`] and one store call per
-/// commit (see the module docs for why the two orders leave the same
-/// store).
+/// timeline walk met them in, one [`Commits::fill`] and one call to the
+/// walk's store writer per commit (see the module docs for why the two
+/// orders leave the same store).
 ///
 /// An unsliced run is the one-partition run: its [`ClientSet`] is the
 /// whole range, and nothing below distinguishes it from a slice.
@@ -617,13 +617,15 @@ pub(crate) fn drive(source: Source<'_>, store: &ObjectStore) -> Result<Driven, S
     }
 
     let mut batch = Vec::with_capacity(commits.files_per_commit);
+    let mut writer = store.writer();
     for (local, &user) in users.iter().enumerate() {
         let client = commits.owned.global_id(local);
         for &round in &order[local * rounds..][..rounds] {
             commits.fill(client, round as usize, &mut batch);
-            store.commit_files_by_id(user, &batch);
+            writer.commit_files_by_id(user, &batch);
         }
     }
+    drop(writer);
     Ok(Driven {
         started,
         clients: states.len(),
@@ -924,7 +926,7 @@ mod tests {
     }
 
     /// What the two walks must leave behind: the same commits written the
-    /// plain way — one `commit_files_by_id` per event, in event-key order —
+    /// plain way — one writer per event, in event-key order —
     /// through the store's public API alone.
     fn written_in_event_order(
         mut commits: Vec<(FleetEvent, Vec<u64>)>,
@@ -944,7 +946,7 @@ mod tests {
                     (path, StoredChunk { hash, stored_len: file_size, plain_len: file_size })
                 })
                 .collect();
-            store.commit_files_by_id(user, &batch);
+            store.writer().commit_files_by_id(user, &batch);
         }
         store
     }

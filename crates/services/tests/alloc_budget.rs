@@ -1,17 +1,15 @@
 //! The fleet-scale commit loop's allocation budget.
 //!
 //! The scale path interns its users and paths when a run is resolved,
-//! sizes the store once from the resolved totals and hands the store one
+//! sizes the store once from the resolved totals and hands its writer one
 //! reused batch of ids and chunks per commit, so a run's heap traffic is
 //! what is *set up* per client (a name, and its record's two row lists,
 //! each allocated once at its final eight rows) plus the reserved physical
-//! table, the event list, the interval log and the store walk's index —
-//! nothing a file or a commit pays. This test pins a whole run's
-//! allocations and allocated bytes per commit, with a counting allocator,
-//! to what that path measures plus five per cent (2.031 and 937.7 B at
-//! 2 000 clients; with two shard-wide user tables beside key lists that
-//! doubled to eight entries the same run read 3.039 and 1 734.8 B, and
-//! before the store was flattened 31.56 allocations per commit). Both
+//! table, the event list, the interval log, the store walk's index and
+//! the writer's queue (two fixed allocations per walk) — nothing a file or
+//! a commit pays. This test pins a whole run's allocations and allocated
+//! bytes per commit, with a counting allocator, to what that path
+//! measures plus five per cent (2.031 and 937.7 B at 2 000 clients). Both
 //! counts are exact and repeat, so anything that allocates per commit
 //! again — or a list or table that goes back to doubling — fails here,
 //! not in a benchmark's noise. It is the only test in this binary, so

@@ -68,5 +68,5 @@ pub use restore::{
 };
 pub use store::{
     AggregateStats, FileManifest, GcPolicy, GcStats, IdSpaceExhausted, ObjectStore, PathId,
-    StoreStats, StoredChunk, UserId, DEFAULT_SHARDS,
+    StoreStats, StoreWriter, StoredChunk, UserId, DEFAULT_SHARDS,
 };

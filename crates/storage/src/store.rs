@@ -31,7 +31,7 @@
 //!
 //! Names are interned once: [`ObjectStore::intern_user`] and
 //! [`ObjectStore::intern_path`] hand out [`UserId`]s and [`PathId`]s, and
-//! [`ObjectStore::commit_files_by_id`] is the fleet-scale write path — no
+//! a [`StoreWriter`] is the fleet-scale write path — no
 //! string is hashed, cloned or allocated per call. The `&str` methods
 //! intern (writes) or look up (reads) under the same single lock
 //! acquisition. An id encodes its shard, and a name's shard is a pure
@@ -62,16 +62,16 @@
 //! path's live revision) and `ChunkShard::admit` (the physical entry gains
 //! an owner). A put is hold, then admit; a commit is reference + publish;
 //! the batch is hold + publish per file under **one** user-shard lock,
-//! then one admit per chunk that was new to the user. The two shard arrays
-//! are never locked at once: the user shard is released before the first
-//! chunk shard is taken.
+//! and each chunk new to the user joins the writer's queue, which admits
+//! a few hundred at a time, shard by shard, and the rest when the writer
+//! drops. The two shard arrays are never locked at once.
 //!
 //! That is the bundling of the paper's §5 applied to the store's own
 //! client: a four-file commit written as four puts and four commits takes
 //! **twelve** locks (user + chunk shard per put, user shard per commit) and
-//! searches the user's held rows three times per file; as one batch it
-//! takes **five** — one user shard plus one per chunk new to the user,
-//! fewer when the user already holds some — and searches once per file. A
+//! searches the user's held rows three times per file; through a writer it
+//! takes **one** user-shard lock and searches once per file, and a flush
+//! takes one lock per chunk shard its queue touches (≤ 16 per 256 admits). A
 //! unit test counts them. [`ObjectStore::reserve`] is the other half: a
 //! caller that knows its population sizes the records, the name index and
 //! the physical table once, up front, instead of letting each double its
@@ -787,47 +787,18 @@ impl ObjectStore {
         guard.publish(slot, path, manifest.size, manifest.chunks.as_slice().into())
     }
 
-    /// Commits a batch of one-chunk files for an interned user: for each
-    /// file, in order, exactly [`ObjectStore::put_chunk`] followed by
-    /// [`ObjectStore::commit_manifest`] of a manifest holding that one
-    /// chunk (its size the chunk's `plain_len`) — the fleet-scale write
-    /// path, one call per commit whatever its file count. Returns the
-    /// user's version counter after the batch: the version of the last
-    /// file, the files before it holding the versions counting down from
-    /// there.
-    ///
-    /// The batch is the bundling client of §5: the user shard is
-    /// write-locked **once**, each file costs one search of the user's held
-    /// rows (a chunk new to the user enters them already referenced, a held
-    /// one gains a reference) and one of the user's manifest rows, and only
-    /// after that lock is released does each chunk that was new to the user
-    /// take its chunk shard's lock. Beyond the user's rows nothing is
-    /// allocated for batches of up to 256 files.
-    pub fn commit_files_by_id(&self, user: UserId, files: &[(PathId, StoredChunk)]) -> u64 {
-        // One bit per file: was its chunk new to the user?
-        let mut inline = [0u64; 4];
-        let mut spilled;
-        let new_to_user = if files.len() <= 64 * inline.len() {
-            &mut inline[..]
-        } else {
-            spilled = vec![0u64; files.len().div_ceil(64)];
-            &mut spilled[..]
-        };
-        let version = {
-            let (mut guard, slot) = self.write_id(user);
-            let us = &mut *guard;
-            for (i, (path, chunk)) in files.iter().enumerate() {
-                new_to_user[i / 64] |= u64::from(us.hold(slot, chunk, 1)) << (i % 64);
-                us.publish(slot, *path, chunk.plain_len, ChunkList::One(chunk.hash));
-            }
-            us.records[slot as usize].next_version
-        };
-        for (i, (_, chunk)) in files.iter().enumerate() {
-            if new_to_user[i / 64] >> (i % 64) & 1 == 1 {
-                self.write_chunks(&chunk.hash).admit(chunk, true, None);
-            }
-        }
-        version
+    /// The store's batch write path: a [`StoreWriter`] that commits
+    /// batches of one-chunk files and admits their new chunks shard by
+    /// shard, the last of them when it drops.
+    pub fn writer(&self) -> StoreWriter<'_> {
+        self.writer_flushing_at(FLUSH_AT)
+    }
+
+    /// A writer that flushes once `bound` admits are queued.
+    fn writer_flushing_at(&self, bound: usize) -> StoreWriter<'_> {
+        assert!((1..=FLUSH_AT).contains(&bound), "a flush bound of {bound} admits");
+        let ends = vec![0; self.inner.chunk_shards.len() + 1];
+        StoreWriter { store: self, queue: Vec::with_capacity(bound), bound, ends }
     }
 
     /// Tells the store what is about to be written — `users` more users,
@@ -1087,6 +1058,127 @@ impl ObjectStore {
             agg.freed_chunks += guard.freed_chunks;
         }
         agg
+    }
+}
+
+/// How many admits a [`StoreWriter`] queues before it flushes them: its
+/// queue is allocated once at this many chunks. A flush orders them by
+/// `u16` positions.
+const FLUSH_AT: usize = 256;
+const _: () = assert!(FLUSH_AT <= u16::MAX as usize);
+
+/// The batch write path, borrowed from the store by
+/// [`ObjectStore::writer`].
+///
+/// [`StoreWriter::commit_files_by_id`] writes the user half of a batch at
+/// once and queues each chunk that was new to the user; the writer admits
+/// the queue shard by shard — one chunk-shard lock per shard the queue
+/// touches — whenever it is full and when the writer drops. A queued
+/// chunk is in its user's rows but not yet in the physical table, so a
+/// caller that reads the physical side (`has_chunk_globally`, `aggregate`)
+/// drops the writer first. Admits commute (an owner is added, bytes summed, a size `min`ed), and
+/// each shard's admits keep their commit order, so a store written through
+/// one writer reads back exactly as one written through a writer per
+/// batch.
+#[derive(Debug)]
+pub struct StoreWriter<'a> {
+    store: &'a ObjectStore,
+    /// Chunks new to their user, not yet admitted, in commit order.
+    queue: Vec<StoredChunk>,
+    /// The queue length that triggers a flush.
+    bound: usize,
+    /// Per chunk shard, where its admits end in a flush's order.
+    ends: Vec<u16>,
+}
+
+impl StoreWriter<'_> {
+    /// Commits a batch of one-chunk files for an interned user: for each
+    /// file, in order, exactly [`ObjectStore::put_chunk`] followed by
+    /// [`ObjectStore::commit_manifest`] of a manifest holding that one
+    /// chunk (its size the chunk's `plain_len`) — the fleet-scale write
+    /// path, one call per commit whatever its file count. Returns the
+    /// user's version counter after the batch: the version of the last
+    /// file, the files before it holding the versions counting down from
+    /// there.
+    ///
+    /// The batch is the bundling client of §5: the user shard is
+    /// write-locked **once**, each file costs one search of the user's held
+    /// rows (a chunk new to the user enters them already referenced, a held
+    /// one gains a reference) and one of the user's manifest rows, and only
+    /// after that lock is released are the chunks that were new to the user
+    /// queued for their chunk shards. Beyond the user's rows nothing is
+    /// allocated for batches of up to 256 files.
+    pub fn commit_files_by_id(&mut self, user: UserId, files: &[(PathId, StoredChunk)]) -> u64 {
+        // One bit per file: was its chunk new to the user?
+        let mut inline = [0u64; 4];
+        let mut spilled;
+        let new_to_user = if files.len() <= 64 * inline.len() {
+            &mut inline[..]
+        } else {
+            spilled = vec![0u64; files.len().div_ceil(64)];
+            &mut spilled[..]
+        };
+        let version = {
+            let (mut guard, slot) = self.store.write_id(user);
+            let us = &mut *guard;
+            for (i, (path, chunk)) in files.iter().enumerate() {
+                new_to_user[i / 64] |= u64::from(us.hold(slot, chunk, 1)) << (i % 64);
+                us.publish(slot, *path, chunk.plain_len, ChunkList::One(chunk.hash));
+            }
+            us.records[slot as usize].next_version
+        };
+        for (i, (_, chunk)) in files.iter().enumerate() {
+            if new_to_user[i / 64] >> (i % 64) & 1 == 1 {
+                self.queue.push(chunk.clone());
+                if self.queue.len() == self.bound {
+                    self.flush();
+                }
+            }
+        }
+        version
+    }
+
+    /// Admits the queued chunks, each shard's in queue order under one
+    /// lock of that shard.
+    fn flush(&mut self) {
+        let shards = &self.store.inner.chunk_shards;
+        // A counting sort by shard, stable, so each shard keeps its commit
+        // order: `ends[s]` counts up to where shard `s`'s run ends.
+        let mut of = [0u16; FLUSH_AT];
+        let of = &mut of[..self.queue.len()];
+        self.ends.fill(0);
+        for (s, chunk) in of.iter_mut().zip(&self.queue) {
+            *s = shard_for_chunk(&chunk.hash, shards.len()) as u16;
+            self.ends[*s as usize + 1] += 1;
+        }
+        for s in 1..self.ends.len() {
+            self.ends[s] += self.ends[s - 1];
+        }
+        let mut order = [0u16; FLUSH_AT];
+        for (at, &s) in of.iter().enumerate() {
+            order[self.ends[s as usize] as usize] = at as u16;
+            self.ends[s as usize] += 1;
+        }
+        let mut start = 0;
+        for (shard, &end) in shards.iter().zip(&self.ends) {
+            let run = &order[start as usize..end as usize];
+            start = end;
+            if run.is_empty() {
+                continue;
+            }
+            count_write_lock();
+            let mut guard = shard.write();
+            for &at in run {
+                guard.admit(&self.queue[at as usize], true, None);
+            }
+        }
+        self.queue.clear();
+    }
+}
+
+impl Drop for StoreWriter<'_> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -1782,10 +1874,10 @@ mod tests {
             by_name.put_chunk("alice", chunk.clone());
             version = by_name.commit_manifest("alice", manifest_for(path, &[chunk]));
         }
-        assert_eq!(by_id.commit_files_by_id(alice, &batch), version);
+        assert_eq!(by_id.writer().commit_files_by_id(alice, &batch), version);
         assert_eq!(version, 3);
         // The empty batch writes nothing and reports where the counter is.
-        assert_eq!(by_id.commit_files_by_id(alice, &[]), version);
+        assert_eq!(by_id.writer().commit_files_by_id(alice, &[]), version);
 
         assert_eq!(by_id.aggregate(), by_name.aggregate());
         assert_eq!(by_id.stats("alice"), by_name.stats("alice"));
@@ -1799,29 +1891,50 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_takes_one_user_lock_and_one_lock_per_new_chunk() {
+    fn a_writer_takes_a_user_lock_per_commit_and_a_chunk_lock_per_shard_per_flush() {
         let locks_of = |write: &dyn Fn()| {
             let before = WRITE_LOCKS.with(std::cell::Cell::get);
             write();
             WRITE_LOCKS.with(std::cell::Cell::get) - before
         };
         let store = ObjectStore::new();
-        let user = store.intern_user("alice").unwrap();
-        let files: Vec<(PathId, StoredChunk)> = (0..4u8)
-            .map(|f| (store.intern_path(&format!("f{f}")).unwrap(), stored(&[f; 9])))
+        // N four-file commits, each chunk new to its user.
+        const N: u8 = 12;
+        let commits: Vec<Vec<(PathId, StoredChunk)>> = (0..N)
+            .map(|c| {
+                (0..4u8)
+                    .map(|f| (store.intern_path(&format!("c{c}/f{f}")).unwrap(), stored(&[c, f])))
+                    .collect()
+            })
             .collect();
-        let batch = || {
-            store.commit_files_by_id(user, &files);
+        let shards_of = |files: &[(PathId, StoredChunk)]| {
+            let shards = files.iter().map(|(_, c)| shard_for_chunk(&c.hash, store.shard_count()));
+            shards.collect::<BTreeSet<usize>>().len() as u64
         };
-        // Four files, four chunks new to the user: 1 + 4.
-        assert_eq!(locks_of(&batch), 5);
+        let through = |user: &str, bound: usize| {
+            let user = store.intern_user(user).unwrap();
+            let mut writer = store.writer_flushing_at(bound);
+            for files in &commits {
+                writer.commit_files_by_id(user, files);
+            }
+        };
+        // 48 admits fit the queue: one flush, when the writer drops, one
+        // lock per shard they land in — where a lock per new chunk took up
+        // to N × 5.
+        let every_file: Vec<(PathId, StoredChunk)> = commits.concat();
+        let touched = shards_of(&every_file);
+        assert!(touched < 4 * N as u64, "some shard takes several admits");
+        assert_eq!(locks_of(&|| through("alice", FLUSH_AT)), N as u64 + touched);
         // Committed again the user holds them all: the user shard alone.
-        assert_eq!(locks_of(&batch), 1);
+        assert_eq!(locks_of(&|| through("alice", FLUSH_AT)), N as u64);
+        // A queue of four flushes after every commit.
+        let per_commit: u64 = commits.iter().map(|files| shards_of(files)).sum();
+        assert_eq!(locks_of(&|| through("bob", 4)), N as u64 + per_commit);
         // The same four files as puts and commits: (2 + 1) × 4.
         let separately = || {
-            for (f, (_, chunk)) in files.iter().enumerate() {
-                store.put_chunk("bob", chunk.clone());
-                store.commit_manifest("bob", manifest_for(&format!("f{f}"), &[chunk]));
+            for (path, chunk) in &commits[0] {
+                store.put_chunk("cy", chunk.clone());
+                store.commit_manifest("cy", manifest_for(&store.path_name(*path), &[chunk]));
             }
         };
         assert_eq!(locks_of(&separately), 12);
@@ -2137,7 +2250,7 @@ mod tests {
                 model.commit("ann", one(path_of(i), &chunk)).unwrap();
                 batch.push((store.intern_path(&path_of(i)).unwrap(), chunk));
             }
-            let version = store.commit_files_by_id(ann, &batch);
+            let version = store.writer().commit_files_by_id(ann, &batch);
             assert_eq!(version, model.users["ann"].next_version);
         }
         assert_eq!(store.stats("ann").chunks, FILES as usize);
@@ -2259,13 +2372,103 @@ mod tests {
                         }
                         let id = store.intern_user(user).unwrap();
                         prop_assert_eq!(
-                            store.commit_files_by_id(id, &files),
+                            store.writer().commit_files_by_id(id, &files),
                             model.users.get(user).map_or(0, |ns| ns.next_version)
                         );
                     }
                 }
                 prop_assert_eq!((step, observe_store(&store)), (step, observe_model(&model)));
                 assert_rows_sorted(&store);
+            }
+        }
+
+        /// A writer's queue is invisible: the same interleaving of batches
+        /// over six users — shared and private chunks, a hash repeated
+        /// inside a batch, paths superseded — with hard deletes, purges and
+        /// sweeps between writers, written through one writer flushing
+        /// after every admit, one writer at the production bound and one
+        /// writer per batch, reads back the same after every writer, and
+        /// every chunk a user holds is in the physical table once its
+        /// writer is dropped.
+        #[test]
+        fn a_writers_queue_changes_nothing_a_caller_can_read(
+            eager in any::<bool>(),
+            // Per segment: the operation after its writer, then its batches.
+            segments in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..13), 1..6),
+        ) {
+            let policy = if eager { GcPolicy::Eager } else { GcPolicy::MarkSweep };
+            let users: Vec<String> = (0..6).map(|u| format!("user-{u}")).collect();
+            let paths: Vec<String> = (0..6).map(|p| format!("dir/p{p}")).collect();
+            let shared: Vec<Vec<u8>> = (0..8u8).map(|j| vec![j; 12 + j as usize]).collect();
+            let private = |u: usize, i: u64| stored(format!("{} owns {i}", users[u]).as_bytes());
+            let mut hashes: Vec<ContentHash> = shared.iter().map(|d| sha256(d)).collect();
+            hashes.extend((0..6).flat_map(|u| (0..64).map(move |i| (u, i))).map(|(u, i)| private(u, i).hash));
+            // The batches of one segment: a user, then one-chunk files on a
+            // few paths (so paths are superseded), half of them shared.
+            let batches_of = |words: &[u64], store: &ObjectStore| -> Vec<(UserId, Vec<(PathId, StoredChunk)>)> {
+                words.iter().map(|&word| {
+                    let u = (word % 6) as usize;
+                    let mut draw = word;
+                    let mut files: Vec<(PathId, StoredChunk)> = (0..[1, 4, 9, 40, 80][(word >> 8) as usize % 5])
+                        .map(|_| {
+                            draw = draw.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                            let chunk = if draw >> 63 == 1 {
+                                variant_of(&shared[(draw >> 40) as usize % 8], (draw >> 50) % 3)
+                            } else {
+                                private(u, (draw >> 40) % 64)
+                            };
+                            (store.intern_path(&paths[(draw >> 32) as usize % 6]).unwrap(), chunk)
+                        })
+                        .collect();
+                    if word >> 16 & 1 == 1 {
+                        let again = files[0].1.clone();
+                        files.push((store.intern_path(&paths[(word >> 20) as usize % 6]).unwrap(), again));
+                    }
+                    (store.intern_user(&users[u]).unwrap(), files)
+                }).collect()
+            };
+            let read_back = |store: &ObjectStore| {
+                let namespaces: Vec<_> = users.iter().map(|user| (
+                    store.stats(user),
+                    store.list_files(user),
+                    paths.iter().map(|path| store.manifest(user, path)).collect::<Vec<_>>(),
+                    hashes.iter().map(|hash| store.chunk(user, hash)).collect::<Vec<_>>(),
+                )).collect();
+                let owned: Vec<u64> = hashes.iter().map(|hash| owners(store, hash)).collect();
+                (store.aggregate(), namespaces, owned)
+            };
+            let ways = [Some(1), Some(FLUSH_AT), None];
+            let stores: Vec<ObjectStore> = ways.iter().map(|_| ObjectStore::with_policy(policy)).collect();
+            for (step, segment) in segments.iter().enumerate() {
+                let (between, words) = (segment[0], &segment[1..]);
+                let mut seen = Vec::new();
+                for (store, way) in stores.iter().zip(ways) {
+                    let batches = batches_of(words, store);
+                    let versions: Vec<u64> = match way {
+                        Some(bound) => {
+                            let mut writer = store.writer_flushing_at(bound);
+                            batches.iter().map(|(user, files)| writer.commit_files_by_id(*user, files)).collect()
+                        }
+                        None => batches.iter().map(|(user, files)| store.writer().commit_files_by_id(*user, files)).collect(),
+                    };
+                    for user in &users {
+                        for hash in &hashes {
+                            if store.chunk(user, hash).is_some() {
+                                prop_assert!(store.has_chunk_globally(hash), "{} holds {}", user, hash);
+                            }
+                        }
+                    }
+                    let (user, path) = (&users[(between % 6) as usize], &paths[(between >> 8) as usize % 6]);
+                    match (between >> 16) % 4 {
+                        0 => { store.delete_manifest(user, path); }
+                        1 => { store.purge_user(user); }
+                        2 => { store.collect_garbage(); }
+                        _ => {}
+                    }
+                    seen.push((step, versions, read_back(store)));
+                }
+                prop_assert_eq!(&seen[1], &seen[0]);
+                prop_assert_eq!(&seen[2], &seen[0]);
             }
         }
 
@@ -2299,7 +2502,7 @@ mod tests {
                     let user = store.intern_user(USERS[field(8, 3)]).unwrap();
                     let path = store.intern_path(PATHS[field(16, 3)]).unwrap();
                     let chunk = variant_of(&data[field(24, 4)], (word >> 40) % 3);
-                    store.commit_files_by_id(user, &[(path, chunk)]);
+                    store.writer().commit_files_by_id(user, &[(path, chunk)]);
                     if word % 5 == 0 {
                         store.delete_manifest(USERS[field(8, 3)], PATHS[field(32, 3)]);
                     }

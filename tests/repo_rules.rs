@@ -1233,6 +1233,56 @@ fn docs_name_only_paths_that_exist() {
 }
 
 // ---------------------------------------------------------------------------
+// The docs cannot grow back
+// ---------------------------------------------------------------------------
+
+/// Per document: its most lines, and its most references to a numbered PR
+/// (history belongs in CHANGES.md and git). A change may lower a ceiling,
+/// never raise it.
+const DOC_CEILINGS: [(&str, usize, usize); 3] = [
+    ("README.md", 772, 5),
+    ("docs/ARCHITECTURE.md", 1_109, 19),
+    (".claude/skills/verify/SKILL.md", 222, 5),
+];
+
+/// The references in `text` to a numbered PR: `PR` standing alone, then
+/// whitespace (a line break included) and a digit.
+fn pr_references(text: &str) -> usize {
+    let b = text.as_bytes();
+    (0..b.len())
+        .filter(|&i| b[i..].starts_with(b"PR") && (i == 0 || !is_ident_byte(b[i - 1])))
+        .filter(|&i| {
+            let gap = b[i + 2..].iter().take_while(|c| c.is_ascii_whitespace()).count();
+            gap > 0 && b.get(i + 2 + gap).is_some_and(u8::is_ascii_digit)
+        })
+        .count()
+}
+
+fn docs_over_ceilings(docs: &[Source], ceilings: &[(&str, usize, usize)]) -> Vec<String> {
+    let mut found = Vec::new();
+    for (path, max_lines, max_prs) in ceilings {
+        let doc = docs.iter().find(|d| d.path == *path).expect("every ceiling has its document");
+        let (lines, prs) = (doc.text.lines().count(), pr_references(&doc.text));
+        if lines > *max_lines {
+            found.push(format!("{path}: {lines} lines, ceiling {max_lines}"));
+        }
+        if prs > *max_prs {
+            found.push(format!("{path}: {prs} \"PR n\" references, ceiling {max_prs}"));
+        }
+    }
+    found
+}
+
+#[test]
+fn the_docs_stay_under_their_ceilings() {
+    let docs: Vec<Source> = DOC_CEILINGS
+        .iter()
+        .map(|(p, ..)| Source::new(p, &fs::read_to_string(root().join(p)).unwrap()))
+        .collect();
+    assert_none("docs over their ceilings", docs_over_ceilings(&docs, &DOC_CEILINGS));
+}
+
+// ---------------------------------------------------------------------------
 // The size figure
 // ---------------------------------------------------------------------------
 
@@ -1455,6 +1505,19 @@ mod tests { fn t() -> super::Mode { super::Mode::Matched(1) } }
             "crates/workload/src/m.rs:1: Mode::InLet",
             "crates/workload/src/m.rs:1: Mode::Nested",
         ]
+    );
+}
+
+#[test]
+fn the_doc_ratchet_rejects_a_doc_past_a_ceiling() {
+    let text = "Since PR 3 and PR\n4, not SPR 5, PR-6, PRs or PR.\nPR 7\n";
+    assert_eq!(pr_references(text), 3);
+    let doc = one("README.md", text);
+    assert_eq!(docs_over_ceilings(&[doc], &[("README.md", 3, 3)]), Vec::<String>::new());
+    let doc = one("README.md", &format!("{text}PR 8"));
+    assert_eq!(
+        docs_over_ceilings(&[doc], &[("README.md", 3, 3)]),
+        ["README.md: 4 lines, ceiling 3", "README.md: 4 \"PR n\" references, ceiling 3"]
     );
 }
 
