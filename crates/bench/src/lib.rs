@@ -18,11 +18,10 @@
 //! * [`cli`] is the shared argument-parsing surface every `repro` target
 //!   goes through: one `--json [PATH|-]` convention, strict counted flags,
 //!   usage-on-error with exit 2.
-//! * Two Criterion targets under `benches/` remain because they assert
-//!   something (`fleet_scaling`: sharded ≥ single-lock and concurrent ≡
-//!   sequential store state; `trace_overhead`: the capture is a pure
-//!   observer, and the traced/traceless wall ratio is printed). Host-time
-//!   measurement itself lives in the `perf/` crate.
+//! * `tests/timing_bounds.rs` holds two ignored release tests that bound
+//!   host time: the concurrent fleet against its sequential replay, and the
+//!   sharded store against one lock. Host-time measurement itself lives in
+//!   the `perf/` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +32,7 @@ pub mod metrics;
 pub mod suites;
 
 /// Shared helper: the default testbed seed used by the harness, so the repro
-/// binary, the gate and the benches measure the same simulated universe.
+/// binary, the gate and the tests measure the same simulated universe.
 pub const REPRO_SEED: u64 = 0x2013_1023;
 
 /// Reduced repetition count of `repro fig6*` (the paper uses 24 per

@@ -17,9 +17,7 @@
 //! suite is gated as `trace.*` metrics and the CI determinism leg `cmp`s
 //! two fresh JSON dumps byte for byte. The two wall-clock fields are the
 //! deliberate exception: serde-skipped and reported only in the text table.
-//! Host time is `perf/`'s to judge (`services.scale_trace_cost_share`); the
-//! `trace_overhead` Criterion bench prints the ratio and asserts only the
-//! bit-identity.
+//! Host time is `perf/`'s to judge (`services.scale_trace_cost_share`).
 
 use crate::report::{gate_keys, Report};
 use crate::scale::scale_spec;
@@ -105,7 +103,7 @@ impl TraceOverheadSuite {
             self.baseline_wall_secs,
             self.traced_wall_secs / self.baseline_wall_secs.max(f64::MIN_POSITIVE),
         );
-        Report { title: "Trace overhead: sharded packet capture at fleet scale".to_string(), body }
+        Report { title: "Trace overhead: packet capture at fleet scale".to_string(), body }
     }
 
     /// The suite's gate metrics. Every value is derived from the capture (a

@@ -44,9 +44,8 @@
 //! the clients run on one thread (sequential replay) or on one thread per
 //! client, jitter, churn, GC and restores included. A puller whose source
 //! departed at an *earlier* instant records a clean failure; same-instant
-//! departures are still visible because restores precede leaves. The
-//! `fleet_scaling` bench and the workspace property tests assert exactly
-//! that.
+//! departures are still visible because restores precede leaves. The fleet
+//! unit tests and the workspace property tests assert exactly that.
 //!
 //! The legacy configuration — zero think time, zero jitter, activation
 //! 1.0 — degenerates to the old lock-step timeline byte-identically, so the

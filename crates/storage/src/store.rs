@@ -84,8 +84,8 @@
 //! order-independent (counts of distinct keys, sums of per-user values, a
 //! commutative `min` for the canonical stored size), so a concurrent run
 //! ends with **bit-identical** [`AggregateStats`] to a sequential replay of
-//! the same per-user operations — the property the `fleet_scaling` bench and
-//! the storage property tests assert.
+//! the same per-user operations — the property the storage unit and property
+//! tests assert.
 //!
 //! # Garbage collection
 //!
@@ -605,7 +605,7 @@ impl ObjectStore {
     }
 
     /// Creates an empty store with an explicit shard count (1 = the original
-    /// single-lock layout, used as the contention baseline in benches).
+    /// single-lock layout, the contention baseline of the storm timing bound).
     pub fn with_shards(shards: usize) -> Self {
         ObjectStore::with_shards_and_policy(shards, GcPolicy::default())
     }
@@ -1492,6 +1492,33 @@ mod tests {
         assert_eq!(sharded.aggregate(), single.aggregate());
         for i in 0..5 {
             let user = format!("user-{i}");
+            assert_eq!(sharded.stats(&user), single.stats(&user));
+        }
+
+        // The commit storm of `timing_bounds.rs`: 8 users on 8 threads, 512
+        // puts each, every third chunk shared across all users.
+        let (sharded, single) = (ObjectStore::with_shards(16), ObjectStore::with_shards(1));
+        for store in [&sharded, &single] {
+            std::thread::scope(|scope| {
+                for t in 0..8 {
+                    scope.spawn(move || {
+                        let user = format!("storm-user-{t}");
+                        for i in 0..512 {
+                            let key = if i % 3 == 0 {
+                                format!("shared-{i}")
+                            } else {
+                                format!("{user}-{i}")
+                            };
+                            store.put_chunk(&user, stored(key.as_bytes()));
+                        }
+                    });
+                }
+            });
+        }
+        assert_eq!(sharded.aggregate(), single.aggregate());
+        assert!(sharded.aggregate().server_dedup_hits > 0, "the storm shares chunks");
+        for t in 0..8 {
+            let user = format!("storm-user-{t}");
             assert_eq!(sharded.stats(&user), single.stats(&user));
         }
     }

@@ -406,7 +406,7 @@ fn libs() -> &'static [Source] {
 }
 
 /// The code outside the libraries whose uses count: integration tests,
-/// examples, benches, and `perf/` (which this rule reads, never edits).
+/// examples, and `perf/` (which this rule reads, never edits).
 fn users() -> &'static [Source] {
     static USERS: OnceLock<Vec<Source>> = OnceLock::new();
     USERS.get_or_init(|| {
@@ -420,7 +420,7 @@ fn users() -> &'static [Source] {
             .into_iter()
             .collect();
         let mut dirs: Vec<&str> = tests.iter().map(String::as_str).collect();
-        dirs.extend(["tests", "examples", "crates/bench/benches", "perf/src", "perf/tests"]);
+        dirs.extend(["tests", "examples", "perf/src", "perf/tests"]);
         rust_sources(&dirs)
     })
 }
@@ -671,7 +671,7 @@ fn the_capture_reader_has_one_cursor() {
 }
 
 // ---------------------------------------------------------------------------
-// Every public fn has a caller, every public field a reader
+// Every public fn has a caller, every public const and field a reader
 // ---------------------------------------------------------------------------
 
 /// Allowed without a use, each with its reason.
@@ -742,15 +742,17 @@ fn parents(toks: &[Tok]) -> Vec<Option<usize>> {
         .collect()
 }
 
+/// Whether the item whose keyword is at `i` is `pub` or `pub(crate)`.
+fn public_at(toks: &[Tok], i: usize) -> bool {
+    (i >= 1 && toks[i - 1].is("pub")) || (i >= 4 && seq(toks, i - 4, &["pub", "(", "crate", ")"]))
+}
+
 /// The index of the name of the fn defined at `i` (the `fn` token), if it
 /// is `pub` or `pub(crate)`.
 fn public_fn(toks: &[Tok], i: usize) -> Option<usize> {
-    let mut j = i.checked_sub(1)?;
-    if toks[j].is("const") {
-        j = j.checked_sub(1)?;
-    }
-    let public = toks[j].is("pub") || (seq(toks, j.checked_sub(3)?, &["pub", "(", "crate", ")"]));
-    (public && toks.get(i + 1).is_some_and(|t| t.kind == Kind::Ident)).then_some(i + 1)
+    let keyword = if i >= 1 && toks[i - 1].is("const") { i - 1 } else { i };
+    (public_at(toks, keyword) && toks.get(i + 1).is_some_and(|t| t.kind == Kind::Ident))
+        .then_some(i + 1)
 }
 
 /// Uses of every identifier across the library code of `libs` and all code
@@ -794,6 +796,51 @@ fn every_public_fn_has_a_caller() {
     assert_none(
         "public fns nothing but their own unit tests reach (a deletion can strand its only callee)",
         unreached_fns(lexed_libs(), lexed_users()),
+    );
+}
+
+/// The index of the name of the const defined at `i` (the `const` token),
+/// if it is `pub` or `pub(crate)`: a module-level or an associated const,
+/// not a `const fn`.
+fn public_const(toks: &[Tok], i: usize) -> Option<usize> {
+    let named = toks.get(i + 1).is_some_and(|t| t.kind == Kind::Ident);
+    (public_at(toks, i) && named && seq(toks, i + 2, &[":"])).then_some(i + 1)
+}
+
+/// `path:line: name` for every public const in library code that neither
+/// library code nor `users` names outside a const declaration. Names
+/// match like the fn rule's uses: an import is not a read, and a read of
+/// one type's `LEN` counts for every `LEN`.
+fn unread_consts(libs: &[Lexed], users: &[Lexed]) -> Vec<String> {
+    let mut named = BTreeSet::new();
+    for lexed in libs.iter().chain(users) {
+        let toks = without_imports(&lexed.toks);
+        for k in 1..toks.len() {
+            let declared = toks[k - 1].is("const") && seq(&toks, k + 1, &[":"]);
+            if toks[k].kind == Kind::Ident && !declared {
+                named.insert(toks[k].text);
+            }
+        }
+    }
+    let mut found = Vec::new();
+    for Lexed { src: s, toks } in libs {
+        for i in 0..toks.len() {
+            let Some(name) = toks[i].is("const").then(|| public_const(toks, i)).flatten() else {
+                continue;
+            };
+            if !named.contains(toks[name].text) {
+                found.push(format!("{}: pub const {}", s.at(toks[name].line), toks[name].text));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn every_public_const_has_a_reader() {
+    assert_none(
+        "public consts nothing but their own unit tests name",
+        unread_consts(lexed_libs(), lexed_users()),
     );
 }
 
@@ -1240,9 +1287,9 @@ fn docs_name_only_paths_that_exist() {
 /// (history belongs in CHANGES.md and git). A change may lower a ceiling,
 /// never raise it.
 const DOC_CEILINGS: [(&str, usize, usize); 3] = [
-    ("README.md", 772, 5),
-    ("docs/ARCHITECTURE.md", 1_109, 19),
-    (".claude/skills/verify/SKILL.md", 222, 5),
+    ("README.md", 769, 5),
+    ("docs/ARCHITECTURE.md", 1_109, 11),
+    (".claude/skills/verify/SKILL.md", 219, 5),
 ];
 
 /// The references in `text` to a numbered PR: `PR` standing alone, then
@@ -1439,6 +1486,35 @@ mod tests { fn t(s: super::Summary) { s.hits(); super::Summary::empty(); } }
     assert_eq!(
         unreached_fns(&[lexed_lib(&lib)], &[lexed_code(&user)]),
         ["crates/trace/src/hist.rs:3: pub fn empty", "crates/trace/src/hist.rs:4: pub fn hits"]
+    );
+}
+
+#[test]
+fn the_const_rule_counts_reads_not_declarations_or_imports() {
+    let lib = one(
+        "crates/storage/src/c.rs",
+        "pub const READ: u8 = 1;
+pub const UNREAD: u8 = 2;
+pub(crate) const TESTED: u8 = 3;
+const PRIVATE: u8 = 4;
+pub struct S;
+impl S {
+    pub const ASSOC: u8 = 5;
+    pub const ASSOC_READ: u8 = 6;
+    pub const fn f() -> u8 { READ + Self::ASSOC_READ }
+}
+#[cfg(test)]
+mod tests { fn t() -> u8 { super::TESTED } }
+",
+    );
+    let user = one("tests/t.rs", "use storage::c::{UNREAD, ASSOC};\nfn t() -> u8 { S::f() }");
+    assert_eq!(
+        unread_consts(&[lexed_lib(&lib)], &[lexed_code(&user)]),
+        [
+            "crates/storage/src/c.rs:2: pub const UNREAD",
+            "crates/storage/src/c.rs:3: pub const TESTED",
+            "crates/storage/src/c.rs:7: pub const ASSOC",
+        ]
     );
 }
 
