@@ -142,9 +142,9 @@ pub fn detect_bundling(testbed: &Testbed, profile: &ServiceProfile) -> bool {
     bursts.len() <= 25
 }
 
-/// §4.5 — compression: upload highly compressible text, pure random bytes and
-/// a fake JPEG of the same size; compare uploaded volumes. Returns Table-1
-/// wording: "no", "always" or "smart".
+/// §4.5 — compression: upload highly compressible text and a fake JPEG of
+/// the same size; compare uploaded volumes. Returns Table-1 wording: "no",
+/// "always" or "smart".
 pub fn detect_compression(testbed: &Testbed, profile: &ServiceProfile) -> String {
     const SIZE: usize = 1_000_000;
     let upload_for = |kind: FileKind, rep: u64| -> u64 {
@@ -156,12 +156,10 @@ pub fn detect_compression(testbed: &Testbed, profile: &ServiceProfile) -> String
         testbed.run_sync_files(profile, &files, rep).uploaded_payload()
     };
     let text = upload_for(FileKind::Text, 1);
-    let random = upload_for(FileKind::RandomBinary, 2);
     let fake_jpeg = upload_for(FileKind::FakeJpeg, 3);
 
     let compresses_text = (text as f64) < 0.85 * SIZE as f64;
     let compresses_fake_jpeg = (fake_jpeg as f64) < 0.85 * SIZE as f64;
-    let _ = random; // random bytes never compress; kept for the Fig. 5b series
 
     if !compresses_text {
         "no".to_string()

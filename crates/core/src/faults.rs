@@ -285,14 +285,7 @@ fn run_sync(
     let mut sim = Simulator::new(11);
     let mut owner = client_on(link, ObjectStore::new(), "owner");
     let t0 = owner.login(&mut sim, SimTime::ZERO);
-    owner.sync_batch_faulted(
-        &mut sim,
-        batch,
-        t0 + SimDuration::from_secs(5),
-        faults,
-        retry.policy().as_ref(),
-        seed,
-    )
+    owner.sync_batch_faulted(&mut sim, batch, t0 + SimDuration::from_secs(5), faults, &retry, seed)
 }
 
 /// Drives one faulted restore of `owner`'s namespace out of `source`.
@@ -310,7 +303,7 @@ fn run_restore_pull(
         &mut sim,
         "owner",
         login + SimDuration::from_secs(1),
-        &Recovery { faults, policy: retry.policy().as_ref(), seed },
+        &Recovery { faults, policy: retry, seed },
     )
 }
 
@@ -355,7 +348,7 @@ pub fn run_faults(seed: u64) -> FaultsSuite {
                     &batch,
                     t0 + SimDuration::from_secs(5),
                     &FaultSchedule::NONE,
-                    RetryConfig::None.policy().as_ref(),
+                    &RetryConfig::None,
                     seed,
                 );
                 let restore = run_restore_pull(

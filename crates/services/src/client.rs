@@ -9,7 +9,7 @@
 use crate::deployment::Deployment;
 use crate::planner::{FilePlan, UploadPlanner};
 use crate::profile::{ServiceProfile, TransferMode};
-use crate::retry::{Recovery, RetryPolicy};
+use crate::retry::{Recovery, RetryConfig};
 use crate::session::{FaultStats, RangedTransfer, UploadSession};
 use cloudsim_net::http::{HttpExchange, HttpOverhead};
 use cloudsim_net::tcp::{ConnectionOptions, Fetch, TcpConnection};
@@ -350,10 +350,10 @@ impl SyncClient {
         files: &[GeneratedFile],
         modification_time: SimTime,
         faults: &FaultSchedule,
-        policy: &dyn RetryPolicy,
+        policy: &RetryConfig,
         seed: u64,
     ) -> FaultedSyncOutcome {
-        self.sync(sim, files, modification_time, Some(&Recovery { faults, policy, seed }))
+        self.sync(sim, files, modification_time, Some(&Recovery { faults, policy: *policy, seed }))
     }
 
     /// The one sync skeleton: login, change detection, planning, the
@@ -1211,7 +1211,6 @@ mod tests {
 
     #[test]
     fn fault_free_faulted_sync_is_clean_and_commits_everything() {
-        use crate::retry::NoRetry;
         let files = batch(3, 200_000);
         let run = || {
             let mut sim = Simulator::new(42);
@@ -1222,7 +1221,7 @@ mod tests {
                 &files,
                 t0 + SimDuration::from_secs(5),
                 &FaultSchedule::NONE,
-                &NoRetry,
+                &RetryConfig::None,
                 0xFEED,
             )
         };
@@ -1238,7 +1237,6 @@ mod tests {
 
     #[test]
     fn plain_and_fault_free_faulted_syncs_differ_in_the_storage_transfer_step_only() {
-        use crate::retry::NoRetry;
         let files = batch(6, 150_000);
         let control_plane = |sim: &Simulator| -> u64 {
             let trace = sim.trace();
@@ -1260,7 +1258,7 @@ mod tests {
                         &files,
                         at,
                         &FaultSchedule::NONE,
-                        &NoRetry,
+                        &RetryConfig::None,
                         7,
                     )
                 } else {
@@ -1306,7 +1304,7 @@ mod tests {
     /// The upload fault-recovery harness: learns the fault-free transfer
     /// window, then cuts the link inside it.
     fn faulted_sync_with(
-        policy: &dyn crate::retry::RetryPolicy,
+        policy: &RetryConfig,
         faults: &FaultSchedule,
         files: &[GeneratedFile],
     ) -> FaultedSyncOutcome {
@@ -1342,14 +1340,13 @@ mod tests {
 
     #[test]
     fn a_mid_upload_outage_is_retried_resumed_and_salvaged() {
-        use crate::retry::ExponentialBackoff;
         let files = batch(2, 400_000);
         // 800 kB over the 1 Mb/s ADSL upstream: a multi-second window.
-        let control = faulted_sync_with(&crate::retry::NoRetry, &FaultSchedule::NONE, &files);
+        let control = faulted_sync_with(&RetryConfig::None, &FaultSchedule::NONE, &files);
         assert!(control.completed);
 
         let faults = outage_inside(&control, 3);
-        let out = faulted_sync_with(&ExponentialBackoff::standard(), &faults, &files);
+        let out = faulted_sync_with(&RetryConfig::standard_exponential(), &faults, &files);
         assert!(out.completed, "the backoff policy must recover: {:?}", out.stats);
         assert_eq!(out.committed_payload, control.committed_payload);
         assert!(out.stats.interruptions >= 1);
@@ -1364,13 +1361,12 @@ mod tests {
 
     #[test]
     fn no_retry_abandons_at_the_first_cut_and_commits_strictly_less() {
-        use crate::retry::{ExponentialBackoff, NoRetry};
         let files = batch(2, 400_000);
-        let control = faulted_sync_with(&NoRetry, &FaultSchedule::NONE, &files);
+        let control = faulted_sync_with(&RetryConfig::None, &FaultSchedule::NONE, &files);
         let faults = outage_inside(&control, 3);
 
-        let abandoned = faulted_sync_with(&NoRetry, &faults, &files);
-        let recovered = faulted_sync_with(&ExponentialBackoff::standard(), &faults, &files);
+        let abandoned = faulted_sync_with(&RetryConfig::None, &faults, &files);
+        let recovered = faulted_sync_with(&RetryConfig::standard_exponential(), &faults, &files);
         assert!(!abandoned.completed);
         assert!(abandoned.abandoned_chunks >= 1);
         assert_eq!(abandoned.stats.abandoned, abandoned.abandoned_chunks as u64);
@@ -1386,7 +1382,6 @@ mod tests {
 
     #[test]
     fn faulted_restores_resume_ranged_and_validate_checksums() {
-        use crate::retry::{ExponentialBackoff, NoRetry};
         use cloudsim_net::OutageWindow;
         use cloudsim_storage::{ObjectStore, UploadPipeline};
         let store = ObjectStore::new();
@@ -1407,7 +1402,7 @@ mod tests {
             path: "mine/copy.bin".to_string(),
             content: files[4].content.clone(),
         }];
-        let pull = |user: &str, faults: &FaultSchedule, policy: &dyn crate::retry::RetryPolicy| {
+        let pull = |user: &str, faults: &FaultSchedule, policy: &RetryConfig| {
             let mut psim = Simulator::new(32);
             let mut puller = SyncClient::for_user_on_link(
                 ServiceProfile::dropbox(),
@@ -1421,11 +1416,11 @@ mod tests {
                 &mut psim,
                 "owner",
                 synced.completed_at + SimDuration::from_secs(1),
-                &Recovery { faults, policy, seed: 0xD0_5E },
+                &Recovery { faults, policy: *policy, seed: 0xD0_5E },
             )
         };
 
-        let control = pull("control", &FaultSchedule::NONE, &NoRetry);
+        let control = pull("control", &FaultSchedule::NONE, &RetryConfig::None);
         assert!(control.completed);
         assert_eq!(control.outcome.files_restored, 5);
         assert_eq!(control.stats.checksums_verified, 5, "every reassembly is validated");
@@ -1443,7 +1438,7 @@ mod tests {
             windows: vec![OutageWindow { down_at: mid, up_at: mid + SimDuration::from_secs(2) }],
         };
 
-        let recovered = pull("recovered", &faults, &ExponentialBackoff::standard());
+        let recovered = pull("recovered", &faults, &RetryConfig::standard_exponential());
         assert!(recovered.completed, "backoff must recover the restore: {:?}", recovered.stats);
         assert_eq!(recovered.outcome.files_restored, 5);
         assert_eq!(recovered.stats.checksums_verified, 5);
@@ -1453,7 +1448,7 @@ mod tests {
         assert!(recovered.stats.salvaged_bytes > 0, "the verified prefix resumes, not restarts");
         assert!(recovered.outcome.completed_at > control.outcome.completed_at);
 
-        let abandoned = pull("abandoned", &faults, &NoRetry);
+        let abandoned = pull("abandoned", &faults, &RetryConfig::None);
         assert!(!abandoned.completed);
         assert!(abandoned.files_abandoned >= 1);
         assert!(abandoned.outcome.files_failed >= 1);

@@ -990,9 +990,8 @@ fn with_recovery<T>(
     let schedule =
         FaultSchedule::generate(&faults.spec, spec.derived_seed(i as u64, salt, round as u64))
             .shifted(at.saturating_since(SimTime::ZERO));
-    let policy = faults.retry.policy();
     let seed = spec.derived_seed(i as u64, salt + 1, round as u64);
-    run(Some(&Recovery { faults: &schedule, policy: policy.as_ref(), seed }))
+    run(Some(&Recovery { faults: &schedule, policy: faults.retry, seed }))
 }
 
 /// One client's restore fan for one round: pull every source user's full

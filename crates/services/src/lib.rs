@@ -64,7 +64,7 @@ pub use partition::{
     capture_partitions, partition_ranges, replay_partitioned, run_partition, run_partitioned,
     spec_partitions, ClientSet, PartitionRun, PartitionSpec, PartitionWorkload, PartitionedRun,
 };
-pub use retry::{ExponentialBackoff, NoRetry, Recovery, RetryConfig, RetryPolicy};
+pub use retry::{Recovery, RetryConfig};
 pub use scale::{run_scale, ScaleRun, ScaleSpec};
 pub use schedule::{ClientSchedule, FleetSchedule, RoundEvent, SyncActivation, ThinkTime};
 pub use session::{FaultStats, RangedTransfer, UploadSession};

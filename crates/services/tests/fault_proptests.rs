@@ -11,8 +11,9 @@
 
 use cloudsim_net::{FaultSchedule, OutageWindow, TransferInterrupted};
 use cloudsim_services::client::{FaultedRestoreOutcome, FaultedSyncOutcome};
-use cloudsim_services::retry::{ExponentialBackoff, NoRetry};
-use cloudsim_services::{AccessLink, RangedTransfer, Recovery, ServiceProfile, SyncClient};
+use cloudsim_services::{
+    AccessLink, RangedTransfer, Recovery, RetryConfig, ServiceProfile, SyncClient,
+};
 use cloudsim_storage::hash::sha256;
 use cloudsim_storage::{ObjectStore, RestoreSource, RestoredChunk};
 use cloudsim_trace::{SimDuration, SimTime};
@@ -33,7 +34,7 @@ fn round_trip(
 ) -> (FaultedSyncOutcome, FaultedRestoreOutcome) {
     let store = ObjectStore::new();
     let batch = BatchSpec::new(files, size, FileKind::RandomBinary).generate(content_seed);
-    let policy = ExponentialBackoff::standard();
+    let policy = RetryConfig::standard_exponential();
 
     let mut sim = cloudsim_net::Simulator::new(7);
     let mut owner = SyncClient::for_user_on_link(
@@ -60,7 +61,7 @@ fn round_trip(
         &AccessLink::adsl(),
     );
     let login = puller.login(&mut psim, SimTime::ZERO);
-    let rec = Recovery { faults: down_faults, policy: &policy, seed: retry_seed ^ 0xD0_5E };
+    let rec = Recovery { faults: down_faults, policy, seed: retry_seed ^ 0xD0_5E };
     let down =
         puller.restore_user_faulted(&mut psim, "owner", login + SimDuration::from_secs(1), &rec);
     (up, down)
@@ -193,7 +194,7 @@ proptest! {
             &batch,
             t0 + SimDuration::from_secs(5),
             &up_faults,
-            &NoRetry,
+            &RetryConfig::None,
             1,
         );
         let (recovered, _) = round_trip(

@@ -28,12 +28,12 @@
 
 use crate::hash::ContentHash;
 use cloudsim_parallel::{auto_workers, run_with_contexts};
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// When a service compresses data before upload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -175,7 +175,7 @@ impl SizeMemo {
             return (data.len() as u64, None);
         }
         self.offered.fetch_add(data.len() as u64, Ordering::Relaxed);
-        let recorded = self.counts.lock().get(hash).copied();
+        let recorded = self.lock_counts().get(hash).copied();
         match recorded {
             Some(size) => (size, None),
             None => {
@@ -188,7 +188,7 @@ impl SizeMemo {
     /// Records `count` for the `len` bytes hashing to `hash`, unless a
     /// count is recorded for them already.
     pub(crate) fn record(&self, hash: ContentHash, len: usize, count: Count) {
-        if let Entry::Vacant(slot) = self.counts.lock().entry(hash) {
+        if let Entry::Vacant(slot) = self.lock_counts().entry(hash) {
             slot.insert(count.size);
             self.distinct.fetch_add(len as u64, Ordering::Relaxed);
             if count.settled {
@@ -197,10 +197,16 @@ impl SizeMemo {
         }
     }
 
+    /// The recorded counts, locked. Poisoning is ignored: a count is
+    /// inserted whole or not at all.
+    fn lock_counts(&self) -> MutexGuard<'_, HashMap<ContentHash, u64>> {
+        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Whether a count is recorded for `hash`.
     #[cfg(test)]
     pub(crate) fn holds(&self, hash: &ContentHash) -> bool {
-        self.counts.lock().contains_key(hash)
+        self.lock_counts().contains_key(hash)
     }
 }
 

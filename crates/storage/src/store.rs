@@ -32,14 +32,16 @@
 //! Names are interned once: [`ObjectStore::intern_user`] and
 //! [`ObjectStore::intern_path`] hand out [`UserId`]s and [`PathId`]s, and
 //! a [`StoreWriter`] is the fleet-scale write path — no
-//! string is hashed, cloned or allocated per call. The `&str` methods
-//! intern (writes) or look up (reads) under the same single lock
-//! acquisition. An id encodes its shard, and a name's shard is a pure
-//! function of the name, so nothing observable depends on the order names
-//! were first seen in. The physical table hashes its keys with a
-//! pass-through hasher over eight bytes of the (uniform) content hash; the
-//! name index keeps std's keyed hasher, because names come from outside
-//! the program.
+//! string is hashed, cloned or allocated per call. A user name lives in its
+//! user shard, interned or looked up under the same lock acquisition as the
+//! `&str` write or read that names it, and a user id encodes its shard.
+//! Paths, a few hundred names every user shares, live in one table behind
+//! one lock; a path id is its first-seen slot. Ids only key rows, so nothing
+//! observable depends on the order names were first seen in. Locks are
+//! std's; a poisoned one still hands out its guard. The physical table
+//! hashes its keys with a pass-through hasher over eight bytes of the
+//! (uniform) content hash; the name indexes keep std's keyed hasher,
+//! because names come from outside the program.
 //!
 //! The cost of sorted rows, accepted and written down: inserting or
 //! removing a row is O(rows of that user). Measured with one-file commits
@@ -113,12 +115,11 @@
 
 use crate::chunker::Chunk;
 use crate::hash::ContentHash;
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use serde::Serialize;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A chunk as stored on the server.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -555,7 +556,7 @@ fn count_write_lock() {
 struct StoreInner {
     user_shards: Box<[RwLock<UserShard>]>,
     chunk_shards: Box<[RwLock<ChunkShard>]>,
-    path_shards: Box<[RwLock<Names>]>,
+    paths: RwLock<Names>,
     policy: GcPolicy,
 }
 
@@ -597,6 +598,18 @@ fn shards_of<T: Default>(shards: usize) -> Box<[RwLock<T>]> {
     (0..shards).map(|_| RwLock::new(T::default())).collect()
 }
 
+/// Read-locks `lock`. Poisoning is ignored: a lock whose holder panicked
+/// still hands out its guard, so a [`StoreWriter`] dropped during an
+/// unwind can still flush.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks `lock`, ignoring poisoning as [`read`] does.
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl ObjectStore {
     /// Creates an empty store with [`DEFAULT_SHARDS`] lock shards and the
     /// default (never-collecting-until-swept) [`GcPolicy::MarkSweep`].
@@ -622,7 +635,7 @@ impl ObjectStore {
             inner: Arc::new(StoreInner {
                 user_shards: shards_of(shards),
                 chunk_shards: shards_of(shards),
-                path_shards: shards_of(shards),
+                paths: RwLock::default(),
                 policy,
             }),
         }
@@ -646,37 +659,29 @@ impl ObjectStore {
     pub fn intern_user(&self, name: &str) -> Result<UserId, IdSpaceExhausted> {
         let shards = self.shard_count();
         let shard = shard_for_name(name, shards);
-        let slot = self.inner.user_shards[shard].write().intern(name, shard, shards)?;
+        let slot = write(&self.inner.user_shards[shard]).intern(name, shard, shards)?;
         Ok(UserId(pack_id(slot as usize, shard, shards).expect("interned slots fit")))
     }
 
     /// Interns a file path; see [`ObjectStore::intern_user`] for the
-    /// contract. Paths are interned store-wide, not per user.
+    /// contract. Paths are interned store-wide, not per user, under one
+    /// lock: a path's id is its first-seen slot.
     pub fn intern_path(&self, path: &str) -> Result<PathId, IdSpaceExhausted> {
         // Steady state is a hit: look under the read lock first.
         if let Some(known) = self.known_path(path) {
             return Ok(known);
         }
-        let shards = self.shard_count();
-        let shard = shard_for_name(path, shards);
-        let slot = self.inner.path_shards[shard]
-            .write()
-            .intern(path, shard, shards)
-            .ok_or(IdSpaceExhausted { what: "path" })?;
-        Ok(PathId(pack_id(slot as usize, shard, shards).expect("interned slots fit")))
+        let slot = write(&self.inner.paths).intern(path, 0, 1);
+        slot.map(PathId).ok_or(IdSpaceExhausted { what: "path" })
     }
 
     /// The id of a path some commit already interned.
     fn known_path(&self, path: &str) -> Option<PathId> {
-        let shards = self.shard_count();
-        let shard = shard_for_name(path, shards);
-        let slot = self.inner.path_shards[shard].read().slots.get(path).copied()?;
-        pack_id(slot as usize, shard, shards).map(PathId)
+        read(&self.inner.paths).slots.get(path).copied().map(PathId)
     }
 
     fn path_name(&self, path: PathId) -> String {
-        let (shard, slot) = unpack_id(path.0, self.shard_count());
-        self.inner.path_shards[shard].read().names[slot].to_string()
+        read(&self.inner.paths).names[path.0 as usize].to_string()
     }
 
     /// Write-locks the shard of the user a `&str` write names and resolves
@@ -687,7 +692,7 @@ impl ObjectStore {
         let shards = self.shard_count();
         let shard = shard_for_name(user, shards);
         count_write_lock();
-        let mut guard = self.inner.user_shards[shard].write();
+        let mut guard = write(&self.inner.user_shards[shard]);
         let slot = guard.intern(user, shard, shards).unwrap_or_else(|e| panic!("{e}"));
         (guard, slot)
     }
@@ -696,19 +701,19 @@ impl ObjectStore {
     fn write_id(&self, user: UserId) -> (RwLockWriteGuard<'_, UserShard>, u32) {
         let (shard, slot) = unpack_id(user.0, self.shard_count());
         count_write_lock();
-        (self.inner.user_shards[shard].write(), slot as u32)
+        (write(&self.inner.user_shards[shard]), slot as u32)
     }
 
     /// Write-locks the shard of a user some write already interned.
     fn write_known(&self, user: &str) -> Option<(RwLockWriteGuard<'_, UserShard>, u32)> {
-        let guard = self.inner.user_shards[shard_for_name(user, self.shard_count())].write();
+        let guard = write(&self.inner.user_shards[shard_for_name(user, self.shard_count())]);
         let slot = *guard.names.slots.get(user)?;
         Some((guard, slot))
     }
 
     /// Read-locks the shard of a user some write already interned.
     fn read_known(&self, user: &str) -> Option<(RwLockReadGuard<'_, UserShard>, u32)> {
-        let guard = self.inner.user_shards[shard_for_name(user, self.shard_count())].read();
+        let guard = read(&self.inner.user_shards[shard_for_name(user, self.shard_count())]);
         let slot = *guard.names.slots.get(user)?;
         Some((guard, slot))
     }
@@ -720,13 +725,13 @@ impl ObjectStore {
     /// Write-locks the chunk shard of a hash a put admits.
     fn write_chunks(&self, hash: &ContentHash) -> RwLockWriteGuard<'_, ChunkShard> {
         count_write_lock();
-        self.chunk_shard(hash).write()
+        write(self.chunk_shard(hash))
     }
 
     /// True when *any* user has stored this chunk — the inter-user question a
     /// dedup-capable server answers before accepting an upload.
     pub fn has_chunk_globally(&self, hash: &ContentHash) -> bool {
-        self.chunk_shard(hash).read().table.contains_key(&PhysicalKey(*hash))
+        read(self.chunk_shard(hash)).table.contains_key(&PhysicalKey(*hash))
     }
 
     /// Stores a chunk payload for a user. Returns `true` when the chunk was
@@ -826,7 +831,7 @@ impl ObjectStore {
             even.saturating_add(even / 16)
         };
         for shard in self.inner.user_shards.iter() {
-            let mut guard = shard.write();
+            let mut guard = write(shard);
             let us = &mut *guard;
             let _ = us.names.slots.try_reserve(share(users));
             let _ = us.names.names.try_reserve(share(users));
@@ -835,7 +840,7 @@ impl ObjectStore {
             us.files_capacity = files_per_user;
         }
         for shard in self.inner.chunk_shards.iter() {
-            let _ = shard.write().table.try_reserve(share(unique_chunks));
+            let _ = write(shard).table.try_reserve(share(unique_chunks));
         }
     }
 
@@ -911,7 +916,7 @@ impl ObjectStore {
     /// concurrent releases commute.
     fn release_chunks<'a>(&self, released: impl IntoIterator<Item = &'a ContentHash>) {
         for hash in released {
-            let mut guard = self.chunk_shard(hash).write();
+            let mut guard = write(self.chunk_shard(hash));
             let Some(entry) = guard.table.get_mut(&PhysicalKey(*hash)) else { continue };
             entry.owners = entry.owners.saturating_sub(1);
             if entry.owners == 0 && self.inner.policy == GcPolicy::Eager {
@@ -928,7 +933,7 @@ impl ObjectStore {
     pub fn collect_garbage(&self) -> GcStats {
         let mut pass = GcStats::default();
         for shard in self.inner.chunk_shards.iter() {
-            let mut guard = shard.write();
+            let mut guard = write(shard);
             let mut swept = GcStats::default();
             guard.table.retain(|_, entry| {
                 if entry.owners > 0 {
@@ -998,7 +1003,7 @@ impl ObjectStore {
     /// (or garbage-collected) hashes and for metadata-only commits. The
     /// restore pipeline serves file reconstructions from here.
     pub fn chunk_payload(&self, hash: &ContentHash) -> Option<Arc<[u8]>> {
-        self.chunk_shard(hash).read().table.get(&PhysicalKey(*hash)).and_then(|e| e.payload.clone())
+        read(self.chunk_shard(hash)).table.get(&PhysicalKey(*hash)).and_then(|e| e.payload.clone())
     }
 
     /// Aggregate statistics of a user's namespace.
@@ -1019,7 +1024,7 @@ impl ObjectStore {
     pub fn users(&self) -> Vec<String> {
         let mut users = Vec::new();
         for shard in self.inner.user_shards.iter() {
-            let guard = shard.read();
+            let guard = read(shard);
             users.extend(
                 guard
                     .records
@@ -1039,7 +1044,7 @@ impl ObjectStore {
     pub fn aggregate(&self) -> AggregateStats {
         let mut agg = AggregateStats::default();
         for shard in self.inner.user_shards.iter() {
-            let guard = shard.read();
+            let guard = read(shard);
             for record in guard.records.iter().filter(|record| !record.is_empty()) {
                 agg.users += 1;
                 agg.files += record.files.len();
@@ -1050,7 +1055,7 @@ impl ObjectStore {
             agg.manifest_deletes += guard.manifest_deletes;
         }
         for shard in self.inner.chunk_shards.iter() {
-            let guard = shard.read();
+            let guard = read(shard);
             agg.unique_chunks += guard.table.len() as u64;
             agg.physical_bytes += guard.physical_bytes;
             agg.server_dedup_hits += guard.server_dedup_hits;
@@ -1167,7 +1172,7 @@ impl StoreWriter<'_> {
                 continue;
             }
             count_write_lock();
-            let mut guard = shard.write();
+            let mut guard = write(shard);
             for &at in run {
                 guard.admit(&self.queue[at as usize], true, None);
             }
@@ -1284,7 +1289,7 @@ mod tests {
 
     /// Number of distinct users that committed a given chunk.
     fn owners(store: &ObjectStore, hash: &ContentHash) -> u64 {
-        store.chunk_shard(hash).read().table.get(&PhysicalKey(*hash)).map_or(0, |e| e.owners)
+        read(store.chunk_shard(hash)).table.get(&PhysicalKey(*hash)).map_or(0, |e| e.owners)
     }
 
     fn stored(data: &[u8]) -> StoredChunk {
@@ -1880,6 +1885,48 @@ mod tests {
     }
 
     #[test]
+    fn eight_threads_interning_overlapping_paths_get_one_id_per_path() {
+        // Released at once, thread t interns and commits every path but
+        // each eighth one, in the same order: seven threads race for each.
+        const THREADS: usize = 8;
+        let store = ObjectStore::new();
+        let paths: Vec<String> = (0..256).map(|i| format!("shared/f{i:03}.bin")).collect();
+        let mine = |t: usize| (0..paths.len()).filter(move |i| i % THREADS != t);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let ids: Vec<Vec<PathId>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (store, paths, barrier) = (&store, &paths, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let files: Vec<(PathId, StoredChunk)> = mine(t)
+                            .map(|i| {
+                                (store.intern_path(&paths[i]).unwrap(), stored(paths[i].as_bytes()))
+                            })
+                            .collect();
+                        let user = store.intern_user(&format!("u{t}")).unwrap();
+                        store.writer().commit_files_by_id(user, &files);
+                        files.into_iter().map(|(id, _)| id).collect()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|thread| thread.join().unwrap()).collect()
+        });
+        // Each thread got the id the path has now, and the ids are the
+        // slots 0..256: one per path, none handed out twice or lost.
+        for (t, ids) in ids.iter().enumerate() {
+            let now: Vec<PathId> = mine(t).map(|i| store.intern_path(&paths[i]).unwrap()).collect();
+            assert_eq!(*ids, now);
+            let mut committed: Vec<String> = mine(t).map(|i| paths[i].clone()).collect();
+            committed.sort();
+            assert_eq!(store.list_files(&format!("u{t}")), committed);
+        }
+        let mut slots: Vec<u32> = paths.iter().map(|p| store.intern_path(p).unwrap().0).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..paths.len() as u32).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn id_keyed_writes_are_the_str_writes() {
         let by_name = ObjectStore::new();
         let by_id = ObjectStore::new();
@@ -2220,7 +2267,7 @@ mod tests {
     /// the bisections rest on, and no key is there twice.
     fn assert_rows_sorted(store: &ObjectStore) {
         for shard in store.inner.user_shards.iter() {
-            for record in &shard.read().records {
+            for record in &read(shard).records {
                 assert!(record.held.windows(2).all(|pair| pair[0].0 < pair[1].0));
                 assert!(record.files.windows(2).all(|pair| pair[0].0 .0 < pair[1].0 .0));
             }

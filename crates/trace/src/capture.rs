@@ -4,16 +4,14 @@
 //! [`TraceShard`] handed out by a [`TraceRecorder`]. Flow ids are carved from
 //! per-shard bases ([`SHARD_FLOW_SPAN`] ids per shard) so allocation stays
 //! deterministic without any cross-thread coordination, and
-//! [`TraceRecorder::finish`] k-way merges the shards by the
-//! `(timestamp, flow, seq)` total order into a frozen [`Trace`] — bit-identical
+//! [`TraceRecorder::finish`] sorts the shards' packets once, stably, to the
+//! `(timestamp, flow, seq)` total order of a frozen [`Trace`] — bit-identical
 //! to a single-shard capture for any worker count. Reads go through the one
 //! borrowed view type, [`TraceView`], which the analyzers in
 //! [`crate::analysis`] consume.
 
 use crate::flow::{FlowId, FlowKind, FlowTable};
 use crate::packet::PacketRecord;
-use crate::time::SimTime;
-use std::collections::BinaryHeap;
 
 /// Number of flow ids reserved for each shard: shard `i` allocates ids in
 /// `[i * SHARD_FLOW_SPAN, (i + 1) * SHARD_FLOW_SPAN)`. 2^40 ids per shard is
@@ -54,11 +52,6 @@ impl TraceShard {
     /// `index * SHARD_FLOW_SPAN`.
     pub fn with_index(index: usize) -> Self {
         TraceShard { index, packets: Vec::new(), next_flow: 0 }
-    }
-
-    /// The worker index this shard was carved for.
-    pub fn index(&self) -> usize {
-        self.index
     }
 
     /// Preallocates room for `additional` more packets, so steady-state
@@ -131,8 +124,7 @@ impl TraceRecorder {
     }
 
     /// Rebuilds a recorder from worker shards (in any order) for merging.
-    pub fn from_shards(mut shards: Vec<TraceShard>) -> Self {
-        shards.sort_by_key(|s| s.index);
+    pub fn from_shards(shards: Vec<TraceShard>) -> Self {
         TraceRecorder { shards }
     }
 
@@ -141,63 +133,25 @@ impl TraceRecorder {
         self.shards
     }
 
-    /// Number of worker shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The worker shards, for in-place recording without splitting.
     pub fn shards_mut(&mut self) -> &mut [TraceShard] {
         &mut self.shards
     }
 
-    /// Freezes the capture: k-way merges every shard by the canonical
-    /// `(timestamp, flow, seq)` total order into a [`Trace`].
-    ///
-    /// Each shard is first sorted to canonical order (stable, so `seq` —
-    /// the per-shard insertion index — breaks `(timestamp, flow)` ties), then
-    /// the sorted runs are heap-merged. Because each flow's packets live in
-    /// exactly one shard, the merged order is independent of how work was
-    /// assigned to shards: single-shard and k-shard captures of the same
-    /// packets are bit-identical.
+    /// Freezes the capture: appends every shard's packets onto the first
+    /// shard's buffer (a one-shard capture copies nothing) and sorts them
+    /// once, stably, to the canonical `(timestamp, flow, seq)` order. Flows
+    /// are shard-private, so a `(timestamp, flow)` tie only occurs inside
+    /// one shard, where stability keeps insertion (`seq`) order: single- and
+    /// k-shard captures of the same packets, in any shard order, are
+    /// bit-identical.
     pub fn finish(self) -> Trace {
-        let mut runs: Vec<Vec<PacketRecord>> = self
-            .shards
-            .into_iter()
-            .map(|mut shard| {
-                sort_canonical(&mut shard.packets);
-                shard.packets
-            })
-            .collect();
-        runs.retain(|r| !r.is_empty());
-        let total = runs.iter().map(Vec::len).sum();
-        if runs.len() == 1 {
-            return Trace { packets: runs.pop().expect("one run") };
+        let mut shards = self.shards.into_iter();
+        let mut packets = shards.next().map(|shard| shard.packets).unwrap_or_default();
+        for shard in shards {
+            packets.extend(shard.packets);
         }
-
-        // K-way merge of the sorted runs. `Reverse` ordering on the canonical
-        // key turns the max-heap into a min-heap; the run index is the final
-        // tie-breaker so the heap order is total (cross-shard key ties cannot
-        // occur — flows are shard-private — but the comparator must not care).
-        let mut packets = Vec::with_capacity(total);
-        let mut cursors: Vec<std::vec::IntoIter<PacketRecord>> =
-            runs.into_iter().map(Vec::into_iter).collect();
-        let mut fronts: Vec<Option<PacketRecord>> =
-            cursors.iter_mut().map(Iterator::next).collect();
-        let mut heap: BinaryHeap<std::cmp::Reverse<(SimTime, FlowId, usize)>> =
-            BinaryHeap::with_capacity(cursors.len());
-        for (run, front) in fronts.iter().enumerate() {
-            if let Some(p) = front {
-                heap.push(std::cmp::Reverse((p.timestamp, p.flow, run)));
-            }
-        }
-        while let Some(std::cmp::Reverse((_, _, run))) = heap.pop() {
-            packets.push(fronts[run].take().expect("heap entry implies a buffered front"));
-            if let Some(next) = cursors[run].next() {
-                heap.push(std::cmp::Reverse((next.timestamp, next.flow, run)));
-                fronts[run] = Some(next);
-            }
-        }
+        sort_canonical(&mut packets);
         Trace { packets }
     }
 }
@@ -290,6 +244,7 @@ impl<'a> TraceView<'a> {
 mod tests {
     use super::*;
     use crate::packet::{Direction, Endpoint, TcpFlags, TransportProtocol, TCP_HEADER_BYTES};
+    use crate::time::SimTime;
 
     fn packet(flow: FlowId, t_us: u64, payload: u32) -> PacketRecord {
         PacketRecord {
@@ -395,6 +350,44 @@ mod tests {
         assert_eq!(view.len(), 2);
         assert_eq!(view.packets()[0].flow, f1);
         assert_eq!(view.packets()[1].flow, f0);
+    }
+
+    #[test]
+    fn finish_equals_a_one_shard_recording_in_every_edge_case() {
+        // Every case hands its shards back in reverse index order.
+        let (f0, f1, f2) = (FlowId(3), FlowId(SHARD_FLOW_SPAN + 1), FlowId(2 * SHARD_FLOW_SPAN));
+        let falling =
+            |f, skew: u64| (0..4u64).map(|k| packet(f, 40 - 10 * k + skew, k as u32)).collect();
+        let cases: [(&str, Vec<Vec<PacketRecord>>); 4] = [
+            ("all shards empty", vec![vec![], vec![], vec![]]),
+            (
+                "one busy shard among empty ones",
+                vec![vec![], vec![], vec![packet(f2, 30, 1), packet(f2, 10, 2), packet(f2, 30, 3)]],
+            ),
+            ("three busy shards", vec![falling(f0, 0), falling(f1, 1), falling(f2, 2)]),
+            (
+                "equal timestamps on flows of different shards",
+                vec![
+                    vec![packet(f0, 100, 1), packet(f0, 100, 2)],
+                    vec![packet(f1, 100, 3), packet(f1, 100, 4), packet(f1, 90, 5)],
+                ],
+            ),
+        ];
+        for (case, per_shard) in cases {
+            let mut recorder = TraceRecorder::with_shards(per_shard.len());
+            for (shard, packets) in recorder.shards_mut().iter_mut().zip(&per_shard) {
+                packets.iter().for_each(|p| shard.record(p.clone()));
+            }
+            let shards = recorder.into_shards().into_iter().rev().collect();
+            let frozen = TraceRecorder::from_shards(shards).finish().into_packets();
+            let mut one = TraceShard::new();
+            per_shard.concat().into_iter().for_each(|p| one.record(p));
+            assert_eq!(
+                frozen,
+                TraceRecorder::from_shards(vec![one]).finish().into_packets(),
+                "{case}"
+            );
+        }
     }
 
     #[test]

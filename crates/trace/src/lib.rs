@@ -21,7 +21,7 @@
 //!   into control / storage / notification traffic,
 //! * [`capture`] — sharded, lock-free capture: per-worker
 //!   [`capture::TraceShard`]s handed out by a [`capture::TraceRecorder`],
-//!   k-way merged into a frozen [`capture::Trace`] and read through the
+//!   sorted once into a frozen [`capture::Trace`] and read through the
 //!   borrowed [`capture::TraceView`],
 //! * [`analysis`] — the analyzers used by the benchmark suite (SYN series,
 //!   burst detection, throughput/pause detection, volume and overhead,

@@ -1287,7 +1287,7 @@ fn docs_name_only_paths_that_exist() {
 /// (history belongs in CHANGES.md and git). A change may lower a ceiling,
 /// never raise it.
 const DOC_CEILINGS: [(&str, usize, usize); 3] = [
-    ("README.md", 769, 5),
+    ("README.md", 767, 5),
     ("docs/ARCHITECTURE.md", 1_109, 11),
     (".claude/skills/verify/SKILL.md", 219, 5),
 ];
@@ -1327,6 +1327,51 @@ fn the_docs_stay_under_their_ceilings() {
         .map(|(p, ..)| Source::new(p, &fs::read_to_string(root().join(p)).unwrap()))
         .collect();
     assert_none("docs over their ceilings", docs_over_ceilings(&docs, &DOC_CEILINGS));
+}
+
+// ---------------------------------------------------------------------------
+// The vendor table names exactly the stubs
+// ---------------------------------------------------------------------------
+
+/// Where `vendor/README.md`'s stub table (the rows whose first cell is a
+/// backticked name), the directories under `vendor/` (read from `files`)
+/// and the root `manifest`'s workspace members disagree.
+fn vendor_mismatches(readme: &Source, files: &[String], manifest: &str) -> Vec<String> {
+    let dirs: BTreeSet<&str> =
+        files.iter().filter_map(|f| Some(f.strip_prefix("vendor/")?.split_once('/')?.0)).collect();
+    let members = &manifest[manifest.find("members = [").unwrap_or(0)..];
+    let members = &members[..members.find(']').unwrap_or(0)];
+    let (mut found, mut rows) = (Vec::new(), BTreeSet::new());
+    for (n, line) in readme.text.lines().enumerate() {
+        let Some(stub) = line.strip_prefix("| `").and_then(|row| row.split('`').next()) else {
+            continue;
+        };
+        if !dirs.contains(stub) || !rows.insert(stub) {
+            found.push(format!("{}: row `{stub}` has no directory of its own", readme.at(n + 1)));
+        }
+    }
+    for dir in dirs {
+        if !rows.contains(dir) {
+            found.push(format!("vendor/{dir}: no row in {}", readme.path));
+        }
+        if !members.contains(&format!("\"vendor/{dir}\"")) {
+            found.push(format!("vendor/{dir}: not a workspace member"));
+        }
+    }
+    found
+}
+
+#[test]
+fn the_vendor_table_names_exactly_the_stubs() {
+    let readme = Source::new(
+        "vendor/README.md",
+        &fs::read_to_string(root().join("vendor/README.md")).unwrap(),
+    );
+    let manifest = fs::read_to_string(root().join("Cargo.toml")).unwrap();
+    assert_none(
+        "the vendor table, vendor/ and the workspace members disagree",
+        vendor_mismatches(&readme, &files_under("vendor"), &manifest),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1457,6 +1502,18 @@ fn each_invariant_rejects_its_fixture() {
     assert_eq!(
         capture_scrapers(&capture),
         ["crates/services/src/capture.rs:3: library code names u64_array_field"]
+    );
+
+    let readme = one("vendor/README.md", "| stub |\n|---|\n| `serde` |\n| `gone` |\n| `serde` |\n");
+    let files = ["vendor/README.md", "vendor/serde/Cargo.toml", "vendor/rand/src/lib.rs"];
+    assert_eq!(
+        vendor_mismatches(&readme, &files.map(String::from), "members = [\"vendor/serde\"]"),
+        [
+            "vendor/README.md:4: row `gone` has no directory of its own",
+            "vendor/README.md:5: row `serde` has no directory of its own",
+            "vendor/rand: no row in vendor/README.md",
+            "vendor/rand: not a workspace member",
+        ]
     );
 }
 
