@@ -96,9 +96,8 @@ pub fn parse_count(args: &[String], flag: &str, default: usize, usage: &str) -> 
 
 /// The shared `--clients` flag: every population-scale subcommand defaults
 /// to the paper-scale 100 000 clients. A population past
-/// [`ScaleSpec::MAX_CLIENTS`] cannot be indexed by the store's `u32` user
-/// ids; it dies with usage here rather than panicking (or exhausting
-/// memory) inside the run.
+/// [`ScaleSpec::MAX_CLIENTS`] dies with usage here, before anything is
+/// allocated, rather than exhausting memory inside the run.
 pub fn parse_clients(args: &[String], usage: &str) -> usize {
     let clients = parse_count(args, "--clients", 100_000, usage);
     if clients > ScaleSpec::MAX_CLIENTS {

@@ -18,10 +18,9 @@
 //! * [`cli`] is the shared argument-parsing surface every `repro` target
 //!   goes through: one `--json [PATH|-]` convention, strict counted flags,
 //!   usage-on-error with exit 2.
-//! * `tests/timing_bounds.rs` holds two ignored release tests that bound
-//!   host time: the concurrent fleet against its sequential replay, and the
-//!   sharded store against one lock. Host-time measurement itself lives in
-//!   the `perf/` crate.
+//! * `tests/timing_bounds.rs` holds an ignored release test that bounds
+//!   host time: the concurrent fleet against its sequential replay.
+//!   Host-time measurement itself lives in the `perf/` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

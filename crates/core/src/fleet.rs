@@ -2,7 +2,7 @@
 //!
 //! The paper's testbed drives each service from a single test computer; the
 //! fleet suite scales that methodology out — K concurrent simulated users
-//! (1 → 2 → 8 → 32) committing into one shared sharded object store — and
+//! (1 → 2 → 8 → 32) committing into one shared object store — and
 //! reports the provider-side metrics a single client cannot observe:
 //! aggregate goodput, the per-client completion-time distribution, and the
 //! server-side inter-user deduplication ratio as a function of fleet size.
@@ -129,7 +129,7 @@ pub fn fleet_spec(profile: &ServiceProfile, clients: usize, seed: u64) -> FleetS
 }
 
 /// Runs the scaling suite for one service over the given fleet sizes, each
-/// fleet on one OS thread per client against a fresh sharded store.
+/// fleet on one OS thread per client against a fresh store.
 pub fn run_fleet_scaling(
     profile: &ServiceProfile,
     sizes: &[usize],

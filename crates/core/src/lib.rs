@@ -23,8 +23,8 @@
 //! every table and figure of the paper from the measured data.
 //!
 //! Beyond the paper's single test computer, [`fleet`] scales the methodology
-//! out: concurrent multi-client fleets committing into one shared sharded
-//! object store, measuring aggregate goodput, per-client completion-time
+//! out: concurrent multi-client fleets committing into one shared object
+//! store, measuring aggregate goodput, per-client completion-time
 //! distributions and the server-side inter-user deduplication ratio as a
 //! function of fleet size. [`hetero`] runs the scenario *matrix* on top:
 //! mixed service profiles on mixed access links with seeded churn (joins and
@@ -41,9 +41,10 @@
 //! compact state records and metadata-only commits in place of full sync
 //! clients — measuring commits per virtual second, the concurrency peak and
 //! population-scale inter-user dedup (see `docs/ARCHITECTURE.md` for the
-//! engine design). [`partition`] shards that population across N workers
-//! over one shared store and merges the results back bit-identically —
-//! the in-process seam for a distributed agent/controller mode.
+//! engine design). [`partition`] cuts that population into N disjoint
+//! client sets, drives them in order over one shared store and merges the
+//! results back bit-identically — the in-process seam for a distributed
+//! agent/controller mode.
 //! [`trace_overhead`] closes the observability loop: the same population
 //! run with capture off and on, proving the trace recorder (one shard for
 //! the whole run) is a pure observer and reporting the capture's

@@ -1,8 +1,8 @@
-//! Partitioned fleet-scale suite: the population split across N workers,
-//! merged back and checked against the unsliced run.
+//! Partitioned fleet-scale suite: the population split into N disjoint
+//! client sets, merged back and checked against the unsliced run.
 //!
 //! The partition runner ([`cloudsim_services::partition`]) promises that a
-//! worker-sharded run is *bit-identical* to the unsliced one: busy-chaining
+//! partitioned run is *bit-identical* to the unsliced one: busy-chaining
 //! is per-client, store aggregates commute, interval and histogram merges
 //! are order-independent. This suite makes that promise observable. The
 //! merged run assembles into the exact same [`FleetScaleSuite`] as

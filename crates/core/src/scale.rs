@@ -8,7 +8,7 @@
 //! lightweight fleet-scale runner ([`cloudsim_services::scale`]) instead:
 //! compact per-client state records on the discrete-event heap, seeded
 //! commit instants over a virtual horizon, metadata-only chunk commits into
-//! the sharded store, analytic per-link transfer times. What it reports is
+//! the shared store, analytic per-link transfer times. What it reports is
 //! the provider's view:
 //!
 //! * **commits per virtual second** over the population's active span,

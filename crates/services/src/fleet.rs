@@ -8,7 +8,7 @@
 //! drives K independent [`SyncClient`]s, each described by a [`ClientSlot`]
 //! carrying its own [`ServiceProfile`] **and** its own [`AccessLink`]
 //! (mixed Dropbox/SkyDrive/Google Drive fleets on mixed ADSL/fibre/3G
-//! links), all committing into one shared sharded [`ObjectStore`].
+//! links), all committing into one shared [`ObjectStore`].
 //!
 //! Fleets are long-lived: the run proceeds in *rounds* on a **virtual
 //! clock**. Each run first derives a [`FleetSchedule`] — a pure function of
@@ -674,7 +674,7 @@ pub struct FleetRun {
     /// The shared store the fleet committed into.
     pub store: ObjectStore,
     /// Host wall-clock time the run took (the only non-deterministic field;
-    /// used for sharded-vs-single-lock throughput comparisons).
+    /// used for concurrent-vs-sequential throughput comparisons).
     pub elapsed: std::time::Duration,
 }
 

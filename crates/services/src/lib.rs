@@ -21,8 +21,8 @@
 //! each touching only its client's state — which is what the fleet loop
 //! actually executes; [`scale`] rides the same heap with compact per-client
 //! state records (no [`client::SyncClient`] at all) to reach 100k–1M
-//! clients, [`partition`] shards that population into disjoint client sets
-//! driven by independent workers whose results merge back bit-identically,
+//! clients, [`partition`] cuts that population into disjoint client sets
+//! driven one after another, whose results merge back bit-identically,
 //! and [`session`]/[`retry`] add resumable transfers and seeded backoff
 //! under injected link faults. `docs/ARCHITECTURE.md` at the
 //! repository root walks through the whole lifecycle.

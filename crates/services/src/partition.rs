@@ -1,18 +1,16 @@
-//! Worker-sharded partition runner: the fleet population split into N
-//! disjoint client sets, each driven by its own worker against the one
-//! shared sharded [`ObjectStore`].
+//! Partition runner: the fleet population split into N disjoint client
+//! sets, driven one after another against one shared [`ObjectStore`].
 //!
 //! The controller derives the event heap once (from a live [`ScaleSpec`]
 //! or a parsed [`FleetCapture`]), cuts the population into disjoint
 //! [`ClientSet`]s — contiguous ranges over a capture (the slice doubles as
 //! the work-distribution unit, see [`slice_capture`]), round-robin stripes
 //! over a live spec — and hands each partition a self-contained
-//! [`PartitionSpec`]. A worker drives its partition through the one commit
-//! runner ([`crate::scale`]) — the unsliced run is that same runner handed
-//! the partition that owns everyone; the runner walks whatever set it is
-//! handed on one thread, so partitions are the scale path's one unit of
-//! parallelism — and returns a [`PartitionRun`]; the controller then merges
-//! the per-partition results:
+//! [`PartitionSpec`]. The controller drives each partition in turn, on
+//! the calling thread, through the one commit runner ([`crate::scale`]) —
+//! the unsliced run is that same runner handed the partition that owns
+//! everyone — and gets back a [`PartitionRun`]; it then merges the
+//! per-partition results:
 //!
 //! * **busy-chaining is per-client**: a client's commits serialise on its
 //!   own link and never touch another client's state, so driving a client's
@@ -20,8 +18,8 @@
 //!   unsliced heap;
 //! * **store aggregates are commutative**: all partitions commit into the
 //!   one shared store, whose accounting is order-independent, and scale
-//!   clients interact through nothing else — so partitions run with no
-//!   barrier between them;
+//!   clients interact through nothing else — so the partitions' order
+//!   does not matter;
 //! * **interval and histogram merges are order-independent**: per-partition
 //!   event streams are subsequences of the globally key-ordered stream, so
 //!   merging them by [`FleetEvent::key`] reconstructs the global firing
@@ -278,7 +276,7 @@ pub fn capture_partitions(
 /// which is simply the partition that owns everyone. Returns the
 /// partition's events (global indices, firing order) alongside their
 /// intervals and the partition's totals. `_workers` is ignored, as in
-/// [`crate::scale::run_scale`]: to use more threads, cut more partitions.
+/// [`crate::scale::run_scale`].
 pub fn run_partition(
     part: &PartitionSpec,
     store: &ObjectStore,
@@ -385,12 +383,13 @@ pub struct PartitionedRun {
     pub merged_waves: usize,
 }
 
-/// The controller: runs the prepared partitions concurrently — one thread
-/// each, up to the host's parallelism — against one shared store and
-/// merges the results. Every client commits `files_per_client` files, the
-/// first `shared_per_client` of them from the shared pool; the store is
-/// sized for the whole population here, once, so a partition's own
-/// reservation finds the room already there.
+/// The controller: runs the prepared partitions in order on the calling
+/// thread against one shared store and merges the results. Every store
+/// walk holds the store's write lock for its whole length, so partitions
+/// on threads of their own would only queue for it. Every client commits
+/// `files_per_client` files, the first `shared_per_client` of them from
+/// the shared pool; the store is sized for the whole population here,
+/// once, so a partition's own reservation finds the room already there.
 fn run_controller(
     parts: &[PartitionSpec],
     client_base: usize,
@@ -401,16 +400,8 @@ fn run_controller(
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
     let started = std::time::Instant::now();
     reserve_population(&store, clients, files_per_client, shared_per_client);
-    let results: Vec<Result<PartitionRun, String>> = cloudsim_parallel::run_indexed(
-        cloudsim_parallel::available_workers(),
-        parts.len(),
-        || (),
-        |(), i| run_partition(&parts[i], &store, 1),
-    );
-    let mut finished = Vec::with_capacity(parts.len());
-    for result in results {
-        finished.push(result?);
-    }
+    let finished =
+        parts.iter().map(|part| run_partition(part, &store, 1)).collect::<Result<Vec<_>, _>>()?;
     let files = clients as u64 * files_per_client as u64;
     let (run, merged_waves) =
         merge_partitions(client_base, clients, files, &finished, store, started)?;
@@ -496,8 +487,8 @@ mod tests {
     fn striped_partitions_recombine_bit_identically_to_the_unsliced_run() {
         let spec = small_spec();
         let whole = run_wide(&spec);
-        // Counts that do and do not divide the population or the store's
-        // 16 shards, up to one partition per client.
+        // Counts that do and do not divide the population, up to one
+        // partition per client.
         for partitions in [1usize, 2, 3, 7, 8, 60] {
             let split = run_partitioned(&spec, partitions);
             assert_eq!(split.run.commits, whole.commits);

@@ -100,7 +100,7 @@ impl UploadPlanner {
     }
 
     /// Creates a planner for a named user account committing into a shared
-    /// (sharded) object store. This is the constructor the fleet harness
+    /// object store. This is the constructor the fleet harness
     /// uses: every client keeps its own delta state and asks the store which
     /// chunks its account holds, while the server-side store is shared across the whole fleet
     /// so inter-user deduplication is exercised. `_pipeline` is ignored, as
@@ -430,7 +430,7 @@ impl UploadPlanner {
         // One namespace purge releases every live manifest plus whatever
         // retention kept (superseded or soft-deleted revisions) — identical
         // accounting to deleting the manifests one by one, without taking
-        // the shard locks once per file.
+        // the store's lock once per file.
         self.store.purge_user(&self.user);
         self.own.clear();
         self.pulled.clear();

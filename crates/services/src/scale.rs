@@ -4,7 +4,7 @@
 //! [`crate::client::SyncClient`] — a planner, a simulator, a packet trace —
 //! which is the right fidelity for tens of clients and hopeless for a
 //! million. This module keeps the *population-scale* questions (commits per
-//! second against the sharded store, concurrency peaks, inter-user dedup at
+//! second against the shared store, concurrency peaks, inter-user dedup at
 //! scale) and drops the per-client machinery: each client is a compact
 //! [`ScaleSpec`]-derived state record of a few dozen bytes, its commit
 //! instants are seeded draws over a virtual horizon, its transfer times are
@@ -35,16 +35,15 @@
 //! Nothing here needs the wave-by-wave lock step the full-fidelity fleet
 //! ([`crate::fleet`]) executes — waves survive on this path only as a
 //! *count* ([`crate::engine::wave_count`]) the partition suite reports.
-//! Parallelism is the partition runner's business ([`crate::partition`]:
-//! disjoint client sets, one thread each, merged by event key into exactly
-//! the timeline walk's order), which is what makes a partitioned run
-//! bit-identical to this one, and two runs of the same spec dump identical
-//! JSON (the CI fleet-scale determinism leg `cmp`s exactly that). Splitting
-//! the walk itself across threads was measured and deleted: with every
-//! thread writing every store shard, two client stripes ran at 0.78× one
-//! thread on the perf instrument's 10k-client row
-//! (`services.scale_nw_speedup`), so `workers` arguments on this path are
-//! accepted and ignored.
+//! The partition runner ([`crate::partition`]) cuts the population into
+//! disjoint client sets, walks them in order and merges them by event key
+//! into exactly the timeline walk's order, which is what makes a
+//! partitioned run bit-identical to this one, and two runs of the same
+//! spec dump identical JSON (the CI fleet-scale determinism leg `cmp`s
+//! exactly that). Splitting the walk across threads was measured and
+//! deleted: two client stripes ran at 0.78× one thread on the perf
+//! instrument's 10k-client row (`services.scale_nw_speedup`), so `workers`
+//! arguments on this path are accepted and ignored.
 //!
 //! ## One commit runner
 //!
@@ -86,9 +85,10 @@
 //! The commit loop allocates nothing, and is a *bundling* client of its
 //! own store: users and paths are interned when the run is resolved, and
 //! a commit of `n` files refills the driver's one batch buffer and makes
-//! **one** call to the walk's [`cloudsim_storage::StoreWriter`] (one user
-//! shard lock, one search of the user's rows per file; new chunks queue
-//! and are admitted shard by shard, one lock per shard per flush). A run
+//! **one** call to the walk's [`cloudsim_storage::StoreWriter`] (one
+//! search of the user's rows per file, then the commit's new chunks
+//! admitted back to back),
+//! which holds the store's lock for the whole walk. A run
 //! allocates what is set up per client — a name and its record's two
 //! lists — and what is reserved per run: an integration test with a
 //! counting allocator pins a whole run's allocations and allocated bytes
@@ -176,12 +176,12 @@ pub struct ScaleSpec {
 }
 
 impl ScaleSpec {
-    /// The largest population a run accepts: every client is one interned
-    /// `u32` user id in the store, and this many fit whatever shards the
-    /// names hash to in a default-sharded store. [`run_scale`] and its
-    /// siblings panic on a larger spec instead of wrapping an id; `repro`
-    /// rejects a larger `--clients` up front.
-    pub const MAX_CLIENTS: usize = u32::MAX as usize / cloudsim_storage::DEFAULT_SHARDS;
+    /// The largest population a run accepts — the CLI's refusal bound, not
+    /// a store limit (the store's `u32` ids reach sixteen times further).
+    /// At ~1.9 kB per client such a population needs ~500 GB, so `repro`
+    /// refuses a larger `--clients` before anything is allocated, and
+    /// [`run_scale`] and its siblings panic on a larger spec.
+    pub const MAX_CLIENTS: usize = 268_435_455;
 
     /// Fraction of each commit drawn from a population-wide shared pool
     /// (identical content seeds across clients — what inter-user dedup
@@ -573,7 +573,9 @@ impl Driven {
 /// client by client, each client's commits in the event-key order the
 /// timeline walk met them in, one [`Commits::fill`] and one call to the
 /// walk's store writer per commit (see the module docs for why the two
-/// orders leave the same store).
+/// orders leave the same store). The writer holds the store's lock from
+/// the first commit to the last; nothing in the walk calls the store
+/// otherwise.
 ///
 /// An unsliced run is the one-partition run: its [`ClientSet`] is the
 /// whole range, and nothing below distinguishes it from a slice.

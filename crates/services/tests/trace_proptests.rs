@@ -157,7 +157,7 @@ proptest! {
     /// merge is bit-identical to recording the same stream on one shard.
     #[test]
     fn sharded_merge_equals_single_shard_capture(
-        shard_count in 1usize..8,
+        shards in 1usize..8,
         // Per-flow timestamp draws; payloads derive from (flow, seq) so
         // every packet is distinguishable.
         flows in proptest::collection::vec(
@@ -209,9 +209,9 @@ proptest! {
         let reference = TraceRecorder::from_shards(vec![single]).finish().into_packets();
 
         // Sharded: the same stream routed flow-whole to arbitrary shards.
-        let mut recorder = TraceRecorder::with_shards(shard_count);
+        let mut recorder = TraceRecorder::with_shards(shards);
         for (i, p) in &stream {
-            let shard = routing[*i % routing.len()] % shard_count;
+            let shard = routing[*i % routing.len()] % shards;
             recorder.shards_mut()[shard].record(p.clone());
         }
         prop_assert_eq!(recorder.finish().into_packets(), reference);

@@ -20,13 +20,11 @@
 //! * [`encrypt`] — convergent client-side encryption (Wuala's privacy layer,
 //!   which keeps dedup possible because identical plaintexts yield identical
 //!   ciphertexts, §4.3),
-//! * [`store`] — the sharded server-side object store (a content-addressed
-//!   chunk table with inter-user deduplication plus per-user file manifests
-//!   and held chunks; a client that deduplicates, as Dropbox and Wuala do,
-//!   §4.3, asks it which chunks its account holds)
-//!   the simulated services commit uploads to; lock shards keyed by
-//!   chunk-hash prefix and user name let a concurrent client fleet commit
-//!   without serializing on one lock,
+//! * [`store`] — the server-side object store the simulated services
+//!   commit uploads to (a content-addressed chunk table with inter-user
+//!   deduplication plus per-user file manifests and held chunks, behind one
+//!   lock; a client that deduplicates, as Dropbox and Wuala do, §4.3, asks
+//!   it which chunks its account holds),
 //! * [`pipeline`] — the zero-copy upload pipeline that runs chunking,
 //!   hashing, delta estimation and compression over borrowed slices with
 //!   preallocated per-worker scratch, fanned out across chunks and files
@@ -68,5 +66,5 @@ pub use restore::{
 };
 pub use store::{
     AggregateStats, FileManifest, GcPolicy, GcStats, IdSpaceExhausted, ObjectStore, PathId,
-    StoreStats, StoreWriter, StoredChunk, UserId, DEFAULT_SHARDS,
+    StoreStats, StoreWriter, StoredChunk, UserId,
 };

@@ -1,4 +1,4 @@
-//! Server-side object store, sharded for concurrent multi-client fleets.
+//! Server-side object store: one content-addressed table behind one lock.
 //!
 //! The storage back-end the simulated services commit uploads to: a
 //! content-addressed chunk store plus per-user file manifests. It backs the
@@ -6,88 +6,77 @@
 //! uploads, copies, deletes and restores files, and the chunks the store
 //! holds for the user determine how many bytes actually had to travel.
 //!
-//! # Sharding
+//! # Layout
 //!
-//! The store serves two very different callers: a handful of full-fidelity
-//! sync clients (one OS thread per simulated user) and the fleet-scale
-//! runner's 10⁵–10⁶ lightweight clients. Both commit into one shared store
-//! split into two independent arrays of lock shards:
+//! Like each service of the paper, the store keeps one server-side table,
+//! and everything in it sits behind one std `RwLock`:
 //!
-//! * **user shards** — everything one user owns, sharded by an FNV hash of
-//!   the user *name*. A shard is a dense `Vec` of per-user records, and a
-//!   user's rows live **in the user's record**: the version counter, the
-//!   logical bytes, the held chunks (the user's view of each chunk and its
-//!   live-manifest reference count) as one list sorted by content hash, and
-//!   the live manifests (a single-chunk manifest held inline) as one list
-//!   sorted by path id, both searched by bisection. There is no map per
-//!   user and no shard-wide table of users' rows: in personal storage a
-//!   user's rows are only ever read and written together, so they sit
-//!   together, and a four-file commit touches the few cache lines of one
-//!   record instead of eight random ones of a table the whole shard shares.
-//! * **chunk shards** — the physical content-addressed chunk table shared by
-//!   *all* users, sharded by the leading bytes of the chunk hash. This is
-//!   where server-side inter-user deduplication (§4.3) happens: the second
-//!   user to upload a chunk adds a reference instead of new bytes.
+//! * **user records** — everything one user owns, one dense `Vec` of
+//!   records, and a user's rows live **in the user's record**: the version
+//!   counter, the logical bytes, the held chunks (the user's view of each
+//!   chunk and its live-manifest reference count) as one list sorted by
+//!   content hash, and the live manifests (a single-chunk manifest held
+//!   inline) as one list sorted by path id, both searched by bisection.
+//!   There is no map per user and no store-wide table of users' rows: in
+//!   personal storage a user's rows are only ever read and written
+//!   together, so they sit together, and a four-file commit touches the
+//!   few cache lines of one record instead of eight random ones of a table
+//!   every user shares.
+//! * **the physical chunk table** — the content-addressed table shared by
+//!   *all* users. This is where server-side inter-user deduplication
+//!   (§4.3) happens: the second user to upload a chunk adds a reference
+//!   instead of new bytes.
 //!
 //! Names are interned once: [`ObjectStore::intern_user`] and
 //! [`ObjectStore::intern_path`] hand out [`UserId`]s and [`PathId`]s, and
-//! a [`StoreWriter`] is the fleet-scale write path — no
-//! string is hashed, cloned or allocated per call. A user name lives in its
-//! user shard, interned or looked up under the same lock acquisition as the
-//! `&str` write or read that names it, and a user id encodes its shard.
-//! Paths, a few hundred names every user shares, live in one table behind
-//! one lock; a path id is its first-seen slot. Ids only key rows, so nothing
-//! observable depends on the order names were first seen in. Locks are
-//! std's; a poisoned one still hands out its guard. The physical table
-//! hashes its keys with a pass-through hasher over eight bytes of the
+//! a [`StoreWriter`] is the fleet-scale write path — no string is hashed,
+//! cloned or allocated per call. An id is its name's first-seen slot; ids
+//! only key rows, so nothing observable depends on the order names were
+//! first seen in. A poisoned lock still hands out its guard. The physical
+//! table hashes its keys with a pass-through hasher over eight bytes of the
 //! (uniform) content hash; the name indexes keep std's keyed hasher,
 //! because names come from outside the program.
 //!
 //! The cost of sorted rows, accepted and written down: inserting or
 //! removing a row is O(rows of that user). Measured with one-file commits
-//! against the shard-wide hash tables this layout replaced (which stay
-//! near 0.4 µs per commit at any size): growing a user from empty, paths
-//! in the order they were interned, averages 0.54 µs per commit on the
-//! way to 1 000 rows, 6.1 µs to 20 000 and 41 µs to 100 000; the worst
-//! case, a commit or a hard delete *at* that size with both keys landing
-//! mid-list, is 1.5 µs, 34 µs and 240 µs. The layouts cross near 128 rows
-//! (0.44 vs 0.45 µs; at eight rows 0.29 vs 0.38), and the largest user of
-//! every workload and every `repro` target holds 100 — there a bisection
-//! is seven comparisons inside memory the commit has just touched. A unit
-//! test drives one user to 20 000 rows and back against the naive model.
+//! against the hash tables this layout replaced (which stay near 0.4 µs
+//! per commit at any size): growing a user from empty, paths in the order
+//! they were interned, averages 0.54 µs per commit on the way to 1 000
+//! rows, 6.1 µs to 20 000 and 41 µs to 100 000; the worst case, a commit or
+//! a hard delete *at* that size with both keys landing mid-list, is 1.5 µs,
+//! 34 µs and 240 µs. The layouts cross near 128 rows (0.44 vs 0.45 µs; at
+//! eight rows 0.29 vs 0.38), and the largest user of every workload and
+//! every `repro` target holds 100 — there a bisection is seven comparisons
+//! inside memory the commit has just touched. A unit test drives one user
+//! to 20 000 rows and back against the naive model.
 //!
-//! The three writes — [`ObjectStore::put_chunk`],
-//! [`ObjectStore::commit_manifest`] and the batch — only scope locks; what
-//! a write *does* is written once, as methods of the shard a lock guards:
-//! `UserShard::hold` (the user holds a chunk), `UserShard::reference` and
-//! `UserShard::publish` (a manifest's chunks are counted; it becomes the
-//! path's live revision) and `ChunkShard::admit` (the physical entry gains
-//! an owner). A put is hold, then admit; a commit is reference + publish;
-//! the batch is hold + publish per file under **one** user-shard lock,
-//! and each chunk new to the user joins the writer's queue, which admits
-//! a few hundred at a time, shard by shard, and the rest when the writer
-//! drops. The two shard arrays are never locked at once.
+//! Every public method takes the lock once. What a write *does* is written
+//! once, as methods of the tables: `Tables::hold` (the user holds a chunk),
+//! `Tables::reference` and `Tables::publish` (a manifest's chunks are
+//! counted; it becomes the path's live revision) and `Tables::admit` (the
+//! physical entry gains an owner). A put is hold, then admit; a commit is
+//! reference + publish; the batch is hold + publish per file, then admit
+//! per chunk new to the user.
 //!
 //! That is the bundling of the paper's §5 applied to the store's own
 //! client: a four-file commit written as four puts and four commits takes
-//! **twelve** locks (user + chunk shard per put, user shard per commit) and
-//! searches the user's held rows three times per file; through a writer it
-//! takes **one** user-shard lock and searches once per file, and a flush
-//! takes one lock per chunk shard its queue touches (≤ 16 per 256 admits). A
-//! unit test counts them. [`ObjectStore::reserve`] is the other half: a
-//! caller that knows its population sizes the records, the name index and
-//! the physical table once, up front, instead of letting each double its
-//! way up, and says how many rows a user will hold, so each of a record's
-//! two lists is one exact allocation made on its first row.
+//! **eight** locks and searches the user's held rows three times per file;
+//! through a [`StoreWriter`], which *is* the write lock, it searches once
+//! per file, and a whole walk of commits takes **one** lock. A unit test
+//! counts them. [`ObjectStore::reserve`] is the other half: a caller that
+//! knows its population sizes the records, the name index and the physical
+//! table once, up front, instead of letting each double its way up, and
+//! says how many rows a user will hold, so each of a record's two lists is
+//! one exact allocation made on its first row.
 //!
 //! Aggregate accounting (physical bytes, per-user referenced bytes,
-//! server-side dedup hits, …) is plain per-shard counters updated under the
-//! shard's lock and summed by [`ObjectStore::aggregate`]. Every update is
-//! order-independent (counts of distinct keys, sums of per-user values, a
-//! commutative `min` for the canonical stored size), so a concurrent run
-//! ends with **bit-identical** [`AggregateStats`] to a sequential replay of
-//! the same per-user operations — the property the storage unit and property
-//! tests assert.
+//! server-side dedup hits, …) is plain counters updated under the lock and
+//! read by [`ObjectStore::aggregate`]. Every update is order-independent
+//! (counts of distinct keys, sums of per-user values, a commutative `min`
+//! for the canonical stored size), so a concurrent run ends with
+//! **bit-identical** [`AggregateStats`] to a sequential replay of the same
+//! per-user operations — the property the storage unit and property tests
+//! assert.
 //!
 //! # Garbage collection
 //!
@@ -281,36 +270,28 @@ impl std::fmt::Display for IdSpaceExhausted {
 
 impl std::error::Error for IdSpaceExhausted {}
 
-/// Packs a shard-local slot and its shard into one id (`slot * shards +
-/// shard`), so an id names its shard without a lookup. `None` past
-/// `u32::MAX`.
-fn pack_id(slot: usize, shard: usize, shards: usize) -> Option<u32> {
-    slot.checked_mul(shards)?.checked_add(shard).and_then(|id| u32::try_from(id).ok())
-}
-
-/// The inverse of [`pack_id`]: `(shard, slot)`.
-fn unpack_id(id: u32, shards: usize) -> (usize, usize) {
-    (id as usize % shards, id as usize / shards)
-}
-
-/// One shard of a name interner: names in first-seen order, and their
-/// index. The `Arc` is shared between the two, so a name is stored once.
+/// A name interner: names in first-seen order, and their index. The `Arc`
+/// is shared between the two, so a name is stored once.
 #[derive(Debug, Default)]
 struct Names {
     slots: HashMap<Arc<str>, u32>,
     names: Vec<Arc<str>>,
 }
 
+/// The id of the name interned after `taken` others: its slot, `None` past
+/// `u32::MAX`.
+fn next_id(taken: usize) -> Option<u32> {
+    u32::try_from(taken).ok()
+}
+
 impl Names {
-    /// The slot of `name`, interning it when new. `shard` of `shards` is
-    /// where this interner sits, so a slot whose id would not fit is
-    /// refused before anything is inserted.
-    fn intern(&mut self, name: &str, shard: usize, shards: usize) -> Option<u32> {
+    /// The slot of `name`, interning it when new. A name whose id would not
+    /// fit is refused before anything is inserted.
+    fn intern(&mut self, name: &str) -> Option<u32> {
         if let Some(&slot) = self.slots.get(name) {
             return Some(slot);
         }
-        pack_id(self.names.len(), shard, shards)?;
-        let slot = self.names.len() as u32;
+        let slot = next_id(self.names.len())?;
         let name: Arc<str> = Arc::from(name);
         self.slots.insert(name.clone(), slot);
         self.names.push(name);
@@ -339,9 +320,10 @@ impl Hasher for PreHashed {
 
 type Table<K, V> = HashMap<K, V, BuildHasherDefault<PreHashed>>;
 
-/// Eight bytes of a content hash as the in-table hash word. Not the
-/// leading bytes: those pick the chunk shard, so inside one shard some of
-/// their bits are constant.
+/// Eight bytes of a content hash as the in-table hash word. Any eight
+/// bytes of a uniform SHA-256 output make a uniform word; these are the
+/// ones the table has always hashed, so its bucket layout and the order a
+/// sweep visits entries in stay what they were.
 fn hash_word(hash: &ContentHash) -> u64 {
     u64::from_le_bytes(hash.0[8..16].try_into().expect("eight bytes"))
 }
@@ -441,12 +423,15 @@ fn insert_row<T>(rows: &mut Vec<T>, at: usize, row: T, capacity: usize) {
     rows.insert(at, row);
 }
 
-/// One user shard: the users whose name hashes here, one record each.
+/// Everything the store keeps, behind its one lock: the users and their
+/// records, the interned paths, the physical chunk table and the counters.
 #[derive(Debug, Default)]
-struct UserShard {
-    names: Names,
-    /// Parallel to `names.names`.
+struct Tables {
+    users: Names,
+    /// Parallel to `users.names`.
     records: Vec<UserRecord>,
+    paths: Names,
+    chunks: Table<PhysicalKey, ChunkEntry>,
     /// What a record's `held` and `files` lists are sized to on their
     /// first row.
     held_capacity: usize,
@@ -454,10 +439,13 @@ struct UserShard {
     chunk_puts: u64,
     referenced_bytes: u64,
     manifest_deletes: u64,
+    physical_bytes: u64,
+    server_dedup_hits: u64,
+    reclaimed_bytes: u64,
+    freed_chunks: u64,
 }
 
-/// Key of the physical table. The chunk shard already consumed the hash's
-/// leading bytes, so the table hashes another word of it.
+/// Key of the physical table: it hashes itself ([`hash_word`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PhysicalKey(ContentHash);
 
@@ -483,89 +471,26 @@ struct ChunkEntry {
     payload: Option<Arc<[u8]>>,
 }
 
-/// One chunk shard: its slice of the physical table and of the counters.
-#[derive(Debug, Default)]
-struct ChunkShard {
-    table: Table<PhysicalKey, ChunkEntry>,
-    physical_bytes: u64,
-    server_dedup_hits: u64,
-    reclaimed_bytes: u64,
-    freed_chunks: u64,
-}
-
-impl ChunkShard {
-    /// The physical half of a put: one more owner for the chunk when it is
-    /// `new_to_user` (its first owner creates the entry; a later one is a
-    /// server-side dedup hit and may bring a more compact representation),
-    /// and the payload for an entry that has none.
-    fn admit(&mut self, chunk: &StoredChunk, new_to_user: bool, payload: Option<&[u8]>) {
-        match self.table.entry(PhysicalKey(chunk.hash)) {
-            Entry::Occupied(mut occupied) => {
-                let entry = occupied.get_mut();
-                if new_to_user {
-                    entry.owners += 1;
-                    if chunk.stored_len < entry.stored_len {
-                        self.physical_bytes -= entry.stored_len - chunk.stored_len;
-                        entry.stored_len = chunk.stored_len;
-                        entry.plain_len = chunk.plain_len;
-                    }
-                    self.server_dedup_hits += 1;
-                }
-                if entry.payload.is_none() {
-                    entry.payload = payload.map(Arc::from);
-                }
-            }
-            // A user holding a chunk implies its physical entry, so only a
-            // chunk new to the user creates one.
-            Entry::Vacant(vacant) if new_to_user => {
-                self.physical_bytes += chunk.stored_len;
-                vacant.insert(ChunkEntry {
-                    stored_len: chunk.stored_len,
-                    plain_len: chunk.plain_len,
-                    owners: 1,
-                    payload: payload.map(Arc::from),
-                });
-            }
-            Entry::Vacant(_) => {}
-        }
-    }
-
-    /// Frees an owner-less entry's bytes in the counters (the caller
-    /// removes the entry itself).
-    fn account_freed(&mut self, chunks: u64, bytes: u64) {
-        self.physical_bytes -= bytes;
-        self.reclaimed_bytes += bytes;
-        self.freed_chunks += chunks;
-    }
-}
-
 #[cfg(test)]
 thread_local! {
-    /// Shard write locks a write path took on this thread.
+    /// Write locks taken on this thread.
     static WRITE_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Counts one shard write lock taken by a write path, for the test that
-/// pins the locks a commit costs; compiled out of everything else.
+/// Counts one write lock, for the test that pins the locks a commit
+/// costs; compiled out of everything else.
 fn count_write_lock() {
     #[cfg(test)]
     WRITE_LOCKS.with(|locks| locks.set(locks.get() + 1));
 }
 
-#[derive(Debug)]
-struct StoreInner {
-    user_shards: Box<[RwLock<UserShard>]>,
-    chunk_shards: Box<[RwLock<ChunkShard>]>,
-    paths: RwLock<Names>,
-    policy: GcPolicy,
-}
-
 /// The server-side object store, shared by control and storage servers of a
 /// simulated service — and, since the fleet harness exists, by every client
-/// of a multi-user fleet. Clones share the same underlying shards.
+/// of a multi-user fleet. Clones share the same tables.
 #[derive(Debug, Clone)]
 pub struct ObjectStore {
-    inner: Arc<StoreInner>,
+    tables: Arc<RwLock<Tables>>,
+    policy: GcPolicy,
 }
 
 impl Default for ObjectStore {
@@ -574,164 +499,55 @@ impl Default for ObjectStore {
     }
 }
 
-/// Default shard count for every shard array. Enough to keep a 32-client
-/// fleet's writers on distinct locks with high probability while staying
-/// cheap to iterate for aggregate reads.
-pub const DEFAULT_SHARDS: usize = 16;
-
-fn shard_for_name(name: &str, shards: usize) -> usize {
-    // FNV-1a over the name; stable across runs (no RandomState).
-    let mut h = 0xcbf29ce484222325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h % shards as u64) as usize
-}
-
-fn shard_for_chunk(hash: &ContentHash, shards: usize) -> usize {
-    // SHA-256 output is uniform: the first bytes are an ideal shard key.
-    (u16::from_be_bytes([hash.0[0], hash.0[1]]) as usize) % shards
-}
-
-fn shards_of<T: Default>(shards: usize) -> Box<[RwLock<T>]> {
-    (0..shards).map(|_| RwLock::new(T::default())).collect()
-}
-
-/// Read-locks `lock`. Poisoning is ignored: a lock whose holder panicked
-/// still hands out its guard, so a [`StoreWriter`] dropped during an
-/// unwind can still flush.
-fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-locks `lock`, ignoring poisoning as [`read`] does.
-fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl ObjectStore {
-    /// Creates an empty store with [`DEFAULT_SHARDS`] lock shards and the
-    /// default (never-collecting-until-swept) [`GcPolicy::MarkSweep`].
+    /// Creates an empty store with the default
+    /// (never-collecting-until-swept) [`GcPolicy::MarkSweep`].
     pub fn new() -> Self {
-        ObjectStore::with_shards(DEFAULT_SHARDS)
+        ObjectStore::with_policy(GcPolicy::default())
     }
 
-    /// Creates an empty store with an explicit shard count (1 = the original
-    /// single-lock layout, the contention baseline of the storm timing bound).
-    pub fn with_shards(shards: usize) -> Self {
-        ObjectStore::with_shards_and_policy(shards, GcPolicy::default())
-    }
-
-    /// Creates an empty default-sharded store with an explicit GC policy.
+    /// Creates an empty store with an explicit GC policy.
     pub fn with_policy(policy: GcPolicy) -> Self {
-        ObjectStore::with_shards_and_policy(DEFAULT_SHARDS, policy)
-    }
-
-    /// Creates an empty store with explicit shard count and GC policy.
-    pub fn with_shards_and_policy(shards: usize, policy: GcPolicy) -> Self {
-        let shards = shards.max(1);
-        ObjectStore {
-            inner: Arc::new(StoreInner {
-                user_shards: shards_of(shards),
-                chunk_shards: shards_of(shards),
-                paths: RwLock::default(),
-                policy,
-            }),
-        }
-    }
-
-    /// Number of lock shards in each shard array.
-    pub fn shard_count(&self) -> usize {
-        self.inner.user_shards.len()
+        ObjectStore { tables: Arc::default(), policy }
     }
 
     /// The garbage-collection policy this store was built with.
     pub fn gc_policy(&self) -> GcPolicy {
-        self.inner.policy
+        self.policy
+    }
+
+    /// Read-locks the tables. Poisoning is ignored: a write checks what it
+    /// is handed before it changes anything a caller can read (a manifest
+    /// over chunks the user lacks panics first), so a caller that panicked
+    /// under the lock left nothing half-written.
+    fn read(&self) -> RwLockReadGuard<'_, Tables> {
+        self.tables.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Write-locks the tables, ignoring poisoning as [`ObjectStore::read`]
+    /// does.
+    fn write(&self) -> RwLockWriteGuard<'_, Tables> {
+        count_write_lock();
+        self.tables.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Interns a user name. The same name always yields the same id; a new
-    /// name creates an (empty) record in the shard its name hashes to.
-    /// Fails instead of wrapping once that shard's ids pass `u32::MAX` — a
-    /// default-sharded store indexes at least `u32::MAX / DEFAULT_SHARDS`
-    /// users.
+    /// name creates an (empty) record. Fails instead of wrapping once the
+    /// ids pass `u32::MAX`.
     pub fn intern_user(&self, name: &str) -> Result<UserId, IdSpaceExhausted> {
-        let shards = self.shard_count();
-        let shard = shard_for_name(name, shards);
-        let slot = write(&self.inner.user_shards[shard]).intern(name, shard, shards)?;
-        Ok(UserId(pack_id(slot as usize, shard, shards).expect("interned slots fit")))
+        self.write().intern_user(name).map(UserId)
     }
 
     /// Interns a file path; see [`ObjectStore::intern_user`] for the
-    /// contract. Paths are interned store-wide, not per user, under one
-    /// lock: a path's id is its first-seen slot.
+    /// contract. Paths are interned store-wide, not per user.
     pub fn intern_path(&self, path: &str) -> Result<PathId, IdSpaceExhausted> {
-        // Steady state is a hit: look under the read lock first.
-        if let Some(known) = self.known_path(path) {
-            return Ok(known);
-        }
-        let slot = write(&self.inner.paths).intern(path, 0, 1);
-        slot.map(PathId).ok_or(IdSpaceExhausted { what: "path" })
-    }
-
-    /// The id of a path some commit already interned.
-    fn known_path(&self, path: &str) -> Option<PathId> {
-        read(&self.inner.paths).slots.get(path).copied().map(PathId)
-    }
-
-    fn path_name(&self, path: PathId) -> String {
-        read(&self.inner.paths).names[path.0 as usize].to_string()
-    }
-
-    /// Write-locks the shard of the user a `&str` write names and resolves
-    /// the user's slot in it, interning the name under that same lock. The
-    /// `&str` write methods predate ids and cannot report exhaustion, so
-    /// there it panics.
-    fn write_named(&self, user: &str) -> (RwLockWriteGuard<'_, UserShard>, u32) {
-        let shards = self.shard_count();
-        let shard = shard_for_name(user, shards);
-        count_write_lock();
-        let mut guard = write(&self.inner.user_shards[shard]);
-        let slot = guard.intern(user, shard, shards).unwrap_or_else(|e| panic!("{e}"));
-        (guard, slot)
-    }
-
-    /// Write-locks the shard an interned user's id names.
-    fn write_id(&self, user: UserId) -> (RwLockWriteGuard<'_, UserShard>, u32) {
-        let (shard, slot) = unpack_id(user.0, self.shard_count());
-        count_write_lock();
-        (write(&self.inner.user_shards[shard]), slot as u32)
-    }
-
-    /// Write-locks the shard of a user some write already interned.
-    fn write_known(&self, user: &str) -> Option<(RwLockWriteGuard<'_, UserShard>, u32)> {
-        let guard = write(&self.inner.user_shards[shard_for_name(user, self.shard_count())]);
-        let slot = *guard.names.slots.get(user)?;
-        Some((guard, slot))
-    }
-
-    /// Read-locks the shard of a user some write already interned.
-    fn read_known(&self, user: &str) -> Option<(RwLockReadGuard<'_, UserShard>, u32)> {
-        let guard = read(&self.inner.user_shards[shard_for_name(user, self.shard_count())]);
-        let slot = *guard.names.slots.get(user)?;
-        Some((guard, slot))
-    }
-
-    fn chunk_shard(&self, hash: &ContentHash) -> &RwLock<ChunkShard> {
-        &self.inner.chunk_shards[shard_for_chunk(hash, self.inner.chunk_shards.len())]
-    }
-
-    /// Write-locks the chunk shard of a hash a put admits.
-    fn write_chunks(&self, hash: &ContentHash) -> RwLockWriteGuard<'_, ChunkShard> {
-        count_write_lock();
-        write(self.chunk_shard(hash))
+        self.write().intern_path(path)
     }
 
     /// True when *any* user has stored this chunk — the inter-user question a
     /// dedup-capable server answers before accepting an upload.
     pub fn has_chunk_globally(&self, hash: &ContentHash) -> bool {
-        read(self.chunk_shard(hash)).table.contains_key(&PhysicalKey(*hash))
+        self.read().chunks.contains_key(&PhysicalKey(*hash))
     }
 
     /// Stores a chunk payload for a user. Returns `true` when the chunk was
@@ -764,14 +580,11 @@ impl ObjectStore {
     }
 
     fn put(&self, user: &str, chunk: StoredChunk, payload: Option<&[u8]>) -> bool {
-        // Lock discipline: user shard first, released before the chunk shard
-        // is taken — the two arrays are never held simultaneously.
-        let new_to_user = {
-            let (mut guard, slot) = self.write_named(user);
-            guard.hold(slot, &chunk, 0)
-        };
+        let mut tables = self.write();
+        let slot = tables.named(user);
+        let new_to_user = tables.hold(slot, &chunk, 0);
         if new_to_user || payload.is_some() {
-            self.write_chunks(&chunk.hash).admit(&chunk, new_to_user, payload);
+            tables.admit(&chunk, new_to_user, payload);
         }
         new_to_user
     }
@@ -786,24 +599,17 @@ impl ObjectStore {
     /// (the counts drop) but its chunks stay retained in the namespace, so
     /// a client's dedup query still finds them and §4.3 restores stay free.
     pub fn commit_manifest(&self, user: &str, manifest: FileManifest) -> u64 {
-        let path = self.intern_path(&manifest.path).unwrap_or_else(|e| panic!("{e}"));
-        let (mut guard, slot) = self.write_named(user);
-        guard.reference(slot, &manifest.chunks);
-        guard.publish(slot, path, manifest.size, manifest.chunks.as_slice().into())
+        let mut tables = self.write();
+        let path = tables.intern_path(&manifest.path).unwrap_or_else(|e| panic!("{e}"));
+        let slot = tables.named(user);
+        tables.reference(slot, &manifest.chunks);
+        tables.publish(slot, path, manifest.size, manifest.chunks.as_slice().into())
     }
 
-    /// The store's batch write path: a [`StoreWriter`] that commits
-    /// batches of one-chunk files and admits their new chunks shard by
-    /// shard, the last of them when it drops.
+    /// The store's batch write path: a [`StoreWriter`] holding the store's
+    /// write lock until it drops.
     pub fn writer(&self) -> StoreWriter<'_> {
-        self.writer_flushing_at(FLUSH_AT)
-    }
-
-    /// A writer that flushes once `bound` admits are queued.
-    fn writer_flushing_at(&self, bound: usize) -> StoreWriter<'_> {
-        assert!((1..=FLUSH_AT).contains(&bound), "a flush bound of {bound} admits");
-        let ends = vec![0; self.inner.chunk_shards.len() + 1];
-        StoreWriter { store: self, queue: Vec::with_capacity(bound), bound, ends }
+        StoreWriter { tables: self.write() }
     }
 
     /// Tells the store what is about to be written — `users` more users,
@@ -822,26 +628,14 @@ impl ObjectStore {
         files_per_user: usize,
         unique_chunks: usize,
     ) {
-        // An even share per shard plus a sixteenth for the shards the names
-        // favour. No more: a table is sized to a power of two, and a wider
-        // margin would land it one above where doubling would have ended.
-        let shards = self.shard_count();
-        let share = |total: usize| {
-            let even = total.div_ceil(shards);
-            even.saturating_add(even / 16)
-        };
-        for shard in self.inner.user_shards.iter() {
-            let mut guard = write(shard);
-            let us = &mut *guard;
-            let _ = us.names.slots.try_reserve(share(users));
-            let _ = us.names.names.try_reserve(share(users));
-            let _ = us.records.try_reserve(share(users));
-            us.held_capacity = chunks_per_user;
-            us.files_capacity = files_per_user;
-        }
-        for shard in self.inner.chunk_shards.iter() {
-            let _ = write(shard).table.try_reserve(share(unique_chunks));
-        }
+        let mut guard = self.write();
+        let tables = &mut *guard;
+        let _ = tables.users.slots.try_reserve(users);
+        let _ = tables.users.names.try_reserve(users);
+        let _ = tables.records.try_reserve(users);
+        let _ = tables.chunks.try_reserve(unique_chunks);
+        tables.held_capacity = chunks_per_user;
+        tables.files_capacity = files_per_user;
     }
 
     /// Hard-deletes a file manifest and releases the chunks no remaining
@@ -858,33 +652,30 @@ impl ObjectStore {
     /// [`ObjectStore::chunk`] before uploading (the planner's dedup query)
     /// uploads them again.
     pub fn delete_manifest(&self, user: &str, path: &str) -> Option<u64> {
-        let path = self.known_path(path)?;
-        let (released, released_bytes) = {
-            let (mut guard, slot) = self.write_known(user)?;
-            let us = &mut *guard;
-            let manifest = us.remove_file(slot, path)?;
-            let record = &mut us.records[slot as usize];
-            let mut released = Vec::new();
-            let mut released_bytes = 0u64;
-            for hash in manifest.chunks.as_slice() {
-                // A manifest may reference a hash several times; the chunk
-                // can be released on an earlier occurrence.
-                let Ok(at) = record.find_held(hash) else { continue };
-                let held = &mut record.held[at].1;
-                held.refs = held.refs.saturating_sub(1);
-                // An earlier supersede may have promised to keep the chunk
-                // (restores and client-side dedup may rely on it).
-                if held.refs == 0 && !held.retained {
-                    released_bytes += held.stored_len;
-                    record.held.remove(at);
-                    released.push(*hash);
-                }
+        let mut guard = self.write();
+        let tables = &mut *guard;
+        let (slot, path) = (tables.user(user)?, tables.path(path)?);
+        let manifest = tables.remove_file(slot, path)?;
+        let record = &mut tables.records[slot as usize];
+        let mut released = Vec::new();
+        let mut released_bytes = 0u64;
+        for hash in manifest.chunks.as_slice() {
+            // A manifest may reference a hash several times; the chunk
+            // can be released on an earlier occurrence.
+            let Ok(at) = record.find_held(hash) else { continue };
+            let held = &mut record.held[at].1;
+            held.refs = held.refs.saturating_sub(1);
+            // An earlier supersede may have promised to keep the chunk
+            // (restores and client-side dedup may rely on it).
+            if held.refs == 0 && !held.retained {
+                released_bytes += held.stored_len;
+                record.held.remove(at);
+                released.push(*hash);
             }
-            us.referenced_bytes -= released_bytes;
-            us.manifest_deletes += 1;
-            (released, released_bytes)
-        };
-        self.release_chunks(&released);
+        }
+        tables.referenced_bytes -= released_bytes;
+        tables.manifest_deletes += 1;
+        tables.release(&released, self.policy);
         Some(released_bytes)
     }
 
@@ -893,69 +684,44 @@ impl ObjectStore {
     /// is what a fleet client leaving the service calls. Returns the released
     /// stored bytes.
     pub fn purge_user(&self, user: &str) -> u64 {
-        let (released, released_bytes) = {
-            let Some((mut guard, slot)) = self.write_known(user) else {
-                return 0;
-            };
-            let us = &mut *guard;
-            // The record (and the user's id) stays; its rows go.
-            let record = std::mem::take(&mut us.records[slot as usize]);
-            let released_bytes: u64 = record.held.iter().map(|(_, held)| held.stored_len).sum();
-            us.referenced_bytes -= released_bytes;
-            us.manifest_deletes += record.files.len() as u64;
-            (record.held, released_bytes)
+        let mut guard = self.write();
+        let tables = &mut *guard;
+        let Some(slot) = tables.user(user) else {
+            return 0;
         };
-        self.release_chunks(released.iter().map(|(hash, _)| hash));
+        // The record (and the user's id) stays; its rows go.
+        let record = std::mem::take(&mut tables.records[slot as usize]);
+        let released_bytes: u64 = record.held.iter().map(|(_, held)| held.stored_len).sum();
+        tables.referenced_bytes -= released_bytes;
+        tables.manifest_deletes += record.files.len() as u64;
+        tables.release(record.held.iter().map(|(hash, _)| hash), self.policy);
         released_bytes
     }
 
-    /// Releases chunks a user no longer holds: each physical entry loses
-    /// one owner. Owner-less entries are freed immediately under
-    /// [`GcPolicy::Eager`] and left for [`ObjectStore::collect_garbage`]
-    /// under [`GcPolicy::MarkSweep`]. Releases only decrement, so
-    /// concurrent releases commute.
-    fn release_chunks<'a>(&self, released: impl IntoIterator<Item = &'a ContentHash>) {
-        for hash in released {
-            let mut guard = write(self.chunk_shard(hash));
-            let Some(entry) = guard.table.get_mut(&PhysicalKey(*hash)) else { continue };
-            entry.owners = entry.owners.saturating_sub(1);
-            if entry.owners == 0 && self.inner.policy == GcPolicy::Eager {
-                let freed = entry.stored_len;
-                guard.table.remove(&PhysicalKey(*hash));
-                guard.account_freed(1, freed);
-            }
-        }
-    }
-
-    /// Sweeps every chunk shard, freeing entries no user owns any more. The
-    /// periodic companion of [`GcPolicy::MarkSweep`]; a no-op (zero stats)
-    /// under [`GcPolicy::Eager`], where releases already freed everything.
+    /// Sweeps the physical table, freeing entries no user owns any more.
+    /// The periodic companion of [`GcPolicy::MarkSweep`]; a no-op (zero
+    /// stats) under [`GcPolicy::Eager`], where releases already freed
+    /// everything.
     pub fn collect_garbage(&self) -> GcStats {
+        let mut tables = self.write();
         let mut pass = GcStats::default();
-        for shard in self.inner.chunk_shards.iter() {
-            let mut guard = write(shard);
-            let mut swept = GcStats::default();
-            guard.table.retain(|_, entry| {
-                if entry.owners > 0 {
-                    return true;
-                }
-                swept.freed_chunks += 1;
-                swept.freed_bytes += entry.stored_len;
-                false
-            });
-            guard.account_freed(swept.freed_chunks, swept.freed_bytes);
-            pass.freed_chunks += swept.freed_chunks;
-            pass.freed_bytes += swept.freed_bytes;
-        }
+        tables.chunks.retain(|_, entry| {
+            if entry.owners > 0 {
+                return true;
+            }
+            pass.freed_chunks += 1;
+            pass.freed_bytes += entry.stored_len;
+            false
+        });
+        tables.account_freed(pass.freed_chunks, pass.freed_bytes);
         pass
     }
 
     /// Fetches the current manifest of a path.
     pub fn manifest(&self, user: &str, path: &str) -> Option<FileManifest> {
-        let key_path = self.known_path(path)?;
-        let (guard, slot) = self.read_known(user)?;
-        let record = &guard.records[slot as usize];
-        let entry = &record.files[record.find_file(key_path).ok()?].1;
+        let tables = self.read();
+        let record = tables.record(user)?;
+        let entry = &record.files[record.find_file(tables.path(path)?).ok()?].1;
         Some(FileManifest {
             path: path.to_string(),
             size: entry.size,
@@ -969,22 +735,24 @@ impl ObjectStore {
     /// another path releases them either), matching the delete/restore
     /// observation of §4.3. Returns `true` when a file was removed.
     pub fn delete_file(&self, user: &str, path: &str) -> bool {
-        let Some(path) = self.known_path(path) else {
+        let mut tables = self.write();
+        let (Some(slot), Some(path)) = (tables.user(user), tables.path(path)) else {
             return false;
         };
-        self.write_known(user)
-            .is_some_and(|(mut guard, slot)| guard.remove_file(slot, path).is_some())
+        tables.remove_file(slot, path).is_some()
     }
 
     /// Lists the live file paths of a user, sorted.
     pub fn list_files(&self, user: &str) -> Vec<String> {
-        let ids: Vec<PathId> = match self.read_known(user) {
-            Some((guard, slot)) => {
-                guard.records[slot as usize].files.iter().map(|row| row.0).collect()
-            }
-            None => return Vec::new(),
+        let tables = self.read();
+        let Some(record) = tables.record(user) else {
+            return Vec::new();
         };
-        let mut paths: Vec<String> = ids.iter().map(|&id| self.path_name(id)).collect();
+        let mut paths: Vec<String> = record
+            .files
+            .iter()
+            .map(|(id, _)| tables.paths.names[id.0 as usize].to_string())
+            .collect();
         paths.sort();
         paths
     }
@@ -992,8 +760,8 @@ impl ObjectStore {
     /// Returns a stored chunk record as the user sees it (their own uploaded
     /// representation, not the canonical physical one).
     pub fn chunk(&self, user: &str, hash: &ContentHash) -> Option<StoredChunk> {
-        let (guard, slot) = self.read_known(user)?;
-        let record = &guard.records[slot as usize];
+        let tables = self.read();
+        let record = tables.record(user)?;
         let held = &record.held[record.find_held(hash).ok()?].1;
         Some(StoredChunk { hash: *hash, stored_len: held.stored_len, plain_len: held.plain_len })
     }
@@ -1003,15 +771,15 @@ impl ObjectStore {
     /// (or garbage-collected) hashes and for metadata-only commits. The
     /// restore pipeline serves file reconstructions from here.
     pub fn chunk_payload(&self, hash: &ContentHash) -> Option<Arc<[u8]>> {
-        read(self.chunk_shard(hash)).table.get(&PhysicalKey(*hash)).and_then(|e| e.payload.clone())
+        self.read().chunks.get(&PhysicalKey(*hash)).and_then(|e| e.payload.clone())
     }
 
     /// Aggregate statistics of a user's namespace.
     pub fn stats(&self, user: &str) -> StoreStats {
-        let Some((guard, slot)) = self.read_known(user) else {
+        let tables = self.read();
+        let Some(record) = tables.record(user) else {
             return StoreStats::default();
         };
-        let record = &guard.records[slot as usize];
         StoreStats {
             files: record.files.len(),
             chunks: record.held.len(),
@@ -1022,78 +790,51 @@ impl ObjectStore {
 
     /// The user names with a non-empty namespace, sorted.
     pub fn users(&self) -> Vec<String> {
-        let mut users = Vec::new();
-        for shard in self.inner.user_shards.iter() {
-            let guard = read(shard);
-            users.extend(
-                guard
-                    .records
-                    .iter()
-                    .zip(&guard.names.names)
-                    .filter(|(record, _)| !record.is_empty())
-                    .map(|(_, name)| name.to_string()),
-            );
-        }
+        let tables = self.read();
+        let mut users: Vec<String> = (tables.records.iter().zip(&tables.users.names))
+            .filter(|(record, _)| !record.is_empty())
+            .map(|(_, name)| name.to_string())
+            .collect();
         users.sort();
         users
     }
 
-    /// Aggregate statistics across every user namespace: the per-shard
-    /// counters summed, and the per-user records summed under the user
-    /// shards' read locks.
+    /// Aggregate statistics across every user namespace: the counters, and
+    /// the per-user records summed.
     pub fn aggregate(&self) -> AggregateStats {
-        let mut agg = AggregateStats::default();
-        for shard in self.inner.user_shards.iter() {
-            let guard = read(shard);
-            for record in guard.records.iter().filter(|record| !record.is_empty()) {
-                agg.users += 1;
-                agg.files += record.files.len();
-                agg.logical_bytes += record.logical_bytes;
-            }
-            agg.referenced_bytes += guard.referenced_bytes;
-            agg.chunk_puts += guard.chunk_puts;
-            agg.manifest_deletes += guard.manifest_deletes;
-        }
-        for shard in self.inner.chunk_shards.iter() {
-            let guard = read(shard);
-            agg.unique_chunks += guard.table.len() as u64;
-            agg.physical_bytes += guard.physical_bytes;
-            agg.server_dedup_hits += guard.server_dedup_hits;
-            agg.reclaimed_bytes += guard.reclaimed_bytes;
-            agg.freed_chunks += guard.freed_chunks;
+        let tables = self.read();
+        let mut agg = AggregateStats {
+            unique_chunks: tables.chunks.len() as u64,
+            physical_bytes: tables.physical_bytes,
+            referenced_bytes: tables.referenced_bytes,
+            server_dedup_hits: tables.server_dedup_hits,
+            chunk_puts: tables.chunk_puts,
+            manifest_deletes: tables.manifest_deletes,
+            reclaimed_bytes: tables.reclaimed_bytes,
+            freed_chunks: tables.freed_chunks,
+            ..AggregateStats::default()
+        };
+        for record in tables.records.iter().filter(|record| !record.is_empty()) {
+            agg.users += 1;
+            agg.files += record.files.len();
+            agg.logical_bytes += record.logical_bytes;
         }
         agg
     }
 }
 
-/// How many admits a [`StoreWriter`] queues before it flushes them: its
-/// queue is allocated once at this many chunks. A flush orders them by
-/// `u16` positions.
-const FLUSH_AT: usize = 256;
-const _: () = assert!(FLUSH_AT <= u16::MAX as usize);
-
-/// The batch write path, borrowed from the store by
-/// [`ObjectStore::writer`].
+/// The batch write path: the store's write lock, taken by
+/// [`ObjectStore::writer`] and held until the writer drops, so a walk of
+/// any number of commits locks the store once.
 ///
-/// [`StoreWriter::commit_files_by_id`] writes the user half of a batch at
-/// once and queues each chunk that was new to the user; the writer admits
-/// the queue shard by shard — one chunk-shard lock per shard the queue
-/// touches — whenever it is full and when the writer drops. A queued
-/// chunk is in its user's rows but not yet in the physical table, so a
-/// caller that reads the physical side (`has_chunk_globally`, `aggregate`)
-/// drops the writer first. Admits commute (an owner is added, bytes summed, a size `min`ed), and
-/// each shard's admits keep their commit order, so a store written through
-/// one writer reads back exactly as one written through a writer per
-/// batch.
+/// While a writer lives, every other call on its store waits for it, and
+/// one made from the writer's own thread never returns (std's lock is not
+/// re-entrant): a thread holding a writer makes no other call on that store
+/// until it drops the writer. The fleet-scale walk interns its users and
+/// paths before it takes its writer, and makes no other call after.
 #[derive(Debug)]
 pub struct StoreWriter<'a> {
-    store: &'a ObjectStore,
-    /// Chunks new to their user, not yet admitted, in commit order.
-    queue: Vec<StoredChunk>,
-    /// The queue length that triggers a flush.
-    bound: usize,
-    /// Per chunk shard, where its admits end in a flush's order.
-    ends: Vec<u16>,
+    tables: RwLockWriteGuard<'a, Tables>,
 }
 
 impl StoreWriter<'_> {
@@ -1106,94 +847,76 @@ impl StoreWriter<'_> {
     /// file, the files before it holding the versions counting down from
     /// there.
     ///
-    /// The batch is the bundling client of §5: the user shard is
-    /// write-locked **once**, each file costs one search of the user's held
-    /// rows (a chunk new to the user enters them already referenced, a held
-    /// one gains a reference) and one of the user's manifest rows, and only
-    /// after that lock is released are the chunks that were new to the user
-    /// queued for their chunk shards. Beyond the user's rows nothing is
-    /// allocated for batches of up to 256 files.
+    /// The batch is the bundling client of §5: each file costs one search
+    /// of the user's held rows (a chunk new to the user enters them already
+    /// referenced, a held one gains a reference) and one of the user's
+    /// manifest rows, and the chunks new to the user are then admitted to
+    /// the physical table. Beyond the user's rows nothing is allocated.
     pub fn commit_files_by_id(&mut self, user: UserId, files: &[(PathId, StoredChunk)]) -> u64 {
-        // One bit per file: was its chunk new to the user?
-        let mut inline = [0u64; 4];
-        let mut spilled;
-        let new_to_user = if files.len() <= 64 * inline.len() {
-            &mut inline[..]
-        } else {
-            spilled = vec![0u64; files.len().div_ceil(64)];
-            &mut spilled[..]
-        };
-        let version = {
-            let (mut guard, slot) = self.store.write_id(user);
-            let us = &mut *guard;
+        let tables = &mut *self.tables;
+        // Up to 64 files at a time, one bit each for "new to the user". The
+        // admits come after the user's rows, back to back: independent
+        // lookups in a table far larger than the cache, whose misses then
+        // overlap (a million-client walk is 1.12× slower admitting each
+        // chunk right after its search).
+        for files in files.chunks(64) {
+            let mut new_to_user = 0u64;
             for (i, (path, chunk)) in files.iter().enumerate() {
-                new_to_user[i / 64] |= u64::from(us.hold(slot, chunk, 1)) << (i % 64);
-                us.publish(slot, *path, chunk.plain_len, ChunkList::One(chunk.hash));
+                new_to_user |= u64::from(tables.hold(user.0, chunk, 1)) << i;
+                tables.publish(user.0, *path, chunk.plain_len, ChunkList::One(chunk.hash));
             }
-            us.records[slot as usize].next_version
-        };
-        for (i, (_, chunk)) in files.iter().enumerate() {
-            if new_to_user[i / 64] >> (i % 64) & 1 == 1 {
-                self.queue.push(chunk.clone());
-                if self.queue.len() == self.bound {
-                    self.flush();
+            for (i, (_, chunk)) in files.iter().enumerate() {
+                if new_to_user >> i & 1 == 1 {
+                    tables.admit(chunk, true, None);
                 }
             }
         }
-        version
-    }
-
-    /// Admits the queued chunks, each shard's in queue order under one
-    /// lock of that shard.
-    fn flush(&mut self) {
-        let shards = &self.store.inner.chunk_shards;
-        // A counting sort by shard, stable, so each shard keeps its commit
-        // order: `ends[s]` counts up to where shard `s`'s run ends.
-        let mut of = [0u16; FLUSH_AT];
-        let of = &mut of[..self.queue.len()];
-        self.ends.fill(0);
-        for (s, chunk) in of.iter_mut().zip(&self.queue) {
-            *s = shard_for_chunk(&chunk.hash, shards.len()) as u16;
-            self.ends[*s as usize + 1] += 1;
-        }
-        for s in 1..self.ends.len() {
-            self.ends[s] += self.ends[s - 1];
-        }
-        let mut order = [0u16; FLUSH_AT];
-        for (at, &s) in of.iter().enumerate() {
-            order[self.ends[s as usize] as usize] = at as u16;
-            self.ends[s as usize] += 1;
-        }
-        let mut start = 0;
-        for (shard, &end) in shards.iter().zip(&self.ends) {
-            let run = &order[start as usize..end as usize];
-            start = end;
-            if run.is_empty() {
-                continue;
-            }
-            count_write_lock();
-            let mut guard = write(shard);
-            for &at in run {
-                guard.admit(&self.queue[at as usize], true, None);
-            }
-        }
-        self.queue.clear();
+        tables.records[user.0 as usize].next_version
     }
 }
 
-impl Drop for StoreWriter<'_> {
-    fn drop(&mut self) {
-        self.flush();
+impl Tables {
+    /// The slot of `name`, interning it with an empty record when new.
+    fn intern_user(&mut self, name: &str) -> Result<u32, IdSpaceExhausted> {
+        let slot = self.users.intern(name).ok_or(IdSpaceExhausted { what: "user" })?;
+        if self.records.len() < self.users.names.len() {
+            self.records.push(UserRecord::default());
+        }
+        Ok(slot)
     }
-}
 
-impl UserShard {
+    /// The slot of the user a `&str` write names, interned when new. The
+    /// `&str` writes predate ids and cannot report exhaustion, so there it
+    /// panics.
+    fn named(&mut self, user: &str) -> u32 {
+        self.intern_user(user).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn intern_path(&mut self, path: &str) -> Result<PathId, IdSpaceExhausted> {
+        self.paths.intern(path).map(PathId).ok_or(IdSpaceExhausted { what: "path" })
+    }
+
+    /// The slot of a user some write already interned.
+    fn user(&self, name: &str) -> Option<u32> {
+        self.users.slots.get(name).copied()
+    }
+
+    /// The id of a path some write already interned.
+    fn path(&self, path: &str) -> Option<PathId> {
+        self.paths.slots.get(path).copied().map(PathId)
+    }
+
+    /// The record of a user some write already interned.
+    fn record(&self, user: &str) -> Option<&UserRecord> {
+        Some(&self.records[self.user(user)? as usize])
+    }
+
     /// The user half of a put: user `slot` holds `chunk` from now on, with
     /// `refs` more live-manifest references to it (none for a bare put, one
-    /// when the manifest is published under the same lock). Returns `true`
-    /// when the chunk was new to the user — the caller then owes the chunk
-    /// shard an [`ChunkShard::admit`]. One bisection of the user's held
-    /// rows either way.
+    /// when the manifest is published in the same write). Returns `true`
+    /// when the chunk was new to the user — the caller then owes the
+    /// physical table an [`Tables::admit`]. One bisection of the user's
+    /// held rows either way.
     fn hold(&mut self, slot: u32, chunk: &StoredChunk, refs: u32) -> bool {
         let record = &mut self.records[slot as usize];
         match record.find_held(&chunk.hash) {
@@ -1218,6 +941,42 @@ impl UserShard {
         }
     }
 
+    /// The physical half of a put: one more owner for the chunk when it is
+    /// `new_to_user` (its first owner creates the entry; a later one is a
+    /// server-side dedup hit and may bring a more compact representation),
+    /// and the payload for an entry that has none.
+    fn admit(&mut self, chunk: &StoredChunk, new_to_user: bool, payload: Option<&[u8]>) {
+        match self.chunks.entry(PhysicalKey(chunk.hash)) {
+            Entry::Occupied(mut occupied) => {
+                let entry = occupied.get_mut();
+                if new_to_user {
+                    entry.owners += 1;
+                    if chunk.stored_len < entry.stored_len {
+                        self.physical_bytes -= entry.stored_len - chunk.stored_len;
+                        entry.stored_len = chunk.stored_len;
+                        entry.plain_len = chunk.plain_len;
+                    }
+                    self.server_dedup_hits += 1;
+                }
+                if entry.payload.is_none() {
+                    entry.payload = payload.map(Arc::from);
+                }
+            }
+            // A user holding a chunk implies its physical entry, so only a
+            // chunk new to the user creates one.
+            Entry::Vacant(vacant) if new_to_user => {
+                self.physical_bytes += chunk.stored_len;
+                vacant.insert(ChunkEntry {
+                    stored_len: chunk.stored_len,
+                    plain_len: chunk.plain_len,
+                    owners: 1,
+                    payload: payload.map(Arc::from),
+                });
+            }
+            Entry::Vacant(_) => {}
+        }
+    }
+
     /// Counts one live-manifest reference per occurrence in `chunks`, all
     /// of which user `slot` must hold.
     fn reference(&mut self, slot: u32, chunks: &[ContentHash]) {
@@ -1232,7 +991,7 @@ impl UserShard {
     }
 
     /// Publishes a manifest whose chunk references are already counted
-    /// ([`UserShard::hold`] or [`UserShard::reference`]): assigns the next
+    /// ([`Tables::hold`] or [`Tables::reference`]): assigns the next
     /// version and creates or replaces the path, releasing a replaced
     /// revision's references logically. Returns the version.
     fn publish(&mut self, slot: u32, path: PathId, size: u64, chunks: ChunkList) -> u64 {
@@ -1260,17 +1019,6 @@ impl UserShard {
         version
     }
 
-    /// The slot of `name` in this shard (`shard` of `shards`), interning it
-    /// with an empty record when new.
-    fn intern(&mut self, name: &str, shard: usize, shards: usize) -> Result<u32, IdSpaceExhausted> {
-        let slot =
-            self.names.intern(name, shard, shards).ok_or(IdSpaceExhausted { what: "user" })?;
-        if self.records.len() < self.names.names.len() {
-            self.records.push(UserRecord::default());
-        }
-        Ok(slot)
-    }
-
     /// Removes a live manifest from the user's rows and logical bytes.
     /// Chunk references are the caller's business.
     fn remove_file(&mut self, slot: u32, path: PathId) -> Option<FileEntry> {
@@ -1278,6 +1026,35 @@ impl UserShard {
         let (_, entry) = record.files.remove(record.find_file(path).ok()?);
         record.logical_bytes -= entry.size;
         Some(entry)
+    }
+
+    /// Releases chunks a user no longer holds: each physical entry loses
+    /// one owner. Owner-less entries are freed immediately under
+    /// [`GcPolicy::Eager`] and left for [`ObjectStore::collect_garbage`]
+    /// under [`GcPolicy::MarkSweep`]. Releases only decrement, so
+    /// concurrent releases commute.
+    fn release<'a>(
+        &mut self,
+        released: impl IntoIterator<Item = &'a ContentHash>,
+        policy: GcPolicy,
+    ) {
+        for hash in released {
+            let Some(entry) = self.chunks.get_mut(&PhysicalKey(*hash)) else { continue };
+            entry.owners = entry.owners.saturating_sub(1);
+            if entry.owners == 0 && policy == GcPolicy::Eager {
+                let freed = entry.stored_len;
+                self.chunks.remove(&PhysicalKey(*hash));
+                self.account_freed(1, freed);
+            }
+        }
+    }
+
+    /// Frees owner-less entries' bytes in the counters (the caller removes
+    /// the entries themselves).
+    fn account_freed(&mut self, chunks: u64, bytes: u64) {
+        self.physical_bytes -= bytes;
+        self.reclaimed_bytes += bytes;
+        self.freed_chunks += chunks;
     }
 }
 
@@ -1289,7 +1066,7 @@ mod tests {
 
     /// Number of distinct users that committed a given chunk.
     fn owners(store: &ObjectStore, hash: &ContentHash) -> u64 {
-        read(store.chunk_shard(hash)).table.get(&PhysicalKey(*hash)).map_or(0, |e| e.owners)
+        store.read().chunks.get(&PhysicalKey(*hash)).map_or(0, |e| e.owners)
     }
 
     fn stored(data: &[u8]) -> StoredChunk {
@@ -1480,52 +1257,6 @@ mod tests {
         assert_eq!(agg.files, 3);
         assert_eq!(agg.unique_chunks, 3);
         assert_eq!(agg.logical_bytes, 6);
-    }
-
-    #[test]
-    fn single_shard_store_behaves_identically() {
-        let sharded = ObjectStore::with_shards(16);
-        let single = ObjectStore::with_shards(1);
-        assert_eq!(sharded.shard_count(), 16);
-        assert_eq!(single.shard_count(), 1);
-        for store in [&sharded, &single] {
-            for i in 0..50u32 {
-                let user = format!("user-{}", i % 5);
-                store.put_chunk(&user, stored(&i.to_le_bytes()));
-            }
-        }
-        assert_eq!(sharded.aggregate(), single.aggregate());
-        for i in 0..5 {
-            let user = format!("user-{i}");
-            assert_eq!(sharded.stats(&user), single.stats(&user));
-        }
-
-        // The commit storm of `timing_bounds.rs`: 8 users on 8 threads, 512
-        // puts each, every third chunk shared across all users.
-        let (sharded, single) = (ObjectStore::with_shards(16), ObjectStore::with_shards(1));
-        for store in [&sharded, &single] {
-            std::thread::scope(|scope| {
-                for t in 0..8 {
-                    scope.spawn(move || {
-                        let user = format!("storm-user-{t}");
-                        for i in 0..512 {
-                            let key = if i % 3 == 0 {
-                                format!("shared-{i}")
-                            } else {
-                                format!("{user}-{i}")
-                            };
-                            store.put_chunk(&user, stored(key.as_bytes()));
-                        }
-                    });
-                }
-            });
-        }
-        assert_eq!(sharded.aggregate(), single.aggregate());
-        assert!(sharded.aggregate().server_dedup_hits > 0, "the storm shares chunks");
-        for t in 0..8 {
-            let user = format!("storm-user-{t}");
-            assert_eq!(sharded.stats(&user), single.stats(&user));
-        }
     }
 
     #[test]
@@ -1790,7 +1521,7 @@ mod tests {
 
     #[test]
     fn concurrent_users_match_sequential_replay() {
-        // The determinism contract of the sharded refactor, in miniature:
+        // The determinism contract of the shared store, in miniature:
         // 8 threads (users) commit overlapping chunk sets concurrently; a
         // sequential replay of the same per-user commits into a fresh store
         // yields bit-identical per-user and aggregate statistics.
@@ -1861,25 +1592,19 @@ mod tests {
 
     #[test]
     fn ids_past_u32_are_refused_not_wrapped() {
-        // slot * shards + shard must fit a u32.
-        assert_eq!(pack_id(0, 3, 16), Some(3));
-        assert_eq!(unpack_id(16 * 7 + 3, 16), (3, 7));
-        let last = u32::MAX as usize / 16;
-        assert_eq!(pack_id(last, 15, 16), Some(u32::MAX));
-        assert_eq!(pack_id(last + 1, 0, 16), None);
-        assert_eq!(pack_id(usize::MAX, 1, 16), None);
-        assert_eq!(pack_id(u32::MAX as usize, 0, 1), Some(u32::MAX));
-        assert_eq!(pack_id(u32::MAX as usize + 1, 0, 1), None);
-        // Interning refuses the first name whose id would not fit — here
-        // the second slot of the last of very many shards — and reports it
-        // as an error naming what ran out.
-        let (shard, shards) = (u32::MAX as usize - 1, u32::MAX as usize);
+        // An id is its name's slot, and the slot must fit a u32.
+        assert_eq!(next_id(0), Some(0));
+        assert_eq!(next_id(u32::MAX as usize), Some(u32::MAX));
+        assert_eq!(next_id(u32::MAX as usize + 1), None);
+        assert_eq!(next_id(usize::MAX), None);
+        // Interning hands out slots in first-seen order, a known name
+        // keeps its own, and an exhausted id space is an error naming
+        // what ran out.
         let mut names = Names::default();
-        assert_eq!(names.intern("fits", shard, shards), Some(0));
-        assert_eq!(names.intern("one too many", shard, shards), None);
-        assert_eq!(names.intern("fits", shard, shards), Some(0), "a known name needs no new id");
-        assert!(!names.slots.contains_key("one too many"), "a refused name is not half-interned");
-        assert_eq!(names.names.len(), 1);
+        assert_eq!(names.intern("first"), Some(0));
+        assert_eq!(names.intern("second"), Some(1));
+        assert_eq!(names.intern("first"), Some(0), "a known name needs no new id");
+        assert_eq!(names.names.len(), 2);
         let err = IdSpaceExhausted { what: "user" }.to_string();
         assert!(err.contains("user") && err.contains("u32"), "got: {err}");
     }
@@ -1965,7 +1690,7 @@ mod tests {
     }
 
     #[test]
-    fn a_writer_takes_a_user_lock_per_commit_and_a_chunk_lock_per_shard_per_flush() {
+    fn a_writer_takes_one_lock_for_its_whole_life() {
         let locks_of = |write: &dyn Fn()| {
             let before = WRITE_LOCKS.with(std::cell::Cell::get);
             write();
@@ -1974,44 +1699,43 @@ mod tests {
         let store = ObjectStore::new();
         // N four-file commits, each chunk new to its user.
         const N: u8 = 12;
+        let names: Vec<Vec<String>> =
+            (0..N).map(|c| (0..4u8).map(|f| format!("c{c}/f{f}")).collect()).collect();
         let commits: Vec<Vec<(PathId, StoredChunk)>> = (0..N)
             .map(|c| {
                 (0..4u8)
-                    .map(|f| (store.intern_path(&format!("c{c}/f{f}")).unwrap(), stored(&[c, f])))
+                    .map(|f| {
+                        let path = store.intern_path(&names[c as usize][f as usize]).unwrap();
+                        (path, stored(&[c, f]))
+                    })
                     .collect()
             })
             .collect();
-        let shards_of = |files: &[(PathId, StoredChunk)]| {
-            let shards = files.iter().map(|(_, c)| shard_for_chunk(&c.hash, store.shard_count()));
-            shards.collect::<BTreeSet<usize>>().len() as u64
-        };
-        let through = |user: &str, bound: usize| {
-            let user = store.intern_user(user).unwrap();
-            let mut writer = store.writer_flushing_at(bound);
+        let (alice, bob) = (store.intern_user("alice").unwrap(), store.intern_user("bob").unwrap());
+        let through = |user: UserId| {
+            let mut writer = store.writer();
             for files in &commits {
                 writer.commit_files_by_id(user, files);
             }
         };
-        // 48 admits fit the queue: one flush, when the writer drops, one
-        // lock per shard they land in — where a lock per new chunk took up
-        // to N × 5.
-        let every_file: Vec<(PathId, StoredChunk)> = commits.concat();
-        let touched = shards_of(&every_file);
-        assert!(touched < 4 * N as u64, "some shard takes several admits");
-        assert_eq!(locks_of(&|| through("alice", FLUSH_AT)), N as u64 + touched);
-        // Committed again the user holds them all: the user shard alone.
-        assert_eq!(locks_of(&|| through("alice", FLUSH_AT)), N as u64);
-        // A queue of four flushes after every commit.
-        let per_commit: u64 = commits.iter().map(|files| shards_of(files)).sum();
-        assert_eq!(locks_of(&|| through("bob", 4)), N as u64 + per_commit);
-        // The same four files as puts and commits: (2 + 1) × 4.
-        let separately = || {
-            for (path, chunk) in &commits[0] {
-                store.put_chunk("cy", chunk.clone());
-                store.commit_manifest("cy", manifest_for(&store.path_name(*path), &[chunk]));
+        // Every chunk new to the user, or every one held already: one lock.
+        assert_eq!(locks_of(&|| through(alice)), 1);
+        assert_eq!(locks_of(&|| through(alice)), 1);
+        // A writer per commit: one each.
+        let per_commit = || {
+            for files in &commits {
+                store.writer().commit_files_by_id(bob, files);
             }
         };
-        assert_eq!(locks_of(&separately), 12);
+        assert_eq!(locks_of(&per_commit), N as u64);
+        // The same four files as puts and commits: one lock per call.
+        let separately = || {
+            for (f, (_, chunk)) in commits[0].iter().enumerate() {
+                store.put_chunk("cy", chunk.clone());
+                store.commit_manifest("cy", manifest_for(&names[0][f], &[chunk]));
+            }
+        };
+        assert_eq!(locks_of(&separately), 8);
     }
 
     // ---- model-based property tests -------------------------------------
@@ -2266,11 +1990,9 @@ mod tests {
     /// Every record's two row lists are strictly sorted by their key: what
     /// the bisections rest on, and no key is there twice.
     fn assert_rows_sorted(store: &ObjectStore) {
-        for shard in store.inner.user_shards.iter() {
-            for record in &read(shard).records {
-                assert!(record.held.windows(2).all(|pair| pair[0].0 < pair[1].0));
-                assert!(record.files.windows(2).all(|pair| pair[0].0 .0 < pair[1].0 .0));
-            }
+        for record in &store.read().records {
+            assert!(record.held.windows(2).all(|pair| pair[0].0 < pair[1].0));
+            assert!(record.files.windows(2).all(|pair| pair[0].0 .0 < pair[1].0 .0));
         }
     }
 
@@ -2456,14 +2178,13 @@ mod tests {
             }
         }
 
-        /// A writer's queue is invisible: the same interleaving of batches
-        /// over six users — shared and private chunks, a hash repeated
-        /// inside a batch, paths superseded — with hard deletes, purges and
-        /// sweeps between writers, written through one writer flushing
-        /// after every admit, one writer at the production bound and one
-        /// writer per batch, reads back the same after every writer, and
-        /// every chunk a user holds is in the physical table once its
-        /// writer is dropped.
+        /// How long a writer lives is invisible: the same interleaving of
+        /// batches over six users — shared and private chunks, a hash
+        /// repeated inside a batch, paths superseded — with hard deletes,
+        /// purges and sweeps between writers, written through one writer
+        /// over every batch and through a writer per batch, reads back the
+        /// same after every writer, and every chunk a user holds is in the
+        /// physical table once its writer is dropped.
         #[test]
         fn a_writers_queue_changes_nothing_a_caller_can_read(
             eager in any::<bool>(),
@@ -2511,19 +2232,17 @@ mod tests {
                 let owned: Vec<u64> = hashes.iter().map(|hash| owners(store, hash)).collect();
                 (store.aggregate(), namespaces, owned)
             };
-            let ways = [Some(1), Some(FLUSH_AT), None];
-            let stores: Vec<ObjectStore> = ways.iter().map(|_| ObjectStore::with_policy(policy)).collect();
+            let stores: Vec<ObjectStore> = (0..2).map(|_| ObjectStore::with_policy(policy)).collect();
             for (step, segment) in segments.iter().enumerate() {
                 let (between, words) = (segment[0], &segment[1..]);
                 let mut seen = Vec::new();
-                for (store, way) in stores.iter().zip(ways) {
+                for (store, one_writer) in stores.iter().zip([true, false]) {
                     let batches = batches_of(words, store);
-                    let versions: Vec<u64> = match way {
-                        Some(bound) => {
-                            let mut writer = store.writer_flushing_at(bound);
-                            batches.iter().map(|(user, files)| writer.commit_files_by_id(*user, files)).collect()
-                        }
-                        None => batches.iter().map(|(user, files)| store.writer().commit_files_by_id(*user, files)).collect(),
+                    let versions: Vec<u64> = if one_writer {
+                        let mut writer = store.writer();
+                        batches.iter().map(|(user, files)| writer.commit_files_by_id(*user, files)).collect()
+                    } else {
+                        batches.iter().map(|(user, files)| store.writer().commit_files_by_id(*user, files)).collect()
                     };
                     for user in &users {
                         for hash in &hashes {
@@ -2542,7 +2261,6 @@ mod tests {
                     seen.push((step, versions, read_back(store)));
                 }
                 prop_assert_eq!(&seen[1], &seen[0]);
-                prop_assert_eq!(&seen[2], &seen[0]);
             }
         }
 

@@ -165,12 +165,11 @@ proptest! {
     }
 
     #[test]
-    fn concurrent_sharded_commits_equal_sequential_replay(
+    fn concurrent_commits_equal_sequential_replay(
         users in 2usize..8,
         plan in proptest::collection::vec(any::<u16>(), 16..64),
-        shards in 1usize..32,
     ) {
-        // The acceptance property of the sharded store: K threads (one per
+        // The acceptance property of the shared store: K threads (one per
         // user) committing interleaved batches of chunks and manifests end
         // with bit-identical per-user `StoreStats`, manifests and aggregate
         // accounting to the same batches replayed sequentially on one
@@ -213,7 +212,7 @@ proptest! {
             }
         };
 
-        let concurrent = ObjectStore::with_shards(shards);
+        let concurrent = ObjectStore::new();
         std::thread::scope(|scope| {
             let sync_user = &sync_user;
             for user in 0..users {
@@ -222,7 +221,7 @@ proptest! {
             }
         });
 
-        let sequential = ObjectStore::with_shards(shards);
+        let sequential = ObjectStore::new();
         for user in 0..users {
             sync_user(&sequential, user);
         }

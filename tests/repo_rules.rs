@@ -1287,8 +1287,8 @@ fn docs_name_only_paths_that_exist() {
 /// (history belongs in CHANGES.md and git). A change may lower a ceiling,
 /// never raise it.
 const DOC_CEILINGS: [(&str, usize, usize); 3] = [
-    ("README.md", 767, 5),
-    ("docs/ARCHITECTURE.md", 1_109, 11),
+    ("README.md", 757, 5),
+    ("docs/ARCHITECTURE.md", 1_105, 11),
     (".claude/skills/verify/SKILL.md", 219, 5),
 ];
 
