@@ -69,26 +69,27 @@
 //! bytes per client, asserted by a `size_of` test below — against the many
 //! kilobytes a `SyncClient` costs. The store is the larger share: a
 //! client's eight files cost it eight rows in each of its record's two
-//! lists plus its private chunks' physical entries (see the store's module
-//! docs). All of it is sized **once**: a resolved run knows its clients,
-//! commits, files and shared-pool share before the first event fires, so
-//! the driver hands the store the totals (`reserve_population`; the
-//! partition controller does it once for all partitions, whose own calls
-//! then find the room already there). The records, the name index and the
-//! physical table never double on the way up — a doubling rehashes every
-//! entry and holds the old and the new table at once — and a scale client
-//! costs the store **two exact allocations**, its record's two lists at
-//! their final eight rows, made by the client's first commit and never
-//! grown. The event list, the interval log and the summary vectors are not
-//! streamed yet.
+//! lists, which carry `u32` chunk ids, plus its four private chunks'
+//! entries, the one place their hashes are kept — 1 065 bytes of store per
+//! client, which `ObjectStore::footprint` counts and the `store_footprint`
+//! test pins (see the store's module docs). All of it is sized **once**: a
+//! resolved run knows its clients, commits, files and shared-pool share
+//! before the first event fires, so the driver hands the store the totals
+//! (`reserve_population`; the partition controller does it once for all
+//! partitions, whose own calls then find the room already there). The
+//! records, the name index, the chunk entries and their index never double
+//! on the way up — a doubling holds the old and the new allocation at once
+//! — and a scale client costs the store **two exact allocations**, its
+//! record's two lists at their final eight rows, made by the client's
+//! first commit and never grown. The event list, the interval log and the
+//! summary vectors are not streamed yet.
 //!
 //! The commit loop allocates nothing, and is a *bundling* client of its
 //! own store: users and paths are interned when the run is resolved, and
 //! a commit of `n` files refills the driver's one batch buffer and makes
-//! **one** call to the walk's [`cloudsim_storage::StoreWriter`] (one
-//! search of the user's rows per file, then the commit's new chunks
-//! admitted back to back),
-//! which holds the store's lock for the whole walk. A run
+//! **one** call to the walk's [`cloudsim_storage::StoreWriter`] (the
+//! commit's chunks looked up back to back, then one search of the user's
+//! rows per file), which holds the store's lock for the whole walk. A run
 //! allocates what is set up per client — a name and its record's two
 //! lists — and what is reserved per run: an integration test with a
 //! counting allocator pins a whole run's allocations and allocated bytes
@@ -177,8 +178,10 @@ pub struct ScaleSpec {
 
 impl ScaleSpec {
     /// The largest population a run accepts — the CLI's refusal bound, not
-    /// a store limit (the store's `u32` ids reach sixteen times further).
-    /// At ~1.9 kB per client such a population needs ~500 GB, so `repro`
+    /// a store limit (the store's `u32` user ids reach sixteen times
+    /// further, its chunk ids, at four private chunks per client, four
+    /// times). Its store alone, at the ~1.07 kB per client the
+    /// `store_footprint` test counts, would need ~290 GB, so `repro`
     /// refuses a larger `--clients` before anything is allocated, and
     /// [`run_scale`] and its siblings panic on a larger spec.
     pub const MAX_CLIENTS: usize = 268_435_455;

@@ -66,5 +66,5 @@ pub use restore::{
 };
 pub use store::{
     AggregateStats, FileManifest, GcPolicy, GcStats, IdSpaceExhausted, ObjectStore, PathId,
-    StoreStats, StoreWriter, StoredChunk, UserId,
+    StoreFootprint, StoreStats, StoreWriter, StoredChunk, UserId,
 };

@@ -11,31 +11,40 @@
 //! Like each service of the paper, the store keeps one server-side table,
 //! and everything in it sits behind one std `RwLock`:
 //!
+//! * **the chunk table** — the content-addressed table shared by *all*
+//!   users. This is where server-side inter-user deduplication (§4.3)
+//!   happens: the second user to upload a chunk adds a reference instead
+//!   of new bytes. Its entries are one dense `Vec` in admit order, and an
+//!   entry's place is the chunk's `u32` id; the 32-byte content hash is
+//!   kept there and nowhere else. The entries are found through an index
+//!   of `u32` slots that holds ids, not hashes (see `ChunkTable`). Ids of
+//!   freed entries are handed out again: an entry nobody owns has no row
+//!   pointing at it.
 //! * **user records** — everything one user owns, one dense `Vec` of
 //!   records, and a user's rows live **in the user's record**: the version
 //!   counter, the logical bytes, the held chunks (the user's view of each
 //!   chunk and its live-manifest reference count) as one list sorted by
-//!   content hash, and the live manifests (a single-chunk manifest held
-//!   inline) as one list sorted by path id, both searched by bisection.
-//!   There is no map per user and no store-wide table of users' rows: in
-//!   personal storage a user's rows are only ever read and written
-//!   together, so they sit together, and a four-file commit touches the
-//!   few cache lines of one record instead of eight random ones of a table
-//!   every user shares.
-//! * **the physical chunk table** — the content-addressed table shared by
-//!   *all* users. This is where server-side inter-user deduplication
-//!   (§4.3) happens: the second user to upload a chunk adds a reference
-//!   instead of new bytes.
+//!   chunk id, and the live manifests (their chunk ids, a single-chunk
+//!   manifest's held inline) as one list sorted by path id, both searched
+//!   by bisection. There is no map per user and no store-wide table of
+//!   users' rows: in personal storage a user's rows are only ever read and
+//!   written together, so they sit together, and a four-file commit
+//!   touches the few cache lines of one record instead of eight random
+//!   ones of a table every user shares.
+//!
+//! A held row is 32 bytes, a manifest row 40, and a chunk costs its
+//! 72-byte entry and at most two 4-byte index slots. [`ObjectStore::footprint`]
+//! counts the bytes table by table: a fleet-scale client, eight rows of
+//! each kind and four private chunks, costs the store 1 065 bytes.
 //!
 //! Names are interned once: [`ObjectStore::intern_user`] and
 //! [`ObjectStore::intern_path`] hand out [`UserId`]s and [`PathId`]s, and
 //! a [`StoreWriter`] is the fleet-scale write path — no string is hashed,
 //! cloned or allocated per call. An id is its name's first-seen slot; ids
-//! only key rows, so nothing observable depends on the order names were
-//! first seen in. A poisoned lock still hands out its guard. The physical
-//! table hashes its keys with a pass-through hasher over eight bytes of the
-//! (uniform) content hash; the name indexes keep std's keyed hasher,
-//! because names come from outside the program.
+//! only key rows, so nothing observable depends on the order names or
+//! chunks were first seen in. A poisoned lock still hands out its guard.
+//! The name indexes keep std's keyed hasher, because names come from
+//! outside the program.
 //!
 //! The cost of sorted rows, accepted and written down: inserting or
 //! removing a row is O(rows of that user). Measured with one-file commits
@@ -51,12 +60,13 @@
 //! to 20 000 rows and back against the naive model.
 //!
 //! Every public method takes the lock once. What a write *does* is written
-//! once, as methods of the tables: `Tables::hold` (the user holds a chunk),
+//! once, as methods of the tables: `ChunkTable::intern` (the chunk's id,
+//! its entry created when new), `Tables::hold` (the user holds a chunk),
 //! `Tables::reference` and `Tables::publish` (a manifest's chunks are
 //! counted; it becomes the path's live revision) and `Tables::admit` (the
-//! physical entry gains an owner). A put is hold, then admit; a commit is
-//! reference + publish; the batch is hold + publish per file, then admit
-//! per chunk new to the user.
+//! entry gains an owner). A put is intern, hold, then admit; a commit is
+//! reference + publish; the batch interns its files' chunks back to back,
+//! then holds, admits and publishes file by file.
 //!
 //! That is the bundling of the paper's §5 applied to the store's own
 //! client: a four-file commit written as four puts and four commits takes
@@ -64,10 +74,10 @@
 //! through a [`StoreWriter`], which *is* the write lock, it searches once
 //! per file, and a whole walk of commits takes **one** lock. A unit test
 //! counts them. [`ObjectStore::reserve`] is the other half: a caller that
-//! knows its population sizes the records, the name index and the physical
-//! table once, up front, instead of letting each double its way up, and
-//! says how many rows a user will hold, so each of a record's two lists is
-//! one exact allocation made on its first row.
+//! knows its population sizes the records, the name index, the chunk
+//! entries and their index once, up front, instead of letting each double
+//! its way up, and says how many rows a user will hold, so each of a
+//! record's two lists is one exact allocation made on its first row.
 //!
 //! Aggregate accounting (physical bytes, per-user referenced bytes,
 //! server-side dedup hits, …) is plain counters updated under the lock and
@@ -105,9 +115,8 @@
 use crate::chunker::Chunk;
 use crate::hash::ContentHash;
 use serde::Serialize;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::{HashMap, TryReserveError};
+use std::mem::size_of;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A chunk as stored on the server.
@@ -212,6 +221,41 @@ impl AggregateStats {
     }
 }
 
+/// What the store's tables cost in memory, table by table: the bytes of
+/// the capacity each has allocated (what the allocator handed out, not
+/// what is in use), from `size_of` and the tables' capacities alone, so
+/// the same writes always give the same numbers. Chunk payloads are data,
+/// not tables, and are not counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreFootprint {
+    /// The dense `Vec` of user records.
+    pub user_records: u64,
+    /// The users' held-chunk rows.
+    pub held_rows: u64,
+    /// The users' manifest rows, with the chunk-id lists of manifests of
+    /// more than one chunk.
+    pub file_rows: u64,
+    /// The chunk table's entries and its list of freed ids.
+    pub chunk_entries: u64,
+    /// The chunk table's index.
+    pub chunk_index: u64,
+    /// The user and path name interners: their hash maps (buckets and
+    /// control bytes), their name lists and the names themselves.
+    pub names: u64,
+}
+
+impl StoreFootprint {
+    /// Every table's bytes together.
+    pub fn total(&self) -> u64 {
+        self.user_records
+            + self.held_rows
+            + self.file_rows
+            + self.chunk_entries
+            + self.chunk_index
+            + self.names
+    }
+}
+
 /// When (if ever) the store frees chunk entries whose owner count reaches
 /// zero after manifest hard-deletes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
@@ -297,35 +341,227 @@ impl Names {
         self.names.push(name);
         Some(slot)
     }
+
+    /// [`StoreFootprint::names`]' share of this interner. The map's bucket
+    /// count follows from its capacity as std's table sizes it (seven
+    /// eighths of a power of two, or one less than a power of two below
+    /// eight), each bucket with one control byte, plus a 16-byte group of
+    /// control bytes; a name is one `Arc` allocation of two counts and the
+    /// bytes.
+    fn footprint(&self) -> u64 {
+        let capacity = self.slots.capacity();
+        let buckets = match capacity {
+            0 => 0,
+            1..=7 => capacity + 1,
+            _ => capacity / 7 * 8,
+        };
+        let map = if buckets == 0 { 0 } else { buckets * (size_of::<(Arc<str>, u32)>() + 1) + 16 };
+        let text: usize = self.names.iter().map(|name| 2 * size_of::<usize>() + name.len()).sum();
+        (map + self.names.capacity() * size_of::<Arc<str>>() + text) as u64
+    }
 }
 
-/// A hasher for keys that hash themselves: the key writes one already
-/// mixed `u64` and the table uses it as is.
-#[derive(Debug, Default, Clone, Copy)]
-struct PreHashed(u64);
-
-impl Hasher for PreHashed {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("store table keys hash themselves through write_u64");
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = word;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type Table<K, V> = HashMap<K, V, BuildHasherDefault<PreHashed>>;
-
-/// Eight bytes of a content hash as the in-table hash word. Any eight
-/// bytes of a uniform SHA-256 output make a uniform word; these are the
-/// ones the table has always hashed, so its bucket layout and the order a
-/// sweep visits entries in stay what they were.
+/// Eight bytes of a content hash as the index's hash word: its low bits
+/// pick the slot a probe starts at. Any eight bytes of a uniform SHA-256
+/// output make a uniform word; nothing observable depends on which eight
+/// (a slot holds an id, and ids only key rows).
 fn hash_word(hash: &ContentHash) -> u64 {
     u64::from_le_bytes(hash.0[8..16].try_into().expect("eight bytes"))
+}
+
+/// A chunk's id: its entry's place in the chunk table. The id of a freed
+/// entry is handed out again, so an id names one chunk only until its
+/// entry is freed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ChunkId(u32);
+
+/// One entry of the chunk table, the one place the store keeps a chunk's
+/// hash.
+#[derive(Debug)]
+struct ChunkEntry {
+    hash: ContentHash,
+    /// The most compact representation any committer reported.
+    stored_len: u64,
+    plain_len: u64,
+    /// Number of distinct users holding the chunk.
+    owners: u64,
+    /// The plaintext chunk payload, when the committer provided it (see
+    /// [`ObjectStore::put_chunk_with_payload`]). Restores are served from
+    /// here; metadata-only commits leave it `None` and a restore of such a
+    /// chunk reports [`crate::restore::RestoreError::PayloadUnavailable`].
+    /// `Arc` because concurrent restores share the bytes without copying.
+    payload: Option<Arc<[u8]>>,
+}
+
+/// An index slot: 0 (empty) or a chunk id plus one.
+type Slot = u32;
+
+/// The physical chunk table: the entries, dense and in admit order; the
+/// ids of freed entries, reused before the entries grow; and an
+/// open-addressed index over the live ones.
+///
+/// The index is a power-of-two array of `u32` slots, each 0 (empty) or a
+/// chunk id plus one, and it holds no hash: a lookup starts at the slot
+/// the hash's [`hash_word`] names, steps forward (wrapping at the end) and
+/// compares each slot's entry's hash with the one it looks for, until it
+/// finds it or meets an empty slot. The index is kept at most half full,
+/// and a removal shifts the rest of its probe run back over the hole, so
+/// every run stays unbroken and no slot is ever a tombstone.
+#[derive(Debug, Default)]
+struct ChunkTable {
+    entries: Vec<ChunkEntry>,
+    free: Vec<ChunkId>,
+    slots: Vec<Slot>,
+}
+
+impl ChunkTable {
+    /// Live entries.
+    fn len(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
+
+    fn entry(&self, id: ChunkId) -> &ChunkEntry {
+        &self.entries[id.0 as usize]
+    }
+
+    fn entry_mut(&mut self, id: ChunkId) -> &mut ChunkEntry {
+        &mut self.entries[id.0 as usize]
+    }
+
+    /// The slot `hash`'s probe run starts at.
+    fn home(&self, hash: &ContentHash) -> usize {
+        hash_word(hash) as usize & (self.slots.len() - 1)
+    }
+
+    /// The slot holding `hash`'s id (`Ok`), or the empty slot that ends
+    /// its probe run (`Err`). The index must have slots.
+    fn probe(&self, hash: &ContentHash) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(hash);
+        loop {
+            match self.slots[at] {
+                0 => return Err(at),
+                slot if self.entries[slot as usize - 1].hash == *hash => return Ok(at),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The id of `hash`'s live entry.
+    fn find(&self, hash: &ContentHash) -> Option<ChunkId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(hash).ok().map(|at| ChunkId(self.slots[at] - 1))
+    }
+
+    /// The id of `chunk`'s entry, and whether this call created it — with
+    /// the chunk's lengths, no owner and no payload, in a freed entry's
+    /// place when there is one and at the end of the entries otherwise.
+    fn intern(&mut self, chunk: &StoredChunk) -> (ChunkId, bool) {
+        let at = match (!self.slots.is_empty()).then(|| self.probe(&chunk.hash)) {
+            Some(Ok(at)) => return (ChunkId(self.slots[at] - 1), false),
+            Some(Err(at)) if (self.len() + 1) * 2 <= self.slots.len() => at,
+            _ => {
+                let slots = (self.slots.len() * 2).max(16);
+                self.rebuild_index(slots).expect("room for the chunk index");
+                self.probe(&chunk.hash).expect_err("a new chunk")
+            }
+        };
+        let entry = ChunkEntry {
+            hash: chunk.hash,
+            stored_len: chunk.stored_len,
+            plain_len: chunk.plain_len,
+            owners: 0,
+            payload: None,
+        };
+        let id = match self.free.pop() {
+            Some(id) => {
+                *self.entry_mut(id) = entry;
+                id
+            }
+            None => {
+                // Slots hold id + 1, so the last id is u32::MAX - 1.
+                let id = u32::try_from(self.entries.len())
+                    .ok()
+                    .filter(|&id| id < u32::MAX)
+                    .expect("fewer than u32::MAX chunks");
+                self.entries.push(entry);
+                ChunkId(id)
+            }
+        };
+        self.slots[at] = id.0 + 1;
+        (id, true)
+    }
+
+    /// Frees live entry `id`: its slot leaves the index, its payload is
+    /// dropped and its id waits for the next new chunk. Each later slot of
+    /// the probe run moves back into the hole when the hole lies between
+    /// that entry's home slot and where it sits, so every entry stays
+    /// reachable from its home without a tombstone.
+    fn free(&mut self, id: ChunkId) {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.probe(&self.entry(id).hash).expect("a live entry is indexed");
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let slot = self.slots[next];
+            if slot == 0 {
+                break;
+            }
+            let home = self.home(&self.entries[slot as usize - 1].hash);
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.slots[hole] = slot;
+                hole = next;
+            }
+        }
+        self.slots[hole] = 0;
+        self.entry_mut(id).payload = None;
+        self.free.push(id);
+    }
+
+    /// Frees every live entry no user owns.
+    fn sweep(&mut self) -> GcStats {
+        let ownerless: Vec<ChunkId> = (self.slots.iter().filter(|&&slot| slot != 0))
+            .map(|&slot| ChunkId(slot - 1))
+            .filter(|&id| self.entry(id).owners == 0)
+            .collect();
+        let mut pass = GcStats::default();
+        for id in ownerless {
+            pass.freed_chunks += 1;
+            pass.freed_bytes += self.entry(id).stored_len;
+            self.free(id);
+        }
+        pass
+    }
+
+    /// Room for `additional` more live entries: the entries exactly, the
+    /// index at the power of two that keeps it at most half full. Refused
+    /// requests are ignored.
+    fn reserve(&mut self, additional: usize) {
+        let _ = self.entries.try_reserve_exact(additional);
+        let slots = (self.len().checked_add(additional))
+            .and_then(|live| live.checked_mul(2))
+            .and_then(usize::checked_next_power_of_two);
+        if let Some(slots) = slots.filter(|&slots| slots > self.slots.len()) {
+            let _ = self.rebuild_index(slots);
+        }
+    }
+
+    /// Re-indexes the live entries in an index of `slots` slots, a power
+    /// of two; on a refused allocation the old index stays.
+    fn rebuild_index(&mut self, slots: usize) -> Result<(), TryReserveError> {
+        let mut index = Vec::new();
+        index.try_reserve_exact(slots)?;
+        index.resize(slots, 0);
+        let old = std::mem::replace(&mut self.slots, index);
+        for slot in old.into_iter().filter(|&slot| slot != 0) {
+            let at =
+                self.probe(&self.entries[slot as usize - 1].hash).expect_err("one slot per id");
+            self.slots[at] = slot;
+        }
+        Ok(())
+    }
 }
 
 /// One chunk as one user holds it.
@@ -346,28 +582,19 @@ struct UserChunk {
     retained: bool,
 }
 
-/// A manifest's chunk list; the one-chunk case (every fleet-scale file)
+/// A manifest's chunk ids; the one-chunk case (every fleet-scale file)
 /// needs no allocation.
 #[derive(Debug)]
 enum ChunkList {
-    One(ContentHash),
-    Many(Box<[ContentHash]>),
+    One(ChunkId),
+    Many(Box<[ChunkId]>),
 }
 
 impl ChunkList {
-    fn as_slice(&self) -> &[ContentHash] {
+    fn as_slice(&self) -> &[ChunkId] {
         match self {
-            ChunkList::One(hash) => std::slice::from_ref(hash),
-            ChunkList::Many(hashes) => hashes,
-        }
-    }
-}
-
-impl From<&[ContentHash]> for ChunkList {
-    fn from(hashes: &[ContentHash]) -> ChunkList {
-        match hashes {
-            [hash] => ChunkList::One(*hash),
-            _ => ChunkList::Many(hashes.into()),
+            ChunkList::One(id) => std::slice::from_ref(id),
+            ChunkList::Many(ids) => ids,
         }
     }
 }
@@ -387,8 +614,8 @@ struct UserRecord {
     next_version: u64,
     /// Plaintext bytes of the live manifests.
     logical_bytes: u64,
-    /// The chunks the user holds, sorted by hash.
-    held: Vec<(ContentHash, UserChunk)>,
+    /// The chunks the user holds, sorted by chunk id.
+    held: Vec<(ChunkId, UserChunk)>,
     /// The live manifests, sorted by path id.
     files: Vec<(PathId, FileEntry)>,
 }
@@ -398,9 +625,9 @@ impl UserRecord {
         self.held.is_empty() && self.files.is_empty()
     }
 
-    /// Where `hash` is held (`Ok`) or would be inserted (`Err`).
-    fn find_held(&self, hash: &ContentHash) -> Result<usize, usize> {
-        self.held.binary_search_by(|(held, _)| held.cmp(hash))
+    /// Where chunk `id` is held (`Ok`) or would be inserted (`Err`).
+    fn find_held(&self, id: ChunkId) -> Result<usize, usize> {
+        self.held.binary_search_by_key(&id, |&(held, _)| held)
     }
 
     /// Where `path` has its live manifest (`Ok`) or would get one (`Err`).
@@ -408,8 +635,8 @@ impl UserRecord {
         self.files.binary_search_by_key(&path.0, |(live, _)| live.0)
     }
 
-    fn held_mut(&mut self, hash: &ContentHash) -> Option<&mut UserChunk> {
-        self.find_held(hash).ok().map(|at| &mut self.held[at].1)
+    fn held_mut(&mut self, id: ChunkId) -> Option<&mut UserChunk> {
+        self.find_held(id).ok().map(|at| &mut self.held[at].1)
     }
 }
 
@@ -424,14 +651,14 @@ fn insert_row<T>(rows: &mut Vec<T>, at: usize, row: T, capacity: usize) {
 }
 
 /// Everything the store keeps, behind its one lock: the users and their
-/// records, the interned paths, the physical chunk table and the counters.
+/// records, the interned paths, the chunk table and the counters.
 #[derive(Debug, Default)]
 struct Tables {
     users: Names,
     /// Parallel to `users.names`.
     records: Vec<UserRecord>,
     paths: Names,
-    chunks: Table<PhysicalKey, ChunkEntry>,
+    chunks: ChunkTable,
     /// What a record's `held` and `files` lists are sized to on their
     /// first row.
     held_capacity: usize,
@@ -443,32 +670,6 @@ struct Tables {
     server_dedup_hits: u64,
     reclaimed_bytes: u64,
     freed_chunks: u64,
-}
-
-/// Key of the physical table: it hashes itself ([`hash_word`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PhysicalKey(ContentHash);
-
-impl Hash for PhysicalKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(hash_word(&self.0));
-    }
-}
-
-/// One entry of the physical content-addressed chunk table.
-#[derive(Debug)]
-struct ChunkEntry {
-    /// The most compact representation any committer reported.
-    stored_len: u64,
-    plain_len: u64,
-    /// Number of distinct users referencing the chunk.
-    owners: u64,
-    /// The plaintext chunk payload, when the committer provided it (see
-    /// [`ObjectStore::put_chunk_with_payload`]). Restores are served from
-    /// here; metadata-only commits leave it `None` and a restore of such a
-    /// chunk reports [`crate::restore::RestoreError::PayloadUnavailable`].
-    /// `Arc` because concurrent restores share the bytes without copying.
-    payload: Option<Arc<[u8]>>,
 }
 
 #[cfg(test)]
@@ -547,7 +748,7 @@ impl ObjectStore {
     /// True when *any* user has stored this chunk — the inter-user question a
     /// dedup-capable server answers before accepting an upload.
     pub fn has_chunk_globally(&self, hash: &ContentHash) -> bool {
-        self.read().chunks.contains_key(&PhysicalKey(*hash))
+        self.read().chunks.find(hash).is_some()
     }
 
     /// Stores a chunk payload for a user. Returns `true` when the chunk was
@@ -580,11 +781,16 @@ impl ObjectStore {
     }
 
     fn put(&self, user: &str, chunk: StoredChunk, payload: Option<&[u8]>) -> bool {
-        let mut tables = self.write();
+        let mut guard = self.write();
+        let tables = &mut *guard;
         let slot = tables.named(user);
-        let new_to_user = tables.hold(slot, &chunk, 0);
-        if new_to_user || payload.is_some() {
-            tables.admit(&chunk, new_to_user, payload);
+        let (id, created) = tables.chunks.intern(&chunk);
+        let new_to_user = tables.hold(slot, id, &chunk, 0);
+        if new_to_user {
+            tables.admit(id, &chunk, created);
+        }
+        if let Some(payload) = payload {
+            tables.chunks.entry_mut(id).payload.get_or_insert_with(|| Arc::from(payload));
         }
         new_to_user
     }
@@ -602,8 +808,8 @@ impl ObjectStore {
         let mut tables = self.write();
         let path = tables.intern_path(&manifest.path).unwrap_or_else(|e| panic!("{e}"));
         let slot = tables.named(user);
-        tables.reference(slot, &manifest.chunks);
-        tables.publish(slot, path, manifest.size, manifest.chunks.as_slice().into())
+        let chunks = tables.reference(slot, &manifest.chunks);
+        tables.publish(slot, path, manifest.size, chunks)
     }
 
     /// The store's batch write path: a [`StoreWriter`] holding the store's
@@ -615,12 +821,13 @@ impl ObjectStore {
     /// Tells the store what is about to be written — `users` more users,
     /// each holding `chunks_per_user` chunks in `files_per_user` files, and
     /// `unique_chunks` more physical chunks — so the user records, the name
-    /// index and the physical table can grow to their final size once
-    /// instead of doubling their way there (a doubling holds the old and
-    /// the new table at once), and a record's two row lists are allocated
-    /// once, exactly, on their first row. Purely a capacity hint: nothing a
-    /// caller can read changes, a request the allocator refuses is ignored,
-    /// and a store that already has the room does nothing.
+    /// index, the chunk entries and their index can grow to their final
+    /// size once instead of doubling their way there (a doubling holds the
+    /// old and the new allocation at once), and a record's two row lists
+    /// are allocated once, exactly, on their first row. Purely a capacity
+    /// hint: nothing a caller can read changes, a request the allocator
+    /// refuses is ignored, and a store that already has the room does
+    /// nothing.
     pub fn reserve(
         &self,
         users: usize,
@@ -633,9 +840,34 @@ impl ObjectStore {
         let _ = tables.users.slots.try_reserve(users);
         let _ = tables.users.names.try_reserve(users);
         let _ = tables.records.try_reserve(users);
-        let _ = tables.chunks.try_reserve(unique_chunks);
+        tables.chunks.reserve(unique_chunks);
         tables.held_capacity = chunks_per_user;
         tables.files_capacity = files_per_user;
+    }
+
+    /// What the store's tables cost in memory, table by table (see
+    /// [`StoreFootprint`]).
+    pub fn footprint(&self) -> StoreFootprint {
+        let tables = self.read();
+        let bytes = |count: usize, size: usize| (count * size) as u64;
+        let mut footprint = StoreFootprint {
+            user_records: bytes(tables.records.capacity(), size_of::<UserRecord>()),
+            chunk_entries: bytes(tables.chunks.entries.capacity(), size_of::<ChunkEntry>())
+                + bytes(tables.chunks.free.capacity(), size_of::<ChunkId>()),
+            chunk_index: bytes(tables.chunks.slots.capacity(), size_of::<Slot>()),
+            names: tables.users.footprint() + tables.paths.footprint(),
+            ..StoreFootprint::default()
+        };
+        for record in &tables.records {
+            footprint.held_rows += bytes(record.held.capacity(), size_of::<(ChunkId, UserChunk)>());
+            footprint.file_rows += bytes(record.files.capacity(), size_of::<(PathId, FileEntry)>());
+            for (_, file) in &record.files {
+                if let ChunkList::Many(ids) = &file.chunks {
+                    footprint.file_rows += bytes(ids.len(), size_of::<ChunkId>());
+                }
+            }
+        }
+        footprint
     }
 
     /// Hard-deletes a file manifest and releases the chunks no remaining
@@ -659,10 +891,10 @@ impl ObjectStore {
         let record = &mut tables.records[slot as usize];
         let mut released = Vec::new();
         let mut released_bytes = 0u64;
-        for hash in manifest.chunks.as_slice() {
-            // A manifest may reference a hash several times; the chunk
+        for &id in manifest.chunks.as_slice() {
+            // A manifest may reference a chunk several times; the chunk
             // can be released on an earlier occurrence.
-            let Ok(at) = record.find_held(hash) else { continue };
+            let Ok(at) = record.find_held(id) else { continue };
             let held = &mut record.held[at].1;
             held.refs = held.refs.saturating_sub(1);
             // An earlier supersede may have promised to keep the chunk
@@ -670,12 +902,12 @@ impl ObjectStore {
             if held.refs == 0 && !held.retained {
                 released_bytes += held.stored_len;
                 record.held.remove(at);
-                released.push(*hash);
+                released.push(id);
             }
         }
         tables.referenced_bytes -= released_bytes;
         tables.manifest_deletes += 1;
-        tables.release(&released, self.policy);
+        tables.release(released, self.policy);
         Some(released_bytes)
     }
 
@@ -694,25 +926,17 @@ impl ObjectStore {
         let released_bytes: u64 = record.held.iter().map(|(_, held)| held.stored_len).sum();
         tables.referenced_bytes -= released_bytes;
         tables.manifest_deletes += record.files.len() as u64;
-        tables.release(record.held.iter().map(|(hash, _)| hash), self.policy);
+        tables.release(record.held.iter().map(|&(id, _)| id), self.policy);
         released_bytes
     }
 
-    /// Sweeps the physical table, freeing entries no user owns any more.
+    /// Sweeps the chunk table, freeing entries no user owns any more.
     /// The periodic companion of [`GcPolicy::MarkSweep`]; a no-op (zero
     /// stats) under [`GcPolicy::Eager`], where releases already freed
     /// everything.
     pub fn collect_garbage(&self) -> GcStats {
         let mut tables = self.write();
-        let mut pass = GcStats::default();
-        tables.chunks.retain(|_, entry| {
-            if entry.owners > 0 {
-                return true;
-            }
-            pass.freed_chunks += 1;
-            pass.freed_bytes += entry.stored_len;
-            false
-        });
+        let pass = tables.chunks.sweep();
         tables.account_freed(pass.freed_chunks, pass.freed_bytes);
         pass
     }
@@ -722,10 +946,11 @@ impl ObjectStore {
         let tables = self.read();
         let record = tables.record(user)?;
         let entry = &record.files[record.find_file(tables.path(path)?).ok()?].1;
+        let hash = |&id: &ChunkId| tables.chunks.entry(id).hash;
         Some(FileManifest {
             path: path.to_string(),
             size: entry.size,
-            chunks: entry.chunks.as_slice().to_vec(),
+            chunks: entry.chunks.as_slice().iter().map(hash).collect(),
             version: entry.version,
         })
     }
@@ -762,7 +987,7 @@ impl ObjectStore {
     pub fn chunk(&self, user: &str, hash: &ContentHash) -> Option<StoredChunk> {
         let tables = self.read();
         let record = tables.record(user)?;
-        let held = &record.held[record.find_held(hash).ok()?].1;
+        let held = &record.held[record.find_held(tables.chunks.find(hash)?).ok()?].1;
         Some(StoredChunk { hash: *hash, stored_len: held.stored_len, plain_len: held.plain_len })
     }
 
@@ -771,7 +996,8 @@ impl ObjectStore {
     /// (or garbage-collected) hashes and for metadata-only commits. The
     /// restore pipeline serves file reconstructions from here.
     pub fn chunk_payload(&self, hash: &ContentHash) -> Option<Arc<[u8]>> {
-        self.read().chunks.get(&PhysicalKey(*hash)).and_then(|e| e.payload.clone())
+        let tables = self.read();
+        tables.chunks.find(hash).and_then(|id| tables.chunks.entry(id).payload.clone())
     }
 
     /// Aggregate statistics of a user's namespace.
@@ -847,28 +1073,28 @@ impl StoreWriter<'_> {
     /// file, the files before it holding the versions counting down from
     /// there.
     ///
-    /// The batch is the bundling client of §5: each file costs one search
-    /// of the user's held rows (a chunk new to the user enters them already
-    /// referenced, a held one gains a reference) and one of the user's
-    /// manifest rows, and the chunks new to the user are then admitted to
-    /// the physical table. Beyond the user's rows nothing is allocated.
+    /// The batch is the bundling client of §5: each file costs one lookup
+    /// in the chunk table, one search of the user's held rows (a chunk new
+    /// to the user enters them already referenced, a held one gains a
+    /// reference) and one of the user's manifest rows. Beyond the user's
+    /// rows and the entries of chunks new to the store nothing is
+    /// allocated.
     pub fn commit_files_by_id(&mut self, user: UserId, files: &[(PathId, StoredChunk)]) -> u64 {
         let tables = &mut *self.tables;
-        // Up to 64 files at a time, one bit each for "new to the user". The
-        // admits come after the user's rows, back to back: independent
-        // lookups in a table far larger than the cache, whose misses then
-        // overlap (a million-client walk is 1.12× slower admitting each
-        // chunk right after its search).
+        // Up to 64 files at a time, their chunks' ids first. The lookups go
+        // back to back: independent probes of a table far larger than the
+        // cache, whose misses then overlap, and each entry is in the cache
+        // by the time its file's admit needs it.
         for files in files.chunks(64) {
-            let mut new_to_user = 0u64;
-            for (i, (path, chunk)) in files.iter().enumerate() {
-                new_to_user |= u64::from(tables.hold(user.0, chunk, 1)) << i;
-                tables.publish(user.0, *path, chunk.plain_len, ChunkList::One(chunk.hash));
+            let mut ids = [(ChunkId(0), false); 64];
+            for (id, (_, chunk)) in ids.iter_mut().zip(files) {
+                *id = tables.chunks.intern(chunk);
             }
-            for (i, (_, chunk)) in files.iter().enumerate() {
-                if new_to_user >> i & 1 == 1 {
-                    tables.admit(chunk, true, None);
+            for (&(id, created), (path, chunk)) in ids.iter().zip(files) {
+                if tables.hold(user.0, id, chunk, 1) {
+                    tables.admit(id, chunk, created);
                 }
+                tables.publish(user.0, *path, chunk.plain_len, ChunkList::One(id));
             }
         }
         tables.records[user.0 as usize].next_version
@@ -911,15 +1137,15 @@ impl Tables {
         Some(&self.records[self.user(user)? as usize])
     }
 
-    /// The user half of a put: user `slot` holds `chunk` from now on, with
-    /// `refs` more live-manifest references to it (none for a bare put, one
-    /// when the manifest is published in the same write). Returns `true`
-    /// when the chunk was new to the user — the caller then owes the
-    /// physical table an [`Tables::admit`]. One bisection of the user's
-    /// held rows either way.
-    fn hold(&mut self, slot: u32, chunk: &StoredChunk, refs: u32) -> bool {
+    /// The user half of a put: user `slot` holds `chunk`, whose entry is
+    /// `id`, from now on, with `refs` more live-manifest references to it
+    /// (none for a bare put, one when the manifest is published in the
+    /// same write). Returns `true` when the chunk was new to the user — the
+    /// caller then owes the entry an [`Tables::admit`]. One bisection of
+    /// the user's held rows either way.
+    fn hold(&mut self, slot: u32, id: ChunkId, chunk: &StoredChunk, refs: u32) -> bool {
         let record = &mut self.records[slot as usize];
-        match record.find_held(&chunk.hash) {
+        match record.find_held(id) {
             Ok(at) => {
                 let held = &mut record.held[at].1;
                 held.refs =
@@ -933,7 +1159,7 @@ impl Tables {
                     refs,
                     retained: false,
                 };
-                insert_row(&mut record.held, at, (chunk.hash, held), self.held_capacity);
+                insert_row(&mut record.held, at, (id, held), self.held_capacity);
                 self.chunk_puts += 1;
                 self.referenced_bytes += chunk.stored_len;
                 true
@@ -941,53 +1167,44 @@ impl Tables {
         }
     }
 
-    /// The physical half of a put: one more owner for the chunk when it is
-    /// `new_to_user` (its first owner creates the entry; a later one is a
-    /// server-side dedup hit and may bring a more compact representation),
-    /// and the payload for an entry that has none.
-    fn admit(&mut self, chunk: &StoredChunk, new_to_user: bool, payload: Option<&[u8]>) {
-        match self.chunks.entry(PhysicalKey(chunk.hash)) {
-            Entry::Occupied(mut occupied) => {
-                let entry = occupied.get_mut();
-                if new_to_user {
-                    entry.owners += 1;
-                    if chunk.stored_len < entry.stored_len {
-                        self.physical_bytes -= entry.stored_len - chunk.stored_len;
-                        entry.stored_len = chunk.stored_len;
-                        entry.plain_len = chunk.plain_len;
-                    }
-                    self.server_dedup_hits += 1;
-                }
-                if entry.payload.is_none() {
-                    entry.payload = payload.map(Arc::from);
-                }
-            }
-            // A user holding a chunk implies its physical entry, so only a
-            // chunk new to the user creates one.
-            Entry::Vacant(vacant) if new_to_user => {
-                self.physical_bytes += chunk.stored_len;
-                vacant.insert(ChunkEntry {
-                    stored_len: chunk.stored_len,
-                    plain_len: chunk.plain_len,
-                    owners: 1,
-                    payload: payload.map(Arc::from),
-                });
-            }
-            Entry::Vacant(_) => {}
+    /// The physical half of a put of a chunk new to the user: entry `id`
+    /// gains an owner. An entry `created` by this write gets its first, and
+    /// its bytes are stored; an older one is a server-side dedup hit and
+    /// may gain a more compact representation.
+    fn admit(&mut self, id: ChunkId, chunk: &StoredChunk, created: bool) {
+        let entry = self.chunks.entry_mut(id);
+        entry.owners += 1;
+        if created {
+            self.physical_bytes += chunk.stored_len;
+            return;
+        }
+        self.server_dedup_hits += 1;
+        if chunk.stored_len < entry.stored_len {
+            self.physical_bytes -= entry.stored_len - chunk.stored_len;
+            entry.stored_len = chunk.stored_len;
+            entry.plain_len = chunk.plain_len;
         }
     }
 
-    /// Counts one live-manifest reference per occurrence in `chunks`, all
-    /// of which user `slot` must hold.
-    fn reference(&mut self, slot: u32, chunks: &[ContentHash]) {
+    /// Counts one live-manifest reference per occurrence in `hashes`, all
+    /// of which user `slot` must hold, and returns their ids.
+    fn reference(&mut self, slot: u32, hashes: &[ContentHash]) -> ChunkList {
+        let record = &self.records[slot as usize];
+        let held = |hash: &ContentHash| {
+            (self.chunks.find(hash))
+                .filter(|&id| record.find_held(id).is_ok())
+                .unwrap_or_else(|| panic!("manifest references unknown chunk {hash}"))
+        };
+        let chunks = match hashes {
+            [hash] => ChunkList::One(held(hash)),
+            _ => ChunkList::Many(hashes.iter().map(held).collect()),
+        };
         let record = &mut self.records[slot as usize];
-        for hash in chunks {
-            assert!(record.find_held(hash).is_ok(), "manifest references unknown chunk {hash}");
-        }
-        for hash in chunks {
-            let held = record.held_mut(hash).expect("checked above");
+        for &id in chunks.as_slice() {
+            let held = record.held_mut(id).expect("checked above");
             held.refs = held.refs.checked_add(1).expect("fewer than u32::MAX live references");
         }
+        chunks
     }
 
     /// Publishes a manifest whose chunk references are already counted
@@ -1005,8 +1222,8 @@ impl Tables {
             Ok(at) => {
                 let replaced = std::mem::replace(&mut record.files[at].1, entry);
                 record.logical_bytes -= replaced.size;
-                for hash in replaced.chunks.as_slice() {
-                    if let Some(held) = record.held_mut(hash) {
+                for &id in replaced.chunks.as_slice() {
+                    if let Some(held) = record.held_mut(id) {
                         held.refs = held.refs.saturating_sub(1);
                         // The supersede retention promise of `commit_manifest`
                         // outlives any later re-reference: mark the chunk so a
@@ -1028,22 +1245,18 @@ impl Tables {
         Some(entry)
     }
 
-    /// Releases chunks a user no longer holds: each physical entry loses
-    /// one owner. Owner-less entries are freed immediately under
-    /// [`GcPolicy::Eager`] and left for [`ObjectStore::collect_garbage`]
-    /// under [`GcPolicy::MarkSweep`]. Releases only decrement, so
-    /// concurrent releases commute.
-    fn release<'a>(
-        &mut self,
-        released: impl IntoIterator<Item = &'a ContentHash>,
-        policy: GcPolicy,
-    ) {
-        for hash in released {
-            let Some(entry) = self.chunks.get_mut(&PhysicalKey(*hash)) else { continue };
+    /// Releases chunks a user no longer holds: each entry loses one owner.
+    /// Owner-less entries are freed immediately under [`GcPolicy::Eager`]
+    /// and left for [`ObjectStore::collect_garbage`] under
+    /// [`GcPolicy::MarkSweep`]. Releases only decrement, so concurrent
+    /// releases commute.
+    fn release(&mut self, released: impl IntoIterator<Item = ChunkId>, policy: GcPolicy) {
+        for id in released {
+            let entry = self.chunks.entry_mut(id);
             entry.owners = entry.owners.saturating_sub(1);
             if entry.owners == 0 && policy == GcPolicy::Eager {
                 let freed = entry.stored_len;
-                self.chunks.remove(&PhysicalKey(*hash));
+                self.chunks.free(id);
                 self.account_freed(1, freed);
             }
         }
@@ -1066,7 +1279,8 @@ mod tests {
 
     /// Number of distinct users that committed a given chunk.
     fn owners(store: &ObjectStore, hash: &ContentHash) -> u64 {
-        store.read().chunks.get(&PhysicalKey(*hash)).map_or(0, |e| e.owners)
+        let tables = store.read();
+        tables.chunks.find(hash).map_or(0, |id| tables.chunks.entry(id).owners)
     }
 
     fn stored(data: &[u8]) -> StoredChunk {
@@ -1581,13 +1795,14 @@ mod tests {
     #[test]
     fn table_entries_respect_their_size_budgets() {
         // A user of the fleet-scale run costs a record, eight rows in each
-        // of its two lists and its private chunks' physical entries; a field
-        // added to one of them is paid a million times over.
-        use std::mem::size_of;
-        assert!(size_of::<(ContentHash, UserChunk)>() <= 56);
-        assert!(size_of::<(PathId, FileEntry)>() <= 64);
+        // of its two lists and its private chunks' entries, each with two
+        // index slots or fewer; a field added to one of them is paid a
+        // million times over.
+        assert!(size_of::<(ChunkId, UserChunk)>() <= 32);
+        assert!(size_of::<(PathId, FileEntry)>() <= 40);
         assert!(size_of::<UserRecord>() <= 64);
-        assert!(size_of::<(PhysicalKey, ChunkEntry)>() <= 88);
+        assert!(size_of::<ChunkEntry>() <= 72);
+        assert!(size_of::<Slot>() <= 8);
     }
 
     #[test]
@@ -1929,7 +2144,15 @@ mod tests {
     }
 
     fn observe_store(store: &ObjectStore) -> Observed {
-        let hashes: Vec<ContentHash> = universe().iter().map(|d| sha256(d)).collect();
+        observe_store_over(store, &universe().iter().map(|d| sha256(d)).collect::<Vec<_>>())
+    }
+
+    fn observe_model(model: &Model) -> Observed {
+        observe_model_over(model, &universe().iter().map(|d| sha256(d)).collect::<Vec<_>>())
+    }
+
+    /// [`observe_store`] over the chunks of `hashes`.
+    fn observe_store_over(store: &ObjectStore, hashes: &[ContentHash]) -> Observed {
         Observed {
             aggregate: store.aggregate(),
             users: store.users(),
@@ -1949,8 +2172,7 @@ mod tests {
         }
     }
 
-    fn observe_model(model: &Model) -> Observed {
-        let hashes: Vec<ContentHash> = universe().iter().map(|d| sha256(d)).collect();
+    fn observe_model_over(model: &Model, hashes: &[ContentHash]) -> Observed {
         let empty = ModelUser::default();
         Observed {
             aggregate: model.aggregate(),
@@ -1987,13 +2209,29 @@ mod tests {
         }
     }
 
-    /// Every record's two row lists are strictly sorted by their key: what
-    /// the bisections rest on, and no key is there twice.
+    /// Every record's two row lists are strictly sorted by their key (chunk
+    /// id, path id): what the bisections rest on, and no key is there
+    /// twice. The ids are whole too: a held id is an owned entry, a live
+    /// manifest's are held, and the index holds each live entry once, in a
+    /// slot its hash's probe reaches, at most half full.
     fn assert_rows_sorted(store: &ObjectStore) {
-        for record in &store.read().records {
+        let tables = store.read();
+        let chunks = &tables.chunks;
+        let indexed = |id: ChunkId| chunks.find(&chunks.entry(id).hash) == Some(id);
+        for record in &tables.records {
             assert!(record.held.windows(2).all(|pair| pair[0].0 < pair[1].0));
             assert!(record.files.windows(2).all(|pair| pair[0].0 .0 < pair[1].0 .0));
+            assert!(record.held.iter().all(|&(id, _)| indexed(id) && chunks.entry(id).owners > 0));
+            let listed = record.files.iter().flat_map(|(_, file)| file.chunks.as_slice());
+            assert!(listed.copied().all(|id| record.find_held(id).is_ok()));
         }
+        let mut live: Vec<ChunkId> =
+            chunks.slots.iter().filter(|&&slot| slot != 0).map(|&slot| ChunkId(slot - 1)).collect();
+        assert!(live.iter().all(|&id| indexed(id)));
+        live.sort_unstable();
+        live.dedup();
+        assert_eq!(live.len(), chunks.len());
+        assert!(chunks.len() * 2 <= chunks.slots.len() || chunks.slots.is_empty());
     }
 
     #[test]
@@ -2085,6 +2323,196 @@ mod tests {
         assert_eq!(store.aggregate().unique_chunks, 0);
     }
 
+    /// A hash whose index word ([`hash_word`]) is `word`, told apart from
+    /// others of that word by `tag`. SHA-256 never makes two of them, so
+    /// only crafted hashes reach the index's collision, wrap and shift
+    /// paths.
+    fn crafted(word: u64, tag: u8) -> ContentHash {
+        let mut bytes = [tag; 32];
+        bytes[8..16].copy_from_slice(&word.to_le_bytes());
+        ContentHash(bytes)
+    }
+
+    fn sized(hash: ContentHash, len: u64) -> StoredChunk {
+        StoredChunk { hash, stored_len: len, plain_len: len }
+    }
+
+    /// One write, taken by the store and by the naive model.
+    enum Step {
+        Put(&'static str, StoredChunk, Option<Vec<u8>>),
+        Commit(&'static str, &'static str, Vec<StoredChunk>),
+        HardDelete(&'static str, &'static str),
+        Sweep,
+    }
+
+    fn store_and_model(eager: bool) -> (ObjectStore, Model) {
+        let policy = if eager { GcPolicy::Eager } else { GcPolicy::MarkSweep };
+        (ObjectStore::with_policy(policy), Model { eager, ..Model::default() })
+    }
+
+    /// Takes `steps` on both, comparing everything readable over `hashes`
+    /// and the store's invariants after each.
+    fn agree(store: &ObjectStore, model: &mut Model, hashes: &[ContentHash], steps: Vec<Step>) {
+        for (i, step) in steps.into_iter().enumerate() {
+            match step {
+                Step::Put(user, chunk, payload) => {
+                    let put = match &payload {
+                        Some(bytes) => store.put_chunk_with_payload(user, chunk.clone(), bytes),
+                        None => store.put_chunk(user, chunk.clone()),
+                    };
+                    assert_eq!(put, model.put(user, chunk, payload.as_deref()));
+                }
+                Step::Commit(user, path, chunks) => {
+                    let manifest = manifest_for(path, &chunks.iter().collect::<Vec<_>>());
+                    let version = model.commit(user, manifest.clone());
+                    assert_eq!(Some(store.commit_manifest(user, manifest)), version);
+                }
+                Step::HardDelete(user, path) => {
+                    assert_eq!(
+                        store.delete_manifest(user, path),
+                        model.delete_manifest(user, path)
+                    );
+                }
+                Step::Sweep => assert_eq!(store.collect_garbage(), model.collect_garbage()),
+            }
+            assert_eq!(
+                (i, observe_store_over(store, hashes)),
+                (i, observe_model_over(model, hashes))
+            );
+            assert_rows_sorted(store);
+        }
+    }
+
+    /// Where each hash sits in the index, and the index's last slot.
+    fn slots_of(store: &ObjectStore, hashes: &[ContentHash]) -> (Vec<Option<usize>>, usize) {
+        let tables = store.read();
+        let at = hashes.iter().map(|hash| tables.chunks.probe(hash).ok()).collect();
+        (at, tables.chunks.slots.len() - 1)
+    }
+
+    /// Each chunk put by `user` and published alone at its own path.
+    fn owned_alone(user: &'static str, chunks: &[(StoredChunk, &'static str)]) -> Vec<Step> {
+        let puts = chunks.iter().map(|(chunk, _)| Step::Put(user, chunk.clone(), None));
+        let commits =
+            chunks.iter().map(|(chunk, path)| Step::Commit(user, path, vec![chunk.clone()]));
+        puts.chain(commits).collect()
+    }
+
+    #[test]
+    fn distinct_hashes_that_share_an_index_word_stay_distinct_chunks() {
+        let (a, b, c) = (crafted(7, 1), crafted(7, 2), crafted(7, 3));
+        for eager in [false, true] {
+            let (store, mut model) = store_and_model(eager);
+            let steps = vec![
+                Step::Put("ann", sized(a, 10), None),
+                Step::Put("ann", sized(b, 20), Some(vec![2; 20])),
+                Step::Put("bob", StoredChunk { stored_len: 15, ..sized(b, 20) }, None),
+                Step::Commit("ann", "a.bin", vec![sized(a, 10), sized(b, 20)]),
+                Step::Commit("bob", "c", vec![sized(b, 20)]),
+                Step::HardDelete("ann", "a.bin"),
+                Step::Sweep,
+                Step::Put("cy", sized(c, 30), Some(vec![3; 30])),
+                Step::Put("cy", sized(a, 10), None),
+            ];
+            agree(&store, &mut model, &[a, b, c], steps);
+            let tables = store.read();
+            assert_eq!(tables.chunks.home(&a), tables.chunks.home(&c), "one probe run");
+            assert_eq!(tables.chunks.len(), 3);
+        }
+    }
+
+    #[test]
+    fn a_probe_run_wraps_past_the_last_slot_and_shifts_back_across_it() {
+        // Word u64::MAX starts at the last slot of any index; the run goes on
+        // at slot 0, where a chunk whose home is slot 0 then has to queue.
+        let [w0, w1, w2] = [1, 2, 3].map(|tag| crafted(u64::MAX, tag));
+        let zero = crafted(0, 4);
+        let hashes = [w0, w1, w2, zero];
+        for eager in [false, true] {
+            let (store, mut model) = store_and_model(eager);
+            let mut steps = owned_alone("ann", &[(sized(w0, 11), "a.bin"), (sized(w1, 12), "c")]);
+            steps.extend(owned_alone("ann", &[(sized(w2, 13), "docs/b.bin")]));
+            steps.extend(owned_alone("bob", &[(sized(zero, 14), "a.bin")]));
+            agree(&store, &mut model, &hashes, steps);
+            let (at, last) = slots_of(&store, &hashes);
+            assert_eq!(at, [Some(last), Some(0), Some(1), Some(2)]);
+
+            // Freeing the run's head shifts each later member back one
+            // slot: across the end of the array, and the slot-0 chunk too.
+            agree(&store, &mut model, &hashes, vec![Step::HardDelete("ann", "a.bin"), Step::Sweep]);
+            let (at, last) = slots_of(&store, &hashes);
+            assert_eq!(at, [None, Some(last), Some(0), Some(1)], "eager: {eager}");
+            agree(&store, &mut model, &hashes, vec![Step::Put("cy", sized(w0, 11), None)]);
+            assert_eq!(slots_of(&store, &hashes).0[0], Some(2));
+        }
+    }
+
+    #[test]
+    fn a_removal_inside_a_probe_run_keeps_every_later_member_reachable() {
+        // Homes 8, 9, 8, 8, 9: the run fills slots 8..=12 in put order.
+        let (a, b, c, d, e) =
+            (crafted(8, 1), crafted(9, 2), crafted(8, 3), crafted(8, 4), crafted(9, 5));
+        let hashes = [a, b, c, d, e];
+        for eager in [false, true] {
+            let (store, mut model) = store_and_model(eager);
+            let mut steps =
+                owned_alone("ann", &[(sized(a, 1), "a.bin"), (sized(b, 2), "docs/b.bin")]);
+            steps.extend(owned_alone("ann", &[(sized(c, 3), "c")]));
+            steps.extend(owned_alone("bob", &[(sized(d, 4), "a.bin"), (sized(e, 5), "c")]));
+            agree(&store, &mut model, &hashes, steps);
+            let (at, _) = slots_of(&store, &hashes);
+            assert_eq!(at, [8, 9, 10, 11, 12].map(Some));
+
+            // Out of the middle: d (home 8) and e (home 9) both move back.
+            agree(&store, &mut model, &hashes, vec![Step::HardDelete("ann", "c"), Step::Sweep]);
+            assert_eq!(slots_of(&store, &hashes).0, [Some(8), Some(9), None, Some(10), Some(11)]);
+            // Out of the head: b sits at its home and must stay; d and e
+            // move past it.
+            agree(&store, &mut model, &hashes, vec![Step::HardDelete("ann", "a.bin"), Step::Sweep]);
+            assert_eq!(slots_of(&store, &hashes).0, [None, Some(9), None, Some(8), Some(10)]);
+        }
+    }
+
+    #[test]
+    fn a_freed_id_goes_to_the_next_new_chunk_and_no_other_answer_moves() {
+        let (x, y, z) =
+            (stored(b"ann's only chunk"), stored(b"bob's chunk"), stored(b"cy's new chunk"));
+        let hashes = [x.hash, y.hash, z.hash];
+        for eager in [false, true] {
+            let (store, mut model) = store_and_model(eager);
+            let steps = vec![
+                Step::Put("ann", x.clone(), Some(b"ann's only chunk".to_vec())),
+                Step::Put("bob", y.clone(), Some(b"bob's chunk".to_vec())),
+                Step::Commit("ann", "a.bin", vec![x.clone()]),
+                Step::Commit("bob", "a.bin", vec![y.clone()]),
+            ];
+            agree(&store, &mut model, &hashes, steps);
+            let id_of = |hash: &ContentHash| store.read().chunks.find(hash);
+            let freed = id_of(&x.hash).unwrap();
+            let bobs = |store: &ObjectStore| {
+                (
+                    store.chunk("bob", &y.hash),
+                    store.manifest("bob", "a.bin"),
+                    store.chunk_payload(&y.hash),
+                )
+            };
+            let before = bobs(&store);
+
+            agree(&store, &mut model, &hashes, vec![Step::HardDelete("ann", "a.bin"), Step::Sweep]);
+            assert_eq!(store.read().chunks.free, [freed]);
+            agree(&store, &mut model, &hashes, vec![Step::Put("cy", z.clone(), None)]);
+            assert_eq!(id_of(&z.hash), Some(freed), "the new chunk takes the freed id");
+            assert_eq!(store.read().chunks.entries.len(), 2, "and the entries do not grow");
+            assert_eq!(bobs(&store), before);
+            assert_eq!((store.chunk("ann", &x.hash), store.chunk_payload(&x.hash)), (None, None));
+            assert_eq!(
+                store.chunk_payload(&z.hash),
+                None,
+                "the freed entry's payload went with it"
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -2174,6 +2602,63 @@ mod tests {
                     }
                 }
                 prop_assert_eq!((step, observe_store(&store)), (step, observe_model(&model)));
+                assert_rows_sorted(&store);
+            }
+        }
+
+        /// The naive-model comparison again, over chunks whose hashes
+        /// collide on purpose: eight hashes on three index words — the last
+        /// slot's, so runs wrap, slot 0's and slot 1's — through every
+        /// write the store has, so removals and freed-id reuse land inside
+        /// long, wrapping probe runs.
+        #[test]
+        fn colliding_hashes_agree_with_the_naive_model(
+            eager in any::<bool>(),
+            ops in proptest::collection::vec(any::<u64>(), 1..120),
+        ) {
+            let hashes: Vec<ContentHash> =
+                (0..8u8).map(|tag| crafted([u64::MAX, 0, 1][tag as usize % 3], tag)).collect();
+            let chunk = |pick: usize, variant: u64| StoredChunk {
+                stored_len: 12 + pick as u64 - variant,
+                ..sized(hashes[pick], 12 + pick as u64)
+            };
+            let (store, mut model) = store_and_model(eager);
+            for (step, word) in ops.iter().enumerate() {
+                let field = |shift: u32, modulo: u64| ((word >> shift) % modulo) as usize;
+                let (user, path) = (USERS[field(8, 3)], PATHS[field(16, 3)]);
+                let (a, b) = (chunk(field(24, 8), (word >> 40) % 3), chunk(field(32, 8), 0));
+                match word % 8 {
+                    0 | 1 => prop_assert_eq!(store.put_chunk(user, a.clone()), model.put(user, a, None)),
+                    2 => {
+                        let payload = vec![a.hash.0[0]; a.plain_len as usize];
+                        prop_assert_eq!(
+                            store.put_chunk_with_payload(user, a.clone(), &payload),
+                            model.put(user, a, Some(&payload))
+                        );
+                    }
+                    3 => {
+                        let chunks = if word >> 48 & 1 == 1 { vec![&a, &b] } else { vec![&a] };
+                        let manifest = manifest_for(path, &chunks);
+                        if let Some(version) = model.commit(user, manifest.clone()) {
+                            prop_assert_eq!(store.commit_manifest(user, manifest), version);
+                        }
+                    }
+                    4 => prop_assert_eq!(store.delete_manifest(user, path), model.delete_manifest(user, path)),
+                    5 => prop_assert_eq!(store.purge_user(user), model.purge(user)),
+                    6 => prop_assert_eq!(store.collect_garbage(), model.collect_garbage()),
+                    _ => {
+                        let mut files = Vec::new();
+                        for f in 0..[1, 3, 9][field(48, 3)] {
+                            let (path, chunk) = (PATHS[(field(52, 3) + f) % 3], chunk((field(56, 8) + 3 * f) % 8, 0));
+                            model.put(user, chunk.clone(), None);
+                            prop_assert!(model.commit(user, manifest_for(path, &[&chunk])).is_some());
+                            files.push((store.intern_path(path).unwrap(), chunk));
+                        }
+                        let id = store.intern_user(user).unwrap();
+                        prop_assert_eq!(store.writer().commit_files_by_id(id, &files), model.users[user].next_version);
+                    }
+                }
+                prop_assert_eq!((step, observe_store_over(&store, &hashes)), (step, observe_model_over(&model, &hashes)));
                 assert_rows_sorted(&store);
             }
         }
