@@ -110,7 +110,7 @@ impl FleetScalingSuite {
             );
         }
         Report {
-            title: "Fleet scaling: concurrent multi-client sync into one sharded store".to_string(),
+            title: "Fleet scaling: concurrent multi-client sync into one shared store".to_string(),
             body,
         }
     }

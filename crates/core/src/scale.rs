@@ -129,7 +129,7 @@ impl FleetScaleSuite {
             let _ = writeln!(body, "  [{i:>2}] {count:>8} {bar}");
         }
         Report {
-            title: "Fleet scale: 100k+ event-driven clients against the sharded store".to_string(),
+            title: "Fleet scale: 100k+ event-driven clients against one shared store".to_string(),
             body,
         }
     }

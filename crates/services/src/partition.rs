@@ -399,7 +399,8 @@ fn run_controller(
 ) -> Result<PartitionedRun, String> {
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
     let started = std::time::Instant::now();
-    reserve_population(&store, clients, files_per_client, shared_per_client);
+    let population = ClientSet::Range { start: client_base, end: client_base + clients };
+    reserve_population(&store, &population, files_per_client, shared_per_client);
     let finished =
         parts.iter().map(|part| run_partition(part, &store, 1)).collect::<Result<Vec<_>, _>>()?;
     let files = clients as u64 * files_per_client as u64;

@@ -53,13 +53,14 @@
 //! spec plus the [`ClientSet`] it drives, or a capture under a replay mix)
 //! and post-processes the result; `drive` starts the wall clock, resolves
 //! the source *once* into its events, per-commit shape and interned paths
-//! (`Commits`), interns the owned clients, sorts the events, and walks them
-//! through the one timeline and the one store writer. Packet capture is the
-//! traceless run plus one pass after it: [`run_scale_traced`] emits every
-//! commit's packets from the run's events and interval log, already in the
-//! capture's canonical order. The unsliced run is simply the partition
-//! that owns every client, so there is no second loop for the bit-identity
-//! tests to keep in step.
+//! (`Commits`), sizes the store, takes the one store writer and interns the
+//! owned clients through it, sorts the events, and walks them through the
+//! one timeline and that writer. Packet capture is the traceless run plus
+//! one pass after it: [`run_scale_traced`] emits every commit's packets
+//! from the run's events and interval log, already in the capture's
+//! canonical order. The unsliced run is simply the partition that owns
+//! every client, so there is no second loop for the bit-identity tests to
+//! keep in step.
 //!
 //! ## Memory discipline
 //!
@@ -70,30 +71,34 @@
 //! kilobytes a `SyncClient` costs. The store is the larger share: a
 //! client's eight files cost it eight rows in each of its record's two
 //! lists, which carry `u32` chunk ids, plus its four private chunks'
-//! entries, the one place their hashes are kept — 1 065 bytes of store per
-//! client, which `ObjectStore::footprint` counts and the `store_footprint`
-//! test pins (see the store's module docs). All of it is sized **once**: a
-//! resolved run knows its clients, commits, files and shared-pool share
-//! before the first event fires, so the driver hands the store the totals
-//! (`reserve_population`; the partition controller does it once for all
-//! partitions, whose own calls then find the room already there). The
-//! records, the name index, the chunk entries and their index never double
-//! on the way up — a doubling holds the old and the new allocation at once
-//! — and a scale client costs the store **two exact allocations**, its
-//! record's two lists at their final eight rows, made by the client's
-//! first commit and never grown. The event list, the interval log and the
-//! summary vectors are not streamed yet.
+//! entries, the one place their hashes are kept, and its name, 12 bytes in
+//! the store's one name text with an 8-byte end and its index slots —
+//! 1 013 bytes of store per client at 10 000 clients and 989 at a million,
+//! which `ObjectStore::footprint` counts and the `store_footprint` tests
+//! pin (see the store's module docs). All of it is sized **once**: a
+//! resolved run knows its clients, their names' lengths, commits, files
+//! and shared-pool share before the first event fires, so the driver hands
+//! the store the totals (`reserve_population`; the partition controller
+//! does it once for all partitions, whose own calls then find the room
+//! already there). The records, the names and their index, the chunk
+//! entries and their index never double on the way up — a doubling holds
+//! the old and the new allocation at once — and a scale client costs the
+//! store **two exact allocations**, its record's two lists at their final
+//! eight rows, made by the client's first commit and never grown. The
+//! event list, the interval log and the summary vectors are not streamed
+//! yet.
 //!
 //! The commit loop allocates nothing, and is a *bundling* client of its
-//! own store: users and paths are interned when the run is resolved, and
-//! a commit of `n` files refills the driver's one batch buffer and makes
-//! **one** call to the walk's [`cloudsim_storage::StoreWriter`] (the
-//! commit's chunks looked up back to back, then one search of the user's
-//! rows per file), which holds the store's lock for the whole walk. A run
-//! allocates what is set up per client — a name and its record's two
-//! lists — and what is reserved per run: an integration test with a
-//! counting allocator pins a whole run's allocations and allocated bytes
-//! per commit to what this path measures, plus five per cent.
+//! own store: paths are interned when the run is resolved, users through
+//! the walk's [`cloudsim_storage::StoreWriter`] before the walk (each name
+//! formatted into one reused `String`), and a commit of `n` files refills
+//! the driver's one batch buffer and makes **one** call to that writer
+//! (one lookup in the chunk table and one search of the user's rows per
+//! file), which holds the store's lock for the whole run. Beyond its
+//! record's two lists a client allocates nothing, and a run allocates
+//! what it reserves: an integration test with a counting allocator pins a
+//! whole run's allocations and allocated bytes per commit to what this
+//! path measures, plus five per cent.
 
 use crate::capture::{FleetCapture, ReplayMix};
 use crate::engine::{EventHeap, FleetEvent, Phase};
@@ -111,12 +116,26 @@ use cloudsim_workload::seed::{derive_seed, unit_f64};
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::fmt::Write;
 
 /// The user name of scale client `i` in the shared store — shared with the
 /// capture/replay path ([`crate::capture`]), which reconstructs the same
 /// store keyspace from client indices alone.
 pub(crate) fn scale_user(i: usize) -> String {
-    format!("scale-{i:06}")
+    let mut name = String::new();
+    write_scale_user(&mut name, i);
+    name
+}
+
+/// Writes [`scale_user`]`(i)` over `name`, reusing its allocation.
+fn write_scale_user(name: &mut String, i: usize) {
+    name.clear();
+    write!(name, "scale-{i:06}").expect("a String takes any write");
+}
+
+/// The length of [`scale_user`]`(i)`: the prefix and at least six digits.
+fn scale_user_len(i: usize) -> usize {
+    "scale-".len() + i.checked_ilog10().map_or(1, |digits| digits as usize + 1).max(6)
 }
 
 /// Interns the store paths of one client's files, indexed
@@ -139,20 +158,22 @@ pub(crate) fn intern_paths(
     Ok(paths)
 }
 
-/// Sizes `store` once for `clients` clients that each commit
+/// Sizes `store` once for the clients `owned` holds, each committing
 /// `files_per_client` one-chunk files to as many paths, the first
 /// `shared_per_client` of them from the population-wide pool: every other
 /// chunk is private to its client, a pool chunk is stored once. What the
 /// tables then never do is double (see [`ObjectStore::reserve`]).
 pub(crate) fn reserve_population(
     store: &ObjectStore,
-    clients: usize,
+    owned: &ClientSet,
     files_per_client: usize,
     shared_per_client: usize,
 ) {
+    let clients = owned.len();
+    let name_bytes = owned.iter().map(scale_user_len).sum();
     let private = files_per_client.saturating_sub(shared_per_client);
     let unique = clients.saturating_mul(private).saturating_add(shared_per_client);
-    store.reserve(clients, files_per_client, files_per_client, unique);
+    store.reserve(clients, name_bytes, files_per_client, files_per_client, unique);
 }
 
 /// Salt distinguishing commit-instant draws from every other seeded stream.
@@ -180,10 +201,11 @@ impl ScaleSpec {
     /// The largest population a run accepts — the CLI's refusal bound, not
     /// a store limit (the store's `u32` user ids reach sixteen times
     /// further, its chunk ids, at four private chunks per client, four
-    /// times). Its store alone, at the ~1.07 kB per client the
-    /// `store_footprint` test counts, would need ~290 GB, so `repro`
-    /// refuses a larger `--clients` before anything is allocated, and
-    /// [`run_scale`] and its siblings panic on a larger spec.
+    /// times). Its store alone, at the ~1 kB per client the
+    /// `store_footprint` tests count (989 B at a million clients), would
+    /// need ~265 GB, so `repro` refuses a larger `--clients` before
+    /// anything is allocated, and [`run_scale`] and its siblings panic on a
+    /// larger spec.
     pub const MAX_CLIENTS: usize = 268_435_455;
 
     /// Fraction of each commit drawn from a population-wide shared pool
@@ -566,18 +588,18 @@ impl Driven {
     }
 }
 
-/// The one commit runner. Resolves `source` into its [`Commits`], interns
-/// the owned clients (in client order), sorts the events once and walks
-/// them twice on the calling thread. The **timeline** walk goes first to
-/// last in event-key order, threading per-client state records through
-/// [`Commits::transfer`] and logging each commit's transfer interval beside
-/// its event, which is all the packet capture reads afterwards. The
-/// **store** walk goes
-/// client by client, each client's commits in the event-key order the
-/// timeline walk met them in, one [`Commits::fill`] and one call to the
-/// walk's store writer per commit (see the module docs for why the two
-/// orders leave the same store). The writer holds the store's lock from
-/// the first commit to the last; nothing in the walk calls the store
+/// The one commit runner. Resolves `source` into its [`Commits`], sizes the
+/// store, takes its writer and interns the owned clients through it (in
+/// client order), sorts the events once and walks them twice on the calling
+/// thread. The **timeline** walk goes first to last in event-key order,
+/// threading per-client state records through [`Commits::transfer`] and
+/// logging each commit's transfer interval beside its event, which is all
+/// the packet capture reads afterwards. The **store** walk goes client by
+/// client, each client's commits in the event-key order the timeline walk
+/// met them in, one [`Commits::fill`] and one call to the walk's store
+/// writer per commit (see the module docs for why the two orders leave the
+/// same store). The writer holds the store's lock from the first user
+/// interned to the last commit; nothing in the run calls the store
 /// otherwise.
 ///
 /// An unsliced run is the one-partition run: its [`ClientSet`] is the
@@ -589,18 +611,24 @@ pub(crate) fn drive(source: Source<'_>, store: &ObjectStore) -> Result<Driven, S
         Source::Capture(capture, mix) => capture.commits(mix, store)?,
     };
     commits.check_clock(&events)?;
-    // Before the first name is interned: the name index is sized too.
+    // Before the first name is interned: the names and their index are
+    // sized too.
     let rounds = commits.paths.len() / commits.files_per_commit;
     reserve_population(
         store,
-        commits.owned.len(),
+        &commits.owned,
         commits.paths.len(),
         rounds.saturating_mul(commits.shared_files),
     );
-    let users = commits
-        .owned
-        .iter()
-        .map(|i| store.intern_user(&scale_user(i)))
+    // One lock for the run: the users are interned through the writer
+    // that then walks the commits.
+    let mut writer = store.writer();
+    let mut name = String::new();
+    let users = (commits.owned.iter())
+        .map(|i| {
+            write_scale_user(&mut name, i);
+            writer.intern_user(&name)
+        })
         .collect::<Result<Vec<UserId>, _>>()
         .map_err(|e| e.to_string())?;
     events.sort_unstable();
@@ -622,7 +650,6 @@ pub(crate) fn drive(source: Source<'_>, store: &ObjectStore) -> Result<Driven, S
     }
 
     let mut batch = Vec::with_capacity(commits.files_per_commit);
-    let mut writer = store.writer();
     for (local, &user) in users.iter().enumerate() {
         let client = commits.owned.global_id(local);
         for &round in &order[local * rounds..][..rounds] {
@@ -907,6 +934,17 @@ mod tests {
             + 2 * std::mem::size_of::<(SimTime, SimTime)>()
             + 2 * std::mem::size_of::<u32>();
         assert!(per_client <= 256, "per-client footprint {per_client} B exceeds 256 B");
+    }
+
+    #[test]
+    fn a_user_name_is_as_long_as_the_store_is_told() {
+        // `reserve_population` sizes the names' text from these lengths.
+        for i in [0, 9, 10, 99_999, 999_999, 1_000_000, 12_345_678, usize::MAX] {
+            assert_eq!(scale_user(i).len(), scale_user_len(i), "client {i}");
+        }
+        let mut name = String::from("a much longer name than any scale user's");
+        write_scale_user(&mut name, 42);
+        assert_eq!(name, "scale-000042");
     }
 
     #[test]

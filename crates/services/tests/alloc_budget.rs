@@ -1,20 +1,21 @@
 //! The fleet-scale commit loop's allocation budget.
 //!
-//! The scale path interns its users and paths when a run is resolved,
-//! sizes the store once from the resolved totals and hands its writer one
-//! reused batch of ids and chunks per commit, so a run's heap traffic is
-//! what is *set up* per client (a name, and its record's two row lists,
-//! each allocated once at its final eight rows) plus the reserved chunk
-//! entries and their index, the event list, the interval log and the
-//! store walk's index — nothing a file or a commit pays. This test pins a
-//! whole run's allocations and allocated bytes per commit, with a
-//! counting allocator, to what that path
-//! measures plus five per cent (2.014 and 604.7 B at 2 000 clients). Both
-//! counts are exact and repeat, so anything that allocates per commit
-//! again — or a list or table that goes back to doubling — fails here,
-//! not in a benchmark's noise. It is the only test in this binary, so
-//! nothing else allocates while it counts (`counting/mod.rs` is the
-//! allocator, shared with `restore_alloc_budget.rs`).
+//! The scale path interns its paths when a run is resolved, sizes the
+//! store once from the resolved totals (the user names' text and index
+//! included), interns its users through its one writer and hands that
+//! writer one reused batch of ids and chunks per commit, so a run's heap
+//! traffic is what is *set up* per client (its record's two row lists,
+//! each allocated once at its final eight rows) plus the reserved tables,
+//! the event list, the interval log and the store walk's index — nothing
+//! a name, a file or a commit pays. This test pins a whole run's
+//! allocations and allocated bytes per commit, with a counting allocator,
+//! to what that path measures plus five per cent (1.014 and 563.0 B at
+//! 2 000 clients). Both counts are exact and repeat, so anything that
+//! allocates per commit again — or a list or table that goes back to
+//! doubling — fails here, not in a benchmark's noise. It is the only test
+//! in this binary, so nothing else allocates while it counts
+//! (`counting/mod.rs` is the allocator, shared with
+//! `restore_alloc_budget.rs`).
 
 mod counting;
 
@@ -50,5 +51,5 @@ fn a_scale_run_stays_within_its_measured_allocations_per_commit() {
 }
 
 /// What the run above measures.
-const ALLOCATIONS_PER_COMMIT: f64 = 2.014;
-const BYTES_PER_COMMIT: f64 = 604.7;
+const ALLOCATIONS_PER_COMMIT: f64 = 1.014;
+const BYTES_PER_COMMIT: f64 = 563.0;

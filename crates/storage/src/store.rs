@@ -17,7 +17,7 @@
 //!   of new bytes. Its entries are one dense `Vec` in admit order, and an
 //!   entry's place is the chunk's `u32` id; the 32-byte content hash is
 //!   kept there and nowhere else. The entries are found through an index
-//!   of `u32` slots that holds ids, not hashes (see `ChunkTable`). Ids of
+//!   of `u32` slots that holds ids, not hashes (see `Index`). Ids of
 //!   freed entries are handed out again: an entry nobody owns has no row
 //!   pointing at it.
 //! * **user records** — everything one user owns, one dense `Vec` of
@@ -32,19 +32,23 @@
 //!   touches the few cache lines of one record instead of eight random
 //!   ones of a table every user shares.
 //!
-//! A held row is 32 bytes, a manifest row 40, and a chunk costs its
-//! 72-byte entry and at most two 4-byte index slots. [`ObjectStore::footprint`]
-//! counts the bytes table by table: a fleet-scale client, eight rows of
-//! each kind and four private chunks, costs the store 1 065 bytes.
-//!
 //! Names are interned once: [`ObjectStore::intern_user`] and
 //! [`ObjectStore::intern_path`] hand out [`UserId`]s and [`PathId`]s, and
 //! a [`StoreWriter`] is the fleet-scale write path — no string is hashed,
-//! cloned or allocated per call. An id is its name's first-seen slot; ids
-//! only key rows, so nothing observable depends on the order names or
-//! chunks were first seen in. A poisoned lock still hands out its guard.
-//! The name indexes keep std's keyed hasher, because names come from
-//! outside the program.
+//! cloned or allocated per call. An interner keeps its names back to back
+//! in one `String`, where each ends, and the chunk table's kind of index
+//! over them, hashed with std's keyed hasher because names come from
+//! outside the program: a name costs its bytes, an 8-byte end and at most
+//! two slots, and no allocation of its own. An id is its name's first-seen
+//! slot; ids only key rows, so nothing observable depends on the order
+//! names or chunks were first seen in. A poisoned lock still hands out its
+//! guard.
+//!
+//! A held row is 32 bytes, a manifest row 40, and a chunk costs its
+//! 72-byte entry and at most two 4-byte index slots. [`ObjectStore::footprint`]
+//! counts the bytes table by table: a fleet-scale client, eight rows of
+//! each kind, four private chunks and a 12-byte name, costs the store
+//! 1 013 bytes at 10 000 clients, 1 000 at 100 000 and 989 at a million.
 //!
 //! The cost of sorted rows, accepted and written down: inserting or
 //! removing a row is O(rows of that user). Measured with one-file commits
@@ -65,8 +69,8 @@
 //! `Tables::reference` and `Tables::publish` (a manifest's chunks are
 //! counted; it becomes the path's live revision) and `Tables::admit` (the
 //! entry gains an owner). A put is intern, hold, then admit; a commit is
-//! reference + publish; the batch interns its files' chunks back to back,
-//! then holds, admits and publishes file by file.
+//! reference + publish; the batch interns, holds, admits and publishes
+//! file by file.
 //!
 //! That is the bundling of the paper's §5 applied to the store's own
 //! client: a four-file commit written as four puts and four commits takes
@@ -74,10 +78,11 @@
 //! through a [`StoreWriter`], which *is* the write lock, it searches once
 //! per file, and a whole walk of commits takes **one** lock. A unit test
 //! counts them. [`ObjectStore::reserve`] is the other half: a caller that
-//! knows its population sizes the records, the name index, the chunk
-//! entries and their index once, up front, instead of letting each double
-//! its way up, and says how many rows a user will hold, so each of a
-//! record's two lists is one exact allocation made on its first row.
+//! knows its population sizes the records, the user names and their
+//! index, the chunk entries and their index once, up front, instead of
+//! letting each double its way up, and says how many rows a user will
+//! hold, so each of a record's two lists is one exact allocation made on
+//! its first row.
 //!
 //! Aggregate accounting (physical bytes, per-user referenced bytes,
 //! server-side dedup hits, …) is plain counters updated under the lock and
@@ -115,7 +120,8 @@
 use crate::chunker::Chunk;
 use crate::hash::ContentHash;
 use serde::Serialize;
-use std::collections::{HashMap, TryReserveError};
+use std::collections::TryReserveError;
+use std::hash::{BuildHasher, RandomState};
 use std::mem::size_of;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -239,8 +245,8 @@ pub struct StoreFootprint {
     pub chunk_entries: u64,
     /// The chunk table's index.
     pub chunk_index: u64,
-    /// The user and path name interners: their hash maps (buckets and
-    /// control bytes), their name lists and the names themselves.
+    /// The user and path name interners: their text, their ends and
+    /// their indexes.
     pub names: u64,
 }
 
@@ -314,50 +320,212 @@ impl std::fmt::Display for IdSpaceExhausted {
 
 impl std::error::Error for IdSpaceExhausted {}
 
-/// A name interner: names in first-seen order, and their index. The `Arc`
-/// is shared between the two, so a name is stored once.
-#[derive(Debug, Default)]
-struct Names {
-    slots: HashMap<Arc<str>, u32>,
-    names: Vec<Arc<str>>,
+/// The id of the name or chunk added after `taken` others: its slot in
+/// the dense list, `None` where a `u32` index slot (the id plus one) could
+/// not hold it.
+fn next_id(taken: usize) -> Option<u32> {
+    u32::try_from(taken).ok().filter(|&id| id < u32::MAX)
 }
 
-/// The id of the name interned after `taken` others: its slot, `None` past
-/// `u32::MAX`.
-fn next_id(taken: usize) -> Option<u32> {
-    u32::try_from(taken).ok()
+/// An index slot: 0 (empty) or an id plus one.
+type Slot = u32;
+
+/// An open-addressed index of ids over a dense list kept beside it — the
+/// chunk table's entries, or an interner's names. It holds no key.
+///
+/// The index is a power-of-two array of `u32` slots. A lookup starts at
+/// the slot the key's hash word names, steps forward (wrapping at the end)
+/// and asks the list whether each slot's id is the key, until one is or a
+/// slot is empty. The index is kept at most half full, and a removal
+/// shifts the rest of its probe run back over the hole, so every run stays
+/// unbroken and no slot is ever a tombstone.
+#[derive(Debug, Default)]
+struct Index {
+    slots: Vec<Slot>,
+}
+
+impl Index {
+    /// The slot hash word `word`'s probe run starts at.
+    fn home(&self, word: u64) -> usize {
+        word as usize & (self.slots.len() - 1)
+    }
+
+    /// The slot holding the id `is` accepts (`Ok`), or the empty slot that
+    /// ends `word`'s probe run (`Err`). The index must have slots.
+    fn probe(&self, word: u64, is: impl Fn(u32) -> bool) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(word);
+        loop {
+            match self.slots[at] {
+                0 => return Err(at),
+                slot if is(slot - 1) => return Ok(at),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The id `is` accepts, looked up from hash word `word`.
+    fn find(&self, word: u64, is: impl Fn(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(word, is).ok().map(|at| self.slots[at] - 1)
+    }
+
+    /// The id `is` accepts (`Ok`), or the empty slot a new key's id goes
+    /// in with [`Index::fill`] (`Err`). With `live` ids indexed, the index
+    /// doubles first when one more would fill it past half; `word_of` is
+    /// each indexed id's hash word.
+    fn find_or_vacancy(
+        &mut self,
+        live: usize,
+        word: u64,
+        is: impl Fn(u32) -> bool,
+        word_of: impl Fn(u32) -> u64,
+    ) -> Result<u32, usize> {
+        if !self.slots.is_empty() {
+            match self.probe(word, &is) {
+                Ok(at) => return Ok(self.slots[at] - 1),
+                Err(at) if (live + 1) * 2 <= self.slots.len() => return Err(at),
+                Err(_) => {}
+            }
+        }
+        let slots = (self.slots.len() * 2).max(16);
+        self.rebuild(slots, word_of).expect("room for the index");
+        Err(self.probe(word, is).expect_err("a new key"))
+    }
+
+    /// Puts `id` in the empty slot [`Index::find_or_vacancy`] reported.
+    fn fill(&mut self, at: usize, id: u32) {
+        self.slots[at] = id + 1;
+    }
+
+    /// Empties slot `hole`. Each later slot of the probe run moves back
+    /// into the hole when the hole lies between that id's home slot (from
+    /// `word_of`) and where it sits, so every id stays reachable from its
+    /// home without a tombstone.
+    fn remove(&mut self, mut hole: usize, word_of: impl Fn(u32) -> u64) {
+        let mask = self.slots.len() - 1;
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let slot = self.slots[next];
+            if slot == 0 {
+                break;
+            }
+            let home = self.home(word_of(slot - 1));
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.slots[hole] = slot;
+                hole = next;
+            }
+        }
+        self.slots[hole] = 0;
+    }
+
+    /// The indexed ids, in slot order.
+    fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.slots.iter().filter(|&&slot| slot != 0).map(|&slot| slot - 1)
+    }
+
+    /// Room for `live` ids (`None`: more than a `usize` counts) at most half
+    /// full: the index grows to that power of two once. A refused
+    /// allocation is ignored.
+    fn reserve(&mut self, live: Option<usize>, word_of: impl Fn(u32) -> u64) {
+        let slots =
+            live.and_then(|live| live.checked_mul(2)).and_then(usize::checked_next_power_of_two);
+        if let Some(slots) = slots.filter(|&slots| slots > self.slots.len()) {
+            let _ = self.rebuild(slots, word_of);
+        }
+    }
+
+    /// Re-indexes every id in an index of `slots` slots, a power of two;
+    /// on a refused allocation the old index stays.
+    fn rebuild(
+        &mut self,
+        slots: usize,
+        word_of: impl Fn(u32) -> u64,
+    ) -> Result<(), TryReserveError> {
+        let mut index = Vec::new();
+        index.try_reserve_exact(slots)?;
+        index.resize(slots, 0);
+        let old = std::mem::replace(&mut self.slots, index);
+        for slot in old.into_iter().filter(|&slot| slot != 0) {
+            let at = self.probe(word_of(slot - 1), |_| false).expect_err("one slot per id");
+            self.slots[at] = slot;
+        }
+        Ok(())
+    }
+}
+
+/// A name interner: the names back to back in one `String` in first-seen
+/// order, where each ends, and an [`Index`] over them. A name's id is its
+/// place in that order, and no name is ever removed. The index hashes
+/// names with std's keyed hasher, because names come from outside the
+/// program.
+#[derive(Debug, Default)]
+struct Names {
+    text: String,
+    ends: Vec<usize>,
+    index: Index,
+    hasher: RandomState,
+}
+
+/// Name `id` of an interner's `text` and `ends`.
+fn name_in<'a>(text: &'a str, ends: &[usize], id: u32) -> &'a str {
+    let id = id as usize;
+    let start = if id == 0 { 0 } else { ends[id - 1] };
+    &text[start..ends[id]]
 }
 
 impl Names {
-    /// The slot of `name`, interning it when new. A name whose id would not
-    /// fit is refused before anything is inserted.
-    fn intern(&mut self, name: &str) -> Option<u32> {
-        if let Some(&slot) = self.slots.get(name) {
-            return Some(slot);
-        }
-        let slot = next_id(self.names.len())?;
-        let name: Arc<str> = Arc::from(name);
-        self.slots.insert(name.clone(), slot);
-        self.names.push(name);
-        Some(slot)
+    fn len(&self) -> usize {
+        self.ends.len()
     }
 
-    /// [`StoreFootprint::names`]' share of this interner. The map's bucket
-    /// count follows from its capacity as std's table sizes it (seven
-    /// eighths of a power of two, or one less than a power of two below
-    /// eight), each bucket with one control byte, plus a 16-byte group of
-    /// control bytes; a name is one `Arc` allocation of two counts and the
-    /// bytes.
-    fn footprint(&self) -> u64 {
-        let capacity = self.slots.capacity();
-        let buckets = match capacity {
-            0 => 0,
-            1..=7 => capacity + 1,
-            _ => capacity / 7 * 8,
+    /// Name `id`.
+    fn name(&self, id: u32) -> &str {
+        name_in(&self.text, &self.ends, id)
+    }
+
+    /// The id of `name`, if it is interned.
+    fn get(&self, name: &str) -> Option<u32> {
+        self.index.find(self.hasher.hash_one(name), |id| self.name(id) == name)
+    }
+
+    /// The id of `name`, interning it when new. A name whose id would not
+    /// fit is refused before it is stored.
+    fn intern(&mut self, name: &str) -> Option<u32> {
+        let Names { text, ends, index, hasher } = self;
+        let at = match index.find_or_vacancy(
+            ends.len(),
+            hasher.hash_one(name),
+            |id| name_in(text, ends, id) == name,
+            |id| hasher.hash_one(name_in(text, ends, id)),
+        ) {
+            Ok(id) => return Some(id),
+            Err(at) => at,
         };
-        let map = if buckets == 0 { 0 } else { buckets * (size_of::<(Arc<str>, u32)>() + 1) + 16 };
-        let text: usize = self.names.iter().map(|name| 2 * size_of::<usize>() + name.len()).sum();
-        (map + self.names.capacity() * size_of::<Arc<str>>() + text) as u64
+        let id = next_id(ends.len())?;
+        text.push_str(name);
+        ends.push(text.len());
+        index.fill(at, id);
+        Some(id)
+    }
+
+    /// Room for `names` more names of `bytes` bytes together: the ends and
+    /// the text exactly, the index at the power of two that keeps it at
+    /// most half full. Refused requests are ignored.
+    fn reserve(&mut self, names: usize, bytes: usize) {
+        let _ = self.ends.try_reserve_exact(names);
+        let _ = self.text.try_reserve_exact(bytes);
+        let Names { text, ends, index, hasher } = self;
+        index.reserve(ends.len().checked_add(names), |id| hasher.hash_one(name_in(text, ends, id)));
+    }
+
+    /// [`StoreFootprint::names`]' share of this interner.
+    fn footprint(&self) -> u64 {
+        let ends = self.ends.capacity() * size_of::<usize>();
+        (self.text.capacity() + ends + self.index.slots.capacity() * size_of::<Slot>()) as u64
     }
 }
 
@@ -393,25 +561,15 @@ struct ChunkEntry {
     payload: Option<Arc<[u8]>>,
 }
 
-/// An index slot: 0 (empty) or a chunk id plus one.
-type Slot = u32;
-
 /// The physical chunk table: the entries, dense and in admit order; the
-/// ids of freed entries, reused before the entries grow; and an
-/// open-addressed index over the live ones.
-///
-/// The index is a power-of-two array of `u32` slots, each 0 (empty) or a
-/// chunk id plus one, and it holds no hash: a lookup starts at the slot
-/// the hash's [`hash_word`] names, steps forward (wrapping at the end) and
-/// compares each slot's entry's hash with the one it looks for, until it
-/// finds it or meets an empty slot. The index is kept at most half full,
-/// and a removal shifts the rest of its probe run back over the hole, so
-/// every run stays unbroken and no slot is ever a tombstone.
+/// ids of freed entries, reused before the entries grow; and an [`Index`]
+/// over the live ones, probed from the hash's [`hash_word`] and compared
+/// against each slot's entry's hash.
 #[derive(Debug, Default)]
 struct ChunkTable {
     entries: Vec<ChunkEntry>,
     free: Vec<ChunkId>,
-    slots: Vec<Slot>,
+    index: Index,
 }
 
 impl ChunkTable {
@@ -428,45 +586,27 @@ impl ChunkTable {
         &mut self.entries[id.0 as usize]
     }
 
-    /// The slot `hash`'s probe run starts at.
-    fn home(&self, hash: &ContentHash) -> usize {
-        hash_word(hash) as usize & (self.slots.len() - 1)
-    }
-
-    /// The slot holding `hash`'s id (`Ok`), or the empty slot that ends
-    /// its probe run (`Err`). The index must have slots.
-    fn probe(&self, hash: &ContentHash) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut at = self.home(hash);
-        loop {
-            match self.slots[at] {
-                0 => return Err(at),
-                slot if self.entries[slot as usize - 1].hash == *hash => return Ok(at),
-                _ => at = (at + 1) & mask,
-            }
-        }
+    /// Each entry's hash word by id, which the index re-homes ids with.
+    fn word_of(entries: &[ChunkEntry]) -> impl Fn(u32) -> u64 + '_ {
+        |id| hash_word(&entries[id as usize].hash)
     }
 
     /// The id of `hash`'s live entry.
     fn find(&self, hash: &ContentHash) -> Option<ChunkId> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        self.probe(hash).ok().map(|at| ChunkId(self.slots[at] - 1))
+        let is = |id: u32| self.entries[id as usize].hash == *hash;
+        self.index.find(hash_word(hash), is).map(ChunkId)
     }
 
     /// The id of `chunk`'s entry, and whether this call created it — with
     /// the chunk's lengths, no owner and no payload, in a freed entry's
     /// place when there is one and at the end of the entries otherwise.
     fn intern(&mut self, chunk: &StoredChunk) -> (ChunkId, bool) {
-        let at = match (!self.slots.is_empty()).then(|| self.probe(&chunk.hash)) {
-            Some(Ok(at)) => return (ChunkId(self.slots[at] - 1), false),
-            Some(Err(at)) if (self.len() + 1) * 2 <= self.slots.len() => at,
-            _ => {
-                let slots = (self.slots.len() * 2).max(16);
-                self.rebuild_index(slots).expect("room for the chunk index");
-                self.probe(&chunk.hash).expect_err("a new chunk")
-            }
+        let (live, entries) = (self.len(), &self.entries);
+        let is = |id: u32| entries[id as usize].hash == chunk.hash;
+        let word = hash_word(&chunk.hash);
+        let at = match self.index.find_or_vacancy(live, word, is, ChunkTable::word_of(entries)) {
+            Ok(id) => return (ChunkId(id), false),
+            Err(at) => at,
         };
         let entry = ChunkEntry {
             hash: chunk.hash,
@@ -481,51 +621,29 @@ impl ChunkTable {
                 id
             }
             None => {
-                // Slots hold id + 1, so the last id is u32::MAX - 1.
-                let id = u32::try_from(self.entries.len())
-                    .ok()
-                    .filter(|&id| id < u32::MAX)
-                    .expect("fewer than u32::MAX chunks");
+                let id = next_id(self.entries.len()).expect("fewer than u32::MAX chunks");
                 self.entries.push(entry);
                 ChunkId(id)
             }
         };
-        self.slots[at] = id.0 + 1;
+        self.index.fill(at, id.0);
         (id, true)
     }
 
     /// Frees live entry `id`: its slot leaves the index, its payload is
-    /// dropped and its id waits for the next new chunk. Each later slot of
-    /// the probe run moves back into the hole when the hole lies between
-    /// that entry's home slot and where it sits, so every entry stays
-    /// reachable from its home without a tombstone.
+    /// dropped and its id waits for the next new chunk.
     fn free(&mut self, id: ChunkId) {
-        let mask = self.slots.len() - 1;
-        let mut hole = self.probe(&self.entry(id).hash).expect("a live entry is indexed");
-        let mut next = hole;
-        loop {
-            next = (next + 1) & mask;
-            let slot = self.slots[next];
-            if slot == 0 {
-                break;
-            }
-            let home = self.home(&self.entries[slot as usize - 1].hash);
-            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
-                self.slots[hole] = slot;
-                hole = next;
-            }
-        }
-        self.slots[hole] = 0;
+        let word = hash_word(&self.entry(id).hash);
+        let at = self.index.probe(word, |slot| slot == id.0).expect("a live entry is indexed");
+        self.index.remove(at, ChunkTable::word_of(&self.entries));
         self.entry_mut(id).payload = None;
         self.free.push(id);
     }
 
     /// Frees every live entry no user owns.
     fn sweep(&mut self) -> GcStats {
-        let ownerless: Vec<ChunkId> = (self.slots.iter().filter(|&&slot| slot != 0))
-            .map(|&slot| ChunkId(slot - 1))
-            .filter(|&id| self.entry(id).owners == 0)
-            .collect();
+        let ownerless: Vec<ChunkId> =
+            self.index.ids().map(ChunkId).filter(|&id| self.entry(id).owners == 0).collect();
         let mut pass = GcStats::default();
         for id in ownerless {
             pass.freed_chunks += 1;
@@ -540,27 +658,8 @@ impl ChunkTable {
     /// requests are ignored.
     fn reserve(&mut self, additional: usize) {
         let _ = self.entries.try_reserve_exact(additional);
-        let slots = (self.len().checked_add(additional))
-            .and_then(|live| live.checked_mul(2))
-            .and_then(usize::checked_next_power_of_two);
-        if let Some(slots) = slots.filter(|&slots| slots > self.slots.len()) {
-            let _ = self.rebuild_index(slots);
-        }
-    }
-
-    /// Re-indexes the live entries in an index of `slots` slots, a power
-    /// of two; on a refused allocation the old index stays.
-    fn rebuild_index(&mut self, slots: usize) -> Result<(), TryReserveError> {
-        let mut index = Vec::new();
-        index.try_reserve_exact(slots)?;
-        index.resize(slots, 0);
-        let old = std::mem::replace(&mut self.slots, index);
-        for slot in old.into_iter().filter(|&slot| slot != 0) {
-            let at =
-                self.probe(&self.entries[slot as usize - 1].hash).expect_err("one slot per id");
-            self.slots[at] = slot;
-        }
-        Ok(())
+        let live = self.len().checked_add(additional);
+        self.index.reserve(live, ChunkTable::word_of(&self.entries));
     }
 }
 
@@ -655,7 +754,7 @@ fn insert_row<T>(rows: &mut Vec<T>, at: usize, row: T, capacity: usize) {
 #[derive(Debug, Default)]
 struct Tables {
     users: Names,
-    /// Parallel to `users.names`.
+    /// One per user id.
     records: Vec<UserRecord>,
     paths: Names,
     chunks: ChunkTable,
@@ -819,26 +918,27 @@ impl ObjectStore {
     }
 
     /// Tells the store what is about to be written — `users` more users,
-    /// each holding `chunks_per_user` chunks in `files_per_user` files, and
-    /// `unique_chunks` more physical chunks — so the user records, the name
-    /// index, the chunk entries and their index can grow to their final
-    /// size once instead of doubling their way there (a doubling holds the
-    /// old and the new allocation at once), and a record's two row lists
-    /// are allocated once, exactly, on their first row. Purely a capacity
-    /// hint: nothing a caller can read changes, a request the allocator
-    /// refuses is ignored, and a store that already has the room does
-    /// nothing.
+    /// whose names take `user_name_bytes` bytes together, each holding
+    /// `chunks_per_user` chunks in `files_per_user` files, and
+    /// `unique_chunks` more physical chunks — so the user records, the
+    /// user names and their index, the chunk entries and their index can
+    /// grow to their final size once instead of doubling their way there
+    /// (a doubling holds the old and the new allocation at once), and a
+    /// record's two row lists are allocated once, exactly, on their first
+    /// row. Purely a capacity hint: nothing a caller can read changes, a
+    /// request the allocator refuses is ignored, and a store that already
+    /// has the room does nothing.
     pub fn reserve(
         &self,
         users: usize,
+        user_name_bytes: usize,
         chunks_per_user: usize,
         files_per_user: usize,
         unique_chunks: usize,
     ) {
         let mut guard = self.write();
         let tables = &mut *guard;
-        let _ = tables.users.slots.try_reserve(users);
-        let _ = tables.users.names.try_reserve(users);
+        tables.users.reserve(users, user_name_bytes);
         let _ = tables.records.try_reserve(users);
         tables.chunks.reserve(unique_chunks);
         tables.held_capacity = chunks_per_user;
@@ -854,7 +954,7 @@ impl ObjectStore {
             user_records: bytes(tables.records.capacity(), size_of::<UserRecord>()),
             chunk_entries: bytes(tables.chunks.entries.capacity(), size_of::<ChunkEntry>())
                 + bytes(tables.chunks.free.capacity(), size_of::<ChunkId>()),
-            chunk_index: bytes(tables.chunks.slots.capacity(), size_of::<Slot>()),
+            chunk_index: bytes(tables.chunks.index.slots.capacity(), size_of::<Slot>()),
             names: tables.users.footprint() + tables.paths.footprint(),
             ..StoreFootprint::default()
         };
@@ -973,11 +1073,8 @@ impl ObjectStore {
         let Some(record) = tables.record(user) else {
             return Vec::new();
         };
-        let mut paths: Vec<String> = record
-            .files
-            .iter()
-            .map(|(id, _)| tables.paths.names[id.0 as usize].to_string())
-            .collect();
+        let mut paths: Vec<String> =
+            record.files.iter().map(|(id, _)| tables.paths.name(id.0).to_string()).collect();
         paths.sort();
         paths
     }
@@ -1017,9 +1114,9 @@ impl ObjectStore {
     /// The user names with a non-empty namespace, sorted.
     pub fn users(&self) -> Vec<String> {
         let tables = self.read();
-        let mut users: Vec<String> = (tables.records.iter().zip(&tables.users.names))
+        let mut users: Vec<String> = (tables.records.iter().zip(0..))
             .filter(|(record, _)| !record.is_empty())
-            .map(|(_, name)| name.to_string())
+            .map(|(_, id)| tables.users.name(id).to_string())
             .collect();
         users.sort();
         users
@@ -1064,6 +1161,12 @@ pub struct StoreWriter<'a> {
 }
 
 impl StoreWriter<'_> {
+    /// Interns a user name under the writer's lock: what
+    /// [`ObjectStore::intern_user`] does, without a lock of its own.
+    pub fn intern_user(&mut self, name: &str) -> Result<UserId, IdSpaceExhausted> {
+        self.tables.intern_user(name).map(UserId)
+    }
+
     /// Commits a batch of one-chunk files for an interned user: for each
     /// file, in order, exactly [`ObjectStore::put_chunk`] followed by
     /// [`ObjectStore::commit_manifest`] of a manifest holding that one
@@ -1081,21 +1184,12 @@ impl StoreWriter<'_> {
     /// allocated.
     pub fn commit_files_by_id(&mut self, user: UserId, files: &[(PathId, StoredChunk)]) -> u64 {
         let tables = &mut *self.tables;
-        // Up to 64 files at a time, their chunks' ids first. The lookups go
-        // back to back: independent probes of a table far larger than the
-        // cache, whose misses then overlap, and each entry is in the cache
-        // by the time its file's admit needs it.
-        for files in files.chunks(64) {
-            let mut ids = [(ChunkId(0), false); 64];
-            for (id, (_, chunk)) in ids.iter_mut().zip(files) {
-                *id = tables.chunks.intern(chunk);
+        for (path, chunk) in files {
+            let (id, created) = tables.chunks.intern(chunk);
+            if tables.hold(user.0, id, chunk, 1) {
+                tables.admit(id, chunk, created);
             }
-            for (&(id, created), (path, chunk)) in ids.iter().zip(files) {
-                if tables.hold(user.0, id, chunk, 1) {
-                    tables.admit(id, chunk, created);
-                }
-                tables.publish(user.0, *path, chunk.plain_len, ChunkList::One(id));
-            }
+            tables.publish(user.0, *path, chunk.plain_len, ChunkList::One(id));
         }
         tables.records[user.0 as usize].next_version
     }
@@ -1105,7 +1199,7 @@ impl Tables {
     /// The slot of `name`, interning it with an empty record when new.
     fn intern_user(&mut self, name: &str) -> Result<u32, IdSpaceExhausted> {
         let slot = self.users.intern(name).ok_or(IdSpaceExhausted { what: "user" })?;
-        if self.records.len() < self.users.names.len() {
+        if self.records.len() < self.users.len() {
             self.records.push(UserRecord::default());
         }
         Ok(slot)
@@ -1124,12 +1218,12 @@ impl Tables {
 
     /// The slot of a user some write already interned.
     fn user(&self, name: &str) -> Option<u32> {
-        self.users.slots.get(name).copied()
+        self.users.get(name)
     }
 
     /// The id of a path some write already interned.
     fn path(&self, path: &str) -> Option<PathId> {
-        self.paths.slots.get(path).copied().map(PathId)
+        self.paths.get(path).map(PathId)
     }
 
     /// The record of a user some write already interned.
@@ -1807,10 +1901,11 @@ mod tests {
 
     #[test]
     fn ids_past_u32_are_refused_not_wrapped() {
-        // An id is its name's slot, and the slot must fit a u32.
+        // An id is its name's slot, and an index slot (the id plus one)
+        // must fit a u32.
         assert_eq!(next_id(0), Some(0));
-        assert_eq!(next_id(u32::MAX as usize), Some(u32::MAX));
-        assert_eq!(next_id(u32::MAX as usize + 1), None);
+        assert_eq!(next_id(u32::MAX as usize - 1), Some(u32::MAX - 1));
+        assert_eq!(next_id(u32::MAX as usize), None);
         assert_eq!(next_id(usize::MAX), None);
         // Interning hands out slots in first-seen order, a known name
         // keeps its own, and an exhausted id space is an error naming
@@ -1819,7 +1914,7 @@ mod tests {
         assert_eq!(names.intern("first"), Some(0));
         assert_eq!(names.intern("second"), Some(1));
         assert_eq!(names.intern("first"), Some(0), "a known name needs no new id");
-        assert_eq!(names.names.len(), 2);
+        assert_eq!((names.len(), names.name(0), names.name(1)), (2, "first", "second"));
         let err = IdSpaceExhausted { what: "user" }.to_string();
         assert!(err.contains("user") && err.contains("u32"), "got: {err}");
     }
@@ -1956,7 +2051,7 @@ mod tests {
     // ---- model-based property tests -------------------------------------
 
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     /// The naive reference the flat store is checked against: a map of
     /// per-user maps, the store's documented semantics spelled out with no
@@ -2225,13 +2320,12 @@ mod tests {
             let listed = record.files.iter().flat_map(|(_, file)| file.chunks.as_slice());
             assert!(listed.copied().all(|id| record.find_held(id).is_ok()));
         }
-        let mut live: Vec<ChunkId> =
-            chunks.slots.iter().filter(|&&slot| slot != 0).map(|&slot| ChunkId(slot - 1)).collect();
+        let mut live: Vec<ChunkId> = chunks.index.ids().map(ChunkId).collect();
         assert!(live.iter().all(|&id| indexed(id)));
         live.sort_unstable();
         live.dedup();
         assert_eq!(live.len(), chunks.len());
-        assert!(chunks.len() * 2 <= chunks.slots.len() || chunks.slots.is_empty());
+        assert!(chunks.len() * 2 <= chunks.index.slots.len() || chunks.index.slots.is_empty());
     }
 
     #[test]
@@ -2333,6 +2427,19 @@ mod tests {
         ContentHash(bytes)
     }
 
+    impl ChunkTable {
+        /// The slot `hash`'s probe run starts at.
+        fn home(&self, hash: &ContentHash) -> usize {
+            self.index.home(hash_word(hash))
+        }
+
+        /// The slot holding `hash`'s id (`Ok`), or the empty slot that
+        /// ends its probe run (`Err`).
+        fn probe(&self, hash: &ContentHash) -> Result<usize, usize> {
+            self.index.probe(hash_word(hash), |id| self.entries[id as usize].hash == *hash)
+        }
+    }
+
     fn sized(hash: ContentHash, len: u64) -> StoredChunk {
         StoredChunk { hash, stored_len: len, plain_len: len }
     }
@@ -2387,7 +2494,7 @@ mod tests {
     fn slots_of(store: &ObjectStore, hashes: &[ContentHash]) -> (Vec<Option<usize>>, usize) {
         let tables = store.read();
         let at = hashes.iter().map(|hash| tables.chunks.probe(hash).ok()).collect();
-        (at, tables.chunks.slots.len() - 1)
+        (at, tables.chunks.index.slots.len() - 1)
     }
 
     /// Each chunk put by `user` and published alone at its own path.
@@ -2516,6 +2623,39 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// Random names — the empty one, names that are prefixes of each
+        /// other, repeats — interned into an empty interner until its index
+        /// has doubled several times, against a `HashMap` model: after every
+        /// step each name has the model's id (unknown names none), and each
+        /// id gives its name back.
+        #[test]
+        fn the_name_interner_agrees_with_a_map(draws in proptest::collection::vec(0u8..127, 1..400)) {
+            // Every string of up to six letters `a`/`b`: 127 names, each a
+            // prefix of longer ones.
+            let universe: Vec<String> = (0..127u32)
+                .map(|n| {
+                    let len = (n + 1).ilog2();
+                    (0..len).map(|bit| if (n + 1) >> bit & 1 == 1 { 'b' } else { 'a' }).collect()
+                })
+                .collect();
+            let mut names = Names::default();
+            let mut model: HashMap<&str, u32> = HashMap::new();
+            for &draw in &draws {
+                let name = &universe[draw as usize];
+                let next = model.len() as u32;
+                let id = *model.entry(name).or_insert(next);
+                prop_assert_eq!(names.intern(name), Some(id));
+                for name in &universe {
+                    prop_assert_eq!(names.get(name), model.get(name.as_str()).copied());
+                }
+                prop_assert_eq!(names.len(), model.len());
+                for (&name, &id) in &model {
+                    prop_assert_eq!(names.name(id), name);
+                }
+            }
+            prop_assert!(names.len() * 2 <= names.index.slots.len());
+        }
+
         /// Random sequences of every write the store has, against the naive
         /// model, comparing everything readable after every step — under
         /// both GC policies.
@@ -2579,8 +2719,8 @@ mod tests {
                         // A batch of one-chunk files: empty, short, longer
                         // than the three paths and four payloads (so paths
                         // are superseded and hashes repeat inside it) and
-                        // past the 256 files its stack bitmap covers. The
-                        // model runs put-then-commit per file.
+                        // 300 files long. The model runs put-then-commit
+                        // per file.
                         let len = [0, 1, 2, 5, 9, 300][field(48, 6)];
                         let mut draw = *word;
                         let mut files = Vec::with_capacity(len);
@@ -2756,7 +2896,7 @@ mod tests {
         fn reserve_changes_nothing_a_caller_can_read(
             eager in any::<bool>(),
             script in proptest::collection::vec(any::<u64>(), 0..24),
-            asks in proptest::collection::vec(any::<u64>(), 4..5),
+            asks in proptest::collection::vec(any::<u64>(), 5..6),
             reserve_at in 0usize..24,
         ) {
             let policy = if eager { GcPolicy::Eager } else { GcPolicy::MarkSweep };
@@ -2773,7 +2913,7 @@ mod tests {
                 let store = ObjectStore::with_policy(policy);
                 for (step, word) in script.iter().enumerate() {
                     if reserving && step == reserve_at {
-                        store.reserve(ask(asks[0]), ask(asks[1]), ask(asks[2]), ask(asks[3]));
+                        store.reserve(ask(asks[0]), ask(asks[1]), ask(asks[2]), ask(asks[3]), ask(asks[4]));
                     }
                     let field = |shift: u32, modulo: u64| ((word >> shift) % modulo) as usize;
                     let user = store.intern_user(USERS[field(8, 3)]).unwrap();
@@ -2785,7 +2925,7 @@ mod tests {
                     }
                 }
                 if reserving && reserve_at >= script.len() {
-                    store.reserve(ask(asks[0]), ask(asks[1]), ask(asks[2]), ask(asks[3]));
+                    store.reserve(ask(asks[0]), ask(asks[1]), ask(asks[2]), ask(asks[3]), ask(asks[4]));
                 }
                 observe_store(&store)
             };
