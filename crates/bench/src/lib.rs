@@ -30,6 +30,9 @@ pub mod gate;
 pub mod metrics;
 pub mod suites;
 
+#[doc(hidden)]
+pub mod perf_pins;
+
 /// Shared helper: the default testbed seed used by the harness, so the repro
 /// binary, the gate and the tests measure the same simulated universe.
 pub const REPRO_SEED: u64 = 0x2013_1023;

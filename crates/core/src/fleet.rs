@@ -129,7 +129,8 @@ pub fn fleet_spec(profile: &ServiceProfile, clients: usize, seed: u64) -> FleetS
 }
 
 /// Runs the scaling suite for one service over the given fleet sizes, each
-/// fleet on one OS thread per client against a fresh store.
+/// fleet against a fresh store, its waves on at most min(cores, clients)
+/// workers.
 pub fn run_fleet_scaling(
     profile: &ServiceProfile,
     sizes: &[usize],

@@ -22,8 +22,8 @@
 //! `cmp`s two fresh JSON dumps byte for byte.
 
 use crate::report::{gate_keys, hist_line, hist_metrics, Report};
-use cloudsim_services::capture::{replay, FleetCapture, ReplayMix};
-use cloudsim_services::scale::{run_scale, ScaleRun, ScaleSpec};
+use cloudsim_services::capture::{replay_capture, FleetCapture, ReplayMix};
+use cloudsim_services::scale::{run_population, ScaleRun, ScaleSpec};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{HistogramSummary, SimDuration};
 use serde::Serialize;
@@ -188,12 +188,11 @@ pub(crate) fn assemble_suite(
     }
 }
 
-/// Runs the canonical fleet-scale population with one worker per host core
-/// and assembles the suite.
+/// Runs the canonical fleet-scale population on the calling thread and
+/// assembles the suite.
 pub fn run_fleet_scale(clients: usize, seed: u64) -> FleetScaleSuite {
     let spec = scale_spec(clients, seed);
-    let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-    let run = run_scale(&spec, store, cloudsim_parallel::available_workers());
+    let run = run_population(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
     assemble_suite(
         spec.commits_per_client,
         spec.files_per_commit,
@@ -203,8 +202,8 @@ pub fn run_fleet_scale(clients: usize, seed: u64) -> FleetScaleSuite {
     )
 }
 
-/// Re-drives a parsed capture with one worker per host core and assembles
-/// the suite from the replayed run. With [`ReplayMix::Original`] the result
+/// Re-drives a parsed capture on the calling thread and assembles the suite
+/// from the replayed run. With [`ReplayMix::Original`] the result
 /// is bit-identical to [`run_fleet_scale`] on the captured spec (the CI
 /// replay-fidelity leg `cmp`s the two JSON dumps); a link or profile remap
 /// is the paper-style A/B comparison over the same recorded workload.
@@ -212,7 +211,7 @@ pub fn replay_fleet_scale(
     capture: &FleetCapture,
     mix: &ReplayMix,
 ) -> Result<FleetScaleSuite, String> {
-    let run = replay(capture, mix, cloudsim_parallel::available_workers())?;
+    let run = replay_capture(capture, mix)?;
     Ok(assemble_suite(
         capture.commits_per_client,
         capture.files_per_commit,

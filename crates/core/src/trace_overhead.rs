@@ -1,6 +1,6 @@
 //! Trace-overhead suite: what full packet capture costs at fleet scale.
 //!
-//! The trace recorder promises that switching capture on does not
+//! Packet capture promises that switching it on does not
 //! perturb the simulation (the traced run's data is bit-identical to the
 //! traceless run) and does not meaningfully slow it down (after the run,
 //! the fleet-scale runner emits every commit's packets from its events and
@@ -21,7 +21,7 @@
 
 use crate::report::{gate_keys, Report};
 use crate::scale::scale_spec;
-use cloudsim_services::scale::{run_scale, run_scale_traced};
+use cloudsim_services::scale::{run_population, run_population_traced};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -127,13 +127,12 @@ impl TraceOverheadSuite {
 /// Runs the canonical fleet-scale population twice — tracing off, then
 /// tracing on — asserts the traced run's data
 /// is bit-identical to the baseline, and assembles the suite from the
-/// merged capture.
+/// frozen capture.
 pub fn run_trace_overhead(clients: usize, seed: u64) -> TraceOverheadSuite {
     let spec = scale_spec(clients, seed);
-    let workers = cloudsim_parallel::available_workers();
     let fresh = || ObjectStore::with_policy(GcPolicy::MarkSweep);
-    let baseline = run_scale(&spec, fresh(), workers);
-    let (run, trace) = run_scale_traced(&spec, fresh(), workers);
+    let baseline = run_population(&spec, fresh());
+    let (run, trace) = run_population_traced(&spec, fresh());
 
     // Capture must be a pure observer: the traced run's simulation data is
     // the traceless run's, bit for bit.

@@ -64,7 +64,7 @@ impl Simulator {
     /// Consumes the simulator, returning the captured packets in canonical
     /// order without cloning.
     pub fn into_packets(self) -> Vec<PacketRecord> {
-        self.shard.into_packets()
+        self.shard.freeze().into_packets()
     }
 }
 

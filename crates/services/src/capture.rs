@@ -6,7 +6,7 @@
 //! same property. [`render_capture`] lowers a [`ScaleSpec`] into a compact,
 //! versioned JSONL recording — one header line describing the population,
 //! then one line per commit event `(timestamp, client, op, bytes, content
-//! seeds)` in event-heap order. [`replay`] hands a capture to the same
+//! seeds)` in event-heap order. [`replay_capture`] hands a capture to the same
 //! commit runner as the live run ([`crate::scale`]) — only the source the
 //! runner resolves its events, seeds and links from differs — so:
 //!
@@ -36,6 +36,9 @@ use crate::scale::{check_run_totals, drive, intern_paths, Commits, ScaleRun, Sca
 use cloudsim_net::AccessLink;
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{SimDuration, SimTime};
+
+#[doc(hidden)]
+pub use crate::perf_pins::replay;
 
 /// The capture format's stable name, written into every header line.
 pub const CAPTURE_FORMAT: &str = "cloudsim-fleet-capture";
@@ -802,13 +805,8 @@ pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
 /// against a fresh mark-sweep store. [`ReplayMix::Original`] reproduces the
 /// recorded run bit for bit; the other mixes substitute one factor and hold
 /// the workload fixed. A capture that fails [`FleetCapture::validate`] is
-/// an `Err`, parsed or hand-built. `_workers` is ignored, as in
-/// [`crate::scale::run_scale`].
-pub fn replay(
-    capture: &FleetCapture,
-    mix: &ReplayMix,
-    _workers: usize,
-) -> Result<ScaleRun, String> {
+/// an `Err`, parsed or hand-built.
+pub fn replay_capture(capture: &FleetCapture, mix: &ReplayMix) -> Result<ScaleRun, String> {
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
     let driven = drive(Source::Capture(capture, mix), &store)?;
     Ok(driven.into_run(store))
@@ -821,11 +819,6 @@ mod tests {
 
     fn small_spec() -> ScaleSpec {
         ScaleSpec::new(48).with_seed(0xCAB)
-    }
-
-    /// [`replay`] the way [`run_wide`] runs a spec.
-    fn replay_wide(capture: &FleetCapture, mix: &ReplayMix) -> Result<ScaleRun, String> {
-        replay(capture, mix, 1)
     }
 
     #[test]
@@ -852,7 +845,7 @@ mod tests {
         let spec = small_spec();
         let original = run_wide(&spec);
         let capture = parse_capture(&render_capture(&spec)).unwrap();
-        let replayed = replay_wide(&capture, &ReplayMix::Original).unwrap();
+        let replayed = replay_capture(&capture, &ReplayMix::Original).unwrap();
 
         assert_eq!(replayed.clients, original.clients);
         assert_eq!(replayed.commits, original.commits);
@@ -875,7 +868,7 @@ mod tests {
         let spec = small_spec();
         let original = run_wide(&spec);
         let capture = parse_capture(&render_capture(&spec)).unwrap();
-        let remapped = replay_wide(&capture, &ReplayMix::Link(AccessLink::adsl())).unwrap();
+        let remapped = replay_capture(&capture, &ReplayMix::Link(AccessLink::adsl())).unwrap();
 
         // The workload is identical...
         assert_eq!(remapped.commits, original.commits);
@@ -885,7 +878,7 @@ mod tests {
         // ...but every client now uploads through ADSL, so the mixed-link
         // timeline is gone.
         assert_ne!(remapped.intervals, original.intervals);
-        let all_adsl = replay_wide(&capture, &ReplayMix::Link(AccessLink::adsl())).unwrap();
+        let all_adsl = replay_capture(&capture, &ReplayMix::Link(AccessLink::adsl())).unwrap();
         assert_eq!(all_adsl.intervals, remapped.intervals, "replay must be deterministic");
     }
 
@@ -893,12 +886,12 @@ mod tests {
     fn profile_remap_charges_per_file_round_trips() {
         let spec = small_spec();
         let capture = parse_capture(&render_capture(&spec)).unwrap();
-        let bundled = replay_wide(&capture, &ReplayMix::Original).unwrap();
+        let bundled = replay_capture(&capture, &ReplayMix::Original).unwrap();
         let per_file = ServiceProfile::all()
             .into_iter()
             .find(|p| !p.bundles())
             .expect("some profile must not bundle");
-        let unbundled = replay_wide(&capture, &ReplayMix::Profile(per_file)).unwrap();
+        let unbundled = replay_capture(&capture, &ReplayMix::Profile(per_file)).unwrap();
 
         assert_eq!(unbundled.aggregate(), bundled.aggregate());
         // Every commit pays files_per_commit RTTs instead of one, so no
@@ -912,7 +905,7 @@ mod tests {
         assert!(longer > 0, "per-file round trips must slow some transfers");
         // A bundling profile replays exactly like the original mix.
         let still_bundled = ServiceProfile::all().into_iter().find(|p| p.bundles()).unwrap();
-        let same = replay_wide(&capture, &ReplayMix::Profile(still_bundled)).unwrap();
+        let same = replay_capture(&capture, &ReplayMix::Profile(still_bundled)).unwrap();
         assert_eq!(same.intervals, bundled.intervals);
     }
 
@@ -947,7 +940,7 @@ mod tests {
 
     #[test]
     fn hostile_hand_built_captures_are_errors_on_every_path() {
-        use crate::partition::{run_partition, PartitionSpec, PartitionWorkload};
+        use crate::partition::{run_one, PartitionSpec, PartitionWorkload};
 
         // All fields are `pub`, so a capture need not have come through the
         // parser. One hostile capture per check; before `validate` each of
@@ -981,7 +974,7 @@ mod tests {
             assert!(err.contains(expected), "expected \"{expected}\", got: {err}");
             // The API paths return the very error the file path does.
             assert_eq!(parse_capture(&render_fleet_capture(&capture)).unwrap_err(), err);
-            assert_eq!(replay(&capture, &ReplayMix::Original, 2).unwrap_err(), err);
+            assert_eq!(replay_capture(&capture, &ReplayMix::Original).unwrap_err(), err);
             assert_eq!(slice_capture(&capture, &[(0, 3)]).unwrap_err(), err);
             let part = PartitionSpec {
                 index: 0,
@@ -992,7 +985,7 @@ mod tests {
                 workload: PartitionWorkload::Slice(capture),
             };
             let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-            assert_eq!(run_partition(&part, &store, 2).unwrap_err(), format!("partition 0: {err}"));
+            assert_eq!(run_one(&part, &store).unwrap_err(), format!("partition 0: {err}"));
         }
 
         // An instant near the end of the clock is a valid header and valid
@@ -1003,7 +996,7 @@ mod tests {
         late.events[5].at = SimTime::from_micros(18_446_744_073_709_551_000);
         assert!(late.validate().is_ok());
         assert_eq!(parse_capture(&render_fleet_capture(&late)).as_ref(), Ok(&late));
-        let err = replay(&late, &ReplayMix::Original, 2).unwrap_err();
+        let err = replay_capture(&late, &ReplayMix::Original).unwrap_err();
         assert!(err.contains("t_us 18446744073709551000") && err.contains("u64 µs"), "{err}");
         let part = PartitionSpec {
             index: 0,
@@ -1011,14 +1004,14 @@ mod tests {
             workload: PartitionWorkload::Slice(late),
         };
         let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-        assert_eq!(run_partition(&part, &store, 2).unwrap_err(), format!("partition 0: {err}"));
+        assert_eq!(run_one(&part, &store).unwrap_err(), format!("partition 0: {err}"));
 
         // A commit recorded twice keeps every per-event check happy (the
         // count is intact) but would leave another commit without seeds.
         let mut twice = good.clone();
         twice.events[1] = twice.events[0].clone();
         assert!(twice.validate().is_ok());
-        let err = replay(&twice, &ReplayMix::Original, 2).unwrap_err();
+        let err = replay_capture(&twice, &ReplayMix::Original).unwrap_err();
         assert!(err.contains("more than once"), "got: {err}");
     }
 
@@ -1062,9 +1055,9 @@ mod tests {
     fn slice_replay_matches_the_clients_share_of_the_unsliced_run() {
         let spec = small_spec();
         let capture = capture_of_spec(&spec);
-        let whole = replay_wide(&capture, &ReplayMix::Original).unwrap();
+        let whole = replay_capture(&capture, &ReplayMix::Original).unwrap();
         let slices = slice_capture(&capture, &[(0, 20), (20, 48)]).unwrap();
-        let tail = replay_wide(&slices[1], &ReplayMix::Original).unwrap();
+        let tail = replay_capture(&slices[1], &ReplayMix::Original).unwrap();
         assert_eq!(tail.clients, 28);
         // The slice commits under the same global user names, so its store
         // contents are exactly those clients' share of the whole run.
@@ -1102,7 +1095,7 @@ mod tests {
         let spec = ScaleSpec::new(2).with_seed(1);
         let text = render_capture(&spec).replacen("\"campus\"", "\"dialup\"", 1);
         let capture = parse_capture(&text).unwrap();
-        let err = replay_wide(&capture, &ReplayMix::Original).unwrap_err();
+        let err = replay_capture(&capture, &ReplayMix::Original).unwrap_err();
         assert!(err.contains("dialup"));
     }
 

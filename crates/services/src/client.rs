@@ -14,7 +14,7 @@ use crate::session::{FaultStats, RangedTransfer, UploadSession};
 use cloudsim_net::http::{HttpExchange, HttpOverhead};
 use cloudsim_net::tcp::{ConnectionOptions, Fetch, TcpConnection};
 use cloudsim_net::{AccessLink, FaultSchedule, Simulator, TransferInterrupted};
-use cloudsim_storage::SizeMemo;
+use cloudsim_storage::{ObjectStore, SizeMemo, UploadPipeline};
 use cloudsim_trace::{Direction, FlowKind, LatencyHistogram, SimDuration, SimTime};
 use cloudsim_workload::GeneratedFile;
 use std::sync::Arc;
@@ -137,40 +137,39 @@ impl SyncClient {
         SyncClient::with_deployment(UploadPlanner::new(profile.clone()), deployment, profile)
     }
 
-    /// [`SyncClient::new`]. `_pipeline` is ignored: there is one
-    /// [`cloudsim_storage::UploadPipeline`] and nothing to choose about it.
-    pub fn with_pipeline(
-        profile: ServiceProfile,
-        _pipeline: cloudsim_storage::UploadPipeline,
-    ) -> SyncClient {
+    /// [`SyncClient::new`], for `perf/`; the pipeline is ignored.
+    #[doc(hidden)]
+    pub fn with_pipeline(profile: ServiceProfile, _: UploadPipeline) -> SyncClient {
         SyncClient::new(profile)
     }
 
-    /// Creates a client for a named user account committing into a shared
-    /// object store — the fleet constructor. Each client still owns its
-    /// deployment, connections and delta state, and asks the shared store
-    /// which chunks its own account holds. `_pipeline` is ignored, as in
-    /// [`SyncClient::with_pipeline`].
+    /// [`SyncClient::for_user_on_link`] on the campus link, for `perf/`;
+    /// the pipeline is ignored.
+    #[doc(hidden)]
     pub fn for_user(
         profile: ServiceProfile,
-        _pipeline: cloudsim_storage::UploadPipeline,
-        store: cloudsim_storage::ObjectStore,
+        _: UploadPipeline,
+        store: ObjectStore,
         user: &str,
     ) -> SyncClient {
         SyncClient::for_user_on_link(profile, store, user, &AccessLink::campus())
     }
 
-    /// The fleet constructor for a client behind a specific access link: the
-    /// deployment's paths are composed with the link, so an ADSL user and a
-    /// fibre user of the same service live in different network worlds.
+    /// Creates a client for a named user account committing into a shared
+    /// object store — the fleet constructor — behind a specific access
+    /// link. Each client still owns its deployment, connections and delta
+    /// state, and asks the shared store which chunks its own account holds.
+    /// The deployment's paths are composed with the link, so an ADSL user
+    /// and a fibre user of the same service live in different network
+    /// worlds.
     pub fn for_user_on_link(
         profile: ServiceProfile,
-        store: cloudsim_storage::ObjectStore,
+        store: ObjectStore,
         user: &str,
         link: &AccessLink,
     ) -> SyncClient {
         SyncClient::with_deployment(
-            UploadPlanner::for_user(profile.clone(), cloudsim_storage::UploadPipeline, store, user),
+            UploadPlanner::for_account(profile.clone(), store, user),
             Deployment::with_link(&profile, link),
             profile,
         )
@@ -1108,12 +1107,14 @@ mod tests {
 
     #[test]
     fn cross_user_restore_moves_download_traffic() {
-        use cloudsim_storage::{ObjectStore, UploadPipeline};
         let store = ObjectStore::new();
-        let pipeline = UploadPipeline::sequential();
         let mut sim = Simulator::new(11);
-        let mut owner =
-            SyncClient::for_user(ServiceProfile::dropbox(), pipeline, store.clone(), "owner");
+        let mut owner = SyncClient::for_user_on_link(
+            ServiceProfile::dropbox(),
+            store.clone(),
+            "owner",
+            &AccessLink::campus(),
+        );
         let files = batch(4, 100_000);
         let t0 = owner.login(&mut sim, SimTime::ZERO);
         let synced = owner.sync_batch(&mut sim, &files, t0 + SimDuration::from_secs(2));
@@ -1151,19 +1152,25 @@ mod tests {
 
     #[test]
     fn restoring_a_departed_user_fails_cleanly() {
-        use cloudsim_storage::{ObjectStore, UploadPipeline};
         let store = ObjectStore::new();
-        let pipeline = UploadPipeline::sequential();
         let mut sim = Simulator::new(13);
-        let mut owner =
-            SyncClient::for_user(ServiceProfile::dropbox(), pipeline, store.clone(), "owner");
+        let mut owner = SyncClient::for_user_on_link(
+            ServiceProfile::dropbox(),
+            store.clone(),
+            "owner",
+            &AccessLink::campus(),
+        );
         let t0 = owner.login(&mut sim, SimTime::ZERO);
         let synced = owner.sync_batch(&mut sim, &batch(2, 50_000), t0 + SimDuration::from_secs(1));
         let paths = store.list_files("owner");
         owner.leave_service(&mut sim, synced.completed_at + SimDuration::from_secs(1));
 
-        let mut puller =
-            SyncClient::for_user(ServiceProfile::dropbox(), pipeline, store.clone(), "puller");
+        let mut puller = SyncClient::for_user_on_link(
+            ServiceProfile::dropbox(),
+            store.clone(),
+            "puller",
+            &AccessLink::campus(),
+        );
         let mut psim = Simulator::new(14);
         let login = puller.login(&mut psim, SimTime::ZERO);
         let storage_before = psim.trace().wire_bytes(FlowKind::Storage);
@@ -1308,7 +1315,6 @@ mod tests {
         faults: &FaultSchedule,
         files: &[GeneratedFile],
     ) -> FaultedSyncOutcome {
-        use cloudsim_storage::ObjectStore;
         let mut sim = Simulator::new(21);
         let mut client = SyncClient::for_user_on_link(
             ServiceProfile::dropbox(),
@@ -1383,13 +1389,15 @@ mod tests {
     #[test]
     fn faulted_restores_resume_ranged_and_validate_checksums() {
         use cloudsim_net::OutageWindow;
-        use cloudsim_storage::{ObjectStore, UploadPipeline};
         let store = ObjectStore::new();
-        let pipeline = UploadPipeline::sequential();
         let files = batch(5, 200_000);
         let mut sim = Simulator::new(31);
-        let mut owner =
-            SyncClient::for_user(ServiceProfile::dropbox(), pipeline, store.clone(), "owner");
+        let mut owner = SyncClient::for_user_on_link(
+            ServiceProfile::dropbox(),
+            store.clone(),
+            "owner",
+            &AccessLink::campus(),
+        );
         let t0 = owner.login(&mut sim, SimTime::ZERO);
         owner.sync_batch(&mut sim, &files, t0 + SimDuration::from_secs(2));
 

@@ -50,39 +50,22 @@ pub mod scale;
 pub mod schedule;
 pub mod session;
 
-pub use capture::{
-    capture_of_spec, merge_slices, parse_capture, render_capture, render_fleet_capture, replay,
-    slice_capture, CaptureEvent, FleetCapture, ReplayMix, CAPTURE_FORMAT, CAPTURE_VERSION,
-};
-pub use client::{
-    FaultedRestoreOutcome, FaultedSyncOutcome, RestoreOutcome, SyncClient, SyncOutcome,
-};
-pub use deployment::Deployment;
-pub use engine::{EventHeap, EventWave, FleetEvent, Phase};
-pub use fleet::{run_fleet, ClientSlot, ClientSummary, FleetFaults, FleetRun, FleetSpec};
-pub use partition::{
-    capture_partitions, partition_ranges, replay_partitioned, run_partition, run_partitioned,
-    spec_partitions, ClientSet, PartitionRun, PartitionSpec, PartitionWorkload, PartitionedRun,
-};
-pub use retry::{Recovery, RetryConfig};
-pub use scale::{run_scale, ScaleRun, ScaleSpec};
-pub use schedule::{ClientSchedule, FleetSchedule, RoundEvent, SyncActivation, ThinkTime};
-pub use session::{FaultStats, RangedTransfer, UploadSession};
+#[doc(hidden)]
+pub mod perf_pins;
 
-// Re-export the fault-injection vocabulary so harnesses can describe outage
-// schedules without depending on cloudsim-net directly.
-pub use cloudsim_net::{FaultSchedule, FaultSpec, OutageWindow, TransferInterrupted};
-
-// Re-export the per-client network, GC and restore vocabulary the fleet
-// speaks.
-pub use cloudsim_net::AccessLink;
-pub use cloudsim_storage::{GcPolicy, GcStats, RestoreError, RestoredFile, SizeMemo};
-pub use planner::{FilePlan, UploadPlanner};
+pub use client::{FaultedRestoreOutcome, FaultedSyncOutcome, SyncClient, SyncOutcome};
+pub use fleet::FleetFaults;
+pub use planner::UploadPlanner;
 pub use profile::ServiceProfile;
+pub use retry::{Recovery, RetryConfig};
+pub use schedule::FleetSchedule;
+pub use session::{FaultStats, RangedTransfer};
 
-// Re-export the provider enum: it identifies services across the workspace.
-pub use cloudsim_geo::Provider;
+// Re-export the fault-injection, access-link and GC vocabulary a fleet
+// speaks, so harnesses need not depend on cloudsim-net or cloudsim-storage
+// directly.
+pub use cloudsim_net::{AccessLink, FaultSchedule, FaultSpec};
+pub use cloudsim_storage::{GcPolicy, SizeMemo};
 
-// Re-export the pipeline value the `with_pipeline` / `for_user` constructors
-// take, so their callers need not depend on cloudsim-storage directly.
-pub use cloudsim_storage::UploadPipeline;
+#[doc(hidden)]
+pub use perf_pins::UploadPipeline;

@@ -43,6 +43,9 @@ use crate::scale::{drive, reserve_population, ScaleRun, ScaleSpec, Source};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{series, LatencyHistogram, SimTime};
 
+#[doc(hidden)]
+pub use crate::perf_pins::run_partition;
+
 /// The disjoint set of global client indices one partition owns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientSet {
@@ -153,7 +156,7 @@ pub enum PartitionWorkload {
 
 /// Everything one worker needs to drive its partition: the client set it
 /// owns and the workload to derive events from. No shared memory beyond
-/// the store handle passed to [`run_partition`].
+/// the store handle passed to [`run_one`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionSpec {
     /// The partition's index among its siblings.
@@ -275,13 +278,8 @@ pub fn capture_partitions(
 /// through the same commit runner as the unsliced run ([`crate::scale`]) —
 /// which is simply the partition that owns everyone. Returns the
 /// partition's events (global indices, firing order) alongside their
-/// intervals and the partition's totals. `_workers` is ignored, as in
-/// [`crate::scale::run_scale`].
-pub fn run_partition(
-    part: &PartitionSpec,
-    store: &ObjectStore,
-    _workers: usize,
-) -> Result<PartitionRun, String> {
+/// intervals and the partition's totals.
+pub fn run_one(part: &PartitionSpec, store: &ObjectStore) -> Result<PartitionRun, String> {
     part.clients.check_step(part.index)?;
     let source = match &part.workload {
         PartitionWorkload::Spec(spec) => Source::Spec(spec, &part.clients),
@@ -401,8 +399,7 @@ fn run_controller(
     let started = std::time::Instant::now();
     let population = ClientSet::Range { start: client_base, end: client_base + clients };
     reserve_population(&store, &population, files_per_client, shared_per_client);
-    let finished =
-        parts.iter().map(|part| run_partition(part, &store, 1)).collect::<Result<Vec<_>, _>>()?;
+    let finished = parts.iter().map(|part| run_one(part, &store)).collect::<Result<Vec<_>, _>>()?;
     let files = clients as u64 * files_per_client as u64;
     let (run, merged_waves) =
         merge_partitions(client_base, clients, files, &finished, store, started)?;
@@ -410,7 +407,7 @@ fn run_controller(
 }
 
 /// Runs a live spec split into `partitions` round-robin stripes. The
-/// merged run is bit-identical to [`crate::scale::run_scale`] on the same
+/// merged run is bit-identical to [`crate::scale::run_population`] on the same
 /// spec, whatever the partition count.
 pub fn run_partitioned(spec: &ScaleSpec, partitions: usize) -> PartitionedRun {
     spec.validate();
@@ -431,7 +428,7 @@ pub fn run_partitioned(spec: &ScaleSpec, partitions: usize) -> PartitionedRun {
 }
 
 /// Replays a capture split into `partitions` contiguous slices. The merged
-/// run is bit-identical to an unsliced [`crate::capture::replay`] of the
+/// run is bit-identical to an unsliced [`crate::capture::replay_capture`] of the
 /// same capture (and, for a spec-derived capture, to the live run).
 pub fn replay_partitioned(
     capture: &FleetCapture,
@@ -451,7 +448,7 @@ pub fn replay_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{capture_of_spec, replay};
+    use crate::capture::{capture_of_spec, replay_capture};
     use crate::scale::run_wide;
 
     fn small_spec() -> ScaleSpec {
@@ -512,7 +509,7 @@ mod tests {
     fn sliced_capture_replays_recombine_bit_identically() {
         let spec = small_spec();
         let capture = capture_of_spec(&spec);
-        let whole = replay(&capture, &ReplayMix::Original, 1).unwrap();
+        let whole = replay_capture(&capture, &ReplayMix::Original).unwrap();
         let split = replay_partitioned(&capture, 4).unwrap();
         assert_eq!(split.run.intervals, whole.intervals);
         assert_eq!(split.run.aggregate(), whole.aggregate());
@@ -536,7 +533,7 @@ mod tests {
         let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
         let started = std::time::Instant::now();
         let mut finished: Vec<PartitionRun> =
-            parts.iter().map(|p| run_partition(p, &store, 2).unwrap()).collect();
+            parts.iter().map(|p| run_one(p, &store).unwrap()).collect();
         let files = (spec.clients * spec.commits_per_client * spec.files_per_commit) as u64;
         let (forward, waves_fwd) = merge_partitions(
             0,
@@ -563,7 +560,7 @@ mod tests {
         let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
         let started = std::time::Instant::now();
         let finished: Vec<PartitionRun> =
-            parts.iter().map(|p| run_partition(p, &store, 1).unwrap()).collect();
+            parts.iter().map(|p| run_one(p, &store).unwrap()).collect();
         let files = (spec.clients * spec.commits_per_client * spec.files_per_commit) as u64;
         // A duplicated partition overlaps itself.
         let doubled = vec![finished[0].clone(), finished[0].clone()];
@@ -593,7 +590,7 @@ mod tests {
         let stuck = ClientSet::Stripe { offset: 0, step: 0, total: spec.clients };
         assert_eq!((stuck.len(), stuck.contains(0), stuck.iter().count()), (0, false, 0));
         let part = PartitionSpec { clients: stuck.clone(), ..parts[0].clone() };
-        let err = run_partition(&part, &store, 1).unwrap_err();
+        let err = run_one(&part, &store).unwrap_err();
         assert!(err.contains("partition 0") && err.contains("step"), "got: {err}");
         let run = PartitionRun { clients: stuck, ..finished[0].clone() };
         let err = merge_partitions(

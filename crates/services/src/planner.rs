@@ -10,9 +10,11 @@
 //! through the network trace.
 
 use crate::profile::ServiceProfile;
+use cloudsim_storage::pipeline::process_filtered;
+use cloudsim_storage::restore::restore_batch_with;
 use cloudsim_storage::{
     ContentHash, FileArtifacts, FileJob, FileManifest, ObjectStore, PipelineSpec, RestoreError,
-    RestorePipeline, RestoreRequest, RestoredFile, SizeMemo, StoredChunk, UploadPipeline,
+    RestoreRequest, RestoredFile, SizeMemo, StoredChunk, UploadPipeline,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -90,27 +92,32 @@ pub struct UploadPlanner {
 impl UploadPlanner {
     /// Creates a planner for a fresh user account of the given service.
     pub fn new(profile: ServiceProfile) -> UploadPlanner {
-        UploadPlanner::for_user(profile, UploadPipeline, ObjectStore::new(), "benchmark-user")
+        UploadPlanner::for_account(profile, ObjectStore::new(), "benchmark-user")
     }
 
-    /// [`UploadPlanner::new`]. `_pipeline` is ignored: there is one
-    /// [`UploadPipeline`] and nothing to choose about it.
-    pub fn with_pipeline(profile: ServiceProfile, _pipeline: UploadPipeline) -> UploadPlanner {
+    /// [`UploadPlanner::new`], for `perf/`; the pipeline is ignored.
+    #[doc(hidden)]
+    pub fn with_pipeline(profile: ServiceProfile, _: UploadPipeline) -> UploadPlanner {
         UploadPlanner::new(profile)
+    }
+
+    /// [`UploadPlanner::for_account`], for `perf/`; the pipeline is ignored.
+    #[doc(hidden)]
+    pub fn for_user(
+        profile: ServiceProfile,
+        _: UploadPipeline,
+        store: ObjectStore,
+        user: &str,
+    ) -> UploadPlanner {
+        UploadPlanner::for_account(profile, store, user)
     }
 
     /// Creates a planner for a named user account committing into a shared
     /// object store. This is the constructor the fleet harness
     /// uses: every client keeps its own delta state and asks the store which
     /// chunks its account holds, while the server-side store is shared across the whole fleet
-    /// so inter-user deduplication is exercised. `_pipeline` is ignored, as
-    /// in [`UploadPlanner::with_pipeline`].
-    pub fn for_user(
-        profile: ServiceProfile,
-        _pipeline: UploadPipeline,
-        store: ObjectStore,
-        user: &str,
-    ) -> UploadPlanner {
+    /// so inter-user deduplication is exercised.
+    pub fn for_account(profile: ServiceProfile, store: ObjectStore, user: &str) -> UploadPlanner {
         UploadPlanner {
             profile,
             store,
@@ -149,7 +156,7 @@ impl UploadPlanner {
     ///
     /// The pure per-chunk work — chunking, SHA-256, candidate delta scripts,
     /// LZSS size counts (through the run's size memo) — runs through the
-    /// [`UploadPipeline`] (fanned out across
+    /// upload pipeline ([`cloudsim_storage::pipeline::process_filtered`], fanned out across
     /// chunks and files when the batch is large and the caller is not
     /// already a fan-out worker). The stateful decisions — dedup queries
     /// against the account's held chunks, server-side commits — are then applied sequentially in file
@@ -183,7 +190,7 @@ impl UploadPlanner {
         // re-checks against the store as state evolves within the batch.
         let (store, user, deduplicates) = (&self.store, &self.user, self.profile.dedup);
         let known = |hash: &ContentHash| deduplicates && store.chunk(user, hash).is_some();
-        let artifacts = UploadPipeline.process_filtered(&spec, &jobs, &known, &self.sizes);
+        let artifacts = process_filtered(&spec, &jobs, &known, &self.sizes);
 
         files
             .iter()
@@ -339,8 +346,7 @@ impl UploadPlanner {
             .collect();
         let store = self.store.clone();
         let held = |hash: &ContentHash| local.get(hash).map(|(bytes, _)| bytes.clone());
-        let results =
-            RestorePipeline.restore_batch_with(&store, &spec, &requests, &held, &self.sizes);
+        let results = restore_batch_with(&store, &spec, &requests, &held, &self.sizes);
         for restored in results.iter().flatten() {
             let chunks = restored.chunks.iter().map(|c| (c.hash, c.plain_len));
             let content = &restored.content;
@@ -623,9 +629,8 @@ mod tests {
         for profile in ServiceProfile::all() {
             let name = profile.name();
             let store = ObjectStore::new();
-            let pipeline = UploadPipeline;
-            let mut owner = UploadPlanner::for_user(profile.clone(), pipeline, store.clone(), "o");
-            let mut puller = UploadPlanner::for_user(profile.clone(), pipeline, store, "p");
+            let mut owner = UploadPlanner::for_account(profile.clone(), store.clone(), "o");
+            let mut puller = UploadPlanner::for_account(profile.clone(), store, "p");
             plan_file(&mut owner, "f.bin", &content);
 
             let pulled = puller.plan_restore_paths("o", &paths).pop().unwrap().unwrap();
@@ -776,11 +781,9 @@ mod tests {
         // namespace: the shared file costs nothing on the wire, the private
         // one downloads, and both come back byte-identical.
         let store = ObjectStore::new();
-        let pipeline = UploadPipeline;
         let mut alice =
-            UploadPlanner::for_user(ServiceProfile::dropbox(), pipeline, store.clone(), "alice");
-        let mut bob =
-            UploadPlanner::for_user(ServiceProfile::dropbox(), pipeline, store.clone(), "bob");
+            UploadPlanner::for_account(ServiceProfile::dropbox(), store.clone(), "alice");
+        let mut bob = UploadPlanner::for_account(ServiceProfile::dropbox(), store.clone(), "bob");
 
         let shared = generate(FileKind::RandomBinary, 400_000, 21);
         let private = generate(FileKind::RandomBinary, 300_000, 22);
@@ -820,11 +823,9 @@ mod tests {
     #[test]
     fn restore_of_a_purged_account_fails_cleanly() {
         let store = ObjectStore::new();
-        let pipeline = UploadPipeline;
-        let mut owner =
-            UploadPlanner::for_user(ServiceProfile::wuala(), pipeline, store.clone(), "owner");
+        let mut owner = UploadPlanner::for_account(ServiceProfile::wuala(), store.clone(), "owner");
         let mut puller =
-            UploadPlanner::for_user(ServiceProfile::wuala(), pipeline, store.clone(), "puller");
+            UploadPlanner::for_account(ServiceProfile::wuala(), store.clone(), "puller");
         plan_file(&mut owner, "f.bin", &generate(FileKind::RandomBinary, 100_000, 31));
         let paths = store.list_files("owner");
         owner.purge_account();

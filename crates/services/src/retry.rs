@@ -113,9 +113,9 @@ impl RetryConfig {
         Some(SimDuration::from_secs_f64(wait.as_secs_f64() * factor.max(0.0)))
     }
 
-    /// This configuration, boxed. The library passes `&RetryConfig`;
-    /// `perf/`'s faulted-sync row calls `policy().as_ref()`, so the box
-    /// stays until that row is re-pointed (ROADMAP, item 1c).
+    /// This configuration, boxed, for `perf/`'s faulted-sync row
+    /// (`policy().as_ref()`); the library passes `&RetryConfig`.
+    #[doc(hidden)]
     pub fn policy(&self) -> Box<RetryConfig> {
         Box::new(*self)
     }

@@ -42,13 +42,13 @@
 //! spec dump identical JSON (the CI fleet-scale determinism leg `cmp`s
 //! exactly that). Splitting the walk across threads was measured and
 //! deleted: two client stripes ran at 0.78× one thread on the perf
-//! instrument's 10k-client row (`services.scale_nw_speedup`), so `workers`
-//! arguments on this path are accepted and ignored.
+//! instrument's 10k-client row (`services.scale_nw_speedup`), so nothing on
+//! this path takes a worker count.
 //!
 //! ## One commit runner
 //!
-//! Every scale-path surface — [`run_scale`], [`run_scale_traced`],
-//! [`crate::capture::replay`], [`crate::partition::run_partition`] — is a
+//! Every scale-path surface — [`run_population`], [`run_population_traced`],
+//! [`crate::capture::replay_capture`], [`crate::partition::run_one`] — is a
 //! thin adapter over the private `drive`: the adapter names a `Source` (a
 //! spec plus the [`ClientSet`] it drives, or a capture under a replay mix)
 //! and post-processes the result; `drive` starts the wall clock, resolves
@@ -56,7 +56,7 @@
 //! (`Commits`), sizes the store, takes the one store writer and interns the
 //! owned clients through it, sorts the events, and walks them through the
 //! one timeline and that writer. Packet capture is the traceless run plus
-//! one pass after it: [`run_scale_traced`] emits every commit's packets
+//! one pass after it: [`run_population_traced`] emits every commit's packets
 //! from the run's events and interval log, already in the capture's
 //! canonical order. The unsliced run is simply the partition that owns
 //! every client, so there is no second loop for the bit-identity tests to
@@ -109,14 +109,16 @@ use cloudsim_trace::packet::{
     Direction, Endpoint, PacketRecord, TcpFlags, TransportProtocol, TCP_HEADER_BYTES,
 };
 use cloudsim_trace::{
-    series, FlowId, FlowKind, LatencyHistogram, SimDuration, SimTime, Trace, TraceRecorder,
-    TraceShard,
+    series, FlowId, FlowKind, LatencyHistogram, SimDuration, SimTime, Trace, TraceShard,
 };
 use cloudsim_workload::seed::{derive_seed, unit_f64};
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt::Write;
+
+#[doc(hidden)]
+pub use crate::perf_pins::{run_scale, run_scale_traced};
 
 /// The user name of scale client `i` in the shared store — shared with the
 /// capture/replay path ([`crate::capture`]), which reconstructs the same
@@ -204,7 +206,7 @@ impl ScaleSpec {
     /// times). Its store alone, at the ~1 kB per client the
     /// `store_footprint` tests count (989 B at a million clients), would
     /// need ~265 GB, so `repro` refuses a larger `--clients` before
-    /// anything is allocated, and [`run_scale`] and its siblings panic on a
+    /// anything is allocated, and [`run_population`] and its siblings panic on a
     /// larger spec.
     pub const MAX_CLIENTS: usize = 268_435_455;
 
@@ -353,7 +355,7 @@ impl ScaleSpec {
     /// Refuses a spec whose packet capture would wrap a field: client `i`
     /// records from address `10.(i >> 16).(i >> 8).i`, its commit `k` from
     /// port `40 000 + k`, and each file as one packet whose payload length
-    /// is a `u32`. [`run_scale_traced`] panics with the message; `repro
+    /// is a `u32`. [`run_population_traced`] panics with the message; `repro
     /// trace` exits with it.
     pub fn check_traceable(&self) -> Result<(), String> {
         let most_clients = 1usize << 24;
@@ -456,8 +458,9 @@ fn synth_hash(content_seed: u64) -> ContentHash {
 }
 
 /// Where a run's commits come from — the one thing the adapters
-/// ([`run_scale`], [`run_scale_traced`], [`crate::capture::replay`],
-/// [`crate::partition::run_partition`]) tell the driver.
+/// ([`run_population`], [`run_population_traced`],
+/// [`crate::capture::replay_capture`], [`crate::partition::run_one`]) tell
+/// the driver.
 pub(crate) enum Source<'a> {
     /// The commits of the clients in the set, derived live from the spec.
     Spec(&'a ScaleSpec, &'a ClientSet),
@@ -688,7 +691,7 @@ fn packet_offset(link: &AccessLink, file_size: u64, r: usize) -> SimDuration {
 
 /// Emits the packet skeleton of every commit `driven` performed into
 /// `shard`, already in the canonical `(timestamp, flow, seq)` order, so the
-/// shard's sort in [`TraceRecorder::finish`] meets a sorted run. A commit
+/// shard's sort in [`TraceShard::freeze`] meets a sorted run. A commit
 /// of client `i` opens its connection (flow [`ScaleSpec::commit_flow`])
 /// with a SYN at its transfer start and sends one storage payload packet
 /// per file at that file's analytic completion instant; `seq` is the
@@ -844,17 +847,13 @@ impl ScaleRun {
 }
 
 /// Runs the population, committing into `store` — the one-partition case
-/// of the commit runner, on the calling thread. `_workers` is ignored (it
-/// predates the measurement that retired the runner's own threading, see
-/// the module docs, and callers outside this workspace still pass it):
-/// every worker count is the sequential replay. To spread a population
-/// over threads, partition it ([`crate::partition::run_partitioned`]) —
-/// the merged run is bit-identical to this one.
+/// of the commit runner, on the calling thread. A partitioned run
+/// ([`crate::partition::run_partitioned`]) is bit-identical to this one.
 ///
 /// Panics on a spec [`ScaleSpec`]'s own checks reject — among them more
 /// than [`ScaleSpec::MAX_CLIENTS`] clients — and when `store` cannot index
 /// the population (it already holds close to `u32::MAX` users).
-pub fn run_scale(spec: &ScaleSpec, store: ObjectStore, _workers: usize) -> ScaleRun {
+pub fn run_population(spec: &ScaleSpec, store: ObjectStore) -> ScaleRun {
     let everyone = ClientSet::Range { start: 0, end: spec.clients };
     drive(Source::Spec(spec, &everyone), &store)
         .unwrap_or_else(|err| panic!("cannot run the population: {err}"))
@@ -862,20 +861,16 @@ pub fn run_scale(spec: &ScaleSpec, store: ObjectStore, _workers: usize) -> Scale
 }
 
 /// Runs the population with full packet capture: the traceless
-/// [`run_scale`], after which every commit's packets are emitted from the
-/// run's events and interval log, in canonical order, into one
+/// [`run_population`], after which every commit's packets are emitted from
+/// the run's events and interval log, in canonical order, into one
 /// [`TraceShard`] that is frozen into one [`Trace`] (see
 /// `emit_commit_packets`). The [`ScaleRun`] is bit-identical to the
-/// traceless [`run_scale`] of the same spec. `_workers` is ignored, as in
-/// [`run_scale`], which it panics like — and on the checks of
+/// traceless [`run_population`] of the same spec, which it panics like —
+/// and on the checks of
 /// [`ScaleSpec::check_traceable`]: a spec whose packets would wrap a
 /// payload length, a source address or a source port is refused rather
 /// than recorded wrapped.
-pub fn run_scale_traced(
-    spec: &ScaleSpec,
-    store: ObjectStore,
-    _workers: usize,
-) -> (ScaleRun, Trace) {
+pub fn run_population_traced(spec: &ScaleSpec, store: ObjectStore) -> (ScaleRun, Trace) {
     spec.validate();
     if let Err(err) = spec.check_traceable() {
         panic!("{err}");
@@ -883,12 +878,11 @@ pub fn run_scale_traced(
     let everyone = ClientSet::Range { start: 0, end: spec.clients };
     let driven = drive(Source::Spec(spec, &everyone), &store)
         .unwrap_or_else(|err| panic!("cannot run the population: {err}"));
-    let mut recorder = TraceRecorder::new();
-    let shard = &mut recorder.shards_mut()[0];
+    let mut shard = TraceShard::new();
     // The packet count per commit is known up front: one allocation.
     shard.reserve(driven.events.len() * (1 + spec.files_per_commit));
-    emit_commit_packets(shard, spec, &driven);
-    (driven.into_run(store), recorder.finish())
+    emit_commit_packets(&mut shard, spec, &driven);
+    (driven.into_run(store), shard.freeze())
 }
 
 /// The unsliced live run the scale-path tests compare against, on a
@@ -896,7 +890,7 @@ pub fn run_scale_traced(
 #[cfg(test)]
 pub(crate) fn run_wide(spec: &ScaleSpec) -> ScaleRun {
     let store = ObjectStore::with_policy(cloudsim_storage::GcPolicy::MarkSweep);
-    run_scale(spec, store, 1)
+    run_population(spec, store)
 }
 
 #[cfg(test)]
@@ -945,27 +939,6 @@ mod tests {
         let mut name = String::from("a much longer name than any scale user's");
         write_scale_user(&mut name, 42);
         assert_eq!(name, "scale-000042");
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential_replay_bit_for_bit() {
-        // The runner is single-threaded, so this now pins that a `workers`
-        // argument — including one larger than the population — changes
-        // nothing a caller can read.
-        let spec = small_spec();
-        let sequential = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
-        for workers in [2, 3, 8, 200] {
-            let parallel = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers);
-            assert_eq!(parallel.commits, sequential.commits);
-            assert_eq!(parallel.logical_bytes, sequential.logical_bytes);
-            assert_eq!(parallel.intervals, sequential.intervals);
-            assert_eq!(parallel.aggregate(), sequential.aggregate());
-            for i in [0, 17, 63] {
-                let user = spec.user(i);
-                assert_eq!(parallel.store.stats(&user), sequential.store.stats(&user));
-                assert_eq!(parallel.store.list_files(&user), sequential.store.list_files(&user));
-            }
-        }
     }
 
     /// What the two walks must leave behind: the same commits written the
@@ -1111,7 +1084,7 @@ mod tests {
                 assert!(at <= SimTime::ZERO + ScaleSpec::HORIZON);
             }
         }
-        let run = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+        let run = run_population(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
         // A client's transfers never overlap: its link serialises them.
         let per_client: Vec<Vec<(SimTime, SimTime)>> = (0..spec.clients)
             .map(|i| {
@@ -1170,7 +1143,7 @@ mod tests {
         // The traceless run has no packets and takes the same spec.
         let spec = ScaleSpec::new(1).with_files(1, 1 << 32);
         assert_eq!(run_wide(&spec).logical_bytes, 2 << 32);
-        run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+        run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
     }
 
     #[test]
@@ -1178,7 +1151,7 @@ mod tests {
     fn a_traced_run_refuses_clients_its_source_addresses_would_alias() {
         // Client 2^24 would record from 10.0.0.0, client 0's address.
         let spec = ScaleSpec::new((1 << 24) + 1);
-        run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+        run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
     }
 
     #[test]
@@ -1188,34 +1161,19 @@ mod tests {
         // to 0. The traceless run takes the same spec.
         let spec = ScaleSpec::new(1).with_commits(25_537).with_files(1, 1);
         assert_eq!(run_wide(&spec).commits, 25_537);
-        run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+        run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
     }
 
     #[test]
     fn traced_run_matches_the_traceless_run_bit_for_bit() {
         let spec = small_spec();
-        let plain = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 4);
+        let plain = run_population(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
         let (traced, _trace) =
-            run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 4);
+            run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
         assert_eq!(traced.commits, plain.commits);
         assert_eq!(traced.logical_bytes, plain.logical_bytes);
         assert_eq!(traced.intervals, plain.intervals);
         assert_eq!(traced.aggregate(), plain.aggregate());
-    }
-
-    #[test]
-    fn traced_capture_is_bit_identical_across_worker_counts() {
-        let spec = small_spec();
-        let (_, single) = run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
-        for workers in [2, 3, 8] {
-            let (_, sharded) =
-                run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers);
-            assert_eq!(
-                sharded.view().packets(),
-                single.view().packets(),
-                "{workers}-shard merge must equal the single-shard capture"
-            );
-        }
     }
 
     /// The packets `emit_commit_packets` writes for `commits`, each a
@@ -1269,7 +1227,7 @@ mod tests {
     fn traced_capture_accounts_every_commit() {
         let spec = small_spec();
         let (run, trace) =
-            run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 4);
+            run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
         let view = trace.view();
         // One SYN + one payload packet per file, per commit.
         let expected = run.commits as usize * (1 + spec.files_per_commit);

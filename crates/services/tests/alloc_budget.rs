@@ -19,7 +19,7 @@
 
 mod counting;
 
-use cloudsim_services::scale::{run_scale, ScaleSpec};
+use cloudsim_services::scale::{run_population, ScaleSpec};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 
 #[test]
@@ -27,7 +27,7 @@ fn a_scale_run_stays_within_its_measured_allocations_per_commit() {
     let spec = ScaleSpec::new(2_000).with_seed(0xA110C);
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
     let (allocations_before, bytes_before) = counting::snapshot();
-    let run = run_scale(&spec, store, 1);
+    let run = run_population(&spec, store);
     let (allocations, bytes) = counting::snapshot();
     let (allocations, bytes) = (allocations - allocations_before, bytes - bytes_before);
     assert_eq!(run.commits, 4_000);

@@ -9,13 +9,13 @@
 //! whole suite dumps byte for byte across worker counts.
 
 use cloudsim_services::capture::{
-    capture_of_spec, merge_slices, parse_capture, render_fleet_capture, replay, slice_capture,
-    ReplayMix,
+    capture_of_spec, merge_slices, parse_capture, render_fleet_capture, replay_capture,
+    slice_capture, ReplayMix,
 };
 use cloudsim_services::partition::{
-    merge_partitions, partition_ranges, run_partition, spec_partitions, PartitionRun,
+    merge_partitions, partition_ranges, run_one, spec_partitions, PartitionRun,
 };
-use cloudsim_services::scale::{run_scale, run_scale_traced, ScaleSpec};
+use cloudsim_services::scale::{run_population, run_population_traced, ScaleSpec};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use proptest::prelude::*;
 
@@ -82,17 +82,16 @@ proptest! {
         partitions in 1usize..6,
         rotate in 0usize..8,
         flip in 0u8..2,
-        workers in 1usize..6,
     ) {
         let partitions = partitions.min(clients);
         let spec = ScaleSpec::new(clients).with_seed(seed);
-        let whole = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 4);
+        let whole = run_population(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
 
         let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
         let started = std::time::Instant::now();
         let mut finished: Vec<PartitionRun> = spec_partitions(&spec, partitions)
             .iter()
-            .map(|p| run_partition(p, &store, 2).expect("partition runs"))
+            .map(|p| run_one(p, &store).expect("partition runs"))
             .collect();
         finished.rotate_left(rotate % partitions);
         if flip == 1 {
@@ -108,10 +107,10 @@ proptest! {
         prop_assert_eq!(merged.aggregate(), whole.aggregate());
         prop_assert_eq!(merged.load_curve(12), whole.load_curve(12));
 
-        let replayed = replay(&capture_of_spec(&spec), &ReplayMix::Original, workers)
+        let replayed = replay_capture(&capture_of_spec(&spec), &ReplayMix::Original)
             .expect("a spec-derived capture replays");
         let (traced, _trace) =
-            run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers);
+            run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
         for run in [&replayed, &traced] {
             prop_assert_eq!(&run.intervals, &whole.intervals);
             prop_assert_eq!(run.aggregate(), whole.aggregate());

@@ -18,8 +18,8 @@
 mod counting;
 
 use cloudsim_net::Simulator;
-use cloudsim_services::{ServiceProfile, SyncClient};
-use cloudsim_storage::{ObjectStore, UploadPipeline};
+use cloudsim_services::{AccessLink, ServiceProfile, SyncClient};
+use cloudsim_storage::ObjectStore;
 use cloudsim_trace::{SimDuration, SimTime};
 use cloudsim_workload::{BatchSpec, FileKind};
 
@@ -35,19 +35,24 @@ fn a_pull_allocates_within_budget_per_restored_byte() {
     // The five services and the file size of `perf`'s
     // `fleet_restore_faults`; each namespace is pulled first into an empty
     // folder (full downloads) and then again (every chunk a local copy).
-    let pipeline = UploadPipeline::sequential();
     let (mut bytes, mut restored) = (0u64, 0u64);
     for (i, profile) in ServiceProfile::all().into_iter().enumerate() {
         let store = ObjectStore::new();
         let batch =
             BatchSpec::new(FILES, 24 * 1024, FileKind::RandomBinary).generate(40 + i as u64);
         let mut sim = Simulator::new(1);
-        let mut owner = SyncClient::for_user(profile.clone(), pipeline, store.clone(), "owner");
+        let mut owner = SyncClient::for_user_on_link(
+            profile.clone(),
+            store.clone(),
+            "owner",
+            &AccessLink::campus(),
+        );
         let t0 = owner.login(&mut sim, SimTime::ZERO);
         owner.sync_batch(&mut sim, &batch, t0 + SimDuration::from_secs(1));
 
         let mut psim = Simulator::new(2);
-        let mut puller = SyncClient::for_user(profile, pipeline, store, "puller");
+        let mut puller =
+            SyncClient::for_user_on_link(profile, store, "puller", &AccessLink::campus());
         let login = puller.login(&mut psim, SimTime::ZERO);
 
         let (_, before) = counting::snapshot();

@@ -10,13 +10,13 @@
 //! it needs a release build and about a gigabyte, holds the store to a
 //! per-client cost that does not rise from 100 000 clients to 1 000 000.
 
-use cloudsim_services::scale::{run_scale, ScaleSpec};
+use cloudsim_services::scale::{run_population, ScaleSpec};
 use cloudsim_storage::{ObjectStore, StoreFootprint};
 
 /// The store's footprint after the default population of `clients`.
 fn footprint_of(clients: usize) -> StoreFootprint {
     let store = ObjectStore::new();
-    let run = run_scale(&ScaleSpec::new(clients), store.clone(), 1);
+    let run = run_population(&ScaleSpec::new(clients), store.clone());
     assert_eq!(run.commits, 2 * clients as u64);
     let footprint = store.footprint();
     println!(

@@ -1,8 +1,8 @@
-//! Property tests for the sharded trace recorder and the traced scale
-//! capture.
+//! Property tests for the sharded trace recorder `perf/` times and the
+//! traced scale capture.
 //!
-//! The recorder's contract is the determinism invariant the trace-capture
-//! design rests on: merging per-worker shards by the
+//! The recorder's contract is the determinism invariant of the capture's
+//! flow-id ranges: merging per-worker shards by the
 //! `(timestamp, flow, seq)` total order reconstructs the exact packet
 //! sequence a sequential single-shard capture produces, for arbitrary
 //! packet interleavings, arbitrary flow-to-shard routings and any worker
@@ -15,7 +15,7 @@
 //! the two must agree packet for packet, and a digest over every field of
 //! two pinned captures must keep the value it had before the emission.
 
-use cloudsim_services::scale::{run_scale, run_scale_traced, ScaleRun, ScaleSpec};
+use cloudsim_services::scale::{run_population, run_population_traced, ScaleRun, ScaleSpec};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::packet::{
     Direction, Endpoint, PacketRecord, TcpFlags, TransportProtocol, TCP_HEADER_BYTES,
@@ -129,7 +129,7 @@ fn traced_scale_capture_keeps_its_pinned_digest() {
     ];
     for (spec, expected) in pinned {
         let (run, trace) =
-            run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+            run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
         let view = trace.view();
         let packets = view.packets();
         let ties = packets.windows(2).filter(|w| w[0].timestamp == w[1].timestamp).count();
@@ -206,15 +206,16 @@ proptest! {
         for (_, p) in &stream {
             single.record(p.clone());
         }
-        let reference = TraceRecorder::from_shards(vec![single]).finish().into_packets();
+        let reference = single.freeze().into_packets();
 
         // Sharded: the same stream routed flow-whole to arbitrary shards.
-        let mut recorder = TraceRecorder::with_shards(shards);
+        let mut parts = TraceRecorder::with_shards(shards).into_shards();
         for (i, p) in &stream {
             let shard = routing[*i % routing.len()] % shards;
-            recorder.shards_mut()[shard].record(p.clone());
+            parts[shard].record(p.clone());
         }
-        prop_assert_eq!(recorder.finish().into_packets(), reference);
+        let merged = TraceRecorder::from_shards(parts).finish();
+        prop_assert_eq!(merged.into_packets(), reference);
     }
 
     /// The traced fleet-scale runner end to end: the emitted capture
@@ -236,7 +237,7 @@ proptest! {
             .with_seed(seed)
             .with_commits(commits)
             .with_files(files, file_size);
-        let (run, trace) = run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+        let (run, trace) = run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
         let reference = reference_capture(&spec, &run);
         let packets = trace.view().packets();
         prop_assert_eq!(packets.len(), reference.len());
@@ -244,7 +245,7 @@ proptest! {
             prop_assert_eq!((n, emitted), (n, recorded));
         }
 
-        let plain = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+        let plain = run_population(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
         prop_assert_eq!(run.commits, plain.commits);
         prop_assert_eq!(run.logical_bytes, plain.logical_bytes);
         prop_assert_eq!(&run.intervals, &plain.intervals);

@@ -15,8 +15,8 @@
 mod counting;
 
 use cloudsim_net::Simulator;
-use cloudsim_services::{ServiceProfile, SyncClient};
-use cloudsim_storage::{ObjectStore, UploadPipeline};
+use cloudsim_services::{AccessLink, ServiceProfile, SyncClient};
+use cloudsim_storage::ObjectStore;
 use cloudsim_trace::{SimDuration, SimTime};
 use cloudsim_workload::{BatchSpec, FileKind};
 
@@ -27,7 +27,6 @@ const BUDGET: f64 = 3.0;
 fn a_sync_allocates_within_budget_per_content_byte() {
     // Two of the §2.3 suite's shapes, a few large files and many small
     // ones, synced once by each of the five services.
-    let pipeline = UploadPipeline::sequential();
     let (mut bytes, mut content) = (0u64, 0u64);
     for (i, profile) in ServiceProfile::all().into_iter().enumerate() {
         let batches = [
@@ -35,7 +34,12 @@ fn a_sync_allocates_within_budget_per_content_byte() {
             BatchSpec::new(100, 10_000, FileKind::RandomBinary).generate(70 + i as u64),
         ];
         let mut sim = Simulator::new(1);
-        let mut client = SyncClient::for_user(profile, pipeline, ObjectStore::new(), "owner");
+        let mut client = SyncClient::for_user_on_link(
+            profile,
+            ObjectStore::new(),
+            "owner",
+            &AccessLink::campus(),
+        );
         let mut at = client.login(&mut sim, SimTime::ZERO);
 
         let (_, before) = counting::snapshot();

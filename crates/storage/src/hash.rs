@@ -106,7 +106,7 @@ impl Sha256 {
     /// the portable one on a host that dispatches to hardware. Every run of
     /// whole 64-byte blocks goes to the kernel in one call, straight from
     /// `data`; only a trailing partial block is buffered.
-    fn absorb(&mut self, mut data: &[u8], compress: impl Fn(&mut [u32; 8], &[[u8; 64]])) {
+    fn absorb(&mut self, mut data: &[u8], kernel: impl Fn(&mut [u32; 8], &[[u8; 64]])) {
         self.total_len += data.len() as u64;
         if self.buffer_len > 0 {
             let take = (64 - self.buffer_len).min(data.len());
@@ -114,13 +114,13 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                compress(&mut self.state, std::slice::from_ref(&self.buffer));
+                kernel(&mut self.state, std::slice::from_ref(&self.buffer));
                 self.buffer_len = 0;
             }
         }
         let (blocks, rest) = data.as_chunks::<64>();
         if !blocks.is_empty() {
-            compress(&mut self.state, blocks);
+            kernel(&mut self.state, blocks);
         }
         if !rest.is_empty() {
             self.buffer[..rest.len()].copy_from_slice(rest);
@@ -129,7 +129,7 @@ impl Sha256 {
     }
 
     /// [`Sha256::finalize`] over the kernel given.
-    fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[[u8; 64]])) -> ContentHash {
+    fn finish(mut self, kernel: impl Fn(&mut [u32; 8], &[[u8; 64]])) -> ContentHash {
         let bit_len = self.total_len * 8;
         // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian
         // length — at most 72 bytes, built on the stack.
@@ -138,7 +138,7 @@ impl Sha256 {
         let mut tail = [0u8; 72];
         tail[0] = 0x80;
         tail[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        self.absorb(&tail[..pad_len + 8], compress);
+        self.absorb(&tail[..pad_len + 8], kernel);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {

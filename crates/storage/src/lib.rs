@@ -53,18 +53,20 @@ pub mod pipeline;
 pub mod restore;
 pub mod store;
 
+#[doc(hidden)]
+pub mod perf_pins;
+
 pub use chunker::{Chunk, ChunkSpan, ChunkingStrategy};
 pub use compress::{compress, decompress, CompressionPolicy, LzssScratch, SizeMemo};
 pub use delta::{DeltaScript, Signature};
 pub use encrypt::ConvergentCipher;
 pub use hash::{sha256, ContentHash};
-pub use pipeline::{
-    ChunkArtifacts, DeltaEstimate, FileArtifacts, FileJob, PipelineSpec, UploadPipeline,
-};
-pub use restore::{
-    RestoreError, RestorePipeline, RestoreRequest, RestoreSource, RestoredChunk, RestoredFile,
-};
+pub use pipeline::{ChunkArtifacts, DeltaEstimate, FileArtifacts, FileJob, PipelineSpec};
+pub use restore::{RestoreError, RestoreRequest, RestoreSource, RestoredChunk, RestoredFile};
 pub use store::{
     AggregateStats, FileManifest, GcPolicy, GcStats, IdSpaceExhausted, ObjectStore, PathId,
     StoreFootprint, StoreStats, StoreWriter, StoredChunk, UserId,
 };
+
+#[doc(hidden)]
+pub use perf_pins::{RestorePipeline, UploadPipeline};

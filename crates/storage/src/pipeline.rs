@@ -35,8 +35,7 @@
 //!   the policy codes through the run's [`SizeMemo`], keyed by its
 //!   SHA-256, so content the run already counted — Google Drive's copy of
 //!   a file Dropbox synced, a base synced again, a restore of an uploaded
-//!   chunk — is looked up, not counted. [`UploadPipeline::process`] counts
-//!   on a fresh memo.
+//!   chunk — is looked up, not counted.
 //! * **Deterministic**: workers tag every result with its work-item index
 //!   and the merge step reassembles them in file/chunk order, so the
 //!   produced artifacts — and therefore every downstream byte count — do not
@@ -92,7 +91,7 @@ pub struct ChunkArtifacts {
     /// Bytes a full upload of this chunk would transfer under the service's
     /// compression policy. `0` when the estimate is provably never read:
     /// the chunk was skipped by the known-chunk filter of
-    /// [`UploadPipeline::process_filtered`] (a dedup hit uploads nothing) or
+    /// [`process_filtered`] (a dedup hit uploads nothing) or
     /// its [`DeltaEstimate`] already wins over any full upload.
     pub full_upload_bytes: u64,
     /// Candidate delta transfer, present only when the service delta-encodes
@@ -139,108 +138,81 @@ pub struct PipelineSpec {
     pub delta_encoding: bool,
 }
 
-/// The upload pipeline: a value without state (the coder scratch is the
-/// calling thread's, lent to the workers). `sequential()`, `parallel()` and
-/// `default()` are names for it that `perf/` imports; none of them chooses
-/// anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UploadPipeline;
+/// Runs the full upload chain over a batch of files, returning artifacts in
+/// file order, with a *known-chunk filter*: chunks whose hash the filter
+/// recognises (typically a read-only dedup-index lookup) skip the expensive
+/// upload estimates — a dedup hit uploads nothing, so neither the
+/// compressed size nor a delta script would ever be read. The filter sees
+/// the batch's *initial* state only (it must be pure); chunks that become
+/// duplicates within the batch still carry estimates, which the merge step
+/// simply ignores. A chunk the policy codes is priced through `sizes`, the
+/// run's size memo: a content the run counted before is not counted again.
+pub fn process_filtered(
+    spec: &PipelineSpec,
+    jobs: &[FileJob<'_>],
+    known: &(dyn Fn(&ContentHash) -> bool + Sync),
+    sizes: &SizeMemo,
+) -> Vec<FileArtifacts> {
+    let total_bytes: u64 = jobs.iter().map(|j| j.content.len() as u64).sum();
 
-impl UploadPipeline {
-    /// The pipeline; the same value as [`UploadPipeline::parallel`].
-    pub fn sequential() -> UploadPipeline {
-        UploadPipeline
-    }
+    // Stage 1 — boundary scans, fanned out over files: spans of the new
+    // revision, plus spans of the previous revision when delta encoding
+    // will want same-index chunk pairs.
+    let boundaries: Vec<(Vec<ChunkSpan>, Vec<ChunkSpan>)> = run_indexed(
+        auto_workers(jobs.len(), total_bytes, PARALLEL_THRESHOLD_BYTES),
+        jobs.len(),
+        || (),
+        |(), file_idx| {
+            let job = &jobs[file_idx];
+            let new_spans = spec.chunking.spans(job.content);
+            let old_spans = match (spec.delta_encoding, job.previous) {
+                (true, Some(old)) => spec.chunking.spans(old),
+                _ => Vec::new(),
+            };
+            (new_spans, old_spans)
+        },
+    );
 
-    /// The pipeline; the same value as [`UploadPipeline::default`].
-    pub fn parallel() -> UploadPipeline {
-        UploadPipeline
-    }
-
-    /// Runs the full chain over a batch of files, returning artifacts in
-    /// file order. It prices through a fresh [`SizeMemo`], so every coded
-    /// content of the batch is counted.
-    pub fn process(&self, spec: &PipelineSpec, jobs: &[FileJob<'_>]) -> Vec<FileArtifacts> {
-        self.process_filtered(spec, jobs, &|_| false, &SizeMemo::new())
-    }
-
-    /// [`UploadPipeline::process`] with a *known-chunk filter*: chunks whose
-    /// hash the filter recognises (typically a read-only dedup-index lookup)
-    /// skip the expensive upload estimates — a dedup hit uploads nothing, so
-    /// neither the compressed size nor a delta script would ever be read.
-    /// The filter sees the batch's *initial* state only (it must be pure);
-    /// chunks that become duplicates within the batch still carry estimates,
-    /// which the merge step simply ignores. A chunk the policy codes is
-    /// priced through `sizes`, the run's size memo: a content the run
-    /// counted before is not counted again.
-    pub fn process_filtered(
-        &self,
-        spec: &PipelineSpec,
-        jobs: &[FileJob<'_>],
-        known: &(dyn Fn(&ContentHash) -> bool + Sync),
-        sizes: &SizeMemo,
-    ) -> Vec<FileArtifacts> {
-        let total_bytes: u64 = jobs.iter().map(|j| j.content.len() as u64).sum();
-
-        // Stage 1 — boundary scans, fanned out over files: spans of the new
-        // revision, plus spans of the previous revision when delta encoding
-        // will want same-index chunk pairs.
-        let boundaries: Vec<(Vec<ChunkSpan>, Vec<ChunkSpan>)> = run_indexed(
-            auto_workers(jobs.len(), total_bytes, PARALLEL_THRESHOLD_BYTES),
-            jobs.len(),
-            || (),
-            |(), file_idx| {
-                let job = &jobs[file_idx];
-                let new_spans = spec.chunking.spans(job.content);
-                let old_spans = match (spec.delta_encoding, job.previous) {
-                    (true, Some(old)) => spec.chunking.spans(old),
-                    _ => Vec::new(),
-                };
-                (new_spans, old_spans)
-            },
-        );
-
-        // Stage 2 — the per-chunk stage: SHA-256, then (unless the chunk is
-        // already known to the server) LZSS size count and delta estimate.
-        let counts: Vec<usize> = boundaries.iter().map(|(new_spans, _)| new_spans.len()).collect();
-        let data = |file_idx: usize, chunk_idx: usize| {
-            &jobs[file_idx].content[boundaries[file_idx].0[chunk_idx].range()]
-        };
-        let chunks = per_chunk(spec.compression, &counts, data, |scratch, file_idx, chunk_idx| {
-            let (new_spans, old_spans) = &boundaries[file_idx];
-            let span = new_spans[chunk_idx];
-            let data = data(file_idx, chunk_idx);
-            let chunk = Chunk::from_slice(span.offset, data);
-            if known(&chunk.hash) {
-                return ChunkArtifacts { chunk, full_upload_bytes: 0, delta: None };
-            }
-            let delta = match (jobs[file_idx].previous, old_spans.get(chunk_idx)) {
-                (Some(old), Some(old_span)) => {
-                    let old_data = &old[old_span.range()];
-                    if old_data != data {
-                        let signature = Signature::new(old_data);
-                        let script = DeltaScript::compute(&signature, data);
-                        Some(DeltaEstimate {
-                            wire_bytes: script.wire_size(),
-                            signature_bytes: signature.wire_size(),
-                        })
-                    } else {
-                        None
-                    }
+    // Stage 2 — the per-chunk stage: SHA-256, then (unless the chunk is
+    // already known to the server) LZSS size count and delta estimate.
+    let counts: Vec<usize> = boundaries.iter().map(|(new_spans, _)| new_spans.len()).collect();
+    let data = |file_idx: usize, chunk_idx: usize| {
+        &jobs[file_idx].content[boundaries[file_idx].0[chunk_idx].range()]
+    };
+    let chunks = per_chunk(spec.compression, &counts, data, |scratch, file_idx, chunk_idx| {
+        let (new_spans, old_spans) = &boundaries[file_idx];
+        let span = new_spans[chunk_idx];
+        let data = data(file_idx, chunk_idx);
+        let chunk = Chunk::from_slice(span.offset, data);
+        if known(&chunk.hash) {
+            return ChunkArtifacts { chunk, full_upload_bytes: 0, delta: None };
+        }
+        let delta = match (jobs[file_idx].previous, old_spans.get(chunk_idx)) {
+            (Some(old), Some(old_span)) => {
+                let old_data = &old[old_span.range()];
+                if old_data != data {
+                    let signature = Signature::new(old_data);
+                    let script = DeltaScript::compute(&signature, data);
+                    Some(DeltaEstimate {
+                        wire_bytes: script.wire_size(),
+                        signature_bytes: signature.wire_size(),
+                    })
+                } else {
+                    None
                 }
-                _ => None,
-            };
-            // A winning delta (the merge step's condition) means the full
-            // upload size is never read — skip the LZSS pass entirely,
-            // matching the old sequential planner's early return.
-            let full_upload_bytes = match delta {
-                Some(est) if est.wire_bytes < span.len => 0,
-                _ => sizes.upload_size(spec.compression, scratch, &chunk.hash, data),
-            };
-            ChunkArtifacts { chunk, full_upload_bytes, delta }
-        });
-        chunks.into_iter().map(|chunks| FileArtifacts { chunks }).collect()
-    }
+            }
+            _ => None,
+        };
+        // A winning delta (the merge step's condition) means the full
+        // upload size is never read — skip the LZSS pass entirely,
+        // matching the old sequential planner's early return.
+        let full_upload_bytes = match delta {
+            Some(est) if est.wire_bytes < span.len => 0,
+            _ => sizes.upload_size(spec.compression, scratch, &chunk.hash, data),
+        };
+        ChunkArtifacts { chunk, full_upload_bytes, delta }
+    });
+    chunks.into_iter().map(|chunks| FileArtifacts { chunks }).collect()
 }
 
 /// The per-chunk stage of both byte pipelines: runs `chunk(scratch, file,
@@ -288,6 +260,11 @@ pub(crate) mod tests {
     use std::collections::HashSet;
     use std::sync::Mutex;
     use std::thread;
+
+    /// The chain over `jobs` with no known chunks and a fresh size memo.
+    fn process(spec: &PipelineSpec, jobs: &[FileJob<'_>]) -> Vec<FileArtifacts> {
+        process_filtered(spec, jobs, &|_| false, &SizeMemo::new())
+    }
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
@@ -383,7 +360,7 @@ pub(crate) mod tests {
                 note();
                 *hash == known_hash
             };
-            UploadPipeline.process_filtered(&spec, &jobs, &known, &SizeMemo::new())
+            process_filtered(&spec, &jobs, &known, &SizeMemo::new())
         }) else {
             return;
         };
@@ -405,7 +382,7 @@ pub(crate) mod tests {
                 note();
                 false
             };
-            UploadPipeline.process_filtered(&coded, &jobs, &known, &SizeMemo::new())
+            process_filtered(&coded, &jobs, &known, &SizeMemo::new())
         });
         let plain = PipelineSpec { compression: CompressionPolicy::Never, ..coded };
         let threads = Mutex::new(HashSet::new());
@@ -413,7 +390,7 @@ pub(crate) mod tests {
             threads.lock().unwrap().insert(thread::current().id());
             false
         };
-        UploadPipeline.process_filtered(&plain, &jobs, &known, &SizeMemo::new());
+        process_filtered(&plain, &jobs, &known, &SizeMemo::new());
         assert_eq!(threads.into_inner().unwrap(), HashSet::from([thread::current().id()]));
     }
 
@@ -422,7 +399,7 @@ pub(crate) mod tests {
         let content = pseudo_random(900_000, 9);
         let jobs = vec![FileJob { content: &content, previous: None }];
         let spec = spec();
-        let arts = UploadPipeline.process(&spec, &jobs);
+        let arts = process(&spec, &jobs);
         assert_eq!(arts.len(), 1);
         assert_eq!(arts[0].chunk_list(), spec.chunking.chunk(&content));
         for art in &arts[0].chunks {
@@ -455,8 +432,8 @@ pub(crate) mod tests {
         };
         let shared = SizeMemo::new();
         for spec in [dropbox, google_drive] {
-            let fresh = UploadPipeline.process_filtered(&spec, &jobs, &|_| false, &SizeMemo::new());
-            assert_eq!(UploadPipeline.process_filtered(&spec, &jobs, &|_| false, &shared), fresh);
+            let fresh = process_filtered(&spec, &jobs, &|_| false, &SizeMemo::new());
+            assert_eq!(process_filtered(&spec, &jobs, &|_| false, &shared), fresh);
         }
         // Google Drive skipped the JPEG and counted nothing new.
         let total: u64 = files.iter().map(|f| f.len() as u64).sum();
@@ -473,7 +450,7 @@ pub(crate) mod tests {
             *b ^= 0xFF;
         }
         let jobs = vec![FileJob { content: &new, previous: Some(&old) }];
-        let arts = UploadPipeline.process(&spec(), &jobs);
+        let arts = process(&spec(), &jobs);
         let chunks = &arts[0].chunks;
         assert_eq!(chunks.len(), 3);
         assert!(chunks[0].delta.is_none(), "identical chunk needs no delta");
@@ -489,7 +466,7 @@ pub(crate) mod tests {
         let jobs = vec![FileJob { content: &new, previous: Some(&old) }];
         let mut spec = spec();
         spec.delta_encoding = false;
-        let arts = UploadPipeline.process(&spec, &jobs);
+        let arts = process(&spec, &jobs);
         assert!(arts[0].chunks.iter().all(|c| c.delta.is_none()));
     }
 
@@ -498,11 +475,10 @@ pub(crate) mod tests {
         let content = pseudo_random(600_000, 11);
         let jobs = vec![FileJob { content: &content, previous: None }];
         let spec = spec();
-        let unfiltered = UploadPipeline.process(&spec, &jobs);
+        let unfiltered = process(&spec, &jobs);
         // Mark the middle chunk as already known to the server.
         let known_hash = unfiltered[0].chunks[1].chunk.hash;
-        let filtered =
-            UploadPipeline.process_filtered(&spec, &jobs, &|h| *h == known_hash, &SizeMemo::new());
+        let filtered = process_filtered(&spec, &jobs, &|h| *h == known_hash, &SizeMemo::new());
         assert_eq!(filtered[0].chunk_list(), unfiltered[0].chunk_list());
         assert_eq!(filtered[0].chunks[1].full_upload_bytes, 0, "skipped estimate");
         assert!(filtered[0].chunks[1].delta.is_none());

@@ -207,13 +207,8 @@ pub struct RestoreRequest<'a> {
 
 /// A local chunk lookup: returns the plaintext of a chunk the restoring
 /// client already holds, or `None`. Must be pure for the duration of one
-/// [`RestorePipeline::restore_batch`] call.
+/// [`restore_batch_with`] call.
 pub type LocalChunks<'a> = &'a (dyn Fn(&ContentHash) -> Option<Arc<[u8]>> + Sync);
-
-/// The restore pipeline: a value without state (the coder scratch is the
-/// calling thread's, lent to the workers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RestorePipeline;
 
 /// Everything stage 1 needs about one file, fetched under the store locks.
 struct FetchedFile {
@@ -228,117 +223,96 @@ struct FetchedFile {
     base_spans: Vec<ChunkSpan>,
 }
 
-impl RestorePipeline {
-    /// The pipeline; the same value as [`RestorePipeline::default`].
-    pub fn parallel() -> RestorePipeline {
-        RestorePipeline
-    }
-
-    /// Restores a batch of files, returning one result per request in
-    /// request order. The store is only read, never written. It prices
-    /// through a fresh [`SizeMemo`], so every coded download is counted.
-    pub fn restore_batch(
-        &self,
-        store: &ObjectStore,
-        spec: &PipelineSpec,
-        requests: &[RestoreRequest<'_>],
-        local: LocalChunks<'_>,
-    ) -> Vec<Result<RestoredFile, RestoreError>> {
-        self.restore_batch_with(store, spec, requests, local, &SizeMemo::new())
-    }
-
-    /// [`RestorePipeline::restore_batch`] pricing full downloads through
-    /// `sizes`, the run's size memo: a content the run counted before is
-    /// not counted again, and a count made here is recorded once the
-    /// served bytes passed their SHA-256 check.
-    pub fn restore_batch_with(
-        &self,
-        store: &ObjectStore,
-        spec: &PipelineSpec,
-        requests: &[RestoreRequest<'_>],
-        local: LocalChunks<'_>,
-        sizes: &SizeMemo,
-    ) -> Vec<Result<RestoredFile, RestoreError>> {
-        // Stage 0 — fetch manifests and payload handles under the store
-        // locks, sequentially (lock acquisition stays out of the fan-out).
-        let fetched: Vec<Result<FetchedFile, RestoreError>> = requests
-            .iter()
-            .map(|req| {
-                let Some(manifest) = store.manifest(req.owner, req.path) else {
-                    return Err(RestoreError::ManifestMissing {
-                        user: req.owner.to_string(),
-                        path: req.path.to_string(),
-                    });
-                };
-                let payloads: Vec<Option<Arc<[u8]>>> =
-                    manifest.chunks.iter().map(|h| store.chunk_payload(h)).collect();
-                let present: Vec<bool> = manifest
-                    .chunks
-                    .iter()
-                    .zip(&payloads)
-                    .map(|(h, p)| p.is_some() || store.has_chunk_globally(h))
-                    .collect();
-                let base_spans = match (spec.delta_encoding, req.base) {
-                    (true, Some(base)) => spec.chunking.spans(base),
-                    _ => Vec::new(),
-                };
-                Ok(FetchedFile { manifest, payloads, present, base_spans })
-            })
-            .collect();
-
-        // Stage 1 — the per-chunk stage the upload pipeline runs too:
-        // local-copy check, delta against the base chunk, or full download
-        // (priced by the compression policy's size count, through the memo).
-        let counts: Vec<usize> =
-            fetched.iter().map(|f| f.as_ref().map_or(0, |f| f.manifest.chunks.len())).collect();
-        let file =
-            |file_idx: usize| fetched[file_idx].as_ref().expect("only fetched files have chunks");
-        let payload = |file_idx: usize, chunk_idx: usize| {
-            file(file_idx).payloads[chunk_idx].as_deref().unwrap_or_default()
-        };
-        let outcomes =
-            per_chunk(spec.compression, &counts, payload, |scratch, file_idx, chunk_idx| {
-                let (req, file) = (&requests[file_idx], file(file_idx));
-                restore_chunk(spec, req, file, chunk_idx, local, scratch, sizes)
-            });
-
-        // Merge — reassemble each file in chunk order; its first failing
-        // chunk decides its error. A one-chunk delta download adopts its
-        // applied buffer; every other byte is appended once, straight from
-        // the handle it lies behind.
-        fetched
-            .into_iter()
-            .zip(requests)
-            .zip(outcomes)
-            .map(|((file, req), outcomes)| {
-                let manifest = file?.manifest;
-                let mut content = match manifest.chunks.len() {
-                    0 | 1 => Vec::new(),
-                    _ => Vec::with_capacity(manifest.size as usize),
-                };
-                let mut chunks = Vec::with_capacity(outcomes.len());
-                for outcome in outcomes {
-                    let (bytes, chunk) = outcome?;
-                    match bytes {
-                        ChunkBytes::Owned(bytes) if content.capacity() == 0 => content = bytes,
-                        ChunkBytes::Owned(bytes) => content.extend_from_slice(&bytes),
-                        ChunkBytes::Shared(bytes) => content.extend_from_slice(&bytes),
-                    }
-                    chunks.push(chunk);
-                }
-                Ok(RestoredFile {
-                    owner: req.owner.to_string(),
+/// Restores a batch of files, returning one result per request in request
+/// order. The store is only read, never written. Full downloads are priced
+/// through `sizes`, the run's size memo: a content the run counted before
+/// is not counted again, and a count made here is recorded once the served
+/// bytes passed their SHA-256 check.
+pub fn restore_batch_with(
+    store: &ObjectStore,
+    spec: &PipelineSpec,
+    requests: &[RestoreRequest<'_>],
+    local: LocalChunks<'_>,
+    sizes: &SizeMemo,
+) -> Vec<Result<RestoredFile, RestoreError>> {
+    // Stage 0 — fetch manifests and payload handles under the store
+    // locks, sequentially (lock acquisition stays out of the fan-out).
+    let fetched: Vec<Result<FetchedFile, RestoreError>> = requests
+        .iter()
+        .map(|req| {
+            let Some(manifest) = store.manifest(req.owner, req.path) else {
+                return Err(RestoreError::ManifestMissing {
+                    user: req.owner.to_string(),
                     path: req.path.to_string(),
-                    version: manifest.version,
-                    content: Arc::new(content),
-                    chunks,
-                    // Manifest envelope plus one hash record per chunk,
-                    // mirroring the upload planner's accounting.
-                    metadata_bytes: 300 + 40 * manifest.chunks.len() as u64,
-                })
+                });
+            };
+            let payloads: Vec<Option<Arc<[u8]>>> =
+                manifest.chunks.iter().map(|h| store.chunk_payload(h)).collect();
+            let present: Vec<bool> = manifest
+                .chunks
+                .iter()
+                .zip(&payloads)
+                .map(|(h, p)| p.is_some() || store.has_chunk_globally(h))
+                .collect();
+            let base_spans = match (spec.delta_encoding, req.base) {
+                (true, Some(base)) => spec.chunking.spans(base),
+                _ => Vec::new(),
+            };
+            Ok(FetchedFile { manifest, payloads, present, base_spans })
+        })
+        .collect();
+
+    // Stage 1 — the per-chunk stage the upload pipeline runs too:
+    // local-copy check, delta against the base chunk, or full download
+    // (priced by the compression policy's size count, through the memo).
+    let counts: Vec<usize> =
+        fetched.iter().map(|f| f.as_ref().map_or(0, |f| f.manifest.chunks.len())).collect();
+    let file =
+        |file_idx: usize| fetched[file_idx].as_ref().expect("only fetched files have chunks");
+    let payload = |file_idx: usize, chunk_idx: usize| {
+        file(file_idx).payloads[chunk_idx].as_deref().unwrap_or_default()
+    };
+    let outcomes = per_chunk(spec.compression, &counts, payload, |scratch, file_idx, chunk_idx| {
+        let (req, file) = (&requests[file_idx], file(file_idx));
+        restore_chunk(spec, req, file, chunk_idx, local, scratch, sizes)
+    });
+
+    // Merge — reassemble each file in chunk order; its first failing
+    // chunk decides its error. A one-chunk delta download adopts its
+    // applied buffer; every other byte is appended once, straight from
+    // the handle it lies behind.
+    fetched
+        .into_iter()
+        .zip(requests)
+        .zip(outcomes)
+        .map(|((file, req), outcomes)| {
+            let manifest = file?.manifest;
+            let mut content = match manifest.chunks.len() {
+                0 | 1 => Vec::new(),
+                _ => Vec::with_capacity(manifest.size as usize),
+            };
+            let mut chunks = Vec::with_capacity(outcomes.len());
+            for outcome in outcomes {
+                let (bytes, chunk) = outcome?;
+                match bytes {
+                    ChunkBytes::Owned(bytes) if content.capacity() == 0 => content = bytes,
+                    ChunkBytes::Owned(bytes) => content.extend_from_slice(&bytes),
+                    ChunkBytes::Shared(bytes) => content.extend_from_slice(&bytes),
+                }
+                chunks.push(chunk);
+            }
+            Ok(RestoredFile {
+                owner: req.owner.to_string(),
+                path: req.path.to_string(),
+                version: manifest.version,
+                content: Arc::new(content),
+                chunks,
+                // Manifest envelope plus one hash record per chunk,
+                // mirroring the upload planner's accounting.
+                metadata_bytes: 300 + 40 * manifest.chunks.len() as u64,
             })
-            .collect()
-    }
+        })
+        .collect()
 }
 
 /// A reconstructed chunk's plaintext on its way into the file.
@@ -460,17 +434,27 @@ mod tests {
     use crate::chunker::ChunkingStrategy;
     use crate::compress::CompressionPolicy;
     use crate::hash::sha256;
-    use crate::pipeline::{FileJob, UploadPipeline};
+    use crate::pipeline::{process_filtered, FileJob};
     use crate::store::{GcPolicy, StoredChunk};
 
-    /// One request through [`RestorePipeline::restore_batch`].
+    /// A batch through [`restore_batch_with`] on a fresh size memo.
+    fn restore_batch(
+        store: &ObjectStore,
+        spec: &PipelineSpec,
+        requests: &[RestoreRequest<'_>],
+        local: LocalChunks<'_>,
+    ) -> Vec<Result<RestoredFile, RestoreError>> {
+        restore_batch_with(store, spec, requests, local, &SizeMemo::new())
+    }
+
+    /// One request through [`restore_batch_with`].
     fn restore_file(
         store: &ObjectStore,
         spec: &PipelineSpec,
         request: RestoreRequest<'_>,
         local: LocalChunks<'_>,
     ) -> Result<RestoredFile, RestoreError> {
-        RestorePipeline.restore_batch(store, spec, &[request], local).pop().unwrap()
+        restore_batch(store, spec, &[request], local).pop().unwrap()
     }
 
     fn spec() -> PipelineSpec {
@@ -578,7 +562,7 @@ mod tests {
             RestoreRequest { owner: "alice", path: "missing.bin", base: None },
         ];
         let Some(restored) = top_level_equals_nested(|note| {
-            RestorePipeline.restore_batch(&store, &spec, &requests, &|hash| {
+            restore_batch(&store, &spec, &requests, &|hash| {
                 note();
                 (*hash == held).then(|| held_bytes.clone())
             })
@@ -768,8 +752,7 @@ mod tests {
             let fresh = SizeMemo::new();
             for sizes in [&fresh, &knows_the_truth] {
                 let request = RestoreRequest { owner: "alice", path: "c.bin", base };
-                let err = RestorePipeline
-                    .restore_batch_with(&store, &spec, &[request], &no_local, sizes)
+                let err = restore_batch_with(&store, &spec, &[request], &no_local, sizes)
                     .pop()
                     .expect("one result per request")
                     .unwrap_err();
@@ -903,7 +886,7 @@ mod tests {
             (0..4).map(|i| pseudo_random(80_000 + i * 30_000, 40 + i as u64)).collect();
         let jobs: Vec<FileJob<'_>> =
             contents.iter().map(|c| FileJob { content: c, previous: None }).collect();
-        let artifacts = UploadPipeline.process(&spec, &jobs);
+        let artifacts = process_filtered(&spec, &jobs, &|_| false, &SizeMemo::new());
         for (i, (content, file)) in contents.iter().zip(&artifacts).enumerate() {
             let path = format!("f{i}.bin");
             for art in &file.chunks {

@@ -6,10 +6,12 @@
 //! the input exactly regardless of strategy.
 
 use cloudsim_storage::delta::{roll, weak_sum};
+use cloudsim_storage::pipeline::process_filtered;
+use cloudsim_storage::restore::restore_batch_with;
 use cloudsim_storage::{
     compress, decompress, sha256, Chunk, ChunkingStrategy, CompressionPolicy, ConvergentCipher,
-    DeltaScript, FileJob, FileManifest, GcPolicy, ObjectStore, PipelineSpec, RestorePipeline,
-    RestoreRequest, Signature, StoredChunk, UploadPipeline,
+    DeltaScript, FileJob, FileManifest, GcPolicy, ObjectStore, PipelineSpec, RestoreRequest,
+    Signature, SizeMemo, StoredChunk,
 };
 use proptest::prelude::*;
 
@@ -127,7 +129,7 @@ proptest! {
             compression: CompressionPolicy::Always,
             delta_encoding: true,
         };
-        let artifacts = UploadPipeline.process(&spec, &jobs);
+        let artifacts = process_filtered(&spec, &jobs, &|_| false, &SizeMemo::new());
         prop_assert_eq!(artifacts.len(), jobs.len());
         for (job, file) in jobs.iter().zip(&artifacts) {
             prop_assert_eq!(file.chunk_list(), spec.chunking.chunk(job.content));
@@ -295,7 +297,7 @@ proptest! {
             .collect();
         let no_local =
             |_: &cloudsim_storage::ContentHash| -> Option<std::sync::Arc<[u8]>> { None };
-        let restored = RestorePipeline.restore_batch(&store, &spec, &requests, &no_local);
+        let restored = restore_batch_with(&store, &spec, &requests, &no_local, &SizeMemo::new());
         prop_assert_eq!(restored.len(), files.len());
         for (content, restored) in files.iter().zip(&restored) {
             let restored = restored.as_ref().expect("every uploaded file restores");

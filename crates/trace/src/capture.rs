@@ -1,14 +1,13 @@
 //! Trace capture: the synthetic equivalent of running tcpdump on the testbed.
 //!
-//! Capture is *sharded*: each worker records into a private, lock-free
-//! [`TraceShard`] handed out by a [`TraceRecorder`]. Flow ids are carved from
-//! per-shard bases ([`SHARD_FLOW_SPAN`] ids per shard) so allocation stays
-//! deterministic without any cross-thread coordination, and
-//! [`TraceRecorder::finish`] sorts the shards' packets once, stably, to the
-//! `(timestamp, flow, seq)` total order of a frozen [`Trace`] — bit-identical
-//! to a single-shard capture for any worker count. Reads go through the one
-//! borrowed view type, [`TraceView`], which the analyzers in
-//! [`crate::analysis`] consume.
+//! A capture records into one [`TraceShard`]: protocol endpoints append
+//! packets and allocate flow ids, and [`TraceShard::freeze`] sorts the
+//! packets once, stably, to the `(timestamp, flow, seq)` total order of a
+//! frozen [`Trace`]. A shard's index fixes its flow-id range
+//! ([`SHARD_FLOW_SPAN`] ids per shard), so shards recorded apart merge into
+//! the same frozen order as one shard holding all their packets. Reads go
+//! through the one borrowed view type, [`TraceView`], which the analyzers
+//! in [`crate::analysis`] consume.
 
 use crate::flow::{FlowId, FlowKind, FlowTable};
 use crate::packet::PacketRecord;
@@ -31,7 +30,7 @@ pub const SHARD_FLOW_SPAN: u64 = 1 << 40;
 #[derive(Debug, Clone)]
 pub struct TraceShard {
     index: usize,
-    packets: Vec<PacketRecord>,
+    pub(crate) packets: Vec<PacketRecord>,
     next_flow: u64,
 }
 
@@ -72,8 +71,8 @@ impl TraceShard {
     /// Appends a packet record.
     ///
     /// Packets may be recorded slightly out of order by independent protocol
-    /// endpoints; the merge in [`TraceRecorder::finish`] (or a sorted
-    /// [`TraceView::sorted`] snapshot) restores the canonical
+    /// endpoints; [`TraceShard::freeze`] (or a sorted [`TraceView::sorted`]
+    /// snapshot) restores the canonical
     /// `(timestamp, flow, seq)` order, exactly like a pcap file is processed
     /// in timestamp order.
     pub fn record(&mut self, packet: PacketRecord) {
@@ -85,74 +84,13 @@ impl TraceShard {
         TraceView { packets: &self.packets }
     }
 
-    /// Consumes the shard, returning its packets in the canonical
-    /// `(timestamp, flow, seq)` order.
-    pub fn into_packets(mut self) -> Vec<PacketRecord> {
+    /// Freezes the capture: sorts the packets once, stably, to the
+    /// canonical `(timestamp, flow, seq)` order (`seq`, the insertion
+    /// index, breaks the remaining ties). A capture already in that order
+    /// is one run the sort only scans.
+    pub fn freeze(mut self) -> Trace {
         sort_canonical(&mut self.packets);
-        self.packets
-    }
-}
-
-/// Hands per-worker [`TraceShard`]s out and merges them back into one frozen
-/// [`Trace`].
-///
-/// The lifecycle is: carve (`with_shards`/`into_shards`), record (each worker
-/// appends to its own shard), merge (`from_shards` + [`TraceRecorder::finish`]).
-#[derive(Debug, Clone)]
-pub struct TraceRecorder {
-    shards: Vec<TraceShard>,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        TraceRecorder::new()
-    }
-}
-
-impl TraceRecorder {
-    /// Creates a single-shard recorder — the sequential-capture baseline the
-    /// sharded merge must reproduce bit for bit.
-    pub fn new() -> Self {
-        TraceRecorder::with_shards(1)
-    }
-
-    /// Creates a recorder with `shards` worker shards (at least one), each
-    /// owning a disjoint flow-id range.
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        TraceRecorder { shards: (0..shards).map(TraceShard::with_index).collect() }
-    }
-
-    /// Rebuilds a recorder from worker shards (in any order) for merging.
-    pub fn from_shards(shards: Vec<TraceShard>) -> Self {
-        TraceRecorder { shards }
-    }
-
-    /// Splits the recorder into its worker shards, one per worker.
-    pub fn into_shards(self) -> Vec<TraceShard> {
-        self.shards
-    }
-
-    /// The worker shards, for in-place recording without splitting.
-    pub fn shards_mut(&mut self) -> &mut [TraceShard] {
-        &mut self.shards
-    }
-
-    /// Freezes the capture: appends every shard's packets onto the first
-    /// shard's buffer (a one-shard capture copies nothing) and sorts them
-    /// once, stably, to the canonical `(timestamp, flow, seq)` order. Flows
-    /// are shard-private, so a `(timestamp, flow)` tie only occurs inside
-    /// one shard, where stability keeps insertion (`seq`) order: single- and
-    /// k-shard captures of the same packets, in any shard order, are
-    /// bit-identical.
-    pub fn finish(self) -> Trace {
-        let mut shards = self.shards.into_iter();
-        let mut packets = shards.next().map(|shard| shard.packets).unwrap_or_default();
-        for shard in shards {
-            packets.extend(shard.packets);
-        }
-        sort_canonical(&mut packets);
-        Trace { packets }
+        Trace { packets: self.packets }
     }
 }
 
@@ -164,7 +102,7 @@ fn sort_canonical(packets: &mut [PacketRecord]) {
 
 /// A frozen, canonically ordered packet trace for one experiment run.
 ///
-/// Produced by [`TraceRecorder::finish`]; read through [`Trace::view`] and
+/// Produced by [`TraceShard::freeze`]; read through [`Trace::view`] and
 /// the analyzers in [`crate::analysis`].
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
@@ -244,6 +182,7 @@ impl<'a> TraceView<'a> {
 mod tests {
     use super::*;
     use crate::packet::{Direction, Endpoint, TcpFlags, TransportProtocol, TCP_HEADER_BYTES};
+    use crate::perf_pins::TraceRecorder;
     use crate::time::SimTime;
 
     fn packet(flow: FlowId, t_us: u64, payload: u32) -> PacketRecord {
@@ -261,6 +200,10 @@ mod tests {
         }
     }
 
+    fn shards(n: usize) -> Vec<TraceShard> {
+        (0..n).map(TraceShard::with_index).collect()
+    }
+
     #[test]
     fn shard_zero_allocates_the_historical_sequential_ids() {
         let mut shard = TraceShard::new();
@@ -271,12 +214,10 @@ mod tests {
 
     #[test]
     fn shard_flow_ranges_are_disjoint() {
-        let mut recorder = TraceRecorder::with_shards(3);
-        let ids: Vec<FlowId> =
-            recorder.shards_mut().iter_mut().map(|s| s.allocate_flow()).collect();
+        let mut shards = shards(3);
+        let ids: Vec<FlowId> = shards.iter_mut().map(|s| s.allocate_flow()).collect();
         assert_eq!(ids, vec![FlowId(0), FlowId(SHARD_FLOW_SPAN), FlowId(2 * SHARD_FLOW_SPAN)]);
-        let again: Vec<FlowId> =
-            recorder.shards_mut().iter_mut().map(|s| s.allocate_flow()).collect();
+        let again: Vec<FlowId> = shards.iter_mut().map(|s| s.allocate_flow()).collect();
         assert_eq!(
             again,
             vec![FlowId(1), FlowId(SHARD_FLOW_SPAN + 1), FlowId(2 * SHARD_FLOW_SPAN + 1)]
@@ -291,7 +232,7 @@ mod tests {
         shard.record(packet(f, 100, 0));
         shard.record(packet(f, 200, 20));
         shard.record(packet(f, 200, 30));
-        let sorted = TraceRecorder::from_shards(vec![shard]).finish().into_packets();
+        let sorted = shard.freeze().into_packets();
         let ts: Vec<u64> = sorted.iter().map(|p| p.timestamp.as_micros()).collect();
         assert_eq!(ts, vec![100, 200, 200, 300]);
         // seq (insertion order) breaks the t=200 tie.
@@ -323,29 +264,28 @@ mod tests {
                 single.record(p.clone());
             }
         }
-        let reference = TraceRecorder::from_shards(vec![single]).finish().into_packets();
+        let reference = single.freeze().into_packets();
 
-        let mut recorder = TraceRecorder::with_shards(3);
+        let mut three = shards(3);
         for (i, pkts) in per_flow.iter().enumerate() {
             // Flow 0 and 3 land on shard 0: shard assignment must not matter.
-            let shard = &mut recorder.shards_mut()[i % 3];
+            let shard = &mut three[i % 3];
             for p in pkts {
                 shard.record(p.clone());
             }
         }
-        assert_eq!(recorder.finish().into_packets(), reference);
+        assert_eq!(TraceRecorder::from_shards(three).finish().into_packets(), reference);
     }
 
     #[test]
     fn from_shards_accepts_any_shard_order() {
-        let mut recorder = TraceRecorder::with_shards(2);
-        let f0 = recorder.shards_mut()[0].allocate_flow();
-        let f1 = recorder.shards_mut()[1].allocate_flow();
-        recorder.shards_mut()[0].record(packet(f0, 20, 0));
-        recorder.shards_mut()[1].record(packet(f1, 10, 0));
-        let mut shards = recorder.into_shards();
-        shards.reverse();
-        let merged = TraceRecorder::from_shards(shards).finish();
+        let mut two = shards(2);
+        let f0 = two[0].allocate_flow();
+        let f1 = two[1].allocate_flow();
+        two[0].record(packet(f0, 20, 0));
+        two[1].record(packet(f1, 10, 0));
+        two.reverse();
+        let merged = TraceRecorder::from_shards(two).finish();
         let view = merged.view();
         assert_eq!(view.len(), 2);
         assert_eq!(view.packets()[0].flow, f1);
@@ -374,19 +314,15 @@ mod tests {
             ),
         ];
         for (case, per_shard) in cases {
-            let mut recorder = TraceRecorder::with_shards(per_shard.len());
-            for (shard, packets) in recorder.shards_mut().iter_mut().zip(&per_shard) {
+            let mut recorded = shards(per_shard.len());
+            for (shard, packets) in recorded.iter_mut().zip(&per_shard) {
                 packets.iter().for_each(|p| shard.record(p.clone()));
             }
-            let shards = recorder.into_shards().into_iter().rev().collect();
-            let frozen = TraceRecorder::from_shards(shards).finish().into_packets();
+            recorded.reverse();
+            let frozen = TraceRecorder::from_shards(recorded).finish().into_packets();
             let mut one = TraceShard::new();
             per_shard.concat().into_iter().for_each(|p| one.record(p));
-            assert_eq!(
-                frozen,
-                TraceRecorder::from_shards(vec![one]).finish().into_packets(),
-                "{case}"
-            );
+            assert_eq!(frozen, one.freeze().into_packets(), "{case}");
         }
     }
 
@@ -414,7 +350,7 @@ mod tests {
         assert!(view.is_empty());
         assert_eq!(view.wire_bytes_total(), 0);
         assert!(view.sorted().is_empty());
-        let trace = TraceRecorder::with_shards(4).finish();
+        let trace = TraceRecorder::from_shards(shards(4)).finish();
         assert!(trace.view().is_empty());
         assert!(trace.into_packets().is_empty());
     }

@@ -19,9 +19,8 @@
 //! * [`packet`] — per-packet records with TCP flags, direction and sizes,
 //! * [`flow`] — flow identification, per-flow accounting and classification
 //!   into control / storage / notification traffic,
-//! * [`capture`] — sharded, lock-free capture: per-worker
-//!   [`capture::TraceShard`]s handed out by a [`capture::TraceRecorder`],
-//!   sorted once into a frozen [`capture::Trace`] and read through the
+//! * [`capture`] — a capture records into one [`capture::TraceShard`],
+//!   is sorted once into a frozen [`capture::Trace`] and is read through the
 //!   borrowed [`capture::TraceView`],
 //! * [`analysis`] — the analyzers used by the benchmark suite (SYN series,
 //!   burst detection, throughput/pause detection, volume and overhead,
@@ -45,8 +44,14 @@ pub mod packet;
 pub mod series;
 pub mod time;
 
-pub use capture::{Trace, TraceRecorder, TraceShard, TraceView, SHARD_FLOW_SPAN};
+#[doc(hidden)]
+pub mod perf_pins;
+
+pub use capture::{Trace, TraceShard, TraceView, SHARD_FLOW_SPAN};
 pub use flow::{FlowId, FlowKind, FlowStats, FlowTable};
 pub use hist::{HistogramSummary, LatencyHistogram};
 pub use packet::{Direction, Endpoint, PacketRecord, TcpFlags, TransportProtocol};
 pub use time::{SimDuration, SimTime};
+
+#[doc(hidden)]
+pub use perf_pins::TraceRecorder;
