@@ -88,12 +88,8 @@ pub mod trace_overhead;
 
 // The paper's own surface is re-exported at the root; the beyond-paper
 // suites are reached through their modules.
-pub use architecture::{discover_architecture, ArchitectureReport};
-pub use benchmarks::{run_performance_suite, PerformanceRow, PerformanceSuite};
-pub use capability::{CapabilityMatrix, ServiceCapabilities};
-pub use idle::{idle_traffic_series, IdleSeries};
 pub use report::Report;
-pub use testbed::{ExperimentRun, Testbed};
+pub use testbed::Testbed;
 
 // Re-exports that make the public API self-contained for downstream users.
 pub use cloudsim_geo::Provider;

@@ -42,9 +42,8 @@ pub mod registry;
 pub mod resolvers;
 
 pub use authority::AuthoritativeDns;
-pub use coords::{haversine_km, City, GeoPoint, WORLD_CITIES};
+pub use coords::WORLD_CITIES;
 pub use geolocate::{GeolocationEstimate, HybridGeolocator};
-pub use landmarks::{rtt_between, Landmark, LandmarkSet};
 pub use providers::{Provider, ProviderTopology, ServerNode, ServerRole};
-pub use registry::{IpBlock, IpRegistry};
-pub use resolvers::{OpenResolver, ResolverFleet};
+pub use registry::IpRegistry;
+pub use resolvers::ResolverFleet;

@@ -58,13 +58,13 @@ pub mod sim;
 pub mod tcp;
 
 pub use fault::{FaultSchedule, FaultSpec, OutageWindow};
-pub use host::{HostId, HostInfo};
+pub use host::HostId;
 pub use link::AccessLink;
-pub use network::{Network, EPHEMERAL_PORT_MIN};
+pub use network::Network;
 pub use path::PathSpec;
-pub use rng::SimRng;
 pub use sim::Simulator;
 pub use tcp::TransferInterrupted;
 
-// Re-export the time base so downstream crates need only one import path.
-pub use cloudsim_trace::{SimDuration, SimTime};
+// Re-export the duration type so callers configuring links and paths need
+// only this crate's import path.
+pub use cloudsim_trace::SimDuration;

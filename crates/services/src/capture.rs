@@ -947,7 +947,7 @@ mod tests {
         // the first four panicked inside a scoped worker thread.
         let good = capture_of_spec(&ScaleSpec::new(3).with_seed(9));
         type Tamper = fn(&mut FleetCapture);
-        let hostile: [(&str, Tamper); 11] = [
+        let hostile: [(&str, Tamper); 12] = [
             ("no access links", |c| c.link_names.clear()),
             ("outside the header's [2, 5) range", |c| c.client_base = 2),
             ("outside the header's [0, 3) range", |c| c.events[1].client = 3),
@@ -965,6 +965,12 @@ mod tests {
             ("the run total of 6 commits", |c| {
                 c.file_size = 1 << 60;
                 c.events.iter_mut().for_each(|e| e.bytes = 4 << 60);
+            }),
+            // A 4 GiB file is one chunk the store cannot hold: refused
+            // before the run, not truncated (or aborted) inside it.
+            ("file_size is 4294967296", |c| {
+                c.file_size = 1 << 32;
+                c.events.iter_mut().for_each(|e| e.bytes = 4 << 32);
             }),
         ];
         for (expected, tamper) in hostile {

@@ -65,40 +65,40 @@
 //! ## Memory discipline
 //!
 //! The runner's own per-client budget is the state record, the client's
-//! interned store id and its share of the event list, the interval log
-//! and the store walk's index (one `u32` round per commit) — under 256
-//! bytes per client, asserted by a `size_of` test below — against the many
+//! interned store id and its share of the event list, the interval log and
+//! the store walk's index (one `u32` round per commit) — under 256 bytes
+//! per client, asserted by a `size_of` test below — against the many
 //! kilobytes a `SyncClient` costs. The store is the larger share: a
 //! client's eight files cost it eight rows in each of its record's two
-//! lists, which carry `u32` chunk ids, plus its four private chunks'
-//! entries, the one place their hashes are kept, and its name, 12 bytes in
-//! the store's one name text with an 8-byte end and its index slots —
-//! 1 013 bytes of store per client at 10 000 clients and 989 at a million,
-//! which `ObjectStore::footprint` counts and the `store_footprint` tests
-//! pin (see the store's module docs). All of it is sized **once**: a
-//! resolved run knows its clients, their names' lengths, commits, files
-//! and shared-pool share before the first event fires, so the driver hands
-//! the store the totals (`reserve_population`; the partition controller
-//! does it once for all partitions, whose own calls then find the room
-//! already there). The records, the names and their index, the chunk
-//! entries and their index never double on the way up — a doubling holds
-//! the old and the new allocation at once — and a scale client costs the
-//! store **two exact allocations**, its record's two lists at their final
-//! eight rows, made by the client's first commit and never grown. The
-//! event list, the interval log and the summary vectors are not streamed
-//! yet.
+//! lists, 16-byte held rows and 24-byte file rows that carry `u32` chunk
+//! ids, plus its four private chunks' 44-byte entries, the one place their
+//! hashes are kept, and its name, 12 bytes in the store's one name text
+//! with an 8-byte end and its index slots — 645 bytes of store per client
+//! at 10 000 clients and 621 at a million, which `ObjectStore::footprint`
+//! counts and the `store_footprint` tests pin (see the store's module
+//! docs). All of it is sized **once**: a resolved run knows its clients,
+//! their names' lengths, commits, files and shared-pool share before the
+//! first event fires, so the driver hands the store the totals
+//! (`reserve_population`; the partition controller does it once for all
+//! partitions, whose own calls then find the room already there). The
+//! records, the names and their index, the chunk entries and their index
+//! never double on the way up — a doubling holds the old and the new
+//! allocation at once — and a scale client costs the store **two exact
+//! allocations**, its record's two lists at their final eight rows, made by
+//! the client's first commit and never grown. The event list, the interval
+//! log and the summary vectors are not streamed yet.
 //!
-//! The commit loop allocates nothing, and is a *bundling* client of its
-//! own store: paths are interned when the run is resolved, users through
-//! the walk's [`cloudsim_storage::StoreWriter`] before the walk (each name
-//! formatted into one reused `String`), and a commit of `n` files refills
-//! the driver's one batch buffer and makes **one** call to that writer
-//! (one lookup in the chunk table and one search of the user's rows per
-//! file), which holds the store's lock for the whole run. Beyond its
-//! record's two lists a client allocates nothing, and a run allocates
-//! what it reserves: an integration test with a counting allocator pins a
-//! whole run's allocations and allocated bytes per commit to what this
-//! path measures, plus five per cent.
+//! The commit loop allocates nothing, and is a *bundling* client of its own
+//! store: paths are interned when the run is resolved, users through the
+//! walk's [`cloudsim_storage::store::StoreWriter`] before the walk (each
+//! name formatted into one reused `String`), and a commit of `n` files
+//! refills the driver's one batch buffer and makes **one** call to that
+//! writer (one lookup in the chunk table and one search of the user's rows
+//! per file), which holds the store's lock for the whole run. Beyond its
+//! record's two lists a client allocates nothing, and a run allocates what
+//! it reserves: an integration test with a counting allocator pins a whole
+//! run's allocations and allocated bytes per commit to what this path
+//! measures, plus five per cent.
 
 use crate::capture::{FleetCapture, ReplayMix};
 use crate::engine::{EventHeap, FleetEvent, Phase};
@@ -193,7 +193,8 @@ pub struct ScaleSpec {
     pub commits_per_client: usize,
     /// Files per commit; each file is one metadata-only chunk.
     pub files_per_commit: usize,
-    /// Plaintext size of each file in bytes.
+    /// Plaintext size of each file in bytes; at most `u32::MAX`, the
+    /// longest chunk the store holds.
     pub file_size: u64,
     /// Master seed; every draw derives from it.
     pub seed: u64,
@@ -203,9 +204,9 @@ impl ScaleSpec {
     /// The largest population a run accepts — the CLI's refusal bound, not
     /// a store limit (the store's `u32` user ids reach sixteen times
     /// further, its chunk ids, at four private chunks per client, four
-    /// times). Its store alone, at the ~1 kB per client the
-    /// `store_footprint` tests count (989 B at a million clients), would
-    /// need ~265 GB, so `repro` refuses a larger `--clients` before
+    /// times). Its store alone, at the ~620 B per client the
+    /// `store_footprint` tests count (621 B at a million clients), would
+    /// need ~167 GB, so `repro` refuses a larger `--clients` before
     /// anything is allocated, and [`run_population`] and its siblings panic on a
     /// larger spec.
     pub const MAX_CLIENTS: usize = 268_435_455;
@@ -405,7 +406,8 @@ impl ScaleSpec {
 /// The products a run of `clients × commits` commits of `files` files of
 /// `file_size` bytes computes — a commit's bytes, the event count, the
 /// packets and paths of a run, its logical bytes — checked once, so none of
-/// them can wrap later. [`ScaleSpec`] and [`crate::capture::FleetCapture`]
+/// them can wrap later, and the file size, which the store must hold as one
+/// chunk's `u32` length. [`ScaleSpec`] and [`crate::capture::FleetCapture`]
 /// both validate through it.
 pub(crate) fn check_run_totals(
     clients: usize,
@@ -425,6 +427,13 @@ pub(crate) fn check_run_totals(
         return Err(format!(
             "the run total of {events} commits (clients × commits_per_client) of {files} files \
              and {commit_bytes} bytes (files_per_commit × file_size) overflows u64 or usize"
+        ));
+    }
+    if u32::try_from(file_size).is_err() {
+        return Err(format!(
+            "a file is one chunk, and the store keeps chunk lengths of at most {} bytes: \
+             file_size is {file_size}",
+            u32::MAX
         ));
     }
     Ok(())
@@ -657,7 +666,7 @@ pub(crate) fn drive(source: Source<'_>, store: &ObjectStore) -> Result<Driven, S
         let client = commits.owned.global_id(local);
         for &round in &order[local * rounds..][..rounds] {
             commits.fill(client, round as usize, &mut batch);
-            writer.commit_files_by_id(user, &batch);
+            writer.commit_files_by_id(user, &batch).map_err(|e| e.to_string())?;
         }
     }
     drop(writer);
@@ -962,7 +971,7 @@ mod tests {
                     (path, StoredChunk { hash, stored_len: file_size, plain_len: file_size })
                 })
                 .collect();
-            store.writer().commit_files_by_id(user, &batch);
+            store.writer().commit_files_by_id(user, &batch).unwrap();
         }
         store
     }
@@ -1140,10 +1149,26 @@ mod tests {
     #[should_panic(expected = "file_size is 4294967296")]
     fn a_traced_run_refuses_a_file_size_its_packets_would_wrap() {
         // 4 GiB files: `file_size as u32` recorded empty payload packets.
-        // The traceless run has no packets and takes the same spec.
         let spec = ScaleSpec::new(1).with_files(1, 1 << 32);
-        assert_eq!(run_wide(&spec).logical_bytes, 2 << 32);
+        assert!(spec.check_traceable().unwrap_err().contains("file_size is 4294967296"));
         run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
+    }
+
+    #[test]
+    fn a_file_size_the_store_cannot_hold_is_refused_by_name() {
+        // A file is one chunk, whose length the store keeps in a u32: the
+        // traceless run refuses what it used to take, after the u64
+        // product checks, and a run at the limit still goes.
+        let err = check_run_totals(1, 2, 1, 1 << 32).unwrap_err();
+        assert_eq!(
+            err,
+            "a file is one chunk, and the store keeps chunk lengths of at most 4294967295 \
+             bytes: file_size is 4294967296"
+        );
+        let err = check_run_totals(1, 1, 2, 1 << 63).unwrap_err();
+        assert!(err.starts_with("files_per_commit × file_size"), "{err}");
+        let spec = ScaleSpec::new(1).with_files(1, u32::MAX.into());
+        assert_eq!(run_wide(&spec).logical_bytes, 2 * u64::from(u32::MAX));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the event list, the interval log and the store walk's index — nothing
 //! a name, a file or a commit pays. This test pins a whole run's
 //! allocations and allocated bytes per commit, with a counting allocator,
-//! to what that path measures plus five per cent (1.014 and 563.0 B at
+//! to what that path measures plus five per cent (1.014 and 379.0 B at
 //! 2 000 clients). Both counts are exact and repeat, so anything that
 //! allocates per commit again — or a list or table that goes back to
 //! doubling — fails here, not in a benchmark's noise. It is the only test
@@ -52,4 +52,4 @@ fn a_scale_run_stays_within_its_measured_allocations_per_commit() {
 
 /// What the run above measures.
 const ALLOCATIONS_PER_COMMIT: f64 = 1.014;
-const BYTES_PER_COMMIT: f64 = 563.0;
+const BYTES_PER_COMMIT: f64 = 379.0;

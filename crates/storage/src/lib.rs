@@ -56,16 +56,16 @@ pub mod store;
 #[doc(hidden)]
 pub mod perf_pins;
 
-pub use chunker::{Chunk, ChunkSpan, ChunkingStrategy};
-pub use compress::{compress, decompress, CompressionPolicy, LzssScratch, SizeMemo};
+pub use chunker::{Chunk, ChunkingStrategy};
+pub use compress::{compress, decompress, CompressionPolicy, SizeMemo};
 pub use delta::{DeltaScript, Signature};
 pub use encrypt::ConvergentCipher;
 pub use hash::{sha256, ContentHash};
-pub use pipeline::{ChunkArtifacts, DeltaEstimate, FileArtifacts, FileJob, PipelineSpec};
+pub use pipeline::{FileArtifacts, FileJob, PipelineSpec};
 pub use restore::{RestoreError, RestoreRequest, RestoreSource, RestoredChunk, RestoredFile};
 pub use store::{
-    AggregateStats, FileManifest, GcPolicy, GcStats, IdSpaceExhausted, ObjectStore, PathId,
-    StoreFootprint, StoreStats, StoreWriter, StoredChunk, UserId,
+    AggregateStats, FileManifest, GcPolicy, ObjectStore, PathId, StoreFootprint, StoredChunk,
+    UserId,
 };
 
 #[doc(hidden)]

@@ -716,6 +716,43 @@ mod tests {
         assert_eq!(*restored.content, data);
     }
 
+    #[test]
+    fn a_reused_chunk_id_inherits_no_payload() {
+        // Alice's chunk, payload and all, is freed; the store's next new
+        // chunk — Bob's, metadata-only — takes its id (a store unit test
+        // pins the reuse). Bob's chunk must not be served Alice's bytes.
+        let store = ObjectStore::with_policy(GcPolicy::Eager);
+        let spec = spec();
+        let (alices, bobs) = (b"alice's payload".to_vec(), b"bob's metadata".to_vec());
+        let stored = |data: &[u8]| StoredChunk {
+            hash: sha256(data),
+            stored_len: data.len() as u64,
+            plain_len: data.len() as u64,
+        };
+        let manifest = |data: &[u8]| FileManifest {
+            path: "f.bin".into(),
+            size: data.len() as u64,
+            chunks: vec![sha256(data)],
+            version: 0,
+        };
+        store.put_chunk_with_payload("alice", stored(&alices), &alices);
+        store.commit_manifest("alice", manifest(&alices));
+        store.delete_manifest("alice", "f.bin").unwrap();
+        assert_eq!(store.aggregate().freed_chunks, 1);
+        store.put_chunk("bob", stored(&bobs));
+        store.commit_manifest("bob", manifest(&bobs));
+
+        assert_eq!(store.chunk_payload(&sha256(&bobs)), None);
+        let err = restore_file(
+            &store,
+            &spec,
+            RestoreRequest { owner: "bob", path: "f.bin", base: None },
+            &no_local,
+        )
+        .unwrap_err();
+        assert!(matches!(err, RestoreError::PayloadUnavailable { .. }), "{err}");
+    }
+
     /// The store does not verify what it is handed, so a payload that does
     /// not hash to its manifest hash can be committed. The restore's
     /// SHA-256 check is what keeps it from being served, whether it would

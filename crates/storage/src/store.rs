@@ -44,11 +44,19 @@
 //! names or chunks were first seen in. A poisoned lock still hands out its
 //! guard.
 //!
-//! A held row is 32 bytes, a manifest row 40, and a chunk costs its
-//! 72-byte entry and at most two 4-byte index slots. [`ObjectStore::footprint`]
-//! counts the bytes table by table: a fleet-scale client, eight rows of
-//! each kind, four private chunks and a 12-byte name, costs the store
-//! 1 013 bytes at 10 000 clients, 1 000 at 100 000 and 989 at a million.
+//! Rows are kept at their data's width. A held row is 16 bytes: the chunk
+//! id, `u32` stored and plain lengths, and the reference count in 31 bits
+//! with the retention mark as the top bit. A manifest row is 24: the path,
+//! a `u32` version, the `u64` size and one inline chunk id or a handle
+//! into the store's one table of longer id lists. A chunk costs its
+//! 44-byte entry (hash, `u32` lengths, `u32` owner count) and at most two
+//! 4-byte index slots; payloads sit in a side table by chunk id that only
+//! [`ObjectStore::put_chunk_with_payload`] fills. A length, version or
+//! count past its width is refused with a [`StoreError`], never truncated.
+//! [`ObjectStore::footprint`] counts the bytes table by table: a
+//! fleet-scale client, eight rows of each kind, four private chunks and a
+//! 12-byte name, costs the store 645 bytes at 10 000 clients, 632 at
+//! 100 000 and 621 at a million.
 //!
 //! The cost of sorted rows, accepted and written down: inserting or
 //! removing a row is O(rows of that user). Measured with one-file commits
@@ -238,10 +246,11 @@ pub struct StoreFootprint {
     pub user_records: u64,
     /// The users' held-chunk rows.
     pub held_rows: u64,
-    /// The users' manifest rows, with the chunk-id lists of manifests of
-    /// more than one chunk.
+    /// The users' manifest rows, and the store's one table of the
+    /// chunk-id lists of manifests not of exactly one chunk.
     pub file_rows: u64,
-    /// The chunk table's entries and its list of freed ids.
+    /// The chunk table's entries, its list of freed ids and the slots of
+    /// its payload side table.
     pub chunk_entries: u64,
     /// The chunk table's index.
     pub chunk_index: u64,
@@ -305,20 +314,47 @@ pub struct UserId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathId(u32);
 
-/// Interning would need an id past `u32::MAX`: the store cannot index
-/// another user or path. An error, never a wrapped id.
+/// A value past the width the store's tables keep it at. Every write
+/// checks before it changes a table, so a refused write leaves the store
+/// as it was: an error, never a wrapped id or a truncated length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IdSpaceExhausted {
-    what: &'static str,
+pub enum StoreError {
+    /// Another user would need an id past the `u32` index.
+    UserId,
+    /// Another path would need an id past the `u32` index.
+    PathId,
+    /// Another chunk would need an id past the `u32` index.
+    ChunkId,
+    /// A chunk's stored or plain length, in bytes, past `u32::MAX`.
+    Length(u64),
+    /// A user's next version past `u32::MAX`.
+    Version,
+    /// A held chunk's live-manifest references past 2^31 − 1.
+    References,
 }
 
-impl std::fmt::Display for IdSpaceExhausted {
+impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "the store cannot index another {}: its u32 id space is exhausted", self.what)
+        let last_id = u64::from(u32::MAX - 1);
+        let (what, limit) = match self {
+            StoreError::UserId => ("user id", last_id),
+            StoreError::PathId => ("path id", last_id),
+            StoreError::ChunkId => ("chunk id", last_id),
+            StoreError::Length(len) => {
+                return write!(
+                    f,
+                    "the store cannot hold a chunk length of {len} bytes: its limit is {} bytes",
+                    u32::MAX
+                );
+            }
+            StoreError::Version => ("version", u64::from(u32::MAX)),
+            StoreError::References => ("reference count", u64::from(MAX_REFS)),
+        };
+        write!(f, "the store cannot hold a {what} past {limit}")
     }
 }
 
-impl std::error::Error for IdSpaceExhausted {}
+impl std::error::Error for StoreError {}
 
 /// The id of the name or chunk added after `taken` others: its slot in
 /// the dense list, `None` where a `u32` index slot (the id plus one) could
@@ -543,33 +579,50 @@ fn hash_word(hash: &ContentHash) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct ChunkId(u32);
 
+/// A chunk's stored and plain lengths at the width the store keeps them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Lengths {
+    stored: u32,
+    plain: u32,
+}
+
+impl Lengths {
+    /// `chunk`'s lengths, refused past `u32::MAX` bytes, never truncated.
+    fn of(chunk: &StoredChunk) -> Result<Lengths, StoreError> {
+        let narrow = |len: u64| u32::try_from(len).map_err(|_| StoreError::Length(len));
+        Ok(Lengths { stored: narrow(chunk.stored_len)?, plain: narrow(chunk.plain_len)? })
+    }
+}
+
 /// One entry of the chunk table, the one place the store keeps a chunk's
-/// hash.
+/// hash: 44 bytes.
 #[derive(Debug)]
 struct ChunkEntry {
     hash: ContentHash,
     /// The most compact representation any committer reported.
-    stored_len: u64,
-    plain_len: u64,
-    /// Number of distinct users holding the chunk.
-    owners: u64,
-    /// The plaintext chunk payload, when the committer provided it (see
-    /// [`ObjectStore::put_chunk_with_payload`]). Restores are served from
-    /// here; metadata-only commits leave it `None` and a restore of such a
-    /// chunk reports [`crate::restore::RestoreError::PayloadUnavailable`].
-    /// `Arc` because concurrent restores share the bytes without copying.
-    payload: Option<Arc<[u8]>>,
+    len: Lengths,
+    /// Number of distinct users holding the chunk; never more than there
+    /// are user ids, so it cannot pass its `u32`.
+    owners: u32,
 }
 
 /// The physical chunk table: the entries, dense and in admit order; the
-/// ids of freed entries, reused before the entries grow; and an [`Index`]
+/// ids of freed entries, reused before the entries grow; an [`Index`]
 /// over the live ones, probed from the hash's [`hash_word`] and compared
-/// against each slot's entry's hash.
+/// against each slot's entry's hash; and the payloads committers provided.
 #[derive(Debug, Default)]
 struct ChunkTable {
     entries: Vec<ChunkEntry>,
     free: Vec<ChunkId>,
     index: Index,
+    /// The plaintext payload of each chunk whose committer provided it
+    /// ([`ObjectStore::put_chunk_with_payload`]), by chunk id, as long as
+    /// the highest id given one: a store no payload reached (every scale
+    /// run) has none. Restores are served from here; a metadata-only chunk
+    /// has `None`, and a restore of it reports
+    /// [`crate::restore::RestoreError::PayloadUnavailable`]. `Arc` because
+    /// concurrent restores share the bytes without copying.
+    payloads: Vec<Option<Arc<[u8]>>>,
 }
 
 impl ChunkTable {
@@ -597,46 +650,58 @@ impl ChunkTable {
         self.index.find(hash_word(hash), is).map(ChunkId)
     }
 
-    /// The id of `chunk`'s entry, and whether this call created it — with
-    /// the chunk's lengths, no owner and no payload, in a freed entry's
-    /// place when there is one and at the end of the entries otherwise.
-    fn intern(&mut self, chunk: &StoredChunk) -> (ChunkId, bool) {
+    /// The id of `hash`'s entry, and whether this call created it — with
+    /// lengths `len`, no owner and no payload, in a freed entry's place
+    /// when there is one and at the end of the entries otherwise.
+    fn intern(&mut self, hash: &ContentHash, len: Lengths) -> Result<(ChunkId, bool), StoreError> {
         let (live, entries) = (self.len(), &self.entries);
-        let is = |id: u32| entries[id as usize].hash == chunk.hash;
-        let word = hash_word(&chunk.hash);
+        let is = |id: u32| entries[id as usize].hash == *hash;
+        let word = hash_word(hash);
         let at = match self.index.find_or_vacancy(live, word, is, ChunkTable::word_of(entries)) {
-            Ok(id) => return (ChunkId(id), false),
+            Ok(id) => return Ok((ChunkId(id), false)),
             Err(at) => at,
         };
-        let entry = ChunkEntry {
-            hash: chunk.hash,
-            stored_len: chunk.stored_len,
-            plain_len: chunk.plain_len,
-            owners: 0,
-            payload: None,
-        };
+        let entry = ChunkEntry { hash: *hash, len, owners: 0 };
         let id = match self.free.pop() {
             Some(id) => {
                 *self.entry_mut(id) = entry;
                 id
             }
             None => {
-                let id = next_id(self.entries.len()).expect("fewer than u32::MAX chunks");
+                let id = next_id(self.entries.len()).ok_or(StoreError::ChunkId)?;
                 self.entries.push(entry);
                 ChunkId(id)
             }
         };
         self.index.fill(at, id.0);
-        (id, true)
+        Ok((id, true))
+    }
+
+    /// The payload of live entry `id`, when a committer provided one.
+    fn payload(&self, id: ChunkId) -> Option<&Arc<[u8]>> {
+        self.payloads.get(id.0 as usize)?.as_ref()
+    }
+
+    /// Keeps `payload` for live entry `id`, unless it has one already
+    /// (hash-equal plaintexts are the same bytes).
+    fn keep_payload(&mut self, id: ChunkId, payload: &[u8]) {
+        let at = id.0 as usize;
+        if self.payloads.len() <= at {
+            self.payloads.resize(at + 1, None);
+        }
+        self.payloads[at].get_or_insert_with(|| Arc::from(payload));
     }
 
     /// Frees live entry `id`: its slot leaves the index, its payload is
-    /// dropped and its id waits for the next new chunk.
+    /// dropped (so the next chunk to take the id inherits none) and its id
+    /// waits for the next new chunk.
     fn free(&mut self, id: ChunkId) {
         let word = hash_word(&self.entry(id).hash);
         let at = self.index.probe(word, |slot| slot == id.0).expect("a live entry is indexed");
         self.index.remove(at, ChunkTable::word_of(&self.entries));
-        self.entry_mut(id).payload = None;
+        if let Some(payload) = self.payloads.get_mut(id.0 as usize) {
+            *payload = None;
+        }
         self.free.push(id);
     }
 
@@ -647,7 +712,7 @@ impl ChunkTable {
         let mut pass = GcStats::default();
         for id in ownerless {
             pass.freed_chunks += 1;
-            pass.freed_bytes += self.entry(id).stored_len;
+            pass.freed_bytes += u64::from(self.entry(id).len.stored);
             self.free(id);
         }
         pass
@@ -663,60 +728,140 @@ impl ChunkTable {
     }
 }
 
-/// One chunk as one user holds it.
+/// The top bit of [`UserChunk::refs`]: the retention mark.
+const RETAINED: u32 = 1 << 31;
+
+/// The most live-manifest references one held chunk counts: what the 31
+/// bits below [`RETAINED`] hold.
+const MAX_REFS: u32 = RETAINED - 1;
+
+/// One chunk as one user holds it: with its id, a 16-byte row.
 #[derive(Debug)]
 struct UserChunk {
     /// The user's own uploaded representation, not the canonical one.
-    stored_len: u64,
-    plain_len: u64,
-    /// Occurrences across the user's *live* manifests. A chunk at zero
-    /// stays held (retention for §4.3 restores and client-side dedup
-    /// consistency) until a hard delete releases it.
+    len: Lengths,
+    /// Below [`RETAINED`]: occurrences across the user's *live* manifests.
+    /// A chunk at zero stays held (retention for §4.3 restores and
+    /// client-side dedup consistency) until a hard delete releases it.
+    ///
+    /// The top bit, [`RETAINED`], is set once the count dropped to zero
+    /// through a *supersede* (a manifest replacing the same path). The
+    /// retention promise of [`ObjectStore::commit_manifest`] then covers
+    /// the chunk even if a later manifest re-references it and is
+    /// hard-deleted — only [`ObjectStore::purge_user`] releases it.
     refs: u32,
-    /// The count once dropped to zero through a *supersede* (a manifest
-    /// replacing the same path). The retention promise of
-    /// [`ObjectStore::commit_manifest`] then covers the chunk even if a
-    /// later manifest re-references it and is hard-deleted — only
-    /// [`ObjectStore::purge_user`] releases it.
-    retained: bool,
 }
 
-/// A manifest's chunk ids; the one-chunk case (every fleet-scale file)
-/// needs no allocation.
-#[derive(Debug)]
-enum ChunkList {
-    One(ChunkId),
-    Many(Box<[ChunkId]>),
-}
+impl UserChunk {
+    /// The live-manifest references.
+    fn refs(&self) -> u32 {
+        self.refs & MAX_REFS
+    }
 
-impl ChunkList {
-    fn as_slice(&self) -> &[ChunkId] {
-        match self {
-            ChunkList::One(id) => std::slice::from_ref(id),
-            ChunkList::Many(ids) => ids,
-        }
+    fn retained(&self) -> bool {
+        self.refs & RETAINED != 0
+    }
+
+    /// Counts `more` references, refused past [`MAX_REFS`] with nothing
+    /// changed.
+    fn add_refs(&mut self, more: u32) -> Result<(), StoreError> {
+        let refs = (self.refs().checked_add(more))
+            .filter(|&refs| refs <= MAX_REFS)
+            .ok_or(StoreError::References)?;
+        self.refs = self.refs & RETAINED | refs;
+        Ok(())
+    }
+
+    /// Drops one reference, none below zero.
+    fn drop_ref(&mut self) {
+        self.refs = self.refs & RETAINED | self.refs().saturating_sub(1);
+    }
+
+    /// Sets the retention mark.
+    fn retain(&mut self) {
+        self.refs |= RETAINED;
     }
 }
 
-/// One live manifest.
+/// A manifest's chunk ids: one inline (every fleet-scale file), or the
+/// handle of a longer list in the store's [`ChunkLists`]. Eight bytes.
+#[derive(Debug, Clone, Copy)]
+enum ChunkRef {
+    One(ChunkId),
+    Many(u32),
+}
+
+/// The chunk ids of every manifest not of exactly one chunk, store-wide,
+/// each list behind the `u32` handle a [`ChunkRef::Many`] holds. A dropped
+/// list leaves an empty slot whose handle the next list takes.
+#[derive(Debug, Default)]
+struct ChunkLists {
+    lists: Vec<Box<[ChunkId]>>,
+    free: Vec<u32>,
+}
+
+impl ChunkLists {
+    /// The ids `chunks` names.
+    fn ids<'a>(&'a self, chunks: &'a ChunkRef) -> &'a [ChunkId] {
+        match chunks {
+            ChunkRef::One(id) => std::slice::from_ref(id),
+            ChunkRef::Many(handle) => &self.lists[*handle as usize],
+        }
+    }
+
+    /// Keeps `ids` and returns their handle.
+    fn add(&mut self, ids: Box<[ChunkId]>) -> ChunkRef {
+        let handle = match self.free.pop() {
+            Some(handle) => {
+                self.lists[handle as usize] = ids;
+                handle
+            }
+            None => {
+                let handle = next_id(self.lists.len()).expect("fewer than u32::MAX id lists");
+                self.lists.push(ids);
+                handle
+            }
+        };
+        ChunkRef::Many(handle)
+    }
+
+    /// Drops the list `chunks` names, if it is one.
+    fn remove(&mut self, chunks: ChunkRef) {
+        if let ChunkRef::Many(handle) = chunks {
+            self.lists[handle as usize] = Box::default();
+            self.free.push(handle);
+        }
+    }
+
+    /// [`StoreFootprint::file_rows`]' share of the lists.
+    fn footprint(&self) -> u64 {
+        let slots = self.lists.capacity() * size_of::<Box<[ChunkId]>>();
+        let ids: usize = self.lists.iter().map(|ids| ids.len() * size_of::<ChunkId>()).sum();
+        (slots + ids + self.free.capacity() * size_of::<u32>()) as u64
+    }
+}
+
+/// One live manifest: 24 bytes.
 #[derive(Debug)]
 struct FileEntry {
+    path: PathId,
+    version: u32,
     size: u64,
-    version: u64,
-    chunks: ChunkList,
+    chunks: ChunkRef,
 }
 
 /// Everything the store keeps for one user: the counters and the user's
 /// two row lists, each sorted by its key and searched by bisection.
 #[derive(Debug, Default)]
 struct UserRecord {
-    next_version: u64,
+    /// The last version handed out.
+    next_version: u32,
     /// Plaintext bytes of the live manifests.
     logical_bytes: u64,
     /// The chunks the user holds, sorted by chunk id.
     held: Vec<(ChunkId, UserChunk)>,
     /// The live manifests, sorted by path id.
-    files: Vec<(PathId, FileEntry)>,
+    files: Vec<FileEntry>,
 }
 
 impl UserRecord {
@@ -731,11 +876,24 @@ impl UserRecord {
 
     /// Where `path` has its live manifest (`Ok`) or would get one (`Err`).
     fn find_file(&self, path: PathId) -> Result<usize, usize> {
-        self.files.binary_search_by_key(&path.0, |(live, _)| live.0)
+        self.files.binary_search_by_key(&path.0, |file| file.path.0)
     }
 
     fn held_mut(&mut self, id: ChunkId) -> Option<&mut UserChunk> {
         self.find_held(id).ok().map(|at| &mut self.held[at].1)
+    }
+
+    /// Counts one reference per occurrence in `ids`, all of which the user
+    /// holds. A count that would pass [`MAX_REFS`] is refused, and the
+    /// ones counted before it are taken back.
+    fn reference(&mut self, ids: &[ChunkId]) -> Result<(), StoreError> {
+        let refused =
+            ids.iter().position(|&id| self.held_mut(id).expect("held").add_refs(1).is_err());
+        let Some(counted) = refused else { return Ok(()) };
+        for &id in &ids[..counted] {
+            self.held_mut(id).expect("held").drop_ref();
+        }
+        Err(StoreError::References)
     }
 }
 
@@ -750,12 +908,14 @@ fn insert_row<T>(rows: &mut Vec<T>, at: usize, row: T, capacity: usize) {
 }
 
 /// Everything the store keeps, behind its one lock: the users and their
-/// records, the interned paths, the chunk table and the counters.
+/// records, the manifests' longer id lists, the interned paths, the chunk
+/// table and the counters.
 #[derive(Debug, Default)]
 struct Tables {
     users: Names,
     /// One per user id.
     records: Vec<UserRecord>,
+    lists: ChunkLists,
     paths: Names,
     chunks: ChunkTable,
     /// What a record's `held` and `files` lists are sized to on their
@@ -769,6 +929,20 @@ struct Tables {
     server_dedup_hits: u64,
     reclaimed_bytes: u64,
     freed_chunks: u64,
+}
+
+/// The records go last user first, the reverse of the order a scale walk
+/// allocated their rows in. With glibc's malloc the first rows freed of
+/// each size stay in the thread's cache, so freed last-first they pin the
+/// top of the heap and the rows freed below them stay with the process.
+/// Freed first-first they join the heap's top, which glibc trims back to
+/// the kernel once it passes twice the largest block freed so far (the
+/// chunk entries), and a store built next in the same process faults
+/// those pages back in: about 5 800 faults per 60 000-client run.
+impl Drop for Tables {
+    fn drop(&mut self) {
+        while self.records.pop().is_some() {}
+    }
 }
 
 #[cfg(test)]
@@ -834,13 +1008,13 @@ impl ObjectStore {
     /// Interns a user name. The same name always yields the same id; a new
     /// name creates an (empty) record. Fails instead of wrapping once the
     /// ids pass `u32::MAX`.
-    pub fn intern_user(&self, name: &str) -> Result<UserId, IdSpaceExhausted> {
+    pub fn intern_user(&self, name: &str) -> Result<UserId, StoreError> {
         self.write().intern_user(name).map(UserId)
     }
 
     /// Interns a file path; see [`ObjectStore::intern_user`] for the
     /// contract. Paths are interned store-wide, not per user.
-    pub fn intern_path(&self, path: &str) -> Result<PathId, IdSpaceExhausted> {
+    pub fn intern_path(&self, path: &str) -> Result<PathId, StoreError> {
         self.write().intern_path(path)
     }
 
@@ -852,7 +1026,8 @@ impl ObjectStore {
 
     /// Stores a chunk payload for a user. Returns `true` when the chunk was
     /// new *to this user*, `false` when the user already had it (nothing is
-    /// overwritten either way).
+    /// overwritten either way). Panics, before it changes anything, with
+    /// the [`StoreError`] of a length or a chunk id the store cannot hold.
     ///
     /// Physically the payload is stored at most once across all users: a put
     /// whose hash another user already committed only adds a reference, and
@@ -880,16 +1055,18 @@ impl ObjectStore {
     }
 
     fn put(&self, user: &str, chunk: StoredChunk, payload: Option<&[u8]>) -> bool {
+        let len = Lengths::of(&chunk).unwrap_or_else(|e| panic!("{e}"));
         let mut guard = self.write();
         let tables = &mut *guard;
         let slot = tables.named(user);
-        let (id, created) = tables.chunks.intern(&chunk);
-        let new_to_user = tables.hold(slot, id, &chunk, 0);
+        let (id, created) =
+            tables.chunks.intern(&chunk.hash, len).unwrap_or_else(|e| panic!("{e}"));
+        let new_to_user = tables.hold(slot, id, len, 0).expect("a put counts no reference");
         if new_to_user {
-            tables.admit(id, &chunk, created);
+            tables.admit(id, len, created);
         }
         if let Some(payload) = payload {
-            tables.chunks.entry_mut(id).payload.get_or_insert_with(|| Arc::from(payload));
+            tables.chunks.keep_payload(id, payload);
         }
         new_to_user
     }
@@ -897,7 +1074,9 @@ impl ObjectStore {
     /// Commits a file manifest (creating or replacing the path). Returns the
     /// version number assigned. Panics if any referenced chunk is missing
     /// from the user's namespace — a protocol error a real service would
-    /// reject as well.
+    /// reject as well — and, before it changes anything, with the
+    /// [`StoreError`] of a version or a reference count the store cannot
+    /// hold.
     ///
     /// Reference accounting: the new manifest's chunk occurrences are
     /// counted; a replaced revision's occurrences are released *logically*
@@ -907,7 +1086,9 @@ impl ObjectStore {
         let mut tables = self.write();
         let path = tables.intern_path(&manifest.path).unwrap_or_else(|e| panic!("{e}"));
         let slot = tables.named(user);
-        let chunks = tables.reference(slot, &manifest.chunks);
+        let chunks = (tables.version_room(slot))
+            .and_then(|()| tables.reference(slot, &manifest.chunks))
+            .unwrap_or_else(|e| panic!("{e}"));
         tables.publish(slot, path, manifest.size, chunks)
     }
 
@@ -950,22 +1131,20 @@ impl ObjectStore {
     pub fn footprint(&self) -> StoreFootprint {
         let tables = self.read();
         let bytes = |count: usize, size: usize| (count * size) as u64;
+        let chunks = &tables.chunks;
         let mut footprint = StoreFootprint {
             user_records: bytes(tables.records.capacity(), size_of::<UserRecord>()),
-            chunk_entries: bytes(tables.chunks.entries.capacity(), size_of::<ChunkEntry>())
-                + bytes(tables.chunks.free.capacity(), size_of::<ChunkId>()),
-            chunk_index: bytes(tables.chunks.index.slots.capacity(), size_of::<Slot>()),
+            file_rows: tables.lists.footprint(),
+            chunk_entries: bytes(chunks.entries.capacity(), size_of::<ChunkEntry>())
+                + bytes(chunks.free.capacity(), size_of::<ChunkId>())
+                + bytes(chunks.payloads.capacity(), size_of::<Option<Arc<[u8]>>>()),
+            chunk_index: bytes(chunks.index.slots.capacity(), size_of::<Slot>()),
             names: tables.users.footprint() + tables.paths.footprint(),
             ..StoreFootprint::default()
         };
         for record in &tables.records {
             footprint.held_rows += bytes(record.held.capacity(), size_of::<(ChunkId, UserChunk)>());
-            footprint.file_rows += bytes(record.files.capacity(), size_of::<(PathId, FileEntry)>());
-            for (_, file) in &record.files {
-                if let ChunkList::Many(ids) = &file.chunks {
-                    footprint.file_rows += bytes(ids.len(), size_of::<ChunkId>());
-                }
-            }
+            footprint.file_rows += bytes(record.files.capacity(), size_of::<FileEntry>());
         }
         footprint
     }
@@ -991,20 +1170,21 @@ impl ObjectStore {
         let record = &mut tables.records[slot as usize];
         let mut released = Vec::new();
         let mut released_bytes = 0u64;
-        for &id in manifest.chunks.as_slice() {
+        for &id in tables.lists.ids(&manifest.chunks) {
             // A manifest may reference a chunk several times; the chunk
             // can be released on an earlier occurrence.
             let Ok(at) = record.find_held(id) else { continue };
             let held = &mut record.held[at].1;
-            held.refs = held.refs.saturating_sub(1);
+            held.drop_ref();
             // An earlier supersede may have promised to keep the chunk
             // (restores and client-side dedup may rely on it).
-            if held.refs == 0 && !held.retained {
-                released_bytes += held.stored_len;
+            if held.refs() == 0 && !held.retained() {
+                released_bytes += u64::from(held.len.stored);
                 record.held.remove(at);
                 released.push(id);
             }
         }
+        tables.lists.remove(manifest.chunks);
         tables.referenced_bytes -= released_bytes;
         tables.manifest_deletes += 1;
         tables.release(released, self.policy);
@@ -1023,7 +1203,11 @@ impl ObjectStore {
         };
         // The record (and the user's id) stays; its rows go.
         let record = std::mem::take(&mut tables.records[slot as usize]);
-        let released_bytes: u64 = record.held.iter().map(|(_, held)| held.stored_len).sum();
+        for file in &record.files {
+            tables.lists.remove(file.chunks);
+        }
+        let released_bytes: u64 =
+            record.held.iter().map(|(_, held)| u64::from(held.len.stored)).sum();
         tables.referenced_bytes -= released_bytes;
         tables.manifest_deletes += record.files.len() as u64;
         tables.release(record.held.iter().map(|&(id, _)| id), self.policy);
@@ -1045,13 +1229,13 @@ impl ObjectStore {
     pub fn manifest(&self, user: &str, path: &str) -> Option<FileManifest> {
         let tables = self.read();
         let record = tables.record(user)?;
-        let entry = &record.files[record.find_file(tables.path(path)?).ok()?].1;
+        let entry = &record.files[record.find_file(tables.path(path)?).ok()?];
         let hash = |&id: &ChunkId| tables.chunks.entry(id).hash;
         Some(FileManifest {
             path: path.to_string(),
             size: entry.size,
-            chunks: entry.chunks.as_slice().iter().map(hash).collect(),
-            version: entry.version,
+            chunks: tables.lists.ids(&entry.chunks).iter().map(hash).collect(),
+            version: u64::from(entry.version),
         })
     }
 
@@ -1064,7 +1248,9 @@ impl ObjectStore {
         let (Some(slot), Some(path)) = (tables.user(user), tables.path(path)) else {
             return false;
         };
-        tables.remove_file(slot, path).is_some()
+        let Some(removed) = tables.remove_file(slot, path) else { return false };
+        tables.lists.remove(removed.chunks);
+        true
     }
 
     /// Lists the live file paths of a user, sorted.
@@ -1074,7 +1260,7 @@ impl ObjectStore {
             return Vec::new();
         };
         let mut paths: Vec<String> =
-            record.files.iter().map(|(id, _)| tables.paths.name(id.0).to_string()).collect();
+            record.files.iter().map(|file| tables.paths.name(file.path.0).to_string()).collect();
         paths.sort();
         paths
     }
@@ -1085,7 +1271,8 @@ impl ObjectStore {
         let tables = self.read();
         let record = tables.record(user)?;
         let held = &record.held[record.find_held(tables.chunks.find(hash)?).ok()?].1;
-        Some(StoredChunk { hash: *hash, stored_len: held.stored_len, plain_len: held.plain_len })
+        let (stored_len, plain_len) = (held.len.stored.into(), held.len.plain.into());
+        Some(StoredChunk { hash: *hash, stored_len, plain_len })
     }
 
     /// The plaintext payload of a physical chunk, when a committer provided
@@ -1094,7 +1281,7 @@ impl ObjectStore {
     /// restore pipeline serves file reconstructions from here.
     pub fn chunk_payload(&self, hash: &ContentHash) -> Option<Arc<[u8]>> {
         let tables = self.read();
-        tables.chunks.find(hash).and_then(|id| tables.chunks.entry(id).payload.clone())
+        tables.chunks.find(hash).and_then(|id| tables.chunks.payload(id).cloned())
     }
 
     /// Aggregate statistics of a user's namespace.
@@ -1106,7 +1293,7 @@ impl ObjectStore {
         StoreStats {
             files: record.files.len(),
             chunks: record.held.len(),
-            stored_bytes: record.held.iter().map(|(_, held)| held.stored_len).sum(),
+            stored_bytes: record.held.iter().map(|(_, held)| u64::from(held.len.stored)).sum(),
             logical_bytes: record.logical_bytes,
         }
     }
@@ -1163,7 +1350,7 @@ pub struct StoreWriter<'a> {
 impl StoreWriter<'_> {
     /// Interns a user name under the writer's lock: what
     /// [`ObjectStore::intern_user`] does, without a lock of its own.
-    pub fn intern_user(&mut self, name: &str) -> Result<UserId, IdSpaceExhausted> {
+    pub fn intern_user(&mut self, name: &str) -> Result<UserId, StoreError> {
         self.tables.intern_user(name).map(UserId)
     }
 
@@ -1182,23 +1369,36 @@ impl StoreWriter<'_> {
     /// reference) and one of the user's manifest rows. Beyond the user's
     /// rows and the entries of chunks new to the store nothing is
     /// allocated.
-    pub fn commit_files_by_id(&mut self, user: UserId, files: &[(PathId, StoredChunk)]) -> u64 {
+    ///
+    /// Each file is checked before anything changes for it: the first
+    /// length, version, chunk id or reference count the store cannot hold
+    /// ends the batch with its [`StoreError`], the files before it written
+    /// and it and those after it not.
+    pub fn commit_files_by_id(
+        &mut self,
+        user: UserId,
+        files: &[(PathId, StoredChunk)],
+    ) -> Result<u64, StoreError> {
         let tables = &mut *self.tables;
         for (path, chunk) in files {
-            let (id, created) = tables.chunks.intern(chunk);
-            if tables.hold(user.0, id, chunk, 1) {
-                tables.admit(id, chunk, created);
+            let len = Lengths::of(chunk)?;
+            tables.version_room(user.0)?;
+            let (id, created) = tables.chunks.intern(&chunk.hash, len)?;
+            // Only a chunk the user holds can refuse a reference, and its
+            // entry was not created here.
+            if tables.hold(user.0, id, len, 1)? {
+                tables.admit(id, len, created);
             }
-            tables.publish(user.0, *path, chunk.plain_len, ChunkList::One(id));
+            tables.publish(user.0, *path, chunk.plain_len, ChunkRef::One(id));
         }
-        tables.records[user.0 as usize].next_version
+        Ok(u64::from(tables.records[user.0 as usize].next_version))
     }
 }
 
 impl Tables {
     /// The slot of `name`, interning it with an empty record when new.
-    fn intern_user(&mut self, name: &str) -> Result<u32, IdSpaceExhausted> {
-        let slot = self.users.intern(name).ok_or(IdSpaceExhausted { what: "user" })?;
+    fn intern_user(&mut self, name: &str) -> Result<u32, StoreError> {
+        let slot = self.users.intern(name).ok_or(StoreError::UserId)?;
         if self.records.len() < self.users.len() {
             self.records.push(UserRecord::default());
         }
@@ -1212,8 +1412,8 @@ impl Tables {
         self.intern_user(user).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn intern_path(&mut self, path: &str) -> Result<PathId, IdSpaceExhausted> {
-        self.paths.intern(path).map(PathId).ok_or(IdSpaceExhausted { what: "path" })
+    fn intern_path(&mut self, path: &str) -> Result<PathId, StoreError> {
+        self.paths.intern(path).map(PathId).ok_or(StoreError::PathId)
     }
 
     /// The slot of a user some write already interned.
@@ -1231,110 +1431,125 @@ impl Tables {
         Some(&self.records[self.user(user)? as usize])
     }
 
-    /// The user half of a put: user `slot` holds `chunk`, whose entry is
-    /// `id`, from now on, with `refs` more live-manifest references to it
-    /// (none for a bare put, one when the manifest is published in the
-    /// same write). Returns `true` when the chunk was new to the user — the
-    /// caller then owes the entry an [`Tables::admit`]. One bisection of
-    /// the user's held rows either way.
-    fn hold(&mut self, slot: u32, id: ChunkId, chunk: &StoredChunk, refs: u32) -> bool {
+    /// The user half of a put: user `slot` holds the chunk of entry `id`,
+    /// uploaded at lengths `len`, from now on, with `refs` more
+    /// live-manifest references to it (none for a bare put, one when the
+    /// manifest is published in the same write). Returns `true` when the
+    /// chunk was new to the user — the caller then owes the entry an
+    /// [`Tables::admit`]. One bisection of the user's held rows either way.
+    /// A count the row cannot hold is refused with nothing changed.
+    fn hold(
+        &mut self,
+        slot: u32,
+        id: ChunkId,
+        len: Lengths,
+        refs: u32,
+    ) -> Result<bool, StoreError> {
         let record = &mut self.records[slot as usize];
         match record.find_held(id) {
             Ok(at) => {
-                let held = &mut record.held[at].1;
-                held.refs =
-                    held.refs.checked_add(refs).expect("fewer than u32::MAX live references");
-                false
+                record.held[at].1.add_refs(refs)?;
+                Ok(false)
             }
             Err(at) => {
-                let held = UserChunk {
-                    stored_len: chunk.stored_len,
-                    plain_len: chunk.plain_len,
-                    refs,
-                    retained: false,
-                };
-                insert_row(&mut record.held, at, (id, held), self.held_capacity);
+                insert_row(&mut record.held, at, (id, UserChunk { len, refs }), self.held_capacity);
                 self.chunk_puts += 1;
-                self.referenced_bytes += chunk.stored_len;
-                true
+                self.referenced_bytes += u64::from(len.stored);
+                Ok(true)
             }
         }
     }
 
-    /// The physical half of a put of a chunk new to the user: entry `id`
-    /// gains an owner. An entry `created` by this write gets its first, and
-    /// its bytes are stored; an older one is a server-side dedup hit and
-    /// may gain a more compact representation.
-    fn admit(&mut self, id: ChunkId, chunk: &StoredChunk, created: bool) {
+    /// The physical half of a put of a chunk new to the user, uploaded at
+    /// lengths `len`: entry `id` gains an owner. An entry `created` by this
+    /// write gets its first, and its bytes are stored; an older one is a
+    /// server-side dedup hit and may gain a more compact representation.
+    fn admit(&mut self, id: ChunkId, len: Lengths, created: bool) {
         let entry = self.chunks.entry_mut(id);
         entry.owners += 1;
         if created {
-            self.physical_bytes += chunk.stored_len;
+            self.physical_bytes += u64::from(len.stored);
             return;
         }
         self.server_dedup_hits += 1;
-        if chunk.stored_len < entry.stored_len {
-            self.physical_bytes -= entry.stored_len - chunk.stored_len;
-            entry.stored_len = chunk.stored_len;
-            entry.plain_len = chunk.plain_len;
+        if len.stored < entry.len.stored {
+            self.physical_bytes -= u64::from(entry.len.stored - len.stored);
+            entry.len = len;
+        }
+    }
+
+    /// Refuses a write that would give user `slot` a version past
+    /// `u32::MAX`.
+    fn version_room(&self, slot: u32) -> Result<(), StoreError> {
+        match self.records[slot as usize].next_version {
+            u32::MAX => Err(StoreError::Version),
+            _ => Ok(()),
         }
     }
 
     /// Counts one live-manifest reference per occurrence in `hashes`, all
-    /// of which user `slot` must hold, and returns their ids.
-    fn reference(&mut self, slot: u32, hashes: &[ContentHash]) -> ChunkList {
-        let record = &self.records[slot as usize];
+    /// of which user `slot` must hold, and returns their ids. A count past
+    /// its width is refused with nothing changed.
+    fn reference(&mut self, slot: u32, hashes: &[ContentHash]) -> Result<ChunkRef, StoreError> {
+        let (chunks, record) = (&self.chunks, &mut self.records[slot as usize]);
         let held = |hash: &ContentHash| {
-            (self.chunks.find(hash))
+            (chunks.find(hash))
                 .filter(|&id| record.find_held(id).is_ok())
                 .unwrap_or_else(|| panic!("manifest references unknown chunk {hash}"))
         };
-        let chunks = match hashes {
-            [hash] => ChunkList::One(held(hash)),
-            _ => ChunkList::Many(hashes.iter().map(held).collect()),
-        };
-        let record = &mut self.records[slot as usize];
-        for &id in chunks.as_slice() {
-            let held = record.held_mut(id).expect("checked above");
-            held.refs = held.refs.checked_add(1).expect("fewer than u32::MAX live references");
+        match hashes {
+            [hash] => {
+                let id = held(hash);
+                record.reference(&[id])?;
+                Ok(ChunkRef::One(id))
+            }
+            _ => {
+                let ids: Box<[ChunkId]> = hashes.iter().map(held).collect();
+                record.reference(&ids)?;
+                Ok(self.lists.add(ids))
+            }
         }
-        chunks
     }
 
     /// Publishes a manifest whose chunk references are already counted
-    /// ([`Tables::hold`] or [`Tables::reference`]): assigns the next
+    /// ([`Tables::hold`] or [`Tables::reference`]) and whose version the
+    /// caller made room for ([`Tables::version_room`]): assigns the next
     /// version and creates or replaces the path, releasing a replaced
     /// revision's references logically. Returns the version.
-    fn publish(&mut self, slot: u32, path: PathId, size: u64, chunks: ChunkList) -> u64 {
+    fn publish(&mut self, slot: u32, path: PathId, size: u64, chunks: ChunkRef) -> u64 {
         let record = &mut self.records[slot as usize];
         record.next_version += 1;
         let version = record.next_version;
         record.logical_bytes += size;
-        let entry = FileEntry { size, version, chunks };
+        let entry = FileEntry { path, version, size, chunks };
         match record.find_file(path) {
-            Err(at) => insert_row(&mut record.files, at, (path, entry), self.files_capacity),
+            Err(at) => insert_row(&mut record.files, at, entry, self.files_capacity),
             Ok(at) => {
-                let replaced = std::mem::replace(&mut record.files[at].1, entry);
+                let replaced = std::mem::replace(&mut record.files[at], entry);
                 record.logical_bytes -= replaced.size;
-                for &id in replaced.chunks.as_slice() {
+                for &id in self.lists.ids(&replaced.chunks) {
                     if let Some(held) = record.held_mut(id) {
-                        held.refs = held.refs.saturating_sub(1);
+                        held.drop_ref();
                         // The supersede retention promise of `commit_manifest`
                         // outlives any later re-reference: mark the chunk so a
                         // subsequent delete_manifest keeps it.
-                        held.retained |= held.refs == 0;
+                        if held.refs() == 0 {
+                            held.retain();
+                        }
                     }
                 }
+                self.lists.remove(replaced.chunks);
             }
         }
-        version
+        u64::from(version)
     }
 
     /// Removes a live manifest from the user's rows and logical bytes.
-    /// Chunk references are the caller's business.
+    /// Chunk references, and the id list of a manifest of many chunks, are
+    /// the caller's business.
     fn remove_file(&mut self, slot: u32, path: PathId) -> Option<FileEntry> {
         let record = &mut self.records[slot as usize];
-        let (_, entry) = record.files.remove(record.find_file(path).ok()?);
+        let entry = record.files.remove(record.find_file(path).ok()?);
         record.logical_bytes -= entry.size;
         Some(entry)
     }
@@ -1349,7 +1564,7 @@ impl Tables {
             let entry = self.chunks.entry_mut(id);
             entry.owners = entry.owners.saturating_sub(1);
             if entry.owners == 0 && policy == GcPolicy::Eager {
-                let freed = entry.stored_len;
+                let freed = u64::from(entry.len.stored);
                 self.chunks.free(id);
                 self.account_freed(1, freed);
             }
@@ -1374,7 +1589,7 @@ mod tests {
     /// Number of distinct users that committed a given chunk.
     fn owners(store: &ObjectStore, hash: &ContentHash) -> u64 {
         let tables = store.read();
-        tables.chunks.find(hash).map_or(0, |id| tables.chunks.entry(id).owners)
+        tables.chunks.find(hash).map_or(0, |id| u64::from(tables.chunks.entry(id).owners))
     }
 
     fn stored(data: &[u8]) -> StoredChunk {
@@ -1892,11 +2107,13 @@ mod tests {
         // of its two lists and its private chunks' entries, each with two
         // index slots or fewer; a field added to one of them is paid a
         // million times over.
-        assert!(size_of::<(ChunkId, UserChunk)>() <= 32);
-        assert!(size_of::<(PathId, FileEntry)>() <= 40);
+        assert!(size_of::<(ChunkId, UserChunk)>() <= 16);
+        assert!(size_of::<FileEntry>() <= 24);
         assert!(size_of::<UserRecord>() <= 64);
-        assert!(size_of::<ChunkEntry>() <= 72);
+        assert!(size_of::<ChunkEntry>() <= 44);
         assert!(size_of::<Slot>() <= 8);
+        // The inline id or list handle a file row carries.
+        assert!(size_of::<ChunkRef>() <= 8);
     }
 
     #[test]
@@ -1915,8 +2132,189 @@ mod tests {
         assert_eq!(names.intern("second"), Some(1));
         assert_eq!(names.intern("first"), Some(0), "a known name needs no new id");
         assert_eq!((names.len(), names.name(0), names.name(1)), (2, "first", "second"));
-        let err = IdSpaceExhausted { what: "user" }.to_string();
-        assert!(err.contains("user") && err.contains("u32"), "got: {err}");
+        let err = StoreError::UserId.to_string();
+        assert_eq!(err, "the store cannot hold a user id past 4294967294");
+        for (error, what) in [(StoreError::PathId, "path id"), (StoreError::ChunkId, "chunk id")] {
+            assert!(error.to_string().contains(what), "got: {error}");
+        }
+    }
+
+    /// Runs `write`, which must panic, and returns its message.
+    fn panic_of(write: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(write))
+            .expect_err("the write panics");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn lengths_past_u32_are_refused_not_truncated() {
+        let most = u64::from(u32::MAX);
+        let chunk = |stored_len: u64, plain_len: u64| StoredChunk {
+            hash: sha256(&stored_len.to_le_bytes()),
+            stored_len,
+            plain_len,
+        };
+        assert_eq!(
+            Lengths::of(&chunk(most, most)),
+            Ok(Lengths { stored: u32::MAX, plain: u32::MAX })
+        );
+        assert_eq!(Lengths::of(&chunk(most + 1, 1)), Err(StoreError::Length(most + 1)));
+        assert_eq!(Lengths::of(&chunk(1, u64::MAX)), Err(StoreError::Length(u64::MAX)));
+        assert_eq!(
+            StoreError::Length(most + 1).to_string(),
+            "the store cannot hold a chunk length of 4294967296 bytes: its limit is 4294967295 bytes"
+        );
+
+        // At the limit a chunk is kept and read back whole.
+        let store = ObjectStore::new();
+        let widest = chunk(most, most);
+        assert!(store.put_chunk("ann", widest.clone()));
+        assert_eq!(store.chunk("ann", &widest.hash), Some(widest.clone()));
+        assert_eq!(store.aggregate().physical_bytes, most);
+        let path = store.intern_path("wide.bin").unwrap();
+        let ann = store.intern_user("ann").unwrap();
+        assert_eq!(store.writer().commit_files_by_id(ann, &[(path, widest.clone())]), Ok(1));
+        assert_eq!(store.manifest("ann", "wide.bin").unwrap().size, most);
+
+        // One byte past it, every write path refuses before it changes
+        // anything: the batch with an error, the `&str` puts by panicking.
+        let before = observe_store_over(&store, &[widest.hash]);
+        for past in [chunk(most + 1, 1), chunk(1, most + 1)] {
+            let len = past.stored_len.max(past.plain_len);
+            assert_eq!(
+                store.writer().commit_files_by_id(ann, &[(path, past.clone())]),
+                Err(StoreError::Length(len))
+            );
+            let message = panic_of(|| {
+                store.put_chunk("bob", past.clone());
+            });
+            assert_eq!(message, StoreError::Length(len).to_string());
+            // An empty payload, so that only the stored length is too long.
+            let message = panic_of(|| {
+                let past = StoredChunk { stored_len: most + 1, plain_len: 0, ..past.clone() };
+                store.put_chunk_with_payload("bob", past, &[]);
+            });
+            assert_eq!(message, StoreError::Length(most + 1).to_string());
+            assert!(!store.has_chunk_globally(&past.hash));
+            assert_eq!(observe_store_over(&store, &[widest.hash]), before);
+        }
+        // A refused file ends its batch; the files before it are written.
+        let (first, past) = (stored(b"written first"), chunk(most + 1, 1));
+        assert_eq!(
+            store.writer().commit_files_by_id(ann, &[(path, first.clone()), (path, past)]),
+            Err(StoreError::Length(most + 1))
+        );
+        assert_eq!(store.manifest("ann", "wide.bin").unwrap().chunks, [first.hash]);
+        assert_rows_sorted(&store);
+    }
+
+    /// The held row of `hash` for `user`.
+    fn held_row<T>(
+        store: &ObjectStore,
+        user: &str,
+        hash: &ContentHash,
+        f: impl FnOnce(&mut UserChunk) -> T,
+    ) -> T {
+        let mut tables = store.write();
+        let (slot, id) = (tables.user(user).unwrap(), tables.chunks.find(hash).unwrap());
+        f(tables.records[slot as usize].held_mut(id).unwrap())
+    }
+
+    #[test]
+    fn references_past_31_bits_are_refused_and_keep_the_retained_mark() {
+        for retained in [false, true] {
+            let mut held = UserChunk { len: Lengths { stored: 1, plain: 1 }, refs: MAX_REFS - 1 };
+            if retained {
+                held.retain();
+            }
+            assert_eq!(held.add_refs(1), Ok(()));
+            assert_eq!((held.refs(), held.retained()), (MAX_REFS, retained));
+            assert_eq!(held.add_refs(1), Err(StoreError::References));
+            assert_eq!(held.add_refs(u32::MAX), Err(StoreError::References));
+            assert_eq!((held.refs(), held.retained()), (MAX_REFS, retained));
+            held.drop_ref();
+            assert_eq!((held.refs(), held.retained()), (MAX_REFS - 1, retained));
+        }
+        assert_eq!(
+            StoreError::References.to_string(),
+            "the store cannot hold a reference count past 2147483647"
+        );
+
+        // Through the store: a superseded chunk carries the retention mark,
+        // and its count is set just below the limit.
+        let store = ObjectStore::new();
+        let (a, b) = (stored(b"referenced to the limit"), stored(b"referenced once"));
+        store.put_chunk("ann", a.clone());
+        store.put_chunk("ann", b.clone());
+        store.commit_manifest("ann", manifest_for("doc.bin", &[&a]));
+        store.commit_manifest("ann", manifest_for("doc.bin", &[&b]));
+        held_row(&store, "ann", &a.hash, |held| {
+            assert_eq!((held.refs(), held.retained()), (0, true));
+            held.refs = RETAINED | (MAX_REFS - 1);
+        });
+        // The last reference the row holds is taken…
+        assert_eq!(store.commit_manifest("ann", manifest_for("one.bin", &[&a])), 3);
+        held_row(&store, "ann", &a.hash, |held| {
+            assert_eq!((held.refs(), held.retained()), (MAX_REFS, true))
+        });
+        // …and one more is refused by every write path, with nothing
+        // changed: not the count, not the mark, not the chunk counted
+        // before it in the same manifest.
+        let hashes = [a.hash, b.hash];
+        let before = observe_store_over(&store, &hashes);
+        let message = panic_of(|| {
+            store.commit_manifest("ann", manifest_for("two.bin", &[&b, &a]));
+        });
+        assert_eq!(message, StoreError::References.to_string());
+        let two = store.intern_path("two.bin").unwrap();
+        let ann = store.intern_user("ann").unwrap();
+        assert_eq!(
+            store.writer().commit_files_by_id(ann, &[(two, a.clone())]),
+            Err(StoreError::References)
+        );
+        assert_eq!(observe_store_over(&store, &hashes), before);
+        held_row(&store, "ann", &a.hash, |held| {
+            assert_eq!((held.refs(), held.retained()), (MAX_REFS, true))
+        });
+        held_row(&store, "ann", &b.hash, |held| assert_eq!(held.refs(), 1));
+        assert_eq!(store.manifest("ann", "two.bin"), None);
+        assert_rows_sorted(&store);
+    }
+
+    #[test]
+    fn versions_past_u32_are_refused() {
+        let store = ObjectStore::new();
+        let (a, b) = (stored(b"the last version"), stored(b"one version too many"));
+        let ann = store.intern_user("ann").unwrap();
+        let path = store.intern_path("doc.bin").unwrap();
+        store.write().records[ann.0 as usize].next_version = u32::MAX - 1;
+        // The last version is handed out, and read back at full width…
+        assert_eq!(
+            store.writer().commit_files_by_id(ann, &[(path, a.clone())]),
+            Ok(u64::from(u32::MAX))
+        );
+        assert_eq!(store.manifest("ann", "doc.bin").unwrap().version, u64::from(u32::MAX));
+        // …and the next is refused by both write paths, with nothing
+        // changed.
+        let before = observe_store_over(&store, &[a.hash, b.hash]);
+        assert_eq!(
+            store.writer().commit_files_by_id(ann, &[(path, b.clone())]),
+            Err(StoreError::Version)
+        );
+        store.put_chunk("ann", b.clone());
+        let after_put = observe_store_over(&store, &[a.hash, b.hash]);
+        let message = panic_of(|| {
+            store.commit_manifest("ann", manifest_for("doc.bin", &[&b]));
+        });
+        assert_eq!(message, "the store cannot hold a version past 4294967295");
+        assert_eq!(observe_store_over(&store, &[a.hash, b.hash]), after_put);
+        assert_eq!(before.aggregate.files, after_put.aggregate.files);
+        assert_eq!(store.manifest("ann", "doc.bin").unwrap().chunks, [a.hash]);
+        assert_rows_sorted(&store);
     }
 
     #[test]
@@ -1940,7 +2338,7 @@ mod tests {
                             })
                             .collect();
                         let user = store.intern_user(&format!("u{t}")).unwrap();
-                        store.writer().commit_files_by_id(user, &files);
+                        store.writer().commit_files_by_id(user, &files).unwrap();
                         files.into_iter().map(|(id, _)| id).collect()
                     })
                 })
@@ -1983,10 +2381,10 @@ mod tests {
             by_name.put_chunk("alice", chunk.clone());
             version = by_name.commit_manifest("alice", manifest_for(path, &[chunk]));
         }
-        assert_eq!(by_id.writer().commit_files_by_id(alice, &batch), version);
+        assert_eq!(by_id.writer().commit_files_by_id(alice, &batch), Ok(version));
         assert_eq!(version, 3);
         // The empty batch writes nothing and reports where the counter is.
-        assert_eq!(by_id.writer().commit_files_by_id(alice, &[]), version);
+        assert_eq!(by_id.writer().commit_files_by_id(alice, &[]), Ok(version));
 
         assert_eq!(by_id.aggregate(), by_name.aggregate());
         assert_eq!(by_id.stats("alice"), by_name.stats("alice"));
@@ -2025,7 +2423,7 @@ mod tests {
         let through = |user: UserId| {
             let mut writer = store.writer();
             for files in &commits {
-                writer.commit_files_by_id(user, files);
+                writer.commit_files_by_id(user, files).unwrap();
             }
         };
         // Every chunk new to the user, or every one held already: one lock.
@@ -2034,7 +2432,7 @@ mod tests {
         // A writer per commit: one each.
         let per_commit = || {
             for files in &commits {
-                store.writer().commit_files_by_id(bob, files);
+                store.writer().commit_files_by_id(bob, files).unwrap();
             }
         };
         assert_eq!(locks_of(&per_commit), N as u64);
@@ -2308,16 +2706,32 @@ mod tests {
     /// id, path id): what the bisections rest on, and no key is there
     /// twice. The ids are whole too: a held id is an owned entry, a live
     /// manifest's are held, and the index holds each live entry once, in a
-    /// slot its hash's probe reaches, at most half full.
+    /// slot its hash's probe reaches, at most half full. Each id list is
+    /// named by one live manifest or free, and no freed id has a payload.
     fn assert_rows_sorted(store: &ObjectStore) {
         let tables = store.read();
         let chunks = &tables.chunks;
         let indexed = |id: ChunkId| chunks.find(&chunks.entry(id).hash) == Some(id);
+        let mut handles: Vec<u32> = (tables.records.iter().flat_map(|record| &record.files))
+            .filter_map(|file| match file.chunks {
+                ChunkRef::Many(handle) => Some(handle),
+                ChunkRef::One(_) => None,
+            })
+            .chain(tables.lists.free.iter().copied())
+            .collect();
+        handles.sort_unstable();
+        assert_eq!(handles, (0..tables.lists.lists.len() as u32).collect::<Vec<_>>());
+        assert!(tables
+            .lists
+            .free
+            .iter()
+            .all(|&handle| tables.lists.lists[handle as usize].is_empty()));
+        assert!(chunks.free.iter().all(|&id| chunks.payload(id).is_none()));
         for record in &tables.records {
             assert!(record.held.windows(2).all(|pair| pair[0].0 < pair[1].0));
-            assert!(record.files.windows(2).all(|pair| pair[0].0 .0 < pair[1].0 .0));
+            assert!(record.files.windows(2).all(|pair| pair[0].path.0 < pair[1].path.0));
             assert!(record.held.iter().all(|&(id, _)| indexed(id) && chunks.entry(id).owners > 0));
-            let listed = record.files.iter().flat_map(|(_, file)| file.chunks.as_slice());
+            let listed = record.files.iter().flat_map(|file| tables.lists.ids(&file.chunks));
             assert!(listed.copied().all(|id| record.find_held(id).is_ok()));
         }
         let mut live: Vec<ChunkId> = chunks.index.ids().map(ChunkId).collect();
@@ -2378,7 +2792,7 @@ mod tests {
                 model.commit("ann", one(path_of(i), &chunk)).unwrap();
                 batch.push((store.intern_path(&path_of(i)).unwrap(), chunk));
             }
-            let version = store.writer().commit_files_by_id(ann, &batch);
+            let version = store.writer().commit_files_by_id(ann, &batch).unwrap();
             assert_eq!(version, model.users["ann"].next_version);
         }
         assert_eq!(store.stats("ann").chunks, FILES as usize);
@@ -2737,7 +3151,7 @@ mod tests {
                         let id = store.intern_user(user).unwrap();
                         prop_assert_eq!(
                             store.writer().commit_files_by_id(id, &files),
-                            model.users.get(user).map_or(0, |ns| ns.next_version)
+                            Ok(model.users.get(user).map_or(0, |ns| ns.next_version))
                         );
                     }
                 }
@@ -2795,7 +3209,7 @@ mod tests {
                             files.push((store.intern_path(path).unwrap(), chunk));
                         }
                         let id = store.intern_user(user).unwrap();
-                        prop_assert_eq!(store.writer().commit_files_by_id(id, &files), model.users[user].next_version);
+                        prop_assert_eq!(store.writer().commit_files_by_id(id, &files), Ok(model.users[user].next_version));
                     }
                 }
                 prop_assert_eq!((step, observe_store_over(&store, &hashes)), (step, observe_model_over(&model, &hashes)));
@@ -2865,9 +3279,9 @@ mod tests {
                     let batches = batches_of(words, store);
                     let versions: Vec<u64> = if one_writer {
                         let mut writer = store.writer();
-                        batches.iter().map(|(user, files)| writer.commit_files_by_id(*user, files)).collect()
+                        batches.iter().map(|(user, files)| writer.commit_files_by_id(*user, files).unwrap()).collect()
                     } else {
-                        batches.iter().map(|(user, files)| store.writer().commit_files_by_id(*user, files)).collect()
+                        batches.iter().map(|(user, files)| store.writer().commit_files_by_id(*user, files).unwrap()).collect()
                     };
                     for user in &users {
                         for hash in &hashes {
@@ -2919,7 +3333,7 @@ mod tests {
                     let user = store.intern_user(USERS[field(8, 3)]).unwrap();
                     let path = store.intern_path(PATHS[field(16, 3)]).unwrap();
                     let chunk = variant_of(&data[field(24, 4)], (word >> 40) % 3);
-                    store.writer().commit_files_by_id(user, &[(path, chunk)]);
+                    store.writer().commit_files_by_id(user, &[(path, chunk)]).unwrap();
                     if word % 5 == 0 {
                         store.delete_manifest(USERS[field(8, 3)], PATHS[field(32, 3)]);
                     }

@@ -47,8 +47,8 @@ pub mod time;
 #[doc(hidden)]
 pub mod perf_pins;
 
-pub use capture::{Trace, TraceShard, TraceView, SHARD_FLOW_SPAN};
-pub use flow::{FlowId, FlowKind, FlowStats, FlowTable};
+pub use capture::{Trace, TraceShard, TraceView};
+pub use flow::{FlowId, FlowKind, FlowTable};
 pub use hist::{HistogramSummary, LatencyHistogram};
 pub use packet::{Direction, Endpoint, PacketRecord, TcpFlags, TransportProtocol};
 pub use time::{SimDuration, SimTime};

@@ -32,4 +32,3 @@ pub mod seed;
 pub use batch::{BatchSpec, GeneratedFile};
 pub use generator::{generate, FileKind};
 pub use mutate::Mutation;
-pub use seed::{derive_seed, unit_f64};

@@ -1210,6 +1210,85 @@ fn every_public_enum_variant_is_built() {
 }
 
 // ---------------------------------------------------------------------------
+// A crate root re-exports only what code reaches through it
+// ---------------------------------------------------------------------------
+
+/// The leaves a crate root re-exports — `pub use path::Leaf;`, each name
+/// of a `pub use path::{A, B as C};` group (`A`, `C`) — as tokens.
+fn root_reexports<'a>(toks: &[Tok<'a>]) -> Vec<Tok<'a>> {
+    let mut leaves = Vec::new();
+    for i in (0..toks.len()).filter(|&i| seq(toks, i, &["pub", "use"])) {
+        let end = (i..toks.len()).find(|&j| toks[j].is(";")).unwrap_or(toks.len());
+        for j in i + 2..end {
+            let next = toks.get(j + 1).map_or("", |t| t.text);
+            if toks[j].kind == Kind::Ident && !toks[j].is("self") && matches!(next, "," | "}" | ";")
+            {
+                leaves.push(toks[j]);
+            }
+        }
+    }
+    leaves
+}
+
+/// The names `toks` reaches through the root `root` names (a crate, or
+/// `crate` inside it): `root::Name…`, and the first segment of each tree of
+/// a `root::{…}` group.
+fn named_through<'a>(toks: &[Tok<'a>], root: &str, into: &mut BTreeSet<&'a str>) {
+    for i in (0..toks.len()).filter(|&i| seq(toks, i, &[root, "::"])) {
+        let Some(next) = toks.get(i + 2) else { continue };
+        if next.kind == Kind::Ident {
+            into.insert(next.text);
+        } else if next.is("{") {
+            let end = close(toks, i + 2);
+            let parent = parents(&toks[i + 2..end]);
+            for (k, t) in toks[i + 3..end].iter().enumerate() {
+                let first = matches!(toks[i + 2 + k].text, "{" | ",") && parent[k + 1] == Some(0);
+                if t.kind == Kind::Ident && first {
+                    into.insert(t.text);
+                }
+            }
+        }
+    }
+}
+
+/// `path:line: Name` for every leaf a crate root (`crates/*/src/lib.rs`,
+/// with the crate's name as code writes it) re-exports that no code names
+/// through that root: other code by the crate's name, the crate's own
+/// library code by `crate::`. A re-export nothing reaches only widens the
+/// root; the item stays at its module path.
+fn unreached_reexports(roots: &[(String, &Lexed)], code: &[&Lexed]) -> Vec<String> {
+    let mut found = Vec::new();
+    for (krate, root) in roots {
+        let own = root.src.path.trim_end_matches("lib.rs");
+        let mut named = BTreeSet::new();
+        for Lexed { src, toks } in code {
+            let via = if src.path.starts_with(own) { "crate" } else { krate.as_str() };
+            named_through(toks, via, &mut named);
+        }
+        for leaf in root_reexports(&root.toks) {
+            if !named.contains(leaf.text) {
+                found.push(format!("{}: pub use {}", root.src.at(leaf.line), leaf.text));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn every_root_reexport_is_named_through_the_root() {
+    let libs = lexed_libs();
+    let roots: Vec<(String, &Lexed)> = (libs.iter())
+        .filter(|l| l.src.path.starts_with("crates/") && l.src.path.ends_with("/src/lib.rs"))
+        .map(|l| (crate_name(&l.src.path), l))
+        .collect();
+    let code: Vec<&Lexed> = libs.iter().chain(lexed_users()).collect();
+    assert_none(
+        "crate-root re-exports nothing names through the crate root",
+        unreached_reexports(&roots, &code),
+    );
+}
+
+// ---------------------------------------------------------------------------
 // What only perf/ calls stays fenced
 // ---------------------------------------------------------------------------
 
@@ -1478,7 +1557,7 @@ fn docs_name_only_paths_that_exist() {
 /// (history belongs in CHANGES.md and git). A change may lower a ceiling,
 /// never raise it.
 const DOC_CEILINGS: [(&str, usize, usize); 3] = [
-    ("README.md", 757, 0),
+    ("README.md", 749, 0),
     ("docs/ARCHITECTURE.md", 1_100, 11),
     (".claude/skills/verify/SKILL.md", 219, 0),
 ];
@@ -1738,6 +1817,31 @@ fn each_invariant_rejects_its_fixture() {
             "crates/services/src/s.rs:5: library code uses perf_pins",
             "crates/services/src/s.rs:5: library code uses run_scale",
             "crates/services/src/s.rs:6: library code uses UploadPipeline",
+        ]
+    );
+
+    // Reached through the root: `ObjectStore` in a group, `Chunk` by the
+    // crate's own `crate::`, `Pinned` by path. `GcStats` is named only at
+    // its module path and by another crate's `crate::`, `Renamed` never.
+    let root = one(
+        "crates/storage/src/lib.rs",
+        "pub use store::{ObjectStore, Inner as Renamed, GcStats};\npub use chunker::Chunk;\n#[doc(hidden)]\npub use perf_pins::Pinned;",
+    );
+    let other = one(
+        "crates/services/src/s.rs",
+        "use cloudsim_storage::{ObjectStore, store::{GcStats, Inner}};\nfn f() -> cloudsim_storage::Pinned { todo!() }",
+    );
+    let own = one("crates/storage/src/x.rs", "fn g(c: crate::Chunk) {}");
+    let elsewhere = one("crates/core/src/y.rs", "fn h() -> crate::GcStats { todo!() }");
+    let (root, code) = (lexed_lib(&root), [&other, &own, &elsewhere].map(lexed_lib));
+    assert_eq!(
+        unreached_reexports(
+            &[("cloudsim_storage".into(), &root)],
+            &code.iter().collect::<Vec<_>>()
+        ),
+        [
+            "crates/storage/src/lib.rs:1: pub use Renamed",
+            "crates/storage/src/lib.rs:1: pub use GcStats"
         ]
     );
 
