@@ -1030,6 +1030,45 @@ mod tests {
         assert_eq!(parse_capture(&render_capture(&spec)).unwrap(), capture);
     }
 
+    /// A valid capture whose instants and content seeds (and header seed)
+    /// hit every decimal-width edge a `u64` has.
+    fn edge_capture() -> FleetCapture {
+        const E18: u64 = 10u64.pow(18);
+        const EDGES: [u64; 9] = [0, 9, 10, 99, 100, E18 - 1, 10 * E18 - 1, 10 * E18, u64::MAX];
+        let mut capture = capture_of_spec(&ScaleSpec::new(5).with_seed(u64::MAX));
+        for (i, ev) in capture.events.iter_mut().enumerate() {
+            ev.at = SimTime::from_micros(EDGES[i % EDGES.len()]);
+            for (f, seed) in ev.content_seeds.iter_mut().enumerate() {
+                *seed = EDGES[(i + f) % EDGES.len()];
+            }
+        }
+        capture
+    }
+
+    /// The rendered bytes of a whole-run capture, of a slice of it (whose
+    /// header carries `client_base`) and of [`edge_capture`], as the
+    /// writer produced them before it was rewritten for speed.
+    fn golden_captures() -> [(FleetCapture, &'static str); 3] {
+        let whole = capture_of_spec(&small_spec());
+        let slice = slice_capture(&whole, &[(0, 16), (16, 48)]).unwrap().swap_remove(1);
+        [
+            (whole, include_str!("../tests/golden/capture_48.jsonl")),
+            (slice, include_str!("../tests/golden/capture_48_slice_16.jsonl")),
+            (edge_capture(), include_str!("../tests/golden/capture_edges.jsonl")),
+        ]
+    }
+
+    #[test]
+    fn rendered_captures_match_their_golden_bytes() {
+        for (capture, golden) in golden_captures() {
+            let rendered = render_fleet_capture(&capture);
+            let first_diff = rendered.lines().zip(golden.lines()).position(|(a, b)| a != b);
+            assert!(rendered == golden, "line {first_diff:?} differs from the golden capture");
+            assert_eq!(parse_capture(golden).as_ref(), Ok(&capture));
+        }
+        assert_eq!(render_capture(&small_spec()), golden_captures()[0].1);
+    }
+
     #[test]
     fn slices_roundtrip_through_text_and_merge_back() {
         let spec = small_spec();
