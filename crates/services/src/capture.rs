@@ -249,23 +249,26 @@ impl FleetCapture {
 /// plus one [`CaptureEvent`] per commit in event-heap order. Pure function
 /// of the spec — the recording *is* the run's input, bit for bit.
 pub fn capture_of_spec(spec: &ScaleSpec) -> FleetCapture {
-    spec.validate();
-    let batch_bytes = spec.files_per_commit as u64 * spec.file_size;
-    let shared_files = spec.shared_files_per_commit();
-    let mut events = Vec::with_capacity(spec.clients * spec.commits_per_client);
-    let mut heap = spec.events();
-    while let Some(ev) = heap.pop() {
-        events.push(CaptureEvent {
-            at: ev.at,
-            client: ev.client,
-            round: ev.round,
-            bytes: batch_bytes,
-            content_seeds: (0..spec.files_per_commit)
-                .map(|f| spec.content_seed(shared_files, ev.client, ev.round, f))
-                .collect(),
-        });
+    let (mut capture, lines) = lower(spec);
+    capture.events.reserve_exact(spec.clients * spec.commits_per_client);
+    for ((at, client, round, bytes), seeds) in lines {
+        let content_seeds = seeds.collect();
+        capture.events.push(CaptureEvent { at, client, round, bytes, content_seeds });
     }
-    FleetCapture {
+    capture
+}
+
+/// An event line's `t_us`, `client`, `round` and `bytes`.
+type Line = (SimTime, usize, usize, u64);
+
+/// The capture of `spec` without its events, and the events in event-heap
+/// order, each with its content seeds.
+fn lower(
+    spec: &ScaleSpec,
+) -> (FleetCapture, impl Iterator<Item = (Line, impl Iterator<Item = u64> + '_)>) {
+    spec.validate();
+    let shared_files = spec.shared_files_per_commit();
+    let header = FleetCapture {
         clients: spec.clients,
         client_base: 0,
         commits_per_client: spec.commits_per_client,
@@ -275,8 +278,16 @@ pub fn capture_of_spec(spec: &ScaleSpec) -> FleetCapture {
         horizon: ScaleSpec::HORIZON,
         link_names: ScaleSpec::LINKS.iter().map(|l| l.name.to_owned()).collect(),
         seed: spec.seed,
-        events,
-    }
+        events: Vec::new(),
+    };
+    let bytes = spec.files_per_commit as u64 * spec.file_size;
+    let mut heap = spec.events();
+    let lines = std::iter::from_fn(move || heap.pop()).map(move |ev| {
+        let seeds = (0..spec.files_per_commit)
+            .map(move |f| spec.content_seed(shared_files, ev.client, ev.round, f));
+        ((ev.at, ev.client, ev.round, bytes), seeds)
+    });
+    (header, lines)
 }
 
 /// Renders a capture (whole-run or slice) into the versioned JSONL text.
@@ -284,49 +295,104 @@ pub fn capture_of_spec(spec: &ScaleSpec) -> FleetCapture {
 /// whole-run capture renders byte-identically to captures written by
 /// builds that predate slicing.
 pub fn render_fleet_capture(capture: &FleetCapture) -> String {
-    let mut out = String::new();
-    let links: Vec<String> = capture.link_names.iter().map(|l| format!("\"{l}\"")).collect();
-    let base_field = if capture.client_base == 0 {
-        String::new()
-    } else {
-        format!("\"client_base\":{},", capture.client_base)
-    };
-    out.push_str(&format!(
-        "{{\"format\":\"{}\",\"version\":{},\"clients\":{},\"commits_per_client\":{},\
-         \"files_per_commit\":{},\"file_size\":{},\"shared_files_per_commit\":{},{}\
-         \"horizon_us\":{},\"seed\":{},\"links\":[{}]}}\n",
-        CAPTURE_FORMAT,
-        CAPTURE_VERSION,
-        capture.clients,
-        capture.commits_per_client,
-        capture.files_per_commit,
-        capture.file_size,
-        capture.shared_files_per_commit,
-        base_field,
-        capture.horizon.as_micros(),
-        capture.seed,
-        links.join(",")
-    ));
-
-    for ev in &capture.events {
-        let seeds: Vec<String> = ev.content_seeds.iter().map(u64::to_string).collect();
-        out.push_str(&format!(
-            "{{\"t_us\":{},\"client\":{},\"op\":\"sync\",\"round\":{},\"bytes\":{},\"content\":[{}]}}\n",
-            ev.at.as_micros(),
-            ev.client,
-            ev.round,
-            ev.bytes,
-            seeds.join(",")
-        ));
-    }
-    out
+    let seeds = capture.events.iter().map(|ev| ev.content_seeds.len()).sum();
+    let lines = capture
+        .events
+        .iter()
+        .map(|ev| ((ev.at, ev.client, ev.round, ev.bytes), ev.content_seeds.iter().copied()));
+    render(capture, capture.events.len(), seeds, lines)
 }
 
 /// Renders the capture of the fleet-scale run `spec` describes: pure
 /// function of the spec, so capturing never requires running the fleet
-/// first — the recording *is* the run's input, bit for bit.
+/// first — the recording *is* the run's input, bit for bit. The text is
+/// [`render_fleet_capture`]'s of [`capture_of_spec`], written straight
+/// from the event heap without holding the events.
 pub fn render_capture(spec: &ScaleSpec) -> String {
-    render_fleet_capture(&capture_of_spec(spec))
+    let (header, lines) = lower(spec);
+    let events = spec.clients * spec.commits_per_client;
+    render(&header, events, events * spec.files_per_commit, lines)
+}
+
+/// The header line of `header`, then one line per event of `lines` —
+/// `events` lines with `seeds` content seeds in all — appended to one
+/// buffer, sized once for every integer at its full 20 digits, each
+/// written by [`push_decimal`]: nothing is allocated per line or value.
+fn render(
+    header: &FleetCapture,
+    events: usize,
+    seeds: usize,
+    lines: impl Iterator<Item = (Line, impl Iterator<Item = u64>)>,
+) -> String {
+    let mut out = Vec::new();
+    push_header(&mut out, header).expect("a Vec takes every byte");
+    out.reserve_exact(events * (MIN_EVENT_LINE + 4 * 19 + 1) + seeds * 21);
+    for ((at, client, round, bytes), seeds) in lines {
+        out.extend_from_slice(b"{\"t_us\":");
+        push_decimal(&mut out, at.as_micros());
+        out.extend_from_slice(b",\"client\":");
+        push_decimal(&mut out, client as u64);
+        out.extend_from_slice(b",\"op\":\"sync\",\"round\":");
+        push_decimal(&mut out, round as u64);
+        out.extend_from_slice(b",\"bytes\":");
+        push_decimal(&mut out, bytes);
+        out.extend_from_slice(b",\"content\":[");
+        for (f, seed) in seeds.enumerate() {
+            if f > 0 {
+                out.push(b',');
+            }
+            push_decimal(&mut out, seed);
+        }
+        out.extend_from_slice(b"]}\n");
+    }
+    String::from_utf8(out).expect("digits and punctuation around the header's UTF-8")
+}
+
+/// Appends the header line of `c`, written once per capture.
+fn push_header(out: &mut Vec<u8>, c: &FleetCapture) -> std::io::Result<()> {
+    use std::io::Write;
+    write!(
+        out,
+        "{{\"format\":\"{CAPTURE_FORMAT}\",\"version\":{CAPTURE_VERSION},\"clients\":{},\
+         \"commits_per_client\":{},\"files_per_commit\":{},\"file_size\":{},\
+         \"shared_files_per_commit\":{},",
+        c.clients, c.commits_per_client, c.files_per_commit, c.file_size, c.shared_files_per_commit
+    )?;
+    if c.client_base != 0 {
+        write!(out, "\"client_base\":{},", c.client_base)?;
+    }
+    write!(out, "\"horizon_us\":{},\"seed\":{},\"links\":[", c.horizon.as_micros(), c.seed)?;
+    for (i, name) in c.link_names.iter().enumerate() {
+        write!(out, "{}\"{name}\"", if i == 0 { "" } else { "," })?;
+    }
+    out.write_all(b"]}\n")
+}
+
+/// `"00"` through `"99"`: [`push_decimal`] writes two digits per step.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `value` in decimal, as `u64`'s `Display` writes it.
+fn push_decimal(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while value >= 10 {
+        let pair = (value % 100) as usize * 2;
+        value /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    // Left is the leading digit of an odd-length value, or 0: written for
+    // an odd length and for zero itself.
+    if value > 0 || at == digits.len() {
+        at -= 1;
+        digits[at] = b'0' + value as u8;
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Splits a capture into per-worker slices along `ranges` — capture-local,
@@ -560,22 +626,26 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Decimal digits, accumulated one by one with overflow checked.
+    /// Decimal digits: the whole run, its first 19 folded without a check
+    /// (no 19 digits pass `u64::MAX`) and only the digits past them checked
+    /// for overflow, so a zero-padded value of any length still reads.
     fn integer(&mut self, key: &str) -> Result<u64, String> {
-        let start = self.at;
-        let mut value = 0u64;
-        while let Some(digit @ b'0'..=b'9') = self.peek() {
-            value = value
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(digit - b'0')))
-                .ok_or_else(|| {
+        let (mut value, mut len) = (0u64, 0);
+        for digit in self.line.as_bytes()[self.at..].iter().take_while(|b| b.is_ascii_digit()) {
+            let digit = u64::from(digit - b'0');
+            value = if len < 19 {
+                value * 10 + digit
+            } else {
+                value.checked_mul(10).and_then(|v| v.checked_add(digit)).ok_or_else(|| {
                     self.fail(format_args!("field \"{key}\" is not an integer (too large)"))
-                })?;
-            self.at += 1;
+                })?
+            };
+            len += 1;
         }
-        if self.at == start {
+        if len == 0 {
             return Err(self.unexpected(key, "is not an integer"));
         }
+        self.at += len;
         Ok(value)
     }
 
@@ -1019,6 +1089,39 @@ mod tests {
         assert!(twice.validate().is_ok());
         let err = replay_capture(&twice, &ReplayMix::Original).unwrap_err();
         assert!(err.contains("more than once"), "got: {err}");
+    }
+
+    #[test]
+    fn instants_at_the_clock_edges_replay_or_are_refused_by_name() {
+        use crate::partition::replay_partitioned;
+
+        let good = capture_of_spec(&ScaleSpec::new(3).with_seed(9));
+        let with_late_event = |micros: u64| {
+            let mut capture = good.clone();
+            capture.events[4].at = SimTime::from_micros(micros);
+            parse_capture(&render_fleet_capture(&capture)).expect("a valid capture")
+        };
+        // The histogram's 2^42 µs ceiling, the sign bit, and as late as the
+        // commits still fit before the clock's end.
+        for micros in [(1 << 42) - 1, 1 << 42, 1 << 63, u64::MAX - 10_000_000_000] {
+            let capture = with_late_event(micros);
+            let run = replay_capture(&capture, &ReplayMix::Original).expect("replays");
+            let partitioned = replay_partitioned(&capture, 2).expect("replays in partitions").run;
+            assert_eq!(partitioned.intervals, run.intervals, "t_us {micros}");
+            let hist = run.transfer_histogram().summary();
+            assert_eq!(hist.count, run.commits);
+            assert!([hist.p50_s, hist.p99_s, hist.p999_s].iter().all(|s| s.is_finite()));
+            assert!(run.commits_per_vsec().is_finite() && run.commits_per_vsec() > 0.0);
+            assert_eq!(run.load_curve(12).iter().sum::<u64>(), run.commits);
+            assert_eq!(partitioned.load_curve(12), run.load_curve(12));
+        }
+        // A transfer that would end past u64::MAX µs: the clock check's
+        // refusal on both paths.
+        let capture = with_late_event(u64::MAX - 1);
+        let err = replay_capture(&capture, &ReplayMix::Original).unwrap_err();
+        assert!(err.contains("t_us 18446744073709551614") && err.contains("u64 µs"), "{err}");
+        let partitioned = replay_partitioned(&capture, 2).map(drop).unwrap_err();
+        assert!(partitioned.contains(&err), "{partitioned}");
     }
 
     #[test]
@@ -1588,6 +1691,63 @@ mod tests {
                         let err =
                             check_against_v1(&with_line(&text, index, &huge), &huge, Expect::Same)
                                 .unwrap_err();
+                        assert!(err.contains("is not an integer (too large)"), "got: {err}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `line` with the value that follows `marker` (up to the next `,` or
+    /// `]`) replaced by `value`.
+    fn with_value(line: &str, marker: &str, value: &str) -> String {
+        let start = line.find(marker).expect("the marker") + marker.len();
+        let end = start + line[start..].find([',', ']']).expect("a delimiter");
+        format!("{}{value}{}", &line[..start], &line[end..])
+    }
+
+    #[test]
+    fn integers_at_the_edges_of_u64() {
+        let read = [
+            ("1000000000000000000", 1_000_000_000_000_000_000),
+            ("9999999999999999999", 9_999_999_999_999_999_999),
+            ("10000000000000000000", 10_000_000_000_000_000_000),
+            ("18446744073709551615", u64::MAX),
+            // Zero-padded past 20 digits: still the value, then as now.
+            ("0000000000000000000000000042", 42),
+            ("00000000000000000000018446744073709551615", u64::MAX),
+        ];
+        let refused = ["18446744073709551616", "99999999999999999999", "100000000000000000000"];
+        for (text, lines) in differential_bases() {
+            for index in lines {
+                let line = text.lines().nth(index).unwrap();
+                for marker in ["\"seed\":", "\"t_us\":", "\"content\":["] {
+                    if !line.contains(marker) {
+                        continue;
+                    }
+                    for (digits, value) in read {
+                        let edited = with_value(line, marker, digits);
+                        let capture = check_against_v1(
+                            &with_line(&text, index, &edited),
+                            &edited,
+                            Expect::Same,
+                        )
+                        .expect(&edited);
+                        let read = match marker {
+                            "\"seed\":" => capture.seed,
+                            "\"t_us\":" => capture.events[index - 1].at.as_micros(),
+                            _ => capture.events[index - 1].content_seeds[0],
+                        };
+                        assert_eq!(read, value, "{edited}");
+                    }
+                    for digits in refused {
+                        let edited = with_value(line, marker, digits);
+                        let err = check_against_v1(
+                            &with_line(&text, index, &edited),
+                            &edited,
+                            Expect::Same,
+                        )
+                        .unwrap_err();
                         assert!(err.contains("is not an integer (too large)"), "got: {err}");
                     }
                 }
