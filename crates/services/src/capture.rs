@@ -326,6 +326,8 @@ fn render(
 ) -> String {
     let mut out = Vec::new();
     push_header(&mut out, header).expect("a Vec takes every byte");
+    // The shortest line with its four integers widened to 20 digits, its
+    // newline, and 20 digits and a comma per seed.
     out.reserve_exact(events * (MIN_EVENT_LINE + 4 * 19 + 1) + seeds * 21);
     for ((at, client, round, bytes), seeds) in lines {
         out.extend_from_slice(b"{\"t_us\":");
@@ -1149,8 +1151,8 @@ mod tests {
     }
 
     /// The rendered bytes of a whole-run capture, of a slice of it (whose
-    /// header carries `client_base`) and of [`edge_capture`], as the
-    /// writer produced them before it was rewritten for speed.
+    /// header carries `client_base`) and of [`edge_capture`]: the oracle
+    /// both writers are held to, byte for byte.
     fn golden_captures() -> [(FleetCapture, &'static str); 3] {
         let whole = capture_of_spec(&small_spec());
         let slice = slice_capture(&whole, &[(0, 16), (16, 48)]).unwrap().swap_remove(1);
