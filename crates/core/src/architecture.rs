@@ -11,11 +11,10 @@ use cloudsim_geo::{
     AuthoritativeDns, GeolocationEstimate, HybridGeolocator, IpRegistry, Provider,
     ProviderTopology, ResolverFleet,
 };
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One discovered front-end address.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscoveredNode {
     /// The address, dotted-quad rendering.
     pub addr: String,
@@ -28,7 +27,7 @@ pub struct DiscoveredNode {
 }
 
 /// The discovery report for one provider.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchitectureReport {
     /// Which provider was surveyed.
     pub provider: String,

@@ -239,7 +239,7 @@ pub fn detect_delta_encoding(testbed: &Testbed, profile: &ServiceProfile) -> boo
 
 /// One point of the Fig. 4 series: file size vs. bytes uploaded after a
 /// modification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaPoint {
     /// Original file size in bytes.
     pub file_size: u64,
@@ -286,7 +286,7 @@ pub fn delta_encoding_series(
 
 /// One point of the Fig. 5 series: file size vs. bytes uploaded for a content
 /// type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionPoint {
     /// File size in bytes.
     pub file_size: u64,

@@ -12,11 +12,10 @@ use cloudsim_services::fleet::{run_fleet, FleetRun, FleetSpec};
 use cloudsim_services::ServiceProfile;
 use cloudsim_storage::ObjectStore;
 use cloudsim_trace::series::SampleStats;
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// One fleet size of the scaling suite.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetScalingRow {
     /// Number of concurrent clients.
     pub clients: usize,
@@ -55,7 +54,7 @@ impl FleetScalingRow {
 }
 
 /// The scaling suite: one row per fleet size.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetScalingSuite {
     /// The service the fleet ran.
     pub service: String,

@@ -19,7 +19,6 @@ use cloudsim_services::fleet::{run_fleet, FleetRun, FleetSpec};
 use cloudsim_services::{AccessLink, GcPolicy, ServiceProfile};
 use cloudsim_storage::ObjectStore;
 use cloudsim_trace::series::SampleStats;
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// The service mix of the canonical heterogeneous scenario, in slot order.
@@ -50,7 +49,7 @@ pub fn hetero_spec(clients: usize, seed: u64, gc: GcPolicy) -> FleetSpec {
 }
 
 /// Reclamation outcome of one GC policy on the same churning scenario.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GcPolicyRow {
     /// Stable policy label (`eager` / `mark_sweep`).
     pub policy: String,
@@ -67,7 +66,7 @@ pub struct GcPolicyRow {
 }
 
 /// The heterogeneous suite's results.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeteroSuite {
     /// Number of client slots.
     pub clients: usize,

@@ -9,10 +9,9 @@
 use crate::testbed::Testbed;
 use cloudsim_services::ServiceProfile;
 use cloudsim_trace::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// The Fig. 1 series for one service.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdleSeries {
     /// Service name.
     pub service: String,

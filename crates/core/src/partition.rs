@@ -27,11 +27,10 @@ use cloudsim_services::capture::FleetCapture;
 use cloudsim_services::partition::{replay_partitioned, run_partitioned, PartitionedRun};
 use cloudsim_services::scale::ScaleSpec;
 use cloudsim_trace::{series, LatencyHistogram, SimTime};
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// One partition's share of the run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionRow {
     /// The partition's index.
     pub index: usize,
@@ -49,7 +48,7 @@ pub struct PartitionRow {
 
 /// The partitioned fleet-scale suite: the merged run (identical to the
 /// unsliced [`FleetScaleSuite`]) plus what the split cost.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionSuite {
     /// Partitions the population was split into.
     pub partitions: usize,

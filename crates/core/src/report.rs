@@ -67,7 +67,7 @@ fn upload_series_body<P>(series: &[(String, Vec<P>)], sizes: impl Fn(&P) -> (u64
 }
 
 /// A rendered report section.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Section title (e.g. "Table 1").
     pub title: String,

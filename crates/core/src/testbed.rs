@@ -17,6 +17,7 @@ use cloudsim_net::Simulator;
 use cloudsim_services::{ServiceProfile, SizeMemo, SyncClient, SyncOutcome};
 use cloudsim_trace::analysis;
 use cloudsim_trace::{PacketRecord, SimDuration, SimTime};
+use cloudsim_workload::seed::derive;
 use cloudsim_workload::{BatchSpec, GeneratedFile};
 use std::sync::Arc;
 
@@ -92,13 +93,7 @@ impl Testbed {
 
     /// Derives the seed for repetition `rep` of an experiment labelled `label`.
     pub fn derived_seed(&self, label: u64, rep: u64) -> u64 {
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(label.wrapping_add(1)))
-            .wrapping_add(0xD1B54A32D192ED03u64.wrapping_mul(rep.wrapping_add(1)));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        derive(self.seed, &[label, rep])
     }
 
     /// Runs one batch-synchronisation experiment against a service.

@@ -11,10 +11,9 @@
 
 use crate::coords::{city_by_airport, GeoPoint};
 use crate::landmarks::LandmarkSet;
-use serde::Serialize;
 
 /// How an estimate was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeolocationMethod {
     /// An airport code embedded in the reverse-DNS name matched the catalogue.
     AirportCode,
@@ -23,7 +22,7 @@ pub enum GeolocationMethod {
 }
 
 /// The result of geolocating one address.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeolocationEstimate {
     /// Estimated location.
     pub location: GeoPoint,

@@ -9,12 +9,10 @@
 //! a small access/queueing floor).
 
 use crate::coords::{GeoPoint, WORLD_CITIES};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use cloudsim_workload::seed::Stream;
 
 /// One landmark probe host.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Landmark {
     /// Host name of the probe.
     pub name: String,
@@ -32,14 +30,13 @@ const FLOOR_MS: f64 = 1.5;
 /// Models the RTT in milliseconds between two points, with a deterministic
 /// multiplicative jitter drawn from `seed` (path inflation varies per pair).
 pub fn rtt_between(a: GeoPoint, b: GeoPoint, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
     let distance = a.distance_km(&b);
-    let inflation = rng.gen_range(1.0..1.35);
+    let inflation = Stream::new(seed).uniform(1.0, 1.35);
     FLOOR_MS + distance * MS_PER_KM * inflation
 }
 
 /// The full landmark set.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LandmarkSet {
     landmarks: Vec<Landmark>,
 }

@@ -20,10 +20,9 @@
 
 use crate::coords::{city_by_airport, GeoPoint, WORLD_CITIES};
 use crate::registry::{IpBlock, IpRegistry};
-use serde::Serialize;
 
 /// The five services studied in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Provider {
     /// Dropbox (v2.0.8 in the study).
     Dropbox,
@@ -60,7 +59,7 @@ impl Provider {
 }
 
 /// Role a server plays for its provider.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServerRole {
     /// Control only (login, metadata).
     Control,
@@ -75,7 +74,7 @@ pub enum ServerRole {
 }
 
 /// One server (or edge node) of a provider's infrastructure.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerNode {
     /// DNS name of the front end.
     pub dns_name: String,
@@ -94,7 +93,7 @@ pub struct ServerNode {
 }
 
 /// The full ground-truth topology of one provider.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProviderTopology {
     /// Which provider this is.
     pub provider: Provider,

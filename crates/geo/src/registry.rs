@@ -6,10 +6,8 @@
 //! addresses belong to Amazon while its control addresses belong to Dropbox
 //! itself, or that none of Wuala's data centres are owned by Wuala (§3.2).
 
-use serde::Serialize;
-
 /// One allocated address block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IpBlock {
     /// First address of the block (inclusive), host byte order.
     pub start: u32,
@@ -50,7 +48,7 @@ impl IpBlock {
 }
 
 /// The registry of all allocated blocks.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IpRegistry {
     blocks: Vec<IpBlock>,
 }

@@ -8,10 +8,9 @@
 //! ISP label so the coverage statistics the paper quotes can be reproduced.
 
 use crate::coords::{GeoPoint, WORLD_CITIES};
-use serde::Serialize;
 
 /// One open resolver.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpenResolver {
     /// Stable identifier within the fleet.
     pub id: u32,
@@ -29,7 +28,7 @@ pub struct OpenResolver {
 }
 
 /// The generated resolver fleet.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResolverFleet {
     resolvers: Vec<OpenResolver>,
 }

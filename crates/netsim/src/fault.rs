@@ -12,22 +12,10 @@
 //! thread timing.
 
 use cloudsim_trace::{SimDuration, SimTime};
-use serde::Serialize;
-
-/// Mixes a master seed and a coordinate pair into an independent 64-bit
-/// draw — the same splitmix64 finalizer family as [`crate::rng::SimRng::derive`],
-/// kept local so schedule generation needs no RNG object at all.
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(a.wrapping_add(1)))
-        .wrapping_add(0xD1B54A32D192ED03u64.wrapping_mul(b.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+use cloudsim_workload::seed::derive;
 
 /// How outages are drawn over one window of virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// The window of virtual time the outages are drawn in, measured from
     /// the schedule's anchor (a transfer window, a sync round, …).
@@ -52,7 +40,7 @@ impl FaultSpec {
 
 /// One contiguous interval during which the link is down. Packets cannot be
 /// sent or received inside `[down_at, up_at)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutageWindow {
     /// The instant the link goes down.
     pub down_at: SimTime,
@@ -76,7 +64,7 @@ impl OutageWindow {
 /// virtual time. Generated once up front (pure data) and replayed by the
 /// TCP layer; an empty schedule leaves every transfer bit-identical to the
 /// fault-free simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSchedule {
     /// Outage windows sorted by [`OutageWindow::down_at`], non-overlapping.
     pub windows: Vec<OutageWindow>,
@@ -96,8 +84,8 @@ impl FaultSchedule {
         let span = spec.max_outage.as_micros() - spec.min_outage.as_micros();
         let mut windows: Vec<OutageWindow> = (0..spec.outages)
             .map(|i| {
-                let down = mix(seed, i as u64, 0) % horizon;
-                let dur = spec.min_outage.as_micros() + mix(seed, i as u64, 1) % (span + 1);
+                let down = derive(seed, &[i as u64, 0]) % horizon;
+                let dur = spec.min_outage.as_micros() + derive(seed, &[i as u64, 1]) % (span + 1);
                 OutageWindow {
                     down_at: SimTime::from_micros(down),
                     up_at: SimTime::from_micros(down + dur.max(1)),

@@ -1,11 +1,10 @@
 //! Hosts: the test computer and the service front-end servers it talks to.
 
 use cloudsim_trace::Endpoint;
-use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a host registered in a [`crate::Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostId(pub u32);
 
 impl fmt::Display for HostId {
@@ -15,7 +14,7 @@ impl fmt::Display for HostId {
 }
 
 /// Static information about a host.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostInfo {
     /// Identifier within the owning network.
     pub id: HostId,

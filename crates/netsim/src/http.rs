@@ -10,10 +10,9 @@ use crate::network::Network;
 use crate::sim::Simulator;
 use crate::tcp::TcpConnection;
 use cloudsim_trace::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// HTTP header overhead model for one service's API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HttpOverhead {
     /// Bytes of request line + headers (incl. auth tokens and cookies).
     pub request_header_bytes: u32,

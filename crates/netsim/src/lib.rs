@@ -53,7 +53,6 @@ pub mod http;
 pub mod link;
 pub mod network;
 pub mod path;
-pub mod rng;
 pub mod sim;
 pub mod tcp;
 

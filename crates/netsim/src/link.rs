@@ -15,10 +15,9 @@
 
 use crate::path::PathSpec;
 use cloudsim_trace::SimDuration;
-use serde::Serialize;
 
 /// One access-link profile between a client and its ISP.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessLink {
     /// Human-readable preset name (stable: used in reports and metrics keys).
     pub name: &'static str,

@@ -7,9 +7,8 @@
 //! RTT jitter knob that gives the 24 experiment repetitions realistic
 //! variance.
 
-use crate::rng::SimRng;
 use cloudsim_trace::SimDuration;
-use serde::Serialize;
+use cloudsim_workload::seed::Stream;
 
 /// Maximum segment payload assumed by the loss model, matching the
 /// simulator's Ethernet MSS (`cloudsim_trace::packet::MSS`).
@@ -19,7 +18,7 @@ const LOSS_MODEL_MSS_BITS: f64 = 1460.0 * 8.0;
 const MATHIS_C: f64 = 1.224744871391589;
 
 /// Path characteristics between the client and one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathSpec {
     /// Base round-trip time.
     pub rtt: SimDuration,
@@ -37,7 +36,6 @@ pub struct PathSpec {
     /// at the configured loss rate and pays a retransmission tail for each
     /// drop, instead of modelling loss purely as the analytic ceiling.
     /// Lossless paths draw nothing, so they stay bit-identical.
-    #[serde(default)]
     pub segment_drops: bool,
 }
 
@@ -113,12 +111,12 @@ impl PathSpec {
     }
 
     /// Samples the RTT for one exchange, applying jitter around the base.
-    pub fn sample_rtt(&self, rng: &mut SimRng) -> SimDuration {
+    pub fn sample_rtt(&self, rng: &mut Stream) -> SimDuration {
         if self.rtt_jitter == 0.0 || self.rtt.is_zero() {
             return self.rtt;
         }
-        let jittered = rng.jitter(self.rtt.as_secs_f64(), self.rtt_jitter);
-        SimDuration::from_secs_f64(jittered)
+        let factor = rng.uniform(1.0 - self.rtt_jitter, 1.0 + self.rtt_jitter);
+        SimDuration::from_secs_f64(self.rtt.as_secs_f64() * factor)
     }
 
     /// The bandwidth-delay product in bytes for the upload direction: how much
@@ -181,7 +179,7 @@ mod tests {
     #[test]
     fn sampled_rtt_stays_within_jitter_band() {
         let p = PathSpec::symmetric(SimDuration::from_millis(100), 1_000_000).with_jitter(0.1);
-        let mut rng = SimRng::new(7);
+        let mut rng = Stream::new(7);
         for _ in 0..500 {
             let rtt = p.sample_rtt(&mut rng);
             assert!(rtt >= SimDuration::from_millis(90) && rtt <= SimDuration::from_millis(110));
@@ -191,7 +189,7 @@ mod tests {
     #[test]
     fn zero_jitter_is_deterministic() {
         let p = PathSpec::symmetric(SimDuration::from_millis(50), 1_000_000).with_jitter(0.0);
-        let mut rng = SimRng::new(7);
+        let mut rng = Stream::new(7);
         assert_eq!(p.sample_rtt(&mut rng), SimDuration::from_millis(50));
     }
 
@@ -239,8 +237,8 @@ mod tests {
     fn lossless_paths_sample_identical_rtts_regardless_of_the_knob() {
         let plain = PathSpec::symmetric(SimDuration::from_millis(80), 10_000_000).with_jitter(0.1);
         let knobbed = plain.with_segment_drops(true);
-        let mut a = SimRng::new(5);
-        let mut b = SimRng::new(5);
+        let mut a = Stream::new(5);
+        let mut b = Stream::new(5);
         for _ in 0..500 {
             assert_eq!(plain.sample_rtt(&mut a), knobbed.sample_rtt(&mut b));
         }

@@ -1,7 +1,7 @@
 //! The simulator: virtual clock, RNG and trace capture for one experiment run.
 
-use crate::rng::SimRng;
 use cloudsim_trace::{PacketRecord, SimTime, TraceShard, TraceView};
+use cloudsim_workload::seed::Stream;
 
 /// State shared by every protocol operation of one experiment run.
 ///
@@ -16,14 +16,14 @@ use cloudsim_trace::{PacketRecord, SimTime, TraceShard, TraceView};
 #[derive(Debug, Clone)]
 pub struct Simulator {
     now: SimTime,
-    rng: SimRng,
+    rng: Stream,
     shard: TraceShard,
 }
 
 impl Simulator {
     /// Creates a simulator with a fresh capture shard and the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        Simulator { now: SimTime::ZERO, rng: SimRng::new(seed), shard: TraceShard::new() }
+        Simulator { now: SimTime::ZERO, rng: Stream::new(seed), shard: TraceShard::new() }
     }
 
     /// The furthest point in virtual time reached so far.
@@ -40,7 +40,7 @@ impl Simulator {
     }
 
     /// Mutable access to the deterministic random stream.
-    pub fn rng(&mut self) -> &mut SimRng {
+    pub fn rng(&mut self) -> &mut Stream {
         &mut self.rng
     }
 

@@ -63,7 +63,6 @@ use cloudsim_storage::{AggregateStats, GcPolicy, ObjectStore, SizeMemo};
 use cloudsim_trace::series::SampleStats;
 use cloudsim_trace::{FlowKind, LatencyHistogram, SimDuration, SimTime};
 use cloudsim_workload::{generate, FileKind, GeneratedFile};
-use serde::Serialize;
 use std::sync::{Arc, Mutex};
 
 /// Simulated seconds between round epochs: a client joining in round `r`
@@ -85,7 +84,7 @@ const RESTORE_FAULT_SALT: u64 = 0xFA020;
 /// storage transfers in. The schedules themselves are derived per client
 /// and per round from the fleet's master seed — pure data, like the
 /// temporal schedule — so concurrent faulted runs replay bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetFaults {
     /// How outages are drawn over each activation's transfer window.
     pub spec: FaultSpec,
@@ -118,7 +117,7 @@ impl FleetFaults {
 
 /// One client slot of a fleet: which service it runs, which access link it
 /// sits behind, and when it participates.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientSlot {
     /// The service this client syncs with.
     pub profile: ServiceProfile,
@@ -179,7 +178,7 @@ impl ClientSlot {
 }
 
 /// Workload description for one fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// One slot per client, indexed by client number.
     pub slots: Vec<ClientSlot>,

@@ -8,10 +8,9 @@ use cloudsim_geo::Provider;
 use cloudsim_net::http::HttpOverhead;
 use cloudsim_net::SimDuration;
 use cloudsim_storage::{ChunkingStrategy, CompressionPolicy};
-use serde::Serialize;
 
 /// How a client maps files onto transport connections during an upload batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMode {
     /// Files are bundled and pipelined over one reused storage connection
     /// (Dropbox, §4.2: "only Dropbox implements a file-bundling strategy").
@@ -30,7 +29,7 @@ pub enum TransferMode {
 }
 
 /// The full behavioural profile of one service.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceProfile {
     /// Which provider this profile models.
     pub provider: Provider,

@@ -112,7 +112,6 @@ use cloudsim_trace::{
     series, FlowId, FlowKind, LatencyHistogram, SimDuration, SimTime, Trace, TraceShard,
 };
 use cloudsim_workload::seed::{derive_seed, unit_f64};
-use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt::Write;
@@ -185,7 +184,7 @@ const SALT_SCALE_AT: u64 = 0x5CA1_E0A7;
 const SALT_SCALE_CONTENT: u64 = 0x5CA1_EC00;
 
 /// Workload description for one fleet-scale run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaleSpec {
     /// Number of lightweight clients.
     pub clients: usize,
@@ -354,10 +353,11 @@ impl ScaleSpec {
     }
 
     /// Refuses a spec whose packet capture would wrap a field: client `i`
-    /// records from address `10.(i >> 16).(i >> 8).i`, its commit `k` from
-    /// port `40 000 + k`, and each file as one packet whose payload length
-    /// is a `u32`. [`run_population_traced`] panics with the message; `repro
-    /// trace` exits with it.
+    /// records from address `10.(i >> 16).(i >> 8).i` and its commit `k`
+    /// from port `40 000 + k`. (Each file is one packet whose payload length
+    /// is a `u32`; every run already refuses a larger file.)
+    /// [`run_population_traced`] panics with the message; `repro trace`
+    /// exits with it.
     pub fn check_traceable(&self) -> Result<(), String> {
         let most_clients = 1usize << 24;
         let most_commits = usize::from(u16::MAX - TRACED_BASE_PORT) + 1;
@@ -373,13 +373,6 @@ impl ScaleSpec {
                 "a traced run opens commit k from port {TRACED_BASE_PORT} + k, so it takes at \
                  most {most_commits} commits per client: commits_per_client is {}",
                 self.commits_per_client
-            ));
-        }
-        if u32::try_from(self.file_size).is_err() {
-            return Err(format!(
-                "a traced run records each file as one packet of at most {} bytes: file_size is {}",
-                u32::MAX,
-                self.file_size
             ));
         }
         Ok(())
@@ -1150,7 +1143,6 @@ mod tests {
     fn a_traced_run_refuses_a_file_size_its_packets_would_wrap() {
         // 4 GiB files: `file_size as u32` recorded empty payload packets.
         let spec = ScaleSpec::new(1).with_files(1, 1 << 32);
-        assert!(spec.check_traceable().unwrap_err().contains("file_size is 4294967296"));
         run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
     }
 

@@ -31,7 +31,6 @@
 use crate::fleet::FleetSpec;
 use cloudsim_trace::SimDuration;
 use cloudsim_workload::seed::{derive_seed, unit_f64};
-use serde::Serialize;
 use std::fmt;
 
 /// Salt distinguishing activation draws from every other seeded stream.
@@ -45,7 +44,7 @@ const SALT_THINK: u64 = 0x5EED_7183;
 ///
 /// All variants are sampled from the fleet's seeded draw stream, so a
 /// schedule is reproducible bit-for-bit from `(FleetSpec, seed)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThinkTime {
     /// Every pause lasts exactly this long (zero = the legacy lock-step).
     Fixed(SimDuration),
@@ -107,7 +106,7 @@ impl fmt::Display for ThinkTime {
 /// One activated sync of the schedule: which round it belongs to, which
 /// activation ordinal it is for its client, and the temporal offsets the
 /// draws assigned to it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncActivation {
     /// The round this activation fires in. Batch *content* stays keyed to
     /// this round so the fleet-wide shared pool keeps aligning across
@@ -129,7 +128,7 @@ pub struct SyncActivation {
 }
 
 /// What one client does in one of its connected rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RoundEvent {
     /// The client activates and syncs one batch.
     Sync(SyncActivation),
@@ -162,7 +161,7 @@ impl RoundEvent {
 
 /// One client's precomputed timeline: one event per connected round, in
 /// round order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientSchedule {
     /// The slot index this timeline belongs to.
     pub slot: usize,
@@ -194,7 +193,7 @@ impl ClientSchedule {
 
 /// The whole fleet's precomputed temporal schedule: per-client event lists
 /// derived up front from `(FleetSpec, seed)`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSchedule {
     /// One timeline per slot, indexed by slot number.
     pub clients: Vec<ClientSchedule>,

@@ -13,10 +13,10 @@
 //! SkyDrive and Wuala).
 
 use crate::hash::{sha256, ContentHash};
-use serde::Serialize;
+use cloudsim_workload::seed::derive;
 
 /// How a service splits file content before upload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkingStrategy {
     /// Files are uploaded as single objects (Cloud Drive).
     None,
@@ -99,7 +99,7 @@ impl ChunkingStrategy {
 }
 
 /// A chunk boundary: offset and length, before the content is hashed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkSpan {
     /// Byte offset of the chunk within the file.
     pub offset: u64,
@@ -115,7 +115,7 @@ impl ChunkSpan {
 }
 
 /// One chunk of a file: its position, length and content hash.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
     /// Byte offset of the chunk within the file.
     pub offset: u64,
@@ -138,22 +138,17 @@ impl Chunk {
 }
 
 /// Gear-table rolling hash for content-defined chunking. The table is a fixed
-/// pseudo-random permutation derived from a splitmix64 stream so the chunker
-/// is fully deterministic across runs. It is built once at compile time —
+/// pseudo-random permutation derived from the workspace's seed derivation so
+/// the chunker is fully deterministic across runs. It is built once at compile time —
 /// the original implementation recomputed all 256 entries on every chunking
 /// call, a fixed cost the pipeline pays millions of times.
 static GEAR_TABLE: [u64; 256] = build_gear_table();
 
 const fn build_gear_table() -> [u64; 256] {
     let mut table = [0u64; 256];
-    let mut x = 0x9E3779B97F4A7C15u64;
-    let mut i = 0usize;
+    let mut i = 0;
     while i < 256 {
-        x = x.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        table[i] = z ^ (z >> 31);
+        table[i] = derive(0, &[i as u64 + 1]);
         i += 1;
     }
     table

@@ -28,7 +28,6 @@
 
 use crate::hash::ContentHash;
 use cloudsim_parallel::{auto_workers, run_with_contexts};
-use serde::Serialize;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -36,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// When a service compresses data before upload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompressionPolicy {
     /// Never compress (SkyDrive, Wuala, Cloud Drive).
     Never,

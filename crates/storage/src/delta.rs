@@ -15,7 +15,6 @@
 //! new data.
 
 use crate::hash::{sha256, ContentHash};
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Default delta block size (rsync uses ~700–16 kB; Dropbox-scale clients use
@@ -54,7 +53,7 @@ pub fn roll(sum: WeakSum, out_byte: u8, in_byte: u8, block_len: usize) -> WeakSu
 }
 
 /// Signature of the server-side (old) revision of a file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
     /// Block size the signature was computed with.
     pub block_size: usize,
@@ -62,7 +61,6 @@ pub struct Signature {
     pub blocks: Vec<ContentHash>,
     /// Total length of the old revision.
     pub total_len: u64,
-    #[serde(skip)]
     weak_index: HashMap<u32, Vec<usize>>,
 }
 
@@ -94,7 +92,7 @@ impl Signature {
 }
 
 /// One instruction of a delta script.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaOp {
     /// Copy block `index` of the old revision.
     Copy {
@@ -109,7 +107,7 @@ pub enum DeltaOp {
 }
 
 /// A delta script transforming the old revision into the new one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaScript {
     /// Block size of the signature this script refers to.
     pub block_size: usize,

@@ -127,14 +127,13 @@
 
 use crate::chunker::Chunk;
 use crate::hash::ContentHash;
-use serde::Serialize;
 use std::collections::TryReserveError;
 use std::hash::{BuildHasher, RandomState};
 use std::mem::size_of;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A chunk as stored on the server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredChunk {
     /// Content hash of the (possibly transformed) chunk payload.
     pub hash: ContentHash,
@@ -147,7 +146,7 @@ pub struct StoredChunk {
 
 /// The manifest of one file version: the ordered list of chunk hashes plus
 /// bookkeeping metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileManifest {
     /// Path of the file inside the synced folder.
     pub path: String,
@@ -173,7 +172,7 @@ impl FileManifest {
 }
 
 /// Statistics about the state of one user's namespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Number of live file manifests.
     pub files: usize,
@@ -190,7 +189,7 @@ pub struct StoreStats {
 /// All fields are order-independent functions of the set of per-user
 /// operations performed, so a concurrent fleet and a sequential replay of
 /// the same per-user commits produce bit-identical values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AggregateStats {
     /// Number of user namespaces that hold at least one chunk or file.
     pub users: usize,
@@ -273,7 +272,7 @@ impl StoreFootprint {
 
 /// When (if ever) the store frees chunk entries whose owner count reaches
 /// zero after manifest hard-deletes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GcPolicy {
     /// Free the physical entry the moment its last owner releases it.
     Eager,
@@ -295,7 +294,7 @@ impl GcPolicy {
 }
 
 /// What one garbage-collection pass (or eager release) freed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GcStats {
     /// Physical chunk entries removed.
     pub freed_chunks: u64,

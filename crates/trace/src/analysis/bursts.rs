@@ -12,10 +12,9 @@
 
 use crate::packet::{Direction, PacketRecord};
 use crate::time::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// Configuration for burst detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstConfig {
     /// Maximum silence between consecutive upload payload packets for them to
     /// belong to the same burst.
@@ -35,7 +34,7 @@ impl Default for BurstConfig {
 }
 
 /// One detected burst of upload traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Burst {
     /// Timestamp of the first payload packet of the burst.
     pub start: SimTime,

@@ -10,10 +10,9 @@
 
 use crate::packet::{Direction, PacketRecord};
 use crate::time::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// Configuration for pause detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThroughputConfig {
     /// Minimum silence between upload payload packets to call it a pause.
     pub min_pause: SimDuration,
@@ -31,7 +30,7 @@ impl Default for ThroughputConfig {
 }
 
 /// One detected pause in the upload stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pause {
     /// Timestamp of the last payload packet before the pause.
     pub start: SimTime,

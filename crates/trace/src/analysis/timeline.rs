@@ -9,10 +9,9 @@
 use crate::flow::FlowKind;
 use crate::packet::PacketRecord;
 use crate::time::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// The synchronization timeline extracted from one experiment trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncTimeline {
     /// The moment the testing application started modifying files.
     pub modification_start: SimTime,

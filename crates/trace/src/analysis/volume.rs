@@ -7,10 +7,9 @@
 
 use crate::flow::FlowKind;
 use crate::packet::{Direction, PacketRecord};
-use serde::Serialize;
 
 /// Traffic volume broken down the way the paper reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficVolume {
     /// Total wire bytes (headers included) over storage flows, both directions.
     pub storage_wire: u64,

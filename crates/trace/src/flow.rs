@@ -12,13 +12,12 @@
 
 use crate::packet::{Direction, Endpoint, PacketRecord};
 use crate::time::SimTime;
-use serde::Serialize;
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Unique identifier of a flow (a five-tuple instance) within one trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
 
 impl fmt::Display for FlowId {
@@ -28,7 +27,7 @@ impl fmt::Display for FlowId {
 }
 
 /// Traffic class of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FlowKind {
     /// Login / metadata / commit traffic towards control servers.
     Control,
@@ -69,7 +68,7 @@ impl fmt::Display for FlowKind {
 }
 
 /// Aggregate statistics for a single flow, built from its packets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowStats {
     /// The flow identifier.
     pub id: FlowId,

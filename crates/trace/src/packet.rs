@@ -8,11 +8,10 @@
 
 use crate::flow::{FlowId, FlowKind};
 use crate::time::SimTime;
-use serde::Serialize;
 use std::fmt;
 
 /// A network endpoint: an IPv4-style address plus a TCP port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Endpoint {
     /// IPv4 address encoded as a host-order `u32` (e.g. `0xC0A80001` = 192.168.0.1).
     pub addr: u32,
@@ -48,7 +47,7 @@ impl fmt::Display for Endpoint {
 }
 
 /// Transport protocol of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransportProtocol {
     /// Transmission Control Protocol: every simulated packet is TCP.
     Tcp,
@@ -57,7 +56,7 @@ pub enum TransportProtocol {
 /// TCP control flags carried by a packet.
 ///
 /// Only the flags the analyses care about are modelled; `PSH`/`URG` are not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags {
     /// Synchronize sequence numbers (connection open).
     pub syn: bool,
@@ -109,7 +108,7 @@ impl fmt::Display for TcpFlags {
 }
 
 /// Direction of a packet relative to the test computer (the sync client host).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// From the test computer towards the cloud (uploads, requests).
     Upload,
@@ -128,7 +127,7 @@ impl Direction {
 }
 
 /// One synthetic captured packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketRecord {
     /// Capture timestamp.
     pub timestamp: SimTime,

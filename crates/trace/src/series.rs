@@ -6,7 +6,7 @@
 
 use crate::hist::LatencyHistogram;
 use crate::time::SimTime;
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 /// A cumulative step series: at each event time the running total increases.
 ///
@@ -19,20 +19,6 @@ pub struct CumulativeSeries {
     times: Vec<SimTime>,
     /// Running total after the event at the same index.
     totals: Vec<f64>,
-}
-
-/// Serialized in the historical row-major shape `{"points": [[t, v], …]}` so
-/// exported series stay stable across the columnar migration.
-impl Serialize for CumulativeSeries {
-    fn serialize(&self) -> Value {
-        let points = self
-            .times
-            .iter()
-            .zip(&self.totals)
-            .map(|(t, v)| Value::Array(vec![t.serialize(), v.serialize()]))
-            .collect();
-        Value::Object(vec![(String::from("points"), Value::Array(points))])
-    }
 }
 
 impl CumulativeSeries {

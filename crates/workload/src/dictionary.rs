@@ -6,8 +6,7 @@
 //! from it is highly compressible (each word reappears many times), which is
 //! exactly the property Fig. 5(a) relies on.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::seed::Stream;
 
 /// The embedded word list used to synthesise "readable" text.
 #[rustfmt::skip]
@@ -30,11 +29,11 @@ pub const WORDS: &[&str] = &[
 /// Generates `len` bytes of text made of random dictionary words separated by
 /// spaces, with a newline roughly every 70 characters.
 pub fn text(len: usize, seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Stream::new(seed);
     let mut out = Vec::with_capacity(len + 16);
     let mut line = 0usize;
     while out.len() < len {
-        let word = WORDS[rng.gen_range(0..WORDS.len())];
+        let word = WORDS[rng.below(WORDS.len() as u64) as usize];
         out.extend_from_slice(word.as_bytes());
         line += word.len() + 1;
         if line >= 70 {

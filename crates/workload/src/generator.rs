@@ -8,12 +8,10 @@
 //! at the header.
 
 use crate::dictionary;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-use serde::Serialize;
+use crate::seed::Stream;
 
 /// The content types exercised by the benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileKind {
     /// Highly compressible text made of dictionary words (§4.5, Fig. 5a).
     Text,
@@ -78,9 +76,8 @@ pub fn generate(kind: FileKind, size: usize, seed: u64) -> Vec<u8> {
 }
 
 fn random_bytes(size: usize, seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut out = vec![0u8; size];
-    rng.fill_bytes(&mut out);
+    Stream::new(seed).fill_bytes(&mut out);
     out
 }
 
@@ -96,7 +93,6 @@ fn bitmap_with_random_pixels(size: usize, seed: u64) -> Vec<u8> {
         // contract still holds.
         return random_bytes(size, seed);
     }
-    let mut rng = StdRng::seed_from_u64(seed);
     let pixel_bytes = size - HEADER_LEN;
     // Pick a square-ish geometry for the declared dimensions.
     let width = ((pixel_bytes / 3) as f64).sqrt().max(1.0) as u32;
@@ -120,7 +116,7 @@ fn bitmap_with_random_pixels(size: usize, seed: u64) -> Vec<u8> {
     out.extend_from_slice(&0u32.to_le_bytes());
     debug_assert_eq!(out.len(), HEADER_LEN);
     let mut pixels = vec![0u8; pixel_bytes];
-    rng.fill_bytes(&mut pixels);
+    Stream::new(seed).fill_bytes(&mut pixels);
     out.extend_from_slice(&pixels);
     out
 }

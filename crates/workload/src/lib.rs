@@ -16,9 +16,10 @@
 //! * [`batch`] — batch specifications, including the paper's standard
 //!   workloads,
 //! * [`mutate`] — file mutation operators used by the delta-encoding test,
-//! * [`seed`] — the deterministic seed-derivation family every
-//!   workload-shaped draw (batch content, churn, restore fans, temporal
-//!   schedules) shares.
+//! * [`seed`] — the workspace's one source of randomness: the seed
+//!   derivation every draw (batch content, churn, restore fans, temporal
+//!   and outage schedules) shares, and the stream behind content bytes,
+//!   RTT jitter and segment loss.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,12 +7,10 @@
 //! last, and those are the two mutations here: [`Mutation::Append`] and
 //! [`Mutation::InsertRandom`].
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-use serde::Serialize;
+use crate::seed::Stream;
 
 /// A mutation applied to an existing file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// Append `len` new bytes at the end.
     Append {
@@ -30,7 +28,7 @@ impl Mutation {
     /// Applies the mutation to `content`, deterministically from `seed`, and
     /// returns the new revision.
     pub fn apply(&self, content: &[u8], seed: u64) -> Vec<u8> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Stream::new(seed);
         match *self {
             Mutation::Append { len } => {
                 let mut out = content.to_vec();
@@ -38,7 +36,11 @@ impl Mutation {
                 out
             }
             Mutation::InsertRandom { len } => {
-                let at = if content.is_empty() { 0 } else { rng.gen_range(0..=content.len()) };
+                let at = if content.is_empty() {
+                    0
+                } else {
+                    rng.below(content.len() as u64 + 1) as usize
+                };
                 let mut out = Vec::with_capacity(content.len() + len);
                 out.extend_from_slice(&content[..at]);
                 out.extend_from_slice(&fresh_bytes(len, &mut rng));
@@ -49,7 +51,7 @@ impl Mutation {
     }
 }
 
-fn fresh_bytes(len: usize, rng: &mut StdRng) -> Vec<u8> {
+fn fresh_bytes(len: usize, rng: &mut Stream) -> Vec<u8> {
     let mut out = vec![0u8; len];
     rng.fill_bytes(&mut out);
     out

@@ -568,6 +568,34 @@ fn one_fan_out_threshold_for_both_byte_pipelines() {
     assert_none("fan-out threshold", fan_out_thresholds(&sources));
 }
 
+/// Every seed and random stream comes from one splitmix64 derivation,
+/// `cloudsim_workload::seed::derive`: its multiplier, in any digit grouping,
+/// appears once in library code, there.
+fn seed_mixes(sources: &[&Source]) -> Vec<String> {
+    let found: Vec<String> = sources
+        .iter()
+        .flat_map(|s| {
+            let toks = library(&s.text);
+            let mixes = toks.iter().filter(|t| {
+                let digits = t.text.to_ascii_lowercase().replace('_', "");
+                let rest = digits.strip_prefix("0xbf58476d1ce4e5b9");
+                t.kind == Kind::Literal && rest.is_some_and(|r| matches!(r, "" | "u64" | "u128"))
+            });
+            mixes.map(|t| s.at(t.line)).collect::<Vec<_>>()
+        })
+        .collect();
+    if found.len() == 1 && found[0].starts_with("crates/workload/src/seed.rs:") {
+        Vec::new()
+    } else {
+        vec![format!("the splitmix64 multiplier must appear once, in seed.rs; found {found:?}")]
+    }
+}
+
+#[test]
+fn one_seed_mix_in_the_workspace() {
+    assert_none("seed mixes", seed_mixes(&libs().iter().collect::<Vec<_>>()));
+}
+
 /// The byte pipelines and the split LZSS size count fan out through
 /// cloudsim-parallel, which marks its workers so that a nested fan-out runs
 /// inline. A thread spawned by hand would be unmarked. Test code may spawn.
@@ -1753,6 +1781,21 @@ fn each_invariant_rejects_its_fixture() {
     let b = one("crates/storage/src/b.rs", "const PARALLEL_THRESHOLD_BYTES: usize = 2;");
     assert_eq!(fan_out_thresholds(&[&a]).len(), 0);
     assert_eq!(fan_out_thresholds(&[&a, &b]).len(), 1);
+
+    let seed = one(
+        "crates/workload/src/seed.rs",
+        "const M: u64 = 0xBF58476D1CE4E5B9;\n#[cfg(test)]\nconst T: u64 = 0xBF58476D1CE4E5B9;",
+    );
+    let copy = one(
+        "crates/storage/src/c.rs",
+        "// 0xBF58476D1CE4E5B9\nfn g() -> u64 { 0xbf58_476d_1ce4_e5b9u64 }",
+    );
+    assert_eq!(seed_mixes(&[&seed]).len(), 0);
+    assert_eq!(
+        seed_mixes(&[&seed, &copy]),
+        ["the splitmix64 multiplier must appear once, in seed.rs; found \
+             [\"crates/workload/src/seed.rs:1\", \"crates/storage/src/c.rs:2\"]"]
+    );
 
     let spawn = one(
         "crates/storage/src/p.rs",
