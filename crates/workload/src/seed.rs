@@ -20,7 +20,6 @@ const WEIGHTS: [u64; 3] = [0x9E3779B97F4A7C15, 0xD1B54A32D192ED03, 0x94D049BB133
 /// inputs always give the same output.
 #[inline]
 pub const fn derive(master: u64, coords: &[u64]) -> u64 {
-    assert!(coords.len() <= WEIGHTS.len(), "at most three coordinates");
     let mut z = master;
     let mut i = 0;
     while i < coords.len() {
@@ -35,6 +34,7 @@ pub const fn derive(master: u64, coords: &[u64]) -> u64 {
 /// [`derive()`] over the three coordinates `(a, b, c)` — e.g. `(client,
 /// round, file)` for batch content, or `(client, round, salt)` for
 /// schedule draws.
+#[inline]
 pub fn derive_seed(master: u64, a: u64, b: u64, c: u64) -> u64 {
     derive(master, &[a, b, c])
 }
@@ -56,11 +56,13 @@ pub struct Stream {
 
 impl Stream {
     /// The stream named by `seed`.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         Stream { s: [0, 1, 2, 3].map(|k| derive(seed, &[k])) }
     }
 
     /// The next 64 random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -75,6 +77,7 @@ impl Stream {
     }
 
     /// A draw from `0..n`.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "cannot sample an empty range");
         self.next_u64() % n
@@ -82,6 +85,7 @@ impl Stream {
 
     /// A draw from `[lo, hi)`; `lo` itself, with no draw taken, when the
     /// range is empty.
+    #[inline]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(hi >= lo, "invalid uniform range");
         if hi == lo {
@@ -97,16 +101,23 @@ impl Stream {
     }
 
     /// `true` with probability `p`; always takes one draw.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         unit_f64(self.next_u64()) < p
     }
 
-    /// Fills `buf` with random bytes, eight per draw (little-endian).
+    /// Fills `buf` with random bytes, eight per draw (little-endian); a
+    /// partial last word takes one more draw's first bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let n = chunk.len();
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes()[..n]);
+        let mut words = buf.chunks_exact_mut(8);
+        for word in &mut words {
+            word.copy_from_slice(&self.next_u64().to_le_bytes());
+        }
+        let rest = words.into_remainder();
+        if !rest.is_empty() {
+            let n = rest.len();
+            rest.copy_from_slice(&self.next_u64().to_le_bytes()[..n]);
         }
     }
 }
