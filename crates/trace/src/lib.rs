@@ -29,9 +29,8 @@
 //! * [`hist`] — log-bucketed latency histograms with fixed boundaries, so
 //!   per-worker merges are order-independent and quantiles bit-stable.
 //!
-//! Records are plain serde-serializable structs so traces can be exported and
-//! inspected offline, mirroring how the original study post-processed pcap
-//! files.
+//! Records are plain structs that the analyses post-process, as the original
+//! study post-processed pcap files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
