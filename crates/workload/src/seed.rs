@@ -281,7 +281,6 @@ mod tests {
         for _ in 0..1000 {
             let v = s.uniform(2.0, 5.0);
             assert!((2.0..5.0).contains(&v));
-            assert!(s.below(14) < 14);
         }
         assert_eq!(s.uniform(4.0, 4.0), 4.0);
     }
@@ -299,6 +298,38 @@ mod tests {
         assert!(s.chance(1.0));
         let hits = (0..2000).filter(|_| s.chance(0.25)).count();
         assert!(hits > 350 && hits < 650, "got {hits}");
+    }
+
+    #[test]
+    fn deterministic_per_seed() {
+        let mut a = Stream::new(7);
+        let mut b = Stream::new(7);
+        for _ in 0..64 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        let mut c = Stream::new(8);
+        assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn ranges_respect_bounds() {
+        let mut s = Stream::new(1);
+        for _ in 0..10_000 {
+            let v = 3 + s.below(14);
+            assert!((3..17).contains(&v));
+            assert_eq!(5 + s.below(1), 5);
+            let f = s.uniform(1.0, 2.0);
+            assert!((1.0..2.0).contains(&f));
+        }
+    }
+
+    #[test]
+    fn chance_extremes_and_rate() {
+        let mut s = Stream::new(3);
+        assert!(!s.chance(0.0));
+        assert!(s.chance(1.0));
+        let hits = (0..10_000).filter(|_| s.chance(0.25)).count();
+        assert!((2200..2800).contains(&hits), "got {hits}");
     }
 
     #[test]
