@@ -37,7 +37,7 @@ mod tests {
         ];
         let rendered = render_flat(&metrics);
         assert_eq!(parse_flat(&rendered).unwrap(), metrics);
-        // And the serde_json stub's own pretty output parses too.
+        // And the JSON writer's pretty output parses too.
         let pretty = "{\n  \"a\": 1.0,\n  \"b\": 2.5\n}";
         assert_eq!(
             parse_flat(pretty).unwrap(),

@@ -1,6 +1,6 @@
 //! What only `perf/` calls: the reader of flat metric files its
-//! `bench.parse_flat_metrics_per_s` row times. The vendored `serde_json`
-//! stub only serialises, and the gate compares bytes, so no library code
+//! `bench.parse_flat_metrics_per_s` row times. The workspace's JSON writer
+//! only writes, and the gate compares bytes, so no library code
 //! reads a metric file; the reader is re-exported at `crate::gate`, where
 //! `perf/` imports it. No library code outside a test calls into this
 //! module (`tests/repo_rules.rs` checks); deleting it and re-pointing

@@ -9,10 +9,9 @@ use crate::testbed::Testbed;
 use cloudsim_services::ServiceProfile;
 use cloudsim_trace::series::SampleStats;
 use cloudsim_workload::BatchSpec;
-use serde::Serialize;
 
 /// Aggregated results of one (service, workload) cell of Fig. 6.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerformanceRow {
     /// Service name.
     pub service: String,
@@ -29,10 +28,15 @@ pub struct PerformanceRow {
 }
 
 /// The full performance suite: every service × every workload.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerformanceSuite {
     /// One row per (service, workload) pair.
     pub rows: Vec<PerformanceRow>,
+}
+
+crate::json::objects! {
+    PerformanceRow { service, workload, startup_secs, completion_secs, overhead, goodput_bps }
+    PerformanceSuite { rows }
 }
 
 impl PerformanceSuite {

@@ -6,15 +6,15 @@
 //! is implemented — never by peeking at the service profile. The detected
 //! matrix is then compared against Table 1.
 
+use crate::json::{Fields, ToJson};
 use crate::testbed::Testbed;
 use cloudsim_services::ServiceProfile;
 use cloudsim_trace::analysis::{self, BurstConfig, ThroughputConfig};
 use cloudsim_trace::{FlowKind, SimDuration, SimTime};
 use cloudsim_workload::{generate, FileKind, GeneratedFile, Mutation};
-use serde::Serialize;
 
 /// The chunking verdict of §4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkingVerdict {
     /// No pauses during a large upload: single-object transfers.
     None,
@@ -41,7 +41,7 @@ impl ChunkingVerdict {
 }
 
 /// Detected capabilities of one service (the rows of Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceCapabilities {
     /// Service name.
     pub service: String,
@@ -58,10 +58,28 @@ pub struct ServiceCapabilities {
 }
 
 /// Table 1: one row per service.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapabilityMatrix {
     /// Rows in the paper's service order.
     pub rows: Vec<ServiceCapabilities>,
+}
+
+crate::json::objects! {
+    ServiceCapabilities { service, chunking, bundling, compression, deduplication, delta_encoding }
+    CapabilityMatrix { rows }
+}
+
+/// A unit variant as its name, the struct variant as a one-key object.
+impl ToJson for ChunkingVerdict {
+    fn write_json(&self, out: &mut String, level: usize) {
+        match *self {
+            ChunkingVerdict::None => "None".write_json(out, level),
+            ChunkingVerdict::Fixed { size } => {
+                Fields(&[("Fixed", &Fields(&[("size", &size)]))]).write_json(out, level)
+            }
+            ChunkingVerdict::Variable => "Variable".write_json(out, level),
+        }
+    }
 }
 
 impl CapabilityMatrix {

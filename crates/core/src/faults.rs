@@ -35,7 +35,6 @@ use cloudsim_storage::ObjectStore;
 use cloudsim_trace::{HistogramSummary, LatencyHistogram, SimDuration, SimTime};
 use cloudsim_workload::seed::derive_seed;
 use cloudsim_workload::{BatchSpec, FileKind, GeneratedFile};
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// Salt for the per-link outage-schedule draws.
@@ -51,7 +50,7 @@ pub fn fault_policies() -> Vec<RetryConfig> {
 
 /// One `link × policy` cell: the same batch and the same outage schedules
 /// as every other cell of the row, recovered under one policy.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPolicyCell {
     /// Stable policy name (`none`, `exponential`).
     pub policy: String,
@@ -80,7 +79,7 @@ pub struct FaultPolicyCell {
 }
 
 /// One access link's row: its seeded schedules and every policy cell.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultLinkRow {
     /// Stable link preset name.
     pub link: String,
@@ -108,7 +107,7 @@ impl FaultLinkRow {
 }
 
 /// The fault-injection suite's results.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultsSuite {
     /// Master seed of the run.
     pub seed: u64,
@@ -121,6 +120,18 @@ pub struct FaultsSuite {
     pub backoff_hist: HistogramSummary,
     /// One row per access-link preset, in [`AccessLink::all`] order.
     pub per_link: Vec<FaultLinkRow>,
+}
+
+crate::json::objects! {
+    FaultPolicyCell {
+        policy, sync_completed, committed_payload, abandoned_chunks, sync_secs, sync_inflation,
+        restore_completed, files_restored, files_abandoned, restore_secs, restore_inflation, stats
+    }
+    FaultLinkRow {
+        link, upload_outages, upload_downtime_s, restore_outages, control_sync_secs,
+        control_restore_secs, planned_payload, cells
+    }
+    FaultsSuite { seed, workload, policies, backoff_hist, per_link }
 }
 
 impl FaultsSuite {

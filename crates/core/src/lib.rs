@@ -78,6 +78,7 @@ pub mod faults;
 pub mod fleet;
 pub mod hetero;
 pub mod idle;
+mod json;
 pub mod partition;
 pub mod report;
 pub mod restore;

@@ -16,8 +16,8 @@ use crate::architecture::ArchitectureReport;
 use crate::benchmarks::PerformanceSuite;
 use crate::capability::{CapabilityMatrix, CompressionPoint, DeltaPoint};
 use crate::idle::IdleSeries;
+use crate::json::ToJson;
 use cloudsim_trace::HistogramSummary;
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// One latency-distribution line, shared by every suite that carries a
@@ -226,10 +226,12 @@ impl Report {
         Report { title: format!("Figure 6{}: {}", metric.panel(), metric.describe()), body }
     }
 
-    /// Serialises any serialisable payload as pretty JSON (used by the repro
-    /// harness to dump machine-readable results next to the text tables).
-    pub fn to_json<T: Serialize>(value: &T) -> String {
-        serde_json::to_string_pretty(value).unwrap_or_else(|e| format!("{{\"error\": \"{e}\"}}"))
+    /// Renders a dumped payload as pretty JSON (used by the repro harness to
+    /// dump machine-readable results next to the text tables).
+    pub fn to_json<T: ToJson>(value: &T) -> String {
+        let mut out = String::new();
+        value.write_json(&mut out, 0);
+        out
     }
 }
 

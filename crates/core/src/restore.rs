@@ -27,11 +27,10 @@ use cloudsim_services::fleet::{run_fleet, FleetSpec};
 use cloudsim_services::{AccessLink, GcPolicy, ServiceProfile};
 use cloudsim_storage::ObjectStore;
 use cloudsim_trace::HistogramSummary;
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// Per-access-link row of the restore suite.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RestoreLinkRow {
     /// Stable link preset name.
     pub link: String,
@@ -48,7 +47,7 @@ pub struct RestoreLinkRow {
 }
 
 /// The restore suite's results.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RestoreSuite {
     /// Number of client slots.
     pub clients: usize,
@@ -70,6 +69,14 @@ pub struct RestoreSuite {
     pub restore_hist: HistogramSummary,
     /// One row per access link that hosted at least one puller.
     pub per_link: Vec<RestoreLinkRow>,
+}
+
+crate::json::objects! {
+    RestoreLinkRow { link, pullers, restore_goodput_bps, upload_goodput_bps, ttfb_secs }
+    RestoreSuite {
+        clients, pullers, rounds, workload, restored_logical_bytes, downloaded_payload,
+        dedup_saved_bytes, failures, restore_hist, per_link
+    }
 }
 
 impl RestoreSuite {

@@ -26,7 +26,6 @@ use cloudsim_services::capture::{replay_capture, FleetCapture, ReplayMix};
 use cloudsim_services::scale::{run_population, ScaleRun, ScaleSpec};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{HistogramSummary, SimDuration};
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// Buckets of the reported server load curve.
@@ -40,7 +39,7 @@ pub fn scale_spec(clients: usize, seed: u64) -> ScaleSpec {
 }
 
 /// The fleet-scale suite's results.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetScaleSuite {
     /// Clients the run drove.
     pub clients: usize,
@@ -76,8 +75,15 @@ pub struct FleetScaleSuite {
     /// field: excluded from gate metrics and from JSON serialisation (the
     /// CI determinism leg `cmp`s two dumps byte for byte), reported in the
     /// text table for the "100k clients in minutes" claim.
-    #[serde(skip)]
     pub wall_secs: f64,
+}
+
+crate::json::objects! {
+    FleetScaleSuite {
+        clients, commits_per_client, workload, horizon_s, commits, files, logical_mb, physical_mb,
+        dedup_ratio, virtual_span_s, commits_per_vsec, concurrency_peak, load_curve,
+        transfer_hist; wall_secs: _
+    }
 }
 
 impl FleetScaleSuite {

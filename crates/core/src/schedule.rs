@@ -34,7 +34,6 @@ use cloudsim_services::{AccessLink, GcPolicy, ServiceProfile};
 use cloudsim_storage::ObjectStore;
 use cloudsim_trace::series::SampleStats;
 use cloudsim_trace::{HistogramSummary, SimDuration};
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// The service mix of the canonical temporal scenario, in slot order.
@@ -72,7 +71,7 @@ pub fn lockstep_spec(clients: usize, seed: u64) -> FleetSpec {
 }
 
 /// The temporal suite's results.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleSuite {
     /// Number of client slots.
     pub clients: usize,
@@ -112,6 +111,14 @@ pub struct ScheduleSuite {
     pub payload_wire_bytes: u64,
     /// `(user, synced rounds, idle rounds)` per client, in slot order.
     pub per_client_rounds: Vec<(String, usize, usize)>,
+}
+
+crate::json::objects! {
+    ScheduleSuite {
+        clients, rounds, workload, think, arrival_jitter_s, activation, sync_rounds, idle_rounds,
+        startup_delay, sync_hist, completion, first_sync_spread_s, concurrency_peak,
+        lockstep_concurrency_peak, background_wire_bytes, payload_wire_bytes, per_client_rounds
+    }
 }
 
 impl ScheduleSuite {

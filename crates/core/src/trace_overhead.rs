@@ -16,18 +16,18 @@
 //! Every reported number is a pure function of `(clients, seed)`, so the
 //! suite is gated as `trace.*` metrics and the CI determinism leg `cmp`s
 //! two fresh JSON dumps byte for byte. The two wall-clock fields are the
-//! deliberate exception: serde-skipped and reported only in the text table.
+//! deliberate exception: left out of the dump and reported only in the text
+//! table.
 //! Host time is `perf/`'s to judge (`services.scale_trace_cost_share`).
 
 use crate::report::{gate_keys, Report};
 use crate::scale::scale_spec;
 use cloudsim_services::scale::{run_population, run_population_traced};
 use cloudsim_storage::{GcPolicy, ObjectStore};
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// The trace-overhead suite's results.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceOverheadSuite {
     /// Clients the runs drove.
     pub clients: usize,
@@ -53,12 +53,17 @@ pub struct TraceOverheadSuite {
     /// Host wall-clock seconds of the traced run. Non-deterministic:
     /// excluded from gate metrics and JSON (the determinism leg `cmp`s
     /// dumps byte for byte).
-    #[serde(skip)]
     pub traced_wall_secs: f64,
-    /// Host wall-clock seconds of the traceless baseline run (serde-skipped
-    /// like [`TraceOverheadSuite::traced_wall_secs`]).
-    #[serde(skip)]
+    /// Host wall-clock seconds of the traceless baseline run (left out of
+    /// the dump like [`TraceOverheadSuite::traced_wall_secs`]).
     pub baseline_wall_secs: f64,
+}
+
+crate::json::objects! {
+    TraceOverheadSuite {
+        clients, commits, packets, flows, syns, wire_mb, logical_mb, overhead_ratio,
+        packets_per_vsec, packets_per_commit; traced_wall_secs: _, baseline_wall_secs: _
+    }
 }
 
 impl TraceOverheadSuite {

@@ -23,7 +23,7 @@
 //!
 //! Everything is plain text with integer-only fields, so captures diff
 //! cleanly and survive version control. The parser is hand-rolled (the
-//! vendored `serde_json` is a serialiser only): one borrowed cursor reads
+//! workspace's one JSON writer does not read): one borrowed cursor reads
 //! a line — header or event — as a flat JSON object in one pass, and
 //! rejects unknown format names and versions up front; the header/event
 //! consistency checks live in [`FleetCapture::validate`], which the parser

@@ -20,11 +20,10 @@ use cloudsim_net::TransferInterrupted;
 use cloudsim_storage::hash::Sha256;
 use cloudsim_storage::RestoredChunk;
 use cloudsim_trace::SimDuration;
-use serde::Serialize;
 
 /// Fault-recovery accounting for one session (or one client, or one fleet —
 /// stats merge additively).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultStats {
     /// Transfer attempts a link outage cut mid-flight (immediate failures
     /// on an already-down link included).

@@ -22,7 +22,6 @@
 //! reach the benchmark gate.
 
 use crate::time::SimDuration;
-use serde::Serialize;
 
 /// Sub-bucket resolution: each power-of-two octave splits into
 /// `2^SUB_BUCKET_BITS` equal slices.
@@ -172,7 +171,7 @@ impl FromIterator<SimDuration> for LatencyHistogram {
 }
 
 /// The quantiles a suite report and the `hist.*` gate metrics carry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSummary {
     /// Samples behind the quantiles.
     pub count: u64,

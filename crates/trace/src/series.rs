@@ -6,7 +6,6 @@
 
 use crate::hist::LatencyHistogram;
 use crate::time::SimTime;
-use serde::Serialize;
 
 /// A cumulative step series: at each event time the running total increases.
 ///
@@ -142,7 +141,7 @@ pub fn start_curve(
 
 /// Simple descriptive statistics over repeated measurements (the paper repeats
 /// each experiment 24 times and reports averages).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleStats {
     /// Number of samples.
     pub count: usize,

@@ -570,7 +570,8 @@ fn one_fan_out_threshold_for_both_byte_pipelines() {
 
 /// Every seed and random stream comes from one splitmix64 derivation,
 /// `cloudsim_workload::seed::derive`: its multiplier, in any digit grouping,
-/// appears once in library code, there.
+/// appears once in library code and the vendored stubs' non-test code, in
+/// `seed.rs`.
 fn seed_mixes(sources: &[&Source]) -> Vec<String> {
     let found: Vec<String> = sources
         .iter()
@@ -593,7 +594,9 @@ fn seed_mixes(sources: &[&Source]) -> Vec<String> {
 
 #[test]
 fn one_seed_mix_in_the_workspace() {
-    assert_none("seed mixes", seed_mixes(&libs().iter().collect::<Vec<_>>()));
+    let stubs = rust_sources(&["vendor"]);
+    let stubs = stubs.iter().filter(|s| s.path.split('/').nth(2) == Some("src"));
+    assert_none("seed mixes", seed_mixes(&libs().iter().chain(stubs).collect::<Vec<_>>()));
 }
 
 /// The byte pipelines and the split LZSS size count fan out through
@@ -883,186 +886,59 @@ const FIELD_ALLOWLIST: [(&str, &str); 6] = [
     ("StoreStats::stored_bytes", "the per-user side of the store's accounting identity: the fleet tests check that the users' stored bytes sum to AggregateStats::referenced_bytes"),
 ];
 
-/// A struct or enum in library code: whether it derives `Serialize`, and
-/// its fields. A tuple struct or an enum has one nameless field holding
-/// every identifier of its body.
-struct StructDef<'a> {
-    name: &'a str,
-    serialize: bool,
-    fields: Vec<Field<'a>>,
-}
-
-struct Field<'a> {
-    name: &'a str,
-    public: bool,
-    /// Under `#[serde(skip)]`: no dump writes it.
-    skipped: bool,
-    /// The identifiers of its type.
-    ty: Vec<&'a str>,
-    line: usize,
-}
-
-/// The attribute groups just before index `i` (walking back over `pub`).
-fn attributes_before<'a>(toks: &[Tok<'a>], mut i: usize) -> Vec<Tok<'a>> {
-    while i > 0 && matches!(toks[i - 1].text, "pub" | "(" | "crate" | ")") {
-        i -= 1;
-    }
-    let mut attrs = Vec::new();
-    while i > 0 && toks[i - 1].is("]") {
-        let Some(open) = (0..i - 1).rev().find(|&o| toks[o].is("[") && close(toks, o) == i - 1)
-        else {
-            break;
-        };
-        attrs.extend_from_slice(&toks[open..i]);
-        i = open.saturating_sub(1);
-    }
-    attrs
-}
-
-fn structs<'a>(toks: &[Tok<'a>]) -> Vec<StructDef<'a>> {
+/// `(Struct, field, line)` for every `pub` field of a named-field struct.
+fn public_fields<'a>(toks: &[Tok<'a>]) -> Vec<(&'a str, &'a str, usize)> {
     let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if !(t.is("struct") || t.is("enum")) || i + 1 >= toks.len() {
+    for i in 0..toks.len().saturating_sub(1) {
+        if !toks[i].is("struct") {
             continue;
         }
-        let serialize = attributes_before(toks, i).iter().any(|a| a.is("Serialize"));
         let Some(open) = (i..toks.len()).find(|&j| matches!(toks[j].text, "{" | "(" | ";")) else {
             continue;
         };
-        let end = if toks[open].is(";") { open } else { close(toks, open) };
-        let mut fields = Vec::new();
-        if t.is("struct") && toks[open].is("{") {
-            let mut j = open + 1;
-            while j < end {
-                let field_end = item_end(toks, j).min(end);
-                let attrs: Vec<&str> = {
-                    let mut a = Vec::new();
-                    let mut k = j;
-                    while seq(toks, k, &["#", "["]) {
-                        let c = close(toks, k + 1);
-                        a.extend(toks[k..=c].iter().map(|t| t.text));
-                        k = c + 1;
-                    }
-                    j = k;
-                    a
-                };
-                let public = toks[j].is("pub");
-                if public && toks.get(j + 1).is_some_and(|t| t.is("(")) {
-                    j = close(toks, j + 1) + 1;
-                } else if public {
-                    j += 1;
-                }
-                if j + 1 < field_end && toks[j + 1].is(":") {
-                    let ty = toks[j + 2..field_end]
-                        .iter()
-                        .filter(|t| t.kind == Kind::Ident)
-                        .map(|t| t.text)
-                        .collect();
-                    let skipped = attrs.contains(&"serde") && attrs.contains(&"skip");
-                    fields.push(Field {
-                        name: toks[j].text,
-                        public,
-                        skipped,
-                        ty,
-                        line: toks[j].line,
-                    });
-                }
-                j = field_end.max(j + 1);
-            }
-        } else {
-            let ty = toks[open..end].iter().filter(|t| t.kind == Kind::Ident).map(|t| t.text);
-            let (public, skipped) = (false, false);
-            fields.push(Field { name: "", public, skipped, ty: ty.collect(), line: t.line });
+        if !toks[open].is("{") {
+            continue;
         }
-        out.push(StructDef { name: toks[i + 1].text, serialize, fields });
+        let end = close(toks, open);
+        let mut j = open + 1;
+        while j < end {
+            let field_end = item_end(toks, j).min(end);
+            while seq(toks, j, &["#", "["]) {
+                j = close(toks, j + 1) + 1;
+            }
+            let public = toks[j].is("pub");
+            if public && toks.get(j + 1).is_some_and(|t| t.is("(")) {
+                j = close(toks, j + 1) + 1;
+            } else if public {
+                j += 1;
+            }
+            if public && j + 1 < field_end && toks[j + 1].is(":") {
+                out.push((toks[i + 1].text, toks[j].text, toks[j].line));
+            }
+            j = field_end.max(j + 1);
+        }
     }
     out
 }
 
-/// The identifiers in the return type of every fn in `toks`, by fn name.
-fn return_types<'a>(toks: &[Tok<'a>], into: &mut BTreeMap<&'a str, BTreeSet<&'a str>>) {
-    for i in 0..toks.len() {
-        if !toks[i].is("fn") || i + 2 >= toks.len() {
+/// The fields the JSON writer's `objects!` invocation lists as written: a
+/// name followed by `,`, `;` or the closing brace, not a `name: _` that the
+/// dump leaves out.
+fn dumped_fields<'a>(toks: &[Tok<'a>], into: &mut BTreeSet<&'a str>) {
+    for k in 0..toks.len() {
+        if !seq(toks, k, &["objects", "!", "{"]) {
             continue;
         }
-        let Some(params) = (i..toks.len()).find(|&j| toks[j].is("(")) else { continue };
-        let mut j = close(toks, params) + 1;
-        if !toks.get(j).is_some_and(|t| t.is("->")) {
-            continue;
-        }
-        let entry = into.entry(toks[i + 1].text).or_default();
-        j += 1;
-        while j < toks.len() && !matches!(toks[j].text, "{" | ";" | "where") {
-            if toks[j].kind == Kind::Ident {
-                entry.insert(toks[j].text);
+        for j in k + 3..close(toks, k + 2) {
+            if toks[j].kind == Kind::Ident && matches!(toks[j + 1].text, "," | ";" | "}") {
+                into.insert(toks[j].text);
             }
-            j += 1;
         }
     }
-}
-
-/// The serialisable types some `--json` dump writes: for each
-/// `to_json(&x)` or `to_json(&x.field)` in library code, the types the
-/// calls in `let x = …;` return, narrowed through `.field`, and then every
-/// serialisable type their fields hold.
-fn dumped_types<'a>(
-    libs: &'a [Lexed<'a>],
-    defs: &BTreeMap<&'a str, &StructDef<'a>>,
-) -> BTreeSet<&'a str> {
-    let mut returns = BTreeMap::new();
-    for Lexed { toks, .. } in libs {
-        return_types(toks, &mut returns);
-    }
-    let serial = |n: &&str| defs.get(n).is_some_and(|d| d.serialize);
-    let mut roots = BTreeSet::new();
-    for Lexed { toks, .. } in libs {
-        for k in 0..toks.len() {
-            if !seq(toks, k, &["to_json", "(", "&"]) || k + 3 >= toks.len() {
-                continue;
-            }
-            let base = toks[k + 3].text;
-            let Some(binding) = (0..k).rev().find(|&p| seq(toks, p, &["let", base, "="])) else {
-                continue;
-            };
-            let stmt_end = item_end(toks, binding).min(k);
-            let mut types: BTreeSet<&str> = (binding..stmt_end)
-                .filter(|&j| {
-                    toks[j].kind == Kind::Ident && toks.get(j + 1).is_some_and(|t| t.is("("))
-                })
-                .flat_map(|j| returns.get(toks[j].text).into_iter().flatten().copied())
-                .filter(serial)
-                .collect();
-            let mut m = k + 4;
-            while seq(toks, m, &["."]) && toks.get(m + 2).is_some_and(|t| !t.is("(")) {
-                let field = toks[m + 1].text;
-                types = types
-                    .iter()
-                    .filter_map(|t| defs.get(t))
-                    .flat_map(|d| d.fields.iter().filter(|f| f.name == field))
-                    .flat_map(|f| f.ty.iter().copied())
-                    .filter(serial)
-                    .collect();
-                m += 2;
-            }
-            roots.extend(types);
-        }
-    }
-    let mut reached = BTreeSet::new();
-    let mut stack: Vec<&str> = roots.into_iter().collect();
-    while let Some(name) = stack.pop() {
-        if !reached.insert(name) {
-            continue;
-        }
-        let def = defs[name];
-        for f in def.fields.iter().filter(|f| !f.skipped) {
-            stack.extend(f.ty.iter().copied().filter(serial).filter(|t| !reached.contains(t)));
-        }
-    }
-    reached
 }
 
 /// `path:line: Struct::field` for every `pub` field of a library struct
-/// that no code reads with `.field` and no `--json` dump serialises.
+/// that no code reads with `.field` and the JSON writer does not write.
 fn unread_fields(libs: &[Lexed], users: &[Lexed]) -> Vec<String> {
     let mut read = BTreeSet::new();
     for Lexed { toks, .. } in libs.iter().chain(users) {
@@ -1082,19 +958,15 @@ fn unread_fields(libs: &[Lexed], users: &[Lexed]) -> Vec<String> {
             }
         }
     }
-    let all: Vec<Vec<StructDef>> = libs.iter().map(|l| structs(&l.toks)).collect();
-    let defs: BTreeMap<&str, &StructDef> = all.iter().flatten().map(|d| (d.name, d)).collect();
-    let dumped = dumped_types(libs, &defs);
-    assert!(!dumped.is_empty(), "found no type that a --json dump writes");
+    for Lexed { toks, .. } in libs {
+        dumped_fields(toks, &mut read);
+    }
     let mut found = Vec::new();
-    for (Lexed { src: s, .. }, defs) in libs.iter().zip(&all) {
-        for d in defs {
-            for f in d.fields.iter().filter(|f| f.public && !read.contains(f.name)) {
-                let path = format!("{}::{}", d.name, f.name);
-                let serialised = dumped.contains(d.name) && !f.skipped;
-                if !serialised && !FIELD_ALLOWLIST.iter().any(|(n, _)| *n == path) {
-                    found.push(format!("{}: pub field {path}", s.at(f.line)));
-                }
+    for Lexed { src, toks } in libs {
+        for (ty, field, line) in public_fields(toks) {
+            let path = format!("{ty}::{field}");
+            if !read.contains(field) && !FIELD_ALLOWLIST.iter().any(|(n, _)| *n == path) {
+                found.push(format!("{}: pub field {path}", src.at(line)));
             }
         }
     }
@@ -1673,6 +1545,59 @@ fn the_vendor_table_names_exactly_the_stubs() {
 }
 
 // ---------------------------------------------------------------------------
+// The library is std-only
+// ---------------------------------------------------------------------------
+
+/// `path:line: name` for each dependency of a crate manifest that is not a
+/// package among `manifests`; a `[dev-dependencies]` entry may also name
+/// the vendored `proptest`. A `[dependencies.name]` table is one entry.
+fn foreign_dependencies(manifests: &[Source]) -> Vec<String> {
+    let crates: BTreeSet<&str> = manifests
+        .iter()
+        .filter_map(|m| {
+            let line = m.text.lines().find(|l| l.starts_with("name = \""))?;
+            line.split('"').nth(1)
+        })
+        .collect();
+    let mut found = Vec::new();
+    for m in manifests {
+        let mut section = "";
+        for (n, line) in m.text.lines().enumerate() {
+            let (name, table) = match line.strip_prefix('[') {
+                Some(header) => {
+                    section = header.trim_end_matches(']');
+                    match section.split_once("dependencies.") {
+                        Some((kind, name)) => (name, &section[..kind.len() + "dependencies".len()]),
+                        None => continue,
+                    }
+                }
+                None => match line.split_once('=') {
+                    Some((name, _)) if !line.starts_with('#') => (name.trim(), section),
+                    _ => continue,
+                },
+            };
+            let allowed =
+                crates.contains(name) || (table == "dev-dependencies" && name == "proptest");
+            if table.ends_with("dependencies") && !allowed {
+                found.push(format!("{}: {name}", m.at(n + 1)));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn the_library_depends_on_nothing_outside_the_workspace() {
+    let manifests: Vec<Source> = files_under("crates")
+        .iter()
+        .filter(|p| p.split('/').nth(2) == Some("Cargo.toml"))
+        .map(|p| Source::new(p, &fs::read_to_string(root().join(p)).unwrap()))
+        .collect();
+    assert!(manifests.len() > 1, "found no crate manifests");
+    assert_none("dependencies from outside crates/", foreign_dependencies(&manifests));
+}
+
+// ---------------------------------------------------------------------------
 // The size figure
 // ---------------------------------------------------------------------------
 
@@ -1790,11 +1715,16 @@ fn each_invariant_rejects_its_fixture() {
         "crates/storage/src/c.rs",
         "// 0xBF58476D1CE4E5B9\nfn g() -> u64 { 0xbf58_476d_1ce4_e5b9u64 }",
     );
+    let stub = one(
+        "vendor/proptest/src/lib.rs",
+        "fn next() -> u64 { 0xBF58476D1CE4E5B9 }\n#[cfg(test)]\nfn t() -> u64 { 0xBF58476D1CE4E5B9 }",
+    );
     assert_eq!(seed_mixes(&[&seed]).len(), 0);
     assert_eq!(
-        seed_mixes(&[&seed, &copy]),
+        seed_mixes(&[&seed, &copy, &stub]),
         ["the splitmix64 multiplier must appear once, in seed.rs; found \
-             [\"crates/workload/src/seed.rs:1\", \"crates/storage/src/c.rs:2\"]"]
+             [\"crates/workload/src/seed.rs:1\", \"crates/storage/src/c.rs:2\", \
+             \"vendor/proptest/src/lib.rs:1\"]"]
     );
 
     let spawn = one(
@@ -1888,15 +1818,34 @@ fn each_invariant_rejects_its_fixture() {
         ]
     );
 
-    let readme = one("vendor/README.md", "| stub |\n|---|\n| `serde` |\n| `gone` |\n| `serde` |\n");
-    let files = ["vendor/README.md", "vendor/serde/Cargo.toml", "vendor/rand/src/lib.rs"];
+    let readme =
+        one("vendor/README.md", "| stub |\n|---|\n| `proptest` |\n| `gone` |\n| `proptest` |\n");
+    let files = ["vendor/README.md", "vendor/proptest/Cargo.toml", "vendor/rand/src/lib.rs"];
     assert_eq!(
-        vendor_mismatches(&readme, &files.map(String::from), "members = [\"vendor/serde\"]"),
+        vendor_mismatches(&readme, &files.map(String::from), "members = [\"vendor/proptest\"]"),
         [
             "vendor/README.md:4: row `gone` has no directory of its own",
-            "vendor/README.md:5: row `serde` has no directory of its own",
+            "vendor/README.md:5: row `proptest` has no directory of its own",
             "vendor/rand: no row in vendor/README.md",
             "vendor/rand: not a workspace member",
+        ]
+    );
+
+    let core = one(
+        "crates/core/Cargo.toml",
+        "[package]\nname = \"core\"\n[dependencies]\nstore = { workspace = true }\n\
+         serde = \"1\"\n[dependencies.libc]\nversion = \"0.2\"\n[dev-dependencies]\n\
+         proptest = { workspace = true }\nrand = \"0.8\"\n[target.'cfg(unix)'.dependencies]\n\
+         nix = \"0.27\"\n",
+    );
+    let store = one("crates/store/Cargo.toml", "[package]\nname = \"store\"\n[dev-dependencies]\n");
+    assert_eq!(
+        foreign_dependencies(&[core, store]),
+        [
+            "crates/core/Cargo.toml:5: serde",
+            "crates/core/Cargo.toml:6: libc",
+            "crates/core/Cargo.toml:10: rand",
+            "crates/core/Cargo.toml:12: nix",
         ]
     );
 }
@@ -1963,18 +1912,14 @@ mod tests { fn t() -> u8 { super::TESTED } }
 fn the_field_rule_counts_reads_and_dumps() {
     let lib = one(
         "crates/core/src/s.rs",
-        "#[derive(Serialize)]
-pub struct Dumped { pub inner: Inner, #[serde(skip)] pub wall: f64 }
-#[derive(Serialize)]
-pub struct Inner { pub shown: u64 }
-#[derive(Serialize)]
-pub struct NeverDumped { pub derived_only: u64 }
-pub struct Plain { pub read: u64, pub written: u64 }
-pub fn run() -> Dumped { todo!() }
+        "pub struct Dumped { pub shown: u64, #[doc(hidden)] pub wall: f64, secret: u8 }
+pub struct Plain { pub read: u64, pub written: u64, pub listed: u64 }
+objects! {
+    Dumped { shown; wall: _ }
+}
 fn f(p: &mut Plain) -> u64 {
     p.written = 1;
-    let d = run();
-    let _ = Report::to_json(&d);
+    let _ = vec![listed, 1];
     p.read
 }
 ",
@@ -1982,9 +1927,9 @@ fn f(p: &mut Plain) -> u64 {
     assert_eq!(
         unread_fields(&[lexed_lib(&lib)], &[]),
         [
-            "crates/core/src/s.rs:2: pub field Dumped::wall",
-            "crates/core/src/s.rs:6: pub field NeverDumped::derived_only",
-            "crates/core/src/s.rs:7: pub field Plain::written",
+            "crates/core/src/s.rs:1: pub field Dumped::wall",
+            "crates/core/src/s.rs:2: pub field Plain::written",
+            "crates/core/src/s.rs:2: pub field Plain::listed",
         ]
     );
 }
