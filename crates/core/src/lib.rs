@@ -96,3 +96,52 @@ pub use testbed::Testbed;
 pub use cloudsim_geo::Provider;
 pub use cloudsim_services::ServiceProfile;
 pub use cloudsim_workload::{BatchSpec, FileKind};
+
+/// The JSON writer's rules one at a time; `json::tests` holds the whole
+/// dump layout byte for byte.
+#[cfg(test)]
+mod tests {
+    use crate::json::{Fields, ToJson};
+    use cloudsim_trace::SimDuration;
+
+    fn render(value: &dyn ToJson) -> String {
+        let mut out = String::new();
+        value.write_json(&mut out, 0);
+        out
+    }
+
+    #[test]
+    fn primitives_serialize() {
+        assert_eq!(render(&5u64), "5");
+        assert_eq!(render(&7usize), "7");
+        assert_eq!(render(&true), "true");
+        assert_eq!(render(&"x".to_string()), "\"x\"");
+        assert_eq!(render(&f64::NAN), "null");
+        assert_eq!(render(&SimDuration::from_millis(3)), "3000");
+        assert_eq!(render(&vec![1u64, 2]), "[\n  1,\n  2\n]");
+        assert_eq!(render(&(1u64, 2.5f64, false)), "[\n  1,\n  2.5,\n  false\n]");
+    }
+
+    #[test]
+    fn pretty_format_matches_serde_json_style() {
+        let name = "dropbox".to_string();
+        let sizes = vec![1u64, 2];
+        let fields: [(&str, &dyn ToJson); 3] =
+            [("name", &name), ("bundling", &true), ("sizes", &sizes)];
+        assert_eq!(
+            render(&Fields(&fields)),
+            "{\n  \"name\": \"dropbox\",\n  \"bundling\": true,\n  \"sizes\": [\n    1,\n    2\n  ]\n}"
+        );
+    }
+
+    #[test]
+    fn strings_are_escaped() {
+        assert_eq!(render(&"a\"b\n".to_string()), "\"a\\\"b\\n\"");
+    }
+
+    #[test]
+    fn whole_floats_keep_a_decimal() {
+        assert_eq!(render(&1.0f64), "1.0");
+        assert_eq!(render(&1.5f64), "1.5");
+    }
+}
