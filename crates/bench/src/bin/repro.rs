@@ -19,8 +19,12 @@
 //! a target accepts only the flags its row declares, each with a value
 //! that is not itself a flag; a path-valued flag (`--json`, `--capture`)
 //! takes `-` for stdout, and `--json -` streams the JSON *instead of* the
-//! text report (what the CI determinism legs `cmp`); counted flags reject
-//! missing/malformed/zero values with the usage text and exit code 2.
+//! text report; counted flags reject missing/malformed/zero values with the
+//! usage text and exit code 2.
+//!
+//! Every byte on stdout depends only on the command line. Host time has
+//! one reader, `main`: a target, or `all`, ends with one stderr line,
+//! `repro <target>: <seconds> s`, timing the whole invocation.
 //! Absolute values differ from the 2013 testbed; a ledger of the
 //! paper-vs-measured comparison for every target is ROADMAP item 8.
 
@@ -30,6 +34,7 @@ use cloudbench_bench::cli::{
 use cloudbench_bench::gate::render_flat;
 use cloudbench_bench::metrics::collect;
 use cloudbench_bench::suites::{by_name, render_table, usage, REPS, TABLE};
+use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,6 +50,7 @@ fn main() {
     };
     check_flags(&args, flags, &usage);
 
+    let started = Instant::now();
     match target {
         "all" => {
             parse_count(&args, "--reps", 1, &usage);
@@ -62,5 +68,8 @@ fn main() {
             let suite = row.expect("an unknown target died above");
             emit(&(suite.run)(&args), &args, &usage);
         }
+    }
+    if !matches!(target, "suites" | "bench-json") {
+        eprintln!("repro {target}: {:.2} s", started.elapsed().as_secs_f64());
     }
 }

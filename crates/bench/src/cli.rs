@@ -141,9 +141,8 @@ pub fn write_payload(path: &str, payload: &str, what: &str) {
 
 /// Prints what a target produced: its report sections, then every payload
 /// whose flag is on the command line. `--json -` replaces the text with the
-/// JSON stream (the report of some suites carries wall-clock time, the JSON
-/// never does — CI `cmp`s the stream); any other path gets the payload
-/// alongside the text.
+/// JSON stream, which writes every field at full precision; any other path
+/// gets the payload alongside the text.
 pub fn emit(output: &Output, args: &[String], usage: &str) {
     let selected: Vec<_> = output
         .dumps

@@ -102,8 +102,8 @@ pub struct Suite {
     pub in_all: bool,
     /// The `repro` arguments whose stdout the CI determinism leg `cmp`s
     /// across two fresh runs, or `None` for rows gated through
-    /// `bench-json` alone. Targets must write nothing host-dependent to
-    /// stdout — rows whose *text* prints wall-clock time dump `--json -`.
+    /// `bench-json` alone. The population runners dump `--json -`, which
+    /// writes every field at full precision where the text rounds.
     pub determinism_target: Option<&'static str>,
     /// The target itself.
     pub run: Run,
@@ -547,24 +547,11 @@ mod tests {
 
     #[test]
     fn determinism_targets_dump_machine_comparable_output() {
-        // `cmp`-able means nothing host-dependent on stdout: a target may
-        // dump its text only if that text never prints wall-clock time.
         for suite in TABLE {
             let Some(target) = suite.determinism_target else { continue };
             assert!(target.starts_with(suite.name), "{target} does not run {}", suite.name);
-            if target.ends_with("--json -") {
-                continue;
-            }
-            let args: Vec<String> = target.split(' ').map(str::to_string).collect();
-            for report in (suite.run)(&args).reports {
-                assert!(
-                    !report.body.contains("wall"),
-                    "{}: the text prints wall-clock time, so `{target}` must dump --json -",
-                    suite.name
-                );
-            }
         }
-        // The three population runners do print it.
+        // The population runners' legs compare every field at full precision.
         for name in ["fleet-scale", "partition", "trace"] {
             let target = by_name(name).and_then(|s| s.determinism_target).expect("has target");
             assert!(target.ends_with("--json -"), "{name}: {target}");

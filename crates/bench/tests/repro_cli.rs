@@ -135,27 +135,23 @@ fn undeclared_and_valueless_flags_exit_2_and_write_nothing() {
     assert_eq!(written, ["c.jsonl"], "only the recorded capture may be in the directory");
 }
 
-/// The trace subcommand: the JSON dump is deterministic (what the CI
-/// trace determinism leg `cmp`s) and the text report carries the
-/// wall-time comparison the dump deliberately omits.
+/// The trace subcommand prints the same bytes on every run, text and JSON
+/// dump alike (the dump is what the CI trace determinism leg `cmp`s); the
+/// run's host time goes to stderr alone.
 #[test]
-fn trace_dumps_deterministic_json_and_reports_wall_time_in_text_only() {
-    let a = repro(&["trace", "--clients", "300", "--json", "-"]);
-    assert!(a.status.success(), "stderr: {}", stderr(&a));
-    let b = repro(&["trace", "--clients", "300", "--json", "-"]);
-    assert!(b.status.success(), "stderr: {}", stderr(&b));
-    assert_eq!(stdout(&a), stdout(&b), "trace dumps must be byte-identical across reruns");
-    let dump = stdout(&a);
-    for field in ["\"packets\"", "\"flows\"", "\"overhead_ratio\""] {
-        assert!(dump.contains(field), "{field} missing from: {dump}");
+fn trace_repeats_its_text_and_its_dump_byte_for_byte() {
+    let text: (&[&str], &[&str]) = (&[], &["Trace overhead", "packets/vsec"]);
+    let dump: (&[&str], &[&str]) = (&["--json", "-"], &["\"packets\"", "\"overhead_ratio\""]);
+    for (extra, shown) in [text, dump] {
+        let args = [&["trace", "--clients", "300"][..], extra].concat();
+        let a = repro(&args);
+        assert!(a.status.success(), "stderr: {}", stderr(&a));
+        assert_eq!(a.stdout, repro(&args).stdout, "{args:?} printed different bytes");
+        assert!(stderr(&a).starts_with("repro trace: "), "got: {}", stderr(&a));
+        for want in shown {
+            assert!(stdout(&a).contains(want), "{want} missing from: {}", stdout(&a));
+        }
     }
-    assert!(!dump.contains("wall"), "wall-clock fields leaked into the dump: {dump}");
-
-    let out = repro(&["trace", "--clients", "300"]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("Trace overhead"), "got: {text}");
-    assert!(text.contains("wall time"), "got: {text}");
 }
 
 /// A traced population records client `i` from `10.(i>>16).(i>>8).i`, so

@@ -31,9 +31,6 @@ pub struct FleetScalingRow {
     pub referenced_bytes: u64,
     /// Payload bytes the clients uploaded (after client-side capabilities).
     pub uploaded_payload: u64,
-    /// Host wall-clock seconds the run took (not deterministic; excluded
-    /// from regression baselines).
-    pub wall_secs: f64,
 }
 
 impl FleetScalingRow {
@@ -48,7 +45,6 @@ impl FleetScalingRow {
             physical_bytes: agg.physical_bytes,
             referenced_bytes: agg.referenced_bytes,
             uploaded_payload: run.total_uploaded_payload(),
-            wall_secs: run.elapsed.as_secs_f64(),
         }
     }
 }
@@ -85,19 +81,13 @@ impl FleetScalingSuite {
         );
         let _ = writeln!(
             body,
-            "{:>8} {:>14} {:>14} {:>12} {:>12} {:>12} {:>10}",
-            "clients",
-            "goodput Mb/s",
-            "completion s",
-            "p-bytes MB",
-            "r-bytes MB",
-            "dedup x",
-            "wall s"
+            "{:>8} {:>14} {:>14} {:>12} {:>12} {:>12}",
+            "clients", "goodput Mb/s", "completion s", "p-bytes MB", "r-bytes MB", "dedup x"
         );
         for row in &self.rows {
             let _ = writeln!(
                 body,
-                "{:>8} {:>14.2} {:>9.1}±{:<4.1} {:>12.2} {:>12.2} {:>12.2} {:>10.2}",
+                "{:>8} {:>14.2} {:>9.1}±{:<4.1} {:>12.2} {:>12.2} {:>12.2}",
                 row.clients,
                 row.aggregate_goodput_bps / 1e6,
                 row.completion_secs.mean,
@@ -105,7 +95,6 @@ impl FleetScalingSuite {
                 row.physical_bytes as f64 / 1e6,
                 row.referenced_bytes as f64 / 1e6,
                 row.dedup_ratio,
-                row.wall_secs,
             );
         }
         Report {
@@ -209,10 +198,6 @@ mod tests {
     fn scaling_rows_are_deterministic_for_a_seed() {
         let a = run_fleet_scaling(&ServiceProfile::wuala(), &[2], 7);
         let b = run_fleet_scaling(&ServiceProfile::wuala(), &[2], 7);
-        // Everything except wall-clock must reproduce bit-for-bit.
-        let (mut ra, mut rb) = (a.rows[0].clone(), b.rows[0].clone());
-        ra.wall_secs = 0.0;
-        rb.wall_secs = 0.0;
-        assert_eq!(ra, rb);
+        assert_eq!(a, b);
     }
 }

@@ -4,9 +4,8 @@
 //! The format: a two-space indent, `": "` after a key, `[]` and `{}` for
 //! empty containers, a whole float below 1e15 with a trailing `.0` and a
 //! non-finite float as `null`. A dumped struct lists its fields once, in an
-//! `objects!` block beside its definition, as a pattern without `..`: a
-//! field added later and not listed there fails to compile, and one listed
-//! as `name: _` is left out of the dump.
+//! `objects!` block beside its definition: a field added later and not
+//! listed there fails to compile, with an error that names it.
 
 use cloudsim_services::FaultStats;
 use cloudsim_trace::series::SampleStats;
@@ -133,15 +132,17 @@ impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
     }
 }
 
-/// Writes each listed struct as an object of the fields before the `;`, in
-/// the order given; the fields after it, bound to `_`, are not written.
+/// Writes each listed struct as an object of every field, in the order
+/// given. The closure that is never called builds the struct from the
+/// list, so a field the list leaves out fails to compile with an error
+/// that names it.
 macro_rules! objects {
-    ($($ty:ident { $($field:ident),+ $(; $($skipped:ident: _),+)? })*) => {$(
+    ($($ty:ident { $($field:ident),+ })*) => {$(
         impl $crate::json::ToJson for $ty {
             fn write_json(&self, out: &mut String, level: usize) {
                 use $crate::json::{Fields, ToJson};
-                let $ty { $($field,)+ $($($skipped: _,)+)? } = self;
-                Fields(&[$((stringify!($field), $field as &dyn ToJson)),+]).write_json(out, level);
+                let _ = |$($field),+| $ty { $($field),+ };
+                Fields(&[$((stringify!($field), &self.$field as &dyn ToJson)),+]).write_json(out, level);
             }
         }
     )*};

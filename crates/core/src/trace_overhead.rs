@@ -1,28 +1,23 @@
 //! Trace-overhead suite: what full packet capture costs at fleet scale.
 //!
-//! Packet capture promises that switching it on does not
-//! perturb the simulation (the traced run's data is bit-identical to the
-//! traceless run) and does not meaningfully slow it down (after the run,
-//! the fleet-scale runner emits every commit's packets from its events and
-//! intervals, already in canonical order, into one preallocated
-//! [`cloudsim_trace::TraceShard`], so freezing the trace only scans a
-//! sorted run). This suite
-//! runs the canonical fleet-scale population twice — tracing off, tracing
-//! on — asserts the bit-identity, and reports what the capture contains:
-//! packets, flows, connection opens, wire volume, and the wire/logical
-//! **overhead ratio** (the §5-style protocol-overhead figure at population
-//! scale).
+//! Packet capture does not perturb the simulation: the traced run is the
+//! traceless run's `drive` plus one pass after it, which emits every
+//! commit's packets from the run's events and intervals, already in
+//! canonical order, into one preallocated [`cloudsim_trace::TraceShard`]
+//! (`cloudsim_services::scale`'s tests hold the two runs equal bit for
+//! bit). This suite runs the canonical fleet-scale population once, traced,
+//! and reports what the capture contains: packets, flows, connection opens,
+//! wire volume, and the wire/logical **overhead ratio** (the §5-style
+//! protocol-overhead figure at population scale).
 //!
 //! Every reported number is a pure function of `(clients, seed)`, so the
 //! suite is gated as `trace.*` metrics and the CI determinism leg `cmp`s
-//! two fresh JSON dumps byte for byte. The two wall-clock fields are the
-//! deliberate exception: left out of the dump and reported only in the text
-//! table.
-//! Host time is `perf/`'s to judge (`services.scale_trace_cost_share`).
+//! two fresh JSON dumps byte for byte. Host time is `perf/`'s to judge
+//! (`services.scale_trace_cost_share`).
 
 use crate::report::{gate_keys, Report};
 use crate::scale::scale_spec;
-use cloudsim_services::scale::{run_population, run_population_traced};
+use cloudsim_services::scale::run_population_traced;
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use std::fmt::Write as _;
 
@@ -50,26 +45,18 @@ pub struct TraceOverheadSuite {
     pub packets_per_vsec: f64,
     /// Packets each commit contributes (SYN + one data packet per file).
     pub packets_per_commit: f64,
-    /// Host wall-clock seconds of the traced run. Non-deterministic:
-    /// excluded from gate metrics and JSON (the determinism leg `cmp`s
-    /// dumps byte for byte).
-    pub traced_wall_secs: f64,
-    /// Host wall-clock seconds of the traceless baseline run (left out of
-    /// the dump like [`TraceOverheadSuite::traced_wall_secs`]).
-    pub baseline_wall_secs: f64,
 }
 
 crate::json::objects! {
     TraceOverheadSuite {
         clients, commits, packets, flows, syns, wire_mb, logical_mb, overhead_ratio,
-        packets_per_vsec, packets_per_commit; traced_wall_secs: _, baseline_wall_secs: _
+        packets_per_vsec, packets_per_commit
     }
 }
 
 impl TraceOverheadSuite {
     /// Renders the trace-overhead suite: what the packet capture of a
-    /// fleet-scale run contains, and what it cost in host time next to the
-    /// traceless baseline (the wall figures are text-only).
+    /// fleet-scale run contains.
     pub fn report(&self) -> Report {
         let mut body = String::new();
         let _ = writeln!(
@@ -101,19 +88,11 @@ impl TraceOverheadSuite {
             self.packets_per_vsec,
             self.packets_per_commit,
         );
-        let _ = writeln!(
-            body,
-            "\nwall time: traced {:.2}s vs traceless {:.2}s ({:.2}x)",
-            self.traced_wall_secs,
-            self.baseline_wall_secs,
-            self.traced_wall_secs / self.baseline_wall_secs.max(f64::MIN_POSITIVE),
-        );
         Report { title: "Trace overhead: packet capture at fleet scale".to_string(), body }
     }
 
-    /// The suite's gate metrics. Every value is derived from the capture (a
-    /// pure function of the spec, whatever the worker count); wall-clock
-    /// numbers are non-deterministic and belong to `perf/`.
+    /// The suite's gate metrics. Every value is derived from the capture, a
+    /// pure function of the spec.
     pub fn gate_metrics(&self) -> Vec<(String, f64)> {
         gate_keys(
             "trace",
@@ -129,23 +108,11 @@ impl TraceOverheadSuite {
     }
 }
 
-/// Runs the canonical fleet-scale population twice — tracing off, then
-/// tracing on — asserts the traced run's data
-/// is bit-identical to the baseline, and assembles the suite from the
-/// frozen capture.
+/// Runs the canonical fleet-scale population once, traced, and assembles
+/// the suite from the frozen capture.
 pub fn run_trace_overhead(clients: usize, seed: u64) -> TraceOverheadSuite {
     let spec = scale_spec(clients, seed);
-    let fresh = || ObjectStore::with_policy(GcPolicy::MarkSweep);
-    let baseline = run_population(&spec, fresh());
-    let (run, trace) = run_population_traced(&spec, fresh());
-
-    // Capture must be a pure observer: the traced run's simulation data is
-    // the traceless run's, bit for bit.
-    assert_eq!(run.commits, baseline.commits, "tracing changed the commit count");
-    assert_eq!(run.logical_bytes, baseline.logical_bytes, "tracing changed the volume");
-    assert_eq!(run.intervals, baseline.intervals, "tracing changed the timeline");
-    assert_eq!(run.aggregate(), baseline.aggregate(), "tracing changed the store state");
-
+    let (run, trace) = run_population_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
     let view = trace.view();
     let packets = view.len() as u64;
     let wire_bytes = view.wire_bytes_total();
@@ -163,8 +130,6 @@ pub fn run_trace_overhead(clients: usize, seed: u64) -> TraceOverheadSuite {
         overhead_ratio: wire_bytes as f64 / run.logical_bytes.max(1) as f64,
         packets_per_vsec: packets as f64 / span.max(f64::MIN_POSITIVE),
         packets_per_commit: packets as f64 / run.commits.max(1) as f64,
-        traced_wall_secs: run.elapsed.as_secs_f64(),
-        baseline_wall_secs: baseline.elapsed.as_secs_f64(),
     }
 }
 
@@ -210,13 +175,11 @@ mod tests {
     fn suite_is_deterministic_for_a_seed() {
         let a = run_trace_overhead(300, 7);
         let b = run_trace_overhead(300, 7);
-        assert_eq!((a.packets, a.flows, a.syns), (b.packets, b.flows, b.syns));
-        assert_eq!(a.wire_mb.to_bits(), b.wire_mb.to_bits());
-        assert_eq!(a.overhead_ratio.to_bits(), b.overhead_ratio.to_bits());
-        assert_eq!(a.packets_per_vsec.to_bits(), b.packets_per_vsec.to_bits());
-        // The serialised dump is byte-identical too (wall secs are skipped)
-        // — the exact property the CI determinism leg `cmp`s.
-        assert_eq!(crate::report::Report::to_json(&a), crate::report::Report::to_json(&b));
+        assert_eq!(a, b);
+        // Every field, written out: the JSON is what the CI determinism leg
+        // `cmp`s.
+        assert_eq!(Report::to_json(&a), Report::to_json(&b));
+        assert_eq!(a.report(), b.report());
         // A different seed reshuffles the timeline the packets ride on.
         let c = run_trace_overhead(300, 8);
         assert_ne!(a.packets_per_vsec.to_bits(), c.packets_per_vsec.to_bits());

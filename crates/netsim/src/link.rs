@@ -101,7 +101,6 @@ impl AccessLink {
             down_bandwidth: path.down_bandwidth.min(self.down_bandwidth),
             rtt_jitter: path.rtt_jitter,
             loss: 1.0 - (1.0 - path.loss) * (1.0 - self.loss),
-            segment_drops: path.segment_drops,
         }
     }
 }

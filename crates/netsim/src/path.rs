@@ -32,11 +32,6 @@ pub struct PathSpec {
     /// deterministically as a Mathis-formula throughput ceiling rather than
     /// random drops, keeping every simulation bit-reproducible.
     pub loss: f64,
-    /// When true, the TCP model additionally draws seeded per-segment drops
-    /// at the configured loss rate and pays a retransmission tail for each
-    /// drop, instead of modelling loss purely as the analytic ceiling.
-    /// Lossless paths draw nothing, so they stay bit-identical.
-    pub segment_drops: bool,
 }
 
 impl PathSpec {
@@ -50,21 +45,13 @@ impl PathSpec {
             down_bandwidth: bandwidth,
             rtt_jitter: 0.05,
             loss: 0.0,
-            segment_drops: false,
         }
     }
 
     /// An asymmetric path (e.g. a residential up/down split).
     pub fn asymmetric(rtt: SimDuration, up: u64, down: u64) -> Self {
         assert!(up > 0 && down > 0, "bandwidth must be positive");
-        PathSpec {
-            rtt,
-            up_bandwidth: up,
-            down_bandwidth: down,
-            rtt_jitter: 0.05,
-            loss: 0.0,
-            segment_drops: false,
-        }
+        PathSpec { rtt, up_bandwidth: up, down_bandwidth: down, rtt_jitter: 0.05, loss: 0.0 }
     }
 
     /// Returns a copy with a different jitter setting.
@@ -78,13 +65,6 @@ impl PathSpec {
     pub fn with_loss(mut self, loss: f64) -> Self {
         assert!((0.0..1.0).contains(&loss), "loss must be in [0, 1)");
         self.loss = loss;
-        self
-    }
-
-    /// Returns a copy with the seeded per-segment drop mode toggled (see
-    /// [`PathSpec::segment_drops`]).
-    pub fn with_segment_drops(mut self, on: bool) -> Self {
-        self.segment_drops = on;
         self
     }
 
@@ -231,16 +211,5 @@ mod tests {
     #[should_panic(expected = "loss must be in [0, 1)")]
     fn excessive_loss_rejected() {
         let _ = PathSpec::default().with_loss(1.0);
-    }
-
-    #[test]
-    fn lossless_paths_sample_identical_rtts_regardless_of_the_knob() {
-        let plain = PathSpec::symmetric(SimDuration::from_millis(80), 10_000_000).with_jitter(0.1);
-        let knobbed = plain.with_segment_drops(true);
-        let mut a = Stream::new(5);
-        let mut b = Stream::new(5);
-        for _ in 0..500 {
-            assert_eq!(plain.sample_rtt(&mut a), knobbed.sample_rtt(&mut b));
-        }
     }
 }

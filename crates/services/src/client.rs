@@ -857,12 +857,7 @@ impl SyncClient {
         faults: &FaultSchedule,
     ) -> Result<TcpConnection, TransferInterrupted> {
         if faults.is_down(t) {
-            return Err(TransferInterrupted {
-                bytes_acked: 0,
-                bytes_sent: 0,
-                elapsed: SimDuration::ZERO,
-                interrupted_at: t,
-            });
+            return Err(TransferInterrupted { bytes_acked: 0, bytes_sent: 0, interrupted_at: t });
         }
         if self.storage_conn.as_ref().is_some_and(|c| c.is_closed()) {
             self.storage_conn = None;

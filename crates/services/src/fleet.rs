@@ -672,9 +672,6 @@ pub struct FleetRun {
     pub clients: Vec<ClientSummary>,
     /// The shared store the fleet committed into.
     pub store: ObjectStore,
-    /// Host wall-clock time the run took (the only non-deterministic field;
-    /// used for concurrent-vs-sequential throughput comparisons).
-    pub elapsed: std::time::Duration,
 }
 
 impl FleetRun {
@@ -1133,7 +1130,6 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
     let schedule = spec.schedule();
     let mut heap = EventHeap::derive(spec, &schedule);
     let sizes = Arc::new(SizeMemo::new());
-    let started = std::time::Instant::now();
     let mut states: Vec<Option<LiveClient>> = spec.slots.iter().map(|_| None).collect();
     let mut summaries: Vec<Option<ClientSummary>> = spec.slots.iter().map(|_| None).collect();
 
@@ -1215,7 +1211,7 @@ pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetR
         .into_iter()
         .map(|s| s.expect("every slot was connected in at least one round"))
         .collect();
-    FleetRun { clients, store, elapsed: started.elapsed() }
+    FleetRun { clients, store }
 }
 
 #[cfg(test)]
@@ -1481,11 +1477,7 @@ mod tests {
     fn empty_runs_report_zeroes_not_nans() {
         // The division guards of the ratio/goodput helpers: a run with no
         // clients (or an unmeasurably fast one) reports 0.0 everywhere.
-        let run = FleetRun {
-            clients: Vec::new(),
-            store: ObjectStore::new(),
-            elapsed: std::time::Duration::ZERO,
-        };
+        let run = FleetRun { clients: Vec::new(), store: ObjectStore::new() };
         assert_eq!(run.aggregate_goodput_bps(), 0.0);
         assert_eq!(run.dedup_ratio(), 0.0);
         assert_eq!(run.completion_stats().count, 0);

@@ -317,13 +317,27 @@ pub fn run_one(part: &PartitionSpec, store: &ObjectStore) -> Result<PartitionRun
 /// ordered stream, so the merge reconstructs the unsliced firing order
 /// exactly. Returns the merged run plus the wave count of the merged event
 /// stream.
+///
+/// `_started` is read by nothing: `perf/` passes it, and the parameter
+/// stays until ROADMAP item 18 deletes partitioning.
 pub fn merge_partitions(
     client_base: usize,
     clients: usize,
     files: u64,
     parts: &[PartitionRun],
     store: ObjectStore,
-    started: std::time::Instant,
+    _started: std::time::Instant,
+) -> Result<(ScaleRun, usize), String> {
+    merge(client_base, clients, files, parts, store)
+}
+
+/// [`merge_partitions`] without the unread parameter.
+fn merge(
+    client_base: usize,
+    clients: usize,
+    files: u64,
+    parts: &[PartitionRun],
+    store: ObjectStore,
 ) -> Result<(ScaleRun, usize), String> {
     let mut owned = vec![false; clients];
     for part in parts {
@@ -362,7 +376,6 @@ pub fn merge_partitions(
         logical_bytes: parts.iter().map(|p| p.logical_bytes).sum(),
         intervals,
         store,
-        elapsed: started.elapsed(),
     };
     Ok((run, wave_count(&merged_events)))
 }
@@ -396,13 +409,11 @@ fn run_controller(
     shared_per_client: usize,
 ) -> Result<PartitionedRun, String> {
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-    let started = std::time::Instant::now();
     let population = ClientSet::Range { start: client_base, end: client_base + clients };
     reserve_population(&store, &population, files_per_client, shared_per_client);
     let finished = parts.iter().map(|part| run_one(part, &store)).collect::<Result<Vec<_>, _>>()?;
     let files = clients as u64 * files_per_client as u64;
-    let (run, merged_waves) =
-        merge_partitions(client_base, clients, files, &finished, store, started)?;
+    let (run, merged_waves) = merge(client_base, clients, files, &finished, store)?;
     Ok(PartitionedRun { run, parts: finished, merged_waves })
 }
 
@@ -531,23 +542,15 @@ mod tests {
         let spec = small_spec();
         let parts = spec_partitions(&spec, 3);
         let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-        let started = std::time::Instant::now();
         let mut finished: Vec<PartitionRun> =
             parts.iter().map(|p| run_one(p, &store).unwrap()).collect();
         let files = (spec.clients * spec.commits_per_client * spec.files_per_commit) as u64;
-        let (forward, waves_fwd) = merge_partitions(
-            0,
-            spec.clients,
-            files,
-            &finished,
-            ObjectStore::with_policy(GcPolicy::MarkSweep),
-            started,
-        )
-        .unwrap();
+        let (forward, waves_fwd) =
+            merge(0, spec.clients, files, &finished, ObjectStore::with_policy(GcPolicy::MarkSweep))
+                .unwrap();
         finished.rotate_left(1);
         finished.reverse();
-        let (shuffled, waves_shuf) =
-            merge_partitions(0, spec.clients, files, &finished, store, started).unwrap();
+        let (shuffled, waves_shuf) = merge(0, spec.clients, files, &finished, store).unwrap();
         assert_eq!(forward.intervals, shuffled.intervals);
         assert_eq!(forward.commits, shuffled.commits);
         assert_eq!(waves_fwd, waves_shuf);
@@ -558,30 +561,22 @@ mod tests {
         let spec = small_spec();
         let parts = spec_partitions(&spec, 2);
         let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-        let started = std::time::Instant::now();
         let finished: Vec<PartitionRun> =
             parts.iter().map(|p| run_one(p, &store).unwrap()).collect();
         let files = (spec.clients * spec.commits_per_client * spec.files_per_commit) as u64;
         // A duplicated partition overlaps itself.
         let doubled = vec![finished[0].clone(), finished[0].clone()];
-        let err = merge_partitions(
-            0,
-            spec.clients,
-            files,
-            &doubled,
-            ObjectStore::with_policy(GcPolicy::MarkSweep),
-            started,
-        )
-        .unwrap_err();
+        let err =
+            merge(0, spec.clients, files, &doubled, ObjectStore::with_policy(GcPolicy::MarkSweep))
+                .unwrap_err();
         assert!(err.contains("more than one partition"), "got: {err}");
         // A missing partition leaves a gap.
-        let err = merge_partitions(
+        let err = merge(
             0,
             spec.clients,
             files,
             &finished[..1],
             ObjectStore::with_policy(GcPolicy::MarkSweep),
-            started,
         )
         .unwrap_err();
         assert!(err.contains("no partition owns"), "got: {err}");
@@ -593,13 +588,12 @@ mod tests {
         let err = run_one(&part, &store).unwrap_err();
         assert!(err.contains("partition 0") && err.contains("step"), "got: {err}");
         let run = PartitionRun { clients: stuck, ..finished[0].clone() };
-        let err = merge_partitions(
+        let err = merge(
             0,
             spec.clients,
             files,
             &[run, finished[1].clone()],
             ObjectStore::with_policy(GcPolicy::MarkSweep),
-            started,
         )
         .unwrap_err();
         assert!(err.contains("partition 0") && err.contains("step"), "got: {err}");

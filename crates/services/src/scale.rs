@@ -51,11 +51,11 @@
 //! [`crate::capture::replay_capture`], [`crate::partition::run_one`] — is a
 //! thin adapter over the private `drive`: the adapter names a `Source` (a
 //! spec plus the [`ClientSet`] it drives, or a capture under a replay mix)
-//! and post-processes the result; `drive` starts the wall clock, resolves
-//! the source *once* into its events, per-commit shape and interned paths
-//! (`Commits`), sizes the store, takes the one store writer and interns the
-//! owned clients through it, sorts the events, and walks them through the
-//! one timeline and that writer. Packet capture is the traceless run plus
+//! and post-processes the result; `drive` resolves the source *once* into
+//! its events, per-commit shape and interned paths (`Commits`), sizes the
+//! store, takes the one store writer and interns the owned clients through
+//! it, sorts the events, and walks them through the one timeline and that
+//! writer. Packet capture is the traceless run plus
 //! one pass after it: [`run_population_traced`] emits every commit's packets
 //! from the run's events and interval log, already in the capture's
 //! canonical order. The unsliced run is simply the partition that owns
@@ -562,9 +562,6 @@ impl Commits<'_> {
 
 /// What the driver hands back: plain totals, events and intervals.
 pub(crate) struct Driven {
-    /// When the driver was entered — before the events were derived, so
-    /// [`ScaleRun::elapsed`] covers the same work on every surface.
-    started: std::time::Instant,
     /// Clients the run owned.
     clients: usize,
     files_per_commit: usize,
@@ -588,7 +585,6 @@ impl Driven {
             logical_bytes: self.logical_bytes,
             intervals: self.intervals,
             store,
-            elapsed: self.started.elapsed(),
         }
     }
 }
@@ -610,7 +606,6 @@ impl Driven {
 /// An unsliced run is the one-partition run: its [`ClientSet`] is the
 /// whole range, and nothing below distinguishes it from a slice.
 pub(crate) fn drive(source: Source<'_>, store: &ObjectStore) -> Result<Driven, String> {
-    let started = std::time::Instant::now();
     let (commits, mut events) = match source {
         Source::Spec(spec, owned) => spec.commits(owned, store)?,
         Source::Capture(capture, mix) => capture.commits(mix, store)?,
@@ -664,7 +659,6 @@ pub(crate) fn drive(source: Source<'_>, store: &ObjectStore) -> Result<Driven, S
     }
     drop(writer);
     Ok(Driven {
-        started,
         clients: states.len(),
         files_per_commit: commits.files_per_commit,
         commits: states.iter().map(|s| s.commits as u64).sum(),
@@ -783,9 +777,6 @@ pub struct ScaleRun {
     pub intervals: Vec<(SimTime, SimTime)>,
     /// The shared store the population committed into.
     pub store: ObjectStore,
-    /// Host wall-clock time the run took (the only non-deterministic
-    /// field).
-    pub elapsed: std::time::Duration,
 }
 
 impl ScaleRun {
@@ -1197,7 +1188,6 @@ mod tests {
     /// `(client, round, start)`.
     fn emitted(spec: &ScaleSpec, commits: &[(usize, usize, SimTime)]) -> Vec<PacketRecord> {
         let driven = Driven {
-            started: std::time::Instant::now(),
             clients: spec.clients,
             files_per_commit: spec.files_per_commit,
             commits: commits.len() as u64,

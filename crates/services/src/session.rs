@@ -342,7 +342,6 @@ mod tests {
         TransferInterrupted {
             bytes_acked: acked,
             bytes_sent: sent,
-            elapsed: SimDuration::from_secs(1),
             interrupted_at: SimTime::from_secs(1),
         }
     }

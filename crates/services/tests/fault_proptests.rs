@@ -273,7 +273,6 @@ proptest! {
                 r.interrupted(&TransferInterrupted {
                     bytes_acked: next - at,
                     bytes_sent: next - at,
-                    elapsed: SimDuration::from_secs(1),
                     interrupted_at: SimTime::from_secs(1),
                 });
                 at = next;

@@ -18,8 +18,8 @@
 //! * [`mutate`] — file mutation operators used by the delta-encoding test,
 //! * [`seed`] — the workspace's one source of randomness: the seed
 //!   derivation every draw (batch content, churn, restore fans, temporal
-//!   and outage schedules) shares, and the stream behind content bytes,
-//!   RTT jitter and segment loss.
+//!   and outage schedules) shares, and the stream behind content bytes and
+//!   RTT jitter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,8 +8,8 @@
 //! crates without any global RNG state. [`derive()`] is that naming: a
 //! splitmix64 finalizer over a weighted sum of one to three coordinates.
 //! Where a draw needs a sequence rather than one value (content bytes,
-//! dictionary words, RTT jitter, segment loss), a [`Stream`] — xoshiro256++
-//! seeded through [`derive()`] — supplies it.
+//! dictionary words, RTT jitter), a [`Stream`] — xoshiro256++ seeded
+//! through [`derive()`] — supplies it.
 
 /// The weight of each coordinate in [`derive()`]'s sum.
 const WEIGHTS: [u64; 3] = [0x9E3779B97F4A7C15, 0xD1B54A32D192ED03, 0x94D049BB133111EB];
@@ -98,13 +98,6 @@ impl Stream {
         } else {
             v
         }
-    }
-
-    /// `true` with probability `p`; always takes one draw.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        unit_f64(self.next_u64()) < p
     }
 
     /// Fills `buf` with random bytes, eight per draw (little-endian); a
@@ -252,10 +245,6 @@ mod tests {
             draws,
             [0x3ff04f5d5e67556b, 0x3ff0f6becb4179b8, 0x3ff404b79654ab0c, 0x3ff26472afed5e20]
         );
-
-        let mut s = Stream::new(7);
-        let hits: Vec<usize> = (0..16).filter(|_| s.chance(0.25)).collect();
-        assert_eq!(hits, [0, 1, 9, 10, 11, 13, 15]);
     }
 
     #[test]
@@ -292,15 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn chance_extremes() {
-        let mut s = Stream::new(11);
-        assert!(!s.chance(0.0));
-        assert!(s.chance(1.0));
-        let hits = (0..2000).filter(|_| s.chance(0.25)).count();
-        assert!(hits > 350 && hits < 650, "got {hits}");
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let mut a = Stream::new(7);
         let mut b = Stream::new(7);
@@ -321,15 +301,6 @@ mod tests {
             let f = s.uniform(1.0, 2.0);
             assert!((1.0..2.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn chance_extremes_and_rate() {
-        let mut s = Stream::new(3);
-        assert!(!s.chance(0.0));
-        assert!(s.chance(1.0));
-        let hits = (0..10_000).filter(|_| s.chance(0.25)).count();
-        assert!((2200..2800).contains(&hits), "got {hits}");
     }
 
     #[test]

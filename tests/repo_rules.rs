@@ -619,6 +619,27 @@ fn the_storage_crates_threads_come_from_cloudsim_parallel() {
     assert_none("threads", hand_spawned_threads(&under(libs(), "crates/storage/src/")));
 }
 
+/// Every value a run or a suite returns depends only on its spec and seed:
+/// the clock's one reader is `repro`'s `main`, which times an invocation
+/// and reports it on stderr. Test code may read the clock.
+fn clock_reads(sources: &[&Source]) -> Vec<String> {
+    sources
+        .iter()
+        .filter(|s| s.path != "crates/bench/src/bin/repro.rs")
+        .flat_map(|s| {
+            let toks = library(&s.text);
+            let mut found = find_seq(s, &toks, &["Instant", "::", "now"], "reads the clock");
+            found.extend(find_seq(s, &toks, &["SystemTime", "::", "now"], "reads the clock"));
+            found
+        })
+        .collect()
+}
+
+#[test]
+fn the_clock_has_one_reader() {
+    assert_none("clock reads", clock_reads(&libs().iter().collect::<Vec<_>>()));
+}
+
 /// A `SizeMemo` belongs to the run that owns it. One held in a static, a
 /// thread-local or a lazily initialised global would carry one run's counts
 /// into the next.
@@ -707,10 +728,9 @@ fn the_capture_reader_has_one_cursor() {
 // ---------------------------------------------------------------------------
 
 /// Allowed without a use, each with its reason.
-const FN_ALLOWLIST: [(&str, &str); 3] = [
+const FN_ALLOWLIST: [(&str, &str); 2] = [
     ("with_jitter", "the TCP model reads the PathSpec field it sets; the netsim timing tests need jitter-free paths"),
     ("with_loss", "the TCP model reads the PathSpec field it sets; the netsim tests need lossy paths"),
-    ("with_segment_drops", "the TCP model reads the PathSpec field it sets; the golden test draws its RNG stream through the drops"),
 ];
 
 /// `toks` without `use` declarations: an import is not a use.
@@ -921,16 +941,15 @@ fn public_fields<'a>(toks: &[Tok<'a>]) -> Vec<(&'a str, &'a str, usize)> {
     out
 }
 
-/// The fields the JSON writer's `objects!` invocation lists as written: a
-/// name followed by `,`, `;` or the closing brace, not a `name: _` that the
-/// dump leaves out.
+/// The fields the JSON writer's `objects!` invocation writes: every name
+/// in the block but the struct names, which open a brace.
 fn dumped_fields<'a>(toks: &[Tok<'a>], into: &mut BTreeSet<&'a str>) {
     for k in 0..toks.len() {
         if !seq(toks, k, &["objects", "!", "{"]) {
             continue;
         }
         for j in k + 3..close(toks, k + 2) {
-            if toks[j].kind == Kind::Ident && matches!(toks[j + 1].text, "," | ";" | "}") {
+            if toks[j].kind == Kind::Ident && !toks[j + 1].is("{") {
                 into.insert(toks[j].text);
             }
         }
@@ -1736,6 +1755,19 @@ fn each_invariant_rejects_its_fixture() {
         ["crates/storage/src/p.rs:4: opens a thread scope"]
     );
 
+    let repro = one("crates/bench/src/bin/repro.rs", "fn main() { let t = Instant::now(); }");
+    let timed = one(
+        "crates/services/src/t.rs",
+        "#[cfg(test)]\nfn t() { Instant::now(); }\nfn f() -> Duration {\n    std::time::Instant::now().elapsed()\n}\nfn g() { SystemTime::now(); }",
+    );
+    assert_eq!(
+        clock_reads(&[&repro, &timed]),
+        [
+            "crates/services/src/t.rs:4: reads the clock",
+            "crates/services/src/t.rs:6: reads the clock"
+        ]
+    );
+
     let memo = one(
         "crates/core/src/m.rs",
         "fn ok() { let m = SizeMemo::default(); }\nthread_local! { static M: SizeMemo = SizeMemo::default(); }\nstatic L: LazyLock<SizeMemo> = LazyLock::new(SizeMemo::default);",
@@ -1912,10 +1944,10 @@ mod tests { fn t() -> u8 { super::TESTED } }
 fn the_field_rule_counts_reads_and_dumps() {
     let lib = one(
         "crates/core/src/s.rs",
-        "pub struct Dumped { pub shown: u64, #[doc(hidden)] pub wall: f64, secret: u8 }
+        "pub struct Dumped { pub shown: u64, secret: u8 }
 pub struct Plain { pub read: u64, pub written: u64, pub listed: u64 }
 objects! {
-    Dumped { shown; wall: _ }
+    Dumped { shown }
 }
 fn f(p: &mut Plain) -> u64 {
     p.written = 1;
@@ -1927,7 +1959,6 @@ fn f(p: &mut Plain) -> u64 {
     assert_eq!(
         unread_fields(&[lexed_lib(&lib)], &[]),
         [
-            "crates/core/src/s.rs:1: pub field Dumped::wall",
             "crates/core/src/s.rs:2: pub field Plain::written",
             "crates/core/src/s.rs:2: pub field Plain::listed",
         ]
