@@ -9,11 +9,12 @@
 //! * `repro all` (the default) runs every row marked `in_all`, text only.
 //!   `fleet-scale`, `partition` and `trace` are left out: at their default
 //!   population they run for minutes, not seconds.
-//! * `repro suites` prints the gated prefixes and their determinism
-//!   targets, one tab-separated line each, for CI scripts to iterate over.
-//! * `repro bench-json [PATH]` dumps every row's gate metrics as flat JSON
-//!   (to PATH, default stdout): what `bench_baseline.json` holds, byte for
-//!   byte.
+//! * `repro suites` prints each gated row's name and gate arguments, one
+//!   tab-separated line each: `repro <name> <arguments>` prints what the
+//!   row's golden files under `crates/bench/tests/golden` hold.
+//! * `repro bench-json [PATH]` runs each gated row once at its gate
+//!   arguments and dumps the metrics as flat JSON (to PATH, default
+//!   stdout): what `bench_baseline.json` holds, byte for byte.
 //!
 //! Every flag goes through the shared [`cloudbench_bench::cli`] surface:
 //! a target accepts only the flags its row declares, each with a value
@@ -28,9 +29,7 @@
 //! Absolute values differ from the 2013 testbed; a ledger of the
 //! paper-vs-measured comparison for every target is ROADMAP item 8.
 
-use cloudbench_bench::cli::{
-    check_flags, die_usage, emit, parse_count, print_report, write_payload,
-};
+use cloudbench_bench::cli::{check_flags, die_usage, emit, parse_count, write_payload};
 use cloudbench_bench::gate::render_flat;
 use cloudbench_bench::metrics::collect;
 use cloudbench_bench::suites::{by_name, render_table, usage, REPS, TABLE};
@@ -55,7 +54,7 @@ fn main() {
         "all" => {
             parse_count(&args, "--reps", 1, &usage);
             for suite in TABLE.iter().filter(|s| s.in_all) {
-                (suite.run)(&args).reports.iter().for_each(print_report);
+                print!("{}", (suite.run)(&args).render_text());
             }
         }
         "suites" => print!("{}", render_table()),

@@ -12,7 +12,6 @@
 //! library crate (rather than in `repro.rs`) so the contract is
 //! unit-testable and any future binary inherits the same conventions.
 
-use cloudbench::report::Report;
 use cloudsim_services::capture::{parse_capture, FleetCapture};
 use cloudsim_services::scale::ScaleSpec;
 
@@ -120,12 +119,6 @@ pub fn parse_path<'a>(args: &'a [String], flag: &str, usage: &str) -> Option<&'a
     }
 }
 
-/// Prints a rendered report section.
-pub fn print_report(report: &Report) {
-    println!("==== {} ====", report.title);
-    println!("{}", report.body);
-}
-
 /// Writes `payload` to `path`, with `-` streaming it to stdout.
 pub fn write_payload(path: &str, payload: &str, what: &str) {
     if path == "-" {
@@ -150,7 +143,7 @@ pub fn emit(output: &Output, args: &[String], usage: &str) {
         .filter_map(|dump| parse_path(args, dump.flag, usage).map(|path| (path, dump)))
         .collect();
     if !selected.iter().any(|(path, dump)| dump.flag == "--json" && *path == "-") {
-        output.reports.iter().for_each(print_report);
+        print!("{}", output.render_text());
     }
     for (path, dump) in selected {
         write_payload(path, &dump.payload, dump.what);

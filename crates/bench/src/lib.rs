@@ -3,18 +3,19 @@
 //! Benchmark harness for the IMC'13 reproduction.
 //!
 //! * [`suites`] is the suite table: one row per `repro` target, carrying
-//!   its name, flags, gate-key prefixes, `all` membership, CI determinism
-//!   target and the two function pointers that run it (command-line size →
-//!   text and JSON; gate size → gate metrics). Adding a suite is its module
-//!   in `crates/core/src`, its `pub mod` line and one row here.
+//!   its name, flags, gate-key prefixes, `all` membership, the function
+//!   that runs it (command line → text, dumps and gate metrics) and, for a
+//!   gated row, the arguments of its gate point. Adding a suite is its
+//!   module in `crates/core/src`, its `pub mod` line and one row here.
 //! * The `repro` binary dispatches over that table: it regenerates every
 //!   table and figure of the paper from freshly simulated measurements
 //!   (`cargo run -p cloudbench-bench --bin repro -- all`), runs the
-//!   beyond-paper suites, and prints the table for CI (`repro suites`).
-//! * [`metrics`] holds the gate-point sizes and `collect`, the loop over
-//!   the table behind `repro bench-json`, and the gate: a test that
-//!   compares the rendered metrics with the committed `bench_baseline.json`
-//!   byte for byte. [`gate`] renders and parses that flat file.
+//!   beyond-paper suites, and lists the gated rows (`repro suites`).
+//! * [`metrics`] holds `collect`, the loop behind `repro bench-json` that
+//!   runs each gated row once at its gate arguments, and the tests that
+//!   hold those runs to the committed `bench_baseline.json` (metrics) and
+//!   to `tests/golden` (text and dumps), byte for byte. [`gate`] renders
+//!   and parses the flat metric file.
 //! * [`cli`] is the shared argument-parsing surface every `repro` target
 //!   goes through: one `--json [PATH|-]` convention, strict counted flags,
 //!   usage-on-error with exit 2.

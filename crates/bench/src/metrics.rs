@@ -1,84 +1,46 @@
-//! The deterministic metric set behind the CI bench-regression gate.
+//! The deterministic metric set behind the CI bench-regression gate, and
+//! the golden files of the runs that produce it.
 //!
 //! Every metric is a pure function of the simulation (no wall-clock, no
 //! host parallelism dependence), so the gate compares exactly. Which suites
-//! contribute, under which key prefixes and in which order is the suite
-//! table's business ([`crate::suites::TABLE`]); how each suite names its
-//! values is that suite's (`gate_metrics()` next to its result struct in
-//! `crates/core/src`). This module holds the sizes of the gate points and
-//! the loop that runs them, and the gate itself: a test that renders what
-//! [`collect`] returns and compares it with the committed
-//! `bench_baseline.json` byte for byte. `repro bench-json` writes the same
-//! render, which is how the baseline is refreshed and what CI `diff`s.
+//! contribute, at which arguments, under which key prefixes and in which
+//! order is the suite table's business ([`crate::suites::TABLE`]); how each
+//! suite names its values is that suite's (`gate_metrics()` next to its
+//! result struct in `crates/core/src`). This module holds [`collect`], the
+//! loop that runs each gated row once at its gate arguments, and the tests
+//! that hold those runs to what is committed: their metrics, rendered as
+//! `repro bench-json` renders them, to `bench_baseline.json`, and their
+//! text and dumps to `crates/bench/tests/golden/<name>.{txt,json}`, byte
+//! for byte. `repro bench-json` writes the same render, which is how the
+//! baseline is refreshed and what CI `diff`s.
 
 use crate::suites::TABLE;
 
-/// Gate repetitions: enough to exercise the repetition loop, small enough to
-/// keep the CI gate fast.
-pub const GATE_REPETITIONS: usize = 2;
-
-/// The fleet size the gate pins (the acceptance point of the scaling suite).
-pub const GATE_FLEET_CLIENTS: usize = 8;
-
-/// The fleet size of the heterogeneous scenario. Slot `i` gets profile
-/// `i % 3` and link `i % 4`, so 9 slots cover 9 of the 12 profile×link
-/// pairs — every profile appears on three distinct links and every link
-/// carries at least two profiles (the full matrix would need lcm(3,4)=12
-/// slots; 9 keeps the CI gate fast).
-pub const HETERO_CLIENTS: usize = 9;
-
-/// The fleet size of the restore scenario: eight slots cycle through all
-/// four link presets, so the four pullers (the last half) land one behind
-/// each preset — every link class gets a `restore.*` goodput and TTFB
-/// metric.
-pub const RESTORE_CLIENTS: usize = 8;
-
-/// The fleet size of the temporal schedule scenario: ten slots cycling
-/// through three profiles and four links give ~60 connected rounds, enough
-/// activation draws that a 0.7 probability reliably yields both synced and
-/// idle rounds for the pinned seed.
-pub const SCHEDULE_CLIENTS: usize = 10;
-
-/// The population size of the fleet-scale gate point: four orders of
-/// magnitude above the full-fidelity fleet (enough that the shared pool and
-/// the concurrency peak are population-scale effects), small enough that
-/// the gate collects in seconds. `repro fleet-scale` defaults to 100k.
-pub const GATE_SCALE_CLIENTS: usize = 10_000;
-
-/// Partitions of the partition-runner gate point. Eight-way matches the CI
-/// partition-determinism leg's widest split; the merged suite is
-/// bit-identical to the unsliced `fleetscale.*` run, so only the split's
-/// own accounting (skew, merge overhead, sum-of-parts ratios) is gated
-/// under `partition.*`.
-pub const GATE_PARTITIONS: usize = 8;
-
-/// Collects the gate metrics: every table row's gate point, in table
-/// order. Deterministic for a given [`crate::REPRO_SEED`] — rerunning
-/// produces bit-identical values.
+/// Collects the gate metrics: every gated row run once at its gate
+/// arguments, in table order. Deterministic for a given
+/// [`crate::REPRO_SEED`] — rerunning produces bit-identical values.
 pub fn collect() -> Vec<(String, f64)> {
-    TABLE.iter().filter_map(|suite| suite.gate).flat_map(|gate| gate()).collect()
+    TABLE.iter().filter_map(|suite| suite.gate_run()).flat_map(|run| run.metrics).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suites::Suite;
+    use crate::suites::{Output, Suite};
     use std::sync::OnceLock;
 
-    type PerRow = Vec<(&'static Suite, Vec<(String, f64)>)>;
+    type PerRow = Vec<(&'static Suite, Output)>;
 
-    /// One shared collection run, kept per table row: `collect` simulates
-    /// every suite, so the assertions below share a single pass (plus one
-    /// more for the determinism check) instead of re-simulating per test.
+    /// One run of each gated row at its gate arguments: `collect`'s runs,
+    /// kept per row, so that the metrics, text and dump assertions below
+    /// share a single pass instead of re-simulating per test.
     fn per_row() -> &'static PerRow {
-        static METRICS: OnceLock<PerRow> = OnceLock::new();
-        METRICS.get_or_init(|| {
-            TABLE.iter().filter_map(|suite| Some((suite, (suite.gate?)()))).collect()
-        })
+        static RUNS: OnceLock<PerRow> = OnceLock::new();
+        RUNS.get_or_init(|| TABLE.iter().filter_map(|s| Some((s, s.gate_run()?))).collect())
     }
 
     fn collected() -> Vec<(String, f64)> {
-        per_row().iter().flat_map(|(_, metrics)| metrics.iter().cloned()).collect()
+        per_row().iter().flat_map(|(_, run)| run.metrics.iter().cloned()).collect()
     }
 
     fn value(key: &str) -> f64 {
@@ -87,16 +49,23 @@ mod tests {
 
     const BASELINE: &str = include_str!("../../../bench_baseline.json");
 
-    /// Where two renders part: from the first line that differs, the next
-    /// few lines of each side (key and value), or `None` for equal bytes.
-    fn first_difference(baseline: &str, current: &str) -> Option<String> {
+    /// The index of the first line where two texts part (the shorter
+    /// text's length if one is a prefix of the other), or `None` for equal
+    /// bytes.
+    fn first_differing_line(baseline: &str, current: &str) -> Option<usize> {
         if baseline == current {
             return None;
         }
+        let shorter = baseline.lines().count().min(current.lines().count());
+        Some(baseline.lines().zip(current.lines()).position(|(b, c)| b != c).unwrap_or(shorter))
+    }
+
+    /// Where two renders part: from the first line that differs, the next
+    /// few lines of each side (key and value), or `None` for equal bytes.
+    fn first_difference(baseline: &str, current: &str) -> Option<String> {
+        let at = first_differing_line(baseline, current)?;
         let (base, cur): (Vec<&str>, Vec<&str>) =
             (baseline.lines().collect(), current.lines().collect());
-        let at =
-            base.iter().zip(&cur).position(|(b, c)| b != c).unwrap_or(base.len().min(cur.len()));
         let from = |side: &[&str]| match side.get(at..at + 3).unwrap_or(&side[at..]) {
             [] => "(end of file)".to_string(),
             lines => lines.iter().map(|l| l.trim()).collect::<Vec<_>>().join("  "),
@@ -104,11 +73,66 @@ mod tests {
         Some(format!("line {}\n  baseline: {}\n  current:  {}", at + 1, from(&base), from(&cur)))
     }
 
+    const GOLDEN: &str = "crates/bench/tests/golden";
+
+    /// The committed golden file `file`; empty if there is none yet.
+    fn golden(file: &str) -> String {
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).unwrap_or_default()
+    }
+
+    /// Where the golden file `file` differs from what a run printed: the
+    /// file, the first differing line of each side, whitespace shown, and
+    /// the `repro` command (`args`, output redirected) that rewrites the
+    /// file. `None` for equal bytes.
+    fn golden_difference(file: &str, current: &str, args: &str) -> Option<String> {
+        let golden = golden(file);
+        let at = first_differing_line(&golden, current)?;
+        let line =
+            |text: &str| text.lines().nth(at).map_or("(end of file)".into(), |l| format!("{l:?}"));
+        Some(format!(
+            "{GOLDEN}/{file} differs at line {}\n  golden:  {}\n  current: {}\n  \
+             rewrite it with `cargo run -q --release -p cloudbench-bench --bin repro -- {args} > {GOLDEN}/{file}`",
+            at + 1,
+            line(&golden),
+            line(current)
+        ))
+    }
+
+    /// The goldens: each gated row's one run prints, byte for byte, what
+    /// `repro <name> <gate>` writes to stdout (`<name>.txt`) and, for a row
+    /// with a `--json` dump, what `--json -` streams (`<name>.json`).
+    /// `partition`'s dump is checked against `fleet-scale`'s golden below.
     #[test]
-    fn metrics_are_deterministic_and_named_uniquely() {
+    fn gate_runs_print_their_golden_files_byte_for_byte() {
+        let mut differences = Vec::new();
+        for (suite, run) in per_row() {
+            let args = format!("{} {}", suite.name, suite.gate.unwrap_or_default());
+            let args = args.trim_end();
+            let text = golden_difference(&format!("{}.txt", suite.name), &run.render_text(), args);
+            differences.extend(text);
+            for dump in run.dumps.iter().filter(|_| suite.name != "partition") {
+                let file = format!("{}.{}", suite.name, dump.flag.trim_start_matches('-'));
+                let rewrite = format!("{args} {} -", dump.flag);
+                differences.extend(golden_difference(&file, &dump.payload, &rewrite));
+            }
+        }
+        assert!(differences.is_empty(), "{}", differences.join("\n"));
+    }
+
+    /// `partition`'s merged dump is the unsliced run's: the bytes of
+    /// `fleet-scale`'s golden dump.
+    #[test]
+    fn the_partition_dump_is_the_fleet_scale_golden() {
+        let (_, run) = per_row().iter().find(|(s, _)| s.name == "partition").expect("gated");
+        let dumps: Vec<&str> = run.dumps.iter().map(|d| d.payload.as_str()).collect();
+        let golden = golden("fleet-scale.json");
+        assert!(dumps == [golden.as_str()], "partition's dump is not {GOLDEN}/fleet-scale.json");
+    }
+
+    #[test]
+    fn gate_metrics_are_named_uniquely_finite_and_positive() {
         let a = collected();
-        let b = collect();
-        assert_eq!(a, b, "gate metrics must be bit-identical across runs");
         let names: std::collections::HashSet<&String> = a.iter().map(|(k, _)| k).collect();
         assert_eq!(names.len(), a.len(), "metric names must be unique");
         assert!(a.len() >= 10);
@@ -127,7 +151,8 @@ mod tests {
         let owns = |suite: &Suite, key: &str| {
             suite.prefixes.iter().filter(|p| key.starts_with(&format!("{p}."))).count()
         };
-        for (suite, metrics) in per_row() {
+        for (suite, run) in per_row() {
+            let metrics = &run.metrics;
             for (key, _) in metrics {
                 assert_eq!(owns(suite, key), 1, "{key} is not under one prefix of {}", suite.name);
                 for other in TABLE.iter().filter(|other| other.name != suite.name) {

@@ -5,21 +5,21 @@
 //! [`TABLE`]. Everything that needs "the list of suites" is a loop over
 //! that table: `repro <target>` looks the row up by name, `repro all` runs
 //! the rows marked `in_all`, [`usage`] prints their names and flags,
-//! [`crate::metrics::collect`] concatenates their gate metrics, and
-//! `repro suites` prints [`render_table`], which CI's per-suite determinism
-//! legs and the `refresh-baseline` coverage check shell over. A new row is
-//! picked up by all of them with no further edit. The tests in
-//! [`crate::metrics`] fail any drift between the rows' declared prefixes
-//! and the keys they emit, and between the rendered keys and values and
-//! the committed baseline.
+//! [`crate::metrics::collect`] runs each gated row once at its gate
+//! arguments, and `repro suites` prints [`render_table`], the gated rows
+//! and their arguments, which CI's `refresh-baseline` job loops over. A
+//! new row is picked up by all of them with no further edit. The tests in
+//! [`crate::metrics`] hold that one run to the committed baseline (its
+//! metrics) and golden files (its text and dumps), and fail any drift
+//! between a row's declared prefixes and the keys it emits.
 
 use cloudbench::architecture::discover_architecture;
-use cloudbench::benchmarks::{run_performance_cell, run_performance_suite};
+use cloudbench::benchmarks::run_performance_suite;
 use cloudbench::capability::{
     compression_series, delta_encoding_series, syn_series, CapabilityMatrix,
 };
 use cloudbench::faults::run_faults;
-use cloudbench::fleet::{fleet_gate_metrics, run_fleet_scaling, FLEET_SIZES};
+use cloudbench::fleet::{run_fleet_scaling, FLEET_SIZES};
 use cloudbench::hetero::run_hetero;
 use cloudbench::idle::idle_traffic_series;
 use cloudbench::partition::{replay_partition_suite, run_partition_suite};
@@ -33,14 +33,28 @@ use cloudbench::{FileKind, Provider, ServiceProfile};
 use cloudsim_geo::ResolverFleet;
 use cloudsim_services::capture::{render_capture, ReplayMix};
 use cloudsim_services::AccessLink;
-use cloudsim_workload::BatchSpec;
 
 use crate::cli::{bad_input, die_usage, load_capture, parse_clients, parse_count, parse_path};
-use crate::metrics::{
-    GATE_FLEET_CLIENTS, GATE_PARTITIONS, GATE_REPETITIONS, GATE_SCALE_CLIENTS, HETERO_CLIENTS,
-    RESTORE_CLIENTS, SCHEDULE_CLIENTS,
-};
 use crate::{BENCH_REPETITIONS, REPRO_SEED};
+
+/// The fleet size of the heterogeneous scenario. Slot `i` gets profile
+/// `i % 3` and link `i % 4`, so 9 slots cover 9 of the 12 profile×link
+/// pairs — every profile appears on three distinct links and every link
+/// carries at least two profiles (the full matrix would need lcm(3,4)=12
+/// slots; 9 keeps the gate fast).
+const HETERO_CLIENTS: usize = 9;
+
+/// The fleet size of the restore scenario: eight slots cycle through all
+/// four link presets, so the four pullers (the last half) land one behind
+/// each preset — every link class gets a `restore.*` goodput and TTFB
+/// metric.
+const RESTORE_CLIENTS: usize = 8;
+
+/// The fleet size of the temporal schedule scenario: ten slots cycling
+/// through three profiles and four links give ~60 connected rounds, enough
+/// activation draws that a 0.7 probability reliably yields both synced and
+/// idle rounds for the pinned seed.
+const SCHEDULE_CLIENTS: usize = 10;
 
 /// One payload a target can write besides its text: `flag PATH` on the
 /// command line selects it, `-` streams it to stdout.
@@ -55,18 +69,22 @@ pub struct Dump {
 }
 
 /// What one run of a target produced: its text sections, in print order,
-/// and the payloads its flags can select, in write order.
+/// the payloads its flags can select, in write order, and the gate
+/// metrics of the suite it ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// The rendered report sections.
     pub reports: Vec<Report>,
     /// The selectable payloads.
     pub dumps: Vec<Dump>,
+    /// The run's gate metrics, under its row's prefixes (collected only
+    /// from a gated row's run at its gate arguments).
+    pub metrics: Vec<(String, f64)>,
 }
 
 impl Output {
     fn text(reports: Vec<Report>) -> Output {
-        Output { reports, dumps: Vec::new() }
+        Output { reports, dumps: Vec::new(), metrics: Vec::new() }
     }
 
     fn dump(mut self, flag: &'static str, payload: String, what: &'static str) -> Output {
@@ -74,17 +92,24 @@ impl Output {
         self
     }
 
+    fn gate(self, metrics: Vec<(String, f64)>) -> Output {
+        Output { metrics, ..self }
+    }
+
     /// One report section plus the suite's `--json` dump.
     fn json(report: Report, json: String, what: &'static str) -> Output {
         Output::text(vec![report]).dump("--json", json, what)
     }
+
+    /// The report sections as `repro` prints them: each a `==== title
+    /// ====` line, its body, and a newline.
+    pub fn render_text(&self) -> String {
+        self.reports.iter().map(|r| format!("==== {} ====\n{}\n", r.title, r.body)).collect()
+    }
 }
 
-/// Runs a target at its command-line size, given the command line.
+/// Runs a target, given its command line (the target name first).
 pub type Run = fn(&[String]) -> Output;
-
-/// Runs a suite at its gate size and names its gate metrics.
-pub type Gate = fn() -> Vec<(String, f64)>;
 
 /// One row of the suite table.
 #[derive(Debug, Clone, Copy)]
@@ -94,36 +119,39 @@ pub struct Suite {
     /// The flags the target reads, as the usage text shows them: the one
     /// declaration `repro` checks a command line against.
     pub flags: &'static str,
-    /// The gate-key prefixes the row owns: every key its `gate` emits
+    /// The gate-key prefixes the row owns: every key its run returns
     /// starts with `<prefix>.` for exactly one of them. A dotted prefix
     /// (`hist.sync`) is a slice of a namespace several rows share.
     pub prefixes: &'static [&'static str],
     /// Whether `repro all` runs the row.
     pub in_all: bool,
-    /// The `repro` arguments whose stdout the CI determinism leg `cmp`s
-    /// across two fresh runs, or `None` for rows gated through
-    /// `bench-json` alone. The population runners dump `--json -`, which
-    /// writes every field at full precision where the text rounds.
-    pub determinism_target: Option<&'static str>,
     /// The target itself.
     pub run: Run,
-    /// The suite's gate point, for rows that own prefixes.
-    pub gate: Option<Gate>,
+    /// The arguments of the row's gate point, for rows that own prefixes:
+    /// `repro <name> <gate>` is the run whose metrics the baseline holds
+    /// and whose text and dumps the golden files hold.
+    pub gate: Option<&'static str>,
 }
 
 impl Suite {
-    /// The shape of the paper's own targets: text only, part of `all`,
-    /// gating nothing.
+    /// The shape of the paper's own targets, which other rows start from:
+    /// no flags, part of `all`, gating nothing.
     const fn figure(name: &'static str, run: Run) -> Suite {
-        Suite {
-            name,
-            flags: "",
-            prefixes: &[],
-            in_all: true,
-            determinism_target: None,
-            run,
-            gate: None,
+        Suite { name, flags: "", prefixes: &[], in_all: true, run, gate: None }
+    }
+
+    /// Runs the row at its gate point, as `repro <name> <gate>` does: its
+    /// text, dumps and gate metrics; `None` for a row that gates nothing.
+    /// Panics on a metric under none of the row's prefixes, which the
+    /// baseline could not attribute to the row.
+    pub fn gate_run(&self) -> Option<Output> {
+        let args = format!("{} {}", self.name, self.gate?);
+        let run = (self.run)(&args.split_whitespace().map(String::from).collect::<Vec<_>>());
+        for (key, _) in &run.metrics {
+            let owned = self.prefixes.iter().any(|p| key.starts_with(&format!("{p}.")));
+            assert!(owned, "{}: {key} is under none of the row's prefixes", self.name);
         }
+        Some(run)
     }
 }
 
@@ -147,7 +175,7 @@ pub static TABLE: &[Suite] = &[
     Suite {
         flags: REPS,
         prefixes: &["fig6"],
-        gate: Some(fig6_gate),
+        gate: Some("--reps 2"),
         ..Suite::figure("fig6", |args| {
             fig6(args, &[Fig6Metric::Startup, Fig6Metric::Completion, Fig6Metric::Overhead])
         })
@@ -169,101 +197,83 @@ pub static TABLE: &[Suite] = &[
     },
     Suite {
         prefixes: &["fleet8", "hist.sync"],
-        gate: Some(|| {
-            fleet_gate_metrics(&ServiceProfile::dropbox(), GATE_FLEET_CLIENTS, REPRO_SEED)
-        }),
+        gate: Some(""),
         ..Suite::figure("fleet", |_| {
             let suite = run_fleet_scaling(&ServiceProfile::dropbox(), &FLEET_SIZES, REPRO_SEED);
-            Output::text(vec![suite.report()])
+            Output::text(vec![suite.report()]).gate(suite.gate_metrics())
         })
     },
     Suite {
         prefixes: &["hetero", "gc"],
-        gate: Some(|| run_hetero(HETERO_CLIENTS, REPRO_SEED).gate_metrics()),
+        gate: Some(""),
         ..Suite::figure("hetero", |_| {
-            Output::text(vec![run_hetero(HETERO_CLIENTS, REPRO_SEED).report()])
+            let suite = run_hetero(HETERO_CLIENTS, REPRO_SEED);
+            Output::text(vec![suite.report()]).gate(suite.gate_metrics())
         })
     },
     Suite {
-        name: "restore",
         flags: JSON,
         prefixes: &["restore", "hist.restore"],
-        in_all: true,
-        determinism_target: Some("restore"),
-        run: |_| {
+        gate: Some(""),
+        ..Suite::figure("restore", |_| {
             let suite = run_restore(RESTORE_CLIENTS, REPRO_SEED);
             Output::json(suite.report(), Report::to_json(&suite), "the restore suite")
-        },
-        gate: Some(|| run_restore(RESTORE_CLIENTS, REPRO_SEED).gate_metrics()),
+                .gate(suite.gate_metrics())
+        })
     },
     Suite {
-        name: "schedule",
         flags: JSON,
         prefixes: &["schedule"],
-        in_all: true,
-        determinism_target: Some("schedule"),
-        run: |_| {
+        gate: Some(""),
+        ..Suite::figure("schedule", |_| {
             let suite = run_schedule(SCHEDULE_CLIENTS, REPRO_SEED);
             Output::json(suite.report(), Report::to_json(&suite), "the schedule suite")
-        },
-        gate: Some(|| run_schedule(SCHEDULE_CLIENTS, REPRO_SEED).gate_metrics()),
+                .gate(suite.gate_metrics())
+        })
     },
     Suite {
-        name: "faults",
         flags: JSON,
         prefixes: &["faults", "hist.backoff"],
-        in_all: true,
-        determinism_target: Some("faults"),
-        run: |_| {
+        gate: Some(""),
+        ..Suite::figure("faults", |_| {
             let suite = run_faults(REPRO_SEED);
             Output::json(suite.report(), Report::to_json(&suite), "the faults suite")
-        },
-        gate: Some(|| run_faults(REPRO_SEED).gate_metrics()),
+                .gate(suite.gate_metrics())
+        })
     },
     Suite {
-        name: "fleet-scale",
         flags: "[--clients N] [--json PATH] [--capture PATH]",
         prefixes: &["fleetscale", "hist.scale_transfer"],
         in_all: false,
-        determinism_target: Some("fleet-scale --clients 10000 --json -"),
-        run: fleet_scale,
-        gate: Some(|| run_fleet_scale(GATE_SCALE_CLIENTS, REPRO_SEED).gate_metrics()),
+        gate: Some("--clients 10000"),
+        ..Suite::figure("fleet-scale", fleet_scale)
     },
     Suite {
-        name: "replay",
         flags: "--capture PATH [--link PRESET | --profile SERVICE] [--json PATH]",
-        prefixes: &[],
         in_all: false,
-        determinism_target: None,
-        run: replay,
-        gate: None,
+        ..Suite::figure("replay", replay)
     },
     Suite {
-        name: "partition",
         flags: "[--clients N] [--partitions K] [--capture PATH] [--json PATH]",
         prefixes: &["partition"],
         in_all: false,
-        determinism_target: Some("partition --clients 10000 --partitions 8 --json -"),
-        run: partition,
-        gate: Some(|| {
-            run_partition_suite(GATE_SCALE_CLIENTS, GATE_PARTITIONS, REPRO_SEED).gate_metrics()
-        }),
+        gate: Some("--clients 10000 --partitions 8"),
+        ..Suite::figure("partition", partition)
     },
     Suite {
-        name: "trace",
         flags: "[--clients N] [--json PATH]",
         prefixes: &["trace"],
         in_all: false,
-        determinism_target: Some("trace --clients 10000 --json -"),
-        run: |args| {
+        gate: Some("--clients 10000"),
+        ..Suite::figure("trace", |args| {
             let clients = parse_clients(args, &usage());
             if let Err(err) = scale_spec(clients, REPRO_SEED).check_traceable() {
                 die_usage(&err, &usage());
             }
             let suite = run_trace_overhead(clients, REPRO_SEED);
             Output::json(suite.report(), Report::to_json(&suite), "the trace-overhead suite")
-        },
-        gate: Some(|| run_trace_overhead(GATE_SCALE_CLIENTS, REPRO_SEED).gate_metrics()),
+                .gate(suite.gate_metrics())
+        })
     },
 ];
 
@@ -272,50 +282,23 @@ pub fn by_name(name: &str) -> Option<&'static Suite> {
     TABLE.iter().find(|s| s.name == name)
 }
 
-/// The gated top-level prefixes with their determinism targets (`-` for
-/// none), in table order. A namespace several rows share slices of
-/// (`hist.*`) is listed once, last, without a target: each slice is
-/// already replayed by the row that owns it.
-pub fn listing() -> Vec<(&'static str, &'static str)> {
-    let mut lines = Vec::new();
-    let mut shared: Vec<&str> = Vec::new();
-    for suite in TABLE {
-        for prefix in suite.prefixes {
-            match prefix.split_once('.') {
-                None => lines.push((*prefix, suite.determinism_target.unwrap_or("-"))),
-                Some((head, _)) if !shared.contains(&head) => shared.push(head),
-                Some(_) => {}
-            }
-        }
-    }
-    lines.extend(shared.into_iter().map(|head| (head, "-")));
-    lines
-}
-
-/// The `repro suites` listing: one `prefix<TAB>target` line per entry of
-/// [`listing`]. Tab-separated so shell consumers can `cut -f1` /
-/// `read -r prefix target` without quoting trouble.
+/// The `repro suites` listing: one `name<TAB>gate arguments` line per
+/// gated row, in table order. Tab-separated so shell consumers can
+/// `read -r name args` without quoting trouble.
 pub fn render_table() -> String {
-    listing().iter().map(|(prefix, target)| format!("{prefix}\t{target}\n")).collect()
+    TABLE.iter().filter_map(|s| Some(format!("{}\t{}\n", s.name, s.gate?))).collect()
 }
 
-/// The gated prefixes joined for usage/error text.
-pub fn prefix_list() -> String {
-    listing().iter().map(|(prefix, _)| *prefix).collect::<Vec<_>>().join("|")
-}
-
-/// `repro`'s usage text: one line per target with the flags it reads, the
-/// three table-level commands, and the gated prefixes.
+/// `repro`'s usage text: one line per target with the flags it reads, and
+/// the three table-level commands.
 pub fn usage() -> String {
     let targets: Vec<String> = TABLE
         .iter()
         .map(|s| format!("repro {} {}", s.name, s.flags).trim_end().to_string())
         .collect();
     format!(
-        "usage: repro [all] {REPS}\n       {}\n       repro suites\n       repro bench-json [PATH]\n\
-         gated suites (see `repro suites`): {}",
-        targets.join("\n       "),
-        prefix_list()
+        "usage: repro [all] {REPS}\n       {}\n       repro suites\n       repro bench-json [PATH]",
+        targets.join("\n       ")
     )
 }
 
@@ -383,30 +366,8 @@ fn fig5(_: &[String]) -> Output {
 fn fig6(args: &[String], panels: &[Fig6Metric]) -> Output {
     let reps = parse_count(args, "--reps", BENCH_REPETITIONS, &usage());
     let suite = run_performance_suite(&testbed(), reps);
-    Output::text(panels.iter().map(|panel| Report::figure6(&suite, *panel)).collect())
-}
-
-/// Fig. 6's gate point — the many-small-files and single-large-file cells
-/// that separate the services most sharply.
-fn fig6_gate() -> Vec<(String, f64)> {
-    let small_files = BatchSpec::new(100, 10_000, FileKind::RandomBinary);
-    let one_megabyte = BatchSpec::new(1, 1_000_000, FileKind::RandomBinary);
-    let cells: [(&str, ServiceProfile, &BatchSpec); 5] = [
-        ("dropbox", ServiceProfile::dropbox(), &small_files),
-        ("google_drive", ServiceProfile::google_drive(), &small_files),
-        ("cloud_drive", ServiceProfile::cloud_drive(), &small_files),
-        ("dropbox", ServiceProfile::dropbox(), &one_megabyte),
-        ("skydrive", ServiceProfile::skydrive(), &one_megabyte),
-    ];
-    let testbed = testbed();
-    let mut metrics = Vec::new();
-    for (name, profile, spec) in &cells {
-        let row = run_performance_cell(&testbed, profile, spec, GATE_REPETITIONS);
-        let label = spec.label();
-        metrics.push((format!("fig6.completion_s.{name}.{label}"), row.completion_secs.mean));
-        metrics.push((format!("fig6.overhead.{name}.{label}"), row.overhead.mean));
-    }
-    metrics
+    let reports = panels.iter().map(|panel| Report::figure6(&suite, *panel)).collect();
+    Output::text(reports).gate(suite.gate_metrics())
 }
 
 /// `--capture PATH` additionally records the workload as a versioned JSONL
@@ -415,7 +376,8 @@ fn fleet_scale(args: &[String]) -> Output {
     let clients = parse_clients(args, &usage());
     let capture = parse_path(args, "--capture", &usage()).is_some();
     let suite = run_fleet_scale(clients, REPRO_SEED);
-    let out = Output::json(suite.report(), Report::to_json(&suite), "the fleet-scale suite");
+    let out = Output::json(suite.report(), Report::to_json(&suite), "the fleet-scale suite")
+        .gate(suite.gate_metrics());
     if !capture {
         return out;
     }
@@ -488,11 +450,9 @@ fn partition(args: &[String]) -> Output {
             run_partition_suite(clients, partitions, REPRO_SEED)
         }
     };
-    Output::text(vec![suite.report(), suite.merged.report()]).dump(
-        "--json",
-        Report::to_json(&suite.merged),
-        "the merged partitioned suite",
-    )
+    Output::text(vec![suite.report(), suite.merged.report()])
+        .dump("--json", Report::to_json(&suite.merged), "the merged partitioned suite")
+        .gate(suite.gate_metrics())
 }
 
 #[cfg(test)]
@@ -527,43 +487,24 @@ mod tests {
     #[test]
     fn table_renders_one_tab_separated_line_per_suite() {
         let table = render_table();
-        let lines: Vec<&str> = table.lines().collect();
-        assert_eq!(lines.len(), listing().len());
-        for (line, (prefix, target)) in lines.iter().zip(listing()) {
-            assert_eq!(line.split_once('\t'), Some((prefix, target)));
-            assert!(!target.is_empty());
+        let gated: Vec<&Suite> = TABLE.iter().filter(|s| s.gate.is_some()).collect();
+        assert_eq!(table.lines().count(), gated.len());
+        for (line, suite) in table.lines().zip(gated) {
+            assert_eq!(line.split_once('\t'), Some((suite.name, suite.gate.unwrap_or_default())));
         }
-        // Every undotted prefix is listed with its row's target; the shared
-        // `hist` namespace comes once, last, without one.
+    }
+
+    /// A gate point is a command line `repro` accepts: every flag of a
+    /// row's gate arguments is one the row declares, each with a value.
+    #[test]
+    fn gate_arguments_are_flags_the_row_declares() {
         for suite in TABLE {
-            for prefix in suite.prefixes.iter().filter(|p| !p.contains('.')) {
-                let target = suite.determinism_target.unwrap_or("-");
-                assert!(listing().contains(&(*prefix, target)), "{prefix} not listed");
+            let args: Vec<&str> = suite.gate.unwrap_or_default().split_whitespace().collect();
+            for pair in args.chunks(2) {
+                let (flag, value) = (pair[0], pair.get(1).copied().unwrap_or_default());
+                assert!(suite.flags.contains(&format!("[{flag} ")), "{}: {flag}", suite.name);
+                assert!(!value.is_empty() && !value.starts_with("--"), "{}: {flag}", suite.name);
             }
-        }
-        assert_eq!(listing().last(), Some(&("hist", "-")));
-        assert_eq!(listing().iter().filter(|(p, _)| *p == "hist").count(), 1);
-    }
-
-    #[test]
-    fn determinism_targets_dump_machine_comparable_output() {
-        for suite in TABLE {
-            let Some(target) = suite.determinism_target else { continue };
-            assert!(target.starts_with(suite.name), "{target} does not run {}", suite.name);
-        }
-        // The population runners' legs compare every field at full precision.
-        for name in ["fleet-scale", "partition", "trace"] {
-            let target = by_name(name).and_then(|s| s.determinism_target).expect("has target");
-            assert!(target.ends_with("--json -"), "{name}: {target}");
-        }
-    }
-
-    #[test]
-    fn prefix_list_names_every_suite() {
-        let list = prefix_list();
-        for prefix in TABLE.iter().flat_map(|s| s.prefixes.iter()) {
-            let head = prefix.split('.').next().expect("non-empty prefix");
-            assert!(list.split('|').any(|p| p == head), "{head} missing from {list}");
         }
     }
 
@@ -575,7 +516,7 @@ mod tests {
             let line = format!("       repro {} {}", suite.name, suite.flags);
             assert!(usage.lines().any(|l| l == line.trim_end()), "{line} missing from: {usage}");
         }
-        for needle in ["repro suites", "repro bench-json [PATH]", &prefix_list()] {
+        for needle in ["repro suites", "repro bench-json [PATH]"] {
             assert!(usage.contains(needle), "{needle} missing from: {usage}");
         }
     }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `repro` binary's CLI surface: the suites
-//! listing, the unknown-subcommand error path, and the capture → replay
-//! round trip the CI replay-fidelity leg `cmp`s.
+//! listing, the unknown-subcommand error path, a gated row's golden files
+//! as the binary writes them, and the capture → replay round trip the CI
+//! replay-fidelity leg `cmp`s.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -29,25 +30,14 @@ fn suites_prints_the_shared_table() {
     let out = repro(&["suites"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert_eq!(stdout(&out), cloudbench_bench::suites::render_table());
-    // The output is the machine-readable contract CI scripts over: one
-    // tab-separated line per gated suite.
-    let listing = stdout(&out);
-    let lines: Vec<&str> = listing.lines().collect();
-    assert_eq!(lines.len(), cloudbench_bench::suites::listing().len());
-    for (prefix, _) in cloudbench_bench::suites::listing() {
-        assert!(
-            lines.iter().any(|l| l.starts_with(&format!("{prefix}\t"))),
-            "{prefix} missing from the listing"
-        );
-    }
-    // The listing is a contract with the workflow scripts: its bytes are
-    // pinned, so a table edit that reorders or renames a line shows here.
+    // The listing is a contract with the workflow scripts: one
+    // `name<TAB>gate arguments` line per gated row. Its bytes are pinned,
+    // so a table edit that reorders, renames or re-sizes a row shows here.
     assert_eq!(
-        listing,
-        "fig6\t-\nfleet8\t-\nhetero\t-\ngc\t-\nrestore\trestore\nschedule\tschedule\n\
-         faults\tfaults\nfleetscale\tfleet-scale --clients 10000 --json -\n\
-         partition\tpartition --clients 10000 --partitions 8 --json -\n\
-         trace\ttrace --clients 10000 --json -\nhist\t-\n"
+        stdout(&out),
+        "fig6\t--reps 2\nfleet\t\nhetero\t\nrestore\t\nschedule\t\nfaults\t\n\
+         fleet-scale\t--clients 10000\npartition\t--clients 10000 --partitions 8\n\
+         trace\t--clients 10000\n"
     );
 }
 
@@ -57,18 +47,30 @@ fn unknown_subcommand_exits_nonzero_and_lists_the_valid_targets() {
     assert_eq!(out.status.code(), Some(2));
     let err = stderr(&out);
     assert!(err.contains("unknown target 'frobnicate'"), "got: {err}");
-    // The error must teach the valid surface: subcommands and the gated
-    // suite list (derived from the shared table, never hardcoded stale).
+    // The error must teach the valid surface (derived from the shared
+    // table, never hardcoded stale).
     for needle in ["usage: repro", "fleet-scale", "replay", "suites", "bench-json"] {
         assert!(err.contains(needle), "{needle} missing from: {err}");
-    }
-    for (prefix, _) in cloudbench_bench::suites::listing() {
-        assert!(err.contains(prefix), "{prefix} missing from: {err}");
     }
     // Every table row is a target the error names.
     for suite in cloudbench_bench::suites::TABLE {
         assert!(err.contains(suite.name), "{} missing from: {err}", suite.name);
     }
+}
+
+/// The binary prints the goldens: `repro restore --json FILE` writes the
+/// text golden to stdout and the JSON golden to FILE, so the in-process
+/// render the gate test compares is what `repro` writes.
+#[test]
+fn restore_writes_its_golden_text_and_dump() {
+    let dir = scratch("golden");
+    let json = dir.join("restore.json");
+    let out = repro(&["restore", "--json", json.to_str().expect("utf8")]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let read = |path: &str| std::fs::read_to_string(path).expect("a written file");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/restore");
+    assert_eq!(stdout(&out), read(&format!("{golden}.txt")), "stdout is not the text golden");
+    assert_eq!(read(json.to_str().expect("utf8")), read(&format!("{golden}.json")));
 }
 
 /// The shared-CLI contract: counted flags reject malformed, zero and
@@ -136,8 +138,8 @@ fn undeclared_and_valueless_flags_exit_2_and_write_nothing() {
 }
 
 /// The trace subcommand prints the same bytes on every run, text and JSON
-/// dump alike (the dump is what the CI trace determinism leg `cmp`s); the
-/// run's host time goes to stderr alone.
+/// dump alike, in a fresh process each time; the run's host time goes to
+/// stderr alone.
 #[test]
 fn trace_repeats_its_text_and_its_dump_byte_for_byte() {
     let text: (&[&str], &[&str]) = (&[], &["Trace overhead", "packets/vsec"]);

@@ -45,6 +45,22 @@ impl PerformanceSuite {
         self.rows.iter().find(|r| r.service == service && r.workload == workload)
     }
 
+    /// Fig. 6's gate metrics: the completion and overhead means of the
+    /// many-small-files and single-large-file cells that separate the
+    /// services most sharply, keyed `fig6.<metric>.<service>.<workload>`.
+    pub fn gate_metrics(&self) -> Vec<(String, f64)> {
+        let small_files = ["Dropbox", "Google Drive", "Cloud Drive"].map(|s| (s, "100x10kB"));
+        let one_megabyte = ["Dropbox", "SkyDrive"].map(|s| (s, "1x1MB"));
+        let mut metrics = Vec::new();
+        for (service, workload) in small_files.into_iter().chain(one_megabyte) {
+            let Some(row) = self.row(service, workload) else { continue };
+            let cell = format!("{}.{}", row.service.to_lowercase().replace(' ', "_"), row.workload);
+            metrics.push((format!("fig6.completion_s.{cell}"), row.completion_secs.mean));
+            metrics.push((format!("fig6.overhead.{cell}"), row.overhead.mean));
+        }
+        metrics
+    }
+
     /// The workload labels present, in first-appearance order.
     pub fn workloads(&self) -> Vec<String> {
         let mut labels = Vec::new();

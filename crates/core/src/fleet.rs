@@ -12,6 +12,7 @@ use cloudsim_services::fleet::{run_fleet, FleetRun, FleetSpec};
 use cloudsim_services::ServiceProfile;
 use cloudsim_storage::ObjectStore;
 use cloudsim_trace::series::SampleStats;
+use cloudsim_trace::HistogramSummary;
 use std::fmt::Write as _;
 
 /// One fleet size of the scaling suite.
@@ -31,6 +32,8 @@ pub struct FleetScalingRow {
     pub referenced_bytes: u64,
     /// Payload bytes the clients uploaded (after client-side capabilities).
     pub uploaded_payload: u64,
+    /// The distribution of the fleet's per-commit sync latencies.
+    pub sync_hist: HistogramSummary,
 }
 
 impl FleetScalingRow {
@@ -45,6 +48,7 @@ impl FleetScalingRow {
             physical_bytes: agg.physical_bytes,
             referenced_bytes: agg.referenced_bytes,
             uploaded_payload: run.total_uploaded_payload(),
+            sync_hist: run.sync_duration_histogram().summary(),
         }
     }
 }
@@ -102,6 +106,25 @@ impl FleetScalingSuite {
             body,
         }
     }
+
+    /// The suite's gate metrics: the 8-client row (the suite's acceptance
+    /// point) as `fleet8.*`, plus that fleet's `hist.sync.*` commit-latency
+    /// quadruple. A suite run without 8 clients has none.
+    pub fn gate_metrics(&self) -> Vec<(String, f64)> {
+        let Some(row) = self.row(8) else { return Vec::new() };
+        let mut metrics = gate_keys(
+            "fleet8",
+            &[
+                ("goodput_mbps", row.aggregate_goodput_bps / 1e6),
+                ("completion_mean_s", row.completion_secs.mean),
+                ("dedup_ratio", row.dedup_ratio),
+                ("physical_mb", row.physical_bytes as f64 / 1e6),
+                ("uploaded_mb", row.uploaded_payload as f64 / 1e6),
+            ],
+        );
+        metrics.extend(hist_metrics("hist.sync", &row.sync_hist));
+        metrics
+    }
 }
 
 /// The default fleet sizes of the scaling suite.
@@ -145,30 +168,6 @@ pub fn run_fleet_scaling(
         shared_fraction: FleetSpec::SHARED_FRACTION,
         rows,
     }
-}
-
-/// The gate point of the fleet suite: one fleet of `clients` (one worker
-/// each) against a fresh store, named `fleet<clients>.*` plus the run's
-/// `hist.sync.*` commit-latency quadruple.
-pub fn fleet_gate_metrics(
-    profile: &ServiceProfile,
-    clients: usize,
-    seed: u64,
-) -> Vec<(String, f64)> {
-    let run = run_fleet(&fleet_spec(profile, clients, seed), ObjectStore::new(), clients);
-    let row = FleetScalingRow::from_run(&run);
-    let mut metrics = gate_keys(
-        &format!("fleet{clients}"),
-        &[
-            ("goodput_mbps", row.aggregate_goodput_bps / 1e6),
-            ("completion_mean_s", row.completion_secs.mean),
-            ("dedup_ratio", row.dedup_ratio),
-            ("physical_mb", row.physical_bytes as f64 / 1e6),
-            ("uploaded_mb", row.uploaded_payload as f64 / 1e6),
-        ],
-    );
-    metrics.extend(hist_metrics("hist.sync", &run.sync_duration_histogram().summary()));
-    metrics
 }
 
 #[cfg(test)]

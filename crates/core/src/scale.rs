@@ -19,9 +19,9 @@
 //!
 //! Every field is a pure function of `(clients, seed)`, and the text and
 //! the JSON dump show every field, so the suite is gated as `fleetscale.*`
-//! metrics and the CI fleet-scale determinism leg `cmp`s two fresh JSON
-//! dumps byte for byte. How long a run takes on the host is `perf/`'s to
-//! measure (`services.scale_run_1w_commits_per_s`).
+//! metrics and its text and JSON dump at 10 000 clients are pinned byte
+//! for byte as golden files. How long a run takes on the host is
+//! `perf/`'s to measure (`services.scale_run_1w_commits_per_s`).
 
 use crate::report::{gate_keys, hist_line, hist_metrics, Report};
 use cloudsim_services::capture::{replay_capture, FleetCapture, ReplayMix};

@@ -11,9 +11,9 @@
 //! protocol-overhead figure at population scale).
 //!
 //! Every reported number is a pure function of `(clients, seed)`, so the
-//! suite is gated as `trace.*` metrics and the CI determinism leg `cmp`s
-//! two fresh JSON dumps byte for byte. Host time is `perf/`'s to judge
-//! (`services.scale_trace_cost_share`).
+//! suite is gated as `trace.*` metrics and its text and JSON dump at
+//! 10 000 clients are pinned byte for byte as golden files. Host time is
+//! `perf/`'s to judge (`services.scale_trace_cost_share`).
 
 use crate::report::{gate_keys, Report};
 use crate::scale::scale_spec;
@@ -176,8 +176,7 @@ mod tests {
         let a = run_trace_overhead(300, 7);
         let b = run_trace_overhead(300, 7);
         assert_eq!(a, b);
-        // Every field, written out: the JSON is what the CI determinism leg
-        // `cmp`s.
+        // Every field, written out: the JSON is what the golden dump pins.
         assert_eq!(Report::to_json(&a), Report::to_json(&b));
         assert_eq!(a.report(), b.report());
         // A different seed reshuffles the timeline the packets ride on.

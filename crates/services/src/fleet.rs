@@ -486,48 +486,28 @@ impl FleetSpec {
         ((self.files_per_batch as f64) * FleetSpec::SHARED_FRACTION).round() as usize
     }
 
-    /// Lazily generates the batch client `client` syncs in round `round`,
-    /// one file at a time: content is produced only when the iterator is
-    /// advanced, so drivers that stream files (or never touch content at
-    /// all, like the fleet-scale runner's metadata path) pay nothing for
-    /// the files they skip. The first [`FleetSpec::shared_files_per_batch`]
-    /// files carry shared-pool content (seeded by round and file index
-    /// only, identical across clients); the rest are private to the client.
-    /// Collecting the stream yields exactly [`FleetSpec::workload`].
-    pub fn workload_stream(
-        &self,
-        client: usize,
-        round: usize,
-    ) -> impl Iterator<Item = GeneratedFile> + '_ {
-        let shared = self.shared_files_per_batch();
-        (0..self.files_per_batch).map(move |f| {
-            let (label, seed) = if f < shared {
-                // Shared pool: client index deliberately excluded.
-                ("shared", self.derived_seed(u64::MAX, round as u64, f as u64))
-            } else {
-                ("private", self.derived_seed(client as u64, round as u64, f as u64))
-            };
-            GeneratedFile {
-                path: format!("{label}/b{round:03}_f{f:04}.{}", FleetSpec::KIND.extension()),
-                content: generate(FleetSpec::KIND, self.file_size, seed),
-            }
-        })
-    }
-
-    /// Generates the batch client `client` syncs in round `round` — the
-    /// eager collection of [`FleetSpec::workload_stream`].
+    /// Generates the batch client `client` syncs in round `round`. The
+    /// first [`FleetSpec::shared_files_per_batch`] files carry shared-pool
+    /// content (seeded by round and file index only, identical across
+    /// clients); the rest are private to the client. A schedule activation
+    /// syncs the batch of its *round*, whatever its ordinal, so the shared
+    /// pool keeps aligning across clients whatever their idle patterns.
     pub fn workload(&self, client: usize, round: usize) -> Vec<GeneratedFile> {
-        self.workload_stream(client, round).collect()
-    }
-
-    /// Generates the batch one schedule activation syncs — batch generation
-    /// is keyed to the activation event, not a bare round counter. Content
-    /// stays seeded by the activation's *round* so the fleet-wide shared
-    /// pool keeps aligning across clients whatever their idle patterns (and
-    /// the legacy lock-step configuration, where ordinal == round offset,
-    /// replays the old content byte-identically).
-    pub fn workload_for(&self, client: usize, activation: &SyncActivation) -> Vec<GeneratedFile> {
-        self.workload(client, activation.round)
+        let shared = self.shared_files_per_batch();
+        (0..self.files_per_batch)
+            .map(|f| {
+                let (label, seed) = if f < shared {
+                    // Shared pool: client index deliberately excluded.
+                    ("shared", self.derived_seed(u64::MAX, round as u64, f as u64))
+                } else {
+                    ("private", self.derived_seed(client as u64, round as u64, f as u64))
+                };
+                GeneratedFile {
+                    path: format!("{label}/b{round:03}_f{f:04}.{}", FleetSpec::KIND.extension()),
+                    content: generate(FleetSpec::KIND, self.file_size, seed),
+                }
+            })
+            .collect()
     }
 
     fn validate(&self) {
@@ -1018,7 +998,7 @@ fn restore_round(spec: &FleetSpec, lc: &mut LiveClient, i: usize, round: usize) 
 /// With the legacy all-zero temporal config this is exactly the old
 /// chained `next_modification` timeline.
 fn sync_round(spec: &FleetSpec, lc: &mut LiveClient, i: usize, activation: &SyncActivation) {
-    let files = spec.workload_for(i, activation);
+    let files = spec.workload(i, activation.round);
     let at = lc.next_modification + activation.think + activation.arrival_jitter;
     let synced = with_recovery(spec, i, SYNC_FAULT_SALT, activation.round, at, |rec| {
         lc.client.sync(&mut lc.sim, &files, at, rec)

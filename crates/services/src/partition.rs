@@ -44,7 +44,7 @@ use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{series, LatencyHistogram, SimTime};
 
 #[doc(hidden)]
-pub use crate::perf_pins::run_partition;
+pub use crate::perf_pins::{merge_partitions, run_partition};
 
 /// The disjoint set of global client indices one partition owns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -317,22 +317,7 @@ pub fn run_one(part: &PartitionSpec, store: &ObjectStore) -> Result<PartitionRun
 /// ordered stream, so the merge reconstructs the unsliced firing order
 /// exactly. Returns the merged run plus the wave count of the merged event
 /// stream.
-///
-/// `_started` is read by nothing: `perf/` passes it, and the parameter
-/// stays until ROADMAP item 18 deletes partitioning.
-pub fn merge_partitions(
-    client_base: usize,
-    clients: usize,
-    files: u64,
-    parts: &[PartitionRun],
-    store: ObjectStore,
-    _started: std::time::Instant,
-) -> Result<(ScaleRun, usize), String> {
-    merge(client_base, clients, files, parts, store)
-}
-
-/// [`merge_partitions`] without the unread parameter.
-fn merge(
+pub fn merge_runs(
     client_base: usize,
     clients: usize,
     files: u64,
@@ -413,7 +398,7 @@ fn run_controller(
     reserve_population(&store, &population, files_per_client, shared_per_client);
     let finished = parts.iter().map(|part| run_one(part, &store)).collect::<Result<Vec<_>, _>>()?;
     let files = clients as u64 * files_per_client as u64;
-    let (run, merged_waves) = merge(client_base, clients, files, &finished, store)?;
+    let (run, merged_waves) = merge_runs(client_base, clients, files, &finished, store)?;
     Ok(PartitionedRun { run, parts: finished, merged_waves })
 }
 
@@ -545,12 +530,17 @@ mod tests {
         let mut finished: Vec<PartitionRun> =
             parts.iter().map(|p| run_one(p, &store).unwrap()).collect();
         let files = (spec.clients * spec.commits_per_client * spec.files_per_commit) as u64;
-        let (forward, waves_fwd) =
-            merge(0, spec.clients, files, &finished, ObjectStore::with_policy(GcPolicy::MarkSweep))
-                .unwrap();
+        let (forward, waves_fwd) = merge_runs(
+            0,
+            spec.clients,
+            files,
+            &finished,
+            ObjectStore::with_policy(GcPolicy::MarkSweep),
+        )
+        .unwrap();
         finished.rotate_left(1);
         finished.reverse();
-        let (shuffled, waves_shuf) = merge(0, spec.clients, files, &finished, store).unwrap();
+        let (shuffled, waves_shuf) = merge_runs(0, spec.clients, files, &finished, store).unwrap();
         assert_eq!(forward.intervals, shuffled.intervals);
         assert_eq!(forward.commits, shuffled.commits);
         assert_eq!(waves_fwd, waves_shuf);
@@ -566,12 +556,17 @@ mod tests {
         let files = (spec.clients * spec.commits_per_client * spec.files_per_commit) as u64;
         // A duplicated partition overlaps itself.
         let doubled = vec![finished[0].clone(), finished[0].clone()];
-        let err =
-            merge(0, spec.clients, files, &doubled, ObjectStore::with_policy(GcPolicy::MarkSweep))
-                .unwrap_err();
+        let err = merge_runs(
+            0,
+            spec.clients,
+            files,
+            &doubled,
+            ObjectStore::with_policy(GcPolicy::MarkSweep),
+        )
+        .unwrap_err();
         assert!(err.contains("more than one partition"), "got: {err}");
         // A missing partition leaves a gap.
-        let err = merge(
+        let err = merge_runs(
             0,
             spec.clients,
             files,
@@ -588,7 +583,7 @@ mod tests {
         let err = run_one(&part, &store).unwrap_err();
         assert!(err.contains("partition 0") && err.contains("step"), "got: {err}");
         let run = PartitionRun { clients: stuck, ..finished[0].clone() };
-        let err = merge(
+        let err = merge_runs(
             0,
             spec.clients,
             files,

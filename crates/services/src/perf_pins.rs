@@ -1,6 +1,7 @@
 //! What only `perf/` calls: the runner signatures it imports, each a
 //! one-line forward to the library's own function that ignores the last
-//! argument, a worker count, re-exported at the path `perf/` imports. No library
+//! argument (a worker count, or a start instant), re-exported at the path
+//! `perf/` imports. No library
 //! code outside a test calls into this module (`tests/repo_rules.rs`
 //! checks); deleting it and re-pointing `perf/`'s imports is ROADMAP item
 //! 1c.
@@ -39,12 +40,25 @@ pub fn run_partition(
     crate::partition::run_one(part, store)
 }
 
+/// [`crate::partition::merge_runs`].
+pub fn merge_partitions(
+    client_base: usize,
+    clients: usize,
+    files: u64,
+    parts: &[PartitionRun],
+    store: ObjectStore,
+    _: std::time::Instant,
+) -> Result<(ScaleRun, usize), String> {
+    crate::partition::merge_runs(client_base, clients, files, parts, store)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capture::capture_of_spec;
     use crate::partition::spec_partitions;
     use cloudsim_storage::GcPolicy;
+    use std::time::Instant;
 
     fn store() -> ObjectStore {
         ObjectStore::with_policy(GcPolicy::MarkSweep)
@@ -92,5 +106,14 @@ mod tests {
         for i in 0..spec.clients {
             assert_eq!(pin_store.stats(&spec.user(i)), one_store.stats(&spec.user(i)));
         }
+        let finished: Vec<PartitionRun> =
+            parts.iter().map(|part| crate::partition::run_one(part, &store()).unwrap()).collect();
+        let files = (spec.clients * spec.commits_per_client * spec.files_per_commit) as u64;
+        let (pinned, pinned_waves) =
+            merge_partitions(0, spec.clients, files, &finished, store(), Instant::now()).unwrap();
+        let (honest, honest_waves) =
+            crate::partition::merge_runs(0, spec.clients, files, &finished, store()).unwrap();
+        assert_same_run(&pinned, &honest, &spec, "merge");
+        assert_eq!(pinned_waves, honest_waves);
     }
 }

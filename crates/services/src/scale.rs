@@ -39,8 +39,8 @@
 //! disjoint client sets, walks them in order and merges them by event key
 //! into exactly the timeline walk's order, which is what makes a
 //! partitioned run bit-identical to this one, and two runs of the same
-//! spec dump identical JSON (the CI fleet-scale determinism leg `cmp`s
-//! exactly that). Splitting the walk across threads was measured and
+//! spec dump identical JSON (the `fleet-scale` golden dump pins exactly
+//! that). Splitting the walk across threads was measured and
 //! deleted: two client stripes ran at 0.78× one thread on the perf
 //! instrument's 10k-client row (`services.scale_nw_speedup`), so nothing on
 //! this path takes a worker count.
@@ -948,7 +948,7 @@ mod tests {
         let files = commits[0].1.len();
         let paths = intern_paths(&store, rounds, files, shared_files).unwrap();
         for (ev, seeds) in &commits {
-            let user = store.intern_user(&scale_user(ev.client)).unwrap();
+            let user = store.writer().intern_user(&scale_user(ev.client)).unwrap();
             let batch: Vec<(PathId, StoredChunk)> = (seeds.iter().zip(&paths[ev.round * files..]))
                 .map(|(&seed, &path)| {
                     let hash = synth_hash(seed);

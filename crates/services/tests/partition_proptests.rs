@@ -13,7 +13,7 @@ use cloudsim_services::capture::{
     slice_capture, ReplayMix,
 };
 use cloudsim_services::partition::{
-    merge_partitions, partition_ranges, run_one, spec_partitions, PartitionRun,
+    merge_runs, partition_ranges, run_one, spec_partitions, PartitionRun,
 };
 use cloudsim_services::scale::{run_population, run_population_traced, ScaleSpec};
 use cloudsim_storage::{GcPolicy, ObjectStore};
@@ -88,7 +88,6 @@ proptest! {
         let whole = run_population(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep));
 
         let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-        let started = std::time::Instant::now();
         let mut finished: Vec<PartitionRun> = spec_partitions(&spec, partitions)
             .iter()
             .map(|p| run_one(p, &store).expect("partition runs"))
@@ -99,7 +98,7 @@ proptest! {
         }
         let files = (clients * spec.commits_per_client * spec.files_per_commit) as u64;
         let (merged, _waves) =
-            merge_partitions(0, clients, files, &finished, store, started).expect("tiles");
+            merge_runs(0, clients, files, &finished, store).expect("tiles");
 
         prop_assert_eq!(&merged.intervals, &whole.intervals);
         prop_assert_eq!(merged.commits, whole.commits);

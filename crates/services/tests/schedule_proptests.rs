@@ -4,8 +4,8 @@
 //! of `(FleetSpec, seed)`, identical across repeated calls and across
 //! threads, with the legacy configuration (no think time, no jitter,
 //! activation 1.0) degenerating to the old lock-step timeline. These
-//! properties are what let the CI determinism legs `cmp` whole suite dumps
-//! byte for byte.
+//! properties are what let the bench crate's golden files pin whole suite
+//! dumps byte for byte.
 
 use cloudsim_services::engine::EventHeap;
 use cloudsim_services::fleet::{run_fleet, FleetSpec};

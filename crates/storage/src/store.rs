@@ -32,7 +32,7 @@
 //!   touches the few cache lines of one record instead of eight random
 //!   ones of a table every user shares.
 //!
-//! Names are interned once: [`ObjectStore::intern_user`] and
+//! Names are interned once: [`StoreWriter::intern_user`] and
 //! [`ObjectStore::intern_path`] hand out [`UserId`]s and [`PathId`]s, and
 //! a [`StoreWriter`] is the fleet-scale write path — no string is hashed,
 //! cloned or allocated per call. An interner keeps its names back to back
@@ -302,7 +302,7 @@ pub struct GcStats {
     pub freed_bytes: u64,
 }
 
-/// An interned user name, handed out by [`ObjectStore::intern_user`]. Valid
+/// An interned user name, handed out by [`StoreWriter::intern_user`]. Valid
 /// only for the store (and its clones) that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UserId(u32);
@@ -1004,15 +1004,9 @@ impl ObjectStore {
         self.tables.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Interns a user name. The same name always yields the same id; a new
-    /// name creates an (empty) record. Fails instead of wrapping once the
-    /// ids pass `u32::MAX`.
-    pub fn intern_user(&self, name: &str) -> Result<UserId, StoreError> {
-        self.write().intern_user(name).map(UserId)
-    }
-
-    /// Interns a file path; see [`ObjectStore::intern_user`] for the
-    /// contract. Paths are interned store-wide, not per user.
+    /// Interns a file path. The same path always yields the same id; a new
+    /// path gets the next one. Fails instead of wrapping once the ids pass
+    /// `u32::MAX`. Paths are interned store-wide, not per user.
     pub fn intern_path(&self, path: &str) -> Result<PathId, StoreError> {
         self.write().intern_path(path)
     }
@@ -1347,8 +1341,9 @@ pub struct StoreWriter<'a> {
 }
 
 impl StoreWriter<'_> {
-    /// Interns a user name under the writer's lock: what
-    /// [`ObjectStore::intern_user`] does, without a lock of its own.
+    /// Interns a user name under the writer's lock. The same name always
+    /// yields the same id; a new name creates an (empty) record. Fails
+    /// instead of wrapping once the ids pass `u32::MAX`.
     pub fn intern_user(&mut self, name: &str) -> Result<UserId, StoreError> {
         self.tables.intern_user(name).map(UserId)
     }
@@ -2175,7 +2170,7 @@ mod tests {
         assert_eq!(store.chunk("ann", &widest.hash), Some(widest.clone()));
         assert_eq!(store.aggregate().physical_bytes, most);
         let path = store.intern_path("wide.bin").unwrap();
-        let ann = store.intern_user("ann").unwrap();
+        let ann = store.writer().intern_user("ann").unwrap();
         assert_eq!(store.writer().commit_files_by_id(ann, &[(path, widest.clone())]), Ok(1));
         assert_eq!(store.manifest("ann", "wide.bin").unwrap().size, most);
 
@@ -2270,7 +2265,7 @@ mod tests {
         });
         assert_eq!(message, StoreError::References.to_string());
         let two = store.intern_path("two.bin").unwrap();
-        let ann = store.intern_user("ann").unwrap();
+        let ann = store.writer().intern_user("ann").unwrap();
         assert_eq!(
             store.writer().commit_files_by_id(ann, &[(two, a.clone())]),
             Err(StoreError::References)
@@ -2288,7 +2283,7 @@ mod tests {
     fn versions_past_u32_are_refused() {
         let store = ObjectStore::new();
         let (a, b) = (stored(b"the last version"), stored(b"one version too many"));
-        let ann = store.intern_user("ann").unwrap();
+        let ann = store.writer().intern_user("ann").unwrap();
         let path = store.intern_path("doc.bin").unwrap();
         store.write().records[ann.0 as usize].next_version = u32::MAX - 1;
         // The last version is handed out, and read back at full width…
@@ -2336,7 +2331,7 @@ mod tests {
                                 (store.intern_path(&paths[i]).unwrap(), stored(paths[i].as_bytes()))
                             })
                             .collect();
-                        let user = store.intern_user(&format!("u{t}")).unwrap();
+                        let user = store.writer().intern_user(&format!("u{t}")).unwrap();
                         store.writer().commit_files_by_id(user, &files).unwrap();
                         files.into_iter().map(|(id, _)| id).collect()
                     })
@@ -2363,8 +2358,8 @@ mod tests {
         let by_name = ObjectStore::new();
         let by_id = ObjectStore::new();
         let (a, b) = (stored(b"first chunk"), stored(b"second chunk"));
-        let alice = by_id.intern_user("alice").unwrap();
-        assert_eq!(by_id.intern_user("alice").unwrap(), alice);
+        let alice = by_id.writer().intern_user("alice").unwrap();
+        assert_eq!(by_id.writer().intern_user("alice").unwrap(), alice);
         let doc = by_id.intern_path("doc.bin").unwrap();
         assert_eq!(by_id.intern_path("doc.bin").unwrap(), doc);
         // Interning alone creates nothing observable.
@@ -2418,7 +2413,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        let (alice, bob) = (store.intern_user("alice").unwrap(), store.intern_user("bob").unwrap());
+        let alice = store.writer().intern_user("alice").unwrap();
+        let bob = store.writer().intern_user("bob").unwrap();
         let through = |user: UserId| {
             let mut writer = store.writer();
             for files in &commits {
@@ -2781,7 +2777,7 @@ mod tests {
 
         // Commit: the batch path, 250 files a call, in an order that is
         // neither the paths' nor the hashes'.
-        let ann = store.intern_user("ann").unwrap();
+        let ann = store.writer().intern_user("ann").unwrap();
         let scattered: Vec<u32> = (0..FILES).map(|i| i * 7_919 % FILES).collect();
         for run in scattered.chunks(250) {
             let mut batch = Vec::new();
@@ -3147,7 +3143,7 @@ mod tests {
                             prop_assert!(model.commit(user, one).is_some());
                             files.push((store.intern_path(path).unwrap(), chunk));
                         }
-                        let id = store.intern_user(user).unwrap();
+                        let id = store.writer().intern_user(user).unwrap();
                         prop_assert_eq!(
                             store.writer().commit_files_by_id(id, &files),
                             Ok(model.users.get(user).map_or(0, |ns| ns.next_version))
@@ -3207,7 +3203,7 @@ mod tests {
                             prop_assert!(model.commit(user, manifest_for(path, &[&chunk])).is_some());
                             files.push((store.intern_path(path).unwrap(), chunk));
                         }
-                        let id = store.intern_user(user).unwrap();
+                        let id = store.writer().intern_user(user).unwrap();
                         prop_assert_eq!(store.writer().commit_files_by_id(id, &files), Ok(model.users[user].next_version));
                     }
                 }
@@ -3257,7 +3253,7 @@ mod tests {
                         let again = files[0].1.clone();
                         files.push((store.intern_path(&paths[(word >> 20) as usize % 6]).unwrap(), again));
                     }
-                    (store.intern_user(&users[u]).unwrap(), files)
+                    (store.writer().intern_user(&users[u]).unwrap(), files)
                 }).collect()
             };
             let read_back = |store: &ObjectStore| {
@@ -3329,7 +3325,7 @@ mod tests {
                         store.reserve(ask(asks[0]), ask(asks[1]), ask(asks[2]), ask(asks[3]), ask(asks[4]));
                     }
                     let field = |shift: u32, modulo: u64| ((word >> shift) % modulo) as usize;
-                    let user = store.intern_user(USERS[field(8, 3)]).unwrap();
+                    let user = store.writer().intern_user(USERS[field(8, 3)]).unwrap();
                     let path = store.intern_path(PATHS[field(16, 3)]).unwrap();
                     let chunk = variant_of(&data[field(24, 4)], (word >> 40) % 3);
                     store.writer().commit_files_by_id(user, &[(path, chunk)]).unwrap();
@@ -3378,7 +3374,7 @@ mod tests {
 
             let sequential = ObjectStore::with_policy(policy);
             for user in USERS {
-                sequential.intern_user(user).unwrap();
+                sequential.writer().intern_user(user).unwrap();
             }
             (0..3).for_each(|u| commit_phase(&sequential, u));
             (0..3).for_each(|u| release_phase(&sequential, u));
@@ -3386,7 +3382,7 @@ mod tests {
 
             let threaded = ObjectStore::with_policy(policy);
             for user in USERS.iter().rev() {
-                threaded.intern_user(user).unwrap();
+                threaded.writer().intern_user(user).unwrap();
             }
             for path in PATHS.iter().rev() {
                 threaded.intern_path(path).unwrap();
