@@ -494,6 +494,23 @@ mod tests {
         }
     }
 
+    /// `repro suites` is the list of prefix-owning rows: every prefix is
+    /// owned by a row it names, and every row it names owns prefixes.
+    #[test]
+    fn prefix_list_names_every_suite() {
+        let table = render_table();
+        let listed: Vec<&str> = table.lines().filter_map(|l| l.split('\t').next()).collect();
+        for suite in TABLE {
+            for prefix in suite.prefixes {
+                assert!(listed.contains(&suite.name), "{prefix}'s row missing from {table}");
+            }
+        }
+        for name in listed {
+            let owns = by_name(name).is_some_and(|s| !s.prefixes.is_empty());
+            assert!(owns, "{name} is listed but owns no prefix");
+        }
+    }
+
     /// A gate point is a command line `repro` accepts: every flag of a
     /// row's gate arguments is one the row declares, each with a value.
     #[test]
