@@ -263,6 +263,7 @@ pub fn run_schedule(clients: usize, seed: u64) -> ScheduleSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudsim_services::schedule::RoundEvent;
     use std::sync::OnceLock;
 
     /// The canonical 10-client suite, computed once (two fleet runs) and
@@ -336,9 +337,13 @@ mod tests {
 
     #[test]
     fn lockstep_control_really_is_lockstep() {
-        let spec = lockstep_spec(4, 9);
-        assert!(spec.is_lockstep());
-        assert!(spec.schedule().is_lockstep());
-        assert!(!schedule_spec(4, 9).is_lockstep());
+        // Every connected round syncs, with no pause and no offset.
+        let lockstep = |spec: FleetSpec| {
+            spec.schedule().clients.iter().flat_map(|c| &c.events).all(|e| {
+                matches!(e, RoundEvent::Sync(a) if a.think.is_zero() && a.arrival_jitter.is_zero())
+            })
+        };
+        assert!(lockstep(lockstep_spec(4, 9)));
+        assert!(!lockstep(schedule_spec(4, 9)));
     }
 }

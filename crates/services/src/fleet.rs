@@ -24,39 +24,35 @@
 //! namespaces back down through their own links after each round they
 //! sync in — round-major fleets mix uploaders and downloaders.
 //!
-//! Execution is **event-driven**: the schedule is lowered into a
-//! time-ordered [`EventHeap`] of `(timestamp, phase, client)` entries —
-//! activations, keep-alive epochs, restore-fan pulls, departures, GC
-//! sweeps — and [`run_fleet`] pops it wave by wave (see [`crate::engine`]),
-//! touching only each event's client instead of materialising the whole
-//! population per round.
+//! Execution is a loop over rounds. Each round runs its phases in a fixed
+//! order: the syncs of the clients the schedule activates, in client order,
+//! as one parallel wave; then the idle clients' keep-alive epochs; then the
+//! restore fans of the pullers that synced; then the departures, in client
+//! order on the calling thread; then, under a mark-sweep store, one garbage
+//! collection sweep. Each phase touches only its own clients.
 //!
 //! Determinism contract: the schedule is *data*, not thread timing — every
 //! temporal draw is fixed before the first client spawns. A client's
 //! simulation consumes only its own seed, its schedule entries and its own
 //! planner state, and the shared store's aggregate accounting is
-//! order-independent within each wave. The heap's phase sub-key keeps the
-//! instants phase-separated — at one virtual instant all sync commits
-//! complete, idle clients poll (their own universes only), then the restore
-//! fans run (store *reads* only, so they commute), then leaves release
-//! references, and garbage collection sweeps last — so [`run_fleet`]
-//! produces bit-identical [`ClientSummary`]s and [`AggregateStats`] whether
-//! the clients run on one thread (sequential replay) or on one thread per
-//! client, jitter, churn, GC and restores included. A puller whose source
-//! departed at an *earlier* instant records a clean failure; same-instant
-//! departures are still visible because restores precede leaves. The fleet
-//! unit tests and the workspace property tests assert exactly that.
+//! order-independent within each phase: sync commits commute, idle clients
+//! poll their own universes only, and restore fans only *read*. So
+//! [`run_fleet`] produces bit-identical [`ClientSummary`]s and
+//! [`AggregateStats`] whether the clients run on one thread (sequential
+//! replay) or on one thread per client, jitter, churn, GC and restores
+//! included. A puller whose source departed in an *earlier* round records a
+//! clean failure; a departure in the same round is still visible because
+//! restores precede leaves. The fleet unit tests and the workspace property
+//! tests assert exactly that.
 //!
-//! The legacy configuration — zero think time, zero jitter, activation
-//! 1.0 — degenerates to the old lock-step timeline byte-identically, so the
-//! committed `fleet.*`/`hetero.*`/`restore.*` bench baselines prove the
-//! scheduler refactor safe.
+//! With zero think time, zero jitter and activation 1.0 every connected
+//! round syncs: the lock-step fleet the committed `fleet.*`/`hetero.*`/
+//! `restore.*` gate values pin.
 
 use crate::client::{RestoreOutcome, SyncClient, SyncOutcome};
-use crate::engine::{EventHeap, FleetEvent, Phase};
 use crate::profile::ServiceProfile;
 use crate::retry::{Recovery, RetryConfig};
-use crate::schedule::{FleetSchedule, SyncActivation, ThinkTime};
+use crate::schedule::{FleetSchedule, RoundEvent, SyncActivation, ThinkTime};
 use crate::session::FaultStats;
 use cloudsim_net::{AccessLink, FaultSchedule, FaultSpec, Simulator};
 use cloudsim_storage::{AggregateStats, GcPolicy, ObjectStore, SizeMemo};
@@ -160,21 +156,6 @@ impl ClientSlot {
     pub fn active_in(&self, round: usize) -> bool {
         round >= self.join_round && self.leave_after.map(|l| round <= l).unwrap_or(true)
     }
-
-    /// Number of rounds the slot is connected within a run of `rounds`
-    /// rounds — the slot's membership window, *not* its sync count. With an
-    /// activation probability below 1.0 some of these rounds are idle, so
-    /// completion-distribution denominators and expected-volume accounting
-    /// must use [`FleetSpec::sync_rounds_of`] (which consults the schedule)
-    /// instead of this window. Returns 0 for a zero-round run or a window
-    /// that lies entirely outside it.
-    pub fn active_rounds(&self, rounds: usize) -> usize {
-        if rounds == 0 || self.join_round >= rounds {
-            return 0;
-        }
-        let last = self.leave_after.map(|l| l.min(rounds - 1)).unwrap_or(rounds - 1);
-        (last + 1).saturating_sub(self.join_round)
-    }
 }
 
 /// Workload description for one fleet run.
@@ -202,18 +183,18 @@ pub struct FleetSpec {
     /// reason as `churn`.
     pub restore_fan: Option<(usize, usize)>,
     /// The think-time distribution: the seeded pause a client inserts
-    /// before each activity burst. [`ThinkTime::NONE`] (the default) is the
-    /// legacy lock-step behaviour.
+    /// before each activity burst. [`ThinkTime::NONE`] (the default) never
+    /// pauses.
     pub think: ThinkTime,
     /// Upper bound of the intra-round arrival jitter: each activation is
     /// offset by a seeded draw from `[0, arrival_jitter]` so clients start
     /// their syncs at distinct virtual instants instead of a shared
-    /// barrier. Zero (the default) is the legacy behaviour.
+    /// barrier. Zero (the default) offsets nothing.
     pub arrival_jitter: SimDuration,
     /// Per-round activation probability in `[0, 1]`: each connected round
     /// activates (syncs a batch) with this probability and otherwise idles,
-    /// paying only background signalling. 1.0 (the default) is the legacy
-    /// every-round-syncs behaviour.
+    /// paying only background signalling. 1.0 (the default) syncs every
+    /// connected round.
     pub activation: f64,
     /// Fault injection: `None` (the default) runs every transfer with no
     /// outage to recover from — byte-identical to fleets that predate the
@@ -321,8 +302,7 @@ impl FleetSpec {
     }
 
     /// Sets the per-round activation probability (1.0 = sync every
-    /// connected round, the legacy behaviour; below that, the remaining
-    /// rounds are idle).
+    /// connected round; below that, the remaining rounds are idle).
     pub fn with_activation(mut self, activation: f64) -> FleetSpec {
         assert!(
             (0.0..=1.0).contains(&activation),
@@ -346,22 +326,6 @@ impl FleetSpec {
     /// number of threads, yields identical event lists.
     pub fn schedule(&self) -> FleetSchedule {
         FleetSchedule::generate(self)
-    }
-
-    /// True when the temporal configuration degenerates to the legacy
-    /// lock-step (no think time, no jitter, full activation).
-    pub fn is_lockstep(&self) -> bool {
-        self.think.is_zero() && self.arrival_jitter.is_zero() && self.activation >= 1.0
-    }
-
-    /// Rounds slot `i` actually syncs in (activated rounds of the derived
-    /// schedule) — the denominator completion distributions and expected
-    /// volumes must use once idle rounds exist. Each call derives the whole
-    /// fleet schedule; when querying many slots, call
-    /// [`FleetSpec::schedule`] once and index `clients[i].sync_rounds()`
-    /// instead (as [`FleetSpec::total_logical_bytes`] does internally).
-    pub fn sync_rounds_of(&self, i: usize) -> usize {
-        self.schedule().clients[i].sync_rounds()
     }
 
     /// Distributes service profiles round-robin across the slots (a mixed
@@ -489,9 +453,9 @@ impl FleetSpec {
     /// Generates the batch client `client` syncs in round `round`. The
     /// first [`FleetSpec::shared_files_per_batch`] files carry shared-pool
     /// content (seeded by round and file index only, identical across
-    /// clients); the rest are private to the client. A schedule activation
-    /// syncs the batch of its *round*, whatever its ordinal, so the shared
-    /// pool keeps aligning across clients whatever their idle patterns.
+    /// clients); the rest are private to the client. An activation syncs
+    /// the batch of its *round*, however many rounds its client idled
+    /// before, so the shared pool keeps aligning across clients.
     pub fn workload(&self, client: usize, round: usize) -> Vec<GeneratedFile> {
         let shared = self.shared_files_per_batch();
         (0..self.files_per_batch)
@@ -971,8 +935,8 @@ fn with_recovery<T>(
 }
 
 /// One client's restore fan for one round: pull every source user's full
-/// namespace. Store reads only — the round's sync barrier already happened,
-/// so every puller sees the same server state regardless of thread order.
+/// namespace. Store reads only — the round's syncs have all committed, so
+/// every puller sees the same server state regardless of thread order.
 /// With fault injection, each pull runs under its own seeded outage
 /// schedule through the ranged resumable download path.
 fn restore_round(spec: &FleetSpec, lc: &mut LiveClient, i: usize, round: usize) {
@@ -995,12 +959,18 @@ fn restore_round(spec: &FleetSpec, lc: &mut LiveClient, i: usize, round: usize) 
 /// One activated sync: the client's clock advances by its seeded think-time
 /// pause and arrival jitter before the batch lands in the synced folder, so
 /// arrivals spread across the round instead of hitting a shared barrier.
-/// With the legacy all-zero temporal config this is exactly the old
-/// chained `next_modification` timeline.
-fn sync_round(spec: &FleetSpec, lc: &mut LiveClient, i: usize, activation: &SyncActivation) {
-    let files = spec.workload(i, activation.round);
+/// With zero think time and jitter each batch lands at the client's
+/// chained `next_modification`.
+fn sync_round(
+    spec: &FleetSpec,
+    lc: &mut LiveClient,
+    i: usize,
+    round: usize,
+    activation: &SyncActivation,
+) {
+    let files = spec.workload(i, round);
     let at = lc.next_modification + activation.think + activation.arrival_jitter;
-    let synced = with_recovery(spec, i, SYNC_FAULT_SALT, activation.round, at, |rec| {
+    let synced = with_recovery(spec, i, SYNC_FAULT_SALT, round, at, |rec| {
         lc.client.sync(&mut lc.sim, &files, at, rec)
     });
     // Fault-free, everything planned is durable and nothing below moves.
@@ -1060,46 +1030,40 @@ fn summarize(spec: &FleetSpec, i: usize, lc: LiveClient) -> ClientSummary {
     }
 }
 
-/// Runs one parallel event wave: takes each event's client out of
-/// `states`, applies `work` on up to `workers` threads, and puts the
-/// results back — the engine-level analogue of the old per-round phase
-/// barrier. Clients within a wave are pairwise distinct (the heap
-/// guarantees it), so the fan-out never aliases a state slot. `work`
-/// receives the client's prior state (`None` when the client has not been
-/// spawned yet) and must return the live client.
-fn run_wave<F>(states: &mut [Option<LiveClient>], events: &[FleetEvent], workers: usize, work: F)
+/// Runs one parallel wave: takes each listed client out of `states`,
+/// applies `work` on up to `workers` threads, and puts the results back.
+/// The clients are pairwise distinct (one round's syncs, idles or
+/// restores), so the fan-out never aliases a state slot. `work` receives
+/// the client's prior state (`None` when the client has not been spawned
+/// yet) and its id, and must return the live client.
+fn run_wave<F>(states: &mut [Option<LiveClient>], clients: &[usize], workers: usize, work: F)
 where
-    F: Fn(Option<LiveClient>, &FleetEvent) -> LiveClient + Sync,
+    F: Fn(Option<LiveClient>, usize) -> LiveClient + Sync,
 {
-    if events.is_empty() {
+    if clients.is_empty() {
         return;
     }
     let tasks: Vec<Mutex<Option<LiveClient>>> =
-        events.iter().map(|e| Mutex::new(states[e.client].take())).collect();
+        clients.iter().map(|&i| Mutex::new(states[i].take())).collect();
     let done: Vec<LiveClient> = cloudsim_parallel::run_indexed(
-        workers.min(events.len()),
-        events.len(),
+        workers.min(clients.len()),
+        clients.len(),
         || (),
-        |(), k| work(tasks[k].lock().expect("task mutex").take(), &events[k]),
+        |(), k| work(tasks[k].lock().expect("task mutex").take(), clients[k]),
     );
-    for (k, lc) in done.into_iter().enumerate() {
-        states[events[k].client] = Some(lc);
+    for (&i, lc) in clients.iter().zip(done) {
+        states[i] = Some(lc);
     }
 }
 
 /// Runs the fleet on up to `workers` OS threads, committing into `store`,
-/// replaying the spec's precomputed [`FleetSchedule`] through the
-/// discrete-event engine: the schedule is lowered into a time-ordered
-/// [`EventHeap`] (see [`crate::engine`]) and popped wave by wave, touching
-/// only each event's client. `workers = 1` is the sequential replay; any
-/// other count produces bit-identical [`ClientSummary`]s and aggregate
-/// store statistics, because the heap's `(timestamp, phase, client)` total
-/// order is derived before the first client spawns (the temporal draws are
-/// data, not thread timing) and each wave holds pairwise-distinct clients
-/// whose store operations commute: at one virtual instant all sync commits
-/// complete before idle clients poll their own universes, before any
-/// restore fan reads, before any leaving client releases references, and
-/// mark-sweep GC sweeps on one thread.
+/// replaying the spec's precomputed [`FleetSchedule`] round by round (see
+/// the module docs for the phase order). `workers = 1` is the sequential
+/// replay; any other count produces bit-identical [`ClientSummary`]s and
+/// aggregate store statistics, because the schedule is derived before the
+/// first client spawns (the temporal draws are data, not thread timing)
+/// and each parallel phase holds pairwise-distinct clients whose store
+/// operations commute.
 ///
 /// The run owns one size memo, shared by every client it spawns: a content
 /// any client LZSS-counted — a shared-pool file, a chunk a puller restores
@@ -1108,77 +1072,58 @@ where
 pub fn run_fleet(spec: &FleetSpec, store: ObjectStore, workers: usize) -> FleetRun {
     spec.validate();
     let schedule = spec.schedule();
-    let mut heap = EventHeap::derive(spec, &schedule);
     let sizes = Arc::new(SizeMemo::new());
     let mut states: Vec<Option<LiveClient>> = spec.slots.iter().map(|_| None).collect();
     let mut summaries: Vec<Option<ClientSummary>> = spec.slots.iter().map(|_| None).collect();
 
-    while let Some(wave) = heap.next_wave() {
-        match wave.phase {
-            // Sync wave: every activated client syncs one batch at its
-            // scheduled virtual offset, in parallel. The store only sees
-            // commits here, which commute. A client whose first event this
-            // is spawns (and logs in) at its round's epoch.
-            Phase::Sync => run_wave(&mut states, wave.events, workers, |lc, ev| {
-                let mut lc =
-                    lc.unwrap_or_else(|| spawn_client(spec, &store, &sizes, ev.client, ev.round));
-                let activation = *schedule.clients[ev.client]
-                    .activation_in(ev.round)
-                    .expect("sync event derived from an activation");
-                sync_round(spec, &mut lc, ev.client, &activation);
-                lc
-            }),
+    for round in 0..spec.rounds {
+        // A connected client's entry for this round: the schedule holds one
+        // per connected round, in order.
+        let entry = |i: usize| &schedule.clients[i].events[round - spec.slots[i].join_round];
+        let connected = (0..spec.slots.len()).filter(|&i| spec.slots[i].active_in(round));
+        let (syncs, idles): (Vec<usize>, Vec<usize>) =
+            connected.partition(|&i| matches!(entry(i), RoundEvent::Sync(_)));
+        let pullers: Vec<usize> =
+            syncs.iter().copied().filter(|&i| !spec.slots[i].pull_from.is_empty()).collect();
+        let leavers = (0..spec.slots.len()).filter(|&i| spec.slots[i].leave_after == Some(round));
+        // A client spawns, logging in at the round's epoch, in its first
+        // connected round, whether it syncs or idles.
+        let live = |lc: Option<LiveClient>, i| {
+            lc.unwrap_or_else(|| spawn_client(spec, &store, &sizes, i, round))
+        };
 
-            // Idle wave: connected clients the schedule did not activate
-            // stay online and pay one epoch of keep-alive signalling. Each
-            // client polls only its own simulated universe — no store
-            // access — so the wave commutes trivially. A client whose
-            // *first* connected round is idle still spawns here.
-            Phase::Idle => run_wave(&mut states, wave.events, workers, |lc, ev| {
-                let mut lc =
-                    lc.unwrap_or_else(|| spawn_client(spec, &store, &sizes, ev.client, ev.round));
-                idle_round(&mut lc);
-                lc
-            }),
-
-            // Restore wave (the heap orders it after the instant's syncs,
-            // before any leave): pullers that synced fan their sources'
-            // namespaces back down through their own links. The store is
-            // only *read* here, and every puller observes the instant's
-            // complete commits — reads commute, so concurrency stays
-            // bit-exact. Sources that departed at an earlier instant fail
-            // cleanly and are counted in the puller's summary.
-            Phase::Restore => run_wave(&mut states, wave.events, workers, |lc, ev| {
-                let mut lc = lc.expect("puller synced this round");
-                restore_round(spec, &mut lc, ev.client, ev.round);
-                lc
-            }),
-
-            // Leave events (after the instant's syncs and restores):
-            // departing clients hard-delete their manifests — even when
-            // their final round was idle. The store only sees releases
-            // here, executed sequentially in client order — they never
-            // race the instant's commits.
-            Phase::Leave => {
-                for ev in wave.events {
-                    let mut lc = states[ev.client].take().expect("leaving client is live");
-                    let at = lc.next_modification;
-                    let (_, deleted) = lc.client.leave_service(&mut lc.sim, at);
-                    lc.deleted_manifests = deleted;
-                    summaries[ev.client] = Some(summarize(spec, ev.client, lc));
-                }
-            }
-
-            // GC sweep: under mark-sweep, a single-threaded periodic pass
-            // per epoch. (Eager frees already happened inside the
-            // releases.) The event fires unconditionally; the policy check
-            // lives here because the store is the caller's, not the
-            // spec's.
-            Phase::Gc => {
-                if store.gc_policy() == GcPolicy::MarkSweep {
-                    store.collect_garbage();
-                }
-            }
+        // The phases, in order. Syncs, idles and restores each run as one
+        // parallel wave: the store sees only commits in the first, nothing
+        // in the second (keep-alive polls in each client's own universe)
+        // and only reads in the third, so each commutes, and every puller
+        // reads the round's complete commits. Then the leavers hard-delete
+        // their manifests, in client order on this thread, even after an
+        // idle round. Last, under mark-sweep, one sweep collects what they
+        // released (eager frees happen inside the releases).
+        run_wave(&mut states, &syncs, workers, |lc, i| {
+            let mut lc = live(lc, i);
+            let RoundEvent::Sync(activation) = entry(i) else { unreachable!("syncs hold syncs") };
+            sync_round(spec, &mut lc, i, round, activation);
+            lc
+        });
+        run_wave(&mut states, &idles, workers, |lc, i| {
+            let mut lc = live(lc, i);
+            idle_round(&mut lc);
+            lc
+        });
+        run_wave(&mut states, &pullers, workers, |lc, i| {
+            let mut lc = lc.expect("puller synced this round");
+            restore_round(spec, &mut lc, i, round);
+            lc
+        });
+        for i in leavers {
+            let mut lc = states[i].take().expect("leaving client is live");
+            let at = lc.next_modification;
+            lc.deleted_manifests = lc.client.leave_service(&mut lc.sim, at).1;
+            summaries[i] = Some(summarize(spec, i, lc));
+        }
+        if store.gc_policy() == GcPolicy::MarkSweep {
+            store.collect_garbage();
         }
     }
 
@@ -1301,8 +1246,8 @@ mod tests {
             if let Some(l) = slot.leave_after {
                 assert!(l >= slot.join_round && l < spec.rounds - 1);
             }
-            assert!(slot.active_rounds(spec.rounds) >= 1);
         }
+        assert!(spec.schedule().clients.iter().all(|c| !c.events.is_empty()));
         // A different seed reshuffles the schedule, regardless of whether
         // the seed is set before or after with_churn (a later with_seed
         // re-derives the installed schedule).
@@ -1344,7 +1289,7 @@ mod tests {
 
         let joiner = &run.clients[6];
         assert!(joiner.join_round >= 1);
-        let expected_rounds = spec.slots[6].active_rounds(spec.rounds);
+        let expected_rounds = spec.rounds - spec.slots[6].join_round;
         assert_eq!(joiner.outcomes.len(), expected_rounds);
 
         // Residents stay for every round.
@@ -1589,9 +1534,9 @@ mod tests {
         // every ratio helper degrades to 0.0 instead of NaN.
         let spec = small_spec(3).with_activation(0.0);
         assert_eq!(spec.total_logical_bytes(), 0);
-        for i in 0..3 {
-            assert_eq!(spec.sync_rounds_of(i), 0);
-            assert_eq!(spec.slots[i].active_rounds(spec.rounds), 2, "still connected");
+        for client in &spec.schedule().clients {
+            assert_eq!(client.sync_rounds(), 0);
+            assert_eq!(client.events.len(), 2, "still connected");
         }
         let concurrent = fleet(&spec, 4);
         let sequential = fleet(&spec, 1);
@@ -1620,24 +1565,21 @@ mod tests {
 
     #[test]
     fn active_rounds_and_sync_denominators_handle_edges() {
-        let slot = ClientSlot::resident(ServiceProfile::dropbox());
-        assert_eq!(slot.active_rounds(0), 0, "zero-round runs have no active rounds");
-        let mut late = slot.clone();
-        late.join_round = 5;
-        assert_eq!(late.active_rounds(3), 0, "a window beyond the run is empty");
-        assert_eq!(late.active_rounds(6), 1);
+        // A window's edges: joining in the last round connects one round,
+        // leaving after the first connects one too.
+        let mut edges = small_spec(3).with_batches(6);
+        edges.slots[1].join_round = 5;
+        edges.slots[2].leave_after = Some(0);
+        let lens: Vec<usize> = edges.schedule().clients.iter().map(|c| c.events.len()).collect();
+        assert_eq!(lens, vec![6, 1, 1]);
 
         // Partial activation: the completion denominator is the schedule's
         // sync count, not the membership window.
         let spec = small_spec(4).with_batches(4).with_activation(0.5).with_seed(0xDECAF);
         let schedule = spec.schedule();
-        let expected: u64 = (0..4).map(|i| spec.sync_rounds_of(i) as u64).sum();
+        let expected = schedule.clients.iter().map(|c| c.sync_rounds() as u64).sum::<u64>();
         assert!(expected > 0, "p=0.5 over 16 draws should activate somewhere");
         assert!(expected < 16, "p=0.5 over 16 draws should idle somewhere (got {expected} syncs)");
-        assert_eq!(
-            schedule.clients.iter().map(|c| c.sync_rounds()).sum::<usize>() as u64,
-            expected
-        );
         let per_batch = spec.files_per_batch as u64 * spec.file_size as u64;
         assert_eq!(spec.total_logical_bytes(), expected * per_batch);
         let run = fleet(&spec, 1);
@@ -1712,6 +1654,49 @@ mod tests {
             puller.outcomes.len(),
             "one pull per *synced* round, none while idle"
         );
+    }
+
+    #[test]
+    fn every_connected_round_syncs_or_idles_once_and_each_leaver_leaves_once() {
+        let spec = small_spec(6)
+            .with_batches(4)
+            .with_activation(0.7)
+            .with_seed(0x5EED)
+            .with_churn(1, 1)
+            .with_restore_fan(2, 2);
+        let schedule = spec.schedule();
+        let run = fleet(&spec, 3);
+        let mut idled = false;
+        for (i, (slot, client)) in spec.slots.iter().zip(&run.clients).enumerate() {
+            // Exactly one sync or one idle per connected round.
+            let last = slot.leave_after.unwrap_or(spec.rounds - 1);
+            let connected = last + 1 - slot.join_round;
+            assert_eq!(client.outcomes.len() + client.idle_rounds, connected, "client {i}");
+            assert_eq!(client.outcomes.len(), schedule.clients[i].sync_rounds(), "client {i}");
+            idled |= client.idle_rounds > 0;
+            // Only pullers restore, once per source in each round they sync.
+            assert_eq!(client.restores.len(), client.outcomes.len() * slot.pull_from.len());
+            // One leave per leaver: it deletes every manifest it committed
+            // (a second leave would find none), and nobody else deletes.
+            let committed = client.outcomes.len() * spec.files_per_batch;
+            let deleted = if slot.leave_after.is_some() { committed } else { 0 };
+            assert_eq!(client.deleted_manifests, deleted, "client {i}");
+        }
+        assert!(idled, "activation 0.7 over the run must idle somewhere");
+        assert!(run.clients.iter().any(|c| !c.restores.is_empty()));
+        assert!(run.clients.iter().any(|c| c.deleted_manifests > 0));
+    }
+
+    #[test]
+    fn a_mark_sweep_run_collects_what_its_final_round_releases() {
+        // The round's sweep runs after its leaves: a client departing in
+        // the last round leaves nothing for a later sweep to find.
+        let mut spec = small_spec(3).with_batches(2).with_gc(GcPolicy::MarkSweep);
+        spec.slots[0].leave_after = Some(1);
+        let run = fleet(&spec, 1);
+        assert!(run.clients[0].deleted_manifests > 0);
+        assert!(run.aggregate().freed_chunks > 0, "the leaver held private chunks");
+        assert_eq!(run.store.collect_garbage().freed_chunks, 0);
     }
 
     /// A fleet whose transfers are slow enough (ADSL upstream) that the

@@ -15,13 +15,12 @@
 //! [`fleet`] drives many such clients as one multi-tenant population, and
 //! [`schedule`] gives that population its temporal shape: seeded think-time
 //! distributions, idle rounds and intra-round arrival jitter derived up
-//! front on a virtual clock, so even jittered concurrent runs replay
-//! bit-identically. [`engine`] lowers such a schedule onto a time-ordered
-//! event heap — `(timestamp, phase, client)` entries popped one at a time,
-//! each touching only its client's state — which is what the fleet loop
-//! actually executes; [`scale`] rides the same heap with compact per-client
-//! state records (no [`client::SyncClient`] at all) to reach 100k–1M
-//! clients, [`partition`] cuts that population into disjoint client sets
+//! front on a virtual clock. The fleet replays that schedule round by
+//! round, each round's syncs as one parallel wave, so even jittered
+//! concurrent runs replay bit-identically. [`scale`] drops [`client::SyncClient`] for
+//! compact per-client state records to reach 100k–1M clients, their
+//! commits ordered by [`engine`]'s time-ordered event queue;
+//! [`partition`] cuts that population into disjoint client sets
 //! driven one after another, whose results merge back bit-identically,
 //! and [`session`]/[`retry`] add resumable transfers and seeded backoff
 //! under injected link faults. `docs/ARCHITECTURE.md` at the

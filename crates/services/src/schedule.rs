@@ -1,13 +1,11 @@
 //! The temporal fleet schedule: think times, idle rounds and arrival jitter
 //! on a virtual clock.
 //!
-//! The paper's benchmarks are fundamentally temporal — §3.1 measures idle
-//! background signalling over a 16-minute capture, and the §5 workload
-//! experiments measure sync *start-up delay* and completion time, which only
-//! exist when clients don't all fire in lock-step. The round-major fleet
-//! originally synced every active client exactly one batch per round with no
-//! notion of elapsed time between or within rounds; this module replaces
-//! that implicit lock-step with a seeded virtual-clock schedule:
+//! The paper's benchmarks are temporal — §3.1 measures idle background
+//! signalling over a 16-minute capture, and the §5 workload experiments
+//! measure sync *start-up delay* and completion time, which only exist when
+//! clients do not all fire at once. The schedule gives every client one
+//! [`RoundEvent`] per round it is connected in:
 //!
 //! * a [`ThinkTime`] distribution (fixed or exponential) samples the pause
 //!   a user "thinks" between activity bursts,
@@ -20,13 +18,12 @@
 //!
 //! Determinism contract: [`FleetSchedule::generate`] is a *pure function* of
 //! the [`FleetSpec`] (which carries the master seed) — no wall clock, no
-//! unseeded RNG, no thread-order dependence. The schedule is data; the fleet
-//! harness merely replays it, which is why concurrent runs stay bit-exact
-//! with jitter enabled and why the CI `schedule-determinism` leg can `cmp`
-//! two fresh dumps byte for byte. A legacy configuration (zero think time,
-//! zero jitter, activation 1.0) degenerates to exactly the old lock-step
-//! timeline, so the pre-existing `fleet.*`/`hetero.*`/`restore.*` baselines
-//! double as the refactor's safety proof.
+//! unseeded RNG, no thread-order dependence. The schedule is data that
+//! [`crate::fleet::run_fleet`] replays round by round, which is why
+//! concurrent runs stay bit-exact with jitter enabled. With zero think
+//! time, zero jitter and activation 1.0 every connected round syncs with
+//! no pause and no offset: the lock-step fleet the `fleet.*`/`hetero.*`/
+//! `restore.*` gate values pin.
 
 use crate::fleet::FleetSpec;
 use cloudsim_trace::SimDuration;
@@ -46,7 +43,7 @@ const SALT_THINK: u64 = 0x5EED_7183;
 /// schedule is reproducible bit-for-bit from `(FleetSpec, seed)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThinkTime {
-    /// Every pause lasts exactly this long (zero = the legacy lock-step).
+    /// Every pause lasts exactly this long (zero = lock-step).
     Fixed(SimDuration),
     /// Memoryless pauses with the given mean — the classic think-time model
     /// for user sessions.
@@ -57,7 +54,7 @@ pub enum ThinkTime {
 }
 
 impl ThinkTime {
-    /// The legacy configuration: no pause at all.
+    /// No pause at all: the lock-step configuration.
     pub const NONE: ThinkTime = ThinkTime::Fixed(SimDuration::ZERO);
 
     /// Samples the distribution from one seeded draw. Pure: the same draw
@@ -103,23 +100,12 @@ impl fmt::Display for ThinkTime {
     }
 }
 
-/// One activated sync of the schedule: which round it belongs to, which
-/// activation ordinal it is for its client, and the temporal offsets the
-/// draws assigned to it.
+/// One activated sync of the schedule: the temporal offsets the draws
+/// assigned to it. Its round is its position in its client's timeline, and
+/// the batch *content* stays keyed to that round, so the fleet-wide shared
+/// pool keeps aligning across clients whatever their idle patterns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncActivation {
-    /// The round this activation fires in. Batch *content* stays keyed to
-    /// this round so the fleet-wide shared pool keeps aligning across
-    /// clients (and the legacy configuration replays the old content
-    /// byte-identically).
-    pub round: usize,
-    /// How many syncs this client activated before this one — a per-client
-    /// activation counter (dense: 0, 1, 2, … whatever the idle pattern).
-    /// Purely informational for per-client accounting; batch *content* must
-    /// stay keyed to [`SyncActivation::round`], never to this ordinal, or
-    /// the cross-client shared-pool alignment (and the legacy byte-identity
-    /// with the committed baselines) breaks.
-    pub ordinal: usize,
     /// Intra-round arrival offset: added to the client's virtual clock so
     /// arrivals spread across the round instead of hitting a shared barrier.
     pub arrival_jitter: SimDuration,
@@ -135,51 +121,18 @@ pub enum RoundEvent {
     /// The client stays connected but syncs nothing: an idle round. It still
     /// pays the §3.1 background signalling (keep-alive polls) for the
     /// round's span of virtual time.
-    Idle {
-        /// The round spent idle.
-        round: usize,
-    },
-}
-
-impl RoundEvent {
-    /// The round this event belongs to.
-    pub fn round(&self) -> usize {
-        match *self {
-            RoundEvent::Sync(ref s) => s.round,
-            RoundEvent::Idle { round } => round,
-        }
-    }
-
-    /// The activation if this event syncs.
-    pub fn activation(&self) -> Option<&SyncActivation> {
-        match self {
-            RoundEvent::Sync(s) => Some(s),
-            RoundEvent::Idle { .. } => None,
-        }
-    }
+    Idle,
 }
 
 /// One client's precomputed timeline: one event per connected round, in
-/// round order.
+/// round order, so round `r` is `events[r - join_round]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientSchedule {
-    /// The slot index this timeline belongs to.
-    pub slot: usize,
     /// One event per round in the slot's membership window.
     pub events: Vec<RoundEvent>,
 }
 
 impl ClientSchedule {
-    /// The event of a given round, if the client is connected then.
-    pub fn event_in(&self, round: usize) -> Option<&RoundEvent> {
-        self.events.iter().find(|e| e.round() == round)
-    }
-
-    /// The activation of a given round, if the client syncs then.
-    pub fn activation_in(&self, round: usize) -> Option<&SyncActivation> {
-        self.event_in(round).and_then(RoundEvent::activation)
-    }
-
     /// Rounds in which this client activates and syncs a batch.
     pub fn sync_rounds(&self) -> usize {
         self.events.iter().filter(|e| matches!(e, RoundEvent::Sync(_))).count()
@@ -225,31 +178,24 @@ impl FleetSchedule {
         let clients = (0..spec.slots.len())
             .map(|i| {
                 let slot = &spec.slots[i];
-                let mut events = Vec::new();
-                let mut ordinal = 0usize;
-                for round in 0..spec.rounds {
-                    if !slot.active_in(round) {
-                        continue;
-                    }
-                    let act_draw = derive_seed(spec.seed, i as u64, round as u64, SALT_ACTIVATION);
-                    if unit_f64(act_draw) < spec.activation {
-                        let jitter_span = spec.arrival_jitter.as_micros();
-                        let jit_draw = derive_seed(spec.seed, i as u64, round as u64, SALT_JITTER);
-                        let arrival_jitter = SimDuration::from_micros(jit_draw % (jitter_span + 1));
-                        let think_draw = derive_seed(spec.seed, i as u64, round as u64, SALT_THINK);
-                        let think = spec.think.sample(think_draw);
-                        events.push(RoundEvent::Sync(SyncActivation {
-                            round,
-                            ordinal,
-                            arrival_jitter,
-                            think,
-                        }));
-                        ordinal += 1;
-                    } else {
-                        events.push(RoundEvent::Idle { round });
-                    }
-                }
-                ClientSchedule { slot: i, events }
+                let events = (0..spec.rounds)
+                    .filter(|&round| slot.active_in(round))
+                    .map(|round| {
+                        let draw = |salt| derive_seed(spec.seed, i as u64, round as u64, salt);
+                        if unit_f64(draw(SALT_ACTIVATION)) < spec.activation {
+                            let jitter_span = spec.arrival_jitter.as_micros();
+                            RoundEvent::Sync(SyncActivation {
+                                arrival_jitter: SimDuration::from_micros(
+                                    draw(SALT_JITTER) % (jitter_span + 1),
+                                ),
+                                think: spec.think.sample(draw(SALT_THINK)),
+                            })
+                        } else {
+                            RoundEvent::Idle
+                        }
+                    })
+                    .collect();
+                ClientSchedule { events }
             })
             .collect();
         FleetSchedule { clients }
@@ -258,18 +204,6 @@ impl FleetSchedule {
     /// Total connected-but-idle rounds across the fleet.
     pub fn total_idle_rounds(&self) -> usize {
         self.clients.iter().map(ClientSchedule::idle_rounds).sum()
-    }
-
-    /// True when every connected round of every client activates with zero
-    /// jitter and zero think time — the configuration that replays the old
-    /// lock-step fleet byte-identically.
-    pub fn is_lockstep(&self) -> bool {
-        self.clients.iter().all(|c| {
-            c.events.iter().all(|e| match e {
-                RoundEvent::Sync(s) => s.arrival_jitter.is_zero() && s.think.is_zero(),
-                RoundEvent::Idle { .. } => false,
-            })
-        })
     }
 }
 
@@ -288,14 +222,12 @@ mod tests {
     #[test]
     fn legacy_config_schedules_pure_lockstep() {
         let schedule = spec(3).schedule();
-        assert!(schedule.is_lockstep());
         assert_eq!(schedule.total_idle_rounds(), 0);
         assert_eq!(schedule.clients.iter().map(|c| c.sync_rounds()).sum::<usize>(), 12);
         for client in &schedule.clients {
-            for (k, event) in client.events.iter().enumerate() {
-                let act = event.activation().expect("legacy rounds all sync");
-                assert_eq!(act.round, k);
-                assert_eq!(act.ordinal, k, "legacy ordinals equal round offsets");
+            assert_eq!(client.events.len(), 4, "one entry per round");
+            for event in &client.events {
+                let RoundEvent::Sync(act) = event else { panic!("legacy rounds all sync") };
                 assert!(act.arrival_jitter.is_zero());
                 assert!(act.think.is_zero());
             }
@@ -325,12 +257,6 @@ mod tests {
                 + schedule.total_idle_rounds(),
             32
         );
-        // Ordinals count activations, not rounds: they stay dense per client.
-        for client in &schedule.clients {
-            let ordinals: Vec<usize> =
-                client.events.iter().filter_map(|e| e.activation()).map(|a| a.ordinal).collect();
-            assert_eq!(ordinals, (0..ordinals.len()).collect::<Vec<_>>());
-        }
         // The extremes: activation 0 never syncs, activation 1 never idles.
         assert_eq!(
             spec(8)
@@ -353,8 +279,10 @@ mod tests {
             .clients
             .iter()
             .flat_map(|c| c.events.iter())
-            .filter_map(|e| e.activation())
-            .map(|a| a.arrival_jitter)
+            .filter_map(|e| match e {
+                RoundEvent::Sync(a) => Some(a.arrival_jitter),
+                RoundEvent::Idle => None,
+            })
             .collect();
         assert!(jitters.iter().all(|j| *j <= bound));
         let distinct: std::collections::HashSet<u64> =
@@ -386,20 +314,18 @@ mod tests {
 
     #[test]
     fn churned_slots_only_schedule_their_membership_window() {
-        let mut temporal = spec(3);
+        let full = spec(3).with_arrival_jitter(SimDuration::from_secs(30));
+        let mut temporal = full.clone();
         temporal.slots[0].leave_after = Some(1);
         temporal.slots[2].join_round = 2;
         let schedule = temporal.schedule();
-        assert_eq!(
-            schedule.clients[0].events.iter().map(RoundEvent::round).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-        assert_eq!(
-            schedule.clients[2].events.iter().map(RoundEvent::round).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-        assert!(schedule.clients[1].event_in(3).is_some());
-        assert!(schedule.clients[0].event_in(3).is_none());
-        assert!(schedule.clients[0].activation_in(0).is_some());
+        // Rounds 0–1, 0–3 and 2–3: one entry per connected round.
+        let lens: Vec<usize> = schedule.clients.iter().map(|c| c.events.len()).collect();
+        assert_eq!(lens, vec![2, 4, 2]);
+        // Each entry is the round at its offset from the join round, so a
+        // window's entries keep the draws of their own rounds.
+        let full = full.schedule();
+        assert_eq!(schedule.clients[0].events, full.clients[0].events[..2]);
+        assert_eq!(schedule.clients[2].events, full.clients[2].events[2..]);
     }
 }

@@ -2,14 +2,13 @@
 //!
 //! The scheduler's contract is that the schedule is *data*: a pure function
 //! of `(FleetSpec, seed)`, identical across repeated calls and across
-//! threads, with the legacy configuration (no think time, no jitter,
-//! activation 1.0) degenerating to the old lock-step timeline. These
+//! threads, with the lock-step configuration (no think time, no jitter,
+//! activation 1.0) syncing every connected round. These
 //! properties are what let the bench crate's golden files pin whole suite
 //! dumps byte for byte.
 
-use cloudsim_services::engine::EventHeap;
 use cloudsim_services::fleet::{run_fleet, FleetSpec};
-use cloudsim_services::schedule::{FleetSchedule, ThinkTime};
+use cloudsim_services::schedule::{FleetSchedule, RoundEvent, ThinkTime};
 use cloudsim_services::ServiceProfile;
 use cloudsim_storage::ObjectStore;
 use cloudsim_trace::SimDuration;
@@ -68,20 +67,16 @@ proptest! {
             prop_assert_eq!(schedule, &reference);
         }
         // Structural sanity: every connected round appears exactly once.
-        for (i, client) in reference.clients.iter().enumerate() {
-            let connected = spec.slots[i].active_rounds(spec.rounds);
-            prop_assert_eq!(client.events.len(), connected);
-            prop_assert_eq!(client.sync_rounds() + client.idle_rounds(), connected);
+        for client in &reference.clients {
+            prop_assert_eq!(client.events.len(), spec.rounds);
+            prop_assert_eq!(client.sync_rounds() + client.idle_rounds(), spec.rounds);
         }
     }
 
-    /// The legacy configuration (zero think time, zero jitter, full
-    /// activation) schedules pure lock-step: every connected round syncs,
-    /// ordinals equal round offsets, and the per-slot sync count equals the
-    /// membership window — what the round-major fleets implicitly did, which is why
-    /// the committed `fleet.*`/`hetero.*`/`restore.*` baselines replay
-    /// byte-identically through the new scheduler (the bench crate asserts
-    /// that equality against the committed file).
+    /// The lock-step configuration (zero think time, zero jitter, full
+    /// activation) syncs every connected round with no pause and no offset,
+    /// so the per-slot sync count equals the membership window — the fleet
+    /// the committed `fleet.*`/`hetero.*`/`restore.*` gate values pin.
     #[test]
     fn legacy_config_schedules_lockstep(
         seed in 0u64..1_000_000,
@@ -93,16 +88,15 @@ proptest! {
             .with_batches(rounds)
             .with_seed(seed)
             .with_churn(1, 1);
-        prop_assert!(spec.is_lockstep());
         let schedule = spec.schedule();
-        prop_assert!(schedule.is_lockstep());
         prop_assert_eq!(schedule.total_idle_rounds(), 0);
-        for (i, client) in schedule.clients.iter().enumerate() {
-            prop_assert_eq!(client.sync_rounds(), spec.slots[i].active_rounds(spec.rounds));
-            prop_assert_eq!(client.sync_rounds(), spec.sync_rounds_of(i));
-            for (k, event) in client.events.iter().enumerate() {
-                let activation = event.activation().expect("lock-step rounds all sync");
-                prop_assert_eq!(activation.ordinal, k);
+        for (slot, client) in spec.slots.iter().zip(&schedule.clients) {
+            let last = slot.leave_after.unwrap_or(spec.rounds - 1);
+            prop_assert_eq!(client.sync_rounds(), last + 1 - slot.join_round);
+            for event in &client.events {
+                let RoundEvent::Sync(activation) = event else {
+                    panic!("lock-step rounds all sync")
+                };
                 prop_assert!(activation.arrival_jitter.is_zero());
                 prop_assert!(activation.think.is_zero());
             }
@@ -128,17 +122,12 @@ proptest! {
         let concurrent = run_fleet(&spec, ObjectStore::new(), 4);
         prop_assert_eq!(&sequential.clients, &concurrent.clients);
         prop_assert_eq!(sequential.aggregate(), concurrent.aggregate());
-        prop_assert_eq!(
-            sequential.total_synced_rounds() + sequential.total_idle_rounds(),
-            (0..4).map(|i| spec.slots[i].active_rounds(spec.rounds)).sum::<usize>()
-        );
+        prop_assert_eq!(sequential.total_synced_rounds() + sequential.total_idle_rounds(), 4 * 3);
     }
 
-    /// The event heap lowered from an arbitrary schedule is pure data —
-    /// deriving twice pops the same total order — and the heap-driven fleet
-    /// replay is bit-identical across repeated runs and across 1-vs-N
-    /// workers. This is the engine-level restatement of the determinism
-    /// contract: the heap owns the order, the workers only own the labour.
+    /// The fleet replay of an arbitrary schedule is bit-identical across
+    /// repeated runs and across 1-vs-N workers: the rounds own the order,
+    /// the workers only own the labour.
     #[test]
     fn heap_driven_replay_is_bit_identical_across_runs_and_workers(
         seed in 0u64..100_000,
@@ -147,21 +136,6 @@ proptest! {
         activation_pct in 40u8..=100,
     ) {
         let spec = temporal_spec(seed, 4, 3, exponential, jitter_secs, activation_pct);
-        let schedule = spec.schedule();
-        let drain = |mut heap: EventHeap| {
-            let mut events = Vec::new();
-            while let Some(ev) = heap.pop() {
-                events.push(ev);
-            }
-            events
-        };
-        let order = drain(EventHeap::derive(&spec, &schedule));
-        prop_assert!(!order.is_empty());
-        prop_assert_eq!(&order, &drain(EventHeap::derive(&spec, &schedule)));
-        // The popped sequence is totally ordered by the heap key.
-        for pair in order.windows(2) {
-            prop_assert!(pair[0] < pair[1], "heap popped {:?} before {:?}", pair[0], pair[1]);
-        }
         let once = run_fleet(&spec, ObjectStore::new(), 1);
         let again = run_fleet(&spec, ObjectStore::new(), 1);
         let wide = run_fleet(&spec, ObjectStore::new(), 8);
