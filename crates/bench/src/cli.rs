@@ -6,7 +6,7 @@
 //! surface all subcommands go through — `--json [PATH|-]` resolves the same
 //! way everywhere, counted flags (`--clients N`, `--partitions K`,
 //! `--reps N`) reject missing/malformed/zero values with the usage text on
-//! stderr and exit code [`USAGE_EXIT`], path-valued flags reject a
+//! stderr and exit code `USAGE_EXIT`, path-valued flags reject a
 //! dangling flag the same way, and [`check_flags`] rejects a flag the
 //! target does not declare or whose value is another flag. It lives in the
 //! library crate (rather than in `repro.rs`) so the contract is
@@ -20,21 +20,21 @@ use crate::suites::Output;
 /// The exit code for a CLI-surface error (unknown target, bad flag value,
 /// unreadable or unusable input file), as distinct from a failure to write
 /// an output (exit 1).
-pub const USAGE_EXIT: i32 = 2;
+pub(crate) const USAGE_EXIT: i32 = 2;
 
 /// The value following `--flag`, if present and not itself a `--flag`.
-pub fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+pub(crate) fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     let value = args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
     value.map(String::as_str).filter(|v| !v.starts_with("--"))
 }
 
 /// True when `--flag` itself appears, whether or not a value follows.
-pub fn has_flag(args: &[String], flag: &str) -> bool {
+pub(crate) fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
 /// Prints `message` plus the usage text to stderr and exits with
-/// [`USAGE_EXIT`] — the one error path every malformed invocation funnels
+/// `USAGE_EXIT` — the one error path every malformed invocation funnels
 /// through.
 pub fn die_usage(message: &str, usage: &str) -> ! {
     eprintln!("{message}");
@@ -45,14 +45,14 @@ pub fn die_usage(message: &str, usage: &str) -> ! {
 /// Prints `message` to stderr and exits with [`USAGE_EXIT`]: the input file
 /// named on the command line cannot be used. No usage text — the invocation
 /// was well-formed, the file was not.
-pub fn bad_input(message: &str) -> ! {
+pub(crate) fn bad_input(message: &str) -> ! {
     eprintln!("{message}");
     std::process::exit(USAGE_EXIT);
 }
 
 /// Reads and parses the capture at `path`, or dies through [`bad_input`]
 /// naming the file and the reason.
-pub fn load_capture(path: &str) -> FleetCapture {
+pub(crate) fn load_capture(path: &str) -> FleetCapture {
     std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {path}: {e}"))
         .and_then(|text| parse_capture(&text).map_err(|e| format!("cannot parse {path}: {e}")))
@@ -97,7 +97,7 @@ pub fn parse_count(args: &[String], flag: &str, default: usize, usage: &str) -> 
 /// to the paper-scale 100 000 clients. A population past
 /// [`ScaleSpec::MAX_CLIENTS`] dies with usage here, before anything is
 /// allocated, rather than exhausting memory inside the run.
-pub fn parse_clients(args: &[String], usage: &str) -> usize {
+pub(crate) fn parse_clients(args: &[String], usage: &str) -> usize {
     let clients = parse_count(args, "--clients", 100_000, usage);
     if clients > ScaleSpec::MAX_CLIENTS {
         let most = ScaleSpec::MAX_CLIENTS;
@@ -109,7 +109,7 @@ pub fn parse_clients(args: &[String], usage: &str) -> usize {
 /// Resolves a string-valued flag (`--json`, `--capture`, `--link`,
 /// `--profile`): absent is `None`; present without a value dies with usage
 /// instead of being silently ignored.
-pub fn parse_path<'a>(args: &'a [String], flag: &str, usage: &str) -> Option<&'a str> {
+pub(crate) fn parse_path<'a>(args: &'a [String], flag: &str, usage: &str) -> Option<&'a str> {
     if !has_flag(args, flag) {
         return None;
     }

@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(dead_code)]
 
 pub mod cli;
 pub mod gate;
@@ -41,4 +42,4 @@ pub const REPRO_SEED: u64 = 0x2013_1023;
 /// Reduced repetition count of `repro fig6*` (the paper uses 24 per
 /// experiment; the simulation is deterministic enough that 3 repetitions give
 /// stable means for the tables while keeping bench time short).
-pub const BENCH_REPETITIONS: usize = 3;
+pub(crate) const BENCH_REPETITIONS: usize = 3;

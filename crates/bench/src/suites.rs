@@ -59,13 +59,13 @@ const SCHEDULE_CLIENTS: usize = 10;
 /// One payload a target can write besides its text: `flag PATH` on the
 /// command line selects it, `-` streams it to stdout.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Dump {
+pub(crate) struct Dump {
     /// The path-valued flag that asks for this payload (`--json`, …).
-    pub flag: &'static str,
+    pub(crate) flag: &'static str,
     /// The rendered payload.
-    pub payload: String,
+    pub(crate) payload: String,
     /// What the payload is, for the "wrote … to PATH" note.
-    pub what: &'static str,
+    pub(crate) what: &'static str,
 }
 
 /// What one run of a target produced: its text sections, in print order,
@@ -74,12 +74,12 @@ pub struct Dump {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// The rendered report sections.
-    pub reports: Vec<Report>,
+    pub(crate) reports: Vec<Report>,
     /// The selectable payloads.
-    pub dumps: Vec<Dump>,
+    pub(crate) dumps: Vec<Dump>,
     /// The run's gate metrics, under its row's prefixes (collected only
     /// from a gated row's run at its gate arguments).
-    pub metrics: Vec<(String, f64)>,
+    pub(crate) metrics: Vec<(String, f64)>,
 }
 
 impl Output {
@@ -122,7 +122,7 @@ pub struct Suite {
     /// The gate-key prefixes the row owns: every key its run returns
     /// starts with `<prefix>.` for exactly one of them. A dotted prefix
     /// (`hist.sync`) is a slice of a namespace several rows share.
-    pub prefixes: &'static [&'static str],
+    pub(crate) prefixes: &'static [&'static str],
     /// Whether `repro all` runs the row.
     pub in_all: bool,
     /// The target itself.
@@ -130,7 +130,7 @@ pub struct Suite {
     /// The arguments of the row's gate point, for rows that own prefixes:
     /// `repro <name> <gate>` is the run whose metrics the baseline holds
     /// and whose text and dumps the golden files hold.
-    pub gate: Option<&'static str>,
+    pub(crate) gate: Option<&'static str>,
 }
 
 impl Suite {
@@ -144,7 +144,7 @@ impl Suite {
     /// text, dumps and gate metrics; `None` for a row that gates nothing.
     /// Panics on a metric under none of the row's prefixes, which the
     /// baseline could not attribute to the row.
-    pub fn gate_run(&self) -> Option<Output> {
+    pub(crate) fn gate_run(&self) -> Option<Output> {
         let args = format!("{} {}", self.name, self.gate?);
         let run = (self.run)(&args.split_whitespace().map(String::from).collect::<Vec<_>>());
         for (key, _) in &run.metrics {

@@ -14,9 +14,9 @@ use cloudsim_workload::BatchSpec;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerformanceRow {
     /// Service name.
-    pub service: String,
+    pub(crate) service: String,
     /// Workload label ("100x10kB", …).
-    pub workload: String,
+    pub(crate) workload: String,
     /// Synchronisation start-up delay in seconds (Fig. 6a).
     pub startup_secs: SampleStats,
     /// Upload completion time in seconds (Fig. 6b).

@@ -29,7 +29,7 @@ pub enum ChunkingVerdict {
 
 impl ChunkingVerdict {
     /// Table-1 wording ("no", "4 MB", "var.").
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             ChunkingVerdict::None => "no".to_string(),
             ChunkingVerdict::Fixed { size } => {
@@ -44,7 +44,7 @@ impl ChunkingVerdict {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceCapabilities {
     /// Service name.
-    pub service: String,
+    pub(crate) service: String,
     /// §4.1 chunking verdict.
     pub chunking: ChunkingVerdict,
     /// §4.2 bundling verdict.
@@ -97,7 +97,10 @@ impl CapabilityMatrix {
 }
 
 /// Runs every capability detector against one service.
-pub fn detect_capabilities(testbed: &Testbed, profile: &ServiceProfile) -> ServiceCapabilities {
+pub(crate) fn detect_capabilities(
+    testbed: &Testbed,
+    profile: &ServiceProfile,
+) -> ServiceCapabilities {
     ServiceCapabilities {
         service: profile.name().to_string(),
         chunking: detect_chunking(testbed, profile),
@@ -111,7 +114,7 @@ pub fn detect_capabilities(testbed: &Testbed, profile: &ServiceProfile) -> Servi
 /// §4.1 — chunking: upload a single large file and look for pauses in the
 /// upload throughput. Pauses preceded by at least ~1 MB of payload delimit
 /// chunks; chunk sizes within ±12 % of each other are called "fixed".
-pub fn detect_chunking(testbed: &Testbed, profile: &ServiceProfile) -> ChunkingVerdict {
+pub(crate) fn detect_chunking(testbed: &Testbed, profile: &ServiceProfile) -> ChunkingVerdict {
     let content = generate(FileKind::RandomBinary, 18 * 1024 * 1024, 0xC0FFEE);
     let files = vec![GeneratedFile { path: "capability/chunking.bin".to_string(), content }];
     let run = testbed.run_sync_files(profile, &files, 0);
@@ -144,7 +147,7 @@ pub fn detect_chunking(testbed: &Testbed, profile: &ServiceProfile) -> ChunkingV
 /// per file (or several) means no bundling; one reused connection with one
 /// burst per file (application-level acks) also means no bundling; a small
 /// number of large bursts means the files were bundled.
-pub fn detect_bundling(testbed: &Testbed, profile: &ServiceProfile) -> bool {
+pub(crate) fn detect_bundling(testbed: &Testbed, profile: &ServiceProfile) -> bool {
     let spec = cloudsim_workload::BatchSpec::new(100, 10_000, FileKind::RandomBinary);
     let run = testbed.run_sync(profile, &spec, 0);
     let storage_syns = analysis::syn_count_by_kind(&run.packets, FlowKind::Storage);
@@ -163,7 +166,7 @@ pub fn detect_bundling(testbed: &Testbed, profile: &ServiceProfile) -> bool {
 /// §4.5 — compression: upload highly compressible text and a fake JPEG of
 /// the same size; compare uploaded volumes. Returns Table-1 wording: "no",
 /// "always" or "smart".
-pub fn detect_compression(testbed: &Testbed, profile: &ServiceProfile) -> String {
+pub(crate) fn detect_compression(testbed: &Testbed, profile: &ServiceProfile) -> String {
     const SIZE: usize = 1_000_000;
     let upload_for = |kind: FileKind, rep: u64| -> u64 {
         let content = generate(kind, SIZE, 0xBEEF ^ rep);
@@ -192,7 +195,7 @@ pub fn detect_compression(testbed: &Testbed, profile: &ServiceProfile) -> String
 /// under another name, then a copy in a third folder, then delete everything
 /// and restore the original. Dedup is detected when the replicas generate no
 /// storage traffic; the delete/restore step checks that it persists.
-pub fn detect_deduplication(testbed: &Testbed, profile: &ServiceProfile) -> bool {
+pub(crate) fn detect_deduplication(testbed: &Testbed, profile: &ServiceProfile) -> bool {
     let content = generate(FileKind::RandomBinary, 400_000, 0xDED0);
     let (replica_bytes, _packets) = testbed.run_scripted(profile, 0, |sim, client, t0| {
         let original = vec![GeneratedFile {
@@ -233,7 +236,7 @@ pub fn detect_deduplication(testbed: &Testbed, profile: &ServiceProfile) -> bool
 /// §4.4 — delta encoding: upload a file, append 100 kB, re-sync, and compare
 /// the storage volume of the second sync against the file size. Only a client
 /// with delta encoding uploads roughly the appended amount.
-pub fn detect_delta_encoding(testbed: &Testbed, profile: &ServiceProfile) -> bool {
+pub(crate) fn detect_delta_encoding(testbed: &Testbed, profile: &ServiceProfile) -> bool {
     let original = generate(FileKind::RandomBinary, 1_500_000, 0xDE17A);
     let appended = Mutation::Append { len: 100_000 }.apply(&original, 0xDE17B);
     let (second_sync_bytes, _packets) = testbed.run_scripted(profile, 0, |sim, client, t0| {

@@ -44,64 +44,64 @@ const RETRY_SALT: u64 = 0x00FA_7A18;
 
 /// The retry policies every link preset runs, in order: the no-recovery
 /// control and the standard exponential backoff.
-pub fn fault_policies() -> Vec<RetryConfig> {
+pub(crate) fn fault_policies() -> Vec<RetryConfig> {
     vec![RetryConfig::None, RetryConfig::standard_exponential()]
 }
 
 /// One `link × policy` cell: the same batch and the same outage schedules
 /// as every other cell of the row, recovered under one policy.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultPolicyCell {
+pub(crate) struct FaultPolicyCell {
     /// Stable policy name (`none`, `exponential`).
-    pub policy: String,
+    pub(crate) policy: String,
     /// Whether every chunk of the upload committed.
-    pub sync_completed: bool,
+    pub(crate) sync_completed: bool,
     /// Payload bytes the upload durably committed.
-    pub committed_payload: u64,
+    pub(crate) committed_payload: u64,
     /// Chunks abandoned after the retry budget ran out.
-    pub abandoned_chunks: usize,
+    pub(crate) abandoned_chunks: usize,
     /// Upload duration (sync start → last payload byte) in seconds.
-    pub sync_secs: f64,
+    pub(crate) sync_secs: f64,
     /// Upload duration over the fault-free control's.
-    pub sync_inflation: f64,
+    pub(crate) sync_inflation: f64,
     /// Whether every file restored and validated.
-    pub restore_completed: bool,
+    pub(crate) restore_completed: bool,
     /// Files reconstructed byte-identically.
-    pub files_restored: usize,
+    pub(crate) files_restored: usize,
     /// Files abandoned mid-restore.
-    pub files_abandoned: usize,
+    pub(crate) files_abandoned: usize,
     /// Restore duration in seconds.
-    pub restore_secs: f64,
+    pub(crate) restore_secs: f64,
     /// Restore duration over the fault-free control's.
-    pub restore_inflation: f64,
+    pub(crate) restore_inflation: f64,
     /// Merged recovery accounting of both directions.
-    pub stats: FaultStats,
+    pub(crate) stats: FaultStats,
 }
 
 /// One access link's row: its seeded schedules and every policy cell.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultLinkRow {
+pub(crate) struct FaultLinkRow {
     /// Stable link preset name.
-    pub link: String,
+    pub(crate) link: String,
     /// Outage windows in the upload-direction schedule.
-    pub upload_outages: usize,
+    pub(crate) upload_outages: usize,
     /// Total upload-direction downtime in seconds.
-    pub upload_downtime_s: f64,
+    pub(crate) upload_downtime_s: f64,
     /// Outage windows in the restore-direction schedule.
-    pub restore_outages: usize,
+    pub(crate) restore_outages: usize,
     /// Fault-free upload duration in seconds (the inflation denominator).
-    pub control_sync_secs: f64,
+    pub(crate) control_sync_secs: f64,
     /// Fault-free restore duration in seconds.
-    pub control_restore_secs: f64,
+    pub(crate) control_restore_secs: f64,
     /// Payload bytes the planner scheduled for upload.
-    pub planned_payload: u64,
+    pub(crate) planned_payload: u64,
     /// One cell per retry policy, in [`fault_policies`] order.
-    pub cells: Vec<FaultPolicyCell>,
+    pub(crate) cells: Vec<FaultPolicyCell>,
 }
 
 impl FaultLinkRow {
     /// The cell of one policy, by stable name.
-    pub fn cell(&self, policy: &str) -> Option<&FaultPolicyCell> {
+    pub(crate) fn cell(&self, policy: &str) -> Option<&FaultPolicyCell> {
         self.cells.iter().find(|c| c.policy == policy)
     }
 }
@@ -110,16 +110,16 @@ impl FaultLinkRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultsSuite {
     /// Master seed of the run.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Per-batch workload label (e.g. "4x192kB").
-    pub workload: String,
+    pub(crate) workload: String,
     /// Policy names, in cell order.
-    pub policies: Vec<String>,
+    pub(crate) policies: Vec<String>,
     /// Distribution of every backoff wait slept across all `link × policy`
     /// cells, both directions. Only retrying policies contribute.
-    pub backoff_hist: HistogramSummary,
+    pub(crate) backoff_hist: HistogramSummary,
     /// One row per access-link preset, in [`AccessLink::all`] order.
-    pub per_link: Vec<FaultLinkRow>,
+    pub(crate) per_link: Vec<FaultLinkRow>,
 }
 
 crate::json::objects! {
@@ -135,13 +135,8 @@ crate::json::objects! {
 }
 
 impl FaultsSuite {
-    /// The row of one link, by preset name.
-    pub fn link(&self, name: &str) -> Option<&FaultLinkRow> {
-        self.per_link.iter().find(|r| r.link == name)
-    }
-
     /// Merged recovery accounting of one policy across every link.
-    pub fn stats_for(&self, policy: &str) -> FaultStats {
+    pub(crate) fn stats_for(&self, policy: &str) -> FaultStats {
         let mut stats = FaultStats::default();
         for row in &self.per_link {
             if let Some(cell) = row.cell(policy) {
@@ -152,7 +147,7 @@ impl FaultsSuite {
     }
 
     /// Fraction of `link × direction` recoveries the policy completed.
-    pub fn completed_fraction(&self, policy: &str) -> f64 {
+    pub(crate) fn completed_fraction(&self, policy: &str) -> f64 {
         let mut total = 0usize;
         let mut done = 0usize;
         for row in &self.per_link {
@@ -170,7 +165,7 @@ impl FaultsSuite {
 
     /// Total wire bytes one policy wasted over the payload it was asked to
     /// move, across every link — the headline cost of *not* recovering.
-    pub fn wasted_ratio(&self, policy: &str) -> f64 {
+    pub(crate) fn wasted_ratio(&self, policy: &str) -> f64 {
         let planned: u64 = self.per_link.iter().map(|r| r.planned_payload).sum();
         if planned > 0 {
             self.stats_for(policy).wasted_bytes as f64 / planned as f64

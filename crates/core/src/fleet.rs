@@ -17,28 +17,28 @@ use std::fmt::Write as _;
 
 /// One fleet size of the scaling suite.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FleetScalingRow {
+pub(crate) struct FleetScalingRow {
     /// Number of concurrent clients.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Distribution of per-client completion times (simulated seconds).
-    pub completion_secs: SampleStats,
+    pub(crate) completion_secs: SampleStats,
     /// Aggregate fleet goodput in bits per simulated second.
-    pub aggregate_goodput_bps: f64,
+    pub(crate) aggregate_goodput_bps: f64,
     /// Server-side inter-user dedup ratio (referenced / physical bytes).
-    pub dedup_ratio: f64,
+    pub(crate) dedup_ratio: f64,
     /// Bytes the server physically stores after inter-user dedup.
-    pub physical_bytes: u64,
+    pub(crate) physical_bytes: u64,
     /// Bytes the server would store without inter-user dedup.
-    pub referenced_bytes: u64,
+    pub(crate) referenced_bytes: u64,
     /// Payload bytes the clients uploaded (after client-side capabilities).
-    pub uploaded_payload: u64,
+    pub(crate) uploaded_payload: u64,
     /// The distribution of the fleet's per-commit sync latencies.
-    pub sync_hist: HistogramSummary,
+    pub(crate) sync_hist: HistogramSummary,
 }
 
 impl FleetScalingRow {
     /// Builds a row from a finished fleet run.
-    pub fn from_run(run: &FleetRun) -> FleetScalingRow {
+    pub(crate) fn from_run(run: &FleetRun) -> FleetScalingRow {
         let agg = run.aggregate();
         FleetScalingRow {
             clients: run.clients.len(),
@@ -57,18 +57,18 @@ impl FleetScalingRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetScalingSuite {
     /// The service the fleet ran.
-    pub service: String,
+    pub(crate) service: String,
     /// Per-batch workload label (e.g. "10x64kB").
-    pub workload: String,
+    pub(crate) workload: String,
     /// Fraction of each batch drawn from the fleet-wide shared pool.
-    pub shared_fraction: f64,
+    pub(crate) shared_fraction: f64,
     /// One row per fleet size, in ascending client order.
-    pub rows: Vec<FleetScalingRow>,
+    pub(crate) rows: Vec<FleetScalingRow>,
 }
 
 impl FleetScalingSuite {
     /// The row for a given fleet size.
-    pub fn row(&self, clients: usize) -> Option<&FleetScalingRow> {
+    pub(crate) fn row(&self, clients: usize) -> Option<&FleetScalingRow> {
         self.rows.iter().find(|r| r.clients == clients)
     }
 

@@ -22,13 +22,13 @@ use cloudsim_trace::series::SampleStats;
 use std::fmt::Write as _;
 
 /// The service mix of the canonical heterogeneous scenario, in slot order.
-pub fn hetero_profiles() -> Vec<ServiceProfile> {
+pub(crate) fn hetero_profiles() -> Vec<ServiceProfile> {
     vec![ServiceProfile::dropbox(), ServiceProfile::skydrive(), ServiceProfile::google_drive()]
 }
 
 /// The link mix of the canonical heterogeneous scenario, in slot order. Four
 /// links against three profiles keeps the two assignments decorrelated.
-pub fn hetero_links() -> [AccessLink; 4] {
+pub(crate) fn hetero_links() -> [AccessLink; 4] {
     AccessLink::all()
 }
 
@@ -37,7 +37,7 @@ pub fn hetero_links() -> [AccessLink; 4] {
 /// enough that the access link, not just the protocol chatter, bounds the
 /// slow links), two early leavers and two late joiners drawn
 /// deterministically from `seed`.
-pub fn hetero_spec(clients: usize, seed: u64, gc: GcPolicy) -> FleetSpec {
+pub(crate) fn hetero_spec(clients: usize, seed: u64, gc: GcPolicy) -> FleetSpec {
     FleetSpec::new(ServiceProfile::dropbox(), clients)
         .with_files(6, 256 * 1024)
         .with_batches(4)
@@ -50,57 +50,59 @@ pub fn hetero_spec(clients: usize, seed: u64, gc: GcPolicy) -> FleetSpec {
 
 /// Reclamation outcome of one GC policy on the same churning scenario.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GcPolicyRow {
+pub(crate) struct GcPolicyRow {
     /// Stable policy label (`eager` / `mark_sweep`).
-    pub policy: String,
+    pub(crate) policy: String,
     /// Bytes the store still physically holds after the run.
-    pub physical_bytes: u64,
+    pub(crate) physical_bytes: u64,
     /// Bytes garbage collection reclaimed during the run.
-    pub reclaimed_bytes: u64,
+    pub(crate) reclaimed_bytes: u64,
     /// Physical chunk entries freed.
-    pub freed_chunks: u64,
+    pub(crate) freed_chunks: u64,
     /// Manifests hard-deleted by departing clients.
-    pub manifest_deletes: u64,
+    pub(crate) manifest_deletes: u64,
     /// Server-side dedup ratio over the surviving population.
-    pub dedup_ratio: f64,
+    pub(crate) dedup_ratio: f64,
 }
 
 /// The heterogeneous suite's results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeteroSuite {
     /// Number of client slots.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Rounds the fleet ran.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Per-batch workload label (e.g. "6x256kB").
-    pub workload: String,
+    pub(crate) workload: String,
     /// Slots that left mid-run.
-    pub leavers: usize,
+    pub(crate) leavers: usize,
     /// Slots that joined mid-run.
-    pub joiners: usize,
+    pub(crate) joiners: usize,
     /// Completion-time distribution per service profile.
-    pub completion_by_service: Vec<(String, SampleStats)>,
+    pub(crate) completion_by_service: Vec<(String, SampleStats)>,
     /// Goodput (bits per simulated second) per access link.
-    pub goodput_by_link: Vec<(String, f64)>,
+    pub(crate) goodput_by_link: Vec<(String, f64)>,
     /// Plaintext bytes the fleet synchronised.
-    pub logical_bytes: u64,
+    pub(crate) logical_bytes: u64,
     /// One reclamation row per GC policy, same scenario and seed.
-    pub gc_rows: Vec<GcPolicyRow>,
+    pub(crate) gc_rows: Vec<GcPolicyRow>,
 }
 
 impl HeteroSuite {
     /// The row of one GC policy.
-    pub fn gc_row(&self, policy: GcPolicy) -> Option<&GcPolicyRow> {
+    pub(crate) fn gc_row(&self, policy: GcPolicy) -> Option<&GcPolicyRow> {
         self.gc_rows.iter().find(|r| r.policy == policy.label())
     }
 
     /// The completion stats of one service, by profile name.
-    pub fn service(&self, name: &str) -> Option<&SampleStats> {
+    #[cfg(test)]
+    pub(crate) fn service(&self, name: &str) -> Option<&SampleStats> {
         self.completion_by_service.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 
     /// The goodput of one link, by preset name.
-    pub fn link(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn link(&self, name: &str) -> Option<f64> {
         self.goodput_by_link.iter().find(|(n, _)| n == name).map(|(_, bps)| *bps)
     }
 

@@ -14,13 +14,13 @@ use cloudsim_trace::{SimDuration, SimTime};
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdleSeries {
     /// Service name.
-    pub service: String,
+    pub(crate) service: String,
     /// `(minutes since start, cumulative kB exchanged with control servers)`.
-    pub points: Vec<(f64, f64)>,
+    pub(crate) points: Vec<(f64, f64)>,
     /// Total control-plane bytes over the observation window.
     pub total_bytes: u64,
     /// Steady-state signalling rate in bits per second (excluding login).
-    pub steady_rate_bps: f64,
+    pub(crate) steady_rate_bps: f64,
     /// Estimated background volume per day in megabytes, at the steady rate.
     pub megabytes_per_day: f64,
 }

@@ -70,6 +70,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(dead_code)]
 
 pub mod architecture;
 pub mod benchmarks;
@@ -143,5 +144,14 @@ mod tests {
     fn whole_floats_keep_a_decimal() {
         assert_eq!(render(&1.0f64), "1.0");
         assert_eq!(render(&1.5f64), "1.5");
+    }
+
+    /// Test builds run at `opt-level = 1` (the root `[profile.dev]`); the
+    /// overflow checks of a debug build still fire there.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "attempt to add with overflow")]
+    fn debug_builds_still_check_overflow() {
+        let _ = std::hint::black_box(u64::MAX) + 1;
     }
 }

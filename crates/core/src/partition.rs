@@ -31,19 +31,19 @@ use std::fmt::Write as _;
 
 /// One partition's share of the run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PartitionRow {
+pub(crate) struct PartitionRow {
     /// The partition's index.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Clients the partition owned.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Commits the partition performed.
-    pub commits: u64,
+    pub(crate) commits: u64,
     /// Waves the partition's sub-heap split into.
-    pub waves: usize,
+    pub(crate) waves: usize,
     /// Start of the partition's earliest transfer, in virtual seconds.
-    pub first_start_s: f64,
+    pub(crate) first_start_s: f64,
     /// End of the partition's latest transfer, in virtual seconds.
-    pub last_end_s: f64,
+    pub(crate) last_end_s: f64,
 }
 
 /// The partitioned fleet-scale suite: the merged run (identical to the
@@ -51,31 +51,31 @@ pub struct PartitionRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionSuite {
     /// Partitions the population was split into.
-    pub partitions: usize,
+    pub(crate) partitions: usize,
     /// The merged run — bit-identical to the unsliced suite, and the only
     /// part `repro partition --json` dumps (so dumps `cmp` equal across
     /// partition counts).
     pub merged: FleetScaleSuite,
     /// Per-partition rows, in partition order.
-    pub rows: Vec<PartitionRow>,
+    pub(crate) rows: Vec<PartitionRow>,
     /// Max/mean per-partition commits (1.0 = perfectly even).
-    pub commit_skew: f64,
+    pub(crate) commit_skew: f64,
     /// Spread of per-partition finish instants, in virtual seconds.
-    pub finish_skew_s: f64,
+    pub(crate) finish_skew_s: f64,
     /// Σ per-partition waves / merged wave count (≥ 1: sub-heaps fragment
     /// less than the interleaved global stream).
-    pub merge_overhead: f64,
+    pub(crate) merge_overhead: f64,
     /// Σ per-partition commits / merged commits — exactly 1.0 by the
     /// disjoint-coverage invariant.
-    pub commits_sum_ratio: f64,
+    pub(crate) commits_sum_ratio: f64,
     /// Σ per-partition logical bytes / merged logical bytes — exactly 1.0.
-    pub bytes_sum_ratio: f64,
+    pub(crate) bytes_sum_ratio: f64,
     /// p99 of the elementwise-merged per-partition histograms over the
     /// merged run's p99 — exactly 1.0 (histogram merge is elementwise).
-    pub hist_p99_ratio: f64,
+    pub(crate) hist_p99_ratio: f64,
     /// Load-curve overlap between the summed per-partition curves and the
     /// merged curve (Σ min / Σ max over buckets) — exactly 1.0.
-    pub curve_overlap: f64,
+    pub(crate) curve_overlap: f64,
 }
 
 impl PartitionSuite {

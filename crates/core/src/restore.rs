@@ -31,44 +31,44 @@ use std::fmt::Write as _;
 
 /// Per-access-link row of the restore suite.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RestoreLinkRow {
+pub(crate) struct RestoreLinkRow {
     /// Stable link preset name.
-    pub link: String,
+    pub(crate) link: String,
     /// Pullers on this link.
-    pub pullers: usize,
+    pub(crate) pullers: usize,
     /// Restore goodput in bits per simulated second (restored plaintext
     /// over the slowest puller's restore time).
-    pub restore_goodput_bps: f64,
+    pub(crate) restore_goodput_bps: f64,
     /// Upload goodput of the same link's clients, for the asymmetry
     /// comparison.
-    pub upload_goodput_bps: f64,
+    pub(crate) upload_goodput_bps: f64,
     /// Mean time-to-first-restored-byte in seconds.
-    pub ttfb_secs: f64,
+    pub(crate) ttfb_secs: f64,
 }
 
 /// The restore suite's results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RestoreSuite {
     /// Number of client slots.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Slots that pull other users' content.
-    pub pullers: usize,
+    pub(crate) pullers: usize,
     /// Rounds the fleet ran.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Per-batch workload label (e.g. "5x128kB").
-    pub workload: String,
+    pub(crate) workload: String,
     /// Plaintext bytes the fleet restored.
-    pub restored_logical_bytes: u64,
+    pub(crate) restored_logical_bytes: u64,
     /// Payload bytes that actually travelled downstream.
-    pub downloaded_payload: u64,
+    pub(crate) downloaded_payload: u64,
     /// Plaintext bytes the down-path dedup checks kept off the wire.
-    pub dedup_saved_bytes: u64,
+    pub(crate) dedup_saved_bytes: u64,
     /// Clean restore failures (pulls of the departed source).
-    pub failures: usize,
+    pub(crate) failures: usize,
     /// Distribution of end-to-end restore durations across every pull.
-    pub restore_hist: HistogramSummary,
+    pub(crate) restore_hist: HistogramSummary,
     /// One row per access link that hosted at least one puller.
-    pub per_link: Vec<RestoreLinkRow>,
+    pub(crate) per_link: Vec<RestoreLinkRow>,
 }
 
 crate::json::objects! {
@@ -81,12 +81,13 @@ crate::json::objects! {
 
 impl RestoreSuite {
     /// The row of one link, by preset name.
-    pub fn link(&self, name: &str) -> Option<&RestoreLinkRow> {
+    #[cfg(test)]
+    pub(crate) fn link(&self, name: &str) -> Option<&RestoreLinkRow> {
         self.per_link.iter().find(|r| r.link == name)
     }
 
     /// Fraction of the restored plaintext that never travelled (0.0–1.0).
-    pub fn dedup_saved_fraction(&self) -> f64 {
+    pub(crate) fn dedup_saved_fraction(&self) -> f64 {
         if self.restored_logical_bytes == 0 {
             0.0
         } else {
@@ -167,7 +168,7 @@ impl RestoreSuite {
 /// round, three rounds of five 128 kB files (half shared pool). One pulled
 /// source hard-leaves after round 0, so rounds 1+ exercise the clean-failure
 /// path deterministically.
-pub fn restore_spec(clients: usize, seed: u64) -> FleetSpec {
+pub(crate) fn restore_spec(clients: usize, seed: u64) -> FleetSpec {
     assert!(clients >= 4, "the restore scenario needs at least four slots");
     let mut spec = FleetSpec::new(ServiceProfile::dropbox(), clients)
         .with_files(5, 128 * 1024)

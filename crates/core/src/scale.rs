@@ -44,35 +44,35 @@ pub fn scale_spec(clients: usize, seed: u64) -> ScaleSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetScaleSuite {
     /// Clients the run drove.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Commits each client performed.
-    pub commits_per_client: usize,
+    pub(crate) commits_per_client: usize,
     /// Per-commit workload label (e.g. "4x64kB").
-    pub workload: String,
+    pub(crate) workload: String,
     /// The virtual horizon commit instants were drawn over, in seconds.
-    pub horizon_s: f64,
+    pub(crate) horizon_s: f64,
     /// Total commits across the population.
-    pub commits: u64,
+    pub(crate) commits: u64,
     /// Total file manifests committed.
-    pub files: u64,
+    pub(crate) files: u64,
     /// Plaintext bytes committed, in MB.
-    pub logical_mb: f64,
+    pub(crate) logical_mb: f64,
     /// Bytes the server physically stores after inter-user dedup, in MB.
-    pub physical_mb: f64,
+    pub(crate) physical_mb: f64,
     /// Population-scale inter-user dedup ratio.
-    pub dedup_ratio: f64,
+    pub(crate) dedup_ratio: f64,
     /// The span between the first transfer's start and the last transfer's
     /// end, in virtual seconds.
-    pub virtual_span_s: f64,
+    pub(crate) virtual_span_s: f64,
     /// Commits per virtual second over the active span.
-    pub commits_per_vsec: f64,
+    pub(crate) commits_per_vsec: f64,
     /// Most transfers in flight at any virtual instant.
-    pub concurrency_peak: usize,
+    pub(crate) concurrency_peak: usize,
     /// Commits bucketed by start instant into [`LOAD_CURVE_BUCKETS`] equal
     /// slices of the active span.
-    pub load_curve: Vec<u64>,
+    pub(crate) load_curve: Vec<u64>,
     /// Distribution of per-commit transfer durations across the population.
-    pub transfer_hist: HistogramSummary,
+    pub(crate) transfer_hist: HistogramSummary,
 }
 
 crate::json::objects! {

@@ -37,7 +37,7 @@ use cloudsim_trace::{HistogramSummary, SimDuration};
 use std::fmt::Write as _;
 
 /// The service mix of the canonical temporal scenario, in slot order.
-pub fn schedule_profiles() -> Vec<ServiceProfile> {
+pub(crate) fn schedule_profiles() -> Vec<ServiceProfile> {
     vec![ServiceProfile::dropbox(), ServiceProfile::skydrive(), ServiceProfile::google_drive()]
 }
 
@@ -46,7 +46,7 @@ pub fn schedule_profiles() -> Vec<ServiceProfile> {
 /// an exponential think time (mean 8 s), up to 20 s of intra-round arrival
 /// jitter, and a 0.7 per-round activation probability — so roughly a third
 /// of the connected rounds are idle and pay only keep-alive signalling.
-pub fn schedule_spec(clients: usize, seed: u64) -> FleetSpec {
+pub(crate) fn schedule_spec(clients: usize, seed: u64) -> FleetSpec {
     assert!(clients >= 2, "the temporal scenario needs at least two slots");
     FleetSpec::new(ServiceProfile::dropbox(), clients)
         .with_files(4, 64 * 1024)
@@ -63,7 +63,7 @@ pub fn schedule_spec(clients: usize, seed: u64) -> FleetSpec {
 /// The lock-step control: the same fleet with the temporal model switched
 /// off (zero think time, zero jitter, full activation) — the configuration
 /// that replays the legacy round-major behaviour.
-pub fn lockstep_spec(clients: usize, seed: u64) -> FleetSpec {
+pub(crate) fn lockstep_spec(clients: usize, seed: u64) -> FleetSpec {
     schedule_spec(clients, seed)
         .with_think_time(ThinkTime::NONE)
         .with_arrival_jitter(SimDuration::ZERO)
@@ -74,43 +74,43 @@ pub fn lockstep_spec(clients: usize, seed: u64) -> FleetSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleSuite {
     /// Number of client slots.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Rounds the fleet ran.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Per-batch workload label (e.g. "4x64kB").
-    pub workload: String,
+    pub(crate) workload: String,
     /// Human-readable think-time distribution label.
-    pub think: String,
+    pub(crate) think: String,
     /// Intra-round arrival jitter bound in seconds.
-    pub arrival_jitter_s: f64,
+    pub(crate) arrival_jitter_s: f64,
     /// Per-round activation probability.
-    pub activation: f64,
+    pub(crate) activation: f64,
     /// Rounds the fleet actually synced batches in.
-    pub sync_rounds: usize,
+    pub(crate) sync_rounds: usize,
     /// Connected-but-idle rounds (keep-alive signalling only).
-    pub idle_rounds: usize,
+    pub(crate) idle_rounds: usize,
     /// Paper-style sync start-up delay distribution (modification → sync
     /// start), one sample per activated round.
-    pub startup_delay: SampleStats,
+    pub(crate) startup_delay: SampleStats,
     /// Distribution of per-sync commit durations across every activated
     /// round.
-    pub sync_hist: HistogramSummary,
+    pub(crate) sync_hist: HistogramSummary,
     /// Per-client completion-time distribution over the clients that
     /// synced.
-    pub completion: SampleStats,
+    pub(crate) completion: SampleStats,
     /// Spread of first-sync start times across the fleet, in seconds.
-    pub first_sync_spread_s: f64,
+    pub(crate) first_sync_spread_s: f64,
     /// Most syncs in flight at any virtual instant, jittered schedule.
-    pub concurrency_peak: usize,
+    pub(crate) concurrency_peak: usize,
     /// The same fleet's peak when run lock-step — the barrier the jitter
     /// dissolves.
-    pub lockstep_concurrency_peak: usize,
+    pub(crate) lockstep_concurrency_peak: usize,
     /// Control-plane wire bytes (login, metadata, keep-alive polls).
-    pub background_wire_bytes: u64,
+    pub(crate) background_wire_bytes: u64,
     /// Storage-flow wire bytes (payload direction, headers included).
-    pub payload_wire_bytes: u64,
+    pub(crate) payload_wire_bytes: u64,
     /// `(user, synced rounds, idle rounds)` per client, in slot order.
-    pub per_client_rounds: Vec<(String, usize, usize)>,
+    pub(crate) per_client_rounds: Vec<(String, usize, usize)>,
 }
 
 crate::json::objects! {
@@ -123,7 +123,7 @@ crate::json::objects! {
 
 impl ScheduleSuite {
     /// Fraction of all wire bytes that were background signalling.
-    pub fn background_fraction(&self) -> f64 {
+    pub(crate) fn background_fraction(&self) -> f64 {
         let background = self.background_wire_bytes as f64;
         let total = background + self.payload_wire_bytes as f64;
         if total > 0.0 {
@@ -134,7 +134,7 @@ impl ScheduleSuite {
     }
 
     /// Fraction of connected rounds spent idle.
-    pub fn idle_fraction(&self) -> f64 {
+    pub(crate) fn idle_fraction(&self) -> f64 {
         let total = (self.sync_rounds + self.idle_rounds) as f64;
         if total > 0.0 {
             self.idle_rounds as f64 / total

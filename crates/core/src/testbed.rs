@@ -75,11 +75,6 @@ impl Testbed {
         Testbed { seed, sizes: Arc::new(SizeMemo::new()) }
     }
 
-    /// The master seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The run's size memo: what the testbed's clients offered to it and
     /// counted so far.
     pub fn size_memo(&self) -> &SizeMemo {
@@ -226,7 +221,7 @@ mod tests {
                 client.idle_until(sim, t0 + SimDuration::from_secs(120));
             });
         assert!(!packets.is_empty());
-        assert_eq!(testbed.seed(), Testbed::default().seed());
+        assert_eq!(testbed.seed, Testbed::default().seed);
     }
 
     #[test]

@@ -25,26 +25,26 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceOverheadSuite {
     /// Clients the runs drove.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Total commits across the population.
-    pub commits: u64,
+    pub(crate) commits: u64,
     /// Packets the traced run captured.
-    pub packets: u64,
+    pub(crate) packets: u64,
     /// Distinct flows in the capture (one per commit).
-    pub flows: u64,
+    pub(crate) flows: u64,
     /// Connection-opening SYNs in the capture.
-    pub syns: u64,
+    pub(crate) syns: u64,
     /// Wire bytes captured (headers + payload), in MB.
-    pub wire_mb: f64,
+    pub(crate) wire_mb: f64,
     /// Plaintext bytes the population committed, in MB.
-    pub logical_mb: f64,
+    pub(crate) logical_mb: f64,
     /// Wire bytes over logical bytes — the protocol overhead the capture
     /// observes at population scale.
-    pub overhead_ratio: f64,
+    pub(crate) overhead_ratio: f64,
     /// Captured packets per virtual second of the population's active span.
-    pub packets_per_vsec: f64,
+    pub(crate) packets_per_vsec: f64,
     /// Packets each commit contributes (SYN + one data packet per file).
-    pub packets_per_commit: f64,
+    pub(crate) packets_per_commit: f64,
 }
 
 crate::json::objects! {

@@ -25,12 +25,14 @@ impl AuthoritativeDns {
     }
 
     /// The provider this authority answers for.
-    pub fn provider(&self) -> Provider {
+    #[cfg(test)]
+    pub(crate) fn provider(&self) -> Provider {
         self.topology.provider
     }
 
     /// The underlying topology.
-    pub fn topology(&self) -> &ProviderTopology {
+    #[cfg(test)]
+    pub(crate) fn topology(&self) -> &ProviderTopology {
         &self.topology
     }
 
@@ -41,7 +43,7 @@ impl AuthoritativeDns {
     }
 
     /// Answers a query originating from an arbitrary location.
-    pub fn resolve_from(&self, origin: GeoPoint) -> Vec<u32> {
+    pub(crate) fn resolve_from(&self, origin: GeoPoint) -> Vec<u32> {
         match self.topology.provider {
             Provider::GoogleDrive => {
                 // Geo-aware answer: the two closest edge nodes.

@@ -4,25 +4,25 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees (positive north).
-    pub lat: f64,
+    pub(crate) lat: f64,
     /// Longitude in degrees (positive east).
-    pub lon: f64,
+    pub(crate) lon: f64,
 }
 
 impl GeoPoint {
     /// Creates a point from latitude/longitude degrees.
-    pub const fn new(lat: f64, lon: f64) -> Self {
+    pub(crate) const fn new(lat: f64, lon: f64) -> Self {
         GeoPoint { lat, lon }
     }
 
     /// Great-circle distance to another point, in kilometres.
-    pub fn distance_km(&self, other: &GeoPoint) -> f64 {
+    pub(crate) fn distance_km(&self, other: &GeoPoint) -> f64 {
         haversine_km(*self, *other)
     }
 }
 
 /// Great-circle (haversine) distance between two points in kilometres.
-pub fn haversine_km(a: GeoPoint, b: GeoPoint) -> f64 {
+pub(crate) fn haversine_km(a: GeoPoint, b: GeoPoint) -> f64 {
     const EARTH_RADIUS_KM: f64 = 6371.0;
     let lat1 = a.lat.to_radians();
     let lat2 = b.lat.to_radians();
@@ -41,9 +41,9 @@ pub struct City {
     pub country: &'static str,
     /// IATA code of the main airport (the token providers embed in reverse
     /// DNS names, which the hybrid geolocator exploits).
-    pub airport: &'static str,
+    pub(crate) airport: &'static str,
     /// Coordinates of the city centre.
-    pub location: GeoPoint,
+    pub(crate) location: GeoPoint,
 }
 
 macro_rules! city {
@@ -149,7 +149,7 @@ pub const WORLD_CITIES: &[City] = &[
 ];
 
 /// Finds a catalogue city by its IATA airport code.
-pub fn city_by_airport(code: &str) -> Option<&'static City> {
+pub(crate) fn city_by_airport(code: &str) -> Option<&'static City> {
     WORLD_CITIES.iter().find(|c| c.airport.eq_ignore_ascii_case(code))
 }
 

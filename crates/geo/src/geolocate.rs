@@ -25,7 +25,7 @@ pub enum GeolocationMethod {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeolocationEstimate {
     /// Estimated location.
-    pub location: GeoPoint,
+    pub(crate) location: GeoPoint,
     /// Which stage of the hybrid produced the estimate.
     pub method: GeolocationMethod,
     /// Great-circle error against the ground truth, in kilometres.

@@ -13,11 +13,11 @@ use cloudsim_workload::seed::Stream;
 
 /// One landmark probe host.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Landmark {
+pub(crate) struct Landmark {
     /// Host name of the probe.
-    pub name: String,
+    pub(crate) name: String,
     /// Location of the probe.
-    pub location: GeoPoint,
+    pub(crate) location: GeoPoint,
 }
 
 /// Speed-of-light factor: fibre propagation is ~2/3 c and paths are not
@@ -29,7 +29,7 @@ const FLOOR_MS: f64 = 1.5;
 
 /// Models the RTT in milliseconds between two points, with a deterministic
 /// multiplicative jitter drawn from `seed` (path inflation varies per pair).
-pub fn rtt_between(a: GeoPoint, b: GeoPoint, seed: u64) -> f64 {
+pub(crate) fn rtt_between(a: GeoPoint, b: GeoPoint, seed: u64) -> f64 {
     let distance = a.distance_km(&b);
     let inflation = Stream::new(seed).uniform(1.0, 1.35);
     FLOOR_MS + distance * MS_PER_KM * inflation
@@ -37,13 +37,13 @@ pub fn rtt_between(a: GeoPoint, b: GeoPoint, seed: u64) -> f64 {
 
 /// The full landmark set.
 #[derive(Debug, Clone)]
-pub struct LandmarkSet {
+pub(crate) struct LandmarkSet {
     landmarks: Vec<Landmark>,
 }
 
 impl LandmarkSet {
     /// Builds the default set: one landmark per catalogue city.
-    pub fn planetlab_like() -> Self {
+    pub(crate) fn planetlab_like() -> Self {
         let landmarks = WORLD_CITIES
             .iter()
             .map(|c| Landmark {
@@ -59,18 +59,20 @@ impl LandmarkSet {
     }
 
     /// Number of landmarks.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.landmarks.len()
     }
 
     /// True when the set is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.landmarks.is_empty()
     }
 
     /// Measures the RTT from every landmark to a target location and returns
     /// `(landmark index, rtt in ms)` pairs, as the measurement campaign would.
-    pub fn probe(&self, target: GeoPoint, seed: u64) -> Vec<(usize, f64)> {
+    pub(crate) fn probe(&self, target: GeoPoint, seed: u64) -> Vec<(usize, f64)> {
         self.landmarks
             .iter()
             .enumerate()
@@ -81,7 +83,7 @@ impl LandmarkSet {
     }
 
     /// The landmark with the shortest RTT to the target.
-    pub fn closest(&self, target: GeoPoint, seed: u64) -> Option<(&Landmark, f64)> {
+    pub(crate) fn closest(&self, target: GeoPoint, seed: u64) -> Option<(&Landmark, f64)> {
         self.probe(target, seed)
             .into_iter()
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())

@@ -79,7 +79,7 @@ pub struct ServerNode {
     /// DNS name of the front end.
     pub dns_name: String,
     /// Reverse-DNS (PTR) name; Google and Amazon embed airport codes here.
-    pub reverse_dns: String,
+    pub(crate) reverse_dns: String,
     /// IPv4 address, host byte order.
     pub addr: u32,
     /// Role of the node.
@@ -89,14 +89,14 @@ pub struct ServerNode {
     /// City label of the location.
     pub city: String,
     /// Organisation that owns the address block (whois answer).
-    pub owner: String,
+    pub(crate) owner: String,
 }
 
 /// The full ground-truth topology of one provider.
 #[derive(Debug, Clone)]
 pub struct ProviderTopology {
     /// Which provider this is.
-    pub provider: Provider,
+    pub(crate) provider: Provider,
     /// Every server / edge node of the provider.
     pub nodes: Vec<ServerNode>,
 }
@@ -308,7 +308,8 @@ impl ProviderTopology {
     }
 
     /// All ground-truth topologies.
-    pub fn all() -> Vec<ProviderTopology> {
+    #[cfg(test)]
+    pub(crate) fn all() -> Vec<ProviderTopology> {
         Provider::ALL.iter().map(|p| ProviderTopology::ground_truth(*p)).collect()
     }
 

@@ -8,18 +8,19 @@
 
 /// One allocated address block.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IpBlock {
+pub(crate) struct IpBlock {
     /// First address of the block (inclusive), host byte order.
-    pub start: u32,
+    pub(crate) start: u32,
     /// Last address of the block (inclusive).
-    pub end: u32,
+    pub(crate) end: u32,
     /// Owning organisation as whois would report it.
-    pub owner: String,
+    pub(crate) owner: String,
 }
 
 impl IpBlock {
     /// Creates a block from dotted-quad bounds.
-    pub fn new(start: [u8; 4], end: [u8; 4], owner: &str) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(start: [u8; 4], end: [u8; 4], owner: &str) -> Self {
         let s = u32::from_be_bytes(start);
         let e = u32::from_be_bytes(end);
         assert!(s <= e, "block start must not exceed end");
@@ -27,7 +28,7 @@ impl IpBlock {
     }
 
     /// Creates a CIDR-style block `base/prefix`.
-    pub fn cidr(base: [u8; 4], prefix: u8, owner: &str) -> Self {
+    pub(crate) fn cidr(base: [u8; 4], prefix: u8, owner: &str) -> Self {
         assert!(prefix <= 32, "invalid prefix length");
         let base = u32::from_be_bytes(base);
         let mask = if prefix == 0 { 0 } else { u32::MAX << (32 - prefix) };
@@ -37,12 +38,12 @@ impl IpBlock {
     }
 
     /// True when the block contains the address.
-    pub fn contains(&self, addr: u32) -> bool {
+    pub(crate) fn contains(&self, addr: u32) -> bool {
         (self.start..=self.end).contains(&addr)
     }
 
     /// Number of addresses in the block.
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         (self.end - self.start) as u64 + 1
     }
 }
@@ -61,13 +62,13 @@ impl IpRegistry {
 
     /// Registers a block. More specific (smaller) blocks take precedence over
     /// broader ones on lookup, mirroring real allocation hierarchies.
-    pub fn register(&mut self, block: IpBlock) {
+    pub(crate) fn register(&mut self, block: IpBlock) {
         self.blocks.push(block);
     }
 
     /// Looks up the owner of an address (whois query). Returns the most
     /// specific covering block, if any.
-    pub fn lookup(&self, addr: u32) -> Option<&IpBlock> {
+    pub(crate) fn lookup(&self, addr: u32) -> Option<&IpBlock> {
         self.blocks.iter().filter(|b| b.contains(addr)).min_by_key(|b| b.size())
     }
 
@@ -77,18 +78,21 @@ impl IpRegistry {
     }
 
     /// Number of registered blocks.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.blocks.len()
     }
 
     /// True when no block is registered.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.blocks.is_empty()
     }
 }
 
 /// Converts dotted-quad octets to the `u32` representation used everywhere.
-pub fn addr(octets: [u8; 4]) -> u32 {
+#[cfg(test)]
+pub(crate) fn addr(octets: [u8; 4]) -> u32 {
     u32::from_be_bytes(octets)
 }
 

@@ -13,18 +13,18 @@ use crate::coords::{GeoPoint, WORLD_CITIES};
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpenResolver {
     /// Stable identifier within the fleet.
-    pub id: u32,
+    pub(crate) id: u32,
     /// IPv4 address of the resolver.
-    pub addr: u32,
+    pub(crate) addr: u32,
     /// Location (the vantage point whose "view" of the provider's DNS this
     /// resolver returns).
-    pub location: GeoPoint,
+    pub(crate) location: GeoPoint,
     /// City name.
-    pub city: String,
+    pub(crate) city: String,
     /// ISO country code.
-    pub country: String,
+    pub(crate) country: String,
     /// ISP operating the resolver.
-    pub isp: String,
+    pub(crate) isp: String,
 }
 
 /// The generated resolver fleet.

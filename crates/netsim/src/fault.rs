@@ -50,12 +50,12 @@ pub struct OutageWindow {
 
 impl OutageWindow {
     /// True while the link is down.
-    pub fn contains(&self, t: SimTime) -> bool {
+    pub(crate) fn contains(&self, t: SimTime) -> bool {
         t >= self.down_at && t < self.up_at
     }
 
     /// How long the outage lasts.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.up_at.saturating_since(self.down_at)
     }
 }
@@ -106,7 +106,8 @@ impl FaultSchedule {
     }
 
     /// True when the schedule has no outages at all.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.windows.is_empty()
     }
 
@@ -117,7 +118,7 @@ impl FaultSchedule {
 
     /// The first instant at or after `t` at which the link is (or goes)
     /// down, or `None` when no outage lies at or beyond `t`.
-    pub fn first_cut_at_or_after(&self, t: SimTime) -> Option<SimTime> {
+    pub(crate) fn first_cut_at_or_after(&self, t: SimTime) -> Option<SimTime> {
         self.windows.iter().find(|w| w.up_at > t).map(|w| w.down_at.max(t))
     }
 

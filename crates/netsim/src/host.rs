@@ -17,7 +17,7 @@ impl fmt::Display for HostId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostInfo {
     /// Identifier within the owning network.
-    pub id: HostId,
+    pub(crate) id: HostId,
     /// DNS name the client would have resolved to reach this host.
     pub dns_name: String,
     /// Network endpoint (address and service port).

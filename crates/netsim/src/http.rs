@@ -15,9 +15,9 @@ use cloudsim_trace::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HttpOverhead {
     /// Bytes of request line + headers (incl. auth tokens and cookies).
-    pub request_header_bytes: u32,
+    pub(crate) request_header_bytes: u32,
     /// Bytes of status line + response headers.
-    pub response_header_bytes: u32,
+    pub(crate) response_header_bytes: u32,
 }
 
 impl HttpOverhead {
@@ -46,13 +46,13 @@ impl Default for HttpOverhead {
 #[derive(Debug, Clone, Copy)]
 pub struct HttpExchange {
     /// Header overhead applied to the exchange.
-    pub overhead: HttpOverhead,
+    pub(crate) overhead: HttpOverhead,
     /// Request body bytes (e.g. the chunk or bundle being uploaded).
-    pub request_body: u64,
+    pub(crate) request_body: u64,
     /// Response body bytes (e.g. metadata JSON).
-    pub response_body: u64,
+    pub(crate) response_body: u64,
     /// Server processing time before the response starts.
-    pub server_think: SimDuration,
+    pub(crate) server_think: SimDuration,
 }
 
 impl HttpExchange {
@@ -68,12 +68,12 @@ impl HttpExchange {
     }
 
     /// Total bytes that travel client → server.
-    pub fn upload_bytes(&self) -> u64 {
+    pub(crate) fn upload_bytes(&self) -> u64 {
         self.request_body + self.overhead.request_header_bytes as u64
     }
 
     /// Total bytes that travel server → client.
-    pub fn download_bytes(&self) -> u64 {
+    pub(crate) fn download_bytes(&self) -> u64 {
         self.response_body + self.overhead.response_header_bytes as u64
     }
 

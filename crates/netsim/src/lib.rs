@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(dead_code)]
 
 pub mod fault;
 pub mod host;

@@ -24,11 +24,11 @@ pub struct AccessLink {
     /// Upstream bandwidth in bits per second.
     pub up_bandwidth: u64,
     /// Downstream bandwidth in bits per second.
-    pub down_bandwidth: u64,
+    pub(crate) down_bandwidth: u64,
     /// Extra round-trip time the access link adds to every path.
     pub access_rtt: SimDuration,
     /// Steady-state segment loss rate on the access link.
-    pub loss: f64,
+    pub(crate) loss: f64,
 }
 
 impl AccessLink {
@@ -36,7 +36,7 @@ impl AccessLink {
     /// constructor every symmetric preset (and any custom symmetric
     /// scenario) goes through, so call sites never have to spell the same
     /// figure twice.
-    pub const fn symmetric(
+    pub(crate) const fn symmetric(
         name: &'static str,
         bandwidth: u64,
         access_rtt: SimDuration,
@@ -48,7 +48,7 @@ impl AccessLink {
     /// An asymmetric link with an explicit up/down split (residential and
     /// mobile profiles). The restore suite is where the `down` side finally
     /// earns its keep.
-    pub const fn asymmetric(
+    pub(crate) const fn asymmetric(
         name: &'static str,
         up_bandwidth: u64,
         down_bandwidth: u64,

@@ -17,7 +17,7 @@ pub struct Network {
 /// First port of the IANA ephemeral range. A connection's client port is
 /// not allocated here: [`crate::tcp::TcpConnection::open`] derives it from
 /// the flow id, cycling through 49152..=65535.
-pub const EPHEMERAL_PORT_MIN: u16 = 49152;
+pub(crate) const EPHEMERAL_PORT_MIN: u16 = 49152;
 
 impl Network {
     /// Creates a topology with the default test computer (192.168.1.10).
@@ -34,7 +34,7 @@ impl Network {
     }
 
     /// Information about the test computer.
-    pub fn client(&self) -> &HostInfo {
+    pub(crate) fn client(&self) -> &HostInfo {
         &self.client
     }
 

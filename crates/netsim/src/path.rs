@@ -25,13 +25,13 @@ pub struct PathSpec {
     /// Bottleneck bandwidth client → server in bits per second.
     pub up_bandwidth: u64,
     /// Bottleneck bandwidth server → client in bits per second.
-    pub down_bandwidth: u64,
+    pub(crate) down_bandwidth: u64,
     /// Relative RTT jitter (0.0 = deterministic, 0.1 = ±10 %).
-    pub rtt_jitter: f64,
+    pub(crate) rtt_jitter: f64,
     /// Steady-state segment loss rate (0.0 = lossless). Losses are modelled
     /// deterministically as a Mathis-formula throughput ceiling rather than
     /// random drops, keeping every simulation bit-reproducible.
-    pub loss: f64,
+    pub(crate) loss: f64,
 }
 
 impl PathSpec {
@@ -49,20 +49,23 @@ impl PathSpec {
     }
 
     /// An asymmetric path (e.g. a residential up/down split).
-    pub fn asymmetric(rtt: SimDuration, up: u64, down: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn asymmetric(rtt: SimDuration, up: u64, down: u64) -> Self {
         assert!(up > 0 && down > 0, "bandwidth must be positive");
         PathSpec { rtt, up_bandwidth: up, down_bandwidth: down, rtt_jitter: 0.05, loss: 0.0 }
     }
 
     /// Returns a copy with a different jitter setting.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_jitter(mut self, jitter: f64) -> Self {
         assert!((0.0..1.0).contains(&jitter), "jitter must be in [0, 1)");
         self.rtt_jitter = jitter;
         self
     }
 
     /// Returns a copy with a steady-state segment loss rate.
-    pub fn with_loss(mut self, loss: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_loss(mut self, loss: f64) -> Self {
         assert!((0.0..1.0).contains(&loss), "loss must be in [0, 1)");
         self.loss = loss;
         self
@@ -81,17 +84,17 @@ impl PathSpec {
     }
 
     /// Effective client → server bandwidth after the loss ceiling.
-    pub fn effective_up_bandwidth(&self) -> u64 {
+    pub(crate) fn effective_up_bandwidth(&self) -> u64 {
         self.up_bandwidth.min(self.mathis_ceiling_bps())
     }
 
     /// Effective server → client bandwidth after the loss ceiling.
-    pub fn effective_down_bandwidth(&self) -> u64 {
+    pub(crate) fn effective_down_bandwidth(&self) -> u64 {
         self.down_bandwidth.min(self.mathis_ceiling_bps())
     }
 
     /// Samples the RTT for one exchange, applying jitter around the base.
-    pub fn sample_rtt(&self, rng: &mut Stream) -> SimDuration {
+    pub(crate) fn sample_rtt(&self, rng: &mut Stream) -> SimDuration {
         if self.rtt_jitter == 0.0 || self.rtt.is_zero() {
             return self.rtt;
         }
@@ -103,7 +106,7 @@ impl PathSpec {
     /// data fits "in flight"; the TCP model stops growing its window beyond
     /// this point. Uses the loss-capped effective bandwidth so lossy links
     /// also bound the congestion window.
-    pub fn bdp_bytes_up(&self) -> u64 {
+    pub(crate) fn bdp_bytes_up(&self) -> u64 {
         (self.effective_up_bandwidth() as f64 / 8.0 * self.rtt.as_secs_f64()).ceil() as u64
     }
 
@@ -112,7 +115,7 @@ impl PathSpec {
     /// against. On asymmetric links (ADSL's 1 up / 8 down split) this is
     /// several times [`PathSpec::bdp_bytes_up`], which is what lets restores
     /// run far faster than uploads on the same link.
-    pub fn bdp_bytes_down(&self) -> u64 {
+    pub(crate) fn bdp_bytes_down(&self) -> u64 {
         (self.effective_down_bandwidth() as f64 / 8.0 * self.rtt.as_secs_f64()).ceil() as u64
     }
 }

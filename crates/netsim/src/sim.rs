@@ -27,20 +27,21 @@ impl Simulator {
     }
 
     /// The furthest point in virtual time reached so far.
-    pub fn now(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
     /// Advances the high-water mark of virtual time. Passing an earlier time
     /// is a no-op (several concurrent operations may finish out of order).
-    pub fn advance_to(&mut self, t: SimTime) {
+    pub(crate) fn advance_to(&mut self, t: SimTime) {
         if t > self.now {
             self.now = t;
         }
     }
 
     /// Mutable access to the deterministic random stream.
-    pub fn rng(&mut self) -> &mut Stream {
+    pub(crate) fn rng(&mut self) -> &mut Stream {
         &mut self.rng
     }
 
@@ -51,7 +52,7 @@ impl Simulator {
 
     /// The capture shard, for protocol endpoints that allocate flows and
     /// record packets.
-    pub fn trace_mut(&mut self) -> &mut TraceShard {
+    pub(crate) fn trace_mut(&mut self) -> &mut TraceShard {
         &mut self.shard
     }
 

@@ -29,11 +29,11 @@ use cloudsim_trace::{
 };
 
 /// Initial congestion window in segments (RFC 6928, already deployed in 2013).
-pub const INITIAL_CWND_SEGMENTS: u32 = 10;
+pub(crate) const INITIAL_CWND_SEGMENTS: u32 = 10;
 
 /// Upper bound on the congestion window in segments (corresponds to the
 /// default 4 MB maximum socket buffers of the era).
-pub const MAX_CWND_SEGMENTS: u32 = 2800;
+pub(crate) const MAX_CWND_SEGMENTS: u32 = 2800;
 
 // The TLS layer as deployed in 2013 (TLS 1.0–1.2, RSA certificates, ~3–4 kB
 // certificate chains). All five services carry storage and control traffic
@@ -60,7 +60,7 @@ const TLS_SEGMENT_OVERHEAD: u32 = 29;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DownloadOutcome {
     /// When the request started (no earlier than the connection was free).
-    pub requested_at: SimTime,
+    pub(crate) requested_at: SimTime,
     /// When the first response payload byte reached the client.
     pub first_byte_at: SimTime,
     /// When the last response byte reached the client.
@@ -254,13 +254,9 @@ impl TcpConnection {
     }
 
     /// The flow id of this connection in the experiment trace.
-    pub fn flow(&self) -> FlowId {
+    #[cfg(test)]
+    pub(crate) fn flow(&self) -> FlowId {
         self.flow
-    }
-
-    /// The server this connection terminates at.
-    pub fn host(&self) -> HostId {
-        self.host
     }
 
     /// Time at which the transport (and TLS) handshake completed.

@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(dead_code)]
 
 use std::borrow::BorrowMut;
 use std::cell::Cell;

@@ -26,7 +26,7 @@
 //! workspace's one JSON writer does not read): one borrowed cursor reads
 //! a line — header or event — as a flat JSON object in one pass, and
 //! rejects unknown format names and versions up front; the header/event
-//! consistency checks live in [`FleetCapture::validate`], which the parser
+//! consistency checks live in `FleetCapture::validate`, which the parser
 //! and the commit runner both call.
 
 use crate::engine::{FleetEvent, Phase};
@@ -41,22 +41,22 @@ use cloudsim_trace::{SimDuration, SimTime};
 pub use crate::perf_pins::replay;
 
 /// The capture format's stable name, written into every header line.
-pub const CAPTURE_FORMAT: &str = "cloudsim-fleet-capture";
+pub(crate) const CAPTURE_FORMAT: &str = "cloudsim-fleet-capture";
 
 /// The capture format version this build reads and writes.
-pub const CAPTURE_VERSION: u64 = 1;
+pub(crate) const CAPTURE_VERSION: u64 = 1;
 
 /// One recorded commit event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaptureEvent {
     /// The seeded virtual instant the commit was issued at.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Index of the issuing client.
     pub client: usize,
     /// The client's commit round.
     pub round: usize,
     /// Plaintext bytes the commit carries.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Per-file content seeds — replay commits the exact same hashes, so
     /// population-scale dedup reproduces too.
     pub content_seeds: Vec<u64>,
@@ -72,7 +72,7 @@ pub struct FleetCapture {
     /// `[client_base, client_base + clients)`. Events always carry global
     /// indices, so a slice replays the exact same store keyspace and link
     /// assignment as the clients' share of the unsliced run.
-    pub client_base: usize,
+    pub(crate) client_base: usize,
     /// Commits each client performed.
     pub commits_per_client: usize,
     /// Files per commit.
@@ -80,14 +80,14 @@ pub struct FleetCapture {
     /// Plaintext size of each file in bytes.
     pub file_size: u64,
     /// Leading files of each commit drawn from the shared pool.
-    pub shared_files_per_commit: usize,
+    pub(crate) shared_files_per_commit: usize,
     /// The virtual horizon of the recorded run.
     pub horizon: SimDuration,
     /// Access-link preset names, round-robin across clients.
-    pub link_names: Vec<String>,
+    pub(crate) link_names: Vec<String>,
     /// The recorded run's master seed (provenance only — replay never
     /// redraws anything from it).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Every commit event, in event-heap order.
     pub events: Vec<CaptureEvent>,
 }
@@ -114,7 +114,7 @@ impl FleetCapture {
     /// checks: [`parse_capture`] runs it on what it read, and the commit
     /// runner runs it on whatever it is handed — all fields are `pub`, so
     /// a capture need not have come through the parser.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let (clients, base, commits_per_client, files) =
             (self.clients, self.client_base, self.commits_per_client, self.files_per_commit);
         check_run_totals(clients, commits_per_client, files, self.file_size).map_err(|e| {
@@ -876,7 +876,7 @@ pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
 /// Re-drives a capture through the commit runner ([`crate::scale`])
 /// against a fresh mark-sweep store. [`ReplayMix::Original`] reproduces the
 /// recorded run bit for bit; the other mixes substitute one factor and hold
-/// the workload fixed. A capture that fails [`FleetCapture::validate`] is
+/// the workload fixed. A capture that fails `FleetCapture::validate` is
 /// an `Err`, parsed or hand-built.
 pub fn replay_capture(capture: &FleetCapture, mix: &ReplayMix) -> Result<ScaleRun, String> {
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
@@ -925,7 +925,10 @@ mod tests {
         assert_eq!(replayed.logical_bytes, original.logical_bytes);
         assert_eq!(replayed.intervals, original.intervals);
         assert_eq!(replayed.aggregate(), original.aggregate());
-        assert_eq!(replayed.dedup_ratio().to_bits(), original.dedup_ratio().to_bits());
+        assert_eq!(
+            replayed.aggregate().dedup_ratio().to_bits(),
+            original.aggregate().dedup_ratio().to_bits()
+        );
         assert_eq!(replayed.commits_per_vsec().to_bits(), original.commits_per_vsec().to_bits());
         assert_eq!(replayed.load_curve(12), original.load_curve(12));
         for i in [0usize, 13, 47] {

@@ -51,13 +51,13 @@ pub struct RestoreOutcome {
 
 impl RestoreOutcome {
     /// Simulated seconds the restore took end to end.
-    pub fn duration_secs(&self) -> f64 {
+    pub(crate) fn duration_secs(&self) -> f64 {
         (self.completed_at - self.requested_at).as_secs_f64()
     }
 
     /// Simulated seconds from the request to the first payload byte, if any
     /// payload travelled.
-    pub fn ttfb_secs(&self) -> Option<f64> {
+    pub(crate) fn ttfb_secs(&self) -> Option<f64> {
         self.first_byte_at.map(|t| (t - self.requested_at).as_secs_f64())
     }
 }
@@ -176,7 +176,7 @@ impl SyncClient {
     }
 
     /// This client, pricing its LZSS size counts through `sizes`, the memo
-    /// of the run it belongs to (see [`UploadPlanner::with_size_memo`]).
+    /// of the run it belongs to (see `UploadPlanner::with_size_memo`).
     pub fn with_size_memo(mut self, sizes: Arc<SizeMemo>) -> SyncClient {
         self.planner = self.planner.with_size_memo(sizes);
         self
@@ -197,16 +197,6 @@ impl SyncClient {
             logged_in: false,
             last_activity: SimTime::ZERO,
         }
-    }
-
-    /// The profile driving this client.
-    pub fn profile(&self) -> &ServiceProfile {
-        &self.profile
-    }
-
-    /// The deployment (topology) of the service.
-    pub fn deployment(&self) -> &Deployment {
-        &self.deployment
     }
 
     /// Performs the application start-up: authenticates against every control
@@ -336,7 +326,7 @@ impl SyncClient {
     /// metadata exchanges are tiny and real clients retry them invisibly —
     /// only storage transfers feel the outages). The single fork is the
     /// storage-transfer step: `sync_batch` moves the planned chunks the way
-    /// the profile's [`TransferMode`] prescribes (bundles, per-chunk
+    /// the profile's `TransferMode` prescribes (bundles, per-chunk
     /// requests, a connection per file), while a session resumes at chunk
     /// granularity and so drives bare chunks one at a time whatever the
     /// mode. Teaching the session the transfer modes would move every
@@ -632,7 +622,7 @@ impl SyncClient {
     /// "pull another user's content" operation (and, with `owner` = own
     /// account, the §4.3 delete/restore test at full fidelity). An owner
     /// with no live files (departed, purged) yields a clean one-failure
-    /// outcome. See [`SyncClient::restore_batch`].
+    /// outcome.
     pub fn restore_user(
         &mut self,
         sim: &mut Simulator,
@@ -640,26 +630,6 @@ impl SyncClient {
         at: SimTime,
     ) -> RestoreOutcome {
         self.restore_user_faulted(sim, owner, at, &Recovery::NONE).outcome
-    }
-
-    /// Restores `owner`'s files at the given paths, driving the manifest
-    /// fetch over the control channel and the chunk downloads over the
-    /// storage connection's *downstream* side (time-to-first-byte and
-    /// completion are measured like the upload path measures sync time).
-    /// Chunks the client already holds locally are not re-downloaded and
-    /// delta downloads apply against locally held bases — the planner's
-    /// [`UploadPlanner::plan_restore_paths`] decides, this method only moves
-    /// the bytes. Failed files (typed restore errors) cost a control
-    /// round-trip but no storage traffic. This is
-    /// [`SyncClient::restore_batch_faulted`] with no outage to recover from.
-    pub fn restore_batch(
-        &mut self,
-        sim: &mut Simulator,
-        owner: &str,
-        paths: &[String],
-        at: SimTime,
-    ) -> RestoreOutcome {
-        self.restore_batch_faulted(sim, owner, paths, at, &Recovery::NONE).outcome
     }
 
     /// [`SyncClient::restore_user`] under a seeded outage schedule — lists
@@ -686,7 +656,7 @@ impl SyncClient {
     /// ([`RangedTransfer::verify`]). The control plane stays fault-free (see
     /// [`SyncClient::sync_batch_faulted`]); `first_byte_at` is recorded from
     /// completed ranges only.
-    pub fn restore_batch_faulted(
+    pub(crate) fn restore_batch_faulted(
         &mut self,
         sim: &mut Simulator,
         owner: &str,
@@ -881,7 +851,7 @@ impl SyncClient {
     /// channel down. Returns the time the departure completed and the number
     /// of manifests deleted. The churn harness calls this for leaving
     /// clients; freeing the released bytes is the store's GC policy's job.
-    pub fn leave_service(&mut self, sim: &mut Simulator, at: SimTime) -> (SimTime, usize) {
+    pub(crate) fn leave_service(&mut self, sim: &mut Simulator, at: SimTime) -> (SimTime, usize) {
         let deleted = self.planner.purge_account();
         // One control exchange announces the account teardown; its size
         // scales with the manifest count like a batched delete would.
@@ -1179,7 +1149,15 @@ mod tests {
 
         // Path-level pull of the hard-deleted manifests: typed per-file
         // failures, still no storage traffic, never a panic.
-        let outcome = puller.restore_batch(&mut psim, "owner", &paths, outcome.completed_at);
+        let outcome = puller
+            .restore_batch_faulted(
+                &mut psim,
+                "owner",
+                &paths,
+                outcome.completed_at,
+                &Recovery::NONE,
+            )
+            .outcome;
         assert_eq!(outcome.files_failed, paths.len());
         assert_eq!(psim.trace().wire_bytes(FlowKind::Storage), storage_before);
         assert!(outcome.completed_at > outcome.requested_at, "the control plane still answered");
@@ -1192,7 +1170,7 @@ mod tests {
         // and last_activity tracks every protocol step.
         let mut sim = Simulator::new(5);
         let mut client = SyncClient::new(ServiceProfile::dropbox());
-        let committed = |c: &SyncClient| c.planner.store().list_files(c.planner.user()).len();
+        let committed = |c: &SyncClient| c.planner.store().list_files("benchmark-user").len();
         let t0 = client.login(&mut sim, SimTime::ZERO);
         assert_eq!(client.last_activity, t0);
         assert_eq!(committed(&client), 0);

@@ -13,21 +13,21 @@ use cloudsim_net::{AccessLink, HostId, Network, PathSpec};
 
 /// The instantiated servers of one service.
 #[derive(Debug, Clone)]
-pub struct Deployment {
+pub(crate) struct Deployment {
     /// The network topology (client + servers + paths).
-    pub network: Network,
+    pub(crate) network: Network,
     /// Control servers contacted during login, in contact order.
-    pub control_hosts: Vec<HostId>,
+    pub(crate) control_hosts: Vec<HostId>,
     /// The storage front end uploads go to.
-    pub storage_host: HostId,
+    pub(crate) storage_host: HostId,
     /// The notification / keep-alive endpoint.
-    pub notification_host: HostId,
+    pub(crate) notification_host: HostId,
 }
 
 impl Deployment {
     /// Builds the deployment for a profile, measured from the paper's campus
     /// testbed (the identity access link).
-    pub fn new(profile: &ServiceProfile) -> Deployment {
+    pub(crate) fn new(profile: &ServiceProfile) -> Deployment {
         Deployment::with_link(profile, &AccessLink::campus())
     }
 
@@ -35,7 +35,7 @@ impl Deployment {
     /// given access link: every server path is composed with the link
     /// (bottleneck bandwidth, added RTT, combined loss). This is how a
     /// heterogeneous fleet gives each simulated user its own network world.
-    pub fn with_link(profile: &ServiceProfile, link: &AccessLink) -> Deployment {
+    pub(crate) fn with_link(profile: &ServiceProfile, link: &AccessLink) -> Deployment {
         let mut network = Network::new();
         let truth = ProviderTopology::ground_truth(profile.provider);
 
@@ -107,7 +107,7 @@ impl Deployment {
     }
 
     /// The first (primary) control server.
-    pub fn primary_control(&self) -> HostId {
+    pub(crate) fn primary_control(&self) -> HostId {
         self.control_hosts[0]
     }
 }

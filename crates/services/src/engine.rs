@@ -31,7 +31,7 @@
 //! appears at most once: events whose clients could run in parallel
 //! without a client racing itself. No driver executes waves. The scale
 //! path only ever commits, and commits commute, so it walks its sorted
-//! events straight through; the partition suite reports [`wave_count`] as
+//! events straight through; the partition suite reports `wave_count` as
 //! the price of merging partitions' streams.
 //!
 //! ```
@@ -81,7 +81,7 @@ impl FleetEvent {
     /// a client's seeded instants ever collide to the same microsecond —
     /// two events of one population never compare equal unless they are
     /// the same event.
-    pub fn key(&self) -> (SimTime, Phase, usize, usize) {
+    pub(crate) fn key(&self) -> (SimTime, Phase, usize, usize) {
         (self.at, self.phase, self.client, self.round)
     }
 }
@@ -108,7 +108,7 @@ pub struct EventWave<'a> {
 }
 
 /// The time-ordered event queue: the event list sorted once by
-/// [`FleetEvent::key`] plus a cursor (see the module docs).
+/// `FleetEvent::key` plus a cursor (see the module docs).
 #[derive(Debug)]
 pub struct EventHeap {
     /// Every event, in key order.
@@ -128,7 +128,7 @@ impl EventHeap {
     }
 
     /// Events still queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len() - self.next
     }
 
@@ -202,7 +202,7 @@ fn leading_wave(events: &[FleetEvent], seen: &mut SeenClients) -> usize {
 /// given in key order. The partition runner uses this to price wave
 /// fragmentation — how many more waves a merged event stream splits into
 /// than the sum of its partitions' streams — without re-driving a queue.
-pub fn wave_count(mut events: &[FleetEvent]) -> usize {
+pub(crate) fn wave_count(mut events: &[FleetEvent]) -> usize {
     let mut seen = SeenClients::default();
     let mut waves = 0usize;
     while !events.is_empty() {

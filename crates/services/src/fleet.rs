@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex};
 /// starts its login at `r * ROUND_EPOCH_SECS` in its own timeline, and an
 /// idle round advances a connected client's virtual clock by exactly one
 /// epoch of keep-alive polling.
-pub const ROUND_EPOCH_SECS: u64 = 60;
+pub(crate) const ROUND_EPOCH_SECS: u64 = 60;
 
 /// Seed salt for per-(client, round) upload outage schedules; the salt
 /// after it (`0xFA018`) seeds the window's retry jitter.
@@ -85,7 +85,7 @@ pub struct FleetFaults {
     /// How outages are drawn over each activation's transfer window.
     pub spec: FaultSpec,
     /// The retry policy applied to every interrupted transfer.
-    pub retry: RetryConfig,
+    pub(crate) retry: RetryConfig,
 }
 
 impl FleetFaults {
@@ -116,9 +116,9 @@ impl FleetFaults {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientSlot {
     /// The service this client syncs with.
-    pub profile: ServiceProfile,
+    pub(crate) profile: ServiceProfile,
     /// The access link between the client and the wider Internet.
-    pub link: AccessLink,
+    pub(crate) link: AccessLink,
     /// First round the client is active (0 = present from the start).
     pub join_round: usize,
     /// Last round the client participates in, after which it hard-deletes
@@ -153,7 +153,7 @@ impl ClientSlot {
     /// window covers the round). Whether it actually syncs that round is
     /// the schedule's call: an activation draw below the fleet's activation
     /// probability syncs a batch, anything else is an idle round.
-    pub fn active_in(&self, round: usize) -> bool {
+    pub(crate) fn active_in(&self, round: usize) -> bool {
         round >= self.join_round && self.leave_after.map(|l| round <= l).unwrap_or(true)
     }
 }
@@ -171,17 +171,17 @@ pub struct FleetSpec {
     pub file_size: usize,
     /// Master seed; every (client, round, file) derives an independent seed,
     /// and the churn schedule derives from it too.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// GC policy for stores the convenience runners create.
     pub gc: GcPolicy,
     /// The `(joiners, leavers)` churn population installed by
     /// [`FleetSpec::with_churn`], kept so a later [`FleetSpec::with_seed`]
     /// re-derives the schedule instead of leaving a stale one.
-    pub churn: Option<(usize, usize)>,
+    pub(crate) churn: Option<(usize, usize)>,
     /// The `(pullers, sources_per_puller)` restore fan installed by
     /// [`FleetSpec::with_restore_fan`], kept for the same re-derivation
     /// reason as `churn`.
-    pub restore_fan: Option<(usize, usize)>,
+    pub(crate) restore_fan: Option<(usize, usize)>,
     /// The think-time distribution: the seeded pause a client inserts
     /// before each activity burst. [`ThinkTime::NONE`] (the default) never
     /// pauses.
@@ -203,12 +203,12 @@ pub struct FleetSpec {
     /// through the resumable session layer under the configured retry
     /// policy. Control traffic stays fault-free. Schedules derive from the master seed at
     /// run time, so a later [`FleetSpec::with_seed`] needs no re-derivation.
-    pub faults: Option<FleetFaults>,
+    pub(crate) faults: Option<FleetFaults>,
 }
 
 impl FleetSpec {
     /// Content type of the generated files.
-    pub const KIND: FileKind = FileKind::RandomBinary;
+    pub(crate) const KIND: FileKind = FileKind::RandomBinary;
 
     /// Fraction of each batch drawn from a fleet-wide shared pool: identical
     /// bytes across users, modelling popular content. This is what
@@ -314,7 +314,7 @@ impl FleetSpec {
 
     /// Enables fault injection: every activation's storage transfers run
     /// under a seeded outage schedule and the configured retry policy (see
-    /// [`FleetSpec::faults`]).
+    /// `FleetSpec::faults`).
     pub fn with_faults(mut self, faults: FleetFaults) -> FleetSpec {
         faults.spec.validate();
         self.faults = Some(faults);
@@ -429,14 +429,15 @@ impl FleetSpec {
     /// Total plaintext bytes the whole fleet synchronises over all its
     /// *activated* rounds. Idle rounds contribute nothing: the schedule,
     /// not the membership window, is the denominator.
-    pub fn total_logical_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_logical_bytes(&self) -> u64 {
         let per_batch = self.files_per_batch as u64 * self.file_size as u64;
         let schedule = self.schedule();
         schedule.clients.iter().map(|c| c.sync_rounds() as u64 * per_batch).sum()
     }
 
     /// The user name of client `i`.
-    pub fn user(&self, i: usize) -> String {
+    pub(crate) fn user(&self, i: usize) -> String {
         format!("user-{i:04}")
     }
 
@@ -446,7 +447,7 @@ impl FleetSpec {
 
     /// Number of files of each batch that come from the fleet-wide shared
     /// pool (identical bytes for every client).
-    pub fn shared_files_per_batch(&self) -> usize {
+    pub(crate) fn shared_files_per_batch(&self) -> usize {
         ((self.files_per_batch as f64) * FleetSpec::SHARED_FRACTION).round() as usize
     }
 
@@ -456,7 +457,7 @@ impl FleetSpec {
     /// clients); the rest are private to the client. An activation syncs
     /// the batch of its *round*, however many rounds its client idled
     /// before, so the shared pool keeps aligning across clients.
-    pub fn workload(&self, client: usize, round: usize) -> Vec<GeneratedFile> {
+    pub(crate) fn workload(&self, client: usize, round: usize) -> Vec<GeneratedFile> {
         let shared = self.shared_files_per_batch();
         (0..self.files_per_batch)
             .map(|f| {
@@ -514,7 +515,7 @@ pub struct ClientSummary {
     /// Access link the client sat behind.
     pub link: String,
     /// Round the client joined in.
-    pub join_round: usize,
+    pub(crate) join_round: usize,
     /// Manifests the client hard-deleted on departure.
     pub deleted_manifests: usize,
     /// Connected rounds the client spent idle: no sync, keep-alive
@@ -558,17 +559,17 @@ pub struct ClientSummary {
 
 impl ClientSummary {
     /// Payload bytes the client pulled down across all its restores.
-    pub fn downloaded_payload(&self) -> u64 {
+    pub(crate) fn downloaded_payload(&self) -> u64 {
         self.restores.iter().map(|r| r.downloaded_payload).sum()
     }
 
     /// Plaintext bytes of the content this client restored.
-    pub fn restored_logical_bytes(&self) -> u64 {
+    pub(crate) fn restored_logical_bytes(&self) -> u64 {
         self.restores.iter().map(|r| r.logical_bytes).sum()
     }
 
     /// Plaintext bytes the down-path dedup check kept off the wire.
-    pub fn restore_dedup_skipped_bytes(&self) -> u64 {
+    pub(crate) fn restore_dedup_skipped_bytes(&self) -> u64 {
         self.restores.iter().map(|r| r.dedup_skipped_bytes).sum()
     }
 
@@ -579,13 +580,13 @@ impl ClientSummary {
     }
 
     /// Simulated seconds this client spent restoring, summed over pulls.
-    pub fn restore_secs(&self) -> f64 {
+    pub(crate) fn restore_secs(&self) -> f64 {
         self.restores.iter().map(|r| r.duration_secs()).sum()
     }
 
     /// Time to first restored byte of the client's first payload-moving
     /// pull, if any payload ever travelled.
-    pub fn first_restore_ttfb_secs(&self) -> Option<f64> {
+    pub(crate) fn first_restore_ttfb_secs(&self) -> Option<f64> {
         self.restores.iter().find_map(|r| r.ttfb_secs())
     }
 
@@ -595,13 +596,13 @@ impl ClientSummary {
     }
 
     /// Virtual start time of this client's first sync, if it ever synced.
-    pub fn first_sync_started_at(&self) -> Option<SimTime> {
+    pub(crate) fn first_sync_started_at(&self) -> Option<SimTime> {
         self.outcomes.first().map(|o| o.sync_started_at)
     }
 
     /// Paper-style sync start-up delays (modification to sync start), one
     /// sample per activated round.
-    pub fn startup_delays_secs(&self) -> Vec<f64> {
+    pub(crate) fn startup_delays_secs(&self) -> Vec<f64> {
         self.outcomes
             .iter()
             .map(|o| (o.sync_started_at - o.modification_time).as_secs_f64())
@@ -757,7 +758,7 @@ impl FleetRun {
     /// Every sync's `[start, completion)` interval on the shared virtual
     /// axis, across all clients — the raw material of the concurrency
     /// analysis.
-    pub fn sync_intervals(&self) -> Vec<(SimTime, SimTime)> {
+    pub(crate) fn sync_intervals(&self) -> Vec<(SimTime, SimTime)> {
         self.clients
             .iter()
             .flat_map(|c| c.outcomes.iter())
@@ -816,7 +817,8 @@ impl FleetRun {
 
     /// Fraction of all wire bytes that were background signalling, in
     /// `[0, 1]`. 0.0 for a run that moved no bytes at all — never NaN.
-    pub fn background_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn background_fraction(&self) -> f64 {
         let background = self.total_background_wire_bytes() as f64;
         let total = background + self.total_payload_wire_bytes() as f64;
         if total > 0.0 {

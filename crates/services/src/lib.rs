@@ -7,7 +7,7 @@
 //! Each service is described by a [`profile::ServiceProfile`] carrying the
 //! behaviour the paper documents (chunk sizes, bundling, per-file TCP/SSL
 //! connections, polling intervals, data-centre placement, client-side
-//! encryption, …), a [`deployment::Deployment`] that instantiates its servers
+//! encryption, …), a `deployment::Deployment` that instantiates its servers
 //! and network paths, and a generic [`client::SyncClient`] that executes
 //! logins, idle polling and batch synchronisation while every byte it moves is
 //! captured in the experiment trace.
@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(dead_code)]
 
 pub mod capture;
 pub mod client;

@@ -22,7 +22,7 @@
 //!   does not matter;
 //! * **interval and histogram merges are order-independent**: per-partition
 //!   event streams are subsequences of the globally key-ordered stream, so
-//!   merging them by [`FleetEvent::key`] reconstructs the global firing
+//!   merging them by `FleetEvent::key` reconstructs the global firing
 //!   order exactly, and histogram merge is elementwise bucket addition.
 //!
 //! Together these make a partitioned run **bit-identical** to the unsliced
@@ -93,7 +93,7 @@ impl ClientSet {
     }
 
     /// True when the set owns global client `id`.
-    pub fn contains(&self, id: usize) -> bool {
+    pub(crate) fn contains(&self, id: usize) -> bool {
         match *self {
             ClientSet::Range { start, end } => (start..end).contains(&id),
             ClientSet::Stripe { offset, step, total } => {
@@ -104,7 +104,7 @@ impl ClientSet {
 
     /// The set-local index of global client `id`, if the set owns it. The
     /// inverse of [`ClientSet::global_id`].
-    pub fn local_index(&self, id: usize) -> Option<usize> {
+    pub(crate) fn local_index(&self, id: usize) -> Option<usize> {
         if !self.contains(id) {
             return None;
         }
@@ -115,7 +115,7 @@ impl ClientSet {
     }
 
     /// The global index of the set's `local`-th client.
-    pub fn global_id(&self, local: usize) -> usize {
+    pub(crate) fn global_id(&self, local: usize) -> usize {
         debug_assert!(
             local < self.len(),
             "local index {local} outside the {}-client set",
@@ -128,7 +128,7 @@ impl ClientSet {
     }
 
     /// The set's global client indices in local order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).map(|local| self.global_id(local))
     }
 
@@ -145,7 +145,7 @@ impl ClientSet {
 
 /// The workload one partition drives — pure data either way.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PartitionWorkload {
+pub(crate) enum PartitionWorkload {
     /// Derive the partition's events live from the spec (the partition
     /// only fires events of the clients its set owns).
     Spec(ScaleSpec),
@@ -160,11 +160,11 @@ pub enum PartitionWorkload {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionSpec {
     /// The partition's index among its siblings.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The global clients this partition owns.
-    pub clients: ClientSet,
+    pub(crate) clients: ClientSet,
     /// Where the partition's events come from.
-    pub workload: PartitionWorkload,
+    pub(crate) workload: PartitionWorkload,
 }
 
 /// One finished partition: the driven state, the partition's events in
@@ -180,11 +180,11 @@ pub struct PartitionRun {
     /// The partition's events in heap pop order, with global client
     /// indices — each stream is a subsequence of the unsliced run's global
     /// event order, which is what makes the k-way merge exact.
-    pub events: Vec<FleetEvent>,
+    pub(crate) events: Vec<FleetEvent>,
     /// Transfer intervals, parallel to `events`.
     pub intervals: Vec<(SimTime, SimTime)>,
     /// Waves the partition's own event stream splits into
-    /// ([`wave_count`]; the scale path counts waves, it does not run them).
+    /// (`wave_count`; the scale path counts waves, it does not run them).
     pub waves: usize,
     /// Commits the partition performed.
     pub commits: u64,
@@ -313,7 +313,7 @@ pub fn run_one(part: &PartitionSpec, store: &ObjectStore) -> Result<PartitionRun
 /// order. Validates that the partitions exactly tile the global client
 /// range `[client_base, client_base + clients)`, sums the partitions'
 /// totals, and merges the per-partition (event, interval) streams by
-/// [`FleetEvent::key`] — each stream is a subsequence of the globally
+/// `FleetEvent::key` — each stream is a subsequence of the globally
 /// ordered stream, so the merge reconstructs the unsliced firing order
 /// exactly. Returns the merged run plus the wave count of the merged event
 /// stream.
@@ -492,8 +492,8 @@ mod tests {
             assert_eq!(split.run.aggregate(), whole.aggregate());
             assert_eq!(split.run.load_curve(12), whole.load_curve(12));
             assert_eq!(
-                split.run.dedup_ratio().to_bits(),
-                whole.dedup_ratio().to_bits(),
+                split.run.aggregate().dedup_ratio().to_bits(),
+                whole.aggregate().dedup_ratio().to_bits(),
                 "k={partitions}"
             );
             assert_eq!(split.parts.len(), partitions);

@@ -21,34 +21,34 @@ use std::sync::Arc;
 
 /// The plan for one chunk of one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkPlan {
+pub(crate) struct ChunkPlan {
     /// Payload bytes that must be uploaded for this chunk (0 when the chunk is
     /// already on the server).
-    pub upload_bytes: u64,
+    pub(crate) upload_bytes: u64,
     /// True when client-side dedup avoided the upload entirely.
-    pub deduplicated: bool,
+    pub(crate) deduplicated: bool,
     /// True when the chunk is transmitted as a delta against its previous
     /// revision rather than in full.
-    pub delta_encoded: bool,
+    pub(crate) delta_encoded: bool,
 }
 
 /// The plan for one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilePlan {
     /// Path of the file.
-    pub path: String,
+    pub(crate) path: String,
     /// Plaintext size of the file.
-    pub logical_bytes: u64,
+    pub(crate) logical_bytes: u64,
     /// Per-chunk upload plans, in file order.
-    pub chunks: Vec<ChunkPlan>,
+    pub(crate) chunks: Vec<ChunkPlan>,
     /// Metadata bytes exchanged with the control plane for this file
     /// (manifest, dedup queries, delta signatures).
-    pub metadata_bytes: u64,
+    pub(crate) metadata_bytes: u64,
 }
 
 impl FilePlan {
     /// Total payload bytes that travel to the storage servers for this file.
-    pub fn upload_bytes(&self) -> u64 {
+    pub(crate) fn upload_bytes(&self) -> u64 {
         self.chunks.iter().map(|c| c.upload_bytes).sum()
     }
 }
@@ -91,7 +91,7 @@ pub struct UploadPlanner {
 
 impl UploadPlanner {
     /// Creates a planner for a fresh user account of the given service.
-    pub fn new(profile: ServiceProfile) -> UploadPlanner {
+    pub(crate) fn new(profile: ServiceProfile) -> UploadPlanner {
         UploadPlanner::for_account(profile, ObjectStore::new(), "benchmark-user")
     }
 
@@ -117,7 +117,11 @@ impl UploadPlanner {
     /// uses: every client keeps its own delta state and asks the store which
     /// chunks its account holds, while the server-side store is shared across the whole fleet
     /// so inter-user deduplication is exercised.
-    pub fn for_account(profile: ServiceProfile, store: ObjectStore, user: &str) -> UploadPlanner {
+    pub(crate) fn for_account(
+        profile: ServiceProfile,
+        store: ObjectStore,
+        user: &str,
+    ) -> UploadPlanner {
         UploadPlanner {
             profile,
             store,
@@ -132,23 +136,13 @@ impl UploadPlanner {
     /// This planner, pricing its uploads and downloads through `sizes` —
     /// the size memo of the run it belongs to — instead of a memo of its
     /// own.
-    pub fn with_size_memo(mut self, sizes: Arc<SizeMemo>) -> UploadPlanner {
+    pub(crate) fn with_size_memo(mut self, sizes: Arc<SizeMemo>) -> UploadPlanner {
         self.sizes = sizes;
         self
     }
 
-    /// The user account this planner commits as.
-    pub fn user(&self) -> &str {
-        &self.user
-    }
-
-    /// The profile this planner applies.
-    pub fn profile(&self) -> &ServiceProfile {
-        &self.profile
-    }
-
     /// The server-side object store backing the account.
-    pub fn store(&self) -> &ObjectStore {
+    pub(crate) fn store(&self) -> &ObjectStore {
         &self.store
     }
 
@@ -290,7 +284,7 @@ impl UploadPlanner {
     /// Plans the deletion of a file: drops the manifest and the live
     /// references, but — like Dropbox and Wuala — keeps the chunk index so a
     /// later restore deduplicates (§4.3).
-    pub fn plan_delete(&mut self, path: &str) {
+    pub(crate) fn plan_delete(&mut self, path: &str) {
         // The held record lists the live revision's chunk hashes in file
         // order — what re-chunking and re-hashing its bytes would give.
         if let Some(held) = self.own.remove(path) {
@@ -301,7 +295,7 @@ impl UploadPlanner {
 
     /// Plans the restore of every live file of `owner` — the download
     /// mirror of [`UploadPlanner::plan_batch`]. Convenience wrapper over
-    /// [`UploadPlanner::plan_restore_paths`] for the whole namespace.
+    /// `UploadPlanner::plan_restore_paths` for the whole namespace.
     pub fn plan_restore_user(&mut self, owner: &str) -> Vec<Result<RestoredFile, RestoreError>> {
         let paths = self.store.list_files(owner);
         self.plan_restore_paths(owner, &paths)
@@ -324,7 +318,7 @@ impl UploadPlanner {
     /// of unchanged content costs nothing on the wire. Failures (e.g. a
     /// manifest a churning owner hard-deleted) are typed values, never
     /// panics, and leave no local state behind.
-    pub fn plan_restore_paths(
+    pub(crate) fn plan_restore_paths(
         &mut self,
         owner: &str,
         paths: &[String],
@@ -431,7 +425,7 @@ impl UploadPlanner {
     /// Returns the number of live manifests deleted. This is the departure
     /// path of a churning fleet client — the opposite of the §4.3
     /// retention-friendly [`UploadPlanner::plan_delete`].
-    pub fn purge_account(&mut self) -> usize {
+    pub(crate) fn purge_account(&mut self) -> usize {
         let deleted = self.store.list_files(&self.user).len();
         // One namespace purge releases every live manifest plus whatever
         // retention kept (superseded or soft-deleted revisions) — identical
@@ -866,6 +860,6 @@ mod tests {
         let plan = plan_file(&mut planner, "a.bin", &generate(FileKind::RandomBinary, 50_000, 14));
         assert!(plan.metadata_bytes >= 300);
         assert!(planner.store().stats("benchmark-user").files == 1);
-        assert_eq!(planner.profile().provider, cloudsim_geo::Provider::Dropbox);
+        assert_eq!(planner.profile.provider, cloudsim_geo::Provider::Dropbox);
     }
 }

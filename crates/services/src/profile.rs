@@ -11,7 +11,7 @@ use cloudsim_storage::{ChunkingStrategy, CompressionPolicy};
 
 /// How a client maps files onto transport connections during an upload batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferMode {
+pub(crate) enum TransferMode {
     /// Files are bundled and pipelined over one reused storage connection
     /// (Dropbox, §4.2: "only Dropbox implements a file-bundling strategy").
     Bundled,
@@ -32,58 +32,58 @@ pub enum TransferMode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceProfile {
     /// Which provider this profile models.
-    pub provider: Provider,
+    pub(crate) provider: Provider,
 
     // --- Client capabilities (§4, Table 1) -------------------------------
     /// Chunking strategy (§4.1).
     pub chunking: ChunkingStrategy,
     /// How files map onto connections (§4.2).
-    pub transfer_mode: TransferMode,
+    pub(crate) transfer_mode: TransferMode,
     /// Compression policy (§4.5).
     pub compression: CompressionPolicy,
     /// Client-side deduplication (§4.3).
-    pub dedup: bool,
+    pub(crate) dedup: bool,
     /// Delta encoding of modified files (§4.4).
     pub delta_encoding: bool,
 
     // --- Network placement (§3.2, §5.2) -----------------------------------
     /// RTT from the (European) testbed to the control servers.
-    pub control_rtt: SimDuration,
+    pub(crate) control_rtt: SimDuration,
     /// RTT from the testbed to the storage front end.
-    pub storage_rtt: SimDuration,
+    pub(crate) storage_rtt: SimDuration,
     /// Bottleneck bandwidth towards the control and storage servers alike,
     /// bits per second.
-    pub bandwidth: u64,
+    pub(crate) bandwidth: u64,
 
     // --- Login and idle behaviour (§3.1, Fig. 1) ---------------------------
     /// Number of distinct control servers contacted during login (SkyDrive
     /// talks to ~13 Microsoft Live servers).
-    pub login_servers: u32,
+    pub(crate) login_servers: u32,
     /// Total bytes exchanged during login across all control servers.
-    pub login_bytes: u64,
+    pub(crate) login_bytes: u64,
     /// Interval between keep-alive polls while idle.
-    pub polling_interval: SimDuration,
+    pub(crate) polling_interval: SimDuration,
     /// Application bytes exchanged per poll (request + response bodies).
-    pub polling_bytes: u64,
+    pub(crate) polling_bytes: u64,
     /// Whether every poll opens a brand-new HTTPS connection (Cloud Drive).
-    pub polling_new_connection: bool,
+    pub(crate) polling_new_connection: bool,
     /// Whether the notification/keep-alive channel uses plain HTTP instead of
     /// HTTPS (Dropbox's notification protocol).
-    pub notification_plain_http: bool,
+    pub(crate) notification_plain_http: bool,
 
     // --- Synchronisation timing (§5.1) -------------------------------------
     /// Base delay between a file change and the start of synchronisation.
-    pub startup_delay: SimDuration,
+    pub(crate) startup_delay: SimDuration,
     /// Additional start-up delay per file in the batch (SkyDrive "gets slower
     /// as batches increase").
-    pub startup_delay_per_file: SimDuration,
+    pub(crate) startup_delay_per_file: SimDuration,
     /// Client-side per-file processing time during upload (hashing, database
     /// commits, encryption).
-    pub per_file_overhead: SimDuration,
+    pub(crate) per_file_overhead: SimDuration,
     /// Server-side processing time charged per storage request.
-    pub server_think: SimDuration,
+    pub(crate) server_think: SimDuration,
     /// HTTP header overhead of the service's API.
-    pub http_overhead: HttpOverhead,
+    pub(crate) http_overhead: HttpOverhead,
 }
 
 impl ServiceProfile {
@@ -243,24 +243,13 @@ impl ServiceProfile {
         ]
     }
 
-    /// Looks up a profile by provider.
-    pub fn for_provider(provider: Provider) -> ServiceProfile {
-        match provider {
-            Provider::Dropbox => ServiceProfile::dropbox(),
-            Provider::SkyDrive => ServiceProfile::skydrive(),
-            Provider::Wuala => ServiceProfile::wuala(),
-            Provider::GoogleDrive => ServiceProfile::google_drive(),
-            Provider::CloudDrive => ServiceProfile::cloud_drive(),
-        }
-    }
-
     /// Display name of the service.
     pub fn name(&self) -> &'static str {
         self.provider.name()
     }
 
     /// Whether the client bundles small files (Table 1 row "Bundling").
-    pub fn bundles(&self) -> bool {
+    pub(crate) fn bundles(&self) -> bool {
         matches!(self.transfer_mode, TransferMode::Bundled)
     }
 }
@@ -275,9 +264,8 @@ mod tests {
         assert_eq!(all.len(), 5);
         let names: Vec<&str> = all.iter().map(|p| p.name()).collect();
         assert_eq!(names, vec!["Dropbox", "SkyDrive", "Wuala", "Google Drive", "Cloud Drive"]);
-        for p in Provider::ALL {
-            assert_eq!(ServiceProfile::for_provider(p).provider, p);
-        }
+        let providers: Vec<Provider> = all.iter().map(|p| p.provider).collect();
+        assert_eq!(providers, Provider::ALL);
     }
 
     #[test]

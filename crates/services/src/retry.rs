@@ -33,7 +33,7 @@ pub struct Recovery<'a> {
 impl Recovery<'static> {
     /// No outages, hence nothing to recover from: what a fault-free
     /// transfer runs under. The policy and seed are never consulted.
-    pub const NONE: Recovery<'static> =
+    pub(crate) const NONE: Recovery<'static> =
         Recovery { faults: &FaultSchedule::NONE, policy: RetryConfig::None, seed: 0 };
 }
 
@@ -41,7 +41,7 @@ impl Recovery<'_> {
     /// The policy's verdict on retry number `attempt` of transfer unit
     /// `unit` in the `salt` stream of draws: the backoff to sleep, or
     /// `None` to abandon.
-    pub fn backoff(&self, salt: u64, unit: u64, attempt: u32) -> Option<SimDuration> {
+    pub(crate) fn backoff(&self, salt: u64, unit: u64, attempt: u32) -> Option<SimDuration> {
         self.policy.backoff(attempt, derive_seed(self.seed, salt, unit, attempt as u64))
     }
 }

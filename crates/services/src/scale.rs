@@ -34,7 +34,7 @@
 //!
 //! Nothing here needs the wave-by-wave lock step the full-fidelity fleet
 //! ([`crate::fleet`]) executes — waves survive on this path only as a
-//! *count* ([`crate::engine::wave_count`]) the partition suite reports.
+//! *count* (`crate::engine::wave_count`) the partition suite reports.
 //! The partition runner ([`crate::partition`]) cuts the population into
 //! disjoint client sets, walks them in order and merges them by event key
 //! into exactly the timeline walk's order, which is what makes a
@@ -196,7 +196,7 @@ pub struct ScaleSpec {
     /// longest chunk the store holds.
     pub file_size: u64,
     /// Master seed; every draw derives from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl ScaleSpec {
@@ -213,14 +213,14 @@ impl ScaleSpec {
     /// Fraction of each commit drawn from a population-wide shared pool
     /// (identical content seeds across clients — what inter-user dedup
     /// acts on at scale).
-    pub const SHARED_FRACTION: f64 = 0.5;
+    pub(crate) const SHARED_FRACTION: f64 = 0.5;
 
     /// The virtual horizon commit instants are drawn uniformly over.
     pub const HORIZON: SimDuration = SimDuration::from_secs(3600);
 
     /// Access links distributed round-robin across the clients (client `i`
     /// uploads through `LINKS[i % len]`): all four presets.
-    pub const LINKS: [AccessLink; 4] = AccessLink::all();
+    pub(crate) const LINKS: [AccessLink; 4] = AccessLink::all();
 
     /// A population of `clients` uploaders: two commits each of four 64 kB
     /// files (half from the shared pool) spread over one virtual hour,
@@ -785,20 +785,9 @@ impl ScaleRun {
         self.store.aggregate()
     }
 
-    /// Population-scale inter-user dedup ratio (see
-    /// [`AggregateStats::dedup_ratio`]).
-    pub fn dedup_ratio(&self) -> f64 {
-        self.aggregate().dedup_ratio()
-    }
-
     /// Start of the earliest transfer.
     pub fn first_start(&self) -> SimTime {
         series::interval_span(&self.intervals).0
-    }
-
-    /// End of the latest transfer.
-    pub fn last_end(&self) -> SimTime {
-        series::interval_span(&self.intervals).1
     }
 
     /// The virtual span the population was active over, in seconds.
@@ -1045,9 +1034,9 @@ mod tests {
         // same two chunks per commit, so referenced approaches twice the
         // physical bytes (private files bound the ratio from above at 2).
         assert!(
-            run.dedup_ratio() > 1.5 && run.dedup_ratio() < 2.1,
+            run.aggregate().dedup_ratio() > 1.5 && run.aggregate().dedup_ratio() < 2.1,
             "population-scale dedup ratio {} outside the expected band",
-            run.dedup_ratio()
+            run.aggregate().dedup_ratio()
         );
         assert!(agg.server_dedup_hits > 0);
         // Private files stay private: physical entries cover at least the
@@ -1249,6 +1238,6 @@ mod tests {
         assert!((wire as f64) < run.logical_bytes as f64 * 1.1);
         // The capture is timestamp-faithful: packets stay inside the span.
         let last = view.packets().iter().map(|p| p.timestamp).max().expect("packets");
-        assert!(last <= run.last_end());
+        assert!(last <= series::interval_span(&run.intervals).1);
     }
 }

@@ -81,14 +81,6 @@ impl ThinkTime {
             }
         }
     }
-
-    /// True when the distribution can only ever produce zero pauses.
-    pub fn is_zero(&self) -> bool {
-        match *self {
-            ThinkTime::Fixed(d) => d.is_zero(),
-            ThinkTime::Exponential { mean } => mean.is_zero(),
-        }
-    }
 }
 
 impl fmt::Display for ThinkTime {
@@ -306,8 +298,7 @@ mod tests {
         assert!((3.5..6.5).contains(&mean), "empirical mean {mean} far from 5s");
         assert_eq!(exp.sample(42), exp.sample(42));
 
-        assert!(ThinkTime::NONE.is_zero());
-        assert!(!exp.is_zero());
+        assert!(ThinkTime::NONE.sample(42).is_zero());
         assert_eq!(format!("{exp}"), "exp(mean 5s)");
         assert_eq!(format!("{}", ThinkTime::NONE), "fixed 0s");
     }

@@ -12,7 +12,7 @@
 //!   the `faults.*` gate metrics). Once a download's last range lands, its
 //!   reassembled content is verified against the manifest's chunk hashes in
 //!   one SHA-256 pass ([`RangedTransfer::verify`]);
-//! * [`UploadSession`] walks a planned batch of chunks over one such stream
+//! * `UploadSession` walks a planned batch of chunks over one such stream
 //!   at a time — bytes the server acknowledged before a cut are never
 //!   uploaded again — and counts what committed and what was abandoned.
 
@@ -84,7 +84,7 @@ impl FaultStats {
 /// driving loop (the sync client) owns the connection; this object owns the
 /// offsets.
 #[derive(Debug, Clone)]
-pub struct UploadSession {
+pub(crate) struct UploadSession {
     chunks: Vec<u64>,
     next: usize,
     /// The current chunk's stream; its stats run on across chunks.
@@ -96,7 +96,7 @@ pub struct UploadSession {
 impl UploadSession {
     /// A session over the planned chunk upload sizes (zero-byte chunks —
     /// deduplicated ones — are skipped up front: nothing to transfer).
-    pub fn new(chunks: Vec<u64>) -> UploadSession {
+    pub(crate) fn new(chunks: Vec<u64>) -> UploadSession {
         let chunks: Vec<u64> = chunks.into_iter().filter(|b| *b > 0).collect();
         UploadSession {
             stream: RangedTransfer::new(chunks.first().copied().unwrap_or(0)),
@@ -109,20 +109,20 @@ impl UploadSession {
 
     /// The next transfer to drive: `(chunk index, uncommitted tail bytes)`,
     /// or `None` when every chunk is committed or abandoned.
-    pub fn remaining(&self) -> Option<(usize, u64)> {
+    pub(crate) fn remaining(&self) -> Option<(usize, u64)> {
         self.chunks.get(self.next).map(|_| (self.next, self.stream.remaining()))
     }
 
     /// The current chunk's stream, for the driving loop to record
     /// interruptions and retries on and to finish one way or the other.
-    pub fn stream_mut(&mut self) -> &mut RangedTransfer {
+    pub(crate) fn stream_mut(&mut self) -> &mut RangedTransfer {
         &mut self.stream
     }
 
     /// Settles the current chunk and moves to the next: a chunk whose
     /// stream completed is durable as a whole, one whose stream was
     /// abandoned is lost as a whole.
-    pub fn advance(&mut self) {
+    pub(crate) fn advance(&mut self) {
         let size = self.chunks[self.next];
         if self.stream.is_complete() {
             self.committed_payload += size;
@@ -136,22 +136,22 @@ impl UploadSession {
     }
 
     /// Payload bytes durably committed so far (whole chunks only).
-    pub fn committed_payload(&self) -> u64 {
+    pub(crate) fn committed_payload(&self) -> u64 {
         self.committed_payload
     }
 
     /// Chunks given up on after the retry budget ran out.
-    pub fn abandoned_chunks(&self) -> usize {
+    pub(crate) fn abandoned_chunks(&self) -> usize {
         self.abandoned_chunks
     }
 
     /// True when every chunk committed (nothing abandoned, nothing left).
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.next >= self.chunks.len() && self.abandoned_chunks == 0
     }
 
     /// The session's recovery accounting.
-    pub fn stats(&self) -> FaultStats {
+    pub(crate) fn stats(&self) -> FaultStats {
         self.stream.stats()
     }
 }
@@ -183,12 +183,12 @@ impl RangedTransfer {
     }
 
     /// Bytes still to move — the range the next attempt requests.
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.total - self.verified
     }
 
     /// The last durable byte offset (the next range request's start).
-    pub fn verified(&self) -> u64 {
+    pub(crate) fn verified(&self) -> u64 {
         self.verified
     }
 
@@ -206,7 +206,7 @@ impl RangedTransfer {
     }
 
     /// Records a granted retry and its virtual backoff.
-    pub fn retried(&mut self, wait: SimDuration) {
+    pub(crate) fn retried(&mut self, wait: SimDuration) {
         self.stats.retries += 1;
         self.stats.backoff_wait += wait;
     }
@@ -225,14 +225,14 @@ impl RangedTransfer {
 
     /// The retry budget ran out: everything moved so far — durable or not —
     /// is wasted wire; the stream cannot be reassembled.
-    pub fn abandon(&mut self) {
+    pub(crate) fn abandon(&mut self) {
         self.stats.abandoned += 1;
         self.stats.wasted_bytes += self.verified;
         self.pending_salvage = 0;
     }
 
     /// True once the whole stream moved.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.verified >= self.total
     }
 

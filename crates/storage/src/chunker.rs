@@ -71,7 +71,7 @@ impl ChunkingStrategy {
     /// Computes chunk boundaries only, without hashing the content — the
     /// cheap sequential part of chunking. The upload pipeline fans the
     /// per-span hashing and coding out across worker threads.
-    pub fn spans(&self, data: &[u8]) -> Vec<ChunkSpan> {
+    pub(crate) fn spans(&self, data: &[u8]) -> Vec<ChunkSpan> {
         match *self {
             ChunkingStrategy::None => {
                 if data.is_empty() {
@@ -100,16 +100,16 @@ impl ChunkingStrategy {
 
 /// A chunk boundary: offset and length, before the content is hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkSpan {
+pub(crate) struct ChunkSpan {
     /// Byte offset of the chunk within the file.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Chunk length in bytes.
-    pub len: u64,
+    pub(crate) len: u64,
 }
 
 impl ChunkSpan {
     /// The byte range of the span.
-    pub fn range(&self) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
         self.offset as usize..(self.offset + self.len) as usize
     }
 }
@@ -127,7 +127,7 @@ pub struct Chunk {
 
 impl Chunk {
     /// Builds a chunk record from a slice of file content.
-    pub fn from_slice(offset: u64, data: &[u8]) -> Chunk {
+    pub(crate) fn from_slice(offset: u64, data: &[u8]) -> Chunk {
         Chunk { offset, len: data.len() as u64, hash: sha256(data) }
     }
 

@@ -19,11 +19,11 @@
 //! The paper's Dropbox wastes CPU compressing what cannot shrink, and
 //! counting it through the coder would waste the simulator's too: a parse
 //! of random bytes only ever answers the stored size. So before any parse,
-//! the size count ([`LzssScratch::upload_size`]) makes one cheap pass that
+//! the size count (`LzssScratch::upload_size`) makes one cheap pass that
 //! counts the positions whose 4 bytes may repeat within the window. Where
 //! at most about one in eleven can (`11·|R′| ≤ len + 32`), no parse could beat
 //! stored mode, and the count is `len + 1` without one; otherwise the coder
-//! runs as before. [`LzssScratch`]'s docs derive the bound, and the tests
+//! runs as before. `LzssScratch`'s docs derive the bound, and the tests
 //! `certificate_*` hold every settled input to the coder's own answer.
 
 use crate::hash::ContentHash;
@@ -77,7 +77,7 @@ impl CompressionPolicy {
     /// [`CompressionPolicy::upload_size`] against an explicit, caller-owned
     /// scratch state — the form the upload pipeline's worker threads use so
     /// the coder tables are reused across chunks without any locking.
-    pub fn upload_size_with(&self, scratch: &mut LzssScratch, data: &[u8]) -> u64 {
+    pub(crate) fn upload_size_with(&self, scratch: &mut LzssScratch, data: &[u8]) -> u64 {
         if self.compresses(data) {
             scratch.upload_size(data)
         } else {
@@ -88,7 +88,7 @@ impl CompressionPolicy {
 
 /// One run's LZSS size counts, keyed by the counted content's SHA-256.
 ///
-/// The count ([`LzssScratch::upload_size`]) is a pure function of the
+/// The count (`LzssScratch::upload_size`) is a pure function of the
 /// bytes, so a run that meets the same content twice — Google Drive's
 /// chunk of a file Dropbox already synced, a Fig. 4 base synced again, a
 /// restore of a chunk an upload priced — needs it once. Both byte
@@ -138,7 +138,7 @@ impl SizeMemo {
     }
 
     /// Bytes of the distinct contents whose count the repeat pass settled
-    /// without a parse (see [`LzssScratch`]): a part of
+    /// without a parse (see `LzssScratch`): a part of
     /// [`SizeMemo::distinct_bytes`], recorded the same way.
     pub fn certified_bytes(&self) -> u64 {
         self.certified.load(Ordering::Relaxed)
@@ -375,7 +375,7 @@ const SEAM_OVERLAP: usize = 2 * 1024;
 /// `dirty`; the match finder zeroes the dirty words before it reads `head`
 /// again. A zero entry is one never written, so that changes no token.
 #[derive(Debug, Clone)]
-pub struct LzssScratch {
+pub(crate) struct LzssScratch {
     /// Hash → `base` + most recent position with that 4-byte-prefix hash.
     /// (Fixed-size arrays: the masked indices need no bounds check.)
     head: Box<[u32; HEAD_SIZE]>,
@@ -705,7 +705,7 @@ fn zeroed_table<T: Clone + Default, const N: usize>() -> Box<[T; N]> {
 impl LzssScratch {
     /// Allocates the scratch tables (the only allocations the coder makes).
     /// Zeroed tables hold no reachable entry, so nothing is filled.
-    pub fn new() -> LzssScratch {
+    pub(crate) fn new() -> LzssScratch {
         LzssScratch::with_base(BASE_START)
     }
 
@@ -730,7 +730,7 @@ impl LzssScratch {
     /// Neither happens to an input the repeat pass settles first (see
     /// [`LzssScratch`]): random bytes are counted as stored without a
     /// parse.
-    pub fn upload_size(&mut self, data: &[u8]) -> u64 {
+    pub(crate) fn upload_size(&mut self, data: &[u8]) -> u64 {
         self.count(data).size
     }
 
@@ -948,10 +948,10 @@ pub(crate) fn with_lent<T>(
 }
 
 /// Compresses `data` with LZSS. Falls back to stored mode when compression
-/// would expand the input. Uses a per-thread [`LzssScratch`], so repeated
+/// would expand the input. Uses a per-thread `LzssScratch`, so repeated
 /// calls do not re-allocate the match-finder tables. The library itself
 /// never writes a stream: both byte pipelines only count one
-/// ([`CompressionPolicy::upload_size_with`]).
+/// (`CompressionPolicy::upload_size_with`).
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     with_thread_scratch(|scratch| {
@@ -1063,7 +1063,7 @@ fn decompress_lzss(stream: &[u8]) -> Result<Vec<u8>, DecompressError> {
 /// header is inspected — which is why the *fake JPEG* test (JPEG header, text
 /// body) fools the smart policy into skipping compression (Fig. 5c shows
 /// Google Drive uploading fake JPEGs uncompressed).
-pub fn looks_compressed(data: &[u8]) -> bool {
+pub(crate) fn looks_compressed(data: &[u8]) -> bool {
     const SIGNATURES: &[&[u8]] = &[
         b"\xFF\xD8\xFF",         // JPEG
         b"\x89PNG\r\n\x1a\n",    // PNG

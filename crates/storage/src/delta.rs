@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 /// Default delta block size (rsync uses ~700–16 kB; Dropbox-scale clients use
 /// a few kB per block inside each 4 MB chunk).
-pub const DEFAULT_BLOCK_SIZE: usize = 8 * 1024;
+pub(crate) const DEFAULT_BLOCK_SIZE: usize = 8 * 1024;
 
 /// Weak rolling checksum (Adler-32 flavour used by rsync). Public so the
 /// property tests can assert the rolled value equals a from-scratch
@@ -56,11 +56,11 @@ pub fn roll(sum: WeakSum, out_byte: u8, in_byte: u8, block_len: usize) -> WeakSu
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
     /// Block size the signature was computed with.
-    pub block_size: usize,
+    pub(crate) block_size: usize,
     /// Strong hash of each block, in order.
-    pub blocks: Vec<ContentHash>,
+    pub(crate) blocks: Vec<ContentHash>,
     /// Total length of the old revision.
-    pub total_len: u64,
+    pub(crate) total_len: u64,
     weak_index: HashMap<u32, Vec<usize>>,
 }
 
@@ -86,14 +86,14 @@ impl Signature {
 
     /// Size of the signature on the wire: one weak (4 B) and one strong (32 B)
     /// checksum per block — this is control traffic the delta protocol costs.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         self.blocks.len() as u64 * 36
     }
 }
 
 /// One instruction of a delta script.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeltaOp {
+pub(crate) enum DeltaOp {
     /// Copy block `index` of the old revision.
     Copy {
         /// Index of the old-revision block to copy.
@@ -110,9 +110,9 @@ pub enum DeltaOp {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaScript {
     /// Block size of the signature this script refers to.
-    pub block_size: usize,
+    pub(crate) block_size: usize,
     /// The instructions, in output order.
-    pub ops: Vec<DeltaOp>,
+    pub(crate) ops: Vec<DeltaOp>,
 }
 
 impl DeltaScript {

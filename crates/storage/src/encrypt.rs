@@ -63,7 +63,7 @@ fn chacha20_block(key: &[u8; 32], nonce: &[u8; 12], counter: u32) -> [u8; 64] {
 }
 
 /// Raw ChaCha20 stream cipher: XORs `data` with the keystream.
-pub fn chacha20_xor(
+pub(crate) fn chacha20_xor(
     key: &[u8; 32],
     nonce: &[u8; 12],
     initial_counter: u32,
@@ -103,7 +103,7 @@ impl ConvergentCipher {
     }
 
     /// Encrypts with an explicit (already derived) key.
-    pub fn encrypt_with_key(&self, key: &ContentHash, plaintext: &[u8]) -> Vec<u8> {
+    pub(crate) fn encrypt_with_key(&self, key: &ContentHash, plaintext: &[u8]) -> Vec<u8> {
         let mut nonce = [0u8; 12];
         nonce.copy_from_slice(&sha256(&key.0).0[..12]);
         chacha20_xor(&key.0, &nonce, 1, plaintext)

@@ -20,12 +20,12 @@ pub struct ContentHash(pub [u8; 32]);
 
 impl ContentHash {
     /// Hexadecimal rendering of the hash.
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         hex(&self.0)
     }
 
     /// A short prefix (the first six bytes), handy for logs and debug output.
-    pub fn short(&self) -> String {
+    pub(crate) fn short(&self) -> String {
         hex(&self.0[..6])
     }
 }

@@ -43,6 +43,7 @@
 // the SHA-extension kernel behind the CPU feature test (CI counts the allows).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(dead_code)]
 
 pub mod chunker;
 pub mod compress;

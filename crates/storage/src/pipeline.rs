@@ -10,7 +10,7 @@
 //!   file content ([`FileJob`] holds `&[u8]`); nothing is copied until a
 //!   result must be owned.
 //! * **Preallocated scratch**: each worker codes with a
-//!   [`crate::compress::LzssScratch`] the calling thread owns and lends it,
+//!   `crate::compress::LzssScratch` the calling thread owns and lends it,
 //!   so the LZSS coder performs no per-chunk heap allocation and no table is
 //!   allocated on a spawned thread; the content-defined chunker reads a
 //!   `static` gear table.
@@ -19,7 +19,7 @@
 //!   flattened `(file, chunk)` hash/delta/size-count units, so one huge file
 //!   parallelises as well as many small ones — and a chunk coded on the
 //!   calling thread splits its LZSS size count across the cores in turn
-//!   ([`crate::compress::LzssScratch::upload_size`]). How many threads a
+//!   (`crate::compress::LzssScratch::upload_size`). How many threads a
 //!   stage gets is worked out, never chosen, by
 //!   [`cloudsim_parallel::auto_workers`]: one when its work is under
 //!   `PARALLEL_THRESHOLD_BYTES` — content bytes for the scans, and for the

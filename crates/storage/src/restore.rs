@@ -20,7 +20,7 @@
 //! * **Priced, not produced, on the wire**: a full chunk download travels
 //!   in the service's compression encoding, and what it costs
 //!   (`download_bytes`) is what
-//!   [`crate::compress::CompressionPolicy::upload_size_with`] says for the
+//!   `crate::compress::CompressionPolicy::upload_size_with` says for the
 //!   bytes. The run's [`SizeMemo`] answers when the run counted them before
 //!   (an upload of the same content, typically); otherwise they are counted
 //!   on a scratch the calling thread lends, and the count enters the memo
@@ -154,11 +154,11 @@ pub struct RestoredChunk {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestoredFile {
     /// The user whose namespace the manifest came from.
-    pub owner: String,
+    pub(crate) owner: String,
     /// Path of the file inside the owner's synced folder.
     pub path: String,
     /// Manifest version that was restored.
-    pub version: u64,
+    pub(crate) version: u64,
     /// The reconstructed content — byte-identical to what was uploaded.
     /// Behind an [`Arc`] so a client can keep it as the base revision of a
     /// later delta download without copying it.

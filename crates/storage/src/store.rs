@@ -181,7 +181,7 @@ pub struct StoreStats {
     /// Bytes occupied by chunk payloads on the server.
     pub stored_bytes: u64,
     /// Sum of the plaintext sizes of live files (logical size).
-    pub logical_bytes: u64,
+    pub(crate) logical_bytes: u64,
 }
 
 /// Aggregate statistics of the whole store, across every user namespace.
@@ -299,7 +299,7 @@ pub struct GcStats {
     /// Physical chunk entries removed.
     pub freed_chunks: u64,
     /// Stored bytes reclaimed.
-    pub freed_bytes: u64,
+    pub(crate) freed_bytes: u64,
 }
 
 /// An interned user name, handed out by [`StoreWriter::intern_user`]. Valid

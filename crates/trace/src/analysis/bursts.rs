@@ -37,18 +37,19 @@ impl Default for BurstConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Burst {
     /// Timestamp of the first payload packet of the burst.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Timestamp of the last payload packet of the burst.
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Upload payload bytes carried by the burst.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Number of upload payload packets in the burst.
-    pub packets: u64,
+    pub(crate) packets: u64,
 }
 
 impl Burst {
     /// Duration of the burst.
-    pub fn duration(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn duration(&self) -> SimDuration {
         self.end - self.start
     }
 }

@@ -33,9 +33,9 @@ impl Default for ThroughputConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pause {
     /// Timestamp of the last payload packet before the pause.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Timestamp of the first payload packet after the pause.
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Upload payload bytes observed before this pause since the previous
     /// pause (i.e. the size of the chunk the pause terminates).
     pub bytes_before: u64,

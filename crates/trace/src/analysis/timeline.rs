@@ -14,18 +14,21 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncTimeline {
     /// The moment the testing application started modifying files.
-    pub modification_start: SimTime,
+    pub(crate) modification_start: SimTime,
     /// First packet of any storage flow (SYN counts: "first storage flow observed").
-    pub first_storage_packet: Option<SimTime>,
+    pub(crate) first_storage_packet: Option<SimTime>,
     /// First storage packet that carries payload.
-    pub first_storage_payload: Option<SimTime>,
+    pub(crate) first_storage_payload: Option<SimTime>,
     /// Last storage packet that carries payload.
-    pub last_storage_payload: Option<SimTime>,
+    pub(crate) last_storage_payload: Option<SimTime>,
 }
 
 impl SyncTimeline {
     /// Extracts the timeline from a trace.
-    pub fn from_packets(packets: &[PacketRecord], modification_start: SimTime) -> SyncTimeline {
+    pub(crate) fn from_packets(
+        packets: &[PacketRecord],
+        modification_start: SimTime,
+    ) -> SyncTimeline {
         let storage = packets.iter().filter(|p| p.kind == FlowKind::Storage);
         let mut first_packet = None;
         let mut first_payload = None;

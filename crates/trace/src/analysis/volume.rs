@@ -12,38 +12,28 @@ use crate::packet::{Direction, PacketRecord};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficVolume {
     /// Total wire bytes (headers included) over storage flows, both directions.
-    pub storage_wire: u64,
+    pub(crate) storage_wire: u64,
     /// Total wire bytes over control flows, both directions.
-    pub control_wire: u64,
-    /// Total wire bytes over notification flows, both directions.
-    pub notification_wire: u64,
-    /// Total wire bytes over DNS flows, both directions.
-    pub dns_wire: u64,
+    pub(crate) control_wire: u64,
 }
 
 impl TrafficVolume {
     /// Computes the volume breakdown of a trace.
-    pub fn from_packets(packets: &[PacketRecord]) -> TrafficVolume {
+    pub(crate) fn from_packets(packets: &[PacketRecord]) -> TrafficVolume {
         let mut v = TrafficVolume::default();
         for p in packets {
             match p.kind {
                 FlowKind::Storage => v.storage_wire += p.wire_len(),
                 FlowKind::Control => v.control_wire += p.wire_len(),
-                FlowKind::Notification => v.notification_wire += p.wire_len(),
-                FlowKind::Dns => v.dns_wire += p.wire_len(),
+                FlowKind::Notification | FlowKind::Dns => {}
             }
         }
         v
     }
 
     /// Total storage + control traffic (the numerator of the overhead metric).
-    pub fn benchmark_traffic(&self) -> u64 {
+    pub(crate) fn benchmark_traffic(&self) -> u64 {
         self.storage_wire + self.control_wire
-    }
-
-    /// Total traffic of any kind.
-    pub fn total(&self) -> u64 {
-        self.storage_wire + self.control_wire + self.notification_wire + self.dns_wire
     }
 }
 
@@ -101,10 +91,7 @@ mod tests {
         assert_eq!(uploaded_payload(&packets), 1000);
         assert_eq!(v.storage_wire, 1200 + 2 * TCP_HEADER_BYTES as u64);
         assert_eq!(v.control_wire, 300 + TCP_HEADER_BYTES as u64);
-        assert_eq!(v.notification_wire, 50 + TCP_HEADER_BYTES as u64);
-        assert_eq!(v.dns_wire, 60 + TCP_HEADER_BYTES as u64);
         assert_eq!(v.benchmark_traffic(), v.storage_wire + v.control_wire);
-        assert_eq!(v.total(), v.benchmark_traffic() + v.notification_wire + v.dns_wire);
     }
 
     #[test]
@@ -149,7 +136,7 @@ mod tests {
     fn empty_trace_volume_is_zero() {
         let v = TrafficVolume::from_packets(&[]);
         assert_eq!(v, TrafficVolume::default());
-        assert_eq!(v.total(), 0);
+        assert_eq!(v.benchmark_traffic(), 0);
         assert_eq!(uploaded_payload(&[]), 0);
     }
 }

@@ -4,7 +4,7 @@
 //! packets and allocate flow ids, and [`TraceShard::freeze`] sorts the
 //! packets once, stably, to the `(timestamp, flow, seq)` total order of a
 //! frozen [`Trace`]. A shard's index fixes its flow-id range
-//! ([`SHARD_FLOW_SPAN`] ids per shard), so shards recorded apart merge into
+//! (`SHARD_FLOW_SPAN` ids per shard), so shards recorded apart merge into
 //! the same frozen order as one shard holding all their packets. Reads go
 //! through the one borrowed view type, [`TraceView`], which the analyzers
 //! in [`crate::analysis`] consume.
@@ -17,7 +17,7 @@ use crate::packet::PacketRecord;
 /// unreachable in practice (a million-client run opens ~10^7 flows), so shard
 /// ranges never collide and shard 0 reproduces the historical sequential
 /// `0, 1, 2, …` allocation exactly.
-pub const SHARD_FLOW_SPAN: u64 = 1 << 40;
+pub(crate) const SHARD_FLOW_SPAN: u64 = 1 << 40;
 
 /// One worker's private, lock-free capture shard.
 ///
@@ -49,7 +49,7 @@ impl TraceShard {
 
     /// Creates the shard for worker `index`, allocating flow ids from
     /// `index * SHARD_FLOW_SPAN`.
-    pub fn with_index(index: usize) -> Self {
+    pub(crate) fn with_index(index: usize) -> Self {
         TraceShard { index, packets: Vec::new(), next_flow: 0 }
     }
 
@@ -135,11 +135,6 @@ pub struct TraceView<'a> {
 }
 
 impl<'a> TraceView<'a> {
-    /// Wraps a packet slice in the read view.
-    pub fn new(packets: &'a [PacketRecord]) -> Self {
-        TraceView { packets }
-    }
-
     /// Number of captured packets.
     pub fn len(self) -> usize {
         self.packets.len()
@@ -339,7 +334,7 @@ mod tests {
         assert_eq!(view.wire_bytes(FlowKind::Storage), expected);
         assert_eq!(view.wire_bytes(FlowKind::Control), 0);
         let table = view.flow_table();
-        assert_eq!(table.wire_bytes_total(), expected);
+        assert_eq!(table.get(f).map(|s| s.payload_up), Some(1500));
         assert_eq!(table.len(), 1);
     }
 

@@ -71,29 +71,25 @@ impl fmt::Display for FlowKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowStats {
     /// The flow identifier.
-    pub id: FlowId,
+    pub(crate) id: FlowId,
     /// Client-side endpoint (the test computer).
-    pub client: Endpoint,
+    pub(crate) client: Endpoint,
     /// Server-side endpoint.
-    pub server: Endpoint,
+    pub(crate) server: Endpoint,
     /// Traffic class the flow was tagged with.
-    pub kind: FlowKind,
+    pub(crate) kind: FlowKind,
     /// Timestamp of the first packet (usually the SYN).
-    pub first_packet: SimTime,
+    pub(crate) first_packet: SimTime,
     /// Timestamp of the last packet.
-    pub last_packet: SimTime,
+    pub(crate) last_packet: SimTime,
     /// Timestamp of the first packet carrying payload, if any.
-    pub first_payload: Option<SimTime>,
+    pub(crate) first_payload: Option<SimTime>,
     /// Timestamp of the last packet carrying payload, if any.
-    pub last_payload: Option<SimTime>,
+    pub(crate) last_payload: Option<SimTime>,
     /// Application payload bytes uploaded.
     pub payload_up: u64,
     /// Application payload bytes downloaded.
     pub payload_down: u64,
-    /// Total wire bytes uploaded (headers + payload).
-    pub wire_up: u64,
-    /// Total wire bytes downloaded (headers + payload).
-    pub wire_down: u64,
 }
 
 impl FlowStats {
@@ -113,8 +109,6 @@ impl FlowStats {
             last_payload: None,
             payload_up: 0,
             payload_down: 0,
-            wire_up: 0,
-            wire_down: 0,
         };
         stats.absorb(p);
         stats
@@ -135,24 +129,14 @@ impl FlowStats {
             });
         }
         match p.direction {
-            Direction::Upload => {
-                self.payload_up += p.payload_len as u64;
-                self.wire_up += p.wire_len();
-            }
-            Direction::Download => {
-                self.payload_down += p.payload_len as u64;
-                self.wire_down += p.wire_len();
-            }
+            Direction::Upload => self.payload_up += p.payload_len as u64,
+            Direction::Download => self.payload_down += p.payload_len as u64,
         }
     }
 
-    /// Total wire bytes in both directions.
-    pub fn wire_total(&self) -> u64 {
-        self.wire_up + self.wire_down
-    }
-
     /// Duration between the first and the last packet of the flow.
-    pub fn duration(&self) -> crate::time::SimDuration {
+    #[cfg(test)]
+    pub(crate) fn duration(&self) -> crate::time::SimDuration {
         self.last_packet - self.first_packet
     }
 }
@@ -229,23 +213,14 @@ impl FlowTable {
     }
 
     /// Iterates over all flows in flow-id (creation) order.
-    pub fn iter(&self) -> impl Iterator<Item = &FlowStats> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &FlowStats> {
         self.flows.iter()
     }
 
     /// Iterates over the flows of a given traffic class.
     pub fn of_kind(&self, kind: FlowKind) -> impl Iterator<Item = &FlowStats> {
         self.flows.iter().filter(move |f| f.kind == kind)
-    }
-
-    /// Total wire bytes across all flows of a traffic class.
-    pub fn wire_bytes(&self, kind: FlowKind) -> u64 {
-        self.of_kind(kind).map(|f| f.wire_total()).sum()
-    }
-
-    /// Total wire bytes across every flow in the trace.
-    pub fn wire_bytes_total(&self) -> u64 {
-        self.flows.iter().map(|f| f.wire_total()).sum()
     }
 }
 
@@ -319,8 +294,6 @@ mod tests {
         assert_eq!(f.first_packet, SimTime::ZERO);
         assert_eq!(f.first_payload, Some(SimTime::from_millis(110)));
         assert_eq!(f.last_payload, Some(SimTime::from_millis(112)));
-        assert_eq!(f.wire_up, 5 * TCP_HEADER_BYTES as u64 + 3 * MSS as u64); // SYN + ACK + 3 data
-        assert_eq!(f.wire_down, TCP_HEADER_BYTES as u64); // SYN-ACK
         assert!(f.duration().as_micros() > 0);
     }
 
@@ -341,12 +314,11 @@ mod tests {
     fn wire_byte_totals_are_consistent() {
         let mut packets = handshake_and_data(1, 0, FlowKind::Control, 2);
         packets.extend(handshake_and_data(2, 100, FlowKind::Storage, 4));
-        let table = FlowTable::from_packets(&packets);
-        let total = table.wire_bytes_total();
-        assert_eq!(
-            total,
-            table.wire_bytes(FlowKind::Control) + table.wire_bytes(FlowKind::Storage)
-        );
+        let mut shard = crate::capture::TraceShard::new();
+        packets.into_iter().for_each(|p| shard.record(p));
+        let view = shard.view();
+        let total = view.wire_bytes_total();
+        assert_eq!(total, view.wire_bytes(FlowKind::Control) + view.wire_bytes(FlowKind::Storage));
         assert!(total > 0);
     }
 
@@ -355,7 +327,6 @@ mod tests {
         let table = FlowTable::from_packets(&[]);
         assert!(table.is_empty());
         assert_eq!(table.len(), 0);
-        assert_eq!(table.wire_bytes_total(), 0);
         assert_eq!(table.of_kind(FlowKind::Storage).count(), 0);
         assert!(table.get(FlowId(1)).is_none());
     }
@@ -421,11 +392,7 @@ mod tests {
             for kind in FlowKind::ALL {
                 let of_kind: Vec<&FlowStats> = reference.values().filter(|f| f.kind == kind).collect();
                 prop_assert_eq!(table.of_kind(kind).collect::<Vec<_>>(), of_kind);
-                let wire: u64 = reference.values().filter(|f| f.kind == kind).map(FlowStats::wire_total).sum();
-                prop_assert_eq!(table.wire_bytes(kind), wire);
             }
-            let total: u64 = reference.values().map(FlowStats::wire_total).sum();
-            prop_assert_eq!(table.wire_bytes_total(), total);
         }
     }
 }

@@ -25,7 +25,7 @@ use crate::time::SimDuration;
 
 /// Sub-bucket resolution: each power-of-two octave splits into
 /// `2^SUB_BUCKET_BITS` equal slices.
-pub const SUB_BUCKET_BITS: u32 = 5;
+pub(crate) const SUB_BUCKET_BITS: u32 = 5;
 
 /// Sub-buckets per octave (32).
 const SUB: usize = 1 << SUB_BUCKET_BITS;
@@ -41,10 +41,10 @@ const FIRST_EXP: u32 = SUB_BUCKET_BITS;
 const LAST_EXP: u32 = 41;
 
 /// Total bucket count: 32 linear + 37 octaves × 32 sub-buckets = 1216.
-pub const BUCKET_COUNT: usize = LINEAR + (LAST_EXP - FIRST_EXP + 1) as usize * SUB;
+pub(crate) const BUCKET_COUNT: usize = LINEAR + (LAST_EXP - FIRST_EXP + 1) as usize * SUB;
 
 /// Smallest duration (µs) that saturates into the top bucket: 2^42 µs.
-pub const SATURATION_MICROS: u64 = 1 << (LAST_EXP + 1);
+pub(crate) const SATURATION_MICROS: u64 = 1 << (LAST_EXP + 1);
 
 /// Maps a microsecond value to its bucket index. Total over all `u64`
 /// values; everything at or above [`SATURATION_MICROS`] lands in the top
@@ -76,7 +76,7 @@ fn bucket_lower_bound(index: usize) -> u64 {
 /// A latency histogram over fixed log-linear bucket boundaries.
 ///
 /// `record` durations, `merge` per-worker instances in any order, then read
-/// quantiles with [`LatencyHistogram::percentile`] or export a
+/// quantiles with `LatencyHistogram::percentile` or export a
 /// [`HistogramSummary`] for reports and gate metrics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
@@ -102,7 +102,7 @@ impl LatencyHistogram {
     }
 
     /// Records one raw microsecond value.
-    pub fn record_micros(&mut self, micros: u64) {
+    pub(crate) fn record_micros(&mut self, micros: u64) {
         self.counts[bucket_index(micros)] += 1;
         self.count += 1;
     }
@@ -113,7 +113,8 @@ impl LatencyHistogram {
     }
 
     /// True when no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
@@ -132,7 +133,7 @@ impl LatencyHistogram {
     ///
     /// An empty histogram reports [`SimDuration::ZERO`] — quantiles are
     /// always defined, never `NaN`.
-    pub fn percentile(&self, q: f64) -> SimDuration {
+    pub(crate) fn percentile(&self, q: f64) -> SimDuration {
         if self.count == 0 {
             return SimDuration::ZERO;
         }

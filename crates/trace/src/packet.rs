@@ -79,7 +79,7 @@ impl TcpFlags {
     pub const FIN_ACK: TcpFlags = TcpFlags { syn: false, ack: true, fin: true, rst: false };
 
     /// True for the client-initiated SYN that opens a connection (SYN without ACK).
-    pub fn is_connection_open(&self) -> bool {
+    pub(crate) fn is_connection_open(&self) -> bool {
         self.syn && !self.ack
     }
 }
@@ -158,7 +158,7 @@ impl PacketRecord {
     }
 
     /// True when the packet carries application payload.
-    pub fn has_payload(&self) -> bool {
+    pub(crate) fn has_payload(&self) -> bool {
         self.payload_len > 0
     }
 

@@ -22,7 +22,8 @@ pub struct CumulativeSeries {
 
 impl CumulativeSeries {
     /// Creates an empty series.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         CumulativeSeries::default()
     }
 
@@ -48,12 +49,14 @@ impl CumulativeSeries {
     }
 
     /// Number of events in the series.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.times.len()
     }
 
     /// True when the series has no events.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.times.is_empty()
     }
 
@@ -63,7 +66,8 @@ impl CumulativeSeries {
     }
 
     /// Final running total (0 for an empty series).
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> f64 {
         self.totals.last().copied().unwrap_or(0.0)
     }
 }

@@ -39,7 +39,8 @@ impl SimTime {
     }
 
     /// Creates a time stamp from fractional seconds.
-    pub fn from_secs_f64(s: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_secs_f64(s: f64) -> Self {
         assert!(s >= 0.0, "SimTime cannot be negative");
         SimTime((s * 1e6).round() as u64)
     }
@@ -47,11 +48,6 @@ impl SimTime {
     /// Raw microseconds since experiment start.
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Milliseconds since experiment start (fractional).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// Seconds since experiment start (fractional).
@@ -65,12 +61,12 @@ impl SimTime {
     }
 
     /// Returns the later of two time stamps.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// Returns the earlier of two time stamps.
-    pub fn min(self, other: SimTime) -> SimTime {
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
 }
@@ -106,7 +102,7 @@ impl SimDuration {
     }
 
     /// Milliseconds (fractional).
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -143,16 +139,6 @@ impl SimDuration {
     /// Multiplies the duration by an integer factor, saturating on overflow.
     pub fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
     }
 }
 

@@ -15,9 +15,9 @@ pub struct BatchSpec {
     /// Number of files in the batch.
     pub file_count: usize,
     /// Size of each file in bytes.
-    pub file_size: usize,
+    pub(crate) file_size: usize,
     /// Content type of every file in the batch.
-    pub kind: FileKind,
+    pub(crate) kind: FileKind,
 }
 
 /// One generated file of a batch.

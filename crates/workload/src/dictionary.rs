@@ -10,7 +10,7 @@ use crate::seed::Stream;
 
 /// The embedded word list used to synthesise "readable" text.
 #[rustfmt::skip]
-pub const WORDS: &[&str] = &[
+pub(crate) const WORDS: &[&str] = &[
     "the", "of", "and", "a", "to", "in", "is", "you", "that", "it", "he", "was", "for", "on",
     "are", "as", "with", "his", "they", "I", "at", "be", "this", "have", "from", "or", "one",
     "had", "by", "word", "but", "not", "what", "all", "were", "we", "when", "your", "can",
@@ -28,7 +28,7 @@ pub const WORDS: &[&str] = &[
 
 /// Generates `len` bytes of text made of random dictionary words separated by
 /// spaces, with a newline roughly every 70 characters.
-pub fn text(len: usize, seed: u64) -> Vec<u8> {
+pub(crate) fn text(len: usize, seed: u64) -> Vec<u8> {
     let mut rng = Stream::new(seed);
     let mut out = Vec::with_capacity(len + 16);
     let mut line = 0usize;

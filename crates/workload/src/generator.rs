@@ -5,7 +5,8 @@
 //! images with random pixels, or random binary files." §4.5 adds the *fake
 //! JPEG*: "files with JPEG extension and JPEG headers, but actually filled
 //! with text", used to show that Google Drive's smart compression looks only
-//! at the header.
+//! at the header. No experiment behind the figures uses the random-pixel
+//! images, so there is no generator for them.
 
 use crate::dictionary;
 use crate::seed::Stream;
@@ -20,22 +21,20 @@ pub enum FileKind {
     RandomBinary,
     /// A file with a valid JPEG header but a text body (§4.5, Fig. 5c).
     FakeJpeg,
-    /// An uncompressed bitmap image with random pixels (§2).
-    RandomPixelImage,
 }
 
 impl FileKind {
     /// All kinds, in a stable order.
-    pub const ALL: [FileKind; 4] =
-        [FileKind::Text, FileKind::RandomBinary, FileKind::FakeJpeg, FileKind::RandomPixelImage];
+    #[cfg(test)]
+    pub(crate) const ALL: [FileKind; 3] =
+        [FileKind::Text, FileKind::RandomBinary, FileKind::FakeJpeg];
 
-    /// A short label used in reports ("text", "binary", "fake-jpeg", "image").
+    /// A short label used in reports ("text", "binary", "fake-jpeg").
     pub fn label(&self) -> &'static str {
         match self {
             FileKind::Text => "text",
             FileKind::RandomBinary => "binary",
             FileKind::FakeJpeg => "fake-jpeg",
-            FileKind::RandomPixelImage => "image",
         }
     }
 
@@ -45,7 +44,6 @@ impl FileKind {
             FileKind::Text => "txt",
             FileKind::RandomBinary => "bin",
             FileKind::FakeJpeg => "jpg",
-            FileKind::RandomPixelImage => "bmp",
         }
     }
 }
@@ -71,53 +69,12 @@ pub fn generate(kind: FileKind, size: usize, seed: u64) -> Vec<u8> {
                 out
             }
         }
-        FileKind::RandomPixelImage => bitmap_with_random_pixels(size, seed),
     }
 }
 
 fn random_bytes(size: usize, seed: u64) -> Vec<u8> {
     let mut out = vec![0u8; size];
     Stream::new(seed).fill_bytes(&mut out);
-    out
-}
-
-/// Builds a minimal but well-formed BMP (24-bit, uncompressed) whose pixel
-/// data is random. The overall byte length equals `size` exactly: the pixel
-/// array is sized to fill the remainder and the header fields are set
-/// accordingly (the last row may be partial, which viewers tolerate and the
-/// benchmarks never display).
-fn bitmap_with_random_pixels(size: usize, seed: u64) -> Vec<u8> {
-    const HEADER_LEN: usize = 54;
-    if size <= HEADER_LEN {
-        // Too small for a real bitmap: degrade to random bytes so the length
-        // contract still holds.
-        return random_bytes(size, seed);
-    }
-    let pixel_bytes = size - HEADER_LEN;
-    // Pick a square-ish geometry for the declared dimensions.
-    let width = ((pixel_bytes / 3) as f64).sqrt().max(1.0) as u32;
-    let height = ((pixel_bytes / 3) as u32 / width.max(1)).max(1);
-
-    let mut out = Vec::with_capacity(size);
-    out.extend_from_slice(b"BM");
-    out.extend_from_slice(&(size as u32).to_le_bytes());
-    out.extend_from_slice(&[0, 0, 0, 0]);
-    out.extend_from_slice(&(HEADER_LEN as u32).to_le_bytes());
-    out.extend_from_slice(&40u32.to_le_bytes()); // BITMAPINFOHEADER size
-    out.extend_from_slice(&width.to_le_bytes());
-    out.extend_from_slice(&height.to_le_bytes());
-    out.extend_from_slice(&1u16.to_le_bytes()); // planes
-    out.extend_from_slice(&24u16.to_le_bytes()); // bits per pixel
-    out.extend_from_slice(&0u32.to_le_bytes()); // BI_RGB (uncompressed)
-    out.extend_from_slice(&(pixel_bytes as u32).to_le_bytes());
-    out.extend_from_slice(&2835u32.to_le_bytes()); // 72 DPI
-    out.extend_from_slice(&2835u32.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    debug_assert_eq!(out.len(), HEADER_LEN);
-    let mut pixels = vec![0u8; pixel_bytes];
-    Stream::new(seed).fill_bytes(&mut pixels);
-    out.extend_from_slice(&pixels);
     out
 }
 
@@ -161,32 +118,12 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_has_valid_header_and_random_pixels() {
-        let data = generate(FileKind::RandomPixelImage, 30_054, 5);
-        assert_eq!(&data[..2], b"BM");
-        let declared = u32::from_le_bytes([data[2], data[3], data[4], data[5]]) as usize;
-        assert_eq!(declared, data.len());
-        let offset = u32::from_le_bytes([data[10], data[11], data[12], data[13]]) as usize;
-        assert_eq!(offset, 54);
-        let pixels = &data[offset..];
-        let distinct: std::collections::HashSet<u8> = pixels.iter().copied().collect();
-        assert!(distinct.len() > 200, "pixels should be random");
-    }
-
-    #[test]
-    fn tiny_images_degrade_gracefully() {
-        let data = generate(FileKind::RandomPixelImage, 10, 6);
-        assert_eq!(data.len(), 10);
-    }
-
-    #[test]
     fn labels_and_extensions_are_stable() {
         assert_eq!(FileKind::Text.label(), "text");
         assert_eq!(FileKind::RandomBinary.label(), "binary");
         assert_eq!(FileKind::FakeJpeg.label(), "fake-jpeg");
-        assert_eq!(FileKind::RandomPixelImage.label(), "image");
         assert_eq!(FileKind::Text.extension(), "txt");
         assert_eq!(FileKind::FakeJpeg.extension(), "jpg");
-        assert_eq!(FileKind::ALL.len(), 4);
+        assert_eq!(FileKind::ALL.len(), 3);
     }
 }

@@ -78,7 +78,7 @@ impl Stream {
 
     /// A draw from `0..n`.
     #[inline]
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "cannot sample an empty range");
         self.next_u64() % n
     }
@@ -102,7 +102,7 @@ impl Stream {
 
     /// Fills `buf` with random bytes, eight per draw (little-endian); a
     /// partial last word takes one more draw's first bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
+    pub(crate) fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut words = buf.chunks_exact_mut(8);
         for word in &mut words {
             word.copy_from_slice(&self.next_u64().to_le_bytes());
